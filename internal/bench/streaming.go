@@ -1,12 +1,8 @@
 // The streaming-distributed scenario: the dynamic engine on the simulated
 // machine, applying a congestion-style mutation stream to a weighted mesh
-// and recording the modeled communication of every incremental apply.
-// Each stream replays twice — through the fused single-region engine and
-// through the two-region ablation (NoFuse) — so the artifact carries the
-// fused-vs-two-region W/S/msgs comparison directly: fusion should cut the
-// latency term (S, critical-path messages) roughly in half while words
-// moved stay comparable. A from-scratch distributed run on the evolved
-// topology anchors both series, and an optional sample-budget axis
+// and recording the modeled communication (W, S, α–β–γ seconds) of every
+// fused incremental apply. A from-scratch distributed run on the evolved
+// topology anchors the series, and an optional sample-budget axis
 // (Config.Samples) replays the stream through sampled-mode engines,
 // recording budget vs. modeled communication and the Hoeffding bound.
 package bench
@@ -39,7 +35,7 @@ func StreamingDist(cfg Config) ([]Point, error) {
 	base.Weighted = true
 	base.Name = fmt.Sprintf("mesh-%dx%d", rows, cols)
 
-	fmt.Fprintf(cfg.Out, "\n== Streaming-distributed: fused vs two-region applies vs from-scratch runs on %s ==\n", base.Name)
+	fmt.Fprintf(cfg.Out, "\n== Streaming-distributed: fused applies vs from-scratch runs on %s ==\n", base.Name)
 	fmt.Fprintf(cfg.Out, "%-22s %5s %6s %9s %12s %10s %10s %s\n",
 		"series", "p", "aff", "strategy", "W (bytes)", "S (msgs)", "model(s)", "plan")
 
@@ -50,60 +46,43 @@ func StreamingDist(cfg Config) ([]Point, error) {
 			continue
 		}
 		ran = true
-		// The same seeded stream replays through the fused engine and the
-		// two-region ablation, so their per-apply costs are comparable
-		// point by point.
-		variants := []struct {
-			series string
-			engine string
-			noFuse bool
-		}{
-			{"apply-fused", "dynamic-mfbc-fused", false},
-			{"apply-two-region", "dynamic-mfbc-2region", true},
+		// DirtyThreshold < 0 pins every apply to the incremental path: the
+		// series records the *incremental* apply, and a full-recompute
+		// fallback would blank it on small quick-mode meshes.
+		tr, done, err := cfg.newTransport(p)
+		if err != nil {
+			return nil, err
 		}
-		var evolved *graph.Graph
-		for _, va := range variants {
-			// DirtyThreshold < 0 pins every apply to the incremental path:
-			// the series exists to compare the fused and two-region forms
-			// of the *incremental* apply, and a full-recompute fallback
-			// (identical in both engines) would blank the comparison on
-			// small quick-mode meshes.
-			tr, done, err := cfg.newTransport(p)
-			if err != nil {
-				return nil, err
-			}
-			eng, err := dynamic.New(base, dynamic.Config{
-				Procs: p, Batch: cfg.Batch, Workers: cfg.Workers,
-				DirtyThreshold: -1, Seed: cfg.Seed, NoFuse: va.noFuse,
-				Transport: tr,
-			})
+		eng, err := dynamic.New(base, dynamic.Config{
+			Procs: p, Batch: cfg.Batch, Workers: cfg.Workers,
+			DirtyThreshold: -1, Seed: cfg.Seed, Transport: tr,
+		})
+		if err != nil {
+			done()
+			return nil, err
+		}
+		rng := rand.New(rand.NewSource(cfg.Seed*3 + int64(p)))
+		for round := 0; round < rounds; round++ {
+			batch := meshBatch(rng, eng.Graph(), 1+rng.Intn(2))
+			rep, err := eng.Apply(batch)
 			if err != nil {
 				done()
 				return nil, err
 			}
-			rng := rand.New(rand.NewSource(cfg.Seed*3 + int64(p)))
-			for round := 0; round < rounds; round++ {
-				batch := meshBatch(rng, eng.Snapshot().Graph, 1+rng.Intn(2))
-				rep, err := eng.Apply(batch)
-				if err != nil {
-					done()
-					return nil, err
-				}
-				pt := Point{
-					Experiment: "streaming-dist", Graph: base.Name, Engine: va.engine,
-					Weighted: true, Procs: p, Batch: cfg.Batch, N: rep.N, M: rep.M,
-					Plan: rep.Plan, Strategy: string(rep.Strategy), Affected: rep.Affected,
-					Fused:    rep.Fused,
-					ModelSec: rep.Comm.ModelSec, CommSec: rep.Comm.CommSec,
-					WallSec: rep.Wall.Seconds(), Bytes: rep.Comm.Bytes, Msgs: rep.Comm.Msgs,
-				}
-				fmt.Fprintf(cfg.Out, "%-22s %5d %6d %9s %12d %10d %10.5f %s\n",
-					va.series, p, pt.Affected, pt.Strategy, pt.Bytes, pt.Msgs, pt.ModelSec, pt.Plan)
-				pts = append(pts, pt)
+			pt := Point{
+				Experiment: "streaming-dist", Graph: base.Name, Engine: "dynamic-mfbc-fused",
+				Weighted: true, Procs: p, Batch: cfg.Batch, N: rep.N, M: rep.M,
+				Plan: rep.Plan, Strategy: string(rep.Strategy), Affected: rep.Affected,
+				Fused:    rep.Fused,
+				ModelSec: rep.Comm.ModelSec, CommSec: rep.Comm.CommSec,
+				WallSec: rep.Wall.Seconds(), Bytes: rep.Comm.Bytes, Msgs: rep.Comm.Msgs,
 			}
-			evolved = eng.Snapshot().Graph
-			done()
+			fmt.Fprintf(cfg.Out, "%-22s %5d %6d %9s %12d %10d %10.5f %s\n",
+				"apply-fused", p, pt.Affected, pt.Strategy, pt.Bytes, pt.Msgs, pt.ModelSec, pt.Plan)
+			pts = append(pts, pt)
 		}
+		evolved := eng.Graph()
+		done()
 		// The baseline every apply is implicitly compared against: a cold
 		// from-scratch distributed run on the evolved topology.
 		ftr, fdone, err := cfg.newTransport(p)
@@ -151,7 +130,7 @@ func StreamingDist(cfg Config) ([]Point, error) {
 			}
 			rng := rand.New(rand.NewSource(cfg.Seed*3 + int64(p)))
 			for round := 0; round < rounds; round++ {
-				batch := meshBatch(rng, eng.Snapshot().Graph, 1+rng.Intn(2))
+				batch := meshBatch(rng, eng.Graph(), 1+rng.Intn(2))
 				rep, err := eng.Apply(batch)
 				if err != nil {
 					sdone()

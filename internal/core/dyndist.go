@@ -125,8 +125,8 @@ func (s *DistSession) CacheEvictions() int64 {
 // Reset rebuilds the resident operands from newG and drops every cached
 // working set, so the next runs pay full redistribution again. It is the
 // fallback for vertex-set changes (the operand dimensions move) and the
-// full-redistribution ablation the differential tests pin delta-patching
-// against. adjCSR may be nil.
+// full-redistribution oracle the differential tests pin delta-patching
+// against (TestSessionPatchMatchesReset). adjCSR may be nil.
 func (s *DistSession) Reset(newG *graph.Graph, adjCSR *sparse.CSR[float64]) {
 	if adjCSR == nil {
 		adjCSR = newG.Adjacency()

@@ -26,9 +26,14 @@
 // resident across applies and each batch's edge diff is delta-patched into
 // the resident blocks instead of redistributing the whole matrix, so the
 // once-per-run placement cost of Theorem 5.1 amortizes across the whole
-// mutation stream. The modeled communication of each apply (critical-path
-// words, messages, α–β–γ seconds, plan chosen) is reported per apply and
-// accumulated into the snapshot.
+// mutation stream. An incremental apply runs as one fused machine region
+// (core.DistSession.ApplyIncremental: both sides' pivot re-runs over the
+// pair semiring, operands patched mid-region); the two-region form
+// (old-side run, host patch, new-side run) survives only where fusion
+// cannot apply — vertex-growth batches, whose operand dimensions change,
+// and batches with no affected sources. The modeled communication of each
+// apply (critical-path words, messages, α–β–γ seconds, plan chosen) is
+// reported per apply and accumulated into the snapshot.
 //
 // Affected-source detection is conservative-exact: a source s is re-run
 // iff some edge of the effective batch diff lies on a shortest path from s
@@ -92,34 +97,11 @@ type Config struct {
 	Constraint spgemm.Constraint
 	// Model overrides the machine's α–β–γ cost constants.
 	Model *machine.CostModel
-	// DistRebuild disables stationary-operand delta-patching: the session
-	// rebuilds (and therefore fully redistributes) the adjacency operands
-	// on every apply. Scores and plans are identical either way — the
-	// differential tests pin that — but rebuilding pays the staging
-	// communication again per apply; it exists as the ablation baseline.
-	// It also forces the two-region incremental path (a rebuilt session
-	// has no resident pre-batch operands to fuse against).
-	DistRebuild bool
-	// NoFuse keeps incremental distributed applies on the two-region path
-	// (old-side region, host patch, new-side region) instead of the fused
-	// single-region form: the ablation baseline the differential tests and
-	// the streaming-dist benchmark compare the fused path against.
-	NoFuse bool
 	// CacheSets bounds each simulated rank's stationary-operand cache to
 	// this many working sets per matrix, LRU-evicted across (plan, dims)
 	// keys; ≤ 0 keeps the cache unbounded. Long streams whose automatic
 	// plan search wanders across many decompositions stay bounded.
 	CacheSets int
-
-	// LogCompactAt bounds the mutation log: past this many entries the
-	// engine compacts it (or, with LogTruncate, snapshots and truncates).
-	// 0 selects the default 4096; negative disables automatic management.
-	LogCompactAt int
-	// LogTruncate switches the over-bound behavior from compaction to
-	// snapshot+truncate: the current graph becomes the new replay base
-	// (LogBase) and the log empties, so long-lived engines keep bounded
-	// logs and full replayability from the recorded base.
-	LogTruncate bool
 
 	// Transport pins every machine region the engine runs (initial sweep,
 	// incremental re-runs, full fallbacks, sampled estimates) to this
@@ -135,9 +117,6 @@ type Config struct {
 const (
 	defaultDirtyThreshold = 0.25
 	defaultRefreshEvery   = 8
-	// defaultLogCompactAt bounds the mutation log when Config.LogCompactAt
-	// is zero.
-	defaultLogCompactAt = 4096
 )
 
 // Strategy names how one apply produced its scores.
@@ -179,8 +158,8 @@ func commOf(st machine.RunStats) CommStats {
 
 // PhaseComm is one named region phase's share of an apply's modeled cost
 // (machine.PhaseStats flattened for reports and JSON). For a fused apply
-// the phases are diff/patch/sweep/reduce; a legacy multi-region apply
-// merges the phases of its regions by name.
+// the phases are diff/patch/sweep/reduce; a multi-region apply merges the
+// phases of its regions by name.
 type PhaseComm struct {
 	Name     string  `json:"name"`
 	Bytes    int64   `json:"bytes"`
@@ -255,14 +234,11 @@ type Stats struct {
 	SampledEstimates int64     `json:"sampled_estimates"`
 	AffectedSources  int64     `json:"affected_sources"` // cumulative, exact applies only
 	LastAffected     int       `json:"last_affected"`
-	LogLen           int       `json:"log_len"`
-	LogTruncations   int64     `json:"log_truncations"`
-	LogBaseVersion   uint64    `json:"log_base_version"`
 	Comm             CommStats `json:"comm"` // cumulative modeled communication (distributed mode)
 	LastPlan         string    `json:"last_plan,omitempty"`
 	// FusedApplies counts incremental applies that ran as one fused
-	// machine region; TwoRegionApplies counts those on the legacy path
-	// (NoFuse, DistRebuild, or a vertex-set change).
+	// machine region; TwoRegionApplies counts those on the two-region path
+	// (a vertex-set change, or a batch with no affected sources).
 	FusedApplies     int64 `json:"fused_applies"`
 	TwoRegionApplies int64 `json:"two_region_applies"`
 	// OperandEvictions is the cumulative stationary-working-set evictions
@@ -326,13 +302,9 @@ type Engine struct {
 	applyPlan   string
 	applyPhases []PhaseComm
 
-	mu             sync.RWMutex
-	cur            *state            // guarded by mu
-	log            graph.MutationLog // guarded by mu
-	logBase        *graph.Graph      // guarded by mu
-	logBaseVersion uint64            // guarded by mu
-	logTruncations int64             // guarded by mu
-	stats          Stats             // guarded by mu
+	mu    sync.RWMutex
+	cur   *state // guarded by mu
+	stats Stats  // guarded by mu
 }
 
 // New creates an engine over g, computing the initial exact scores (on the
@@ -351,9 +323,6 @@ func New(g *graph.Graph, cfg Config) (*Engine, error) {
 	if cfg.RefreshEvery <= 0 {
 		cfg.RefreshEvery = defaultRefreshEvery
 	}
-	if cfg.LogCompactAt == 0 {
-		cfg.LogCompactAt = defaultLogCompactAt
-	}
 	own := g.Clone()
 	st := newState(own, 0)
 	e := &Engine{cfg: cfg}
@@ -371,15 +340,13 @@ func New(g *graph.Graph, cfg Config) (*Engine, error) {
 		st.comm = commOf(r.Stats)
 		e.dist = sess
 	} else {
-		st.bc = e.fullExact(context.Background(), st)
+		st.bc = e.pivotScores(context.Background(), st, allSources(own.N))
 	}
 	// The engine is not shared yet, but publishing the initial snapshot
 	// under the lock keeps the guarded-field discipline uniform (and the
 	// happens-before edge costs nothing here).
 	e.mu.Lock()
 	e.cur = st
-	e.logBase = own
-	e.logBaseVersion = st.version
 	e.stats.Comm = st.comm
 	e.stats.LastPlan = st.plan
 	e.mu.Unlock()
@@ -427,60 +394,19 @@ func (e *Engine) Snapshot() Snapshot {
 	}
 }
 
+// Graph returns the current immutable topology without copying the scores
+// (Snapshot copies the whole vector). Callers must not mutate it.
+func (e *Engine) Graph() *graph.Graph {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.cur.g
+}
+
 // Stats returns cumulative engine counters.
 func (e *Engine) Stats() Stats {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	st := e.stats
-	st.LogLen = e.log.Len()
-	st.LogTruncations = e.logTruncations
-	st.LogBaseVersion = e.logBaseVersion
-	return st
-}
-
-// Log returns a copy of the mutation log (possibly compacted or
-// truncated). Replaying it on LogBase reproduces the current topology.
-func (e *Engine) Log() []graph.Mutation {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.log.Mutations()
-}
-
-// LogBase returns the immutable graph snapshot the mutation log replays
-// from (the engine's initial graph until the first truncation) and its
-// version. Callers must not mutate the returned graph.
-func (e *Engine) LogBase() (*graph.Graph, uint64) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.logBase, e.logBaseVersion
-}
-
-// CompactLog rewrites the mutation log to its replay-equivalent minimal
-// form immediately (the engine also does this automatically past the
-// configured bound).
-func (e *Engine) CompactLog() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.log.Compact(e.cur.g.Directed)
-}
-
-// TruncateLog snapshots the current graph as the new replay base and
-// empties the mutation log, returning the new base version. Long-lived
-// servers use it (directly or via Config.LogTruncate) to bound the log
-// while keeping replayability from the recorded base.
-func (e *Engine) TruncateLog() uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.truncateLogLocked(e.cur)
-	return e.logBaseVersion
-}
-
-// truncateLogLocked installs st as the replay base. Callers hold e.mu.
-func (e *Engine) truncateLogLocked(st *state) {
-	e.logBase = st.g
-	e.logBaseVersion = st.version
-	e.log = graph.MutationLog{}
-	e.logTruncations++
+	return e.stats
 }
 
 // Apply atomically applies one mutation batch and refreshes the maintained
@@ -524,10 +450,10 @@ func (e *Engine) ApplyCtx(ctx context.Context, batch []graph.Mutation) (Report, 
 	)
 	useDist := e.cfg.Procs > 1
 	// advance moves the resident distributed operands to the post-batch
-	// topology — delta-patching the blocks the diff touches, or, under
-	// DistRebuild / vertex growth, rebuilding. It must run exactly once
-	// per apply in distributed mode, after any old-topology runs and
-	// before any new-topology runs.
+	// topology — delta-patching the blocks the diff touches (Patch itself
+	// rebuilds on vertex growth). It must run exactly once per apply in
+	// distributed mode, after any old-topology runs and before any
+	// new-topology runs.
 	advance := func() error {
 		if !useDist {
 			return nil
@@ -536,11 +462,7 @@ func (e *Engine) ApplyCtx(ctx context.Context, batch []graph.Mutation) (Report, 
 		if err != nil {
 			return err
 		}
-		if e.cfg.DistRebuild {
-			sess.Reset(newG, st.a)
-		} else {
-			sess.Patch(newG, st.a, coreDiffs(diffs))
-		}
+		sess.Patch(newG, st.a, coreDiffs(diffs))
 		return nil
 	}
 	full := func() error {
@@ -554,7 +476,7 @@ func (e *Engine) ApplyCtx(ctx context.Context, batch []graph.Mutation) (Report, 
 			}
 			st.bc = bc
 		} else {
-			st.bc = e.fullExact(ctx, st)
+			st.bc = e.pivotScores(ctx, st, allSources(newG.N))
 		}
 		strategy = StrategyFull
 		return nil
@@ -594,7 +516,7 @@ func (e *Engine) ApplyCtx(ctx context.Context, batch []graph.Mutation) (Report, 
 			var bc []float64
 			var err error
 			// With no affected sources there is nothing to sweep: the
-			// legacy path advances the operands host-side and runs zero
+			// two-region path advances the operands host-side and runs zero
 			// regions, which a fused region (diff scatter + full splice +
 			// empty sweep + O(n) reduce) would only make more expensive.
 			if e.fuseEligible(old, newG) && len(affected) > 0 {
@@ -634,14 +556,6 @@ func (e *Engine) ApplyCtx(ctx context.Context, batch []graph.Mutation) (Report, 
 
 	e.mu.Lock()
 	e.cur = st
-	e.log.Append(batch...)
-	if e.cfg.LogCompactAt > 0 && e.log.Len() > e.cfg.LogCompactAt {
-		if e.cfg.LogTruncate {
-			e.truncateLogLocked(st)
-		} else {
-			e.log.Compact(st.g.Directed)
-		}
-	}
 	e.stats.Applies++
 	e.stats.MutationsApplied += int64(len(batch))
 	switch strategy {
@@ -675,11 +589,11 @@ func (e *Engine) ApplyCtx(ctx context.Context, batch []graph.Mutation) (Report, 
 }
 
 // fuseEligible reports whether this incremental apply can run as one fused
-// machine region: distributed mode, fusion not ablated away, and a fixed
-// vertex set (vertex growth changes the operand dimensions, which the
-// resident pair lift cannot express).
+// machine region: distributed mode and a fixed vertex set (vertex growth
+// changes the operand dimensions, which the resident pair lift cannot
+// express).
 func (e *Engine) fuseEligible(old *state, newG *graph.Graph) bool {
-	return e.cfg.Procs > 1 && !e.cfg.DistRebuild && !e.cfg.NoFuse && newG.N == old.g.N
+	return e.cfg.Procs > 1 && newG.N == old.g.N
 }
 
 // session returns the live distributed session, rebuilding it on the given
@@ -783,17 +697,11 @@ func (e *Engine) incrementalScores(ctx context.Context, old, st *state, affected
 	bc := make([]float64, st.g.N)
 	copy(bc, old.bc)
 
+	// Sources added by this batch have no contribution to subtract;
+	// affected is ascending, so the pre-batch sources are a prefix.
 	oldN := old.g.N
-	oldAff := affected
-	if n := len(affected); n > 0 && int(affected[n-1]) >= oldN {
-		// Sources added by this batch have no contribution to subtract.
-		oldAff = oldAff[:0]
-		for _, s := range affected {
-			if int(s) < oldN {
-				oldAff = append(oldAff, s)
-			}
-		}
-	}
+	cut, _ := slices.BinarySearch(affected, int32(oldN))
+	oldAff := affected[:cut]
 	if e.cfg.Procs > 1 {
 		if _, err := e.session(old); err != nil {
 			return nil, err
@@ -849,26 +757,15 @@ func clampResidue(bc []float64) {
 	}
 }
 
-// fullExact recomputes exact scores with the snapshot's cached operands:
-// core.MFBC's batching without rebuilding A and Aᵀ.
-func (e *Engine) fullExact(ctx context.Context, st *state) []float64 {
-	_, span := obs.StartSpan(ctx, "sweep.local")
-	n := st.g.N
-	defer span.SetAttr("sources", n).End()
-	bc := make([]float64, n)
-	nb := e.batchSize(n)
-	for lo := 0; lo < n; lo += nb {
-		hi := lo + nb
-		if hi > n {
-			hi = n
-		}
-		sources := make([]int32, 0, hi-lo)
-		for s := lo; s < hi; s++ {
-			sources = append(sources, int32(s))
-		}
-		core.MFBCBatchParallel(st.a, st.at, sources, bc, e.cfg.Workers)
+// allSources lists every vertex of an n-vertex snapshot: pivotScores over it
+// is the exact full recompute (core.MFBC's batching without rebuilding A
+// and Aᵀ).
+func allSources(n int) []int32 {
+	sources := make([]int32, n)
+	for s := range sources {
+		sources[s] = int32(s)
 	}
-	return bc
+	return sources
 }
 
 // pivotScores runs batched MFBC sweeps for exactly the given sources over

@@ -439,7 +439,9 @@ func TestDistributedIncrementalMatchesFromScratch(t *testing.T) {
 				}
 				rng := rand.New(rand.NewSource(41))
 				shadow := g.Clone()
+				var fusedSteps int64
 				for step := 0; step < 4; step++ {
+					oldN := shadow.N
 					batch := make([]graph.Mutation, 1+rng.Intn(2))
 					for i := range batch {
 						batch[i] = randomMutation(rng, shadow, topo.weighted)
@@ -453,6 +455,15 @@ func TestDistributedIncrementalMatchesFromScratch(t *testing.T) {
 					}
 					if rep.Strategy != StrategyIncremental {
 						t.Fatalf("step %d: strategy %q, want incremental", step, rep.Strategy)
+					}
+					// One apply path per mode: fused exactly when there is
+					// something to sweep on a fixed vertex set.
+					if want := rep.Affected > 0 && shadow.N == oldN; rep.Fused != want {
+						t.Fatalf("step %d: fused = %v, want %v (affected %d, n %d→%d)",
+							step, rep.Fused, want, rep.Affected, oldN, shadow.N)
+					}
+					if rep.Fused {
+						fusedSteps++
 					}
 					if rep.Affected > 0 && (rep.Comm.Runs == 0 || rep.Plan == "") {
 						t.Fatalf("step %d: distributed apply with %d affected reported no comm/plan: %+v",
@@ -468,78 +479,14 @@ func TestDistributedIncrementalMatchesFromScratch(t *testing.T) {
 				if st.Applies != 4 || st.FullRecomputes != 0 {
 					t.Fatalf("stats = %+v", st)
 				}
+				if st.FusedApplies != fusedSteps || st.FusedApplies+st.TwoRegionApplies != 4 {
+					t.Fatalf("fused/two-region counters off (%d fused steps): %+v", fusedSteps, st)
+				}
 				if st.Comm.Runs == 0 {
 					t.Fatalf("no machine runs accumulated: %+v", st.Comm)
 				}
 			})
 		}
-	}
-}
-
-// TestDeltaPatchMatchesRebuild pins the operand delta-patch: an engine
-// that patches the resident stationary operands per apply and one that
-// rebuilds (fully redistributes) them must choose identical plans and
-// produce bit-identical scores on every prefix — while the patched engine
-// moves strictly fewer modeled bytes in total.
-func TestDeltaPatchMatchesRebuild(t *testing.T) {
-	g := graph.Grid2D(6, 6, 8, 3)
-	// NoFuse keeps the patched engine on the two-region path: this
-	// differential pins operand patching against full redistribution, so
-	// both engines must execute the same region structure (the fused path
-	// has its own differential, TestFusedEngineMatchesTwoRegionEngine).
-	patched, err := New(g, Config{Procs: 4, DirtyThreshold: -1, Workers: 1, NoFuse: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rebuilt, err := New(g, Config{Procs: 4, DirtyThreshold: -1, Workers: 1, DistRebuild: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(23))
-	shadow := g.Clone()
-	var patchedBytes, rebuiltBytes int64
-	sawWork := false
-	for step := 0; step < 5; step++ {
-		m := randomMutation(rng, shadow, true)
-		if m.Op == graph.OpAddVertex {
-			// Vertex growth legitimately forces both engines to rebuild;
-			// keep the comparison on the delta-patchable steps.
-			m = graph.Mutation{Op: graph.OpSetWeight, U: shadow.Edges[0].U, V: shadow.Edges[0].V, W: float64(1 + rng.Intn(9))}
-		}
-		if err := shadow.Apply(m); err != nil {
-			t.Fatalf("step %d: shadow: %v", step, err)
-		}
-		rp, err := patched.Apply([]graph.Mutation{m})
-		if err != nil {
-			t.Fatalf("step %d: patched: %v", step, err)
-		}
-		rr, err := rebuilt.Apply([]graph.Mutation{m})
-		if err != nil {
-			t.Fatalf("step %d: rebuilt: %v", step, err)
-		}
-		if rp.Plan != rr.Plan {
-			t.Fatalf("step %d: plans diverged: patched %q vs rebuilt %q", step, rp.Plan, rr.Plan)
-		}
-		sp, sr := patched.Snapshot(), rebuilt.Snapshot()
-		for v := range sp.BC {
-			if sp.BC[v] != sr.BC[v] {
-				t.Fatalf("step %d: bc[%d] bit-diverged: patched %v vs rebuilt %v (delta-patched operands are not identical to full redistribution)",
-					step, v, sp.BC[v], sr.BC[v])
-			}
-		}
-		compareScores(t, "vs from-scratch", sp.BC, fromScratch(t, shadow))
-		patchedBytes += rp.Comm.Bytes
-		rebuiltBytes += rr.Comm.Bytes
-		if rp.Affected > 0 {
-			sawWork = true
-		}
-	}
-	if !sawWork {
-		t.Fatal("mutation sequence never produced an affected source; comparison is vacuous")
-	}
-	if patchedBytes >= rebuiltBytes {
-		t.Fatalf("delta-patching moved %d modeled bytes, full redistribution %d: operand reuse did not amortize",
-			patchedBytes, rebuiltBytes)
 	}
 }
 
@@ -597,216 +544,6 @@ func TestDistributedApplyCheaperThanFromScratch(t *testing.T) {
 	}
 }
 
-// TestLogPolicyConfigurableBoundAndTruncate: the compaction bound must be
-// configurable, and truncate mode must snapshot a replay base that
-// reproduces the current graph.
-func TestLogPolicyConfigurableBoundAndTruncate(t *testing.T) {
-	g := graph.Grid2D(4, 4, 1, 1)
-
-	// Small configurable bound, compaction mode: the log never exceeds the
-	// bound for long, and replaying it from the base reproduces the graph.
-	eng, err := New(g, Config{LogCompactAt: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 6; i++ {
-		var m graph.Mutation
-		if i%2 == 0 {
-			m = graph.Mutation{Op: graph.OpAddEdge, U: 0, V: int32(5 + i), W: 1}
-		} else {
-			m = graph.Mutation{Op: graph.OpRemoveEdge, U: 0, V: int32(4 + i)}
-		}
-		if _, err := eng.Apply([]graph.Mutation{m}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := eng.Stats().LogLen; got > 3+1 {
-		t.Fatalf("log len %d exceeds configured bound", got)
-	}
-	base, baseVer := eng.LogBase()
-	if baseVer != graph.Fingerprint(g) {
-		t.Fatal("compaction mode moved the replay base")
-	}
-	replayed := base.Clone()
-	if _, err := replayed.ApplyAll(eng.Log()); err != nil {
-		t.Fatalf("replay from base: %v", err)
-	}
-	if graph.Fingerprint(replayed) != eng.Snapshot().Version {
-		t.Fatal("compacted log + base do not reproduce the engine graph")
-	}
-
-	// Truncate mode: past the bound the base snapshot advances, the log
-	// empties, and replay-from-base still reproduces the graph.
-	trunc, err := New(g, Config{LogCompactAt: 2, LogTruncate: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	muts := []graph.Mutation{
-		{Op: graph.OpAddEdge, U: 0, V: 15, W: 1},
-		{Op: graph.OpAddEdge, U: 1, V: 14, W: 1},
-		{Op: graph.OpAddEdge, U: 2, V: 13, W: 1}, // pushes past the bound → truncation
-		{Op: graph.OpAddEdge, U: 3, V: 12, W: 1},
-	}
-	for _, m := range muts {
-		if _, err := trunc.Apply([]graph.Mutation{m}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := trunc.Stats()
-	if st.LogTruncations == 0 {
-		t.Fatalf("no truncation past the bound: %+v", st)
-	}
-	base, baseVer = trunc.LogBase()
-	if baseVer == graph.Fingerprint(g) {
-		t.Fatal("truncate mode never advanced the replay base")
-	}
-	if st.LogBaseVersion != baseVer {
-		t.Fatalf("stats base version %016x, LogBase %016x", st.LogBaseVersion, baseVer)
-	}
-	replayed = base.Clone()
-	if _, err := replayed.ApplyAll(trunc.Log()); err != nil {
-		t.Fatalf("replay from truncated base: %v", err)
-	}
-	if graph.Fingerprint(replayed) != trunc.Snapshot().Version {
-		t.Fatal("truncated log + base do not reproduce the engine graph")
-	}
-
-	// Explicit TruncateLog snapshots immediately.
-	v := trunc.TruncateLog()
-	if trunc.Stats().LogLen != 0 || v != trunc.Snapshot().Version {
-		t.Fatalf("explicit truncate: len=%d base=%016x cur=%016x", trunc.Stats().LogLen, v, trunc.Snapshot().Version)
-	}
-}
-
-// TestLogRecordsAndCompacts: the engine log replays to the current graph
-// and compaction preserves that.
-func TestLogRecordsAndCompacts(t *testing.T) {
-	g := graph.Grid2D(4, 4, 1, 1)
-	eng, err := New(g, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	batches := [][]graph.Mutation{
-		{{Op: graph.OpAddEdge, U: 0, V: 15, W: 1}},
-		{{Op: graph.OpRemoveEdge, U: 0, V: 15}, {Op: graph.OpAddEdge, U: 2, V: 13, W: 1}},
-		{{Op: graph.OpSetWeight, U: 2, V: 13, W: 4}},
-	}
-	for _, b := range batches {
-		if _, err := eng.Apply(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	replayed := g.Clone()
-	if _, err := replayed.ApplyAll(eng.Log()); err != nil {
-		t.Fatalf("log replay: %v", err)
-	}
-	if graph.Fingerprint(replayed) != eng.Snapshot().Version {
-		t.Fatal("log replay does not reproduce the engine graph")
-	}
-	eng.CompactLog()
-	if got := eng.Stats().LogLen; got > 2 {
-		t.Fatalf("compacted log has %d entries, want ≤ 2 (transient edge drops out)", got)
-	}
-	replayed = g.Clone()
-	if _, err := replayed.ApplyAll(eng.Log()); err != nil {
-		t.Fatalf("compacted replay: %v", err)
-	}
-	if graph.Fingerprint(replayed) != eng.Snapshot().Version {
-		t.Fatal("compacted log replay does not reproduce the engine graph")
-	}
-}
-
-// TestFusedEngineMatchesTwoRegionEngine is the fused-apply differential at
-// engine level: under a forced plan, a fused engine and a NoFuse
-// (two-region) engine replaying the same mutation stream must hold
-// bit-identical scores after every prefix, while every fused incremental
-// apply spends strictly fewer modeled messages (the latency term paid once
-// instead of twice). Under automatic planning scores agree to tolerance.
-func TestFusedEngineMatchesTwoRegionEngine(t *testing.T) {
-	plan := spgemm.Plan{P1: 1, P2: 2, P3: 2, X: spgemm.RoleA, YZ: spgemm.VarBC}
-	for _, tc := range []struct {
-		name string
-		plan *spgemm.Plan
-	}{
-		{"forced-plan", &plan},
-		{"auto-plan", nil},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			g := graph.Grid2D(7, 7, 1, 5)
-			wrng := rand.New(rand.NewSource(11))
-			for i := range g.Edges {
-				g.Edges[i].W = 1 + 29*wrng.Float64()
-			}
-			g.Weighted = true
-			procs := 4
-			fused, err := New(g, Config{Procs: procs, Plan: tc.plan, DirtyThreshold: -1, Workers: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			legacy, err := New(g, Config{Procs: procs, Plan: tc.plan, DirtyThreshold: -1, Workers: 1, NoFuse: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			rng := rand.New(rand.NewSource(29))
-			shadow := g.Clone()
-			sawFused := false
-			for step := 0; step < 5; step++ {
-				m := randomMutation(rng, shadow, true)
-				if m.Op == graph.OpAddVertex {
-					// Keep the stream on the fused-eligible (fixed vertex
-					// set) steps; growth has its own fallback test.
-					m = graph.Mutation{Op: graph.OpSetWeight, U: shadow.Edges[step].U, V: shadow.Edges[step].V, W: float64(2 + rng.Intn(7))}
-				}
-				if err := shadow.Apply(m); err != nil {
-					t.Fatalf("step %d: shadow: %v", step, err)
-				}
-				rf, err := fused.Apply([]graph.Mutation{m})
-				if err != nil {
-					t.Fatalf("step %d: fused: %v", step, err)
-				}
-				rl, err := legacy.Apply([]graph.Mutation{m})
-				if err != nil {
-					t.Fatalf("step %d: two-region: %v", step, err)
-				}
-				if rl.Fused {
-					t.Fatalf("step %d: NoFuse engine reported a fused apply", step)
-				}
-				sf, sl := fused.Snapshot(), legacy.Snapshot()
-				if tc.plan != nil {
-					for v := range sf.BC {
-						if sf.BC[v] != sl.BC[v] {
-							t.Fatalf("step %d: bc[%d] bit-diverged: fused %v vs two-region %v", step, v, sf.BC[v], sl.BC[v])
-						}
-					}
-				} else {
-					compareScores(t, "fused vs two-region", sf.BC, sl.BC)
-				}
-				compareScores(t, "fused vs from-scratch", sf.BC, fromScratch(t, shadow))
-				if rf.Strategy == StrategyIncremental && rf.Affected > 0 {
-					if !rf.Fused {
-						t.Fatalf("step %d: incremental distributed apply did not fuse", step)
-					}
-					sawFused = true
-					if rf.Comm.Msgs >= rl.Comm.Msgs {
-						t.Fatalf("step %d: fused apply spent %d msgs, two-region %d — fusion must cut the latency term",
-							step, rf.Comm.Msgs, rl.Comm.Msgs)
-					}
-				}
-			}
-			if !sawFused {
-				t.Fatal("stream never exercised a fused incremental apply; differential is vacuous")
-			}
-			st := fused.Stats()
-			if st.FusedApplies == 0 || st.TwoRegionApplies != 0 {
-				t.Fatalf("fused engine counters wrong: %+v", st)
-			}
-			if lst := legacy.Stats(); lst.FusedApplies != 0 || lst.TwoRegionApplies == 0 {
-				t.Fatalf("two-region engine counters wrong: %+v", lst)
-			}
-		})
-	}
-}
-
 // TestFusedApplyReportsPhases: a fused apply's report carries the
 // diff/patch/sweep/reduce attribution, and the snapshot exposes the latest
 // breakdown.
@@ -854,8 +591,8 @@ func TestFusedApplyReportsPhases(t *testing.T) {
 }
 
 // TestFusedFallsBackOnVertexGrowth: an AddVertex batch changes the operand
-// dimensions, so the apply must take the legacy two-region path (session
-// reset) and still produce correct scores.
+// dimensions, so the apply must take the two-region path (session reset)
+// and still produce correct scores.
 func TestFusedFallsBackOnVertexGrowth(t *testing.T) {
 	g := graph.Grid2D(5, 5, 1, 9)
 	e, err := New(g, Config{Procs: 4, DirtyThreshold: -1, Workers: 1})

@@ -136,13 +136,10 @@ func (q *Queue[R]) Depth() int {
 }
 
 // Coalesce collapses a concatenated mutation stream into its compact
-// equivalent under MutationLog.Compact's algebra (add+remove cancels,
+// equivalent under graph.Compact's algebra (add+remove cancels,
 // remove+add becomes set_weight, chained sets keep the last, add_vertex
 // hoisted). Replaying the result yields the same graph as replaying the
 // input one op at a time — pinned by the compact_prop_test oracle.
 func Coalesce(directed bool, muts []graph.Mutation) []graph.Mutation {
-	var log graph.MutationLog
-	log.Append(muts...)
-	log.Compact(directed)
-	return log.Mutations()
+	return graph.Compact(directed, muts)
 }

@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// Property tests pinning MutationLog.Compact as the coalescing oracle of
-// the server's group-commit ingestion path: for any valid interleaved
-// add/remove/set_weight history, replaying the compacted log on the graph
+// Property tests pinning Compact as the coalescing oracle of the server's
+// group-commit ingestion path: for any valid interleaved
+// add/remove/set_weight history, replaying the compacted batch on the graph
 // the history started from must yield the same topology as applying the
 // history one mutation at a time.
 //
@@ -103,10 +103,7 @@ func assertSameTopology(t *testing.T, label string, want, got *Graph) {
 // failing the test if the compacted batch does not replay cleanly.
 func replayCompacted(t *testing.T, label string, base *Graph, hist []Mutation) *Graph {
 	t.Helper()
-	var log MutationLog
-	log.Append(hist...)
-	log.Compact(base.Directed)
-	compacted := log.Mutations()
+	compacted := Compact(base.Directed, hist)
 	if len(compacted) > len(hist) {
 		t.Fatalf("%s: compaction grew the history: %d ops -> %d", label, len(hist), len(compacted))
 	}

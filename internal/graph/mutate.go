@@ -227,42 +227,27 @@ func (g *Graph) ApplyAll(batch []Mutation) (int, error) {
 	return len(batch), nil
 }
 
-// MutationLog is a compact, replayable history of applied mutations.
-type MutationLog struct {
-	muts []Mutation
-}
-
-// Append records mutations in application order.
-func (l *MutationLog) Append(ms ...Mutation) { l.muts = append(l.muts, ms...) }
-
-// Len reports the number of recorded mutations.
-func (l *MutationLog) Len() int { return len(l.muts) }
-
-// Mutations returns a copy of the log in order.
-func (l *MutationLog) Mutations() []Mutation { return append([]Mutation(nil), l.muts...) }
-
-// Compact rewrites the log to the minimal replay-equivalent form: per edge
-// key the operation history collapses to at most one operation (add+remove
-// cancels, remove+add becomes set_weight, chained set_weights keep only the
-// last), and add_vertex operations are hoisted to the front (they only
-// increment N, so edges referencing the new ids stay valid). Replaying the
-// compacted log on the graph the original log started from yields the same
-// final graph.
+// Compact rewrites a mutation history to its minimal replay-equivalent
+// form: per edge key the operation history collapses to at most one
+// operation (add+remove cancels, remove+add becomes set_weight, chained
+// set_weights keep only the last), and add_vertex operations are hoisted to
+// the front (they only increment N, so edges referencing the new ids stay
+// valid). Replaying the result on the graph the history started from yields
+// the same final graph. muts is not modified.
 //
-// directed states the orientation of the graph the log applies to: for
+// directed states the orientation of the graph the history applies to: for
 // undirected graphs (directed == false) mutations recorded as (u,v) and
 // (v,u) name the same edge and compact into one history.
-func (l *MutationLog) Compact(directed bool) {
+func Compact(directed bool, muts []Mutation) []Mutation {
 	type hist struct {
-		first Mutation // first op for this key in the log
+		first Mutation // first op for this key in the history
 		last  Mutation // last weight-carrying op (add or set)
 		alive bool     // edge exists after replay of this key's history
-		order int      // position of first appearance, for stable output
 	}
 	var vertices int
 	keys := make(map[[2]int32]*hist)
-	orderedKeys := make([][2]int32, 0, len(l.muts))
-	for _, m := range l.muts {
+	orderedKeys := make([][2]int32, 0, len(muts))
+	for _, m := range muts {
 		if m.Op == OpAddVertex {
 			vertices++
 			continue
@@ -274,7 +259,7 @@ func (l *MutationLog) Compact(directed bool) {
 		k := [2]int32{u, v}
 		h, ok := keys[k]
 		if !ok {
-			h = &hist{first: m, order: len(orderedKeys)}
+			h = &hist{first: m}
 			// Before its first op, the edge exists iff that op is legal on an
 			// existing edge (remove/set imply existence; add implies absence).
 			keys[k] = h
@@ -320,7 +305,7 @@ func (l *MutationLog) Compact(directed bool) {
 		}
 		// !alive && !existedBefore: transient edge, drops out entirely.
 	}
-	l.muts = out
+	return out
 }
 
 // Fingerprint returns a structural FNV-1a hash of the graph (vertex count,

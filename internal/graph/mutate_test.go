@@ -188,9 +188,8 @@ func replay(t *testing.T, g *Graph, muts []Mutation) *Graph {
 	return c
 }
 
-func TestMutationLogCompact(t *testing.T) {
+func TestCompact(t *testing.T) {
 	g := square()
-	var log MutationLog
 	seq := []Mutation{
 		{Op: OpAddVertex},                   // 4
 		{Op: OpAddEdge, U: 0, V: 4, W: 2},   // transient: removed below
@@ -203,57 +202,52 @@ func TestMutationLogCompact(t *testing.T) {
 		{Op: OpRemoveEdge, U: 0, V: 3},      // remove+add on pre-existing edge
 		{Op: OpAddEdge, U: 0, V: 3, W: 4},   //   → one set_weight
 	}
-	log.Append(seq...)
-	want := replay(t, g, log.Mutations())
+	want := replay(t, g, seq)
 
-	log.Compact(false)
-	if log.Len() >= len(seq) {
-		t.Fatalf("Compact did not shrink: %d → %d", len(seq), log.Len())
+	compacted := Compact(false, seq)
+	if len(compacted) >= len(seq) {
+		t.Fatalf("Compact did not shrink: %d → %d", len(seq), len(compacted))
 	}
-	got := replay(t, g, log.Mutations())
+	got := replay(t, g, compacted)
 	if Fingerprint(got) != Fingerprint(want) {
 		t.Fatalf("compacted replay differs:\n got %+v\nwant %+v", got, want)
 	}
 	// Compaction is idempotent.
-	n := log.Len()
-	log.Compact(false)
-	if log.Len() != n {
-		t.Fatalf("second Compact changed length %d → %d", n, log.Len())
+	if again := Compact(false, compacted); len(again) != len(compacted) {
+		t.Fatalf("second Compact changed length %d → %d", len(compacted), len(again))
 	}
 }
 
-// TestMutationLogCompactMixedOrientation: on undirected graphs, (u,v) and
-// (v,u) in the log name the same edge; compaction must merge their
-// histories, not split them into a corrupting pair.
-func TestMutationLogCompactMixedOrientation(t *testing.T) {
+// TestCompactMixedOrientation: on undirected graphs, (u,v) and (v,u) in a
+// history name the same edge; compaction must merge their histories, not
+// split them into a corrupting pair.
+func TestCompactMixedOrientation(t *testing.T) {
 	g := &Graph{Name: "pair", N: 4}
-	var log MutationLog
-	log.Append(
-		Mutation{Op: OpAddEdge, U: 1, V: 3, W: 5},
-		Mutation{Op: OpRemoveEdge, U: 3, V: 1}, // same edge, reversed
-		Mutation{Op: OpAddEdge, U: 1, V: 3, W: 2},
-	)
-	want := replay(t, g, log.Mutations())
-	log.Compact(false)
-	got := replay(t, g, log.Mutations())
+	hist := []Mutation{
+		{Op: OpAddEdge, U: 1, V: 3, W: 5},
+		{Op: OpRemoveEdge, U: 3, V: 1}, // same edge, reversed
+		{Op: OpAddEdge, U: 1, V: 3, W: 2},
+	}
+	want := replay(t, g, hist)
+	compacted := Compact(false, hist)
+	got := replay(t, g, compacted)
 	if Fingerprint(got) != Fingerprint(want) {
 		t.Fatalf("mixed-orientation compaction corrupts replay:\n got %+v\nwant %+v", got, want)
 	}
-	if log.Len() != 1 {
-		t.Fatalf("log len = %d after compaction, want 1 (single surviving add)", log.Len())
+	if len(compacted) != 1 {
+		t.Fatalf("compacted len = %d, want 1 (single surviving add)", len(compacted))
 	}
 	// Directed graphs keep (1,3) and (3,1) distinct.
 	dg := &Graph{Name: "dpair", N: 4, Directed: true}
-	var dlog MutationLog
-	dlog.Append(
-		Mutation{Op: OpAddEdge, U: 1, V: 3, W: 5},
-		Mutation{Op: OpAddEdge, U: 3, V: 1, W: 2}, // anti-parallel, distinct
-	)
-	dwant := replay(t, dg, dlog.Mutations())
-	dlog.Compact(true)
-	dgot := replay(t, dg, dlog.Mutations())
-	if Fingerprint(dgot) != Fingerprint(dwant) || dlog.Len() != 2 {
-		t.Fatalf("directed compaction merged anti-parallel edges: len=%d", dlog.Len())
+	dhist := []Mutation{
+		{Op: OpAddEdge, U: 1, V: 3, W: 5},
+		{Op: OpAddEdge, U: 3, V: 1, W: 2}, // anti-parallel, distinct
+	}
+	dwant := replay(t, dg, dhist)
+	dcompacted := Compact(true, dhist)
+	dgot := replay(t, dg, dcompacted)
+	if Fingerprint(dgot) != Fingerprint(dwant) || len(dcompacted) != 2 {
+		t.Fatalf("directed compaction merged anti-parallel edges: len=%d", len(dcompacted))
 	}
 }
 

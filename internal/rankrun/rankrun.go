@@ -110,7 +110,7 @@ func (d *Driver) do(o op, local func() error) error {
 
 // Engine is one replicated streaming engine: a local repro.DynamicBC
 // whose applies are mirrored on every worker rank. Reads (Scores, Stats,
-// Graph, Log) are host-side and served locally.
+// Graph) are host-side and served locally.
 type Engine struct {
 	d    *Driver
 	name string
@@ -168,9 +168,6 @@ func (e *Engine) Stats() repro.DynamicStats { return e.bc.Stats() }
 
 // Graph returns the coordinator replica's current topology snapshot.
 func (e *Engine) Graph() *graph.Graph { return e.bc.Graph() }
-
-// Log returns the coordinator replica's mutation history.
-func (e *Engine) Log() []graph.Mutation { return e.bc.Log() }
 
 // Close drops the engine on every worker, releasing the replica state.
 // The coordinator's local replica is released with the Engine itself.

@@ -1,13 +1,18 @@
 package rankrun
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
 	"repro"
 	"repro/internal/graph"
+	"repro/internal/machine"
 	"repro/internal/machine/tcpnet"
+	"repro/internal/spgemm"
 )
 
 // mesh brings up a p-rank loopback mesh with workers already looping in
@@ -164,5 +169,54 @@ func TestEngineProcsMustMatchMesh(t *testing.T) {
 	defer d.Shutdown()
 	if _, err := d.NewEngine("g", graph.Grid2D(3, 3, 1, 1), repro.DynamicOptions{Procs: p + 1}); err == nil {
 		t.Fatal("mismatched Procs: want error, got nil")
+	}
+}
+
+// TestEngineOpRoundTripsEveryOption: the opEngine wire form must carry
+// every streaming option to the worker ranks. repro.DynamicOptions is the
+// engine's own Config, so a field gob cannot encode — or one dropped on
+// the way — would silently desynchronize -transport tcp replicas. Every
+// field except the process-local Transport is set to a non-zero value
+// (checked by reflection, so a new option fails here until it is covered)
+// and compared field by field after encodeOp → gob decode, the path
+// ServeWorker takes.
+func TestEngineOpRoundTripsEveryOption(t *testing.T) {
+	plan := spgemm.Plan{P1: 1, P2: 2, P3: 2, X: spgemm.RoleA, YZ: spgemm.VarBC}
+	model := machine.CostModel{Alpha: 2e-6, Beta: 3e-10, Gamma: 4e-9}
+	sent := op{
+		Kind: opEngine, Name: "g", Graph: graph.Grid2D(3, 3, 4, 1),
+		Opt: repro.DynamicOptions{
+			Batch: 32, Workers: 3, DirtyThreshold: 0.4,
+			SampleBudget: 16, RefreshEvery: 5, Seed: 77,
+			Procs: 4, Plan: &plan, Constraint: spgemm.Only2D, Model: &model,
+			CacheSets: 2,
+		},
+	}
+	raw, err := encodeOp(sent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got op
+	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&got); err != nil {
+		t.Fatal(err)
+	}
+	want, have := reflect.ValueOf(sent.Opt), reflect.ValueOf(got.Opt)
+	for i := 0; i < want.NumField(); i++ {
+		name := want.Type().Field(i).Name
+		if name == "Transport" {
+			if !have.Field(i).IsNil() {
+				t.Fatalf("Transport crossed the wire: %v", have.Field(i))
+			}
+			continue
+		}
+		if want.Field(i).IsZero() {
+			t.Fatalf("option %s is unset in this test; populate it so the round trip covers it", name)
+		}
+		if !reflect.DeepEqual(want.Field(i).Interface(), have.Field(i).Interface()) {
+			t.Fatalf("option %s: sent %+v, received %+v", name, want.Field(i), have.Field(i))
+		}
+	}
+	if got.Kind != sent.Kind || got.Name != sent.Name || graph.Fingerprint(got.Graph) != graph.Fingerprint(sent.Graph) {
+		t.Fatalf("op envelope changed in flight: %+v", got)
 	}
 }

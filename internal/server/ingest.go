@@ -7,10 +7,10 @@
 // per-graph mutation serializer FIRST and only then drains, so every
 // batch that arrives while a commit (or a sync-path Mutate) holds the
 // lock piles up and rides the next group. One group commit validates each
-// batch in arrival order, coalesces the valid ones via the
-// MutationLog.Compact algebra into one merged batch, and runs that
-// through the existing fused distributed apply — N queued writers pay
-// ~one probe + one machine region instead of N.
+// batch in arrival order, coalesces the valid ones via the graph.Compact
+// algebra into one merged batch, and runs that through the existing fused
+// distributed apply — N queued writers pay ~one probe + one machine region
+// instead of N.
 //
 // Readers never see the queue: queries serve the last committed
 // (version, scores) snapshot, exactly as with synchronous mutation.

@@ -80,12 +80,6 @@ type Config struct {
 	// snapshots are never warm-seeded into the exact result cache.
 	DynSampleBudget int
 	DynRefreshEvery int
-	// LogCompactAt bounds each engine's mutation log (0 = library default
-	// 4096, negative = unmanaged); LogTruncate switches over-bound
-	// handling from compaction to snapshot+truncate, so long-lived servers
-	// keep bounded logs that still replay from the recorded base.
-	LogCompactAt int
-	LogTruncate  bool
 	// Metrics is the observability registry the server's counters, gauges,
 	// and histograms register on (exposed at GET /metrics). nil creates a
 	// private registry. Each Server needs its own registry — metric names
@@ -152,8 +146,6 @@ type Server struct {
 	dynCacheSets    int
 	dynSampleBudget int
 	dynRefreshEvery int
-	logCompactAt    int
-	logTruncate     bool
 	ingest          bool   // async ingestion enabled (Config.IngestQueue)
 	ingestDurable   string // default ack level: DurabilityApplied | DurabilityEnqueued
 	ingestMaxDepth  int    // per-graph queue bound; ≤ 0 = unbounded
@@ -237,9 +229,9 @@ type Stats struct {
 	WarmSeedsDistributed int64 `json:"warm_seeds_distributed"`
 	WarmSeedsTopK        int64 `json:"warm_seeds_topk"`
 	// Dynamic-engine aggregates across all registered graphs: incremental
-	// applies that ran as one fused machine region vs. the legacy
-	// two-region path, and stationary-operand cache evictions under the
-	// DynCacheSets bound.
+	// applies that ran as one fused machine region vs. the two-region
+	// path (vertex growth, or no affected source to sweep), and
+	// stationary-operand cache evictions under the DynCacheSets bound.
 	FusedApplies     int64 `json:"fused_applies"`
 	TwoRegionApplies int64 `json:"two_region_applies"`
 	OperandEvictions int64 `json:"operand_evictions"`
@@ -287,8 +279,6 @@ func New(cfg Config) *Server {
 		dynCacheSets:    cfg.DynCacheSets,
 		dynSampleBudget: cfg.DynSampleBudget,
 		dynRefreshEvery: cfg.DynRefreshEvery,
-		logCompactAt:    cfg.LogCompactAt,
-		logTruncate:     cfg.LogTruncate,
 		ingest:          cfg.IngestQueue,
 		ingestDurable:   durable,
 		ingestMaxDepth:  maxDepth,
@@ -717,7 +707,6 @@ func (s *Server) applyCommitted(ctx context.Context, name string, ge *graphEntry
 			Workers: s.workers, DirtyThreshold: s.dirty,
 			Procs: s.dynProcs, CacheSets: s.dynCacheSets,
 			SampleBudget: s.dynSampleBudget, RefreshEvery: s.dynRefreshEvery,
-			LogCompactAt: s.logCompactAt, LogTruncate: s.logTruncate,
 		})
 		if err != nil {
 			return nil, err
