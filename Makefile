@@ -4,7 +4,7 @@
 GO ?= go
 BIN := bin/mfbc-lint
 
-.PHONY: all build lint lint-standalone test race bench bench-module load-quick load-async tidy-check fmt-check check clean
+.PHONY: all build lint lint-standalone test race bench bench-module load-quick load-async tidy-check fmt-check loc check clean
 
 all: build
 
@@ -66,6 +66,13 @@ fmt-check:
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:" >&2; echo "$$unformatted" >&2; exit 1; \
 	fi
+
+## loc: the non-test Go line count the ROADMAP's simplicity targets are
+## stated in (*.go outside benchmarks/ and */testdata/*, no *_test.go), for
+## the repository and for internal/core. Every simplicity PR reports these.
+loc:
+	@count() { find $$1 -name '*.go' ! -name '*_test.go' ! -path './benchmarks/*' ! -path '*/testdata/*' -exec cat {} + | wc -l; }; \
+	echo "non-test Go lines: repository $$(count .), internal/core $$(count ./internal/core)"
 
 check: build fmt-check tidy-check lint test bench-module
 

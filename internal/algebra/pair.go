@@ -10,9 +10,32 @@
 // component's floating-point operation sequence is bit-identical to the
 // sequence a scalar sweep over that side alone would execute (given the
 // same decomposition plan). core's fused incremental path relies on this.
+//
+// Sided is how core's one distributed sweep reads and writes components:
+// a scalar value is its own single side, a pair has sides 0 (Old) and 1
+// (New), and the sweep's per-entry rules loop over Sides().
 package algebra
 
 import "math"
+
+// Sided is the constraint on the entry values of the distributed sweep: T
+// carries Sides() independent components of type E (a count that is a
+// property of the type, not of the value), read with Side and replaced
+// with WithSide. MultPath and CentPath are one-sided over themselves;
+// MultPathPair and CentPathPair are two-sided over them.
+type Sided[T, E any] interface {
+	Sides() int
+	Side(s int) E
+	WithSide(s int, e E) T
+}
+
+func (MultPath) Sides() int                          { return 1 }
+func (x MultPath) Side(int) MultPath                 { return x }
+func (MultPath) WithSide(_ int, e MultPath) MultPath { return e }
+
+func (CentPath) Sides() int                          { return 1 }
+func (x CentPath) Side(int) CentPath                 { return x }
+func (CentPath) WithSide(_ int, e CentPath) CentPath { return e }
 
 // WeightPair is one edge of the fused old/new adjacency operand: the edge
 // weight on each side, with Inf marking absence on that side.
@@ -38,6 +61,24 @@ func WeightPairMonoid() Monoid[WeightPair] {
 // MultPathPair carries a multpath per side.
 type MultPathPair struct {
 	Old, New MultPath
+}
+
+func (MultPathPair) Sides() int { return 2 }
+
+func (x MultPathPair) Side(s int) MultPath {
+	if s == 0 {
+		return x.Old
+	}
+	return x.New
+}
+
+func (x MultPathPair) WithSide(s int, e MultPath) MultPathPair {
+	if s == 0 {
+		x.Old = e
+	} else {
+		x.New = e
+	}
+	return x
 }
 
 // MultPathPairZero is the identity of the pair ⊕: no path on either side.
@@ -83,6 +124,24 @@ func bfSide(a MultPath, w Weight) MultPath {
 // CentPathPair carries a centpath per side.
 type CentPathPair struct {
 	Old, New CentPath
+}
+
+func (CentPathPair) Sides() int { return 2 }
+
+func (x CentPathPair) Side(s int) CentPath {
+	if s == 0 {
+		return x.Old
+	}
+	return x.New
+}
+
+func (x CentPathPair) WithSide(s int, e CentPath) CentPathPair {
+	if s == 0 {
+		x.Old = e
+	} else {
+		x.New = e
+	}
+	return x
 }
 
 // CentPathPairZero is the identity of the pair ⊗.

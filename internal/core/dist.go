@@ -5,6 +5,17 @@
 // transpose are stationary cached operands, so their placement (including
 // 3D fiber replication) is paid once per run and amortized, as in the proof
 // of Theorem 5.1.
+//
+// This file holds the one distributed sweep: Algorithms 1 and 2 and their
+// four per-entry rules, written once over sorted entry lists and generic
+// over how many independent sides each entry value carries (algebra.Sided).
+// One side is the scalar sweep of Run, MFBCDistributed and SSSPDistributed;
+// two sides — (old, new) around a graph edit — is the fused incremental
+// apply of fused.go. At one side every per-side step degenerates to the
+// scalar one: one plan, one multiply, the same collectives and the same
+// modeled cost. The CSR sweep of seq.go stays a separate copy by
+// measurement: routing it through these rules costs the sequential kernel
+// about 12 % (ROADMAP, "New directions" 2).
 package core
 
 import (
@@ -155,183 +166,328 @@ func batchList(n, nb int, explicit []int32) [][]int32 {
 	return out
 }
 
-// distMFBF is Algorithm 1 on distributed matrices.
-func distMFBF(
-	sess *spgemm.Session, pl planner,
-	aMat *distmat.Mat[float64], adjCSR *sparse.CSR[float64],
-	sources []int32, shard distmat.Dist,
-) (*distmat.Mat[algebra.MultPath], int) {
-	mp := algebra.MultPathMonoid()
-	trop := algebra.TropicalMonoid()
-	world := sess.Proc.World()
-	n := aMat.Cols
-	nb := len(sources)
+// sweepAlgebra is what one instantiation of the sweep computes with: the
+// frontier (M), centrality (C) and adjacency (W) monoids and the two
+// actions. M and C are Sided; W is opaque to the sweep.
+type sweepAlgebra[M, C, W any] struct {
+	mult algebra.Monoid[M]
+	cent algebra.Monoid[C]
+	edge algebra.Monoid[W]
+	bf   func(M, W) M
+	br   func(C, W) C
+}
 
-	// T init: the source rows of A with multiplicity 1, built locally from
-	// the replicated generator data under the neutral shard distribution.
-	init := sparse.NewCOO[algebra.MultPath](nb, n)
-	for s, src := range sources {
-		cols, vals := adjCSR.Row(int(src))
-		for kk, v := range cols {
-			if v == src {
+// multSided and centSided constrain the sweep's frontier and centrality
+// value types: one multpath (centpath) component per side.
+type (
+	multSided[M any] interface {
+		algebra.Sided[M, algebra.MultPath]
+	}
+	centSided[C any] interface {
+		algebra.Sided[C, algebra.CentPath]
+	}
+)
+
+func scalarAlgebra() sweepAlgebra[algebra.MultPath, algebra.CentPath, float64] {
+	return sweepAlgebra[algebra.MultPath, algebra.CentPath, float64]{
+		algebra.MultPathMonoid(), algebra.CentPathMonoid(), algebra.TropicalMonoid(),
+		algebra.BFAction, algebra.BrandesAction,
+	}
+}
+
+func pairAlgebra() sweepAlgebra[algebra.MultPathPair, algebra.CentPathPair, algebra.WeightPair] {
+	return sweepAlgebra[algebra.MultPathPair, algebra.CentPathPair, algebra.WeightPair]{
+		algebra.MultPathPairMonoid(), algebra.CentPathPairMonoid(), algebra.WeightPairMonoid(),
+		algebra.BFActionPair, algebra.BrandesActionPair,
+	}
+}
+
+// sidePlans is one rank's planning state across a region's sweeps. Every
+// multiplication is planned per side, from that side's own live frontier
+// count and its own planner — exactly the inputs a scalar region over that
+// side alone would use — so each side replays the plan sequence its scalar
+// region would have chosen. A side whose frontier has emptied keeps the
+// plan (and thereby the output distribution) it ended with.
+type sidePlans struct {
+	sess  *spgemm.Session
+	pls   []planner     // one per side
+	plans []spgemm.Plan // each side's latest plan
+	split int           // products executed once per side because plans diverged
+}
+
+// sideNNZ counts, with one small allreduce, the entries live on each side:
+// the frontier sizes per-side scalar sweeps would have measured.
+func sideNNZ[T algebra.Sided[T, E], E any](world *machine.Comm, m *distmat.Mat[T], isZero func(E) bool) []int64 {
+	var v T
+	cnt := make([]int64, v.Sides())
+	for _, e := range m.Local {
+		for s := range cnt {
+			if !isZero(e.V.Side(s)) {
+				cnt[s]++
+			}
+		}
+	}
+	return machine.Allreduce(world, cnt, func(a, b int64) int64 { return a + b })
+}
+
+// sideProject masks a matrix onto side s: entries live there survive with
+// every other side zeroed — the operand the scalar sweep of that side
+// would multiply.
+func sideProject[T algebra.Sided[T, E], E any](m *distmat.Mat[T], s int, zero T, isZero func(E) bool) *distmat.Mat[T] {
+	out := &distmat.Mat[T]{Rows: m.Rows, Cols: m.Cols, Dist: m.Dist}
+	for _, e := range m.Local {
+		if c := e.V.Side(s); !isZero(c) {
+			out.Local = append(out.Local, sparse.Entry[T]{I: e.I, J: e.J, V: zero.WithSide(s, c)})
+		}
+	}
+	return out
+}
+
+// mulPerSide is one frontier product under per-side plans. It reports false
+// (and multiplies nothing) when no side is live, unless all is set, which
+// also plans the dead sides. When the live sides agree on a plan — always,
+// at one side — a single multiply runs under it, and the exact componentwise
+// identities make each side bit-identical to its scalar product. When they
+// diverge, the frontier is masked per side, each mask is multiplied under
+// its own plan, and the products are merged in the first live side's
+// distribution: the extra products are the price of replaying every side's
+// scalar plan sequence exactly, paid only on the (rare) divergent rounds.
+func mulPerSide[T algebra.Sided[T, E], E, W any](
+	sp *sidePlans, all bool, bytes int64,
+	frontier *distmat.Mat[T], b *distmat.Mat[W], f func(T, W) T,
+	mon algebra.Monoid[T], edge algebra.Monoid[W], isZero func(E) bool,
+) (*distmat.Mat[T], bool) {
+	world := sp.sess.Proc.World()
+	nnz := sideNNZ(world, frontier, isZero)
+	lead, split := len(nnz)-1, false
+	for s := lead; s >= 0; s-- {
+		if nnz[s] > 0 || all {
+			sp.plans[s] = sp.pls[s].planFor(frontier.Rows, nnz[s], bytes)
+		}
+		if nnz[s] > 0 {
+			split = split || (nnz[lead] > 0 && sp.plans[s] != sp.plans[lead])
+			lead = s
+		}
+	}
+	if nnz[lead] == 0 && !all {
+		return nil, false
+	}
+	if !split {
+		return spgemm.Multiply(sp.sess, sp.plans[lead], frontier, b, f, mon, mon, edge, true), true
+	}
+	sp.split++
+	var out *distmat.Mat[T]
+	for s := range nnz {
+		if nnz[s] == 0 {
+			continue
+		}
+		ext := spgemm.Multiply(sp.sess, sp.plans[s], sideProject(frontier, s, mon.Identity, isZero), b, f, mon, mon, edge, true)
+		if out == nil {
+			out = ext
+		} else {
+			out = distmat.EWise(out, distmat.Redistribute(world, ext, out.Dist, mon), mon)
+		}
+	}
+	return out, true
+}
+
+// seedFrontier builds a batch's initial T: row i carries, on every side that
+// sweeps source batch[i] (in[s] nil = all of them), the source's adjacency
+// row on that side with multiplicity 1. Sides meeting at one coordinate are
+// merged by FromGlobal's canonicalization.
+func seedFrontier[M multSided[M]](zero M, adj []*sparse.CSR[float64], in [][]bool, batch []int32) *sparse.COO[M] {
+	init := sparse.NewCOO[M](len(batch), adj[0].Cols)
+	for i, src := range batch {
+		for s, a := range adj {
+			if in[s] != nil && !in[s][src] {
 				continue
 			}
-			init.Append(int32(s), v, algebra.MultPath{W: vals[kk], M: 1})
+			cols, vals := a.Row(int(src))
+			for k, v := range cols {
+				if v != src {
+					init.Append(int32(i), v, zero.WithSide(s, algebra.MultPath{W: vals[k], M: 1}))
+				}
+			}
 		}
 	}
-	t := distmat.FromGlobal(world.Rank(), init, shard, mp)
+	return init
+}
+
+// sweepMFBF is Algorithm 1 on distributed matrices: every side's frontier
+// advances over its component of the adjacency operand a in lock-step. Row
+// i of the frontier belongs to source batch[i]; side s is seeded from
+// adj[s] for the sources in[s] admits. T starts in the neutral shard
+// distribution, built locally from the replicated generator data.
+func sweepMFBF[M multSided[M], C, W any](
+	sp *sidePlans, alg sweepAlgebra[M, C, W], a *distmat.Mat[W],
+	adj []*sparse.CSR[float64], in [][]bool, batch []int32,
+) (*distmat.Mat[M], int) {
+	world := sp.sess.Proc.World()
+	t := distmat.FromGlobal(world.Rank(), seedFrontier(alg.mult.Identity, adj, in, batch), distmat.DistShard(world.Size()), alg.mult)
 	frontier := t
-	iters := 0
-	for {
-		nnz := distmat.GlobalNNZ(world, frontier)
-		if nnz == 0 {
-			break
+	for iters := 0; ; iters++ {
+		ext, ok := mulPerSide(sp, false, multpathBytes, frontier, a, alg.bf, alg.mult, alg.edge, algebra.MultPathIsZero)
+		if !ok {
+			return t, iters
 		}
-		iters++
-		if iters > n+1 {
+		if iters > t.Cols {
 			panic("core: distributed MFBF failed to converge")
 		}
-		plan := pl.planFor(nb, nnz, multpathBytes)
-		ext := spgemm.Multiply(sess, plan, frontier, aMat, algebra.BFAction, mp, mp, trop, true)
-		ext = dropDiagonalEntries(ext, sources)
-		t = distmat.Redistribute(world, t, ext.Dist, mp)
-		tNew := distmat.EWise(t, ext, mp)
-		frontier = &distmat.Mat[algebra.MultPath]{
-			Rows: nb, Cols: n, Dist: ext.Dist,
-			Local: screenFrontierEntries(ext.Local, tNew.Local),
-		}
-		t = tNew
+		ext = ext.Filter(func(i, j int32, _ M) bool { return j != batch[i] })
+		t = distmat.EWise(distmat.Redistribute(world, t, ext.Dist, alg.mult), ext, alg.mult)
+		frontier = &distmat.Mat[M]{Rows: t.Rows, Cols: t.Cols, Dist: t.Dist, Local: screenFrontierSided(ext.Local, t.Local)}
 	}
-	return t, iters
 }
 
-func dropDiagonalEntries(m *distmat.Mat[algebra.MultPath], sources []int32) *distmat.Mat[algebra.MultPath] {
-	return m.Filter(func(i, j int32, _ algebra.MultPath) bool { return j != sources[i] })
-}
-
-// screenFrontierEntries keeps extension entries whose weight matches the
-// accumulated T (both slices sorted, identically distributed).
-func screenFrontierEntries(ext, t []sparse.Entry[algebra.MultPath]) []sparse.Entry[algebra.MultPath] {
-	var out []sparse.Entry[algebra.MultPath]
-	y := 0
-	for _, e := range ext {
-		for y < len(t) && entryLess(t[y], e) {
-			y++
-		}
-		//lint:allow floateq screening requires an exact match of bit-identically replicated weights
-		if y < len(t) && t[y].I == e.I && t[y].J == e.J && t[y].V.W == e.V.W && e.V.M > 0 {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// screenCentEntries keeps centpath entries matching T's weight at the same
-// coordinate.
-func screenCentEntries(p []sparse.Entry[algebra.CentPath], t []sparse.Entry[algebra.MultPath]) []sparse.Entry[algebra.CentPath] {
-	var out []sparse.Entry[algebra.CentPath]
-	y := 0
-	for _, e := range p {
-		for y < len(t) && entryLess(t[y], e) {
-			y++
-		}
-		//lint:allow floateq screening requires an exact match of bit-identically replicated weights
-		if y < len(t) && t[y].I == e.I && t[y].J == e.J && t[y].V.W == e.V.W {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-func entryLess[T, U any](a sparse.Entry[T], b sparse.Entry[U]) bool {
-	if a.I != b.I {
-		return a.I < b.I
-	}
-	return a.J < b.J
-}
-
-// distMFBr is Algorithm 2 on distributed matrices. It returns Z, the
+// sweepMFBr is Algorithm 2 on distributed matrices. It returns Z, the
 // (possibly realigned) T sharing Z's distribution, and the iteration count.
-func distMFBr(
-	sess *spgemm.Session, pl planner,
-	atMat *distmat.Mat[float64], t *distmat.Mat[algebra.MultPath],
-	sources []int32,
-) (*distmat.Mat[algebra.CentPath], *distmat.Mat[algebra.MultPath], int) {
-	cp := algebra.CentPathMonoid()
-	mp := algebra.MultPathMonoid()
-	trop := algebra.TropicalMonoid()
-	world := sess.Proc.World()
-	n := t.Cols
-	nb := len(sources)
+func sweepMFBr[M multSided[M], C centSided[C], W any](
+	sp *sidePlans, alg sweepAlgebra[M, C, W],
+	at *distmat.Mat[W], t *distmat.Mat[M],
+) (*distmat.Mat[C], *distmat.Mat[M], int) {
+	world := sp.sess.Proc.World()
+	mul := func(frontier *distmat.Mat[C], all bool) (*distmat.Mat[C], bool) {
+		return mulPerSide(sp, all, centpathBytes, frontier, at, alg.br, alg.cent, alg.edge, algebra.CentPathIsZero)
+	}
+	mat := func(d distmat.Dist, local []sparse.Entry[C]) *distmat.Mat[C] {
+		return &distmat.Mat[C]{Rows: t.Rows, Cols: t.Cols, Dist: d, Local: local}
+	}
 
 	// Child counting: one product of the full T pattern with Aᵀ — much
 	// denser than any frontier product, so it gets its own plan.
-	z0 := distmat.Map(t, cp, func(_, _ int32, v algebra.MultPath) algebra.CentPath {
-		return algebra.CentPath{W: v.W, P: 0, C: 1}
-	})
-	nnzT := distmat.GlobalNNZ(world, t)
-	plan := pl.planFor(nb, nnzT, centpathBytes)
-	p1 := spgemm.Multiply(sess, plan, z0, atMat, algebra.BrandesAction, cp, cp, trop, true)
-	t = distmat.Redistribute(world, t, p1.Dist, mp)
-	counts := screenCentEntries(p1.Local, t.Local)
-
-	z := &distmat.Mat[algebra.CentPath]{Rows: nb, Cols: n, Dist: t.Dist, Local: buildZEntries(t.Local, counts)}
-	frontier := &distmat.Mat[algebra.CentPath]{Rows: nb, Cols: n, Dist: t.Dist, Local: collectFrontierEntries(z.Local, t.Local)}
-
-	iters := 0
-	for {
-		nnz := distmat.GlobalNNZ(world, frontier)
-		if nnz == 0 {
-			break
+	p, _ := mul(mat(t.Dist, buildZSided[M, C](t.Local, nil, 1)), true)
+	t = distmat.Redistribute(world, t, p.Dist, alg.mult)
+	z := mat(t.Dist, buildZSided(t.Local, screenCentSided(p.Local, t.Local), 0))
+	for iters := 0; ; iters++ {
+		p, ok := mul(mat(z.Dist, collectFrontierSided(z.Local, t.Local, alg.cent.Identity)), false)
+		if !ok {
+			return z, t, iters
 		}
-		iters++
-		if iters > n+1 {
+		if iters > t.Cols {
 			panic("core: distributed MFBr failed to converge")
 		}
-		plan = pl.planFor(nb, nnz, centpathBytes)
-		p := spgemm.Multiply(sess, plan, frontier, atMat, algebra.BrandesAction, cp, cp, trop, true)
 		// Keep Z and T aligned with the product's distribution.
-		if p.Dist.Key != z.Dist.Key {
-			t = distmat.Redistribute(world, t, p.Dist, mp)
-			z = distmat.Redistribute(world, z, p.Dist, cp)
-		}
-		pScreened := &distmat.Mat[algebra.CentPath]{Rows: nb, Cols: n, Dist: p.Dist, Local: screenCentEntries(p.Local, t.Local)}
-		z = distmat.EWise(z, pScreened, cp)
-		frontier = &distmat.Mat[algebra.CentPath]{Rows: nb, Cols: n, Dist: z.Dist, Local: collectFrontierEntries(z.Local, t.Local)}
+		t = distmat.Redistribute(world, t, p.Dist, alg.mult)
+		z = distmat.Redistribute(world, z, p.Dist, alg.cent)
+		z = distmat.EWise(z, mat(p.Dist, screenCentSided(p.Local, t.Local)), alg.cent)
 	}
-	return z, t, iters
 }
 
-// buildZEntries merges the T pattern with screened child counts (both
-// sorted, same distribution): every T coordinate appears with counter =
-// number of shortest-path-DAG children.
-func buildZEntries(t []sparse.Entry[algebra.MultPath], counts []sparse.Entry[algebra.CentPath]) []sparse.Entry[algebra.CentPath] {
-	out := make([]sparse.Entry[algebra.CentPath], 0, len(t))
-	y := 0
-	for _, e := range t {
-		for y < len(counts) && entryLess(counts[y], e) {
-			y++
+// The four per-entry rules. Each is a left join over sorted, identically
+// distributed entry slices, decided side by side: whether a component
+// survives depends on that side's components alone, so one side's survival
+// never resurrects another. A component that does not survive becomes the
+// exact zero of its monoid; an entry survives when any component does.
+
+// seek advances y to t's first entry not before e and reports whether that
+// entry sits at e's coordinate.
+func seek[T, U any](t []sparse.Entry[T], y int, e sparse.Entry[U]) (int, bool) {
+	for y < len(t) && (t[y].I < e.I || (t[y].I == e.I && t[y].J < e.J)) {
+		y++
+	}
+	return y, y < len(t) && t[y].I == e.I && t[y].J == e.J
+}
+
+// screenFrontierSided keeps the extension components whose weight matches the
+// accumulated T at the same coordinate.
+func screenFrontierSided[M multSided[M]](ext, t []sparse.Entry[M]) []sparse.Entry[M] {
+	var out []sparse.Entry[M]
+	y, hit := 0, false
+	for _, e := range ext {
+		if y, hit = seek(t, y, e); !hit {
+			continue
 		}
-		var c int64
-		if y < len(counts) && counts[y].I == e.I && counts[y].J == e.J {
-			c = counts[y].V.C
+		live := false
+		for s := 0; s < e.V.Sides(); s++ {
+			es := e.V.Side(s)
+			//lint:allow floateq screening requires an exact match of bit-identically replicated weights
+			if !algebra.MultPathIsZero(es) && t[y].V.Side(s).W == es.W && es.M > 0 {
+				live = true
+			} else {
+				e.V = e.V.WithSide(s, algebra.MultPathZero())
+			}
 		}
-		out = append(out, sparse.Entry[algebra.CentPath]{I: e.I, J: e.J, V: algebra.CentPath{W: e.V.W, P: 0, C: c}})
+		if live {
+			out = append(out, e)
+		}
 	}
 	return out
 }
 
-// collectFrontierEntries extracts Z entries whose counter just reached zero,
-// emitting (T.w, ζ + 1/σ̄, −1) and marking them done in place.
-func collectFrontierEntries(z []sparse.Entry[algebra.CentPath], t []sparse.Entry[algebra.MultPath]) []sparse.Entry[algebra.CentPath] {
-	var out []sparse.Entry[algebra.CentPath]
+// screenCentSided keeps the centpath components matching T's weight at the same
+// coordinate. A dead T component carries weight +∞ and a dead centpath
+// component −∞, so the equality test alone screens liveness.
+func screenCentSided[C centSided[C], M multSided[M]](p []sparse.Entry[C], t []sparse.Entry[M]) []sparse.Entry[C] {
+	var out []sparse.Entry[C]
+	y, hit := 0, false
+	for _, e := range p {
+		if y, hit = seek(t, y, e); !hit {
+			continue
+		}
+		live := false
+		for s := 0; s < e.V.Sides(); s++ {
+			//lint:allow floateq screening requires an exact match of bit-identically replicated weights
+			if t[y].V.Side(s).W == e.V.Side(s).W {
+				live = true
+			} else {
+				e.V = e.V.WithSide(s, algebra.CentPathZero())
+			}
+		}
+		if live {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// buildZSided lifts the T pattern to centpaths: every live T component appears
+// as (T.w, 0, c) with c its screened child count — the number of its
+// shortest-path-DAG children — plus base.
+func buildZSided[M multSided[M], C centSided[C]](t []sparse.Entry[M], counts []sparse.Entry[C], base int64) []sparse.Entry[C] {
+	out := make([]sparse.Entry[C], 0, len(t))
+	y, hit := 0, false
+	for _, e := range t {
+		y, hit = seek(counts, y, e)
+		var v C
+		for s := 0; s < e.V.Sides(); s++ {
+			c := algebra.CentPathZero()
+			if ts := e.V.Side(s); !algebra.MultPathIsZero(ts) {
+				c = algebra.CentPath{W: ts.W, C: base}
+				if hit {
+					c.C += counts[y].V.Side(s).C // a dead counts component has C = 0
+				}
+			}
+			v = v.WithSide(s, c)
+		}
+		out = append(out, sparse.Entry[C]{I: e.I, J: e.J, V: v})
+	}
+	return out
+}
+
+// collectFrontierSided extracts the Z components whose counter just reached
+// zero, emitting (T.w, ζ + 1/σ̄, −1) beside zero for the sides not emitting
+// and marking them done in place. Z and T share one pattern, so index k
+// addresses the same coordinate in both. The whole of Z is scanned every
+// round while a component is collected once per sweep, so an entry with
+// nothing to emit costs only the reads.
+func collectFrontierSided[C centSided[C], M multSided[M]](z []sparse.Entry[C], t []sparse.Entry[M], zero C) []sparse.Entry[C] {
+	var out []sparse.Entry[C]
+	sides := zero.Sides()
 	for k := range z {
-		if z[k].V.C == 0 {
-			out = append(out, sparse.Entry[algebra.CentPath]{
-				I: z[k].I, J: z[k].J,
-				V: algebra.CentPath{W: z[k].V.W, P: z[k].V.P + 1/t[k].V.M, C: -1},
-			})
-			z[k].V.C = -1
+		emit := false
+		for s := 0; s < sides; s++ {
+			zs := z[k].V.Side(s)
+			if algebra.CentPathIsZero(zs) || zs.C != 0 {
+				continue
+			}
+			if !emit {
+				out = append(out, sparse.Entry[C]{I: z[k].I, J: z[k].J, V: zero})
+				emit = true
+			}
+			e := &out[len(out)-1]
+			e.V = e.V.WithSide(s, algebra.CentPath{W: zs.W, P: zs.P + 1/t[k].V.Side(s).M, C: -1})
+			zs.C = -1
+			z[k].V = z[k].V.WithSide(s, zs)
 		}
 	}
 	return out

@@ -253,26 +253,57 @@ func (s *DistSession) RunCtx(ctx context.Context, sources []int32) (*DistResult,
 
 // run executes one simulated-machine region over the resident operands.
 func (s *DistSession) run(sources []int32, nb int) (*DistResult, error) {
-	g := s.g
+	if err := CheckSources(s.g.N, sources); err != nil {
+		return nil, err
+	}
 	mach := transportFor(s.p, s.opt)
-	pl := planner{
-		p: s.p, n: g.N, adjNNZ: int64(g.AdjacencyNNZ()),
-		model: mach.Model(), cons: s.opt.Constraint, forced: s.opt.Plan,
+	pl := s.planner(mach, s.g)
+	out, err := sweepRegion(s, mach, scalarAlgebra(), []planner{pl}, []*sparse.CSR[float64]{s.adjCSR}, [][]bool{nil}, sources, nb,
+		func(_ *machine.Proc, rk *distRank) (a, at *distmat.Mat[float64]) { return rk.aMat, rk.atMat })
+	if err != nil {
+		return nil, err
 	}
 	// The representative plan reported back: the one a typical frontier
 	// product gets (individual operations may choose differently).
-	plan := pl.planFor(nb, int64(float64(nb)*g.AvgDegree()), multpathBytes)
+	plan := pl.planFor(nb, int64(float64(nb)*s.g.AvgDegree()), multpathBytes)
+	return &DistResult{BC: out.bc, Plan: plan, Stats: out.stats, Iterations: out.iters, Batches: out.batches}, nil
+}
 
-	res := &DistResult{Plan: plan, BC: make([]float64, g.N)}
-	itersPer := make([]int, s.p)
-	bcPer := make([][]float64, s.p)
-	shard := distmat.DistShard(s.p)
+// planner returns the per-multiplication planner of a region over g.
+func (s *DistSession) planner(mach machine.Transport, g *graph.Graph) planner {
+	return planner{
+		p: s.p, n: g.N, adjNNZ: int64(g.AdjacencyNNZ()),
+		model: mach.Model(), cons: s.opt.Constraint, forced: s.opt.Plan,
+	}
+}
 
+// regionOutcome is what one sweep region leaves behind: rank 0's view of
+// the allreduced accumulators (the sides' n-vectors, concatenated) and of
+// the sweep counters, with the region's modeled stats.
+type regionOutcome struct {
+	bc                    []float64
+	stats                 machine.RunStats
+	iters, batches, split int
+}
+
+// sweepRegion runs one machine region of batched MFBF/MFBr sweeps — the
+// body shared by Run (one side over the resident operands) and
+// ApplyIncremental (two sides over the staged pair operands). Side s
+// sweeps the sources of the batch list that in[s] admits, seeded from
+// adj[s] and planned by pls[s]; stage yields each rank's stationary
+// operands A and Aᵀ once its deferred patch work has been charged.
+func sweepRegion[M multSided[M], C centSided[C], W any](
+	s *DistSession, mach machine.Transport, alg sweepAlgebra[M, C, W],
+	pls []planner, adj []*sparse.CSR[float64], in [][]bool, sources []int32, nb int,
+	stage func(*machine.Proc, *distRank) (a, at *distmat.Mat[W]),
+) (*regionOutcome, error) {
+	n := s.g.N
+	out := &regionOutcome{bc: make([]float64, len(pls)*n)}
 	stats, err := mach.Run(func(proc *machine.Proc) {
 		world := proc.World()
 		rk := s.ranks[proc.Rank()]
-		sess := spgemm.NewSessionWithCache(proc, rk.cache)
-		sess.Workers = s.opt.Workers
+		sp := &sidePlans{sess: spgemm.NewSessionWithCache(proc, rk.cache), pls: pls, plans: make([]spgemm.Plan, len(pls))}
+		sp.sess.Workers = s.opt.Workers
 		// Deferred host-side Patch splice work is charged here, as local
 		// flops of the region that first benefits from the patched blocks.
 		if rk.pendingFlops > 0 {
@@ -280,33 +311,37 @@ func (s *DistSession) run(sources []int32, nb int) (*DistResult, error) {
 			proc.AddFlops(rk.pendingFlops)
 			rk.pendingFlops = 0
 		}
+		a, at := stage(proc, rk)
+
 		proc.Phase(machine.PhaseSweep)
-		bc := make([]float64, g.N)
-		iters := 0
-		batches := 0
-		for _, batch := range batchList(g.N, nb, sources) {
+		acc := make([]float64, len(pls)*n)
+		iters, batches := 0, 0
+		for _, batch := range batchList(n, nb, sources) {
 			batches++
-			t, itF := distMFBF(sess, pl, rk.aMat, s.adjCSR, batch, shard)
-			z, t, itB := distMFBr(sess, pl, rk.atMat, t, batch)
+			t, itF := sweepMFBF(sp, alg, a, adj, in, batch)
+			z, t, itB := sweepMFBr(sp, alg, at, t)
 			iters += itF + itB
-			distmat.ZipJoin(z, t, func(_, j int32, zc algebra.CentPath, tm algebra.MultPath) {
-				bc[j] += zc.P * tm.M
-			})
+			// Accumulate each side under the distribution its own last
+			// product left Z in — Z's own at one side, a free no-op whenever
+			// the sides agreed on their final plan — so the per-rank partial
+			// sums, and with them the rounding of the closing allreduce,
+			// group exactly as that side's scalar region would.
+			for side, plan := range sp.plans {
+				_, _, d := spgemm.Dists(plan, z.Rows, n, n)
+				bc := acc[side*n : (side+1)*n]
+				distmat.ZipJoin(distmat.Redistribute(world, z, d, alg.cent), distmat.Redistribute(world, t, d, alg.mult),
+					func(_, j int32, zc C, tm M) { bc[j] += zc.Side(side).P * tm.Side(side).M })
+			}
 		}
-		// One deferred dense reduction accumulates λ across processors.
+		// One deferred dense reduction accumulates λ across processors, all
+		// sides concatenated.
 		proc.Phase(machine.PhaseReduce)
-		total := machine.Allreduce(world, bc, func(a, b float64) float64 { return a + b })
-		itersPer[proc.Rank()] = iters
-		bcPer[proc.Rank()] = total
+		total := machine.Allreduce(world, acc, func(a, b float64) float64 { return a + b })
 		if proc.Rank() == 0 {
-			res.Batches = batches
+			copy(out.bc, total)
+			out.iters, out.batches, out.split = iters, batches, sp.split
 		}
 	})
-	if err != nil {
-		return nil, err
-	}
-	res.Stats = stats
-	res.Iterations = itersPer[0]
-	copy(res.BC, bcPer[0])
-	return res, nil
+	out.stats = stats
+	return out, err
 }

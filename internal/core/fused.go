@@ -5,10 +5,13 @@
 // term S twice. ApplyIncremental fuses everything into ONE region over the
 // pair semiring (internal/algebra/pair.go): every matrix entry carries an
 // (old, new) component pair, the stationary operand is the pair lift of
-// the resident adjacency spliced with the batch diff, and a single sweep
-// advances both sides in lock-step — each superstep's collectives are paid
-// once for the pair instead of once per side, so modeled S is comparable
-// to a single run (iterations = max of the two sides, not their sum).
+// the resident adjacency spliced with the batch diff, and the one sweep of
+// dist.go, instantiated at two sides, advances both in lock-step — each
+// superstep's collectives are paid once for the pair instead of once per
+// side, so modeled S is comparable to a single run (iterations = max of
+// the two sides, not their sum). This file holds only what is specific to
+// the fused region: the source union, the diff scatter and the operand
+// staging.
 //
 // The region's phases, attributed via machine.Proc.Phase:
 //
@@ -17,24 +20,20 @@
 //	patch  — each rank splices its resident blocks (scalar, to advance the
 //	         session, and pair, to stage the fused operand) with the splice
 //	         charged as local γ-flops
-//	sweep  — the fused pair MFBF/MFBr sweeps
+//	sweep  — the two-sided MFBF/MFBr sweeps
 //	reduce — one concatenated allreduce of both sides' accumulators
 //
 // Because the pair components' identities are exact absorbing elements and
 // the local kernels fold equal-coordinate contributions stably, the old
 // and new components of the fused result are bit-identical to what the two
 // separate scalar regions produce — under forced plans and under automatic
-// planning alike: every multiplication is planned per side from that side's
-// own live frontier counts with the scalar planner inputs, and when the two
-// sides disagree on a plan the product is executed once per side under its
-// own plan and merged (mulPairPerSide), so each side always runs exactly
-// the plan sequence its scalar region would have chosen.
+// planning alike, because the sweep plans every multiplication per side
+// (sidePlans, mulPerSide in dist.go).
 package core
 
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/algebra"
 	"repro/internal/distmat"
@@ -53,6 +52,9 @@ type IncrementalResult struct {
 
 	Iterations int
 	Batches    int
+	// DualProducts counts the frontier products this region executed once
+	// per side because the two sides' automatic plans diverged.
+	DualProducts int
 }
 
 // ApplyIncremental runs one fused region: the old-side pivot re-runs
@@ -91,6 +93,11 @@ func (s *DistSession) ApplyIncrementalCtx(ctx context.Context, oldSources []int3
 		return &IncrementalResult{OldBC: make([]float64, n), NewBC: make([]float64, n)}, nil
 	}
 
+	for _, side := range [][]int32{oldSources, newSources} {
+		if err := CheckSources(n, side); err != nil {
+			return nil, err
+		}
+	}
 	sources, inOld, inNew := unionSources(oldSources, newSources, n)
 	nb := Options{Batch: s.opt.Batch}.batchFor(n)
 	if len(sources) > 0 && len(sources) < nb {
@@ -99,100 +106,34 @@ func (s *DistSession) ApplyIncrementalCtx(ctx context.Context, oldSources []int3
 
 	mach := transportFor(s.p, s.opt)
 	// One planner per side, with exactly the inputs the side's scalar region
-	// would have used (its own adjacency count, the scalar wire sizes): the
-	// fused sweeps feed each planner that side's own live frontier counts,
-	// so auto-planned fused applies replay the scalar plan sequences and
-	// stay bit-identical to the two-region path.
-	plOld := planner{
-		p: s.p, n: n, adjNNZ: int64(oldG.AdjacencyNNZ()),
-		model: mach.Model(), cons: s.opt.Constraint, forced: s.opt.Plan,
-	}
-	plNew := plOld
-	plNew.adjNNZ = int64(newG.AdjacencyNNZ())
-	plan := plNew.planFor(nb, int64(float64(nb)*newG.AvgDegree()), multpathBytes)
+	// would have used (its own adjacency count, the scalar wire sizes).
+	plOld, plNew := s.planner(mach, oldG), s.planner(mach, newG)
 
 	// Rank 0's scatter payload: every rank's share of the edge diff (the
 	// diffs whose derived adjacency coordinates land on one of the rank's
 	// resident blocks). Prepared host-side from the pure ownership
 	// functions — the data the root node of a real machine would hold.
 	parts := s.diffShares(diffs, directed)
-
-	res := &IncrementalResult{Plan: plan, OldBC: make([]float64, n), NewBC: make([]float64, n)}
-	itersPer := make([]int, s.p)
-	oldPer := make([][]float64, s.p)
-	newPer := make([][]float64, s.p)
 	pairIDs := make([][2]uint64, s.p)
-	shard := distmat.DistShard(s.p)
 
-	stats, err := mach.Run(func(proc *machine.Proc) {
-		world := proc.World()
-		rank := proc.Rank()
-		rk := s.ranks[rank]
-		sess := spgemm.NewSessionWithCache(proc, rk.cache)
-		sess.Workers = s.opt.Workers
-		if rk.pendingFlops > 0 {
+	out, err := sweepRegion(s, mach, pairAlgebra(), []planner{plOld, plNew},
+		[]*sparse.CSR[float64]{oldAdj, newAdj}, [][]bool{inOld, inNew}, sources, nb,
+		func(proc *machine.Proc, rk *distRank) (aPair, atPair *distmat.Mat[algebra.WeightPair]) {
+			// Receive this rank's diff share via the modeled collective.
+			proc.Phase(machine.PhaseDiff)
+			myDiffs := machine.Scatter(proc.World(), 0, parts)
+
+			// Stage the pair operands from resident blocks + diff, and advance
+			// the scalar residents to the post-batch topology, charging the
+			// splice work as local flops.
 			proc.Phase(machine.PhasePatch)
-			proc.AddFlops(rk.pendingFlops)
-			rk.pendingFlops = 0
-		}
-
-		// Receive this rank's diff share via the modeled collective.
-		proc.Phase(machine.PhaseDiff)
-		myDiffs := machine.Scatter(world, 0, parts)
-
-		// Stage the pair operands from resident blocks + diff, and advance
-		// the scalar residents to the post-batch topology, charging the
-		// splice work as local flops.
-		proc.Phase(machine.PhasePatch)
-		editsA := adjacencyEdits(directed, myDiffs, false)
-		editsAt := adjacencyEdits(directed, myDiffs, true)
-		aPair, atPair, ops := s.stagePairRank(rk, rank, editsA, editsAt)
-		pairIDs[rank] = [2]uint64{aPair.ID(), atPair.ID()}
-		proc.AddFlops(ops)
-
-		// The fused pair sweeps: both sides in lock-step.
-		proc.Phase(machine.PhaseSweep)
-		cpp := algebra.CentPathPairMonoid()
-		mpp := algebra.MultPathPairMonoid()
-		bcOld := make([]float64, n)
-		bcNew := make([]float64, n)
-		iters := 0
-		batches := 0
-		for _, batch := range batchList(n, nb, sources) {
-			batches++
-			t, itF := distMFBFPair(sess, plOld, plNew, aPair, oldAdj, newAdj, batch, inOld, inNew, shard)
-			z, t, itB, distO, distN := distMFBrPair(sess, plOld, plNew, atPair, t, batch)
-			iters += itF + itB
-			// Accumulate each side under the distribution its scalar sweep
-			// ended in (a free no-op whenever the sides agreed on the final
-			// plan): the per-rank partial sums — and therefore the rounding
-			// of the closing allreduce — group exactly as the two scalar
-			// regions' do.
-			zO := distmat.Redistribute(world, z, distO, cpp)
-			tO := distmat.Redistribute(world, t, distO, mpp)
-			distmat.ZipJoin(zO, tO, func(_, j int32, zc algebra.CentPathPair, tm algebra.MultPathPair) {
-				bcOld[j] += zc.Old.P * tm.Old.M
-			})
-			zN := distmat.Redistribute(world, z, distN, cpp)
-			tN := distmat.Redistribute(world, t, distN, mpp)
-			distmat.ZipJoin(zN, tN, func(_, j int32, zc algebra.CentPathPair, tm algebra.MultPathPair) {
-				bcNew[j] += zc.New.P * tm.New.M
-			})
-		}
-
-		// One concatenated dense reduction for both sides.
-		proc.Phase(machine.PhaseReduce)
-		both := make([]float64, 0, 2*n)
-		both = append(both, bcOld...)
-		both = append(both, bcNew...)
-		total := machine.Allreduce(world, both, func(a, b float64) float64 { return a + b })
-		itersPer[rank] = iters
-		oldPer[rank] = total[:n]
-		newPer[rank] = total[n:]
-		if rank == 0 {
-			res.Batches = batches
-		}
-	})
+			editsA := adjacencyEdits(directed, myDiffs, false)
+			editsAt := adjacencyEdits(directed, myDiffs, true)
+			aPair, atPair, ops := s.stagePairRank(rk, proc.Rank(), editsA, editsAt)
+			pairIDs[proc.Rank()] = [2]uint64{aPair.ID(), atPair.ID()}
+			proc.AddFlops(ops)
+			return aPair, atPair
+		})
 	// The pair working sets are per-apply scratch: drop them so a bounded
 	// cache doesn't carry dead matrices and an unbounded one doesn't leak.
 	for r, rk := range s.ranks {
@@ -206,12 +147,12 @@ func (s *DistSession) ApplyIncrementalCtx(ctx context.Context, oldSources []int3
 		return nil, err
 	}
 	s.g, s.adjCSR = newG, newAdj
-	res.Stats = stats
-	res.Iterations = itersPer[0]
-	copy(res.OldBC, oldPer[0])
-	copy(res.NewBC, newPer[0])
-	recordRegionSpan(ctx, "fused-apply", s.p, res.Stats)
-	return res, nil
+	recordRegionSpan(ctx, "fused-apply", s.p, out.stats)
+	return &IncrementalResult{
+		OldBC: out.bc[:n:n], NewBC: out.bc[n:],
+		Plan:  plNew.planFor(nb, int64(float64(nb)*newG.AvgDegree()), multpathBytes),
+		Stats: out.stats, Iterations: out.iters, Batches: out.batches, DualProducts: out.split,
+	}, nil
 }
 
 // unionSources merges two ascending source lists and returns per-vertex
@@ -324,375 +265,4 @@ func (s *DistSession) stagePairRank(rk *distRank, rank int, editsA, editsAt []sp
 	atPair = lift(rk.atMat, editsAt)
 	ops += s.patchRank(rk, rank, editsA, editsAt)
 	return aPair, atPair, ops
-}
-
-// sideNNZ counts, with one small allreduce, the pair entries whose old and
-// new components are live — the per-side frontier sizes the scalar sweeps
-// would have measured, and therefore the per-side planner inputs.
-func sideNNZ[T any](world *machine.Comm, m *distmat.Mat[T], oldLive, newLive func(T) bool) (int64, int64) {
-	cnt := []int64{0, 0}
-	for _, e := range m.Local {
-		if oldLive(e.V) {
-			cnt[0]++
-		}
-		if newLive(e.V) {
-			cnt[1]++
-		}
-	}
-	tot := machine.Allreduce(world, cnt, func(a, b int64) int64 { return a + b })
-	return tot[0], tot[1]
-}
-
-// sideProject masks a pair matrix onto one component: entries whose kept
-// side is live survive with the other component zeroed — exactly the
-// operand set the scalar sweep of that side would multiply.
-func sideProject[T any](m *distmat.Mat[T], keep func(T) (T, bool)) *distmat.Mat[T] {
-	out := &distmat.Mat[T]{Rows: m.Rows, Cols: m.Cols, Dist: m.Dist}
-	for _, e := range m.Local {
-		if v, ok := keep(e.V); ok {
-			out.Local = append(out.Local, sparse.Entry[T]{I: e.I, J: e.J, V: v})
-		}
-	}
-	return out
-}
-
-func oldOnlyMult(v algebra.MultPathPair) (algebra.MultPathPair, bool) {
-	if algebra.MultPathIsZero(v.Old) {
-		return algebra.MultPathPairZero(), false
-	}
-	return algebra.MultPathPair{Old: v.Old, New: algebra.MultPathZero()}, true
-}
-
-func newOnlyMult(v algebra.MultPathPair) (algebra.MultPathPair, bool) {
-	if algebra.MultPathIsZero(v.New) {
-		return algebra.MultPathPairZero(), false
-	}
-	return algebra.MultPathPair{Old: algebra.MultPathZero(), New: v.New}, true
-}
-
-func oldOnlyCent(v algebra.CentPathPair) (algebra.CentPathPair, bool) {
-	if algebra.CentPathIsZero(v.Old) {
-		return algebra.CentPathPairZero(), false
-	}
-	return algebra.CentPathPair{Old: v.Old, New: algebra.CentPathZero()}, true
-}
-
-func newOnlyCent(v algebra.CentPathPair) (algebra.CentPathPair, bool) {
-	if algebra.CentPathIsZero(v.New) {
-		return algebra.CentPathPairZero(), false
-	}
-	return algebra.CentPathPair{Old: algebra.CentPathZero(), New: v.New}, true
-}
-
-// fusedDualProducts counts per-side (dual) products executed because the
-// two sides' automatic plans diverged — test observability for the plan
-// fidelity of the fused path. Every rank of every region increments it.
-var fusedDualProducts atomic.Int64
-
-// mulPairPerSide runs one fused frontier product with per-side plans. When
-// only one side is live, or both sides chose the same plan, a single pair
-// multiply executes under that plan and the componentwise-exact identities
-// make each live side bit-identical to its scalar product. When the plans
-// diverge, the frontier is masked per side and each mask is multiplied
-// under its own side's plan, then the two half-products are merged — the
-// extra product is the honest price of replaying both scalar plan
-// sequences exactly, and it is only paid on the (rare) divergent
-// iterations. The result carries the old side's output distribution in
-// that case.
-func mulPairPerSide[T any](
-	sess *spgemm.Session,
-	planOld, planNew spgemm.Plan, nnzOld, nnzNew int64,
-	frontier *distmat.Mat[T], b *distmat.Mat[algebra.WeightPair],
-	f func(T, algebra.WeightPair) T,
-	mon algebra.Monoid[T], wp algebra.Monoid[algebra.WeightPair],
-	oldOnly, newOnly func(T) (T, bool),
-) *distmat.Mat[T] {
-	switch {
-	case nnzOld == 0:
-		return spgemm.Multiply(sess, planNew, frontier, b, f, mon, mon, wp, true)
-	case nnzNew == 0 || planOld == planNew:
-		return spgemm.Multiply(sess, planOld, frontier, b, f, mon, mon, wp, true)
-	}
-	fusedDualProducts.Add(1)
-	world := sess.Proc.World()
-	extOld := spgemm.Multiply(sess, planOld, sideProject(frontier, oldOnly), b, f, mon, mon, wp, true)
-	extNew := spgemm.Multiply(sess, planNew, sideProject(frontier, newOnly), b, f, mon, mon, wp, true)
-	return distmat.EWise(extOld, distmat.Redistribute(world, extNew, extOld.Dist, mon), mon)
-}
-
-// distMFBFPair is Algorithm 1 over the pair semiring: one sweep advances
-// the old-side frontier (over the pre-batch adjacency component) and the
-// new-side frontier (over the post-batch component) in lock-step. Row i of
-// the frontier is union source batch[i]; a side's component is seeded only
-// when the source belongs to that side.
-func distMFBFPair(
-	sess *spgemm.Session, plOld, plNew planner,
-	aPair *distmat.Mat[algebra.WeightPair],
-	oldCSR, newCSR *sparse.CSR[float64],
-	batch []int32, inOld, inNew []bool, shard distmat.Dist,
-) (*distmat.Mat[algebra.MultPathPair], int) {
-	mpp := algebra.MultPathPairMonoid()
-	wp := algebra.WeightPairMonoid()
-	world := sess.Proc.World()
-	n := aPair.Cols
-	nb := len(batch)
-
-	init := sparse.NewCOO[algebra.MultPathPair](nb, n)
-	for si, src := range batch {
-		var oc, nc []int32
-		var ov, nv []float64
-		if inOld[src] {
-			oc, ov = oldCSR.Row(int(src))
-		}
-		if inNew[src] {
-			nc, nv = newCSR.Row(int(src))
-		}
-		x, y := 0, 0
-		for x < len(oc) || y < len(nc) {
-			var col int32
-			v := algebra.MultPathPairZero()
-			switch {
-			case y >= len(nc) || (x < len(oc) && oc[x] < nc[y]):
-				col = oc[x]
-				v.Old = algebra.MultPath{W: ov[x], M: 1}
-				x++
-			case x >= len(oc) || nc[y] < oc[x]:
-				col = nc[y]
-				v.New = algebra.MultPath{W: nv[y], M: 1}
-				y++
-			default:
-				col = oc[x]
-				v.Old = algebra.MultPath{W: ov[x], M: 1}
-				v.New = algebra.MultPath{W: nv[y], M: 1}
-				x++
-				y++
-			}
-			if col == src {
-				continue
-			}
-			init.Append(int32(si), col, v)
-		}
-	}
-	t := distmat.FromGlobal(world.Rank(), init, shard, mpp)
-	frontier := t
-	iters := 0
-	var planOld, planNew spgemm.Plan
-	for {
-		nnzOld, nnzNew := sideNNZ(world, frontier,
-			func(v algebra.MultPathPair) bool { return !algebra.MultPathIsZero(v.Old) },
-			func(v algebra.MultPathPair) bool { return !algebra.MultPathIsZero(v.New) })
-		if nnzOld == 0 && nnzNew == 0 {
-			break
-		}
-		iters++
-		if iters > n+1 {
-			panic("core: fused MFBF failed to converge")
-		}
-		if nnzOld > 0 {
-			planOld = plOld.planFor(nb, nnzOld, multpathBytes)
-		}
-		if nnzNew > 0 {
-			planNew = plNew.planFor(nb, nnzNew, multpathBytes)
-		}
-		ext := mulPairPerSide(sess, planOld, planNew, nnzOld, nnzNew, frontier, aPair,
-			algebra.BFActionPair, mpp, wp, oldOnlyMult, newOnlyMult)
-		ext = ext.Filter(func(i, j int32, _ algebra.MultPathPair) bool { return j != batch[i] })
-		t = distmat.Redistribute(world, t, ext.Dist, mpp)
-		tNew := distmat.EWise(t, ext, mpp)
-		frontier = &distmat.Mat[algebra.MultPathPair]{
-			Rows: nb, Cols: n, Dist: ext.Dist,
-			Local: screenFrontierPair(ext.Local, tNew.Local),
-		}
-		t = tNew
-	}
-	return t, iters
-}
-
-// screenFrontierPair keeps, per component, extension entries whose weight
-// matches the accumulated T — the pair analogue of screenFrontierEntries,
-// decided side by side so one side's survival never resurrects the other.
-func screenFrontierPair(ext, t []sparse.Entry[algebra.MultPathPair]) []sparse.Entry[algebra.MultPathPair] {
-	var out []sparse.Entry[algebra.MultPathPair]
-	y := 0
-	for _, e := range ext {
-		for y < len(t) && entryLess(t[y], e) {
-			y++
-		}
-		if y >= len(t) || t[y].I != e.I || t[y].J != e.J {
-			continue
-		}
-		v := algebra.MultPathPairZero()
-		//lint:allow floateq screening requires an exact match of bit-identically replicated weights
-		if !algebra.MultPathIsZero(e.V.Old) && t[y].V.Old.W == e.V.Old.W && e.V.Old.M > 0 {
-			v.Old = e.V.Old
-		}
-		//lint:allow floateq screening requires an exact match of bit-identically replicated weights
-		if !algebra.MultPathIsZero(e.V.New) && t[y].V.New.W == e.V.New.W && e.V.New.M > 0 {
-			v.New = e.V.New
-		}
-		if !algebra.MultPathPairIsZero(v) {
-			out = append(out, sparse.Entry[algebra.MultPathPair]{I: e.I, J: e.J, V: v})
-		}
-	}
-	return out
-}
-
-// distMFBrPair is Algorithm 2 over the pair semiring. Alongside Z, the
-// realigned T, and the iteration count, it returns each side's final output
-// distribution — the distribution that side's scalar sweep would have left
-// Z in, which the caller adopts per side when accumulating centrality so
-// the summation grouping matches the two-region path bitwise.
-func distMFBrPair(
-	sess *spgemm.Session, plOld, plNew planner,
-	atPair *distmat.Mat[algebra.WeightPair], t *distmat.Mat[algebra.MultPathPair],
-	batch []int32,
-) (*distmat.Mat[algebra.CentPathPair], *distmat.Mat[algebra.MultPathPair], int, distmat.Dist, distmat.Dist) {
-	cpp := algebra.CentPathPairMonoid()
-	mpp := algebra.MultPathPairMonoid()
-	wp := algebra.WeightPairMonoid()
-	world := sess.Proc.World()
-	n := t.Cols
-	nb := len(batch)
-	dcFor := func(plan spgemm.Plan) distmat.Dist {
-		_, _, dc := spgemm.Dists(plan, nb, n, n)
-		return dc
-	}
-	oldLiveMult := func(v algebra.MultPathPair) bool { return !algebra.MultPathIsZero(v.Old) }
-	newLiveMult := func(v algebra.MultPathPair) bool { return !algebra.MultPathIsZero(v.New) }
-
-	z0 := distmat.Map(t, cpp, func(_, _ int32, v algebra.MultPathPair) algebra.CentPathPair {
-		out := algebra.CentPathPairZero()
-		if !algebra.MultPathIsZero(v.Old) {
-			out.Old = algebra.CentPath{W: v.Old.W, P: 0, C: 1}
-		}
-		if !algebra.MultPathIsZero(v.New) {
-			out.New = algebra.CentPath{W: v.New.W, P: 0, C: 1}
-		}
-		return out
-	})
-	nnzTOld, nnzTNew := sideNNZ(world, t, oldLiveMult, newLiveMult)
-	planOld := plOld.planFor(nb, nnzTOld, centpathBytes)
-	planNew := plNew.planFor(nb, nnzTNew, centpathBytes)
-	distOld, distNew := dcFor(planOld), dcFor(planNew)
-	p1 := mulPairPerSide(sess, planOld, planNew, nnzTOld, nnzTNew, z0, atPair,
-		algebra.BrandesActionPair, cpp, wp, oldOnlyCent, newOnlyCent)
-	t = distmat.Redistribute(world, t, p1.Dist, mpp)
-	counts := screenCentPair(p1.Local, t.Local)
-
-	z := &distmat.Mat[algebra.CentPathPair]{Rows: nb, Cols: n, Dist: t.Dist, Local: buildZPair(t.Local, counts)}
-	frontier := &distmat.Mat[algebra.CentPathPair]{Rows: nb, Cols: n, Dist: t.Dist, Local: collectFrontierPair(z.Local, t.Local)}
-
-	iters := 0
-	for {
-		nnzOld, nnzNew := sideNNZ(world, frontier,
-			func(v algebra.CentPathPair) bool { return !algebra.CentPathIsZero(v.Old) },
-			func(v algebra.CentPathPair) bool { return !algebra.CentPathIsZero(v.New) })
-		if nnzOld == 0 && nnzNew == 0 {
-			break
-		}
-		iters++
-		if iters > n+1 {
-			panic("core: fused MFBr failed to converge")
-		}
-		// A side whose scalar loop has already terminated keeps its last
-		// plan and distribution; its components ride along as exact zeros.
-		if nnzOld > 0 {
-			planOld = plOld.planFor(nb, nnzOld, centpathBytes)
-			distOld = dcFor(planOld)
-		}
-		if nnzNew > 0 {
-			planNew = plNew.planFor(nb, nnzNew, centpathBytes)
-			distNew = dcFor(planNew)
-		}
-		p := mulPairPerSide(sess, planOld, planNew, nnzOld, nnzNew, frontier, atPair,
-			algebra.BrandesActionPair, cpp, wp, oldOnlyCent, newOnlyCent)
-		if p.Dist.Key != z.Dist.Key {
-			t = distmat.Redistribute(world, t, p.Dist, mpp)
-			z = distmat.Redistribute(world, z, p.Dist, cpp)
-		}
-		pScreened := &distmat.Mat[algebra.CentPathPair]{Rows: nb, Cols: n, Dist: p.Dist, Local: screenCentPair(p.Local, t.Local)}
-		z = distmat.EWise(z, pScreened, cpp)
-		frontier = &distmat.Mat[algebra.CentPathPair]{Rows: nb, Cols: n, Dist: z.Dist, Local: collectFrontierPair(z.Local, t.Local)}
-	}
-	return z, t, iters, distOld, distNew
-}
-
-// screenCentPair keeps, per component, centpath entries matching T's weight
-// at the same coordinate. A dead T component carries weight +∞ and a dead
-// centpath component −∞, so the equality test alone screens liveness.
-func screenCentPair(p []sparse.Entry[algebra.CentPathPair], t []sparse.Entry[algebra.MultPathPair]) []sparse.Entry[algebra.CentPathPair] {
-	var out []sparse.Entry[algebra.CentPathPair]
-	y := 0
-	for _, e := range p {
-		for y < len(t) && entryLess(t[y], e) {
-			y++
-		}
-		if y >= len(t) || t[y].I != e.I || t[y].J != e.J {
-			continue
-		}
-		v := algebra.CentPathPairZero()
-		//lint:allow floateq screening requires an exact match of bit-identically replicated weights
-		if t[y].V.Old.W == e.V.Old.W {
-			v.Old = e.V.Old
-		}
-		//lint:allow floateq screening requires an exact match of bit-identically replicated weights
-		if t[y].V.New.W == e.V.New.W {
-			v.New = e.V.New
-		}
-		if !algebra.CentPathPairIsZero(v) {
-			out = append(out, sparse.Entry[algebra.CentPathPair]{I: e.I, J: e.J, V: v})
-		}
-	}
-	return out
-}
-
-// buildZPair merges the T pattern with screened child counts, per
-// component: every live T component appears with counter = its number of
-// shortest-path-DAG children; dead components stay the exact zero.
-func buildZPair(t []sparse.Entry[algebra.MultPathPair], counts []sparse.Entry[algebra.CentPathPair]) []sparse.Entry[algebra.CentPathPair] {
-	out := make([]sparse.Entry[algebra.CentPathPair], 0, len(t))
-	y := 0
-	for _, e := range t {
-		for y < len(counts) && entryLess(counts[y], e) {
-			y++
-		}
-		var cOld, cNew int64
-		if y < len(counts) && counts[y].I == e.I && counts[y].J == e.J {
-			cOld = counts[y].V.Old.C // a dead counts component has C = 0
-			cNew = counts[y].V.New.C
-		}
-		v := algebra.CentPathPairZero()
-		if !algebra.MultPathIsZero(e.V.Old) {
-			v.Old = algebra.CentPath{W: e.V.Old.W, P: 0, C: cOld}
-		}
-		if !algebra.MultPathIsZero(e.V.New) {
-			v.New = algebra.CentPath{W: e.V.New.W, P: 0, C: cNew}
-		}
-		out = append(out, sparse.Entry[algebra.CentPathPair]{I: e.I, J: e.J, V: v})
-	}
-	return out
-}
-
-// collectFrontierPair extracts, per component, Z entries whose counter just
-// reached zero, emitting (T.w, ζ + 1/σ̄, −1) and marking them done in place.
-func collectFrontierPair(z []sparse.Entry[algebra.CentPathPair], t []sparse.Entry[algebra.MultPathPair]) []sparse.Entry[algebra.CentPathPair] {
-	var out []sparse.Entry[algebra.CentPathPair]
-	for k := range z {
-		v := algebra.CentPathPairZero()
-		emit := false
-		if !algebra.CentPathIsZero(z[k].V.Old) && z[k].V.Old.C == 0 {
-			v.Old = algebra.CentPath{W: z[k].V.Old.W, P: z[k].V.Old.P + 1/t[k].V.Old.M, C: -1}
-			z[k].V.Old.C = -1
-			emit = true
-		}
-		if !algebra.CentPathIsZero(z[k].V.New) && z[k].V.New.C == 0 {
-			v.New = algebra.CentPath{W: z[k].V.New.W, P: z[k].V.New.P + 1/t[k].V.New.M, C: -1}
-			z[k].V.New.C = -1
-			emit = true
-		}
-		if emit {
-			out = append(out, sparse.Entry[algebra.CentPathPair]{I: z[k].I, J: z[k].J, V: v})
-		}
-	}
-	return out
 }

@@ -201,12 +201,11 @@ func TestFusedApplyAutoPlanDivergence(t *testing.T) {
 		if _, err := sess.Run(nil); err != nil {
 			t.Fatal(err)
 		}
-		before := fusedDualProducts.Load()
 		fused, err := sess.ApplyIncremental(sources, g2, nil, diffs, sources)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fusedDualProducts.Load() > before {
+		if fused.DualProducts > 0 {
 			divergedSomewhere = true
 		}
 		for v := range fused.OldBC {
@@ -321,5 +320,30 @@ func TestFusedApplyVertexGrowthRejected(t *testing.T) {
 	}
 	if _, err := sess.ApplyIncremental(nil, g2, nil, nil, nil); err == nil {
 		t.Fatal("vertex growth must be rejected by the fused path")
+	}
+}
+
+// TestFusedApplyRejectsBadSources: a pivot outside the vertex set is an
+// error from either side's list, before any rank runs (and before the
+// host-side source union indexes its membership masks).
+func TestFusedApplyRejectsBadSources(t *testing.T) {
+	g, g2, diffs, sources := fusedTestSetup(t, true)
+	sess, err := NewDistSession(g, DistOptions{Procs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []int32{-1, int32(g.N)} {
+		if _, err := sess.ApplyIncremental([]int32{bad}, g2, nil, diffs, sources); err == nil {
+			t.Fatalf("old-side source %d must be rejected", bad)
+		}
+		if _, err := sess.ApplyIncremental(sources, g2, nil, diffs, []int32{bad}); err == nil {
+			t.Fatalf("new-side source %d must be rejected", bad)
+		}
+		if _, err := sess.Run([]int32{bad}); err == nil {
+			t.Fatalf("Run source %d must be rejected", bad)
+		}
+	}
+	if sess.Graph() != g {
+		t.Fatal("a rejected apply must leave the session on its old topology")
 	}
 }

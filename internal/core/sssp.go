@@ -50,7 +50,7 @@ func SSSP(g *graph.Graph, sources []int32) (*SSSPResult, error) {
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	if err := checkSources(g.N, sources); err != nil {
+	if err := checkSSSPSources(g.N, sources); err != nil {
 		return nil, err
 	}
 	a := g.Adjacency()
@@ -74,7 +74,7 @@ func SSSPDistributed(g *graph.Graph, sources []int32, opt DistOptions) (*SSSPRes
 	if err := g.Validate(); err != nil {
 		return nil, stats, fmt.Errorf("core: %w", err)
 	}
-	if err := checkSources(g.N, sources); err != nil {
+	if err := checkSSSPSources(g.N, sources); err != nil {
 		return nil, stats, err
 	}
 	p := opt.Procs
@@ -88,20 +88,18 @@ func SSSPDistributed(g *graph.Graph, sources []int32, opt DistOptions) (*SSSPRes
 	}
 	adjCSR := g.Adjacency()
 	adjCOO := adjCSR.ToCOO()
-	trop := algebra.TropicalMonoid()
-	mp := algebra.MultPathMonoid()
+	alg := scalarAlgebra()
 
 	res := newSSSPResult(sources, g.N)
 	var gathered *sparse.CSR[algebra.MultPath]
 	itersPer := make([]int, p)
 	stats, err := mach.Run(func(proc *machine.Proc) {
-		sess := spgemm.NewSession(proc)
-		sess.Workers = opt.Workers
-		shard := distmat.DistShard(p)
-		aMat := distmat.FromGlobal(proc.Rank(), adjCOO, shard, trop)
-		t, iters := distMFBF(sess, pl, aMat, adjCSR, sources, shard)
+		sp := &sidePlans{sess: spgemm.NewSession(proc), pls: []planner{pl}, plans: make([]spgemm.Plan, 1)}
+		sp.sess.Workers = opt.Workers
+		aMat := distmat.FromGlobal(proc.Rank(), adjCOO, distmat.DistShard(p), alg.edge)
+		t, iters := sweepMFBF(sp, alg, aMat, []*sparse.CSR[float64]{adjCSR}, [][]bool{nil}, sources)
 		itersPer[proc.Rank()] = iters
-		full := distmat.Gather(proc.World(), t, mp)
+		full := distmat.Gather(proc.World(), t, alg.mult)
 		if proc.Rank() == 0 {
 			gathered = full
 		}
@@ -120,10 +118,17 @@ func SSSPDistributed(g *graph.Graph, sources []int32, opt DistOptions) (*SSSPRes
 	return res, stats, nil
 }
 
-func checkSources(n int, sources []int32) error {
+// checkSSSPSources is CheckSources for callers that need at least one source.
+func checkSSSPSources(n int, sources []int32) error {
 	if len(sources) == 0 {
 		return fmt.Errorf("core: no sources given")
 	}
+	return CheckSources(n, sources)
+}
+
+// CheckSources reports the first entry of an explicit source list that is
+// not a vertex of an n-vertex graph. A nil or empty list passes.
+func CheckSources(n int, sources []int32) error {
 	for _, s := range sources {
 		if s < 0 || int(s) >= n {
 			return fmt.Errorf("core: source %d outside [0,%d)", s, n)

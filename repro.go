@@ -125,6 +125,9 @@ func Compute(g *Graph, opt Options) (*Result, error) {
 	if procs < 1 {
 		procs = 1
 	}
+	if err := core.CheckSources(g.N, opt.Sources); err != nil {
+		return nil, err
+	}
 	res := &Result{Engine: opt.Engine, Procs: procs}
 	switch opt.Engine {
 	case EngineBrandes:

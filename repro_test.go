@@ -1,9 +1,11 @@
 package repro
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -101,6 +103,34 @@ func TestSourcesBatchMode(t *testing.T) {
 	for v := range oracle.BC {
 		if !almostEqual(partial.BC[v], oracle.BC[v]) {
 			t.Fatalf("partial BC[%d]=%g want %g", v, partial.BC[v], oracle.BC[v])
+		}
+	}
+}
+
+// TestSourcesOutOfRange: an explicit source that is not a vertex must come
+// back as a one-line error from every engine, sequential and distributed —
+// never as a panic, and never as a rank's recovered panic with its stack.
+// An empty non-nil list is valid: zero batches, zero scores.
+func TestSourcesOutOfRange(t *testing.T) {
+	g := UniformGraph(52, 200, false, 5)
+	for _, engine := range []Engine{EngineMFBC, EngineBrandes, EngineCombBLAS} {
+		for _, procs := range []int{1, 4} {
+			for _, bad := range []int32{-1, int32(g.N + 5)} {
+				_, err := Compute(g, Options{Engine: engine, Procs: procs, Sources: []int32{3, bad}})
+				want := fmt.Sprintf("source %d outside [0,%d)", bad, g.N)
+				if err == nil || !strings.Contains(err.Error(), want) || strings.Contains(err.Error(), "\n") {
+					t.Errorf("%s p=%d source %d: error %q, want one line containing %q", engine, procs, bad, err, want)
+				}
+			}
+			res, err := Compute(g, Options{Engine: engine, Procs: procs, Sources: []int32{}})
+			if err != nil {
+				t.Fatalf("%s p=%d empty sources: %v", engine, procs, err)
+			}
+			for v, x := range res.BC {
+				if x != 0 {
+					t.Fatalf("%s p=%d empty sources: BC[%d]=%g, want 0", engine, procs, v, x)
+				}
+			}
 		}
 	}
 }
