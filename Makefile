@@ -4,7 +4,7 @@
 GO ?= go
 BIN := bin/mfbc-lint
 
-.PHONY: all build lint lint-standalone test race bench bench-module load-quick load-async tidy-check fmt-check loc check clean
+.PHONY: all build lint lint-standalone test race bench bench-module load-quick tidy-check fmt-check loc check clean
 
 all: build
 
@@ -46,17 +46,6 @@ bench-module:
 ## load check; writes bench points in the mfbc-bench JSON schema).
 load-quick:
 	$(GO) run ./cmd/mfbc-load -quick -json BENCH_load_quick.json
-
-## load-async: the BENCH_load.json workload with the async ingestion
-## pipeline on, gated against the committed synchronous knee (the CI
-## regression check for write-ahead-queue throughput).
-load-async:
-	$(GO) run ./cmd/mfbc-load -mode sweep -ingest -ingest-durability enqueued \
-		-graphs hot=grid:8x8x5,warm=uniform:48x160 \
-		-cohorts readers=topk:4,writers=mutate:1 \
-		-rates 120,360,720,1080,2160,4320,8640,17280,34560 \
-		-step-duration 2s -window 500ms -inflight 32 \
-		-json BENCH_load_async.json -baseline BENCH_load.json
 
 tidy-check:
 	$(GO) mod tidy -diff

@@ -25,7 +25,7 @@
 //	mfbc-load -addr http://localhost:8080 -mode run -rate 200 -schedule diurnal:0.5@30s
 //	mfbc-load -mode sweep -rates 50,100,200,400,800 -step-duration 5s -json BENCH_load.json
 //	mfbc-load -quick -json BENCH_load.json
-//	mfbc-load -quick -ingest -cohorts ingest -json BENCH_load_async.json -baseline BENCH_load.json
+//	mfbc-load -mode sweep -cohorts ingest -ingest-durability enqueued -ingest-max-depth 64
 //
 // -json emits the same point schema as mfbc-bench -json (BENCH_*.json),
 // so load results live next to the modeled-performance baselines.
@@ -84,10 +84,8 @@ type cliConfig struct {
 	traceOut string
 	quick    bool
 
-	ingest           bool
 	ingestDurability string
 	ingestMaxDepth   int
-	baseline         string
 }
 
 func parseFlags(args []string) (cliConfig, error) {
@@ -115,13 +113,10 @@ func parseFlags(args []string) (cliConfig, error) {
 	fs.StringVar(&c.replay, "replay", "", "replay an open-loop trace from this JSONL file instead of generating")
 	fs.StringVar(&c.traceOut, "trace-out", "", "in-process mode: enable request tracing on the embedded server and stream finished traces to this JSONL file")
 	fs.BoolVar(&c.quick, "quick", false, "CI preset: small in-process saturation sweep (overrides most knobs)")
-	fs.BoolVar(&c.ingest, "ingest", false, "in-process server: enable the async ingestion pipeline (write-ahead queue + group commit)")
 	fs.StringVar(&c.ingestDurability, "ingest-durability", "applied",
-		"in-process server with -ingest: default PATCH ack durability, applied | enqueued")
+		"in-process server: default PATCH ack durability, applied | enqueued")
 	fs.IntVar(&c.ingestMaxDepth, "ingest-max-depth", 256,
-		"in-process server with -ingest: per-graph queue bound before 429 backpressure (negative = unbounded)")
-	fs.StringVar(&c.baseline, "baseline", "",
-		"sweep mode: bench-points JSON of a prior sweep; fail if the measured knee regresses below its knee rate")
+		"in-process server: per-graph write-queue bound before 429 backpressure (negative = unbounded)")
 	if err := fs.Parse(args); err != nil {
 		return c, err
 	}
@@ -277,16 +272,11 @@ func run(cfg cliConfig, out io.Writer) error {
 		if cfg.traceOut != "" {
 			return fmt.Errorf("-trace-out drives the in-process server; against a live server use mfbc-serve -trace-out")
 		}
-		if cfg.ingest {
-			return fmt.Errorf("-ingest configures the in-process server; against a live server use mfbc-serve -ingest-queue")
-		}
 		tg = load.NewHTTPTarget(cfg.addr, 2*cfg.inflight)
 	} else {
-		scfg := server.Config{Workers: cfg.workers, CacheSize: cfg.cache}
-		if cfg.ingest {
-			scfg.IngestQueue = true
-			scfg.IngestDurability = cfg.ingestDurability
-			scfg.IngestMaxDepth = cfg.ingestMaxDepth
+		scfg := server.Config{
+			Workers: cfg.workers, CacheSize: cfg.cache,
+			IngestDurability: cfg.ingestDurability, IngestMaxDepth: cfg.ingestMaxDepth,
 		}
 		if cfg.traceOut != "" {
 			f, err := os.Create(cfg.traceOut)
@@ -330,17 +320,9 @@ func run(cfg cliConfig, out io.Writer) error {
 				fmt.Fprintf(out, "WARNING (rate %.0f): %v\n", p.Offered, err)
 			}
 		}
-		if cfg.baseline != "" {
-			if err := checkBaseline(out, cfg.baseline, res); err != nil {
-				return err
-			}
-		}
 		points = res.BenchPoints(graphs)
 
 	case "run":
-		if cfg.baseline != "" {
-			return fmt.Errorf("-baseline applies to sweep mode only")
-		}
 		res, err := runOnce(tg, cfg, cohorts, graphs)
 		if err != nil {
 			return err
@@ -463,40 +445,6 @@ func printSweep(out io.Writer, res *load.SweepResult) {
 	default:
 		fmt.Fprintf(out, "no knee found: even the lowest offered rate saturated the service\n")
 	}
-}
-
-// checkBaseline compares the measured sweep knee against a prior sweep's
-// bench points (the row flagged Knee: true) and errors on regression —
-// the CI gate that keeps async-ingestion throughput from silently
-// eroding. Sustaining every offered rate (knee unbracketed but
-// KneeIndex ≥ 0) passes as long as the top sustained rate is at least
-// the baseline knee.
-func checkBaseline(out io.Writer, path string, res *load.SweepResult) error {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("-baseline: %w", err)
-	}
-	var points []bench.Point
-	if err := json.Unmarshal(b, &points); err != nil {
-		return fmt.Errorf("-baseline %s: %w", path, err)
-	}
-	baseKnee := 0.0
-	for _, p := range points {
-		if p.Knee && p.OfferedRPS > baseKnee {
-			baseKnee = p.OfferedRPS
-		}
-	}
-	if !(baseKnee > 0) {
-		return fmt.Errorf("-baseline %s: no point has knee: true", path)
-	}
-	if res.KneeIndex < 0 {
-		return fmt.Errorf("knee regression: even the lowest offered rate saturated (baseline knee %.0f req/s)", baseKnee)
-	}
-	if res.KneeRPS < baseKnee {
-		return fmt.Errorf("knee regression: sustained %.0f req/s, baseline knee %.0f req/s", res.KneeRPS, baseKnee)
-	}
-	fmt.Fprintf(out, "baseline gate: sustained %.0f req/s >= baseline knee %.0f req/s\n", res.KneeRPS, baseKnee)
-	return nil
 }
 
 // writeJSON dumps the points as an indented JSON array, the same format

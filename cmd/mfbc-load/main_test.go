@@ -121,11 +121,10 @@ func TestQuickSweepEmitsJSON(t *testing.T) {
 	}
 }
 
-// TestIngestSweepAndBaselineGate drives the async-ingestion CI entry
-// point: the "ingest" cohort alias, the -ingest in-process pipeline, and
-// the -baseline knee-regression gate in both its passing and failing
-// directions.
-func TestIngestSweepAndBaselineGate(t *testing.T) {
+// TestIngestSweep drives the write-heavy sweep entry point: the "ingest"
+// cohort alias against the in-process server, whose group commits land in
+// the bench points, and the flags that configure its write queue.
+func TestIngestSweep(t *testing.T) {
 	cohorts, err := parseCohorts("ingest", 1.5)
 	if err != nil {
 		t.Fatal(err)
@@ -134,28 +133,12 @@ func TestIngestSweepAndBaselineGate(t *testing.T) {
 		t.Fatalf("ingest cohorts = %+v", cohorts)
 	}
 
-	dir := t.TempDir()
-	jsonPath := filepath.Join(dir, "pts.json")
-	writeBase := func(name string, knee float64) string {
-		t.Helper()
-		path := filepath.Join(dir, name)
-		b, err := json.Marshal([]bench.Point{
-			{Experiment: "load-sweep", Cohort: "all", OfferedRPS: knee, Knee: true},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-
+	jsonPath := filepath.Join(t.TempDir(), "pts.json")
 	cfg, err := parseFlags([]string{
-		"-mode", "sweep", "-cohorts", "ingest", "-ingest",
+		"-mode", "sweep", "-cohorts", "ingest", "-ingest-max-depth", "64",
 		"-graphs", "g=grid:6x6x5", "-rates", "30,60",
 		"-step-duration", "400ms", "-window", "200ms",
-		"-json", jsonPath, "-baseline", writeBase("base_low.json", 25),
+		"-json", jsonPath,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -163,9 +146,6 @@ func TestIngestSweepAndBaselineGate(t *testing.T) {
 	var out bytes.Buffer
 	if err := run(cfg, &out); err != nil {
 		t.Fatalf("ingest sweep failed: %v\n%s", err, out.String())
-	}
-	if !strings.Contains(out.String(), "baseline gate: ") {
-		t.Fatalf("output missing baseline-gate line:\n%s", out.String())
 	}
 
 	raw, err := os.ReadFile(jsonPath)
@@ -186,35 +166,19 @@ func TestIngestSweepAndBaselineGate(t *testing.T) {
 		t.Fatalf("ingest sweep recorded no group commits:\n%s", string(raw))
 	}
 
-	// An unreachable baseline knee must fail the gate.
-	cfg.baseline = writeBase("base_high.json", 1e9)
-	if err := run(cfg, &out); err == nil || !strings.Contains(err.Error(), "knee regression") {
-		t.Fatalf("gate must fail against a 1e9 baseline knee, got %v", err)
-	}
-	// A baseline with no knee row is a usage error, not a silent pass.
-	noKnee := filepath.Join(dir, "base_noknee.json")
-	if err := os.WriteFile(noKnee, []byte(`[{"cohort":"all","offered_rps":30}]`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cfg.baseline = noKnee
-	if err := run(cfg, &out); err == nil || !strings.Contains(err.Error(), "knee: true") {
-		t.Fatalf("baseline without a knee row must be rejected, got %v", err)
-	}
-
-	// -ingest configures the embedded server only.
-	live, err := parseFlags([]string{"-addr", "http://127.0.0.1:1", "-ingest"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := run(live, &out); err == nil || !strings.Contains(err.Error(), "-ingest") {
-		t.Fatalf("live-server -ingest must be rejected, got %v", err)
-	}
-	bad, err := parseFlags([]string{"-ingest", "-ingest-durability", "eventually"})
+	bad, err := parseFlags([]string{"-ingest-durability", "eventually"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := run(bad, &out); err == nil || !strings.Contains(err.Error(), "-ingest-durability") {
 		t.Fatalf("bad durability must be rejected, got %v", err)
+	}
+	// The queue is the only write path and the sync knee it was gated
+	// against is gone: neither the switch nor the gate is a flag any more.
+	for _, flag := range []string{"-ingest", "-baseline=BENCH_load.json"} {
+		if _, err := parseFlags([]string{flag}); err == nil {
+			t.Fatalf("removed flag %s still accepted", flag)
+		}
 	}
 }
 

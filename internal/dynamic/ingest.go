@@ -1,9 +1,9 @@
 // Write-ahead ingestion queue: the concurrency primitive behind the
-// server's async mutation pipeline. A Queue collects mutation batches
-// from many producers; a single drainer (elected by the queue itself via
-// the startDrain handoff) takes the whole backlog at once, coalesces it,
-// and group-commits through the engine, so N queued writers pay ~one
-// probe + one machine region instead of N.
+// server's write path. A Queue collects mutation batches from many
+// producers; a single drainer (elected by the queue itself via the
+// startDrain handoff) takes the whole backlog at once, coalesces it, and
+// group-commits through the engine, so N queued writers pay ~one probe +
+// one machine region instead of N.
 //
 // The queue knows nothing about graphs or engines — it only tracks
 // pending batches and who owes the drain. Callers provide the result
@@ -64,7 +64,8 @@ func (p *Pending[R]) Wait(ctx context.Context) (R, error) {
 //
 // Drain duty is handed off atomically with queue state: the Enqueue that
 // finds no drainer active is told to start one (startDrain), and a
-// drainer holds duty until a Drain call finds the queue empty or closed.
+// drainer holds duty until a Drain or Release call finds the queue empty
+// or closed.
 // The handoff happens under one mutex, so there is no window where
 // batches sit queued with nobody responsible for them, and never two
 // drainers for one queue.
@@ -84,8 +85,8 @@ func NewQueue[R any](maxDepth int) *Queue[R] {
 }
 
 // Enqueue appends a batch. depth is the queue depth including the new
-// batch; startDrain is true iff the caller must spawn the drainer (no
-// drainer currently holds duty).
+// batch; startDrain is true iff the caller now holds drain duty (no
+// drainer held it) and must drain, itself or through a goroutine it starts.
 func (q *Queue[R]) Enqueue(muts []graph.Mutation, now time.Time) (p *Pending[R], depth int, startDrain bool, err error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -108,13 +109,30 @@ func (q *Queue[R]) Enqueue(muts []graph.Mutation, now time.Time) (p *Pending[R],
 func (q *Queue[R]) Drain() (group []*Pending[R], ok bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.closed || len(q.pending) == 0 {
-		q.draining = false
+	if q.releaseLocked() {
 		return nil, false
 	}
 	group = q.pending
 	q.pending = nil
 	return group, true
+}
+
+// Release gives up drain duty without taking work, if the queue is empty
+// or closed, and reports whether it did. false means a backlog remains
+// and the caller still owes it a drainer: a duty holder that will not
+// loop itself hands the duty to one that will.
+func (q *Queue[R]) Release() bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.releaseLocked()
+}
+
+func (q *Queue[R]) releaseLocked() bool {
+	if q.closed || len(q.pending) == 0 {
+		q.draining = false
+		return true
+	}
+	return false
 }
 
 // Close marks the queue unusable and returns the orphaned backlog; the
@@ -126,13 +144,6 @@ func (q *Queue[R]) Close() []*Pending[R] {
 	orphans := q.pending
 	q.pending = nil
 	return orphans
-}
-
-// Depth reports the number of pending (not yet drained) batches.
-func (q *Queue[R]) Depth() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.pending)
 }
 
 // Coalesce collapses a concatenated mutation stream into its compact

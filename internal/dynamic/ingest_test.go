@@ -35,15 +35,12 @@ func TestQueueDrainHandoff(t *testing.T) {
 	if !ok || len(group) != 2 || group[0] != p1 {
 		t.Fatalf("drain: ok=%v len=%d, want whole backlog in order", ok, len(group))
 	}
-	if q.Depth() != 0 {
-		t.Fatalf("depth after drain = %d, want 0", q.Depth())
-	}
 
-	// The drainer still holds duty: enqueues while it works must not
-	// elect a second drainer.
-	_, _, start, _ = q.Enqueue(batch(1), now)
-	if start {
-		t.Fatal("enqueue while drainer active elected a second drainer")
+	// The drainer took everything and still holds duty: enqueues while it
+	// works land at depth 1 and must not elect a second drainer.
+	_, depth, start, _ = q.Enqueue(batch(1), now)
+	if depth != 1 || start {
+		t.Fatalf("enqueue while drainer active: depth=%d start=%v, want 1 false", depth, start)
 	}
 	if group, ok = q.Drain(); !ok || len(group) != 1 {
 		t.Fatalf("second drain: ok=%v len=%d, want the late batch", ok, len(group))
@@ -55,6 +52,24 @@ func TestQueueDrainHandoff(t *testing.T) {
 	}
 	if _, _, start, _ = q.Enqueue(batch(1), now); !start {
 		t.Fatal("enqueue after duty release did not elect a drainer")
+	}
+
+	// Release gives duty up only over an empty queue: with a backlog the
+	// holder keeps it (to hand on), and nobody else is elected meanwhile.
+	if q.Release() {
+		t.Fatal("release with a batch pending gave up drain duty")
+	}
+	if _, _, start, _ = q.Enqueue(batch(1), now); start {
+		t.Fatal("enqueue after a refused release elected a second drainer")
+	}
+	if group, ok = q.Drain(); !ok || len(group) != 2 {
+		t.Fatalf("drain after refused release: ok=%v len=%d, want both batches", ok, len(group))
+	}
+	if !q.Release() {
+		t.Fatal("release over an empty queue kept drain duty")
+	}
+	if _, _, start, _ = q.Enqueue(batch(1), now); !start {
+		t.Fatal("enqueue after release did not elect a drainer")
 	}
 }
 

@@ -150,11 +150,11 @@ func DefaultCohorts() []CohortSpec {
 	}
 }
 
-// IngestCohorts is the mutate-heavy preset for exercising the async
-// ingestion pipeline: a 2/5 mutate share with zipf key popularity (hot
-// graphs absorb most writes, so per-graph queues actually coalesce) and a
-// reader cohort verifying that snapshot-isolated queries stay responsive
-// while appliers group-commit.
+// IngestCohorts is the mutate-heavy preset for exercising the server's
+// write path: a 2/5 mutate share with zipf key popularity (hot graphs
+// absorb most writes, so per-graph queues actually coalesce) and a reader
+// cohort verifying that snapshot-isolated queries stay responsive while
+// appliers group-commit.
 func IngestCohorts() []CohortSpec {
 	return []CohortSpec{
 		{Name: "readers", Kind: "topk", Weight: 3, Clients: 2, Think: 10 * time.Millisecond, Popularity: "zipf"},

@@ -16,8 +16,8 @@ type Sample struct {
 	OK      bool
 	// Op distinguishes query from mutate samples; QueueWaitMS is the
 	// server-reported time a mutate batch spent in the write-ahead queue
-	// before its group commit started (async ingestion only), so the
-	// sweep can separate queue time from apply time.
+	// before its group commit started, so the sweep can separate queue
+	// time from apply time.
 	Op          Op
 	QueueWaitMS float64
 }
@@ -109,8 +109,7 @@ type CohortSummary struct {
 	GoodputRPS float64
 	Lat        LatencyStats
 	// MutateRequests counts the cohort's mutate samples; QueueWait is the
-	// percentile spread of their server-reported write-ahead queue waits
-	// (zero-valued when the target runs without async ingestion).
+	// percentile spread of their server-reported write-ahead queue waits.
 	MutateRequests int
 	QueueWait      LatencyStats
 }

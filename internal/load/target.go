@@ -19,10 +19,9 @@ import (
 type Outcome struct {
 	Status int
 	Err    error
-	// Mutate-only fields decoded from the PATCH response when the server
-	// runs the async ingestion pipeline: whether the ack was
-	// enqueued-durability (202, not yet applied) and how long the batch
-	// waited queued before its group commit started. Zero elsewhere.
+	// Mutate-only fields decoded from the PATCH response: whether the ack
+	// was enqueued-durability (202, not yet applied) and how long the
+	// batch waited queued before its group commit started. Zero elsewhere.
 	Queued      bool
 	QueueWaitMS float64
 }
@@ -120,7 +119,7 @@ func (t *HTTPTarget) roundTrip(method, path string, body []byte, out any) Outcom
 }
 
 // mutateAck is the slice of the PATCH response the harness keeps: the
-// async-ingestion fields that separate queue time from apply time.
+// write-queue fields that separate queue time from apply time.
 type mutateAck struct {
 	Queued      bool    `json:"queued"`
 	QueueWaitMS float64 `json:"queue_wait_ms"`

@@ -25,7 +25,8 @@ import (
 //
 // Every response body is JSON; errors are {"error": "..."} with a 4xx/5xx
 // status (404 for unknown graphs, 409 when a mutation raced a replacement,
-// 413 for oversized request bodies, 400 for malformed requests).
+// 413 for oversized request bodies, 429 + Retry-After when a graph's write
+// queue is full, 500 for a contained panic, 400 for malformed requests).
 //
 // Every API handler runs behind s.instrument, which counts the request,
 // observes its latency and response size, and — when the server has a
@@ -234,6 +235,8 @@ func statusFor(err error) int {
 		return http.StatusConflict
 	case errors.Is(err, ErrIngestBackpressure):
 		return http.StatusTooManyRequests
+	case errors.Is(err, ErrInternal):
+		return http.StatusInternalServerError
 	case errors.As(err, &mbe):
 		return http.StatusRequestEntityTooLarge
 	}

@@ -160,6 +160,8 @@ func TestStatusForErrorClasses(t *testing.T) {
 		{fmt.Errorf("wrap: %w", ErrGraphNotFound), http.StatusNotFound},
 		{ErrGraphConflict, http.StatusConflict},
 		{fmt.Errorf("wrap: %w", ErrGraphConflict), http.StatusConflict},
+		{fmt.Errorf("wrap: %w", ErrIngestBackpressure), http.StatusTooManyRequests},
+		{fmt.Errorf("wrap: %w", ErrInternal), http.StatusInternalServerError},
 		{&http.MaxBytesError{Limit: 1 << 20}, http.StatusRequestEntityTooLarge},
 		{fmt.Errorf("wrap: %w", &http.MaxBytesError{Limit: 1}), http.StatusRequestEntityTooLarge},
 		{errors.New("anything else"), http.StatusBadRequest},
@@ -171,17 +173,29 @@ func TestStatusForErrorClasses(t *testing.T) {
 }
 
 // TestHTTPRouteStatusMatrix pins the error-status contract of every route:
-// unknown graphs are 404, oversized bodies are 413, malformed input is 400
-// — on each route that can produce them, not just the ones that happened
-// to be tested before. POST /graphs previously collapsed every
-// registration error to 400 instead of routing through statusFor.
+// unknown graphs are 404, oversized bodies are 413, malformed input is 400,
+// a full write queue is 429 — on each route that can produce them, not just
+// the ones that happened to be tested before. POST /graphs previously
+// collapsed every registration error to 400 instead of routing through
+// statusFor.
 func TestHTTPRouteStatusMatrix(t *testing.T) {
-	s := New(Config{Workers: 1})
+	s := New(Config{Workers: 1, IngestMaxDepth: 1})
 	ts := httptest.NewServer(NewMux(s))
 	defer ts.Close()
 
 	doJSON(t, ts, "POST", "/graphs/g",
 		GraphSpec{Kind: "uniform", N: 16, M: 40, Seed: 1}, http.StatusCreated, nil)
+
+	// "full" has its one queue slot taken for the whole matrix: an acked
+	// batch whose drainer waits on the held serializer.
+	doJSON(t, ts, "POST", "/graphs/full",
+		GraphSpec{Kind: "uniform", N: 16, M: 40, Seed: 1}, http.StatusCreated, nil)
+	lk := s.mutLockFor("full")
+	lk.Lock()
+	defer lk.Unlock()
+	doJSON(t, ts, "PATCH", "/graphs/full",
+		MutateRequest{Mutations: []repro.Mutation{{Op: repro.MutAddVertex}}, Durability: DurabilityEnqueued},
+		http.StatusAccepted, nil)
 
 	validPatch := `{"mutations":[{"op":"set_weight","u":0,"v":1,"w":2}]}`
 	oversized := `{"pad":"` + strings.Repeat("x", 1<<20+512) + `"}`
@@ -210,6 +224,11 @@ func TestHTTPRouteStatusMatrix(t *testing.T) {
 		{"patch-empty-batch", "PATCH", "/graphs/g", `{"mutations":[]}`, http.StatusBadRequest},
 		{"patch-bad-op", "PATCH", "/graphs/g", `{"mutations":[{"op":"explode","u":0,"v":1}]}`, http.StatusBadRequest},
 		{"query-negative-k", "POST", "/query", `{"graph":"g","k":-1}`, http.StatusBadRequest},
+
+		// 429: the write queue's admission bound, at either durability.
+		{"patch-backpressure", "PATCH", "/graphs/full", validPatch, http.StatusTooManyRequests},
+		{"patch-backpressure-enqueued", "PATCH", "/graphs/full",
+			`{"mutations":[{"op":"set_weight","u":0,"v":1,"w":2}],"durability":"enqueued"}`, http.StatusTooManyRequests},
 
 		// 405: wrong method on a registered pattern.
 		{"put-graph", "PUT", "/graphs/g", "", http.StatusMethodNotAllowed},

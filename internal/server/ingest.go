@@ -1,24 +1,30 @@
-// Async mutation ingestion: per-graph write-ahead queues with coalescing
-// group-commit applies.
+// The write path: per-graph write-ahead queues with coalescing
+// group-commit applies. Every mutation batch takes it.
 //
-// With Config.IngestQueue set, a PATCH batch lands in the graph's queue
-// instead of applying synchronously. The Enqueue that finds no drainer
-// active elects one (a short-lived goroutine); the drainer takes the
-// per-graph mutation serializer FIRST and only then drains, so every
-// batch that arrives while a commit (or a sync-path Mutate) holds the
+// A PATCH batch lands in its graph's queue, bounded by IngestMaxDepth
+// (ErrIngestBackpressure beyond it). The Enqueue that finds no drainer
+// active wins drain duty. An applied-durability writer that wins it leads:
+// on its own goroutine and under its own ctx it takes the per-graph
+// mutation serializer, drains whatever accumulated while it waited for it
+// and commits that group, so an uncontended PATCH applies exactly its own
+// batch as a child of its own request span. Enqueued-durability acks, and
+// whatever backlog built up during a leader's commit, go to a background
+// drainer instead. Either way the serializer is taken FIRST and the queue
+// drained second, so every batch that arrives while a commit holds the
 // lock piles up and rides the next group. One group commit validates each
 // batch in arrival order, coalesces the valid ones via the graph.Compact
-// algebra into one merged batch, and runs that through the existing fused
-// distributed apply — N queued writers pay ~one probe + one machine region
-// instead of N.
+// algebra into one merged batch, and runs that through the engine — N
+// queued writers pay ~one probe + one machine region instead of N.
 //
 // Readers never see the queue: queries serve the last committed
-// (version, scores) snapshot, exactly as with synchronous mutation.
+// (version, scores) snapshot.
 package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"runtime/debug"
 	"time"
 
 	"repro"
@@ -26,12 +32,11 @@ import (
 	"repro/internal/obs"
 )
 
-// Durability levels for queued mutations (MutateRequest.Durability,
+// Durability levels for mutations (MutateRequest.Durability,
 // Config.IngestDurability).
 const (
 	// DurabilityApplied acknowledges after the batch's group commit
-	// lands: the caller observes the committed version, like the sync
-	// path. The default.
+	// lands: the caller observes the committed version. The default.
 	DurabilityApplied = "applied"
 	// DurabilityEnqueued acknowledges as soon as the batch is queued:
 	// the result carries Queued=true, the current queue depth, and the
@@ -47,8 +52,8 @@ type (
 )
 
 // MutateDurable is MutateCtx with an explicit acknowledgment level
-// (empty = the server default). Without an ingest queue it behaves
-// exactly like the synchronous path regardless of durability.
+// (empty = the server default): it admits the batch into the graph's
+// write-ahead queue and acknowledges it at that level.
 func (s *Server) MutateDurable(ctx context.Context, name string, muts []repro.Mutation, durability string) (*MutateResult, error) {
 	if len(muts) == 0 {
 		return nil, fmt.Errorf("server: empty mutation batch")
@@ -61,18 +66,6 @@ func (s *Server) MutateDurable(ctx context.Context, name string, muts []repro.Mu
 		return nil, fmt.Errorf("server: unknown durability %q (want %q or %q)",
 			durability, DurabilityApplied, DurabilityEnqueued)
 	}
-	if !s.ingest {
-		return s.mutateSync(ctx, name, muts)
-	}
-	return s.mutateQueued(ctx, name, muts, durability)
-}
-
-// mutateQueued admits one batch into the graph's write-ahead queue and
-// acknowledges it at the requested durability.
-func (s *Server) mutateQueued(ctx context.Context, name string, muts []repro.Mutation, durability string) (*MutateResult, error) {
-	_, span := obs.StartSpan(ctx, "ingest.enqueue")
-	defer span.End()
-	span.SetAttr("graph", name).SetAttr("mutations", len(muts)).SetAttr("durability", durability)
 
 	s.mu.Lock()
 	ge, ok := s.graphs[name]
@@ -87,28 +80,24 @@ func (s *Server) mutateQueued(ctx context.Context, name string, muts []repro.Mut
 	}
 	s.mu.Unlock()
 
-	p, depth, startDrain, err := q.Enqueue(muts, time.Now())
-	switch err {
-	case nil:
-	case dynamic.ErrQueueFull:
+	p, depth, lead, err := q.Enqueue(muts, time.Now())
+	if errors.Is(err, dynamic.ErrQueueFull) {
 		s.m.ingestRejected.Inc()
-		span.SetAttr("rejected", true)
 		return nil, fmt.Errorf("%w: %q at depth %d", ErrIngestBackpressure, name, depth)
-	case dynamic.ErrQueueClosed:
-		// Evicted between the registry lookup and the enqueue; same
-		// outcome as losing the lookup race outright.
+	}
+	if err != nil {
+		// Closed: evicted between the registry lookup and the enqueue;
+		// same outcome as losing the lookup race outright.
 		return nil, fmt.Errorf("%w: %q", ErrGraphNotFound, name)
-	default:
-		return nil, err
 	}
 	s.m.ingestEnqueued.Inc()
 	s.m.ingestDepth.Add(1)
-	span.SetAttr("depth", depth)
-	if startDrain {
-		go s.drainLoop(name, q)
-	}
+	obs.SpanFromContext(ctx).SetAttr("durability", durability).SetAttr("queue_depth", depth).SetAttr("lead", lead)
 
 	if durability == DurabilityEnqueued {
+		if lead {
+			go s.drainLoop(name, q)
+		}
 		return &MutateResult{
 			Graph:      name,
 			OldVersion: ge.version,
@@ -119,27 +108,47 @@ func (s *Server) mutateQueued(ctx context.Context, name string, muts []repro.Mut
 			M:          ge.g.M(),
 		}, nil
 	}
+	if lead {
+		// Commit the group this batch heads here, under the request's ctx;
+		// what queued up meanwhile is a background drainer's.
+		if s.drainOnce(ctx, name, q) && !q.Release() {
+			go s.drainLoop(name, q)
+		}
+	}
 	return p.Wait(ctx) // ctx cancellation abandons the wait; the batch still commits
 }
 
-// drainLoop is the graph's elected drainer: repeatedly take the per-graph
-// mutation serializer, drain whatever accumulated while waiting for it,
-// and group-commit the backlog. Exits (releasing drain duty) when a drain
-// finds the queue empty or closed; the next Enqueue elects a fresh
-// drainer. Taking the serializer before draining is what makes groups
+// drainOnce takes the per-graph mutation serializer, drains whatever
+// accumulated while waiting for it, and group-commits that backlog under
+// ctx. false means the queue was empty or closed and drain duty has been
+// released. Taking the serializer before draining is what makes groups
 // form: every batch that arrives during a commit joins the next group.
+func (s *Server) drainOnce(ctx context.Context, name string, q *ingestQueue) bool {
+	lk := s.mutLockFor(name)
+	lk.Lock()
+	defer lk.Unlock()
+	group, ok := q.Drain()
+	if !ok {
+		return false
+	}
+	s.m.ingestDepth.Add(-float64(len(group)))
+	if obs.SpanFromContext(ctx) == nil {
+		// No request span to commit under (the background drainer, or an
+		// untraced caller): the commit roots a trace of its own.
+		var span *obs.Span
+		ctx, span = s.tracer.Start(ctx, "ingest.commit")
+		defer span.End()
+		span.SetAttr("graph", name)
+	}
+	s.commitGroup(ctx, name, group)
+	return true
+}
+
+// drainLoop is the background drainer: it holds drain duty and commits
+// group after group until a drain finds the queue empty or closed; the
+// next Enqueue elects afresh.
 func (s *Server) drainLoop(name string, q *ingestQueue) {
-	for {
-		lk := s.mutLockFor(name)
-		lk.Lock()
-		group, ok := q.Drain()
-		if !ok {
-			lk.Unlock()
-			return
-		}
-		s.m.ingestDepth.Add(-float64(len(group)))
-		s.commitGroup(name, group)
-		lk.Unlock()
+	for s.drainOnce(context.Background(), name, q) {
 	}
 }
 
@@ -148,11 +157,29 @@ func (s *Server) drainLoop(name string, q *ingestQueue) {
 // resolved exactly once: invalid batches individually (sequential-apply
 // error semantics — one bad batch never poisons the group), valid ones
 // with a copy of the shared commit result annotated per-batch.
-func (s *Server) commitGroup(name string, group []*ingestPending) {
-	ctx, span := s.tracer.Start(context.Background(), "ingest.commit")
-	defer span.End()
-	span.SetAttr("graph", name).SetAttr("batches", len(group))
+//
+// The commit is contained: a panic below it (the engine's, in practice)
+// fails the batches still open with ErrInternal, counts on
+// mfbc_panics_total{site="ingest.commit"}, and detaches the graph's engine,
+// whose state is no longer trusted, so the next PATCH builds a new one.
+// The caller's deferred unlock and duty handoff then run as usual.
+func (s *Server) commitGroup(ctx context.Context, name string, group []*ingestPending) {
 	commitStart := time.Now()
+	open := group // batches not yet resolved
+	defer func() {
+		r := recover()
+		if r == nil {
+			return
+		}
+		s.m.panics.With("ingest.commit").Inc()
+		s.logger.Error("panic in group commit", "graph", name, "panic", r, "stack", string(debug.Stack()))
+		s.mu.Lock()
+		if cur, ok := s.graphs[name]; ok {
+			cur.dyn = nil
+		}
+		s.mu.Unlock()
+		s.failBatches(open, fmt.Errorf("%w: panic in group commit of %q: %v", ErrInternal, name, r))
+	}()
 
 	s.mu.Lock()
 	ge, ok := s.graphs[name]
@@ -160,37 +187,23 @@ func (s *Server) commitGroup(name string, group []*ingestPending) {
 	if !ok {
 		// Evicted after these batches were drained (the depth gauge
 		// already dropped them): fail them like Close-stranded orphans.
-		for _, p := range group {
-			s.m.ingestBatchErrors.Inc()
-			p.Resolve(nil, fmt.Errorf("%w: %q", ErrGraphNotFound, name))
-		}
+		s.failBatches(group, fmt.Errorf("%w: %q", ErrGraphNotFound, name))
 		return
 	}
 
-	// Validate each batch in arrival order against a shadow graph that
-	// accumulates the batches admitted so far, preserving one-at-a-time
-	// apply semantics: a batch that would have been rejected sequentially
-	// (double add, missing remove) is rejected here with its own error,
-	// and later batches validate against the state it would have left.
-	shadow := ge.g.Clone()
-	valid := group[:0]
-	var raw int
-	for _, p := range group {
-		next := shadow.Clone()
-		if _, err := next.ApplyAll(p.Muts); err != nil {
+	valid, errs := admit(ge.g, group)
+	open = valid
+	for i, p := range group {
+		if errs[i] != nil {
 			s.m.ingestBatchErrors.Inc()
-			p.Resolve(nil, err)
-			continue
+			p.Resolve(nil, errs[i])
 		}
-		shadow = next
-		valid = append(valid, p)
-		raw += len(p.Muts)
 	}
 	if len(valid) == 0 {
 		return
 	}
 
-	merged := make([]repro.Mutation, 0, raw)
+	var merged []repro.Mutation
 	for _, p := range valid {
 		merged = append(merged, p.Muts...)
 	}
@@ -198,7 +211,6 @@ func (s *Server) commitGroup(name string, group []*ingestPending) {
 	s.m.ingestCoalesced.Add(float64(len(valid)))
 	s.m.ingestCommits.Inc()
 	s.m.ingestGroupSize.Observe(float64(len(valid)))
-	span.SetAttr("raw_ops", raw).SetAttr("coalesced_ops", len(coalesced))
 
 	var res *MutateResult
 	var err error
@@ -212,15 +224,13 @@ func (s *Server) commitGroup(name string, group []*ingestPending) {
 			Strategy: "noop", N: ge.g.N, M: ge.g.M(),
 		}
 	} else {
-		res, err = s.applyCommitted(ctx, name, ge, coalesced, commitStart)
+		res, err = s.applyCommitted(ctx, name, ge, coalesced, len(valid), commitStart)
 	}
+	open = nil // nothing below panics
 	if err != nil {
 		// Engine or install failure (ErrGraphConflict on eviction races)
 		// fails the whole group: none of its batches took effect.
-		for _, p := range valid {
-			s.m.ingestBatchErrors.Inc()
-			p.Resolve(nil, err)
-		}
+		s.failBatches(valid, err)
 		return
 	}
 	for _, p := range valid {
@@ -233,15 +243,42 @@ func (s *Server) commitGroup(name string, group []*ingestPending) {
 	}
 }
 
-// failOrphans resolves batches stranded by an eviction with
-// ErrGraphNotFound, keeping the depth gauge and error counter honest.
-func (s *Server) failOrphans(name string, orphans []*ingestPending) {
-	if len(orphans) == 0 {
-		return
+// admit validates a group's batches in arrival order on one shadow of the
+// committed graph g that accumulates the batches admitted so far,
+// preserving one-at-a-time apply semantics: a batch that would have been
+// rejected sequentially (double add, missing remove) is rejected here with
+// its own error, before any engine runs, and later batches validate
+// against the state the admitted ones leave. errs is index-aligned with
+// group, nil for the batches in valid. A group without a rejection costs
+// one Clone; a rejected batch that got part-way costs one more, to rebuild
+// the shadow without it.
+func admit(g *repro.Graph, group []*ingestPending) (valid []*ingestPending, errs []error) {
+	errs = make([]error, len(group))
+	shadow := g.Clone()
+	for i, p := range group {
+		applied, err := shadow.ApplyAll(p.Muts)
+		if err == nil {
+			valid = append(valid, p)
+			continue
+		}
+		errs[i] = err
+		if applied > 0 {
+			shadow = g.Clone()
+			for _, v := range valid {
+				if _, err := shadow.ApplyAll(v.Muts); err != nil {
+					panic(fmt.Sprintf("server: admitted batch no longer applies: %v", err))
+				}
+			}
+		}
 	}
-	s.m.ingestDepth.Add(-float64(len(orphans)))
-	for _, p := range orphans {
+	return valid, errs
+}
+
+// failBatches resolves batches that will not commit with err, counting
+// each on the batch-error counter.
+func (s *Server) failBatches(batches []*ingestPending, err error) {
+	for _, p := range batches {
 		s.m.ingestBatchErrors.Inc()
-		p.Resolve(nil, fmt.Errorf("%w: %q", ErrGraphNotFound, name))
+		p.Resolve(nil, err)
 	}
 }

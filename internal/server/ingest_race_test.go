@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro"
@@ -21,7 +22,7 @@ import (
 // batch with ErrGraphNotFound, and a re-registered graph under the same
 // name starts with a fresh, empty queue — never the evicted one.
 func TestIngestEvictFailsQueuedBatches(t *testing.T) {
-	s := New(Config{Workers: 1, IngestQueue: true})
+	s := New(Config{Workers: 1})
 	g := repro.GridGraph(6, 6, 1, 1)
 	n := int32(g.N)
 	if _, err := s.AddGraph("g", g.Clone()); err != nil {
@@ -101,18 +102,22 @@ func (e *stallEngine) ApplyCtx(ctx context.Context, batch []repro.Mutation) (rep
 
 // TestIngestEvictDuringCommit: a graph evicted while its group commit is
 // inside the engine must fail that commit's waiters with ErrGraphConflict
-// (the install-race check), not install onto the re-registered graph.
+// (the install-race check), not install onto the re-registered graph — and
+// a PATCH to the re-registered graph, which has a queue and a drainer of
+// its own, still waits its turn on the per-name serializer.
 func TestIngestEvictDuringCommit(t *testing.T) {
 	eng := &stallEngine{entered: make(chan struct{}), release: make(chan struct{})}
+	var inflight atomic.Int32
+	var overlapped atomic.Bool
 	s := New(Config{
-		Workers: 1, IngestQueue: true,
+		Workers: 1,
 		NewDynamic: func(_ string, g *repro.Graph, opt repro.DynamicOptions) (DynEngine, error) {
 			inner, err := repro.NewDynamicBC(g, opt)
 			if err != nil {
 				return nil, err
 			}
 			eng.DynEngine = inner
-			return eng, nil
+			return soloEngine{eng, &inflight, &overlapped}, nil
 		},
 	})
 	g := repro.GridGraph(5, 5, 1, 1)
@@ -134,18 +139,32 @@ func TestIngestEvictDuringCommit(t *testing.T) {
 	if _, err := s.AddGraph("g", g.Clone()); err != nil {
 		t.Fatal(err)
 	}
+	nextCh := make(chan error, 1)
+	go func() {
+		_, err := s.MutateDurable(context.Background(), "g",
+			[]repro.Mutation{{Op: repro.MutAddEdge, U: 1, V: 23, W: 1}}, DurabilityApplied)
+		nextCh <- err
+	}()
+	waitFor(t, "next batch queued on the fresh queue", func() bool { return s.Stats().IngestQueueDepth == 1 })
 	close(eng.release)
 
 	if err := <-errCh; !errors.Is(err, ErrGraphConflict) {
 		t.Fatalf("commit raced by evict: %v, want ErrGraphConflict", err)
 	}
-	// The re-registered graph is untouched by the orphaned commit.
+	if err := <-nextCh; err != nil {
+		t.Fatalf("batch for the re-registered graph: %v", err)
+	}
+	// The re-registered graph carries its own batch and nothing of the
+	// orphaned commit.
 	info, _ := s.GraphInfoFor("g")
-	if info.M != g.M() {
-		t.Fatalf("m = %d, want %d (orphaned commit must not install)", info.M, g.M())
+	if info.M != g.M()+1 {
+		t.Fatalf("m = %d, want %d (orphaned commit must not install)", info.M, g.M()+1)
 	}
 	if s.Stats().IngestBatchErrors != 1 {
 		t.Fatalf("IngestBatchErrors = %d, want 1", s.Stats().IngestBatchErrors)
+	}
+	if overlapped.Load() {
+		t.Fatal("the re-registered graph's apply ran beside the evicted graph's")
 	}
 }
 
@@ -166,7 +185,7 @@ func hashScores(scores []float64) uint64 {
 // observe a consistent (version, scores) pair — one scores vector per
 // version, never a mix of old and new.
 func TestIngestNoTornSnapshots(t *testing.T) {
-	s := New(Config{Workers: 1, IngestQueue: true})
+	s := New(Config{Workers: 1})
 	g := repro.GridGraph(8, 8, 3, 7)
 	if _, err := s.AddGraph("g", g); err != nil {
 		t.Fatal(err)
@@ -222,7 +241,7 @@ func TestIngestNoTornSnapshots(t *testing.T) {
 // and reads. Every outcome must be a sane one; the value is the -race
 // detector plus the queue-teardown invariants under churn.
 func TestIngestEvictRegisterStorm(t *testing.T) {
-	s := New(Config{Workers: 1, IngestQueue: true, IngestMaxDepth: 8})
+	s := New(Config{Workers: 1, IngestMaxDepth: 8})
 	mk := func(seed int64) *repro.Graph { return repro.GridGraph(6, 6, 3, seed) }
 	if _, err := s.AddGraph("g", mk(1)); err != nil {
 		t.Fatal(err)

@@ -3,14 +3,22 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
+	"log/slog"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
 	"repro"
+	"repro/internal/obs"
 )
 
 // TestIngestGroupCommitCoalesces pins the tentpole win: K writers queued
@@ -18,7 +26,7 @@ import (
 // waiter acknowledged with the same committed version and the group's
 // effective (post-coalescing) op count.
 func TestIngestGroupCommitCoalesces(t *testing.T) {
-	s := New(Config{Workers: 1, IngestQueue: true})
+	s := New(Config{Workers: 1})
 	g := repro.GridGraph(6, 6, 1, 1)
 	n := int32(g.N)
 	if _, err := s.AddGraph("g", g); err != nil {
@@ -103,7 +111,7 @@ func TestIngestGroupCommitCoalesces(t *testing.T) {
 // the apply with the pre-commit version, and the commit still lands
 // asynchronously.
 func TestIngestEnqueuedDurability(t *testing.T) {
-	s := New(Config{Workers: 1, IngestQueue: true, IngestDurability: DurabilityEnqueued})
+	s := New(Config{Workers: 1, IngestDurability: DurabilityEnqueued})
 	if _, err := s.AddGraph("g", repro.GridGraph(5, 5, 1, 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +160,7 @@ func TestIngestEnqueuedDurability(t *testing.T) {
 // with ErrIngestBackpressure, and the HTTP layer maps it to 429 +
 // Retry-After.
 func TestIngestBackpressure(t *testing.T) {
-	s := New(Config{Workers: 1, IngestQueue: true, IngestMaxDepth: 2, IngestDurability: DurabilityEnqueued})
+	s := New(Config{Workers: 1, IngestMaxDepth: 2, IngestDurability: DurabilityEnqueued})
 	if _, err := s.AddGraph("g", repro.GridGraph(5, 5, 1, 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +208,7 @@ func TestIngestBackpressure(t *testing.T) {
 // TestIngestEnqueuedHTTPStatus: an enqueued-durability PATCH answers 202
 // with queued=true, not 200.
 func TestIngestEnqueuedHTTPStatus(t *testing.T) {
-	s := New(Config{Workers: 1, IngestQueue: true})
+	s := New(Config{Workers: 1})
 	if _, err := s.AddGraph("g", repro.GridGraph(5, 5, 1, 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +229,7 @@ func TestIngestEnqueuedHTTPStatus(t *testing.T) {
 // sequential-apply error semantics — an invalid batch inside a group gets
 // its own error while its neighbors commit.
 func TestIngestInvalidBatchRejectedIndividually(t *testing.T) {
-	s := New(Config{Workers: 1, IngestQueue: true})
+	s := New(Config{Workers: 1})
 	g := repro.GridGraph(6, 6, 1, 1)
 	n := int32(g.N)
 	if _, err := s.AddGraph("g", g); err != nil {
@@ -280,7 +288,7 @@ func TestIngestInvalidBatchRejectedIndividually(t *testing.T) {
 // post-coalescing op count, not the caller's raw batch size — two
 // redundant reweights of one edge commit as a single effective op.
 func TestIngestReportsEffectiveBatch(t *testing.T) {
-	s := New(Config{Workers: 1, IngestQueue: true})
+	s := New(Config{Workers: 1})
 	g := repro.GridGraph(5, 5, 1, 1)
 	e := g.Edges[0]
 	if _, err := s.AddGraph("g", g); err != nil {
@@ -316,20 +324,20 @@ func mustGraph(t *testing.T, s *Server, name string) *repro.Graph {
 }
 
 // TestGroupCommitDifferential is the acceptance differential: a seeded
-// schedule of mutation rounds applied through the ingest pipeline (each
-// round forced into one group commit) must match a sync server applying
-// the same batches one at a time — scores equal at 1e-9 on every round
+// schedule of mutation rounds, each round forced into one group commit,
+// must match a second server fed the same batches one at a time (every
+// group there is one batch) — scores equal at 1e-9 on every round
 // boundary, and equal to a from-scratch Compute at the end.
 func TestGroupCommitDifferential(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		rng := rand.New(rand.NewSource(seed))
 		base := repro.GridGraph(6, 6, 3, seed)
-		async := New(Config{Workers: 1, IngestQueue: true})
-		sync_ := New(Config{Workers: 1})
-		if _, err := async.AddGraph("g", base.Clone()); err != nil {
+		grouped := New(Config{Workers: 1})
+		serial := New(Config{Workers: 1})
+		if _, err := grouped.AddGraph("g", base.Clone()); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sync_.AddGraph("g", base.Clone()); err != nil {
+		if _, err := serial.AddGraph("g", base.Clone()); err != nil {
 			t.Fatal(err)
 		}
 
@@ -368,25 +376,29 @@ func TestGroupCommitDifferential(t *testing.T) {
 				}
 			}
 
-			// Sync side: one engine apply per batch, in order.
+			// Oracle: one engine apply per batch, in order.
 			for _, b := range batches {
-				if _, err := sync_.Mutate("g", b); err != nil {
-					t.Fatalf("seed %d round %d: sync apply: %v", seed, round, err)
+				res, err := serial.Mutate("g", b)
+				if err != nil {
+					t.Fatalf("seed %d round %d: serial apply: %v", seed, round, err)
+				}
+				if res.CoalescedBatches != 1 {
+					t.Fatalf("seed %d round %d: oracle batch rode a group of %d", seed, round, res.CoalescedBatches)
 				}
 			}
-			// Async side: hold the serializer so the round lands as ONE
+			// Under test: hold the serializer so the round lands as ONE
 			// group commit, in the same arrival order.
-			lk := async.mutLockFor("g")
+			lk := grouped.mutLockFor("g")
 			lk.Lock()
 			errCh := make(chan error, nb)
 			for i, b := range batches {
 				muts := b
 				go func() {
-					_, err := async.MutateDurable(context.Background(), "g", muts, DurabilityApplied)
+					_, err := grouped.MutateDurable(context.Background(), "g", muts, DurabilityApplied)
 					errCh <- err
 				}()
 				want := i + 1
-				waitFor(t, "round queued in order", func() bool { return async.Stats().IngestQueueDepth == want })
+				waitFor(t, "round queued in order", func() bool { return grouped.Stats().IngestQueueDepth == want })
 			}
 			lk.Unlock()
 			for range batches {
@@ -395,16 +407,16 @@ func TestGroupCommitDifferential(t *testing.T) {
 				}
 			}
 
-			qa, err := async.Query(QueryRequest{Graph: "g", IncludeScores: true})
+			qa, err := grouped.Query(QueryRequest{Graph: "g", IncludeScores: true})
 			if err != nil {
 				t.Fatal(err)
 			}
-			qs, err := sync_.Query(QueryRequest{Graph: "g", IncludeScores: true})
+			qs, err := serial.Query(QueryRequest{Graph: "g", IncludeScores: true})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !scoresAlmostEqual(qa.Scores, qs.Scores) {
-				t.Fatalf("seed %d round %d: coalesced vs batch-by-batch scores diverge", seed, round)
+				t.Fatalf("seed %d round %d: group-committed vs batch-by-batch scores diverge", seed, round)
 			}
 		}
 
@@ -413,7 +425,7 @@ func TestGroupCommitDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		qa, err := async.Query(QueryRequest{Graph: "g", IncludeScores: true})
+		qa, err := grouped.Query(QueryRequest{Graph: "g", IncludeScores: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -426,7 +438,7 @@ func TestGroupCommitDifferential(t *testing.T) {
 // TestIngestStatsReadback: /stats surfaces the ingest counters scraped by
 // the load harness.
 func TestIngestStatsReadback(t *testing.T) {
-	s := New(Config{Workers: 1, IngestQueue: true})
+	s := New(Config{Workers: 1})
 	if _, err := s.AddGraph("g", repro.GridGraph(4, 4, 1, 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -448,4 +460,225 @@ func TestIngestStatsReadback(t *testing.T) {
 			t.Fatalf("metrics exposition missing %s", name)
 		}
 	}
+}
+
+// TestAdmitRollsBackPartialBatch pins the single-shadow validation: a batch
+// rejected part-way leaves nothing behind on the shadow, so a later batch
+// that repeats its applied prefix is admitted, and a batch rejected at its
+// first mutation costs no rebuild at all.
+func TestAdmitRollsBackPartialBatch(t *testing.T) {
+	g := repro.GridGraph(4, 4, 1, 1)
+	pend := func(muts ...repro.Mutation) *ingestPending { return &ingestPending{Muts: muts} }
+	add := func(u, v int32) repro.Mutation { return repro.Mutation{Op: repro.MutAddEdge, U: u, V: v, W: 1} }
+	group := []*ingestPending{
+		pend(add(0, 15)),
+		pend(add(1, 14), add(0, 15)), // second op duplicates batch 0: rejected after applying (1,14)
+		pend(add(1, 14)),             // valid only if batch 1 was rolled back
+		pend(add(0, 15)),             // rejected at its first op
+		pend(add(2, 13)),
+	}
+	valid, errs := admit(g, group)
+	wantValid := []*ingestPending{group[0], group[2], group[4]}
+	if len(valid) != len(wantValid) {
+		t.Fatalf("admitted %d batches, want %d (errs %v)", len(valid), len(wantValid), errs)
+	}
+	for i, p := range wantValid {
+		if valid[i] != p {
+			t.Fatalf("valid[%d] is not the expected batch (errs %v)", i, errs)
+		}
+	}
+	for i, wantErr := range []bool{false, true, false, true, false} {
+		if (errs[i] != nil) != wantErr {
+			t.Fatalf("errs[%d] = %v, want error: %v", i, errs[i], wantErr)
+		}
+	}
+	if g.M() != 24 {
+		t.Fatalf("admit mutated the committed graph: m = %d, want 24", g.M())
+	}
+}
+
+// TestLeaderCommitsUnderItsRequestSpan: the group an applied-durability
+// writer leads commits under that writer's http.mutate root, its
+// followers' batches riding the same server.mutate span; only groups
+// drained in the background — backlog handed off after the leader's own
+// batch resolved, and enqueued-durability acks — root a detached
+// ingest.commit trace.
+func TestLeaderCommitsUnderItsRequestSpan(t *testing.T) {
+	tr := obs.NewTracer(32)
+	eng := &stallEngine{entered: make(chan struct{}), release: make(chan struct{})}
+	s := New(Config{Workers: 1, Tracer: tr,
+		NewDynamic: func(_ string, g *repro.Graph, opt repro.DynamicOptions) (DynEngine, error) {
+			inner, err := repro.NewDynamicBC(g, opt)
+			eng.DynEngine = inner
+			return eng, err
+		}})
+	g := repro.GridGraph(6, 6, 1, 1)
+	n := int32(g.N)
+	if _, err := s.AddGraph("g", g); err != nil {
+		t.Fatal(err)
+	}
+	mux := NewMux(s)
+	patch := func(u int32, durability string) chan int {
+		body, err := json.Marshal(MutateRequest{
+			Mutations:  []repro.Mutation{{Op: repro.MutAddEdge, U: u, V: n - 1 - u, W: 1}},
+			Durability: durability,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		code := make(chan int, 1)
+		go func() {
+			rw := httptest.NewRecorder()
+			mux.ServeHTTP(rw, httptest.NewRequest("PATCH", "/graphs/g", bytes.NewReader(body)))
+			code <- rw.Code
+		}()
+		return code
+	}
+	wantCode := func(what string, code chan int, want int) {
+		t.Helper()
+		if got := <-code; got != want {
+			t.Fatalf("%s: status %d, want %d", what, got, want)
+		}
+	}
+
+	// Three applied writers pile up behind the held serializer; the first
+	// won drain duty and leads the group of three into the engine, where
+	// it parks.
+	const K = 3
+	lk := s.mutLockFor("g")
+	lk.Lock()
+	var group [K]chan int
+	for i := range group {
+		group[i] = patch(int32(i), "")
+		want := i + 1
+		waitFor(t, "writer queued", func() bool { return s.Stats().IngestQueueDepth == want })
+	}
+	lk.Unlock()
+	<-eng.entered
+	// A fourth arrives during that commit: backlog the leader hands off.
+	late := patch(K, "")
+	waitFor(t, "late writer queued", func() bool { return s.Stats().IngestQueueDepth == 1 })
+	close(eng.release)
+	for i, code := range group {
+		wantCode(fmt.Sprintf("group writer %d", i), code, http.StatusOK)
+	}
+	wantCode("late writer", late, http.StatusOK)
+	// And an enqueued-durability ack, drained in the background as well.
+	wantCode("enqueued writer", patch(K+1, DurabilityEnqueued), http.StatusAccepted)
+	waitFor(t, "background commits", func() bool { return s.Stats().Mutations == 3 })
+
+	// Classify every finished trace by its root and the batch count on the
+	// server.mutate span directly beneath it (0 = no commit in the trace).
+	var underRequest, detached []int
+	waitFor(t, "all traces finished", func() bool {
+		underRequest, detached = nil, nil
+		for _, trc := range tr.Traces() {
+			root := trc[len(trc)-1]
+			batches := 0
+			for _, rec := range trc {
+				if rec.Name == "server.mutate" {
+					if rec.Parent != root.Span {
+						t.Fatalf("server.mutate is not a direct child of its %s root: %v", root.Name, names(trc))
+					}
+					batches = rec.Attrs["batches"].(int)
+				}
+			}
+			switch root.Name {
+			case "http.mutate":
+				underRequest = append(underRequest, batches)
+			case "ingest.commit":
+				detached = append(detached, batches)
+			}
+		}
+		return len(underRequest) == K+2 && len(detached) == 2
+	})
+	sort.Ints(underRequest)
+	if want := []int{0, 0, 0, 0, K}; !slices.Equal(underRequest, want) {
+		t.Fatalf("batches committed under the %d http.mutate roots = %v, want %v: the leader's group of %d and nothing else",
+			K+2, underRequest, want, K)
+	}
+	if want := []int{1, 1}; !slices.Equal(detached, want) {
+		t.Fatalf("batches committed under detached ingest.commit roots = %v, want %v (handed-off backlog, enqueued ack)", detached, want)
+	}
+}
+
+// panicEngine is a DynEngine whose applies panic, as a bug in the engine
+// or a poisoned transport would.
+type panicEngine struct{ DynEngine }
+
+func (panicEngine) ApplyCtx(context.Context, []repro.Mutation) (repro.ApplyReport, error) {
+	panic("engine exploded")
+}
+
+// TestCommitPanicContained: a panic inside a group commit fails that
+// group's batches with a 5xx and nothing else — the serializer and drain
+// duty are released, the suspect engine is detached so the next PATCH
+// rebuilds one and succeeds, mfbc_panics_total counts it, and no goroutine
+// is left behind.
+func TestCommitPanicContained(t *testing.T) {
+	before := runtime.NumGoroutine()
+	builds := 0
+	s := New(Config{Workers: 1, Logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
+		NewDynamic: func(_ string, g *repro.Graph, opt repro.DynamicOptions) (DynEngine, error) {
+			builds++
+			inner, err := repro.NewDynamicBC(g, opt)
+			if builds == 1 {
+				return panicEngine{inner}, err
+			}
+			return inner, err
+		}})
+	if _, err := s.AddGraph("g", repro.GridGraph(5, 5, 1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	mux := NewMux(s)
+	patch := func(body string) *httptest.ResponseRecorder {
+		rw := httptest.NewRecorder()
+		mux.ServeHTTP(rw, httptest.NewRequest("PATCH", "/graphs/g", strings.NewReader(body)))
+		return rw
+	}
+
+	// The panicking commit carries a group of two: the leader and a
+	// follower both get the contained error.
+	lk := s.mutLockFor("g")
+	lk.Lock()
+	follower := make(chan error, 1)
+	lead := make(chan *httptest.ResponseRecorder, 1)
+	go func() { lead <- patch(`{"mutations":[{"op":"add_edge","u":0,"v":24,"w":1}]}`) }()
+	waitFor(t, "leader queued", func() bool { return s.Stats().IngestQueueDepth == 1 })
+	go func() {
+		_, err := s.Mutate("g", []repro.Mutation{{Op: repro.MutAddEdge, U: 1, V: 23, W: 1}})
+		follower <- err
+	}()
+	waitFor(t, "follower queued", func() bool { return s.Stats().IngestQueueDepth == 2 })
+	lk.Unlock()
+	if rw := <-lead; rw.Code != http.StatusInternalServerError {
+		t.Fatalf("PATCH into a panicking commit: status %d, want 500; body %s", rw.Code, rw.Body.String())
+	}
+	if err := <-follower; !errors.Is(err, ErrInternal) {
+		t.Fatalf("follower of a panicking commit: %v, want ErrInternal", err)
+	}
+
+	st := s.Stats()
+	if st.Mutations != 0 || st.IngestBatchErrors != 2 || st.IngestQueueDepth != 0 {
+		t.Fatalf("after the contained panic: %+v", st)
+	}
+	if !strings.Contains(s.Registry().Text(), `mfbc_panics_total{site="ingest.commit"} 1`) {
+		t.Fatalf("mfbc_panics_total{site=\"ingest.commit\"} is not 1:\n%s", s.Registry().Text())
+	}
+	s.mu.Lock()
+	attached := s.graphs["g"].dyn != nil
+	s.mu.Unlock()
+	if attached {
+		t.Fatal("the engine that panicked is still attached")
+	}
+
+	// Still serving: the next PATCH takes the serializer and drain duty
+	// the panic released, rebuilds the engine, and commits.
+	if rw := patch(`{"mutations":[{"op":"add_edge","u":0,"v":24,"w":1}]}`); rw.Code != http.StatusOK {
+		t.Fatalf("PATCH after the contained panic: status %d, want 200; body %s", rw.Code, rw.Body.String())
+	}
+	if builds != 2 {
+		t.Fatalf("engines built = %d, want 2 (the detached one was rebuilt)", builds)
+	}
+	waitFor(t, "no leaked goroutine", func() bool { return runtime.NumGoroutine() <= before })
 }

@@ -243,9 +243,15 @@ func TestMutateInvalidatesOnlyThatGraph(t *testing.T) {
 }
 
 // TestMutateErrors: unknown graphs, empty batches, and invalid mutations
-// must fail without touching state.
+// must fail without touching state — and an invalid batch is turned away
+// by shadow validation before any engine exists, so it never pays for the
+// engine's initial exact compute.
 func TestMutateErrors(t *testing.T) {
-	s := New(Config{Workers: 1})
+	engines := 0
+	s := New(Config{Workers: 1, NewDynamic: func(_ string, g *repro.Graph, opt repro.DynamicOptions) (DynEngine, error) {
+		engines++
+		return repro.NewDynamicBC(g, opt)
+	}})
 	if _, err := s.Mutate("nope", []repro.Mutation{{Op: repro.MutAddVertex}}); !errors.Is(err, ErrGraphNotFound) {
 		t.Fatalf("unknown graph: %v", err)
 	}
@@ -269,20 +275,20 @@ func TestMutateErrors(t *testing.T) {
 	if ni.Version != info.Version {
 		t.Fatal("failed batch changed the registered version")
 	}
-	if st := s.Stats(); st.Mutations != 0 {
+	if st := s.Stats(); st.Mutations != 0 || st.IngestCommits != 0 || st.IngestBatchErrors != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
-	// The engine built for the failed batch (with its initial exact
-	// compute) must stay attached so the next PATCH doesn't pay for it
-	// again.
 	s.mu.Lock()
-	kept := s.graphs["g"].dyn != nil
+	attached := s.graphs["g"].dyn != nil
 	s.mu.Unlock()
-	if !kept {
-		t.Fatal("failed batch discarded the graph's dynamic engine")
+	if engines != 0 || attached {
+		t.Fatalf("invalid first batch built %d engine(s) (attached: %v), want none", engines, attached)
 	}
 	if _, err := s.Mutate("g", []repro.Mutation{{Op: repro.MutAddVertex}}); err != nil {
 		t.Fatalf("valid batch after failed one: %v", err)
+	}
+	if engines != 1 {
+		t.Fatalf("engines built = %d, want 1 for the first valid batch", engines)
 	}
 }
 

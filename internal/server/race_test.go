@@ -1,11 +1,12 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro"
 )
@@ -19,17 +20,38 @@ func gridWithNonEdges(seed int64) (*repro.Graph, [2]int32, [2]int32) {
 	return g, [2]int32{0, n - 1}, [2]int32{1, n - 2}
 }
 
-// TestEvictMutateRaceSerialization pins the Evict/Mutate serialization
-// contract: a Mutate queued on the per-graph serializer while the graph is
-// evicted and re-registered must still serialize with every other Mutate
-// for that name. Pre-fix, Evict deleted mutLocks[name], so the second
-// Mutate minted a fresh mutex and the two batches ran concurrently — the
-// loser of the install race got a spurious ErrGraphConflict (and both paid
-// a duplicate engine construction). Post-fix both batches succeed, in
-// order, and both edges land in the final graph.
+// soloEngine wraps the real dynamic engine and flags any apply that starts
+// while another one, on any engine sharing the counters, is in flight.
+type soloEngine struct {
+	DynEngine
+	inflight   *atomic.Int32
+	overlapped *atomic.Bool
+}
+
+func (e soloEngine) ApplyCtx(ctx context.Context, batch []repro.Mutation) (repro.ApplyReport, error) {
+	if e.inflight.Add(1) > 1 {
+		e.overlapped.Store(true)
+	}
+	defer e.inflight.Add(-1)
+	return e.DynEngine.ApplyCtx(ctx, batch)
+}
+
+// TestEvictMutateRaceSerialization pins the Evict/Mutate contract of the
+// write path: a batch still queued when its graph is evicted dies with the
+// graph (ErrGraphNotFound) and is never resurrected onto a graph
+// re-registered under the name, while the per-name serializer outlives the
+// eviction, so the stranded batch's leader waking up and the re-registered
+// graph's first batch never apply at once. (Were Evict to delete
+// mutLocks[name], the second Mutate would mint a fresh mutex and run
+// beside whatever still held the old one.)
 func TestEvictMutateRaceSerialization(t *testing.T) {
 	for round := 0; round < 3; round++ {
-		s := New(Config{Workers: 1})
+		var inflight atomic.Int32
+		var overlapped atomic.Bool
+		s := New(Config{Workers: 1, NewDynamic: func(_ string, g *repro.Graph, opt repro.DynamicOptions) (DynEngine, error) {
+			inner, err := repro.NewDynamicBC(g, opt)
+			return soloEngine{inner, &inflight, &overlapped}, err
+		}})
 		g, pairA, pairB := gridWithNonEdges(int64(round) + 1)
 		base := g.M()
 		if _, err := s.AddGraph("g", g); err != nil {
@@ -37,7 +59,7 @@ func TestEvictMutateRaceSerialization(t *testing.T) {
 		}
 
 		// Hold the live per-graph serializer, exactly as an in-flight
-		// mutation batch would while its engine computes.
+		// group commit would while its engine computes.
 		lk := s.mutLockFor("g")
 		lk.Lock()
 
@@ -48,10 +70,11 @@ func TestEvictMutateRaceSerialization(t *testing.T) {
 			})
 			errA <- err
 		}()
-		time.Sleep(5 * time.Millisecond) // let A queue on the serializer
+		waitFor(t, "A queued behind the serializer", func() bool { return s.Stats().IngestQueueDepth == 1 })
 
-		// Evict and immediately re-register the name: the window the race
-		// needs. The re-registered graph is rebuilt from the same seed.
+		// Evict and immediately re-register the name: A's batch is stranded
+		// in the evicted graph's queue. The re-registered graph is rebuilt
+		// from the same seed.
 		if err := s.Evict("g"); err != nil {
 			t.Fatal(err)
 		}
@@ -67,14 +90,13 @@ func TestEvictMutateRaceSerialization(t *testing.T) {
 			})
 			errB <- err
 		}()
-		// Give B time to reach its serializer: pre-fix it mints a fresh
-		// mutex and sails into engine construction while A is still queued
-		// on the old one; post-fix it queues behind A.
-		time.Sleep(time.Millisecond)
+		// B lands in the fresh queue and leads it, behind the same
+		// serializer A's leader is parked on.
+		waitFor(t, "B queued behind the serializer", func() bool { return s.Stats().IngestQueueDepth == 1 })
 		lk.Unlock()
 
-		if err := <-errA; err != nil {
-			t.Fatalf("round %d: batch A failed: %v", round, err)
+		if err := <-errA; !errors.Is(err, ErrGraphNotFound) {
+			t.Fatalf("round %d: stranded batch A: %v, want ErrGraphNotFound", round, err)
 		}
 		if err := <-errB; err != nil {
 			t.Fatalf("round %d: batch B failed: %v", round, err)
@@ -83,8 +105,14 @@ func TestEvictMutateRaceSerialization(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if info.M != base+2 {
-			t.Fatalf("round %d: final graph has m=%d, want %d (both serialized batches applied)", round, info.M, base+2)
+		if info.M != base+1 {
+			t.Fatalf("round %d: final graph has m=%d, want %d (B only; A died with the evicted graph)", round, info.M, base+1)
+		}
+		if _, ok := mustGraph(t, s, "g").FindEdge(pairA[0], pairA[1]); ok {
+			t.Fatalf("round %d: evicted graph's batch A was resurrected onto the re-registered graph", round)
+		}
+		if overlapped.Load() {
+			t.Fatalf("round %d: two applies for one name ran at once", round)
 		}
 	}
 }

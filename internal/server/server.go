@@ -46,6 +46,11 @@ var ErrGraphConflict = errors.New("server: graph replaced during mutation")
 // layer maps it to 429 + Retry-After. The batch was not enqueued.
 var ErrIngestBackpressure = errors.New("server: ingest queue full")
 
+// ErrInternal is returned by Mutate when the group commit carrying the
+// batch panicked; the panic was contained, the batch did not take effect,
+// and the HTTP layer maps it to 500.
+var ErrInternal = errors.New("server: internal error")
+
 // Config parameterizes a Server.
 type Config struct {
 	// Workers is the shared-memory parallelism handed to every compute
@@ -96,16 +101,12 @@ type Config struct {
 	// SlowQuery, when positive, logs any instrumented HTTP request that
 	// takes at least this long as a warning with route and latency.
 	SlowQuery time.Duration
-	// IngestQueue enables async mutation ingestion: PATCH batches land in
-	// a per-graph write-ahead queue and a background applier coalesces the
-	// backlog into one group-commit apply, so N queued writers pay ~one
-	// probe + one machine region instead of N (see ingest.go).
-	IngestQueue bool
-	// IngestDurability is the default acknowledgment level for queued
-	// mutations: DurabilityApplied (block until the group commit lands —
-	// the default, and the sync path's semantics) or DurabilityEnqueued
-	// (acknowledge on enqueue; the response carries queued=true and the
-	// pre-commit version). Per-request override via MutateRequest.
+	// IngestDurability is the default acknowledgment level for mutations,
+	// which all go through a per-graph write-ahead queue with group-commit
+	// applies (see ingest.go): DurabilityApplied (block until the group
+	// commit lands — the default) or DurabilityEnqueued (acknowledge on
+	// enqueue; the response carries queued=true and the pre-commit
+	// version). Per-request override via MutateRequest.
 	IngestDurability string
 	// IngestMaxDepth bounds each graph's queue to this many pending
 	// batches; enqueues beyond it fail with ErrIngestBackpressure
@@ -146,7 +147,6 @@ type Server struct {
 	dynCacheSets    int
 	dynSampleBudget int
 	dynRefreshEvery int
-	ingest          bool   // async ingestion enabled (Config.IngestQueue)
 	ingestDurable   string // default ack level: DurabilityApplied | DurabilityEnqueued
 	ingestMaxDepth  int    // per-graph queue bound; ≤ 0 = unbounded
 	newDynamic      func(name string, g *repro.Graph, opt repro.DynamicOptions) (DynEngine, error)
@@ -235,9 +235,9 @@ type Stats struct {
 	FusedApplies     int64 `json:"fused_applies"`
 	TwoRegionApplies int64 `json:"two_region_applies"`
 	OperandEvictions int64 `json:"operand_evictions"`
-	// Async-ingestion counters (Config.IngestQueue): batches accepted into
-	// write-ahead queues, group commits executed, batches merged into
-	// them, backpressure rejections, and per-batch failures.
+	// Write-path counters: batches accepted into write-ahead queues, group
+	// commits executed, batches merged into them, backpressure rejections,
+	// and per-batch failures.
 	IngestEnqueued    int64 `json:"ingest_enqueued"`
 	IngestCommits     int64 `json:"ingest_commits"`
 	IngestCoalesced   int64 `json:"ingest_coalesced"`
@@ -279,7 +279,6 @@ func New(cfg Config) *Server {
 		dynCacheSets:    cfg.DynCacheSets,
 		dynSampleBudget: cfg.DynSampleBudget,
 		dynRefreshEvery: cfg.DynRefreshEvery,
-		ingest:          cfg.IngestQueue,
 		ingestDurable:   durable,
 		ingestMaxDepth:  maxDepth,
 		newDynamic:      cfg.NewDynamic,
@@ -347,7 +346,7 @@ type serverMetrics struct {
 	queryDur  *obs.HistogramVec // source: cache|coalesced|compute
 	mutateDur *obs.HistogramVec // strategy: incremental|full|sampled
 
-	// Async-ingestion telemetry (ingest.go): queue depth, batches
+	// Write-path telemetry (ingest.go): queue depth, batches
 	// enqueued/rejected/failed, group commits and their coalescing win,
 	// and how long batches waited queued before their commit started.
 	ingestEnqueued    *obs.Counter
@@ -358,6 +357,7 @@ type serverMetrics struct {
 	ingestDepth       *obs.Gauge
 	ingestGroupSize   *obs.Histogram
 	ingestQueueWait   *obs.Histogram
+	panics            *obs.CounterVec // site; contained panics
 
 	httpReqs  *obs.CounterVec   // route, code
 	httpDur   *obs.HistogramVec // route
@@ -405,6 +405,7 @@ func newServerMetrics(reg *obs.Registry) serverMetrics {
 			[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256}),
 		ingestQueueWait: reg.Histogram("mfbc_ingest_queue_wait_seconds",
 			"Time batches spent queued before their group commit started.", nil),
+		panics:        reg.CounterVec("mfbc_panics_total", "Panics contained without taking the service down.", "site"),
 		httpReqs:      reg.CounterVec("mfbc_http_requests_total", "HTTP requests by route and status code.", "route", "code"),
 		httpDur:       reg.HistogramVec("mfbc_http_request_duration_seconds", "HTTP request latency by route.", nil, "route"),
 		httpBytes:     reg.HistogramVec("mfbc_http_response_bytes", "HTTP response body size by route.", obs.SizeBuckets(), "route"),
@@ -427,6 +428,7 @@ func newServerMetrics(reg *obs.Registry) serverMetrics {
 	for _, st := range []string{"incremental", "full", "sampled"} {
 		m.mutateDur.With(st)
 	}
+	m.panics.With("ingest.commit")
 	for _, r := range httpRoutes {
 		m.httpReqs.With(r, "2xx")
 		m.httpDur.With(r)
@@ -530,13 +532,13 @@ func (s *Server) GenerateGraph(name string, spec GraphSpec) (GraphInfo, error) {
 // per-graph ordering across evict/re-register cycles; the map grows only
 // with the set of distinct names ever mutated.
 //
-// The graph's write-ahead ingestion queue, by contrast, dies with the
-// graph: it is removed from the registry here and closed, every batch
-// still queued fails with ErrGraphNotFound, and a re-registered graph
-// under the same name gets a fresh empty queue — an evicted graph's
-// pending mutations are never resurrected. A group commit already past
-// Drain fails at install time with ErrGraphConflict (the entry it read
-// is no longer registered), exactly like the sync path.
+// The graph's write-ahead queue, by contrast, dies with the graph: it is
+// removed from the registry here and closed, every batch still queued
+// fails with ErrGraphNotFound, and a re-registered graph under the same
+// name gets a fresh empty queue — an evicted graph's pending mutations
+// are never resurrected. A group commit already past Drain fails at
+// install time with ErrGraphConflict (the entry it read is no longer
+// registered).
 func (s *Server) Evict(name string) error {
 	s.mu.Lock()
 	if _, ok := s.graphs[name]; !ok {
@@ -549,7 +551,9 @@ func (s *Server) Evict(name string) error {
 	delete(s.queues, name)
 	s.mu.Unlock()
 	if q != nil {
-		s.failOrphans(name, q.Close())
+		orphans := q.Close()
+		s.m.ingestDepth.Add(-float64(len(orphans)))
+		s.failBatches(orphans, fmt.Errorf("%w: %q", ErrGraphNotFound, name))
 	}
 	return nil
 }
@@ -584,11 +588,10 @@ func (s *Server) purgeLocked(name string) {
 // PATCH /graphs/{name}.
 type MutateRequest struct {
 	Mutations []repro.Mutation `json:"mutations"`
-	// Durability overrides the server's default acknowledgment level for
-	// async ingestion: "applied" blocks until the group commit lands,
-	// "enqueued" acknowledges as soon as the batch is queued (202, with
-	// queued=true and the pre-commit version). Ignored unless the server
-	// runs with an ingest queue; empty uses the server default.
+	// Durability overrides the server's default acknowledgment level:
+	// "applied" blocks until the group commit lands, "enqueued"
+	// acknowledges as soon as the batch is queued (202, with queued=true
+	// and the pre-commit version). Empty uses the server default.
 	Durability string `json:"durability,omitempty"`
 }
 
@@ -617,7 +620,7 @@ type MutateResult struct {
 	Comm      repro.CommReport  `json:"comm"`
 	Phases    []repro.PhaseComm `json:"phases,omitempty"`
 	ComputeMS float64           `json:"compute_ms"`
-	// Async-ingestion fields. Queued marks an enqueued-durability ack:
+	// Write-ahead-queue fields. Queued marks an enqueued-durability ack:
 	// the batch is in the write-ahead queue (at QueueDepth) but not yet
 	// applied, and Version still reports the pre-commit fingerprint. For
 	// applied-durability batches, CoalescedBatches is how many queued
@@ -647,54 +650,38 @@ func (s *Server) mutLockFor(name string) *sync.Mutex {
 
 // Mutate atomically applies a mutation batch to the named graph through
 // its dynamic engine (created, with an initial exact compute, on the first
-// mutation). On success the registry entry is replaced with the new
+// valid mutation). On success the registry entry is replaced with the new
 // version, only that graph's cache entries are purged, and — when the
 // engine holds exact scores — the maintained vector is seeded into the
 // cache under the default exact query key, so the next query after a
 // mutation is a warm hit instead of a recompute. Queries concurrent with
 // Mutate see either the old or the new version, never a torn state.
 //
-// With Config.IngestQueue set, the batch goes through the write-ahead
-// queue and group-commit pipeline instead of applying synchronously —
-// see MutateDurable.
+// The batch goes through the graph's write-ahead queue and group-commit
+// pipeline at the server's default durability — see MutateDurable.
 func (s *Server) Mutate(name string, muts []repro.Mutation) (*MutateResult, error) {
 	return s.MutateCtx(context.Background(), name, muts)
 }
 
 // MutateCtx is Mutate with trace propagation: when ctx carries an obs span
-// (the HTTP middleware's root span), the apply reports itself and its
-// machine regions as child spans pairing modeled cost with wall-clock.
+// (the HTTP middleware's root span) and the batch's group commits on the
+// caller's goroutine, the apply reports itself and its machine regions as
+// child spans pairing modeled cost with wall-clock.
 func (s *Server) MutateCtx(ctx context.Context, name string, muts []repro.Mutation) (*MutateResult, error) {
 	return s.MutateDurable(ctx, name, muts, "")
 }
 
-// mutateSync is the synchronous mutation path (no ingest queue): take the
-// per-graph serializer and run the batch through applyCommitted.
-func (s *Server) mutateSync(ctx context.Context, name string, muts []repro.Mutation) (*MutateResult, error) {
-	start := time.Now()
-	lk := s.mutLockFor(name)
-	lk.Lock()
-	defer lk.Unlock()
-
-	s.mu.Lock()
-	ge, ok := s.graphs[name]
-	s.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrGraphNotFound, name)
-	}
-	return s.applyCommitted(ctx, name, ge, muts, start)
-}
-
-// applyCommitted runs one mutation batch through the graph's dynamic
-// engine and installs the new (graph, scores) version. Callers hold the
-// per-graph mutation serializer and pass the registry entry they decided
-// to mutate; if the registry moved past it meanwhile, the install fails
-// with ErrGraphConflict and the engine's work is orphaned. start is when
-// the caller began the batch (queue time included for group commits).
-func (s *Server) applyCommitted(ctx context.Context, name string, ge *graphEntry, muts []repro.Mutation, start time.Time) (*MutateResult, error) {
+// applyCommitted runs one group's coalesced mutations (of the given
+// number of batches) through the graph's dynamic engine and installs the
+// new (graph, scores) version. The caller holds the per-graph mutation
+// serializer and passes the registry entry it decided to mutate; if the
+// registry moved past it meanwhile, the install fails with
+// ErrGraphConflict and the engine's work is orphaned. start is when the
+// group commit began.
+func (s *Server) applyCommitted(ctx context.Context, name string, ge *graphEntry, muts []repro.Mutation, batches int, start time.Time) (*MutateResult, error) {
 	ctx, span := obs.StartSpan(ctx, "server.mutate")
 	defer span.End()
-	span.SetAttr("graph", name).SetAttr("mutations", len(muts))
+	span.SetAttr("graph", name).SetAttr("mutations", len(muts)).SetAttr("batches", batches)
 
 	s.mu.Lock()
 	oldVersion := ge.version
