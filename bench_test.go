@@ -99,28 +99,6 @@ func BenchmarkSpGEMMGustavson(b *testing.B) {
 	b.ReportMetric(float64(ops)/float64(b.N), "ops/mul")
 }
 
-// BenchmarkSpGEMMGustavsonParallel measures the row-blocked parallel
-// Gustavson kernel on the same workload as BenchmarkSpGEMMGustavson, one
-// sub-benchmark per worker count (compare ns/op across them; on a
-// single-core host all counts degenerate to the sequential kernel's time).
-func BenchmarkSpGEMMGustavsonParallel(b *testing.B) {
-	g := graph.RMAT(graph.DefaultRMAT(11, 8, 1))
-	a := g.Adjacency()
-	sources := make([]int32, 64)
-	for i := range sources {
-		sources[i] = int32(i * (g.N / 64))
-	}
-	t, _, _ := core.MFBF(a, sources)
-	mp := algebra.MultPathMonoid()
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sparse.MulParallel(t, a, algebra.BFAction, mp, w)
-			}
-		})
-	}
-}
-
 // BenchmarkMFBCWorkers measures an end-to-end MFBC batch (MFBF + MFBr +
 // accumulation) on an R-MAT graph with ~65k edges (scale 13, edge factor
 // 8) at increasing worker counts. On a host with >=4 cores, workers=4
@@ -182,6 +160,7 @@ func BenchmarkMFBCSequentialBatch(b *testing.B) {
 		sources[i] = int32(i * (g.N / 32))
 	}
 	bc := make([]float64, g.N)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		core.MFBCBatch(a, at, sources, bc)
@@ -214,6 +193,7 @@ func BenchmarkCombBLASSequentialBatch(b *testing.B) {
 		sources[i] = int32(i * (g.N / 32))
 	}
 	bc := make([]float64, g.N)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		baseline.CombBLASBatch(a, at, sources, bc)

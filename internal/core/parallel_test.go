@@ -1,6 +1,11 @@
 package core
 
 import (
+	"fmt"
+	"math"
+	"runtime"
+	"runtime/debug"
+	"sync"
 	"testing"
 
 	"repro/internal/algebra"
@@ -8,8 +13,16 @@ import (
 	"repro/internal/sparse"
 )
 
-// TestMFBCWorkersInvariant: betweenness scores are bit-identical for every
-// worker count, on weighted and unweighted graphs (the parallel kernels
+// workerCounts and batchWidths span the row partition's edge cases: one
+// block, uneven blocks, and more workers than rows.
+var (
+	workerCounts = []int{1, 2, 3, 8}
+	batchWidths  = []int{1, 5, 64}
+)
+
+// TestMFBCWorkersInvariant: betweenness scores, op counts and iteration
+// counts are bit-identical for every worker count and batch width, on
+// weighted and unweighted graphs (blocking the source rows across workers
 // must not perturb float summation order).
 func TestMFBCWorkersInvariant(t *testing.T) {
 	for _, weighted := range []bool{false, true} {
@@ -17,47 +30,160 @@ func TestMFBCWorkersInvariant(t *testing.T) {
 		if weighted {
 			g.AddUniformWeights(1, 10, 6)
 		}
-		base, err := MFBC(g, Options{Batch: 32, Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, w := range []int{0, 2, 3, 8} {
-			res, err := MFBC(g, Options{Batch: 32, Workers: w})
+		for _, nb := range batchWidths {
+			base, err := MFBC(g, Options{Batch: nb, Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Ops != base.Ops || res.Iterations != base.Iterations {
-				t.Fatalf("weighted=%v workers=%d: ops/iters differ (%d/%d vs %d/%d)",
-					weighted, w, res.Ops, res.Iterations, base.Ops, base.Iterations)
-			}
-			for v := range base.BC {
-				if res.BC[v] != base.BC[v] {
-					t.Fatalf("weighted=%v workers=%d: BC[%d] = %v, want %v",
-						weighted, w, v, res.BC[v], base.BC[v])
+			for _, w := range append([]int{0}, workerCounts...) {
+				res, err := MFBC(g, Options{Batch: nb, Workers: w})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Ops != base.Ops || res.Iterations != base.Iterations {
+					t.Fatalf("weighted=%v nb=%d workers=%d: ops/iters differ (%d/%d vs %d/%d)",
+						weighted, nb, w, res.Ops, res.Iterations, base.Ops, base.Iterations)
+				}
+				for v := range base.BC {
+					if math.Float64bits(res.BC[v]) != math.Float64bits(base.BC[v]) {
+						t.Fatalf("weighted=%v nb=%d workers=%d: BC[%d] = %v, want %v",
+							weighted, nb, w, v, res.BC[v], base.BC[v])
+					}
 				}
 			}
 		}
 	}
 }
 
-// TestMFBFParallelMatchesSequential checks the T matrix itself, not just
-// the folded scores.
+// batchOut is everything the three sweep entry points return for one batch.
+type batchOut struct {
+	t          *sparse.CSR[algebra.MultPath]
+	z          *sparse.CSR[algebra.CentPath]
+	bc         []float64
+	opsF, opsB int64
+	itF, itB   int
+}
+
+func runBatch(a, at *sparse.CSR[float64], sources []int32, workers int) batchOut {
+	var o batchOut
+	o.t, o.opsF, o.itF = MFBFParallel(a, sources, workers)
+	o.z, o.opsB, o.itB = MFBrParallel(at, o.t, sources, workers)
+	o.bc = make([]float64, a.Cols)
+	ops, iters := MFBCBatchParallel(a, at, sources, o.bc, workers)
+	if ops != o.opsF+o.opsB || iters != o.itF+o.itB {
+		panic(fmt.Sprintf("batch ops/iters %d/%d, sweeps say %d/%d", ops, iters, o.opsF+o.opsB, o.itF+o.itB))
+	}
+	return o
+}
+
+// diff names the first bitwise difference between two batches' outputs, or
+// returns "" when they are identical.
+func (o batchOut) diff(want batchOut) string {
+	if o.opsF != want.opsF || o.opsB != want.opsB || o.itF != want.itF || o.itB != want.itB {
+		return fmt.Sprintf("ops/iters %d+%d/%d+%d, want %d+%d/%d+%d",
+			o.opsF, o.opsB, o.itF, o.itB, want.opsF, want.opsB, want.itF, want.itB)
+	}
+	if !sparse.Equal(o.t, want.t, func(x, y algebra.MultPath) bool { return x == y }) {
+		return "T matrix differs"
+	}
+	if !sparse.Equal(o.z, want.z, func(x, y algebra.CentPath) bool { return x == y }) {
+		return "Z matrix differs"
+	}
+	for v := range want.bc {
+		if math.Float64bits(o.bc[v]) != math.Float64bits(want.bc[v]) {
+			return fmt.Sprintf("bc[%d] = %v, want %v", v, o.bc[v], want.bc[v])
+		}
+	}
+	return ""
+}
+
+// TestMFBFParallelMatchesSequential checks the exported T and Z matrices
+// themselves, not just the folded scores, for every worker count and batch
+// width (including fewer rows than workers).
 func TestMFBFParallelMatchesSequential(t *testing.T) {
 	g := graph.RMAT(graph.DefaultRMAT(8, 8, 9))
+	g.AddUniformWeights(1, 6, 3)
 	a := g.Adjacency()
-	sources := make([]int32, 48)
-	for i := range sources {
-		sources[i] = int32(i * (g.N / 48))
+	at := sparse.Transpose(a)
+	for _, nb := range batchWidths {
+		sources := strideSources(g.N, nb, 11)
+		want := runBatch(a, at, sources, 1)
+		for _, w := range workerCounts {
+			if d := runBatch(a, at, sources, w).diff(want); d != "" {
+				t.Fatalf("nb=%d workers=%d: %s", nb, w, d)
+			}
+		}
 	}
-	want, wantOps, wantIt := MFBF(a, sources)
-	for _, w := range []int{2, 4} {
-		got, ops, it := MFBFParallel(a, sources, w)
-		if ops != wantOps || it != wantIt {
-			t.Fatalf("workers=%d: ops/iters %d/%d, want %d/%d", w, ops, it, wantOps, wantIt)
-		}
-		if !sparse.Equal(got, want, func(x, y algebra.MultPath) bool { return x == y }) {
-			t.Fatalf("workers=%d: T matrix differs from sequential MFBF", w)
-		}
+}
+
+// TestBatchConcurrentCallers drives the pooled workspace from two
+// goroutines at once over graphs of different size, as the server's query
+// and write paths do: every result must equal the solo run's, so a
+// workspace recycled from the other caller (wider or narrower rows, stale
+// slab contents) never leaks into an answer.
+func TestBatchConcurrentCallers(t *testing.T) {
+	type job struct {
+		a, at   *sparse.CSR[float64]
+		sources []int32
+		workers int
+		want    batchOut
+	}
+	var jobs []job
+	for i, g := range []*graph.Graph{
+		graph.RMAT(graph.DefaultRMAT(8, 8, 3)),
+		graph.Grid2D(7, 9, 5, 2),
+	} {
+		a := g.Adjacency()
+		at := sparse.Transpose(a)
+		sources := strideSources(g.N, 12+20*i, 5)
+		jobs = append(jobs, job{a, at, sources, 1 + i, runBatch(a, at, sources, 1)})
+	}
+	var wg sync.WaitGroup
+	for _, j := range jobs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 25; round++ {
+				if d := runBatch(j.a, j.at, j.sources, j.workers).diff(j.want); d != "" {
+					t.Errorf("n=%d round %d: %s", j.a.Cols, round, d)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestBatchAllocBudget gates the workspace reuse: once a warm-up batch has
+// sized the pooled workspace, a batch allocates bookkeeping only — no
+// slab, accumulator, frontier or CSR. The budget is 2× what a batch was
+// measured to allocate when this test was written (184 bytes in 4 objects);
+// the matrix-per-round kernel it replaced allocated 13.2 MB in 1,873
+// objects on the same batch. The collector is held off so it cannot empty the pool
+// mid-test, and the minimum over a few batches is gated because the race
+// detector makes sync.Pool drop a quarter of what is put back.
+func TestBatchAllocBudget(t *testing.T) {
+	const maxBytes, maxObjects = 368, 8
+	g := graph.RMAT(graph.DefaultRMAT(8, 8, 1))
+	a := g.Adjacency()
+	at := sparse.Transpose(a)
+	sources := strideSources(g.N, 32, 7)
+	bc := make([]float64, g.N)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	MFBCBatchParallel(a, at, sources, bc, 1)
+
+	bytes, objects := uint64(math.MaxUint64), uint64(math.MaxUint64)
+	var before, after runtime.MemStats
+	for try := 0; try < 8; try++ {
+		runtime.ReadMemStats(&before)
+		MFBCBatchParallel(a, at, sources, bc, 1)
+		runtime.ReadMemStats(&after)
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+		objects = min(objects, after.Mallocs-before.Mallocs)
+	}
+	t.Logf("warm batch allocates %d bytes in %d objects", bytes, objects)
+	if bytes > maxBytes || objects > maxObjects {
+		t.Fatalf("warm batch allocates %d bytes in %d objects, budget %d bytes / %d objects", bytes, objects, maxBytes, maxObjects)
 	}
 }
 

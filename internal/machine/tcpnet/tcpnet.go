@@ -88,6 +88,7 @@ type Transport struct {
 	conns []*conn // indexed by world rank; conns[rank] == nil
 
 	closed    atomic.Bool
+	leaving   atomic.Bool
 	abortOnce sync.Once
 	abort     chan struct{}
 	failMu    sync.Mutex
@@ -343,6 +344,15 @@ func (t *Transport) Close() error {
 	}
 	return nil
 }
+
+// Leave declares the session over on this rank: from here on a peer
+// closing its links is the expected end of the mesh, not a failure. An
+// orderly teardown has every rank call Leave before any rank closes — the
+// session layer's shutdown op is acknowledged by every worker after its
+// Leave, and only then does the coordinator release them (see
+// rankrun.Driver.Shutdown) — so ranks may close in any order without
+// poisoning a slower peer that is still waiting on the coordinator.
+func (t *Transport) Leave() { t.leaving.Store(true) }
 
 // OpBroadcast ships one opaque operation from the coordinator to every
 // worker. The session layer encodes region requests with it so all ranks

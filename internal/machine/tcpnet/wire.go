@@ -226,8 +226,9 @@ func parseData(body []byte) (dataFrame, error) {
 }
 
 // linkLost surfaces a dead connection as a machine failure, unless the
-// transport is already closing or aborting (peers tearing down produce
-// expected EOFs).
+// transport is already closing or aborting, or the session is over (peers
+// tearing down produce expected EOFs). After Leave only the coordinator's
+// link ending matters: it wakes a worker still waiting for its release.
 func (t *Transport) linkLost(cn *conn, err error) {
 	if t.closed.Load() {
 		return
@@ -236,6 +237,12 @@ func (t *Transport) linkLost(cn *conn, err error) {
 	case <-t.abort:
 		return
 	default:
+	}
+	if t.leaving.Load() {
+		if cn.peer == 0 {
+			t.abortOnce.Do(func() { close(t.abort) })
+		}
+		return
 	}
 	t.fail(fmt.Errorf("machine: link to rank %d lost: %w", cn.peer, err))
 }

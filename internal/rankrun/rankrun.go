@@ -177,8 +177,23 @@ func (e *Engine) Close() error {
 
 // Shutdown ends every worker's ServeWorker loop. The mesh itself stays
 // up; close the transport separately.
+//
+// Teardown is ordered in two steps so that ranks may then close in any
+// order. The shutdown op is acknowledged by each worker only after it has
+// declared the session over (tcpnet's Leave), and workers keep their links
+// open until the coordinator, holding every acknowledgement, releases them
+// with one more frame. Without the second step a fast worker's close
+// reaches a slower worker — and the coordinator, whose abort then overtakes
+// the shutdown op on the slower worker's stream — as a lost link while the
+// slower worker is still blocked waiting for the op.
 func (d *Driver) Shutdown() error {
-	return d.do(op{Kind: opShutdown}, func() error { return nil })
+	if err := d.do(op{Kind: opShutdown}, func() error { return nil }); err != nil {
+		return err
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.tr.Leave()
+	return d.tr.OpBroadcast(nil)
 }
 
 // ServeWorker runs one worker rank's replication loop: receive an op,
@@ -222,7 +237,14 @@ func ServeWorker(tr *tcpnet.Transport) error {
 		case opDrop:
 			delete(engines, o.Name)
 		case opShutdown:
-			tr.AckOp(nil)
+			// Ordered teardown (see Driver.Shutdown): leave, acknowledge,
+			// and hold the links open until the coordinator's release. A
+			// coordinator that vanishes instead ends the wait the same way.
+			tr.Leave()
+			if err := tr.AckOp(nil); err != nil {
+				return err
+			}
+			_, _ = tr.NextOp()
 			return nil
 		default:
 			opErr = fmt.Errorf("rankrun: rank %d: unknown op kind %q", tr.Rank(), o.Kind)

@@ -106,6 +106,47 @@ func TestReplicatedMatchesLocal(t *testing.T) {
 	}
 }
 
+// TestShutdownThenCloseInAnyOrder is the deployment's teardown shape:
+// every worker closes its transport the moment ServeWorker returns (as
+// cmd/mfbc-rank does) and the coordinator closes after Shutdown. However
+// the ranks' closes interleave, no worker may see a peer's close as a lost
+// link. Before shutdown was ordered this failed on a 2-CPU host in roughly
+// one mesh out of three (a fast worker closed while a slower one was still
+// blocked waiting for the shutdown op).
+func TestShutdownThenCloseInAnyOrder(t *testing.T) {
+	const p = 4
+	for round := 0; round < 20; round++ {
+		lm, err := tcpnet.StartLocalMesh(p, tcpnet.Options{})
+		if err != nil {
+			t.Fatalf("loopback mesh: %v", err)
+		}
+		d, err := NewDriver(lm.Rank(0))
+		if err != nil {
+			t.Fatalf("driver: %v", err)
+		}
+		var wg sync.WaitGroup
+		workerErrs := make([]error, p)
+		for r := 1; r < p; r++ {
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				defer lm.Rank(r).Close()
+				workerErrs[r] = ServeWorker(lm.Rank(r))
+			}(r)
+		}
+		if err := d.Shutdown(); err != nil {
+			t.Fatalf("round %d: shutdown: %v", round, err)
+		}
+		lm.Rank(0).Close()
+		wg.Wait()
+		for r, err := range workerErrs {
+			if err != nil {
+				t.Fatalf("round %d: worker rank %d: %v", round, r, err)
+			}
+		}
+	}
+}
+
 // TestValidationErrorKeepsLockstep applies an invalid batch (rejected on
 // every rank before any machine region) and checks the session still
 // works afterwards.
