@@ -43,9 +43,10 @@ bench-module:
 	cd benchmarks && $(GO) build -o /dev/null ./... && $(GO) vet ./... && $(GO) test ./...
 
 ## load-quick: in-process saturation sweep of the query service (the CI
-## load check; writes bench points in the mfbc-bench JSON schema).
+## load check; writes bench points in the mfbc-bench JSON schema and the
+## embedded server's request traces).
 load-quick:
-	$(GO) run ./cmd/mfbc-load -quick -json BENCH_load_quick.json
+	$(GO) run ./cmd/mfbc-load -quick -json BENCH_load_quick.json -trace-out TRACE_load_quick.jsonl
 
 tidy-check:
 	$(GO) mod tidy -diff
@@ -58,10 +59,11 @@ fmt-check:
 
 ## loc: the non-test Go line count the ROADMAP's simplicity targets are
 ## stated in (*.go outside benchmarks/ and */testdata/*, no *_test.go), for
-## the repository and for internal/core. Every simplicity PR reports these.
+## the repository, internal/core and internal/load. Every simplicity PR
+## reports these.
 loc:
 	@count() { find $$1 -name '*.go' ! -name '*_test.go' ! -path './benchmarks/*' ! -path '*/testdata/*' -exec cat {} + | wc -l; }; \
-	echo "non-test Go lines: repository $$(count .), internal/core $$(count ./internal/core)"
+	echo "non-test Go lines: repository $$(count .), internal/core $$(count ./internal/core), internal/load $$(count ./internal/load)"
 
 check: build fmt-check tidy-check lint test bench-module
 

@@ -1,31 +1,27 @@
-// Command mfbc-load is the production load harness for the BC query
-// service: a deterministic workload generator and load driver with
-// saturation analysis (see internal/load).
+// Command mfbc-load is the load harness for the BC query service: a
+// deterministic workload generator and an open-loop saturation sweep (see
+// internal/load).
 //
 // Workloads mix cohorts — read-heavy top-k users, exact-query users,
 // sampled-approximation dashboard pollers, and mutation-heavy PATCH
 // streamers — each with its own key-popularity distribution over a set of
-// seeded graphs. Traces are deterministic in -seed and can be recorded to
-// and replayed from JSONL.
+// seeded graphs. Traces are deterministic in -seed.
 //
-// Two modes:
-//
-//	-mode run     one measured run: open loop (-loop open, Poisson
-//	              arrivals at -rate shaped by -schedule) or closed loop
-//	              (-loop closed, per-cohort client populations)
-//	-mode sweep   saturation sweep: step offered load through -rates,
-//	              stop past the knee, report it
+// The harness does one thing: step open-loop Poisson load through -rates
+// (-step-duration each), stop past the knee, and report it. A single
+// measured run is a one-rate sweep (-rates 200 -step-duration 10s). Every
+// step is bracketed by /metrics scrapes, which supply the server-side
+// request count, latency percentiles and cache/ingest counter deltas.
 //
 // The target is a live server (-addr http://host:8080) or, with -addr
 // empty, an in-process server — no sockets — suitable for CI.
 //
 // Examples:
 //
-//	mfbc-load -mode run -loop closed -duration 5s
-//	mfbc-load -addr http://localhost:8080 -mode run -rate 200 -schedule diurnal:0.5@30s
-//	mfbc-load -mode sweep -rates 50,100,200,400,800 -step-duration 5s -json BENCH_load.json
-//	mfbc-load -quick -json BENCH_load.json
-//	mfbc-load -mode sweep -cohorts ingest -ingest-durability enqueued -ingest-max-depth 64
+//	mfbc-load -rates 50,100,200,400,800 -step-duration 5s -json BENCH_load.json
+//	mfbc-load -addr http://localhost:8080 -rates 200 -step-duration 10s
+//	mfbc-load -quick -json BENCH_load_quick.json -trace-out TRACE_load_quick.jsonl
+//	mfbc-load -cohorts writers=mutate:2,readers=topk:3 -ingest-durability enqueued -ingest-max-depth 64
 //
 // -json emits the same point schema as mfbc-bench -json (BENCH_*.json),
 // so load results live next to the modeled-performance baselines.
@@ -63,12 +59,6 @@ func main() {
 // cliConfig is the parsed flag set.
 type cliConfig struct {
 	addr     string
-	mode     string
-	loop     string
-	rate     float64
-	schedule string
-	duration time.Duration
-	window   time.Duration
 	inflight int
 	rates    string
 	stepDur  time.Duration
@@ -79,8 +69,6 @@ type cliConfig struct {
 	workers  int
 	cache    int
 	jsonPath string
-	record   string
-	replay   string
 	traceOut string
 	quick    bool
 
@@ -91,16 +79,29 @@ type cliConfig struct {
 func parseFlags(args []string) (cliConfig, error) {
 	var c cliConfig
 	fs := flag.NewFlagSet("mfbc-load", flag.ContinueOnError)
+	registerFlags(fs, &c)
+	if err := fs.Parse(args); err != nil {
+		return c, err
+	}
+	if c.quick {
+		// Small enough to finish in tens of seconds on one core, hot
+		// enough that the top rate saturates it.
+		c.addr = ""
+		c.graphs = "hot=grid:8x8x5,warm=uniform:48x160"
+		c.cohorts = "readers=topk:4,dashboards=sampled:2,writers=mutate:1"
+		c.rates = "40,120,360,1080"
+		c.stepDur = 1500 * time.Millisecond
+		c.inflight = 32
+		c.workers = 1
+	}
+	return c, nil
+}
+
+func registerFlags(fs *flag.FlagSet, c *cliConfig) {
 	fs.StringVar(&c.addr, "addr", "", "base URL of a live server (empty = in-process server)")
-	fs.StringVar(&c.mode, "mode", "run", "run | sweep")
-	fs.StringVar(&c.loop, "loop", "open", "run-mode driver discipline: open | closed")
-	fs.Float64Var(&c.rate, "rate", 50, "open-loop offered rate, requests/second")
-	fs.StringVar(&c.schedule, "schedule", "constant", "open-loop rate schedule: constant | step:F@D | diurnal:A@D")
-	fs.DurationVar(&c.duration, "duration", 10*time.Second, "run-mode duration")
-	fs.DurationVar(&c.window, "window", time.Second, "latency/stats window width")
-	fs.IntVar(&c.inflight, "inflight", 64, "open-loop bound on outstanding requests")
-	fs.StringVar(&c.rates, "rates", "25,50,100,200,400", "sweep-mode offered rates, ascending")
-	fs.DurationVar(&c.stepDur, "step-duration", 5*time.Second, "sweep-mode duration per rate step")
+	fs.IntVar(&c.inflight, "inflight", 64, "bound on outstanding requests")
+	fs.StringVar(&c.rates, "rates", "25,50,100,200,400", "offered rates (requests/second), ascending; one rate = a single run")
+	fs.DurationVar(&c.stepDur, "step-duration", 5*time.Second, "duration per rate step")
 	fs.StringVar(&c.cohorts, "cohorts", "default", `cohort mix: "default" or name=kind:weight[,...] (kinds exact|topk|sampled|mutate)`)
 	fs.Float64Var(&c.zipf, "zipf", 1.5, "zipf exponent of skewed cohorts (> 1)")
 	fs.StringVar(&c.graphs, "graphs", "hot=grid:10x10x5,warm=uniform:120x480",
@@ -109,31 +110,12 @@ func parseFlags(args []string) (cliConfig, error) {
 	fs.IntVar(&c.workers, "workers", 1, "in-process server: kernel threads per compute")
 	fs.IntVar(&c.cache, "cache", 256, "in-process server: result-cache size")
 	fs.StringVar(&c.jsonPath, "json", "", "write bench points (mfbc-bench schema) to this file")
-	fs.StringVar(&c.record, "record", "", "record the generated open-loop trace to this JSONL file")
-	fs.StringVar(&c.replay, "replay", "", "replay an open-loop trace from this JSONL file instead of generating")
 	fs.StringVar(&c.traceOut, "trace-out", "", "in-process mode: enable request tracing on the embedded server and stream finished traces to this JSONL file")
 	fs.BoolVar(&c.quick, "quick", false, "CI preset: small in-process saturation sweep (overrides most knobs)")
 	fs.StringVar(&c.ingestDurability, "ingest-durability", "applied",
 		"in-process server: default PATCH ack durability, applied | enqueued")
 	fs.IntVar(&c.ingestMaxDepth, "ingest-max-depth", 256,
 		"in-process server: per-graph write-queue bound before 429 backpressure (negative = unbounded)")
-	if err := fs.Parse(args); err != nil {
-		return c, err
-	}
-	if c.quick {
-		// Small enough to finish in tens of seconds on one core, hot
-		// enough that the top rate saturates it.
-		c.mode = "sweep"
-		c.addr = ""
-		c.graphs = "hot=grid:8x8x5,warm=uniform:48x160"
-		c.cohorts = "readers=topk:4,dashboards=sampled:2,writers=mutate:1"
-		c.rates = "40,120,360,1080"
-		c.stepDur = 1500 * time.Millisecond
-		c.window = 500 * time.Millisecond
-		c.inflight = 32
-		c.workers = 1
-	}
-	return c, nil
 }
 
 // parseGraphs parses the -graphs grammar into seeded workload graphs.
@@ -187,15 +169,8 @@ func parseGraphs(spec string, seed int64) ([]*load.SeededGraph, error) {
 
 // parseCohorts parses the -cohorts grammar.
 func parseCohorts(spec string, zipfS float64) ([]load.CohortSpec, error) {
-	switch spec {
-	case "default":
+	if spec == "default" {
 		cohorts := load.DefaultCohorts()
-		for i := range cohorts {
-			cohorts[i].ZipfS = zipfS
-		}
-		return cohorts, nil
-	case "ingest":
-		cohorts := load.IngestCohorts()
 		for i := range cohorts {
 			cohorts[i].ZipfS = zipfS
 		}
@@ -267,12 +242,17 @@ func run(cfg cliConfig, out io.Writer) error {
 			cfg.ingestDurability, server.DurabilityApplied, server.DurabilityEnqueued)
 	}
 
-	var tg load.Target
+	rates, err := parseRates(cfg.rates)
+	if err != nil {
+		return err
+	}
+
+	var client *load.Client
 	if cfg.addr != "" {
 		if cfg.traceOut != "" {
 			return fmt.Errorf("-trace-out drives the in-process server; against a live server use mfbc-serve -trace-out")
 		}
-		tg = load.NewHTTPTarget(cfg.addr, 2*cfg.inflight)
+		client = load.NewClient(cfg.addr, 2*cfg.inflight)
 	} else {
 		scfg := server.Config{
 			Workers: cfg.workers, CacheSize: cfg.cache,
@@ -288,56 +268,33 @@ func run(cfg cliConfig, out io.Writer) error {
 			tracer.SetSink(f)
 			scfg.Tracer = tracer
 		}
-		tg = load.NewInprocTarget(scfg)
+		client = load.NewHandlerClient(server.NewMux(server.New(scfg)))
 	}
-	defer tg.Close()
-	if err := load.Seed(tg, graphs); err != nil {
+	defer client.Close()
+	if err := client.Seed(graphs); err != nil {
 		return err
 	}
 
-	var points []bench.Point
-	switch cfg.mode {
-	case "sweep":
-		rates, err := parseRates(cfg.rates)
-		if err != nil {
-			return err
+	res, err := load.RunSweep(client, load.SweepConfig{
+		Cohorts:      cohorts,
+		Graphs:       graphs,
+		Rates:        rates,
+		StepDuration: cfg.stepDur,
+		MaxInflight:  cfg.inflight,
+		Seed:         cfg.seed,
+	})
+	if err != nil {
+		return err
+	}
+	printSweep(out, res)
+	for _, p := range res.Points {
+		if err := p.Run.CrossCheck(); err != nil {
+			fmt.Fprintf(out, "WARNING (rate %.0f): %v\n", p.Offered, err)
 		}
-		res, err := load.RunSweep(tg, load.SweepConfig{
-			Cohorts:      cohorts,
-			Graphs:       graphs,
-			Rates:        rates,
-			StepDuration: cfg.stepDur,
-			Window:       cfg.window,
-			MaxInflight:  cfg.inflight,
-			Seed:         cfg.seed,
-		})
-		if err != nil {
-			return err
-		}
-		printSweep(out, res)
-		for _, p := range res.Points {
-			if err := p.Run.CrossCheck(); err != nil {
-				fmt.Fprintf(out, "WARNING (rate %.0f): %v\n", p.Offered, err)
-			}
-		}
-		points = res.BenchPoints(graphs)
-
-	case "run":
-		res, err := runOnce(tg, cfg, cohorts, graphs)
-		if err != nil {
-			return err
-		}
-		printRun(out, res)
-		if err := res.CrossCheck(); err != nil {
-			fmt.Fprintf(out, "WARNING: %v\n", err)
-		}
-		points = res.BenchPoints(graphs)
-
-	default:
-		return fmt.Errorf("unknown -mode %q (want run|sweep)", cfg.mode)
 	}
 
 	if cfg.jsonPath != "" {
+		points := res.BenchPoints(graphs)
 		if err := writeJSON(cfg.jsonPath, points); err != nil {
 			return fmt.Errorf("-json: %w", err)
 		}
@@ -346,94 +303,17 @@ func run(cfg cliConfig, out io.Writer) error {
 	return nil
 }
 
-func runOnce(tg load.Target, cfg cliConfig, cohorts []load.CohortSpec, graphs []*load.SeededGraph) (*load.RunResult, error) {
-	tc := load.TraceConfig{
-		Cohorts: cohorts,
-		Graphs:  graphs,
-		Horizon: cfg.duration,
-		Seed:    cfg.seed,
-	}
-	switch cfg.loop {
-	case "closed":
-		if cfg.record != "" || cfg.replay != "" {
-			return nil, fmt.Errorf("-record/-replay apply to open-loop runs only")
-		}
-		return load.RunClosedLoop(tg, tc, cfg.window)
-	case "open":
-		var trace []load.Request
-		if cfg.replay != "" {
-			f, err := os.Open(cfg.replay)
-			if err != nil {
-				return nil, err
-			}
-			defer f.Close()
-			trace, err = load.ReadTrace(f)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			sched, err := load.ParseSchedule(cfg.schedule, cfg.rate)
-			if err != nil {
-				return nil, err
-			}
-			tc.Schedule = sched
-			trace, err = load.GenerateTrace(tc)
-			if err != nil {
-				return nil, err
-			}
-		}
-		if cfg.record != "" {
-			f, err := os.Create(cfg.record)
-			if err != nil {
-				return nil, err
-			}
-			if err := load.WriteTrace(f, trace); err != nil {
-				f.Close()
-				return nil, err
-			}
-			if err := f.Close(); err != nil {
-				return nil, err
-			}
-		}
-		return load.RunOpenLoop(tg, trace, cfg.rate, cfg.window, cfg.inflight)
-	}
-	return nil, fmt.Errorf("unknown -loop %q (want open|closed)", cfg.loop)
-}
-
-func printCohorts(tw *tabwriter.Writer, sums []load.CohortSummary) {
-	for _, c := range sums {
-		fmt.Fprintf(tw, "  %s\t%d\t%d\t%.1f\t%.1f\t%.2f\t%.2f\t%.2f\t%.2f\n",
-			c.Cohort, c.Requests, c.Errors, c.RPS, c.GoodputRPS,
-			c.Lat.P50MS, c.Lat.P95MS, c.Lat.P99MS, c.Lat.MaxMS)
-	}
-}
-
-func printRun(out io.Writer, res *load.RunResult) {
-	tw := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(tw, "run: %d requests, %d errors in %.2fs\n",
-		res.Total.Requests, res.Total.Errors, res.Elapsed.Seconds())
-	fmt.Fprintf(tw, "  cohort\treq\terr\trps\tgoodput\tp50ms\tp95ms\tp99ms\tmaxms\n")
-	printCohorts(tw, res.Cohorts)
-	printCohorts(tw, []load.CohortSummary{res.Total})
-	tw.Flush()
-	if ss := res.ServerSummary(); ss != nil {
-		clip := ""
-		if ss.Clipped {
-			clip = " (quantile past last finite bucket; edges clipped)"
-		}
-		fmt.Fprintf(out, "server side: %d requests, p50≤%.1fms p95≤%.1fms p99≤%.1fms%s\n",
-			ss.Requests, ss.P50MS, ss.P95MS, ss.P99MS, clip)
-	}
-}
-
+// printSweep prints one row per rate step. srv99ms is the server's own
+// p99 over the step, from its /metrics histogram delta: a bucket upper
+// edge, so coarser than — and an independent check on — the client's p99ms.
 func printSweep(out io.Writer, res *load.SweepResult) {
 	tw := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(tw, "offered\tachieved\tgoodput\tp50ms\tp99ms\tqw99ms\terr\tsaturated\n")
+	fmt.Fprintf(tw, "offered\tachieved\tgoodput\tp50ms\tp99ms\tsrv99ms\tqw99ms\terr\tsaturated\n")
 	for _, p := range res.Points {
-		fmt.Fprintf(tw, "%.0f\t%.1f\t%.1f\t%.2f\t%.2f\t%.2f\t%d\t%v\n",
+		fmt.Fprintf(tw, "%.0f\t%.1f\t%.1f\t%.2f\t%.2f\t≤%g\t%.2f\t%d\t%v\n",
 			p.Offered, p.Run.Total.RPS, p.Run.Total.GoodputRPS,
 			p.Run.Total.Lat.P50MS, p.Run.Total.Lat.P99MS,
-			p.Run.Total.QueueWait.P99MS,
+			p.Run.ServerSummary().P99MS, p.Run.Total.QueueWait.P99MS,
 			p.Run.Total.Errors, p.Saturated)
 	}
 	tw.Flush()

@@ -3,11 +3,11 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/bench"
 )
@@ -77,19 +77,13 @@ func TestQuickSweepEmitsJSON(t *testing.T) {
 		t.Fatalf("quick sweep found no knee:\n%s", out.String())
 	}
 
-	raw, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var points []bench.Point
-	if err := json.Unmarshal(raw, &points); err != nil {
-		t.Fatal(err)
-	}
+	points := readPoints(t, jsonPath)
 	if len(points) == 0 {
 		t.Fatal("no bench points written")
 	}
 	cohortRows := map[string]int{}
 	kneeRows, saturatedAgg := 0, 0
+	var cacheHits, ingestCommits int64
 	for _, p := range points {
 		if p.Experiment != "load-sweep" || p.Engine != "server" {
 			t.Fatalf("point mislabeled: %+v", p)
@@ -101,6 +95,8 @@ func TestQuickSweepEmitsJSON(t *testing.T) {
 			t.Fatalf("latency percentiles inconsistent: %+v", p)
 		}
 		cohortRows[p.Cohort]++
+		cacheHits += p.CacheHits
+		ingestCommits += p.IngestCommits
 		if p.Knee {
 			kneeRows++
 		}
@@ -119,25 +115,34 @@ func TestQuickSweepEmitsJSON(t *testing.T) {
 	if saturatedAgg == 0 {
 		t.Fatal("sweep never saturated despite headroom rates")
 	}
+	// The server-counter columns come from the /metrics delta of each step.
+	if cacheHits == 0 || ingestCommits == 0 {
+		t.Fatalf("cache-hit / ingest-commit deltas = %d / %d, want both non-zero", cacheHits, ingestCommits)
+	}
 }
 
-// TestIngestSweep drives the write-heavy sweep entry point: the "ingest"
-// cohort alias against the in-process server, whose group commits land in
-// the bench points, and the flags that configure its write queue.
-func TestIngestSweep(t *testing.T) {
-	cohorts, err := parseCohorts("ingest", 1.5)
+func readPoints(t *testing.T, path string) []bench.Point {
+	t.Helper()
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cohorts) != 2 || cohorts[1].Kind != "mutate" {
-		t.Fatalf("ingest cohorts = %+v", cohorts)
+	var points []bench.Point
+	if err := json.Unmarshal(raw, &points); err != nil {
+		t.Fatal(err)
 	}
+	return points
+}
 
+// TestIngestSweep drives a write-heavy sweep: an explicit mutate-heavy
+// cohort mix against the in-process server, whose group commits land in
+// the bench points, and the flags that configure its write queue.
+func TestIngestSweep(t *testing.T) {
 	jsonPath := filepath.Join(t.TempDir(), "pts.json")
 	cfg, err := parseFlags([]string{
-		"-mode", "sweep", "-cohorts", "ingest", "-ingest-max-depth", "64",
+		"-cohorts", "writers=mutate:2,readers=topk:3", "-ingest-max-depth", "64",
 		"-graphs", "g=grid:6x6x5", "-rates", "30,60",
-		"-step-duration", "400ms", "-window", "200ms",
+		"-step-duration", "400ms",
 		"-json", jsonPath,
 	})
 	if err != nil {
@@ -148,22 +153,14 @@ func TestIngestSweep(t *testing.T) {
 		t.Fatalf("ingest sweep failed: %v\n%s", err, out.String())
 	}
 
-	raw, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var points []bench.Point
-	if err := json.Unmarshal(raw, &points); err != nil {
-		t.Fatal(err)
-	}
 	commits := int64(0)
-	for _, p := range points {
+	for _, p := range readPoints(t, jsonPath) {
 		if p.Cohort == "all" {
 			commits += p.IngestCommits
 		}
 	}
 	if commits == 0 {
-		t.Fatalf("ingest sweep recorded no group commits:\n%s", string(raw))
+		t.Fatalf("ingest sweep recorded no group commits:\n%s", out.String())
 	}
 
 	bad, err := parseFlags([]string{"-ingest-durability", "eventually"})
@@ -173,106 +170,48 @@ func TestIngestSweep(t *testing.T) {
 	if err := run(bad, &out); err == nil || !strings.Contains(err.Error(), "-ingest-durability") {
 		t.Fatalf("bad durability must be rejected, got %v", err)
 	}
-	// The queue is the only write path and the sync knee it was gated
-	// against is gone: neither the switch nor the gate is a flag any more.
-	for _, flag := range []string{"-ingest", "-baseline=BENCH_load.json"} {
-		if _, err := parseFlags([]string{flag}); err == nil {
-			t.Fatalf("removed flag %s still accepted", flag)
-		}
+	// The "ingest" preset went with its consumer; the grammar spells it.
+	if _, err := parseCohorts("ingest", 1.5); err == nil {
+		t.Fatal("the ingest cohort alias is gone and must not parse")
 	}
 }
 
-// TestRecordReplay pins the CLI's record/replay loop: an open-loop run
-// recorded to JSONL and replayed must observe exactly the same request
-// count (the trace is the workload; the driver adds nothing).
-func TestRecordReplay(t *testing.T) {
-	dir := t.TempDir()
-	tracePath := filepath.Join(dir, "trace.jsonl")
-	jsonA := filepath.Join(dir, "a.json")
-	jsonB := filepath.Join(dir, "b.json")
-
-	base := cliConfig{
-		mode: "run", loop: "open", rate: 80, schedule: "constant",
-		duration: 400 * time.Millisecond, window: 200 * time.Millisecond,
-		inflight: 16, cohorts: "readers=topk:3,writers=mutate:1", zipf: 1.5,
-		graphs: "g=grid:6x6x5", seed: 5, workers: 1, cache: 64,
-	}
-
-	rec := base
-	rec.record, rec.jsonPath = tracePath, jsonA
-	var out bytes.Buffer
-	if err := run(rec, &out); err != nil {
-		t.Fatal(err)
-	}
-
-	rep := base
-	rep.replay, rep.jsonPath = tracePath, jsonB
-	if err := run(rep, &out); err != nil {
-		t.Fatal(err)
-	}
-
-	readAgg := func(path string) bench.Point {
-		t.Helper()
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var points []bench.Point
-		if err := json.Unmarshal(raw, &points); err != nil {
-			t.Fatal(err)
-		}
-		for _, p := range points {
-			if p.Cohort == "all" {
-				if p.Experiment != "load-run" {
-					t.Fatalf("run-mode point mislabeled: %+v", p)
-				}
-				return p
-			}
-		}
-		t.Fatalf("no aggregate row in %s", path)
-		return bench.Point{}
-	}
-	a, b := readAgg(jsonA), readAgg(jsonB)
-	if a.Requests == 0 || a.Requests != b.Requests {
-		t.Fatalf("recorded run saw %d requests, replay saw %d", a.Requests, b.Requests)
-	}
-	if a.ReqErrors != 0 || b.ReqErrors != 0 {
-		t.Fatalf("errors: record %d, replay %d", a.ReqErrors, b.ReqErrors)
-	}
-}
-
-// TestClosedLoopCLI smoke-tests the closed-loop path through the CLI.
-func TestClosedLoopCLI(t *testing.T) {
-	cfg := cliConfig{
-		mode: "run", loop: "closed",
-		duration: 300 * time.Millisecond, window: 100 * time.Millisecond,
-		cohorts: "default", zipf: 1.5,
-		graphs: "g=grid:6x6x5", seed: 3, workers: 1, cache: 64,
-	}
-	var out bytes.Buffer
-	if err := run(cfg, &out); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"readers", "dashboards", "writers", "p99ms"} {
-		if !strings.Contains(out.String(), want) {
-			t.Fatalf("closed-loop output missing %q:\n%s", want, out.String())
+// TestRemovedFlags: the open-loop sweep is the only driver, so the flags
+// that selected or shaped the others are parse errors, as are the write
+// path's earlier switches; what is left is 15 flags.
+func TestRemovedFlags(t *testing.T) {
+	for _, removed := range []string{
+		"-mode=sweep", "-loop=closed", "-rate=50", "-schedule=constant", "-duration=1s",
+		"-record=t.jsonl", "-replay=t.jsonl", "-window=1s",
+		"-ingest", "-baseline=BENCH_load.json",
+	} {
+		if _, err := parseFlags([]string{removed}); err == nil {
+			t.Errorf("removed flag %s still accepted", removed)
 		}
 	}
 	if _, err := parseFlags([]string{"-bogus"}); err == nil {
-		t.Fatal("unknown flag must be rejected")
+		t.Error("unknown flag must be rejected")
+	}
+	fs := flag.NewFlagSet("mfbc-load", flag.ContinueOnError)
+	registerFlags(fs, new(cliConfig))
+	n := 0
+	fs.VisitAll(func(*flag.Flag) { n++ })
+	if n != 15 {
+		t.Errorf("mfbc-load has %d flags, want 15", n)
 	}
 }
 
 // TestTraceOutAndServerSummary pins the observability wiring of the CLI:
 // -trace-out streams the embedded server's request traces to JSONL, the
-// run report carries the server-side /metrics summary, and the bench
-// points carry the server-observed request count and percentiles.
+// sweep report carries the server-side p99 from the /metrics delta, and
+// the bench points carry the server-observed request count and
+// percentiles.
 func TestTraceOutAndServerSummary(t *testing.T) {
 	dir := t.TempDir()
 	tracePath := filepath.Join(dir, "trace.jsonl")
 	jsonPath := filepath.Join(dir, "points.json")
 	cfg, err := parseFlags([]string{
-		"-mode", "run", "-loop", "closed", "-duration", "300ms",
+		"-rates", "100", "-step-duration", "300ms",
 		"-graphs", "g=grid:6x6x5", "-trace-out", tracePath, "-json", jsonPath,
 	})
 	if err != nil {
@@ -282,8 +221,8 @@ func TestTraceOutAndServerSummary(t *testing.T) {
 	if err := run(cfg, &out); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "server side: ") {
-		t.Fatalf("run output missing server-side summary:\n%s", out.String())
+	if !strings.Contains(out.String(), "srv99ms") {
+		t.Fatalf("sweep output missing the server-side p99 column:\n%s", out.String())
 	}
 	if strings.Contains(out.String(), "WARNING") {
 		t.Fatalf("client/server cross-check failed:\n%s", out.String())
@@ -299,16 +238,8 @@ func TestTraceOutAndServerSummary(t *testing.T) {
 		}
 	}
 
-	raw, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var points []bench.Point
-	if err := json.Unmarshal(raw, &points); err != nil {
-		t.Fatal(err)
-	}
-	agg := points[0]
-	if agg.Cohort != "all" || agg.ServerRequests == 0 || agg.ServerRequests != agg.Requests {
+	agg := readPoints(t, jsonPath)[0]
+	if agg.Experiment != "load-sweep" || agg.Cohort != "all" || agg.ServerRequests == 0 || agg.ServerRequests != agg.Requests {
 		t.Fatalf("aggregate point server fields: %+v", agg)
 	}
 	if !(agg.ServerP99MS > 0) || agg.ServerP50MS > agg.ServerP99MS {

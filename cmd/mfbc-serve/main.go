@@ -76,7 +76,7 @@ func main() {
 	transport := flag.String("transport", "sim", "machine backend for distributed mutation re-computation: 'sim' (in-process simulated machine) or 'tcp' (rank-per-process mesh; this server is rank 0 and every other -peers entry must run cmd/mfbc-rank)")
 	peersFlag := flag.String("peers", "", "with -transport tcp: comma-separated host:port of every rank in rank order; entry 0 is this server's machine endpoint (distinct from -addr)")
 	rendezvous := flag.Duration("rendezvous", 0, "with -transport tcp: how long to keep retrying the mesh connect while ranks start (0 = 15s default)")
-	dynCacheSets := flag.Int("dyn-cache-sets", 0, "bound each simulated rank's stationary-operand cache to this many working sets per matrix (LRU across plans; 0 = unbounded); evictions appear in /stats")
+	dynCacheSets := flag.Int("dyn-cache-sets", 0, "bound each simulated rank's stationary-operand cache to this many working sets per matrix (LRU across plans; 0 = unbounded); evictions appear as mfbc_dyn_operand_evictions in /metrics")
 	dynSamples := flag.Int("dyn-samples", 0, "run each graph's dynamic engine in sampled mode with this source budget: PATCHes estimate instead of computing exactly and report a Hoeffding err_bound (0 = exact)")
 	dynRefresh := flag.Int("dyn-refresh", 0, "exact-refresh cadence of sampled mode: every Nth PATCH recomputes exactly (0 = library default 8)")
 	ingestDurability := flag.String("ingest-durability", "applied", "default PATCH acknowledgment level: 'applied' (block until the batch's group commit lands) or 'enqueued' (202 on enqueue; per-request override via the request's durability field)")

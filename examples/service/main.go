@@ -9,11 +9,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"net/http/httptest"
 	"sync"
 
+	"repro/internal/obs"
 	"repro/internal/server"
 )
 
@@ -72,11 +74,11 @@ func main() {
 		fmt.Printf("  #%-2d vertex %-6d bc≈%.6g\n", i+1, vs.Vertex, vs.Score)
 	}
 
-	// --- 6. Server-wide counters.
-	var stats server.Stats
-	getJSON(ts.URL+"/stats", &stats)
-	fmt.Printf("\nserver stats: %d queries, %d cache hits, %d coalesced, %d computes\n",
-		stats.Queries, stats.CacheHits, stats.Coalesced, stats.Computes)
+	// --- 6. Server-wide counters: scrape /metrics, the one counter surface.
+	m := metrics(ts.URL)
+	fmt.Printf("\nserver metrics: %v queries, %v cache hits, %v coalesced, %v computes\n",
+		m["mfbc_queries_total"], m["mfbc_query_cache_hits_total"],
+		m["mfbc_query_coalesced_total"], m["mfbc_computes_total"])
 }
 
 func post(url string, body any) {
@@ -108,13 +110,19 @@ func query(base string, req server.QueryRequest) *server.QueryResult {
 	return &out
 }
 
-func getJSON(url string, out any) {
-	resp, err := http.Get(url)
+func metrics(base string) obs.Samples {
+	resp, err := http.Get(base + "/metrics")
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer resp.Body.Close()
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	text, err := io.ReadAll(resp.Body)
+	if err != nil {
 		log.Fatal(err)
 	}
+	m, err := obs.ParseText(string(text))
+	if err != nil {
+		log.Fatal(err)
+	}
+	return m
 }

@@ -93,10 +93,10 @@ type Point struct {
 	Fused    bool    `json:"fused,omitempty"`
 	Samples  int     `json:"samples,omitempty"`
 	ErrBound float64 `json:"err_bound,omitempty"`
-	// Load-harness fields (experiments "load-run" and "load-sweep", emitted by cmd/mfbc-load
+	// Load-harness fields (experiment "load-sweep", emitted by cmd/mfbc-load
 	// into the same BENCH_*.json format): offered vs. achieved traffic,
-	// latency percentiles, and server-counter deltas scraped from /stats
-	// over the measurement step. Cohort is "all" for the aggregate row or
+	// latency percentiles, and server-counter deltas from the /metrics
+	// scrapes bracketing the measurement step. Cohort is "all" for the aggregate row or
 	// the cohort name for per-cohort rows; Knee marks the aggregate row of
 	// the highest offered rate the service sustained before saturating.
 	Cohort         string  `json:"cohort,omitempty"`
@@ -128,7 +128,7 @@ type Point struct {
 	// Async-ingestion fields (load rows against a server running the
 	// write-ahead mutation queue): the percentile spread of per-request
 	// queue wait (time a PATCH batch sat queued before its group commit,
-	// separating queue time from apply time) and the /stats deltas of the
+	// separating queue time from apply time) and the /metrics deltas of the
 	// pipeline's counters over the step.
 	QueueWaitP50MS  float64 `json:"queue_wait_p50_ms,omitempty"`
 	QueueWaitP95MS  float64 `json:"queue_wait_p95_ms,omitempty"`

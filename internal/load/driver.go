@@ -5,56 +5,23 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/server"
+	"repro/internal/obs"
 )
 
-// StatsSample is one /stats scrape with its offset from run start.
-type StatsSample struct {
-	At    time.Duration
-	Stats server.Stats
-}
-
-// RunResult is the measured outcome of one driver run.
+// RunResult is the measured outcome of one open-loop run.
 type RunResult struct {
-	// Offered is the intended open-loop arrival rate in requests/second
-	// (zero for closed-loop runs, whose load is response-paced).
+	// Offered is the intended arrival rate in requests/second.
 	Offered float64
 	// Elapsed is wall time from first dispatch to last completion.
 	Elapsed time.Duration
 	// Total aggregates every request (Cohort "all"); Cohorts splits by
-	// cohort; Windows is the per-window timeline.
+	// cohort.
 	Total   CohortSummary
 	Cohorts []CohortSummary
-	Windows []WindowStats
-	// StatsBefore/StatsAfter bracket the run; StatsWindows are the
-	// periodic scrapes in between (one per recorder window).
-	StatsBefore  server.Stats
-	StatsAfter   server.Stats
-	StatsWindows []StatsSample
-	// MetricsBefore/MetricsAfter bracket the run with full /metrics
-	// scrapes when the target implements MetricsScraper (nil otherwise);
-	// ServerSummary and CrossCheck derive from their delta.
-	MetricsBefore MetricsSnapshot
-	MetricsAfter  MetricsSnapshot
-}
-
-// scrapeLoop samples tg's server counters every window until stop is
-// closed, then delivers the collected scrapes on done.
-func scrapeLoop(tg Target, window time.Duration, start time.Time, stop <-chan struct{}, done chan<- []StatsSample) {
-	var scrapes []StatsSample
-	tick := time.NewTicker(window)
-	defer tick.Stop()
-	for {
-		select {
-		case <-stop:
-			done <- scrapes
-			return
-		case <-tick.C:
-			if st, err := tg.ServerStats(); err == nil {
-				scrapes = append(scrapes, StatsSample{At: time.Since(start), Stats: st})
-			}
-		}
-	}
+	// Metrics is the service's /metrics delta across the run (scrape after
+	// − scrape before): the server's own view, which ServerSummary,
+	// CrossCheck and the bench rows' cache/ingest columns derive from.
+	Metrics obs.Samples
 }
 
 // RunOpenLoop fires a pre-generated trace at its scheduled arrival times:
@@ -65,27 +32,21 @@ func scrapeLoop(tg Target, window time.Duration, start time.Time, stop <-chan st
 // protect file descriptors; when the bound binds, arrivals queue and
 // their measured latency still counts from the scheduled time, so
 // saturation shows up as latency rather than being silently omitted
-// (no coordinated omission). window sets the recorder/scrape bucket
-// width.
-func RunOpenLoop(tg Target, trace []Request, offered float64, window time.Duration, maxInflight int) (*RunResult, error) {
+// (no coordinated omission).
+func RunOpenLoop(c *Client, trace []Request, offered float64, maxInflight int) (*RunResult, error) {
 	if len(trace) == 0 {
 		return nil, fmt.Errorf("load: empty trace")
 	}
 	if maxInflight <= 0 {
 		maxInflight = 64
 	}
-	rec := NewRecorder(window)
-	before, err := tg.ServerStats()
+	before, err := c.Metrics()
 	if err != nil {
-		return nil, fmt.Errorf("load: pre-run stats scrape: %w", err)
+		return nil, fmt.Errorf("pre-run scrape: %w", err)
 	}
-	metricsBefore := scrapeMetrics(tg)
 
+	var rec Recorder
 	start := time.Now()
-	stop := make(chan struct{})
-	scraped := make(chan []StatsSample, 1)
-	go scrapeLoop(tg, rec.window, start, stop, scraped)
-
 	sem := make(chan struct{}, maxInflight)
 	var wg sync.WaitGroup
 	for i := range trace {
@@ -97,12 +58,12 @@ func RunOpenLoop(tg Target, trace []Request, offered float64, window time.Durati
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			out := tg.Do(req)
+			out := c.Do(req)
 			// Latency from the scheduled arrival, not the (possibly
 			// semaphore-delayed) dispatch.
 			lat := time.Since(start) - req.At
 			rec.Observe(Sample{
-				Cohort: req.Cohort, Start: req.At, Latency: lat, OK: out.OK(),
+				Cohort: req.Cohort, Latency: lat, OK: out.OK(),
 				Op: req.Op, QueueWaitMS: out.QueueWaitMS,
 			})
 			<-sem
@@ -110,98 +71,16 @@ func RunOpenLoop(tg Target, trace []Request, offered float64, window time.Durati
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
-	close(stop)
-	after, err := tg.ServerStats()
+	after, err := c.Metrics()
 	if err != nil {
-		return nil, fmt.Errorf("load: post-run stats scrape: %w", err)
+		return nil, fmt.Errorf("post-run scrape: %w", err)
 	}
 
 	return &RunResult{
-		Offered:       offered,
-		Elapsed:       elapsed,
-		Total:         rec.Total(elapsed),
-		Cohorts:       rec.Summaries(elapsed),
-		Windows:       rec.Windows(),
-		StatsBefore:   before,
-		StatsAfter:    after,
-		StatsWindows:  <-scraped,
-		MetricsBefore: metricsBefore,
-		MetricsAfter:  scrapeMetrics(tg),
-	}, nil
-}
-
-// RunClosedLoop runs cfg.Cohorts as closed-loop populations for
-// cfg.Horizon: each cohort contributes Clients concurrent clients, each
-// issuing its deterministic stream sequentially with a Think pause after
-// every response. Load self-limits to what the server sustains — the
-// complementary discipline to RunOpenLoop, and the right smoke test for
-// CI because it cannot overrun a slow machine.
-func RunClosedLoop(tg Target, cfg TraceConfig, window time.Duration) (*RunResult, error) {
-	cohorts, err := cfg.validate()
-	if err != nil {
-		return nil, err
-	}
-	rec := NewRecorder(window)
-	before, err := tg.ServerStats()
-	if err != nil {
-		return nil, fmt.Errorf("load: pre-run stats scrape: %w", err)
-	}
-	metricsBefore := scrapeMetrics(tg)
-
-	start := time.Now()
-	stop := make(chan struct{})
-	scraped := make(chan []StatsSample, 1)
-	go scrapeLoop(tg, rec.window, start, stop, scraped)
-
-	var wg sync.WaitGroup
-	for ci := range cohorts {
-		c := cohorts[ci]
-		for k := 0; k < c.Clients; k++ {
-			stream, err := NewClientStream(cfg, ci, k)
-			if err != nil {
-				close(stop)
-				<-scraped
-				return nil, err
-			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					at := time.Since(start)
-					if at >= cfg.Horizon {
-						return
-					}
-					req := stream.Next()
-					out := tg.Do(&req)
-					rec.Observe(Sample{
-						Cohort: req.Cohort, Start: at,
-						Latency: time.Since(start) - at, OK: out.OK(),
-						Op: req.Op, QueueWaitMS: out.QueueWaitMS,
-					})
-					if c.Think > 0 {
-						time.Sleep(c.Think)
-					}
-				}
-			}()
-		}
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	close(stop)
-	after, err := tg.ServerStats()
-	if err != nil {
-		return nil, fmt.Errorf("load: post-run stats scrape: %w", err)
-	}
-
-	return &RunResult{
-		Elapsed:       elapsed,
-		Total:         rec.Total(elapsed),
-		Cohorts:       rec.Summaries(elapsed),
-		Windows:       rec.Windows(),
-		StatsBefore:   before,
-		StatsAfter:    after,
-		StatsWindows:  <-scraped,
-		MetricsBefore: metricsBefore,
-		MetricsAfter:  scrapeMetrics(tg),
+		Offered: offered,
+		Elapsed: elapsed,
+		Total:   rec.Total(elapsed),
+		Cohorts: rec.Summaries(elapsed),
+		Metrics: after.Delta(before),
 	}, nil
 }

@@ -10,14 +10,15 @@ import (
 )
 
 // TraceConfig describes a workload: who sends (Cohorts), against what
-// (Graphs), how fast (Schedule, open loop only), for how long (Horizon),
-// and from which seed. The same config generates the same trace, always.
+// (Graphs), how fast (Rate, mean Poisson arrivals per second), for how
+// long (Horizon), and from which seed. The same config generates the same
+// trace, always.
 type TraceConfig struct {
-	Cohorts  []CohortSpec
-	Graphs   []*SeededGraph
-	Schedule Schedule
-	Horizon  time.Duration
-	Seed     int64
+	Cohorts []CohortSpec
+	Graphs  []*SeededGraph
+	Rate    float64
+	Horizon time.Duration
+	Seed    int64
 }
 
 func (cfg *TraceConfig) validate() ([]CohortSpec, error) {
@@ -26,6 +27,9 @@ func (cfg *TraceConfig) validate() ([]CohortSpec, error) {
 	}
 	if len(cfg.Graphs) == 0 {
 		return nil, fmt.Errorf("load: no graphs")
+	}
+	if !(cfg.Rate > 0) { // also rejects NaN
+		return nil, fmt.Errorf("load: rate must be positive, got %g", cfg.Rate)
 	}
 	if cfg.Horizon <= 0 {
 		return nil, fmt.Errorf("load: horizon must be positive, got %s", cfg.Horizon)
@@ -41,9 +45,7 @@ func (cfg *TraceConfig) validate() ([]CohortSpec, error) {
 	return cohorts, nil
 }
 
-// synth deterministically turns (cohort, rng) draws into requests. One
-// synth per request stream: the open-loop generator uses a single shared
-// instance, each closed-loop client gets its own with a derived seed.
+// synth deterministically turns (cohort, rng) draws into requests.
 type synth struct {
 	rng    *rand.Rand
 	graphs []*SeededGraph
@@ -129,22 +131,14 @@ func weightCum(cohorts []CohortSpec) []float64 {
 	return cum
 }
 
-// GenerateTrace builds the full open-loop request trace: Poisson arrivals
-// following cfg.Schedule (time-varying rates are realized by thinning
-// against the schedule's MaxRate envelope), cohorts chosen by weight,
-// request bodies synthesized per cohort. Deterministic: identical configs
-// and seeds yield identical traces.
+// GenerateTrace builds the full open-loop request trace: homogeneous
+// Poisson arrivals at cfg.Rate, cohorts chosen by weight, request bodies
+// synthesized per cohort. Deterministic: identical configs and seeds yield
+// identical traces.
 func GenerateTrace(cfg TraceConfig) ([]Request, error) {
 	cohorts, err := cfg.validate()
 	if err != nil {
 		return nil, err
-	}
-	if cfg.Schedule == nil {
-		return nil, fmt.Errorf("load: open-loop trace needs a schedule")
-	}
-	env := cfg.Schedule.MaxRate(cfg.Horizon)
-	if env <= 0 {
-		return nil, fmt.Errorf("load: schedule %s has nonpositive max rate", cfg.Schedule)
 	}
 	sy := newSynth(cfg.Seed, cohorts, cfg.Graphs)
 	cum := weightCum(cohorts)
@@ -152,48 +146,12 @@ func GenerateTrace(cfg TraceConfig) ([]Request, error) {
 	var trace []Request
 	t := time.Duration(0)
 	for {
-		// Homogeneous Poisson process at the envelope rate...
-		t += time.Duration(sy.rng.ExpFloat64() / env * float64(time.Second))
+		t += time.Duration(sy.rng.ExpFloat64() / cfg.Rate * float64(time.Second))
 		if t >= cfg.Horizon {
 			break
-		}
-		// ...thinned down to the schedule's instantaneous rate.
-		if sy.rng.Float64()*env > cfg.Schedule.RateAt(t) {
-			continue
 		}
 		c := &cohorts[pickCohort(sy.rng, cum)]
 		trace = append(trace, sy.request(c, t))
 	}
 	return trace, nil
-}
-
-// ClientStream is the deterministic request sequence of one closed-loop
-// client. Distinct clients derive distinct seeds from the config seed, so
-// a closed-loop run is reproducible client by client.
-type ClientStream struct {
-	sy     *synth
-	cohort CohortSpec
-}
-
-// NewClientStream returns the stream of client number `client` of cohort
-// `cohort` (indices into cfg.Cohorts and [0, Clients)).
-func NewClientStream(cfg TraceConfig, cohort, client int) (*ClientStream, error) {
-	cohorts, err := cfg.validate()
-	if err != nil {
-		return nil, err
-	}
-	if cohort < 0 || cohort >= len(cohorts) {
-		return nil, fmt.Errorf("load: cohort index %d out of range", cohort)
-	}
-	// Fixed mixing constants spread client streams across the seed space;
-	// any collision-free affine map works, it just has to be stable.
-	seed := cfg.Seed + int64(cohort+1)*1_000_003 + int64(client)*7919
-	c := cohorts[cohort]
-	return &ClientStream{sy: newSynth(seed, cohorts[cohort:cohort+1], cfg.Graphs), cohort: c}, nil
-}
-
-// Next draws the client's next request. Closed-loop requests carry no
-// scheduled offset (the driver paces by think time).
-func (cs *ClientStream) Next() Request {
-	return cs.sy.request(&cs.cohort, 0)
 }

@@ -1,7 +1,6 @@
 package load
 
 import (
-	"bytes"
 	"math"
 	"reflect"
 	"testing"
@@ -36,11 +35,11 @@ func testCohorts() []CohortSpec {
 // different seeds do not.
 func TestGenerateTraceDeterminism(t *testing.T) {
 	cfg := TraceConfig{
-		Cohorts:  testCohorts(),
-		Graphs:   testGraphs(t),
-		Schedule: Constant{RPS: 500},
-		Horizon:  2 * time.Second,
-		Seed:     42,
+		Cohorts: testCohorts(),
+		Graphs:  testGraphs(t),
+		Rate:    500,
+		Horizon: 2 * time.Second,
+		Seed:    42,
 	}
 	a, err := GenerateTrace(cfg)
 	if err != nil {
@@ -107,11 +106,11 @@ func TestGenerateTraceMutationsAreValid(t *testing.T) {
 		edges[sg.Name] = set
 	}
 	trace, err := GenerateTrace(TraceConfig{
-		Cohorts:  []CohortSpec{{Name: "writers", Kind: "mutate", BatchSize: 3}},
-		Graphs:   graphs,
-		Schedule: Constant{RPS: 200},
-		Horizon:  time.Second,
-		Seed:     1,
+		Cohorts: []CohortSpec{{Name: "writers", Kind: "mutate", BatchSize: 3}},
+		Graphs:  graphs,
+		Rate:    200,
+		Horizon: time.Second,
+		Seed:    1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -131,123 +130,28 @@ func TestGenerateTraceMutationsAreValid(t *testing.T) {
 	}
 }
 
-// TestClientStreamDeterminism pins closed-loop reproducibility: the same
-// (cohort, client) pair replays the same stream; distinct clients diverge.
-func TestClientStreamDeterminism(t *testing.T) {
-	cfg := TraceConfig{
-		Cohorts: testCohorts(),
-		Graphs:  testGraphs(t),
-		Horizon: time.Second,
-		Seed:    7,
-	}
-	s1, err := NewClientStream(cfg, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := NewClientStream(cfg, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	other, err := NewClientStream(cfg, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	same, diff := true, false
-	for i := 0; i < 32; i++ {
-		a, b, c := s1.Next(), s2.Next(), other.Next()
-		if !reflect.DeepEqual(a, b) {
-			same = false
-		}
-		if !reflect.DeepEqual(a, c) {
-			diff = true
-		}
-		if a.Cohort != "dashboards" {
-			t.Fatalf("stream of cohort 1 emitted cohort %q", a.Cohort)
-		}
-	}
-	if !same {
-		t.Fatal("identical clients diverged")
-	}
-	if !diff {
-		t.Fatal("distinct clients replayed the same stream")
-	}
-}
-
-// TestTraceRoundTrip pins record/replay: write → read is lossless.
-func TestTraceRoundTrip(t *testing.T) {
-	trace, err := GenerateTrace(TraceConfig{
-		Cohorts:  testCohorts(),
-		Graphs:   testGraphs(t),
-		Schedule: Constant{RPS: 300},
-		Horizon:  time.Second,
-		Seed:     5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteTrace(&buf, trace); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(trace, back) {
-		t.Fatal("trace changed across a JSONL round trip")
-	}
-	if _, err := ReadTrace(bytes.NewReader([]byte("{bogus\n"))); err == nil {
-		t.Fatal("malformed trace line must error")
-	}
-}
-
+// TestSchedules pins the one arrival schedule a trace has: homogeneous
+// Poisson at Rate. The realized count tracks Rate × Horizon at either end
+// of a sweep's range, and a rate that cannot pace arrivals is rejected.
 func TestSchedules(t *testing.T) {
-	const eps = 1e-12
-	c, err := ParseSchedule("constant", 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r := c.RateAt(time.Hour); math.Abs(r-100) > eps {
-		t.Fatalf("constant rate = %g", r)
-	}
-
-	s, err := ParseSchedule("step:2@10s", 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		at   time.Duration
-		want float64
-	}{{0, 50}, {9 * time.Second, 50}, {10 * time.Second, 100}, {25 * time.Second, 200}} {
-		if r := s.RateAt(tc.at); math.Abs(r-tc.want) > eps {
-			t.Fatalf("step rate at %s = %g, want %g", tc.at, r, tc.want)
+	cfg := TraceConfig{Cohorts: testCohorts(), Graphs: testGraphs(t), Horizon: 4 * time.Second, Seed: 3}
+	for _, rate := range []float64{50, 800} {
+		cfg.Rate = rate
+		trace, err := GenerateTrace(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := rate * cfg.Horizon.Seconds()
+		// ±5σ of a Poisson count with mean `want`.
+		if d := math.Abs(float64(len(trace)) - want); d > 5*math.Sqrt(want) {
+			t.Fatalf("rate %g over %s: %d arrivals, want %g ± %g", rate, cfg.Horizon, len(trace), want, 5*math.Sqrt(want))
 		}
 	}
-	if m := s.MaxRate(30 * time.Second); math.Abs(m-200) > eps {
-		t.Fatalf("step max over 30s = %g, want 200", m)
-	}
-
-	d, err := ParseSchedule("diurnal:0.5@40s", 80)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r := d.RateAt(10 * time.Second); math.Abs(r-120) > 1e-9 {
-		t.Fatalf("diurnal peak = %g, want 120", r)
-	}
-	if m := d.MaxRate(time.Minute); math.Abs(m-120) > eps {
-		t.Fatalf("diurnal max = %g, want 120", m)
-	}
-	if r := d.RateAt(30 * time.Second); math.Abs(r-40) > 1e-9 {
-		t.Fatalf("diurnal trough = %g, want 40", r)
-	}
-
-	for _, bad := range []string{"nope", "step:0@1s", "step:2@0s", "diurnal:2@1s", "step:2"} {
-		if _, err := ParseSchedule(bad, 10); err == nil {
-			t.Fatalf("schedule %q must be rejected", bad)
+	for _, bad := range []float64{0, -10, math.NaN()} {
+		cfg.Rate = bad
+		if _, err := GenerateTrace(cfg); err == nil {
+			t.Fatalf("rate %g must be rejected", bad)
 		}
-	}
-	if _, err := ParseSchedule("constant", 0); err == nil {
-		t.Fatal("zero base rate must be rejected")
 	}
 }
 
@@ -266,7 +170,7 @@ func TestCohortValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Name != "sampled" || c.K != 10 || c.Samples != 16 || c.SeedSpace != 4 || c.Clients != 1 {
+	if c.Name != "sampled" || c.K != 10 || c.Samples != 16 || c.SeedSpace != 4 || c.Weight != 1 {
 		t.Fatalf("defaults not applied: %+v", c)
 	}
 }

@@ -2,21 +2,21 @@ package load
 
 import (
 	"math"
-	"sync"
+	"net/http"
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/server"
 )
 
 // TestRecorderPercentiles feeds a known latency distribution (1..100 ms,
 // one sample each) and checks the nearest-rank percentiles exactly.
 func TestRecorderPercentiles(t *testing.T) {
-	rec := NewRecorder(time.Second)
+	var rec Recorder
 	for i := 1; i <= 100; i++ {
 		rec.Observe(Sample{
 			Cohort:  "c",
-			Start:   time.Duration(i) * 10 * time.Millisecond,
 			Latency: time.Duration(i) * time.Millisecond,
 			OK:      i%10 != 0, // 10 errors
 		})
@@ -40,73 +40,60 @@ func TestRecorderPercentiles(t *testing.T) {
 	if len(sums) != 1 || sums[0].Cohort != "c" || sums[0].Requests != 100 {
 		t.Fatalf("summaries = %+v", sums)
 	}
-
-	// Windows bucket by scheduled start: samples at 10ms..1000ms with a 1s
-	// window put starts 10..990ms in window 0 and the 1000ms start in
-	// window 1.
-	wins := rec.Windows()
-	if len(wins) != 2 || wins[0].Index != 0 || wins[0].Requests != 99 || wins[1].Requests != 1 {
-		t.Fatalf("windows = %+v", wins)
-	}
 }
 
 func TestRecorderEmpty(t *testing.T) {
-	rec := NewRecorder(0)
+	var rec Recorder
 	if got := rec.Total(time.Second); got.Requests != 0 || got.Lat.MaxMS > 0 {
 		t.Fatalf("empty total = %+v", got)
 	}
-	if wins := rec.Windows(); len(wins) != 0 {
-		t.Fatalf("empty windows = %+v", wins)
+	if sums := rec.Summaries(time.Second); len(sums) != 0 {
+		t.Fatalf("empty summaries = %+v", sums)
 	}
 }
 
-// fakeTarget is a synthetic service with a hard capacity: `slots`
+// fakeService is a synthetic service with a hard capacity: `slots`
 // concurrent requests, each taking `service` of wall time. Its saturation
 // throughput is slots/service, known analytically — the ground truth the
-// sweep's knee detector is tested against.
-type fakeTarget struct {
+// sweep's knee detector is tested against. It counts what it serves on
+// the real route counter and exposes it at /metrics, as the harness's one
+// client expects of any service.
+type fakeService struct {
 	slots   chan struct{}
 	service time.Duration
-
-	mu    sync.Mutex
-	stats server.Stats // guarded by mu
+	reg     *obs.Registry
+	served  *obs.Counter
 }
 
-func newFakeTarget(slots int, service time.Duration) *fakeTarget {
-	return &fakeTarget{slots: make(chan struct{}, slots), service: service}
+func newFakeService(slots int, service time.Duration) *fakeService {
+	reg := obs.NewRegistry()
+	return &fakeService{
+		slots: make(chan struct{}, slots), service: service, reg: reg,
+		served: reg.CounterVec("mfbc_http_requests_total", "Requests.", "route", "code").With("query", "2xx"),
+	}
 }
 
-func (f *fakeTarget) Do(r *Request) Outcome {
+func (f *fakeService) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Path == "/metrics" {
+		f.reg.Handler().ServeHTTP(w, r)
+		return
+	}
 	f.slots <- struct{}{}
 	time.Sleep(f.service)
 	<-f.slots
-	f.mu.Lock()
-	f.stats.Queries++
-	f.mu.Unlock()
-	return Outcome{Status: 200}
+	f.served.Inc()
 }
-
-func (f *fakeTarget) Register(string, server.GraphSpec) error { return nil }
-
-func (f *fakeTarget) ServerStats() (server.Stats, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.stats, nil
-}
-
-func (f *fakeTarget) Close() {}
 
 // TestSweepFindsKnee sweeps a fake service whose capacity is known
 // (4 slots × 5ms service = 800 rps) and checks the knee lands below
 // capacity and that overload is flagged saturated.
 func TestSweepFindsKnee(t *testing.T) {
-	tg := newFakeTarget(4, 5*time.Millisecond)
-	res, err := RunSweep(tg, SweepConfig{
+	c := NewHandlerClient(newFakeService(4, 5*time.Millisecond))
+	res, err := RunSweep(c, SweepConfig{
 		Cohorts:      []CohortSpec{{Name: "readers", Kind: "topk"}},
 		Graphs:       testGraphs(t),
 		Rates:        []float64{100, 200, 3200},
 		StepDuration: 500 * time.Millisecond,
-		Window:       100 * time.Millisecond,
 		MaxInflight:  64,
 		Seed:         9,
 	})
@@ -121,6 +108,11 @@ func TestSweepFindsKnee(t *testing.T) {
 	}
 	if len(res.Points) != 3 || res.Points[0].Saturated || res.Points[1].Saturated || !res.Points[2].Saturated {
 		t.Fatalf("saturation flags wrong: %+v", res.Points)
+	}
+	for _, p := range res.Points {
+		if err := p.Run.CrossCheck(); err != nil {
+			t.Fatalf("rate %g: %v", p.Offered, err)
+		}
 	}
 
 	pts := res.BenchPoints(testGraphs(t))
@@ -148,8 +140,8 @@ func TestSweepFindsKnee(t *testing.T) {
 // TestSweepAllSaturated: when even the lowest rate exceeds capacity the
 // sweep must stop after one point and report no knee.
 func TestSweepAllSaturated(t *testing.T) {
-	tg := newFakeTarget(1, 50*time.Millisecond) // capacity 20 rps
-	res, err := RunSweep(tg, SweepConfig{
+	c := NewHandlerClient(newFakeService(1, 50*time.Millisecond)) // capacity 20 rps
+	res, err := RunSweep(c, SweepConfig{
 		Cohorts:      []CohortSpec{{Name: "readers", Kind: "topk"}},
 		Graphs:       testGraphs(t),
 		Rates:        []float64{400, 800},
@@ -165,32 +157,44 @@ func TestSweepAllSaturated(t *testing.T) {
 	}
 }
 
-// TestClosedLoopInProcess is the CI smoke test: a closed-loop mixed-cohort
-// run against a real in-process server. Closed loop self-limits, so it
-// cannot overrun a slow CI machine; every response must be a success and
-// the server counters must show all three traffic classes.
-func TestClosedLoopInProcess(t *testing.T) {
-	tg := NewInprocTarget(server.Config{Workers: 1})
-	defer tg.Close()
+// inprocClient is a fresh in-process service with the test graphs seeded.
+func inprocClient(t *testing.T, cfg server.Config) (*Client, []*SeededGraph) {
+	t.Helper()
+	c := NewHandlerClient(server.NewMux(server.New(cfg)))
 	graphs := testGraphs(t)
-	if err := Seed(tg, graphs); err != nil {
+	if err := c.Seed(graphs); err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunClosedLoop(tg, TraceConfig{
-		Cohorts: []CohortSpec{
-			{Name: "readers", Kind: "topk", Clients: 2, Think: time.Millisecond},
-			{Name: "dashboards", Kind: "sampled", Clients: 1, Think: 2 * time.Millisecond, Popularity: "zipf"},
-			{Name: "writers", Kind: "mutate", Clients: 1, Think: 5 * time.Millisecond},
-		},
+	return c, graphs
+}
+
+// TestOpenLoopInProcessReplay fires a mixed-cohort open-loop trace at a
+// real in-process server and checks every request lands (the trace only
+// references registered graphs and real edges, so errors mean a harness
+// bug), every cohort is summarized, and the /metrics delta shows all
+// three traffic classes.
+func TestOpenLoopInProcessReplay(t *testing.T) {
+	c, graphs := inprocClient(t, server.Config{Workers: 1})
+	defer c.Close()
+	trace, err := GenerateTrace(TraceConfig{
+		Cohorts: testCohorts(),
 		Graphs:  graphs,
-		Horizon: 600 * time.Millisecond,
-		Seed:    21,
-	}, 200*time.Millisecond)
+		Rate:    100,
+		Horizon: 500 * time.Millisecond,
+		Seed:    13,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Total.Requests == 0 || res.Total.Errors != 0 {
-		t.Fatalf("closed loop total = %+v", res.Total)
+	res, err := RunOpenLoop(c, trace, 100, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Total.Requests != len(trace) {
+		t.Fatalf("observed %d of %d requests", res.Total.Requests, len(trace))
+	}
+	if res.Total.Errors != 0 {
+		t.Fatalf("open-loop replay produced %d errors", res.Total.Errors)
 	}
 	if len(res.Cohorts) != 3 {
 		t.Fatalf("cohorts = %+v", res.Cohorts)
@@ -203,48 +207,12 @@ func TestClosedLoopInProcess(t *testing.T) {
 			t.Fatalf("cohort %q latency stats inconsistent: %+v", c.Cohort, c.Lat)
 		}
 	}
-	d := statsDelta(res.StatsBefore, res.StatsAfter)
-	if res.StatsAfter.Queries == 0 || res.StatsAfter.Mutations == 0 {
-		t.Fatalf("server saw no traffic: %+v", res.StatsAfter)
+	d := res.Metrics
+	if d["mfbc_queries_total"] == 0 || d["mfbc_mutations_total"] == 0 {
+		t.Fatalf("server saw no traffic: queries %v, mutations %v", d["mfbc_queries_total"], d["mfbc_mutations_total"])
 	}
 	// Repeat top-k reads on a graph version must hit the cache.
-	if d.CacheHits == 0 {
-		t.Fatalf("no cache hits across the run: %+v", res.StatsAfter)
-	}
-}
-
-// TestOpenLoopInProcessReplay drives a recorded open-loop trace against a
-// real in-process server and checks every request lands (the trace only
-// references registered graphs and real edges, so errors mean a harness
-// bug).
-func TestOpenLoopInProcessReplay(t *testing.T) {
-	tg := NewInprocTarget(server.Config{Workers: 1})
-	defer tg.Close()
-	graphs := testGraphs(t)
-	if err := Seed(tg, graphs); err != nil {
-		t.Fatal(err)
-	}
-	trace, err := GenerateTrace(TraceConfig{
-		Cohorts:  testCohorts(),
-		Graphs:   graphs,
-		Schedule: Constant{RPS: 100},
-		Horizon:  500 * time.Millisecond,
-		Seed:     13,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := RunOpenLoop(tg, trace, 100, 100*time.Millisecond, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Total.Requests != len(trace) {
-		t.Fatalf("observed %d of %d requests", res.Total.Requests, len(trace))
-	}
-	if res.Total.Errors != 0 {
-		t.Fatalf("open-loop replay produced %d errors", res.Total.Errors)
-	}
-	if len(res.StatsWindows) == 0 {
-		t.Fatal("no periodic stats scrapes recorded")
+	if d["mfbc_query_cache_hits_total"] == 0 {
+		t.Fatal("no cache hits across the run")
 	}
 }

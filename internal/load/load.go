@@ -1,26 +1,27 @@
-// Package load is the deterministic workload generator and load driver
-// for the betweenness-centrality query service (internal/server): the
-// production load harness behind cmd/mfbc-load.
+// Package load is the deterministic workload generator and open-loop
+// saturation sweep for the betweenness-centrality query service
+// (internal/server): the load harness behind cmd/mfbc-load.
 //
 // A workload is a set of cohorts — read-heavy query users (exact and
 // top-k), mutation-heavy PATCH streamers, and sampled-approximation
 // dashboard pollers — each with its own key-popularity distribution
 // (uniform or zipf) over a set of seeded graphs. Request generation is
 // fully deterministic: the same TraceConfig and seed produce bit-identical
-// traces, which can be recorded to and replayed from JSONL
-// (WriteTrace/ReadTrace).
+// traces.
 //
-// Two driver disciplines are provided. RunOpenLoop fires a pre-generated
-// trace at its scheduled Poisson arrival times regardless of outstanding
-// responses, so offered load does not adapt to server slowness — the
-// property that makes saturation observable. RunClosedLoop runs N clients
-// per cohort, each issuing its deterministic stream with a think-time
-// pause between responses. RunSweep steps offered load across rates until
-// goodput flattens and p99 blows out, and reports the knee.
+// RunOpenLoop fires a pre-generated trace at its scheduled Poisson arrival
+// times regardless of outstanding responses, so offered load does not
+// adapt to server slowness — the property that makes saturation
+// observable, and the one thing the repository benchmark's closed-loop
+// service workload (benchmarks/) does not measure. RunSweep steps offered
+// load across rates until goodput flattens or p99 blows out, and reports
+// the knee.
 //
-// Targets are pluggable: a live server over HTTP (NewHTTPTarget) or an
-// in-process handler with no sockets (NewInprocTarget), the latter fast
-// and hermetic enough for CI.
+// There is one way to reach the service: Client, an HTTP client. Its
+// in-process form serves an http.Handler directly (no sockets), hermetic
+// enough for CI, through the same encode/decode path as a live server.
+// Server-side counters come from one place too: the /metrics delta
+// bracketing each run.
 package load
 
 import (
@@ -40,16 +41,14 @@ const (
 )
 
 // Request is one generated protocol action. At is the scheduled offset
-// from run start (open-loop pacing; zero for closed-loop streams, which
-// pace by think time instead). The struct round-trips through JSON
-// losslessly, so recorded traces replay bit-identically.
+// from run start.
 type Request struct {
-	At        time.Duration        `json:"at_ns"`
-	Cohort    string               `json:"cohort"`
-	Op        Op                   `json:"op"`
-	Graph     string               `json:"graph"`
-	Query     *server.QueryRequest `json:"query,omitempty"`
-	Mutations []repro.Mutation     `json:"mutations,omitempty"`
+	At        time.Duration
+	Cohort    string
+	Op        Op
+	Graph     string
+	Query     *server.QueryRequest
+	Mutations []repro.Mutation
 }
 
 // CohortSpec describes one traffic cohort. Zero-valued knobs take the
@@ -66,14 +65,9 @@ type CohortSpec struct {
 	//	"mutate"  PATCH with a batch of set_weight mutations on real
 	//	          edges of the addressed graph
 	Kind string
-	// Weight is this cohort's relative share of open-loop traffic
-	// (normalized over all cohorts; default 1).
+	// Weight is this cohort's relative share of the traffic (normalized
+	// over all cohorts; default 1).
 	Weight float64
-	// Clients and Think shape closed-loop runs: Clients concurrent
-	// clients (default 1), each pausing Think between a response and its
-	// next request (default 0).
-	Clients int
-	Think   time.Duration
 	// Popularity picks which seeded graph each request addresses:
 	// "uniform" (default) or "zipf" with exponent ZipfS > 1 (default 1.5;
 	// graph 0 is the hottest key).
@@ -108,9 +102,6 @@ func (c CohortSpec) withDefaults() (CohortSpec, error) {
 	if !(c.Weight > 0) { // zero (or NaN) means unset
 		c.Weight = 1
 	}
-	if c.Clients <= 0 {
-		c.Clients = 1
-	}
 	switch c.Popularity {
 	case "":
 		c.Popularity = "uniform"
@@ -144,21 +135,9 @@ func (c CohortSpec) withDefaults() (CohortSpec, error) {
 // thin stream of mutation writers.
 func DefaultCohorts() []CohortSpec {
 	return []CohortSpec{
-		{Name: "readers", Kind: "topk", Weight: 5, Clients: 4, Think: 10 * time.Millisecond},
-		{Name: "dashboards", Kind: "sampled", Weight: 3, Clients: 2, Think: 25 * time.Millisecond, Popularity: "zipf"},
-		{Name: "writers", Kind: "mutate", Weight: 1, Clients: 1, Think: 50 * time.Millisecond},
-	}
-}
-
-// IngestCohorts is the mutate-heavy preset for exercising the server's
-// write path: a 2/5 mutate share with zipf key popularity (hot graphs
-// absorb most writes, so per-graph queues actually coalesce) and a reader
-// cohort verifying that snapshot-isolated queries stay responsive while
-// appliers group-commit.
-func IngestCohorts() []CohortSpec {
-	return []CohortSpec{
-		{Name: "readers", Kind: "topk", Weight: 3, Clients: 2, Think: 10 * time.Millisecond, Popularity: "zipf"},
-		{Name: "writers", Kind: "mutate", Weight: 2, Clients: 2, Think: 10 * time.Millisecond, Popularity: "zipf"},
+		{Name: "readers", Kind: "topk", Weight: 5},
+		{Name: "dashboards", Kind: "sampled", Weight: 3, Popularity: "zipf"},
+		{Name: "writers", Kind: "mutate", Weight: 1},
 	}
 }
 
@@ -177,8 +156,7 @@ type SeededGraph struct {
 }
 
 // NewSeededGraph materializes spec locally and returns the workload-side
-// descriptor. The server side registers the same spec via
-// Target.Register.
+// descriptor. The server side registers the same spec via Client.Seed.
 func NewSeededGraph(name string, spec server.GraphSpec) (*SeededGraph, error) {
 	if name == "" {
 		return nil, fmt.Errorf("load: empty graph name")

@@ -6,59 +6,9 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"repro/internal/obs"
 )
-
-// MetricsScraper is the optional second face of a Target: access to the
-// server's Prometheus-text /metrics. The harness type-asserts for it, so
-// targets without a metrics endpoint still drive load — they just produce
-// runs without a server-side summary.
-type MetricsScraper interface {
-	// MetricsText returns one exposition-format scrape.
-	MetricsText() (string, error)
-}
-
-// MetricsSnapshot is one parsed scrape: fully-labeled series name → value
-// (histogram series appear as their _bucket/_sum/_count expansions, the
-// same shape the text format carries).
-type MetricsSnapshot map[string]float64
-
-// ParseMetrics parses Prometheus text exposition into a snapshot. Comment
-// and blank lines are skipped; a malformed sample line is an error.
-// OpenMetrics-style exemplar suffixes (` # {...} value`) on histogram
-// bucket lines are stripped — the snapshot carries series values only.
-func ParseMetrics(text string) (MetricsSnapshot, error) {
-	snap := MetricsSnapshot{}
-	for _, line := range strings.Split(text, "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		if j := strings.Index(line, " # "); j >= 0 {
-			line = strings.TrimSpace(line[:j])
-		}
-		i := strings.LastIndexByte(line, ' ')
-		if i < 0 {
-			return nil, fmt.Errorf("load: malformed metrics line %q", line)
-		}
-		v, err := strconv.ParseFloat(line[i+1:], 64)
-		if err != nil {
-			return nil, fmt.Errorf("load: bad value in metrics line %q: %w", line, err)
-		}
-		snap[line[:i]] = v
-	}
-	return snap, nil
-}
-
-// Delta returns m − before per series. Series absent from before (e.g. a
-// label child first observed mid-run) count from zero; series absent from
-// m are dropped.
-func (m MetricsSnapshot) Delta(before MetricsSnapshot) MetricsSnapshot {
-	d := make(MetricsSnapshot, len(m))
-	for k, v := range m {
-		d[k] = v - before[k]
-	}
-	return d
-}
 
 // seriesLabels parses `name{k="v",...}` into its name and label map
 // (label values hold no escaped quotes in this codebase's fixed
@@ -100,8 +50,8 @@ type ServerSummary struct {
 // and the client/server cross-check cover exactly these.
 var loadRoutes = map[string]bool{"query": true, "mutate": true}
 
-// ServerSide summarizes a metrics delta over the harness-driven routes.
-func (m MetricsSnapshot) ServerSide() ServerSummary {
+// serverSide summarizes a metrics delta over the harness-driven routes.
+func serverSide(m obs.Samples) ServerSummary {
 	var sum ServerSummary
 	buckets := map[float64]float64{} // le upper edge → count delta
 	series := make([]string, 0, len(m))
@@ -168,54 +118,23 @@ func (m MetricsSnapshot) ServerSide() ServerSummary {
 	return sum
 }
 
-// scrapeMetrics returns one parsed scrape, or nil when the target has no
-// metrics surface (older servers, custom targets): runs then simply lack
-// the server-side summary rather than failing.
-func scrapeMetrics(tg Target) MetricsSnapshot {
-	ms, ok := tg.(MetricsScraper)
-	if !ok {
-		return nil
-	}
-	text, err := ms.MetricsText()
-	if err != nil {
-		return nil
-	}
-	snap, err := ParseMetrics(text)
-	if err != nil {
-		return nil
-	}
-	return snap
-}
-
-// ServerSummary returns the server-observed view of the run, or nil when
-// the target exposed no metrics.
-func (r *RunResult) ServerSummary() *ServerSummary {
-	if r.MetricsBefore == nil || r.MetricsAfter == nil {
-		return nil
-	}
-	s := r.MetricsAfter.Delta(r.MetricsBefore).ServerSide()
-	return &s
-}
+// ServerSummary returns the server-observed view of the run.
+func (r *RunResult) ServerSummary() ServerSummary { return serverSide(r.Metrics) }
 
 // CrossCheck verifies the client-observed and server-observed request
 // counts agree: every request the driver dispatched must appear on the
-// server's route counters (transport failures never reached a route and
-// are excluded). A nil error when metrics are unavailable keeps older
-// targets usable.
+// server's route counters.
 func (r *RunResult) CrossCheck() error {
-	ss := r.ServerSummary()
-	if ss == nil {
-		return nil
-	}
 	// Transport-level failures never produced a server-side sample. The
 	// recorder folds them into Errors together with HTTP-level failures
 	// (which DID reach the server), so the check is equality modulo the
 	// error count rather than exact equality.
+	server := r.ServerSummary().Requests
 	client := int64(r.Total.Requests)
 	errs := int64(r.Total.Errors)
-	if ss.Requests >= client-errs && ss.Requests <= client {
+	if server >= client-errs && server <= client {
 		return nil
 	}
 	return fmt.Errorf("load: request-count cross-check failed: client observed %d (%d errors), server counted %d",
-		client, errs, ss.Requests)
+		client, errs, server)
 }

@@ -5,41 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/server"
 )
-
-func TestParseMetricsAndDelta(t *testing.T) {
-	before, err := ParseMetrics(`# HELP x_total help text
-# TYPE x_total counter
-x_total 3
-y{a="1",b="q r"} 2.5
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	after, err := ParseMetrics("x_total 10\ny{a=\"1\",b=\"q r\"} 4\nz_new 7\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := after.Delta(before)
-	if d["x_total"] != 7 || d[`y{a="1",b="q r"}`] != 1.5 || d["z_new"] != 7 {
-		t.Fatalf("delta = %v", d)
-	}
-	// Exemplar suffixes on histogram buckets parse to the bucket value.
-	ex, err := ParseMetrics("h_bucket{le=\"0.5\"} 3 # {span_id=\"s01\",trace_id=\"t000007\"} 0.31\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ex[`h_bucket{le="0.5"}`] != 3 || len(ex) != 1 {
-		t.Fatalf("exemplar line parsed as %v", ex)
-	}
-	if _, err := ParseMetrics("lonelytoken\n"); err == nil {
-		t.Fatal("malformed line must error")
-	}
-	if _, err := ParseMetrics("x notanumber\n"); err == nil {
-		t.Fatal("bad value must error")
-	}
-}
 
 func TestSeriesLabels(t *testing.T) {
 	name, labels := seriesLabels(`mfbc_http_requests_total{code="2xx",route="query"}`)
@@ -55,10 +23,10 @@ func TestSeriesLabels(t *testing.T) {
 // TestServerSideQuantiles pins the bucket-edge quantile math on a
 // synthetic delta: 90 requests in the ≤0.01 s bucket, 10 more in ≤0.1 s.
 func TestServerSideQuantiles(t *testing.T) {
-	d := MetricsSnapshot{
+	d := obs.Samples{
 		`mfbc_http_requests_total{code="2xx",route="query"}`:                  90.0,
 		`mfbc_http_requests_total{code="2xx",route="mutate"}`:                 10.0,
-		`mfbc_http_requests_total{code="2xx",route="stats"}`:                  5.0, // not harness-driven
+		`mfbc_http_requests_total{code="2xx",route="graphs"}`:                 5.0, // not harness-driven
 		`mfbc_http_request_duration_seconds_bucket{le="0.01",route="query"}`:  90.0,
 		`mfbc_http_request_duration_seconds_bucket{le="0.1",route="query"}`:   90.0,
 		`mfbc_http_request_duration_seconds_bucket{le="+Inf",route="query"}`:  90.0,
@@ -66,9 +34,9 @@ func TestServerSideQuantiles(t *testing.T) {
 		`mfbc_http_request_duration_seconds_bucket{le="0.1",route="mutate"}`:  10.0,
 		`mfbc_http_request_duration_seconds_bucket{le="+Inf",route="mutate"}`: 10.0,
 	}
-	ss := d.ServerSide()
+	ss := serverSide(d)
 	if ss.Requests != 100 {
-		t.Fatalf("requests = %d, want 100 (stats route excluded)", ss.Requests)
+		t.Fatalf("requests = %d, want 100 (graphs route excluded)", ss.Requests)
 	}
 	// p50 rank 50 lands in the 0.01 s bucket; p95 rank 95 and p99 rank 99
 	// land in the 0.1 s bucket.
@@ -77,53 +45,47 @@ func TestServerSideQuantiles(t *testing.T) {
 	}
 
 	// A quantile past the last finite edge clips and flags it.
-	clip := MetricsSnapshot{
+	clip := obs.Samples{
 		`mfbc_http_request_duration_seconds_bucket{le="0.01",route="query"}`: 1.0,
 		`mfbc_http_request_duration_seconds_bucket{le="+Inf",route="query"}`: 2.0,
 	}
-	if ss := clip.ServerSide(); !ss.Clipped || ss.P99MS != 10 {
+	if ss := serverSide(clip); !ss.Clipped || ss.P99MS != 10 {
 		t.Fatalf("clipped quantiles = %+v", ss)
 	}
 
-	if ss := (MetricsSnapshot{}).ServerSide(); ss.Requests != 0 || ss.P99MS != 0 {
+	if ss := serverSide(obs.Samples{}); ss.Requests != 0 || ss.P99MS != 0 {
 		t.Fatalf("empty delta summary = %+v", ss)
 	}
 }
 
-// TestRunCrossCheckInproc drives a real closed-loop run and checks the
+// TestRunCrossCheckInproc drives a real open-loop run and checks the
 // client-observed and server-observed request counts agree, and that the
-// server-side summary lands in the bench points.
+// server-side summary and counter deltas land in the bench points.
 func TestRunCrossCheckInproc(t *testing.T) {
-	tg := NewInprocTarget(server.Config{Workers: 1, CacheSize: 64})
-	defer tg.Close()
-	graphs := testGraphs(t)
-	if err := Seed(tg, graphs); err != nil {
-		t.Fatal(err)
-	}
-	res, err := RunClosedLoop(tg, TraceConfig{
+	c, graphs := inprocClient(t, server.Config{Workers: 1, CacheSize: 64})
+	defer c.Close()
+	res, err := RunSweep(c, SweepConfig{
 		Cohorts: []CohortSpec{
-			{Name: "readers", Kind: "topk", Weight: 3, Clients: 2},
-			{Name: "writers", Kind: "mutate", Weight: 1, Clients: 1},
+			{Name: "readers", Kind: "topk", Weight: 3},
+			{Name: "writers", Kind: "mutate", Weight: 1},
 		},
-		Graphs:  graphs,
-		Horizon: 300 * time.Millisecond,
-		Seed:    7,
-	}, 100*time.Millisecond)
+		Graphs:       graphs,
+		Rates:        []float64{150},
+		StepDuration: 300 * time.Millisecond,
+		Seed:         7,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Total.Requests == 0 {
-		t.Fatal("run made no requests")
+	run := res.Points[0].Run
+	if run.Total.Requests == 0 || run.Total.Errors != 0 {
+		t.Fatalf("run total = %+v", run.Total)
 	}
-	ss := res.ServerSummary()
-	if ss == nil {
-		t.Fatal("in-process target must produce a server-side summary")
+	ss := run.ServerSummary()
+	if ss.Requests != int64(run.Total.Requests) {
+		t.Fatalf("server counted %d requests, client observed %d", ss.Requests, run.Total.Requests)
 	}
-	if ss.Requests != int64(res.Total.Requests) {
-		t.Fatalf("server counted %d requests, client observed %d (errors %d)",
-			ss.Requests, res.Total.Requests, res.Total.Errors)
-	}
-	if err := res.CrossCheck(); err != nil {
+	if err := run.CrossCheck(); err != nil {
 		t.Fatal(err)
 	}
 	if ss.P99MS <= 0 {
@@ -135,8 +97,11 @@ func TestRunCrossCheckInproc(t *testing.T) {
 	if agg.ServerRequests != ss.Requests || agg.ServerP99MS != ss.P99MS {
 		t.Fatalf("bench point server fields = %+v, want %+v", agg, ss)
 	}
+	if agg.CacheHits == 0 || agg.IngestCommits == 0 {
+		t.Fatalf("bench point carries no /metrics counter deltas: %+v", agg)
+	}
 	for _, pt := range pts[1:] {
-		if pt.ServerRequests != 0 {
+		if pt.ServerRequests != 0 || pt.CacheHits != 0 {
 			t.Fatalf("per-cohort row carries server fields: %+v", pt)
 		}
 	}
@@ -144,23 +109,20 @@ func TestRunCrossCheckInproc(t *testing.T) {
 
 // TestCrossCheckMismatch: a fabricated disagreement must surface.
 func TestCrossCheckMismatch(t *testing.T) {
-	rec := NewRecorder(time.Second)
+	var rec Recorder
 	for i := 0; i < 5; i++ {
 		rec.Observe(Sample{Cohort: "c", Latency: time.Millisecond, OK: true})
 	}
 	r := &RunResult{
-		Total:         rec.Total(time.Second),
-		MetricsBefore: MetricsSnapshot{},
-		MetricsAfter: MetricsSnapshot{
-			`mfbc_http_requests_total{code="2xx",route="query"}`: 3.0,
-		},
+		Total:   rec.Total(time.Second),
+		Metrics: obs.Samples{`mfbc_http_requests_total{code="2xx",route="query"}`: 3.0},
 	}
 	err := r.CrossCheck()
 	if err == nil || !strings.Contains(err.Error(), "cross-check failed") {
 		t.Fatalf("cross-check err = %v", err)
 	}
-	r.MetricsBefore, r.MetricsAfter = nil, nil
+	r.Metrics[`mfbc_http_requests_total{code="2xx",route="mutate"}`] = 2.0
 	if err := r.CrossCheck(); err != nil {
-		t.Fatalf("metrics-less run must pass vacuously: %v", err)
+		t.Fatalf("agreeing counts must pass: %v", err)
 	}
 }

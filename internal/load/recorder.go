@@ -6,12 +6,11 @@ import (
 	"time"
 )
 
-// Sample is one observed request outcome: which cohort sent it, when it
-// was scheduled (offset from run start), how long until its response, and
-// whether the response was a success.
+// Sample is one observed request outcome: which cohort sent it, how long
+// from its scheduled arrival until its response, and whether the response
+// was a success.
 type Sample struct {
 	Cohort  string
-	Start   time.Duration
 	Latency time.Duration
 	OK      bool
 	// Op distinguishes query from mutate samples; QueueWaitMS is the
@@ -23,24 +22,13 @@ type Sample struct {
 }
 
 // Recorder collects samples from concurrent driver goroutines and
-// aggregates them into per-cohort and per-window statistics. It keeps the
-// raw samples (a load-harness run is at most a few hundred thousand
-// requests), so percentiles are exact nearest-rank values rather than
-// sketch approximations.
+// aggregates them into per-cohort statistics. It keeps the raw samples (a
+// load-harness run is at most a few hundred thousand requests), so
+// percentiles are exact nearest-rank values rather than sketch
+// approximations. The zero value is ready to use.
 type Recorder struct {
-	window time.Duration
-
 	mu      sync.Mutex
 	samples []Sample // guarded by mu
-}
-
-// NewRecorder creates a recorder that buckets window statistics into
-// intervals of the given width (default 1s if nonpositive).
-func NewRecorder(window time.Duration) *Recorder {
-	if window <= 0 {
-		window = time.Second
-	}
-	return &Recorder{window: window}
 }
 
 // Observe records one completed request. Safe for concurrent use.
@@ -48,13 +36,6 @@ func (r *Recorder) Observe(s Sample) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.samples = append(r.samples, s)
-}
-
-// Len reports how many samples have been observed.
-func (r *Recorder) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.samples)
 }
 
 func (r *Recorder) snapshot() []Sample {
@@ -161,51 +142,4 @@ func (r *Recorder) Summaries(elapsed time.Duration) []CohortSummary {
 // Total aggregates every sample into a single summary (Cohort "all").
 func (r *Recorder) Total(elapsed time.Duration) CohortSummary {
 	return summarize("all", r.snapshot(), elapsed)
-}
-
-// WindowStats is one (window, cohort) cell of the run timeline: requests
-// scheduled in [Index·width, (Index+1)·width).
-type WindowStats struct {
-	Index    int
-	Cohort   string
-	Requests int
-	Errors   int
-	RPS      float64
-	Lat      LatencyStats
-}
-
-type windowKey struct {
-	index  int
-	cohort string
-}
-
-// Windows buckets samples by scheduled start into the recorder's window
-// width and returns per-(window, cohort) rows in timeline order.
-func (r *Recorder) Windows() []WindowStats {
-	samples := r.snapshot()
-	byKey := make(map[windowKey][]Sample)
-	for _, s := range samples {
-		k := windowKey{index: int(s.Start / r.window), cohort: s.Cohort}
-		byKey[k] = append(byKey[k], s)
-	}
-	keys := make([]windowKey, 0, len(byKey))
-	for k := range byKey {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].index != keys[j].index {
-			return keys[i].index < keys[j].index
-		}
-		return keys[i].cohort < keys[j].cohort
-	})
-	out := make([]WindowStats, 0, len(keys))
-	for _, k := range keys {
-		sum := summarize(k.cohort, byKey[k], r.window)
-		out = append(out, WindowStats{
-			Index: k.index, Cohort: k.cohort,
-			Requests: sum.Requests, Errors: sum.Errors,
-			RPS: sum.RPS, Lat: sum.Lat,
-		})
-	}
-	return out
 }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/server"
 )
 
 // SweepConfig drives a saturation sweep: the same workload mix offered at
@@ -19,7 +18,6 @@ type SweepConfig struct {
 	// ascending.
 	Rates        []float64
 	StepDuration time.Duration
-	Window       time.Duration
 	MaxInflight  int
 	Seed         int64
 	// GoodputFrac and P99Blowup are the saturation thresholds: a point is
@@ -49,12 +47,12 @@ type SweepResult struct {
 	KneeFound bool
 }
 
-// RunSweep steps offered load up cfg.Rates against tg. Each step
-// regenerates a deterministic trace (seed varied per step, reproducibly)
-// and replays it open loop. Sweeping is cumulative server state: caches
+// RunSweep steps offered load up cfg.Rates against the service behind c.
+// Each step generates a deterministic trace (seed varied per step,
+// reproducibly) and fires it open loop. Sweeping is cumulative server state: caches
 // stay warm and mutations accumulate across steps, as they would in
 // production.
-func RunSweep(tg Target, cfg SweepConfig) (*SweepResult, error) {
+func RunSweep(c *Client, cfg SweepConfig) (*SweepResult, error) {
 	if len(cfg.Rates) == 0 {
 		return nil, fmt.Errorf("load: sweep needs at least one rate")
 	}
@@ -76,15 +74,12 @@ func RunSweep(tg Target, cfg SweepConfig) (*SweepResult, error) {
 	res := &SweepResult{KneeIndex: -1}
 	baseP99 := 0.0
 	for i, rate := range cfg.Rates {
-		if !(rate > 0) {
-			return nil, fmt.Errorf("load: sweep rate %d is nonpositive", i)
-		}
 		trace, err := GenerateTrace(TraceConfig{
-			Cohorts:  cfg.Cohorts,
-			Graphs:   cfg.Graphs,
-			Schedule: Constant{RPS: rate},
-			Horizon:  cfg.StepDuration,
-			Seed:     cfg.Seed + int64(i)*101, // distinct but reproducible per step
+			Cohorts: cfg.Cohorts,
+			Graphs:  cfg.Graphs,
+			Rate:    rate,
+			Horizon: cfg.StepDuration,
+			Seed:    cfg.Seed + int64(i)*101, // distinct but reproducible per step
 		})
 		if err != nil {
 			return nil, err
@@ -92,7 +87,7 @@ func RunSweep(tg Target, cfg SweepConfig) (*SweepResult, error) {
 		if len(trace) == 0 {
 			return nil, fmt.Errorf("load: rate %g over %s generated no arrivals", rate, cfg.StepDuration)
 		}
-		run, err := RunOpenLoop(tg, trace, rate, cfg.Window, cfg.MaxInflight)
+		run, err := RunOpenLoop(c, trace, rate, cfg.MaxInflight)
 		if err != nil {
 			return nil, err
 		}
@@ -129,12 +124,13 @@ func graphsLabel(graphs []*SeededGraph) (label string, n, m int) {
 	return strings.Join(names, "+"), n, m
 }
 
-// benchRow builds one bench.Point row under the load-harness schema.
-// Server-counter deltas only make sense run-wide, so per-cohort rows pass
-// a nil run.
-func benchRow(experiment, graphLabel string, n, m int, offered float64, sum CohortSummary, run *RunResult) bench.Point {
+// benchRow builds one bench.Point row of experiment "load-sweep". The
+// server-side columns (counter deltas, request count, bucket-edge
+// percentiles) come from the run's /metrics delta and only make sense
+// run-wide, so per-cohort rows pass a nil run.
+func benchRow(graphLabel string, n, m int, offered float64, sum CohortSummary, run *RunResult) bench.Point {
 	pt := bench.Point{
-		Experiment:  experiment,
+		Experiment:  "load-sweep",
 		Graph:       graphLabel,
 		Engine:      "server",
 		N:           n,
@@ -157,73 +153,43 @@ func benchRow(experiment, graphLabel string, n, m int, offered float64, sum Coho
 	}
 	if run != nil {
 		pt.WallSec = run.Elapsed.Seconds()
-		d := statsDelta(run.StatsBefore, run.StatsAfter)
-		pt.CacheHits = d.CacheHits
-		pt.Coalesced = d.Coalesced
-		pt.WarmSeeds = d.WarmSeeds
-		pt.CacheEvictions = d.Evictions
-		pt.IngestCommits = d.IngestCommits
-		pt.IngestCoalesced = d.IngestCoalesced
-		pt.IngestRejected = d.IngestRejected
-		if ss := run.ServerSummary(); ss != nil {
-			pt.ServerRequests = ss.Requests
-			pt.ServerP50MS = ss.P50MS
-			pt.ServerP95MS = ss.P95MS
-			pt.ServerP99MS = ss.P99MS
+		count := func(series string) int64 { return int64(run.Metrics[series] + 0.5) }
+		pt.CacheHits = count("mfbc_query_cache_hits_total")
+		pt.Coalesced = count("mfbc_query_coalesced_total")
+		for _, variant := range []string{"exact", "normalized", "distributed"} {
+			pt.WarmSeeds += count(`mfbc_warm_seeds_total{variant="` + variant + `"}`)
 		}
+		pt.CacheEvictions = count("mfbc_cache_evictions_total")
+		pt.IngestCommits = count("mfbc_ingest_group_commits_total")
+		pt.IngestCoalesced = count("mfbc_ingest_coalesced_total")
+		pt.IngestRejected = count("mfbc_ingest_rejected_total")
+		ss := run.ServerSummary()
+		pt.ServerRequests = ss.Requests
+		pt.ServerP50MS = ss.P50MS
+		pt.ServerP95MS = ss.P95MS
+		pt.ServerP99MS = ss.P99MS
 	}
 	return pt
 }
 
-// BenchPoints converts one run into the mfbc-bench JSON point schema
-// (BENCH_*.json) under experiment "load-run": an aggregate row (Cohort
-// "all", carrying the server-counter deltas) plus one row per cohort.
-func (r *RunResult) BenchPoints(graphs []*SeededGraph) []bench.Point {
-	label, n, m := graphsLabel(graphs)
-	points := []bench.Point{benchRow("load-run", label, n, m, r.Offered, r.Total, r)}
-	for _, sum := range r.Cohorts {
-		points = append(points, benchRow("load-run", label, n, m, r.Offered, sum, nil))
-	}
-	return points
-}
-
-// BenchPoints converts a sweep into the same schema under experiment
-// "load-sweep": per rate step, one aggregate row plus one row per cohort,
-// with Saturated flagged per step and Knee: true on the aggregate row of
-// the knee rate.
+// BenchPoints converts a sweep into the mfbc-bench JSON point schema
+// (BENCH_*.json) under experiment "load-sweep": per rate step, one
+// aggregate row (Cohort "all", carrying the server-side columns) plus one
+// row per cohort, with Saturated flagged per step and Knee: true on the
+// aggregate row of the knee rate.
 func (sr *SweepResult) BenchPoints(graphs []*SeededGraph) []bench.Point {
 	label, n, m := graphsLabel(graphs)
 	var points []bench.Point
 	for i, p := range sr.Points {
-		agg := benchRow("load-sweep", label, n, m, p.Offered, p.Run.Total, p.Run)
+		agg := benchRow(label, n, m, p.Offered, p.Run.Total, p.Run)
 		agg.Saturated = p.Saturated
 		agg.Knee = sr.KneeFound && i == sr.KneeIndex
 		points = append(points, agg)
 		for _, sum := range p.Run.Cohorts {
-			row := benchRow("load-sweep", label, n, m, p.Offered, sum, nil)
+			row := benchRow(label, n, m, p.Offered, sum, nil)
 			row.Saturated = p.Saturated
 			points = append(points, row)
 		}
 	}
 	return points
-}
-
-// statsDeltas holds the per-step change of the cumulative server
-// counters the harness reports.
-type statsDeltas struct {
-	CacheHits, Coalesced, WarmSeeds, Evictions     int64
-	IngestCommits, IngestCoalesced, IngestRejected int64
-}
-
-// statsDelta returns after − before on the scraped server counters.
-func statsDelta(before, after server.Stats) statsDeltas {
-	return statsDeltas{
-		CacheHits:       after.CacheHits - before.CacheHits,
-		Coalesced:       after.Coalesced - before.Coalesced,
-		WarmSeeds:       after.WarmSeeds - before.WarmSeeds,
-		Evictions:       after.Evictions - before.Evictions,
-		IngestCommits:   after.IngestCommits - before.IngestCommits,
-		IngestCoalesced: after.IngestCoalesced - before.IngestCoalesced,
-		IngestRejected:  after.IngestRejected - before.IngestRejected,
-	}
 }

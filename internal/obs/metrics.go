@@ -163,8 +163,7 @@ func (h *Histogram) Count() uint64 {
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
 // Snapshot returns the bucket upper bounds (ending with +Inf) and the
-// cumulative count at or below each bound. The load harness uses it for
-// percentile estimation.
+// cumulative count at or below each bound.
 func (h *Histogram) Snapshot() (bounds []float64, cumulative []uint64) {
 	bounds = append(append([]float64(nil), h.bounds...), math.Inf(1))
 	cumulative = make([]uint64, len(bounds))

@@ -13,8 +13,7 @@ import (
 // cmd/mfbc-serve:
 //
 //	GET    /healthz          liveness probe
-//	GET    /stats            cumulative server counters (compat view of /metrics)
-//	GET    /metrics          Prometheus text exposition of the metric registry
+//	GET    /metrics          Prometheus text exposition of the metric registry (every server counter)
 //	GET    /debug/traces     recent request traces as JSONL (404 if tracing off)
 //	GET    /graphs           list registered graphs
 //	POST   /graphs/{name}    register a graph from a GraphSpec body
@@ -38,10 +37,6 @@ func NewMux(s *Server) *http.ServeMux {
 
 	mux.HandleFunc("GET /healthz", s.instrument("healthz", func(w http.ResponseWriter, r *http.Request) {
 		s.writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-	}))
-
-	mux.HandleFunc("GET /stats", s.instrument("stats", func(w http.ResponseWriter, r *http.Request) {
-		s.writeJSON(w, http.StatusOK, s.Stats())
 	}))
 
 	mux.Handle("GET /metrics", s.registry.Handler())

@@ -82,10 +82,8 @@ func TestHTTPRoutes(t *testing.T) {
 		t.Fatalf("query = %+v", res)
 	}
 
-	var stats Stats
-	doJSON(t, ts, "GET", "/stats", nil, http.StatusOK, &stats)
-	if stats.Graphs != 1 || stats.Computes != 1 {
-		t.Fatalf("stats = %+v", stats)
+	if st := scrape(t, s); st.get("mfbc_graphs") != 1 || st.get("mfbc_computes_total") != 1 {
+		t.Fatalf("graphs = %v, computes = %v, want 1 and 1", st.get("mfbc_graphs"), st.get("mfbc_computes_total"))
 	}
 
 	doJSON(t, ts, "DELETE", "/graphs/demo", nil, http.StatusNoContent, nil)
@@ -233,6 +231,9 @@ func TestHTTPRouteStatusMatrix(t *testing.T) {
 		// 405: wrong method on a registered pattern.
 		{"put-graph", "PUT", "/graphs/g", "", http.StatusMethodNotAllowed},
 		{"delete-query", "DELETE", "/query", "", http.StatusMethodNotAllowed},
+
+		// 404: /stats is retired; /metrics is the only counter surface.
+		{"get-stats", "GET", "/stats", "", http.StatusNotFound},
 	} {
 		if got := rawStatus(t, ts, tc.method, tc.path, tc.body); got != tc.want {
 			t.Errorf("%s: %s %s = %d, want %d", tc.name, tc.method, tc.path, got, tc.want)

@@ -44,7 +44,7 @@ func TestIngestEvictFailsQueuedBatches(t *testing.T) {
 			errCh <- err
 		}()
 	}
-	waitFor(t, "round queued", func() bool { return s.Stats().IngestQueueDepth == K })
+	waitFor(t, "round queued", func() bool { return metric(t, s, `mfbc_ingest_queue_depth`) == K })
 	if err := s.Evict("g"); err != nil {
 		t.Fatal(err)
 	}
@@ -55,15 +55,15 @@ func TestIngestEvictFailsQueuedBatches(t *testing.T) {
 			t.Fatalf("queued batch after evict: %v, want ErrGraphNotFound", err)
 		}
 	}
-	st := s.Stats()
-	if st.IngestQueueDepth != 0 {
-		t.Fatalf("IngestQueueDepth = %d after evict, want 0", st.IngestQueueDepth)
+	st := scrape(t, s)
+	if st.get(`mfbc_ingest_queue_depth`) != 0 {
+		t.Fatalf("IngestQueueDepth = %v after evict, want 0", st.get(`mfbc_ingest_queue_depth`))
 	}
-	if st.IngestBatchErrors != K {
-		t.Fatalf("IngestBatchErrors = %d, want %d", st.IngestBatchErrors, K)
+	if st.get(`mfbc_ingest_batch_errors_total`) != K {
+		t.Fatalf("IngestBatchErrors = %v, want %v", st.get(`mfbc_ingest_batch_errors_total`), K)
 	}
-	if st.Mutations != 0 {
-		t.Fatalf("Mutations = %d, want 0 (nothing committed)", st.Mutations)
+	if st.get(`mfbc_mutations_total`) != 0 {
+		t.Fatalf("Mutations = %v, want 0 (nothing committed)", st.get(`mfbc_mutations_total`))
 	}
 
 	// Re-register: the name gets a fresh queue; the old backlog stays dead
@@ -145,7 +145,7 @@ func TestIngestEvictDuringCommit(t *testing.T) {
 			[]repro.Mutation{{Op: repro.MutAddEdge, U: 1, V: 23, W: 1}}, DurabilityApplied)
 		nextCh <- err
 	}()
-	waitFor(t, "next batch queued on the fresh queue", func() bool { return s.Stats().IngestQueueDepth == 1 })
+	waitFor(t, "next batch queued on the fresh queue", func() bool { return metric(t, s, `mfbc_ingest_queue_depth`) == 1 })
 	close(eng.release)
 
 	if err := <-errCh; !errors.Is(err, ErrGraphConflict) {
@@ -160,8 +160,8 @@ func TestIngestEvictDuringCommit(t *testing.T) {
 	if info.M != g.M()+1 {
 		t.Fatalf("m = %d, want %d (orphaned commit must not install)", info.M, g.M()+1)
 	}
-	if s.Stats().IngestBatchErrors != 1 {
-		t.Fatalf("IngestBatchErrors = %d, want 1", s.Stats().IngestBatchErrors)
+	if metric(t, s, `mfbc_ingest_batch_errors_total`) != 1 {
+		t.Fatalf("IngestBatchErrors = %v, want 1", metric(t, s, `mfbc_ingest_batch_errors_total`))
 	}
 	if overlapped.Load() {
 		t.Fatal("the re-registered graph's apply ran beside the evicted graph's")
@@ -295,5 +295,5 @@ func TestIngestEvictRegisterStorm(t *testing.T) {
 	wg.Wait()
 
 	// Quiesce: drainers for live queues finish their backlogs.
-	waitFor(t, "queues drained", func() bool { return s.Stats().IngestQueueDepth == 0 })
+	waitFor(t, "queues drained", func() bool { return metric(t, s, `mfbc_ingest_queue_depth`) == 0 })
 }

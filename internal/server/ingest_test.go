@@ -55,7 +55,7 @@ func TestIngestGroupCommitCoalesces(t *testing.T) {
 			results <- res
 		}()
 	}
-	waitFor(t, "all batches queued", func() bool { return s.Stats().IngestQueueDepth == K })
+	waitFor(t, "all batches queued", func() bool { return metric(t, s, `mfbc_ingest_queue_depth`) == K })
 	lk.Unlock()
 
 	var version uint64
@@ -85,18 +85,18 @@ func TestIngestGroupCommitCoalesces(t *testing.T) {
 		}
 	}
 
-	st := s.Stats()
-	if st.IngestEnqueued != K || st.IngestCoalesced != K {
-		t.Fatalf("enqueued/coalesced = %d/%d, want %d/%d", st.IngestEnqueued, st.IngestCoalesced, K, K)
+	st := scrape(t, s)
+	if st.get(`mfbc_ingest_enqueued_total`) != K || st.get(`mfbc_ingest_coalesced_total`) != K {
+		t.Fatalf("enqueued/coalesced = %v/%v, want %v/%v", st.get(`mfbc_ingest_enqueued_total`), st.get(`mfbc_ingest_coalesced_total`), K, K)
 	}
-	if st.IngestCommits != 1 {
-		t.Fatalf("IngestCommits = %d, want 1 (one group commit for the whole round)", st.IngestCommits)
+	if st.get(`mfbc_ingest_group_commits_total`) != 1 {
+		t.Fatalf("IngestCommits = %v, want 1 (one group commit for the whole round)", st.get(`mfbc_ingest_group_commits_total`))
 	}
-	if st.Mutations != 1 {
-		t.Fatalf("Mutations = %d, want 1 engine apply for %d writers", st.Mutations, K)
+	if st.get(`mfbc_mutations_total`) != 1 {
+		t.Fatalf("Mutations = %v, want 1 engine apply for %v writers", st.get(`mfbc_mutations_total`), K)
 	}
-	if st.IngestQueueDepth != 0 {
-		t.Fatalf("IngestQueueDepth = %d after drain, want 0", st.IngestQueueDepth)
+	if st.get(`mfbc_ingest_queue_depth`) != 0 {
+		t.Fatalf("IngestQueueDepth = %v after drain, want 0", st.get(`mfbc_ingest_queue_depth`))
 	}
 	info, err := s.GraphInfoFor("g")
 	if err != nil {
@@ -128,7 +128,7 @@ func TestIngestEnqueuedDurability(t *testing.T) {
 	if res.Version != info.Version {
 		t.Fatalf("enqueued ack version = %d, want the pre-commit %d", res.Version, info.Version)
 	}
-	waitFor(t, "async commit", func() bool { return s.Stats().Mutations == 1 })
+	waitFor(t, "async commit", func() bool { return metric(t, s, `mfbc_mutations_total`) == 1 })
 	after, err := s.GraphInfoFor("g")
 	if err != nil {
 		t.Fatal(err)
@@ -193,12 +193,14 @@ func TestIngestBackpressure(t *testing.T) {
 	if rw.Header().Get("Retry-After") != "1" {
 		t.Fatalf("Retry-After = %q, want \"1\"", rw.Header().Get("Retry-After"))
 	}
-	if s.Stats().IngestRejected != 2 {
-		t.Fatalf("IngestRejected = %d, want 2", s.Stats().IngestRejected)
+	if metric(t, s, `mfbc_ingest_rejected_total`) != 2 {
+		t.Fatalf("IngestRejected = %v, want 2", metric(t, s, `mfbc_ingest_rejected_total`))
 	}
 
 	lk.Unlock()
-	waitFor(t, "backlog drained", func() bool { return s.Stats().Mutations >= 1 && s.Stats().IngestQueueDepth == 0 })
+	waitFor(t, "backlog drained", func() bool {
+		return metric(t, s, `mfbc_mutations_total`) >= 1 && metric(t, s, `mfbc_ingest_queue_depth`) == 0
+	})
 	// Capacity freed: the next batch is admitted.
 	if _, err := add(4, 20); err != nil {
 		t.Fatal(err)
@@ -257,7 +259,7 @@ func TestIngestInvalidBatchRejectedIndividually(t *testing.T) {
 		}()
 		// Arrival order matters to the assertion; queue them one by one.
 		want := i + 1
-		waitFor(t, "batch queued", func() bool { return s.Stats().IngestQueueDepth == want })
+		waitFor(t, "batch queued", func() bool { return metric(t, s, `mfbc_ingest_queue_depth`) == float64(want) })
 	}
 	lk.Unlock()
 
@@ -274,9 +276,9 @@ func TestIngestInvalidBatchRejectedIndividually(t *testing.T) {
 	if o2.res.CoalescedBatches != 2 {
 		t.Fatalf("batch 2 CoalescedBatches = %d, want 2 (the invalid batch dropped out)", o2.res.CoalescedBatches)
 	}
-	st := s.Stats()
-	if st.IngestBatchErrors != 1 {
-		t.Fatalf("IngestBatchErrors = %d, want 1", st.IngestBatchErrors)
+	st := scrape(t, s)
+	if st.get(`mfbc_ingest_batch_errors_total`) != 1 {
+		t.Fatalf("IngestBatchErrors = %v, want 1", st.get(`mfbc_ingest_batch_errors_total`))
 	}
 	info, _ := s.GraphInfoFor("g")
 	if info.M != 62 {
@@ -398,7 +400,7 @@ func TestGroupCommitDifferential(t *testing.T) {
 					errCh <- err
 				}()
 				want := i + 1
-				waitFor(t, "round queued in order", func() bool { return grouped.Stats().IngestQueueDepth == want })
+				waitFor(t, "round queued in order", func() bool { return metric(t, grouped, `mfbc_ingest_queue_depth`) == float64(want) })
 			}
 			lk.Unlock()
 			for range batches {
@@ -435,8 +437,8 @@ func TestGroupCommitDifferential(t *testing.T) {
 	}
 }
 
-// TestIngestStatsReadback: /stats surfaces the ingest counters scraped by
-// the load harness.
+// TestIngestStatsReadback: the exposition surfaces the ingest counters the
+// load harness takes its deltas from.
 func TestIngestStatsReadback(t *testing.T) {
 	s := New(Config{Workers: 1})
 	if _, err := s.AddGraph("g", repro.GridGraph(4, 4, 1, 1)); err != nil {
@@ -446,11 +448,11 @@ func TestIngestStatsReadback(t *testing.T) {
 		[]repro.Mutation{{Op: repro.MutAddEdge, U: 0, V: 15, W: 1}}, DurabilityApplied); err != nil {
 		t.Fatal(err)
 	}
-	st := s.Stats()
-	if st.IngestEnqueued != 1 || st.IngestCommits != 1 || st.IngestCoalesced != 1 {
+	st := scrape(t, s)
+	if st.get(`mfbc_ingest_enqueued_total`) != 1 || st.get(`mfbc_ingest_group_commits_total`) != 1 || st.get(`mfbc_ingest_coalesced_total`) != 1 {
 		t.Fatalf("ingest counters = %+v, want 1/1/1", st)
 	}
-	// The metric families exist on the registry exposition too.
+	// The queue-depth gauge and both histograms are families there too.
 	text := s.Registry().Text()
 	for _, name := range []string{
 		"mfbc_ingest_queue_depth", "mfbc_ingest_coalesced_total",
@@ -551,13 +553,13 @@ func TestLeaderCommitsUnderItsRequestSpan(t *testing.T) {
 	for i := range group {
 		group[i] = patch(int32(i), "")
 		want := i + 1
-		waitFor(t, "writer queued", func() bool { return s.Stats().IngestQueueDepth == want })
+		waitFor(t, "writer queued", func() bool { return metric(t, s, `mfbc_ingest_queue_depth`) == float64(want) })
 	}
 	lk.Unlock()
 	<-eng.entered
 	// A fourth arrives during that commit: backlog the leader hands off.
 	late := patch(K, "")
-	waitFor(t, "late writer queued", func() bool { return s.Stats().IngestQueueDepth == 1 })
+	waitFor(t, "late writer queued", func() bool { return metric(t, s, `mfbc_ingest_queue_depth`) == 1 })
 	close(eng.release)
 	for i, code := range group {
 		wantCode(fmt.Sprintf("group writer %d", i), code, http.StatusOK)
@@ -565,7 +567,7 @@ func TestLeaderCommitsUnderItsRequestSpan(t *testing.T) {
 	wantCode("late writer", late, http.StatusOK)
 	// And an enqueued-durability ack, drained in the background as well.
 	wantCode("enqueued writer", patch(K+1, DurabilityEnqueued), http.StatusAccepted)
-	waitFor(t, "background commits", func() bool { return s.Stats().Mutations == 3 })
+	waitFor(t, "background commits", func() bool { return metric(t, s, `mfbc_mutations_total`) == 3 })
 
 	// Classify every finished trace by its root and the batch count on the
 	// server.mutate span directly beneath it (0 = no commit in the trace).
@@ -644,12 +646,12 @@ func TestCommitPanicContained(t *testing.T) {
 	follower := make(chan error, 1)
 	lead := make(chan *httptest.ResponseRecorder, 1)
 	go func() { lead <- patch(`{"mutations":[{"op":"add_edge","u":0,"v":24,"w":1}]}`) }()
-	waitFor(t, "leader queued", func() bool { return s.Stats().IngestQueueDepth == 1 })
+	waitFor(t, "leader queued", func() bool { return metric(t, s, `mfbc_ingest_queue_depth`) == 1 })
 	go func() {
 		_, err := s.Mutate("g", []repro.Mutation{{Op: repro.MutAddEdge, U: 1, V: 23, W: 1}})
 		follower <- err
 	}()
-	waitFor(t, "follower queued", func() bool { return s.Stats().IngestQueueDepth == 2 })
+	waitFor(t, "follower queued", func() bool { return metric(t, s, `mfbc_ingest_queue_depth`) == 2 })
 	lk.Unlock()
 	if rw := <-lead; rw.Code != http.StatusInternalServerError {
 		t.Fatalf("PATCH into a panicking commit: status %d, want 500; body %s", rw.Code, rw.Body.String())
@@ -658,8 +660,8 @@ func TestCommitPanicContained(t *testing.T) {
 		t.Fatalf("follower of a panicking commit: %v, want ErrInternal", err)
 	}
 
-	st := s.Stats()
-	if st.Mutations != 0 || st.IngestBatchErrors != 2 || st.IngestQueueDepth != 0 {
+	st := scrape(t, s)
+	if st.get(`mfbc_mutations_total`) != 0 || st.get(`mfbc_ingest_batch_errors_total`) != 2 || st.get(`mfbc_ingest_queue_depth`) != 0 {
 		t.Fatalf("after the contained panic: %+v", st)
 	}
 	if !strings.Contains(s.Registry().Text(), `mfbc_panics_total{site="ingest.commit"} 1`) {

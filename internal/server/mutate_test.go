@@ -64,12 +64,12 @@ func TestMutateBumpsVersionAndSeedsWarmScores(t *testing.T) {
 		t.Fatalf("registry not updated: %+v vs %+v", ni, res)
 	}
 
-	st := s.Stats()
-	if st.Mutations != 1 || st.WarmSeeds != 2 ||
-		st.WarmSeedsExact != 1 || st.WarmSeedsNormalized != 1 || st.WarmSeedsTopK != 2 {
+	st := scrape(t, s)
+	if st.get(`mfbc_mutations_total`) != 1 || st.warmSeeds() != 2 ||
+		st.get(`mfbc_warm_seeds_total{variant="exact"}`) != 1 || st.get(`mfbc_warm_seeds_total{variant="normalized"}`) != 1 || st.get(`mfbc_warm_seeds_total{variant="topk"}`) != 2 {
 		t.Fatalf("stats = %+v", st)
 	}
-	computesBefore := st.Computes
+	computesBefore := st.get(`mfbc_computes_total`)
 
 	qr, err := s.Query(QueryRequest{Graph: "g", IncludeScores: true})
 	if err != nil {
@@ -94,8 +94,8 @@ func TestMutateBumpsVersionAndSeedsWarmScores(t *testing.T) {
 	if len(qn.TopK) != 3 {
 		t.Fatalf("normalized top-k = %+v", qn.TopK)
 	}
-	if got := s.Stats().Computes; got != computesBefore {
-		t.Fatalf("warm hit still computed: %d → %d", computesBefore, got)
+	if got := metric(t, s, `mfbc_computes_total`); got != computesBefore {
+		t.Fatalf("warm hit still computed: %v → %v", computesBefore, got)
 	}
 
 	// The warm scores are the real thing: compare against from-scratch,
@@ -146,8 +146,8 @@ func TestMutateDistributedMode(t *testing.T) {
 		t.Fatalf("distributed mutate reported no modeled communication: %+v", res.Comm)
 	}
 
-	st := s.Stats()
-	if st.WarmSeeds != 4 || st.WarmSeedsDistributed != 2 {
+	st := scrape(t, s)
+	if st.warmSeeds() != 4 || st.get(`mfbc_warm_seeds_total{variant="distributed"}`) != 2 {
 		t.Fatalf("stats = %+v", st)
 	}
 	// Both the sequential default key and the procs-variant are warm.
@@ -198,12 +198,12 @@ func TestWarmSeedTinyCacheKeepsExactKey(t *testing.T) {
 	if _, err := s.Mutate("g", []repro.Mutation{{Op: repro.MutAddEdge, U: 0, V: 15, W: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	computes := s.Stats().Computes
+	computes := metric(t, s, `mfbc_computes_total`)
 	q, err := s.Query(QueryRequest{Graph: "g", K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !q.Stats.CacheHit || s.Stats().Computes != computes {
+	if !q.Stats.CacheHit || metric(t, s, `mfbc_computes_total`) != computes {
 		t.Fatalf("default exact query after mutation on cache=1 recomputed: hit=%v", q.Stats.CacheHit)
 	}
 }
@@ -237,8 +237,8 @@ func TestMutateInvalidatesOnlyThatGraph(t *testing.T) {
 	if !qa.Stats.CacheHit { // warm seed, not the stale pre-mutation entry
 		t.Fatal("graph a's warm seed missing")
 	}
-	if evicted := s.Stats().Evictions; evicted != 1 {
-		t.Fatalf("evictions = %d, want exactly graph a's stale entry", evicted)
+	if evicted := metric(t, s, `mfbc_cache_evictions_total`); evicted != 1 {
+		t.Fatalf("evictions = %v, want exactly graph a's stale entry", evicted)
 	}
 }
 
@@ -275,7 +275,7 @@ func TestMutateErrors(t *testing.T) {
 	if ni.Version != info.Version {
 		t.Fatal("failed batch changed the registered version")
 	}
-	if st := s.Stats(); st.Mutations != 0 || st.IngestCommits != 0 || st.IngestBatchErrors != 1 {
+	if st := scrape(t, s); st.get(`mfbc_mutations_total`) != 0 || st.get(`mfbc_ingest_group_commits_total`) != 0 || st.get(`mfbc_ingest_batch_errors_total`) != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 	s.mu.Lock()
@@ -413,7 +413,7 @@ func TestConcurrentQueriesDuringMutations(t *testing.T) {
 		t.Fatal(msg)
 	default:
 	}
-	if st := s.Stats(); st.Mutations != int64(len(batches)) {
+	if st := scrape(t, s); st.get(`mfbc_mutations_total`) != float64(len(batches)) {
 		t.Fatalf("stats = %+v", st)
 	}
 }
@@ -469,7 +469,7 @@ func TestHTTPMutateRoute(t *testing.T) {
 
 // TestMutateFusedPhasesAndStats: an incremental distributed PATCH runs as
 // one fused machine region — the response carries the fused flag and the
-// diff/patch/sweep/reduce phase attribution, and /stats aggregates fused
+// diff/patch/sweep/reduce phase attribution, and /metrics aggregates fused
 // applies and operand-cache evictions across engines.
 func TestMutateFusedPhasesAndStats(t *testing.T) {
 	s := New(Config{Workers: 1, DynProcs: 2, DirtyThreshold: -1, DynCacheSets: 4})
@@ -495,7 +495,7 @@ func TestMutateFusedPhasesAndStats(t *testing.T) {
 			t.Fatalf("PATCH response missing phase %q: %+v", want, res.Phases)
 		}
 	}
-	if st := s.Stats(); st.FusedApplies != 1 {
+	if st := scrape(t, s); st.get(`mfbc_dyn_fused_applies`) != 1 {
 		t.Fatalf("stats must count the fused apply: %+v", st)
 	}
 }
@@ -522,7 +522,7 @@ func TestMutateSampledErrBound(t *testing.T) {
 	if res.ErrBound <= 0 {
 		t.Fatalf("sampled PATCH must carry a positive err_bound: %+v", res)
 	}
-	if st := s.Stats(); st.WarmSeeds != 0 {
+	if st := scrape(t, s); st.warmSeeds() != 0 {
 		t.Fatalf("sampled snapshots must not warm-seed the exact cache: %+v", st)
 	}
 }

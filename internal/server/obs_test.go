@@ -152,8 +152,8 @@ func TestQueryTraceSource(t *testing.T) {
 
 // TestMetricsEndpointDeterministic exercises the registry through the real
 // HTTP surface under concurrent load, then checks that back-to-back
-// scrapes of a quiescent server are byte-identical and carry the counters
-// /stats reports. Run with -race this also proves scraping is safe against
+// scrapes of a quiescent server are byte-identical and parse back to the
+// counters the traffic produced. Run with -race this also proves scraping is safe against
 // concurrent writers.
 func TestMetricsEndpointDeterministic(t *testing.T) {
 	s := New(Config{Workers: 1})
@@ -163,7 +163,7 @@ func TestMetricsEndpointDeterministic(t *testing.T) {
 	doJSON(t, ts, "POST", "/graphs/g",
 		GraphSpec{Kind: "uniform", N: 20, M: 60, Seed: 1}, http.StatusCreated, nil)
 
-	scrape := func() string {
+	scrapeHTTP := func() string {
 		t.Helper()
 		resp, err := ts.Client().Get(ts.URL + "/metrics")
 		if err != nil {
@@ -177,6 +177,21 @@ func TestMetricsEndpointDeterministic(t *testing.T) {
 		return b.String()
 	}
 
+	// The fixed vocabularies are complete from the first scrape on: the
+	// engine aggregates and both contained-panic sites show at zero.
+	cold := scrapeHTTP()
+	for _, want := range []string{
+		"mfbc_dyn_fused_applies 0",
+		"mfbc_dyn_two_region_applies 0",
+		"mfbc_dyn_operand_evictions 0",
+		`mfbc_panics_total{site="ingest.commit"} 0`,
+		`mfbc_panics_total{site="query.compute"} 0`,
+	} {
+		if !strings.Contains(cold, want+"\n") {
+			t.Errorf("first scrape missing %q", want)
+		}
+	}
+
 	var wg sync.WaitGroup
 	for w := range 4 {
 		wg.Add(1)
@@ -185,15 +200,15 @@ func TestMetricsEndpointDeterministic(t *testing.T) {
 			for i := range 10 {
 				doJSON(t, ts, "POST", "/query",
 					QueryRequest{Graph: "g", K: (w*10+i)%5 + 1}, http.StatusOK, nil)
-				_ = scrape() // scrape mid-load: must not race with writers
+				_ = scrapeHTTP() // scrape mid-load: must not race with writers
 			}
 		}(w)
 	}
 	wg.Wait()
 
-	first := scrape()
+	first := scrapeHTTP()
 	for i := range 3 {
-		if got := scrape(); got != first {
+		if got := scrapeHTTP(); got != first {
 			t.Fatalf("scrape %d differs from first:\n%s\n---\n%s", i+2, got, first)
 		}
 	}
@@ -208,8 +223,12 @@ func TestMetricsEndpointDeterministic(t *testing.T) {
 			t.Errorf("scrape missing %q", want)
 		}
 	}
-	if st := s.Stats(); st.Queries != 40 {
-		t.Errorf("stats queries = %d, want 40", st.Queries)
+	parsed, err := obs.ParseText(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := parsed["mfbc_queries_total"]; got != 40 {
+		t.Errorf("mfbc_queries_total = %v, want 40", got)
 	}
 }
 
@@ -230,20 +249,19 @@ func copyAll(b *strings.Builder, resp *http.Response) (int64, error) {
 }
 
 // TestWriteJSONEncodeErrorCounted: an unencodable response value must land
-// on mfbc_encode_errors_total (and the /stats compat view) instead of
-// vanishing.
+// on mfbc_encode_errors_total instead of vanishing.
 func TestWriteJSONEncodeErrorCounted(t *testing.T) {
 	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
 	s := New(Config{Workers: 1, Logger: quiet})
 	rec := httptest.NewRecorder()
 	s.writeJSON(rec, http.StatusOK, map[string]any{"bad": make(chan int)})
-	if got := s.Stats().EncodeErrors; got != 1 {
-		t.Fatalf("encode errors = %d, want 1", got)
+	if got := metric(t, s, `mfbc_encode_errors_total`); got != 1 {
+		t.Fatalf("encode errors = %v, want 1", got)
 	}
 	rec = httptest.NewRecorder()
 	s.writeJSON(rec, http.StatusOK, map[string]string{"ok": "yes"})
-	if got := s.Stats().EncodeErrors; got != 1 {
-		t.Fatalf("encode errors after clean write = %d, want 1", got)
+	if got := metric(t, s, `mfbc_encode_errors_total`); got != 1 {
+		t.Fatalf("encode errors after clean write = %v, want 1", got)
 	}
 }
 

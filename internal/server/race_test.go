@@ -70,7 +70,7 @@ func TestEvictMutateRaceSerialization(t *testing.T) {
 			})
 			errA <- err
 		}()
-		waitFor(t, "A queued behind the serializer", func() bool { return s.Stats().IngestQueueDepth == 1 })
+		waitFor(t, "A queued behind the serializer", func() bool { return metric(t, s, `mfbc_ingest_queue_depth`) == 1 })
 
 		// Evict and immediately re-register the name: A's batch is stranded
 		// in the evicted graph's queue. The re-registered graph is rebuilt
@@ -92,7 +92,7 @@ func TestEvictMutateRaceSerialization(t *testing.T) {
 		}()
 		// B lands in the fresh queue and leads it, behind the same
 		// serializer A's leader is parked on.
-		waitFor(t, "B queued behind the serializer", func() bool { return s.Stats().IngestQueueDepth == 1 })
+		waitFor(t, "B queued behind the serializer", func() bool { return metric(t, s, `mfbc_ingest_queue_depth`) == 1 })
 		lk.Unlock()
 
 		if err := <-errA; !errors.Is(err, ErrGraphNotFound) {

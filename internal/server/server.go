@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"time"
@@ -47,7 +48,8 @@ var ErrGraphConflict = errors.New("server: graph replaced during mutation")
 var ErrIngestBackpressure = errors.New("server: ingest queue full")
 
 // ErrInternal is returned by Mutate when the group commit carrying the
-// batch panicked; the panic was contained, the batch did not take effect,
+// batch panicked (the batch did not take effect), and by Query when the
+// engine run it led or coalesced onto panicked; the panic was contained
 // and the HTTP layer maps it to 500.
 var ErrInternal = errors.New("server: internal error")
 
@@ -76,7 +78,7 @@ type Config struct {
 	// DynCacheSets bounds each simulated rank's stationary-operand cache
 	// (distributed dynamic mode) to this many working sets per matrix,
 	// LRU-evicted across (plan, dims) keys; ≤ 0 keeps caches unbounded.
-	// Cumulative evictions appear in Stats.OperandEvictions (/stats).
+	// Cumulative evictions appear as mfbc_dyn_operand_evictions (/metrics).
 	DynCacheSets int
 	// DynSampleBudget > 0 runs each graph's dynamic engine in sampled
 	// mode: PATCHes estimate from this many source samples (with exact
@@ -200,50 +202,15 @@ type flightCall struct {
 	err   error
 }
 
-// Stats is a snapshot of cumulative server counters.
+// Stats is the four-counter snapshot the repository benchmark reads
+// in-process (benchmarks/traced.go, which BENCHMARK.json freezes). It is
+// not a second counter surface: every other reader — tests, the load
+// harness, operators — reads the registry (GET /metrics, obs.ParseText).
 type Stats struct {
-	Graphs       int   `json:"graphs"`        // registered graphs
-	CacheEntries int   `json:"cache_entries"` // resident cached results
-	InFlight     int   `json:"in_flight"`     // computations running now
-	Queries      int64 `json:"queries"`       // total Query calls
-	CacheHits    int64 `json:"cache_hits"`    // served from cache
-	Coalesced    int64 `json:"coalesced"`     // piggybacked on an in-flight compute
-	Computes     int64 `json:"computes"`      // underlying engine runs started
-	Evictions    int64 `json:"evictions"`     // cache entries dropped (LRU or purge)
-	Mutations    int64 `json:"mutations"`     // mutation batches applied
-	// MutateConflicts counts Mutate calls that lost to a concurrent
-	// replacement (ErrGraphConflict); ComputeErrors counts underlying
-	// engine runs that returned an error. Both are scraped by the load
-	// harness to separate server-side failures from client-side ones.
-	MutateConflicts int64 `json:"mutate_conflicts"`
-	ComputeErrors   int64 `json:"compute_errors"`
-	// EncodeErrors counts HTTP responses whose JSON encoding failed after
-	// the status line was committed (client gone, marshal failure).
-	EncodeErrors int64 `json:"encode_errors"`
-	WarmSeeds    int64 `json:"warm_seeds"` // cache entries seeded from dynamic-engine scores (all variants)
-	// Per-variant warm-seed counters: the default exact key, the
-	// normalized transform, the distributed-procs keys (DynProcs > 1), and
-	// the number of precomputed top-k rankings attached to seeded entries.
-	WarmSeedsExact       int64 `json:"warm_seeds_exact"`
-	WarmSeedsNormalized  int64 `json:"warm_seeds_normalized"`
-	WarmSeedsDistributed int64 `json:"warm_seeds_distributed"`
-	WarmSeedsTopK        int64 `json:"warm_seeds_topk"`
-	// Dynamic-engine aggregates across all registered graphs: incremental
-	// applies that ran as one fused machine region vs. the two-region
-	// path (vertex growth, or no affected source to sweep), and
-	// stationary-operand cache evictions under the DynCacheSets bound.
-	FusedApplies     int64 `json:"fused_applies"`
-	TwoRegionApplies int64 `json:"two_region_applies"`
-	OperandEvictions int64 `json:"operand_evictions"`
-	// Write-path counters: batches accepted into write-ahead queues, group
-	// commits executed, batches merged into them, backpressure rejections,
-	// and per-batch failures.
-	IngestEnqueued    int64 `json:"ingest_enqueued"`
-	IngestCommits     int64 `json:"ingest_commits"`
-	IngestCoalesced   int64 `json:"ingest_coalesced"`
-	IngestRejected    int64 `json:"ingest_rejected"`
-	IngestBatchErrors int64 `json:"ingest_batch_errors"`
-	IngestQueueDepth  int   `json:"ingest_queue_depth"` // queued, not yet drained
+	Queries   int64 // mfbc_queries_total
+	CacheHits int64 // mfbc_query_cache_hits_total
+	Coalesced int64 // mfbc_query_coalesced_total
+	WarmSeeds int64 // mfbc_warm_seeds_total over the exact, normalized and distributed variants
 }
 
 // New creates a Server.
@@ -318,6 +285,27 @@ func New(cfg Config) *Server {
 		defer s.mu.Unlock()
 		return float64(len(s.flight))
 	})
+	// Dynamic-engine aggregates over the registered graphs' engines (an
+	// evicted graph takes its engine's share with it, hence gauges).
+	dynSum := func(field func(repro.DynamicStats) int64) func() float64 {
+		return func() float64 {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			var sum int64
+			for _, ge := range s.graphs {
+				if ge.dyn != nil {
+					sum += field(ge.dyn.Stats())
+				}
+			}
+			return float64(sum)
+		}
+	}
+	reg.GaugeFunc("mfbc_dyn_fused_applies", "Incremental applies that ran as one fused machine region.",
+		dynSum(func(ds repro.DynamicStats) int64 { return ds.FusedApplies }))
+	reg.GaugeFunc("mfbc_dyn_two_region_applies", "Incremental applies on the two-region path (vertex growth, or no affected source).",
+		dynSum(func(ds repro.DynamicStats) int64 { return ds.TwoRegionApplies }))
+	reg.GaugeFunc("mfbc_dyn_operand_evictions", "Stationary-operand working sets evicted under the DynCacheSets bound.",
+		dynSum(func(ds repro.DynamicStats) int64 { return ds.OperandEvictions }))
 	return s
 }
 
@@ -327,9 +315,9 @@ func (s *Server) Registry() *obs.Registry { return s.registry }
 // Tracer returns the server's tracer, nil when tracing is disabled.
 func (s *Server) Tracer() *obs.Tracer { return s.tracer }
 
-// serverMetrics is the observability surface of the server: every former
-// Stats counter as a registry metric, plus the latency/size histograms and
-// the modeled-vs-measured phase telemetry. Counters are atomic — they need
+// serverMetrics is the observability surface of the server: its counters
+// and gauges, the latency/size histograms and the modeled-vs-measured
+// phase telemetry. Counters are atomic — they need
 // no lock, though some are incremented while s.mu happens to be held.
 type serverMetrics struct {
 	queries         *obs.Counter
@@ -378,7 +366,7 @@ type serverMetrics struct {
 
 // httpRoutes is the fixed route-label vocabulary of the HTTP middleware,
 // pre-registered so the first scrape already shows every route at zero.
-var httpRoutes = []string{"healthz", "stats", "graphs", "graph", "register", "mutate", "evict", "query"}
+var httpRoutes = []string{"healthz", "graphs", "graph", "register", "mutate", "evict", "query"}
 
 func newServerMetrics(reg *obs.Registry) serverMetrics {
 	m := serverMetrics{
@@ -428,7 +416,9 @@ func newServerMetrics(reg *obs.Registry) serverMetrics {
 	for _, st := range []string{"incremental", "full", "sampled"} {
 		m.mutateDur.With(st)
 	}
-	m.panics.With("ingest.commit")
+	for _, site := range []string{"ingest.commit", "query.compute"} {
+		m.panics.With(site)
+	}
 	for _, r := range httpRoutes {
 		m.httpReqs.With(r, "2xx")
 		m.httpDur.With(r)
@@ -840,47 +830,18 @@ func (s *Server) Graphs() []GraphInfo {
 	return out
 }
 
-// Stats returns a snapshot of the server counters. It is a compatibility
-// view: the counters live in the metric registry (GET /metrics) and are
-// read back here, so /stats and /metrics can never drift apart.
+// Stats reads the benchmark's four counters back from the registry.
 func (s *Server) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := Stats{
-		Graphs:               len(s.graphs),
-		CacheEntries:         s.lru.Len(),
-		InFlight:             len(s.flight),
-		Queries:              int64(s.m.queries.Value()),
-		CacheHits:            int64(s.m.cacheHits.Value()),
-		Coalesced:            int64(s.m.coalesced.Value()),
-		Computes:             int64(s.m.computes.Value()),
-		Evictions:            int64(s.m.evictions.Value()),
-		Mutations:            int64(s.m.mutations.Value()),
-		MutateConflicts:      int64(s.m.mutateConflicts.Value()),
-		ComputeErrors:        int64(s.m.computeErrors.Value()),
-		EncodeErrors:         int64(s.m.encodeErrors.Value()),
-		WarmSeedsExact:       int64(s.m.warmSeeds.With("exact").Value()),
-		WarmSeedsNormalized:  int64(s.m.warmSeeds.With("normalized").Value()),
-		WarmSeedsDistributed: int64(s.m.warmSeeds.With("distributed").Value()),
-		WarmSeedsTopK:        int64(s.m.warmSeeds.With("topk").Value()),
-		IngestEnqueued:       int64(s.m.ingestEnqueued.Value()),
-		IngestCommits:        int64(s.m.ingestCommits.Value()),
-		IngestCoalesced:      int64(s.m.ingestCoalesced.Value()),
-		IngestRejected:       int64(s.m.ingestRejected.Value()),
-		IngestBatchErrors:    int64(s.m.ingestBatchErrors.Value()),
-		IngestQueueDepth:     int(s.m.ingestDepth.Value()),
+	seeds := 0.0
+	for _, v := range []string{"exact", "normalized", "distributed"} {
+		seeds += s.m.warmSeeds.With(v).Value()
 	}
-	st.WarmSeeds = st.WarmSeedsExact + st.WarmSeedsNormalized + st.WarmSeedsDistributed
-	for _, ge := range s.graphs {
-		if ge.dyn == nil {
-			continue
-		}
-		ds := ge.dyn.Stats()
-		st.FusedApplies += ds.FusedApplies
-		st.TwoRegionApplies += ds.TwoRegionApplies
-		st.OperandEvictions += ds.OperandEvictions
+	return Stats{
+		Queries:   int64(s.m.queries.Value()),
+		CacheHits: int64(s.m.cacheHits.Value()),
+		Coalesced: int64(s.m.coalesced.Value()),
+		WarmSeeds: int64(seeds),
 	}
-	return st
 }
 
 // QueryRequest selects a graph, an engine configuration, and the view of
@@ -1056,7 +1017,19 @@ func (s *Server) QueryCtx(ctx context.Context, req QueryRequest) (*QueryResult, 
 	return render(req, ge.version, ce, false, false), nil
 }
 
-func (s *Server) compute(g *repro.Graph, req QueryRequest) (*repro.Result, error) {
+// compute runs the engine for one single-flight leader. A panic inside
+// the engine is contained here and returned as ErrInternal: net/http would
+// recover the leader's goroutine anyway, but only the leader's normal
+// return path resolves the flight, so an escaping panic would park every
+// coalesced waiter — and every later query for the key — forever.
+func (s *Server) compute(g *repro.Graph, req QueryRequest) (res *repro.Result, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			s.m.panics.With("query.compute").Inc()
+			s.logger.Error("panic in query compute", "graph", req.Graph, "panic", r, "stack", string(debug.Stack()))
+			res, err = nil, fmt.Errorf("%w: panic computing %q: %v", ErrInternal, req.Graph, r)
+		}
+	}()
 	opt := repro.Options{
 		Engine:    req.Engine,
 		Procs:     req.Procs,

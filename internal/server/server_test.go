@@ -2,12 +2,21 @@ package server
 
 import (
 	"errors"
+	"fmt"
+	"io"
+	"log/slog"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro"
+	"repro/internal/obs"
 )
 
 func testGraph(t *testing.T) *repro.Graph {
@@ -22,6 +31,67 @@ func addGraph(t *testing.T, s *Server, name string, g *repro.Graph) GraphInfo {
 		t.Fatal(err)
 	}
 	return info
+}
+
+// scraped is one parsed exposition of a server's registry: the bytes GET
+// /metrics serves, read back through obs.ParseText — the one reader every
+// counter assertion in this package goes through.
+type scraped struct {
+	t testing.TB
+	obs.Samples
+}
+
+func scrape(t testing.TB, s *Server) scraped {
+	t.Helper()
+	samples, err := obs.ParseText(s.Registry().Text())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return scraped{t, samples}
+}
+
+// get returns one series' value, failing the test when the exposition does
+// not carry it, so a misspelt name cannot read as zero.
+func (sc scraped) get(series string) float64 {
+	sc.t.Helper()
+	v, ok := sc.Samples[series]
+	if !ok {
+		sc.t.Fatalf("no series %s in the exposition", series)
+	}
+	return v
+}
+
+// String renders the non-zero server counters and gauges (histogram
+// expansions left out) for failure messages.
+func (sc scraped) String() string {
+	var rows []string
+	for series, v := range sc.Samples {
+		name, _, _ := strings.Cut(series, "{")
+		if v == 0 || !strings.HasPrefix(name, "mfbc_") || strings.HasSuffix(name, "_bucket") ||
+			strings.HasSuffix(name, "_sum") || strings.HasSuffix(name, "_count") {
+			continue
+		}
+		rows = append(rows, fmt.Sprintf("%s=%v", series, v))
+	}
+	sort.Strings(rows)
+	return strings.Join(rows, " ")
+}
+
+// warmSeeds sums the score-bearing warm-seed variants (top-k rankings
+// ride on entries the other three already count).
+func (sc scraped) warmSeeds() float64 {
+	sc.t.Helper()
+	sum := 0.0
+	for _, v := range []string{"exact", "normalized", "distributed"} {
+		sum += sc.get(`mfbc_warm_seeds_total{variant="` + v + `"}`)
+	}
+	return sum
+}
+
+// metric scrapes s and returns one series.
+func metric(t testing.TB, s *Server, series string) float64 {
+	t.Helper()
+	return scrape(t, s).get(series)
 }
 
 // waitFor polls cond for up to 5s; the race detector slows everything down,
@@ -101,8 +171,8 @@ func TestCacheHitSecondQuery(t *testing.T) {
 	if !third.Stats.CacheHit {
 		t.Fatal("changing only k/include_scores must still hit the cache")
 	}
-	st := s.Stats()
-	if st.Computes != 1 || st.CacheHits != 2 || st.Queries != 3 {
+	st := scrape(t, s)
+	if st.get(`mfbc_computes_total`) != 1 || st.get(`mfbc_query_cache_hits_total`) != 2 || st.get(`mfbc_queries_total`) != 3 {
 		t.Fatalf("stats = %+v, want 1 compute, 2 hits, 3 queries", st)
 	}
 	if first.Plan == "" || first.Iterations == 0 {
@@ -142,7 +212,7 @@ func TestSingleFlight(t *testing.T) {
 		}(i)
 	}
 	waitFor(t, "all waiters to coalesce", func() bool {
-		return s.Stats().Coalesced == callers-1
+		return metric(t, s, `mfbc_query_coalesced_total`) == callers-1
 	})
 	close(release)
 	wg.Wait()
@@ -171,9 +241,68 @@ func TestSingleFlight(t *testing.T) {
 	if coalesced != callers-1 {
 		t.Fatalf("%d callers coalesced, want %d", coalesced, callers-1)
 	}
-	if st := s.Stats(); st.Computes != 1 || st.InFlight != 0 {
+	if st := scrape(t, s); st.get(`mfbc_computes_total`) != 1 || st.get(`mfbc_in_flight`) != 0 {
 		t.Fatalf("stats after flight: %+v", st)
 	}
+}
+
+// TestComputePanicContained: a panic inside the single-flight leader's
+// engine run fails that flight with ErrInternal (HTTP 500) for the leader
+// and for a waiter already parked on it, removes the flight so the next
+// query for the same key computes normally, counts
+// mfbc_panics_total{site="query.compute"}, and leaves no goroutine behind.
+func TestComputePanicContained(t *testing.T) {
+	before := runtime.NumGoroutine()
+	s := New(Config{Workers: 1, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	addGraph(t, s, "g", testGraph(t))
+
+	release := make(chan struct{})
+	var runs atomic.Int64
+	s.computeExact = func(g *repro.Graph, opt repro.Options) (*repro.Result, error) {
+		if runs.Add(1) == 1 {
+			<-release // hold the flight open until the waiter has joined it
+			panic("kernel exploded")
+		}
+		return repro.Compute(g, opt)
+	}
+
+	mux := NewMux(s)
+	lead := make(chan *httptest.ResponseRecorder, 1)
+	go func() {
+		rw := httptest.NewRecorder()
+		mux.ServeHTTP(rw, httptest.NewRequest("POST", "/query", strings.NewReader(`{"graph":"g","k":3}`)))
+		lead <- rw
+	}()
+	waitFor(t, "leader's compute to start", func() bool { return metric(t, s, `mfbc_in_flight`) == 1 })
+	waiter := make(chan error, 1)
+	go func() {
+		_, err := s.Query(QueryRequest{Graph: "g", K: 3})
+		waiter <- err
+	}()
+	waitFor(t, "waiter to coalesce", func() bool { return metric(t, s, `mfbc_query_coalesced_total`) == 1 })
+	close(release)
+
+	if rw := <-lead; rw.Code != http.StatusInternalServerError {
+		t.Fatalf("query leading a panicking compute: status %d, want 500; body %s", rw.Code, rw.Body.String())
+	}
+	if err := <-waiter; !errors.Is(err, ErrInternal) {
+		t.Fatalf("waiter coalesced onto a panicking compute: %v, want ErrInternal", err)
+	}
+	st := scrape(t, s)
+	if st.get(`mfbc_panics_total{site="query.compute"}`) != 1 || st.get(`mfbc_in_flight`) != 0 ||
+		st.get(`mfbc_compute_errors_total`) != 1 || st.get(`mfbc_cache_entries`) != 0 {
+		t.Fatalf("after the contained panic: %v", st)
+	}
+
+	// Still serving: the flight is gone, so the same key computes afresh.
+	res, err := s.Query(QueryRequest{Graph: "g", K: 3})
+	if err != nil {
+		t.Fatalf("query after the contained panic: %v", err)
+	}
+	if res.Stats.CacheHit || res.Stats.Coalesced || len(res.TopK) != 3 || runs.Load() != 2 {
+		t.Fatalf("query after the contained panic did not compute normally: %+v (runs %d)", res, runs.Load())
+	}
+	waitFor(t, "no leaked goroutine", func() bool { return runtime.NumGoroutine() <= before })
 }
 
 // TestDistinctQueriesDontBlock: a long compute on one graph must not
@@ -204,7 +333,7 @@ func TestDistinctQueriesDontBlock(t *testing.T) {
 		_, err := s.Query(QueryRequest{Graph: "a"})
 		aErr <- err
 	}()
-	waitFor(t, "graph a's compute to start", func() bool { return s.Stats().InFlight == 1 })
+	waitFor(t, "graph a's compute to start", func() bool { return metric(t, s, `mfbc_in_flight`) == 1 })
 
 	if _, err := s.Query(QueryRequest{Graph: "b"}); err != nil {
 		t.Fatal(err)
@@ -249,8 +378,8 @@ func TestApproximateQueryKeying(t *testing.T) {
 	if !e2.Stats.CacheHit {
 		t.Fatal("exact queries with different seeds must share one cache entry")
 	}
-	if st := s.Stats(); st.Computes != 3 {
-		t.Fatalf("computes = %d, want 3 (two approx seeds + one exact)", st.Computes)
+	if st := scrape(t, s); st.get(`mfbc_computes_total`) != 3 {
+		t.Fatalf("computes = %v, want 3 (two approx seeds + one exact)", st.get(`mfbc_computes_total`))
 	}
 	// A sample budget ≥ n degenerates to exact and must collapse onto the
 	// exact cache entry regardless of seed.
@@ -261,7 +390,7 @@ func TestApproximateQueryKeying(t *testing.T) {
 	if !over.Stats.CacheHit || over.Samples != 0 {
 		t.Fatalf("over-budget sampling must hit the exact entry: %+v", over)
 	}
-	if st := s.Stats(); st.Computes != 3 {
+	if st := scrape(t, s); st.get(`mfbc_computes_total`) != 3 {
 		t.Fatalf("over-budget sampling recomputed: %+v", st)
 	}
 }
@@ -285,7 +414,7 @@ func TestEvictDuringFlightNoResidue(t *testing.T) {
 		res, err = s.Query(QueryRequest{Graph: "g", K: 1})
 		done <- err
 	}()
-	waitFor(t, "compute to start", func() bool { return s.Stats().InFlight == 1 })
+	waitFor(t, "compute to start", func() bool { return metric(t, s, `mfbc_in_flight`) == 1 })
 	if err := s.Evict("g"); err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +425,7 @@ func TestEvictDuringFlightNoResidue(t *testing.T) {
 	if len(res.TopK) != 1 {
 		t.Fatalf("in-flight query must still answer: %+v", res)
 	}
-	if st := s.Stats(); st.CacheEntries != 0 || st.Graphs != 0 {
+	if st := scrape(t, s); st.get(`mfbc_cache_entries`) != 0 || st.get(`mfbc_graphs`) != 0 {
 		t.Fatalf("evicted graph left cache residue: %+v", st)
 	}
 }
@@ -317,7 +446,7 @@ func TestEvictPurgesCache(t *testing.T) {
 	if _, err := s.Query(QueryRequest{Graph: "g"}); !errors.Is(err, ErrGraphNotFound) {
 		t.Fatalf("query after evict: %v", err)
 	}
-	if st := s.Stats(); st.Graphs != 0 || st.CacheEntries != 0 {
+	if st := scrape(t, s); st.get(`mfbc_graphs`) != 0 || st.get(`mfbc_cache_entries`) != 0 {
 		t.Fatalf("evict left residue: %+v", st)
 	}
 	// Re-registering the same topology starts cold.
@@ -359,8 +488,8 @@ func TestCacheBoundLRU(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := s.Stats()
-	if st.CacheEntries != 2 || st.Evictions != 1 {
+	st := scrape(t, s)
+	if st.get(`mfbc_cache_entries`) != 2 || st.get(`mfbc_cache_evictions_total`) != 1 {
 		t.Fatalf("LRU bound not enforced: %+v", st)
 	}
 	// batch=4 was evicted; batch=16 is still resident.
@@ -390,7 +519,7 @@ func TestComputeErrorsNotCached(t *testing.T) {
 	if _, err := s.Query(QueryRequest{Graph: "g", Engine: repro.EngineCombBLAS}); err == nil {
 		t.Fatal("errors must not be cached as successes")
 	}
-	if st := s.Stats(); st.Computes != 2 || st.CacheEntries != 0 {
+	if st := scrape(t, s); st.get(`mfbc_computes_total`) != 2 || st.get(`mfbc_cache_entries`) != 0 {
 		t.Fatalf("error caching went wrong: %+v", st)
 	}
 	if _, err := s.Query(QueryRequest{Graph: "g", K: -1}); err == nil {

@@ -206,9 +206,8 @@ func Mul[TA, TB, TC any](a *CSR[TA], b *CSR[TB], f func(TA, TB) TC, add algebra.
 
 // mulRowRange runs Gustavson's kernel with a sparse accumulator over rows
 // [lo, hi) of a, returning the concatenated column indices and values, the
-// per-row nonzero counts, and the number of f evaluations. It is the single
-// implementation behind both Mul and MulParallel: the parallel variant calls
-// it once per row block, which is what guarantees bit-identical output.
+// per-row nonzero counts, and the number of f evaluations. Mul, its only
+// caller, runs it once over all rows.
 func mulRowRange[TA, TB, TC any](a *CSR[TA], b *CSR[TB], lo, hi int, f func(TA, TB) TC, add algebra.Monoid[TC]) ([]int32, []TC, []int64, int64) {
 	var (
 		colIdx []int32
