@@ -217,3 +217,30 @@ func BenchmarkDistributedMultiply(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkFusedLocalApply measures one warm fused incremental apply of the
+// p=4 streaming engine on a 16×16 weighted mesh: a single-edge reweight
+// that dirties 6 of the 256 sources (the repository benchmark's "local"
+// class is n/64..n/32), so the apply is tens of Bellman-Ford rounds over
+// tiny frontiers and per-round overhead is what is timed. The edge toggles
+// between two weights.
+func BenchmarkFusedLocalApply(b *testing.B) {
+	g := graph.Grid2D(16, 16, 30, 1)
+	dyn, err := NewDynamicBC(g, DynamicOptions{Procs: 4, Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	// Edge (62,63) carries weight 23 on this seed.
+	toggle := []Mutation{
+		{Op: graph.OpSetWeight, U: 62, V: 63, W: 25},
+		{Op: graph.OpSetWeight, U: 62, V: 63, W: 23},
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep, err := dyn.Apply(toggle[i%2 : i%2+1])
+		if err != nil || !rep.Fused || rep.Affected != 6 {
+			b.Fatalf("apply %d: fused=%v affected=%d err=%v", i, rep.Fused, rep.Affected, err)
+		}
+	}
+}

@@ -313,13 +313,24 @@ func seedFrontier[M multSided[M]](zero M, adj []*sparse.CSR[float64], in [][]boo
 	return init
 }
 
+// sweepBufs is the storage one rank's sweeps reuse across the rounds and
+// batches of a region, so that a round allocates in proportion to its
+// frontier and not to T: the ping-pong pair T accumulates in and the
+// backward frontier's scratch. (Z is folded in place, and the per-round
+// filter and screens compact the product they are handed.)
+type sweepBufs[M, C any] struct {
+	t        distmat.Accumulator[M]
+	frontier []sparse.Entry[C]
+}
+
 // sweepMFBF is Algorithm 1 on distributed matrices: every side's frontier
 // advances over its component of the adjacency operand a in lock-step. Row
 // i of the frontier belongs to source batch[i]; side s is seeded from
 // adj[s] for the sources in[s] admits. T starts in the neutral shard
-// distribution, built locally from the replicated generator data.
+// distribution, built locally from the replicated generator data. The
+// returned T lives in buf until the next batch's sweep.
 func sweepMFBF[M multSided[M], C, W any](
-	sp *sidePlans, alg sweepAlgebra[M, C, W], a *distmat.Mat[W],
+	sp *sidePlans, buf *sweepBufs[M, C], alg sweepAlgebra[M, C, W], a *distmat.Mat[W],
 	adj []*sparse.CSR[float64], in [][]bool, batch []int32,
 ) (*distmat.Mat[M], int) {
 	world := sp.sess.Proc.World()
@@ -333,16 +344,24 @@ func sweepMFBF[M multSided[M], C, W any](
 		if iters > t.Cols {
 			panic("core: distributed MFBF failed to converge")
 		}
-		ext = ext.Filter(func(i, j int32, _ M) bool { return j != batch[i] })
-		t = distmat.EWise(distmat.Redistribute(world, t, ext.Dist, alg.mult), ext, alg.mult)
-		frontier = &distmat.Mat[M]{Rows: t.Rows, Cols: t.Cols, Dist: t.Dist, Local: screenFrontierSided(ext.Local, t.Local)}
+		// The product is this round's own: drop the sources' self-paths,
+		// and after the merge screen the frontier, both within its storage.
+		live := ext.Local[:0]
+		for _, e := range ext.Local {
+			if e.J != batch[e.I] {
+				live = append(live, e)
+			}
+		}
+		t = distmat.Redistribute(world, t, ext.Dist, alg.mult)
+		t = &distmat.Mat[M]{Rows: t.Rows, Cols: t.Cols, Dist: t.Dist, Local: buf.t.Merge(t.Local, live, alg.mult)}
+		frontier = &distmat.Mat[M]{Rows: t.Rows, Cols: t.Cols, Dist: t.Dist, Local: screenFrontierSided(live, t.Local)}
 	}
 }
 
 // sweepMFBr is Algorithm 2 on distributed matrices. It returns Z, the
 // (possibly realigned) T sharing Z's distribution, and the iteration count.
 func sweepMFBr[M multSided[M], C centSided[C], W any](
-	sp *sidePlans, alg sweepAlgebra[M, C, W],
+	sp *sidePlans, buf *sweepBufs[M, C], alg sweepAlgebra[M, C, W],
 	at *distmat.Mat[W], t *distmat.Mat[M],
 ) (*distmat.Mat[C], *distmat.Mat[M], int) {
 	world := sp.sess.Proc.World()
@@ -359,7 +378,8 @@ func sweepMFBr[M multSided[M], C centSided[C], W any](
 	t = distmat.Redistribute(world, t, p.Dist, alg.mult)
 	z := mat(t.Dist, buildZSided(t.Local, screenCentSided(p.Local, t.Local), 0))
 	for iters := 0; ; iters++ {
-		p, ok := mul(mat(z.Dist, collectFrontierSided(z.Local, t.Local, alg.cent.Identity)), false)
+		buf.frontier = collectFrontierSided(buf.frontier[:0], z.Local, t.Local, alg.cent.Identity)
+		p, ok := mul(mat(z.Dist, buf.frontier), false)
 		if !ok {
 			return z, t, iters
 		}
@@ -369,7 +389,7 @@ func sweepMFBr[M multSided[M], C centSided[C], W any](
 		// Keep Z and T aligned with the product's distribution.
 		t = distmat.Redistribute(world, t, p.Dist, alg.mult)
 		z = distmat.Redistribute(world, z, p.Dist, alg.cent)
-		z = distmat.EWise(z, mat(p.Dist, screenCentSided(p.Local, t.Local)), alg.cent)
+		foldInto(z.Local, screenCentSided(p.Local, t.Local), alg.cent.Op)
 	}
 }
 
@@ -377,7 +397,9 @@ func sweepMFBr[M multSided[M], C centSided[C], W any](
 // distributed entry slices, decided side by side: whether a component
 // survives depends on that side's components alone, so one side's survival
 // never resurrects another. A component that does not survive becomes the
-// exact zero of its monoid; an entry survives when any component does.
+// exact zero of its monoid; an entry survives when any component does. The
+// two screens compact their first argument — a product the caller owns and
+// is done with — in place.
 
 // seek advances y to t's first entry not before e and reports whether that
 // entry sits at e's coordinate.
@@ -391,7 +413,7 @@ func seek[T, U any](t []sparse.Entry[T], y int, e sparse.Entry[U]) (int, bool) {
 // screenFrontierSided keeps the extension components whose weight matches the
 // accumulated T at the same coordinate.
 func screenFrontierSided[M multSided[M]](ext, t []sparse.Entry[M]) []sparse.Entry[M] {
-	var out []sparse.Entry[M]
+	out := ext[:0]
 	y, hit := 0, false
 	for _, e := range ext {
 		if y, hit = seek(t, y, e); !hit {
@@ -418,7 +440,7 @@ func screenFrontierSided[M multSided[M]](ext, t []sparse.Entry[M]) []sparse.Entr
 // coordinate. A dead T component carries weight +∞ and a dead centpath
 // component −∞, so the equality test alone screens liveness.
 func screenCentSided[C centSided[C], M multSided[M]](p []sparse.Entry[C], t []sparse.Entry[M]) []sparse.Entry[C] {
-	var out []sparse.Entry[C]
+	out := p[:0]
 	y, hit := 0, false
 	for _, e := range p {
 		if y, hit = seek(t, y, e); !hit {
@@ -464,14 +486,27 @@ func buildZSided[M multSided[M], C centSided[C]](t []sparse.Entry[M], counts []s
 	return out
 }
 
-// collectFrontierSided extracts the Z components whose counter just reached
-// zero, emitting (T.w, ζ + 1/σ̄, −1) beside zero for the sides not emitting
-// and marking them done in place. Z and T share one pattern, so index k
-// addresses the same coordinate in both. The whole of Z is scanned every
-// round while a component is collected once per sweep, so an entry with
-// nothing to emit costs only the reads.
-func collectFrontierSided[C centSided[C], M multSided[M]](z []sparse.Entry[C], t []sparse.Entry[M], zero C) []sparse.Entry[C] {
-	var out []sparse.Entry[C]
+// foldInto accumulates the screened product p into Z where it stands. p's
+// coordinates all lie on Z's pattern (the screen keeps only hits against T,
+// whose pattern Z shares) and ⊗ of a live Z entry is never zero, so this is
+// the union merge Z ⊗ p without rebuilding Z.
+func foldInto[C any](z, p []sparse.Entry[C], op func(C, C) C) {
+	y, hit := 0, false
+	for _, e := range p {
+		if y, hit = seek(z, y, e); !hit {
+			panic("core: screened product off Z's pattern")
+		}
+		z[y].V = op(z[y].V, e.V)
+	}
+}
+
+// collectFrontierSided appends to out the Z components whose counter just
+// reached zero, emitting (T.w, ζ + 1/σ̄, −1) beside zero for the sides not
+// emitting and marking them done in place. Z and T share one pattern, so
+// index k addresses the same coordinate in both. The whole of Z is scanned
+// every round while a component is collected once per sweep, so an entry
+// with nothing to emit costs only the reads.
+func collectFrontierSided[C centSided[C], M multSided[M]](out, z []sparse.Entry[C], t []sparse.Entry[M], zero C) []sparse.Entry[C] {
 	sides := zero.Sides()
 	for k := range z {
 		emit := false

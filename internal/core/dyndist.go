@@ -15,9 +15,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/algebra"
 	"repro/internal/distmat"
@@ -171,8 +172,8 @@ func (s *DistSession) Patch(newG *graph.Graph, adjCSR *sparse.CSR[float64], diff
 func (s *DistSession) patchRank(rk *distRank, rank int, editsA, editsAt []spgemm.StationaryEdit[float64]) int64 {
 	shard := distmat.DistShard(s.p)
 	owned := func(i, j int32) bool { return shard.Owner(i, j) == rank }
-	rk.aMat.Local = applyEdits(rk.aMat.Local, editsA, owned)
-	rk.atMat.Local = applyEdits(rk.atMat.Local, editsAt, owned)
+	rk.aMat.Local = spgemm.Splice(rk.aMat.Local, editsA, owned)
+	rk.atMat.Local = spgemm.Splice(rk.atMat.Local, editsAt, owned)
 	ops := int64(len(rk.aMat.Local) + len(rk.atMat.Local))
 	ops += spgemm.PatchStationary(rk.cache, rank, rk.aMat.ID(), editsA)
 	ops += spgemm.PatchStationary(rk.cache, rank, rk.atMat.ID(), editsAt)
@@ -194,36 +195,10 @@ func adjacencyEdits(directed bool, diffs []EdgeDiff, transpose bool) []spgemm.St
 			out = append(out, spgemm.StationaryEdit[float64]{I: v, J: u, V: d.W, Del: !d.Present})
 		}
 	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].I != out[b].I {
-			return out[a].I < out[b].I
-		}
-		return out[a].J < out[b].J
+	// An edge diff names each edge once, so the coordinates are distinct.
+	slices.SortFunc(out, func(a, b spgemm.StationaryEdit[float64]) int {
+		return cmp.Compare(distmat.CoordKey(a.I, a.J), distmat.CoordKey(b.I, b.J))
 	})
-	return out
-}
-
-// applyEdits splices the owned subset of sorted edits into a sorted,
-// duplicate-free entry slice: upserts insert or replace, deletes drop.
-func applyEdits(cur []sparse.Entry[float64], edits []spgemm.StationaryEdit[float64], owned func(i, j int32) bool) []sparse.Entry[float64] {
-	out := make([]sparse.Entry[float64], 0, len(cur)+len(edits))
-	x := 0
-	for _, ed := range edits {
-		if !owned(ed.I, ed.J) {
-			continue
-		}
-		for x < len(cur) && (cur[x].I < ed.I || (cur[x].I == ed.I && cur[x].J < ed.J)) {
-			out = append(out, cur[x])
-			x++
-		}
-		if x < len(cur) && cur[x].I == ed.I && cur[x].J == ed.J {
-			x++
-		}
-		if !ed.Del {
-			out = append(out, sparse.Entry[float64]{I: ed.I, J: ed.J, V: ed.V})
-		}
-	}
-	out = append(out, cur[x:]...)
 	return out
 }
 
@@ -315,11 +290,12 @@ func sweepRegion[M multSided[M], C centSided[C], W any](
 
 		proc.Phase(machine.PhaseSweep)
 		acc := make([]float64, len(pls)*n)
+		buf := new(sweepBufs[M, C])
 		iters, batches := 0, 0
 		for _, batch := range batchList(n, nb, sources) {
 			batches++
-			t, itF := sweepMFBF(sp, alg, a, adj, in, batch)
-			z, t, itB := sweepMFBr(sp, alg, at, t)
+			t, itF := sweepMFBF(sp, buf, alg, a, adj, in, batch)
+			z, t, itB := sweepMFBr(sp, buf, alg, at, t)
 			iters += itF + itB
 			// Accumulate each side under the distribution its own last
 			// product left Z in — Z's own at one side, a free no-op whenever
@@ -327,7 +303,7 @@ func sweepRegion[M multSided[M], C centSided[C], W any](
 			// sums, and with them the rounding of the closing allreduce,
 			// group exactly as that side's scalar region would.
 			for side, plan := range sp.plans {
-				_, _, d := spgemm.Dists(plan, z.Rows, n, n)
+				_, _, d := sp.sess.Dists(plan, z.Rows, n, n)
 				bc := acc[side*n : (side+1)*n]
 				distmat.ZipJoin(distmat.Redistribute(world, z, d, alg.cent), distmat.Redistribute(world, t, d, alg.mult),
 					func(_, j int32, zc C, tm M) { bc[j] += zc.Side(side).P * tm.Side(side).M })

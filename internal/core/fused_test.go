@@ -1,6 +1,9 @@
 package core
 
 import (
+	"math"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/graph"
@@ -345,5 +348,69 @@ func TestFusedApplyRejectsBadSources(t *testing.T) {
 	}
 	if sess.Graph() != g {
 		t.Fatal("a rejected apply must leave the session on its old topology")
+	}
+}
+
+// TestRoundAllocBudget gates per-round reuse on the entry-list path, as
+// TestBatchAllocBudget does for the CSR kernel: on a 16×16 weighted mesh at
+// p=4, a warm fused apply of a one-edge reweight over six pivots and a warm
+// eight-source run may allocate only so much. Both are tens of rounds over
+// frontiers of a few entries, so their bytes are per-round overhead; when
+// each round rebuilt T and Z, re-bucketed and re-indexed the resident
+// blocks and re-formatted the distributions, the same two operations
+// allocated 19.5 MB and 15.1 MB. The budgets are about 1.25× what they
+// allocated when this test was written (7.5 MB and 5.7 MB, most of it the
+// kernel's expand–sort–compress buffers and the simulator's collectives).
+// The collector is held off and the minimum of a few tries gated, so the
+// test does not depend on when a cycle lands.
+func TestRoundAllocBudget(t *testing.T) {
+	const maxApplyBytes, maxRunBytes = 9 << 20, 7 << 20
+	g := graph.Grid2D(16, 16, 30, 1)
+	sess, err := NewDistSession(g, DistOptions{Procs: 4, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Run(nil); err != nil {
+		t.Fatal(err)
+	}
+	pivots := []int32{45, 46, 47, 61, 62, 63}
+	sources := strideSources(g.N, 8, 37)
+	// Edge (62,63) carries weight 23 on this seed; the apply toggles it.
+	graphs := [2]*graph.Graph{g.Clone(), g}
+	if err := graphs[0].Apply(graph.Mutation{Op: graph.OpSetWeight, U: 62, V: 63, W: 25}); err != nil {
+		t.Fatal(err)
+	}
+	apply := func(i int) {
+		next := graphs[i%2]
+		w, _ := next.FindEdge(62, 63)
+		if _, err := sess.ApplyIncremental(pivots, next, nil, []EdgeDiff{{U: 62, V: 63, W: w, Present: true}}, pivots); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run := func(int) {
+		if _, err := sess.Run(sources); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, c := range []struct {
+		name   string
+		op     func(int)
+		budget uint64
+	}{{"fused apply", apply, maxApplyBytes}, {"session run", run, maxRunBytes}} {
+		c.op(0)
+		c.op(1)
+		bytes := uint64(math.MaxUint64)
+		var before, after runtime.MemStats
+		for try := 2; try < 8; try++ {
+			runtime.ReadMemStats(&before)
+			c.op(try)
+			runtime.ReadMemStats(&after)
+			bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+		}
+		t.Logf("warm %s allocates %d bytes", c.name, bytes)
+		if bytes > c.budget {
+			t.Errorf("warm %s allocates %d bytes, budget %d", c.name, bytes, c.budget)
+		}
 	}
 }

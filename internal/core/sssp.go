@@ -97,7 +97,7 @@ func SSSPDistributed(g *graph.Graph, sources []int32, opt DistOptions) (*SSSPRes
 		sp := &sidePlans{sess: spgemm.NewSession(proc), pls: []planner{pl}, plans: make([]spgemm.Plan, 1)}
 		sp.sess.Workers = opt.Workers
 		aMat := distmat.FromGlobal(proc.Rank(), adjCOO, distmat.DistShard(p), alg.edge)
-		t, iters := sweepMFBF(sp, alg, aMat, []*sparse.CSR[float64]{adjCSR}, [][]bool{nil}, sources)
+		t, iters := sweepMFBF(sp, new(sweepBufs[algebra.MultPath, algebra.CentPath]), alg, aMat, []*sparse.CSR[float64]{adjCSR}, [][]bool{nil}, sources)
 		itersPer[proc.Rank()] = iters
 		full := distmat.Gather(proc.World(), t, alg.mult)
 		if proc.Rank() == 0 {

@@ -6,8 +6,9 @@
 package distmat
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/algebra"
@@ -122,13 +123,6 @@ func FromGlobal[T any](rank int, coo *sparse.COO[T], d Dist, m algebra.Monoid[T]
 	return out
 }
 
-// SortLocal canonicalizes the local entries with the monoid.
-func (m *Mat[T]) SortLocal(mon algebra.Monoid[T]) {
-	c := sparse.COO[T]{Rows: m.Rows, Cols: m.Cols, E: m.Local}
-	c.Canonicalize(mon)
-	m.Local = c.E
-}
-
 // LocalNNZ returns the number of locally held entries.
 func (m *Mat[T]) LocalNNZ() int { return len(m.Local) }
 
@@ -138,20 +132,118 @@ func GlobalNNZ[T any](c *machine.Comm, m *Mat[T]) int64 {
 }
 
 // Redistribute moves m into distribution `to` with one all-to-all. A no-op
-// (returning m) when the keys already match.
+// (returning m) when the keys already match. One counting pass sizes every
+// outgoing part exactly inside a single buffer; each part inherits the
+// (row, col) order of the local block, so the receiver merges p sorted runs
+// (MergeRuns) instead of sorting their concatenation. A rank that neither
+// sends nor receives anything keeps its block as is: the result shares
+// m.Local.
 func Redistribute[T any](c *machine.Comm, m *Mat[T], to Dist, mon algebra.Monoid[T]) *Mat[T] {
 	if m.Dist.Key == to.Key {
 		return m
 	}
-	parts := make([][]sparse.Entry[T], c.Size())
-	for _, e := range m.Local {
+	p, me := c.Size(), c.Rank()
+	owner := make([]int32, len(m.Local))
+	start := make([]int, p+1)
+	for x, e := range m.Local {
 		r := to.Owner(e.I, e.J)
-		parts[r] = append(parts[r], e)
+		owner[x] = int32(r)
+		start[r+1]++
 	}
-	got := machine.AlltoallConcat(c, parts)
-	out := &Mat[T]{Rows: m.Rows, Cols: m.Cols, Dist: to, Local: got}
-	out.SortLocal(mon)
-	c.Proc().AddFlops(int64(len(got)))
+	parts := make([][]sparse.Entry[T], p)
+	if start[me+1] == len(m.Local) {
+		parts[me] = m.Local
+	} else {
+		for r := 0; r < p; r++ {
+			start[r+1] += start[r]
+		}
+		buf := make([]sparse.Entry[T], len(m.Local))
+		for x, e := range m.Local {
+			buf[start[owner[x]]] = e
+			start[owner[x]]++
+		}
+		lo := 0
+		for r := 0; r < p; r++ {
+			parts[r] = buf[lo:start[r]:start[r]]
+			lo = start[r]
+		}
+	}
+	got := machine.Alltoall(c, parts)
+	n := 0
+	for _, run := range got {
+		n += len(run)
+	}
+	c.Proc().AddFlops(int64(n))
+	return &Mat[T]{Rows: m.Rows, Cols: m.Cols, Dist: to, Local: MergeRuns(got, mon)}
+}
+
+// MergeRuns merges any number of (row, col)-sorted duplicate-free runs into
+// one sorted duplicate-free slice: MergeSorted generalized from two runs to
+// k. Coordinates shared by several runs fold with the monoid in run order
+// and drop when the fold is zero. With at most one non-empty run the result
+// is that run itself, not a copy.
+func MergeRuns[T any](runs [][]sparse.Entry[T], mon algebra.Monoid[T]) []sparse.Entry[T] {
+	// heap orders the runs' unmerged remainders by their next coordinate,
+	// then by run.
+	type cursor struct {
+		key  uint64
+		run  int
+		rest []sparse.Entry[T]
+	}
+	var heap []cursor
+	total := 0
+	for r, run := range runs {
+		if len(run) > 0 {
+			heap = append(heap, cursor{CoordKey(run[0].I, run[0].J), r, run})
+			total += len(run)
+		}
+	}
+	if len(heap) == 0 {
+		return nil
+	}
+	if len(heap) == 1 {
+		return heap[0].rest
+	}
+	before := func(a, b cursor) bool { return a.key < b.key || (a.key == b.key && a.run < b.run) }
+	down := func(x int) {
+		for c := 2*x + 1; c < len(heap); x, c = c, 2*c+1 {
+			if c+1 < len(heap) && before(heap[c+1], heap[c]) {
+				c++
+			}
+			if !before(heap[c], heap[x]) {
+				return
+			}
+			heap[x], heap[c] = heap[c], heap[x]
+		}
+	}
+	for x := len(heap)/2 - 1; x >= 0; x-- {
+		down(x)
+	}
+	out := make([]sparse.Entry[T], 0, total)
+	last, folded := ^uint64(0), false // out's last coordinate; whether it is a fold
+	dropZeroFold := func() {
+		if folded && mon.IsZero(out[len(out)-1].V) {
+			out = out[:len(out)-1]
+		}
+	}
+	for len(heap) > 0 {
+		top := &heap[0]
+		if e := top.rest[0]; top.key == last {
+			out[len(out)-1].V = mon.Op(out[len(out)-1].V, e.V)
+			folded = true
+		} else {
+			dropZeroFold()
+			out, last, folded = append(out, e), top.key, false
+		}
+		if top.rest = top.rest[1:]; len(top.rest) > 0 {
+			top.key = CoordKey(top.rest[0].I, top.rest[0].J)
+		} else {
+			heap[0] = heap[len(heap)-1]
+			heap = heap[:len(heap)-1]
+		}
+		down(0)
+	}
+	dropZeroFold()
 	return out
 }
 
@@ -174,16 +266,27 @@ func EWise[T any](a, b *Mat[T], mon algebra.Monoid[T]) *Mat[T] {
 }
 
 // MergeSorted merges two sorted duplicate-free entry slices, combining
-// coordinate collisions with the monoid and dropping zeros.
+// coordinate collisions with the monoid and dropping zeros. When one side
+// is empty the other is returned as is, not copied.
 func MergeSorted[T any](a, b []sparse.Entry[T], mon algebra.Monoid[T]) []sparse.Entry[T] {
-	out := make([]sparse.Entry[T], 0, len(a)+len(b))
+	if len(b) == 0 {
+		return a
+	}
+	if len(a) == 0 {
+		return b
+	}
+	return mergeInto(make([]sparse.Entry[T], 0, len(a)+len(b)), a, b, mon)
+}
+
+// mergeInto appends the union merge of a and b to out.
+func mergeInto[T any](out, a, b []sparse.Entry[T], mon algebra.Monoid[T]) []sparse.Entry[T] {
 	x, y := 0, 0
-	for x < len(a) || y < len(b) {
+	for x < len(a) && y < len(b) {
 		switch {
-		case y >= len(b) || (x < len(a) && less(a[x], b[y])):
+		case less(a[x], b[y]):
 			out = append(out, a[x])
 			x++
-		case x >= len(a) || less(b[y], a[x]):
+		case less(b[y], a[x]):
 			out = append(out, b[y])
 			y++
 		default:
@@ -195,6 +298,35 @@ func MergeSorted[T any](a, b []sparse.Entry[T], mon algebra.Monoid[T]) []sparse.
 			y++
 		}
 	}
+	out = append(out, a[x:]...)
+	return append(out, b[y:]...)
+}
+
+// Accumulator folds a stream of sorted runs into one sorted duplicate-free
+// slice without allocating per merge: it owns two buffers and writes each
+// Merge into the one that does not hold the previous result. A sweep that
+// grows T by one frontier per round keeps one per rank for the region.
+type Accumulator[T any] struct {
+	bufs [2][]sparse.Entry[T]
+	next int
+}
+
+// Merge returns MergeSorted(a, b, mon) in the accumulator's storage. a is
+// the running result — normally what the previous Merge returned, or any
+// slice from elsewhere — and b the run to fold in; the result never shares
+// storage with b, and is a itself when b is empty. It stays valid through
+// the next Merge and is overwritten by the one after.
+func (acc *Accumulator[T]) Merge(a, b []sparse.Entry[T], mon algebra.Monoid[T]) []sparse.Entry[T] {
+	if len(b) == 0 {
+		return a
+	}
+	out := acc.bufs[acc.next][:0]
+	if need := len(a) + len(b); cap(out) < need {
+		out = make([]sparse.Entry[T], 0, need+need/4)
+	}
+	out = mergeInto(out, a, b, mon)
+	acc.bufs[acc.next] = out
+	acc.next ^= 1
 	return out
 }
 
@@ -203,17 +335,6 @@ func less[T any](a, b sparse.Entry[T]) bool {
 		return a.I < b.I
 	}
 	return a.J < b.J
-}
-
-// Filter keeps local entries satisfying the predicate.
-func (m *Mat[T]) Filter(keep func(i, j int32, v T) bool) *Mat[T] {
-	out := &Mat[T]{Rows: m.Rows, Cols: m.Cols, Dist: m.Dist}
-	for _, e := range m.Local {
-		if keep(e.I, e.J, e.V) {
-			out.Local = append(out.Local, e)
-		}
-	}
-	return out
 }
 
 // Map transforms local entries, dropping zeros of the target monoid.
@@ -250,7 +371,11 @@ func ZipJoin[T, U any](a *Mat[T], b *Mat[U], visit func(i, j int32, x T, y U)) {
 	}
 }
 
-// SortEntries sorts an entry slice by coordinates (no merging).
+// CoordKey packs a coordinate so that integer order is (row, col) order.
+func CoordKey(i, j int32) uint64 { return uint64(uint32(i))<<32 | uint64(uint32(j)) }
+
+// SortEntries sorts an entry slice by coordinates (no merging). Entries are
+// coordinate-unique at every call site, so the order is fully determined.
 func SortEntries[T any](e []sparse.Entry[T]) {
-	sort.Slice(e, func(a, b int) bool { return less(e[a], e[b]) })
+	slices.SortFunc(e, func(a, b sparse.Entry[T]) int { return cmp.Compare(CoordKey(a.I, a.J), CoordKey(b.I, b.J)) })
 }

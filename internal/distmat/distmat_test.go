@@ -3,6 +3,7 @@ package distmat
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -216,15 +217,86 @@ func TestMergeSortedProperties(t *testing.T) {
 	}
 }
 
-func TestFilterAndMap(t *testing.T) {
+// TestMergeSortedEmptySide: with one side empty the other comes back as
+// is — same backing array, no copy.
+func TestMergeSortedEmptySide(t *testing.T) {
+	a := []sparse.Entry[float64]{{I: 0, J: 1, V: 2}, {I: 3, J: 0, V: 1}}
+	for _, got := range [][]sparse.Entry[float64]{MergeSorted(a, nil, addF), MergeSorted(nil, a, addF)} {
+		if len(got) != len(a) || &got[0] != &a[0] {
+			t.Fatalf("empty-side merge copied or changed its input: %v", got)
+		}
+	}
+	if got := MergeSorted[float64](nil, nil, addF); len(got) != 0 {
+		t.Fatalf("merge of nothing = %v", got)
+	}
+}
+
+// TestMergeRunsProperties: the k-way merge equals canonicalizing the
+// concatenation, for runs that share coordinates and cancel to zero, and a
+// lone non-empty run comes back as is.
+func TestMergeRunsProperties(t *testing.T) {
+	check := func(qa, qb, qc, qd quickEntries) bool {
+		runs := [][]sparse.Entry[float64]{qa, nil, qb, qc, qd}
+		var all []sparse.Entry[float64]
+		for _, r := range runs {
+			all = append(all, r...)
+		}
+		coo := &sparse.COO[float64]{Rows: 12, Cols: 12, E: all}
+		coo.Canonicalize(addF)
+		return slices.Equal(MergeRuns(runs, addF), coo.E)
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+	a := []sparse.Entry[float64]{{I: 1, J: 1, V: 4}}
+	if got := MergeRuns([][]sparse.Entry[float64]{nil, a, nil}, addF); len(got) != 1 || &got[0] != &a[0] {
+		t.Fatalf("single run copied or changed: %v", got)
+	}
+	if got := MergeRuns[float64](nil, addF); got != nil {
+		t.Fatalf("merge of no runs = %v", got)
+	}
+}
+
+// TestAccumulatorMatchesMergeSorted folds a stream of runs through one
+// Accumulator and through MergeSorted: equal after every step, never
+// sharing storage with the run just folded in (callers recycle it), and —
+// once both buffers have grown — without allocating.
+func TestAccumulatorMatchesMergeSorted(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	var acc Accumulator[float64]
+	var got, want []sparse.Entry[float64]
+	step := func() {
+		run := quickEntries{}.Generate(rng, 0).Interface().(quickEntries)
+		want = slices.Clone(MergeSorted(want, run, addF)) // MergeSorted may return run itself
+		got = acc.Merge(got, run, addF)
+		if !slices.Equal(got, want) {
+			t.Fatalf("accumulated %v, want %v", got, want)
+		}
+		for x := range run {
+			run[x].V = -99 // the caller reuses the run's storage
+		}
+		if !slices.Equal(got, want) {
+			t.Fatal("the accumulated result shares storage with the run folded in")
+		}
+	}
+	for x := 0; x < 40; x++ {
+		step()
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		got = acc.Merge(got, []sparse.Entry[float64]{{I: 11, J: 11, V: 1}}, addF)
+	}); allocs != 0 {
+		t.Fatalf("a warm Merge allocates %v times", allocs)
+	}
+}
+
+func TestMap(t *testing.T) {
 	coo := sparse.NewCOO[float64](10, 10)
 	for i := int32(0); i < 10; i++ {
 		coo.Append(i, i, float64(i))
 	}
 	m := FromGlobal(0, coo, Dist{Key: "all0", P: 1, Owner: func(_, _ int32) int { return 0 }}, addF)
-	f := m.Filter(func(i, _ int32, _ float64) bool { return i%2 == 0 })
-	if f.LocalNNZ() != 4 { // i=0 dropped by IsZero during canonicalize
-		t.Fatalf("filter kept %d", f.LocalNNZ())
+	if m.LocalNNZ() != 9 { // i=0 dropped by IsZero during canonicalize
+		t.Fatalf("FromGlobal kept %d", m.LocalNNZ())
 	}
 	mm := Map(m, addF, func(_, _ int32, v float64) float64 { return v - 5 })
 	for _, e := range mm.Local {

@@ -1,8 +1,7 @@
-// Shared-memory parallel variants of the entry-slice kernels. Each rank of
-// the simulated machine may call these with its local worker budget; the
-// outputs are required (and tested) to be identical to the sequential
-// SortEntries / MergeSorted, so distributed results do not depend on the
-// worker count.
+// Shared-memory parallel variant of the entry-slice merge. Each rank of
+// the simulated machine may call it with its local worker budget; the
+// output is required (and tested) to be identical to the sequential
+// MergeSorted, so distributed results do not depend on the worker count.
 package distmat
 
 import (
@@ -13,63 +12,8 @@ import (
 	"repro/internal/sparse"
 )
 
-// Parallelism thresholds: below these sizes the sequential kernels win.
-const (
-	sortParallelMin  = 1 << 12
-	mergeParallelMin = 1 << 12
-)
-
-// SortEntriesParallel sorts an entry slice by coordinates using parallel
-// chunk sorts followed by parallel pairwise run merges. It assumes
-// coordinate-unique entries (the invariant of all call sites, which sort
-// allgathered shards of disjoint ownership); for such inputs the result is
-// identical to SortEntries. workers <= 0 selects GOMAXPROCS.
-func SortEntriesParallel[T any](e []sparse.Entry[T], workers int) {
-	workers = parallel.Resolve(workers)
-	if workers <= 1 || len(e) < sortParallelMin {
-		SortEntries(e)
-		return
-	}
-	rs := parallel.Ranges(len(e), workers)
-	runs := make([][]sparse.Entry[T], len(rs))
-	parallel.For(len(rs), len(rs), func(part, _, _ int) {
-		seg := e[rs[part][0]:rs[part][1]]
-		SortEntries(seg)
-		runs[part] = seg
-	})
-	for len(runs) > 1 {
-		next := make([][]sparse.Entry[T], (len(runs)+1)/2)
-		parallel.For(len(next), len(next), func(part, _, _ int) {
-			i := 2 * part
-			if i+1 == len(runs) {
-				next[part] = runs[i]
-				return
-			}
-			next[part] = mergeRuns(runs[i], runs[i+1])
-		})
-		runs = next
-	}
-	copy(e, runs[0])
-}
-
-// mergeRuns merges two sorted runs keeping duplicates (ties take the left
-// run first).
-func mergeRuns[T any](a, b []sparse.Entry[T]) []sparse.Entry[T] {
-	out := make([]sparse.Entry[T], 0, len(a)+len(b))
-	x, y := 0, 0
-	for x < len(a) && y < len(b) {
-		if less(b[y], a[x]) {
-			out = append(out, b[y])
-			y++
-		} else {
-			out = append(out, a[x])
-			x++
-		}
-	}
-	out = append(out, a[x:]...)
-	out = append(out, b[y:]...)
-	return out
-}
+// mergeParallelMin is the size below which the sequential merge wins.
+const mergeParallelMin = 1 << 12
 
 // MergeSortedParallel computes the same union merge as MergeSorted by
 // splitting the coordinate space at boundaries of a, binary-searching the

@@ -36,22 +36,6 @@ func entriesEqual(a, b []sparse.Entry[float64]) bool {
 	return true
 }
 
-// TestSortEntriesParallelMatchesSequential covers sizes straddling the
-// parallel threshold and several worker counts.
-func TestSortEntriesParallelMatchesSequential(t *testing.T) {
-	for _, n := range []int{0, 1, 100, sortParallelMin - 1, sortParallelMin, 3*sortParallelMin + 17} {
-		for _, w := range []int{0, 1, 2, 3, 5, 8} {
-			e := randUniqueEntries(n, int64(n+w))
-			want := append([]sparse.Entry[float64](nil), e...)
-			SortEntries(want)
-			SortEntriesParallel(e, w)
-			if !entriesEqual(e, want) {
-				t.Fatalf("n=%d workers=%d: parallel sort differs from sequential", n, w)
-			}
-		}
-	}
-}
-
 // randSortedEntries builds a sorted duplicate-free entry slice.
 func randSortedEntries(n int, seed int64) []sparse.Entry[float64] {
 	e := randUniqueEntries(n, seed)

@@ -322,21 +322,6 @@ func Alltoall[T any](c *Comm, parts [][]T) [][]T {
 	return out
 }
 
-// AlltoallConcat flattens Alltoall output into one slice ordered by source
-// rank.
-func AlltoallConcat[T any](c *Comm, parts [][]T) []T {
-	got := Alltoall(c, parts)
-	n := 0
-	for _, p := range got {
-		n += len(p)
-	}
-	out := make([]T, 0, n)
-	for _, p := range got {
-		out = append(out, p...)
-	}
-	return out
-}
-
 type errAlltoallShape [2]int
 
 func (e errAlltoallShape) Error() string {

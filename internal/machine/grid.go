@@ -1,6 +1,9 @@
 package machine
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Grid2 is a pr×pc processor grid over a communicator: rank r sits at
 // (r / pc, r % pc), with row and column sub-communicators — the layout used
@@ -73,9 +76,17 @@ func (g *Grid3) RankAt(layer, i, j int) int {
 	return layer*g.P2*g.P3 + i*g.P3 + j
 }
 
+// factorizations3 memoises Factorizations3 per p: the plan search consults
+// it for every multiplication of every round, always for the same p.
+var factorizations3 sync.Map // int → [][3]int
+
 // Factorizations3 enumerates all ordered triples (p1,p2,p3) with product p,
-// the search space of the automatic decomposition selection.
+// the search space of the automatic decomposition selection. The slice is
+// shared between callers and must not be modified.
 func Factorizations3(p int) [][3]int {
+	if f, ok := factorizations3.Load(p); ok {
+		return f.([][3]int)
+	}
 	var out [][3]int
 	for p1 := 1; p1 <= p; p1++ {
 		if p%p1 != 0 {
@@ -89,6 +100,7 @@ func Factorizations3(p int) [][3]int {
 			out = append(out, [3]int{p1, p2, q / p2})
 		}
 	}
+	factorizations3.Store(p, out)
 	return out
 }
 

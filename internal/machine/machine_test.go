@@ -289,7 +289,7 @@ func TestSingleProcDegenerate(t *testing.T) {
 		if got := machine.AllgatherConcat(pr.World(), []int{1, 2}); len(got) != 2 {
 			panic("p=1 allgather")
 		}
-		if got := machine.AlltoallConcat(pr.World(), [][]int{{9}}); got[0] != 9 {
+		if got := machine.Alltoall(pr.World(), [][]int{{9}}); got[0][0] != 9 {
 			panic("p=1 alltoall")
 		}
 	}, nil)

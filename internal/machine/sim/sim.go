@@ -8,6 +8,7 @@
 package sim
 
 import (
+	"encoding/binary"
 	"fmt"
 	"runtime/debug"
 	"sync"
@@ -152,7 +153,12 @@ func (st *commState) Step(p *machine.Proc, rank int, post machine.Payload, read 
 // program order keeps all members of a communicator on the same
 // collective sequence.
 func (st *commState) Subgroup(p *machine.Proc, rank int, members []int, myIdx int) machine.Group {
-	key := fmt.Sprint(members)
+	// The member ranks, four bytes each, are the key: no formatting.
+	raw := make([]byte, 0, 4*len(members))
+	for _, m := range members {
+		raw = binary.LittleEndian.AppendUint32(raw, uint32(m))
+	}
+	key := string(raw)
 	st.subMu.Lock()
 	defer st.subMu.Unlock()
 	if st.subs == nil {

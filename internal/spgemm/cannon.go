@@ -71,7 +71,7 @@ func Cannon[TA, TB, TC any](
 		// rows by the skew invariant: (i + j + round) mod q.
 		kb := (i + j + round) % q
 		k0, k1 := distmat.PartBounds(kb, k, q)
-		prod, ops := mulEntries(aBlk, bBlk, k0, k1, f, add)
+		prod, ops := mulEntriesParallel(aBlk, bBlk, nil, k0, k1, f, add, 1)
 		s.Proc.AddFlops(ops)
 		acc = distmat.MergeSorted(acc, prod, add)
 		if round == q-1 {

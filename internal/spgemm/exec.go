@@ -31,7 +31,14 @@ type Session struct {
 	// knob.
 	Workers int
 	grids   map[[3]int]*machine.Grid3
+	dists   map[distsKey][3]distmat.Dist
 	cache   *OperandCache
+}
+
+// distsKey identifies one multiplication shape under one plan.
+type distsKey struct {
+	plan    Plan
+	m, k, n int
 }
 
 // OperandCache holds one rank's stationary-operand working sets. It is
@@ -49,7 +56,7 @@ type Session struct {
 // accruing them forever. Eviction order is deterministic, so bounded
 // caches stay SPMD-consistent across ranks.
 type OperandCache struct {
-	sets      map[string]*cachedOperand
+	sets      map[operandKey]*cachedOperand
 	maxSets   int // per-matrix working-set bound; ≤ 0 = unbounded
 	tick      uint64
 	evictions int64
@@ -61,16 +68,23 @@ type OperandCache struct {
 	transient map[uint64]bool
 }
 
-// cachedOperand is one staged working set: the entries this rank holds
-// after redistribution (and, for RoleB fiber plans, replication) of matrix
-// matID under plan, plus the metadata PatchStationary needs to keep the
-// set current when the matrix is edited in place.
+// operandKey identifies one staged working set: the matrix (by its
+// process-unique ID, not its address — an address can be recycled by the
+// allocator after the matrix dies, which would silently alias the cache to
+// stale entries), the plan it was staged under, and B's dimensions k×n.
+type operandKey struct {
+	id   uint64
+	plan Plan
+	k, n int
+}
+
+// cachedOperand is one staged working set: what this rank holds after
+// redistribution (and, for RoleB fiber plans, replication) of the keyed
+// matrix, as a *stagedB of the matrix's entry type. PatchStationary keeps
+// it current when the matrix is edited in place.
 type cachedOperand struct {
-	key     string
-	matID   uint64
-	plan    Plan
-	k, n    int // B's dimensions
-	entries any
+	operandKey
+	staged  any
 	lastUse uint64
 }
 
@@ -82,7 +96,7 @@ func NewOperandCache() *OperandCache {
 // NewOperandCacheSized returns an empty cache bounded to maxSets working
 // sets per matrix (≤ 0 = unbounded).
 func NewOperandCacheSized(maxSets int) *OperandCache {
-	return &OperandCache{sets: make(map[string]*cachedOperand), maxSets: maxSets}
+	return &OperandCache{sets: make(map[operandKey]*cachedOperand), maxSets: maxSets}
 }
 
 // Evictions returns how many working sets the per-matrix LRU bound has
@@ -92,14 +106,8 @@ func (c *OperandCache) Evictions() int64 { return c.evictions }
 // Len returns the number of resident working sets.
 func (c *OperandCache) Len() int { return len(c.sets) }
 
-// operandKey is the cache key of matrix id staged under plan with B
-// dimensions k×n.
-func operandKey(id uint64, plan Plan, k, n int) string {
-	return fmt.Sprintf("B:%d:%s:%dx%d", id, plan, k, n)
-}
-
 // lookup returns the cached set for key, bumping its recency.
-func (c *OperandCache) lookup(key string) (*cachedOperand, bool) {
+func (c *OperandCache) lookup(key operandKey) (*cachedOperand, bool) {
 	co, ok := c.sets[key]
 	if ok {
 		c.tick++
@@ -114,34 +122,27 @@ func (c *OperandCache) lookup(key string) (*cachedOperand, bool) {
 func (c *OperandCache) insert(co *cachedOperand) {
 	c.tick++
 	co.lastUse = c.tick
-	c.sets[co.key] = co
-	if c.maxSets <= 0 || c.transient[co.matID] {
+	c.sets[co.operandKey] = co
+	if c.maxSets <= 0 || c.transient[co.id] {
 		return
 	}
 	for {
-		keys := make([]string, 0, len(c.sets))
-		for key := range c.sets {
-			keys = append(keys, key)
+		resident := CachedPlans(c, co.id)
+		if len(resident) <= c.maxSets {
+			return
 		}
-		sort.Strings(keys)
+		// lastUse ticks are unique, so the minimum is unambiguous; the
+		// sorted walk pins it (and any future tie) anyway.
 		var victim *cachedOperand
-		count := 0
-		for _, key := range keys {
-			s := c.sets[key]
-			if s.matID != co.matID {
-				continue
-			}
-			count++
-			// lastUse ticks are unique, so the minimum is unambiguous; the
-			// sorted key order pins the walk (and any future tie) anyway.
-			if s != co && (victim == nil || s.lastUse < victim.lastUse) {
+		for _, pd := range resident {
+			if s := c.sets[operandKey{co.id, pd.Plan, pd.K, pd.N}]; s != co && (victim == nil || s.lastUse < victim.lastUse) {
 				victim = s
 			}
 		}
-		if count <= c.maxSets || victim == nil {
+		if victim == nil {
 			return
 		}
-		delete(c.sets, victim.key)
+		delete(c.sets, victim.operandKey)
 		c.evictions++
 	}
 }
@@ -150,8 +151,8 @@ func (c *OperandCache) insert(co *cachedOperand) {
 // fused region staged for one apply) and clears its transient mark. Not
 // counted as LRU evictions.
 func DropMatrix(c *OperandCache, id uint64) {
-	for key, co := range c.sets {
-		if co.matID == id {
+	for key := range c.sets {
+		if key.id == id {
 			delete(c.sets, key)
 		}
 	}
@@ -180,9 +181,9 @@ type PlanDims struct {
 // sequence, the list is identical across the ranks of a session.
 func CachedPlans(c *OperandCache, id uint64) []PlanDims {
 	var out []PlanDims
-	for _, co := range c.sets {
-		if co.matID == id {
-			out = append(out, PlanDims{Plan: co.plan, K: co.k, N: co.n})
+	for key := range c.sets {
+		if key.id == id {
+			out = append(out, PlanDims{Plan: key.plan, K: key.k, N: key.n})
 		}
 	}
 	sort.Slice(out, func(a, b int) bool {
@@ -226,7 +227,7 @@ func NewSessionWithCache(p *machine.Proc, c *OperandCache) *Session {
 	if c == nil {
 		c = NewOperandCache()
 	}
-	return &Session{Proc: p, grids: make(map[[3]int]*machine.Grid3), cache: c}
+	return &Session{Proc: p, grids: make(map[[3]int]*machine.Grid3), dists: make(map[distsKey][3]distmat.Dist), cache: c}
 }
 
 // Grid returns (building on first use) the p1×p2×p3 grid over the world.
@@ -329,29 +330,34 @@ func inner2D(v Variant, role Role, p2, p3, s int, r ranges, i, j int32) (int, in
 	}
 }
 
+// operandOwner returns the owner function of input operand role (RoleA or
+// RoleB) under plan: the layer its fiber-split coordinate selects, then the
+// position within the layer grid.
+func operandOwner(plan Plan, m, k, n int, role Role) func(i, j int32) int {
+	s := plan.Stages()
+	return func(i, j int32) int {
+		ri, rk, rj := i, j, int32(-1) // A's (i, k)
+		if role == RoleB {
+			ri, rk, rj = -1, i, j // B's (k, j)
+		}
+		l := layerOf(plan, m, k, n, ri, rk, rj, role)
+		r := layerRanges(plan, m, k, n, l)
+		li, lj := inner2D(plan.YZ, role, plan.P2, plan.P3, s, r, i, j)
+		return l*plan.P2*plan.P3 + li*plan.P3 + lj
+	}
+}
+
 // Dists returns the input distributions the plan requires for A and B and
 // the output distribution it produces for C.
 func Dists(plan Plan, m, k, n int) (da, db, dc distmat.Dist) {
 	p := plan.Procs()
 	s := plan.Stages()
-	mk := func(role Role, tag string, coordRole func(i, j int32) (int32, int32, int32)) distmat.Dist {
-		return distmat.Dist{
-			Key: fmt.Sprintf("spgemm(%s,%s,m=%d,k=%d,n=%d)", plan, tag, m, k, n),
-			P:   p,
-			Owner: func(i, j int32) int {
-				ri, rk, rj := coordRole(i, j)
-				l := layerOf(plan, m, k, n, ri, rk, rj, role)
-				r := layerRanges(plan, m, k, n, l)
-				li, lj := inner2D(plan.YZ, role, plan.P2, plan.P3, s, r, i, j)
-				return l*plan.P2*plan.P3 + li*plan.P3 + lj
-			},
-		}
-	}
-	da = mk(RoleA, "A", func(i, j int32) (int32, int32, int32) { return i, j, -1 })
-	db = mk(RoleB, "B", func(i, j int32) (int32, int32, int32) { return -1, i, j })
+	key := func(tag string) string { return fmt.Sprintf("spgemm(%s,%s,m=%d,k=%d,n=%d)", plan, tag, m, k, n) }
+	da = distmat.Dist{Key: key("A"), P: p, Owner: operandOwner(plan, m, k, n, RoleA)}
+	db = distmat.Dist{Key: key("B"), P: p, Owner: operandOwner(plan, m, k, n, RoleB)}
 	// C's layer under RoleC is the reduction root, spread by inner position.
 	dc = distmat.Dist{
-		Key: fmt.Sprintf("spgemm(%s,C,m=%d,k=%d,n=%d)", plan, m, k, n),
+		Key: key("C"),
 		P:   p,
 		Owner: func(i, j int32) int {
 			var l int
@@ -377,6 +383,19 @@ func Dists(plan Plan, m, k, n int) (da, db, dc distmat.Dist) {
 	return da, db, dc
 }
 
+// Dists is the package-level Dists, built once per (plan, dims) and kept
+// for the session: a sweep multiplies under the same few shapes every round.
+func (s *Session) Dists(plan Plan, m, k, n int) (da, db, dc distmat.Dist) {
+	key := distsKey{plan, m, k, n}
+	d, ok := s.dists[key]
+	if !ok {
+		da, db, dc = Dists(plan, m, k, n)
+		d = [3]distmat.Dist{da, db, dc}
+		s.dists[key] = d
+	}
+	return d[0], d[1], d[2]
+}
+
 // Multiply computes the generalized product C = A •⟨add,f⟩ B according to
 // plan. When cacheB is true the working set of B (redistributed and, for
 // RoleB plans, fiber-replicated) is cached in the session keyed by B's
@@ -398,43 +417,39 @@ func Multiply[TA, TB, TC any](
 	}
 	m, k, n := a.Rows, a.Cols, b.Cols
 	g := s.Grid(plan.P1, plan.P2, plan.P3)
-	da, db, dc := Dists(plan, m, k, n)
+	da, db, dc := s.Dists(plan, m, k, n)
 	workers := s.workers()
 
-	// Stage the A operand (moving in every variant).
+	// Stage the A operand (moving in every variant). Replication gathers
+	// the fiber's blocks, each sorted and no two sharing a coordinate, so
+	// merging them is sorting their union.
 	aw := distmat.Redistribute(world, a, da, addA)
 	aE := aw.Local
 	if plan.P1 > 1 && plan.X == RoleA {
-		aE = machine.AllgatherConcat(g.Fiber, aE)
-		distmat.SortEntriesParallel(aE, workers)
+		aE = distmat.MergeRuns(machine.Allgather(g.Fiber, aE), addA)
 	}
 
 	// Stage the B operand, with optional caching of the stationary matrix.
-	// The key uses the matrix's process-unique ID (not its address): an
-	// address can be recycled by the allocator after the matrix dies, which
-	// would silently alias the cache to stale entries.
-	var bE []sparse.Entry[TB]
-	hitB := false
-	cacheKey := operandKey(b.ID(), plan, k, n)
-	if cacheB {
-		var co *cachedOperand
-		if co, hitB = s.cache.lookup(cacheKey); hitB {
-			bE = co.entries.([]sparse.Entry[TB])
-		}
-	}
-	// A rank owning no B entries legitimately caches a nil slice, so a
-	// cache hit must be decided by the map's ok flag: re-staging on nil
+	// A rank owning no B entries legitimately caches an empty block, so a
+	// hit is decided by the map's ok flag: re-staging on an empty block
 	// would have that rank alone re-enter the fiber collectives and desync
 	// the simulated machine.
-	if !hitB {
-		bw := distmat.Redistribute(world, b, db, addB)
-		bE = bw.Local
-		if plan.P1 > 1 && plan.X == RoleB {
-			bE = machine.AllgatherConcat(g.Fiber, bE)
-			distmat.SortEntriesParallel(bE, workers)
+	var sb *stagedB[TB]
+	key := operandKey{id: b.ID(), plan: plan, k: k, n: n}
+	if cacheB {
+		if co, hit := s.cache.lookup(key); hit {
+			sb = co.staged.(*stagedB[TB])
 		}
+	}
+	if sb == nil {
+		bw := distmat.Redistribute(world, b, db, addB)
+		bE := bw.Local
+		if plan.P1 > 1 && plan.X == RoleB {
+			bE = distmat.MergeRuns(machine.Allgather(g.Fiber, bE), addB)
+		}
+		sb = stageB(plan, k, n, s.Proc.Rank(), bE)
 		if cacheB {
-			s.cache.insert(&cachedOperand{key: cacheKey, matID: b.ID(), plan: plan, k: k, n: n, entries: bE})
+			s.cache.insert(&cachedOperand{operandKey: key, staged: sb})
 		}
 	}
 
@@ -442,11 +457,11 @@ func Multiply[TA, TB, TC any](
 	var c []sparse.Entry[TC]
 	switch plan.YZ {
 	case VarAB:
-		c = runAB(s.Proc, g, plan, r, aE, bE, f, add, workers)
+		c = runAB(s.Proc, g, plan, r, aE, sb, f, add, workers)
 	case VarAC:
-		c = runAC(s.Proc, g, plan, r, aE, bE, f, add, workers)
+		c = runAC(s.Proc, g, plan, r, aE, sb, f, add, workers)
 	default:
-		c = runBC(s.Proc, g, plan, r, aE, bE, f, add, workers)
+		c = runBC(s.Proc, g, plan, r, aE, sb, f, add, workers)
 	}
 
 	if plan.P1 > 1 && plan.X == RoleC {
@@ -495,33 +510,39 @@ func PatchStationary[T any](c *OperandCache, rank int, id uint64, edits []Statio
 	}
 	var ops int64
 	for _, co := range c.sets {
-		if co.matID != id {
+		if co.id != id {
 			continue
 		}
 		owns := StationaryOwnership(co.plan, co.k, co.n)
-		cur := co.entries.([]sparse.Entry[T])
-		out := make([]sparse.Entry[T], 0, len(cur)+len(edits))
-		x := 0
-		for _, ed := range edits {
-			if !owns(rank, ed.I, ed.J) {
-				continue
-			}
-			for x < len(cur) && (cur[x].I < ed.I || (cur[x].I == ed.I && cur[x].J < ed.J)) {
-				out = append(out, cur[x])
-				x++
-			}
-			if x < len(cur) && cur[x].I == ed.I && cur[x].J == ed.J {
-				x++ // replaced by the upsert, or deleted
-			}
-			if !ed.Del {
-				out = append(out, sparse.Entry[T]{I: ed.I, J: ed.J, V: ed.V})
-			}
-		}
-		out = append(out, cur[x:]...)
-		co.entries = out
+		out := Splice(co.staged.(*stagedB[T]).entries, edits, func(i, j int32) bool { return owns(rank, i, j) })
+		co.staged = stageB(co.plan, co.k, co.n, rank, out)
 		ops += int64(len(out))
 	}
 	return ops
+}
+
+// Splice merges the owned subset of sorted, duplicate-free edits into a
+// sorted, duplicate-free entry slice: upserts insert or replace, deletes
+// drop. The result is a fresh slice; cur is left as it was.
+func Splice[T any](cur []sparse.Entry[T], edits []StationaryEdit[T], owned func(i, j int32) bool) []sparse.Entry[T] {
+	out := make([]sparse.Entry[T], 0, len(cur)+len(edits))
+	x := 0
+	for _, ed := range edits {
+		if !owned(ed.I, ed.J) {
+			continue
+		}
+		for x < len(cur) && (cur[x].I < ed.I || (cur[x].I == ed.I && cur[x].J < ed.J)) {
+			out = append(out, cur[x])
+			x++
+		}
+		if x < len(cur) && cur[x].I == ed.I && cur[x].J == ed.J {
+			x++ // replaced by the upsert, or deleted
+		}
+		if !ed.Del {
+			out = append(out, sparse.Entry[T]{I: ed.I, J: ed.J, V: ed.V})
+		}
+	}
+	return append(out, cur[x:]...)
 }
 
 // StationaryOwnership returns the membership test of a staged stationary-B
@@ -534,19 +555,14 @@ func PatchStationary[T any](c *OperandCache, rank int, id uint64, edits []Statio
 // (only the k and n coordinates of a B entry are consulted), matching the
 // cache key's omission of m.
 func StationaryOwnership(plan Plan, k, n int) func(rank int, i, j int32) bool {
-	_, db, _ := Dists(plan, 1, k, n)
+	owner := operandOwner(plan, 1, k, n, RoleB)
 	if plan.P1 > 1 && plan.X == RoleB {
 		// After replication a rank holds the union of its fiber group:
 		// every layer at the same inner grid position.
 		inner := plan.P2 * plan.P3
-		return func(rank int, i, j int32) bool { return db.Owner(i, j)%inner == rank%inner }
+		return func(rank int, i, j int32) bool { return owner(i, j)%inner == rank%inner }
 	}
-	return func(rank int, i, j int32) bool { return db.Owner(i, j) == rank }
-}
-
-// OwnsStationary is StationaryOwnership for a single coordinate.
-func OwnsStationary(plan Plan, k, n, rank int, i, j int32) bool {
-	return StationaryOwnership(plan, k, n)(rank, i, j)
+	return func(rank int, i, j int32) bool { return owner(i, j) == rank }
 }
 
 // PairSplice lifts a scalar stationary block into the pair operand of a
@@ -602,18 +618,18 @@ func StagePairStationary(c *OperandCache, rank int, srcID, dstID uint64, edits [
 	MarkTransient(c, dstID)
 	var ops int64
 	for _, pd := range CachedPlans(c, srcID) {
-		src, ok := c.lookup(operandKey(srcID, pd.Plan, pd.K, pd.N))
+		plan, k, n := pd.Plan, pd.K, pd.N
+		src, ok := c.lookup(operandKey{id: srcID, plan: plan, k: k, n: n})
 		if !ok {
 			continue
 		}
-		plan, k, n := pd.Plan, pd.K, pd.N
 		owns := StationaryOwnership(plan, k, n)
-		pair := PairSplice(src.entries.([]sparse.Entry[float64]), edits, func(i, j int32) bool {
+		pair := PairSplice(src.staged.(*stagedB[float64]).entries, edits, func(i, j int32) bool {
 			return owns(rank, i, j)
 		})
 		c.insert(&cachedOperand{
-			key: operandKey(dstID, plan, k, n), matID: dstID,
-			plan: plan, k: k, n: n, entries: pair,
+			operandKey: operandKey{id: dstID, plan: plan, k: k, n: n},
+			staged:     stageB(plan, k, n, rank, pair),
 		})
 		ops += int64(len(pair))
 	}
@@ -627,7 +643,12 @@ func stageBounds(t int, lo0, hi0 int32, s int) (int32, int32) {
 	return lo0 + lo, lo0 + hi
 }
 
+// bucketByStage splits es by stage, keeping each bucket in es's order. The
+// single bucket of a one-stage plan is es itself.
 func bucketByStage[T any](es []sparse.Entry[T], s int, stageOf func(sparse.Entry[T]) int) [][]sparse.Entry[T] {
+	if s == 1 {
+		return [][]sparse.Entry[T]{es}
+	}
 	out := make([][]sparse.Entry[T], s)
 	for _, e := range es {
 		t := stageOf(e)
@@ -636,22 +657,87 @@ func bucketByStage[T any](es []sparse.Entry[T], s int, stageOf func(sparse.Entry
 	return out
 }
 
+// stagedB is a B operand as its plan's stage loop consumes it on one rank:
+// the rank's sorted block and the views derived from it. The views depend
+// on (plan, k, n, rank) and the entries alone — never on the frontier — so
+// they are built when the block is staged and rebuilt only when it is
+// edited (PatchStationary), not on every multiplication.
+type stagedB[T any] struct {
+	entries []sparse.Entry[T]
+	// blocks[t] is what the rank holds of stage t: under VarAB the entries
+	// whose row lies in the stage's k-range (rows are the major sort key,
+	// so a sub-slice of entries); under VarBC a copy of those whose column
+	// lies in the stage's n-range; under VarAC, where B is stationary, the
+	// one block, entries itself.
+	blocks [][]sparse.Entry[T]
+	// offs[t] is blocks[t]'s row index over the k-range the rank multiplies
+	// it against — valid for the rank's own block, which is what it
+	// multiplies whenever it is the stage's broadcast root.
+	offs [][]int32
+}
+
+// stageB derives the stage views of a rank's staged block.
+func stageB[T any](plan Plan, k, n, rank int, entries []sparse.Entry[T]) *stagedB[T] {
+	inner := plan.P2 * plan.P3
+	myR, myC := rank%inner/plan.P3, rank%plan.P3
+	// B's staging consults only the k and n ranges, which no plan derives
+	// from the frontier row count.
+	r := layerRanges(plan, 1, k, n, rank/inner)
+	s := plan.Stages()
+	b := &stagedB[T]{entries: entries}
+	switch plan.YZ {
+	case VarAB:
+		b.blocks = make([][]sparse.Entry[T], s)
+		b.offs = make([][]int32, s)
+		lo := 0
+		for t := range b.blocks {
+			kb0, kb1 := stageBounds(t, r.k0, r.k1, s)
+			hi := lo + sort.Search(len(entries)-lo, func(x int) bool { return entries[lo+x].I >= kb1 })
+			b.blocks[t] = entries[lo:hi:hi]
+			b.offs[t] = indexRows(b.blocks[t], kb0, kb1)
+			lo = hi
+		}
+	case VarAC:
+		kb0, kb1 := stageBounds(myR, r.k0, r.k1, plan.P2)
+		b.blocks = [][]sparse.Entry[T]{entries}
+		b.offs = [][]int32{indexRows(entries, kb0, kb1)}
+	default:
+		kb0, kb1 := stageBounds(myC, r.k0, r.k1, plan.P3)
+		b.blocks = bucketByStage(entries, s, func(e sparse.Entry[T]) int { return partIn(e.J, r.n0, r.n1, s) })
+		b.offs = make([][]int32, s)
+		for t, blk := range b.blocks {
+			b.offs[t] = indexRows(blk, kb0, kb1)
+		}
+	}
+	return b
+}
+
+// bcast broadcasts stage t's block from root over c and returns it with its
+// row index: the prebuilt one at the root, whose block is its own; nil at
+// the receivers, which index what arrives.
+func (b *stagedB[T]) bcast(c *machine.Comm, root, t int) ([]sparse.Entry[T], []int32) {
+	blk := machine.Bcast(c, root, b.blocks[t])
+	if c.Rank() == root {
+		return blk, b.offs[t]
+	}
+	return blk, nil
+}
+
 // runAB: C stationary; A broadcast along grid rows, B along grid columns,
 // one stage per k-block (lcm(p2,p3) stages).
 func runAB[TA, TB, TC any](
 	proc *machine.Proc, g *machine.Grid3, plan Plan, r ranges,
-	aE []sparse.Entry[TA], bE []sparse.Entry[TB],
+	aE []sparse.Entry[TA], b *stagedB[TB],
 	f func(TA, TB) TC, add algebra.Monoid[TC], workers int,
 ) []sparse.Entry[TC] {
 	s := plan.Stages()
 	aStage := bucketByStage(aE, s, func(e sparse.Entry[TA]) int { return partIn(e.J, r.k0, r.k1, s) })
-	bStage := bucketByStage(bE, s, func(e sparse.Entry[TB]) int { return partIn(e.I, r.k0, r.k1, s) })
 	var acc []sparse.Entry[TC]
 	for t := 0; t < s; t++ {
 		aBlk := machine.Bcast(g.G2.Row, t%plan.P3, aStage[t])
-		bBlk := machine.Bcast(g.G2.Col, t%plan.P2, bStage[t])
+		bBlk, offs := b.bcast(g.G2.Col, t%plan.P2, t)
 		kb0, kb1 := stageBounds(t, r.k0, r.k1, s)
-		prod, ops := mulEntriesParallel(aBlk, bBlk, kb0, kb1, f, add, workers)
+		prod, ops := mulEntriesParallel(aBlk, bBlk, offs, kb0, kb1, f, add, workers)
 		proc.AddFlops(ops)
 		acc = distmat.MergeSortedParallel(acc, prod, add, workers)
 	}
@@ -662,7 +748,7 @@ func runAB[TA, TB, TC any](
 // grid columns, one stage per m-block.
 func runAC[TA, TB, TC any](
 	proc *machine.Proc, g *machine.Grid3, plan Plan, r ranges,
-	aE []sparse.Entry[TA], bE []sparse.Entry[TB],
+	aE []sparse.Entry[TA], b *stagedB[TB],
 	f func(TA, TB) TC, add algebra.Monoid[TC], workers int,
 ) []sparse.Entry[TC] {
 	s := plan.Stages()
@@ -674,7 +760,7 @@ func runAC[TA, TB, TC any](
 	}
 	for t := 0; t < s; t++ {
 		aBlk := machine.Bcast(g.G2.Row, t%plan.P3, aStage[t])
-		prod, ops := mulEntriesParallel(aBlk, bE, kb0, kb1, f, add, workers)
+		prod, ops := mulEntriesParallel(aBlk, b.entries, b.offs[0], kb0, kb1, f, add, workers)
 		proc.AddFlops(ops)
 		red := machine.ReduceSlices(g.G2.Col, t%plan.P2, prod, merge)
 		if g.G2.MyR == t%plan.P2 {
@@ -688,19 +774,18 @@ func runAC[TA, TB, TC any](
 // along grid rows, one stage per n-block.
 func runBC[TA, TB, TC any](
 	proc *machine.Proc, g *machine.Grid3, plan Plan, r ranges,
-	aE []sparse.Entry[TA], bE []sparse.Entry[TB],
+	aE []sparse.Entry[TA], b *stagedB[TB],
 	f func(TA, TB) TC, add algebra.Monoid[TC], workers int,
 ) []sparse.Entry[TC] {
 	s := plan.Stages()
-	bStage := bucketByStage(bE, s, func(e sparse.Entry[TB]) int { return partIn(e.J, r.n0, r.n1, s) })
 	kb0, kb1 := stageBounds(g.G2.MyC, r.k0, r.k1, plan.P3)
 	var acc []sparse.Entry[TC]
 	merge := func(x, y []sparse.Entry[TC]) []sparse.Entry[TC] {
 		return distmat.MergeSortedParallel(x, y, add, workers)
 	}
 	for t := 0; t < s; t++ {
-		bBlk := machine.Bcast(g.G2.Col, t%plan.P2, bStage[t])
-		prod, ops := mulEntriesParallel(aE, bBlk, kb0, kb1, f, add, workers)
+		bBlk, offs := b.bcast(g.G2.Col, t%plan.P2, t)
+		prod, ops := mulEntriesParallel(aE, bBlk, offs, kb0, kb1, f, add, workers)
 		proc.AddFlops(ops)
 		red := machine.ReduceSlices(g.G2.Row, t%plan.P3, prod, merge)
 		if g.G2.MyC == t%plan.P3 {
@@ -715,20 +800,25 @@ func runBC[TA, TB, TC any](
 // on CSR row count; here A is a coordinate list).
 const mulEntriesMinEntries = 8
 
-// mulEntriesParallel computes the same product as mulEntries with A's rows
+// mulEntriesParallel computes mulEntriesRange's product with A's rows
 // blocked across workers: chunk boundaries are aligned to row breaks, each
 // worker runs the row-wise kernel on its chunk against the shared B index,
 // and the row-disjoint sorted outputs are concatenated in row order — so
-// the result is identical to the sequential kernel.
+// the result is identical to the sequential kernel. offs is bE's row index
+// over [k0, k1) when the caller holds one (a staged stationary block), nil
+// to have it built here.
 func mulEntriesParallel[TA, TB, TC any](
-	aE []sparse.Entry[TA], bE []sparse.Entry[TB], k0, k1 int32,
+	aE []sparse.Entry[TA], bE []sparse.Entry[TB], offs []int32, k0, k1 int32,
 	f func(TA, TB) TC, add algebra.Monoid[TC], workers int,
 ) ([]sparse.Entry[TC], int64) {
 	if len(aE) == 0 || len(bE) == 0 {
 		return nil, 0
 	}
+	if offs == nil {
+		offs = indexRows(bE, k0, k1)
+	}
 	if workers <= 1 || len(aE) < mulEntriesMinEntries {
-		return mulEntries(aE, bE, k0, k1, f, add)
+		return mulEntriesRange(aE, bE, offs, k0, k1, f, add)
 	}
 	// Align the even split of aE to row boundaries (entries are row-sorted).
 	bounds := []int{0}
@@ -743,9 +833,8 @@ func mulEntriesParallel[TA, TB, TC any](
 	}
 	bounds = append(bounds, len(aE))
 	if len(bounds) <= 2 {
-		return mulEntries(aE, bE, k0, k1, f, add)
+		return mulEntriesRange(aE, bE, offs, k0, k1, f, add)
 	}
-	offs := indexRows(bE, k0, k1)
 	chunks := make([][]sparse.Entry[TC], len(bounds)-1)
 	var ops atomic.Int64
 	parallel.For(len(chunks), len(chunks), func(part, _, _ int) {
@@ -777,21 +866,11 @@ func indexRows[TB any](bE []sparse.Entry[TB], k0, k1 int32) []int32 {
 	return offs
 }
 
-// mulEntries multiplies two coordinate blocks: aE's columns and bE's rows
-// both lie in [k0, k1). Inputs are (row, col)-sorted; the output is sorted
-// and duplicate-free. Returns the entry list and the f-evaluation count.
-func mulEntries[TA, TB, TC any](
-	aE []sparse.Entry[TA], bE []sparse.Entry[TB], k0, k1 int32,
-	f func(TA, TB) TC, add algebra.Monoid[TC],
-) ([]sparse.Entry[TC], int64) {
-	if len(aE) == 0 || len(bE) == 0 {
-		return nil, 0
-	}
-	return mulEntriesRange(aE, bE, indexRows(bE, k0, k1), k0, k1, f, add)
-}
-
 // mulEntriesRange is the row-wise kernel over one contiguous chunk of A
-// entries (whole rows) against the shared B row index.
+// entries (whole rows) against the shared B row index: aE's columns and
+// bE's rows both lie in [k0, k1). Inputs are (row, col)-sorted; the output
+// is sorted and duplicate-free. Returns the entry list and the
+// f-evaluation count.
 func mulEntriesRange[TA, TB, TC any](
 	aE []sparse.Entry[TA], bE []sparse.Entry[TB], offs []int32, k0, k1 int32,
 	f func(TA, TB) TC, add algebra.Monoid[TC],

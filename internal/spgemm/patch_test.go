@@ -1,10 +1,15 @@
 package spgemm
 
 import (
+	"cmp"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/algebra"
+	"repro/internal/distmat"
+	"repro/internal/machine"
 	"repro/internal/sparse"
 )
 
@@ -30,6 +35,15 @@ func stageForTest(plan Plan, rank, k, n int, global []sparse.Entry[float64]) []s
 	sortEntriesByCoord(out)
 	return out
 }
+
+// setFor builds the cache entry Multiply's staging path would insert for
+// matrix id under (plan, k×n) on rank.
+func setFor[T any](id uint64, plan Plan, k, n, rank int, entries []sparse.Entry[T]) *cachedOperand {
+	return &cachedOperand{operandKey: operandKey{id: id, plan: plan, k: k, n: n}, staged: stageB(plan, k, n, rank, entries)}
+}
+
+// entriesOf returns a cached set's resident block.
+func entriesOf[T any](co *cachedOperand) []sparse.Entry[T] { return co.staged.(*stagedB[T]).entries }
 
 func sortEntriesByCoord(e []sparse.Entry[float64]) {
 	for i := 1; i < len(e); i++ {
@@ -113,12 +127,10 @@ func TestPatchStationaryMatchesRestage(t *testing.T) {
 	for _, plan := range plans {
 		for rank := 0; rank < plan.Procs(); rank++ {
 			c := NewOperandCache()
-			c.sets["b"] = &cachedOperand{
-				matID: matID, plan: plan, k: k, n: n,
-				entries: stageForTest(plan, rank, k, n, global),
-			}
+			co := setFor(matID, plan, k, n, rank, stageForTest(plan, rank, k, n, global))
+			c.insert(co)
 			PatchStationary(c, rank, matID, edits)
-			got := c.sets["b"].entries.([]sparse.Entry[float64])
+			got := entriesOf[float64](co)
 			want := stageForTest(plan, rank, k, n, newGlobal)
 			if len(got) != len(want) {
 				t.Fatalf("%s rank %d: %d entries after patch, restage has %d", plan, rank, len(got), len(want))
@@ -138,9 +150,10 @@ func TestPatchStationaryIgnoresOtherMatrices(t *testing.T) {
 	plan := Plan{P1: 1, P2: 1, P3: 2, X: RoleA, YZ: VarAB}
 	before := []sparse.Entry[float64]{{I: 0, J: 0, V: 1}, {I: 1, J: 1, V: 2}}
 	c := NewOperandCache()
-	c.sets["other"] = &cachedOperand{matID: 3, plan: plan, k: 4, n: 4, entries: append([]sparse.Entry[float64](nil), before...)}
+	other := setFor(3, plan, 4, 4, 0, append([]sparse.Entry[float64](nil), before...))
+	c.insert(other)
 	PatchStationary(c, 0, 99, []StationaryEdit[float64]{{I: 0, J: 0, Del: true}})
-	got := c.sets["other"].entries.([]sparse.Entry[float64])
+	got := entriesOf[float64](other)
 	if len(got) != len(before) || got[0] != before[0] || got[1] != before[1] {
 		t.Fatalf("patch for matrix 99 modified matrix 3's set: %+v", got)
 	}
@@ -158,22 +171,22 @@ func TestOperandCacheLRUBound(t *testing.T) {
 	}
 	c := NewOperandCacheSized(2)
 	ins := func(id uint64, plan Plan) {
-		c.insert(&cachedOperand{key: operandKey(id, plan, 4, 4), matID: id, plan: plan, k: 4, n: 4})
+		c.insert(setFor[float64](id, plan, 4, 4, 0, nil))
 	}
 	ins(1, plans[0])
 	ins(1, plans[1])
 	ins(2, plans[0]) // different matrix: its own budget
-	if _, ok := c.lookup(operandKey(1, plans[0], 4, 4)); !ok {
+	if _, ok := c.lookup(operandKey{id: 1, plan: plans[0], k: 4, n: 4}); !ok {
 		t.Fatal("set 1/plan0 must be resident (bound not yet hit); lookup also bumps its recency")
 	}
 	ins(1, plans[2]) // over budget for matrix 1: evicts plan1 (LRU; plan0 was just touched)
-	if _, ok := c.lookup(operandKey(1, plans[1], 4, 4)); ok {
+	if _, ok := c.lookup(operandKey{id: 1, plan: plans[1], k: 4, n: 4}); ok {
 		t.Fatal("LRU set must have been evicted")
 	}
-	if _, ok := c.lookup(operandKey(1, plans[0], 4, 4)); !ok {
+	if _, ok := c.lookup(operandKey{id: 1, plan: plans[0], k: 4, n: 4}); !ok {
 		t.Fatal("recently used set must survive")
 	}
-	if _, ok := c.lookup(operandKey(2, plans[0], 4, 4)); !ok {
+	if _, ok := c.lookup(operandKey{id: 2, plan: plans[0], k: 4, n: 4}); !ok {
 		t.Fatal("other matrix's set must be untouched by matrix 1's bound")
 	}
 	if c.Evictions() != 1 {
@@ -270,19 +283,15 @@ func TestStagePairStationary(t *testing.T) {
 		for rank := 0; rank < plan.Procs(); rank++ {
 			c := NewOperandCache()
 			staged := stageForTest(plan, rank, k, n, global)
-			c.insert(&cachedOperand{
-				key: operandKey(srcID, plan, k, n), matID: srcID, plan: plan, k: k, n: n,
-				entries: staged,
-			})
+			c.insert(setFor(srcID, plan, k, n, rank, staged))
 			ops := StagePairStationary(c, rank, srcID, dstID, edits)
-			co, ok := c.lookup(operandKey(dstID, plan, k, n))
+			co, ok := c.lookup(operandKey{id: dstID, plan: plan, k: k, n: n})
 			if !ok {
 				t.Fatalf("%s rank %d: pair set not registered", plan, rank)
 			}
-			got := co.entries.([]sparse.Entry[algebra.WeightPair])
-			want := PairSplice(staged, edits, func(i, j int32) bool {
-				return OwnsStationary(plan, k, n, rank, i, j)
-			})
+			got := entriesOf[algebra.WeightPair](co)
+			owns := StationaryOwnership(plan, k, n)
+			want := PairSplice(staged, edits, func(i, j int32) bool { return owns(rank, i, j) })
 			if len(got) != len(want) {
 				t.Fatalf("%s rank %d: %d pair entries, want %d", plan, rank, len(got), len(want))
 			}
@@ -295,10 +304,10 @@ func TestStagePairStationary(t *testing.T) {
 				t.Fatalf("%s rank %d: reported %d ops, wrote %d entries", plan, rank, ops, len(got))
 			}
 			DropMatrix(c, dstID)
-			if _, ok := c.lookup(operandKey(dstID, plan, k, n)); ok {
+			if _, ok := c.lookup(operandKey{id: dstID, plan: plan, k: k, n: n}); ok {
 				t.Fatal("DropMatrix left the pair set resident")
 			}
-			if _, ok := c.lookup(operandKey(srcID, plan, k, n)); !ok {
+			if _, ok := c.lookup(operandKey{id: srcID, plan: plan, k: k, n: n}); !ok {
 				t.Fatal("DropMatrix removed the scalar source set")
 			}
 			if c.Evictions() != 0 {
@@ -322,24 +331,14 @@ func TestTransientPairSetsBypassLRUBound(t *testing.T) {
 	// Two scalar plans would normally exceed the bound; insert just one so
 	// the scalar side stays within budget, then stage pairs for both plans
 	// via the transient path.
-	c.insert(&cachedOperand{
-		key: operandKey(srcID, plans[0], 4, 4), matID: srcID, plan: plans[0], k: 4, n: 4,
-		entries: []sparse.Entry[float64]{{I: 0, J: 1, V: 2}},
-	})
-	c.insert(&cachedOperand{
-		key: operandKey(srcID, plans[1], 4, 4), matID: srcID, plan: plans[1], k: 4, n: 4,
-		entries: []sparse.Entry[float64]{{I: 0, J: 1, V: 2}},
-	})
+	c.insert(setFor(srcID, plans[0], 4, 4, 0, []sparse.Entry[float64]{{I: 0, J: 1, V: 2}}))
+	c.insert(setFor(srcID, plans[1], 4, 4, 0, []sparse.Entry[float64]{{I: 0, J: 1, V: 2}}))
 	scalarEvictions := c.Evictions() // the scalar bound did evict one set
 	StagePairStationary(c, 0, srcID, dstID, []StationaryEdit[float64]{{I: 0, J: 1, V: 3}})
 	// Staging must not have evicted anything more, and manual transient
 	// inserts (what a mid-sweep cache miss does) are exempt too.
-	c.insert(&cachedOperand{
-		key: operandKey(dstID, plans[0], 4, 4), matID: dstID, plan: plans[0], k: 4, n: 4,
-	})
-	c.insert(&cachedOperand{
-		key: operandKey(dstID, plans[1], 4, 4), matID: dstID, plan: plans[1], k: 4, n: 4,
-	})
+	c.insert(setFor[algebra.WeightPair](dstID, plans[0], 4, 4, 0, nil))
+	c.insert(setFor[algebra.WeightPair](dstID, plans[1], 4, 4, 0, nil))
 	if c.Evictions() != scalarEvictions {
 		t.Fatalf("transient pair sets counted as evictions: %d -> %d", scalarEvictions, c.Evictions())
 	}
@@ -352,13 +351,190 @@ func TestTransientPairSetsBypassLRUBound(t *testing.T) {
 	}
 	// After DropMatrix the id is no longer transient: a fresh insert under
 	// it obeys the bound again.
-	c.insert(&cachedOperand{
-		key: operandKey(dstID, plans[0], 4, 4), matID: dstID, plan: plans[0], k: 4, n: 4,
-	})
-	c.insert(&cachedOperand{
-		key: operandKey(dstID, plans[1], 4, 4), matID: dstID, plan: plans[1], k: 4, n: 4,
-	})
+	c.insert(setFor[algebra.WeightPair](dstID, plans[0], 4, 4, 0, nil))
+	c.insert(setFor[algebra.WeightPair](dstID, plans[1], 4, 4, 0, nil))
 	if c.Evictions() != scalarEvictions+1 {
 		t.Fatalf("bound not restored after DropMatrix: evictions %d", c.Evictions())
+	}
+}
+
+// TestCachedViewsStayCoherent drives a bounded cache through random
+// sequences of staging (with LRU eviction), PatchStationary,
+// StagePairStationary and DropMatrix, and after every step checks each
+// resident set — block, stage buckets and row offsets — against one staged
+// from scratch out of an independent model of the matrix. A view that
+// outlives a patch multiplies against the pre-patch matrix without any
+// error: only the scores come out wrong.
+func TestCachedViewsStayCoherent(t *testing.T) {
+	plans := []Plan{
+		{P1: 1, P2: 1, P3: 4, X: RoleA, YZ: VarAB},
+		{P1: 1, P2: 2, P3: 2, X: RoleA, YZ: VarAB},
+		{P1: 1, P2: 2, P3: 2, X: RoleA, YZ: VarAC},
+		{P1: 1, P2: 2, P3: 2, X: RoleA, YZ: VarBC},
+		{P1: 4, P2: 1, P3: 1, X: RoleA, YZ: VarAB},
+		{P1: 4, P2: 1, P3: 1, X: RoleB, YZ: VarAB},
+		{P1: 2, P2: 1, P3: 2, X: RoleB, YZ: VarAC},
+		{P1: 2, P2: 2, P3: 1, X: RoleC, YZ: VarBC},
+	}
+	const k, n, srcID, dstID = 19, 21, 11, 12
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		for rank := 0; rank < 4; rank++ {
+			model := map[[2]int32]float64{}
+			for len(model) < 70 {
+				model[[2]int32{int32(rng.Intn(k)), int32(rng.Intn(n))}] = float64(1 + rng.Intn(9))
+			}
+			global := func() []sparse.Entry[float64] {
+				var out []sparse.Entry[float64]
+				for c, w := range model {
+					out = append(out, sparse.Entry[float64]{I: c[0], J: c[1], V: w})
+				}
+				sortEntriesByCoord(out)
+				return out
+			}
+			// randomEdits draws sorted, duplicate-free edits: deletions and
+			// reweights of resident coordinates, and inserts of fresh ones.
+			randomEdits := func() []StationaryEdit[float64] {
+				picked := map[[2]int32]bool{}
+				var edits []StationaryEdit[float64]
+				for x := 0; x < 1+rng.Intn(6); x++ {
+					c := [2]int32{int32(rng.Intn(k)), int32(rng.Intn(n))}
+					if picked[c] {
+						continue
+					}
+					picked[c] = true
+					_, resident := model[c]
+					edits = append(edits, StationaryEdit[float64]{I: c[0], J: c[1], V: float64(10 + rng.Intn(9)), Del: resident && rng.Intn(2) == 0})
+				}
+				slices.SortFunc(edits, func(a, b StationaryEdit[float64]) int {
+					return cmp.Compare(distmat.CoordKey(a.I, a.J), distmat.CoordKey(b.I, b.J))
+				})
+				return edits
+			}
+			c := NewOperandCacheSized(3)
+			// check compares every resident set with a from-scratch staging:
+			// scalar sets of the model, pair sets of the model spliced with
+			// pairEdits.
+			check := func(step string, pairEdits []StationaryEdit[float64]) {
+				t.Helper()
+				for key, co := range c.sets {
+					base := stageForTest(key.plan, rank, k, n, global())
+					var want any = stageB(key.plan, k, n, rank, base)
+					if key.id == dstID {
+						owns := StationaryOwnership(key.plan, k, n)
+						want = stageB(key.plan, k, n, rank, PairSplice(base, pairEdits, func(i, j int32) bool { return owns(rank, i, j) }))
+					}
+					if !reflect.DeepEqual(co.staged, want) {
+						t.Fatalf("seed %d rank %d after %s: set %+v diverged from a fresh staging\n got %+v\nwant %+v", seed, rank, step, key, co.staged, want)
+					}
+				}
+			}
+			for step := 0; step < 60; step++ {
+				switch rng.Intn(4) {
+				case 0: // a multiply under some plan: hit, or stage (and maybe evict)
+					plan := plans[rng.Intn(len(plans))]
+					if _, ok := c.lookup(operandKey{id: srcID, plan: plan, k: k, n: n}); !ok {
+						c.insert(setFor(srcID, plan, k, n, rank, stageForTest(plan, rank, k, n, global())))
+					}
+					check("stage", nil)
+				case 1, 2:
+					edits := randomEdits()
+					for _, ed := range edits {
+						if ed.Del {
+							delete(model, [2]int32{ed.I, ed.J})
+						} else {
+							model[[2]int32{ed.I, ed.J}] = ed.V
+						}
+					}
+					PatchStationary(c, rank, srcID, edits)
+					check("patch", nil)
+				case 3: // a fused region: pair sets staged, used, dropped
+					edits := randomEdits()
+					StagePairStationary(c, rank, srcID, dstID, edits)
+					if got, want := len(CachedPlans(c, dstID)), len(CachedPlans(c, srcID)); got != want {
+						t.Fatalf("seed %d rank %d: %d pair sets for %d scalar sets", seed, rank, got, want)
+					}
+					check("pair staging", edits)
+					DropMatrix(c, dstID)
+					check("drop", nil)
+				}
+				if got := len(CachedPlans(c, srcID)); got > 3 {
+					t.Fatalf("seed %d rank %d: %d sets resident past the bound of 3", seed, rank, got)
+				}
+			}
+			if c.Evictions() == 0 {
+				t.Fatalf("seed %d rank %d: the sequence never evicted; the bound is not exercised", seed, rank)
+			}
+		}
+	}
+}
+
+// TestStagedViewsMatchDefinition pins stageB itself: stage t's block holds
+// exactly the entries the stage loop's own bucketing rule assigns to it,
+// in order, and each row index equals indexRows over the range the rank
+// multiplies that block against.
+func TestStagedViewsMatchDefinition(t *testing.T) {
+	const k, n = 19, 21
+	rng := rand.New(rand.NewSource(3))
+	var global []sparse.Entry[float64]
+	seen := map[[2]int32]bool{}
+	for len(global) < 120 {
+		c := [2]int32{int32(rng.Intn(k)), int32(rng.Intn(n))}
+		if !seen[c] {
+			seen[c] = true
+			global = append(global, sparse.Entry[float64]{I: c[0], J: c[1], V: rng.Float64()})
+		}
+	}
+	sortEntriesByCoord(global)
+	for _, p := range []int{1, 2, 4, 6} {
+		for _, f := range machine.Factorizations3(p) {
+			for _, x := range []Role{RoleA, RoleB, RoleC} {
+				for _, yz := range []Variant{VarAB, VarAC, VarBC} {
+					plan := Plan{P1: f[0], P2: f[1], P3: f[2], X: x, YZ: yz}
+					s := plan.Stages()
+					for rank := 0; rank < p; rank++ {
+						entries := stageForTest(plan, rank, k, n, global)
+						got := stageB(plan, k, n, rank, entries)
+						inner := plan.P2 * plan.P3
+						r := layerRanges(plan, 1, k, n, rank/inner)
+						var blocks [][]sparse.Entry[float64]
+						var offs [][]int32
+						switch yz {
+						case VarAB:
+							blocks = make([][]sparse.Entry[float64], s)
+							for _, e := range entries {
+								st := partIn(e.I, r.k0, r.k1, s)
+								blocks[st] = append(blocks[st], e)
+							}
+							for st, blk := range blocks {
+								kb0, kb1 := stageBounds(st, r.k0, r.k1, s)
+								offs = append(offs, indexRows(blk, kb0, kb1))
+							}
+						case VarAC:
+							kb0, kb1 := stageBounds(rank%inner/plan.P3, r.k0, r.k1, plan.P2)
+							blocks, offs = [][]sparse.Entry[float64]{entries}, [][]int32{indexRows(entries, kb0, kb1)}
+						default:
+							blocks = make([][]sparse.Entry[float64], s)
+							for _, e := range entries {
+								st := partIn(e.J, r.n0, r.n1, s)
+								blocks[st] = append(blocks[st], e)
+							}
+							kb0, kb1 := stageBounds(rank%plan.P3, r.k0, r.k1, plan.P3)
+							for _, blk := range blocks {
+								offs = append(offs, indexRows(blk, kb0, kb1))
+							}
+						}
+						if len(got.blocks) != len(blocks) {
+							t.Fatalf("%s rank %d: %d blocks, want %d", plan, rank, len(got.blocks), len(blocks))
+						}
+						for st := range blocks {
+							if !slices.Equal(got.blocks[st], blocks[st]) || !slices.Equal(got.offs[st], offs[st]) {
+								t.Fatalf("%s rank %d stage %d:\n got %v %v\nwant %v %v", plan, rank, st, got.blocks[st], got.offs[st], blocks[st], offs[st])
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 }
