@@ -72,10 +72,6 @@ func BenchmarkAblationDecomposition(b *testing.B) { runExperiment(b, "ablate-dec
 // BenchmarkAblationBatchSize sweeps n_b.
 func BenchmarkAblationBatchSize(b *testing.B) { runExperiment(b, "ablate-batch") }
 
-// BenchmarkAblationCannon contrasts Cannon's algorithm with the
-// broadcast-based 2D variants and the automatic plan.
-func BenchmarkAblationCannon(b *testing.B) { runExperiment(b, "ablate-cannon") }
-
 // --- kernel micro-benchmarks ---
 
 // BenchmarkSpGEMMGustavson measures the local generalized SpGEMM kernel on
@@ -129,8 +125,9 @@ func BenchmarkMFBCWorkers(b *testing.B) {
 }
 
 // BenchmarkMFBCEndToEndWorkers runs the same comparison through the public
-// API on the simulated machine (one rank), so the distributed plumbing —
-// redistribution, entry-list kernels, merges — is included.
+// API on the simulated machine (one rank, asked for by forcing the 1x1x1
+// plan), so the distributed plumbing — redistribution, entry-list kernels,
+// merges — is included.
 func BenchmarkMFBCEndToEndWorkers(b *testing.B) {
 	g := graph.RMAT(graph.DefaultRMAT(13, 8, 4))
 	sources := make([]int32, 128)
@@ -141,7 +138,7 @@ func BenchmarkMFBCEndToEndWorkers(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := Compute(g, Options{
-					Engine: EngineMFBC, Procs: 1, Sources: sources, Workers: w,
+					Engine: EngineMFBC, Procs: 1, Plan: oneRankPlan, Sources: sources, Workers: w,
 				}); err != nil {
 					b.Fatal(err)
 				}
@@ -167,6 +164,23 @@ func BenchmarkMFBCSequentialBatch(b *testing.B) {
 	}
 	edges := float64(g.AdjacencyNNZ() * len(sources))
 	b.ReportMetric(float64(b.N)*edges/b.Elapsed().Seconds()/1e6, "MTEPS")
+}
+
+// BenchmarkApproximateBCSequential measures a 32-sample estimate through the
+// public API on the graph and budget of BenchmarkMFBCSequentialBatch. Read
+// the two per-op times side by side: this one is that batch (over seeded
+// random sources rather than strided ones) plus building A and Aᵀ, about 2×
+// on this graph. A reading an order of magnitude apart means a sampled run
+// at Procs 1 has left the sequential path for a 1-rank machine run again —
+// the regression net for Compute's routing rule.
+func BenchmarkApproximateBCSequential(b *testing.B) {
+	g := graph.RMAT(graph.DefaultRMAT(11, 8, 2))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := ApproximateBC(g, 32, 1, Options{Procs: 1, Workers: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkBrandesBatch measures the traversal-based oracle on the same

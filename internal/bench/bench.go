@@ -141,7 +141,7 @@ type Point struct {
 // Experiments lists the available experiment ids in presentation order.
 var Experiments = []string{
 	"table2", "fig1a", "fig1b", "fig1c", "fig2a", "fig2b", "table3",
-	"ablate-decomp", "ablate-batch", "ablate-cannon", "streaming-dist",
+	"ablate-decomp", "ablate-batch", "streaming-dist",
 }
 
 // Run executes one experiment by id.
@@ -166,8 +166,6 @@ func Run(id string, cfg Config) ([]Point, error) {
 		return AblateDecomp(cfg)
 	case "ablate-batch":
 		return AblateBatch(cfg)
-	case "ablate-cannon":
-		return AblateCannon(cfg)
 	case "streaming-dist":
 		return StreamingDist(cfg)
 	default:

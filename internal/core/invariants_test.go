@@ -29,7 +29,7 @@ func randomTree(n int, seed int64) *graph.Graph {
 func TestTreeSumIdentity(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		g := randomTree(60, seed)
-		res, err := MFBC(g, Options{Batch: 13})
+		res, err := MFBC(g, nil, Options{Batch: 13})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,7 +61,7 @@ func TestTreeLeavesZero(t *testing.T) {
 		deg[e.U]++
 		deg[e.V]++
 	}
-	res, err := MFBC(g, Options{})
+	res, err := MFBC(g, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,12 +77,12 @@ func TestTreeLeavesZero(t *testing.T) {
 // positive weights are added.
 func TestWeightIndifferenceOnTrees(t *testing.T) {
 	g := randomTree(50, 11)
-	plain, err := MFBC(g, Options{})
+	plain, err := MFBC(g, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	g.AddUniformWeights(1, 50, 13)
-	weighted, err := MFBC(g, Options{})
+	weighted, err := MFBC(g, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,14 +98,14 @@ func TestWeightIndifferenceOnTrees(t *testing.T) {
 func TestScaledWeightsInvariance(t *testing.T) {
 	g := graph.RMAT(graph.DefaultRMAT(6, 6, 17))
 	g.AddUniformWeights(1, 20, 3)
-	base, err := MFBC(g, Options{Batch: 16})
+	base, err := MFBC(g, nil, Options{Batch: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range g.Edges {
 		g.Edges[i].W *= 3.5
 	}
-	scaled, err := MFBC(g, Options{Batch: 16})
+	scaled, err := MFBC(g, nil, Options{Batch: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestScaledWeightsInvariance(t *testing.T) {
 // centrality.
 func TestSymmetryOfVertexTransitiveGraphs(t *testing.T) {
 	g := graph.Ring(17)
-	res, err := MFBC(g, Options{Batch: 5})
+	res, err := MFBC(g, nil, Options{Batch: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

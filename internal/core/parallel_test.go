@@ -31,12 +31,12 @@ func TestMFBCWorkersInvariant(t *testing.T) {
 			g.AddUniformWeights(1, 10, 6)
 		}
 		for _, nb := range batchWidths {
-			base, err := MFBC(g, Options{Batch: nb, Workers: 1})
+			base, err := MFBC(g, nil, Options{Batch: nb, Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, w := range append([]int{0}, workerCounts...) {
-				res, err := MFBC(g, Options{Batch: nb, Workers: w})
+				res, err := MFBC(g, nil, Options{Batch: nb, Workers: w})
 				if err != nil {
 					t.Fatal(err)
 				}

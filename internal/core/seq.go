@@ -503,26 +503,37 @@ type Result struct {
 	Batches    int
 }
 
-// MFBC (Algorithm 3) computes betweenness centrality for every vertex of g.
-func MFBC(g *graph.Graph, opt Options) (*Result, error) {
+// MFBC (Algorithm 3) computes betweenness centrality over g from the given
+// sources: nil means every vertex (the exact scores); an explicit list
+// leaves the partial sums Σ_{s∈sources} δ(s,·) in BC.
+func MFBC(g *graph.Graph, sources []int32, opt Options) (*Result, error) {
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	a := g.Adjacency()
-	at := sparse.Transpose(a)
-	res := &Result{BC: make([]float64, g.N)}
-	sources := make([]int32, g.N)
-	for s := range sources {
-		sources[s] = int32(s)
+	return SweepSources(a, sparse.Transpose(a), sources, opt), nil
+}
+
+// SweepSources is the batching loop of Algorithm 3 over prebuilt operands:
+// it sweeps sources (nil = every vertex) in chunks of min(Batch|128,
+// len(sources)) and accumulates their dependency contributions. Rows fold
+// into BC in source order, so scores do not depend on the chunk size.
+func SweepSources(a, at *sparse.CSR[float64], sources []int32, opt Options) *Result {
+	if sources == nil {
+		sources = make([]int32, a.Rows)
+		for s := range sources {
+			sources[s] = int32(s)
+		}
 	}
-	nb := opt.batchFor(g.N)
-	for lo := 0; lo < g.N; lo += nb {
+	res := &Result{BC: make([]float64, a.Rows)}
+	nb := opt.batchFor(len(sources))
+	for lo := 0; lo < len(sources); lo += nb {
 		res.Batches++
-		ops, iters := MFBCBatchParallel(a, at, sources[lo:min(lo+nb, g.N)], res.BC, opt.Workers)
+		ops, iters := MFBCBatchParallel(a, at, sources[lo:min(lo+nb, len(sources))], res.BC, opt.Workers)
 		res.Ops += ops
 		res.Iterations += iters
 	}
-	return res, nil
+	return res
 }
 
 // MFBCBatch runs a single batch for the given sources, accumulating

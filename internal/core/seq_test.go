@@ -18,7 +18,7 @@ func almostEqual(a, b float64) bool {
 func checkAgainstBrandes(t *testing.T, g *graph.Graph, batch int) {
 	t.Helper()
 	want := baseline.Brandes(g)
-	got, err := MFBC(g, Options{Batch: batch})
+	got, err := MFBC(g, nil, Options{Batch: batch})
 	if err != nil {
 		t.Fatalf("%s: MFBC failed: %v", g.Name, err)
 	}
@@ -33,7 +33,7 @@ func TestMFBCPath(t *testing.T) {
 	g := graph.Path(10)
 	checkAgainstBrandes(t, g, 0)
 	// Closed form: interior vertex i of a path lies on all s<i<t pairs.
-	got, _ := MFBC(g, Options{})
+	got, _ := MFBC(g, nil, Options{})
 	for i := 1; i < 9; i++ {
 		want := float64(2 * i * (9 - i))
 		if !almostEqual(got.BC[i], want) {
@@ -45,7 +45,7 @@ func TestMFBCPath(t *testing.T) {
 func TestMFBCStar(t *testing.T) {
 	g := graph.Star(12)
 	checkAgainstBrandes(t, g, 5)
-	got, _ := MFBC(g, Options{})
+	got, _ := MFBC(g, nil, Options{})
 	if want := float64(11 * 10); !almostEqual(got.BC[0], want) {
 		t.Fatalf("star hub BC = %g, want %g", got.BC[0], want)
 	}
@@ -144,12 +144,12 @@ func TestMFBCWeightedTies(t *testing.T) {
 // partitions the same total.
 func TestMFBCBatchInvariance(t *testing.T) {
 	g := graph.RMAT(graph.DefaultRMAT(6, 6, 21))
-	ref, err := MFBC(g, Options{Batch: g.N})
+	ref, err := MFBC(g, nil, Options{Batch: g.N})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, b := range []int{1, 3, 7, 32} {
-		got, err := MFBC(g, Options{Batch: b})
+		got, err := MFBC(g, nil, Options{Batch: b})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,7 +164,7 @@ func TestMFBCBatchInvariance(t *testing.T) {
 // TestMFBCPermutationEquivariance: relabeling vertices permutes scores.
 func TestMFBCPermutationEquivariance(t *testing.T) {
 	g := graph.RMAT(graph.DefaultRMAT(6, 7, 31))
-	res, err := MFBC(g, Options{})
+	res, err := MFBC(g, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestMFBCPermutationEquivariance(t *testing.T) {
 	h := &graph.Graph{Name: "permuted", N: g.N, Directed: g.Directed, Weighted: g.Weighted}
 	h.Edges = append(h.Edges, g.Edges...)
 	h.Permute(perm)
-	res2, err := MFBC(h, Options{})
+	res2, err := MFBC(h, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestMFBCDisconnected(t *testing.T) {
 
 func TestMFBCEmptyAndTiny(t *testing.T) {
 	empty := &graph.Graph{Name: "empty", N: 3}
-	res, err := MFBC(empty, Options{})
+	res, err := MFBC(empty, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestMFBCEmptyAndTiny(t *testing.T) {
 		}
 	}
 	single := graph.Path(2)
-	res, err = MFBC(single, Options{})
+	res, err = MFBC(single, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,11 +238,11 @@ func TestMFBCEmptyAndTiny(t *testing.T) {
 func TestMFBCRejectsBadWeights(t *testing.T) {
 	g := &graph.Graph{Name: "bad", N: 2, Weighted: true}
 	g.Edges = []graph.Edge{{U: 0, V: 1, W: 0}}
-	if _, err := MFBC(g, Options{}); err == nil {
+	if _, err := MFBC(g, nil, Options{}); err == nil {
 		t.Fatal("zero-weight edge must be rejected")
 	}
 	g.Edges = []graph.Edge{{U: 0, V: 1, W: -2}}
-	if _, err := MFBC(g, Options{}); err == nil {
+	if _, err := MFBC(g, nil, Options{}); err == nil {
 		t.Fatal("negative-weight edge must be rejected")
 	}
 }

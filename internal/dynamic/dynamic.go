@@ -340,7 +340,7 @@ func New(g *graph.Graph, cfg Config) (*Engine, error) {
 		st.comm = commOf(r.Stats)
 		e.dist = sess
 	} else {
-		st.bc = e.pivotScores(context.Background(), st, allSources(own.N))
+		st.bc = e.pivotScores(context.Background(), st, nil)
 	}
 	// The engine is not shared yet, but publishing the initial snapshot
 	// under the lock keeps the guarded-field discipline uniform (and the
@@ -359,21 +359,6 @@ func (e *Engine) distOpts() core.DistOptions {
 		Plan: e.cfg.Plan, Constraint: e.cfg.Constraint, Model: e.cfg.Model,
 		CacheSets: e.cfg.CacheSets, Transport: e.cfg.Transport,
 	}
-}
-
-// batchSize resolves Config.Batch like core.Options does.
-func (e *Engine) batchSize(n int) int {
-	nb := e.cfg.Batch
-	if nb <= 0 {
-		nb = 128
-	}
-	if nb > n {
-		nb = n
-	}
-	if nb < 1 {
-		nb = 1
-	}
-	return nb
 }
 
 // Snapshot returns the current consistent (graph, scores, version) view.
@@ -476,7 +461,7 @@ func (e *Engine) ApplyCtx(ctx context.Context, batch []graph.Mutation) (Report, 
 			}
 			st.bc = bc
 		} else {
-			st.bc = e.pivotScores(ctx, st, allSources(newG.N))
+			st.bc = e.pivotScores(ctx, st, nil)
 		}
 		strategy = StrategyFull
 		return nil
@@ -757,33 +742,17 @@ func clampResidue(bc []float64) {
 	}
 }
 
-// allSources lists every vertex of an n-vertex snapshot: pivotScores over it
-// is the exact full recompute (core.MFBC's batching without rebuilding A
-// and Aᵀ).
-func allSources(n int) []int32 {
-	sources := make([]int32, n)
-	for s := range sources {
-		sources[s] = int32(s)
-	}
-	return sources
-}
-
-// pivotScores runs batched MFBC sweeps for exactly the given sources over
-// the snapshot's cached operands and returns their accumulated dependency
-// contributions.
+// pivotScores runs batched MFBC sweeps for exactly the given sources (nil =
+// every vertex, the exact full recompute) over the snapshot's cached
+// operands and returns their accumulated dependency contributions.
 func (e *Engine) pivotScores(ctx context.Context, st *state, sources []int32) []float64 {
-	_, span := obs.StartSpan(ctx, "sweep.local")
-	defer span.SetAttr("sources", len(sources)).End()
-	bc := make([]float64, st.g.N)
-	nb := e.batchSize(len(sources))
-	for lo := 0; lo < len(sources); lo += nb {
-		hi := lo + nb
-		if hi > len(sources) {
-			hi = len(sources)
-		}
-		core.MFBCBatchParallel(st.a, st.at, sources[lo:hi], bc, e.cfg.Workers)
+	swept := len(sources)
+	if sources == nil {
+		swept = st.g.N
 	}
-	return bc
+	_, span := obs.StartSpan(ctx, "sweep.local")
+	defer span.SetAttr("sources", swept).End()
+	return core.SweepSources(st.a, st.at, sources, core.Options{Batch: e.cfg.Batch, Workers: e.cfg.Workers}).BC
 }
 
 // sampledScores estimates BC from a seeded random subset of sources scaled

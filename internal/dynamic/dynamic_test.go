@@ -20,7 +20,7 @@ func almostEqual(a, b float64) bool {
 // fromScratch recomputes exact scores on g's current topology.
 func fromScratch(t *testing.T, g *graph.Graph) []float64 {
 	t.Helper()
-	r, err := core.MFBC(g, core.Options{})
+	r, err := core.MFBC(g, nil, core.Options{})
 	if err != nil {
 		t.Fatalf("from-scratch MFBC: %v", err)
 	}

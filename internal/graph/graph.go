@@ -208,17 +208,6 @@ func (g *Graph) Permute(perm []int32) {
 	})
 }
 
-// RandomPermute applies a seeded random relabeling.
-func (g *Graph) RandomPermute(seed int64) {
-	rng := rand.New(rand.NewSource(seed))
-	perm := make([]int32, g.N)
-	for i := range perm {
-		perm[i] = int32(i)
-	}
-	rng.Shuffle(g.N, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
-	g.Permute(perm)
-}
-
 // AddUniformWeights assigns integer weights drawn uniformly from [lo, hi]
 // (the paper's weighted R-MAT setup uses [1, 100]).
 func (g *Graph) AddUniformWeights(lo, hi int, seed int64) {

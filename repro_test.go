@@ -7,7 +7,13 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/spgemm"
 )
+
+// oneRankPlan, forced, is how a caller asks for a modeled machine run at
+// Procs 1.
+var oneRankPlan = &spgemm.Plan{P1: 1, P2: 1, P3: 1, X: spgemm.RoleA, YZ: spgemm.VarAB}
 
 func almostEqual(a, b float64) bool {
 	diff := math.Abs(a - b)
@@ -103,6 +109,79 @@ func TestSourcesBatchMode(t *testing.T) {
 	for v := range oracle.BC {
 		if !almostEqual(partial.BC[v], oracle.BC[v]) {
 			t.Fatalf("partial BC[%d]=%g want %g", v, partial.BC[v], oracle.BC[v])
+		}
+	}
+}
+
+// TestComputeRouting pins the one routing rule: the data layout picks the
+// sweep, not the entry point. Exact, explicit-source and sampled runs at
+// Procs ≤ 1 take the sequential path (no plan, zero Comm); the same inputs
+// under a forced 1x1x1 plan or at Procs 4 run on the simulated machine
+// (plan string, modeled flops). Every route matches the Brandes oracle and
+// the others bit for bit. Batch 5 makes the sequential path chunk the
+// 12-source lists, which the machine path sweeps as one batch.
+func TestComputeRouting(t *testing.T) {
+	g := GridGraph(7, 7, 8, 3)
+	const k, seed = 12, 5
+	explicit := make([]int32, k)
+	for i := range explicit {
+		explicit[i] = int32((i * 17) % g.N)
+	}
+	sampled := make([]int32, k)
+	for i, v := range newPerm(g.N, seed)[:k] {
+		sampled[i] = int32(v)
+	}
+	inputs := []struct {
+		name    string
+		sources []int32 // what the oracle sweeps
+		scale   float64
+		run     func(Options) (*Result, error)
+	}{
+		{"exact", nil, 1, func(o Options) (*Result, error) { return Compute(g, o) }},
+		{"sources", explicit, 1, func(o Options) (*Result, error) {
+			o.Sources = explicit
+			return Compute(g, o)
+		}},
+		{"approximate", sampled, float64(g.N) / k, func(o Options) (*Result, error) { return ApproximateBC(g, k, seed, o) }},
+	}
+	routes := []struct {
+		name    string
+		opt     Options
+		machine bool
+	}{
+		{"procs=0", Options{Batch: 5}, false},
+		{"procs=1", Options{Batch: 5, Procs: 1}, false},
+		{"procs=1/forced-plan", Options{Batch: 5, Procs: 1, Plan: oneRankPlan}, true},
+		{"procs=4", Options{Batch: 5, Procs: 4}, true},
+	}
+	for _, in := range inputs {
+		oracle, err := Compute(g, Options{Engine: EngineBrandes, Sources: in.sources})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var first *Result
+		for _, rt := range routes {
+			res, err := in.run(rt.opt)
+			if err != nil {
+				t.Fatalf("%s %s: %v", in.name, rt.name, err)
+			}
+			if rt.machine && (res.Plan == "" || res.Comm.Flops == 0) {
+				t.Errorf("%s %s: machine route reported plan %q, comm %+v", in.name, rt.name, res.Plan, res.Comm)
+			}
+			if !rt.machine && (res.Plan != "" || res.Comm != CommReport{}) {
+				t.Errorf("%s %s: sequential route reported plan %q, comm %+v", in.name, rt.name, res.Plan, res.Comm)
+			}
+			if first == nil {
+				first = res
+			}
+			for v := range oracle.BC {
+				if !almostEqual(res.BC[v], oracle.BC[v]*in.scale) {
+					t.Fatalf("%s %s: BC[%d]=%g want %g", in.name, rt.name, v, res.BC[v], oracle.BC[v]*in.scale)
+				}
+				if res.BC[v] != first.BC[v] {
+					t.Fatalf("%s %s: BC[%d]=%v differs from %s's %v", in.name, rt.name, v, res.BC[v], routes[0].name, first.BC[v])
+				}
+			}
 		}
 	}
 }
