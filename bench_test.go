@@ -7,6 +7,8 @@ package repro
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/algebra"
@@ -147,9 +149,26 @@ func BenchmarkMFBCEndToEndWorkers(b *testing.B) {
 	}
 }
 
-// BenchmarkMFBCSequentialBatch measures one sequential MFBF+MFBr batch.
+// BenchmarkMFBCSequentialBatch measures one sequential MFBF+MFBr batch on
+// RMAT: wide rows, a handful of rounds.
 func BenchmarkMFBCSequentialBatch(b *testing.B) {
-	g := graph.RMAT(graph.DefaultRMAT(11, 8, 2))
+	benchSequentialBatch(b, graph.RMAT(graph.DefaultRMAT(11, 8, 2)))
+}
+
+// BenchmarkMFBCSequentialBatchMesh is the other regime, the one the query
+// service's write cycle runs in: a 14×14 mesh with near-continuous weights
+// on the 2⁻¹⁰ grid, so rows are narrow and a sweep takes ~26 rounds.
+func BenchmarkMFBCSequentialBatchMesh(b *testing.B) {
+	g := graph.Grid2D(14, 14, 1, 0)
+	rng := rand.New(rand.NewSource(7))
+	for i := range g.Edges {
+		g.Edges[i].W = math.Round((1+29*rng.Float64())*1024) / 1024
+	}
+	g.Weighted = true
+	benchSequentialBatch(b, g)
+}
+
+func benchSequentialBatch(b *testing.B, g *graph.Graph) {
 	a := g.Adjacency()
 	at := sparse.Transpose(a)
 	sources := make([]int32, 32)

@@ -13,10 +13,12 @@ package repro
 
 import (
 	"fmt"
+	"math/rand"
 	"os"
 	"strconv"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/spgemm"
 )
 
@@ -125,6 +127,87 @@ func TestDifferential(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRealWeightsDifferential holds the p=1 route to the Brandes oracle on
+// weights with no exact sums: 0.05 + rand.Float64(), where path weights
+// added in different orders differ in the last bit. The CSR kernel screens
+// an edge with the expression the relaxation used to produce T, as Brandes
+// does, so it is exact there; before that (it subtracted on the way back)
+// this failed at seed 1. The streaming engine is checked after a few
+// set_weight batches of more such weights.
+func TestRealWeightsDifferential(t *testing.T) {
+	topologies := []diffTopology{
+		{"grid-9x9", func(s int64) *Graph { return GridGraph(9, 9, 1, s) }},
+		{"uniform-undirected", func(s int64) *Graph { return UniformGraph(120, 600, false, s) }},
+		{"uniform-directed", func(s int64) *Graph { return UniformGraph(90, 500, true, s) }},
+	}
+	brandes := func(t *testing.T, g *Graph) []float64 {
+		t.Helper()
+		oracle, err := Compute(g, Options{Engine: EngineBrandes})
+		if err != nil {
+			t.Fatalf("oracle: %v", err)
+		}
+		return oracle.BC
+	}
+	matches := func(t *testing.T, what string, got, want []float64) {
+		t.Helper()
+		for v := range want {
+			if !almostEqual(got[v], want[v]) {
+				t.Fatalf("%s: BC[%d] = %.17g, oracle %.17g", what, v, got[v], want[v])
+			}
+		}
+	}
+	for _, topo := range topologies {
+		for seed := int64(1); seed <= 20; seed++ {
+			t.Run(fmt.Sprintf("%s/seed%d", topo.name, seed), func(t *testing.T) {
+				g := topo.build(seed)
+				rng := rand.New(rand.NewSource(seed))
+				for i := range g.Edges {
+					g.Edges[i].W = 0.05 + rng.Float64()
+				}
+				g.Weighted = true
+				want := brandes(t, g)
+
+				res, err := core.MFBC(g, nil, core.Options{Batch: 32, Workers: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				matches(t, "core.MFBC", res.BC, want)
+				out, err := Compute(g, Options{Engine: EngineMFBC, Procs: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				matches(t, "Compute{Procs:1}", out.BC, want)
+
+				dyn, err := NewDynamicBC(g, DynamicOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				shadow := g.Clone()
+				for step := 0; step < 3; step++ {
+					batch := make([]Mutation, 2)
+					for i := range batch {
+						e := shadow.Edges[rng.Intn(shadow.M())]
+						batch[i] = Mutation{Op: MutSetWeight, U: e.U, V: e.V, W: 0.05 + rng.Float64()}
+						if err := shadow.Apply(batch[i]); err != nil {
+							t.Fatalf("step %d: shadow: %v", step, err)
+						}
+					}
+					rep, err := dyn.Apply(batch)
+					if err != nil {
+						t.Fatalf("step %d: %v", step, err)
+					}
+					matches(t, fmt.Sprintf("NewDynamicBC step %d (%s)", step, rep.Strategy), dyn.Scores().BC, brandes(t, shadow))
+				}
+			})
+		}
+	}
+	// The other half of ROADMAP item 1(a): the entry-list engines still
+	// subtract on the way back.
+	t.Run("procs4", func(t *testing.T) {
+		t.Skip("Procs > 1 is not exact on real weights yet: core/dist.go's screenFrontierSided and screenCentSided compare weights summed in different orders")
+	})
 }
 
 // TestDifferentialApproxExactness: on vertex-transitive sources the sampling

@@ -20,16 +20,24 @@ var (
 	batchWidths  = []int{1, 5, 64}
 )
 
+// weightedDirected is a graph whose Aᵀ differs from A in pattern and in
+// values, so a predecessor list read off the wrong operand, or off another
+// worker's scratch, cannot go unnoticed.
+func weightedDirected(seed int64) *graph.Graph {
+	g := graph.Uniform(150, 900, true, seed)
+	g.AddUniformWeights(1, 6, seed+1)
+	return g
+}
+
 // TestMFBCWorkersInvariant: betweenness scores, op counts and iteration
 // counts are bit-identical for every worker count and batch width, on
-// weighted and unweighted graphs (blocking the source rows across workers
-// must not perturb float summation order).
+// unweighted, weighted and weighted directed graphs (blocking the source
+// rows across workers must not perturb float summation order, and each
+// worker's scratch must be its own).
 func TestMFBCWorkersInvariant(t *testing.T) {
-	for _, weighted := range []bool{false, true} {
-		g := graph.RMAT(graph.DefaultRMAT(8, 8, 5))
-		if weighted {
-			g.AddUniformWeights(1, 10, 6)
-		}
+	wrmat := graph.RMAT(graph.DefaultRMAT(8, 8, 5))
+	wrmat.AddUniformWeights(1, 10, 6)
+	for _, g := range []*graph.Graph{graph.RMAT(graph.DefaultRMAT(8, 8, 5)), wrmat, weightedDirected(7)} {
 		for _, nb := range batchWidths {
 			base, err := MFBC(g, nil, Options{Batch: nb, Workers: 1})
 			if err != nil {
@@ -41,13 +49,13 @@ func TestMFBCWorkersInvariant(t *testing.T) {
 					t.Fatal(err)
 				}
 				if res.Ops != base.Ops || res.Iterations != base.Iterations {
-					t.Fatalf("weighted=%v nb=%d workers=%d: ops/iters differ (%d/%d vs %d/%d)",
-						weighted, nb, w, res.Ops, res.Iterations, base.Ops, base.Iterations)
+					t.Fatalf("%s weighted=%v nb=%d workers=%d: ops/iters differ (%d/%d vs %d/%d)",
+						g.Name, g.Weighted, nb, w, res.Ops, res.Iterations, base.Ops, base.Iterations)
 				}
 				for v := range base.BC {
 					if math.Float64bits(res.BC[v]) != math.Float64bits(base.BC[v]) {
-						t.Fatalf("weighted=%v nb=%d workers=%d: BC[%d] = %v, want %v",
-							weighted, nb, w, v, res.BC[v], base.BC[v])
+						t.Fatalf("%s weighted=%v nb=%d workers=%d: BC[%d] = %v, want %v",
+							g.Name, g.Weighted, nb, w, v, res.BC[v], base.BC[v])
 					}
 				}
 			}
@@ -116,11 +124,12 @@ func TestMFBFParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestBatchConcurrentCallers drives the pooled workspace from two
-// goroutines at once over graphs of different size, as the server's query
-// and write paths do: every result must equal the solo run's, so a
-// workspace recycled from the other caller (wider or narrower rows, stale
-// slab contents) never leaks into an answer.
+// TestBatchConcurrentCallers drives the pooled workspace from three
+// goroutines at once over graphs of different size and 1, 2 and 3 workers,
+// as the server's query and write paths do: every result must equal the
+// solo run's, so a workspace recycled from another caller (wider or
+// narrower rows, stale slab contents, predecessor lists laid out on another
+// operand's row extents) never leaks into an answer.
 func TestBatchConcurrentCallers(t *testing.T) {
 	type job struct {
 		a, at   *sparse.CSR[float64]
@@ -132,6 +141,7 @@ func TestBatchConcurrentCallers(t *testing.T) {
 	for i, g := range []*graph.Graph{
 		graph.RMAT(graph.DefaultRMAT(8, 8, 3)),
 		graph.Grid2D(7, 9, 5, 2),
+		weightedDirected(4),
 	} {
 		a := g.Adjacency()
 		at := sparse.Transpose(a)

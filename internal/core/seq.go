@@ -13,16 +13,16 @@
 // A batch of nb sources over n vertices runs in one workspace that lives
 // for the whole batch and, through an unexported pool, across batches:
 //
-//   - T is a dense nb×n slab of multpaths; (+∞, 0) marks an absent pair
-//     (unreachable, or the suppressed source diagonal). Z is a slab of the
-//     same shape holding (ζ partial, child counter) and is present exactly
-//     where T is; Z's weight is never stored because it always equals T's.
-//     Together 32 B·nb·n, which is what the CSR T and Z of the
-//     matrix-per-round form already held on a connected graph (20 + 28
-//     bytes per reachable pair), without their per-round copies.
+//   - T is a dense nb×n slab of multpaths (16 B a pair); (+∞, 0) marks an
+//     absent pair (unreachable, or the suppressed source diagonal). Z is an
+//     8 B slab of the same shape holding ζ alone, meaningful where T is
+//     present: Z's weight always equals T's, and the child counter is row
+//     scratch because it ends at −1 on every present pair. 24 B·nb·n in all.
 //   - Each worker owns a rowScratch: the sparse accumulators, their
-//     occupancy bitset and touched list, and two frontier buffers it
-//     alternates between. All are sized by n once and reused across rows,
+//     occupancy bitset and touched list, two frontier buffers it alternates
+//     between, and the backward sweep's child counters and tight-predecessor
+//     lists — int32 vertices laid out on Aᵀ's own row extents, 4 B·nnz(A),
+//     a third of A itself. All are sized once and reused across rows,
 //     rounds and batches.
 //
 // Rows of the batch never interact, so a worker takes each of its rows to
@@ -32,15 +32,18 @@
 // the sum. One round multiplies the row's frontier list into the
 // accumulator and then drains the accumulator in column order, and every
 // step that used to be a whole-matrix pass happens in that drain — the
-// diagonal drop, the merge into the slab, the weight screen, and the
-// emission of the next frontier — so a round costs O(products + touched)
-// rather than O(nnz(T)). Because the T row is at hand during the product, a
-// contribution already strictly worse than T's accumulated weight (forward)
-// or strictly below it (backward) is dropped before it reaches the
-// accumulator; the drain would have discarded it, so results and op counts
-// are unchanged. CSR appears only at the MFBF/MFBr API boundary (one
-// exact-size export, one import); MFBC and MFBCBatchParallel never build
-// one.
+// diagonal drop, the merge into the slab, and the emission of the next
+// frontier — so a round costs O(products + touched) rather than O(nnz(T)).
+// Because the T row is at hand during the forward product, a contribution
+// already strictly worse than T's accumulated weight is dropped before it
+// reaches the accumulator; the drain would have discarded it, so results
+// and op counts are unchanged. The backward sweep decides once per in-edge
+// whether it is tight (on a shortest path from the source), in the
+// expression the relaxation used, and its rounds walk the recorded
+// verdicts; the memo is sound because T is converged before backwardRow
+// starts, so no verdict can change while it is in use. CSR appears only at
+// the MFBF/MFBr API boundary (one exact-size export, one import); MFBC and
+// MFBCBatchParallel never build one.
 package core
 
 import (
@@ -79,13 +82,6 @@ func (o Options) batchFor(n int) int {
 	return b
 }
 
-// zcell is Z(s,v) without its weight: the partial centrality factor and the
-// count of shortest-path-DAG children that have not reported yet.
-type zcell struct {
-	P float64
-	C int64
-}
-
 // present reports whether a T slab cell holds a path.
 func present(t algebra.MultPath) bool { return !math.IsInf(t.W, 1) }
 
@@ -100,7 +96,7 @@ func resetRow(trow []algebra.MultPath) {
 // comment). Slabs are row-major with stride n.
 type workspace struct {
 	t    []algebra.MultPath
-	z    []zcell
+	z    []float64
 	rows []rowScratch // one per worker
 }
 
@@ -117,25 +113,34 @@ func grow[T any](s []T, n int) []T {
 }
 
 // rowScratch is one worker's private state: the sparse accumulator of each
-// sweep (mspa forward, cspa backward), the occupancy bitset and touched
-// list they share, and the double-buffered frontier — column indices with
-// multpaths (forward) or ζ factors (backward) alongside.
+// sweep (mspa forward, rspa backward), the occupancy bitset and touched
+// list they share, the double-buffered frontier — column indices with
+// multpaths (forward) or ζ factors (backward) alongside — and the backward
+// sweep's memo of the row in hand: children[v] counts the shortest-path-DAG
+// children of v that have not reported yet (−1 once v itself has), and
+// pred[at.RowPtr[u]:][:npred[u]] lists u's tight predecessors. The five
+// int32 buffers of n vertices are cut from one allocation, byN.
 type rowScratch struct {
-	occ     []uint64
-	touched []int32
-	mspa    []algebra.MultPath
-	cspa    []algebra.CentPath
-	col     [2][]int32
-	mval    [2][]algebra.MultPath
-	pval    [2][]float64
+	occ      []uint64
+	byN      []int32
+	touched  []int32
+	mspa     []algebra.MultPath
+	rspa     []float64
+	col      [2][]int32
+	mval     [2][]algebra.MultPath
+	pval     [2][]float64
+	children []int32
+	npred    []int32
+	pred     []int32
 }
 
 func (s *rowScratch) size(n int) {
 	s.occ = grow(s.occ, (n+63)/64)
-	s.touched = grow(s.touched, n)[:0]
-	s.mspa, s.cspa = grow(s.mspa, n), grow(s.cspa, n)
-	for b := range s.col {
-		s.col[b] = grow(s.col[b], n)
+	s.byN = grow(s.byN, 5*n)
+	cut := func(k int) []int32 { return s.byN[k*n : (k+1)*n : (k+1)*n] }
+	s.touched, s.col[0], s.col[1], s.children, s.npred = cut(0)[:0], cut(1), cut(2), cut(3), cut(4)
+	s.mspa, s.rspa = grow(s.mspa, n), grow(s.rspa, n)
+	for b := range s.mval {
 		s.mval[b] = grow(s.mval[b], n)
 		s.pval[b] = grow(s.pval[b], n)
 	}
@@ -242,10 +247,10 @@ func (s *rowScratch) forwardRow(a *sparse.CSR[float64], src int32, trow []algebr
 				t.M += e.M
 			}
 			// Algorithm 1 line 6: the next frontier keeps the extensions
-			// whose weight matches the accumulated T; ties carry only the
-			// newly discovered multiplicity forward.
-			//lint:allow floateq screening requires an exact match of bit-identically replicated weights
-			if e.W == t.W && e.M > 0 {
+			// whose weight matches the accumulated T (the two arms that
+			// fall through); ties carry only the newly discovered
+			// multiplicity forward.
+			if e.M > 0 {
 				col, val = append(col, j), append(val, e)
 			}
 		}
@@ -258,103 +263,100 @@ func (s *rowScratch) forwardRow(a *sparse.CSR[float64], src int32, trow []algebr
 //
 // As discussed in DESIGN.md §3, counters are initialized to the number of
 // shortest-path-DAG children of each (s,v) pair (the semantics Lemma 4.2
-// requires) by one product of the whole T row with Aᵀ; leaves seed the
-// first frontier. It returns the products performed (child counting
-// included) and the back-propagation rounds run, giving up once rounds
-// exceeds limit.
-func (s *rowScratch) backwardRow(at *sparse.CSR[float64], trow []algebra.MultPath, zrow []zcell, limit int) (ops int64, rounds int) {
+// requires) by one product of the whole T row with Aᵀ, evaluated as a scan
+// of the row's in-edges that also records every vertex's tight predecessors
+// for the rounds that follow; leaves seed the first frontier. It returns
+// the products performed (child counting included) and the back-propagation
+// rounds run, giving up once rounds exceeds limit.
+func (s *rowScratch) backwardRow(at *sparse.CSR[float64], trow []algebra.MultPath, zrow []float64, limit int) (ops int64, rounds int) {
 	clear(zrow)
-	cur := 0
-	col, pv := s.col[cur][:0], s.pval[cur][:0]
-	for j, t := range trow {
-		if present(t) {
-			col, pv = append(col, int32(j)), append(pv, 0)
+	s.pred = grow(s.pred, at.NNZ()) // sized by the operand, not by n: a no-op after the first row
+	children, npred := s.children, s.npred
+	clear(children)
+	reached := s.col[0][:0]
+	for u, t := range trow {
+		if !present(t) {
+			continue
+		}
+		reached = append(reached, int32(u))
+		lo, hi := at.RowPtr[u], at.RowPtr[u+1]
+		cols, vals, list := at.ColIdx[lo:hi], at.Val[lo:hi], s.pred[lo:hi]
+		// Branch-free, because whether an edge is tight is not predictable:
+		// every j is written to the list, only a hit advances past it.
+		var k int32
+		for y, j := range cols {
+			var hit int32
+			// An absent T(s,j) is +∞ and can never pass.
+			//lint:allow floateq same expression as the relaxation that produced T(s,u).w
+			if trow[j].W+vals[y] == t.W {
+				hit = 1
+			}
+			list[k] = j
+			k += hit
+			children[j] += hit
+		}
+		npred[u] = k
+		ops += hi - lo
+	}
+
+	// Leaves have no children to wait for: they report 1/σ̄.
+	col, pv := s.col[1][:0], s.pval[1][:0]
+	for _, j := range reached {
+		if children[j] == 0 {
+			col, pv = append(col, j), append(pv, 1/trow[j].M)
+			children[j] = -1
 		}
 	}
-	ops = s.pull(at, trow, col, pv, 1)
-	s.settle(trow, zrow, 1-cur) // counters only: a child count is ≥ 1, nothing is emitted
 
-	// Leaves have no children to wait for: they report (T.w, 1/σ̄, −1).
-	all := col
-	cur = 1 - cur
-	col, pv = s.col[cur][:0], s.pval[cur][:0]
-	for _, j := range all {
-		if z := &zrow[j]; z.C == 0 {
-			col, pv = append(col, j), append(pv, z.P+1/trow[j].M)
-			z.C = -1
-		}
-	}
-
-	for len(col) > 0 {
+	for next := 0; len(col) > 0; next = 1 - next {
 		rounds++
 		if rounds > limit {
 			break
 		}
-		ops += s.pull(at, trow, col, pv, -1)
-		cur = 1 - cur
-		col, pv = s.settle(trow, zrow, cur)
+		ops += s.pull(at, col, pv)
+		col, pv = s.settle(trow, zrow, next)
 	}
 	return ops, rounds
 }
 
-// pull multiplies the centpaths (T(s,u).w, pv[x], c) at columns u = col[x]
-// into the accumulator: centpath × weight under ⊗ with the Brandes action,
-// the cases of algebra.CentPathTimes spelled in place.
-func (s *rowScratch) pull(at *sparse.CSR[float64], trow []algebra.MultPath, col []int32, pv []float64, c int64) (ops int64) {
-	spa, occ, touched := s.cspa, s.occ, s.touched
+// pull reports the factor pv[x] of each frontier vertex u = col[x] to u's
+// tight predecessors: centpath × weight under ⊗ with the Brandes action,
+// restricted to the edges the screen accepts. ops is the product's nominal
+// size, the whole Aᵀ row of every frontier vertex.
+func (s *rowScratch) pull(at *sparse.CSR[float64], col []int32, pv []float64) (ops int64) {
+	spa, occ, touched, children, pred, npred := s.rspa, s.occ, s.touched, s.children, s.pred, s.npred
 	for x, u := range col {
-		fw, fp := trow[u].W, pv[x]
-		bcols, bvals := at.Row(int(u))
-		ops += int64(len(bcols))
-		for y, j := range bcols {
-			w := fw - bvals[y]
-			// Below T(s,j).w (or T(s,j) absent, +∞): it cannot be the
-			// maximum the screen accepts, so settle would discard it.
-			if w < trow[j].W {
-				continue
-			}
+		fp := pv[x]
+		lo := at.RowPtr[u]
+		ops += at.RowPtr[u+1] - lo
+		for _, j := range pred[lo : lo+int64(npred[u])] {
+			children[j]--
 			word, bit := &occ[j>>6], uint64(1)<<(uint(j)&63)
 			if *word&bit == 0 {
 				*word |= bit
 				touched = append(touched, j)
-				spa[j] = algebra.CentPath{W: w, P: fp, C: c}
+				spa[j] = fp
 				continue
 			}
-			switch acc := &spa[j]; {
-			case acc.W > w:
-			case acc.W < w:
-				*acc = algebra.CentPath{W: w, P: fp, C: c}
-			default:
-				acc.P += fp
-				acc.C += c
-			}
+			spa[j] += fp
 		}
 	}
 	s.touched = touched
 	return ops
 }
 
-// settle drains the accumulator into zrow: a contribution survives only at
-// a pair present in T whose weight it matches exactly (everything else is
-// a spurious back-propagation artifact), where it adds its factor and
-// counter. Entries whose counter just reached zero — all children reported
-// — are emitted into frontier buffer next as (T.w, ζ + 1/σ̄, −1) and marked
-// done.
-func (s *rowScratch) settle(trow []algebra.MultPath, zrow []zcell, next int) ([]int32, []float64) {
+// settle drains the accumulator into zrow: each touched pair adds the
+// round's factor and takes the reports off its counter. Entries whose
+// counter just reached zero — all children reported — are emitted into
+// frontier buffer next with factor ζ + 1/σ̄ and marked done.
+func (s *rowScratch) settle(trow []algebra.MultPath, zrow []float64, next int) ([]int32, []float64) {
 	col, pv := s.col[next][:0], s.pval[next][:0]
-	spa := s.cspa
+	spa, children := s.rspa, s.children
 	for _, j := range s.drainOrder() {
-		e, t := spa[j], trow[j]
-		//lint:allow floateq screening requires an exact match of bit-identically replicated weights
-		if algebra.CentPathIsZero(e) || !present(t) || e.W != t.W {
-			continue
-		}
-		z := &zrow[j]
-		z.P += e.P
-		z.C += e.C
-		if z.C == 0 {
-			col, pv = append(col, j), append(pv, z.P+1/t.M)
-			z.C = -1
+		zrow[j] += spa[j]
+		if children[j] == 0 {
+			col, pv = append(col, j), append(pv, zrow[j]+1/trow[j].M)
+			children[j] = -1
 		}
 	}
 	return col, pv
@@ -405,10 +407,10 @@ func checkConverged(r tally, limit int) {
 	}
 }
 
-// exportCSR builds the CSR matrix with T's pattern whose value at slab
-// index k is at(k), sized exactly.
-func exportCSR[V any](t []algebra.MultPath, nb, n int, at func(k int) V) *sparse.CSR[V] {
-	out := &sparse.CSR[V]{Rows: nb, Cols: n, RowPtr: make([]int64, nb+1)}
+// exportT builds the CSR matrix of the present pairs of an nb×n T slab,
+// sized exactly.
+func exportT(t []algebra.MultPath, nb, n int) *sparse.CSR[algebra.MultPath] {
+	out := &sparse.CSR[algebra.MultPath]{Rows: nb, Cols: n, RowPtr: make([]int64, nb+1)}
 	nnz := 0
 	for i := 0; i < nb; i++ {
 		for _, c := range t[i*n : (i+1)*n] {
@@ -419,12 +421,12 @@ func exportCSR[V any](t []algebra.MultPath, nb, n int, at func(k int) V) *sparse
 		out.RowPtr[i+1] = int64(nnz)
 	}
 	out.ColIdx = make([]int32, 0, nnz)
-	out.Val = make([]V, 0, nnz)
+	out.Val = make([]algebra.MultPath, 0, nnz)
 	for i := 0; i < nb; i++ {
 		for j, c := range t[i*n : (i+1)*n] {
 			if present(c) {
 				out.ColIdx = append(out.ColIdx, int32(j))
-				out.Val = append(out.Val, at(i*n+j))
+				out.Val = append(out.Val, c)
 			}
 		}
 	}
@@ -455,7 +457,7 @@ func MFBFParallel(a *sparse.CSR[float64], sources []int32, workers int) (*sparse
 		return tally{ops: ops, itF: it}
 	})
 	checkConverged(r, limit)
-	t := exportCSR(ws.t, nb, n, func(k int) algebra.MultPath { return ws.t[k] })
+	t := exportT(ws.t, nb, n)
 	workspaces.Put(ws)
 	return t, r.ops, r.itF
 }
@@ -463,7 +465,7 @@ func MFBFParallel(a *sparse.CSR[float64], sources []int32, workers int) (*sparse
 // MFBr (Algorithm 2) back-propagates partial centrality factors
 // ζ(s,v) = δ(s,v)/σ̄(s,v) over the shortest-path DAG encoded by T. The
 // returned centpath matrix Z has exactly T's sparsity pattern with
-// Z(s,v).P = ζ(s,v).
+// Z(s,v).P = ζ(s,v) and Z(s,v).C the counter the sweep left (−1: reported).
 func MFBr(at *sparse.CSR[float64], t *sparse.CSR[algebra.MultPath], sources []int32) (*sparse.CSR[algebra.CentPath], int64, int) {
 	return MFBrParallel(at, t, sources, 1)
 }
@@ -475,22 +477,26 @@ func MFBrParallel(at *sparse.CSR[float64], t *sparse.CSR[algebra.MultPath], sour
 		panic(fmt.Sprintf("core: dimension mismatch %dx%d * %dx%d", t.Rows, t.Cols, at.Rows, at.Cols))
 	}
 	nb, n, limit := t.Rows, at.Cols, at.Rows+1
+	z := &sparse.CSR[algebra.CentPath]{Rows: nb, Cols: n, Val: make([]algebra.CentPath, t.NNZ()),
+		RowPtr: slices.Clone(t.RowPtr), ColIdx: slices.Clone(t.ColIdx)}
 	ws := workspaces.Get().(*workspace)
 	ws.t, ws.z = grow(ws.t, nb*n), grow(ws.z, nb*n)
 	r := ws.sweep(nb, n, workers, func(s *rowScratch, i int) tally {
-		trow := ws.t[i*n : (i+1)*n]
+		trow, zrow := ws.t[i*n:(i+1)*n], ws.z[i*n:(i+1)*n]
 		resetRow(trow)
 		cols, vals := t.Row(i)
 		for k, j := range cols {
 			trow[j] = vals[k]
 		}
-		ops, it := s.backwardRow(at, trow, ws.z[i*n:(i+1)*n], limit)
+		ops, it := s.backwardRow(at, trow, zrow, limit)
+		// The counters are the scratch of the row in hand: export them now.
+		_, out := z.Row(i)
+		for k, j := range cols {
+			out[k] = algebra.CentPath{W: vals[k].W, P: zrow[j], C: int64(s.children[j])}
+		}
 		return tally{ops: ops, itB: it}
 	})
 	checkConverged(r, limit)
-	z := exportCSR(ws.t, nb, n, func(k int) algebra.CentPath {
-		return algebra.CentPath{W: ws.t[k].W, P: ws.z[k].P, C: ws.z[k].C}
-	})
 	workspaces.Put(ws)
 	return z, r.ops, r.itB
 }
@@ -565,7 +571,7 @@ func MFBCBatchParallel(a, at *sparse.CSR[float64], sources []int32, bc []float64
 		zrow := ws.z[i*n : (i+1)*n]
 		for j, t := range ws.t[i*n : (i+1)*n] {
 			if present(t) {
-				bc[j] += zrow[j].P * t.M
+				bc[j] += zrow[j] * t.M
 			}
 		}
 	}
