@@ -4,7 +4,7 @@
 GO ?= go
 BIN := bin/mfbc-lint
 
-.PHONY: all build lint lint-standalone test race bench bench-module load-quick tidy-check fmt-check loc check clean
+.PHONY: all build lint lint-standalone test race bench bench-module load-quick tidy-check fmt-check deps-check loc check clean
 
 all: build
 
@@ -34,7 +34,7 @@ race:
 
 ## bench: the paper's experiment driver in quick mode.
 bench:
-	$(GO) run ./cmd/mfbc-bench -exp scaling -quick
+	$(GO) run ./cmd/mfbc-bench -exp fig1a -quick
 
 ## bench-module: benchmarks/ is a module of its own, outside the root
 ## `go test ./...`; build, vet and test it against the current API so a
@@ -43,8 +43,8 @@ bench-module:
 	cd benchmarks && $(GO) build -o /dev/null ./... && $(GO) vet ./... && $(GO) test ./...
 
 ## load-quick: in-process saturation sweep of the query service (the CI
-## load check; writes bench points in the mfbc-bench JSON schema and the
-## embedded server's request traces).
+## load check; writes the sweep result as JSON and the embedded server's
+## request traces).
 load-quick:
 	$(GO) run ./cmd/mfbc-load -quick -json BENCH_load_quick.json -trace-out TRACE_load_quick.jsonl
 
@@ -57,15 +57,23 @@ fmt-check:
 		echo "gofmt needed on:" >&2; echo "$$unformatted" >&2; exit 1; \
 	fi
 
+## deps-check: the import edges that must stay cut. The library links
+## neither the paper harness nor a TCP mesh it never starts; the load sweep
+## and the paper harness do not know each other, and the paper harness
+## knows no streaming engine and no server.
+deps-check:
+	@nodep() { if $(GO) list -deps $$1 | grep -E "repro/internal/($$2)\$$"; then echo "$$1 must not import the above" >&2; exit 1; fi; }; \
+	nodep . 'bench|machine/tcpnet' && nodep ./internal/load 'bench' && nodep ./internal/bench 'dynamic|server|load'
+
 ## loc: the non-test Go line count the ROADMAP's simplicity targets are
 ## stated in (*.go outside benchmarks/ and */testdata/*, no *_test.go), for
-## the repository, internal/core and internal/load. Every simplicity PR
-## reports these.
+## the repository, internal/core, internal/bench and internal/load. Every
+## simplicity PR reports these.
 loc:
 	@count() { find $$1 -name '*.go' ! -name '*_test.go' ! -path './benchmarks/*' ! -path '*/testdata/*' -exec cat {} + | wc -l; }; \
-	echo "non-test Go lines: repository $$(count .), internal/core $$(count ./internal/core), internal/load $$(count ./internal/load)"
+	echo "non-test Go lines: repository $$(count .), internal/core $$(count ./internal/core), internal/bench $$(count ./internal/bench), internal/load $$(count ./internal/load)"
 
-check: build fmt-check tidy-check lint test bench-module
+check: build fmt-check tidy-check deps-check lint test bench-module
 
 clean:
 	rm -rf bin

@@ -1,8 +1,7 @@
 // Benchmarks regenerating the paper's evaluation artifacts: one Benchmark
 // per table/figure (via the experiment harness in reduced "quick" form so a
 // full -bench=. sweep stays tractable) plus micro-benchmarks of the
-// underlying kernels. For full-size runs use cmd/mfbc-bench; EXPERIMENTS.md
-// records its output.
+// underlying kernels. For full-size runs use cmd/mfbc-bench.
 package repro
 
 import (
@@ -179,7 +178,7 @@ func benchSequentialBatch(b *testing.B, g *graph.Graph) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.MFBCBatch(a, at, sources, bc)
+		core.MFBCBatchParallel(a, at, sources, bc, 1)
 	}
 	edges := float64(g.AdjacencyNNZ() * len(sources))
 	b.ReportMetric(float64(b.N)*edges/b.Elapsed().Seconds()/1e6, "MTEPS")

@@ -28,7 +28,6 @@ func main() {
 	seed := flag.Int64("seed", 42, "generator seed")
 	quick := flag.Bool("quick", false, "shrink workloads (smoke test)")
 	transport := flag.String("transport", "sim", "machine backend for distributed runs: 'sim' (in-process simulated machine) or 'tcp' (loopback rank-per-process mesh per run; modeled columns are identical, wall_sec measures real transport overhead)")
-	samples := flag.String("samples", "", "comma-separated sample budgets for the streaming-dist sampled-mode axis (empty = skip the sweep)")
 	jsonPath := flag.String("json", "", "write all bench points as a JSON array to this path (BENCH_*.json)")
 	flag.Parse()
 
@@ -43,31 +42,27 @@ func main() {
 		os.Exit(2)
 	}
 
-	parseInts := func(flagName, s string) []int {
-		var out []int
-		for _, tok := range strings.Split(s, ",") {
-			tok = strings.TrimSpace(tok)
-			if tok == "" {
-				continue
-			}
-			v, err := strconv.Atoi(tok)
-			if err != nil || v < 1 {
-				fmt.Fprintf(os.Stderr, "mfbc-bench: bad %s %q\n", flagName, tok)
-				os.Exit(2)
-			}
-			out = append(out, v)
+	var procList []int
+	for _, tok := range strings.Split(*procs, ",") {
+		tok = strings.TrimSpace(tok)
+		if tok == "" {
+			continue
 		}
-		return out
+		v, err := strconv.Atoi(tok)
+		if err != nil || v < 1 {
+			fmt.Fprintf(os.Stderr, "mfbc-bench: bad proc count %q\n", tok)
+			os.Exit(2)
+		}
+		procList = append(procList, v)
 	}
 	cfg := bench.Config{
 		Out:       os.Stdout,
-		Procs:     parseInts("proc count", *procs),
+		Procs:     procList,
 		Workers:   *workers,
 		Scale:     *scale,
 		Batch:     *batch,
 		Seed:      *seed,
 		Quick:     *quick,
-		Samples:   parseInts("sample budget", *samples),
 		Transport: *transport,
 	}
 	ids := []string{*exp}

@@ -23,8 +23,10 @@
 //	mfbc-load -quick -json BENCH_load_quick.json -trace-out TRACE_load_quick.jsonl
 //	mfbc-load -cohorts writers=mutate:2,readers=topk:3 -ingest-durability enqueued -ingest-max-depth 64
 //
-// -json emits the same point schema as mfbc-bench -json (BENCH_*.json),
-// so load results live next to the modeled-performance baselines.
+// -json writes the sweep as load.SweepResult marshals: one entry per rate
+// step under "points" (the run's totals, per-cohort summaries, server-side
+// summary and the /metrics delta), and knee_index / knee_rps / knee_found
+// naming the knee step.
 package main
 
 import (
@@ -38,7 +40,6 @@ import (
 	"text/tabwriter"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/load"
 	"repro/internal/obs"
 	"repro/internal/server"
@@ -109,7 +110,7 @@ func registerFlags(fs *flag.FlagSet, c *cliConfig) {
 	fs.Int64Var(&c.seed, "seed", 42, "workload seed (same seed → identical trace)")
 	fs.IntVar(&c.workers, "workers", 1, "in-process server: kernel threads per compute")
 	fs.IntVar(&c.cache, "cache", 256, "in-process server: result-cache size")
-	fs.StringVar(&c.jsonPath, "json", "", "write bench points (mfbc-bench schema) to this file")
+	fs.StringVar(&c.jsonPath, "json", "", "write the sweep result (per-step summaries, /metrics deltas, knee) as JSON to this file")
 	fs.StringVar(&c.traceOut, "trace-out", "", "in-process mode: enable request tracing on the embedded server and stream finished traces to this JSONL file")
 	fs.BoolVar(&c.quick, "quick", false, "CI preset: small in-process saturation sweep (overrides most knobs)")
 	fs.StringVar(&c.ingestDurability, "ingest-durability", "applied",
@@ -294,11 +295,10 @@ func run(cfg cliConfig, out io.Writer) error {
 	}
 
 	if cfg.jsonPath != "" {
-		points := res.BenchPoints(graphs)
-		if err := writeJSON(cfg.jsonPath, points); err != nil {
+		if err := writeJSON(cfg.jsonPath, res); err != nil {
 			return fmt.Errorf("-json: %w", err)
 		}
-		fmt.Fprintf(out, "wrote %d points to %s\n", len(points), cfg.jsonPath)
+		fmt.Fprintf(out, "wrote %d rate steps to %s\n", len(res.Points), cfg.jsonPath)
 	}
 	return nil
 }
@@ -313,7 +313,7 @@ func printSweep(out io.Writer, res *load.SweepResult) {
 		fmt.Fprintf(tw, "%.0f\t%.1f\t%.1f\t%.2f\t%.2f\t≤%g\t%.2f\t%d\t%v\n",
 			p.Offered, p.Run.Total.RPS, p.Run.Total.GoodputRPS,
 			p.Run.Total.Lat.P50MS, p.Run.Total.Lat.P99MS,
-			p.Run.ServerSummary().P99MS, p.Run.Total.QueueWait.P99MS,
+			p.Run.Server.P99MS, p.Run.Total.QueueWait.P99MS,
 			p.Run.Total.Errors, p.Saturated)
 	}
 	tw.Flush()
@@ -327,10 +327,9 @@ func printSweep(out io.Writer, res *load.SweepResult) {
 	}
 }
 
-// writeJSON dumps the points as an indented JSON array, the same format
-// mfbc-bench -json writes, so one plotting pipeline reads both.
-func writeJSON(path string, points []bench.Point) error {
-	b, err := json.MarshalIndent(points, "", "  ")
+// writeJSON dumps the sweep as indented JSON.
+func writeJSON(path string, res *load.SweepResult) error {
+	b, err := json.MarshalIndent(res, "", "  ")
 	if err != nil {
 		return err
 	}

@@ -9,7 +9,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/bench"
+	"repro/internal/load"
 )
 
 func TestParsers(t *testing.T) {
@@ -17,7 +17,7 @@ func TestParsers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(graphs) != 3 || graphs[0].N() != 20 || graphs[1].N() != 30 {
+	if len(graphs) != 3 || graphs[0].Spec.Rows != 4 || graphs[0].Spec.MaxWeight != 3 || graphs[1].Spec.N != 30 || graphs[2].Spec.Scale != 5 {
 		t.Fatalf("graphs = %+v", graphs)
 	}
 	for _, bad := range []string{"", "noeq", "g=grid:4", "g=torus:4x4", "g=grid:axb"} {
@@ -58,9 +58,10 @@ func TestParsers(t *testing.T) {
 // TestQuickSweepEmitsJSON drives the CI entry point end to end: the quick
 // preset (extended with headroom rates so even a fast machine saturates)
 // must complete, report per-cohort throughput and latency percentiles,
-// find a knee, and emit parseable bench points in the mfbc-bench schema.
+// find a knee, and emit a sweep that parses back into internal/load's
+// own types.
 func TestQuickSweepEmitsJSON(t *testing.T) {
-	jsonPath := filepath.Join(t.TempDir(), "points.json")
+	jsonPath := filepath.Join(t.TempDir(), "sweep.json")
 	cfg, err := parseFlags([]string{"-quick", "-json", jsonPath})
 	if err != nil {
 		t.Fatal(err)
@@ -77,31 +78,28 @@ func TestQuickSweepEmitsJSON(t *testing.T) {
 		t.Fatalf("quick sweep found no knee:\n%s", out.String())
 	}
 
-	points := readPoints(t, jsonPath)
-	if len(points) == 0 {
-		t.Fatal("no bench points written")
+	res := readSweep(t, jsonPath)
+	if len(res.Points) == 0 {
+		t.Fatal("no rate steps written")
 	}
 	cohortRows := map[string]int{}
-	kneeRows, saturatedAgg := 0, 0
-	var cacheHits, ingestCommits int64
-	for _, p := range points {
-		if p.Experiment != "load-sweep" || p.Engine != "server" {
-			t.Fatalf("point mislabeled: %+v", p)
+	saturated := 0
+	var cacheHits, ingestCommits float64
+	for _, p := range res.Points {
+		for _, sum := range append([]load.CohortSummary{p.Run.Total}, p.Run.Cohorts...) {
+			if sum.Requests == 0 || !(sum.RPS > 0) {
+				t.Fatalf("rate %g: summary carries no traffic: %+v", p.Offered, sum)
+			}
+			if lat := sum.Lat; !(lat.P50MS > 0) || lat.P99MS < lat.P50MS || lat.MaxMS < lat.P99MS {
+				t.Fatalf("rate %g: latency percentiles inconsistent: %+v", p.Offered, sum)
+			}
+			cohortRows[sum.Cohort]++
 		}
-		if p.Requests == 0 || !(p.AchievedRPS > 0) {
-			t.Fatalf("point carries no traffic: %+v", p)
-		}
-		if !(p.P50MS > 0) || p.P99MS < p.P50MS || p.MaxMS < p.P99MS {
-			t.Fatalf("latency percentiles inconsistent: %+v", p)
-		}
-		cohortRows[p.Cohort]++
-		cacheHits += p.CacheHits
-		ingestCommits += p.IngestCommits
-		if p.Knee {
-			kneeRows++
-		}
-		if p.Cohort == "all" && p.Saturated {
-			saturatedAgg++
+		// The server-counter columns are the /metrics delta of each step.
+		cacheHits += p.Run.Metrics["mfbc_query_cache_hits_total"]
+		ingestCommits += p.Run.Metrics["mfbc_ingest_group_commits_total"]
+		if p.Saturated {
+			saturated++
 		}
 	}
 	for _, want := range []string{"all", "readers", "dashboards", "writers"} {
@@ -109,34 +107,36 @@ func TestQuickSweepEmitsJSON(t *testing.T) {
 			t.Fatalf("no rows for cohort %q (have %v)", want, cohortRows)
 		}
 	}
-	if kneeRows != 1 {
-		t.Fatalf("knee rows = %d, want exactly 1", kneeRows)
+	if !res.KneeFound || res.KneeIndex < 0 || res.KneeIndex >= len(res.Points)-1 {
+		t.Fatalf("knee not bracketed: index %d of %d steps, found %v", res.KneeIndex, len(res.Points), res.KneeFound)
 	}
-	if saturatedAgg == 0 {
+	if knee := res.Points[res.KneeIndex]; knee.Saturated || knee.Offered != res.KneeRPS {
+		t.Fatalf("knee step mislabeled: offered %g saturated %v, knee_rps %g", knee.Offered, knee.Saturated, res.KneeRPS)
+	}
+	if saturated == 0 {
 		t.Fatal("sweep never saturated despite headroom rates")
 	}
-	// The server-counter columns come from the /metrics delta of each step.
 	if cacheHits == 0 || ingestCommits == 0 {
-		t.Fatalf("cache-hit / ingest-commit deltas = %d / %d, want both non-zero", cacheHits, ingestCommits)
+		t.Fatalf("cache-hit / ingest-commit deltas = %g / %g, want both non-zero", cacheHits, ingestCommits)
 	}
 }
 
-func readPoints(t *testing.T, path string) []bench.Point {
+func readSweep(t *testing.T, path string) *load.SweepResult {
 	t.Helper()
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var points []bench.Point
-	if err := json.Unmarshal(raw, &points); err != nil {
+	res := new(load.SweepResult)
+	if err := json.Unmarshal(raw, res); err != nil {
 		t.Fatal(err)
 	}
-	return points
+	return res
 }
 
 // TestIngestSweep drives a write-heavy sweep: an explicit mutate-heavy
 // cohort mix against the in-process server, whose group commits land in
-// the bench points, and the flags that configure its write queue.
+// the emitted /metrics deltas, and the flags that configure its write queue.
 func TestIngestSweep(t *testing.T) {
 	jsonPath := filepath.Join(t.TempDir(), "pts.json")
 	cfg, err := parseFlags([]string{
@@ -153,11 +153,9 @@ func TestIngestSweep(t *testing.T) {
 		t.Fatalf("ingest sweep failed: %v\n%s", err, out.String())
 	}
 
-	commits := int64(0)
-	for _, p := range readPoints(t, jsonPath) {
-		if p.Cohort == "all" {
-			commits += p.IngestCommits
-		}
+	commits := 0.0
+	for _, p := range readSweep(t, jsonPath).Points {
+		commits += p.Run.Metrics["mfbc_ingest_group_commits_total"]
 	}
 	if commits == 0 {
 		t.Fatalf("ingest sweep recorded no group commits:\n%s", out.String())
@@ -204,12 +202,12 @@ func TestRemovedFlags(t *testing.T) {
 // TestTraceOutAndServerSummary pins the observability wiring of the CLI:
 // -trace-out streams the embedded server's request traces to JSONL, the
 // sweep report carries the server-side p99 from the /metrics delta, and
-// the bench points carry the server-observed request count and
+// the emitted sweep carries the server-observed request count and
 // percentiles.
 func TestTraceOutAndServerSummary(t *testing.T) {
 	dir := t.TempDir()
 	tracePath := filepath.Join(dir, "trace.jsonl")
-	jsonPath := filepath.Join(dir, "points.json")
+	jsonPath := filepath.Join(dir, "sweep.json")
 	cfg, err := parseFlags([]string{
 		"-rates", "100", "-step-duration", "300ms",
 		"-graphs", "g=grid:6x6x5", "-trace-out", tracePath, "-json", jsonPath,
@@ -238,12 +236,12 @@ func TestTraceOutAndServerSummary(t *testing.T) {
 		}
 	}
 
-	agg := readPoints(t, jsonPath)[0]
-	if agg.Experiment != "load-sweep" || agg.Cohort != "all" || agg.ServerRequests == 0 || agg.ServerRequests != agg.Requests {
-		t.Fatalf("aggregate point server fields: %+v", agg)
+	step := readSweep(t, jsonPath).Points[0].Run
+	if step.Total.Cohort != "all" || step.Server.Requests == 0 || step.Server.Requests != int64(step.Total.Requests) {
+		t.Fatalf("server summary vs client total: %+v vs %+v", step.Server, step.Total)
 	}
-	if !(agg.ServerP99MS > 0) || agg.ServerP50MS > agg.ServerP99MS {
-		t.Fatalf("server percentiles inconsistent: %+v", agg)
+	if !(step.Server.P99MS > 0) || step.Server.P50MS > step.Server.P99MS {
+		t.Fatalf("server percentiles inconsistent: %+v", step.Server)
 	}
 
 	// -trace-out cannot instrument a remote server.

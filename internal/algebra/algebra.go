@@ -26,16 +26,6 @@ type Monoid[T any] struct {
 	IsZero   func(T) bool
 }
 
-// Fold combines xs with the monoid operation, returning Identity for an
-// empty slice.
-func (m Monoid[T]) Fold(xs ...T) T {
-	acc := m.Identity
-	for _, x := range xs {
-		acc = m.Op(acc, x)
-	}
-	return acc
-}
-
 // MultPath is an element of the multpath monoid (M, ⊕): a path weight W
 // together with the multiplicity M of distinct shortest paths achieving it.
 // The multiplicity is held in a float64 (exact for counts below 2^53, the

@@ -157,12 +157,22 @@ func TestTropicalMonoid(t *testing.T) {
 	}
 }
 
+// fold combines xs with the monoid operation, returning Identity for an
+// empty slice.
+func fold[T any](m Monoid[T], xs ...T) T {
+	acc := m.Identity
+	for _, x := range xs {
+		acc = m.Op(acc, x)
+	}
+	return acc
+}
+
 func TestFold(t *testing.T) {
 	m := MultPathMonoid()
-	if got := m.Fold(); !MultPathIsZero(got) {
+	if got := fold(m); !MultPathIsZero(got) {
 		t.Fatal("empty fold must be identity")
 	}
-	got := m.Fold(MultPath{W: 4, M: 1}, MultPath{W: 2, M: 2}, MultPath{W: 2, M: 3})
+	got := fold(m, MultPath{W: 4, M: 1}, MultPath{W: 2, M: 2}, MultPath{W: 2, M: 3})
 	if got.W != 2 || got.M != 5 {
 		t.Fatalf("fold wrong: %v", got)
 	}

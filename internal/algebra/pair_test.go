@@ -82,8 +82,8 @@ func TestPairComponentIndependence(t *testing.T) {
 		{Old: scalar[1], New: MultPath{W: 1, M: 5}},
 		{Old: scalar[2], New: MultPathZero()},
 	}
-	want := mp.Fold(scalar...)
-	got := mpp.Fold(lifted...)
+	want := fold(mp, scalar...)
+	got := fold(mpp, lifted...)
 	if got.Old != want {
 		t.Fatalf("old component diverged: %v vs %v", got.Old, want)
 	}

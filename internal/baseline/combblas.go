@@ -1,52 +1,19 @@
 package baseline
 
 import (
-	"fmt"
-
 	"repro/internal/algebra"
-	"repro/internal/graph"
 	"repro/internal/sparse"
 )
 
-// CombBLASStyle computes betweenness centrality with the batched algebraic
-// Brandes formulation used by the CombBLAS BC code the paper benchmarks
-// against: BFS levels expressed as sparse matrix products over the counting
-// semiring on the forward sweep (storing every level's frontier), followed
-// by a level-by-level backward dependency sweep. Like CombBLAS, it supports
-// only unweighted graphs.
+// CombBLASBatch is the batched algebraic Brandes formulation used by the
+// CombBLAS BC code the paper benchmarks against: BFS levels expressed as
+// sparse matrix products over the counting semiring on the forward sweep
+// (storing every level's frontier), followed by a level-by-level backward
+// dependency sweep. Like CombBLAS, it is correct only on unweighted graphs.
 //
-// batch is the number of sources processed per sweep (CombBLAS's
-// "batch size"); batch ≤ 0 selects min(n, 128).
-func CombBLASStyle(g *graph.Graph, batch int) ([]float64, error) {
-	if g.Weighted {
-		return nil, fmt.Errorf("combblas: weighted graphs are not supported (the paper's CombBLAS limitation)")
-	}
-	if batch <= 0 {
-		batch = 128
-	}
-	if batch > g.N {
-		batch = g.N
-	}
-	a := g.Adjacency()
-	at := sparse.Transpose(a)
-	bc := make([]float64, g.N)
-	for lo := 0; lo < g.N; lo += batch {
-		hi := lo + batch
-		if hi > g.N {
-			hi = g.N
-		}
-		sources := make([]int32, 0, hi-lo)
-		for s := lo; s < hi; s++ {
-			sources = append(sources, int32(s))
-		}
-		CombBLASBatch(a, at, sources, bc)
-	}
-	return bc, nil
-}
-
-// CombBLASBatch runs one forward+backward sweep for the given sources,
-// accumulating dependencies into bc. Exposed so the benchmark harness can
-// time a single batch the way the paper's Table 3 does.
+// It runs one forward+backward sweep for the given sources, accumulating
+// dependencies into bc: a single batch, timed the way the paper's Table 3
+// does.
 func CombBLASBatch(a, at *sparse.CSR[float64], sources []int32, bc []float64) {
 	count := algebra.CountMonoid()
 	n := a.Rows

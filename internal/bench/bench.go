@@ -1,12 +1,14 @@
-// Package bench is the experiment harness: one runner per table and figure
-// of the paper's evaluation (§7), plus the design-choice ablations called
-// out in DESIGN.md. Runners print the same rows/series the paper reports
-// and return them as data for tests and EXPERIMENTS.md generation.
+// Package bench is the paper's evaluation (§7) and nothing else: one
+// runner per table and figure, plus the two design-choice ablations
+// (decomposition space, batch size). Runners print the same rows/series
+// the paper reports and return them as data for tests and for
+// mfbc-bench -json.
 //
 // Performance is reported in MTEPS/node computed from the *modeled*
 // critical-path time T = γ·flops + β·bytes + α·msgs of the simulated
-// machine (DESIGN.md §2 explains why modeled time, not host wall time,
-// carries the scaling shapes); wall time is reported alongside.
+// machine: the host runs every rank on a handful of cores, so modeled
+// time, not host wall time, carries the scaling shapes; wall time is
+// reported alongside.
 package bench
 
 import (
@@ -32,11 +34,6 @@ type Config struct {
 	Batch   int   // sources per timed batch; default 32
 	Seed    int64
 	Quick   bool // shrink workloads for smoke tests and testing.B
-	// Samples is the sample-budget axis of the streaming-dist experiment:
-	// for each budget, the mutation stream replays through a sampled-mode
-	// engine and the points record budget vs. modeled communication and
-	// the Hoeffding error bound. Empty skips the sweep.
-	Samples []int
 	// Transport selects the machine backend of every distributed run:
 	// "" or "sim" is the in-process simulated machine; "tcp" brings up a
 	// loopback rank-per-process mesh per run — real sockets carrying the
@@ -83,65 +80,12 @@ type Point struct {
 	Msgs       int64   `json:"msgs"`       // critical-path messages
 	Iters      int     `json:"iters"`
 	Err        string  `json:"err,omitempty"` // engines can fail (reproducing the paper's CombBLAS failures)
-	// Streaming-scenario fields (experiment "streaming-dist"): the
-	// strategy the dynamic engine chose for the apply, how many sources it
-	// re-ran, whether the apply executed as one fused machine region, the
-	// sample budget of sampled-mode points, and the Hoeffding half-width
-	// attached to sampled estimates.
-	Strategy string  `json:"strategy,omitempty"`
-	Affected int     `json:"affected,omitempty"`
-	Fused    bool    `json:"fused,omitempty"`
-	Samples  int     `json:"samples,omitempty"`
-	ErrBound float64 `json:"err_bound,omitempty"`
-	// Load-harness fields (experiment "load-sweep", emitted by cmd/mfbc-load
-	// into the same BENCH_*.json format): offered vs. achieved traffic,
-	// latency percentiles, and server-counter deltas from the /metrics
-	// scrapes bracketing the measurement step. Cohort is "all" for the aggregate row or
-	// the cohort name for per-cohort rows; Knee marks the aggregate row of
-	// the highest offered rate the service sustained before saturating.
-	Cohort         string  `json:"cohort,omitempty"`
-	OfferedRPS     float64 `json:"offered_rps,omitempty"`
-	AchievedRPS    float64 `json:"achieved_rps,omitempty"`
-	GoodputRPS     float64 `json:"goodput_rps,omitempty"`
-	P50MS          float64 `json:"p50_ms,omitempty"`
-	P95MS          float64 `json:"p95_ms,omitempty"`
-	P99MS          float64 `json:"p99_ms,omitempty"`
-	MaxMS          float64 `json:"max_ms,omitempty"`
-	Requests       int64   `json:"requests,omitempty"`
-	ReqErrors      int64   `json:"req_errors,omitempty"`
-	CacheHits      int64   `json:"cache_hits,omitempty"`
-	Coalesced      int64   `json:"coalesced,omitempty"`
-	WarmSeeds      int64   `json:"warm_seeds,omitempty"`
-	CacheEvictions int64   `json:"cache_evictions,omitempty"`
-	Saturated      bool    `json:"saturated,omitempty"`
-	Knee           bool    `json:"knee,omitempty"`
-	// Server-side observability fields (aggregate load rows only): the
-	// request count and latency percentiles the server itself measured
-	// over the run, from the /metrics histogram deltas of the query and
-	// mutate routes. Percentiles resolve to histogram bucket upper edges,
-	// so they are coarser than — and an independent check on — the
-	// client-side recorder's P50MS/P95MS/P99MS.
-	ServerRequests int64   `json:"server_requests,omitempty"`
-	ServerP50MS    float64 `json:"server_p50_ms,omitempty"`
-	ServerP95MS    float64 `json:"server_p95_ms,omitempty"`
-	ServerP99MS    float64 `json:"server_p99_ms,omitempty"`
-	// Async-ingestion fields (load rows against a server running the
-	// write-ahead mutation queue): the percentile spread of per-request
-	// queue wait (time a PATCH batch sat queued before its group commit,
-	// separating queue time from apply time) and the /metrics deltas of the
-	// pipeline's counters over the step.
-	QueueWaitP50MS  float64 `json:"queue_wait_p50_ms,omitempty"`
-	QueueWaitP95MS  float64 `json:"queue_wait_p95_ms,omitempty"`
-	QueueWaitP99MS  float64 `json:"queue_wait_p99_ms,omitempty"`
-	IngestCommits   int64   `json:"ingest_commits,omitempty"`
-	IngestCoalesced int64   `json:"ingest_coalesced,omitempty"`
-	IngestRejected  int64   `json:"ingest_rejected,omitempty"`
 }
 
 // Experiments lists the available experiment ids in presentation order.
 var Experiments = []string{
 	"table2", "fig1a", "fig1b", "fig1c", "fig2a", "fig2b", "table3",
-	"ablate-decomp", "ablate-batch", "streaming-dist",
+	"ablate-decomp", "ablate-batch",
 }
 
 // Run executes one experiment by id.
@@ -166,8 +110,6 @@ func Run(id string, cfg Config) ([]Point, error) {
 		return AblateDecomp(cfg)
 	case "ablate-batch":
 		return AblateBatch(cfg)
-	case "streaming-dist":
-		return StreamingDist(cfg)
 	default:
 		return nil, fmt.Errorf("bench: unknown experiment %q (have %v)", id, Experiments)
 	}

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -16,7 +17,14 @@ func TestRunUnknownExperiment(t *testing.T) {
 	}
 }
 
+// TestAllExperimentsSmoke also pins the id list: the paper's seven tables
+// and figures plus the two ablations, each once — what mfbc-bench -list
+// prints.
 func TestAllExperimentsSmoke(t *testing.T) {
+	want := []string{"table2", "fig1a", "fig1b", "fig1c", "fig2a", "fig2b", "table3", "ablate-decomp", "ablate-batch"}
+	if !slices.Equal(Experiments, want) {
+		t.Fatalf("experiment ids = %v, want %v", Experiments, want)
+	}
 	for _, id := range Experiments {
 		id := id
 		t.Run(id, func(t *testing.T) {
@@ -34,51 +42,12 @@ func TestAllExperimentsSmoke(t *testing.T) {
 				t.Fatalf("%s printed nothing", id)
 			}
 			for _, p := range pts {
-				// table2 reports graph properties and streaming-dist reports
-				// comm trajectories; neither carries a throughput rate.
-				if p.Err == "" && id != "table2" && id != "streaming-dist" && p.MTEPSNode <= 0 {
+				// table2 reports graph properties, not a throughput rate.
+				if p.Err == "" && id != "table2" && p.MTEPSNode <= 0 {
 					t.Fatalf("%s: %s/%s p=%d has no rate", id, p.Graph, p.Engine, p.Procs)
-				}
-				if id == "streaming-dist" && p.Strategy == "" {
-					t.Fatalf("%s: %s/%s p=%d has no strategy", id, p.Graph, p.Engine, p.Procs)
 				}
 			}
 		})
-	}
-}
-
-// TestStreamingDistAmortizes: the emitted trajectory must show operand
-// reuse — every incremental apply that re-ran a minority of sources moves
-// fewer modeled bytes than the from-scratch run at the same proc count.
-func TestStreamingDistAmortizes(t *testing.T) {
-	cfg := quickCfg()
-	cfg.Seed = 3 // this stream contains a small-footprint congestion apply
-	pts, err := Run("streaming-dist", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseline := map[int]int64{}
-	for _, p := range pts {
-		if p.Strategy == "from-scratch" {
-			baseline[p.Procs] = p.Bytes
-		}
-	}
-	checked := 0
-	for _, p := range pts {
-		if p.Strategy != "incremental" || p.Affected == 0 || p.Affected > p.N/4 {
-			continue
-		}
-		full, ok := baseline[p.Procs]
-		if !ok {
-			t.Fatalf("no from-scratch baseline for p=%d", p.Procs)
-		}
-		if p.Bytes >= full {
-			t.Fatalf("incremental apply (affected %d/%d) moved %d bytes, from-scratch %d", p.Affected, p.N, p.Bytes, full)
-		}
-		checked++
-	}
-	if checked == 0 {
-		t.Fatal("no small-footprint incremental applies in this seed's stream (seed drifted?)")
 	}
 }
 
@@ -168,40 +137,37 @@ func TestMTEPS(t *testing.T) {
 	}
 }
 
-// TestTransportDifferential re-runs one experiment per engine family on
-// the loopback TCP mesh and requires every modeled column to match the
-// simulated backend exactly — the bench-level pin that -transport only
-// changes how bytes move, never what the machine computes.
+// TestTransportDifferential re-runs fig1c (both engines, weighted and
+// unweighted graphs) on the loopback TCP mesh and requires every modeled
+// column to match the simulated backend exactly — the bench-level pin that
+// -transport only changes how bytes move, never what the machine computes.
 func TestTransportDifferential(t *testing.T) {
-	for _, id := range []string{"fig1c", "streaming-dist"} {
-		id := id
-		t.Run(id, func(t *testing.T) {
-			sim := quickCfg()
-			tcp := quickCfg()
-			tcp.Transport = "tcp"
-			simPts, err := Run(id, sim)
-			if err != nil {
-				t.Fatalf("sim: %v", err)
+	t.Run("fig1c", func(t *testing.T) {
+		sim := quickCfg()
+		tcp := quickCfg()
+		tcp.Transport = "tcp"
+		simPts, err := Run("fig1c", sim)
+		if err != nil {
+			t.Fatalf("sim: %v", err)
+		}
+		tcpPts, err := Run("fig1c", tcp)
+		if err != nil {
+			t.Fatalf("tcp: %v", err)
+		}
+		if len(simPts) != len(tcpPts) {
+			t.Fatalf("point counts: sim %d, tcp %d", len(simPts), len(tcpPts))
+		}
+		for i := range simPts {
+			s, c := simPts[i], tcpPts[i]
+			if s.Graph != c.Graph || s.Engine != c.Engine || s.Procs != c.Procs {
+				t.Fatalf("point %d identity diverged: sim %+v, tcp %+v", i, s, c)
 			}
-			tcpPts, err := Run(id, tcp)
-			if err != nil {
-				t.Fatalf("tcp: %v", err)
+			if s.ModelSec != c.ModelSec || s.CommSec != c.CommSec ||
+				s.Bytes != c.Bytes || s.Msgs != c.Msgs || s.Plan != c.Plan ||
+				s.MTEPSNode != c.MTEPSNode || s.Err != c.Err {
+				t.Errorf("point %d (%s/%s p=%d): modeled columns diverged:\n sim %+v\n tcp %+v",
+					i, s.Graph, s.Engine, s.Procs, s, c)
 			}
-			if len(simPts) != len(tcpPts) {
-				t.Fatalf("point counts: sim %d, tcp %d", len(simPts), len(tcpPts))
-			}
-			for i := range simPts {
-				s, c := simPts[i], tcpPts[i]
-				if s.Graph != c.Graph || s.Engine != c.Engine || s.Procs != c.Procs {
-					t.Fatalf("point %d identity diverged: sim %+v, tcp %+v", i, s, c)
-				}
-				if s.ModelSec != c.ModelSec || s.CommSec != c.CommSec ||
-					s.Bytes != c.Bytes || s.Msgs != c.Msgs || s.Plan != c.Plan ||
-					s.MTEPSNode != c.MTEPSNode || s.Err != c.Err {
-					t.Errorf("point %d (%s/%s p=%d): modeled columns diverged:\n sim %+v\n tcp %+v",
-						i, s.Graph, s.Engine, s.Procs, s, c)
-				}
-			}
-		})
-	}
+		}
+	})
 }

@@ -261,13 +261,13 @@ func (s *rowScratch) forwardRow(a *sparse.CSR[float64], src int32, trow []algebr
 // backwardRow runs MFBr (Algorithm 2) for one source over its converged T
 // row, leaving ζ(s,v) = δ(s,v)/σ̄(s,v) in zrow wherever trow is present.
 //
-// As discussed in DESIGN.md §3, counters are initialized to the number of
-// shortest-path-DAG children of each (s,v) pair (the semantics Lemma 4.2
-// requires) by one product of the whole T row with Aᵀ, evaluated as a scan
-// of the row's in-edges that also records every vertex's tight predecessors
-// for the rounds that follow; leaves seed the first frontier. It returns
-// the products performed (child counting included) and the back-propagation
-// rounds run, giving up once rounds exceeds limit.
+// Counters are initialized to the number of shortest-path-DAG children of
+// each (s,v) pair (the semantics Lemma 4.2 requires) by one product of the
+// whole T row with Aᵀ, evaluated as a scan of the row's in-edges that also
+// records every vertex's tight predecessors for the rounds that follow;
+// leaves seed the first frontier. It returns the products performed (child
+// counting included) and the back-propagation rounds run, giving up once
+// rounds exceeds limit.
 func (s *rowScratch) backwardRow(at *sparse.CSR[float64], trow []algebra.MultPath, zrow []float64, limit int) (ops int64, rounds int) {
 	clear(zrow)
 	s.pred = grow(s.pred, at.NNZ()) // sized by the operand, not by n: a no-op after the first row
@@ -437,7 +437,8 @@ func exportT(t []algebra.MultPath, nb, n int) *sparse.CSR[algebra.MultPath] {
 // vertex v, the multpath T(s,v) = (τ(s,v), σ̄(s,v)): shortest-path distance
 // and multiplicity. Rows of T are indexed by source position; columns by
 // vertex. Unreachable pairs and the source diagonal are absent (the sparse
-// zero (∞,0)); see DESIGN.md §3 for the diagonal-suppression argument.
+// zero (∞,0)): a walk that returns to its source is never shortest under
+// strictly positive weights.
 //
 // It returns T together with the number of monoid operations performed and
 // the number of Bellman-Ford iterations (frontier relaxation rounds).
@@ -462,16 +463,12 @@ func MFBFParallel(a *sparse.CSR[float64], sources []int32, workers int) (*sparse
 	return t, r.ops, r.itF
 }
 
-// MFBr (Algorithm 2) back-propagates partial centrality factors
-// ζ(s,v) = δ(s,v)/σ̄(s,v) over the shortest-path DAG encoded by T. The
-// returned centpath matrix Z has exactly T's sparsity pattern with
+// MFBrParallel (Algorithm 2, MFBr) back-propagates partial centrality
+// factors ζ(s,v) = δ(s,v)/σ̄(s,v) over the shortest-path DAG encoded by T.
+// The returned centpath matrix Z has exactly T's sparsity pattern with
 // Z(s,v).P = ζ(s,v) and Z(s,v).C the counter the sweep left (−1: reported).
-func MFBr(at *sparse.CSR[float64], t *sparse.CSR[algebra.MultPath], sources []int32) (*sparse.CSR[algebra.CentPath], int64, int) {
-	return MFBrParallel(at, t, sources, 1)
-}
-
-// MFBrParallel is MFBr with the source rows blocked across workers; output
-// identical to MFBr for every worker count.
+// The source rows are blocked across workers; the output is identical for
+// every worker count.
 func MFBrParallel(at *sparse.CSR[float64], t *sparse.CSR[algebra.MultPath], sources []int32, workers int) (*sparse.CSR[algebra.CentPath], int64, int) {
 	if t.Cols != at.Rows {
 		panic(fmt.Sprintf("core: dimension mismatch %dx%d * %dx%d", t.Rows, t.Cols, at.Rows, at.Cols))
@@ -542,13 +539,8 @@ func SweepSources(a, at *sparse.CSR[float64], sources []int32, opt Options) *Res
 	return res
 }
 
-// MFBCBatch runs a single batch for the given sources, accumulating
-// δ(s,v) = ζ(s,v)·σ̄(s,v) into bc. Used by the benchmark harness.
-func MFBCBatch(a, at *sparse.CSR[float64], sources []int32, bc []float64) (ops int64, iters int) {
-	return MFBCBatchParallel(a, at, sources, bc, 1)
-}
-
-// MFBCBatchParallel is MFBCBatch with the source rows blocked across
+// MFBCBatchParallel runs a single batch for the given sources, accumulating
+// δ(s,v) = ζ(s,v)·σ̄(s,v) into bc. The source rows are blocked across
 // workers: each row runs both sweeps back to back inside the workspace, and
 // the fold into bc follows in row order, so scores do not depend on the
 // worker count.

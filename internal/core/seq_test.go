@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/graph"
+	"repro/internal/sparse"
 )
 
 func almostEqual(a, b float64) bool {
@@ -247,21 +248,27 @@ func TestMFBCRejectsBadWeights(t *testing.T) {
 	}
 }
 
+// TestCombBLASStyleOracle sweeps every vertex through baseline.CombBLASBatch
+// in batches of varying size and holds the sum against Brandes.
 func TestCombBLASStyleOracle(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		g := graph.Uniform(40+5*trial, 160+20*trial, trial%2 == 0, int64(trial+7))
 		want := baseline.Brandes(g)
-		got, err := baseline.CombBLASStyle(g, 1+trial*5)
-		if err != nil {
-			t.Fatal(err)
+		a := g.Adjacency()
+		at := sparse.Transpose(a)
+		got := make([]float64, g.N)
+		batch := 1 + trial*5
+		for lo := 0; lo < g.N; lo += batch {
+			var sources []int32
+			for s := lo; s < min(lo+batch, g.N); s++ {
+				sources = append(sources, int32(s))
+			}
+			baseline.CombBLASBatch(a, at, sources, got)
 		}
 		for v := range want {
 			if !almostEqual(got[v], want[v]) {
 				t.Fatalf("combblas %s: BC[%d]=%g want %g", g.Name, v, got[v], want[v])
 			}
 		}
-	}
-	if _, err := baseline.CombBLASStyle(&graph.Graph{N: 2, Weighted: true, Edges: []graph.Edge{{U: 0, V: 1, W: 2}}}, 0); err == nil {
-		t.Fatal("combblas-style must reject weighted graphs")
 	}
 }

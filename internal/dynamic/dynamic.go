@@ -326,22 +326,14 @@ func New(g *graph.Graph, cfg Config) (*Engine, error) {
 	own := g.Clone()
 	st := newState(own, 0)
 	e := &Engine{cfg: cfg}
-	if cfg.Procs > 1 {
-		sess, err := core.NewDistSession(own, e.distOpts())
-		if err != nil {
-			return nil, err
-		}
-		r, err := sess.Run(nil)
-		if err != nil {
-			return nil, err
-		}
-		st.bc = r.BC
-		st.plan = r.Plan.String()
-		st.comm = commOf(r.Stats)
-		e.dist = sess
-	} else {
-		st.bc = e.pivotScores(context.Background(), st, nil)
+	bc, err := e.sweep(context.Background(), st, nil)
+	if err != nil {
+		return nil, err
 	}
+	st.bc = bc
+	// A machine run lands in the per-apply scratch; shared memory leaves it zero.
+	st.plan = e.applyPlan
+	st.comm = e.applyComm
 	// The engine is not shared yet, but publishing the initial snapshot
 	// under the lock keeps the guarded-field discipline uniform (and the
 	// happens-before edge costs nothing here).
@@ -454,15 +446,11 @@ func (e *Engine) ApplyCtx(ctx context.Context, batch []graph.Mutation) (Report, 
 		if err := advance(); err != nil {
 			return err
 		}
-		if useDist {
-			bc, err := e.distRun(ctx, nil)
-			if err != nil {
-				return err
-			}
-			st.bc = bc
-		} else {
-			st.bc = e.pivotScores(ctx, st, nil)
+		bc, err := e.sweep(ctx, st, nil)
+		if err != nil {
+			return err
 		}
+		st.bc = bc
 		strategy = StrategyFull
 		return nil
 	}
@@ -605,6 +593,22 @@ func (e *Engine) dropSession() {
 	}
 }
 
+// sweep runs batched MFBC sweeps for exactly the given sources (nil = every
+// vertex, the exact full recompute) over snapshot st and returns their
+// accumulated dependency contributions: one machine region in distributed
+// mode (Procs > 1), where the resident operands must already be at st's
+// topology — a session dropped by a failed run is rebuilt from st — and
+// the shared-memory kernel over st's cached operands otherwise.
+func (e *Engine) sweep(ctx context.Context, st *state, sources []int32) ([]float64, error) {
+	if e.cfg.Procs <= 1 {
+		return e.pivotScores(ctx, st, sources), nil
+	}
+	if _, err := e.session(st); err != nil {
+		return nil, err
+	}
+	return e.distRun(ctx, sources)
+}
+
 // distRun executes one machine region over the session's resident
 // topology, folding its modeled cost into the apply's communication. On
 // error the session is dropped so the next apply rebuilds it from the
@@ -687,43 +691,25 @@ func (e *Engine) incrementalScores(ctx context.Context, old, st *state, affected
 	oldN := old.g.N
 	cut, _ := slices.BinarySearch(affected, int32(oldN))
 	oldAff := affected[:cut]
-	if e.cfg.Procs > 1 {
-		if _, err := e.session(old); err != nil {
+	if len(oldAff) > 0 {
+		delta, err := e.sweep(ctx, old, oldAff)
+		if err != nil {
 			return nil, err
 		}
-		if len(oldAff) > 0 {
-			delta, err := e.distRun(ctx, oldAff)
-			if err != nil {
-				return nil, err
-			}
-			for v := 0; v < oldN; v++ {
-				bc[v] -= delta[v]
-			}
+		for v := 0; v < oldN; v++ {
+			bc[v] -= delta[v]
 		}
-		if err := advance(); err != nil {
+	}
+	if err := advance(); err != nil {
+		return nil, err
+	}
+	if len(affected) > 0 {
+		delta, err := e.sweep(ctx, st, affected)
+		if err != nil {
 			return nil, err
 		}
-		if len(affected) > 0 {
-			delta, err := e.distRun(ctx, affected)
-			if err != nil {
-				return nil, err
-			}
-			for v := range bc {
-				bc[v] += delta[v]
-			}
-		}
-	} else {
-		if len(oldAff) > 0 {
-			delta := e.pivotScores(ctx, old, oldAff)
-			for v := 0; v < oldN; v++ {
-				bc[v] -= delta[v]
-			}
-		}
-		if len(affected) > 0 {
-			delta := e.pivotScores(ctx, st, affected)
-			for v := range bc {
-				bc[v] += delta[v]
-			}
+		for v := range bc {
+			bc[v] += delta[v]
 		}
 	}
 	clampResidue(bc)
@@ -742,9 +728,8 @@ func clampResidue(bc []float64) {
 	}
 }
 
-// pivotScores runs batched MFBC sweeps for exactly the given sources (nil =
-// every vertex, the exact full recompute) over the snapshot's cached
-// operands and returns their accumulated dependency contributions.
+// pivotScores is sweep's shared-memory side: core.SweepSources over the
+// snapshot's cached operands, reported as a sweep.local span.
 func (e *Engine) pivotScores(ctx context.Context, st *state, sources []int32) []float64 {
 	swept := len(sources)
 	if sources == nil {
@@ -756,9 +741,7 @@ func (e *Engine) pivotScores(ctx context.Context, st *state, sources []int32) []
 }
 
 // sampledScores estimates BC from a seeded random subset of sources scaled
-// by n/samples, exactly like repro.ApproximateBC's estimator. In
-// distributed mode the sample sweep runs on the simulated machine (the
-// session must already hold the snapshot's topology).
+// by n/samples, exactly like repro.ApproximateBC's estimator.
 func (e *Engine) sampledScores(ctx context.Context, st *state) ([]float64, error) {
 	n := st.g.N
 	budget := e.cfg.SampleBudget
@@ -768,15 +751,9 @@ func (e *Engine) sampledScores(ctx context.Context, st *state) ([]float64, error
 	for i := range sources {
 		sources[i] = int32(perm[i])
 	}
-	var bc []float64
-	if e.cfg.Procs > 1 {
-		var err error
-		bc, err = e.distRun(ctx, sources)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		bc = e.pivotScores(ctx, st, sources)
+	bc, err := e.sweep(ctx, st, sources)
+	if err != nil {
+		return nil, err
 	}
 	scale := float64(n) / float64(budget)
 	for v := range bc {

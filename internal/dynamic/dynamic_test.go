@@ -220,10 +220,19 @@ func TestNoopBatchSkipsCompute(t *testing.T) {
 }
 
 // TestSampledModeEstimatesAndRefreshes: sampled applies produce estimates
-// flagged as such; every RefreshEvery-th apply is an exact refresh.
+// flagged as such; every RefreshEvery-th apply is an exact refresh. A
+// Procs: 4 engine on the simulated machine runs in lockstep: it must pick
+// the same strategy and error bound at every step and hold the same
+// estimates, with every sweep charged as a machine run.
 func TestSampledModeEstimatesAndRefreshes(t *testing.T) {
 	g := graph.RMAT(graph.DefaultRMAT(6, 8, 21))
-	eng, err := New(g, Config{SampleBudget: 8, RefreshEvery: 3, Seed: 5})
+	cfg := Config{SampleBudget: 8, RefreshEvery: 3, Seed: 5}
+	eng, err := New(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Procs = 4
+	dist, err := New(g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,14 +247,26 @@ func TestSampledModeEstimatesAndRefreshes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
+		drep, err := dist.Apply([]graph.Mutation{m})
+		if err != nil {
+			t.Fatalf("step %d, procs 4: %v", step, err)
+		}
+		if drep.Strategy != rep.Strategy || drep.Sampled != rep.Sampled || drep.ErrBound != rep.ErrBound {
+			t.Fatalf("step %d: procs 4 chose %q sampled=%v ±%v, shared memory %q sampled=%v ±%v",
+				step, drep.Strategy, drep.Sampled, drep.ErrBound, rep.Strategy, rep.Sampled, rep.ErrBound)
+		}
+		if drep.Comm.Runs == 0 {
+			t.Fatalf("step %d: procs 4 apply charged no machine run", step)
+		}
+		compareScores(t, "procs 4 vs shared memory", dist.Snapshot().BC, eng.Snapshot().BC)
 		if step%3 == 0 {
 			if rep.Strategy != StrategyFull || rep.Sampled {
 				t.Fatalf("step %d: %q sampled=%v, want exact refresh", step, rep.Strategy, rep.Sampled)
 			}
 			compareScores(t, "refresh", eng.Snapshot().BC, fromScratch(t, shadow))
 		} else {
-			if rep.Strategy != StrategySampled || !rep.Sampled {
-				t.Fatalf("step %d: %q sampled=%v, want sampled estimate", step, rep.Strategy, rep.Sampled)
+			if rep.Strategy != StrategySampled || !rep.Sampled || !(rep.ErrBound > 0) {
+				t.Fatalf("step %d: %q sampled=%v ±%v, want sampled estimate", step, rep.Strategy, rep.Sampled, rep.ErrBound)
 			}
 			// Estimates are not exact, but the total mass estimator is
 			// unbiased; sanity-check it is in the right ballpark (not zeros,
@@ -261,9 +282,10 @@ func TestSampledModeEstimatesAndRefreshes(t *testing.T) {
 			}
 		}
 	}
-	st := eng.Stats()
-	if st.SampledEstimates != 4 || st.FullRecomputes != 2 {
-		t.Fatalf("stats = %+v", st)
+	for _, st := range []Stats{eng.Stats(), dist.Stats()} {
+		if st.SampledEstimates != 4 || st.FullRecomputes != 2 {
+			t.Fatalf("stats = %+v", st)
+		}
 	}
 }
 

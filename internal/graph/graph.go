@@ -117,21 +117,6 @@ func (g *Graph) OutAdjacencyLists() ([][]int32, [][]float64) {
 	return idx, wts
 }
 
-// InAdjacencyLists returns in-neighbour lists (index, weight): for vertex v,
-// the vertices u with an edge u → v.
-func (g *Graph) InAdjacencyLists() ([][]int32, [][]float64) {
-	if !g.Directed {
-		return g.OutAdjacencyLists()
-	}
-	idx := make([][]int32, g.N)
-	wts := make([][]float64, g.N)
-	for _, e := range g.Edges {
-		idx[e.V] = append(idx[e.V], e.U)
-		wts[e.V] = append(wts[e.V], e.W)
-	}
-	return idx, wts
-}
-
 // dedupeEdges canonicalizes an edge multiset: undirected edges are oriented
 // U ≤ V, self-loops dropped, duplicates merged keeping the minimum weight.
 func dedupeEdges(edges []Edge, directed bool) []Edge {

@@ -103,13 +103,12 @@ func TestAdjacencySymmetryAndWeights(t *testing.T) {
 
 func TestAdjacencyLists(t *testing.T) {
 	g := &Graph{N: 4, Directed: true, Edges: []Edge{{U: 0, V: 1, W: 2}, {U: 1, V: 2, W: 3}, {U: 3, V: 1, W: 4}}}
-	out, _ := g.OutAdjacencyLists()
-	in, _ := g.InAdjacencyLists()
-	if len(out[0]) != 1 || out[0][0] != 1 {
+	out, wts := g.OutAdjacencyLists()
+	if len(out[0]) != 1 || out[0][0] != 1 || wts[0][0] != 2 {
 		t.Fatal("out list wrong")
 	}
-	if len(in[1]) != 2 {
-		t.Fatalf("in list of 1 has %d entries, want 2", len(in[1]))
+	if len(out[2]) != 0 {
+		t.Fatalf("out list of 2 has %d entries, want 0 (directed: in-edges do not count)", len(out[2]))
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 // The paper benchmarks four SNAP graphs (Table 2). The datasets themselves
 // are multi-gigabyte downloads unavailable in this offline reproduction, so
 // we substitute degree/diameter/directedness-matched synthetic stand-ins at
-// roughly 1/400 scale (DESIGN.md §2). The features that drive the paper's
+// roughly 1/400 scale. The features that drive the paper's
 // performance narrative — density k, diameter d (iteration count),
 // directedness, and degree skew — are matched; absolute sizes are not.
 

@@ -11,17 +11,20 @@ import (
 // RunResult is the measured outcome of one open-loop run.
 type RunResult struct {
 	// Offered is the intended arrival rate in requests/second.
-	Offered float64
+	Offered float64 `json:"offered_rps"`
 	// Elapsed is wall time from first dispatch to last completion.
-	Elapsed time.Duration
+	Elapsed time.Duration `json:"elapsed_ns"`
 	// Total aggregates every request (Cohort "all"); Cohorts splits by
 	// cohort.
-	Total   CohortSummary
-	Cohorts []CohortSummary
+	Total   CohortSummary   `json:"total"`
+	Cohorts []CohortSummary `json:"cohorts"`
 	// Metrics is the service's /metrics delta across the run (scrape after
-	// − scrape before): the server's own view, which ServerSummary,
-	// CrossCheck and the bench rows' cache/ingest columns derive from.
-	Metrics obs.Samples
+	// − scrape before), series name → delta: the cache, coalescing,
+	// warm-seed and ingest counters are read straight from it. Server is
+	// the request count and latency percentiles derived from its route
+	// histograms, the figure CrossCheck holds against Total.
+	Metrics obs.Samples   `json:"metrics"`
+	Server  ServerSummary `json:"server"`
 }
 
 // RunOpenLoop fires a pre-generated trace at its scheduled arrival times:
@@ -76,11 +79,13 @@ func RunOpenLoop(c *Client, trace []Request, offered float64, maxInflight int) (
 		return nil, fmt.Errorf("post-run scrape: %w", err)
 	}
 
+	metrics := after.Delta(before)
 	return &RunResult{
 		Offered: offered,
 		Elapsed: elapsed,
 		Total:   rec.Total(elapsed),
 		Cohorts: rec.Summaries(elapsed),
-		Metrics: after.Delta(before),
+		Metrics: metrics,
+		Server:  serverSide(metrics),
 	}, nil
 }

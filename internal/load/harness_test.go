@@ -114,27 +114,6 @@ func TestSweepFindsKnee(t *testing.T) {
 			t.Fatalf("rate %g: %v", p.Offered, err)
 		}
 	}
-
-	pts := res.BenchPoints(testGraphs(t))
-	// 3 steps × (1 aggregate + 1 cohort row).
-	if len(pts) != 6 {
-		t.Fatalf("bench points = %d, want 6", len(pts))
-	}
-	kneeRows := 0
-	for _, p := range pts {
-		if p.Experiment != "load-sweep" || p.Graph != "hot+warm" {
-			t.Fatalf("bench point mislabeled: %+v", p)
-		}
-		if p.Knee {
-			kneeRows++
-			if p.Cohort != "all" || math.Abs(p.OfferedRPS-200) > 1e-9 {
-				t.Fatalf("knee row wrong: %+v", p)
-			}
-		}
-	}
-	if kneeRows != 1 {
-		t.Fatalf("knee rows = %d, want exactly 1", kneeRows)
-	}
 }
 
 // TestSweepAllSaturated: when even the lowest rate exceeds capacity the

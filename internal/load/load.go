@@ -151,7 +151,6 @@ type SeededGraph struct {
 	Name string
 	Spec server.GraphSpec
 
-	n     int
 	edges []repro.Edge
 }
 
@@ -168,11 +167,5 @@ func NewSeededGraph(name string, spec server.GraphSpec) (*SeededGraph, error) {
 	if g.M() == 0 {
 		return nil, fmt.Errorf("load: graph %q has no edges", name)
 	}
-	return &SeededGraph{Name: name, Spec: spec, n: g.N, edges: g.Edges}, nil
+	return &SeededGraph{Name: name, Spec: spec, edges: g.Edges}, nil
 }
-
-// N returns the vertex count of the materialized graph.
-func (sg *SeededGraph) N() int { return sg.n }
-
-// M returns the edge count of the materialized graph.
-func (sg *SeededGraph) M() int { return len(sg.edges) }

@@ -39,11 +39,11 @@ func seriesLabels(series string) (name string, labels map[string]string) {
 // landing in the +Inf bucket reports the largest finite edge instead,
 // flagged by Clipped.
 type ServerSummary struct {
-	Requests int64
-	P50MS    float64
-	P95MS    float64
-	P99MS    float64
-	Clipped  bool
+	Requests int64   `json:"requests"`
+	P50MS    float64 `json:"p50_ms"`
+	P95MS    float64 `json:"p95_ms"`
+	P99MS    float64 `json:"p99_ms"`
+	Clipped  bool    `json:"clipped"`
 }
 
 // loadRoutes are the routes the harness drives; the server-side summary
@@ -118,9 +118,6 @@ func serverSide(m obs.Samples) ServerSummary {
 	return sum
 }
 
-// ServerSummary returns the server-observed view of the run.
-func (r *RunResult) ServerSummary() ServerSummary { return serverSide(r.Metrics) }
-
 // CrossCheck verifies the client-observed and server-observed request
 // counts agree: every request the driver dispatched must appear on the
 // server's route counters.
@@ -129,7 +126,7 @@ func (r *RunResult) CrossCheck() error {
 	// recorder folds them into Errors together with HTTP-level failures
 	// (which DID reach the server), so the check is equality modulo the
 	// error count rather than exact equality.
-	server := r.ServerSummary().Requests
+	server := r.Server.Requests
 	client := int64(r.Total.Requests)
 	errs := int64(r.Total.Errors)
 	if server >= client-errs && server <= client {

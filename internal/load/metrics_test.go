@@ -60,7 +60,7 @@ func TestServerSideQuantiles(t *testing.T) {
 
 // TestRunCrossCheckInproc drives a real open-loop run and checks the
 // client-observed and server-observed request counts agree, and that the
-// server-side summary and counter deltas land in the bench points.
+// run carries the server-side summary and the counter deltas.
 func TestRunCrossCheckInproc(t *testing.T) {
 	c, graphs := inprocClient(t, server.Config{Workers: 1, CacheSize: 64})
 	defer c.Close()
@@ -81,7 +81,7 @@ func TestRunCrossCheckInproc(t *testing.T) {
 	if run.Total.Requests == 0 || run.Total.Errors != 0 {
 		t.Fatalf("run total = %+v", run.Total)
 	}
-	ss := run.ServerSummary()
+	ss := run.Server
 	if ss.Requests != int64(run.Total.Requests) {
 		t.Fatalf("server counted %d requests, client observed %d", ss.Requests, run.Total.Requests)
 	}
@@ -92,18 +92,8 @@ func TestRunCrossCheckInproc(t *testing.T) {
 		t.Fatalf("server-side p99 = %g, want > 0", ss.P99MS)
 	}
 
-	pts := res.BenchPoints(graphs)
-	agg := pts[0]
-	if agg.ServerRequests != ss.Requests || agg.ServerP99MS != ss.P99MS {
-		t.Fatalf("bench point server fields = %+v, want %+v", agg, ss)
-	}
-	if agg.CacheHits == 0 || agg.IngestCommits == 0 {
-		t.Fatalf("bench point carries no /metrics counter deltas: %+v", agg)
-	}
-	for _, pt := range pts[1:] {
-		if pt.ServerRequests != 0 || pt.CacheHits != 0 {
-			t.Fatalf("per-cohort row carries server fields: %+v", pt)
-		}
+	if run.Metrics["mfbc_query_cache_hits_total"] == 0 || run.Metrics["mfbc_ingest_group_commits_total"] == 0 {
+		t.Fatalf("run carries no /metrics counter deltas: %v", run.Metrics)
 	}
 }
 
@@ -113,15 +103,14 @@ func TestCrossCheckMismatch(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		rec.Observe(Sample{Cohort: "c", Latency: time.Millisecond, OK: true})
 	}
-	r := &RunResult{
-		Total:   rec.Total(time.Second),
-		Metrics: obs.Samples{`mfbc_http_requests_total{code="2xx",route="query"}`: 3.0},
-	}
+	metrics := obs.Samples{`mfbc_http_requests_total{code="2xx",route="query"}`: 3.0}
+	r := &RunResult{Total: rec.Total(time.Second), Server: serverSide(metrics)}
 	err := r.CrossCheck()
 	if err == nil || !strings.Contains(err.Error(), "cross-check failed") {
 		t.Fatalf("cross-check err = %v", err)
 	}
-	r.Metrics[`mfbc_http_requests_total{code="2xx",route="mutate"}`] = 2.0
+	metrics[`mfbc_http_requests_total{code="2xx",route="mutate"}`] = 2.0
+	r.Server = serverSide(metrics)
 	if err := r.CrossCheck(); err != nil {
 		t.Fatalf("agreeing counts must pass: %v", err)
 	}

@@ -48,10 +48,10 @@ func (r *Recorder) snapshot() []Sample {
 
 // LatencyStats are nearest-rank percentiles in milliseconds.
 type LatencyStats struct {
-	P50MS float64
-	P95MS float64
-	P99MS float64
-	MaxMS float64
+	P50MS float64 `json:"p50_ms"`
+	P95MS float64 `json:"p95_ms"`
+	P99MS float64 `json:"p99_ms"`
+	MaxMS float64 `json:"max_ms"`
 }
 
 // percentiles computes nearest-rank percentiles over lats (which it
@@ -83,16 +83,16 @@ func percentiles(lats []time.Duration) LatencyStats {
 // over the full duration. Latency percentiles cover all completed
 // requests; GoodputRPS counts only successes.
 type CohortSummary struct {
-	Cohort     string
-	Requests   int
-	Errors     int
-	RPS        float64
-	GoodputRPS float64
-	Lat        LatencyStats
+	Cohort     string       `json:"cohort"`
+	Requests   int          `json:"requests"`
+	Errors     int          `json:"errors"`
+	RPS        float64      `json:"achieved_rps"`
+	GoodputRPS float64      `json:"goodput_rps"`
+	Lat        LatencyStats `json:"latency"`
 	// MutateRequests counts the cohort's mutate samples; QueueWait is the
 	// percentile spread of their server-reported write-ahead queue waits.
-	MutateRequests int
-	QueueWait      LatencyStats
+	MutateRequests int          `json:"mutate_requests"`
+	QueueWait      LatencyStats `json:"queue_wait"`
 }
 
 func summarize(cohort string, samples []Sample, elapsed time.Duration) CohortSummary {

@@ -96,9 +96,3 @@ func DecodeSlice[T any](b []byte) []T {
 	copy(dst, b)
 	return out
 }
-
-// WireBytes is the modeled (and, for the raw codec, actual) wire size of
-// n elements of T.
-func WireBytes[T any](n int) int64 {
-	return bytesOf[T](n)
-}

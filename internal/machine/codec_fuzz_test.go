@@ -4,8 +4,8 @@
 // of them. The codec's contract is that a slice's wire form IS its memory
 // image, so both directions must be bit-exact — including NaN payloads,
 // infinities, and struct padding — and the encoded size must equal the
-// modeled WireBytes charge.
-package machine_test
+// modeled bytesOf charge.
+package machine
 
 import (
 	"bytes"
@@ -14,7 +14,6 @@ import (
 	"unsafe"
 
 	"repro/internal/algebra"
-	"repro/internal/machine"
 	"repro/internal/sparse"
 )
 
@@ -27,14 +26,14 @@ func roundTrip[T any](t *testing.T, raw []byte) {
 	var zero T
 	sz := int(unsafe.Sizeof(zero))
 	b := raw[:len(raw)-len(raw)%sz]
-	vals := machine.DecodeSlice[T](b)
+	vals := DecodeSlice[T](b)
 	if len(vals) != len(b)/sz {
 		t.Fatalf("%T: decoded %d elements from %d bytes (element size %d)", zero, len(vals), len(b), sz)
 	}
-	if got := machine.WireBytes[T](len(vals)); got != int64(len(b)) {
-		t.Fatalf("%T: WireBytes(%d) = %d, want %d — modeled and actual wire size diverge", zero, len(vals), got, len(b))
+	if got := bytesOf[T](len(vals)); got != int64(len(b)) {
+		t.Fatalf("%T: bytesOf(%d) = %d, want %d — modeled and actual wire size diverge", zero, len(vals), got, len(b))
 	}
-	enc := machine.EncodeSlice(vals)
+	enc := EncodeSlice(vals)
 	if enc == nil {
 		t.Fatalf("%T: EncodeSlice returned nil; empty payloads must stay distinguishable from none", zero)
 	}
@@ -42,7 +41,7 @@ func roundTrip[T any](t *testing.T, raw []byte) {
 		t.Fatalf("%T: encode(decode(b)) != b\n got %x\nwant %x", zero, enc, b)
 	}
 	// Second lap from the re-encoded form: the fixed point is immediate.
-	if again := machine.EncodeSlice(machine.DecodeSlice[T](enc)); !bytes.Equal(again, b) {
+	if again := EncodeSlice(DecodeSlice[T](enc)); !bytes.Equal(again, b) {
 		t.Fatalf("%T: second round trip diverged", zero)
 	}
 }
@@ -53,10 +52,10 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	// Seed with real encoded payloads so the corpus starts on interesting
 	// element boundaries: tropical infinities, NaN, negative zero, and a
 	// pair entry with asymmetric sides.
-	f.Add(append([]byte(nil), machine.EncodeSlice([]float64{0, math.Copysign(0, -1), 1.5, math.Inf(1), math.NaN()})...))
-	f.Add(append([]byte(nil), machine.EncodeSlice([]algebra.MultPath{algebra.MultPathZero(), {W: 2.5, M: 3}})...))
-	f.Add(append([]byte(nil), machine.EncodeSlice([]algebra.CentPath{algebra.CentPathZero(), {W: 1, P: 0.5, C: -7}})...))
-	f.Add(append([]byte(nil), machine.EncodeSlice([]sparse.Entry[algebra.MultPathPair]{
+	f.Add(append([]byte(nil), EncodeSlice([]float64{0, math.Copysign(0, -1), 1.5, math.Inf(1), math.NaN()})...))
+	f.Add(append([]byte(nil), EncodeSlice([]algebra.MultPath{algebra.MultPathZero(), {W: 2.5, M: 3}})...))
+	f.Add(append([]byte(nil), EncodeSlice([]algebra.CentPath{algebra.CentPathZero(), {W: 1, P: 0.5, C: -7}})...))
+	f.Add(append([]byte(nil), EncodeSlice([]sparse.Entry[algebra.MultPathPair]{
 		{I: 0, J: 1, V: algebra.MultPathPair{Old: algebra.MultPathZero(), New: algebra.MultPath{W: 1, M: 2}}},
 	})...))
 	f.Fuzz(func(t *testing.T, b []byte) {
@@ -105,12 +104,12 @@ func FuzzCodecValues(f *testing.F) {
 // (byte equality subsumes field equality and keeps NaN payloads honest).
 func checkValues[T any](t *testing.T, s []T) {
 	t.Helper()
-	enc := append([]byte(nil), machine.EncodeSlice(s)...)
-	dec := machine.DecodeSlice[T](enc)
+	enc := append([]byte(nil), EncodeSlice(s)...)
+	dec := DecodeSlice[T](enc)
 	if len(dec) != len(s) {
 		t.Fatalf("%T: round trip length %d, want %d", s, len(dec), len(s))
 	}
-	if !bytes.Equal(machine.EncodeSlice(dec), enc) {
+	if !bytes.Equal(EncodeSlice(dec), enc) {
 		t.Fatalf("%T: round trip not bit-exact", s)
 	}
 }
@@ -124,5 +123,5 @@ func TestDecodeSliceRejectsTornFrame(t *testing.T) {
 			t.Fatal("DecodeSlice accepted a torn frame")
 		}
 	}()
-	machine.DecodeSlice[float64](make([]byte, 7))
+	DecodeSlice[float64](make([]byte, 7))
 }

@@ -207,16 +207,6 @@ func (v *CounterVec) With(values ...string) *Counter {
 	return v.f.child(values, func() metric { return &Counter{} }).(*Counter)
 }
 
-// GaugeVec is a gauge family partitioned by label values.
-type GaugeVec struct {
-	f *family
-}
-
-// With returns the child gauge for the given label values.
-func (v *GaugeVec) With(values ...string) *Gauge {
-	return v.f.child(values, func() metric { return &Gauge{} }).(*Gauge)
-}
-
 // HistogramVec is a histogram family partitioned by label values, all
 // children sharing one bucket layout.
 type HistogramVec struct {

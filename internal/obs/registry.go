@@ -110,15 +110,6 @@ func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 	return &CounterVec{f: f}
 }
 
-// GaugeVec registers a gauge family partitioned by the given labels.
-func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	f := r.register(&family{
-		name: name, help: help, typ: "gauge", labels: labels,
-		children: make(map[string]metric),
-	})
-	return &GaugeVec{f: f}
-}
-
 // HistogramVec registers a histogram family partitioned by the given
 // labels, every child sharing one fixed bucket layout.
 func (r *Registry) HistogramVec(name, help string, bounds []float64, labels ...string) *HistogramVec {

@@ -250,22 +250,6 @@ func mulRowRange[TA, TB, TC any](a *CSR[TA], b *CSR[TB], lo, hi int, f func(TA, 
 	return colIdx, val, rowNNZ, ops
 }
 
-// MulRef is a reference triple-loop implementation of Mul used by property
-// tests.
-func MulRef[TA, TB, TC any](a *CSR[TA], b *CSR[TB], f func(TA, TB) TC, add algebra.Monoid[TC]) *CSR[TC] {
-	acc := NewCOO[TC](a.Rows, b.Cols)
-	for i := 0; i < a.Rows; i++ {
-		acols, avals := a.Row(i)
-		for k, ak := range acols {
-			bcols, bvals := b.Row(int(ak))
-			for x, j := range bcols {
-				acc.Append(int32(i), j, f(avals[k], bvals[x]))
-			}
-		}
-	}
-	return FromCOO(acc, add)
-}
-
 // EWise merges two same-shaped matrices elementwise with the monoid
 // operation (a union merge: entries present in only one operand pass
 // through).
@@ -297,22 +281,6 @@ func EWise[T any](a, b *CSR[T], m algebra.Monoid[T]) *CSR[T] {
 			if !m.IsZero(v) {
 				out.ColIdx = append(out.ColIdx, j)
 				out.Val = append(out.Val, v)
-			}
-		}
-		out.RowPtr[i+1] = int64(len(out.ColIdx))
-	}
-	return out
-}
-
-// Filter returns the entries of a for which keep returns true.
-func Filter[T any](a *CSR[T], keep func(i, j int32, v T) bool) *CSR[T] {
-	out := &CSR[T]{Rows: a.Rows, Cols: a.Cols, RowPtr: make([]int64, a.Rows+1)}
-	for i := 0; i < a.Rows; i++ {
-		cols, vals := a.Row(i)
-		for k, j := range cols {
-			if keep(int32(i), j, vals[k]) {
-				out.ColIdx = append(out.ColIdx, j)
-				out.Val = append(out.Val, vals[k])
 			}
 		}
 		out.RowPtr[i+1] = int64(len(out.ColIdx))

@@ -17,6 +17,22 @@ var addF = algebra.Monoid[float64]{
 
 func mulF(a, b float64) float64 { return a * b }
 
+// mulRef is the reference triple-loop multiply: the oracle Mul's
+// Gustavson kernel is held against.
+func mulRef[TA, TB, TC any](a *CSR[TA], b *CSR[TB], f func(TA, TB) TC, add algebra.Monoid[TC]) *CSR[TC] {
+	acc := NewCOO[TC](a.Rows, b.Cols)
+	for i := 0; i < a.Rows; i++ {
+		acols, avals := a.Row(i)
+		for k, ak := range acols {
+			bcols, bvals := b.Row(int(ak))
+			for x, j := range bcols {
+				acc.Append(int32(i), j, f(avals[k], bvals[x]))
+			}
+		}
+	}
+	return FromCOO(acc, add)
+}
+
 func randomCSR(rows, cols, nnz int, seed int64) *CSR[float64] {
 	rng := rand.New(rand.NewSource(seed))
 	coo := NewCOO[float64](rows, cols)
@@ -80,7 +96,7 @@ func TestMulMatchesReference(t *testing.T) {
 		a := randomCSR(13, 11, 40, int64(seedA))
 		b := randomCSR(11, 17, 50, int64(seedB))
 		got, _ := Mul(a, b, mulF, addF)
-		want := MulRef(a, b, mulF, addF)
+		want := mulRef(a, b, mulF, addF)
 		return Equal(got, want, func(x, y float64) bool { return x == y })
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
@@ -181,13 +197,6 @@ func TestMaskKeepAndDrop(t *testing.T) {
 
 func TestFilterMapZip(t *testing.T) {
 	a := randomCSR(6, 6, 20, 11)
-	evens := Filter(a, func(_, j int32, _ float64) bool { return j%2 == 0 })
-	cols, _ := evens.Row(3)
-	for _, j := range cols {
-		if j%2 != 0 {
-			t.Fatal("filter kept an odd column")
-		}
-	}
 	doubled := Map(a, addF, func(_, _ int32, v float64) float64 { return 2 * v })
 	count := 0
 	ZipJoin(a, doubled, func(_, _ int32, x, y float64) {

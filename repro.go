@@ -27,11 +27,11 @@ package repro
 
 import (
 	"container/heap"
+	"errors"
 	"fmt"
 	"math/rand"
 
 	"repro/internal/baseline"
-	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/machine"
@@ -118,10 +118,13 @@ type Result struct {
 	Comm       CommReport
 }
 
+// errNilGraph is what every entry point that takes a *Graph returns for nil.
+var errNilGraph = errors.New("repro: nil graph")
+
 // Compute runs betweenness centrality on g with the selected engine.
 func Compute(g *Graph, opt Options) (*Result, error) {
 	if g == nil {
-		return nil, fmt.Errorf("repro: nil graph")
+		return nil, errNilGraph
 	}
 	if opt.Engine == "" {
 		opt.Engine = EngineMFBC
@@ -276,6 +279,9 @@ type SSSPResult = core.SSSPResult
 // standalone capability). With opt.Procs > 1 it runs on the simulated
 // distributed machine.
 func ShortestPaths(g *Graph, sources []int32, opt Options) (*SSSPResult, error) {
+	if g == nil {
+		return nil, errNilGraph
+	}
 	procs := opt.Procs
 	if procs <= 1 && opt.Plan == nil {
 		return core.SSSP(g, sources)
@@ -294,6 +300,9 @@ func ShortestPaths(g *Graph, sources []int32, opt Options) (*SSSPResult, error) 
 func ApproximateBC(g *Graph, samples int, seed int64, opt Options) (*Result, error) {
 	if samples < 1 {
 		return nil, fmt.Errorf("repro: need at least one sample source")
+	}
+	if g == nil {
+		return nil, errNilGraph
 	}
 	if samples >= g.N {
 		return Compute(g, opt)
@@ -351,12 +360,3 @@ func LoadGraph(path string) (*Graph, error) { return graph.LoadFile(path) }
 
 // SaveGraph writes an edge-list file.
 func SaveGraph(path string, g *Graph) error { return graph.SaveFile(path, g) }
-
-// RunExperiment executes one of the paper-reproduction experiments by id
-// (see ExperimentIDs) with the given configuration.
-func RunExperiment(id string, cfg bench.Config) ([]bench.Point, error) {
-	return bench.Run(id, cfg)
-}
-
-// ExperimentIDs lists the reproducible tables and figures.
-func ExperimentIDs() []string { return append([]string(nil), bench.Experiments...) }

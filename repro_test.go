@@ -351,21 +351,16 @@ func TestApproximateBC(t *testing.T) {
 	}
 }
 
-func TestExperimentIDs(t *testing.T) {
-	ids := ExperimentIDs()
-	if len(ids) < 7 {
-		t.Fatalf("expected at least 7 experiments, got %v", ids)
-	}
-	seen := map[string]bool{}
-	for _, id := range ids {
-		if seen[id] {
-			t.Fatalf("duplicate experiment id %s", id)
-		}
-		seen[id] = true
-	}
-	for _, want := range []string{"table2", "fig1a", "fig1b", "fig1c", "fig2a", "fig2b", "table3"} {
-		if !seen[want] {
-			t.Fatalf("missing paper artifact %s", want)
+// TestNilGraph: every entry point that takes a graph rejects nil with the
+// same error, before touching it.
+func TestNilGraph(t *testing.T) {
+	for name, call := range map[string]func() error{
+		"Compute":       func() error { _, err := Compute(nil, Options{}); return err },
+		"ApproximateBC": func() error { _, err := ApproximateBC(nil, 4, 1, Options{}); return err },
+		"ShortestPaths": func() error { _, err := ShortestPaths(nil, []int32{0}, Options{}); return err },
+	} {
+		if err := call(); err == nil || err.Error() != "repro: nil graph" {
+			t.Errorf("%s(nil) = %v, want repro: nil graph", name, err)
 		}
 	}
 }
