@@ -4,7 +4,7 @@
 GO ?= go
 BIN := bin/mfbc-lint
 
-.PHONY: all build lint lint-standalone test race bench bench-module load-quick tidy-check fmt-check deps-check loc check clean
+.PHONY: all build lint lint-standalone test race bench bench-module load-quick tidy-check fmt-check deps-check loc surface check clean
 
 all: build
 
@@ -59,11 +59,12 @@ fmt-check:
 
 ## deps-check: the import edges that must stay cut. The library links
 ## neither the paper harness nor a TCP mesh it never starts; the load sweep
-## and the paper harness do not know each other, and the paper harness
-## knows no streaming engine and no server.
+## and the paper harness do not know each other, the paper harness knows
+## no streaming engine and no server, and the metrics/tracing package knows
+## no machine (phase labels are the registry's own names).
 deps-check:
 	@nodep() { if $(GO) list -deps $$1 | grep -E "repro/internal/($$2)\$$"; then echo "$$1 must not import the above" >&2; exit 1; fi; }; \
-	nodep . 'bench|machine/tcpnet' && nodep ./internal/load 'bench' && nodep ./internal/bench 'dynamic|server|load'
+	nodep . 'bench|machine/tcpnet' && nodep ./internal/load 'bench' && nodep ./internal/bench 'dynamic|server|load' && nodep ./internal/obs 'machine'
 
 ## loc: the non-test Go line count the ROADMAP's simplicity targets are
 ## stated in (*.go outside benchmarks/ and */testdata/*, no *_test.go), for
@@ -72,6 +73,17 @@ deps-check:
 loc:
 	@count() { find $$1 -name '*.go' ! -name '*_test.go' ! -path './benchmarks/*' ! -path '*/testdata/*' -exec cat {} + | wc -l; }; \
 	echo "non-test Go lines: repository $$(count .), internal/core $$(count ./internal/core), internal/bench $$(count ./internal/bench), internal/load $$(count ./internal/load)"
+
+## surface: the three settable-surface counts every simplicity PR reports
+## beside `make loc` — flag definitions under cmd/, exported fields of the
+## four option structs, exported struct types declared in the root package
+## (aliases are not declarations) — all over non-test sources.
+surface:
+	@fields() { awk -v t="type $$2 struct {" '$$0 == t {in_t = 1; next} in_t && /^}/ {in_t = 0} in_t && /^\t[A-Z][A-Za-z0-9]*( |$$)/ {n++} END {print n + 0}' $$1; }; \
+	flags=$$(find cmd -name '*.go' ! -name '*_test.go' | xargs grep -hoE 'flag\.(Bool|Int|Int64|Uint|Uint64|Float64|String|Duration|Text)?(Var|Func)?\(' | wc -l); \
+	opts=$$(( $$(fields repro.go Options) + $$(fields internal/dynamic/dynamic.go Config) + $$(fields internal/core/dist.go DistOptions) + $$(fields internal/server/server.go Config) )); \
+	structs=$$(ls *.go | grep -v '_test\.go$$' | xargs cat | grep -cE '^type [A-Z][A-Za-z0-9]* struct'); \
+	echo "surface: cmd flags $$flags, option fields $$opts, root exported structs $$structs"
 
 check: build fmt-check tidy-check deps-check lint test bench-module
 

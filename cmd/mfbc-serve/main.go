@@ -67,44 +67,41 @@ import (
 )
 
 func main() {
+	// Flags the service itself reads are bound straight into its Config;
+	// serveConfig holds the rest of what buildServer needs.
+	var scfg server.Config
+	var cfg serveConfig
 	addr := flag.String("addr", ":8080", "listen address")
-	workers := flag.Int("workers", 0, "local kernel threads per compute (0 = all cores, 1 = sequential)")
-	cache := flag.Int("cache", 256, "max cached results (negative disables caching)")
+	flag.IntVar(&scfg.Workers, "workers", 0, "local kernel threads per compute (0 = all cores, 1 = sequential)")
+	flag.IntVar(&scfg.CacheSize, "cache", 256, "max cached results (negative disables caching)")
 	preload := flag.String("preload", "", "comma-separated name=path edge-list files to register at startup")
-	dirty := flag.Float64("dirty", 0, "mutation dirtiness threshold: affected-source fraction above which a PATCH recomputes fully (0 = default 0.25, negative = always incremental)")
-	dynProcs := flag.Int("dyn-procs", 0, "run mutation re-computation on the simulated distributed machine with this many processors (≤1 = shared-memory path); PATCH responses then report modeled communication, per-phase stats, and the plan chosen")
-	transport := flag.String("transport", "sim", "machine backend for distributed mutation re-computation: 'sim' (in-process simulated machine) or 'tcp' (rank-per-process mesh; this server is rank 0 and every other -peers entry must run cmd/mfbc-rank)")
-	peersFlag := flag.String("peers", "", "with -transport tcp: comma-separated host:port of every rank in rank order; entry 0 is this server's machine endpoint (distinct from -addr)")
-	rendezvous := flag.Duration("rendezvous", 0, "with -transport tcp: how long to keep retrying the mesh connect while ranks start (0 = 15s default)")
-	dynCacheSets := flag.Int("dyn-cache-sets", 0, "bound each simulated rank's stationary-operand cache to this many working sets per matrix (LRU across plans; 0 = unbounded); evictions appear as mfbc_dyn_operand_evictions in /metrics")
-	dynSamples := flag.Int("dyn-samples", 0, "run each graph's dynamic engine in sampled mode with this source budget: PATCHes estimate instead of computing exactly and report a Hoeffding err_bound (0 = exact)")
-	dynRefresh := flag.Int("dyn-refresh", 0, "exact-refresh cadence of sampled mode: every Nth PATCH recomputes exactly (0 = library default 8)")
-	ingestDurability := flag.String("ingest-durability", "applied", "default PATCH acknowledgment level: 'applied' (block until the batch's group commit lands) or 'enqueued' (202 on enqueue; per-request override via the request's durability field)")
-	ingestMaxDepth := flag.Int("ingest-max-depth", 256, "pending-batch bound of each graph's write-ahead queue; beyond it PATCHes shed with 429 + Retry-After (negative = unbounded)")
+	flag.Float64Var(&scfg.DirtyThreshold, "dirty", 0, "mutation dirtiness threshold: affected-source fraction above which a PATCH recomputes fully (0 = default 0.25, negative = always incremental)")
+	flag.IntVar(&scfg.DynProcs, "dyn-procs", 0, "run mutation re-computation on the simulated distributed machine with this many processors (≤1 = shared-memory path); PATCH responses then report modeled communication, per-phase stats, and the plan chosen")
+	flag.StringVar(&cfg.transport, "transport", "sim", "machine backend for distributed mutation re-computation: 'sim' (in-process simulated machine) or 'tcp' (rank-per-process mesh; this server is rank 0 and every other -peers entry must run cmd/mfbc-rank)")
+	flag.StringVar(&cfg.peers, "peers", "", "with -transport tcp: comma-separated host:port of every rank in rank order; entry 0 is this server's machine endpoint (distinct from -addr)")
+	flag.DurationVar(&cfg.rendezvous, "rendezvous", 0, "with -transport tcp: how long to keep retrying the mesh connect while ranks start (0 = 15s default)")
+	flag.IntVar(&scfg.DynCacheSets, "dyn-cache-sets", 0, "bound each simulated rank's stationary-operand cache to this many working sets per matrix (LRU across plans; 0 = unbounded); evictions appear as mfbc_dyn_operand_evictions in /metrics")
+	flag.IntVar(&scfg.DynSampleBudget, "dyn-samples", 0, "run each graph's dynamic engine in sampled mode with this source budget: PATCHes estimate instead of computing exactly and report a Hoeffding err_bound (0 = exact)")
+	flag.IntVar(&scfg.DynRefreshEvery, "dyn-refresh", 0, "exact-refresh cadence of sampled mode: every Nth PATCH recomputes exactly (0 = library default 8)")
+	flag.StringVar(&scfg.IngestDurability, "ingest-durability", "applied", "default PATCH acknowledgment level: 'applied' (block until the batch's group commit lands) or 'enqueued' (202 on enqueue; per-request override via the request's durability field)")
+	flag.IntVar(&scfg.IngestMaxDepth, "ingest-max-depth", 256, "pending-batch bound of each graph's write-ahead queue; beyond it PATCHes shed with 429 + Retry-After (negative = unbounded)")
 	readHeaderTimeout := flag.Duration("read-header-timeout", 5*time.Second, "max time to read a request's headers (slowloris guard)")
 	readTimeout := flag.Duration("read-timeout", 30*time.Second, "max time to read a full request including the body")
 	idleTimeout := flag.Duration("idle-timeout", 2*time.Minute, "max keep-alive idle time per connection")
 	writeTimeout := flag.Duration("write-timeout", 0, "max time to write a response (0 = unlimited; exact queries on large graphs can be slow)")
 	shutdownGrace := flag.Duration("shutdown-grace", 30*time.Second, "how long SIGINT/SIGTERM waits for in-flight requests to drain before forcing exit")
-	traceBuf := flag.Int("trace-buf", 256, "request traces retained for GET /debug/traces (0 disables tracing)")
-	traceSample := flag.Float64("trace-sample", 1, "head-sampling probability for request traces in [0,1]: each trace is kept with this probability, except error (status ≥ 400) and slow (-slow-query) requests, which are always kept (1 = keep everything)")
+	flag.IntVar(&cfg.traceBuf, "trace-buf", 256, "request traces retained for GET /debug/traces (0 disables tracing)")
+	flag.Float64Var(&cfg.traceSample, "trace-sample", 1, "head-sampling probability for request traces in [0,1]: each trace is kept with this probability, except error (status ≥ 400) and slow (-slow-query) requests, which are always kept (1 = keep everything)")
 	traceOut := flag.String("trace-out", "", "append every finished request trace to this JSONL file")
-	slowQuery := flag.Duration("slow-query", 0, "log a structured warning for requests slower than this (0 = off)")
+	flag.DurationVar(&scfg.SlowQuery, "slow-query", 0, "log a structured warning for requests slower than this (0 = off)")
 	debugAddr := flag.String("debug-addr", "", "operator-only listener with net/http/pprof, /metrics, and /debug/traces (empty = off)")
 	flag.Parse()
 
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
 	slog.SetDefault(logger)
 
-	s, cleanup, err := buildServer(serveConfig{
-		workers: *workers, cache: *cache, dirty: *dirty,
-		dynProcs: *dynProcs, dynCacheSets: *dynCacheSets,
-		dynSamples: *dynSamples, dynRefresh: *dynRefresh,
-		ingestDurability: *ingestDurability, ingestMaxDepth: *ingestMaxDepth,
-		transport: *transport, peers: *peersFlag, rendezvous: *rendezvous,
-		traceBuf: *traceBuf, traceSample: *traceSample,
-		slowQuery: *slowQuery, logger: logger,
-	}, *preload)
+	scfg.Logger = logger
+	s, cleanup, err := buildServer(scfg, cfg, *preload)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mfbc-serve:", err)
 		os.Exit(1)
@@ -229,59 +226,46 @@ func serve(ctx context.Context, srv *http.Server, l net.Listener, grace time.Dur
 	}
 }
 
-// serveConfig carries the flag values into buildServer.
+// serveConfig carries into buildServer the flag values server.Config has no
+// field for: which machine backend to bring up, and how to build the tracer.
 type serveConfig struct {
-	workers, cache         int
-	dirty                  float64
-	dynProcs, dynCacheSets int
-	dynSamples, dynRefresh int
-	ingestDurability       string
-	ingestMaxDepth         int
-	transport, peers       string
-	rendezvous             time.Duration
-	traceBuf               int
+	transport, peers string
+	rendezvous       time.Duration
+	traceBuf         int
 	// traceSample is the head-sampling keep probability handed to the
 	// tracer (clamped to [0,1]). Note the zero value means "keep only
 	// error/slow traces" — tests that assert on retained traces must set
 	// it to 1 explicitly, matching the flag default.
 	traceSample float64
-	slowQuery   time.Duration
-	logger      *slog.Logger
 }
 
 // buildServer wires flags into a ready service; split from main so the
-// end-to-end test drives the exact production configuration. The serving
-// binary is the one place the Go-runtime gauges are registered: library
-// constructors keep the registry deterministic for byte-identical scrape
-// tests.
+// end-to-end test drives the exact production configuration. scfg is the
+// service's own Config as the flags filled it; buildServer adds the
+// registry, the tracer and — on -transport tcp — the engine factory. The
+// serving binary is the one place the Go-runtime gauges are registered:
+// library constructors keep the registry deterministic for byte-identical
+// scrape tests.
 //
 // The returned cleanup shuts down whatever backend the transport flags
 // brought up (the worker fleet on -transport tcp); call it after the
 // HTTP listener drains.
-func buildServer(cfg serveConfig, preload string) (*server.Server, func(), error) {
-	reg := obs.NewRegistry()
-	obs.RegisterRuntimeMetrics(reg)
-	var tracer *obs.Tracer
+func buildServer(scfg server.Config, cfg serveConfig, preload string) (*server.Server, func(), error) {
+	scfg.Metrics = obs.NewRegistry()
+	obs.RegisterRuntimeMetrics(scfg.Metrics)
 	if cfg.traceBuf > 0 {
-		tracer = obs.NewTracer(cfg.traceBuf)
-		tracer.SetSampleRate(cfg.traceSample)
+		scfg.Tracer = obs.NewTracer(cfg.traceBuf)
+		scfg.Tracer.SetSampleRate(cfg.traceSample)
 	}
-	logger := cfg.logger
+	logger := scfg.Logger
 	if logger == nil {
 		logger = slog.Default()
 	}
-	switch cfg.ingestDurability {
+	switch scfg.IngestDurability {
 	case "", server.DurabilityApplied, server.DurabilityEnqueued:
 	default:
 		return nil, nil, fmt.Errorf("unknown -ingest-durability %q (want %q or %q)",
-			cfg.ingestDurability, server.DurabilityApplied, server.DurabilityEnqueued)
-	}
-	scfg := server.Config{
-		Workers: cfg.workers, CacheSize: cfg.cache, DirtyThreshold: cfg.dirty,
-		DynProcs: cfg.dynProcs, DynCacheSets: cfg.dynCacheSets,
-		DynSampleBudget: cfg.dynSamples, DynRefreshEvery: cfg.dynRefresh,
-		IngestDurability: cfg.ingestDurability, IngestMaxDepth: cfg.ingestMaxDepth,
-		Metrics: reg, Tracer: tracer, Logger: cfg.logger, SlowQuery: cfg.slowQuery,
+			scfg.IngestDurability, server.DurabilityApplied, server.DurabilityEnqueued)
 	}
 	cleanup := func() {}
 	switch cfg.transport {
@@ -292,8 +276,8 @@ func buildServer(cfg serveConfig, preload string) (*server.Server, func(), error
 		if len(peers) < 2 {
 			return nil, nil, fmt.Errorf("-transport tcp needs -peers with at least two host:port entries, got %q", cfg.peers)
 		}
-		if cfg.dynProcs != 0 && cfg.dynProcs != len(peers) {
-			return nil, nil, fmt.Errorf("-dyn-procs %d conflicts with %d-rank -peers list (omit -dyn-procs or make them equal)", cfg.dynProcs, len(peers))
+		if scfg.DynProcs != 0 && scfg.DynProcs != len(peers) {
+			return nil, nil, fmt.Errorf("-dyn-procs %d conflicts with %d-rank -peers list (omit -dyn-procs or make them equal)", scfg.DynProcs, len(peers))
 		}
 		scfg.DynProcs = len(peers)
 		tr, err := tcpnet.Coordinate(peers, tcpnet.Options{Rendezvous: cfg.rendezvous})

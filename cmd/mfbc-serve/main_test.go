@@ -33,7 +33,7 @@ func TestEndToEndSession(t *testing.T) {
 	}
 	// -dyn-procs 2: mutation batches run on the simulated 2-processor
 	// machine, so the PATCH response must carry modeled communication.
-	s, _, err := buildServer(serveConfig{workers: 1, cache: 64, dynProcs: 2}, "social="+path)
+	s, _, err := buildServer(server.Config{Workers: 1, CacheSize: 64, DynProcs: 2}, serveConfig{}, "social="+path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,13 +173,13 @@ func TestEndToEndSession(t *testing.T) {
 }
 
 func TestBuildServerPreloadErrors(t *testing.T) {
-	if _, _, err := buildServer(serveConfig{workers: 1}, "badentry"); err == nil {
+	if _, _, err := buildServer(server.Config{Workers: 1}, serveConfig{}, "badentry"); err == nil {
 		t.Fatal("malformed -preload entry must fail")
 	}
-	if _, _, err := buildServer(serveConfig{workers: 1}, "g="+filepath.Join(t.TempDir(), "missing.txt")); err == nil {
+	if _, _, err := buildServer(server.Config{Workers: 1}, serveConfig{}, "g="+filepath.Join(t.TempDir(), "missing.txt")); err == nil {
 		t.Fatal("missing preload file must fail")
 	}
-	s, _, err := buildServer(serveConfig{workers: 1}, " ")
+	s, _, err := buildServer(server.Config{Workers: 1}, serveConfig{}, " ")
 	if err != nil || len(s.Graphs()) != 0 {
 		t.Fatalf("blank preload must yield an empty registry: %v", err)
 	}
@@ -190,7 +190,7 @@ func TestBuildServerPreloadErrors(t *testing.T) {
 // queries are in flight: every accepted request must complete with 200,
 // serve must return a clean drain, and the listener must stop accepting.
 func TestShutdownUnderLoad(t *testing.T) {
-	s, _, err := buildServer(serveConfig{workers: 1, cache: 64}, "")
+	s, _, err := buildServer(server.Config{Workers: 1, CacheSize: 64}, serveConfig{}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestServeCleanCloseWithoutSignal(t *testing.T) {
 // pprof alongside them.
 func TestObservabilitySurface(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "traces.jsonl")
-	s, _, err := buildServer(serveConfig{workers: 1, cache: 16, traceBuf: 8, traceSample: 1}, "")
+	s, _, err := buildServer(server.Config{Workers: 1, CacheSize: 16}, serveConfig{traceBuf: 8, traceSample: 1}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +360,7 @@ func TestObservabilitySurface(t *testing.T) {
 // TestBuildServerTracingDisabled: -trace-buf 0 yields a nil tracer and a
 // 404 on both trace endpoints.
 func TestBuildServerTracingDisabled(t *testing.T) {
-	s, _, err := buildServer(serveConfig{workers: 1}, "")
+	s, _, err := buildServer(server.Config{Workers: 1}, serveConfig{}, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,14 +67,12 @@ func TestTCPTransportEndToEnd(t *testing.T) {
 		}(r)
 	}
 
-	tcpSrv, cleanup, err := buildServer(serveConfig{
-		workers: 1, cache: 64,
-		transport: "tcp", peers: strings.Join(peers, ","),
-	}, "")
+	tcpSrv, cleanup, err := buildServer(server.Config{Workers: 1, CacheSize: 64},
+		serveConfig{transport: "tcp", peers: strings.Join(peers, ",")}, "")
 	if err != nil {
 		t.Fatalf("tcp buildServer: %v", err)
 	}
-	simSrv, _, err := buildServer(serveConfig{workers: 1, cache: 64, dynProcs: ranks}, "")
+	simSrv, _, err := buildServer(server.Config{Workers: 1, CacheSize: 64, DynProcs: ranks}, serveConfig{}, "")
 	if err != nil {
 		t.Fatalf("sim buildServer: %v", err)
 	}

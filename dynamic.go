@@ -11,11 +11,15 @@
 // per-apply ApplyReport and the cumulative DynamicSnapshot then carry the
 // modeled communication (critical-path words, messages, α–β–γ seconds)
 // and the decomposition plan chosen.
+//
+// The façade declares no description type of its own: DynamicOptions,
+// ApplyReport, DynamicSnapshot, DynamicStats, PhaseComm and CommReport are
+// the engine's types under their public names, so an option or a report
+// field is added in internal/dynamic and nowhere else.
 package repro
 
 import (
 	"context"
-	"time"
 
 	"repro/internal/dynamic"
 	"repro/internal/graph"
@@ -49,59 +53,28 @@ func CoalesceMutations(directed bool, muts []Mutation) []Mutation {
 // (internal/rankrun) and each process supplies its own endpoint.
 type DynamicOptions = dynamic.Config
 
-// CommStats re-exports the engine's modeled-communication aggregate.
-type CommStats = dynamic.CommStats
-
 // PhaseComm re-exports one named region phase's share of an apply's
 // modeled cost (diff / patch / sweep / reduce for a fused apply).
 type PhaseComm = dynamic.PhaseComm
 
-// ApplyReport describes one applied mutation batch: the strategy chosen
-// (incremental / full / sampled), how many pivots were re-run, the new
-// graph version, and — in distributed mode — the modeled communication,
-// per-phase attribution, and decomposition plan of this apply's machine
-// runs. Fused marks incremental applies that executed as one machine
-// region (both sides of the update riding the same supersteps).
-type ApplyReport struct {
-	Seq      uint64      `json:"seq"`
-	Version  uint64      `json:"version"`
-	Applied  int         `json:"applied"`
-	Affected int         `json:"affected_sources"`
-	Strategy string      `json:"strategy"`
-	Sampled  bool        `json:"sampled"`
-	ErrBound float64     `json:"err_bound,omitempty"`
-	N        int         `json:"n"`
-	M        int         `json:"m"`
-	Procs    int         `json:"procs,omitempty"`
-	Plan     string      `json:"plan,omitempty"`
-	Fused    bool        `json:"fused,omitempty"`
-	Comm     CommReport  `json:"comm"`
-	Phases   []PhaseComm `json:"phases,omitempty"`
-	WallMS   float64     `json:"wall_ms"`
-}
+// ApplyReport describes one applied mutation batch — the engine's own
+// report, returned untouched: the strategy chosen (incremental / full /
+// sampled), how many pivots were re-run, the new graph version, and — in
+// distributed mode — the modeled communication, per-phase attribution and
+// decomposition plan of this apply's machine runs. Fused marks incremental
+// applies that executed as one machine region (both sides of the update
+// riding the same supersteps). README "The apply report" lists the fields.
+type ApplyReport = dynamic.Report
 
-// DynamicSnapshot is a consistent view of the maintained state. Graph is
-// the engine's immutable current topology (do not mutate it); BC is a
-// private copy of the scores.
-type DynamicSnapshot struct {
-	Graph   *Graph
-	BC      []float64
-	Version uint64
-	Seq     uint64
-	// Sampled reports that BC holds sampled estimates (between exact
-	// refreshes in sampled mode) rather than exact scores; ErrBound is
-	// then the Hoeffding-style 95% half-width of those estimates (0 when
-	// exact) — force an exact refresh when it exceeds your tolerance.
-	Sampled  bool
-	ErrBound float64
-	// Plan is the representative decomposition of the latest distributed
-	// run; Comm accumulates the modeled communication of every machine run
-	// up to this snapshot; Phases is the per-phase breakdown of the latest
-	// apply. All are zero-valued on shared-memory engines.
-	Plan   string
-	Comm   CommReport
-	Phases []PhaseComm
-}
+// DynamicSnapshot is a consistent view of the maintained state — the
+// engine's own snapshot. Graph is the engine's immutable current topology
+// (do not mutate it); BC is a private copy of the scores. Sampled reports
+// that BC holds sampled estimates (between exact refreshes in sampled mode)
+// and ErrBound is then their Hoeffding-style 95% half-width: force an exact
+// refresh when it exceeds your tolerance. Plan, Comm and Phases run through
+// the snapshot (latest plan, cumulative communication, latest apply's
+// phases) and are zero-valued on shared-memory engines.
+type DynamicSnapshot = dynamic.Snapshot
 
 // DynamicStats re-exports the engine's cumulative counters.
 type DynamicStats = dynamic.Stats
@@ -123,16 +96,6 @@ func NewDynamicBC(g *Graph, opt DynamicOptions) (*DynamicBC, error) {
 	return &DynamicBC{eng: eng}, nil
 }
 
-// dynCommReport converts the engine's comm aggregate into the public
-// CommReport shape (WallSec stays zero: host wall time is reported
-// separately per apply).
-func dynCommReport(c dynamic.CommStats) CommReport {
-	return CommReport{
-		Bytes: c.Bytes, Msgs: c.Msgs, Flops: c.Flops,
-		ModelSec: c.ModelSec, CommSec: c.CommSec,
-	}
-}
-
 // Apply atomically applies one mutation batch and refreshes the scores.
 // On error (an invalid mutation anywhere in the batch) nothing is applied.
 func (d *DynamicBC) Apply(batch []Mutation) (ApplyReport, error) {
@@ -143,28 +106,11 @@ func (d *DynamicBC) Apply(batch []Mutation) (ApplyReport, error) {
 // observability span (internal/obs), the engine attaches child spans for
 // the apply, its probes, and every machine region it runs.
 func (d *DynamicBC) ApplyCtx(ctx context.Context, batch []Mutation) (ApplyReport, error) {
-	rep, err := d.eng.ApplyCtx(ctx, batch)
-	if err != nil {
-		return ApplyReport{}, err
-	}
-	return ApplyReport{
-		Seq: rep.Seq, Version: rep.Version, Applied: rep.Applied,
-		Affected: rep.Affected, Strategy: string(rep.Strategy), Sampled: rep.Sampled,
-		ErrBound: rep.ErrBound, N: rep.N, M: rep.M, Procs: rep.Procs,
-		Plan: rep.Plan, Fused: rep.Fused,
-		Comm: dynCommReport(rep.Comm), Phases: rep.Phases,
-		WallMS: float64(rep.Wall) / float64(time.Millisecond),
-	}, nil
+	return d.eng.ApplyCtx(ctx, batch)
 }
 
 // Scores returns the current consistent snapshot of the maintained state.
-func (d *DynamicBC) Scores() DynamicSnapshot {
-	s := d.eng.Snapshot()
-	return DynamicSnapshot{
-		Graph: s.Graph, BC: s.BC, Version: s.Version, Seq: s.Seq, Sampled: s.Sampled,
-		ErrBound: s.ErrBound, Plan: s.Plan, Comm: dynCommReport(s.Comm), Phases: s.Phases,
-	}
-}
+func (d *DynamicBC) Scores() DynamicSnapshot { return d.eng.Snapshot() }
 
 // Graph returns the current immutable topology snapshot. Callers must not
 // mutate it; use Apply.

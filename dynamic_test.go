@@ -10,12 +10,16 @@ package repro
 // MFBC_DIFFTEST_SEEDS=n widens the seed matrix, as in the static harness.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
+	"reflect"
+	"slices"
 	"strconv"
 	"testing"
 
+	"repro/internal/dynamic"
 	"repro/internal/graph"
 	"repro/internal/spgemm"
 )
@@ -297,5 +301,65 @@ func TestDynamicGraphDoesNotCopyScores(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { _ = dyn.Graph() }); allocs != 0 {
 		t.Fatalf("Graph() allocates %v times per call, want 0", allocs)
+	}
+}
+
+// TestDynamicFacadeIsEngine: the façade adds nothing to, and takes nothing
+// from, the engine's descriptions. ApplyCtx's report equals the one an
+// identically configured bare engine returns for the same batch (wall-clock
+// fields aside), and Scores is the engine's own snapshot, for an
+// incremental, a full and a sampled apply on the shared-memory path and on
+// the simulated machine. The helper below takes a *dynamic.Report: a
+// mirrored ApplyReport struct would not compile here.
+func TestDynamicFacadeIsEngine(t *testing.T) {
+	scrubWall := func(r *dynamic.Report) {
+		r.WallMS, r.Comm.WallSec = 0, 0
+		r.Phases = slices.Clone(r.Phases) // the engine's snapshot shares the slice
+		for i := range r.Phases {
+			r.Phases[i].WallMS = 0
+		}
+	}
+	g := GridGraph(6, 6, 3, 7)
+	batch := []Mutation{{Op: MutSetWeight, U: g.Edges[5].U, V: g.Edges[5].V, W: 9}}
+	for _, procs := range []int{1, 4} {
+		for _, tc := range []struct {
+			strategy string
+			opt      DynamicOptions
+		}{
+			{dynamic.StrategyIncremental, DynamicOptions{DirtyThreshold: -1}},
+			{dynamic.StrategyFull, DynamicOptions{DirtyThreshold: 1e-9}},
+			{dynamic.StrategySampled, DynamicOptions{SampleBudget: 6, RefreshEvery: 99, Seed: 3}},
+		} {
+			t.Run(fmt.Sprintf("%s/p%d", tc.strategy, procs), func(t *testing.T) {
+				tc.opt.Procs, tc.opt.Workers = procs, 1
+				dyn, err := NewDynamicBC(g, tc.opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				eng, err := dynamic.New(g, tc.opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := dyn.ApplyCtx(context.Background(), batch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := eng.Apply(batch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Strategy != tc.strategy || (procs > 1) != (got.Comm.Runs > 0) {
+					t.Fatalf("apply took strategy %q with %d machine runs: %+v", got.Strategy, got.Comm.Runs, got)
+				}
+				scrubWall(&got)
+				scrubWall(&want)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("façade report differs from the engine's:\n got %+v\nwant %+v", got, want)
+				}
+				if snap := dyn.Scores(); !reflect.DeepEqual(snap, dyn.eng.Snapshot()) {
+					t.Fatalf("Scores() is not the engine's snapshot: %+v", snap)
+				}
+			})
+		}
 	}
 }

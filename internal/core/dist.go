@@ -19,8 +19,6 @@
 package core
 
 import (
-	"time"
-
 	"repro/internal/algebra"
 	"repro/internal/distmat"
 	"repro/internal/graph"
@@ -39,12 +37,11 @@ type DistOptions struct {
 	Plan       *spgemm.Plan       // force a decomposition; nil = automatic search
 	Constraint spgemm.Constraint  // restrict the automatic search (ablations)
 	Model      *machine.CostModel // override the α–β–γ constants
-	Timeout    int                // seconds per collective watchdog; 0 = default
 	CacheSets  int                // per-rank stationary-cache bound in working sets per matrix; ≤ 0 = unbounded
 	// Transport pins every region of this run/session to an external
 	// machine backend (e.g. a tcpnet rank mesh) instead of a fresh
-	// simulated machine per region. The caller owns its lifecycle; Model
-	// and Timeout overrides are applied to it when set.
+	// simulated machine per region. The caller owns its lifecycle; a Model
+	// override is applied to it when set.
 	Transport machine.Transport
 }
 
@@ -58,9 +55,6 @@ func transportFor(p int, opt DistOptions) machine.Transport {
 	}
 	if opt.Model != nil {
 		tr.SetModel(*opt.Model)
-	}
-	if opt.Timeout > 0 {
-		tr.SetTimeout(time.Duration(opt.Timeout) * time.Second)
 	}
 	return tr
 }

@@ -68,46 +68,36 @@ func SSSP(g *graph.Graph, sources []int32) (*SSSPResult, error) {
 }
 
 // SSSPDistributed runs the same sweep on the simulated machine, gathering
-// the result at every rank.
+// the result at every rank. It is one region over a one-shot DistSession,
+// so options are checked, and the plan searched, exactly as for
+// MFBCDistributed.
 func SSSPDistributed(g *graph.Graph, sources []int32, opt DistOptions) (*SSSPResult, machine.RunStats, error) {
-	var stats machine.RunStats
-	if err := g.Validate(); err != nil {
-		return nil, stats, fmt.Errorf("core: %w", err)
+	sess, err := NewDistSession(g, opt)
+	if err != nil {
+		return nil, machine.RunStats{}, err
 	}
 	if err := checkSSSPSources(g.N, sources); err != nil {
-		return nil, stats, err
+		return nil, machine.RunStats{}, err
 	}
-	p := opt.Procs
-	if p < 1 {
-		p = 1
-	}
-	mach := transportFor(p, opt)
-	pl := planner{
-		p: p, n: g.N, adjNNZ: int64(g.AdjacencyNNZ()),
-		model: mach.Model(), cons: opt.Constraint, forced: opt.Plan,
-	}
-	adjCSR := g.Adjacency()
-	adjCOO := adjCSR.ToCOO()
+	mach := transportFor(sess.p, opt)
+	pl := sess.planner(mach, g)
 	alg := scalarAlgebra()
 
 	res := newSSSPResult(sources, g.N)
 	var gathered *sparse.CSR[algebra.MultPath]
-	itersPer := make([]int, p)
 	stats, err := mach.Run(func(proc *machine.Proc) {
-		sp := &sidePlans{sess: spgemm.NewSession(proc), pls: []planner{pl}, plans: make([]spgemm.Plan, 1)}
+		rk := sess.ranks[proc.Rank()]
+		sp := &sidePlans{sess: spgemm.NewSessionWithCache(proc, rk.cache), pls: []planner{pl}, plans: make([]spgemm.Plan, 1)}
 		sp.sess.Workers = opt.Workers
-		aMat := distmat.FromGlobal(proc.Rank(), adjCOO, distmat.DistShard(p), alg.edge)
-		t, iters := sweepMFBF(sp, new(sweepBufs[algebra.MultPath, algebra.CentPath]), alg, aMat, []*sparse.CSR[float64]{adjCSR}, [][]bool{nil}, sources)
-		itersPer[proc.Rank()] = iters
+		t, iters := sweepMFBF(sp, new(sweepBufs[algebra.MultPath, algebra.CentPath]), alg, rk.aMat, []*sparse.CSR[float64]{sess.adjCSR}, [][]bool{nil}, sources)
 		full := distmat.Gather(proc.World(), t, alg.mult)
 		if proc.Rank() == 0 {
-			gathered = full
+			gathered, res.Iterations = full, iters
 		}
 	})
 	if err != nil {
 		return nil, stats, err
 	}
-	res.Iterations = itersPer[0]
 	for s := 0; s < gathered.Rows; s++ {
 		cols, vals := gathered.Row(s)
 		for k, v := range cols {

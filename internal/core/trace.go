@@ -30,8 +30,7 @@ func recordRegionSpan(ctx context.Context, region string, procs int, st machine.
 		"wall_ms":   float64(st.Wall.Microseconds()) / 1e3,
 	})
 	for _, ph := range st.Phases {
-		label, _ := obs.PhaseLabel(ph.Name)
-		span.AddCompleted("phase."+label, ph.Wall, map[string]any{
+		span.AddCompleted("phase."+ph.Name, ph.Wall, map[string]any{
 			"bytes":     ph.MaxCost.Bytes,
 			"msgs":      ph.MaxCost.Msgs,
 			"flops":     ph.MaxCost.Flops,

@@ -35,6 +35,13 @@
 // apply (critical-path words, messages, α–β–γ seconds, plan chosen) is
 // reported per apply and accumulated into the snapshot.
 //
+// This package holds the one declaration of every description the layers
+// above pass around: Config (repro.DynamicOptions), Report
+// (repro.ApplyReport, embedded in the service's PATCH response), Snapshot
+// (repro.DynamicSnapshot), Stats, and the flattened machine costs
+// CommSummary (repro.CommReport) and PhaseComm, which travel together as a
+// Cost from the region that incurred them to the report and the snapshot.
+//
 // Affected-source detection is conservative-exact: a source s is re-run
 // iff some edge of the effective batch diff lies on a shortest path from s
 // in the pre-batch or post-batch graph. If no old or new shortest path
@@ -47,6 +54,7 @@
 package dynamic
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -119,41 +127,46 @@ const (
 	defaultRefreshEvery   = 8
 )
 
-// Strategy names how one apply produced its scores.
-type Strategy string
-
+// The values of Report.Strategy: how one apply produced its scores.
 const (
-	StrategyIncremental Strategy = "incremental"
-	StrategyFull        Strategy = "full"
-	StrategySampled     Strategy = "sampled"
+	StrategyIncremental = "incremental"
+	StrategyFull        = "full"
+	StrategySampled     = "sampled"
 )
 
-// CommStats aggregates the modeled communication of the simulated-machine
-// runs behind one or more applies (zero-valued on shared-memory engines):
-// critical-path words, messages, generalized flops, and α–β–γ seconds.
-type CommStats struct {
-	Runs     int64   `json:"runs"`
-	Bytes    int64   `json:"bytes"`
-	Msgs     int64   `json:"msgs"`
-	Flops    int64   `json:"flops"`
-	ModelSec float64 `json:"model_sec"`
-	CommSec  float64 `json:"comm_sec"`
+// CommSummary is the paper's per-run cost vocabulary (§6.2, §7) in one flat
+// value: critical-path bytes, messages and generalized flops, the modeled
+// α–β–γ seconds and the host wall-clock of the machine regions it sums
+// (machine.RunStats flattened for reports and JSON). It is the one
+// description of modeled communication — of a repro.Compute run, of one
+// apply, and cumulatively of an engine — and zero-valued wherever no
+// machine region ran.
+type CommSummary struct {
+	Runs     int64   `json:"runs"`      // machine regions summed
+	Bytes    int64   `json:"bytes"`     // critical-path bytes
+	Msgs     int64   `json:"msgs"`      // critical-path messages
+	Flops    int64   `json:"flops"`     // critical-path generalized operations
+	ModelSec float64 `json:"model_sec"` // modeled execution seconds (α–β–γ)
+	CommSec  float64 `json:"comm_sec"`  // modeled communication seconds (α–β only)
+	WallSec  float64 `json:"wall_sec"`  // host wall-clock seconds of the regions (informational)
 }
 
-func (c *CommStats) add(o CommStats) {
+// Summarize flattens one machine region's stats.
+func Summarize(st machine.RunStats) CommSummary {
+	return CommSummary{
+		Runs: 1, Bytes: st.MaxCost.Bytes, Msgs: st.MaxCost.Msgs, Flops: st.MaxCost.Flops,
+		ModelSec: st.ModelSec, CommSec: st.CommSec, WallSec: st.Wall.Seconds(),
+	}
+}
+
+func (c *CommSummary) add(o CommSummary) {
 	c.Runs += o.Runs
 	c.Bytes += o.Bytes
 	c.Msgs += o.Msgs
 	c.Flops += o.Flops
 	c.ModelSec += o.ModelSec
 	c.CommSec += o.CommSec
-}
-
-func commOf(st machine.RunStats) CommStats {
-	return CommStats{
-		Runs: 1, Bytes: st.MaxCost.Bytes, Msgs: st.MaxCost.Msgs, Flops: st.MaxCost.Flops,
-		ModelSec: st.ModelSec, CommSec: st.CommSec,
-	}
+	c.WallSec += o.WallSec
 }
 
 // PhaseComm is one named region phase's share of an apply's modeled cost
@@ -198,6 +211,24 @@ func mergePhases(acc []PhaseComm, phases []machine.PhaseStats) []PhaseComm {
 	return acc
 }
 
+// Cost is what machine regions cost on the simulated machine: of one apply
+// in a Report, and through a snapshot in Snapshot — there Comm accumulates
+// over every region since the engine was built, Plan is the representative
+// decomposition of the latest one and Phases the breakdown of the latest
+// apply (shared; do not mutate). Zero-valued on shared-memory engines.
+type Cost struct {
+	Plan   string      `json:"plan,omitempty"`
+	Comm   CommSummary `json:"comm"`
+	Phases []PhaseComm `json:"phases,omitempty"`
+}
+
+// charge folds one machine region, run under plan, into the cost.
+func (c *Cost) charge(plan spgemm.Plan, st machine.RunStats) {
+	c.Plan = plan.String()
+	c.Comm.add(Summarize(st))
+	c.Phases = mergePhases(c.Phases, st.Phases)
+}
+
 // state is one immutable (graph, scores) snapshot. Installed whole under
 // the engine lock; never written after installation. The adjacency CSR and
 // its transpose are built exactly once per snapshot and shared by the
@@ -212,9 +243,7 @@ type state struct {
 	seq      uint64 // applies since engine creation
 	sampled  bool   // bc holds sampled estimates, not exact scores
 	errBound float64
-	plan     string // representative plan of the latest distributed run
-	comm     CommStats
-	phases   []PhaseComm // per-phase breakdown of the latest apply's regions
+	cost     Cost // through this snapshot
 }
 
 func newState(g *graph.Graph, seq uint64) *state {
@@ -227,15 +256,15 @@ func newState(g *graph.Graph, seq uint64) *state {
 
 // Stats is a snapshot of cumulative engine counters.
 type Stats struct {
-	Applies          int64     `json:"applies"`
-	MutationsApplied int64     `json:"mutations_applied"`
-	IncrementalRuns  int64     `json:"incremental_runs"`
-	FullRecomputes   int64     `json:"full_recomputes"`
-	SampledEstimates int64     `json:"sampled_estimates"`
-	AffectedSources  int64     `json:"affected_sources"` // cumulative, exact applies only
-	LastAffected     int       `json:"last_affected"`
-	Comm             CommStats `json:"comm"` // cumulative modeled communication (distributed mode)
-	LastPlan         string    `json:"last_plan,omitempty"`
+	Applies          int64       `json:"applies"`
+	MutationsApplied int64       `json:"mutations_applied"`
+	IncrementalRuns  int64       `json:"incremental_runs"`
+	FullRecomputes   int64       `json:"full_recomputes"`
+	SampledEstimates int64       `json:"sampled_estimates"`
+	AffectedSources  int64       `json:"affected_sources"` // cumulative, exact applies only
+	LastAffected     int         `json:"last_affected"`
+	Comm             CommSummary `json:"comm"` // cumulative modeled communication (distributed mode)
+	LastPlan         string      `json:"last_plan,omitempty"`
 	// FusedApplies counts incremental applies that ran as one fused
 	// machine region; TwoRegionApplies counts those on the two-region path
 	// (a vertex-set change, or a batch with no affected sources).
@@ -246,26 +275,28 @@ type Stats struct {
 	OperandEvictions int64 `json:"operand_evictions"`
 }
 
-// Report describes one applied batch.
+// Report describes one applied batch. It is the one declaration of the
+// apply report: repro.ApplyReport is this type, and the service's PATCH
+// response embeds it (README "The apply report" is its field table).
 type Report struct {
-	Seq      uint64   `json:"seq"`     // snapshot sequence number after the apply
-	Version  uint64   `json:"version"` // structural fingerprint after the apply
-	Applied  int      `json:"applied"` // mutations in the batch
-	Affected int      `json:"affected_sources"`
-	Strategy Strategy `json:"strategy"`
-	Sampled  bool     `json:"sampled"` // scores are estimates after this apply
+	Seq      uint64 `json:"seq"`              // snapshot sequence number after the apply
+	Version  uint64 `json:"version"`          // structural fingerprint after the apply
+	Applied  int    `json:"applied"`          // mutations in the batch
+	Affected int    `json:"affected_sources"` // pivots re-run (exact applies)
+	Strategy string `json:"strategy"`         // one of the Strategy* constants
+	Sampled  bool   `json:"sampled"`          // scores are estimates after this apply
 	// ErrBound is the Hoeffding-style 95% half-width of sampled estimates
 	// (0 on exact applies): |estimate − exact| ≤ ErrBound per vertex with
 	// ≥ 95% confidence under the Bader-style uniform-source estimator.
-	ErrBound float64       `json:"err_bound,omitempty"`
-	N        int           `json:"n"`
-	M        int           `json:"m"`
-	Procs    int           `json:"procs,omitempty"` // simulated processors (distributed mode)
-	Plan     string        `json:"plan,omitempty"`  // representative plan of this apply's runs
-	Fused    bool          `json:"fused,omitempty"` // this apply ran as one fused machine region
-	Comm     CommStats     `json:"comm"`            // modeled communication of this apply
-	Phases   []PhaseComm   `json:"phases,omitempty"`
-	Wall     time.Duration `json:"-"`
+	ErrBound float64 `json:"err_bound,omitempty"`
+	N        int     `json:"n"`
+	M        int     `json:"m"`
+	Procs    int     `json:"procs,omitempty"` // simulated processors (distributed mode)
+	Fused    bool    `json:"fused,omitempty"` // this apply ran as one fused machine region
+	// Cost is this apply's machine regions: representative plan, modeled
+	// communication, per-phase attribution (distributed mode).
+	Cost
+	WallMS float64 `json:"wall_ms"` // host wall-clock of the whole apply
 }
 
 // Snapshot is a consistent read of the engine state. Graph is the live
@@ -280,9 +311,9 @@ type Snapshot struct {
 	// when Sampled (0 when the scores are exact): clients force an exact
 	// refresh when it exceeds their tolerance.
 	ErrBound float64
-	Plan     string      // representative plan of the latest distributed run
-	Comm     CommStats   // cumulative modeled communication through this snapshot
-	Phases   []PhaseComm // per-phase breakdown of the latest apply (shared; do not mutate)
+	// Cost runs through this snapshot: cumulative Comm, latest Plan, the
+	// latest apply's Phases.
+	Cost
 }
 
 // Engine maintains BC scores over an evolving graph. All methods are safe
@@ -294,13 +325,9 @@ type Engine struct {
 	applyMu sync.Mutex // serializes Apply; held across the whole compute
 	// dist is the persistent distributed session (Procs > 1). Guarded by
 	// applyMu; nil after a failed run, lazily rebuilt from the committed
-	// snapshot. applyComm/applyPlan/applyPhases are per-apply scratch,
-	// also under applyMu.
-	dist        *core.DistSession
-	evictBase   int64 // guarded by applyMu; operand-cache evictions of sessions since dropped
-	applyComm   CommStats
-	applyPlan   string
-	applyPhases []PhaseComm
+	// snapshot.
+	dist      *core.DistSession
+	evictBase int64 // guarded by applyMu; operand-cache evictions of sessions since dropped
 
 	mu    sync.RWMutex
 	cur   *state // guarded by mu
@@ -326,21 +353,18 @@ func New(g *graph.Graph, cfg Config) (*Engine, error) {
 	own := g.Clone()
 	st := newState(own, 0)
 	e := &Engine{cfg: cfg}
-	bc, err := e.sweep(context.Background(), st, nil)
+	// A machine run charges st.cost; shared memory leaves it zero.
+	bc, err := e.sweep(context.Background(), st, nil, &st.cost)
 	if err != nil {
 		return nil, err
 	}
 	st.bc = bc
-	// A machine run lands in the per-apply scratch; shared memory leaves it zero.
-	st.plan = e.applyPlan
-	st.comm = e.applyComm
+	st.cost.Phases = nil // the breakdown of the latest apply: none yet
 	// The engine is not shared yet, but publishing the initial snapshot
 	// under the lock keeps the guarded-field discipline uniform (and the
 	// happens-before edge costs nothing here).
 	e.mu.Lock()
 	e.cur = st
-	e.stats.Comm = st.comm
-	e.stats.LastPlan = st.plan
 	e.mu.Unlock()
 	return e, nil
 }
@@ -365,9 +389,7 @@ func (e *Engine) Snapshot() Snapshot {
 		Seq:      st.seq,
 		Sampled:  st.sampled,
 		ErrBound: st.errBound,
-		Plan:     st.plan,
-		Comm:     st.comm,
-		Phases:   st.phases,
+		Cost:     st.cost,
 	}
 }
 
@@ -379,11 +401,14 @@ func (e *Engine) Graph() *graph.Graph {
 	return e.cur.g
 }
 
-// Stats returns cumulative engine counters.
+// Stats returns cumulative engine counters; the communication and plan are
+// the current snapshot's.
 func (e *Engine) Stats() Stats {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return e.stats
+	st := e.stats
+	st.Comm, st.LastPlan = e.cur.cost.Comm, e.cur.cost.Plan
+	return st
 }
 
 // Apply atomically applies one mutation batch and refreshes the maintained
@@ -416,14 +441,12 @@ func (e *Engine) ApplyCtx(ctx context.Context, batch []graph.Mutation) (Report, 
 	}
 	st := newState(newG, old.seq+1)
 	diffs := batchDiff(old.g, newG, batch)
-	e.applyComm = CommStats{}
-	e.applyPlan = ""
-	e.applyPhases = nil
 
 	var (
-		strategy Strategy
+		strategy string
 		affected []int32
 		fused    bool
+		cost     Cost // of this apply's machine regions
 	)
 	useDist := e.cfg.Procs > 1
 	// advance moves the resident distributed operands to the post-batch
@@ -446,7 +469,7 @@ func (e *Engine) ApplyCtx(ctx context.Context, batch []graph.Mutation) (Report, 
 		if err := advance(); err != nil {
 			return err
 		}
-		bc, err := e.sweep(ctx, st, nil)
+		bc, err := e.sweep(ctx, st, nil, &cost)
 		if err != nil {
 			return err
 		}
@@ -459,7 +482,7 @@ func (e *Engine) ApplyCtx(ctx context.Context, batch []graph.Mutation) (Report, 
 		if err := advance(); err != nil {
 			return Report{}, err
 		}
-		bc, err := e.sampledScores(ctx, st)
+		bc, err := e.sampledScores(ctx, st, &cost)
 		if err != nil {
 			return Report{}, err
 		}
@@ -493,10 +516,10 @@ func (e *Engine) ApplyCtx(ctx context.Context, batch []graph.Mutation) (Report, 
 			// regions, which a fused region (diff scatter + full splice +
 			// empty sweep + O(n) reduce) would only make more expensive.
 			if e.fuseEligible(old, newG) && len(affected) > 0 {
-				bc, err = e.fusedIncrementalScores(ctx, old, st, affected, diffs)
+				bc, err = e.fusedIncrementalScores(ctx, old, st, affected, diffs, &cost)
 				fused = err == nil
 			} else {
-				bc, err = e.incrementalScores(ctx, old, st, affected, advance)
+				bc, err = e.incrementalScores(ctx, old, st, affected, advance, &cost)
 			}
 			if err != nil {
 				return Report{}, err
@@ -506,24 +529,21 @@ func (e *Engine) ApplyCtx(ctx context.Context, batch []graph.Mutation) (Report, 
 		}
 	}
 
-	st.comm = old.comm
-	st.comm.add(e.applyComm)
-	st.plan = e.applyPlan
-	if st.plan == "" {
-		st.plan = old.plan // no run this apply (e.g. a structural no-op batch)
-	}
-	st.phases = e.applyPhases
+	// An apply that ran no region (e.g. a structural no-op batch) keeps the
+	// previous plan.
+	st.cost = Cost{Plan: cmp.Or(cost.Plan, old.cost.Plan), Comm: old.cost.Comm, Phases: cost.Phases}
+	st.cost.Comm.add(cost.Comm)
 	rep := Report{
 		Seq: st.seq, Version: st.version, Applied: len(batch),
 		Affected: len(affected), Strategy: strategy, Sampled: st.sampled,
 		ErrBound: st.errBound, N: newG.N, M: newG.M(), Procs: e.cfg.Procs,
-		Plan: e.applyPlan, Fused: fused, Comm: e.applyComm,
-		Phases: e.applyPhases, Wall: time.Since(start),
+		Fused: fused, Cost: cost,
+		WallMS: float64(time.Since(start)) / float64(time.Millisecond),
 	}
 	if !useDist {
 		rep.Procs = 0
 	}
-	span.SetAttr("strategy", string(strategy)).SetAttr("applied", len(batch)).
+	span.SetAttr("strategy", strategy).SetAttr("applied", len(batch)).
 		SetAttr("affected", len(affected)).SetAttr("fused", fused).
 		SetAttr("seq", st.seq)
 
@@ -549,10 +569,6 @@ func (e *Engine) ApplyCtx(ctx context.Context, batch []graph.Mutation) (Report, 
 		} else {
 			e.stats.TwoRegionApplies++
 		}
-	}
-	e.stats.Comm.add(e.applyComm)
-	if e.applyPlan != "" {
-		e.stats.LastPlan = e.applyPlan
 	}
 	if e.dist != nil {
 		e.stats.OperandEvictions = e.evictBase + e.dist.CacheEvictions()
@@ -598,30 +614,24 @@ func (e *Engine) dropSession() {
 // accumulated dependency contributions: one machine region in distributed
 // mode (Procs > 1), where the resident operands must already be at st's
 // topology — a session dropped by a failed run is rebuilt from st — and
-// the shared-memory kernel over st's cached operands otherwise.
-func (e *Engine) sweep(ctx context.Context, st *state, sources []int32) ([]float64, error) {
+// the shared-memory kernel over st's cached operands otherwise. A machine
+// region is charged to cost; when it fails the session is dropped so the
+// next apply rebuilds it from the committed snapshot (the resident operands
+// may be mid-transition).
+func (e *Engine) sweep(ctx context.Context, st *state, sources []int32, cost *Cost) ([]float64, error) {
 	if e.cfg.Procs <= 1 {
 		return e.pivotScores(ctx, st, sources), nil
 	}
-	if _, err := e.session(st); err != nil {
+	sess, err := e.session(st)
+	if err != nil {
 		return nil, err
 	}
-	return e.distRun(ctx, sources)
-}
-
-// distRun executes one machine region over the session's resident
-// topology, folding its modeled cost into the apply's communication. On
-// error the session is dropped so the next apply rebuilds it from the
-// committed snapshot (the resident operands may be mid-transition).
-func (e *Engine) distRun(ctx context.Context, sources []int32) ([]float64, error) {
-	r, err := e.dist.RunCtx(ctx, sources)
+	r, err := sess.RunCtx(ctx, sources)
 	if err != nil {
 		e.dropSession()
 		return nil, fmt.Errorf("dynamic: distributed run: %w", err)
 	}
-	e.applyComm.add(commOf(r.Stats))
-	e.applyPlan = r.Plan.String()
-	e.applyPhases = mergePhases(e.applyPhases, r.Stats.Phases)
+	cost.charge(r.Plan, r.Stats)
 	return r.BC, nil
 }
 
@@ -633,7 +643,7 @@ func (e *Engine) distRun(ctx context.Context, sources []int32) ([]float64, error
 // arithmetic — subtract the old-side partials, add the new-side partials —
 // is the exact operation sequence of the two-region path, and the side
 // partials themselves are bit-identical to it under a fixed plan.
-func (e *Engine) fusedIncrementalScores(ctx context.Context, old, st *state, affected []int32, diffs []edgeDiff) ([]float64, error) {
+func (e *Engine) fusedIncrementalScores(ctx context.Context, old, st *state, affected []int32, diffs []edgeDiff, cost *Cost) ([]float64, error) {
 	sess, err := e.session(old)
 	if err != nil {
 		return nil, err
@@ -645,9 +655,7 @@ func (e *Engine) fusedIncrementalScores(ctx context.Context, old, st *state, aff
 		e.dropSession()
 		return nil, fmt.Errorf("dynamic: fused apply: %w", err)
 	}
-	e.applyComm.add(commOf(res.Stats))
-	e.applyPlan = res.Plan.String()
-	e.applyPhases = mergePhases(e.applyPhases, res.Stats.Phases)
+	cost.charge(res.Plan, res.Stats)
 
 	bc := make([]float64, st.g.N)
 	copy(bc, old.bc)
@@ -682,7 +690,7 @@ func sampleErrBound(n, k int) float64 {
 // pivots — on the simulated machine in distributed mode, where the old
 // side runs against the still-resident pre-batch operands, advance patches
 // in the diff, and the new side reuses the freshly patched blocks.
-func (e *Engine) incrementalScores(ctx context.Context, old, st *state, affected []int32, advance func() error) ([]float64, error) {
+func (e *Engine) incrementalScores(ctx context.Context, old, st *state, affected []int32, advance func() error, cost *Cost) ([]float64, error) {
 	bc := make([]float64, st.g.N)
 	copy(bc, old.bc)
 
@@ -692,7 +700,7 @@ func (e *Engine) incrementalScores(ctx context.Context, old, st *state, affected
 	cut, _ := slices.BinarySearch(affected, int32(oldN))
 	oldAff := affected[:cut]
 	if len(oldAff) > 0 {
-		delta, err := e.sweep(ctx, old, oldAff)
+		delta, err := e.sweep(ctx, old, oldAff, cost)
 		if err != nil {
 			return nil, err
 		}
@@ -704,7 +712,7 @@ func (e *Engine) incrementalScores(ctx context.Context, old, st *state, affected
 		return nil, err
 	}
 	if len(affected) > 0 {
-		delta, err := e.sweep(ctx, st, affected)
+		delta, err := e.sweep(ctx, st, affected, cost)
 		if err != nil {
 			return nil, err
 		}
@@ -742,7 +750,7 @@ func (e *Engine) pivotScores(ctx context.Context, st *state, sources []int32) []
 
 // sampledScores estimates BC from a seeded random subset of sources scaled
 // by n/samples, exactly like repro.ApproximateBC's estimator.
-func (e *Engine) sampledScores(ctx context.Context, st *state) ([]float64, error) {
+func (e *Engine) sampledScores(ctx context.Context, st *state, cost *Cost) ([]float64, error) {
 	n := st.g.N
 	budget := e.cfg.SampleBudget
 	rng := rand.New(rand.NewSource(e.cfg.Seed + int64(st.seq)*0x9e3779b9))
@@ -751,7 +759,7 @@ func (e *Engine) sampledScores(ctx context.Context, st *state) ([]float64, error
 	for i := range sources {
 		sources[i] = int32(perm[i])
 	}
-	bc, err := e.sweep(ctx, st, sources)
+	bc, err := e.sweep(ctx, st, sources, cost)
 	if err != nil {
 		return nil, err
 	}

@@ -24,10 +24,6 @@ func TestPhaseNames(t *testing.T) {
 	analysistest.Run(t, "testdata", PhaseNames, "phasenames")
 }
 
-func TestPhaseNamesObsTable(t *testing.T) {
-	analysistest.Run(t, "testdata", PhaseNames, "obs")
-}
-
 func TestDetSource(t *testing.T) {
 	analysistest.Run(t, "testdata", DetSource, "detsource/core")
 }

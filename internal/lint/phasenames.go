@@ -3,7 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/constant"
-	"go/token"
 	"go/types"
 	"strings"
 
@@ -16,18 +15,13 @@ import (
 // Per-phase cost attribution is joined by name across reports, benches,
 // and the PATCH response; an off-registry spelling forks the key space
 // silently. The registry itself (machine.CanonicalPhases) is the single
-// source of truth — extend it there first.
-//
-// In the observability package (basename "obs") it additionally checks
-// the phase-label table: every canonical machine phase must appear as a
-// key of the phaseLabels map, so per-phase metric families and span names
-// can never silently drop a phase added to the registry.
+// source of truth — extend it there first. Metric labels and span names are
+// the registry names themselves, so there is no second table to keep in
+// step.
 var PhaseNames = &analysis.Analyzer{
 	Name: "phasenames",
-	Doc: "flags Proc.Phase calls whose argument is not a canonical " +
-		"phase-registry constant, and obs phase-label tables that do not " +
-		"cover the registry",
-	Run: runPhaseNames,
+	Doc:  "flags Proc.Phase calls whose argument is not a canonical phase-registry constant",
+	Run:  runPhaseNames,
 }
 
 func runPhaseNames(pass *analysis.Pass) error {
@@ -60,54 +54,5 @@ func runPhaseNames(pass *analysis.Pass) error {
 			return true
 		})
 	}
-	if path := pass.Pkg.Path(); path == "obs" || strings.HasSuffix(path, "/obs") {
-		checkPhaseLabelTable(pass)
-	}
 	return nil
-}
-
-// checkPhaseLabelTable verifies the obs package's phaseLabels map literal
-// covers every canonical machine phase. The map keys are the machine
-// phase constants, so their values are available to the type checker and
-// the coverage check is purely static.
-func checkPhaseLabelTable(pass *analysis.Pass) {
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok || gd.Tok != token.VAR {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
-				if !ok {
-					continue
-				}
-				for i, name := range vs.Names {
-					if name.Name != "phaseLabels" || i >= len(vs.Values) {
-						continue
-					}
-					cl, ok := vs.Values[i].(*ast.CompositeLit)
-					if !ok {
-						continue
-					}
-					keys := make(map[string]bool)
-					for _, elt := range cl.Elts {
-						kv, ok := elt.(*ast.KeyValueExpr)
-						if !ok {
-							continue
-						}
-						if tv := pass.TypesInfo.Types[kv.Key]; tv.Value != nil && tv.Value.Kind() == constant.String {
-							keys[constant.StringVal(tv.Value)] = true
-						}
-					}
-					for _, ph := range machine.CanonicalPhases() {
-						if !keys[ph] {
-							pass.Reportf(cl.Pos(),
-								"obs phase-label table is missing machine phase %q: every canonical phase needs a stable metric/span label (extend phaseLabels)", ph)
-						}
-					}
-				}
-			}
-		}
-	}
 }

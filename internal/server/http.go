@@ -39,14 +39,14 @@ func NewMux(s *Server) *http.ServeMux {
 		s.writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	}))
 
-	mux.Handle("GET /metrics", s.registry.Handler())
+	mux.Handle("GET /metrics", s.cfg.Metrics.Handler())
 
 	mux.HandleFunc("GET /debug/traces", func(w http.ResponseWriter, r *http.Request) {
-		if s.tracer == nil {
+		if s.cfg.Tracer == nil {
 			http.NotFound(w, r)
 			return
 		}
-		s.tracer.Handler().ServeHTTP(w, r)
+		s.cfg.Tracer.Handler().ServeHTTP(w, r)
 	})
 
 	mux.HandleFunc("GET /graphs", s.instrument("graphs", func(w http.ResponseWriter, r *http.Request) {
@@ -163,8 +163,8 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		ctx := r.Context()
 		var span *obs.Span
-		if s.tracer != nil {
-			ctx, span = s.tracer.Start(ctx, "http."+route)
+		if s.cfg.Tracer != nil {
+			ctx, span = s.cfg.Tracer.Start(ctx, "http."+route)
 			span.SetAttr("method", r.Method).SetAttr("path", r.URL.Path)
 		}
 		rw := &respWriter{ResponseWriter: w}
@@ -175,7 +175,7 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 		if rw.status == 0 {
 			rw.status = http.StatusOK
 		}
-		if rw.status >= 400 || (s.slowQuery > 0 && elapsed >= s.slowQuery) {
+		if rw.status >= 400 || (s.cfg.SlowQuery > 0 && elapsed >= s.cfg.SlowQuery) {
 			span.ForceKeep()
 		}
 		s.m.httpReqs.With(route, statusText(rw.status)).Inc()
@@ -184,8 +184,8 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 		if span != nil {
 			span.SetAttr("status", rw.status).End()
 		}
-		if s.slowQuery > 0 && elapsed >= s.slowQuery {
-			s.logger.Warn("slow request",
+		if s.cfg.SlowQuery > 0 && elapsed >= s.cfg.SlowQuery {
+			s.cfg.Logger.Warn("slow request",
 				"route", route, "method", r.Method, "path", r.URL.Path,
 				"status", rw.status, "bytes", rw.bytes,
 				"elapsed_ms", float64(elapsed.Microseconds())/1e3)
@@ -257,7 +257,7 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	w.WriteHeader(status)
 	if err := json.NewEncoder(w).Encode(v); err != nil {
 		s.m.encodeErrors.Inc()
-		s.logger.Error("response encode failed", "status", status, "err", err)
+		s.cfg.Logger.Error("response encode failed", "status", status, "err", err)
 	}
 }
 

@@ -60,7 +60,7 @@ func (s *Server) MutateDurable(ctx context.Context, name string, muts []repro.Mu
 	}
 	switch durability {
 	case "":
-		durability = s.ingestDurable
+		durability = s.cfg.IngestDurability
 	case DurabilityApplied, DurabilityEnqueued:
 	default:
 		return nil, fmt.Errorf("server: unknown durability %q (want %q or %q)",
@@ -75,7 +75,7 @@ func (s *Server) MutateDurable(ctx context.Context, name string, muts []repro.Mu
 	}
 	q, ok := s.queues[name]
 	if !ok {
-		q = dynamic.NewQueue[*MutateResult](s.ingestMaxDepth)
+		q = dynamic.NewQueue[*MutateResult](s.cfg.IngestMaxDepth)
 		s.queues[name] = q
 	}
 	s.mu.Unlock()
@@ -98,15 +98,9 @@ func (s *Server) MutateDurable(ctx context.Context, name string, muts []repro.Mu
 		if lead {
 			go s.drainLoop(name, q)
 		}
-		return &MutateResult{
-			Graph:      name,
-			OldVersion: ge.version,
-			Version:    ge.version, // pre-commit: the batch has not applied yet
-			Queued:     true,
-			QueueDepth: depth,
-			N:          ge.g.N,
-			M:          ge.g.M(),
-		}, nil
+		res := unapplied(name, ge, "")
+		res.Queued, res.QueueDepth = true, depth
+		return res, nil
 	}
 	if lead {
 		// Commit the group this batch heads here, under the request's ctx;
@@ -116,6 +110,16 @@ func (s *Server) MutateDurable(ctx context.Context, name string, muts []repro.Mu
 		}
 	}
 	return p.Wait(ctx) // ctx cancellation abandons the wait; the batch still commits
+}
+
+// unapplied is the result of a batch that reached no engine — acknowledged
+// on enqueue, or cancelled out by its own group: the committed entry's
+// version (on both sides) and size under the given strategy.
+func unapplied(name string, ge *graphEntry, strategy string) *MutateResult {
+	return &MutateResult{
+		Graph: name, OldVersion: ge.version,
+		ApplyReport: repro.ApplyReport{Version: ge.version, Strategy: strategy, N: ge.g.N, M: ge.g.M()},
+	}
 }
 
 // drainOnce takes the per-graph mutation serializer, drains whatever
@@ -136,7 +140,7 @@ func (s *Server) drainOnce(ctx context.Context, name string, q *ingestQueue) boo
 		// No request span to commit under (the background drainer, or an
 		// untraced caller): the commit roots a trace of its own.
 		var span *obs.Span
-		ctx, span = s.tracer.Start(ctx, "ingest.commit")
+		ctx, span = s.cfg.Tracer.Start(ctx, "ingest.commit")
 		defer span.End()
 		span.SetAttr("graph", name)
 	}
@@ -172,7 +176,7 @@ func (s *Server) commitGroup(ctx context.Context, name string, group []*ingestPe
 			return
 		}
 		s.m.panics.With("ingest.commit").Inc()
-		s.logger.Error("panic in group commit", "graph", name, "panic", r, "stack", string(debug.Stack()))
+		s.cfg.Logger.Error("panic in group commit", "graph", name, "panic", r, "stack", string(debug.Stack()))
 		s.mu.Lock()
 		if cur, ok := s.graphs[name]; ok {
 			cur.dyn = nil
@@ -219,10 +223,7 @@ func (s *Server) commitGroup(ctx context.Context, name string, group []*ingestPe
 		// restoring prior weights may still remain — only a truly empty
 		// compaction lands here). Nothing to apply; the committed state
 		// already equals the group's outcome.
-		res = &MutateResult{
-			Graph: name, OldVersion: ge.version, Version: ge.version,
-			Strategy: "noop", N: ge.g.N, M: ge.g.M(),
-		}
+		res = unapplied(name, ge, "noop")
 	} else {
 		res, err = s.applyCommitted(ctx, name, ge, coalesced, len(valid), commitStart)
 	}

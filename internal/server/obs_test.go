@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/machine"
 	"repro/internal/obs"
 )
 
@@ -77,7 +78,7 @@ func TestMutateTraceMachineRegions(t *testing.T) {
 		}
 	}
 
-	// Every phase in the MutateResult appears as a phase.<label> child of a
+	// Every phase in the MutateResult appears as a phase.<name> child of a
 	// machine.region span, carrying both the modeled cost and wall-clock.
 	regions := map[string]bool{}
 	for _, rec := range byName["machine.region"] {
@@ -89,9 +90,9 @@ func TestMutateTraceMachineRegions(t *testing.T) {
 		}
 	}
 	for _, ph := range res.Phases {
-		label, ok := obs.PhaseLabel(ph.Name)
-		if !ok {
-			t.Errorf("phase %q missing from the obs phase-label table", ph.Name)
+		label := ph.Name
+		if !machine.IsCanonicalPhase(label) {
+			t.Errorf("phase %q is not in the machine phase registry", label)
 		}
 		found := false
 		for _, rec := range byName["phase."+label] {

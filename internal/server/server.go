@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/machine"
 	"repro/internal/obs"
 )
 
@@ -142,27 +143,18 @@ const seedTopKLen = 64
 
 // Server is the query service. All methods are safe for concurrent use.
 type Server struct {
-	workers         int
-	cacheSize       int
-	dirty           float64
-	dynProcs        int
-	dynCacheSets    int
-	dynSampleBudget int
-	dynRefreshEvery int
-	ingestDurable   string // default ack level: DurabilityApplied | DurabilityEnqueued
-	ingestMaxDepth  int    // per-graph queue bound; ≤ 0 = unbounded
-	newDynamic      func(name string, g *repro.Graph, opt repro.DynamicOptions) (DynEngine, error)
+	// cfg is the Config New was given with its defaults resolved (CacheSize
+	// ≥ 0 is the bound itself, 0 = caching off; Metrics, Logger and
+	// NewDynamic non-nil; IngestDurability one of the two levels;
+	// IngestMaxDepth ≤ 0 = unbounded). Immutable after New.
+	cfg Config
 
 	// computeExact/computeApprox are repro.Compute/repro.ApproximateBC,
 	// replaceable by tests to observe or stall computations.
 	computeExact  func(*repro.Graph, repro.Options) (*repro.Result, error)
 	computeApprox func(*repro.Graph, int, int64, repro.Options) (*repro.Result, error)
 
-	registry  *obs.Registry // metric registry backing m (exposed at /metrics)
-	m         serverMetrics
-	tracer    *obs.Tracer // nil = tracing disabled
-	logger    *slog.Logger
-	slowQuery time.Duration
+	m serverMetrics // registered on cfg.Metrics (exposed at /metrics)
 
 	mu       sync.Mutex
 	graphs   map[string]*graphEntry   // guarded by mu
@@ -215,58 +207,41 @@ type Stats struct {
 
 // New creates a Server.
 func New(cfg Config) *Server {
-	size := cfg.CacheSize
-	if size == 0 {
-		size = defaultCacheSize
+	switch {
+	case cfg.CacheSize == 0:
+		cfg.CacheSize = defaultCacheSize
+	case cfg.CacheSize < 0:
+		cfg.CacheSize = 0
 	}
-	if size < 0 {
-		size = 0
+	if cfg.Metrics == nil {
+		cfg.Metrics = obs.NewRegistry()
 	}
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = obs.NewRegistry()
+	if cfg.Logger == nil {
+		cfg.Logger = slog.Default()
 	}
-	logger := cfg.Logger
-	if logger == nil {
-		logger = slog.Default()
+	if cfg.IngestDurability != DurabilityEnqueued {
+		cfg.IngestDurability = DurabilityApplied
 	}
-	durable := cfg.IngestDurability
-	if durable != DurabilityEnqueued {
-		durable = DurabilityApplied
+	if cfg.IngestMaxDepth == 0 {
+		cfg.IngestMaxDepth = defaultIngestMaxDepth
 	}
-	maxDepth := cfg.IngestMaxDepth
-	if maxDepth == 0 {
-		maxDepth = defaultIngestMaxDepth
-	}
-	s := &Server{
-		workers:         cfg.Workers,
-		cacheSize:       size,
-		dirty:           cfg.DirtyThreshold,
-		dynProcs:        cfg.DynProcs,
-		dynCacheSets:    cfg.DynCacheSets,
-		dynSampleBudget: cfg.DynSampleBudget,
-		dynRefreshEvery: cfg.DynRefreshEvery,
-		ingestDurable:   durable,
-		ingestMaxDepth:  maxDepth,
-		newDynamic:      cfg.NewDynamic,
-		computeExact:    repro.Compute,
-		computeApprox:   repro.ApproximateBC,
-		registry:        reg,
-		m:               newServerMetrics(reg),
-		tracer:          cfg.Tracer,
-		logger:          logger,
-		slowQuery:       cfg.SlowQuery,
-		graphs:          make(map[string]*graphEntry),
-		cache:           make(map[string]*list.Element),
-		lru:             list.New(),
-		flight:          make(map[string]*flightCall),
-		mutLocks:        make(map[string]*sync.Mutex),
-		queues:          make(map[string]*ingestQueue),
-	}
-	if s.newDynamic == nil {
-		s.newDynamic = func(_ string, g *repro.Graph, opt repro.DynamicOptions) (DynEngine, error) {
+	if cfg.NewDynamic == nil {
+		cfg.NewDynamic = func(_ string, g *repro.Graph, opt repro.DynamicOptions) (DynEngine, error) {
 			return repro.NewDynamicBC(g, opt)
 		}
+	}
+	reg := cfg.Metrics
+	s := &Server{
+		cfg:           cfg,
+		computeExact:  repro.Compute,
+		computeApprox: repro.ApproximateBC,
+		m:             newServerMetrics(reg),
+		graphs:        make(map[string]*graphEntry),
+		cache:         make(map[string]*list.Element),
+		lru:           list.New(),
+		flight:        make(map[string]*flightCall),
+		mutLocks:      make(map[string]*sync.Mutex),
+		queues:        make(map[string]*ingestQueue),
 	}
 	// Registry-size gauges are computed at scrape time under s.mu; the
 	// exposition renderer never holds s.mu, so there is no lock cycle.
@@ -310,10 +285,10 @@ func New(cfg Config) *Server {
 }
 
 // Registry returns the server's metric registry (the /metrics exposition).
-func (s *Server) Registry() *obs.Registry { return s.registry }
+func (s *Server) Registry() *obs.Registry { return s.cfg.Metrics }
 
 // Tracer returns the server's tracer, nil when tracing is disabled.
-func (s *Server) Tracer() *obs.Tracer { return s.tracer }
+func (s *Server) Tracer() *obs.Tracer { return s.cfg.Tracer }
 
 // serverMetrics is the observability surface of the server: its counters
 // and gauges, the latency/size histograms and the modeled-vs-measured
@@ -424,7 +399,7 @@ func newServerMetrics(reg *obs.Registry) serverMetrics {
 		m.httpDur.With(r)
 		m.httpBytes.With(r)
 	}
-	for _, ph := range obs.PhaseLabels() {
+	for _, ph := range machine.CanonicalPhases() {
 		m.phaseModelSec.With(ph)
 		m.phaseWallSec.With(ph)
 		m.phaseBytes.With(ph)
@@ -440,12 +415,11 @@ func (s *Server) recordApplyTelemetry(rep repro.ApplyReport) {
 	s.m.applyModelSec.Add(rep.Comm.ModelSec)
 	s.m.applyWallSec.Add(rep.WallMS / 1e3)
 	for _, ph := range rep.Phases {
-		label, _ := obs.PhaseLabel(ph.Name)
-		s.m.phaseModelSec.With(label).Add(ph.ModelSec)
-		s.m.phaseWallSec.With(label).Add(ph.WallMS / 1e3)
-		s.m.phaseBytes.With(label).Add(float64(ph.Bytes))
-		s.m.phaseMsgs.With(label).Add(float64(ph.Msgs))
-		s.m.phaseFlops.With(label).Add(float64(ph.Flops))
+		s.m.phaseModelSec.With(ph.Name).Add(ph.ModelSec)
+		s.m.phaseWallSec.With(ph.Name).Add(ph.WallMS / 1e3)
+		s.m.phaseBytes.With(ph.Name).Add(float64(ph.Bytes))
+		s.m.phaseMsgs.With(ph.Name).Add(float64(ph.Msgs))
+		s.m.phaseFlops.With(ph.Name).Add(float64(ph.Flops))
 	}
 }
 
@@ -549,10 +523,10 @@ func (s *Server) Evict(name string) error {
 }
 
 // putCacheLocked inserts ce at the front of the LRU, evicting past the
-// bound. Callers hold s.mu and have checked s.cacheSize > 0.
+// bound. Callers hold s.mu and have checked s.cfg.CacheSize > 0.
 func (s *Server) putCacheLocked(ce *cacheEntry) {
 	s.cache[ce.key] = s.lru.PushFront(ce)
-	for s.lru.Len() > s.cacheSize {
+	for s.lru.Len() > s.cfg.CacheSize {
 		oldest := s.lru.Back()
 		s.lru.Remove(oldest)
 		delete(s.cache, oldest.Value.(*cacheEntry).key)
@@ -585,31 +559,18 @@ type MutateRequest struct {
 	Durability string `json:"durability,omitempty"`
 }
 
-// MutateResult reports one applied batch: version bump, strategy the
-// dynamic engine chose, the resulting topology size, and — when the
-// engine runs in distributed mode — the modeled communication and
-// decomposition plan of the apply's simulated-machine runs.
+// MutateResult reports one applied batch: the engine's apply report
+// (strategy, affected sources, new version and size, and — in distributed
+// mode — modeled communication, phases and plan; README "The apply report")
+// beside what only the service knows: the graph's name, the version the
+// batch started from, and its trip through the write-ahead queue.
+// ComputeMS is the report's WallMS under the key the response has always
+// carried.
 type MutateResult struct {
-	Graph           string  `json:"graph"`
-	OldVersion      uint64  `json:"old_version"`
-	Version         uint64  `json:"version"`
-	Seq             uint64  `json:"seq"`
-	Applied         int     `json:"applied"`
-	AffectedSources int     `json:"affected_sources"`
-	Strategy        string  `json:"strategy"`
-	Sampled         bool    `json:"sampled"`
-	ErrBound        float64 `json:"err_bound,omitempty"` // Hoeffding 95% half-width of sampled estimates
-	N               int     `json:"n"`
-	M               int     `json:"m"`
-	Procs           int     `json:"procs,omitempty"`
-	Plan            string  `json:"plan,omitempty"`
-	// Fused marks incremental distributed applies that executed as one
-	// machine region; Phases is that region's per-phase cost attribution
-	// (diff / patch / sweep / reduce).
-	Fused     bool              `json:"fused,omitempty"`
-	Comm      repro.CommReport  `json:"comm"`
-	Phases    []repro.PhaseComm `json:"phases,omitempty"`
-	ComputeMS float64           `json:"compute_ms"`
+	Graph      string `json:"graph"`
+	OldVersion uint64 `json:"old_version"`
+	repro.ApplyReport
+	ComputeMS float64 `json:"compute_ms"`
 	// Write-ahead-queue fields. Queued marks an enqueued-durability ack:
 	// the batch is in the write-ahead queue (at QueueDepth) but not yet
 	// applied, and Version still reports the pre-commit fingerprint. For
@@ -680,10 +641,10 @@ func (s *Server) applyCommitted(ctx context.Context, name string, ge *graphEntry
 
 	if dyn == nil {
 		var err error
-		dyn, err = s.newDynamic(name, ge.g, repro.DynamicOptions{
-			Workers: s.workers, DirtyThreshold: s.dirty,
-			Procs: s.dynProcs, CacheSets: s.dynCacheSets,
-			SampleBudget: s.dynSampleBudget, RefreshEvery: s.dynRefreshEvery,
+		dyn, err = s.cfg.NewDynamic(name, ge.g, repro.DynamicOptions{
+			Workers: s.cfg.Workers, DirtyThreshold: s.cfg.DirtyThreshold,
+			Procs: s.cfg.DynProcs, CacheSets: s.cfg.DynCacheSets,
+			SampleBudget: s.cfg.DynSampleBudget, RefreshEvery: s.cfg.DynRefreshEvery,
 		})
 		if err != nil {
 			return nil, err
@@ -707,7 +668,7 @@ func (s *Server) applyCommitted(ctx context.Context, name string, ge *graphEntry
 	// copy) run before taking s.mu so concurrent queries never stall on
 	// them; cacheSize is immutable after New.
 	var seed *warmSeed
-	if !snap.Sampled && s.cacheSize > 0 {
+	if !snap.Sampled && s.cfg.CacheSize > 0 {
 		seed = prepareWarmSeed(snap.BC)
 	}
 
@@ -733,14 +694,7 @@ func (s *Server) applyCommitted(ctx context.Context, name string, ge *graphEntry
 	span.SetAttr("strategy", rep.Strategy).SetAttr("affected", rep.Affected).
 		SetAttr("fused", rep.Fused).SetAttr("version", rep.Version)
 
-	return &MutateResult{
-		Graph: name, OldVersion: oldVersion, Version: rep.Version, Seq: rep.Seq,
-		Applied: rep.Applied, AffectedSources: rep.Affected, Strategy: rep.Strategy,
-		Sampled: rep.Sampled, ErrBound: rep.ErrBound, N: rep.N, M: rep.M,
-		Procs: rep.Procs, Plan: rep.Plan, Fused: rep.Fused,
-		Comm: rep.Comm, Phases: rep.Phases,
-		ComputeMS: rep.WallMS,
-	}, nil
+	return &MutateResult{Graph: name, OldVersion: oldVersion, ApplyReport: rep, ComputeMS: rep.WallMS}, nil
 }
 
 // warmSeed carries the precomputed cheap transforms of the maintained
@@ -795,12 +749,12 @@ func (s *Server) seedWarmLocked(name string, snap repro.DynamicSnapshot, rep rep
 		s.m.warmSeeds.With(variant).Inc()
 		s.m.warmSeeds.With("topk").Inc()
 	}
-	if s.dynProcs > 1 {
-		put(QueryRequest{Procs: s.dynProcs, Normalize: true},
-			&repro.Result{BC: ws.norm, Engine: repro.EngineMFBC, Procs: s.dynProcs, Plan: snap.Plan, Comm: rep.Comm},
+	if s.cfg.DynProcs > 1 {
+		put(QueryRequest{Procs: s.cfg.DynProcs, Normalize: true},
+			&repro.Result{BC: ws.norm, Engine: repro.EngineMFBC, Procs: s.cfg.DynProcs, Plan: snap.Plan, Comm: rep.Comm},
 			"distributed")
-		put(QueryRequest{Procs: s.dynProcs},
-			&repro.Result{BC: snap.BC, Engine: repro.EngineMFBC, Procs: s.dynProcs, Plan: snap.Plan, Comm: rep.Comm},
+		put(QueryRequest{Procs: s.cfg.DynProcs},
+			&repro.Result{BC: snap.BC, Engine: repro.EngineMFBC, Procs: s.cfg.DynProcs, Plan: snap.Plan, Comm: rep.Comm},
 			"distributed")
 	}
 	put(QueryRequest{Normalize: true}, &repro.Result{BC: ws.norm, Engine: repro.EngineMFBC, Procs: 1}, "normalized")
@@ -1008,7 +962,7 @@ func (s *Server) QueryCtx(ctx context.Context, req QueryRequest) (*QueryResult, 
 		span.SetAttr("source", "compute")
 		return render(req, ge.version, ce, false, false), nil
 	}
-	if s.cacheSize > 0 {
+	if s.cfg.CacheSize > 0 {
 		s.putCacheLocked(ce)
 	}
 	s.mu.Unlock()
@@ -1027,7 +981,7 @@ func (s *Server) compute(g *repro.Graph, req QueryRequest) (res *repro.Result, e
 	defer func() {
 		if r := recover(); r != nil {
 			s.m.panics.With("query.compute").Inc()
-			s.logger.Error("panic in query compute", "graph", req.Graph, "panic", r, "stack", string(debug.Stack()))
+			s.cfg.Logger.Error("panic in query compute", "graph", req.Graph, "panic", r, "stack", string(debug.Stack()))
 			res, err = nil, fmt.Errorf("%w: panic computing %q: %v", ErrInternal, req.Graph, r)
 		}
 	}()
@@ -1035,7 +989,7 @@ func (s *Server) compute(g *repro.Graph, req QueryRequest) (res *repro.Result, e
 		Engine:    req.Engine,
 		Procs:     req.Procs,
 		Batch:     req.Batch,
-		Workers:   s.workers,
+		Workers:   s.cfg.Workers,
 		Normalize: req.Normalize,
 	}
 	if req.Samples > 0 {

@@ -33,6 +33,7 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/core"
+	"repro/internal/dynamic"
 	"repro/internal/graph"
 	"repro/internal/machine"
 	"repro/internal/spgemm"
@@ -98,15 +99,9 @@ type Options struct {
 	Normalize bool
 }
 
-// CommReport summarizes the simulated communication of a distributed run.
-type CommReport struct {
-	Bytes    int64   `json:"bytes"`     // critical-path bytes
-	Msgs     int64   `json:"msgs"`      // critical-path messages
-	Flops    int64   `json:"flops"`     // critical-path generalized operations
-	ModelSec float64 `json:"model_sec"` // modeled execution seconds (α–β–γ)
-	CommSec  float64 `json:"comm_sec"`  // modeled communication seconds (α–β only)
-	WallSec  float64 `json:"wall_sec"`  // host wall-clock seconds (informational)
-}
+// CommReport summarizes the simulated communication of a distributed run:
+// the one comm summary, shared with the streaming engine's reports.
+type CommReport = dynamic.CommSummary
 
 // Result carries centrality scores and run metadata.
 type Result struct {
@@ -163,7 +158,7 @@ func Compute(g *Graph, opt Options) (*Result, error) {
 			res.BC = r.BC
 			res.Plan = r.Plan.String()
 			res.Iterations = r.Iterations
-			res.Comm = commReport(r.Stats)
+			res.Comm = dynamic.Summarize(r.Stats)
 		}
 	case EngineCombBLAS:
 		r, err := baseline.CombBLASStyleDistributed(g, baseline.DistCombBLASOptions{
@@ -175,7 +170,7 @@ func Compute(g *Graph, opt Options) (*Result, error) {
 		res.BC = r.BC
 		res.Plan = r.Plan.String()
 		res.Iterations = r.Levels
-		res.Comm = commReport(r.Stats)
+		res.Comm = dynamic.Summarize(r.Stats)
 	default:
 		return nil, fmt.Errorf("repro: unknown engine %q", opt.Engine)
 	}
@@ -186,17 +181,6 @@ func Compute(g *Graph, opt Options) (*Result, error) {
 		}
 	}
 	return res, nil
-}
-
-func commReport(s machine.RunStats) CommReport {
-	return CommReport{
-		Bytes:    s.MaxCost.Bytes,
-		Msgs:     s.MaxCost.Msgs,
-		Flops:    s.MaxCost.Flops,
-		ModelSec: s.ModelSec,
-		CommSec:  s.CommSec,
-		WallSec:  s.Wall.Seconds(),
-	}
 }
 
 // topkHeap is a min-heap of (vertex, score) pairs ordered by "worse first":

@@ -364,3 +364,20 @@ func TestNilGraph(t *testing.T) {
 		}
 	}
 }
+
+// TestBadPlanRejected: a forced plan that does not tile Procs is refused by
+// every machine entry point with the same one-line error, before any rank
+// starts (ShortestPaths used to die as a rank panic inside the region).
+func TestBadPlanRejected(t *testing.T) {
+	g := GridGraph(4, 4, 1, 1)
+	opt := Options{Procs: 4, Plan: &spgemm.Plan{P1: 2, P2: 1, P3: 1}}
+	const want = "core: plan 2x1x1/X=A/YZ=AB does not tile 4 processors"
+	for name, call := range map[string]func() error{
+		"Compute":       func() error { _, err := Compute(g, opt); return err },
+		"ShortestPaths": func() error { _, err := ShortestPaths(g, []int32{0}, opt); return err },
+	} {
+		if err := call(); err == nil || err.Error() != want {
+			t.Errorf("%s = %v, want %s", name, err, want)
+		}
+	}
+}
