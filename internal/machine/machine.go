@@ -22,7 +22,7 @@ package machine
 
 import (
 	"fmt"
-	"math"
+	"math/bits"
 	"time"
 )
 
@@ -408,10 +408,12 @@ func (c *Comm) Proc() *Proc { return c.proc }
 // Size returns the number of group members.
 func (c *Comm) Size() int { return c.group.Size() }
 
-// LogMsgs is the ⌈log₂ p⌉ latency term of tree-based collectives.
+// LogMsgs is the ⌈log₂ p⌉ latency term of tree-based collectives, in
+// integer arithmetic: the plan search evaluates it three times per
+// candidate.
 func LogMsgs(p int) int64 {
 	if p <= 1 {
 		return 0
 	}
-	return int64(math.Ceil(math.Log2(float64(p))))
+	return int64(bits.Len(uint(p - 1)))
 }

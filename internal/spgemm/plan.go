@@ -10,6 +10,7 @@ package spgemm
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/machine"
 )
@@ -97,6 +98,11 @@ func (pr *Problem) fillEstimates() {
 // layer slices, plus γ·ops/p for the (load-balanced) local computation.
 func Estimate(p Plan, pr Problem, model machine.CostModel) float64 {
 	pr.fillEstimates()
+	return estimate(p, &pr, model)
+}
+
+// estimate is Estimate for a problem whose estimates are filled.
+func estimate(p Plan, pr *Problem, model machine.CostModel) float64 {
 	procs := float64(p.Procs())
 	layer := float64(p.P2 * p.P3)
 
@@ -116,7 +122,7 @@ func Estimate(p Plan, pr Problem, model machine.CostModel) float64 {
 			fiberBytes = 2 * float64(pr.NNZC*pr.BytesC) / layer
 		}
 	}
-	fiber := model.Beta*fiberBytes + model.Alpha*2*float64(logp(p.P1))
+	fiber := model.Beta*fiberBytes + model.Alpha*2*float64(machine.LogMsgs(p.P1))
 
 	var bw float64
 	nnzA := float64(pr.NNZA*pr.BytesA) * fA
@@ -131,18 +137,11 @@ func Estimate(p Plan, pr Problem, model machine.CostModel) float64 {
 		bw = nnzB/float64(p.P2) + nnzC/float64(p.P3)
 	}
 	stages := float64(p.Stages())
-	lat := stages * 2 * float64(logp(p.P2)+logp(p.P3))
+	lat := stages * 2 * float64(machine.LogMsgs(p.P2)+machine.LogMsgs(p.P3))
 	twoD := model.Beta*2*bw + model.Alpha*lat
 
 	comp := model.Gamma * float64(pr.Ops) / procs
 	return fiber + twoD + comp
-}
-
-func logp(p int) int64 {
-	if p <= 1 {
-		return 0
-	}
-	return int64(math.Ceil(math.Log2(float64(p))))
 }
 
 // Constraint restricts the plan search, used by the decomposition ablation.
@@ -155,13 +154,17 @@ const (
 	Only3D             // p1, and p2*p3, both > 1
 )
 
-// Search returns the minimum-estimated-cost plan for the problem on p
-// processors, scanning all grid factorizations, fiber roles, and layer
-// variants (the automatic decomposition selection of §6.2). The search is
-// deterministic, so every processor arrives at the same plan.
-func Search(p int, pr Problem, model machine.CostModel, cons Constraint) Plan {
-	best := Plan{P1: 1, P2: 1, P3: p, X: RoleC, YZ: VarAB}
-	bestCost := math.Inf(1)
+// candidates memoises the admissible plans per (p, Constraint) in
+// enumeration order — the order ties break in: the plan search runs for
+// every multiplication of every round, always over the same list.
+var candidates sync.Map // [2]int{p, Constraint} → []Plan
+
+func candidatesFor(p int, cons Constraint) []Plan {
+	key := [2]int{p, int(cons)}
+	if c, ok := candidates.Load(key); ok {
+		return c.([]Plan)
+	}
+	var out []Plan
 	for _, f := range machine.Factorizations3(p) {
 		p1, p2, p3 := f[0], f[1], f[2]
 		switch cons {
@@ -186,13 +189,26 @@ func Search(p int, pr Problem, model machine.CostModel, cons Constraint) Plan {
 				if p2*p3 == 1 && yz != VarAB {
 					continue // variant irrelevant on a 1×1 layer grid
 				}
-				cand := Plan{P1: p1, P2: p2, P3: p3, X: x, YZ: yz}
-				c := Estimate(cand, pr, model)
-				if c < bestCost {
-					bestCost = c
-					best = cand
-				}
+				out = append(out, Plan{P1: p1, P2: p2, P3: p3, X: x, YZ: yz})
 			}
+		}
+	}
+	candidates.Store(key, out)
+	return out
+}
+
+// Search returns the minimum-estimated-cost plan for the problem on p
+// processors, scanning all grid factorizations, fiber roles, and layer
+// variants (the automatic decomposition selection of §6.2). The search is
+// deterministic, so every processor arrives at the same plan.
+func Search(p int, pr Problem, model machine.CostModel, cons Constraint) Plan {
+	pr.fillEstimates()
+	best := Plan{P1: 1, P2: 1, P3: p, X: RoleC, YZ: VarAB}
+	bestCost := math.Inf(1)
+	for _, cand := range candidatesFor(p, cons) {
+		if c := estimate(cand, &pr, model); c < bestCost {
+			bestCost = c
+			best = cand
 		}
 	}
 	return best
