@@ -19,10 +19,11 @@ import (
 // paper's MFBC (undirected graphs therefore count each unordered pair
 // twice). It dispatches on g.Weighted.
 func Brandes(g *graph.Graph) []float64 {
-	if g.Weighted {
-		return brandesDijkstra(g)
+	sources := make([]int32, g.N)
+	for s := range sources {
+		sources[s] = int32(s)
 	}
-	return brandesBFS(g)
+	return BrandesSources(g, sources)
 }
 
 // BrandesSources computes the partial centrality contribution
@@ -30,58 +31,81 @@ func Brandes(g *graph.Graph) []float64 {
 func BrandesSources(g *graph.Graph, sources []int32) []float64 {
 	adj, wts := g.OutAdjacencyLists()
 	bc := make([]float64, g.N)
-	if g.Weighted {
-		for _, s := range sources {
-			dijkstraAccumulate(adj, wts, s, bc)
+	t := newTraversal(g.N)
+	for _, s := range sources {
+		if g.Weighted {
+			t.dijkstra(adj, wts, s)
+		} else {
+			t.bfs(adj, s)
 		}
-	} else {
-		for _, s := range sources {
-			bfsAccumulate(adj, s, bc)
-		}
+		t.accumulate(s, bc)
 	}
 	return bc
 }
 
-func brandesBFS(g *graph.Graph) []float64 {
-	adj, _ := g.OutAdjacencyLists()
-	bc := make([]float64, g.N)
-	for s := 0; s < g.N; s++ {
-		bfsAccumulate(adj, int32(s), bc)
-	}
-	return bc
+// traversal is the state of one single-source traversal, allocated once per
+// call and reset per source: σ, δ, the predecessor lists (which keep their
+// capacity), the vertices in the order they were settled, and the distance
+// labels (dist holds BFS levels on unweighted graphs, exactly).
+type traversal struct {
+	sigma, delta, dist []float64
+	pred               [][]int32
+	order              []int32
+	settled            []bool
+	pq                 priorityQueue
 }
 
-func bfsAccumulate(adj [][]int32, s int32, bc []float64) {
-	n := len(adj)
-	sigma := make([]float64, n)
-	dist := make([]int32, n)
-	for i := range dist {
-		dist[i] = -1
+// unset marks a vertex no path has reached yet.
+const unset = -1.0
+
+func newTraversal(n int) *traversal {
+	return &traversal{
+		sigma: make([]float64, n), delta: make([]float64, n), dist: make([]float64, n),
+		pred: make([][]int32, n), order: make([]int32, 0, n), settled: make([]bool, n),
 	}
-	pred := make([][]int32, n)
-	stack := make([]int32, 0, n)
-	sigma[s] = 1
-	dist[s] = 0
-	queue := []int32{s}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		stack = append(stack, u)
+}
+
+func (t *traversal) reset(s int32) {
+	clear(t.sigma)
+	clear(t.delta)
+	clear(t.settled)
+	for v := range t.dist {
+		t.dist[v] = unset
+		t.pred[v] = t.pred[v][:0]
+	}
+	t.order = t.order[:0]
+	t.sigma[s] = 1
+	t.dist[s] = 0
+}
+
+// bfs settles vertices level by level; order doubles as the queue.
+func (t *traversal) bfs(adj [][]int32, s int32) {
+	t.reset(s)
+	sigma, dist, pred := t.sigma, t.dist, t.pred
+	t.order = append(t.order, s)
+	for head := 0; head < len(t.order); head++ {
+		u := t.order[head]
 		for _, v := range adj[u] {
 			if dist[v] < 0 {
 				dist[v] = dist[u] + 1
-				queue = append(queue, v)
+				t.order = append(t.order, v)
 			}
+			//lint:allow floateq levels are small integers, exact in float64
 			if dist[v] == dist[u]+1 {
 				sigma[v] += sigma[u]
 				pred[v] = append(pred[v], u)
 			}
 		}
 	}
-	delta := make([]float64, n)
-	for i := len(stack) - 1; i >= 0; i-- {
-		w := stack[i]
-		for _, u := range pred[w] {
+}
+
+// accumulate back-propagates the dependencies of source s over the
+// predecessor lists, in reverse settling order, into bc.
+func (t *traversal) accumulate(s int32, bc []float64) {
+	sigma, delta := t.sigma, t.delta
+	for i := len(t.order) - 1; i >= 0; i-- {
+		w := t.order[i]
+		for _, u := range t.pred[w] {
 			delta[u] += sigma[u] / sigma[w] * (1 + delta[w])
 		}
 		if w != s {
@@ -109,67 +133,34 @@ func (q *priorityQueue) Pop() interface{} {
 	return it
 }
 
-func brandesDijkstra(g *graph.Graph) []float64 {
-	adj, wts := g.OutAdjacencyLists()
-	bc := make([]float64, g.N)
-	for s := 0; s < g.N; s++ {
-		dijkstraAccumulate(adj, wts, int32(s), bc)
-	}
-	return bc
-}
-
-func dijkstraAccumulate(adj [][]int32, wts [][]float64, s int32, bc []float64) {
-	n := len(adj)
-	const unset = -1.0
-	dist := make([]float64, n)
-	for i := range dist {
-		dist[i] = unset
-	}
-	sigma := make([]float64, n)
-	pred := make([][]int32, n)
-	settled := make([]bool, n)
-	order := make([]int32, 0, n)
-
-	tentative := make([]float64, n)
-	for i := range tentative {
-		tentative[i] = unset
-	}
-	sigma[s] = 1
-	tentative[s] = 0
-	pq := &priorityQueue{{v: s, dist: 0}}
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(pqItem)
+// dijkstra settles vertices in distance order; dist is tentative until a
+// vertex is settled.
+func (t *traversal) dijkstra(adj [][]int32, wts [][]float64, s int32) {
+	t.reset(s)
+	sigma, dist, pred, settled := t.sigma, t.dist, t.pred, t.settled
+	t.pq = append(t.pq[:0], pqItem{v: s, dist: 0})
+	for t.pq.Len() > 0 {
+		it := heap.Pop(&t.pq).(pqItem)
 		u := it.v
 		//lint:allow floateq stale-heap-entry test compares a value copied bit-for-bit
-		if settled[u] || it.dist != tentative[u] {
+		if settled[u] || it.dist != dist[u] {
 			continue
 		}
 		settled[u] = true
-		dist[u] = it.dist
-		order = append(order, u)
+		t.order = append(t.order, u)
 		for k, v := range adj[u] {
-			nd := dist[u] + wts[u][k]
-			//lint:allow floateq unset is an exact +Inf sentinel never produced by arithmetic here
-			if tentative[v] == unset || nd < tentative[v] {
-				tentative[v] = nd
+			nd := it.dist + wts[u][k]
+			//lint:allow floateq unset is the exact sentinel -1, which no sum of positive weights produces
+			if dist[v] == unset || nd < dist[v] {
+				dist[v] = nd
 				sigma[v] = sigma[u]
 				pred[v] = append(pred[v][:0], u)
-				heap.Push(pq, pqItem{v: v, dist: nd})
+				heap.Push(&t.pq, pqItem{v: v, dist: nd})
 				//lint:allow floateq equal-weight shortest-path counting is exact by the Brandes contract
-			} else if nd == tentative[v] && !settled[v] {
+			} else if nd == dist[v] && !settled[v] {
 				sigma[v] += sigma[u]
 				pred[v] = append(pred[v], u)
 			}
-		}
-	}
-	delta := make([]float64, n)
-	for i := len(order) - 1; i >= 0; i-- {
-		w := order[i]
-		for _, u := range pred[w] {
-			delta[u] += sigma[u] / sigma[w] * (1 + delta[w])
-		}
-		if w != s {
-			bc[w] += delta[w]
 		}
 	}
 }

@@ -30,20 +30,22 @@
 // row and the accumulator stay cache-resident for all of a row's rounds,
 // the iteration count of a sweep is the maximum over rows and its op count
 // the sum. One round multiplies the row's frontier list into the
-// accumulator and then drains the accumulator in column order, and every
-// step that used to be a whole-matrix pass happens in that drain — the
-// diagonal drop, the merge into the slab, and the emission of the next
-// frontier — so a round costs O(products + touched) rather than O(nnz(T)).
-// Because the T row is at hand during the forward product, a contribution
-// already strictly worse than T's accumulated weight is dropped before it
-// reaches the accumulator; the drain would have discarded it, so results
-// and op counts are unchanged. The backward sweep decides once per in-edge
-// whether it is tight (on a shortest path from the source), in the
-// expression the relaxation used, and its rounds walk the recorded
-// verdicts; the memo is sound because T is converged before backwardRow
-// starts, so no verdict can change while it is in use. CSR appears only at
-// the MFBF/MFBr API boundary (one exact-size export, one import); MFBC and
-// MFBCBatchParallel never build one.
+// accumulator (push forward, pull backward) and then drains the accumulator
+// in column order (merge, settle), and every step that used to be a
+// whole-matrix pass happens in that drain — the diagonal drop, the merge
+// into the slab, and the emission of the next frontier — so a round costs
+// O(products + touched) rather than O(nnz(T)). Because the T row is at hand
+// during the forward product, push first screens each A row against it,
+// branch-free: a contribution already strictly worse than T's accumulated
+// weight is compacted away before the accumulator's unpredictable branches
+// see it; the drain would have discarded it, so results and op counts are
+// unchanged. The backward sweep decides once per in-edge whether it is tight
+// (on a shortest path from the source), in the expression the relaxation
+// used, and its rounds walk the recorded verdicts; the memo is sound because
+// T is converged before backwardRow starts, so no verdict can change while
+// it is in use. CSR appears only at the MFBF/MFBr API boundary (one
+// exact-size export, one import); MFBC and MFBCBatchParallel never build
+// one.
 package core
 
 import (
@@ -120,6 +122,10 @@ func grow[T any](s []T, n int) []T {
 // children of v that have not reported yet (−1 once v itself has), and
 // pred[at.RowPtr[u]:][:npred[u]] lists u's tight predecessors. The five
 // int32 buffers of n vertices are cut from one allocation, byN.
+//
+// The forward sweep borrows children and rspa as its screen's candidate
+// list (push): both are idle until backwardRow, which clears children and
+// first-writes every rspa cell it reads before it reads either.
 type rowScratch struct {
 	occ      []uint64
 	byN      []int32
@@ -173,15 +179,12 @@ func (s *rowScratch) drainOrder() []int32 {
 }
 
 // forwardRow runs MFBF (Algorithm 1) for one source into trow, its row of
-// the T slab. Each round extends the frontier by one edge (multpath ×
-// weight under ⊕ with the Bellman-Ford action, the cases of
-// algebra.MultPathPlus spelled in place) and drains the accumulator into
-// trow. It returns the products performed and the rounds run, giving up
-// once rounds exceeds limit.
+// the T slab: each round pushes the frontier one edge further and merges the
+// accumulator into trow. It returns the products performed and the rounds
+// run, giving up once rounds exceeds limit.
 func (s *rowScratch) forwardRow(a *sparse.CSR[float64], src int32, trow []algebra.MultPath, limit int) (ops int64, rounds int) {
 	resetRow(trow)
-	cur := 0
-	col, val := s.col[cur][:0], s.mval[cur][:0]
+	col, val := s.col[0][:0], s.mval[0][:0]
 	acols, avals := a.Row(int(src))
 	for k, v := range acols {
 		e := algebra.MultPath{W: avals[k], M: 1}
@@ -192,70 +195,112 @@ func (s *rowScratch) forwardRow(a *sparse.CSR[float64], src int32, trow []algebr
 		col, val = append(col, v), append(val, e)
 	}
 
-	spa, occ := s.mspa, s.occ
-	for len(col) > 0 {
+	for next := 1; len(col) > 0; next = 1 - next {
 		rounds++
 		if rounds > limit {
 			break
 		}
-		touched := s.touched
-		for x, k := range col {
-			f := val[x]
-			bcols, bvals := a.Row(int(k))
-			ops += int64(len(bcols))
-			for y, j := range bcols {
-				w := f.W + bvals[y]
-				// Strictly worse than the accumulated path: it can neither
-				// lower T nor tie with it, so the drain would discard it.
-				if trow[j].W < w {
-					continue
-				}
-				word, bit := &occ[j>>6], uint64(1)<<(uint(j)&63)
-				if *word&bit == 0 {
-					*word |= bit
-					touched = append(touched, j)
-					spa[j] = algebra.MultPath{W: w, M: f.M}
-					continue
-				}
-				switch acc := &spa[j]; {
-				case acc.W < w:
-				case acc.W > w:
-					*acc = algebra.MultPath{W: w, M: f.M}
-				default:
-					acc.M += f.M
-				}
-			}
-		}
-		s.touched = touched
+		ops += s.push(a, trow, col, val)
+		col, val = s.merge(src, trow, next)
+	}
+	return ops, rounds
+}
 
-		cur = 1 - cur
-		col, val = s.col[cur][:0], s.mval[cur][:0]
-		for _, j := range s.drainOrder() {
-			e := spa[j]
-			// Walks that return to their source are never shortest under
-			// strictly positive weights: the diagonal stays absent.
-			if j == src || algebra.MultPathIsZero(e) {
+// push extends each frontier entry val[x] at vertex col[x] by one edge into
+// the accumulator: multpath × weight under ⊕ with the Bellman-Ford action,
+// the cases of algebra.MultPathPlus spelled in place. An A row is handled
+// in two passes — screen compacts the products that can still matter into
+// the candidate buffers, then only those meet the occupancy test and the
+// three-way accumulate. ops is the product's nominal size, the whole A row
+// of every frontier vertex, screened or not.
+func (s *rowScratch) push(a *sparse.CSR[float64], trow []algebra.MultPath, col []int32, val []algebra.MultPath) (ops int64) {
+	spa, occ, touched := s.mspa, s.occ, s.touched
+	cj, cw := s.children, s.rspa // idle until backwardRow, see rowScratch
+	for x, k := range col {
+		f := val[x]
+		bcols, bvals := a.Row(int(k))
+		ops += int64(len(bcols))
+		m := screen(trow, bcols, bvals, f.W, cj, cw)
+		kept := cw[:m]
+		for y, j := range cj[:m] {
+			w := kept[y]
+			word, bit := &occ[j>>6], uint64(1)<<(uint(j)&63)
+			if *word&bit == 0 {
+				*word |= bit
+				touched = append(touched, j)
+				spa[j] = algebra.MultPath{W: w, M: f.M}
 				continue
 			}
-			t := &trow[j]
-			switch {
-			case t.W < e.W:
-				continue
-			case t.W > e.W:
-				*t = e
+			switch acc := &spa[j]; {
+			case acc.W < w:
+			case acc.W > w:
+				*acc = algebra.MultPath{W: w, M: f.M}
 			default:
-				t.M += e.M
-			}
-			// Algorithm 1 line 6: the next frontier keeps the extensions
-			// whose weight matches the accumulated T (the two arms that
-			// fall through); ties carry only the newly discovered
-			// multiplicity forward.
-			if e.M > 0 {
-				col, val = append(col, j), append(val, e)
+				acc.M += f.M
 			}
 		}
 	}
-	return ops, rounds
+	s.touched = touched
+	return ops
+}
+
+// screen writes the target and weight fw + vals[y] of every product of one
+// A row to cj/cw and returns how many it kept: a product strictly worse
+// than the path T already holds can neither lower T nor tie with it, so the
+// merge would discard it (an absent T(s,j) is +∞ and keeps everything).
+// Branch-free, because three products in four fail on RMAT and which is not
+// predictable: every position is written, only a pass advances.
+//
+// Not inlined on purpose: as a leaf the loop keeps its counters in
+// registers, inside push they spill (seq-rmat op_p50_ms 35.0 vs 35.6 ms,
+// the leaf lower in 8 of 10 alternated pairs; the -cpu 1 micro cannot tell
+// them apart).
+//
+//go:noinline
+func screen(trow []algebra.MultPath, cols []int32, vals []float64, fw float64, cj []int32, cw []float64) int {
+	k, vals, cw := 0, vals[:len(cols)], cw[:len(cj)]
+	for y, j := range cols {
+		w := fw + vals[y]
+		keep := 0
+		if trow[j].W >= w {
+			keep = 1
+		}
+		cj[k], cw[k] = j, w
+		k += keep
+	}
+	return k
+}
+
+// merge drains the accumulator into trow and emits the next frontier into
+// buffer next.
+func (s *rowScratch) merge(src int32, trow []algebra.MultPath, next int) ([]int32, []algebra.MultPath) {
+	col, val := s.col[next][:0], s.mval[next][:0]
+	spa := s.mspa
+	for _, j := range s.drainOrder() {
+		e := spa[j]
+		// Walks that return to their source are never shortest under
+		// strictly positive weights: the diagonal stays absent.
+		if j == src || algebra.MultPathIsZero(e) {
+			continue
+		}
+		t := &trow[j]
+		switch {
+		case t.W < e.W:
+			continue
+		case t.W > e.W:
+			*t = e
+		default:
+			t.M += e.M
+		}
+		// Algorithm 1 line 6: the next frontier keeps the extensions
+		// whose weight matches the accumulated T (the two arms that
+		// fall through); ties carry only the newly discovered
+		// multiplicity forward.
+		if e.M > 0 {
+			col, val = append(col, j), append(val, e)
+		}
+	}
+	return col, val
 }
 
 // backwardRow runs MFBr (Algorithm 2) for one source over its converged T

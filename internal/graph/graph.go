@@ -48,9 +48,14 @@ func (g *Graph) AvgDegree() float64 {
 }
 
 // Validate checks structural invariants: coordinates in range, strictly
-// positive weights, no self-loops, canonical undirected orientation.
+// positive weights, no self-loops, canonical undirected orientation, and no
+// edge listed twice — Adjacency would keep the lightest copy and
+// OutAdjacencyLists all of them, so the engines would disagree. Every
+// generator, ReadEdgeList and Apply emit strictly increasing (U,V), which
+// one pass confirms; only an unsorted list pays for a set.
 func (g *Graph) Validate() error {
-	for _, e := range g.Edges {
+	sorted := true
+	for i, e := range g.Edges {
 		if e.U < 0 || int(e.U) >= g.N || e.V < 0 || int(e.V) >= g.N {
 			return fmt.Errorf("graph %q: edge (%d,%d) outside n=%d", g.Name, e.U, e.V, g.N)
 		}
@@ -63,6 +68,21 @@ func (g *Graph) Validate() error {
 		if !g.Directed && e.U > e.V {
 			return fmt.Errorf("graph %q: undirected edge (%d,%d) not canonically oriented", g.Name, e.U, e.V)
 		}
+		if i > 0 {
+			p := g.Edges[i-1]
+			sorted = sorted && (p.U < e.U || p.U == e.U && p.V < e.V)
+		}
+	}
+	if sorted {
+		return nil
+	}
+	seen := make(map[[2]int32]struct{}, len(g.Edges))
+	for _, e := range g.Edges {
+		key := [2]int32{e.U, e.V}
+		if _, dup := seen[key]; dup {
+			return fmt.Errorf("graph %q: duplicate edge (%d,%d)", g.Name, e.U, e.V)
+		}
+		seen[key] = struct{}{}
 	}
 	return nil
 }

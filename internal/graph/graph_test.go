@@ -2,7 +2,9 @@ package graph
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -282,5 +284,34 @@ func TestValidateRejectsBadGraphs(t *testing.T) {
 		if err := g.Validate(); err == nil {
 			t.Fatalf("case %d must fail validation", i)
 		}
+	}
+}
+
+// TestValidateRejectsDuplicateEdges: an edge listed twice passes every
+// per-edge check, yet Adjacency collapses it and OutAdjacencyLists does not.
+// Adjacent or far apart in the list, the copy is found and the error names
+// the edge; anti-parallel directed edges are distinct.
+func TestValidateRejectsDuplicateEdges(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		g    Graph
+	}{
+		{"adjacent", Graph{N: 4, Edges: []Edge{{U: 0, V: 1, W: 1}, {U: 0, V: 1, W: 1}, {U: 0, V: 3, W: 1}, {U: 1, V: 2, W: 1}, {U: 2, V: 3, W: 1}}}},
+		{"apart", Graph{N: 4, Edges: []Edge{{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 1}, {U: 0, V: 3, W: 1}, {U: 0, V: 1, W: 2}, {U: 2, V: 3, W: 1}}}},
+		{"directed", Graph{N: 3, Directed: true, Edges: []Edge{{U: 1, V: 0, W: 1}, {U: 0, V: 1, W: 1}, {U: 1, V: 0, W: 1}}}},
+	} {
+		tc.g.Name = tc.name
+		err := tc.g.Validate()
+		if err == nil || !strings.Contains(err.Error(), "duplicate edge") {
+			t.Fatalf("%s: Validate = %v, want a duplicate-edge error", tc.name, err)
+		}
+		first := tc.g.Edges[0]
+		if want := fmt.Sprintf("(%d,%d)", first.U, first.V); !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %q does not name edge %s", tc.name, err, want)
+		}
+	}
+	ok := Graph{N: 3, Directed: true, Edges: []Edge{{U: 1, V: 0, W: 1}, {U: 0, V: 1, W: 1}, {U: 2, V: 1, W: 1}}}
+	if err := ok.Validate(); err != nil {
+		t.Fatalf("unsorted anti-parallel edges are not duplicates: %v", err)
 	}
 }

@@ -134,6 +134,10 @@ func Compute(g *Graph, opt Options) (*Result, error) {
 	res := &Result{Engine: opt.Engine, Procs: procs}
 	switch opt.Engine {
 	case EngineBrandes:
+		// The traversal has no checks of its own; the other engines validate.
+		if err := g.Validate(); err != nil {
+			return nil, fmt.Errorf("repro: %w", err)
+		}
 		if opt.Sources != nil {
 			res.BC = baseline.BrandesSources(g, opt.Sources)
 		} else {

@@ -381,3 +381,22 @@ func TestBadPlanRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestValidateRejectsDuplicateEdges: on a graph that lists (0,1) twice the
+// algebraic engines used to see one edge and the traversal two, and
+// Compute returned [1 1 1 1] or [1.33 1.33 0.67 0.67] with a nil error
+// depending on Engine. Every engine now refuses it, naming the edge.
+func TestValidateRejectsDuplicateEdges(t *testing.T) {
+	g := &Graph{Name: "dup", N: 4, Edges: []Edge{
+		{U: 0, V: 1, W: 1}, {U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 1}, {U: 0, V: 3, W: 1}, {U: 2, V: 3, W: 1},
+	}}
+	for _, opt := range []Options{
+		{Engine: EngineMFBC}, {Engine: EngineMFBC, Procs: 4},
+		{Engine: EngineBrandes}, {Engine: EngineCombBLAS},
+	} {
+		res, err := Compute(g, opt)
+		if err == nil || !strings.Contains(err.Error(), `graph "dup": duplicate edge (0,1)`) {
+			t.Errorf("%s procs=%d: Compute = %v, %v; want the duplicate-edge error", opt.Engine, opt.Procs, res, err)
+		}
+	}
+}
