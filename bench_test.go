@@ -232,8 +232,9 @@ func BenchmarkCombBLASSequentialBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkDistributedMultiply measures one distributed frontier product on
-// the simulated machine (p=4, 2D SUMMA).
+// BenchmarkDistributedMultiply measures one whole MFBCDistributed batch of 16
+// sources on the simulated machine with every product forced onto the p=4
+// 2D SUMMA plan (C stationary, so the in-multiply screen runs in each).
 func BenchmarkDistributedMultiply(b *testing.B) {
 	g := graph.RMAT(graph.DefaultRMAT(10, 8, 3))
 	sources := make([]int32, 16)
@@ -247,6 +248,29 @@ func BenchmarkDistributedMultiply(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkDistributedBatch is the in-repo proxy for the repository
+// benchmark's dist-rmat workload: one 32-source batch on RMAT scale 10 at
+// p=4 on the simulated machine under the automatic plan, through Compute,
+// for MFBC and for the CombBLAS-style baseline (2D only, masks after its
+// product). mfbc over combblas is the workload's vs_baseline upside down.
+func BenchmarkDistributedBatch(b *testing.B) {
+	g := graph.RMAT(graph.DefaultRMAT(10, 8, 3))
+	sources := make([]int32, 32)
+	for i := range sources {
+		sources[i] = int32(i * (g.N / 32))
+	}
+	for _, engine := range []Engine{EngineMFBC, EngineCombBLAS} {
+		b.Run(string(engine), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Compute(g, Options{Engine: engine, Procs: 4, Sources: sources, Workers: 1}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

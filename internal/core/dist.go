@@ -7,8 +7,9 @@
 // of Theorem 5.1.
 //
 // This file holds the one distributed sweep: Algorithms 1 and 2 and their
-// four per-entry rules, written once over sorted entry lists and generic
-// over how many independent sides each entry value carries (algebra.Sided).
+// four per-entry rules (a fifth, optional, screens products against T inside
+// the multiply), written once over sorted entry lists and generic over how
+// many independent sides each entry value carries (algebra.Sided).
 // One side is the scalar sweep of Run, MFBCDistributed and SSSPDistributed;
 // two sides — (old, new) around a graph edit — is the fused incremental
 // apply of fused.go. At one side every per-side step degenerates to the
@@ -19,6 +20,8 @@
 package core
 
 import (
+	"context"
+
 	"repro/internal/algebra"
 	"repro/internal/distmat"
 	"repro/internal/graph"
@@ -129,7 +132,7 @@ func MFBCDistributed(g *graph.Graph, opt DistOptions) (*DistResult, error) {
 	if opt.Sources != nil {
 		nb = len(opt.Sources)
 	}
-	return s.run(opt.Sources, nb)
+	return s.run(context.Background(), opt.Sources, nb)
 }
 
 // batchList partitions 0..n-1 into batches of nb sources, or chunks the
@@ -240,16 +243,18 @@ func sideProject[T algebra.Sided[T, E], E any](m *distmat.Mat[T], s int, zero T,
 // mulPerSide is one frontier product under per-side plans. It reports false
 // (and multiplies nothing) when no side is live, unless all is set, which
 // also plans the dead sides. When the live sides agree on a plan — always,
-// at one side — a single multiply runs under it, and the exact componentwise
-// identities make each side bit-identical to its scalar product. When they
-// diverge, the frontier is masked per side, each mask is multiplied under
-// its own plan, and the products are merged in the first live side's
-// distribution: the extra products are the price of replaying every side's
-// scalar plan sequence exactly, paid only on the (rare) divergent rounds.
+// at one side — a single multiply runs under it, screened by what align
+// returns once it has moved the caller's T to the plan's C distribution, and
+// the exact componentwise identities make each side bit-identical to its
+// scalar product. When they diverge, the frontier is masked per side, each
+// mask is multiplied under its own plan, and the products are merged in the
+// first live side's distribution: the price of replaying every side's scalar
+// plan sequence exactly, paid only on the (rare) divergent rounds.
 func mulPerSide[T algebra.Sided[T, E], E, W any](
 	sp *sidePlans, all bool, bytes int64,
 	frontier *distmat.Mat[T], b *distmat.Mat[W], f func(T, W) T,
 	mon algebra.Monoid[T], edge algebra.Monoid[W], isZero func(E) bool,
+	align func(distmat.Dist) func(i, j int32, v T) bool,
 ) (*distmat.Mat[T], bool) {
 	world := sp.sess.Proc.World()
 	nnz := sideNNZ(world, frontier, isZero)
@@ -267,7 +272,8 @@ func mulPerSide[T algebra.Sided[T, E], E, W any](
 		return nil, false
 	}
 	if !split {
-		return spgemm.Multiply(sp.sess, sp.plans[lead], frontier, b, f, mon, mon, edge, true), true
+		_, _, dc := sp.sess.Dists(sp.plans[lead], frontier.Rows, frontier.Cols, b.Cols)
+		return spgemm.Multiply(sp.sess, sp.plans[lead], frontier, b, f, mon, mon, edge, true, align(dc)), true
 	}
 	sp.split++
 	var out *distmat.Mat[T]
@@ -275,7 +281,7 @@ func mulPerSide[T algebra.Sided[T, E], E, W any](
 		if nnz[s] == 0 {
 			continue
 		}
-		ext := spgemm.Multiply(sp.sess, sp.plans[s], sideProject(frontier, s, mon.Identity, isZero), b, f, mon, mon, edge, true)
+		ext := spgemm.Multiply(sp.sess, sp.plans[s], sideProject(frontier, s, mon.Identity, isZero), b, f, mon, mon, edge, true, nil)
 		if out == nil {
 			out = ext
 		} else {
@@ -330,8 +336,12 @@ func sweepMFBF[M multSided[M], C, W any](
 	world := sp.sess.Proc.World()
 	t := distmat.FromGlobal(world.Rank(), seedFrontier(alg.mult.Identity, adj, in, batch), distmat.DistShard(world.Size()), alg.mult)
 	frontier := t
+	align := func(d distmat.Dist) func(i, j int32, v M) bool {
+		t = distmat.Redistribute(world, t, d, alg.mult)
+		return screenAgainst[M, M](t, multLoses)
+	}
 	for iters := 0; ; iters++ {
-		ext, ok := mulPerSide(sp, false, multpathBytes, frontier, a, alg.bf, alg.mult, alg.edge, algebra.MultPathIsZero)
+		ext, ok := mulPerSide(sp, false, multpathBytes, frontier, a, alg.bf, alg.mult, alg.edge, algebra.MultPathIsZero, align)
 		if !ok {
 			return t, iters
 		}
@@ -359,8 +369,12 @@ func sweepMFBr[M multSided[M], C centSided[C], W any](
 	at *distmat.Mat[W], t *distmat.Mat[M],
 ) (*distmat.Mat[C], *distmat.Mat[M], int) {
 	world := sp.sess.Proc.World()
+	align := func(d distmat.Dist) func(i, j int32, v C) bool {
+		t = distmat.Redistribute(world, t, d, alg.mult)
+		return screenAgainst[M, C](t, centLoses)
+	}
 	mul := func(frontier *distmat.Mat[C], all bool) (*distmat.Mat[C], bool) {
-		return mulPerSide(sp, all, centpathBytes, frontier, at, alg.br, alg.cent, alg.edge, algebra.CentPathIsZero)
+		return mulPerSide(sp, all, centpathBytes, frontier, at, alg.br, alg.cent, alg.edge, algebra.CentPathIsZero, align)
 	}
 	mat := func(d distmat.Dist, local []sparse.Entry[C]) *distmat.Mat[C] {
 		return &distmat.Mat[C]{Rows: t.Rows, Cols: t.Cols, Dist: d, Local: local}
@@ -394,6 +408,52 @@ func sweepMFBr[M multSided[M], C centSided[C], W any](
 // exact zero of its monoid; an entry survives when any component does. The
 // two screens compact their first argument — a product the caller owns and
 // is done with — in place.
+//
+// A fifth rule runs inside the multiply, before the local kernel sorts and
+// folds its products: screenAgainst returns Multiply's screen over this
+// rank's block of T, which drops a product when the block holds its
+// coordinate and every side of it loses there. It is conservative — a strict
+// loser never wins or ties under ⊕ or ⊗, so the fold of the rest, and what
+// the four rules keep of it, are bit for bit what they were — and optional:
+// T must already be in the product's distribution (the redistribution that
+// used to follow the multiply), Multiply honours it only under stationary-C
+// plans (elsewhere products are partial, their reduction charged by size),
+// and the split-plan branch passes none. A lookup is a binary search in one
+// row; the closure only reads, so the kernel's workers share it.
+func screenAgainst[M multSided[M], V algebra.Sided[V, E], E any](t *distmat.Mat[M], loses func(t algebra.MultPath, v E) bool) func(i, j int32, v V) bool {
+	es := t.Local
+	rows := make([]int32, t.Rows+1)
+	for _, e := range es {
+		rows[e.I+1]++
+	}
+	for i := 0; i < t.Rows; i++ {
+		rows[i+1] += rows[i]
+	}
+	return func(i, j int32, v V) bool {
+		lo, end := rows[i], rows[i+1]
+		for hi := end; lo < hi; {
+			if mid := (lo + hi) / 2; es[mid].J < j {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		drop := lo < end && es[lo].J == j
+		for s := 0; drop && s < v.Sides(); s++ {
+			drop = loses(es[lo].V.Side(s), v.Side(s))
+		}
+		return !drop
+	}
+}
+
+// multLoses: a forward product that is zero or strictly heavier than T can
+// neither win nor tie under ⊕, whatever else the round produces there.
+func multLoses(t, v algebra.MultPath) bool { return algebra.MultPathIsZero(v) || t.W < v.W }
+
+// centLoses: a backward product (the child count's or a round's) strictly
+// lighter than T — a dead one weighs −∞ — is off the shortest-path DAG: ⊗
+// discards it against one that is on it, or leaves a fold screenCentSided drops.
+func centLoses(t algebra.MultPath, v algebra.CentPath) bool { return v.W < t.W }
 
 // seek advances y to t's first entry not before e and reports whether that
 // entry sits at e's coordinate.

@@ -19,6 +19,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"sync/atomic"
 
 	"repro/internal/algebra"
 	"repro/internal/distmat"
@@ -219,15 +220,11 @@ func (s *DistSession) RunCtx(ctx context.Context, sources []int32) (*DistResult,
 	if sources != nil && len(sources) < nb {
 		nb = len(sources)
 	}
-	res, err := s.run(sources, nb)
-	if err == nil {
-		recordRegionSpan(ctx, "run", s.p, res.Stats)
-	}
-	return res, err
+	return s.run(ctx, sources, nb)
 }
 
 // run executes one simulated-machine region over the resident operands.
-func (s *DistSession) run(sources []int32, nb int) (*DistResult, error) {
+func (s *DistSession) run(ctx context.Context, sources []int32, nb int) (*DistResult, error) {
 	if err := CheckSources(s.g.N, sources); err != nil {
 		return nil, err
 	}
@@ -238,6 +235,7 @@ func (s *DistSession) run(sources []int32, nb int) (*DistResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	recordRegionSpan(ctx, "run", s.p, out)
 	// The representative plan reported back: the one a typical frontier
 	// product gets (individual operations may choose differently).
 	plan := pl.planFor(nb, int64(float64(nb)*s.g.AvgDegree()), multpathBytes)
@@ -259,6 +257,9 @@ type regionOutcome struct {
 	bc                    []float64
 	stats                 machine.RunStats
 	iters, batches, split int
+	// Products the region's multiplies evaluated and those screenAgainst
+	// kept from the kernel's sort, over the ranks this process hosts.
+	products, screened atomic.Int64
 }
 
 // sweepRegion runs one machine region of batched MFBF/MFBr sweeps — the
@@ -313,6 +314,8 @@ func sweepRegion[M multSided[M], C centSided[C], W any](
 		// sides concatenated.
 		proc.Phase(machine.PhaseReduce)
 		total := machine.Allreduce(world, acc, func(a, b float64) float64 { return a + b })
+		out.products.Add(sp.sess.Products.Load()) // host-side sums: no modeled traffic
+		out.screened.Add(sp.sess.Screened.Load())
 		if proc.Rank() == 0 {
 			copy(out.bc, total)
 			out.iters, out.batches, out.split = iters, batches, sp.split

@@ -147,7 +147,7 @@ func (s *DistSession) ApplyIncrementalCtx(ctx context.Context, oldSources []int3
 		return nil, err
 	}
 	s.g, s.adjCSR = newG, newAdj
-	recordRegionSpan(ctx, "fused-apply", s.p, out.stats)
+	recordRegionSpan(ctx, "fused-apply", s.p, out)
 	return &IncrementalResult{
 		OldBC: out.bc[:n:n], NewBC: out.bc[n:],
 		Plan:  plNew.planFor(nb, int64(float64(nb)*newG.AvgDegree()), multpathBytes),

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 
-	"repro/internal/machine"
 	"repro/internal/obs"
 )
 
@@ -14,20 +13,23 @@ import (
 // layer measured the durations, obs lays the spans out — so the
 // deterministic core stays free of time sources and tracing costs one nil
 // check when disabled.
-func recordRegionSpan(ctx context.Context, region string, procs int, st machine.RunStats) {
+func recordRegionSpan(ctx context.Context, region string, procs int, out *regionOutcome) {
 	parent := obs.SpanFromContext(ctx)
 	if parent == nil {
 		return
 	}
+	st := out.stats
 	span := parent.AddCompleted("machine.region", st.Wall, map[string]any{
-		"region":    region,
-		"procs":     procs,
-		"bytes":     st.MaxCost.Bytes,
-		"msgs":      st.MaxCost.Msgs,
-		"flops":     st.MaxCost.Flops,
-		"model_sec": st.ModelSec,
-		"comm_sec":  st.CommSec,
-		"wall_ms":   float64(st.Wall.Microseconds()) / 1e3,
+		"region":       region,
+		"procs":        procs,
+		"bytes":        st.MaxCost.Bytes,
+		"msgs":         st.MaxCost.Msgs,
+		"flops":        st.MaxCost.Flops,
+		"model_sec":    st.ModelSec,
+		"comm_sec":     st.CommSec,
+		"wall_ms":      float64(st.Wall.Microseconds()) / 1e3,
+		"products":     out.products.Load(),
+		"screened_out": out.screened.Load(),
 	})
 	for _, ph := range st.Phases {
 		span.AddCompleted("phase."+ph.Name, ph.Wall, map[string]any{

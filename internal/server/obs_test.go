@@ -83,7 +83,7 @@ func TestMutateTraceMachineRegions(t *testing.T) {
 	regions := map[string]bool{}
 	for _, rec := range byName["machine.region"] {
 		regions[rec.Span] = true
-		for _, key := range []string{"model_sec", "wall_ms", "bytes", "msgs", "flops"} {
+		for _, key := range []string{"model_sec", "wall_ms", "bytes", "msgs", "flops", "products", "screened_out"} {
 			if _, ok := rec.Attrs[key]; !ok {
 				t.Errorf("machine.region span missing attr %q: %v", key, rec.Attrs)
 			}

@@ -30,9 +30,13 @@ type Session struct {
 	// their sequential counterparts, so results never depend on this
 	// knob.
 	Workers int
-	grids   map[[3]int]*machine.Grid3
-	dists   map[distsKey][3]distmat.Dist
-	cache   *OperandCache
+	// Products counts the f evaluations of this session's multiplies and
+	// Screened those Multiply's screen rejected; the kernel's workers add.
+	Products, Screened atomic.Int64
+
+	grids map[[3]int]*machine.Grid3
+	dists map[distsKey][3]distmat.Dist
+	cache *OperandCache
 }
 
 // distsKey identifies one multiplication shape under one plan.
@@ -401,12 +405,21 @@ func (s *Session) Dists(plan Plan, m, k, n int) (da, db, dc distmat.Dist) {
 // RoleB plans, fiber-replicated) is cached in the session keyed by B's
 // identity, so repeated multiplications against the same stationary matrix
 // (MFBC's adjacency) pay its movement once.
+//
+// screen (nil = none) is asked about every product f yields, by output
+// coordinate, before the local kernel buffers it: a rejected product is
+// charged as a flop, then neither sorted nor folded nor merged. The caller
+// must reject only what cannot change what it keeps of C, and depend on no
+// rejection: the screen runs only where a rank's products are final (C
+// stationary: VarAB without a RoleC fiber) — a partial-C reduction is charged
+// by contribution size, so there it would move the modeled bytes. Workers > 1
+// call it from several goroutines at once.
 func Multiply[TA, TB, TC any](
 	s *Session, plan Plan,
 	a *distmat.Mat[TA], b *distmat.Mat[TB],
 	f func(TA, TB) TC,
 	add algebra.Monoid[TC], addA algebra.Monoid[TA], addB algebra.Monoid[TB],
-	cacheB bool,
+	cacheB bool, screen func(i, j int32, v TC) bool,
 ) *distmat.Mat[TC] {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("spgemm: dimension mismatch %dx%d * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -457,11 +470,14 @@ func Multiply[TA, TB, TC any](
 	var c []sparse.Entry[TC]
 	switch plan.YZ {
 	case VarAB:
-		c = runAB(s.Proc, g, plan, r, aE, sb, f, add, workers)
+		if plan.P1 > 1 && plan.X == RoleC {
+			screen = nil // the layers' partial products meet in the fiber reduce below
+		}
+		c = runAB(s, g, plan, r, aE, sb, f, add, workers, screen)
 	case VarAC:
-		c = runAC(s.Proc, g, plan, r, aE, sb, f, add, workers)
+		c = runAC(s, g, plan, r, aE, sb, f, add, workers)
 	default:
-		c = runBC(s.Proc, g, plan, r, aE, sb, f, add, workers)
+		c = runBC(s, g, plan, r, aE, sb, f, add, workers)
 	}
 
 	if plan.P1 > 1 && plan.X == RoleC {
@@ -726,9 +742,9 @@ func (b *stagedB[T]) bcast(c *machine.Comm, root, t int) ([]sparse.Entry[T], []i
 // runAB: C stationary; A broadcast along grid rows, B along grid columns,
 // one stage per k-block (lcm(p2,p3) stages).
 func runAB[TA, TB, TC any](
-	proc *machine.Proc, g *machine.Grid3, plan Plan, r ranges,
+	sess *Session, g *machine.Grid3, plan Plan, r ranges,
 	aE []sparse.Entry[TA], b *stagedB[TB],
-	f func(TA, TB) TC, add algebra.Monoid[TC], workers int,
+	f func(TA, TB) TC, add algebra.Monoid[TC], workers int, screen func(i, j int32, v TC) bool,
 ) []sparse.Entry[TC] {
 	s := plan.Stages()
 	aStage := bucketByStage(aE, s, func(e sparse.Entry[TA]) int { return partIn(e.J, r.k0, r.k1, s) })
@@ -737,8 +753,8 @@ func runAB[TA, TB, TC any](
 		aBlk := machine.Bcast(g.G2.Row, t%plan.P3, aStage[t])
 		bBlk, offs := b.bcast(g.G2.Col, t%plan.P2, t)
 		kb0, kb1 := stageBounds(t, r.k0, r.k1, s)
-		prod, ops := mulEntriesParallel(aBlk, bBlk, offs, kb0, kb1, f, add, workers)
-		proc.AddFlops(ops)
+		prod, ops := mulEntriesParallel(sess, aBlk, bBlk, offs, kb0, kb1, f, add, workers, screen)
+		sess.Proc.AddFlops(ops)
 		acc = distmat.MergeSortedParallel(acc, prod, add, workers)
 	}
 	return acc
@@ -747,7 +763,7 @@ func runAB[TA, TB, TC any](
 // runAC: B stationary; A broadcast along grid rows, partial C reduced along
 // grid columns, one stage per m-block.
 func runAC[TA, TB, TC any](
-	proc *machine.Proc, g *machine.Grid3, plan Plan, r ranges,
+	sess *Session, g *machine.Grid3, plan Plan, r ranges,
 	aE []sparse.Entry[TA], b *stagedB[TB],
 	f func(TA, TB) TC, add algebra.Monoid[TC], workers int,
 ) []sparse.Entry[TC] {
@@ -760,8 +776,8 @@ func runAC[TA, TB, TC any](
 	}
 	for t := 0; t < s; t++ {
 		aBlk := machine.Bcast(g.G2.Row, t%plan.P3, aStage[t])
-		prod, ops := mulEntriesParallel(aBlk, b.entries, b.offs[0], kb0, kb1, f, add, workers)
-		proc.AddFlops(ops)
+		prod, ops := mulEntriesParallel(sess, aBlk, b.entries, b.offs[0], kb0, kb1, f, add, workers, nil)
+		sess.Proc.AddFlops(ops)
 		red := machine.ReduceSlices(g.G2.Col, t%plan.P2, prod, merge)
 		if g.G2.MyR == t%plan.P2 {
 			acc = append(acc, red...) // stages cover ascending row ranges
@@ -773,7 +789,7 @@ func runAC[TA, TB, TC any](
 // runBC: A stationary; B broadcast along grid columns, partial C reduced
 // along grid rows, one stage per n-block.
 func runBC[TA, TB, TC any](
-	proc *machine.Proc, g *machine.Grid3, plan Plan, r ranges,
+	sess *Session, g *machine.Grid3, plan Plan, r ranges,
 	aE []sparse.Entry[TA], b *stagedB[TB],
 	f func(TA, TB) TC, add algebra.Monoid[TC], workers int,
 ) []sparse.Entry[TC] {
@@ -785,8 +801,8 @@ func runBC[TA, TB, TC any](
 	}
 	for t := 0; t < s; t++ {
 		bBlk, offs := b.bcast(g.G2.Col, t%plan.P2, t)
-		prod, ops := mulEntriesParallel(aE, bBlk, offs, kb0, kb1, f, add, workers)
-		proc.AddFlops(ops)
+		prod, ops := mulEntriesParallel(sess, aE, bBlk, offs, kb0, kb1, f, add, workers, nil)
+		sess.Proc.AddFlops(ops)
 		red := machine.ReduceSlices(g.G2.Row, t%plan.P3, prod, merge)
 		if g.G2.MyC == t%plan.P3 {
 			acc = distmat.MergeSortedParallel(acc, red, add, workers) // stage columns interleave rows
@@ -808,8 +824,8 @@ const mulEntriesMinEntries = 8
 // over [k0, k1) when the caller holds one (a staged stationary block), nil
 // to have it built here.
 func mulEntriesParallel[TA, TB, TC any](
-	aE []sparse.Entry[TA], bE []sparse.Entry[TB], offs []int32, k0, k1 int32,
-	f func(TA, TB) TC, add algebra.Monoid[TC], workers int,
+	sess *Session, aE []sparse.Entry[TA], bE []sparse.Entry[TB], offs []int32, k0, k1 int32,
+	f func(TA, TB) TC, add algebra.Monoid[TC], workers int, screen func(i, j int32, v TC) bool,
 ) ([]sparse.Entry[TC], int64) {
 	if len(aE) == 0 || len(bE) == 0 {
 		return nil, 0
@@ -818,7 +834,7 @@ func mulEntriesParallel[TA, TB, TC any](
 		offs = indexRows(bE, k0, k1)
 	}
 	if workers <= 1 || len(aE) < mulEntriesMinEntries {
-		return mulEntriesRange(aE, bE, offs, k0, k1, f, add)
+		return mulEntriesRange(sess, aE, bE, offs, k0, k1, f, add, screen)
 	}
 	// Align the even split of aE to row boundaries (entries are row-sorted).
 	bounds := []int{0}
@@ -833,12 +849,12 @@ func mulEntriesParallel[TA, TB, TC any](
 	}
 	bounds = append(bounds, len(aE))
 	if len(bounds) <= 2 {
-		return mulEntriesRange(aE, bE, offs, k0, k1, f, add)
+		return mulEntriesRange(sess, aE, bE, offs, k0, k1, f, add, screen)
 	}
 	chunks := make([][]sparse.Entry[TC], len(bounds)-1)
 	var ops atomic.Int64
 	parallel.For(len(chunks), len(chunks), func(part, _, _ int) {
-		out, n := mulEntriesRange(aE[bounds[part]:bounds[part+1]], bE, offs, k0, k1, f, add)
+		out, n := mulEntriesRange(sess, aE[bounds[part]:bounds[part+1]], bE, offs, k0, k1, f, add, screen)
 		chunks[part] = out
 		ops.Add(n)
 	})
@@ -869,14 +885,15 @@ func indexRows[TB any](bE []sparse.Entry[TB], k0, k1 int32) []int32 {
 // mulEntriesRange is the row-wise kernel over one contiguous chunk of A
 // entries (whole rows) against the shared B row index: aE's columns and
 // bE's rows both lie in [k0, k1). Inputs are (row, col)-sorted; the output
-// is sorted and duplicate-free. Returns the entry list and the
-// f-evaluation count.
+// is sorted and duplicate-free. A product the screen (nil = none) rejects
+// never enters the row buffer; the session counts it, and every product.
+// Returns the entry list and the f-evaluation count.
 func mulEntriesRange[TA, TB, TC any](
-	aE []sparse.Entry[TA], bE []sparse.Entry[TB], offs []int32, k0, k1 int32,
-	f func(TA, TB) TC, add algebra.Monoid[TC],
+	sess *Session, aE []sparse.Entry[TA], bE []sparse.Entry[TB], offs []int32, k0, k1 int32,
+	f func(TA, TB) TC, add algebra.Monoid[TC], screen func(i, j int32, v TC) bool,
 ) ([]sparse.Entry[TC], int64) {
 	var out []sparse.Entry[TC]
-	var ops int64
+	var ops, dropped int64
 	type jv struct {
 		j int32
 		v TC
@@ -920,10 +937,17 @@ func mulEntriesRange[TA, TB, TC any](
 		}
 		lo, hi := offs[ea.J-k0], offs[ea.J-k0+1]
 		for _, eb := range bE[lo:hi] {
-			buf = append(buf, jv{j: eb.J, v: f(ea.V, eb.V)})
+			v := f(ea.V, eb.V)
 			ops++
+			if screen != nil && !screen(row, eb.J, v) {
+				dropped++
+				continue
+			}
+			buf = append(buf, jv{j: eb.J, v: v})
 		}
 	}
 	flushRow(row)
+	sess.Products.Add(ops)
+	sess.Screened.Add(dropped)
 	return out, ops
 }

@@ -4,7 +4,8 @@
 // stages, and the nine 3D variants obtained by nesting a 1D algorithm over
 // the fiber dimension of a 2D algorithm — together with the analytic cost
 // model used to search the space of decompositions automatically, as CTF
-// does (§6.2).
+// does (§6.2). A caller that knows which products cannot matter may hand
+// Multiply a screen to keep them out of the local kernel's sort.
 package spgemm
 
 import (
