@@ -4,7 +4,7 @@
 GO ?= go
 BIN := bin/mfbc-lint
 
-.PHONY: all build lint lint-standalone test race bench bench-module load-quick tidy-check fmt-check deps-check loc surface check clean
+.PHONY: all build lint lint-standalone test race bench bench-module examples load-quick tidy-check fmt-check deps-check loc surface check clean
 
 all: build
 
@@ -41,6 +41,16 @@ bench:
 ## removal in the root module cannot break the repo benchmark unseen.
 bench-module:
 	cd benchmarks && $(GO) build -o /dev/null ./... && $(GO) vet ./... && $(GO) test ./...
+
+## examples: run every walkthrough under examples/ to completion, each
+## under a timeout (`go build ./...` only compiles them, so an example that
+## panics, hangs or fails its own max |Δ| check would otherwise go unseen).
+EXAMPLES := quickstart commtuning streaming
+examples:
+	@for e in $(EXAMPLES); do \
+		echo "examples/$$e"; \
+		timeout 300 $(GO) run ./examples/$$e >/dev/null || { echo "examples/$$e failed" >&2; exit 1; }; \
+	done
 
 ## load-quick: in-process saturation sweep of the query service (the CI
 ## load check; writes the sweep result as JSON and the embedded server's
@@ -85,7 +95,7 @@ surface:
 	structs=$$(ls *.go | grep -v '_test\.go$$' | xargs cat | grep -cE '^type [A-Z][A-Za-z0-9]* struct'); \
 	echo "surface: cmd flags $$flags, option fields $$opts, root exported structs $$structs"
 
-check: build fmt-check tidy-check deps-check lint test bench-module
+check: build fmt-check tidy-check deps-check lint test bench-module examples
 
 clean:
 	rm -rf bin

@@ -81,8 +81,6 @@ func main() {
 	flag.StringVar(&cfg.peers, "peers", "", "with -transport tcp: comma-separated host:port of every rank in rank order; entry 0 is this server's machine endpoint (distinct from -addr)")
 	flag.DurationVar(&cfg.rendezvous, "rendezvous", 0, "with -transport tcp: how long to keep retrying the mesh connect while ranks start (0 = 15s default)")
 	flag.IntVar(&scfg.DynCacheSets, "dyn-cache-sets", 0, "bound each simulated rank's stationary-operand cache to this many working sets per matrix (LRU across plans; 0 = unbounded); evictions appear as mfbc_dyn_operand_evictions in /metrics")
-	flag.IntVar(&scfg.DynSampleBudget, "dyn-samples", 0, "run each graph's dynamic engine in sampled mode with this source budget: PATCHes estimate instead of computing exactly and report a Hoeffding err_bound (0 = exact)")
-	flag.IntVar(&scfg.DynRefreshEvery, "dyn-refresh", 0, "exact-refresh cadence of sampled mode: every Nth PATCH recomputes exactly (0 = library default 8)")
 	flag.StringVar(&scfg.IngestDurability, "ingest-durability", "applied", "default PATCH acknowledgment level: 'applied' (block until the batch's group commit lands) or 'enqueued' (202 on enqueue; per-request override via the request's durability field)")
 	flag.IntVar(&scfg.IngestMaxDepth, "ingest-max-depth", 256, "pending-batch bound of each graph's write-ahead queue; beyond it PATCHes shed with 429 + Retry-After (negative = unbounded)")
 	readHeaderTimeout := flag.Duration("read-header-timeout", 5*time.Second, "max time to read a request's headers (slowloris guard)")

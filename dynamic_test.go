@@ -308,8 +308,8 @@ func TestDynamicGraphDoesNotCopyScores(t *testing.T) {
 // from, the engine's descriptions. ApplyCtx's report equals the one an
 // identically configured bare engine returns for the same batch (wall-clock
 // fields aside), and Scores is the engine's own snapshot, for an
-// incremental, a full and a sampled apply on the shared-memory path and on
-// the simulated machine. The helper below takes a *dynamic.Report: a
+// incremental and a full apply on the shared-memory path and on the
+// simulated machine. The helper below takes a *dynamic.Report: a
 // mirrored ApplyReport struct would not compile here.
 func TestDynamicFacadeIsEngine(t *testing.T) {
 	scrubWall := func(r *dynamic.Report) {
@@ -328,7 +328,6 @@ func TestDynamicFacadeIsEngine(t *testing.T) {
 		}{
 			{dynamic.StrategyIncremental, DynamicOptions{DirtyThreshold: -1}},
 			{dynamic.StrategyFull, DynamicOptions{DirtyThreshold: 1e-9}},
-			{dynamic.StrategySampled, DynamicOptions{SampleBudget: 6, RefreshEvery: 99, Seed: 3}},
 		} {
 			t.Run(fmt.Sprintf("%s/p%d", tc.strategy, procs), func(t *testing.T) {
 				tc.opt.Procs, tc.opt.Workers = procs, 1

@@ -4,18 +4,19 @@
 // Part 1 streams traffic-style weight updates over a weighted mesh (a
 // road-network profile: near-unique shortest paths keep each update
 // local), comparing every incremental refresh against what a full
-// recomputation of the same topology costs. Part 2 switches a power-law
-// R-MAT graph — where a small diameter makes almost every source dirty,
-// so exact maintenance degenerates — to the cheap sampled-estimate mode
-// with periodic exact refreshes, each estimate carrying its Hoeffding
-// error bound. Part 3 runs the same kind of stream on the simulated
-// distributed machine (Procs: 4): the stationary adjacency operands stay
-// resident across applies, and each incremental apply executes as ONE
-// fused machine region — the old-side and new-side pivot re-runs ride the
-// same supersteps over the pair semiring, with the edge diff scattered and
+// recomputation of the same topology costs. Part 2 estimates the live
+// graph's scores from a few sampled sources with repro.ApproximateBC — the
+// cheap path when exact maintenance is not worth it — and sets each
+// estimate's Hoeffding error bound beside its actual error against the
+// maintained exact scores. Part 3 runs the same kind of stream, on weights
+// rounded to the 2⁻¹⁰ grid, on the simulated distributed machine
+// (Procs: 4): the stationary adjacency operands stay resident across
+// applies, and each incremental apply executes as ONE fused machine
+// region — the old-side and new-side pivot re-runs ride the same
+// supersteps over the pair semiring, with the edge diff scattered and
 // spliced mid-region — so the latency term (S) is paid once, not twice.
 // The per-apply report breaks the cost into its diff/patch/sweep/reduce
-// phases.
+// phases, and every apply is checked against a from-scratch Compute.
 //
 // Run with: go run ./examples/streaming
 package main
@@ -23,6 +24,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"math"
 	"math/rand"
 	"time"
 
@@ -59,7 +61,7 @@ func main() {
 	fmt.Println("batch  muts  affected/n     strategy       refresh      full recompute   max |Δ|")
 	rng := rand.New(rand.NewSource(7))
 	for round := 1; round <= 8; round++ {
-		batch := roadBatch(rng, dyn.Graph(), 1+rng.Intn(2))
+		batch := roadBatch(rng, dyn.Graph(), 1+rng.Intn(2), false)
 		rep, err := dyn.Apply(batch)
 		if err != nil {
 			log.Fatal(err)
@@ -72,16 +74,9 @@ func main() {
 		}
 		fullMS := ms(time.Since(t0))
 
-		snap := dyn.Scores()
-		var maxDiff float64
-		for v := range full.BC {
-			if d := abs(snap.BC[v] - full.BC[v]); d > maxDiff {
-				maxDiff = d
-			}
-		}
 		fmt.Printf("%5d  %4d  %6d/%-5d  %-11s  %9.1f ms  %12.1f ms   %.2g\n",
 			round, rep.Applied, rep.Affected, rep.N, rep.Strategy,
-			rep.WallMS, fullMS, maxDiff)
+			rep.WallMS, fullMS, mustMatch(round, dyn.Scores().BC, full.BC))
 	}
 	st := dyn.Stats()
 	fmt.Printf("\nexact stream: %d applies, %d incremental, %d full fallbacks, "+
@@ -89,32 +84,23 @@ func main() {
 		st.Applies, st.IncrementalRuns, st.FullRecomputes,
 		st.AffectedSources, dyn.Graph().N)
 
-	// --- 2. Sampled-delta mode on a power-law graph: between exact
-	// refreshes every 3rd batch, applies estimate from a 32-source sample —
-	// milliseconds instead of the full sweep, at bounded accuracy.
-	social := repro.RMATGraph(9, 8, 42)
-	sampled, err := repro.NewDynamicBC(social, repro.DynamicOptions{
-		Workers: 0, SampleBudget: 32, RefreshEvery: 3, Seed: 1,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("sampled mode on %q n=%d m=%d (budget 32, exact refresh every 3rd batch):\n",
-		social.Name, social.N, social.M())
-	for round := 1; round <= 6; round++ {
-		batch := socialBatch(rng, sampled.Graph(), 6)
-		rep, err := sampled.Apply(batch)
+	// --- 2. Sampled estimates of the live graph: ApproximateBC sweeps only
+	// k random sources and scales by n/k. Its ErrBound is a 95% Hoeffding
+	// half-width per vertex — loose (it ignores variance), so the actual
+	// error against the engine's exact scores sits well inside it.
+	exact := dyn.Scores()
+	fmt.Printf("sampled estimates of the live graph (n=%d) against its exact scores:\n", exact.Graph.N)
+	fmt.Println("samples      time     95% bound    max |Δ|")
+	for _, k := range []int{16, 64, 256} {
+		t0 := time.Now()
+		est, err := repro.ApproximateBC(exact.Graph, k, 1, repro.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}
-		kind := "estimate"
-		bound := fmt.Sprintf("  (95%% half-width ±%.3g)", rep.ErrBound)
-		if !rep.Sampled {
-			kind = "exact refresh"
-			bound = ""
-		}
-		fmt.Printf("  batch %d: %-13s %-11s %7.1f ms%s\n", round, kind, rep.Strategy, rep.WallMS, bound)
+		fmt.Printf("%7d  %5.1f ms  %11.4g  %9.4g\n",
+			k, ms(time.Since(t0)), est.ErrBound, maxDiff(est.BC, exact.BC))
 	}
+	fmt.Println()
 
 	// --- 3. Distributed streaming: the same engine, but every sweep runs
 	// on the simulated 4-processor machine. Incremental applies execute as
@@ -122,11 +108,15 @@ func main() {
 	// superstep's collectives, the diff arrives by a modeled scatter, and
 	// the operand splice is charged as local γ-flops — the per-apply
 	// report attributes the cost to the diff/patch/sweep/reduce phases,
-	// and the modeled messages sit near a single run instead of two.
+	// and the modeled messages sit near a single run instead of two. The
+	// weights live on the 2⁻¹⁰ grid: at Procs > 1 the sweeps compare path
+	// weights summed in different orders, which on arbitrary reals round
+	// apart and drop predecessors (README "Known limits"); sums of grid
+	// weights are exact in any order.
 	mesh := repro.GridGraph(12, 12, 1, 5)
 	drng := rand.New(rand.NewSource(19))
 	for i := range mesh.Edges {
-		mesh.Edges[i].W = 1 + 29*drng.Float64()
+		mesh.Edges[i].W = dyadic(1 + 29*drng.Float64())
 	}
 	mesh.Weighted = true
 	dist, err := repro.NewDynamicBC(mesh, repro.DynamicOptions{
@@ -138,16 +128,21 @@ func main() {
 	init := dist.Scores()
 	fmt.Printf("distributed streaming on %q n=%d m=%d, procs=4 (plan %s):\n",
 		mesh.Name, mesh.N, mesh.M(), init.Plan)
-	fmt.Println("batch  affected/n     strategy     fused   W (bytes)   S (msgs)   model(s)    plan")
+	fmt.Println("batch  affected/n     strategy     fused   W (bytes)   S (msgs)   model(s)   max |Δ|   plan")
 	var lastFused repro.ApplyReport
 	for round := 1; round <= 5; round++ {
-		rep, err := dist.Apply(roadBatch(rng, dist.Graph(), 1+rng.Intn(2)))
+		rep, err := dist.Apply(roadBatch(rng, dist.Graph(), 1+rng.Intn(2), true))
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%5d  %6d/%-5d  %-11s  %5v  %10d  %9d  %9.6f    %s\n",
+		full, err := repro.Compute(dist.Graph(), repro.Options{})
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("%5d  %6d/%-5d  %-11s  %5v  %10d  %9d  %9.6f  %8.2g   %s\n",
 			round, rep.Affected, rep.N, rep.Strategy, rep.Fused,
-			rep.Comm.Bytes, rep.Comm.Msgs, rep.Comm.ModelSec, rep.Plan)
+			rep.Comm.Bytes, rep.Comm.Msgs, rep.Comm.ModelSec,
+			mustMatch(round, dist.Scores().BC, full.BC), rep.Plan)
 		if rep.Fused {
 			lastFused = rep
 		}
@@ -178,8 +173,9 @@ func main() {
 }
 
 // roadBatch draws k valid mutations with a road-traffic profile: mostly
-// reweights of existing links, an occasional new link or closure.
-func roadBatch(rng *rand.Rand, g *repro.Graph, k int) []repro.Mutation {
+// reweights of existing links, an occasional new link or closure. With
+// onGrid every new weight is rounded to the 2⁻¹⁰ grid.
+func roadBatch(rng *rand.Rand, g *repro.Graph, k int, onGrid bool) []repro.Mutation {
 	shadow := g.Clone()
 	batch := make([]repro.Mutation, 0, k)
 	for len(batch) < k {
@@ -206,6 +202,9 @@ func roadBatch(rng *rand.Rand, g *repro.Graph, k int) []repro.Mutation {
 			m = repro.Mutation{Op: repro.MutSetWeight, U: e.U, V: e.V,
 				W: e.W * (1.05 + 0.15*rng.Float64())}
 		}
+		if onGrid {
+			m.W = dyadic(m.W)
+		}
 		if err := shadow.Apply(m); err != nil {
 			continue
 		}
@@ -214,45 +213,27 @@ func roadBatch(rng *rand.Rand, g *repro.Graph, k int) []repro.Mutation {
 	return batch
 }
 
-// socialBatch draws k valid mutations with a social-stream profile:
-// mostly new edges, some removals, the odd new vertex.
-func socialBatch(rng *rand.Rand, g *repro.Graph, k int) []repro.Mutation {
-	shadow := g.Clone()
-	batch := make([]repro.Mutation, 0, k)
-	for len(batch) < k {
-		var m repro.Mutation
-		switch rng.Intn(6) {
-		case 0:
-			m = repro.Mutation{Op: repro.MutAddVertex}
-		case 1:
-			if shadow.M() <= shadow.N {
-				continue
-			}
-			e := shadow.Edges[rng.Intn(shadow.M())]
-			m = repro.Mutation{Op: repro.MutRemoveEdge, U: e.U, V: e.V}
-		default:
-			u, v := int32(rng.Intn(shadow.N)), int32(rng.Intn(shadow.N))
-			if u == v {
-				continue
-			}
-			if _, exists := shadow.FindEdge(u, v); exists {
-				continue
-			}
-			m = repro.Mutation{Op: repro.MutAddEdge, U: u, V: v, W: 1}
-		}
-		if err := shadow.Apply(m); err != nil {
-			continue
-		}
-		batch = append(batch, m)
-	}
-	return batch
-}
+// dyadic rounds a weight to the 2⁻¹⁰ grid.
+func dyadic(w float64) float64 { return math.Round(w*1024) / 1024 }
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
+// mustMatch returns max |Δ| between maintained and from-scratch scores and
+// stops the walkthrough if they drift apart: `make examples` runs this
+// program as a check, not only as a demo.
+func mustMatch(round int, maintained, scratch []float64) float64 {
+	d := maxDiff(maintained, scratch)
+	if d > 1e-6 {
+		log.Fatalf("batch %d: maintained scores are %g away from a from-scratch compute", round, d)
 	}
-	return x
+	return d
+}
+
+// maxDiff is max_v |a[v] − b[v]|.
+func maxDiff(a, b []float64) float64 {
+	var m float64
+	for v := range a {
+		m = math.Max(m, math.Abs(a[v]-b[v]))
+	}
+	return m
 }

@@ -3,8 +3,8 @@
 //
 // The Engine owns an immutable (graph, scores) snapshot that atomically
 // swaps on every applied mutation batch, so concurrent readers always see
-// a consistent version — never a torn state. Per batch it chooses among
-// three strategies:
+// a consistent version — never a torn state. Per batch it chooses between
+// two exact strategies:
 //
 //   - incremental: identify the sources whose shortest-path DAGs the batch
 //     can touch (see affectedSources) and re-run only those pivots through
@@ -13,11 +13,11 @@
 //     scales with |affected|/n instead of 1.
 //   - full: recompute from scratch when the affected fraction exceeds the
 //     configured dirtiness threshold (incremental bookkeeping would cost
-//     more than it saves), or when the previous snapshot holds estimates.
-//   - sampled: with a sample budget configured, estimate the new scores
-//     from a seeded random subset of sources (the Bader et al. estimator
-//     repro.ApproximateBC uses), taking an exact full refresh every
-//     RefreshEvery batches.
+//     more than it saves).
+//
+// The engine keeps exact scores only. A sampled estimate of the live graph
+// is repro.ApproximateBC over Engine.Graph(), the one implementation of the
+// Bader et al. estimator.
 //
 // With Config.Procs > 1 every exact sweep — the initial scores, the
 // incremental pivot re-runs, and the full-recompute fallbacks — executes
@@ -58,7 +58,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 	"slices"
 	"sync"
 	"time"
@@ -82,15 +81,6 @@ type Config struct {
 	// negative disables the fallback (always incremental); values ≥ 1
 	// effectively disable it too.
 	DirtyThreshold float64
-	// SampleBudget > 0 switches applies to sampled estimation with this
-	// many source samples (cost ≈ SampleBudget/n of exact). Budgets ≥ n
-	// degenerate to exact recomputation.
-	SampleBudget int
-	// RefreshEvery is the cadence of exact refreshes in sampled mode: every
-	// RefreshEvery-th apply recomputes exactly. ≤ 0 selects the default 8.
-	RefreshEvery int
-	// Seed drives the sampled-mode source selection.
-	Seed int64
 
 	// Procs > 1 runs every exact sweep on the simulated distributed
 	// machine (core.MFBCDistributed's path) through a persistent
@@ -112,26 +102,22 @@ type Config struct {
 	CacheSets int
 
 	// Transport pins every machine region the engine runs (initial sweep,
-	// incremental re-runs, full fallbacks, sampled estimates) to this
-	// backend instead of an in-process simulated machine. Its Size must
-	// equal Procs. Under a rank-per-process transport every process must
-	// drive an identical engine with an identical op stream — the engine's
-	// host-side decisions are deterministic functions of (initial graph,
-	// Config, batch sequence), which is what makes that replication sound
-	// (see internal/rankrun).
+	// incremental re-runs, full fallbacks) to this backend instead of an
+	// in-process simulated machine. Its Size must equal Procs. Under a
+	// rank-per-process transport every process must drive an identical
+	// engine with an identical op stream — the engine's host-side
+	// decisions are deterministic functions of (initial graph, Config,
+	// batch sequence), which is what makes that replication sound (see
+	// internal/rankrun).
 	Transport machine.Transport
 }
 
-const (
-	defaultDirtyThreshold = 0.25
-	defaultRefreshEvery   = 8
-)
+const defaultDirtyThreshold = 0.25
 
 // The values of Report.Strategy: how one apply produced its scores.
 const (
 	StrategyIncremental = "incremental"
 	StrategyFull        = "full"
-	StrategySampled     = "sampled"
 )
 
 // CommSummary is the paper's per-run cost vocabulary (§6.2, §7) in one flat
@@ -235,15 +221,13 @@ func (c *Cost) charge(plan spgemm.Plan, st machine.RunStats) {
 // affected-source probes, the pivot re-runs, and the next apply's
 // old-side bookkeeping.
 type state struct {
-	g        *graph.Graph
-	a        *sparse.CSR[float64] // adjacency of g
-	at       *sparse.CSR[float64] // transpose of a (reverse-graph adjacency)
-	bc       []float64
-	version  uint64 // graph.Fingerprint(g)
-	seq      uint64 // applies since engine creation
-	sampled  bool   // bc holds sampled estimates, not exact scores
-	errBound float64
-	cost     Cost // through this snapshot
+	g       *graph.Graph
+	a       *sparse.CSR[float64] // adjacency of g
+	at      *sparse.CSR[float64] // transpose of a (reverse-graph adjacency)
+	bc      []float64
+	version uint64 // graph.Fingerprint(g)
+	seq     uint64 // applies since engine creation
+	cost    Cost   // through this snapshot
 }
 
 func newState(g *graph.Graph, seq uint64) *state {
@@ -260,8 +244,7 @@ type Stats struct {
 	MutationsApplied int64       `json:"mutations_applied"`
 	IncrementalRuns  int64       `json:"incremental_runs"`
 	FullRecomputes   int64       `json:"full_recomputes"`
-	SampledEstimates int64       `json:"sampled_estimates"`
-	AffectedSources  int64       `json:"affected_sources"` // cumulative, exact applies only
+	AffectedSources  int64       `json:"affected_sources"` // cumulative
 	LastAffected     int         `json:"last_affected"`
 	Comm             CommSummary `json:"comm"` // cumulative modeled communication (distributed mode)
 	LastPlan         string      `json:"last_plan,omitempty"`
@@ -282,17 +265,12 @@ type Report struct {
 	Seq      uint64 `json:"seq"`              // snapshot sequence number after the apply
 	Version  uint64 `json:"version"`          // structural fingerprint after the apply
 	Applied  int    `json:"applied"`          // mutations in the batch
-	Affected int    `json:"affected_sources"` // pivots re-run (exact applies)
+	Affected int    `json:"affected_sources"` // pivots re-run
 	Strategy string `json:"strategy"`         // one of the Strategy* constants
-	Sampled  bool   `json:"sampled"`          // scores are estimates after this apply
-	// ErrBound is the Hoeffding-style 95% half-width of sampled estimates
-	// (0 on exact applies): |estimate − exact| ≤ ErrBound per vertex with
-	// ≥ 95% confidence under the Bader-style uniform-source estimator.
-	ErrBound float64 `json:"err_bound,omitempty"`
-	N        int     `json:"n"`
-	M        int     `json:"m"`
-	Procs    int     `json:"procs,omitempty"` // simulated processors (distributed mode)
-	Fused    bool    `json:"fused,omitempty"` // this apply ran as one fused machine region
+	N        int    `json:"n"`
+	M        int    `json:"m"`
+	Procs    int    `json:"procs,omitempty"` // simulated processors (distributed mode)
+	Fused    bool   `json:"fused,omitempty"` // this apply ran as one fused machine region
 	// Cost is this apply's machine regions: representative plan, modeled
 	// communication, per-phase attribution (distributed mode).
 	Cost
@@ -306,11 +284,6 @@ type Snapshot struct {
 	BC      []float64
 	Version uint64
 	Seq     uint64
-	Sampled bool
-	// ErrBound is the Hoeffding-style 95% half-width of the held estimates
-	// when Sampled (0 when the scores are exact): clients force an exact
-	// refresh when it exceeds their tolerance.
-	ErrBound float64
 	// Cost runs through this snapshot: cumulative Comm, latest Plan, the
 	// latest apply's Phases.
 	Cost
@@ -347,9 +320,6 @@ func New(g *graph.Graph, cfg Config) (*Engine, error) {
 	if cfg.DirtyThreshold == 0 { //lint:allow floateq zero is the unset-config sentinel, never computed
 		cfg.DirtyThreshold = defaultDirtyThreshold
 	}
-	if cfg.RefreshEvery <= 0 {
-		cfg.RefreshEvery = defaultRefreshEvery
-	}
 	own := g.Clone()
 	st := newState(own, 0)
 	e := &Engine{cfg: cfg}
@@ -383,13 +353,11 @@ func (e *Engine) Snapshot() Snapshot {
 	st := e.cur
 	e.mu.RUnlock()
 	return Snapshot{
-		Graph:    st.g,
-		BC:       append([]float64(nil), st.bc...),
-		Version:  st.version,
-		Seq:      st.seq,
-		Sampled:  st.sampled,
-		ErrBound: st.errBound,
-		Cost:     st.cost,
+		Graph:   st.g,
+		BC:      append([]float64(nil), st.bc...),
+		Version: st.version,
+		Seq:     st.seq,
+		Cost:    st.cost,
 	}
 }
 
@@ -443,10 +411,8 @@ func (e *Engine) ApplyCtx(ctx context.Context, batch []graph.Mutation) (Report, 
 	diffs := batchDiff(old.g, newG, batch)
 
 	var (
-		strategy string
-		affected []int32
-		fused    bool
-		cost     Cost // of this apply's machine regions
+		fused bool
+		cost  Cost // of this apply's machine regions
 	)
 	useDist := e.cfg.Procs > 1
 	// advance moves the resident distributed operands to the post-batch
@@ -465,69 +431,37 @@ func (e *Engine) ApplyCtx(ctx context.Context, batch []graph.Mutation) (Report, 
 		sess.Patch(newG, st.a, coreDiffs(diffs))
 		return nil
 	}
-	full := func() error {
-		if err := advance(); err != nil {
-			return err
-		}
-		bc, err := e.sweep(ctx, st, nil, &cost)
-		if err != nil {
-			return err
-		}
-		st.bc = bc
-		strategy = StrategyFull
-		return nil
+	_, probe := obs.StartSpan(ctx, "dynamic.probe")
+	affected := affectedSources(old, st, diffs, e.cfg.Workers)
+	probe.SetAttr("affected", len(affected)).SetAttr("diffs", len(diffs))
+	probe.End()
+	frac := 0.0
+	if newG.N > 0 {
+		frac = float64(len(affected)) / float64(newG.N)
 	}
+	strategy := StrategyIncremental
+	var bc []float64
+	var err error
 	switch {
-	case e.cfg.SampleBudget > 0 && e.cfg.SampleBudget < newG.N && st.seq%uint64(e.cfg.RefreshEvery) != 0:
-		if err := advance(); err != nil {
-			return Report{}, err
+	case e.cfg.DirtyThreshold > 0 && frac > e.cfg.DirtyThreshold:
+		strategy = StrategyFull
+		if err = advance(); err == nil {
+			bc, err = e.sweep(ctx, st, nil, &cost)
 		}
-		bc, err := e.sampledScores(ctx, st, &cost)
-		if err != nil {
-			return Report{}, err
-		}
-		st.bc = bc
-		st.errBound = sampleErrBound(newG.N, e.cfg.SampleBudget)
-		strategy, st.sampled = StrategySampled, true
-	case old.sampled:
-		// Incremental deltas need an exact base; with only estimates to
-		// start from, affected-source detection would be wasted work.
-		if err := full(); err != nil {
-			return Report{}, err
-		}
+	case e.fuseEligible(old, newG) && len(affected) > 0:
+		// With no affected sources there is nothing to sweep: the
+		// two-region path below advances the operands host-side and runs
+		// zero regions, which a fused region (diff scatter + full splice +
+		// empty sweep + O(n) reduce) would only make more expensive.
+		bc, err = e.fusedIncrementalScores(ctx, old, st, affected, diffs, &cost)
+		fused = err == nil
 	default:
-		_, probe := obs.StartSpan(ctx, "dynamic.probe")
-		affected = affectedSources(old, st, diffs, e.cfg.Workers)
-		probe.SetAttr("affected", len(affected)).SetAttr("diffs", len(diffs))
-		probe.End()
-		frac := 0.0
-		if newG.N > 0 {
-			frac = float64(len(affected)) / float64(newG.N)
-		}
-		if e.cfg.DirtyThreshold > 0 && frac > e.cfg.DirtyThreshold {
-			if err := full(); err != nil {
-				return Report{}, err
-			}
-		} else {
-			var bc []float64
-			var err error
-			// With no affected sources there is nothing to sweep: the
-			// two-region path advances the operands host-side and runs zero
-			// regions, which a fused region (diff scatter + full splice +
-			// empty sweep + O(n) reduce) would only make more expensive.
-			if e.fuseEligible(old, newG) && len(affected) > 0 {
-				bc, err = e.fusedIncrementalScores(ctx, old, st, affected, diffs, &cost)
-				fused = err == nil
-			} else {
-				bc, err = e.incrementalScores(ctx, old, st, affected, advance, &cost)
-			}
-			if err != nil {
-				return Report{}, err
-			}
-			st.bc = bc
-			strategy = StrategyIncremental
-		}
+		bc, err = e.incrementalScores(ctx, old, st, affected, advance, &cost)
 	}
+	if err != nil {
+		return Report{}, err
+	}
+	st.bc = bc
 
 	// An apply that ran no region (e.g. a structural no-op batch) keeps the
 	// previous plan.
@@ -535,9 +469,8 @@ func (e *Engine) ApplyCtx(ctx context.Context, batch []graph.Mutation) (Report, 
 	st.cost.Comm.add(cost.Comm)
 	rep := Report{
 		Seq: st.seq, Version: st.version, Applied: len(batch),
-		Affected: len(affected), Strategy: strategy, Sampled: st.sampled,
-		ErrBound: st.errBound, N: newG.N, M: newG.M(), Procs: e.cfg.Procs,
-		Fused: fused, Cost: cost,
+		Affected: len(affected), Strategy: strategy,
+		N: newG.N, M: newG.M(), Procs: e.cfg.Procs, Fused: fused, Cost: cost,
 		WallMS: float64(time.Since(start)) / float64(time.Millisecond),
 	}
 	if !useDist {
@@ -556,13 +489,9 @@ func (e *Engine) ApplyCtx(ctx context.Context, batch []graph.Mutation) (Report, 
 		e.stats.IncrementalRuns++
 	case StrategyFull:
 		e.stats.FullRecomputes++
-	case StrategySampled:
-		e.stats.SampledEstimates++
 	}
-	if strategy != StrategySampled {
-		e.stats.AffectedSources += int64(len(affected))
-		e.stats.LastAffected = len(affected)
-	}
+	e.stats.AffectedSources += int64(len(affected))
+	e.stats.LastAffected = len(affected)
 	if strategy == StrategyIncremental && useDist {
 		if fused {
 			e.stats.FusedApplies++
@@ -669,21 +598,6 @@ func (e *Engine) fusedIncrementalScores(ctx context.Context, old, st *state, aff
 	return bc, nil
 }
 
-// sampleErrBound is the Hoeffding-style 95% half-width of the Bader-style
-// estimator with k uniform source samples on n vertices: each per-source
-// dependency contribution lies in [0, n−2], so the scaled estimate
-// n·mean(X) deviates from the exact score by at most
-// n·(n−2)·sqrt(ln(2/0.05)/(2k)) per vertex with probability ≥ 95%. Loose
-// (it ignores variance), but honest and monotone in the budget — exactly
-// what a client needs to decide when to force an exact refresh.
-func sampleErrBound(n, k int) float64 {
-	if k <= 0 || n < 3 {
-		return 0
-	}
-	rng := float64(n - 2)
-	return float64(n) * rng * math.Sqrt(math.Log(2/0.05)/(2*float64(k)))
-}
-
 // incrementalScores merges the batch's delta into the maintained vector:
 // bc_new = bc_old − Σ_{s∈affected} δ_old(s,·) + Σ_{s∈affected} δ_new(s,·),
 // each side computed with batched MFBC sweeps restricted to the affected
@@ -746,28 +660,6 @@ func (e *Engine) pivotScores(ctx context.Context, st *state, sources []int32) []
 	_, span := obs.StartSpan(ctx, "sweep.local")
 	defer span.SetAttr("sources", swept).End()
 	return core.SweepSources(st.a, st.at, sources, core.Options{Batch: e.cfg.Batch, Workers: e.cfg.Workers}).BC
-}
-
-// sampledScores estimates BC from a seeded random subset of sources scaled
-// by n/samples, exactly like repro.ApproximateBC's estimator.
-func (e *Engine) sampledScores(ctx context.Context, st *state, cost *Cost) ([]float64, error) {
-	n := st.g.N
-	budget := e.cfg.SampleBudget
-	rng := rand.New(rand.NewSource(e.cfg.Seed + int64(st.seq)*0x9e3779b9))
-	perm := rng.Perm(n)
-	sources := make([]int32, budget)
-	for i := range sources {
-		sources[i] = int32(perm[i])
-	}
-	bc, err := e.sweep(ctx, st, sources, cost)
-	if err != nil {
-		return nil, err
-	}
-	scale := float64(n) / float64(budget)
-	for v := range bc {
-		bc[v] *= scale
-	}
-	return bc, nil
 }
 
 // edgeDiff is one edge of the effective difference between the pre- and

@@ -219,76 +219,6 @@ func TestNoopBatchSkipsCompute(t *testing.T) {
 	compareScores(t, "noop", after.BC, before.BC)
 }
 
-// TestSampledModeEstimatesAndRefreshes: sampled applies produce estimates
-// flagged as such; every RefreshEvery-th apply is an exact refresh. A
-// Procs: 4 engine on the simulated machine runs in lockstep: it must pick
-// the same strategy and error bound at every step and hold the same
-// estimates, with every sweep charged as a machine run.
-func TestSampledModeEstimatesAndRefreshes(t *testing.T) {
-	g := graph.RMAT(graph.DefaultRMAT(6, 8, 21))
-	cfg := Config{SampleBudget: 8, RefreshEvery: 3, Seed: 5}
-	eng, err := New(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Procs = 4
-	dist, err := New(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shadow := g.Clone()
-	rng := rand.New(rand.NewSource(7))
-	for step := 1; step <= 6; step++ {
-		m := randomMutation(rng, shadow, false)
-		if err := shadow.Apply(m); err != nil {
-			t.Fatal(err)
-		}
-		rep, err := eng.Apply([]graph.Mutation{m})
-		if err != nil {
-			t.Fatalf("step %d: %v", step, err)
-		}
-		drep, err := dist.Apply([]graph.Mutation{m})
-		if err != nil {
-			t.Fatalf("step %d, procs 4: %v", step, err)
-		}
-		if drep.Strategy != rep.Strategy || drep.Sampled != rep.Sampled || drep.ErrBound != rep.ErrBound {
-			t.Fatalf("step %d: procs 4 chose %q sampled=%v ±%v, shared memory %q sampled=%v ±%v",
-				step, drep.Strategy, drep.Sampled, drep.ErrBound, rep.Strategy, rep.Sampled, rep.ErrBound)
-		}
-		if drep.Comm.Runs == 0 {
-			t.Fatalf("step %d: procs 4 apply charged no machine run", step)
-		}
-		compareScores(t, "procs 4 vs shared memory", dist.Snapshot().BC, eng.Snapshot().BC)
-		if step%3 == 0 {
-			if rep.Strategy != StrategyFull || rep.Sampled {
-				t.Fatalf("step %d: %q sampled=%v, want exact refresh", step, rep.Strategy, rep.Sampled)
-			}
-			compareScores(t, "refresh", eng.Snapshot().BC, fromScratch(t, shadow))
-		} else {
-			if rep.Strategy != StrategySampled || !rep.Sampled || !(rep.ErrBound > 0) {
-				t.Fatalf("step %d: %q sampled=%v ±%v, want sampled estimate", step, rep.Strategy, rep.Sampled, rep.ErrBound)
-			}
-			// Estimates are not exact, but the total mass estimator is
-			// unbiased; sanity-check it is in the right ballpark (not zeros,
-			// not wildly off).
-			exact := fromScratch(t, shadow)
-			var se, sx float64
-			for v := range exact {
-				se += eng.Snapshot().BC[v]
-				sx += exact[v]
-			}
-			if sx > 0 && (se < sx/20 || se > sx*20) {
-				t.Fatalf("step %d: estimate mass %v vs exact %v", step, se, sx)
-			}
-		}
-	}
-	for _, st := range []Stats{eng.Stats(), dist.Stats()} {
-		if st.SampledEstimates != 4 || st.FullRecomputes != 2 {
-			t.Fatalf("stats = %+v", st)
-		}
-	}
-}
-
 // TestApplyErrorLeavesStateUntouched: an invalid mutation mid-batch must
 // not change the observable snapshot (batches are atomic).
 func TestApplyErrorLeavesStateUntouched(t *testing.T) {
@@ -639,67 +569,6 @@ func TestFusedFallsBackOnVertexGrowth(t *testing.T) {
 	compareScores(t, "growth apply", e.Snapshot().BC, fromScratch(t, shadow))
 	if st := e.Stats(); st.TwoRegionApplies != 1 {
 		t.Fatalf("growth apply not counted as two-region: %+v", st)
-	}
-}
-
-// TestSampledErrBound: sampled applies must report a positive Hoeffding
-// half-width that shrinks as the budget grows, and exact refreshes clear
-// it.
-func TestSampledErrBound(t *testing.T) {
-	g := graph.RMAT(graph.DefaultRMAT(6, 8, 3))
-	small, err := New(g, Config{SampleBudget: 8, RefreshEvery: 4, Seed: 5, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	big, err := New(g, Config{SampleBudget: 32, RefreshEvery: 4, Seed: 5, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := graph.Mutation{Op: graph.OpAddEdge, U: 1, V: 2, W: 1}
-	if _, ok := g.FindEdge(1, 2); ok {
-		m = graph.Mutation{Op: graph.OpRemoveEdge, U: 1, V: 2}
-	}
-	rs, err := small.Apply([]graph.Mutation{m})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, err := big.Apply([]graph.Mutation{m})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs.Strategy != StrategySampled || rb.Strategy != StrategySampled {
-		t.Fatalf("expected sampled applies, got %q and %q", rs.Strategy, rb.Strategy)
-	}
-	if rs.ErrBound <= 0 || rb.ErrBound <= 0 {
-		t.Fatalf("sampled applies must carry positive error bounds: %v, %v", rs.ErrBound, rb.ErrBound)
-	}
-	if rb.ErrBound >= rs.ErrBound {
-		t.Fatalf("a larger budget must tighten the bound: k=8 → %v, k=32 → %v", rs.ErrBound, rb.ErrBound)
-	}
-	if snap := small.Snapshot(); snap.ErrBound != rs.ErrBound {
-		t.Fatalf("snapshot bound %v != report bound %v", snap.ErrBound, rs.ErrBound)
-	}
-	// Drive the small engine to its exact refresh (every 4th apply).
-	var last Report
-	for i := 0; i < 3; i++ {
-		mm := randomMutation(rand.New(rand.NewSource(int64(40+i))), small.Snapshot().Graph, false)
-		if mm.Op == graph.OpAddVertex {
-			mm = graph.Mutation{Op: graph.OpAddEdge, U: 0, V: int32(10 + i), W: 1}
-			if _, ok := small.Snapshot().Graph.FindEdge(0, int32(10+i)); ok {
-				mm = graph.Mutation{Op: graph.OpRemoveEdge, U: 0, V: int32(10 + i)}
-			}
-		}
-		var err error
-		last, err = small.Apply([]graph.Mutation{mm})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if last.Strategy != StrategyFull {
-		t.Fatalf("4th apply should be the exact refresh, got %q", last.Strategy)
-	}
-	if last.ErrBound != 0 || small.Snapshot().ErrBound != 0 {
-		t.Fatal("exact refresh must clear the error bound")
 	}
 }
 

@@ -2,12 +2,11 @@
 // rank-per-process TCP machine (internal/machine/tcpnet).
 //
 // The dynamic engine's host-side decisions — strategy selection, affected
-// sources, batch diffs, sampled-mode source draws — are deterministic
-// functions of (initial graph, options, batch sequence). rankrun exploits
-// that: every process runs a complete replica of the engine, and only the
-// op stream (engine creation, mutation batches, teardown) travels over
-// the coordinator's control plane. When a replicated engine enters a
-// machine region, all ranks enter the same region over the shared mesh,
+// sources, batch diffs — are deterministic functions of (initial graph,
+// options, batch sequence). rankrun exploits that: every process runs a
+// complete replica of the engine, and only the op stream (engine creation,
+// mutation batches, teardown) travels over the coordinator's control
+// plane. When a replicated engine enters a machine region, all ranks enter the same region over the shared mesh,
 // each contributing its own rank's shard of the collectives; scores and
 // modeled statistics come out identical on every process.
 //

@@ -68,7 +68,7 @@ func TestReplicatedMatchesLocal(t *testing.T) {
 	defer d.Shutdown()
 
 	g := graph.Grid2D(5, 4, 8, 13)
-	opt := repro.DynamicOptions{Procs: p, Workers: 1, Batch: 4, Seed: 7}
+	opt := repro.DynamicOptions{Procs: p, Workers: 1, Batch: 4}
 
 	eng, err := d.NewEngine("g", g, opt)
 	if err != nil {
@@ -228,7 +228,6 @@ func TestEngineOpRoundTripsEveryOption(t *testing.T) {
 		Kind: opEngine, Name: "g", Graph: graph.Grid2D(3, 3, 4, 1),
 		Opt: repro.DynamicOptions{
 			Batch: 32, Workers: 3, DirtyThreshold: 0.4,
-			SampleBudget: 16, RefreshEvery: 5, Seed: 77,
 			Procs: 4, Plan: &plan, Constraint: spgemm.Only2D, Model: &model,
 			CacheSets: 2,
 		},

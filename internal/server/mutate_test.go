@@ -499,30 +499,3 @@ func TestMutateFusedPhasesAndStats(t *testing.T) {
 		t.Fatalf("stats must count the fused apply: %+v", st)
 	}
 }
-
-// TestMutateSampledErrBound: a server configured for sampled mode
-// (DynSampleBudget) attaches the Hoeffding half-width to the PATCH
-// response, and sampled snapshots are never warm-seeded into the exact
-// result cache.
-func TestMutateSampledErrBound(t *testing.T) {
-	s := New(Config{Workers: 1, DynSampleBudget: 6, DynRefreshEvery: 99})
-	g := repro.GridGraph(6, 6, 1, 9)
-	if _, err := s.AddGraph("g", g.Clone()); err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Mutate("g", []repro.Mutation{
-		{Op: repro.MutSetWeight, U: g.Edges[0].U, V: g.Edges[0].V, W: 4},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Strategy != "sampled" || !res.Sampled {
-		t.Fatalf("expected a sampled PATCH, got %+v", res)
-	}
-	if res.ErrBound <= 0 {
-		t.Fatalf("sampled PATCH must carry a positive err_bound: %+v", res)
-	}
-	if st := scrape(t, s); st.warmSeeds() != 0 {
-		t.Fatalf("sampled snapshots must not warm-seed the exact cache: %+v", st)
-	}
-}

@@ -9,8 +9,8 @@
 // the expensive SpGEMM sweeps are amortized across all callers.
 //
 // Queries support exact BC on any engine, sampling-based approximate BC
-// (the Bader et al. estimator via repro.ApproximateBC) as the cheap path
-// for interactive use, top-k extraction, and per-query stats: cache hit,
+// (the Bader et al. estimator via repro.ApproximateBC, answered with its
+// err_bound) as the cheap path for interactive use, top-k extraction, and per-query stats: cache hit,
 // request coalescing, compute wall time, and the modeled communication
 // report of distributed runs.
 //
@@ -81,13 +81,6 @@ type Config struct {
 	// LRU-evicted across (plan, dims) keys; ≤ 0 keeps caches unbounded.
 	// Cumulative evictions appear as mfbc_dyn_operand_evictions (/metrics).
 	DynCacheSets int
-	// DynSampleBudget > 0 runs each graph's dynamic engine in sampled
-	// mode: PATCHes estimate from this many source samples (with exact
-	// refreshes every DynRefreshEvery batches; 0 = library default) and
-	// the response carries the Hoeffding half-width as err_bound. Sampled
-	// snapshots are never warm-seeded into the exact result cache.
-	DynSampleBudget int
-	DynRefreshEvery int
 	// Metrics is the observability registry the server's counters, gauges,
 	// and histograms register on (exposed at GET /metrics). nil creates a
 	// private registry. Each Server needs its own registry — metric names
@@ -307,7 +300,7 @@ type serverMetrics struct {
 	warmSeeds       *obs.CounterVec // variant: exact|normalized|distributed|topk
 
 	queryDur  *obs.HistogramVec // source: cache|coalesced|compute
-	mutateDur *obs.HistogramVec // strategy: incremental|full|sampled
+	mutateDur *obs.HistogramVec // strategy: incremental|full
 
 	// Write-path telemetry (ingest.go): queue depth, batches
 	// enqueued/rejected/failed, group commits and their coalescing win,
@@ -388,7 +381,7 @@ func newServerMetrics(reg *obs.Registry) serverMetrics {
 	for _, src := range []string{"cache", "coalesced", "compute"} {
 		m.queryDur.With(src)
 	}
-	for _, st := range []string{"incremental", "full", "sampled"} {
+	for _, st := range []string{"incremental", "full"} {
 		m.mutateDur.With(st)
 	}
 	for _, site := range []string{"ingest.commit", "query.compute"} {
@@ -602,9 +595,9 @@ func (s *Server) mutLockFor(name string) *sync.Mutex {
 // Mutate atomically applies a mutation batch to the named graph through
 // its dynamic engine (created, with an initial exact compute, on the first
 // valid mutation). On success the registry entry is replaced with the new
-// version, only that graph's cache entries are purged, and — when the
-// engine holds exact scores — the maintained vector is seeded into the
-// cache under the default exact query key, so the next query after a
+// version, only that graph's cache entries are purged, and the engine's
+// maintained exact vector is seeded into the cache under the default
+// exact query key, so the next query after a
 // mutation is a warm hit instead of a recompute. Queries concurrent with
 // Mutate see either the old or the new version, never a torn state.
 //
@@ -644,7 +637,6 @@ func (s *Server) applyCommitted(ctx context.Context, name string, ge *graphEntry
 		dyn, err = s.cfg.NewDynamic(name, ge.g, repro.DynamicOptions{
 			Workers: s.cfg.Workers, DirtyThreshold: s.cfg.DirtyThreshold,
 			Procs: s.cfg.DynProcs, CacheSets: s.cfg.DynCacheSets,
-			SampleBudget: s.cfg.DynSampleBudget, RefreshEvery: s.cfg.DynRefreshEvery,
 		})
 		if err != nil {
 			return nil, err
@@ -668,7 +660,7 @@ func (s *Server) applyCommitted(ctx context.Context, name string, ge *graphEntry
 	// copy) run before taking s.mu so concurrent queries never stall on
 	// them; cacheSize is immutable after New.
 	var seed *warmSeed
-	if !snap.Sampled && s.cfg.CacheSize > 0 {
+	if s.cfg.CacheSize > 0 {
 		seed = prepareWarmSeed(snap.BC)
 	}
 
@@ -839,16 +831,19 @@ type QueryStats struct {
 
 // QueryResult is the answer to one query.
 type QueryResult struct {
-	Graph      string        `json:"graph"`
-	Version    uint64        `json:"version"`
-	Engine     repro.Engine  `json:"engine"`
-	Procs      int           `json:"procs"`
-	Plan       string        `json:"plan,omitempty"`
-	Iterations int           `json:"iterations"`
-	Samples    int           `json:"samples,omitempty"`
-	TopK       []VertexScore `json:"topk,omitempty"`
-	Scores     []float64     `json:"scores,omitempty"`
-	Stats      QueryStats    `json:"stats"`
+	Graph      string       `json:"graph"`
+	Version    uint64       `json:"version"`
+	Engine     repro.Engine `json:"engine"`
+	Procs      int          `json:"procs"`
+	Plan       string       `json:"plan,omitempty"`
+	Iterations int          `json:"iterations"`
+	Samples    int          `json:"samples,omitempty"`
+	// ErrBound is a samples query's 95% half-width per vertex
+	// (repro.Result.ErrBound); absent on exact answers.
+	ErrBound float64       `json:"err_bound,omitempty"`
+	TopK     []VertexScore `json:"topk,omitempty"`
+	Scores   []float64     `json:"scores,omitempty"`
+	Stats    QueryStats    `json:"stats"`
 }
 
 // normalize canonicalizes score-equivalent requests onto one cache key:
@@ -1010,6 +1005,7 @@ func render(req QueryRequest, version uint64, ce *cacheEntry, hit, coalesced boo
 		Plan:       ce.res.Plan,
 		Iterations: ce.res.Iterations,
 		Samples:    req.Samples,
+		ErrBound:   ce.res.ErrBound,
 		Stats: QueryStats{
 			CacheHit:  hit,
 			Coalesced: coalesced,

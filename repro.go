@@ -29,6 +29,7 @@ import (
 	"container/heap"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/baseline"
@@ -111,6 +112,9 @@ type Result struct {
 	Plan       string // decomposition used (distributed runs)
 	Iterations int    // frontier relaxation rounds (MFBC) or BFS levels (CombBLAS)
 	Comm       CommReport
+	// ErrBound is the 95% Hoeffding half-width of an ApproximateBC estimate
+	// (see sampleErrBound), in the units of BC; 0 for exact scores.
+	ErrBound float64
 }
 
 // errNilGraph is what every entry point that takes a *Graph returns for nil.
@@ -179,13 +183,16 @@ func Compute(g *Graph, opt Options) (*Result, error) {
 		return nil, fmt.Errorf("repro: unknown engine %q", opt.Engine)
 	}
 	if opt.Normalize && g.N > 2 {
-		scale := 1 / (float64(g.N-1) * float64(g.N-2))
+		scale := normScale(g.N)
 		for i := range res.BC {
 			res.BC[i] *= scale
 		}
 	}
 	return res, nil
 }
+
+// normScale is Normalize's factor 1/((n−1)(n−2)).
+func normScale(n int) float64 { return 1 / (float64(n-1) * float64(n-2)) }
 
 // topkHeap is a min-heap of (vertex, score) pairs ordered by "worse first":
 // lower score on top, ties broken by higher vertex index, so the root is
@@ -285,6 +292,8 @@ func ShortestPaths(g *Graph, sources []int32, opt Options) (*SSSPResult, error) 
 // by n/samples (the estimator of Bader et al. cited in the paper's
 // introduction). It sweeps only the sampled sources on whichever path
 // Compute routes opt to, so the cost is samples/n of the exact computation.
+// The result's ErrBound is the estimate's 95% half-width per vertex (0 when
+// samples ≥ n, where the answer is exact), normalized with the scores.
 func ApproximateBC(g *Graph, samples int, seed int64, opt Options) (*Result, error) {
 	if samples < 1 {
 		return nil, fmt.Errorf("repro: need at least one sample source")
@@ -309,7 +318,24 @@ func ApproximateBC(g *Graph, samples int, seed int64, opt Options) (*Result, err
 	for v := range res.BC {
 		res.BC[v] *= scale
 	}
+	res.ErrBound = sampleErrBound(g.N, samples)
+	if opt.Normalize && g.N > 2 {
+		res.ErrBound *= normScale(g.N)
+	}
 	return res, nil
+}
+
+// sampleErrBound is the Hoeffding-style 95% half-width of the Bader-style
+// estimator with k uniform source samples on n vertices: each per-source
+// dependency contribution lies in [0, n−2], so the scaled estimate
+// n·mean(X) deviates from the exact score by at most
+// n·(n−2)·sqrt(ln(2/0.05)/(2k)) per vertex with probability ≥ 95%. Loose
+// (it ignores variance), but honest and monotone in the budget.
+func sampleErrBound(n, k int) float64 {
+	if k <= 0 || n < 3 {
+		return 0
+	}
+	return float64(n) * float64(n-2) * math.Sqrt(math.Log(2/0.05)/(2*float64(k)))
 }
 
 // newPerm returns a seeded random permutation of 0..n-1.

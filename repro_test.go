@@ -351,6 +351,39 @@ func TestApproximateBC(t *testing.T) {
 	}
 }
 
+// TestApproximateBCErrBound: a sampled estimate carries a positive
+// Hoeffding half-width that tightens as the budget grows, is 0 once the
+// budget covers every vertex (the answer is exact), and is normalized with
+// the scores.
+func TestApproximateBCErrBound(t *testing.T) {
+	g := RMATGraph(6, 8, 3)
+	bound := func(k int, opt Options) float64 {
+		t.Helper()
+		r, err := ApproximateBC(g, k, 5, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.ErrBound
+	}
+	small, big := bound(8, Options{}), bound(32, Options{})
+	if !(small > 0) || !(big > 0) {
+		t.Fatalf("sampled estimates must carry positive bounds: k=8 → %v, k=32 → %v", small, big)
+	}
+	if big >= small {
+		t.Fatalf("a larger budget must tighten the bound: k=8 → %v, k=32 → %v", small, big)
+	}
+	if got := bound(g.N, Options{}); got != 0 {
+		t.Fatalf("samples ≥ n is exact, bound %v", got)
+	}
+	scale := 1 / (float64(g.N-1) * float64(g.N-2))
+	if got := bound(8, Options{Normalize: true}); got != small*scale {
+		t.Fatalf("normalized bound %v, want %v·%v = %v", got, small, scale, small*scale)
+	}
+	if exact, err := Compute(g, Options{}); err != nil || exact.ErrBound != 0 {
+		t.Fatalf("exact Compute bound %v (err %v), want 0", exact.ErrBound, err)
+	}
+}
+
 // TestNilGraph: every entry point that takes a graph rejects nil with the
 // same error, before touching it.
 func TestNilGraph(t *testing.T) {
