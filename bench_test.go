@@ -158,13 +158,18 @@ func BenchmarkMFBCSequentialBatch(b *testing.B) {
 // service's write cycle runs in: a 14×14 mesh with near-continuous weights
 // on the 2⁻¹⁰ grid, so rows are narrow and a sweep takes ~26 rounds.
 func BenchmarkMFBCSequentialBatchMesh(b *testing.B) {
-	g := graph.Grid2D(14, 14, 1, 0)
+	benchSequentialBatch(b, gridMesh(14))
+}
+
+// gridMesh is a side×side mesh with weights in [1, 30] on the 2⁻¹⁰ grid.
+func gridMesh(side int) *graph.Graph {
+	g := graph.Grid2D(side, side, 1, 0)
 	rng := rand.New(rand.NewSource(7))
 	for i := range g.Edges {
 		g.Edges[i].W = math.Round((1+29*rng.Float64())*1024) / 1024
 	}
 	g.Weighted = true
-	benchSequentialBatch(b, g)
+	return g
 }
 
 func benchSequentialBatch(b *testing.B, g *graph.Graph) {
@@ -271,6 +276,22 @@ func BenchmarkDistributedBatch(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkDistributedBatchMesh is the in-repo proxy for the other
+// distributed regime, stream-road's full recomputes: one Compute over every
+// source of a 16×16 mesh with 2⁻¹⁰-grid weights at p=4 on the simulated
+// machine — many rounds, and T nearly dense. MFBC only: the CombBLAS-style
+// baseline rejects weights.
+func BenchmarkDistributedBatchMesh(b *testing.B) {
+	g := gridMesh(16)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Compute(g, Options{Procs: 4, Workers: 1}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

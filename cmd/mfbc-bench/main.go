@@ -55,6 +55,10 @@ func main() {
 		}
 		procList = append(procList, v)
 	}
+	if len(procList) == 0 {
+		fmt.Fprintf(os.Stderr, "mfbc-bench: -procs %q names no node count\n", *procs)
+		os.Exit(2)
+	}
 	cfg := bench.Config{
 		Out:       os.Stdout,
 		Procs:     procList,

@@ -88,9 +88,13 @@ var Experiments = []string{
 	"ablate-decomp", "ablate-batch",
 }
 
-// Run executes one experiment by id.
+// Run executes one experiment by id. An unknown transport fails the run
+// before any point is measured.
 func Run(id string, cfg Config) ([]Point, error) {
 	cfg.fill()
+	if cfg.Transport != "" && cfg.Transport != "sim" && cfg.Transport != "tcp" {
+		return nil, fmt.Errorf("bench: unknown transport %q (want sim or tcp)", cfg.Transport)
+	}
 	switch id {
 	case "table2":
 		return Table2(cfg)
@@ -141,19 +145,17 @@ func mteps(adjNNZ, nb, procs int, modelSec float64) float64 {
 
 // newTransport builds the machine backend for one p-rank run. The nil
 // transport keeps the library default (in-process simulated machine);
-// "tcp" starts a loopback mesh that the returned func tears down.
+// "tcp" (Run has rejected any other name) starts a loopback mesh that the
+// returned func tears down.
 func (c Config) newTransport(p int) (machine.Transport, func(), error) {
-	switch c.Transport {
-	case "", "sim":
+	if c.Transport != "tcp" {
 		return nil, func() {}, nil
-	case "tcp":
-		mesh, err := tcpnet.StartLocalMesh(p, tcpnet.Options{})
-		if err != nil {
-			return nil, nil, err
-		}
-		return mesh, func() { mesh.Close() }, nil
 	}
-	return nil, nil, fmt.Errorf("bench: unknown transport %q (want sim or tcp)", c.Transport)
+	mesh, err := tcpnet.StartLocalMesh(p, tcpnet.Options{})
+	if err != nil {
+		return nil, nil, err
+	}
+	return mesh, func() { mesh.Close() }, nil
 }
 
 // runMFBC measures one CTF-MFBC batch on cfg's machine backend.

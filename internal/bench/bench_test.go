@@ -17,6 +17,16 @@ func TestRunUnknownExperiment(t *testing.T) {
 	}
 }
 
+// TestRunUnknownTransport: a misspelt backend is the caller's error, not a
+// failed point per row.
+func TestRunUnknownTransport(t *testing.T) {
+	cfg := quickCfg()
+	cfg.Transport = "tpc"
+	if pts, err := Run("table3", cfg); err == nil {
+		t.Fatalf("unknown transport must fail; got %d points", len(pts))
+	}
+}
+
 // TestAllExperimentsSmoke also pins the id list: the paper's seven tables
 // and figures plus the two ablations, each once — what mfbc-bench -list
 // prints.

@@ -14,13 +14,16 @@
 // two sides — (old, new) around a graph edit — is the fused incremental
 // apply of fused.go. At one side every per-side step degenerates to the
 // scalar one: one plan, one multiply, the same collectives and the same
-// modeled cost. The CSR sweep of seq.go stays a separate copy by
-// measurement: routing it through these rules costs the sequential kernel
-// about 12 % (ROADMAP, "New directions" 2).
+// modeled cost. The rules find T through one dense position table per rank
+// (blockIndex), never by searching it. The CSR sweep of seq.go stays a
+// separate copy by measurement: routing it through these rules costs the
+// sequential kernel about 12 % (ROADMAP, "Not owed": the CSR and entry-list
+// sweeps stay two).
 package core
 
 import (
 	"context"
+	"slices"
 
 	"repro/internal/algebra"
 	"repro/internal/distmat"
@@ -315,12 +318,58 @@ func seedFrontier[M multSided[M]](zero M, adj []*sparse.CSR[float64], in [][]boo
 
 // sweepBufs is the storage one rank's sweeps reuse across the rounds and
 // batches of a region, so that a round allocates in proportion to its
-// frontier and not to T: the ping-pong pair T accumulates in and the
-// backward frontier's scratch. (Z is folded in place, and the per-round
-// filter and screens compact the product they are handed.)
+// frontier and not to T: the ping-pong pair T accumulates in, the backward
+// frontier's scratch and the Z positions it is collected from, and the
+// rank's position table over its block of T, which outlives the region.
+// (Z is folded in place, and the per-round filter and screens compact the
+// product they are handed.)
 type sweepBufs[M, C any] struct {
 	t        distmat.Accumulator[M]
 	frontier []sparse.Entry[C]
+	ready    []int32
+	index    *blockIndex
+}
+
+// blockIndex is a dense position table over the bounding box of one rank's
+// block of T: the cell of (i, j) holds the index in the block of the entry
+// there, or −1 when the block holds none. Rebuilding it reuses its storage,
+// so a rank that keeps one allocates it once however often T changes. The
+// box is the rank's share of the product's C rectangle under stationary-C
+// plans, and at most nb × n cells where rows or columns are stage-cyclic.
+type blockIndex struct {
+	i0, j0     int32
+	rows, span int
+	pos        []int32 // pos[(i−i0)·span + (j−j0)]
+}
+
+// indexBlock rebuilds x over es, a sorted duplicate-free block.
+func indexBlock[T any](x *blockIndex, es []sparse.Entry[T]) {
+	x.rows, x.span = 0, 0
+	if len(es) == 0 {
+		return
+	}
+	j0, j1 := es[0].J, es[0].J
+	for _, e := range es {
+		j0, j1 = min(j0, e.J), max(j1, e.J)
+	}
+	x.i0, x.j0 = es[0].I, j0
+	x.rows, x.span = int(es[len(es)-1].I-x.i0)+1, int(j1-j0)+1
+	x.pos = slices.Grow(x.pos[:0], x.rows*x.span)[:x.rows*x.span]
+	for c := range x.pos {
+		x.pos[c] = -1
+	}
+	for k, e := range es {
+		x.pos[int(e.I-x.i0)*x.span+int(e.J-j0)] = int32(k)
+	}
+}
+
+// at returns the index of the entry at (i, j), or −1 when there is none.
+func (x *blockIndex) at(i, j int32) int {
+	r, c := uint(i-x.i0), uint(j-x.j0)
+	if r >= uint(x.rows) || c >= uint(x.span) {
+		return -1
+	}
+	return int(x.pos[int(r)*x.span+int(c)])
 }
 
 // sweepMFBF is Algorithm 1 on distributed matrices: every side's frontier
@@ -336,9 +385,11 @@ func sweepMFBF[M multSided[M], C, W any](
 	world := sp.sess.Proc.World()
 	t := distmat.FromGlobal(world.Rank(), seedFrontier(alg.mult.Identity, adj, in, batch), distmat.DistShard(world.Size()), alg.mult)
 	frontier := t
+	// T grows every round, so every multiply re-indexes it.
 	align := func(d distmat.Dist) func(i, j int32, v M) bool {
 		t = distmat.Redistribute(world, t, d, alg.mult)
-		return screenAgainst[M, M](t, multLoses)
+		indexBlock(buf.index, t.Local)
+		return screenAgainst[M, M](t.Local, buf.index, multLoses)
 	}
 	for iters := 0; ; iters++ {
 		ext, ok := mulPerSide(sp, false, multpathBytes, frontier, a, alg.bf, alg.mult, alg.edge, algebra.MultPathIsZero, align)
@@ -369,9 +420,18 @@ func sweepMFBr[M multSided[M], C centSided[C], W any](
 	at *distmat.Mat[W], t *distmat.Mat[M],
 ) (*distmat.Mat[C], *distmat.Mat[M], int) {
 	world := sp.sess.Proc.World()
+	// T does not change during the sweep, so it is re-indexed only when it
+	// moves to another distribution.
+	var indexed *distmat.Mat[M]
+	moveT := func(d distmat.Dist) {
+		if t = distmat.Redistribute(world, t, d, alg.mult); t != indexed {
+			indexBlock(buf.index, t.Local)
+			indexed = t
+		}
+	}
 	align := func(d distmat.Dist) func(i, j int32, v C) bool {
-		t = distmat.Redistribute(world, t, d, alg.mult)
-		return screenAgainst[M, C](t, centLoses)
+		moveT(d)
+		return screenAgainst[M, C](t.Local, buf.index, centLoses)
 	}
 	mul := func(frontier *distmat.Mat[C], all bool) (*distmat.Mat[C], bool) {
 		return mulPerSide(sp, all, centpathBytes, frontier, at, alg.br, alg.cent, alg.edge, algebra.CentPathIsZero, align)
@@ -381,33 +441,44 @@ func sweepMFBr[M multSided[M], C centSided[C], W any](
 	}
 
 	// Child counting: one product of the full T pattern with Aᵀ — much
-	// denser than any frontier product, so it gets its own plan.
-	p, _ := mul(mat(t.Dist, buildZSided[M, C](t.Local, nil, 1)), true)
-	t = distmat.Redistribute(world, t, p.Dist, alg.mult)
-	z := mat(t.Dist, buildZSided(t.Local, screenCentSided(p.Local, t.Local), 0))
+	// denser than any frontier product, so it gets its own plan. The DAG's
+	// leaves, found while Z is built, are the first frontier.
+	ones, _ := buildZSided[M, C](t.Local, nil, 1, nil)
+	p, _ := mul(mat(t.Dist, ones), true)
+	moveT(p.Dist)
+	// A pass records each position of T at most once, so |T| bounds ready.
+	counts, ready := screenCentSided(p.Local, t.Local, buf.index, slices.Grow(buf.ready[:0], len(t.Local)))
+	zl, ready := buildZSided(t.Local, counts, 0, ready[:0])
+	z := mat(t.Dist, zl)
 	for iters := 0; ; iters++ {
-		buf.frontier = collectFrontierSided(buf.frontier[:0], z.Local, t.Local, alg.cent.Identity)
+		buf.frontier = collectFrontierSided(buf.frontier[:0], z.Local, t.Local, ready, alg.cent.Identity)
 		p, ok := mul(mat(z.Dist, buf.frontier), false)
 		if !ok {
+			buf.ready = ready
 			return z, t, iters
 		}
 		if iters > t.Cols {
 			panic("core: distributed MFBr failed to converge")
 		}
-		// Keep Z and T aligned with the product's distribution.
-		t = distmat.Redistribute(world, t, p.Dist, alg.mult)
+		// Keep Z and T aligned with the product's distribution; the
+		// positions folded into are where the next frontier can come from.
+		moveT(p.Dist)
 		z = distmat.Redistribute(world, z, p.Dist, alg.cent)
-		foldInto(z.Local, screenCentSided(p.Local, t.Local), alg.cent.Op)
+		var kept []sparse.Entry[C]
+		kept, ready = screenCentSided(p.Local, t.Local, buf.index, ready[:0])
+		foldInto(z.Local, kept, ready, alg.cent.Op)
 	}
 }
 
-// The four per-entry rules. Each is a left join over sorted, identically
-// distributed entry slices, decided side by side: whether a component
+// The four per-entry rules. Each is a join of a sorted entry slice with
+// identically distributed T, decided side by side: whether a component
 // survives depends on that side's components alone, so one side's survival
 // never resurrects another. A component that does not survive becomes the
 // exact zero of its monoid; an entry survives when any component does. The
 // two screens compact their first argument — a product the caller owns and
-// is done with — in place.
+// is done with — in place. The backward rules find T, and Z, which shares
+// T's pattern entry for entry, through the rank's blockIndex: one load per
+// product, so a round costs what its product costs and not what T does.
 //
 // A fifth rule runs inside the multiply, before the local kernel sorts and
 // folds its products: screenAgainst returns Multiply's screen over this
@@ -418,29 +489,14 @@ func sweepMFBr[M multSided[M], C centSided[C], W any](
 // T must already be in the product's distribution (the redistribution that
 // used to follow the multiply), Multiply honours it only under stationary-C
 // plans (elsewhere products are partial, their reduction charged by size),
-// and the split-plan branch passes none. A lookup is a binary search in one
-// row; the closure only reads, so the kernel's workers share it.
-func screenAgainst[M multSided[M], V algebra.Sided[V, E], E any](t *distmat.Mat[M], loses func(t algebra.MultPath, v E) bool) func(i, j int32, v V) bool {
-	es := t.Local
-	rows := make([]int32, t.Rows+1)
-	for _, e := range es {
-		rows[e.I+1]++
-	}
-	for i := 0; i < t.Rows; i++ {
-		rows[i+1] += rows[i]
-	}
+// and the split-plan branch passes none. A lookup is one load from x, which
+// must index t; the closure only reads, so the kernel's workers share it.
+func screenAgainst[M multSided[M], V algebra.Sided[V, E], E any](t []sparse.Entry[M], x *blockIndex, loses func(t algebra.MultPath, v E) bool) func(i, j int32, v V) bool {
 	return func(i, j int32, v V) bool {
-		lo, end := rows[i], rows[i+1]
-		for hi := end; lo < hi; {
-			if mid := (lo + hi) / 2; es[mid].J < j {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		drop := lo < end && es[lo].J == j
+		k := x.at(i, j)
+		drop := k >= 0
 		for s := 0; drop && s < v.Sides(); s++ {
-			drop = loses(es[lo].V.Side(s), v.Side(s))
+			drop = loses(t[k].V.Side(s), v.Side(s))
 		}
 		return !drop
 	}
@@ -490,20 +546,21 @@ func screenFrontierSided[M multSided[M]](ext, t []sparse.Entry[M]) []sparse.Entr
 	return out
 }
 
-// screenCentSided keeps the centpath components matching T's weight at the same
-// coordinate. A dead T component carries weight +∞ and a dead centpath
+// screenCentSided keeps the centpath components matching T's weight at the
+// same coordinate, appending to where the position in t (x indexes t) of
+// each entry it keeps. A dead T component carries weight +∞ and a dead centpath
 // component −∞, so the equality test alone screens liveness.
-func screenCentSided[C centSided[C], M multSided[M]](p []sparse.Entry[C], t []sparse.Entry[M]) []sparse.Entry[C] {
+func screenCentSided[C centSided[C], M multSided[M]](p []sparse.Entry[C], t []sparse.Entry[M], x *blockIndex, where []int32) ([]sparse.Entry[C], []int32) {
 	out := p[:0]
-	y, hit := 0, false
 	for _, e := range p {
-		if y, hit = seek(t, y, e); !hit {
+		k := x.at(e.I, e.J)
+		if k < 0 {
 			continue
 		}
 		live := false
 		for s := 0; s < e.V.Sides(); s++ {
 			//lint:allow floateq screening requires an exact match of bit-identically replicated weights
-			if t[y].V.Side(s).W == e.V.Side(s).W {
+			if t[k].V.Side(s).W == e.V.Side(s).W {
 				live = true
 			} else {
 				e.V = e.V.WithSide(s, algebra.CentPathZero())
@@ -511,20 +568,23 @@ func screenCentSided[C centSided[C], M multSided[M]](p []sparse.Entry[C], t []sp
 		}
 		if live {
 			out = append(out, e)
+			where = append(where, int32(k))
 		}
 	}
-	return out
+	return out, where
 }
 
 // buildZSided lifts the T pattern to centpaths: every live T component appears
 // as (T.w, 0, c) with c its screened child count — the number of its
-// shortest-path-DAG children — plus base.
-func buildZSided[M multSided[M], C centSided[C]](t []sparse.Entry[M], counts []sparse.Entry[C], base int64) []sparse.Entry[C] {
+// shortest-path-DAG children — plus base. It appends to leaves the position
+// of every entry with a live component whose c is 0.
+func buildZSided[M multSided[M], C centSided[C]](t []sparse.Entry[M], counts []sparse.Entry[C], base int64, leaves []int32) ([]sparse.Entry[C], []int32) {
 	out := make([]sparse.Entry[C], 0, len(t))
 	y, hit := 0, false
-	for _, e := range t {
+	for k, e := range t {
 		y, hit = seek(counts, y, e)
 		var v C
+		leaf := false
 		for s := 0; s < e.V.Sides(); s++ {
 			c := algebra.CentPathZero()
 			if ts := e.V.Side(s); !algebra.MultPathIsZero(ts) {
@@ -532,37 +592,38 @@ func buildZSided[M multSided[M], C centSided[C]](t []sparse.Entry[M], counts []s
 				if hit {
 					c.C += counts[y].V.Side(s).C // a dead counts component has C = 0
 				}
+				leaf = leaf || c.C == 0
 			}
 			v = v.WithSide(s, c)
 		}
 		out = append(out, sparse.Entry[C]{I: e.I, J: e.J, V: v})
-	}
-	return out
-}
-
-// foldInto accumulates the screened product p into Z where it stands. p's
-// coordinates all lie on Z's pattern (the screen keeps only hits against T,
-// whose pattern Z shares) and ⊗ of a live Z entry is never zero, so this is
-// the union merge Z ⊗ p without rebuilding Z.
-func foldInto[C any](z, p []sparse.Entry[C], op func(C, C) C) {
-	y, hit := 0, false
-	for _, e := range p {
-		if y, hit = seek(z, y, e); !hit {
-			panic("core: screened product off Z's pattern")
+		if leaf {
+			leaves = append(leaves, int32(k))
 		}
-		z[y].V = op(z[y].V, e.V)
+	}
+	return out, leaves
+}
+
+// foldInto accumulates the screened product p into Z where it stands: p[n]
+// at Z's position where[n], as screenCentSided found it in T, whose pattern
+// Z shares. ⊗ of a live Z entry is never zero, so this is the union merge
+// Z ⊗ p without rebuilding Z.
+func foldInto[C any](z, p []sparse.Entry[C], where []int32, op func(C, C) C) {
+	for n, e := range p {
+		z[where[n]].V = op(z[where[n]].V, e.V)
 	}
 }
 
-// collectFrontierSided appends to out the Z components whose counter just
-// reached zero, emitting (T.w, ζ + 1/σ̄, −1) beside zero for the sides not
-// emitting and marking them done in place. Z and T share one pattern, so
-// index k addresses the same coordinate in both. The whole of Z is scanned
-// every round while a component is collected once per sweep, so an entry
-// with nothing to emit costs only the reads.
-func collectFrontierSided[C centSided[C], M multSided[M]](out, z []sparse.Entry[C], t []sparse.Entry[M], zero C) []sparse.Entry[C] {
+// collectFrontierSided appends to out the components at Z's positions ready
+// whose counter is zero, emitting (T.w, ζ + 1/σ̄, −1) beside zero for the
+// sides not emitting and marking them done in place. Z and T share one
+// pattern, so index k addresses the same coordinate in both. A counter
+// reaches zero only where Z is built or folded into, so ready lists the leaves
+// of buildZSided on the first round and the positions the last round folded
+// into after that, in increasing order: Z is never scanned whole.
+func collectFrontierSided[C centSided[C], M multSided[M]](out, z []sparse.Entry[C], t []sparse.Entry[M], ready []int32, zero C) []sparse.Entry[C] {
 	sides := zero.Sides()
-	for k := range z {
+	for _, k := range ready {
 		emit := false
 		for s := 0; s < sides; s++ {
 			zs := z[k].V.Side(s)

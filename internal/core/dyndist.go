@@ -49,10 +49,12 @@ type DistSession struct {
 }
 
 // distRank is one simulated rank's persistent state: its shard of the
-// stationary operands and its staged-working-set cache.
+// stationary operands, its staged-working-set cache and the storage of the
+// position table its sweeps find T through.
 type distRank struct {
 	aMat, atMat *distmat.Mat[float64]
 	cache       *spgemm.OperandCache
+	index       blockIndex
 	// pendingFlops is the local splice work of host-side Patch calls not
 	// yet charged to the model; the next region charges it as γ-flops in
 	// its "patch" phase, so delta-patching is never free compute.
@@ -291,7 +293,7 @@ func sweepRegion[M multSided[M], C centSided[C], W any](
 
 		proc.Phase(machine.PhaseSweep)
 		acc := make([]float64, len(pls)*n)
-		buf := new(sweepBufs[M, C])
+		buf := &sweepBufs[M, C]{index: &rk.index}
 		iters, batches := 0, 0
 		for _, batch := range batchList(n, nb, sources) {
 			batches++

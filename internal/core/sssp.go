@@ -89,7 +89,7 @@ func SSSPDistributed(g *graph.Graph, sources []int32, opt DistOptions) (*SSSPRes
 		rk := sess.ranks[proc.Rank()]
 		sp := &sidePlans{sess: spgemm.NewSessionWithCache(proc, rk.cache), pls: []planner{pl}, plans: make([]spgemm.Plan, 1)}
 		sp.sess.Workers = opt.Workers
-		t, iters := sweepMFBF(sp, new(sweepBufs[algebra.MultPath, algebra.CentPath]), alg, rk.aMat, []*sparse.CSR[float64]{sess.adjCSR}, [][]bool{nil}, sources)
+		t, iters := sweepMFBF(sp, &sweepBufs[algebra.MultPath, algebra.CentPath]{index: &rk.index}, alg, rk.aMat, []*sparse.CSR[float64]{sess.adjCSR}, [][]bool{nil}, sources)
 		full := distmat.Gather(proc.World(), t, alg.mult)
 		if proc.Rank() == 0 {
 			gathered, res.Iterations = full, iters
