@@ -4,7 +4,7 @@
 GO ?= go
 BIN := bin/mfbc-lint
 
-.PHONY: all build lint lint-standalone test race bench bench-module examples load-quick tidy-check fmt-check deps-check loc surface check clean
+.PHONY: all build lint lint-standalone test race bench bench-module examples tidy-check fmt-check deps-check loc surface check clean
 
 all: build
 
@@ -52,12 +52,6 @@ examples:
 		timeout 300 $(GO) run ./examples/$$e >/dev/null || { echo "examples/$$e failed" >&2; exit 1; }; \
 	done
 
-## load-quick: in-process saturation sweep of the query service (the CI
-## load check; writes the sweep result as JSON and the embedded server's
-## request traces).
-load-quick:
-	$(GO) run ./cmd/mfbc-load -quick -json BENCH_load_quick.json -trace-out TRACE_load_quick.jsonl
-
 tidy-check:
 	$(GO) mod tidy -diff
 
@@ -68,29 +62,30 @@ fmt-check:
 	fi
 
 ## deps-check: the import edges that must stay cut. The library links
-## neither the paper harness nor a TCP mesh it never starts; the load sweep
-## and the paper harness do not know each other, the paper harness knows
-## no streaming engine and no server, and the metrics/tracing package knows
-## no machine (phase labels are the registry's own names).
+## neither the paper harness nor a TCP mesh it never starts, the paper
+## harness knows no streaming engine and no server, and the metrics/tracing
+## package knows no machine (phase labels are the registry's own names).
 deps-check:
 	@nodep() { if $(GO) list -deps $$1 | grep -E "repro/internal/($$2)\$$"; then echo "$$1 must not import the above" >&2; exit 1; fi; }; \
-	nodep . 'bench|machine/tcpnet' && nodep ./internal/load 'bench' && nodep ./internal/bench 'dynamic|server|load' && nodep ./internal/obs 'machine'
+	nodep . 'bench|machine/tcpnet' && nodep ./internal/bench 'dynamic|server' && nodep ./internal/obs 'machine'
 
 ## loc: the non-test Go line count the ROADMAP's simplicity targets are
 ## stated in (*.go outside benchmarks/ and */testdata/*, no *_test.go), for
-## the repository, internal/core, internal/bench and internal/load. Every
-## simplicity PR reports these.
+## the repository, internal/core and internal/bench. Every simplicity PR
+## reports these.
 loc:
 	@count() { find $$1 -name '*.go' ! -name '*_test.go' ! -path './benchmarks/*' ! -path '*/testdata/*' -exec cat {} + | wc -l; }; \
-	echo "non-test Go lines: repository $$(count .), internal/core $$(count ./internal/core), internal/bench $$(count ./internal/bench), internal/load $$(count ./internal/load)"
+	echo "non-test Go lines: repository $$(count .), internal/core $$(count ./internal/core), internal/bench $$(count ./internal/bench)"
 
 ## surface: the three settable-surface counts every simplicity PR reports
-## beside `make loc` — flag definitions under cmd/, exported fields of the
-## four option structs, exported struct types declared in the root package
-## (aliases are not declarations) — all over non-test sources.
+## beside `make loc` — flag definitions under cmd/ (package-level flag.X
+## calls and the same methods on a FlagSet, which is named fs by
+## convention), exported fields of the four option structs, exported struct
+## types declared in the root package (aliases are not declarations) — all
+## over non-test sources.
 surface:
 	@fields() { awk -v t="type $$2 struct {" '$$0 == t {in_t = 1; next} in_t && /^}/ {in_t = 0} in_t && /^\t[A-Z][A-Za-z0-9]*( |$$)/ {n++} END {print n + 0}' $$1; }; \
-	flags=$$(find cmd -name '*.go' ! -name '*_test.go' | xargs grep -hoE 'flag\.(Bool|Int|Int64|Uint|Uint64|Float64|String|Duration|Text)?(Var|Func)?\(' | wc -l); \
+	flags=$$(find cmd -name '*.go' ! -name '*_test.go' | xargs grep -hoE '\<(flag|fs)\.(Bool|Int|Int64|Uint|Uint64|Float64|String|Duration|Text)?(Var|Func)?\(' | wc -l); \
 	opts=$$(( $$(fields repro.go Options) + $$(fields internal/dynamic/dynamic.go Config) + $$(fields internal/core/dist.go DistOptions) + $$(fields internal/server/server.go Config) )); \
 	structs=$$(ls *.go | grep -v '_test\.go$$' | xargs cat | grep -cE '^type [A-Z][A-Za-z0-9]* struct'); \
 	echo "surface: cmd flags $$flags, option fields $$opts, root exported structs $$structs"

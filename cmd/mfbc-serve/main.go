@@ -66,7 +66,14 @@ import (
 	"repro/internal/server"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is main with an exit status, so that every deferred cleanup — above
+// all the tcp worker fleet's ordered shutdown — runs on every exit path.
+// Whatever can fail without a backend (flag combinations, binding the
+// listeners, opening the trace file) fails before buildServer brings one
+// up.
+func run() int {
 	// Flags the service itself reads are bound straight into its Config;
 	// serveConfig holds the rest of what buildServer needs.
 	var scfg server.Config
@@ -97,27 +104,42 @@ func main() {
 
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
 	slog.SetDefault(logger)
+	fail := func(err error) int {
+		fmt.Fprintln(os.Stderr, "mfbc-serve:", err)
+		return 1
+	}
+
+	if *traceOut != "" && cfg.traceBuf <= 0 {
+		return fail(errors.New("-trace-out needs tracing enabled (-trace-buf > 0)"))
+	}
+	l, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return fail(err)
+	}
+	defer l.Close()
+	var dl net.Listener
+	if *debugAddr != "" {
+		if dl, err = net.Listen("tcp", *debugAddr); err != nil {
+			return fail(err)
+		}
+		defer dl.Close()
+	}
+	var traceSink *os.File
+	if *traceOut != "" {
+		if traceSink, err = os.OpenFile(*traceOut, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644); err != nil {
+			return fail(err)
+		}
+		defer traceSink.Close()
+	}
 
 	scfg.Logger = logger
 	s, cleanup, err := buildServer(scfg, cfg, *preload)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "mfbc-serve:", err)
-		os.Exit(1)
+		return fail(err)
 	}
 	defer cleanup()
-	if *traceOut != "" {
-		tr := s.Tracer()
-		if tr == nil {
-			fmt.Fprintln(os.Stderr, "mfbc-serve: -trace-out needs tracing enabled (-trace-buf > 0)")
-			os.Exit(1)
-		}
-		f, err := os.OpenFile(*traceOut, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mfbc-serve:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		tr.SetSink(f)
+	if traceSink != nil {
+		s.Tracer().SetSink(traceSink)
 		logger.Info("streaming traces", "path", *traceOut)
 	}
 	for _, info := range s.Graphs() {
@@ -126,11 +148,6 @@ func main() {
 			"version", fmt.Sprintf("%016x", info.Version))
 	}
 
-	l, err := net.Listen("tcp", *addr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mfbc-serve:", err)
-		os.Exit(1)
-	}
 	srv := newHTTPServer(server.NewMux(s), httpTimeouts{
 		readHeader: *readHeaderTimeout, read: *readTimeout,
 		write: *writeTimeout, idle: *idleTimeout,
@@ -138,12 +155,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if *debugAddr != "" {
-		dl, err := net.Listen("tcp", *debugAddr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mfbc-serve:", err)
-			os.Exit(1)
-		}
+	if dl != nil {
 		dsrv := &http.Server{Handler: debugMux(s), ReadHeaderTimeout: *readHeaderTimeout}
 		go func() {
 			if err := dsrv.Serve(dl); err != nil && !errors.Is(err, http.ErrServerClosed) {
@@ -157,9 +169,10 @@ func main() {
 	logger.Info("mfbc-serve listening", "addr", l.Addr().String())
 	if err := serve(ctx, srv, l, *shutdownGrace); err != nil {
 		logger.Error("mfbc-serve", "err", err)
-		os.Exit(1)
+		return 1
 	}
 	logger.Info("mfbc-serve: drained and shut down")
+	return 0
 }
 
 // debugMux is the operator-only surface served on -debug-addr: the pprof

@@ -434,6 +434,52 @@ func TestLogFlagsRemoved(t *testing.T) {
 	}
 }
 
+// TestFailsBeforeMesh runs the built binary with a -transport tcp mesh
+// that can never form (nothing listens on the second peer) and a flag
+// error or a taken -addr: each must exit 1 at once with its own message,
+// before any mesh rendezvous — once a worker fleet is up, only run's
+// deferred cleanup gives it the ordered shutdown, and os.Exit skips that.
+func TestFailsBeforeMesh(t *testing.T) {
+	bin := buildServeBinary(t)
+	taken, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer taken.Close()
+	const rendezvous = 3 * time.Second
+	for _, tc := range []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"trace-out without tracing",
+			[]string{"-addr", "127.0.0.1:0", "-trace-buf", "0", "-trace-out", filepath.Join(t.TempDir(), "t.jsonl")},
+			"-trace-out needs tracing enabled"},
+		{"addr taken", []string{"-addr", taken.Addr().String()}, "address already in use"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			peers := reservePorts(t, 2)
+			args := append([]string{"-transport", "tcp", "-peers", strings.Join(peers, ","),
+				"-rendezvous", rendezvous.String()}, tc.args...)
+			ctx, cancel := context.WithTimeout(context.Background(), 4*rendezvous)
+			defer cancel()
+			start := time.Now()
+			out, err := exec.CommandContext(ctx, bin, args...).CombinedOutput()
+			elapsed := time.Since(start)
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+				t.Fatalf("err = %v, want exit status 1\n%s", err, out)
+			}
+			if !strings.Contains(string(out), tc.want) {
+				t.Fatalf("output lacks %q:\n%s", tc.want, out)
+			}
+			if elapsed >= rendezvous {
+				t.Fatalf("exited after %s: it waited on the mesh first", elapsed)
+			}
+		})
+	}
+}
+
 // TestIngestFlagRemoved: the write-ahead queue is the only write path, so
 // the switch that used to select it is rejected as unknown, while the two
 // flags that tune it stay.

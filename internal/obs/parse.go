@@ -38,14 +38,3 @@ func ParseText(text string) (Samples, error) {
 	}
 	return out, nil
 }
-
-// Delta returns m − before per series. Series absent from before (e.g. a
-// label child first observed mid-run) count from zero; series absent from
-// m are dropped.
-func (m Samples) Delta(before Samples) Samples {
-	d := make(Samples, len(m))
-	for k, v := range m {
-		d[k] = v - before[k]
-	}
-	return d
-}

@@ -59,7 +59,7 @@ func NewRegistry() *Registry {
 }
 
 // register installs a family, panicking on a duplicate name: metric names
-// are a global contract (dashboards and the load harness join on them), so
+// are a global contract (dashboards and the benchmark join on them), so
 // colliding registrations are programmer error, not a runtime condition.
 func (r *Registry) register(f *family) *family {
 	r.mu.Lock()

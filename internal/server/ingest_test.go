@@ -437,8 +437,8 @@ func TestGroupCommitDifferential(t *testing.T) {
 	}
 }
 
-// TestIngestStatsReadback: the exposition surfaces the ingest counters the
-// load harness takes its deltas from.
+// TestIngestStatsReadback: the exposition surfaces the ingest counters an
+// operator reads the write path from.
 func TestIngestStatsReadback(t *testing.T) {
 	s := New(Config{Workers: 1})
 	if _, err := s.AddGraph("g", repro.GridGraph(4, 4, 1, 1)); err != nil {

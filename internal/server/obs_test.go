@@ -1,6 +1,8 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
 	"io"
 	"log/slog"
 	"net/http"
@@ -152,17 +154,24 @@ func TestQueryTraceSource(t *testing.T) {
 }
 
 // TestMetricsEndpointDeterministic exercises the registry through the real
-// HTTP surface under concurrent load, then checks that back-to-back
-// scrapes of a quiescent server are byte-identical and parse back to the
-// counters the traffic produced. Run with -race this also proves scraping is safe against
-// concurrent writers.
+// HTTP surface under concurrent mixed load — query readers beside PATCH
+// writers, some acked on apply and some on enqueue — then checks that
+// back-to-back scrapes of a quiescent server are byte-identical and parse
+// back to exactly the traffic the clients sent: per-route request counts
+// and latency counts, every response 2xx, cache hits and group commits.
+// Run with -race this also proves scraping is safe against concurrent
+// writers.
 func TestMetricsEndpointDeterministic(t *testing.T) {
 	s := New(Config{Workers: 1})
 	ts := httptest.NewServer(NewMux(s))
 	defer ts.Close()
 
-	doJSON(t, ts, "POST", "/graphs/g",
-		GraphSpec{Kind: "uniform", N: 20, M: 60, Seed: 1}, http.StatusCreated, nil)
+	spec := GraphSpec{Kind: "uniform", N: 20, M: 60, Seed: 1}
+	doJSON(t, ts, "POST", "/graphs/g", spec, http.StatusCreated, nil)
+	g, err := BuildGraph(spec) // the edges the server registered
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	scrapeHTTP := func() string {
 		t.Helper()
@@ -193,19 +202,69 @@ func TestMetricsEndpointDeterministic(t *testing.T) {
 		}
 	}
 
+	// send runs on the client goroutines, so it reports with t.Error. Every
+	// response is checked as it arrives against its one expected 2xx code.
+	send := func(method, path string, body any, want int) {
+		buf, err := json.Marshal(body)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		req, err := http.NewRequest(method, ts.URL+path, bytes.NewReader(buf))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("%s %s: status %d, want %d", method, path, resp.StatusCode, want)
+		}
+	}
+	const readers, queries = 4, 10
+	const writers, patches = 2, 5
 	var wg sync.WaitGroup
-	for w := range 4 {
+	for w := range readers {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := range 10 {
-				doJSON(t, ts, "POST", "/query",
-					QueryRequest{Graph: "g", K: (w*10+i)%5 + 1}, http.StatusOK, nil)
+			for i := range queries {
+				send("POST", "/query", QueryRequest{Graph: "g", K: (w*10+i)%5 + 1}, http.StatusOK)
 				_ = scrapeHTTP() // scrape mid-load: must not race with writers
 			}
 		}(w)
 	}
+	for w := range writers {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			durability, status := DurabilityApplied, http.StatusOK
+			if w%2 == 1 {
+				durability, status = DurabilityEnqueued, http.StatusAccepted
+			}
+			for i := range patches {
+				e := g.Edges[w*patches+i]
+				send("PATCH", "/graphs/g", MutateRequest{
+					Mutations:  []repro.Mutation{{Op: repro.MutSetWeight, U: e.U, V: e.V, W: float64(2 + i)}},
+					Durability: durability,
+				}, status)
+			}
+		}(w)
+	}
 	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	// An enqueued PATCH acks before its commit. A committed batch observes
+	// its queue wait just before it resolves, the commit's last write to
+	// the registry, so once every batch has one the server is quiescent.
+	waitFor(t, "enqueued batches committed", func() bool {
+		return metric(t, s, "mfbc_ingest_queue_wait_seconds_count") == writers*patches
+	})
 
 	first := scrapeHTTP()
 	for i := range 3 {
@@ -228,8 +287,30 @@ func TestMetricsEndpointDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := parsed["mfbc_queries_total"]; got != 40 {
-		t.Errorf("mfbc_queries_total = %v, want 40", got)
+	if got := parsed["mfbc_queries_total"]; got != readers*queries {
+		t.Errorf("mfbc_queries_total = %v, want %d", got, readers*queries)
+	}
+	// What the server counted per route is exactly what the clients sent,
+	// all of it 2xx, and the latency histogram saw every request.
+	for route, sent := range map[string]float64{"query": readers * queries, "mutate": writers * patches} {
+		byCode := 0.0
+		for series, v := range parsed {
+			if strings.HasPrefix(series, "mfbc_http_requests_total{") && strings.Contains(series, `route="`+route+`"`) {
+				byCode += v
+			}
+		}
+		ok := parsed[`mfbc_http_requests_total{code="2xx",route="`+route+`"}`]
+		timed := parsed[`mfbc_http_request_duration_seconds_count{route="`+route+`"}`]
+		if byCode != sent || ok != sent || timed != sent {
+			t.Errorf("route %s: server counted %v requests (%v 2xx, %v timed), clients sent %v",
+				route, byCode, ok, timed, sent)
+		}
+	}
+	if got := parsed["mfbc_query_cache_hits_total"]; got == 0 {
+		t.Error("no cache hits across the run")
+	}
+	if got := parsed["mfbc_ingest_group_commits_total"]; got < 1 {
+		t.Errorf("mfbc_ingest_group_commits_total = %v, want ≥ 1", got)
 	}
 }
 

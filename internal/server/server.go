@@ -189,8 +189,8 @@ type flightCall struct {
 
 // Stats is the four-counter snapshot the repository benchmark reads
 // in-process (benchmarks/traced.go, which BENCHMARK.json freezes). It is
-// not a second counter surface: every other reader — tests, the load
-// harness, operators — reads the registry (GET /metrics, obs.ParseText).
+// not a second counter surface: every other reader — tests, operators —
+// reads the registry (GET /metrics, obs.ParseText).
 type Stats struct {
 	Queries   int64 // mfbc_queries_total
 	CacheHits int64 // mfbc_query_cache_hits_total
