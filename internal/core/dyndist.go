@@ -259,8 +259,9 @@ type regionOutcome struct {
 	bc                    []float64
 	stats                 machine.RunStats
 	iters, batches, split int
-	// Products the region's multiplies evaluated and those screenAgainst
-	// kept from the kernel's sort, over the ranks this process hosts.
+	// Products the region's multiplies evaluated and those the in-multiply
+	// rules (screenAgainst, maskAgainst) dropped before the kernel folded
+	// them, over the ranks this process hosts.
 	products, screened atomic.Int64
 }
 

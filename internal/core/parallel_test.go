@@ -11,6 +11,7 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/graph"
 	"repro/internal/sparse"
+	"repro/internal/spgemm"
 )
 
 // workerCounts and batchWidths span the row partition's edge cases: one
@@ -198,21 +199,37 @@ func TestBatchAllocBudget(t *testing.T) {
 }
 
 // TestMFBCDistributedWorkersInvariant: the distributed engine must also be
-// worker-count invariant (parallel local kernels inside simulated ranks).
+// worker-count invariant (parallel local kernels inside simulated ranks),
+// for a one-shot batch and for a fused incremental apply, under the
+// automatic plan and under a forced stationary-C plan, where every backward
+// product folds through one accumulator lane per worker.
 func TestMFBCDistributedWorkersInvariant(t *testing.T) {
 	g := graph.RMAT(graph.DefaultRMAT(7, 8, 11))
-	base, err := MFBCDistributed(g, DistOptions{Procs: 4, Batch: 32, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{0, 3} {
-		res, err := MFBCDistributed(g, DistOptions{Procs: 4, Batch: 32, Workers: w})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for v := range base.BC {
-			if res.BC[v] != base.BC[v] {
-				t.Fatalf("workers=%d: BC[%d] = %v, want %v", w, v, res.BC[v], base.BC[v])
+	mesh, mesh2, diffs, sources := fusedTestSetup(t, false)
+	summa := spgemm.Plan{P1: 1, P2: 2, P3: 2, X: spgemm.RoleA, YZ: spgemm.VarAB}
+	for _, plan := range []*spgemm.Plan{nil, &summa} {
+		var base uint64
+		for _, w := range []int{1, 0, 2, 3, 4} {
+			res, err := MFBCDistributed(g, DistOptions{Procs: 4, Batch: 32, Workers: w, Plan: plan})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sess, err := NewDistSession(mesh, DistOptions{Procs: 4, Batch: 16, Workers: w, Plan: plan})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sess.Run(nil); err != nil {
+				t.Fatal(err)
+			}
+			fused, err := sess.ApplyIncremental(sources, mesh2, nil, diffs, sources)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := scoreHash(res.BC, fused.OldBC, fused.NewBC)
+			if w == 1 {
+				base = h
+			} else if h != base {
+				t.Errorf("plan %v workers=%d: scores hash %#x, workers=1 %#x", plan, w, h, base)
 			}
 		}
 	}

@@ -19,11 +19,12 @@
 //     present: Z's weight always equals T's, and the child counter is row
 //     scratch because it ends at −1 on every present pair. 24 B·nb·n in all.
 //   - Each worker owns a rowScratch: the sparse accumulators, their
-//     occupancy bitset and touched list, two frontier buffers it alternates
-//     between, and the backward sweep's child counters and tight-predecessor
-//     lists — int32 vertices laid out on Aᵀ's own row extents, 4 B·nnz(A),
-//     a third of A itself. All are sized once and reused across rows,
-//     rounds and batches.
+//     occupancy bitset and touched list (drained by sparse.DrainOrder, the
+//     rule of the entry-list kernel's accumulator too), two frontier buffers
+//     it alternates between, and the backward sweep's child counters and
+//     tight-predecessor lists — int32 vertices laid out on Aᵀ's own row
+//     extents, 4 B·nnz(A), a third of A itself. All are sized once and
+//     reused across rows, rounds and batches.
 //
 // Rows of the batch never interact, so a worker takes each of its rows to
 // convergence before the next (forwardRow, backwardRow): the T row, the Z
@@ -51,7 +52,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"slices"
 	"sync"
 
@@ -153,27 +153,11 @@ func (s *rowScratch) size(n int) {
 }
 
 // drainOrder returns the columns the last product touched in ascending
-// order and clears their occupancy. A short touched list is sorted; once it
-// is at least as long as the bitset has words (n/64 — a property of the
-// round, not a setting), scanning the words costs no more than one step per
-// touched column and replaces the sort. The returned slice is the touched
-// list's storage and is valid until the next product.
+// order and clears their occupancy, by the rule of sparse.DrainOrder. The
+// returned slice is the touched list's storage and is valid until the next
+// product.
 func (s *rowScratch) drainOrder() []int32 {
-	t := s.touched
-	if len(t) >= len(s.occ) {
-		t = t[:0]
-		for w, word := range s.occ {
-			for ; word != 0; word &= word - 1 {
-				t = append(t, int32(w<<6+bits.TrailingZeros64(word)))
-			}
-			s.occ[w] = 0
-		}
-	} else {
-		slices.Sort(t)
-		for _, j := range t {
-			s.occ[j>>6] = 0
-		}
-	}
+	t := sparse.DrainOrder(s.occ, s.touched)
 	s.touched = t[:0]
 	return t
 }

@@ -421,6 +421,56 @@ func Multiply[TA, TB, TC any](
 	add algebra.Monoid[TC], addA algebra.Monoid[TA], addB algebra.Monoid[TB],
 	cacheB bool, screen func(i, j int32, v TC) bool,
 ) *distmat.Mat[TC] {
+	return multiply(s, plan, a, b, f, add, addA, addB, cacheB, filter[TC]{screen: screen})
+}
+
+// Mask confines a product to the coordinates of a sorted, duplicate-free
+// block that the rank holds in C's distribution, Len entries long — MFBr's
+// T, whose pattern Z shares. Slot returns the position in the block of the
+// product v at (i, j), or −1 to drop it; it must return a coordinate's own
+// position whenever it keeps a product there. Acc is the accumulator the
+// local kernel folds into, keyed by position, and whose storage the caller
+// keeps across products. Workers > 1 call Slot from several goroutines at
+// once.
+type Mask[T any] struct {
+	Slot func(i, j int32, v T) int
+	Len  int
+	Acc  *sparse.SPA[sparse.Entry[T]]
+}
+
+// MultiplyMasked is Multiply with a mask in place of the screen. Where the
+// screen would run, the local kernel folds each product the mask keeps at
+// its position in the block, in the order the products arrive, and drains
+// the positions in ascending order — the block's (i, j) order — which is
+// the sorted, folded entry list of the sorting kernel restricted to the
+// block, bit for bit and without a sort. A dropped product is charged as a
+// flop and counted in Session.Screened. Elsewhere the mask is ignored and C
+// is the whole product. The contract of the screen holds: drop only what
+// cannot change what the caller keeps of C, and depend on no drop.
+func MultiplyMasked[TA, TB, TC any](
+	s *Session, plan Plan,
+	a *distmat.Mat[TA], b *distmat.Mat[TB],
+	f func(TA, TB) TC,
+	add algebra.Monoid[TC], addA algebra.Monoid[TA], addB algebra.Monoid[TB],
+	cacheB bool, mask *Mask[TC],
+) *distmat.Mat[TC] {
+	return multiply(s, plan, a, b, f, add, addA, addB, cacheB, filter[TC]{mask: mask})
+}
+
+// filter is what the local kernel asks about a product before it keeps it:
+// at most one of a screen and a mask (neither = keep everything).
+type filter[TC any] struct {
+	screen func(i, j int32, v TC) bool
+	mask   *Mask[TC]
+}
+
+func multiply[TA, TB, TC any](
+	s *Session, plan Plan,
+	a *distmat.Mat[TA], b *distmat.Mat[TB],
+	f func(TA, TB) TC,
+	add algebra.Monoid[TC], addA algebra.Monoid[TA], addB algebra.Monoid[TB],
+	cacheB bool, flt filter[TC],
+) *distmat.Mat[TC] {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("spgemm: dimension mismatch %dx%d * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
@@ -471,9 +521,12 @@ func Multiply[TA, TB, TC any](
 	switch plan.YZ {
 	case VarAB:
 		if plan.P1 > 1 && plan.X == RoleC {
-			screen = nil // the layers' partial products meet in the fiber reduce below
+			flt = filter[TC]{} // the layers' partial products meet in the fiber reduce below
 		}
-		c = runAB(s, g, plan, r, aE, sb, f, add, workers, screen)
+		if flt.mask != nil {
+			flt.mask.Acc.Size(flt.mask.Len, workers)
+		}
+		c = runAB(s, g, plan, r, aE, sb, f, add, workers, flt)
 	case VarAC:
 		c = runAC(s, g, plan, r, aE, sb, f, add, workers)
 	default:
@@ -744,7 +797,7 @@ func (b *stagedB[T]) bcast(c *machine.Comm, root, t int) ([]sparse.Entry[T], []i
 func runAB[TA, TB, TC any](
 	sess *Session, g *machine.Grid3, plan Plan, r ranges,
 	aE []sparse.Entry[TA], b *stagedB[TB],
-	f func(TA, TB) TC, add algebra.Monoid[TC], workers int, screen func(i, j int32, v TC) bool,
+	f func(TA, TB) TC, add algebra.Monoid[TC], workers int, flt filter[TC],
 ) []sparse.Entry[TC] {
 	s := plan.Stages()
 	aStage := bucketByStage(aE, s, func(e sparse.Entry[TA]) int { return partIn(e.J, r.k0, r.k1, s) })
@@ -753,7 +806,7 @@ func runAB[TA, TB, TC any](
 		aBlk := machine.Bcast(g.G2.Row, t%plan.P3, aStage[t])
 		bBlk, offs := b.bcast(g.G2.Col, t%plan.P2, t)
 		kb0, kb1 := stageBounds(t, r.k0, r.k1, s)
-		prod, ops := mulEntriesParallel(sess, aBlk, bBlk, offs, kb0, kb1, f, add, workers, screen)
+		prod, ops := mulEntriesParallel(sess, aBlk, bBlk, offs, kb0, kb1, f, add, workers, flt)
 		sess.Proc.AddFlops(ops)
 		acc = distmat.MergeSortedParallel(acc, prod, add, workers)
 	}
@@ -776,7 +829,7 @@ func runAC[TA, TB, TC any](
 	}
 	for t := 0; t < s; t++ {
 		aBlk := machine.Bcast(g.G2.Row, t%plan.P3, aStage[t])
-		prod, ops := mulEntriesParallel(sess, aBlk, b.entries, b.offs[0], kb0, kb1, f, add, workers, nil)
+		prod, ops := mulEntriesParallel(sess, aBlk, b.entries, b.offs[0], kb0, kb1, f, add, workers, filter[TC]{})
 		sess.Proc.AddFlops(ops)
 		red := machine.ReduceSlices(g.G2.Col, t%plan.P2, prod, merge)
 		if g.G2.MyR == t%plan.P2 {
@@ -801,7 +854,7 @@ func runBC[TA, TB, TC any](
 	}
 	for t := 0; t < s; t++ {
 		bBlk, offs := b.bcast(g.G2.Col, t%plan.P2, t)
-		prod, ops := mulEntriesParallel(sess, aE, bBlk, offs, kb0, kb1, f, add, workers, nil)
+		prod, ops := mulEntriesParallel(sess, aE, bBlk, offs, kb0, kb1, f, add, workers, filter[TC]{})
 		sess.Proc.AddFlops(ops)
 		red := machine.ReduceSlices(g.G2.Row, t%plan.P3, prod, merge)
 		if g.G2.MyC == t%plan.P3 {
@@ -816,16 +869,18 @@ func runBC[TA, TB, TC any](
 // on CSR row count; here A is a coordinate list).
 const mulEntriesMinEntries = 8
 
-// mulEntriesParallel computes mulEntriesRange's product with A's rows
+// mulEntriesParallel computes the row-wise kernel's product with A's rows
 // blocked across workers: chunk boundaries are aligned to row breaks, each
-// worker runs the row-wise kernel on its chunk against the shared B index,
-// and the row-disjoint sorted outputs are concatenated in row order — so
-// the result is identical to the sequential kernel. offs is bE's row index
-// over [k0, k1) when the caller holds one (a staged stationary block), nil
-// to have it built here.
+// worker runs the kernel on its chunk against the shared B index, and the
+// row-disjoint sorted outputs are concatenated in row order — so the result
+// is identical to the sequential kernel. Under a mask, chunk c folds through
+// lane c of the mask's accumulator: the mask's positions ascend with the
+// row, so chunks touch disjoint positions. offs is bE's row index over
+// [k0, k1) when the caller holds one (a staged stationary block), nil to
+// have it built here.
 func mulEntriesParallel[TA, TB, TC any](
 	sess *Session, aE []sparse.Entry[TA], bE []sparse.Entry[TB], offs []int32, k0, k1 int32,
-	f func(TA, TB) TC, add algebra.Monoid[TC], workers int, screen func(i, j int32, v TC) bool,
+	f func(TA, TB) TC, add algebra.Monoid[TC], workers int, flt filter[TC],
 ) ([]sparse.Entry[TC], int64) {
 	if len(aE) == 0 || len(bE) == 0 {
 		return nil, 0
@@ -833,8 +888,14 @@ func mulEntriesParallel[TA, TB, TC any](
 	if offs == nil {
 		offs = indexRows(bE, k0, k1)
 	}
+	kernel := func(aE []sparse.Entry[TA], lane int) ([]sparse.Entry[TC], int64) {
+		if flt.mask != nil {
+			return mulEntriesMasked(sess, aE, bE, offs, k0, k1, f, add, flt.mask, lane)
+		}
+		return mulEntriesRange(sess, aE, bE, offs, k0, k1, f, add, flt.screen)
+	}
 	if workers <= 1 || len(aE) < mulEntriesMinEntries {
-		return mulEntriesRange(sess, aE, bE, offs, k0, k1, f, add, screen)
+		return kernel(aE, 0)
 	}
 	// Align the even split of aE to row boundaries (entries are row-sorted).
 	bounds := []int{0}
@@ -849,12 +910,12 @@ func mulEntriesParallel[TA, TB, TC any](
 	}
 	bounds = append(bounds, len(aE))
 	if len(bounds) <= 2 {
-		return mulEntriesRange(sess, aE, bE, offs, k0, k1, f, add, screen)
+		return kernel(aE, 0)
 	}
 	chunks := make([][]sparse.Entry[TC], len(bounds)-1)
 	var ops atomic.Int64
 	parallel.For(len(chunks), len(chunks), func(part, _, _ int) {
-		out, n := mulEntriesRange(sess, aE[bounds[part]:bounds[part+1]], bE, offs, k0, k1, f, add, screen)
+		out, n := kernel(aE[bounds[part]:bounds[part+1]], part)
 		chunks[part] = out
 		ops.Add(n)
 	})
@@ -887,7 +948,10 @@ func indexRows[TB any](bE []sparse.Entry[TB], k0, k1 int32) []int32 {
 // bE's rows both lie in [k0, k1). Inputs are (row, col)-sorted; the output
 // is sorted and duplicate-free. A product the screen (nil = none) rejects
 // never enters the row buffer; the session counts it, and every product.
-// Returns the entry list and the f-evaluation count.
+// Returns the entry list and the f-evaluation count. It sorts each row's
+// products: this is the kernel of every product whose coordinates are not
+// known in advance — the forward sweep's (T grows), the fused apply's
+// split-plan rounds, partial-C plans, and the CombBLAS-style baseline's.
 func mulEntriesRange[TA, TB, TC any](
 	sess *Session, aE []sparse.Entry[TA], bE []sparse.Entry[TB], offs []int32, k0, k1 int32,
 	f func(TA, TB) TC, add algebra.Monoid[TC], screen func(i, j int32, v TC) bool,
@@ -947,6 +1011,49 @@ func mulEntriesRange[TA, TB, TC any](
 		}
 	}
 	flushRow(row)
+	sess.Products.Add(ops)
+	sess.Screened.Add(dropped)
+	return out, ops
+}
+
+// mulEntriesMasked is mulEntriesRange under a mask: each product the mask
+// keeps folds at its position through the given lane of the mask's
+// accumulator, and the drain emits the touched positions in ascending order.
+// Products reach a coordinate in k-order, as the stable sort left them, and
+// fold left to right from the first, so the output — zero folds dropped —
+// is bit for bit the sorting kernel's restricted to the mask.
+func mulEntriesMasked[TA, TB, TC any](
+	sess *Session, aE []sparse.Entry[TA], bE []sparse.Entry[TB], offs []int32, k0, k1 int32,
+	f func(TA, TB) TC, add algebra.Monoid[TC], mask *Mask[TC], lane int,
+) ([]sparse.Entry[TC], int64) {
+	slab, touched := mask.Acc.Val, mask.Acc.Lane(lane)
+	var ops, dropped int64
+	for _, ea := range aE {
+		if ea.J < k0 || ea.J >= k1 {
+			continue
+		}
+		lo, hi := offs[ea.J-k0], offs[ea.J-k0+1]
+		for _, eb := range bE[lo:hi] {
+			v := f(ea.V, eb.V)
+			ops++
+			k := mask.Slot(ea.I, eb.J, v)
+			switch {
+			case k < 0:
+				dropped++
+			case touched.Touch(int32(k)):
+				slab[k] = sparse.Entry[TC]{I: ea.I, J: eb.J, V: v}
+			default:
+				slab[k].V = add.Op(slab[k].V, v)
+			}
+		}
+	}
+	keys := touched.Drain()
+	out := make([]sparse.Entry[TC], 0, len(keys))
+	for _, k := range keys {
+		if e := slab[k]; !add.IsZero(e.V) {
+			out = append(out, e)
+		}
+	}
 	sess.Products.Add(ops)
 	sess.Screened.Add(dropped)
 	return out, ops
