@@ -10,7 +10,7 @@
 //
 //	mfbc-serve -addr :8080
 //	mfbc-serve -addr :8080 -preload social=graph.txt -cache 512 -workers 0 -dirty 0.25
-//	mfbc-serve -addr :8080 -dyn-procs 16 -dyn-cache-sets 4
+//	mfbc-serve -addr :8080 -dyn-procs 16
 //	mfbc-serve -addr :8080 -trace-out traces.jsonl -slow-query 500ms -debug-addr 127.0.0.1:6060
 //
 // Then:
@@ -87,7 +87,6 @@ func run() int {
 	flag.StringVar(&cfg.transport, "transport", "sim", "machine backend for distributed mutation re-computation: 'sim' (in-process simulated machine) or 'tcp' (rank-per-process mesh; this server is rank 0 and every other -peers entry must run cmd/mfbc-rank)")
 	flag.StringVar(&cfg.peers, "peers", "", "with -transport tcp: comma-separated host:port of every rank in rank order; entry 0 is this server's machine endpoint (distinct from -addr)")
 	flag.DurationVar(&cfg.rendezvous, "rendezvous", 0, "with -transport tcp: how long to keep retrying the mesh connect while ranks start (0 = 15s default)")
-	flag.IntVar(&scfg.DynCacheSets, "dyn-cache-sets", 0, "bound each simulated rank's stationary-operand cache to this many working sets per matrix (LRU across plans; 0 = unbounded); evictions appear as mfbc_dyn_operand_evictions in /metrics")
 	flag.StringVar(&scfg.IngestDurability, "ingest-durability", "applied", "default PATCH acknowledgment level: 'applied' (block until the batch's group commit lands) or 'enqueued' (202 on enqueue; per-request override via the request's durability field)")
 	flag.IntVar(&scfg.IngestMaxDepth, "ingest-max-depth", 256, "pending-batch bound of each graph's write-ahead queue; beyond it PATCHes shed with 429 + Retry-After (negative = unbounded)")
 	readHeaderTimeout := flag.Duration("read-header-timeout", 5*time.Second, "max time to read a request's headers (slowloris guard)")

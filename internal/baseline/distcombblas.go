@@ -159,7 +159,7 @@ func distCombBLASBatch(
 		if distmat.GlobalNNZ(world, frontier) == 0 {
 			break
 		}
-		next := spgemm.Multiply(sess, plan, frontier, aMat, copyX, count, count, trop, true, nil)
+		next := spgemm.Multiply(sess, plan, frontier, aMat, copyX, count, count, trop, true, nil, nil)
 		nsp = distmat.Redistribute(world, nsp, next.Dist, count)
 		next = &distmat.Mat[float64]{
 			Rows: nb, Cols: n, Dist: next.Dist,
@@ -183,7 +183,7 @@ func distCombBLASBatch(
 			Rows: nb, Cols: n, Dist: nsp.Dist,
 			Local: scaleByJoin(lvl.Local, delta.Local, nsp.Local),
 		}
-		u := spgemm.Multiply(sess, plan, w, atMat, copyX, count, count, trop, true, nil)
+		u := spgemm.Multiply(sess, plan, w, atMat, copyX, count, count, trop, true, nil, nil)
 		prev := distmat.Redistribute(world, levels[l-1], u.Dist, count)
 		nsp = distmat.Redistribute(world, nsp, u.Dist, count)
 		delta = distmat.Redistribute(world, delta, u.Dist, count)

@@ -7,10 +7,10 @@
 // of Theorem 5.1.
 //
 // This file holds the one distributed sweep: Algorithms 1 and 2 and their
-// four per-entry rules (two more, optional, screen the forward products and
-// mask the backward ones against T inside the multiply), written once over
-// sorted entry lists and generic over how many independent sides each entry
-// value carries (algebra.Sided).
+// four per-entry rules (two more, optional, screen each sweep's products
+// against T inside the multiply — the backward one masking them by T's
+// pattern), written once over sorted entry lists and generic over how many
+// independent sides each entry value carries (algebra.Sided).
 // One side is the scalar sweep of Run, MFBCDistributed and SSSPDistributed;
 // two sides — (old, new) around a graph edit — is the fused incremental
 // apply of fused.go. At one side every per-side step degenerates to the
@@ -44,7 +44,6 @@ type DistOptions struct {
 	Plan       *spgemm.Plan       // force a decomposition; nil = automatic search
 	Constraint spgemm.Constraint  // restrict the automatic search (ablations)
 	Model      *machine.CostModel // override the α–β–γ constants
-	CacheSets  int                // per-rank stationary-cache bound in working sets per matrix; ≤ 0 = unbounded
 	// Transport pins every region of this run/session to an external
 	// machine backend (e.g. a tcpnet rank mesh) instead of a fresh
 	// simulated machine per region. The caller owns its lifecycle; a Model
@@ -247,19 +246,19 @@ func sideProject[T algebra.Sided[T, E], E any](m *distmat.Mat[T], s int, zero T,
 // mulPerSide is one frontier product under per-side plans. It reports false
 // (and multiplies nothing) when no side is live, unless all is set, which
 // also plans the dead sides. When the live sides agree on a plan — always,
-// at one side — a single multiply runs under it, screened or masked by what
-// align returns once it has moved the caller's T to the plan's C
-// distribution, and the exact componentwise identities make each side
-// bit-identical to its scalar product. When they diverge, the frontier is
-// projected per side, each projection is multiplied under its own plan, and
-// the products are merged in the first live side's distribution: the price
-// of replaying every side's scalar plan sequence exactly, paid only on the
-// (rare) divergent rounds.
+// at one side — a single multiply runs under it, screened by what align
+// returns once it has moved the caller's T to the plan's C distribution,
+// with the kept products folding into acc, and the exact componentwise
+// identities make each side bit-identical to its scalar product. When they
+// diverge, the frontier is projected per side, each projection is
+// multiplied under its own plan, and the products are merged in the first
+// live side's distribution: the price of replaying every side's scalar plan
+// sequence exactly, paid only on the (rare) divergent rounds.
 func mulPerSide[T algebra.Sided[T, E], E, W any](
 	sp *sidePlans, all bool, bytes int64,
 	frontier *distmat.Mat[T], b *distmat.Mat[W], f func(T, W) T,
 	mon algebra.Monoid[T], edge algebra.Monoid[W], isZero func(E) bool,
-	align func(distmat.Dist) (screen func(i, j int32, v T) bool, mask *spgemm.Mask[T]),
+	align func(distmat.Dist) func(i, j int32, v T) bool, acc *spgemm.Accumulator[T],
 ) (*distmat.Mat[T], bool) {
 	world := sp.sess.Proc.World()
 	nnz := sideNNZ(world, frontier, isZero)
@@ -278,11 +277,7 @@ func mulPerSide[T algebra.Sided[T, E], E, W any](
 	}
 	if !split {
 		_, _, dc := sp.sess.Dists(sp.plans[lead], frontier.Rows, frontier.Cols, b.Cols)
-		screen, mask := align(dc)
-		if mask != nil {
-			return spgemm.MultiplyMasked(sp.sess, sp.plans[lead], frontier, b, f, mon, mon, edge, true, mask), true
-		}
-		return spgemm.Multiply(sp.sess, sp.plans[lead], frontier, b, f, mon, mon, edge, true, screen), true
+		return spgemm.Multiply(sp.sess, sp.plans[lead], frontier, b, f, mon, mon, edge, true, align(dc), acc), true
 	}
 	sp.split++
 	var out *distmat.Mat[T]
@@ -290,7 +285,7 @@ func mulPerSide[T algebra.Sided[T, E], E, W any](
 		if nnz[s] == 0 {
 			continue
 		}
-		ext := spgemm.Multiply(sp.sess, sp.plans[s], sideProject(frontier, s, mon.Identity, isZero), b, f, mon, mon, edge, true, nil)
+		ext := spgemm.Multiply(sp.sess, sp.plans[s], sideProject(frontier, s, mon.Identity, isZero), b, f, mon, mon, edge, true, nil, nil)
 		if out == nil {
 			out = ext
 		} else {
@@ -326,15 +321,16 @@ func seedFrontier[M multSided[M]](zero M, adj []*sparse.CSR[float64], in [][]boo
 // batches of a region, so that a round allocates in proportion to its
 // frontier and not to T: the ping-pong pair T accumulates in, the backward
 // frontier's scratch and the Z positions it is collected from, the
-// accumulator the backward products fold into by position in T, and the
-// rank's position table over its block of T, which outlives the region.
+// accumulators the screened forward and backward products fold into, and
+// the rank's position table over its block of T, which outlives the region.
 // (Z is folded in place, and the per-round filter and screens compact the
 // product they are handed.)
 type sweepBufs[M, C any] struct {
 	t        distmat.Accumulator[M]
 	frontier []sparse.Entry[C]
 	ready    []int32
-	back     sparse.SPA[sparse.Entry[C]]
+	fwd      spgemm.Accumulator[M]
+	back     spgemm.Accumulator[C]
 	index    *blockIndex
 }
 
@@ -394,13 +390,13 @@ func sweepMFBF[M multSided[M], C, W any](
 	t := distmat.FromGlobal(world.Rank(), seedFrontier(alg.mult.Identity, adj, in, batch), distmat.DistShard(world.Size()), alg.mult)
 	frontier := t
 	// T grows every round, so every multiply re-indexes it.
-	align := func(d distmat.Dist) (func(i, j int32, v M) bool, *spgemm.Mask[M]) {
+	align := func(d distmat.Dist) func(i, j int32, v M) bool {
 		t = distmat.Redistribute(world, t, d, alg.mult)
 		indexBlock(buf.index, t.Local)
-		return screenAgainst(t.Local, buf.index), nil
+		return screenAgainst(t.Local, buf.index)
 	}
 	for iters := 0; ; iters++ {
-		ext, ok := mulPerSide(sp, false, multpathBytes, frontier, a, alg.bf, alg.mult, alg.edge, algebra.MultPathIsZero, align)
+		ext, ok := mulPerSide(sp, false, multpathBytes, frontier, a, alg.bf, alg.mult, alg.edge, algebra.MultPathIsZero, align, &buf.fwd)
 		if !ok {
 			return t, iters
 		}
@@ -437,12 +433,12 @@ func sweepMFBr[M multSided[M], C centSided[C], W any](
 			indexed = t
 		}
 	}
-	align := func(d distmat.Dist) (func(i, j int32, v C) bool, *spgemm.Mask[C]) {
+	align := func(d distmat.Dist) func(i, j int32, v C) bool {
 		moveT(d)
-		return nil, maskAgainst(t.Local, buf.index, &buf.back)
+		return maskAgainst[M, C](t.Local, buf.index)
 	}
 	mul := func(frontier *distmat.Mat[C], all bool) (*distmat.Mat[C], bool) {
-		return mulPerSide(sp, all, centpathBytes, frontier, at, alg.br, alg.cent, alg.edge, algebra.CentPathIsZero, align)
+		return mulPerSide(sp, all, centpathBytes, frontier, at, alg.br, alg.cent, alg.edge, algebra.CentPathIsZero, align, &buf.back)
 	}
 	mat := func(d distmat.Dist, local []sparse.Entry[C]) *distmat.Mat[C] {
 		return &distmat.Mat[C]{Rows: t.Rows, Cols: t.Cols, Dist: d, Local: local}
@@ -488,21 +484,20 @@ func sweepMFBr[M multSided[M], C centSided[C], W any](
 // T's pattern entry for entry, through the rank's blockIndex: one load per
 // product, so a round costs what its product costs and not what T does.
 //
-// Two more rules run inside the multiply, against this rank's block of T,
-// before the local kernel folds its products. Both are conservative — a
-// strict loser never wins or ties under ⊕ or ⊗, so the fold of the rest,
-// and what the four rules keep of it, are bit for bit what they were — and
-// optional: T must already be in the product's distribution (the
-// redistribution that used to follow the multiply), Multiply honours them
-// only under stationary-C plans (elsewhere products are partial, their
-// reduction charged by size), and the split-plan branch passes neither. A
-// lookup is one load from x, which must index t; the closures only read, so
-// the kernel's workers share them.
+// Two more rules, one per sweep, are screens that run inside the multiply,
+// against this rank's block of T, before the local kernel folds its
+// products by column. Both are conservative — a strict loser never wins or
+// ties under ⊕ or ⊗, so the fold of the rest, and what the four rules keep
+// of it, are bit for bit what they were — and optional: T must already be
+// in the product's distribution (the redistribution that used to follow the
+// multiply), Multiply honours them only under stationary-C plans (elsewhere
+// products are partial, their reduction charged by size), and the
+// split-plan branch passes neither. A lookup is one load from x, which must
+// index t; the closures only read, so the kernel's workers share them.
 //
 // screenAgainst is the forward product's screen: it drops a product when the
-// block holds its coordinate and every side of it loses there. The kernel
-// folds the rest by column, not at T's positions as the backward products
-// fold, because a forward product may land where T holds nothing yet.
+// block holds its coordinate and every side of it loses there. A product
+// where T holds nothing yet is a new path, and kept.
 func screenAgainst[M multSided[M]](t []sparse.Entry[M], x *blockIndex) func(i, j int32, v M) bool {
 	return func(i, j int32, v M) bool {
 		k := x.at(i, j)
@@ -514,25 +509,23 @@ func screenAgainst[M multSided[M]](t []sparse.Entry[M], x *blockIndex) func(i, j
 	}
 }
 
-// maskAgainst is the backward product's mask, folding into acc. A backward
-// product that can survive lands on T's pattern (Z shares it), so the mask
-// also drops what lands off it, as screenCentSided would, and gives the
-// kernel each kept product's position in the block: the products fold
-// where they land, and the kernel never sorts them.
-func maskAgainst[M multSided[M], C centSided[C]](t []sparse.Entry[M], x *blockIndex, acc *sparse.SPA[sparse.Entry[C]]) *spgemm.Mask[C] {
-	slot := func(i, j int32, v C) int {
+// maskAgainst is the backward product's screen. A backward product that can
+// survive lands on T's pattern (Z shares it), so it masks the product by T:
+// it drops what lands off the block, as screenCentSided would, and what
+// loses on every side there.
+func maskAgainst[M multSided[M], C centSided[C]](t []sparse.Entry[M], x *blockIndex) func(i, j int32, v C) bool {
+	return func(i, j int32, v C) bool {
 		k := x.at(i, j)
 		if k < 0 {
-			return -1
+			return false
 		}
 		for s := 0; s < v.Sides(); s++ {
 			if !centLoses(t[k].V.Side(s), v.Side(s)) {
-				return k
+				return true
 			}
 		}
-		return -1
+		return false
 	}
-	return &spgemm.Mask[C]{Slot: slot, Len: len(t), Acc: acc}
 }
 
 // multLoses: a forward product that is zero or strictly heavier than T can

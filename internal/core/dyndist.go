@@ -40,12 +40,11 @@ type EdgeDiff struct {
 // DistSession holds the per-rank resident state of a distributed MFBC
 // computation across runs.
 type DistSession struct {
-	opt       DistOptions
-	p         int
-	g         *graph.Graph
-	adjCSR    *sparse.CSR[float64]
-	ranks     []*distRank
-	evictBase int64 // operand-cache evictions of caches dropped by install
+	opt    DistOptions
+	p      int
+	g      *graph.Graph
+	adjCSR *sparse.CSR[float64]
+	ranks  []*distRank
 }
 
 // distRank is one simulated rank's persistent state: its shard of the
@@ -83,22 +82,19 @@ func NewDistSession(g *graph.Graph, opt DistOptions) (*DistSession, error) {
 }
 
 // install (re)builds every rank's operand shards from the global topology
-// with fresh operand caches (bounded per matrix by opt.CacheSets).
+// with fresh operand caches.
 func (s *DistSession) install(g *graph.Graph, adjCSR *sparse.CSR[float64]) {
 	trop := algebra.TropicalMonoid()
 	adjCOO := adjCSR.ToCOO()
 	atCOO := sparse.Transpose(adjCSR).ToCOO()
 	shard := distmat.DistShard(s.p)
 	s.g, s.adjCSR = g, adjCSR
-	for _, rk := range s.ranks {
-		s.evictBase += rk.cache.Evictions()
-	}
 	s.ranks = make([]*distRank, s.p)
 	for r := 0; r < s.p; r++ {
 		rk := &distRank{
 			aMat:  distmat.FromGlobal(r, adjCOO, shard, trop),
 			atMat: distmat.FromGlobal(r, atCOO, shard, trop),
-			cache: spgemm.NewOperandCacheSized(s.opt.CacheSets),
+			cache: spgemm.NewOperandCache(),
 		}
 		// Pin the matrix identities host-side, before any rank goroutine
 		// could race to lazily assign them.
@@ -113,18 +109,6 @@ func (s *DistSession) Graph() *graph.Graph { return s.g }
 
 // Procs returns the simulated processor count.
 func (s *DistSession) Procs() int { return s.p }
-
-// CacheEvictions returns the cumulative stationary-working-set evictions of
-// every rank's bounded operand cache over the session's lifetime (0 unless
-// DistOptions.CacheSets bounds the caches). Callers must not race it with
-// Run/Patch/ApplyIncremental.
-func (s *DistSession) CacheEvictions() int64 {
-	total := s.evictBase
-	for _, rk := range s.ranks {
-		total += rk.cache.Evictions()
-	}
-	return total
-}
 
 // Reset rebuilds the resident operands from newG and drops every cached
 // working set, so the next runs pay full redistribution again. It is the
@@ -260,7 +244,7 @@ type regionOutcome struct {
 	stats                 machine.RunStats
 	iters, batches, split int
 	// Products the region's multiplies evaluated and those the in-multiply
-	// rules (screenAgainst, maskAgainst) dropped before the kernel folded
+	// screens (screenAgainst, maskAgainst) dropped before the kernel folded
 	// them, over the ranks this process hosts.
 	products, screened atomic.Int64
 }

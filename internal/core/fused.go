@@ -134,8 +134,8 @@ func (s *DistSession) ApplyIncrementalCtx(ctx context.Context, oldSources []int3
 			proc.AddFlops(ops)
 			return aPair, atPair
 		})
-	// The pair working sets are per-apply scratch: drop them so a bounded
-	// cache doesn't carry dead matrices and an unbounded one doesn't leak.
+	// The pair working sets are per-apply scratch: drop them, or every apply
+	// would leave a dead matrix's sets in the cache.
 	for r, rk := range s.ranks {
 		for _, id := range pairIDs[r] {
 			if id != 0 {

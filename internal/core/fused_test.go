@@ -133,9 +133,17 @@ func TestFusedApplyMatchesTwoRegion(t *testing.T) {
 // TestFusedApplyMatchesTwoRegionAutoPlan: under automatic plan search the
 // fused region plans every multiplication per side from that side's own
 // frontier counts, so its results must be bit-identical to the scalar
-// two-region path — exactly as under forced plans.
+// two-region path — exactly as under forced plans. Every fused apply stages
+// pair working sets and drops them when its region ends, so however many
+// applies run, each rank's operand cache holds its scalar sets and nothing
+// else.
 func TestFusedApplyMatchesTwoRegionAutoPlan(t *testing.T) {
 	g, g2, diffs, sources := fusedTestSetup(t, false)
+	undo := make([]EdgeDiff, len(diffs))
+	for i, d := range diffs {
+		w, ok := g.FindEdge(d.U, d.V)
+		undo[i] = EdgeDiff{U: d.U, V: d.V, W: w, Present: ok}
+	}
 	for _, p := range []int{2, 4, 8} {
 		opt := DistOptions{Procs: p, Batch: 16}
 		oldR, newR := runTwoRegion(t, g, g2, diffs, sources, opt)
@@ -156,6 +164,23 @@ func TestFusedApplyMatchesTwoRegionAutoPlan(t *testing.T) {
 			}
 			if fused.NewBC[v] != newR.BC[v] {
 				t.Fatalf("p=%d new side BC[%d]: fused %v, two-region %v (must be bit-identical)", p, v, fused.NewBC[v], newR.BC[v])
+			}
+		}
+		// Toggle the edit back and forth: after each fused apply a rank's
+		// cache holds only the sets of its two scalar operands.
+		for k := 0; k < 4; k++ {
+			next, ds := g, undo
+			if k%2 == 1 {
+				next, ds = g2, diffs
+			}
+			if _, err := sess.ApplyIncremental(sources, next, nil, ds, sources); err != nil {
+				t.Fatal(err)
+			}
+			for r, rk := range sess.ranks {
+				scalar := len(spgemm.CachedPlans(rk.cache, rk.aMat.ID())) + len(spgemm.CachedPlans(rk.cache, rk.atMat.ID()))
+				if scalar == 0 || rk.cache.Len() != scalar {
+					t.Fatalf("p=%d after %d more fused applies: rank %d caches %d sets, %d of them scalar", p, k+1, r, rk.cache.Len(), scalar)
+				}
 			}
 		}
 	}

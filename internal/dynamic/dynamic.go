@@ -95,11 +95,6 @@ type Config struct {
 	Constraint spgemm.Constraint
 	// Model overrides the machine's α–β–γ cost constants.
 	Model *machine.CostModel
-	// CacheSets bounds each simulated rank's stationary-operand cache to
-	// this many working sets per matrix, LRU-evicted across (plan, dims)
-	// keys; ≤ 0 keeps the cache unbounded. Long streams whose automatic
-	// plan search wanders across many decompositions stay bounded.
-	CacheSets int
 
 	// Transport pins every machine region the engine runs (initial sweep,
 	// incremental re-runs, full fallbacks) to this backend instead of an
@@ -253,9 +248,6 @@ type Stats struct {
 	// (a vertex-set change, or a batch with no affected sources).
 	FusedApplies     int64 `json:"fused_applies"`
 	TwoRegionApplies int64 `json:"two_region_applies"`
-	// OperandEvictions is the cumulative stationary-working-set evictions
-	// of the session's bounded per-rank operand caches (Config.CacheSets).
-	OperandEvictions int64 `json:"operand_evictions"`
 }
 
 // Report describes one applied batch. It is the one declaration of the
@@ -299,8 +291,7 @@ type Engine struct {
 	// dist is the persistent distributed session (Procs > 1). Guarded by
 	// applyMu; nil after a failed run, lazily rebuilt from the committed
 	// snapshot.
-	dist      *core.DistSession
-	evictBase int64 // guarded by applyMu; operand-cache evictions of sessions since dropped
+	dist *core.DistSession
 
 	mu    sync.RWMutex
 	cur   *state // guarded by mu
@@ -343,7 +334,7 @@ func (e *Engine) distOpts() core.DistOptions {
 	return core.DistOptions{
 		Procs: e.cfg.Procs, Workers: e.cfg.Workers, Batch: e.cfg.Batch,
 		Plan: e.cfg.Plan, Constraint: e.cfg.Constraint, Model: e.cfg.Model,
-		CacheSets: e.cfg.CacheSets, Transport: e.cfg.Transport,
+		Transport: e.cfg.Transport,
 	}
 }
 
@@ -499,9 +490,6 @@ func (e *Engine) ApplyCtx(ctx context.Context, batch []graph.Mutation) (Report, 
 			e.stats.TwoRegionApplies++
 		}
 	}
-	if e.dist != nil {
-		e.stats.OperandEvictions = e.evictBase + e.dist.CacheEvictions()
-	}
 	e.mu.Unlock()
 	return rep, nil
 }
@@ -527,17 +515,6 @@ func (e *Engine) session(st *state) (*core.DistSession, error) {
 	return e.dist, nil
 }
 
-// dropSession discards the distributed session after a failed run (its
-// resident operands may be mid-transition), folding its eviction count
-// into the engine's base so Stats.OperandEvictions stays monotone across
-// session rebuilds. Caller holds e.applyMu.
-func (e *Engine) dropSession() {
-	if e.dist != nil {
-		e.evictBase += e.dist.CacheEvictions()
-		e.dist = nil
-	}
-}
-
 // sweep runs batched MFBC sweeps for exactly the given sources (nil = every
 // vertex, the exact full recompute) over snapshot st and returns their
 // accumulated dependency contributions: one machine region in distributed
@@ -557,7 +534,7 @@ func (e *Engine) sweep(ctx context.Context, st *state, sources []int32, cost *Co
 	}
 	r, err := sess.RunCtx(ctx, sources)
 	if err != nil {
-		e.dropSession()
+		e.dist = nil
 		return nil, fmt.Errorf("dynamic: distributed run: %w", err)
 	}
 	cost.charge(r.Plan, r.Stats)
@@ -581,7 +558,7 @@ func (e *Engine) fusedIncrementalScores(ctx context.Context, old, st *state, aff
 	if err != nil {
 		// The resident operands may be mid-transition; rebuild from the
 		// committed snapshot on the next apply.
-		e.dropSession()
+		e.dist = nil
 		return nil, fmt.Errorf("dynamic: fused apply: %w", err)
 	}
 	cost.charge(res.Plan, res.Stats)

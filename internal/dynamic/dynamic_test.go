@@ -572,39 +572,6 @@ func TestFusedFallsBackOnVertexGrowth(t *testing.T) {
 	}
 }
 
-// TestOperandCacheBoundEvicts: a CacheSets bound on a plan-forced stream
-// that alternates decompositions must record evictions in the stats.
-func TestOperandCacheBoundEvicts(t *testing.T) {
-	g := graph.Grid2D(6, 6, 1, 13)
-	e, err := New(g, Config{Procs: 4, DirtyThreshold: -1, Workers: 1, CacheSets: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Alternate forced plans is not expressible per apply; instead rely on
-	// the automatic search across differently sized re-run batches plus
-	// the full sweep to stage more than one (plan, dims) working set per
-	// matrix. The bound of 1 then forces evictions on the second distinct
-	// plan.
-	shadow := e.Snapshot().Graph.Clone()
-	rng := rand.New(rand.NewSource(31))
-	for step := 0; step < 6; step++ {
-		m := randomMutation(rng, shadow, true)
-		if m.Op == graph.OpAddVertex {
-			m = graph.Mutation{Op: graph.OpSetWeight, U: shadow.Edges[step].U, V: shadow.Edges[step].V, W: float64(2 + step)}
-		}
-		if err := shadow.Apply(m); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := e.Apply([]graph.Mutation{m}); err != nil {
-			t.Fatal(err)
-		}
-		compareScores(t, "bounded-cache stream", e.Snapshot().BC, fromScratch(t, shadow))
-	}
-	if st := e.Stats(); st.OperandEvictions == 0 {
-		t.Fatalf("bounded cache never evicted on a multi-plan stream: %+v", st)
-	}
-}
-
 // TestFusedNoopAndEmptyAffectedSkipRegions: a structural no-op batch (and
 // any batch with no affected sources) must not launch a fused region on a
 // distributed engine — no modeled communication, no fused flag, and the

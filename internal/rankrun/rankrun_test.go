@@ -229,7 +229,6 @@ func TestEngineOpRoundTripsEveryOption(t *testing.T) {
 		Opt: repro.DynamicOptions{
 			Batch: 32, Workers: 3, DirtyThreshold: 0.4,
 			Procs: 4, Plan: &plan, Constraint: spgemm.Only2D, Model: &model,
-			CacheSets: 2,
 		},
 	}
 	raw, err := encodeOp(sent)

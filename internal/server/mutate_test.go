@@ -470,9 +470,9 @@ func TestHTTPMutateRoute(t *testing.T) {
 // TestMutateFusedPhasesAndStats: an incremental distributed PATCH runs as
 // one fused machine region — the response carries the fused flag and the
 // diff/patch/sweep/reduce phase attribution, and /metrics aggregates fused
-// applies and operand-cache evictions across engines.
+// applies across engines.
 func TestMutateFusedPhasesAndStats(t *testing.T) {
-	s := New(Config{Workers: 1, DynProcs: 2, DirtyThreshold: -1, DynCacheSets: 4})
+	s := New(Config{Workers: 1, DynProcs: 2, DirtyThreshold: -1})
 	g := repro.GridGraph(5, 5, 3, 7)
 	if _, err := s.AddGraph("g", g.Clone()); err != nil {
 		t.Fatal(err)

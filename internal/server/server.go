@@ -76,11 +76,6 @@ type Config struct {
 	// operands resident and delta-patched across PATCHes, and the PATCH
 	// response carries the modeled communication and plan.
 	DynProcs int
-	// DynCacheSets bounds each simulated rank's stationary-operand cache
-	// (distributed dynamic mode) to this many working sets per matrix,
-	// LRU-evicted across (plan, dims) keys; ≤ 0 keeps caches unbounded.
-	// Cumulative evictions appear as mfbc_dyn_operand_evictions (/metrics).
-	DynCacheSets int
 	// Metrics is the observability registry the server's counters, gauges,
 	// and histograms register on (exposed at GET /metrics). nil creates a
 	// private registry. Each Server needs its own registry — metric names
@@ -272,8 +267,6 @@ func New(cfg Config) *Server {
 		dynSum(func(ds repro.DynamicStats) int64 { return ds.FusedApplies }))
 	reg.GaugeFunc("mfbc_dyn_two_region_applies", "Incremental applies on the two-region path (vertex growth, or no affected source).",
 		dynSum(func(ds repro.DynamicStats) int64 { return ds.TwoRegionApplies }))
-	reg.GaugeFunc("mfbc_dyn_operand_evictions", "Stationary-operand working sets evicted under the DynCacheSets bound.",
-		dynSum(func(ds repro.DynamicStats) int64 { return ds.OperandEvictions }))
 	return s
 }
 
@@ -636,7 +629,7 @@ func (s *Server) applyCommitted(ctx context.Context, name string, ge *graphEntry
 		var err error
 		dyn, err = s.cfg.NewDynamic(name, ge.g, repro.DynamicOptions{
 			Workers: s.cfg.Workers, DirtyThreshold: s.cfg.DirtyThreshold,
-			Procs: s.cfg.DynProcs, CacheSets: s.cfg.DynCacheSets,
+			Procs: s.cfg.DynProcs,
 		})
 		if err != nil {
 			return nil, err

@@ -3,6 +3,7 @@ package spgemm
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -53,23 +54,14 @@ type distsKey struct {
 // the next. That extends the Theorem 5.1 once-per-run amortization across
 // the applies of an evolving-graph workload.
 //
-// With a positive maxSets the cache keeps at most that many working sets
-// per matrix, evicting the least-recently-used (plan, dims) key of that
-// matrix on overflow — a long mutation stream whose automatic plan search
-// wanders across many decompositions then sheds dead sets instead of
-// accruing them forever. Eviction order is deterministic, so bounded
-// caches stay SPMD-consistent across ranks.
+// The cache keeps every set it stages. That is bounded without an eviction
+// policy: a session holds two stationary matrices, k and n are its vertex
+// count (a vertex-set change rebuilds the session and its caches), and
+// plans come from a fixed candidate list — so a matrix has at most one set
+// per candidate plan. A fused region's pair sets are dropped by DropMatrix
+// when the region ends.
 type OperandCache struct {
-	sets      map[operandKey]*cachedOperand
-	maxSets   int // per-matrix working-set bound; ≤ 0 = unbounded
-	tick      uint64
-	evictions int64
-	// transient marks matrices whose working sets are per-region scratch
-	// (the pair lifts of a fused apply): they bypass the per-matrix bound
-	// and the eviction stat — they are dropped wholesale by DropMatrix
-	// when the region ends, so counting them would report scratch churn
-	// as stationary-cache pressure.
-	transient map[uint64]bool
+	sets map[operandKey]*cachedOperand
 }
 
 // operandKey identifies one staged working set: the matrix (by its
@@ -88,89 +80,25 @@ type operandKey struct {
 // it current when the matrix is edited in place.
 type cachedOperand struct {
 	operandKey
-	staged  any
-	lastUse uint64
+	staged any
 }
 
-// NewOperandCache returns an empty, unbounded stationary-operand cache.
+// NewOperandCache returns an empty stationary-operand cache.
 func NewOperandCache() *OperandCache {
-	return NewOperandCacheSized(0)
+	return &OperandCache{sets: make(map[operandKey]*cachedOperand)}
 }
-
-// NewOperandCacheSized returns an empty cache bounded to maxSets working
-// sets per matrix (≤ 0 = unbounded).
-func NewOperandCacheSized(maxSets int) *OperandCache {
-	return &OperandCache{sets: make(map[operandKey]*cachedOperand), maxSets: maxSets}
-}
-
-// Evictions returns how many working sets the per-matrix LRU bound has
-// dropped over the cache's lifetime.
-func (c *OperandCache) Evictions() int64 { return c.evictions }
 
 // Len returns the number of resident working sets.
 func (c *OperandCache) Len() int { return len(c.sets) }
 
-// lookup returns the cached set for key, bumping its recency.
-func (c *OperandCache) lookup(key operandKey) (*cachedOperand, bool) {
-	co, ok := c.sets[key]
-	if ok {
-		c.tick++
-		co.lastUse = c.tick
-	}
-	return co, ok
-}
-
-// insert stores a working set, evicting the least-recently-used sets of
-// the same matrix past the per-matrix bound (transient matrices are
-// exempt; see the transient field).
-func (c *OperandCache) insert(co *cachedOperand) {
-	c.tick++
-	co.lastUse = c.tick
-	c.sets[co.operandKey] = co
-	if c.maxSets <= 0 || c.transient[co.id] {
-		return
-	}
-	for {
-		resident := CachedPlans(c, co.id)
-		if len(resident) <= c.maxSets {
-			return
-		}
-		// lastUse ticks are unique, so the minimum is unambiguous; the
-		// sorted walk pins it (and any future tie) anyway.
-		var victim *cachedOperand
-		for _, pd := range resident {
-			if s := c.sets[operandKey{co.id, pd.Plan, pd.K, pd.N}]; s != co && (victim == nil || s.lastUse < victim.lastUse) {
-				victim = s
-			}
-		}
-		if victim == nil {
-			return
-		}
-		delete(c.sets, victim.operandKey)
-		c.evictions++
-	}
-}
-
-// DropMatrix removes every working set of matrix id (transient operands a
-// fused region staged for one apply) and clears its transient mark. Not
-// counted as LRU evictions.
+// DropMatrix removes every working set of matrix id: the pair operands a
+// fused region staged for one apply.
 func DropMatrix(c *OperandCache, id uint64) {
 	for key := range c.sets {
 		if key.id == id {
 			delete(c.sets, key)
 		}
 	}
-	delete(c.transient, id)
-}
-
-// MarkTransient flags matrix id's working sets as per-region scratch:
-// exempt from the per-matrix LRU bound and the eviction stat until
-// DropMatrix removes them.
-func MarkTransient(c *OperandCache, id uint64) {
-	if c.transient == nil {
-		c.transient = make(map[uint64]bool)
-	}
-	c.transient[id] = true
 }
 
 // PlanDims identifies one staged working set of a matrix: the plan it was
@@ -460,68 +388,17 @@ func (s *Session) Dists(plan Plan, m, k, n int) (da, db, dc distmat.Dist) {
 // runs only where a rank's products are final (C stationary: VarAB without a
 // RoleC fiber) — a partial-C reduction is charged by contribution size, so
 // there it would move the modeled bytes. There the kept products fold by
-// column, a row at a time, into an accumulator as wide as the rank's C block,
-// which drains each row in column order: the sorting kernel's output bit for
-// bit, without the sort. Workers > 1 call the screen from several goroutines
-// at once.
+// column, a row at a time, into acc, whose storage the caller keeps across
+// products (nil = storage of the call's own), and each row drains in column
+// order: the sorting kernel's output bit for bit, without the sort. The
+// returned C never shares storage with acc. Workers > 1 call the screen from
+// several goroutines at once.
 func Multiply[TA, TB, TC any](
 	s *Session, plan Plan,
 	a *distmat.Mat[TA], b *distmat.Mat[TB],
 	f func(TA, TB) TC,
 	add algebra.Monoid[TC], addA algebra.Monoid[TA], addB algebra.Monoid[TB],
-	cacheB bool, screen func(i, j int32, v TC) bool,
-) *distmat.Mat[TC] {
-	return multiply(s, plan, a, b, f, add, addA, addB, cacheB, filter[TC]{screen: screen})
-}
-
-// Mask confines a product to the coordinates of a sorted, duplicate-free
-// block that the rank holds in C's distribution, Len entries long — MFBr's
-// T, whose pattern Z shares. Slot returns the position in the block of the
-// product v at (i, j), or −1 to drop it; it must return a coordinate's own
-// position whenever it keeps a product there. Acc is the accumulator the
-// local kernel folds into, keyed by position, and whose storage the caller
-// keeps across products. Workers > 1 call Slot from several goroutines at
-// once.
-type Mask[T any] struct {
-	Slot func(i, j int32, v T) int
-	Len  int
-	Acc  *sparse.SPA[sparse.Entry[T]]
-}
-
-// MultiplyMasked is Multiply with a mask in place of the screen. Where the
-// screen would run, the local kernel folds each product the mask keeps at
-// its position in the block, in the order the products arrive, and drains
-// the positions in ascending order — the block's (i, j) order — which is
-// the sorted, folded entry list of the sorting kernel restricted to the
-// block, bit for bit and without a sort. A dropped product is charged as a
-// flop and counted in Session.Screened. Elsewhere the mask is ignored and C
-// is the whole product. The contract of the screen holds: drop only what
-// cannot change what the caller keeps of C, and depend on no drop.
-func MultiplyMasked[TA, TB, TC any](
-	s *Session, plan Plan,
-	a *distmat.Mat[TA], b *distmat.Mat[TB],
-	f func(TA, TB) TC,
-	add algebra.Monoid[TC], addA algebra.Monoid[TA], addB algebra.Monoid[TB],
-	cacheB bool, mask *Mask[TC],
-) *distmat.Mat[TC] {
-	return multiply(s, plan, a, b, f, add, addA, addB, cacheB, filter[TC]{mask: mask})
-}
-
-// filter is what the local kernel asks about a product before it keeps it:
-// at most one of a screen and a mask (neither = keep everything). Under a
-// screen, [c0, c1) holds the columns of the rank's C block.
-type filter[TC any] struct {
-	screen func(i, j int32, v TC) bool
-	mask   *Mask[TC]
-	c0, c1 int32
-}
-
-func multiply[TA, TB, TC any](
-	s *Session, plan Plan,
-	a *distmat.Mat[TA], b *distmat.Mat[TB],
-	f func(TA, TB) TC,
-	add algebra.Monoid[TC], addA algebra.Monoid[TA], addB algebra.Monoid[TB],
-	cacheB bool, flt filter[TC],
+	cacheB bool, screen func(i, j int32, v TC) bool, acc *Accumulator[TC],
 ) *distmat.Mat[TC] {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("spgemm: dimension mismatch %dx%d * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -552,7 +429,7 @@ func multiply[TA, TB, TC any](
 	var sb *stagedB[TB]
 	key := operandKey{id: b.ID(), plan: plan, k: k, n: n}
 	if cacheB {
-		if co, hit := s.cache.lookup(key); hit {
+		if co, hit := s.cache.sets[key]; hit {
 			sb = co.staged.(*stagedB[TB])
 		}
 	}
@@ -564,7 +441,7 @@ func multiply[TA, TB, TC any](
 		}
 		sb = stageB(plan, k, n, s.Proc.Rank(), bE)
 		if cacheB {
-			s.cache.insert(&cachedOperand{operandKey: key, staged: sb})
+			s.cache.sets[key] = &cachedOperand{operandKey: key, staged: sb}
 		}
 	}
 
@@ -572,11 +449,12 @@ func multiply[TA, TB, TC any](
 	var c []sparse.Entry[TC]
 	switch plan.YZ {
 	case VarAB:
-		if plan.P1 > 1 && plan.X == RoleC {
+		flt := filter[TC]{screen: screen, acc: acc}
+		switch {
+		case plan.P1 > 1 && plan.X == RoleC:
 			flt = filter[TC]{} // the layers' partial products meet in the fiber reduce below
-		}
-		if flt.mask != nil {
-			flt.mask.Acc.Size(flt.mask.Len, workers)
+		case screen != nil && acc == nil:
+			flt.acc = new(Accumulator[TC])
 		}
 		c = runAB(s, g, plan, r, aE, sb, f, add, workers, flt)
 	case VarAC:
@@ -736,22 +614,16 @@ func StagePairStationary(c *OperandCache, rank int, srcID, dstID uint64, edits [
 	if c == nil {
 		return 0
 	}
-	MarkTransient(c, dstID)
 	var ops int64
 	for _, pd := range CachedPlans(c, srcID) {
 		plan, k, n := pd.Plan, pd.K, pd.N
-		src, ok := c.lookup(operandKey{id: srcID, plan: plan, k: k, n: n})
-		if !ok {
-			continue
-		}
+		src := c.sets[operandKey{id: srcID, plan: plan, k: k, n: n}]
 		owns := StationaryOwnership(plan, k, n)
 		pair := PairSplice(src.staged.(*stagedB[float64]).entries, edits, func(i, j int32) bool {
 			return owns(rank, i, j)
 		})
-		c.insert(&cachedOperand{
-			operandKey: operandKey{id: dstID, plan: plan, k: k, n: n},
-			staged:     stageB(plan, k, n, rank, pair),
-		})
+		dst := operandKey{id: dstID, plan: plan, k: k, n: n}
+		c.sets[dst] = &cachedOperand{operandKey: dst, staged: stageB(plan, k, n, rank, pair)}
 		ops += int64(len(pair))
 	}
 	return ops
@@ -919,6 +791,38 @@ func runBC[TA, TB, TC any](
 	return acc
 }
 
+// filter is what the local kernel asks about a product before it folds it:
+// the screen (nil = keep everything) and, under one, the storage the kept
+// products fold into and [c0, c1), the columns of the rank's C block.
+type filter[TC any] struct {
+	screen func(i, j int32, v TC) bool
+	acc    *Accumulator[TC]
+	c0, c1 int32
+}
+
+// Accumulator is the storage screened products fold into, kept by the
+// caller across products so that a round allocates only its result: per
+// worker chunk of A's rows, a column accumulator and the scratch its drained
+// rows go into. Column keys recur in every row, so no two chunks share one.
+// The zero value is ready to use; one product at a time uses it.
+type Accumulator[T any] struct {
+	chunks []columnAcc[T]
+}
+
+// columnAcc is one worker chunk's share of an Accumulator.
+type columnAcc[T any] struct {
+	cols sparse.SPA[T]
+	rows []sparse.Entry[T]
+}
+
+// chunked returns the storage of n worker chunks, growing it as needed.
+func (a *Accumulator[T]) chunked(n int) []columnAcc[T] {
+	if len(a.chunks) < n {
+		a.chunks = append(a.chunks, make([]columnAcc[T], n-len(a.chunks))...)
+	}
+	return a.chunks[:n]
+}
+
 // mulEntriesMinEntries is the A-entry count below which mulEntriesParallel
 // runs sequentially (distinct from sparse.mulParallelMinRows, which gates
 // on CSR row count; here A is a coordinate list).
@@ -928,12 +832,12 @@ const mulEntriesMinEntries = 8
 // blocked across workers: chunk boundaries are aligned to row breaks, each
 // worker runs the kernel on its chunk against the shared B index, and the
 // row-disjoint sorted outputs are concatenated in row order — so the result
-// is identical to the sequential kernel. Under a mask, chunk c folds through
-// lane c of the mask's accumulator: the mask's positions ascend with the
-// row, so chunks touch disjoint positions. Under a screen, each chunk folds
-// into an accumulator of its own: column keys recur in every row. offs is
-// bE's row index over [k0, k1) when the caller holds one (a staged
-// stationary block), nil to have it built here.
+// is identical to the sequential kernel. Under a screen, chunk c folds into
+// the accumulator's chunk c, and the result is copied out of its scratch —
+// by the concatenation, or alone where there is one chunk — so the caller
+// may hold it past the next product. offs is bE's row index over [k0, k1)
+// when the caller holds one (a staged stationary block), nil to have it
+// built here.
 func mulEntriesParallel[TA, TB, TC any](
 	sess *Session, aE []sparse.Entry[TA], bE []sparse.Entry[TB], offs []int32, k0, k1 int32,
 	f func(TA, TB) TC, add algebra.Monoid[TC], workers int, flt filter[TC],
@@ -944,36 +848,42 @@ func mulEntriesParallel[TA, TB, TC any](
 	if offs == nil {
 		offs = indexRows(bE, k0, k1)
 	}
-	kernel := func(aE []sparse.Entry[TA], lane int) ([]sparse.Entry[TC], int64) {
-		switch {
-		case flt.mask != nil:
-			return mulEntriesMasked(sess, aE, bE, offs, k0, k1, f, add, flt.mask, lane)
-		case flt.screen != nil:
-			return mulEntriesColumns(sess, aE, bE, offs, k0, k1, f, add, flt.screen, flt.c0, flt.c1)
-		}
-		return mulEntriesRange(sess, aE, bE, offs, k0, k1, f, add)
-	}
-	if workers <= 1 || len(aE) < mulEntriesMinEntries {
-		return kernel(aE, 0)
-	}
 	// Align the even split of aE to row boundaries (entries are row-sorted).
-	bounds := []int{0}
-	for _, r := range parallel.Ranges(len(aE), workers)[1:] {
-		cut := r[0]
-		for cut < len(aE) && cut > 0 && aE[cut].I == aE[cut-1].I {
-			cut++
+	var bounds []int
+	if workers > 1 && len(aE) >= mulEntriesMinEntries {
+		bounds = []int{0}
+		for _, r := range parallel.Ranges(len(aE), workers)[1:] {
+			cut := r[0]
+			for cut < len(aE) && cut > 0 && aE[cut].I == aE[cut-1].I {
+				cut++
+			}
+			if cut > bounds[len(bounds)-1] && cut < len(aE) {
+				bounds = append(bounds, cut)
+			}
 		}
-		if cut > bounds[len(bounds)-1] && cut < len(aE) {
-			bounds = append(bounds, cut)
+		bounds = append(bounds, len(aE))
+	}
+	parts := max(len(bounds)-1, 1)
+	var accs []columnAcc[TC]
+	if flt.screen != nil {
+		accs = flt.acc.chunked(parts)
+	}
+	kernel := func(aE []sparse.Entry[TA], part int) ([]sparse.Entry[TC], int64) {
+		if flt.screen == nil {
+			return mulEntriesRange(sess, aE, bE, offs, k0, k1, f, add)
 		}
+		return mulEntriesColumns(sess, aE, bE, offs, k0, k1, f, add, flt.screen, &accs[part], flt.c0, flt.c1)
 	}
-	bounds = append(bounds, len(aE))
-	if len(bounds) <= 2 {
-		return kernel(aE, 0)
+	if parts == 1 {
+		out, ops := kernel(aE, 0)
+		if flt.screen != nil {
+			out = slices.Clone(out)
+		}
+		return out, ops
 	}
-	chunks := make([][]sparse.Entry[TC], len(bounds)-1)
+	chunks := make([][]sparse.Entry[TC], parts)
 	var ops atomic.Int64
-	parallel.For(len(chunks), len(chunks), func(part, _, _ int) {
+	parallel.For(parts, parts, func(part, _, _ int) {
 		out, n := kernel(aE[bounds[part]:bounds[part+1]], part)
 		chunks[part] = out
 		ops.Add(n)
@@ -1072,23 +982,22 @@ func mulEntriesRange[TA, TB, TC any](
 
 // mulEntriesColumns is mulEntriesRange under a screen, for a C block whose
 // columns lie in [c0, c1): each product the screen keeps folds at key j − c0
-// of an accumulator c1 − c0 values wide, and at each row break the touched
-// keys drain in ascending order. A rejected product is counted in
-// Session.Screened. Products reach a column in k-order, as the stable sort
-// left them, and fold left to right from the first, so the output — zero
-// folds dropped — is bit for bit the sorting kernel's over the kept
-// products. The accumulator is the call's own.
+// of acc's column accumulator, sized to c1 − c0 values, and at each row
+// break the touched keys drain in ascending order into acc's row scratch,
+// which it returns. A rejected product is counted in Session.Screened.
+// Products reach a column in k-order, as the stable sort left them, and
+// fold left to right from the first, so the output — zero folds dropped —
+// is bit for bit the sorting kernel's over the kept products.
 func mulEntriesColumns[TA, TB, TC any](
 	sess *Session, aE []sparse.Entry[TA], bE []sparse.Entry[TB], offs []int32, k0, k1 int32,
-	f func(TA, TB) TC, add algebra.Monoid[TC], screen func(i, j int32, v TC) bool, c0, c1 int32,
+	f func(TA, TB) TC, add algebra.Monoid[TC], screen func(i, j int32, v TC) bool, acc *columnAcc[TC], c0, c1 int32,
 ) ([]sparse.Entry[TC], int64) {
-	var acc sparse.SPA[TC]
-	acc.Size(int(c1-c0), 1)
-	slab, touched := acc.Val, acc.Lane(0)
-	var out []sparse.Entry[TC]
+	cols := &acc.cols
+	cols.Size(int(c1 - c0))
+	slab, out := cols.Val, acc.rows[:0]
 	var ops, dropped int64
 	drain := func(i int32) {
-		for _, key := range touched.Drain() {
+		for _, key := range cols.Drain() {
 			if v := slab[key]; !add.IsZero(v) {
 				out = append(out, sparse.Entry[TC]{I: i, J: c0 + key, V: v})
 			}
@@ -1110,7 +1019,7 @@ func mulEntriesColumns[TA, TB, TC any](
 			switch key := eb.J - c0; {
 			case !screen(row, eb.J, v):
 				dropped++
-			case touched.Touch(key):
+			case cols.Touch(key):
 				slab[key] = v
 			default:
 				slab[key] = add.Op(slab[key], v)
@@ -1118,49 +1027,7 @@ func mulEntriesColumns[TA, TB, TC any](
 		}
 	}
 	drain(row)
-	sess.Products.Add(ops)
-	sess.Screened.Add(dropped)
-	return out, ops
-}
-
-// mulEntriesMasked is mulEntriesRange under a mask: each product the mask
-// keeps folds at its position through the given lane of the mask's
-// accumulator, and the drain emits the touched positions in ascending order.
-// Products reach a coordinate in k-order, as the stable sort left them, and
-// fold left to right from the first, so the output — zero folds dropped —
-// is bit for bit the sorting kernel's restricted to the mask.
-func mulEntriesMasked[TA, TB, TC any](
-	sess *Session, aE []sparse.Entry[TA], bE []sparse.Entry[TB], offs []int32, k0, k1 int32,
-	f func(TA, TB) TC, add algebra.Monoid[TC], mask *Mask[TC], lane int,
-) ([]sparse.Entry[TC], int64) {
-	slab, touched := mask.Acc.Val, mask.Acc.Lane(lane)
-	var ops, dropped int64
-	for _, ea := range aE {
-		if ea.J < k0 || ea.J >= k1 {
-			continue
-		}
-		lo, hi := offs[ea.J-k0], offs[ea.J-k0+1]
-		for _, eb := range bE[lo:hi] {
-			v := f(ea.V, eb.V)
-			ops++
-			k := mask.Slot(ea.I, eb.J, v)
-			switch {
-			case k < 0:
-				dropped++
-			case touched.Touch(int32(k)):
-				slab[k] = sparse.Entry[TC]{I: ea.I, J: eb.J, V: v}
-			default:
-				slab[k].V = add.Op(slab[k].V, v)
-			}
-		}
-	}
-	keys := touched.Drain()
-	out := make([]sparse.Entry[TC], 0, len(keys))
-	for _, k := range keys {
-		if e := slab[k]; !add.IsZero(e.V) {
-			out = append(out, e)
-		}
-	}
+	acc.rows = out
 	sess.Products.Add(ops)
 	sess.Screened.Add(dropped)
 	return out, ops

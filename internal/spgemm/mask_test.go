@@ -32,59 +32,71 @@ type maskRun[V any] struct {
 const (
 	kernelPlain    = iota // Multiply without a screen: the sorting kernel, the oracle
 	kernelKeepAll         // Multiply under a screen that keeps everything: the column kernel
-	kernelScreened        // Multiply screened by the mask's verdicts: the column kernel
-	kernelMasked          // MultiplyMasked: the position kernel
+	kernelScreened        // Multiply under the losers' screen: the column kernel
 )
 
+// verdicts is what the losers' screen decided on one rank: how many
+// products it dropped and the coordinates where it kept one. The rank's
+// workers ask at once.
+type verdicts struct {
+	dropped atomic.Int64
+	mu      sync.Mutex
+	kept    map[uint64]bool
+}
+
+// losersScreen is the screen the test multiplies under, over one rank's
+// block of c.t in the product's C distribution, masking the product by T as
+// MFBr's screen does: it keeps a product where the block holds its
+// coordinate and the product does not lose there, and tallies into vd.
+func losersScreen[V, W any](c screenCase[V, W], block []sparse.Entry[V], vd *verdicts) func(i, j int32, v V) bool {
+	return func(i, j int32, v V) bool {
+		key := distmat.CoordKey(i, j)
+		y := sort.Search(len(block), func(y int) bool { return distmat.CoordKey(block[y].I, block[y].J) >= key })
+		if y == len(block) || block[y].I != i || block[y].J != j || c.loses(block[y].V, v) {
+			vd.dropped.Add(1)
+			return false
+		}
+		vd.mu.Lock()
+		vd.kept[key] = true
+		vd.mu.Unlock()
+		return true
+	}
+}
+
+// rankOperands places c's frontier and adjacency on one rank of a region,
+// and returns them with the rank's block of c.t in plan's C distribution.
+func rankOperands[V, W any](proc *machine.Proc, s *Session, c screenCase[V, W], plan Plan) (*distmat.Mat[V], *distmat.Mat[W], []sparse.Entry[V]) {
+	p := plan.Procs()
+	a := distmat.FromGlobal(proc.Rank(), c.frontier, distmat.DistShard(p), c.add)
+	b := distmat.FromGlobal(proc.Rank(), c.adj, distmat.DistShard(p), c.edge)
+	_, _, dc := s.Dists(plan, a.Rows, a.Cols, b.Cols)
+	return a, b, distmat.FromGlobal(proc.Rank(), c.t.ToCOO(), dc, c.add).Local
+}
+
 // maskedProduct multiplies c's frontier by its adjacency under plan with the
-// given kernel. The verdicts are built per rank over that rank's block of c.t
-// in the plan's C distribution, as MFBr builds its mask over T: a product's
-// slot is its coordinate's position in the block, −1 where the block holds
-// nothing or the product loses there. A plan of several stages drains the
-// one accumulator once per stage.
+// given kernel, through an accumulator of the call's own. A plan of several
+// stages drains the accumulator once per row of every stage.
 func maskedProduct[V, W any](t *testing.T, c screenCase[V, W], plan Plan, workers, kernel int) maskRun[V] {
 	t.Helper()
 	p := plan.Procs()
 	out := maskRun[V]{parts: make([][]sparse.Entry[V], p), kept: make([]map[uint64]bool, p)}
 	tallies := make([][3]int64, p)
-	tCOO := c.t.ToCOO()
 	stats, err := sim.New(p).Run(func(proc *machine.Proc) {
 		s := NewSession(proc)
 		s.Workers = workers
-		a := distmat.FromGlobal(proc.Rank(), c.frontier, distmat.DistShard(p), c.add)
-		b := distmat.FromGlobal(proc.Rank(), c.adj, distmat.DistShard(p), c.edge)
-		_, _, dc := s.Dists(plan, a.Rows, a.Cols, b.Cols)
-		block := distmat.FromGlobal(proc.Rank(), tCOO, dc, c.add).Local
-		var dropped atomic.Int64 // the rank's workers ask at once
-		var mu sync.Mutex
-		kept := map[uint64]bool{}
-		slot := func(i, j int32, v V) int {
-			key := distmat.CoordKey(i, j)
-			y := sort.Search(len(block), func(y int) bool { return distmat.CoordKey(block[y].I, block[y].J) >= key })
-			if y == len(block) || block[y].I != i || block[y].J != j || c.loses(block[y].V, v) {
-				dropped.Add(1)
-				return -1
-			}
-			mu.Lock()
-			kept[key] = true
-			mu.Unlock()
-			return y
-		}
-		var prod *distmat.Mat[V]
+		a, b, block := rankOperands(proc, s, c, plan)
+		vd := &verdicts{kept: map[uint64]bool{}}
+		var screen func(i, j int32, v V) bool
 		switch kernel {
-		case kernelPlain:
-			prod = Multiply(s, plan, a, b, c.f, c.add, c.add, c.edge, false, nil)
 		case kernelKeepAll:
-			prod = Multiply(s, plan, a, b, c.f, c.add, c.add, c.edge, false, func(int32, int32, V) bool { return true })
+			screen = func(int32, int32, V) bool { return true }
 		case kernelScreened:
-			prod = Multiply(s, plan, a, b, c.f, c.add, c.add, c.edge, false, func(i, j int32, v V) bool { return slot(i, j, v) >= 0 })
-		default:
-			mask := &Mask[V]{Slot: slot, Len: len(block), Acc: &sparse.SPA[sparse.Entry[V]]{}}
-			prod = MultiplyMasked(s, plan, a, b, c.f, c.add, c.add, c.edge, false, mask)
+			screen = losersScreen(c, block, vd)
 		}
+		prod := Multiply(s, plan, a, b, c.f, c.add, c.add, c.edge, false, screen, nil)
 		out.parts[proc.Rank()] = prod.Local
-		out.kept[proc.Rank()] = kept
-		tallies[proc.Rank()] = [3]int64{s.Products.Load(), s.Screened.Load(), dropped.Load()}
+		out.kept[proc.Rank()] = vd.kept
+		tallies[proc.Rank()] = [3]int64{s.Products.Load(), s.Screened.Load(), vd.dropped.Load()}
 	})
 	if err != nil {
 		t.Fatalf("%s under %s: %v", c.name, plan, err)
@@ -95,6 +107,35 @@ func maskedProduct[V, W any](t *testing.T, c screenCase[V, W], plan Plan, worker
 		out.dropped += tl[2]
 	}
 	out.cost = stats.MaxCost
+	return out
+}
+
+// reusedProducts multiplies each of cs in turn, in one region under plan,
+// under the losers' screen and through one accumulator per rank that the
+// caller keeps across the products, as a sweep keeps one across its rounds.
+// It returns each product's blocks by rank, held until every product has
+// run: a result that shared the accumulator's storage would be overwritten
+// by the products after it.
+func reusedProducts[V, W any](t *testing.T, cs []screenCase[V, W], plan Plan, workers int) [][][]sparse.Entry[V] {
+	t.Helper()
+	p := plan.Procs()
+	out := make([][][]sparse.Entry[V], len(cs))
+	for x := range out {
+		out[x] = make([][]sparse.Entry[V], p)
+	}
+	_, err := sim.New(p).Run(func(proc *machine.Proc) {
+		s := NewSession(proc)
+		s.Workers = workers
+		var acc Accumulator[V]
+		for x, c := range cs {
+			a, b, block := rankOperands(proc, s, c, plan)
+			screen := losersScreen(c, block, &verdicts{kept: map[uint64]bool{}})
+			out[x][proc.Rank()] = Multiply(s, plan, a, b, c.f, c.add, c.add, c.edge, false, screen, &acc).Local
+		}
+	})
+	if err != nil {
+		t.Fatalf("%s under %s: %v", cs[0].name, plan, err)
+	}
 	return out
 }
 
@@ -130,16 +171,18 @@ func entryBits[V any](t *testing.T, parts ...[]sparse.Entry[V]) []byte {
 	return buf.Bytes()
 }
 
-// checkMask is the contract of the two accumulating kernels for one case
-// under every candidate plan of p processors, with the sorting kernel — an
+// checkKernels is the contract of the screened kernel for one case under
+// every candidate plan of p processors, with the sorting kernel — an
 // unscreened Multiply — as the oracle. Per rank, byte for byte and in order:
 // under a screen that keeps everything the column kernel emits the oracle's
-// entries; under the mask's verdicts it emits the oracle's entries at the
+// entries; under the losers' screen it emits the oracle's entries at the
 // coordinates where it kept a product (sides every kept product lost on
-// zeroed in both), and the position kernel emits what it emits. Each dropped
-// product counts as screened out; where C is partial the screen and the mask
-// are ignored. None of them moves the products evaluated or the modeled cost.
-func checkMask[V, W any](t *testing.T, p int, c screenCase[V, W]) {
+// zeroed in both); and through an accumulator kept across products — the
+// case's product, the same again, then other's, whose C block is another
+// width — each product is what it is through a fresh one. Each dropped
+// product counts as screened out; where C is partial the screen is ignored.
+// No screen moves the products evaluated or the modeled cost.
+func checkKernels[V, W any](t *testing.T, p int, c, other screenCase[V, W]) {
 	for _, plan := range candidatesFor(p, AnyPlan) {
 		stationaryC := plan.YZ == VarAB && !(plan.P1 > 1 && plan.X == RoleC)
 		for _, workers := range []int{1, 3} {
@@ -147,15 +190,12 @@ func checkMask[V, W any](t *testing.T, p int, c screenCase[V, W]) {
 			plain := maskedProduct(t, c, plan, workers, kernelPlain)
 			keepAll := maskedProduct(t, c, plan, workers, kernelKeepAll)
 			screened := maskedProduct(t, c, plan, workers, kernelScreened)
-			masked := maskedProduct(t, c, plan, workers, kernelMasked)
+			otherScreened := maskedProduct(t, other, plan, workers, kernelScreened)
 			if plain.products == 0 {
 				t.Fatalf("%s: empty product, the case tests nothing", name)
 			}
 			if !bytes.Equal(entryBits(t, keepAll.parts...), entryBits(t, plain.parts...)) {
 				t.Errorf("%s: under a screen that keeps everything the kernel's output differs from the sorting kernel's", name)
-			}
-			if !bytes.Equal(entryBits(t, masked.parts...), entryBits(t, screened.parts...)) {
-				t.Errorf("%s: the position kernel's output differs from the column kernel's under the same verdicts", name)
 			}
 			if stationaryC {
 				if !bytes.Equal(entryBits(t, keptOf(c, screened, screened.kept)...), entryBits(t, keptOf(c, plain, screened.kept)...)) {
@@ -164,21 +204,28 @@ func checkMask[V, W any](t *testing.T, p int, c screenCase[V, W]) {
 			} else if !bytes.Equal(entryBits(t, screened.parts...), entryBits(t, plain.parts...)) {
 				t.Errorf("%s: a partial-C plan did not ignore the screen", name)
 			}
-			for _, r := range []maskRun[V]{keepAll, screened, masked} {
+			for x, got := range reusedProducts(t, []screenCase[V, W]{c, c, other}, plan, workers) {
+				want := screened
+				if x == 2 {
+					want = otherScreened
+				}
+				if !bytes.Equal(entryBits(t, got...), entryBits(t, want.parts...)) {
+					t.Errorf("%s: product %d of 3 through a kept accumulator differs from the product through a fresh one", name, x+1)
+				}
+			}
+			for _, r := range []maskRun[V]{keepAll, screened} {
 				if r.cost != plain.cost || r.products != plain.products {
-					t.Errorf("%s: the filter moved the modeled work: cost %v products %d, unfiltered %v %d", name, r.cost, r.products, plain.cost, plain.products)
+					t.Errorf("%s: the screen moved the modeled work: cost %v products %d, unscreened %v %d", name, r.cost, r.products, plain.cost, plain.products)
 				}
 			}
 			if keepAll.screened != 0 {
 				t.Errorf("%s: a screen that keeps everything screened out %d products", name, keepAll.screened)
 			}
-			for _, r := range []maskRun[V]{screened, masked} {
-				if r.screened != r.dropped || r.screened != masked.screened {
-					t.Errorf("%s: %d products screened out, the verdicts dropped %d, the position kernel screened %d", name, r.screened, r.dropped, masked.screened)
-				}
+			if screened.screened != screened.dropped {
+				t.Errorf("%s: %d products screened out, the verdicts dropped %d", name, screened.screened, screened.dropped)
 			}
-			if stationaryC == (masked.screened == 0) {
-				t.Errorf("%s: %d of %d products screened out; stationary C: %t", name, masked.screened, masked.products, stationaryC)
+			if stationaryC == (screened.screened == 0) {
+				t.Errorf("%s: %d of %d products screened out; stationary C: %t", name, screened.screened, screened.products, stationaryC)
 			}
 		}
 	}
@@ -186,21 +233,26 @@ func checkMask[V, W any](t *testing.T, p int, c screenCase[V, W]) {
 
 // TestMaskIsTheSort: the forward and backward products of graphCases, scalar
 // and (old, new) pairs, on an RMAT graph and a weighted mesh at p ∈ {4, 6},
-// with one and three workers per rank, through the column and position
-// kernels against the sorting one.
+// with one and three workers per rank, through the column kernel — under a
+// screen that keeps everything, and under the losers' screen, which masks
+// each product by T — against the sorting one. Each graph's products are
+// the differently sized ones that follow the other's through a kept
+// accumulator.
 func TestMaskIsTheSort(t *testing.T) {
 	mesh := graph.Grid2D(6, 6, 5, 2)
 	mesh.Name = "mesh-6x6"
 	rmat := graph.RMAT(graph.DefaultRMAT(6, 6, 4))
 	rmat.Name = "rmat-s6"
-	for _, g := range []*graph.Graph{rmat, mesh} {
+	graphs := []*graph.Graph{rmat, mesh}
+	cases := []graphCases{screenCases(rmat, 8), screenCases(mesh, 8)}
+	for x, g := range graphs {
+		cs, other := cases[x], cases[1-x]
 		for _, p := range []int{4, 6} {
 			t.Run(fmt.Sprintf("%s/p%d", g.Name, p), func(t *testing.T) {
-				cs := screenCases(g, 8)
-				checkMask(t, p, cs.fwd)
-				checkMask(t, p, cs.fwdPair)
-				checkMask(t, p, cs.back)
-				checkMask(t, p, cs.backPair)
+				checkKernels(t, p, cs.fwd, other.fwd)
+				checkKernels(t, p, cs.fwdPair, other.fwdPair)
+				checkKernels(t, p, cs.back, other.back)
+				checkKernels(t, p, cs.backPair, other.backPair)
 			})
 		}
 	}

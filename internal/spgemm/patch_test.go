@@ -128,7 +128,7 @@ func TestPatchStationaryMatchesRestage(t *testing.T) {
 		for rank := 0; rank < plan.Procs(); rank++ {
 			c := NewOperandCache()
 			co := setFor(matID, plan, k, n, rank, stageForTest(plan, rank, k, n, global))
-			c.insert(co)
+			c.sets[co.operandKey] = co
 			PatchStationary(c, rank, matID, edits)
 			got := entriesOf[float64](co)
 			want := stageForTest(plan, rank, k, n, newGlobal)
@@ -151,53 +151,11 @@ func TestPatchStationaryIgnoresOtherMatrices(t *testing.T) {
 	before := []sparse.Entry[float64]{{I: 0, J: 0, V: 1}, {I: 1, J: 1, V: 2}}
 	c := NewOperandCache()
 	other := setFor(3, plan, 4, 4, 0, append([]sparse.Entry[float64](nil), before...))
-	c.insert(other)
+	c.sets[other.operandKey] = other
 	PatchStationary(c, 0, 99, []StationaryEdit[float64]{{I: 0, J: 0, Del: true}})
 	got := entriesOf[float64](other)
 	if len(got) != len(before) || got[0] != before[0] || got[1] != before[1] {
 		t.Fatalf("patch for matrix 99 modified matrix 3's set: %+v", got)
-	}
-}
-
-// TestOperandCacheLRUBound: a bounded cache keeps at most maxSets working
-// sets per matrix, evicting the least recently used (plan, dims) key, and
-// leaves other matrices' sets alone.
-func TestOperandCacheLRUBound(t *testing.T) {
-	plans := []Plan{
-		{P1: 1, P2: 1, P3: 1, X: RoleA, YZ: VarAB},
-		{P1: 1, P2: 1, P3: 1, X: RoleA, YZ: VarAC},
-		{P1: 1, P2: 1, P3: 1, X: RoleA, YZ: VarBC},
-		{P1: 1, P2: 1, P3: 1, X: RoleB, YZ: VarAB},
-	}
-	c := NewOperandCacheSized(2)
-	ins := func(id uint64, plan Plan) {
-		c.insert(setFor[float64](id, plan, 4, 4, 0, nil))
-	}
-	ins(1, plans[0])
-	ins(1, plans[1])
-	ins(2, plans[0]) // different matrix: its own budget
-	if _, ok := c.lookup(operandKey{id: 1, plan: plans[0], k: 4, n: 4}); !ok {
-		t.Fatal("set 1/plan0 must be resident (bound not yet hit); lookup also bumps its recency")
-	}
-	ins(1, plans[2]) // over budget for matrix 1: evicts plan1 (LRU; plan0 was just touched)
-	if _, ok := c.lookup(operandKey{id: 1, plan: plans[1], k: 4, n: 4}); ok {
-		t.Fatal("LRU set must have been evicted")
-	}
-	if _, ok := c.lookup(operandKey{id: 1, plan: plans[0], k: 4, n: 4}); !ok {
-		t.Fatal("recently used set must survive")
-	}
-	if _, ok := c.lookup(operandKey{id: 2, plan: plans[0], k: 4, n: 4}); !ok {
-		t.Fatal("other matrix's set must be untouched by matrix 1's bound")
-	}
-	if c.Evictions() != 1 {
-		t.Fatalf("evictions = %d, want 1", c.Evictions())
-	}
-	ins(1, plans[3])
-	if c.Evictions() != 2 {
-		t.Fatalf("evictions = %d, want 2", c.Evictions())
-	}
-	if got := len(CachedPlans(c, 1)); got != 2 {
-		t.Fatalf("matrix 1 holds %d sets, want 2", got)
 	}
 }
 
@@ -246,8 +204,8 @@ func TestPairSpliceMatchesSideBySide(t *testing.T) {
 
 // TestStagePairStationary: pair sets registered for every cached plan of
 // the source matrix, under the destination id, equal to a PairSplice of
-// each set with its own ownership filter; DropMatrix removes them without
-// counting LRU evictions.
+// each set with its own ownership filter; DropMatrix removes them and only
+// them.
 func TestStagePairStationary(t *testing.T) {
 	plans := []Plan{
 		{P1: 1, P2: 2, P3: 2, X: RoleA, YZ: VarAB},
@@ -283,9 +241,10 @@ func TestStagePairStationary(t *testing.T) {
 		for rank := 0; rank < plan.Procs(); rank++ {
 			c := NewOperandCache()
 			staged := stageForTest(plan, rank, k, n, global)
-			c.insert(setFor(srcID, plan, k, n, rank, staged))
+			src := setFor(srcID, plan, k, n, rank, staged)
+			c.sets[src.operandKey] = src
 			ops := StagePairStationary(c, rank, srcID, dstID, edits)
-			co, ok := c.lookup(operandKey{id: dstID, plan: plan, k: k, n: n})
+			co, ok := c.sets[operandKey{id: dstID, plan: plan, k: k, n: n}]
 			if !ok {
 				t.Fatalf("%s rank %d: pair set not registered", plan, rank)
 			}
@@ -304,67 +263,25 @@ func TestStagePairStationary(t *testing.T) {
 				t.Fatalf("%s rank %d: reported %d ops, wrote %d entries", plan, rank, ops, len(got))
 			}
 			DropMatrix(c, dstID)
-			if _, ok := c.lookup(operandKey{id: dstID, plan: plan, k: k, n: n}); ok {
+			if _, ok := c.sets[operandKey{id: dstID, plan: plan, k: k, n: n}]; ok {
 				t.Fatal("DropMatrix left the pair set resident")
 			}
-			if _, ok := c.lookup(operandKey{id: srcID, plan: plan, k: k, n: n}); !ok {
+			if _, ok := c.sets[src.operandKey]; !ok {
 				t.Fatal("DropMatrix removed the scalar source set")
-			}
-			if c.Evictions() != 0 {
-				t.Fatal("DropMatrix must not count as LRU evictions")
 			}
 		}
 	}
 }
 
-// TestTransientPairSetsBypassLRUBound: pair working sets staged for one
-// fused region are per-apply scratch — they must neither consume the
-// per-matrix budget nor inflate the eviction stat, even on a cache bounded
-// below the staged plan count.
-func TestTransientPairSetsBypassLRUBound(t *testing.T) {
-	plans := []Plan{
-		{P1: 1, P2: 1, P3: 1, X: RoleA, YZ: VarAB},
-		{P1: 1, P2: 1, P3: 1, X: RoleA, YZ: VarAC},
-	}
-	const srcID, dstID = 8, 9
-	c := NewOperandCacheSized(1)
-	// Two scalar plans would normally exceed the bound; insert just one so
-	// the scalar side stays within budget, then stage pairs for both plans
-	// via the transient path.
-	c.insert(setFor(srcID, plans[0], 4, 4, 0, []sparse.Entry[float64]{{I: 0, J: 1, V: 2}}))
-	c.insert(setFor(srcID, plans[1], 4, 4, 0, []sparse.Entry[float64]{{I: 0, J: 1, V: 2}}))
-	scalarEvictions := c.Evictions() // the scalar bound did evict one set
-	StagePairStationary(c, 0, srcID, dstID, []StationaryEdit[float64]{{I: 0, J: 1, V: 3}})
-	// Staging must not have evicted anything more, and manual transient
-	// inserts (what a mid-sweep cache miss does) are exempt too.
-	c.insert(setFor[algebra.WeightPair](dstID, plans[0], 4, 4, 0, nil))
-	c.insert(setFor[algebra.WeightPair](dstID, plans[1], 4, 4, 0, nil))
-	if c.Evictions() != scalarEvictions {
-		t.Fatalf("transient pair sets counted as evictions: %d -> %d", scalarEvictions, c.Evictions())
-	}
-	if got := len(CachedPlans(c, dstID)); got != 2 {
-		t.Fatalf("transient sets must bypass the bound: %d resident, want 2", got)
-	}
-	DropMatrix(c, dstID)
-	if len(CachedPlans(c, dstID)) != 0 || c.Evictions() != scalarEvictions {
-		t.Fatal("DropMatrix must remove transient sets without counting evictions")
-	}
-	// After DropMatrix the id is no longer transient: a fresh insert under
-	// it obeys the bound again.
-	c.insert(setFor[algebra.WeightPair](dstID, plans[0], 4, 4, 0, nil))
-	c.insert(setFor[algebra.WeightPair](dstID, plans[1], 4, 4, 0, nil))
-	if c.Evictions() != scalarEvictions+1 {
-		t.Fatalf("bound not restored after DropMatrix: evictions %d", c.Evictions())
-	}
-}
-
-// TestCachedViewsStayCoherent drives a bounded cache through random
-// sequences of staging (with LRU eviction), PatchStationary,
-// StagePairStationary and DropMatrix, and after every step checks each
-// resident set — block, stage buckets and row offsets — against one staged
-// from scratch out of an independent model of the matrix. A view that
-// outlives a patch multiplies against the pre-patch matrix without any
-// error: only the scores come out wrong.
+// TestCachedViewsStayCoherent drives a cache through random sequences of
+// staging, PatchStationary, StagePairStationary and DropMatrix, and after
+// every step checks each resident set — block, stage buckets and row
+// offsets — against one staged from scratch out of an independent model of
+// the matrix. A view that outlives a patch multiplies against the
+// pre-patch matrix without any error: only the scores come out wrong. With
+// no eviction the cache stays bounded by the plans alone — a matrix holds
+// at most one set per plan at fixed dimensions — and DropMatrix leaves no
+// pair set behind.
 func TestCachedViewsStayCoherent(t *testing.T) {
 	plans := []Plan{
 		{P1: 1, P2: 1, P3: 4, X: RoleA, YZ: VarAB},
@@ -411,7 +328,7 @@ func TestCachedViewsStayCoherent(t *testing.T) {
 				})
 				return edits
 			}
-			c := NewOperandCacheSized(3)
+			c := NewOperandCache()
 			// check compares every resident set with a from-scratch staging:
 			// scalar sets of the model, pair sets of the model spliced with
 			// pairEdits.
@@ -431,10 +348,11 @@ func TestCachedViewsStayCoherent(t *testing.T) {
 			}
 			for step := 0; step < 60; step++ {
 				switch rng.Intn(4) {
-				case 0: // a multiply under some plan: hit, or stage (and maybe evict)
+				case 0: // a multiply under some plan: hit, or stage
 					plan := plans[rng.Intn(len(plans))]
-					if _, ok := c.lookup(operandKey{id: srcID, plan: plan, k: k, n: n}); !ok {
-						c.insert(setFor(srcID, plan, k, n, rank, stageForTest(plan, rank, k, n, global())))
+					key := operandKey{id: srcID, plan: plan, k: k, n: n}
+					if _, ok := c.sets[key]; !ok {
+						c.sets[key] = setFor(srcID, plan, k, n, rank, stageForTest(plan, rank, k, n, global()))
 					}
 					check("stage", nil)
 				case 1, 2:
@@ -456,14 +374,14 @@ func TestCachedViewsStayCoherent(t *testing.T) {
 					}
 					check("pair staging", edits)
 					DropMatrix(c, dstID)
+					if got := len(CachedPlans(c, dstID)); got != 0 {
+						t.Fatalf("seed %d rank %d: %d pair sets survived DropMatrix", seed, rank, got)
+					}
 					check("drop", nil)
 				}
-				if got := len(CachedPlans(c, srcID)); got > 3 {
-					t.Fatalf("seed %d rank %d: %d sets resident past the bound of 3", seed, rank, got)
+				if got := len(CachedPlans(c, srcID)); got > len(plans) {
+					t.Fatalf("seed %d rank %d: %d sets resident for %d plans", seed, rank, got, len(plans))
 				}
-			}
-			if c.Evictions() == 0 {
-				t.Fatalf("seed %d rank %d: the sequence never evicted; the bound is not exercised", seed, rank)
 			}
 		}
 	}

@@ -5,7 +5,9 @@
 // the fiber dimension of a 2D algorithm — together with the analytic cost
 // model used to search the space of decompositions automatically, as CTF
 // does (§6.2). A caller that knows which products cannot matter may hand
-// Multiply a screen to keep them out of the local kernel's sort.
+// Multiply a screen to keep them out of the local kernel; a screened
+// product folds by column into an accumulator the caller keeps, and only
+// unscreened products are sorted.
 package spgemm
 
 import (
