@@ -125,10 +125,9 @@ func BenchmarkMFBCWorkers(b *testing.B) {
 	}
 }
 
-// BenchmarkMFBCEndToEndWorkers runs the same comparison through the public
-// API on the simulated machine (one rank, asked for by forcing the 1x1x1
-// plan), so the distributed plumbing — redistribution, entry-list kernels,
-// merges — is included.
+// BenchmarkMFBCEndToEndWorkers runs the same comparison on a one-rank
+// simulated machine (core.MFBCDistributed at Procs 1), so the distributed
+// plumbing — redistribution, entry-list kernels, merges — is included.
 func BenchmarkMFBCEndToEndWorkers(b *testing.B) {
 	g := graph.RMAT(graph.DefaultRMAT(13, 8, 4))
 	sources := make([]int32, 128)
@@ -138,9 +137,7 @@ func BenchmarkMFBCEndToEndWorkers(b *testing.B) {
 	for _, w := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := Compute(g, Options{
-					Engine: EngineMFBC, Procs: 1, Plan: oneRankPlan, Sources: sources, Workers: w,
-				}); err != nil {
+				if _, err := core.MFBCDistributed(g, core.DistOptions{Procs: 1, Sources: sources, Workers: w}); err != nil {
 					b.Fatal(err)
 				}
 			}

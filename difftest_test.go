@@ -49,20 +49,36 @@ type diffConfig struct {
 	name           string
 	opt            Options
 	unweightedOnly bool // CombBLAS rejects weighted graphs by design
+	// cons, when set, runs MFBC through core.MFBCDistributed with the
+	// decomposition search restricted to one family (the §7 ablation).
+	cons spgemm.Constraint
 }
 
 func diffConfigs() []diffConfig {
 	return []diffConfig{
-		{"mfbc-seq", Options{Engine: EngineMFBC}, false},
-		{"mfbc-seq-batch8", Options{Engine: EngineMFBC, Batch: 8}, false},
-		{"mfbc-p2-batch16", Options{Engine: EngineMFBC, Procs: 2, Batch: 16}, false},
-		{"mfbc-p4-only1d", Options{Engine: EngineMFBC, Procs: 4, Constraint: spgemm.Only1D}, false},
-		{"mfbc-p4-only2d", Options{Engine: EngineMFBC, Procs: 4, Constraint: spgemm.Only2D}, false},
-		{"mfbc-p8-only3d", Options{Engine: EngineMFBC, Procs: 8, Batch: 8, Constraint: spgemm.Only3D}, false},
-		{"mfbc-p6-anyplan", Options{Engine: EngineMFBC, Procs: 6}, false},
-		{"combblas-seq", Options{Engine: EngineCombBLAS}, true},
-		{"combblas-p4-batch16", Options{Engine: EngineCombBLAS, Procs: 4, Batch: 16}, true},
+		{"mfbc-seq", Options{Engine: EngineMFBC}, false, spgemm.AnyPlan},
+		{"mfbc-seq-batch8", Options{Engine: EngineMFBC, Batch: 8}, false, spgemm.AnyPlan},
+		{"mfbc-p2-batch16", Options{Engine: EngineMFBC, Procs: 2, Batch: 16}, false, spgemm.AnyPlan},
+		{"mfbc-p4-only1d", Options{Engine: EngineMFBC, Procs: 4}, false, spgemm.Only1D},
+		{"mfbc-p4-only2d", Options{Engine: EngineMFBC, Procs: 4}, false, spgemm.Only2D},
+		{"mfbc-p8-only3d", Options{Engine: EngineMFBC, Procs: 8, Batch: 8}, false, spgemm.Only3D},
+		{"mfbc-p6-anyplan", Options{Engine: EngineMFBC, Procs: 6}, false, spgemm.AnyPlan},
+		{"combblas-seq", Options{Engine: EngineCombBLAS}, true, spgemm.AnyPlan},
+		{"combblas-p4-batch16", Options{Engine: EngineCombBLAS, Procs: 4, Batch: 16}, true, spgemm.AnyPlan},
 	}
+}
+
+// run computes c's scores on g: through Compute, or through
+// core.MFBCDistributed under c's search constraint.
+func (c diffConfig) run(g *Graph) (*Result, error) {
+	if c.cons == spgemm.AnyPlan {
+		return Compute(g, c.opt)
+	}
+	r, err := core.MFBCDistributed(g, core.DistOptions{Procs: c.opt.Procs, Batch: c.opt.Batch, Constraint: c.cons})
+	if err != nil {
+		return nil, err
+	}
+	return &Result{BC: r.BC, Plan: r.Plan.String()}, nil
 }
 
 // diffSeeds returns the seed matrix: fixed and small by default, widened by
@@ -106,7 +122,7 @@ func TestDifferential(t *testing.T) {
 						continue
 					}
 					t.Run(fmt.Sprintf("%s/seed%d", cfg.name, seed), func(t *testing.T) {
-						res, err := Compute(g, cfg.opt)
+						res, err := cfg.run(g)
 						if err != nil {
 							t.Fatalf("%s on %s (n=%d m=%d): %v", cfg.name, g.Name, g.N, g.M(), err)
 						}
@@ -275,9 +291,7 @@ func TestForcedPlanEmptyOperandBlocks(t *testing.T) {
 		for _, plan := range plans {
 			plan := plan
 			t.Run(fmt.Sprintf("%s/%s", g.Name, plan), func(t *testing.T) {
-				res, err := Compute(g, Options{
-					Engine: EngineMFBC, Procs: plan.Procs(), Plan: &plan, Batch: 4,
-				})
+				res, err := core.MFBCDistributed(g, core.DistOptions{Procs: plan.Procs(), Batch: 4, Plan: &plan})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -10,7 +10,9 @@
 // across applies and delta-patching them with each batch's edge diff; the
 // per-apply ApplyReport and the cumulative DynamicSnapshot then carry the
 // modeled communication (critical-path words, messages, α–β–γ seconds)
-// and the decomposition plan chosen.
+// and the decomposition plan chosen. The engine searches that plan per
+// multiplication and sweeps the default batch; it takes no forced plan or
+// search constraint (those ablations are core.DistOptions').
 //
 // The façade declares no description type of its own: DynamicOptions,
 // ApplyReport, DynamicSnapshot, DynamicStats, PhaseComm and CommReport are
@@ -35,16 +37,6 @@ const (
 	MutSetWeight  = graph.OpSetWeight
 	MutAddVertex  = graph.OpAddVertex
 )
-
-// CoalesceMutations collapses a concatenated mutation stream into its
-// compact equivalent (add+remove cancels, remove+add becomes set_weight,
-// chained sets keep the last, add_vertex hoisted). Replaying the result
-// yields the same graph as replaying the input one op at a time — this is
-// the algebra the server's group-commit ingestion path applies before
-// handing a merged batch to the engine.
-func CoalesceMutations(directed bool, muts []Mutation) []Mutation {
-	return dynamic.Coalesce(directed, muts)
-}
 
 // DynamicOptions configures a DynamicBC engine: the engine's own Config,
 // re-exported so a streaming option is declared and documented once.

@@ -19,6 +19,7 @@ import (
 	"strconv"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/dynamic"
 	"repro/internal/graph"
 	"repro/internal/spgemm"
@@ -152,13 +153,18 @@ func TestDynamicDifferential(t *testing.T) {
 }
 
 // TestDynamicDistributedDifferential replays seeded mutation sequences
-// through distributed-mode engines — procs 2 and 4 under 1D/2D/3D plan
-// constraints and one forced plan — comparing every prefix against a
-// from-scratch repro.Compute at 1e-9. Incremental applies run fused, or
-// two-region on vertex growth; that delta-patched operands match full
-// redistribution bit for bit is pinned one layer down
-// (core.TestSessionPatchMatchesReset). MFBC_DIFFTEST_SEEDS widens the seed
-// matrix as in the static harness.
+// through distributed-mode engines — procs 2, 4, 6 and 8 under the
+// automatic plan search — comparing every prefix against a from-scratch
+// repro.Compute at 1e-9. On these graphs the search picks a 1D plan at
+// every p. The façade takes no forced plan or search constraint, so the
+// p2-1d, p4-2d, p4-3d and p4-forced rows replay the same sequences through
+// the engine's session (core.DistSession) under core.DistOptions' ablation,
+// driven as the engine drives it; the engine itself under those plans is
+// internal/dynamic's TestDistributedIncrementalMatchesFromScratch.
+// Incremental applies run fused, or two-region on vertex growth; that
+// delta-patched operands match full redistribution bit for bit is pinned
+// one layer down (core.TestSessionPatchMatchesReset). MFBC_DIFFTEST_SEEDS
+// widens the seed matrix as in the static harness.
 func TestDynamicDistributedDifferential(t *testing.T) {
 	topologies := []struct {
 		name     string
@@ -170,23 +176,56 @@ func TestDynamicDistributedDifferential(t *testing.T) {
 	}
 	forced := spgemm.Plan{P1: 1, P2: 2, P3: 2, X: spgemm.RoleA, YZ: spgemm.VarBC}
 	engines := []struct {
-		name string
-		opt  DynamicOptions
+		name    string
+		opt     DynamicOptions
+		ablated *core.DistOptions // non-nil: drive a session under this ablation instead
 	}{
-		{"p2", DynamicOptions{Procs: 2, Workers: 1}},
-		{"p2-1d", DynamicOptions{Procs: 2, Workers: 1, Constraint: spgemm.Only1D}},
-		{"p4-2d", DynamicOptions{Procs: 4, Workers: 1, Constraint: spgemm.Only2D}},
-		{"p4-3d", DynamicOptions{Procs: 4, Workers: 1, Constraint: spgemm.Only3D}},
-		{"p4-forced", DynamicOptions{Procs: 4, Workers: 1, Plan: &forced}},
+		{"p2", DynamicOptions{Procs: 2, Workers: 1}, nil},
+		{"p2-1d", DynamicOptions{}, &core.DistOptions{Procs: 2, Workers: 1, Constraint: spgemm.Only1D}},
+		{"p4-2d", DynamicOptions{}, &core.DistOptions{Procs: 4, Workers: 1, Constraint: spgemm.Only2D}},
+		{"p4-3d", DynamicOptions{}, &core.DistOptions{Procs: 4, Workers: 1, Constraint: spgemm.Only3D}},
+		{"p4-forced", DynamicOptions{}, &core.DistOptions{Procs: 4, Workers: 1, Plan: &forced}},
+		{"p4", DynamicOptions{Procs: 4, Workers: 1}, nil},
+		{"p6", DynamicOptions{Procs: 6, Workers: 1}, nil},
+		{"p8", DynamicOptions{Procs: 8, Workers: 1}, nil},
 	}
 	for _, topo := range topologies {
 		for _, eng := range engines {
 			for _, seed := range dynSeeds() {
 				t.Run(fmt.Sprintf("%s/%s/seed%d", topo.name, eng.name, seed), func(t *testing.T) {
 					g := topo.build(seed)
-					dyn, err := NewDynamicBC(g, eng.opt)
-					if err != nil {
-						t.Fatal(err)
+					// apply hands one batch to the row's engine or session and
+					// returns the scores of next, the shadow replay after it.
+					var apply func(step int, next *Graph, batch []Mutation) (bc []float64, desc string)
+					var commBytes func() int64
+					if eng.ablated != nil {
+						s := newAblatedSession(t, g, *eng.ablated)
+						apply = func(step int, next *Graph, batch []Mutation) ([]float64, string) {
+							return s.apply(t, step, next.Clone(), batch)
+						}
+						commBytes = func() int64 { return s.bytes }
+					} else {
+						dyn, err := NewDynamicBC(g, eng.opt)
+						if err != nil {
+							t.Fatal(err)
+						}
+						apply = func(step int, next *Graph, batch []Mutation) ([]float64, string) {
+							rep, err := dyn.Apply(batch)
+							if err != nil {
+								t.Fatalf("step %d: %v", step, err)
+							}
+							snap := dyn.Scores()
+							if snap.Version != Fingerprint(next) {
+								t.Fatalf("step %d: version mismatch vs shadow replay", step)
+							}
+							return snap.BC, fmt.Sprintf("%s, fused=%v", rep.Strategy, rep.Fused)
+						}
+						commBytes = func() int64 {
+							if st := dyn.Stats(); st.Comm.Runs > 0 {
+								return st.Comm.Bytes
+							}
+							return 0
+						}
 					}
 					shadow := g.Clone()
 					rng := rand.New(rand.NewSource(seed * 13))
@@ -198,33 +237,129 @@ func TestDynamicDistributedDifferential(t *testing.T) {
 								t.Fatalf("step %d: shadow: %v", step, err)
 							}
 						}
-						rep, err := dyn.Apply(batch)
-						if err != nil {
-							t.Fatalf("step %d: %v", step, err)
-						}
-						snap := dyn.Scores()
-						if snap.Version != Fingerprint(shadow) {
-							t.Fatalf("step %d: version mismatch vs shadow replay", step)
-						}
+						bc, desc := apply(step, shadow, batch)
 						want, err := Compute(shadow, Options{Engine: EngineMFBC})
 						if err != nil {
 							t.Fatalf("step %d: from-scratch: %v", step, err)
 						}
+						if len(bc) != len(want.BC) {
+							t.Fatalf("step %d (%s): %d scores, from-scratch %d", step, desc, len(bc), len(want.BC))
+						}
 						for v := range want.BC {
-							if !almostEqual(snap.BC[v], want.BC[v]) {
-								t.Fatalf("step %d (%s, fused=%v): bc[%d] = %v, from-scratch %v",
-									step, rep.Strategy, rep.Fused, v, snap.BC[v], want.BC[v])
+							if !almostEqual(bc[v], want.BC[v]) {
+								t.Fatalf("step %d (%s): bc[%d] = %v, from-scratch %v",
+									step, desc, v, bc[v], want.BC[v])
 							}
 						}
 					}
-					// The engine's runs really happened on the machine model.
-					if st := dyn.Stats(); st.Comm.Runs == 0 || st.Comm.Bytes == 0 {
-						t.Fatalf("distributed engine accumulated no modeled communication: %+v", st.Comm)
+					// The runs really happened on the machine model.
+					if commBytes() == 0 {
+						t.Fatal("distributed runs accumulated no modeled communication")
 					}
 				})
 			}
 		}
 	}
+}
+
+// ablatedSession replays a mutation stream through a core.DistSession the
+// way the streaming engine drives its own: an initial full run, then one
+// fused region per batch on a fixed vertex set, Patch then Run when the
+// batch grows it. Here every vertex is a pivot, so each apply's new side is
+// the full score vector.
+type ablatedSession struct {
+	opt   core.DistOptions
+	sess  *core.DistSession
+	bytes int64
+}
+
+func newAblatedSession(t *testing.T, g *Graph, opt core.DistOptions) *ablatedSession {
+	t.Helper()
+	sess, err := core.NewDistSession(g.Clone(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := sess.Run(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !planAdmitted(r.Plan, opt) {
+		t.Fatalf("initial run ran plan %s outside the ablation", r.Plan)
+	}
+	return &ablatedSession{opt: opt, sess: sess, bytes: r.Stats.MaxCost.Bytes}
+}
+
+// apply advances the session to next, its graph after batch, and returns
+// next's scores with a description of the region that computed them.
+func (a *ablatedSession) apply(t *testing.T, step int, next *Graph, batch []Mutation) ([]float64, string) {
+	t.Helper()
+	type key [2]int32
+	seen := map[key]bool{}
+	var edges []key
+	for _, m := range batch {
+		if m.Op == MutAddVertex {
+			continue
+		}
+		u, v := m.U, m.V
+		if !next.Directed && u > v {
+			u, v = v, u
+		}
+		if !seen[key{u, v}] {
+			seen[key{u, v}] = true
+			edges = append(edges, key{u, v})
+		}
+	}
+	diffs := make([]core.EdgeDiff, len(edges))
+	for i, e := range edges {
+		w, ok := next.FindEdge(e[0], e[1])
+		diffs[i] = core.EdgeDiff{U: e[0], V: e[1], W: w, Present: ok}
+	}
+	var (
+		bc    []float64
+		plan  spgemm.Plan
+		bytes int64
+		desc  string
+	)
+	if next.N == a.sess.Graph().N {
+		all := make([]int32, next.N)
+		for v := range all {
+			all[v] = int32(v)
+		}
+		r, err := a.sess.ApplyIncremental(nil, next, nil, diffs, all)
+		if err != nil {
+			t.Fatalf("step %d: fused apply: %v", step, err)
+		}
+		bc, plan, bytes, desc = r.NewBC, r.Plan, r.Stats.MaxCost.Bytes, "fused"
+	} else {
+		a.sess.Patch(next, nil, diffs)
+		r, err := a.sess.Run(nil)
+		if err != nil {
+			t.Fatalf("step %d: run after growth: %v", step, err)
+		}
+		bc, plan, bytes, desc = r.BC, r.Plan, r.Stats.MaxCost.Bytes, "patch+run"
+	}
+	a.bytes += bytes
+	if !planAdmitted(plan, a.opt) {
+		t.Fatalf("step %d (%s): ran plan %s outside the ablation", step, desc, plan)
+	}
+	return bc, desc + " under " + plan.String()
+}
+
+// planAdmitted reports whether p is opt's forced plan or, with none forced,
+// one opt's search constraint admits.
+func planAdmitted(p spgemm.Plan, opt core.DistOptions) bool {
+	if opt.Plan != nil {
+		return p == *opt.Plan
+	}
+	switch opt.Constraint {
+	case spgemm.Only1D:
+		return p.P2 == 1 && p.P3 == 1
+	case spgemm.Only2D:
+		return p.P1 == 1
+	case spgemm.Only3D:
+		return p.P1 > 1 && p.P2*p.P3 > 1
+	}
+	return true
 }
 
 // TestDynamicAgainstBrandesOracle cross-checks the maintained scores

@@ -15,9 +15,8 @@ import (
 // DistCombBLASOptions configures a distributed CombBLAS-style run.
 type DistCombBLASOptions struct {
 	Procs   int
-	Batch   int
-	Sources []int32 // when non-nil, process only this single batch (benchmark mode)
-	Model   *machine.CostModel
+	Batch   int     // sources per sweep; ≤0 selects min(n, 128)
+	Sources []int32 // when non-nil, sweep only these, in Batch-sized chunks
 	// Transport pins the run to an external machine backend (its Size
 	// must equal Procs); nil uses the in-process simulated machine.
 	Transport machine.Transport
@@ -87,8 +86,12 @@ func CombBLASStyleDistributed(g *graph.Graph, opt DistCombBLASOptions) (*DistCom
 	} else if mach.Size() != p {
 		return nil, fmt.Errorf("combblas: transport has %d ranks, want %d", mach.Size(), p)
 	}
-	if opt.Model != nil {
-		mach.SetModel(*opt.Model)
+	sources := opt.Sources
+	if sources == nil {
+		sources = make([]int32, g.N)
+		for s := range sources {
+			sources[s] = int32(s)
+		}
 	}
 	res := &DistCombBLASResult{Plan: plan, BC: make([]float64, g.N)}
 	bcPer := make([][]float64, p)
@@ -102,24 +105,9 @@ func CombBLASStyleDistributed(g *graph.Graph, opt DistCombBLASOptions) (*DistCom
 		atMat := distmat.FromGlobal(proc.Rank(), atCOO, shard, trop)
 		bc := make([]float64, g.N)
 		totalLevels := 0
-
-		batches := [][]int32{opt.Sources}
-		if opt.Sources == nil {
-			batches = batches[:0]
-			for lo := 0; lo < g.N; lo += nb {
-				hi := lo + nb
-				if hi > g.N {
-					hi = g.N
-				}
-				sources := make([]int32, 0, hi-lo)
-				for s := lo; s < hi; s++ {
-					sources = append(sources, int32(s))
-				}
-				batches = append(batches, sources)
-			}
-		}
-		for _, sources := range batches {
-			totalLevels += distCombBLASBatch(sess, plan, aMat, atMat, sources, g.N, shard, bc)
+		for lo := 0; lo < len(sources); lo += nb {
+			batch := sources[lo:min(lo+nb, len(sources))]
+			totalLevels += distCombBLASBatch(sess, plan, aMat, atMat, batch, g.N, shard, bc)
 		}
 		total := machine.Allreduce(world, bc, func(a, b float64) float64 { return a + b })
 		bcPer[proc.Rank()] = total
@@ -159,7 +147,7 @@ func distCombBLASBatch(
 		if distmat.GlobalNNZ(world, frontier) == 0 {
 			break
 		}
-		next := spgemm.Multiply(sess, plan, frontier, aMat, copyX, count, count, trop, true, nil, nil)
+		next := spgemm.Multiply(sess, plan, frontier, aMat, copyX, count, trop, nil, nil)
 		nsp = distmat.Redistribute(world, nsp, next.Dist, count)
 		next = &distmat.Mat[float64]{
 			Rows: nb, Cols: n, Dist: next.Dist,
@@ -183,7 +171,7 @@ func distCombBLASBatch(
 			Rows: nb, Cols: n, Dist: nsp.Dist,
 			Local: scaleByJoin(lvl.Local, delta.Local, nsp.Local),
 		}
-		u := spgemm.Multiply(sess, plan, w, atMat, copyX, count, count, trop, true, nil, nil)
+		u := spgemm.Multiply(sess, plan, w, atMat, copyX, count, trop, nil, nil)
 		prev := distmat.Redistribute(world, levels[l-1], u.Dist, count)
 		nsp = distmat.Redistribute(world, nsp, u.Dist, count)
 		delta = distmat.Redistribute(world, delta, u.Dist, count)

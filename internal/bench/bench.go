@@ -172,8 +172,8 @@ func runMFBC(exp string, g *graph.Graph, cfg Config, procs, nb int, cons spgemm.
 	}
 	defer done()
 	res, err := core.MFBCDistributed(g, core.DistOptions{
-		Procs: procs, Workers: cfg.Workers, Sources: sources, Constraint: cons, Plan: plan,
-		Transport: tr,
+		Procs: procs, Workers: cfg.Workers, Batch: len(sources), Sources: sources,
+		Constraint: cons, Plan: plan, Transport: tr,
 	})
 	if err != nil {
 		pt.Err = err.Error()
@@ -204,7 +204,7 @@ func runCombBLAS(exp string, g *graph.Graph, cfg Config, procs, nb int) Point {
 	}
 	defer done()
 	res, err := baseline.CombBLASStyleDistributed(g, baseline.DistCombBLASOptions{
-		Procs: procs, Sources: sources, Transport: tr,
+		Procs: procs, Batch: len(sources), Sources: sources, Transport: tr,
 	})
 	if err != nil {
 		pt.Err = err.Error()

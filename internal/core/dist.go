@@ -11,8 +11,8 @@
 // against T inside the multiply — the backward one masking them by T's
 // pattern), written once over sorted entry lists and generic over how many
 // independent sides each entry value carries (algebra.Sided).
-// One side is the scalar sweep of Run, MFBCDistributed and SSSPDistributed;
-// two sides — (old, new) around a graph edit — is the fused incremental
+// One side is the scalar sweep of Run and MFBCDistributed; two sides —
+// (old, new) around a graph edit — is the fused incremental
 // apply of fused.go. At one side every per-side step degenerates to the
 // scalar one: one plan, one multiply, the same collectives and the same
 // modeled cost. The rules find T through one dense position table per rank
@@ -37,17 +37,18 @@ import (
 
 // DistOptions configures a distributed MFBC run.
 type DistOptions struct {
-	Procs      int                // processor count (p); with a Transport it must match Transport.Size()
-	Workers    int                // per-rank local-kernel parallelism; 0 = fair share of host cores across local ranks, 1 = sequential
-	Batch      int                // n_b; ≤0 selects min(n, 128)
-	Sources    []int32            // when non-nil, process only this single batch (benchmark mode); BC holds the partial contribution Σ_{s∈Sources} δ(s,·)
-	Plan       *spgemm.Plan       // force a decomposition; nil = automatic search
-	Constraint spgemm.Constraint  // restrict the automatic search (ablations)
-	Model      *machine.CostModel // override the α–β–γ constants
+	Procs   int     // processor count (p); with a Transport it must match Transport.Size()
+	Workers int     // per-rank local-kernel parallelism; 0 = fair share of host cores across local ranks, 1 = sequential
+	Batch   int     // n_b; ≤0 selects min(n, 128)
+	Sources []int32 // when non-nil, sweep only these, in Batch-sized chunks; BC holds the partial contribution Σ_{s∈Sources} δ(s,·)
+	// Plan and Constraint are the paper's decomposition ablations (§7,
+	// Table 3): Plan forces one decomposition for every multiplication, nil
+	// searches per operation; Constraint restricts that search.
+	Plan       *spgemm.Plan
+	Constraint spgemm.Constraint
 	// Transport pins every region of this run/session to an external
 	// machine backend (e.g. a tcpnet rank mesh) instead of a fresh
-	// simulated machine per region. The caller owns its lifecycle; a Model
-	// override is applied to it when set.
+	// simulated machine per region. The caller owns its lifecycle.
 	Transport machine.Transport
 }
 
@@ -55,14 +56,10 @@ type DistOptions struct {
 // externally-managed transport when one is configured (rank-per-process
 // deployments), else a fresh simulated machine of p ranks.
 func transportFor(p int, opt DistOptions) machine.Transport {
-	tr := opt.Transport
-	if tr == nil {
-		tr = sim.New(p)
+	if opt.Transport != nil {
+		return opt.Transport
 	}
-	if opt.Model != nil {
-		tr.SetModel(*opt.Model)
-	}
-	return tr
+	return sim.New(p)
 }
 
 // DistResult is the outcome of a distributed run.
@@ -123,19 +120,16 @@ func (pl planner) planFor(rows int, nnzA int64, bytesA int64) spgemm.Plan {
 
 // MFBCDistributed computes betweenness centrality on the simulated
 // distributed machine. It is the one-shot form of a DistSession: operands
-// are built, staged, and discarded with the run. Explicit opt.Sources are
-// processed as a single batch (benchmark mode); streaming callers that
-// want cross-run operand reuse hold a DistSession instead (dyndist.go).
+// are built, staged, and discarded with the run, and explicit opt.Sources
+// are swept in Batch-sized chunks as Run sweeps them; streaming callers
+// that want cross-run operand reuse hold a DistSession instead
+// (dyndist.go).
 func MFBCDistributed(g *graph.Graph, opt DistOptions) (*DistResult, error) {
 	s, err := NewDistSession(g, opt)
 	if err != nil {
 		return nil, err
 	}
-	nb := Options{Batch: opt.Batch}.batchFor(g.N)
-	if opt.Sources != nil {
-		nb = len(opt.Sources)
-	}
-	return s.run(context.Background(), opt.Sources, nb)
+	return s.RunCtx(context.Background(), opt.Sources)
 }
 
 // batchList partitions 0..n-1 into batches of nb sources, or chunks the
@@ -277,7 +271,7 @@ func mulPerSide[T algebra.Sided[T, E], E, W any](
 	}
 	if !split {
 		_, _, dc := sp.sess.Dists(sp.plans[lead], frontier.Rows, frontier.Cols, b.Cols)
-		return spgemm.Multiply(sp.sess, sp.plans[lead], frontier, b, f, mon, mon, edge, true, align(dc), acc), true
+		return spgemm.Multiply(sp.sess, sp.plans[lead], frontier, b, f, mon, edge, align(dc), acc), true
 	}
 	sp.split++
 	var out *distmat.Mat[T]
@@ -285,7 +279,7 @@ func mulPerSide[T algebra.Sided[T, E], E, W any](
 		if nnz[s] == 0 {
 			continue
 		}
-		ext := spgemm.Multiply(sp.sess, sp.plans[s], sideProject(frontier, s, mon.Identity, isZero), b, f, mon, mon, edge, true, nil, nil)
+		ext := spgemm.Multiply(sp.sess, sp.plans[s], sideProject(frontier, s, mon.Identity, isZero), b, f, mon, edge, nil, nil)
 		if out == nil {
 			out = ext
 		} else {

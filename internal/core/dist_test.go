@@ -90,6 +90,30 @@ func TestDistMFBCBatchSizes(t *testing.T) {
 	}
 }
 
+// TestMFBCDistributedChunksSources: an explicit source list is swept in
+// Batch-sized chunks, as the sequential path and DistSession.Run sweep it,
+// not as one batch however long the list is.
+func TestMFBCDistributedChunksSources(t *testing.T) {
+	g := graph.Grid2D(6, 6, 5, 8)
+	sources := make([]int32, 12)
+	for i := range sources {
+		sources[i] = int32(3 * i)
+	}
+	res, err := MFBCDistributed(g, DistOptions{Procs: 4, Batch: 5, Sources: sources})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Batches != 3 {
+		t.Fatalf("12 sources at batch 5 ran %d batches, want 3", res.Batches)
+	}
+	want := baseline.BrandesSources(g, sources)
+	for v := range want {
+		if !almostEqual(res.BC[v], want[v]) {
+			t.Fatalf("BC[%d]=%g, Brandes says %g", v, res.BC[v], want[v])
+		}
+	}
+}
+
 func TestDistMFBCDisconnected(t *testing.T) {
 	g := &graph.Graph{Name: "twocomp", N: 9}
 	g.Edges = []graph.Edge{

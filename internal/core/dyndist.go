@@ -202,17 +202,12 @@ func (s *DistSession) Run(sources []int32) (*DistResult, error) {
 // region's modeled-vs-measured stats are attached as a machine.region
 // child span with one grandchild per attributed phase.
 func (s *DistSession) RunCtx(ctx context.Context, sources []int32) (*DistResult, error) {
+	if err := CheckSources(s.g.N, sources); err != nil {
+		return nil, err
+	}
 	nb := Options{Batch: s.opt.Batch}.batchFor(s.g.N)
 	if sources != nil && len(sources) < nb {
 		nb = len(sources)
-	}
-	return s.run(ctx, sources, nb)
-}
-
-// run executes one simulated-machine region over the resident operands.
-func (s *DistSession) run(ctx context.Context, sources []int32, nb int) (*DistResult, error) {
-	if err := CheckSources(s.g.N, sources); err != nil {
-		return nil, err
 	}
 	mach := transportFor(s.p, s.opt)
 	pl := s.planner(mach, s.g)
@@ -226,6 +221,17 @@ func (s *DistSession) run(ctx context.Context, sources []int32, nb int) (*DistRe
 	// product gets (individual operations may choose differently).
 	plan := pl.planFor(nb, int64(float64(nb)*s.g.AvgDegree()), multpathBytes)
 	return &DistResult{BC: out.bc, Plan: plan, Stats: out.stats, Iterations: out.iters, Batches: out.batches}, nil
+}
+
+// CheckSources reports the first entry of an explicit source list that is
+// not a vertex of an n-vertex graph. A nil or empty list passes.
+func CheckSources(n int, sources []int32) error {
+	for _, s := range sources {
+		if s < 0 || int(s) >= n {
+			return fmt.Errorf("core: source %d outside [0,%d)", s, n)
+		}
+	}
+	return nil
 }
 
 // planner returns the per-multiplication planner of a region over g.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"container/heap"
 	"math"
 	"math/rand"
 	"testing"
@@ -139,6 +140,90 @@ func TestMFBCWeightedTies(t *testing.T) {
 		g.Weighted = true
 		checkAgainstBrandes(t, g, 8)
 	}
+}
+
+// TestSSSPSequential holds MFBF's T — the distance and shortest-path
+// multiplicity from each source, nothing at the source itself — to a
+// Dijkstra oracle with path counting.
+func TestSSSPSequential(t *testing.T) {
+	for _, g := range []*graph.Graph{
+		graph.RMAT(graph.DefaultRMAT(7, 6, 3)),
+		graph.Grid2D(6, 7, 9, 4),
+		graph.Uniform(90, 400, true, 5),
+	} {
+		sources := []int32{0, 3, int32(g.N - 1)}
+		tm, _, iters := MFBF(g.Adjacency(), sources)
+		if iters == 0 {
+			t.Fatalf("%s: no iterations recorded", g.Name)
+		}
+		for s, src := range sources {
+			wantD, wantS := refDijkstra(g, src)
+			wantD[src], wantS[src] = math.Inf(1), 0
+			dist, count := make([]float64, g.N), make([]float64, g.N)
+			for v := range dist {
+				dist[v] = math.Inf(1)
+			}
+			cols, vals := tm.Row(s)
+			for k, v := range cols {
+				dist[v], count[v] = vals[k].W, vals[k].M
+			}
+			for v := range dist {
+				if dist[v] != wantD[v] || count[v] != wantS[v] {
+					t.Fatalf("%s: T(%d,%d) = (%g, %g), want (%g, %g)", g.Name, src, v, dist[v], count[v], wantD[v], wantS[v])
+				}
+			}
+		}
+	}
+}
+
+// refDijkstra computes reference distances and multiplicities.
+func refDijkstra(g *graph.Graph, src int32) ([]float64, []float64) {
+	adj, wts := g.OutAdjacencyLists()
+	n := g.N
+	dist := make([]float64, n)
+	sigma := make([]float64, n)
+	done := make([]bool, n)
+	for i := range dist {
+		dist[i] = math.Inf(1)
+	}
+	dist[src] = 0
+	sigma[src] = 1
+	pq := &distHeap{{src, 0}}
+	for pq.Len() > 0 {
+		it := heap.Pop(pq).(distItem)
+		if done[it.v] || it.d != dist[it.v] {
+			continue
+		}
+		done[it.v] = true
+		for k, u := range adj[it.v] {
+			nd := it.d + wts[it.v][k]
+			if nd < dist[u] {
+				dist[u] = nd
+				sigma[u] = sigma[it.v]
+				heap.Push(pq, distItem{u, nd})
+			} else if nd == dist[u] && !done[u] {
+				sigma[u] += sigma[it.v]
+			}
+		}
+	}
+	return dist, sigma
+}
+
+type distItem struct {
+	v int32
+	d float64
+}
+type distHeap []distItem
+
+func (h distHeap) Len() int            { return len(h) }
+func (h distHeap) Less(i, j int) bool  { return h[i].d < h[j].d }
+func (h distHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
+func (h *distHeap) Push(x interface{}) { *h = append(*h, x.(distItem)) }
+func (h *distHeap) Pop() interface{} {
+	old := *h
+	it := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return it
 }
 
 // TestMFBCBatchInvariance verifies Algorithm 3's batching is exact: any n_b

@@ -1,118 +1,121 @@
 package core
 
 import (
-	"container/heap"
+	"fmt"
 	"math"
 	"testing"
 
+	"repro/internal/algebra"
+	"repro/internal/distmat"
 	"repro/internal/graph"
+	"repro/internal/machine"
+	"repro/internal/sparse"
+	"repro/internal/spgemm"
 )
 
-// refDijkstra computes reference distances and multiplicities.
-func refDijkstra(g *graph.Graph, src int32) ([]float64, []float64) {
-	adj, wts := g.OutAdjacencyLists()
-	n := g.N
-	dist := make([]float64, n)
-	sigma := make([]float64, n)
-	done := make([]bool, n)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-	}
-	dist[src] = 0
-	sigma[src] = 1
-	pq := &distHeap{{src, 0}}
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(distItem)
-		if done[it.v] || it.d != dist[it.v] {
-			continue
-		}
-		done[it.v] = true
-		for k, u := range adj[it.v] {
-			nd := it.d + wts[it.v][k]
-			if nd < dist[u] {
-				dist[u] = nd
-				sigma[u] = sigma[it.v]
-				heap.Push(pq, distItem{u, nd})
-			} else if nd == dist[u] && !done[u] {
-				sigma[u] += sigma[it.v]
-			}
-		}
-	}
-	return dist, sigma
-}
-
-type distItem struct {
-	v int32
-	d float64
-}
-type distHeap []distItem
-
-func (h distHeap) Len() int            { return len(h) }
-func (h distHeap) Less(i, j int) bool  { return h[i].d < h[j].d }
-func (h distHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *distHeap) Push(x interface{}) { *h = append(*h, x.(distItem)) }
-func (h *distHeap) Pop() interface{} {
-	old := *h
-	it := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return it
-}
-
-func checkSSSP(t *testing.T, g *graph.Graph, res *SSSPResult) {
+// distributedT runs the distributed forward sweep (sweepMFBF, Algorithm 1)
+// from sources in one region over a one-shot session, as Run's region does
+// before its backward sweep, and gathers T at rank 0.
+func distributedT(t *testing.T, g *graph.Graph, sources []int32, opt DistOptions) (*sparse.CSR[algebra.MultPath], int, machine.RunStats) {
 	t.Helper()
-	for s, src := range res.Sources {
-		wantD, wantS := refDijkstra(g, src)
-		for v := 0; v < g.N; v++ {
-			if math.IsInf(wantD[v], 1) != math.IsInf(res.Dist[s][v], 1) {
-				t.Fatalf("%s: reachability mismatch at (%d,%d)", g.Name, src, v)
-			}
-			if !math.IsInf(wantD[v], 1) && wantD[v] != res.Dist[s][v] {
-				t.Fatalf("%s: dist(%d,%d)=%g want %g", g.Name, src, v, res.Dist[s][v], wantD[v])
-			}
-			if wantS[v] != res.Counts[s][v] && !(v == int(src)) {
-				t.Fatalf("%s: count(%d,%d)=%g want %g", g.Name, src, v, res.Counts[s][v], wantS[v])
-			}
-		}
+	sess, err := NewDistSession(g, opt)
+	if err != nil {
+		t.Fatal(err)
 	}
+	mach := transportFor(sess.p, opt)
+	pl := sess.planner(mach, g)
+	alg := scalarAlgebra()
+	var gathered *sparse.CSR[algebra.MultPath]
+	var iters int
+	stats, err := mach.Run(func(proc *machine.Proc) {
+		rk := sess.ranks[proc.Rank()]
+		sp := &sidePlans{sess: spgemm.NewSessionWithCache(proc, rk.cache), pls: []planner{pl}, plans: make([]spgemm.Plan, 1)}
+		sp.sess.Workers = opt.Workers
+		tm, it := sweepMFBF(sp, &sweepBufs[algebra.MultPath, algebra.CentPath]{index: &rk.index}, alg, rk.aMat, []*sparse.CSR[float64]{sess.adjCSR}, [][]bool{nil}, sources)
+		full := distmat.Gather(proc.World(), tm, alg.mult)
+		if proc.Rank() == 0 {
+			gathered, iters = full, it
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return gathered, iters, stats
 }
 
-func TestSSSPSequential(t *testing.T) {
-	for _, g := range []*graph.Graph{
-		graph.RMAT(graph.DefaultRMAT(7, 6, 3)),
-		graph.Grid2D(6, 7, 9, 4),
-		graph.Uniform(90, 400, true, 5),
-	} {
-		res, err := SSSP(g, []int32{0, 3, int32(g.N - 1)})
-		if err != nil {
-			t.Fatalf("%s: %v", g.Name, err)
-		}
-		checkSSSP(t, g, res)
-		if res.Iterations == 0 {
-			t.Fatalf("%s: no iterations recorded", g.Name)
-		}
-	}
-}
-
+// TestSSSPDistributed holds the distributed forward sweep's T — distance and
+// shortest-path multiplicity from each source, nothing at the source
+// itself — to the Dijkstra oracle at p ∈ {1, 4, 6}, and to the sequential
+// MFBF entry for entry.
 func TestSSSPDistributed(t *testing.T) {
 	g := graph.Grid2D(7, 7, 5, 8)
+	sources := []int32{1, 10, 25}
+	seq, _, _ := MFBF(g.Adjacency(), sources)
 	for _, p := range []int{1, 4, 6} {
-		res, stats, err := SSSPDistributed(g, []int32{1, 10, 25}, DistOptions{Procs: p})
-		if err != nil {
-			t.Fatalf("p=%d: %v", p, err)
+		tm, iters, stats := distributedT(t, g, sources, DistOptions{Procs: p, Workers: 1})
+		if iters == 0 {
+			t.Fatalf("p=%d: no iterations recorded", p)
 		}
-		checkSSSP(t, g, res)
 		if p > 1 && stats.MaxCost.Bytes == 0 {
 			t.Fatalf("p=%d: no communication charged", p)
 		}
+		for s, src := range sources {
+			wantD, wantS := refDijkstra(g, src)
+			wantD[src], wantS[src] = math.Inf(1), 0
+			dist, count := make([]float64, g.N), make([]float64, g.N)
+			for v := range dist {
+				dist[v] = math.Inf(1)
+			}
+			cols, vals := tm.Row(s)
+			for k, v := range cols {
+				dist[v], count[v] = vals[k].W, vals[k].M
+			}
+			for v := range dist {
+				if dist[v] != wantD[v] || count[v] != wantS[v] {
+					t.Fatalf("p=%d: T(%d,%d) = (%g, %g), want (%g, %g)", p, src, v, dist[v], count[v], wantD[v], wantS[v])
+				}
+			}
+			seqCols, seqVals := seq.Row(s)
+			if len(seqCols) != len(cols) {
+				t.Fatalf("p=%d: source %d reaches %d vertices, sequential MFBF %d", p, src, len(cols), len(seqCols))
+			}
+			for k := range cols {
+				if cols[k] != seqCols[k] || vals[k] != seqVals[k] {
+					t.Fatalf("p=%d: T(%d,%d) = %+v, sequential MFBF T(%d,%d) = %+v", p, src, cols[k], vals[k], src, seqCols[k], seqVals[k])
+				}
+			}
+		}
 	}
 }
 
+// TestSSSPValidation: a source list naming a vertex outside the graph is
+// refused with CheckSources' error before any forward sweep starts, by the
+// distributed entry points themselves (the façade checks before routing,
+// so its tests never reach these checks).
 func TestSSSPValidation(t *testing.T) {
 	g := graph.Path(5)
-	if _, err := SSSP(g, nil); err == nil {
-		t.Fatal("no sources must fail")
+	if err := CheckSources(g.N, nil); err != nil {
+		t.Fatalf("a nil source list (every vertex) must pass: %v", err)
 	}
-	if _, err := SSSP(g, []int32{99}); err == nil {
-		t.Fatal("out-of-range source must fail")
+	sess, err := NewDistSession(g, DistOptions{Procs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []int32{99, -1} {
+		want := fmt.Sprintf("core: source %d outside [0,5)", bad)
+		if err := CheckSources(g.N, []int32{0, bad}); err == nil || err.Error() != want {
+			t.Fatalf("CheckSources(%d) = %v, want %s", bad, err, want)
+		}
+		for name, call := range map[string]func() error{
+			"MFBCDistributed": func() error {
+				_, err := MFBCDistributed(g, DistOptions{Procs: 2, Sources: []int32{0, bad}})
+				return err
+			},
+			"DistSession.Run": func() error { _, err := sess.Run([]int32{0, bad}); return err },
+		} {
+			if err := call(); err == nil || err.Error() != want {
+				t.Errorf("%s with source %d = %v, want %s", name, bad, err, want)
+			}
+		}
 	}
 }

@@ -337,18 +337,6 @@ func less[T any](a, b sparse.Entry[T]) bool {
 	return a.J < b.J
 }
 
-// Map transforms local entries, dropping zeros of the target monoid.
-func Map[T, U any](m *Mat[T], mon algebra.Monoid[U], fn func(i, j int32, v T) U) *Mat[U] {
-	out := &Mat[U]{Rows: m.Rows, Cols: m.Cols, Dist: m.Dist}
-	for _, e := range m.Local {
-		u := fn(e.I, e.J, e.V)
-		if !mon.IsZero(u) {
-			out.Local = append(out.Local, sparse.Entry[U]{I: e.I, J: e.J, V: u})
-		}
-	}
-	return out
-}
-
 // ZipJoin visits coordinates present in both identically distributed
 // matrices.
 func ZipJoin[T, U any](a *Mat[T], b *Mat[U], visit func(i, j int32, x T, y U)) {

@@ -288,20 +288,3 @@ func TestAccumulatorMatchesMergeSorted(t *testing.T) {
 		t.Fatalf("a warm Merge allocates %v times", allocs)
 	}
 }
-
-func TestMap(t *testing.T) {
-	coo := sparse.NewCOO[float64](10, 10)
-	for i := int32(0); i < 10; i++ {
-		coo.Append(i, i, float64(i))
-	}
-	m := FromGlobal(0, coo, Dist{Key: "all0", P: 1, Owner: func(_, _ int32) int { return 0 }}, addF)
-	if m.LocalNNZ() != 9 { // i=0 dropped by IsZero during canonicalize
-		t.Fatalf("FromGlobal kept %d", m.LocalNNZ())
-	}
-	mm := Map(m, addF, func(_, _ int32, v float64) float64 { return v - 5 })
-	for _, e := range mm.Local {
-		if e.V == 0 {
-			t.Fatal("map must drop zeros")
-		}
-	}
-}

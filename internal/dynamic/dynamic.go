@@ -72,8 +72,6 @@ import (
 
 // Config parameterizes an Engine.
 type Config struct {
-	// Batch is the number of sources per MFBC sweep (core.Options.Batch).
-	Batch int
 	// Workers is the shared-memory parallelism of the local kernels.
 	Workers int
 	// DirtyThreshold is the affected-source fraction above which an exact
@@ -85,16 +83,9 @@ type Config struct {
 	// Procs > 1 runs every exact sweep on the simulated distributed
 	// machine (core.MFBCDistributed's path) through a persistent
 	// operand-resident session; see the package comment. 0 or 1 keeps the
-	// shared-memory path.
+	// shared-memory path. Every sweep runs the default batch
+	// (core.Options.Batch) under the automatic plan search.
 	Procs int
-	// Plan forces one decomposition for every distributed multiplication;
-	// nil searches automatically per operation.
-	Plan *spgemm.Plan
-	// Constraint restricts the automatic decomposition search (the 1D/2D/3D
-	// ablations of the static path, now available to streaming workloads).
-	Constraint spgemm.Constraint
-	// Model overrides the machine's α–β–γ cost constants.
-	Model *machine.CostModel
 
 	// Transport pins every machine region the engine runs (initial sweep,
 	// incremental re-runs, full fallbacks) to this backend instead of an
@@ -332,9 +323,7 @@ func New(g *graph.Graph, cfg Config) (*Engine, error) {
 
 func (e *Engine) distOpts() core.DistOptions {
 	return core.DistOptions{
-		Procs: e.cfg.Procs, Workers: e.cfg.Workers, Batch: e.cfg.Batch,
-		Plan: e.cfg.Plan, Constraint: e.cfg.Constraint, Model: e.cfg.Model,
-		Transport: e.cfg.Transport,
+		Procs: e.cfg.Procs, Workers: e.cfg.Workers, Transport: e.cfg.Transport,
 	}
 }
 
@@ -636,7 +625,7 @@ func (e *Engine) pivotScores(ctx context.Context, st *state, sources []int32) []
 	}
 	_, span := obs.StartSpan(ctx, "sweep.local")
 	defer span.SetAttr("sources", swept).End()
-	return core.SweepSources(st.a, st.at, sources, core.Options{Batch: e.cfg.Batch, Workers: e.cfg.Workers}).BC
+	return core.SweepSources(st.a, st.at, sources, core.Options{Workers: e.cfg.Workers}).BC
 }
 
 // edgeDiff is one edge of the effective difference between the pre- and

@@ -1,6 +1,7 @@
 package dynamic
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -353,12 +354,51 @@ func TestApplyNeverMutatesPublishedSnapshot(t *testing.T) {
 	}
 }
 
+// seatAblation replaces e's machine session with one over the committed
+// snapshot whose plan search runs under core.DistOptions' decomposition
+// ablation (a forced plan, or a 1D/2D/3D constraint). Config carries
+// neither, and on these small graphs the automatic search picks a 1D plan
+// at every p, so this is how the differential below drives the engine's
+// applies through the other plan families.
+func seatAblation(t *testing.T, e *Engine, plan *spgemm.Plan, cons spgemm.Constraint) {
+	t.Helper()
+	sess, err := core.NewDistSession(e.cur.g, core.DistOptions{
+		Procs: e.cfg.Procs, Workers: e.cfg.Workers, Plan: plan, Constraint: cons,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.dist = sess
+}
+
+// planAdmitted reports whether the reported plan s is the forced plan, or,
+// with none forced, one the constraint admits.
+func planAdmitted(s string, forced *spgemm.Plan, cons spgemm.Constraint) bool {
+	if forced != nil {
+		return s == forced.String()
+	}
+	var p1, p2, p3 int
+	if _, err := fmt.Sscanf(s, "%dx%dx%d/", &p1, &p2, &p3); err != nil {
+		return false
+	}
+	switch cons {
+	case spgemm.Only1D:
+		return p2 == 1 && p3 == 1
+	case spgemm.Only2D:
+		return p1 == 1
+	case spgemm.Only3D:
+		return p1 > 1 && p2*p3 > 1
+	}
+	return true
+}
+
 // TestDistributedIncrementalMatchesFromScratch is the distributed-mode
 // differential test: engines running their sweeps on the simulated machine
-// (procs 2 and 4, plan-constrained to cover the 1D/2D/3D families) replay
-// seeded mutation sequences; after every applied prefix the maintained
-// scores must match a from-scratch sequential recomputation at 1e-9, and
-// distributed applies must report modeled communication and a plan.
+// (procs 2, 4, 6 and 8 under the automatic plan search; procs 2 and 4
+// under the 1D/2D/3D constraints and one forced plan) replay seeded
+// mutation sequences; after every applied prefix the maintained scores must
+// match a from-scratch sequential recomputation at 1e-9, and distributed
+// applies must report modeled communication and a plan the row admits.
 func TestDistributedIncrementalMatchesFromScratch(t *testing.T) {
 	topologies := []struct {
 		name     string
@@ -368,14 +408,21 @@ func TestDistributedIncrementalMatchesFromScratch(t *testing.T) {
 		{"rmat", func() *graph.Graph { return graph.RMAT(graph.DefaultRMAT(5, 6, 11)) }, false},
 		{"grid-weighted", func() *graph.Graph { return graph.Grid2D(6, 6, 8, 13) }, true},
 	}
+	forced := spgemm.Plan{P1: 1, P2: 2, P3: 2, X: spgemm.RoleA, YZ: spgemm.VarBC}
 	engines := []struct {
 		name string
 		cfg  Config
+		plan *spgemm.Plan
+		cons spgemm.Constraint
 	}{
-		{"p2", Config{Procs: 2, DirtyThreshold: -1, Workers: 1}},
-		{"p2-1d", Config{Procs: 2, DirtyThreshold: -1, Workers: 1, Constraint: spgemm.Only1D}},
-		{"p4-2d", Config{Procs: 4, DirtyThreshold: -1, Workers: 1, Constraint: spgemm.Only2D}},
-		{"p4-3d", Config{Procs: 4, DirtyThreshold: -1, Workers: 1, Constraint: spgemm.Only3D}},
+		{"p2", Config{Procs: 2, DirtyThreshold: -1, Workers: 1}, nil, spgemm.AnyPlan},
+		{"p2-1d", Config{Procs: 2, DirtyThreshold: -1, Workers: 1}, nil, spgemm.Only1D},
+		{"p4-2d", Config{Procs: 4, DirtyThreshold: -1, Workers: 1}, nil, spgemm.Only2D},
+		{"p4-3d", Config{Procs: 4, DirtyThreshold: -1, Workers: 1}, nil, spgemm.Only3D},
+		{"p4-forced", Config{Procs: 4, DirtyThreshold: -1, Workers: 1}, &forced, spgemm.AnyPlan},
+		{"p4", Config{Procs: 4, DirtyThreshold: -1, Workers: 1}, nil, spgemm.AnyPlan},
+		{"p6", Config{Procs: 6, DirtyThreshold: -1, Workers: 1}, nil, spgemm.AnyPlan},
+		{"p8", Config{Procs: 8, DirtyThreshold: -1, Workers: 1}, nil, spgemm.AnyPlan},
 	}
 	for _, topo := range topologies {
 		for _, eng := range engines {
@@ -388,6 +435,17 @@ func TestDistributedIncrementalMatchesFromScratch(t *testing.T) {
 				compareScores(t, "initial", e.Snapshot().BC, fromScratch(t, g))
 				if e.Snapshot().Comm.Runs == 0 || e.Snapshot().Plan == "" {
 					t.Fatalf("initial distributed compute reported no comm/plan: %+v", e.Snapshot())
+				}
+				if eng.plan != nil || eng.cons != spgemm.AnyPlan {
+					seatAblation(t, e, eng.plan, eng.cons)
+					r, err := e.dist.Run(nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					compareScores(t, "initial "+eng.name, r.BC, fromScratch(t, g))
+					if p := r.Plan.String(); !planAdmitted(p, eng.plan, eng.cons) {
+						t.Fatalf("initial %s sweep ran plan %s", eng.name, p)
+					}
 				}
 				rng := rand.New(rand.NewSource(41))
 				shadow := g.Clone()
@@ -420,6 +478,9 @@ func TestDistributedIncrementalMatchesFromScratch(t *testing.T) {
 					if rep.Affected > 0 && (rep.Comm.Runs == 0 || rep.Plan == "") {
 						t.Fatalf("step %d: distributed apply with %d affected reported no comm/plan: %+v",
 							step, rep.Affected, rep)
+					}
+					if rep.Plan != "" && !planAdmitted(rep.Plan, eng.plan, eng.cons) {
+						t.Fatalf("step %d: %s apply ran plan %s", step, eng.name, rep.Plan)
 					}
 					snap := e.Snapshot()
 					if snap.Version != graph.Fingerprint(shadow) {

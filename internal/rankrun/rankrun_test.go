@@ -10,9 +10,7 @@ import (
 
 	"repro"
 	"repro/internal/graph"
-	"repro/internal/machine"
 	"repro/internal/machine/tcpnet"
-	"repro/internal/spgemm"
 )
 
 // mesh brings up a p-rank loopback mesh with workers already looping in
@@ -61,14 +59,16 @@ func stream() [][]graph.Mutation {
 // TestReplicatedMatchesLocal drives the same mutation stream through a
 // 4-rank replicated engine and a plain in-process engine (simulated
 // machine) and requires bit-identical scores, versions, and strategy
-// decisions on every apply — the acceptance bar for the TCP backend.
+// decisions on every apply — the acceptance bar for the TCP backend. The
+// graph has more vertices than the default batch, so a full sweep runs
+// more than one batch.
 func TestReplicatedMatchesLocal(t *testing.T) {
 	const p = 4
 	d, _, _ := mesh(t, p)
 	defer d.Shutdown()
 
-	g := graph.Grid2D(5, 4, 8, 13)
-	opt := repro.DynamicOptions{Procs: p, Workers: 1, Batch: 4}
+	g := graph.Grid2D(12, 11, 8, 13)
+	opt := repro.DynamicOptions{Procs: p, Workers: 1}
 
 	eng, err := d.NewEngine("g", g, opt)
 	if err != nil {
@@ -222,14 +222,9 @@ func TestEngineProcsMustMatchMesh(t *testing.T) {
 // and compared field by field after encodeOp → gob decode, the path
 // ServeWorker takes.
 func TestEngineOpRoundTripsEveryOption(t *testing.T) {
-	plan := spgemm.Plan{P1: 1, P2: 2, P3: 2, X: spgemm.RoleA, YZ: spgemm.VarBC}
-	model := machine.CostModel{Alpha: 2e-6, Beta: 3e-10, Gamma: 4e-9}
 	sent := op{
 		Kind: opEngine, Name: "g", Graph: graph.Grid2D(3, 3, 4, 1),
-		Opt: repro.DynamicOptions{
-			Batch: 32, Workers: 3, DirtyThreshold: 0.4,
-			Procs: 4, Plan: &plan, Constraint: spgemm.Only2D, Model: &model,
-		},
+		Opt: repro.DynamicOptions{Workers: 3, DirtyThreshold: 0.4, Procs: 4},
 	}
 	raw, err := encodeOp(sent)
 	if err != nil {

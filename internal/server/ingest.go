@@ -211,7 +211,7 @@ func (s *Server) commitGroup(ctx context.Context, name string, group []*ingestPe
 	for _, p := range valid {
 		merged = append(merged, p.Muts...)
 	}
-	coalesced := repro.CoalesceMutations(ge.g.Directed, merged)
+	coalesced := dynamic.Coalesce(ge.g.Directed, merged)
 	s.m.ingestCoalesced.Add(float64(len(valid)))
 	s.m.ingestCommits.Inc()
 	s.m.ingestGroupSize.Observe(float64(len(valid)))

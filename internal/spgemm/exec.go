@@ -376,10 +376,11 @@ func (s *Session) Dists(plan Plan, m, k, n int) (da, db, dc distmat.Dist) {
 }
 
 // Multiply computes the generalized product C = A •⟨add,f⟩ B according to
-// plan. When cacheB is true the working set of B (redistributed and, for
-// RoleB plans, fiber-replicated) is cached in the session keyed by B's
-// identity, so repeated multiplications against the same stationary matrix
-// (MFBC's adjacency) pay its movement once.
+// plan, where A's entries are C's values (add also merges A's blocks) and
+// addB merges B's. The working set of B (redistributed and, for RoleB
+// plans, fiber-replicated) is cached in the session keyed by B's identity,
+// so repeated multiplications against the same stationary matrix (MFBC's
+// adjacency) pay its movement once.
 //
 // screen (nil = none) is asked about every product f yields, by output
 // coordinate, before the local kernel folds it: a rejected product is charged
@@ -393,12 +394,12 @@ func (s *Session) Dists(plan Plan, m, k, n int) (da, db, dc distmat.Dist) {
 // order: the sorting kernel's output bit for bit, without the sort. The
 // returned C never shares storage with acc. Workers > 1 call the screen from
 // several goroutines at once.
-func Multiply[TA, TB, TC any](
+func Multiply[TC, TB any](
 	s *Session, plan Plan,
-	a *distmat.Mat[TA], b *distmat.Mat[TB],
-	f func(TA, TB) TC,
-	add algebra.Monoid[TC], addA algebra.Monoid[TA], addB algebra.Monoid[TB],
-	cacheB bool, screen func(i, j int32, v TC) bool, acc *Accumulator[TC],
+	a *distmat.Mat[TC], b *distmat.Mat[TB],
+	f func(TC, TB) TC,
+	add algebra.Monoid[TC], addB algebra.Monoid[TB],
+	screen func(i, j int32, v TC) bool, acc *Accumulator[TC],
 ) *distmat.Mat[TC] {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("spgemm: dimension mismatch %dx%d * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -415,34 +416,28 @@ func Multiply[TA, TB, TC any](
 	// Stage the A operand (moving in every variant). Replication gathers
 	// the fiber's blocks, each sorted and no two sharing a coordinate, so
 	// merging them is sorting their union.
-	aw := distmat.Redistribute(world, a, da, addA)
+	aw := distmat.Redistribute(world, a, da, add)
 	aE := aw.Local
 	if plan.P1 > 1 && plan.X == RoleA {
-		aE = distmat.MergeRuns(machine.Allgather(g.Fiber, aE), addA)
+		aE = distmat.MergeRuns(machine.Allgather(g.Fiber, aE), add)
 	}
 
-	// Stage the B operand, with optional caching of the stationary matrix.
-	// A rank owning no B entries legitimately caches an empty block, so a
-	// hit is decided by the map's ok flag: re-staging on an empty block
-	// would have that rank alone re-enter the fiber collectives and desync
-	// the simulated machine.
+	// Stage the B operand, or find it in the cache. A rank owning no B
+	// entries legitimately caches an empty block, so a hit is decided by the
+	// map's ok flag: re-staging on an empty block would have that rank alone
+	// re-enter the fiber collectives and desync the simulated machine.
 	var sb *stagedB[TB]
 	key := operandKey{id: b.ID(), plan: plan, k: k, n: n}
-	if cacheB {
-		if co, hit := s.cache.sets[key]; hit {
-			sb = co.staged.(*stagedB[TB])
-		}
-	}
-	if sb == nil {
+	if co, hit := s.cache.sets[key]; hit {
+		sb = co.staged.(*stagedB[TB])
+	} else {
 		bw := distmat.Redistribute(world, b, db, addB)
 		bE := bw.Local
 		if plan.P1 > 1 && plan.X == RoleB {
 			bE = distmat.MergeRuns(machine.Allgather(g.Fiber, bE), addB)
 		}
 		sb = stageB(plan, k, n, s.Proc.Rank(), bE)
-		if cacheB {
-			s.cache.sets[key] = &cachedOperand{operandKey: key, staged: sb}
-		}
+		s.cache.sets[key] = &cachedOperand{operandKey: key, staged: sb}
 	}
 
 	r := layerRanges(plan, m, k, n, g.MyLayer)
@@ -720,14 +715,14 @@ func (b *stagedB[T]) bcast(c *machine.Comm, root, t int) ([]sparse.Entry[T], []i
 // one stage per k-block (lcm(p2,p3) stages). Every B column broadcast to
 // this grid column lies in the rank's C block, whose columns bound the
 // screened kernel's accumulator.
-func runAB[TA, TB, TC any](
+func runAB[TC, TB any](
 	sess *Session, g *machine.Grid3, plan Plan, r ranges,
-	aE []sparse.Entry[TA], b *stagedB[TB],
-	f func(TA, TB) TC, add algebra.Monoid[TC], workers int, flt filter[TC],
+	aE []sparse.Entry[TC], b *stagedB[TB],
+	f func(TC, TB) TC, add algebra.Monoid[TC], workers int, flt filter[TC],
 ) []sparse.Entry[TC] {
 	s := plan.Stages()
 	flt.c0, flt.c1 = stageBounds(g.G2.MyC, r.n0, r.n1, plan.P3)
-	aStage := bucketByStage(aE, s, func(e sparse.Entry[TA]) int { return partIn(e.J, r.k0, r.k1, s) })
+	aStage := bucketByStage(aE, s, func(e sparse.Entry[TC]) int { return partIn(e.J, r.k0, r.k1, s) })
 	var acc []sparse.Entry[TC]
 	for t := 0; t < s; t++ {
 		aBlk := machine.Bcast(g.G2.Row, t%plan.P3, aStage[t])
@@ -742,13 +737,13 @@ func runAB[TA, TB, TC any](
 
 // runAC: B stationary; A broadcast along grid rows, partial C reduced along
 // grid columns, one stage per m-block.
-func runAC[TA, TB, TC any](
+func runAC[TC, TB any](
 	sess *Session, g *machine.Grid3, plan Plan, r ranges,
-	aE []sparse.Entry[TA], b *stagedB[TB],
-	f func(TA, TB) TC, add algebra.Monoid[TC], workers int,
+	aE []sparse.Entry[TC], b *stagedB[TB],
+	f func(TC, TB) TC, add algebra.Monoid[TC], workers int,
 ) []sparse.Entry[TC] {
 	s := plan.Stages()
-	aStage := bucketByStage(aE, s, func(e sparse.Entry[TA]) int { return partIn(e.I, r.m0, r.m1, s) })
+	aStage := bucketByStage(aE, s, func(e sparse.Entry[TC]) int { return partIn(e.I, r.m0, r.m1, s) })
 	kb0, kb1 := stageBounds(g.G2.MyR, r.k0, r.k1, plan.P2)
 	var acc []sparse.Entry[TC]
 	merge := func(x, y []sparse.Entry[TC]) []sparse.Entry[TC] {
@@ -768,10 +763,10 @@ func runAC[TA, TB, TC any](
 
 // runBC: A stationary; B broadcast along grid columns, partial C reduced
 // along grid rows, one stage per n-block.
-func runBC[TA, TB, TC any](
+func runBC[TC, TB any](
 	sess *Session, g *machine.Grid3, plan Plan, r ranges,
-	aE []sparse.Entry[TA], b *stagedB[TB],
-	f func(TA, TB) TC, add algebra.Monoid[TC], workers int,
+	aE []sparse.Entry[TC], b *stagedB[TB],
+	f func(TC, TB) TC, add algebra.Monoid[TC], workers int,
 ) []sparse.Entry[TC] {
 	s := plan.Stages()
 	kb0, kb1 := stageBounds(g.G2.MyC, r.k0, r.k1, plan.P3)
@@ -838,9 +833,9 @@ const mulEntriesMinEntries = 8
 // may hold it past the next product. offs is bE's row index over [k0, k1)
 // when the caller holds one (a staged stationary block), nil to have it
 // built here.
-func mulEntriesParallel[TA, TB, TC any](
-	sess *Session, aE []sparse.Entry[TA], bE []sparse.Entry[TB], offs []int32, k0, k1 int32,
-	f func(TA, TB) TC, add algebra.Monoid[TC], workers int, flt filter[TC],
+func mulEntriesParallel[TC, TB any](
+	sess *Session, aE []sparse.Entry[TC], bE []sparse.Entry[TB], offs []int32, k0, k1 int32,
+	f func(TC, TB) TC, add algebra.Monoid[TC], workers int, flt filter[TC],
 ) ([]sparse.Entry[TC], int64) {
 	if len(aE) == 0 || len(bE) == 0 {
 		return nil, 0
@@ -868,7 +863,7 @@ func mulEntriesParallel[TA, TB, TC any](
 	if flt.screen != nil {
 		accs = flt.acc.chunked(parts)
 	}
-	kernel := func(aE []sparse.Entry[TA], part int) ([]sparse.Entry[TC], int64) {
+	kernel := func(aE []sparse.Entry[TC], part int) ([]sparse.Entry[TC], int64) {
 		if flt.screen == nil {
 			return mulEntriesRange(sess, aE, bE, offs, k0, k1, f, add)
 		}
@@ -922,9 +917,9 @@ func indexRows[TB any](bE []sparse.Entry[TB], k0, k1 int32) []int32 {
 // CombBLAS-style baseline's. The baseline's is why the sort stays: a column
 // accumulator here would speed the yardstick MFBC is measured against, so
 // it waits until that yardstick is pinned to a kernel of its own.
-func mulEntriesRange[TA, TB, TC any](
-	sess *Session, aE []sparse.Entry[TA], bE []sparse.Entry[TB], offs []int32, k0, k1 int32,
-	f func(TA, TB) TC, add algebra.Monoid[TC],
+func mulEntriesRange[TC, TB any](
+	sess *Session, aE []sparse.Entry[TC], bE []sparse.Entry[TB], offs []int32, k0, k1 int32,
+	f func(TC, TB) TC, add algebra.Monoid[TC],
 ) ([]sparse.Entry[TC], int64) {
 	var out []sparse.Entry[TC]
 	var ops int64
@@ -988,9 +983,9 @@ func mulEntriesRange[TA, TB, TC any](
 // Products reach a column in k-order, as the stable sort left them, and
 // fold left to right from the first, so the output — zero folds dropped —
 // is bit for bit the sorting kernel's over the kept products.
-func mulEntriesColumns[TA, TB, TC any](
-	sess *Session, aE []sparse.Entry[TA], bE []sparse.Entry[TB], offs []int32, k0, k1 int32,
-	f func(TA, TB) TC, add algebra.Monoid[TC], screen func(i, j int32, v TC) bool, acc *columnAcc[TC], c0, c1 int32,
+func mulEntriesColumns[TC, TB any](
+	sess *Session, aE []sparse.Entry[TC], bE []sparse.Entry[TB], offs []int32, k0, k1 int32,
+	f func(TC, TB) TC, add algebra.Monoid[TC], screen func(i, j int32, v TC) bool, acc *columnAcc[TC], c0, c1 int32,
 ) ([]sparse.Entry[TC], int64) {
 	cols := &acc.cols
 	cols.Size(int(c1 - c0))

@@ -36,8 +36,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dynamic"
 	"repro/internal/graph"
-	"repro/internal/machine"
-	"repro/internal/spgemm"
 )
 
 func randNew(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
@@ -68,9 +66,11 @@ const (
 type Options struct {
 	Engine Engine // default EngineMFBC
 	// Procs simulates a distributed machine with this many processors
-	// (default 1). With Procs == 1 and no forced plan, MFBC runs the fast
-	// sequential path — for every source list, explicit or not — and the
-	// result carries no Plan and a zero Comm.
+	// (default 1). At Procs ≤ 1 MFBC runs the fast sequential path — for
+	// every source list, explicit or not — and the result carries no Plan
+	// and a zero Comm. The machine searches its own decomposition per
+	// multiplication; the paper's forced-plan and 1D/2D/3D ablations are
+	// core.DistOptions' (cmd/mfbc-bench runs them).
 	Procs int
 	// Batch is n_b, the number of sources per sweep (Algorithm 3's
 	// time/memory trade-off). ≤0 selects min(n, 128).
@@ -83,19 +83,10 @@ type Options struct {
 	// only wall time changes.
 	Workers int
 	// Sources restricts the computation to these source vertices; BC then
-	// holds the partial sums Σ_{s∈Sources} δ(s,·). On the simulated machine
-	// (Procs > 1 or a forced Plan) the list is swept as one batch (benchmark
-	// mode); on the sequential path it is swept in Batch-sized chunks, so
-	// memory stays bounded by an n_b×n slab however long the list is.
+	// holds the partial sums Σ_{s∈Sources} δ(s,·). Every engine sweeps the
+	// list in Batch-sized chunks, so memory stays bounded by one batch
+	// however long the list is.
 	Sources []int32
-	// Plan forces a specific data decomposition (see spgemm.Plan); nil
-	// selects automatically by modeled cost. Forcing one — 1x1x1 included —
-	// is the way to ask for a modeled machine run at Procs == 1.
-	Plan *spgemm.Plan
-	// Constraint restricts the automatic decomposition search.
-	Constraint spgemm.Constraint
-	// Model overrides the machine cost constants.
-	Model *machine.CostModel
 	// Normalize divides scores by (n-1)(n-2), the usual [0,1] scaling.
 	Normalize bool
 }
@@ -148,7 +139,7 @@ func Compute(g *Graph, opt Options) (*Result, error) {
 			res.BC = baseline.Brandes(g)
 		}
 	case EngineMFBC:
-		if procs == 1 && opt.Plan == nil {
+		if procs == 1 {
 			r, err := core.MFBC(g, opt.Sources, core.Options{Batch: opt.Batch, Workers: opt.Workers})
 			if err != nil {
 				return nil, err
@@ -158,7 +149,6 @@ func Compute(g *Graph, opt Options) (*Result, error) {
 		} else {
 			r, err := core.MFBCDistributed(g, core.DistOptions{
 				Procs: procs, Workers: opt.Workers, Batch: opt.Batch, Sources: opt.Sources,
-				Plan: opt.Plan, Constraint: opt.Constraint, Model: opt.Model,
 			})
 			if err != nil {
 				return nil, err
@@ -170,7 +160,7 @@ func Compute(g *Graph, opt Options) (*Result, error) {
 		}
 	case EngineCombBLAS:
 		r, err := baseline.CombBLASStyleDistributed(g, baseline.DistCombBLASOptions{
-			Procs: procs, Batch: opt.Batch, Sources: opt.Sources, Model: opt.Model,
+			Procs: procs, Batch: opt.Batch, Sources: opt.Sources,
 		})
 		if err != nil {
 			return nil, err
@@ -265,27 +255,6 @@ func TopK(bc []float64, k int) []int {
 // the edge set changes it. The server layer uses it as the graph version in
 // result-cache keys.
 func Fingerprint(g *Graph) uint64 { return graph.Fingerprint(g) }
-
-// SSSPResult re-exports the shortest-path result type.
-type SSSPResult = core.SSSPResult
-
-// ShortestPaths computes multi-source shortest path distances and
-// shortest-path multiplicities (the MFBF sweep of Algorithm 1 as a
-// standalone capability). With opt.Procs > 1 it runs on the simulated
-// distributed machine.
-func ShortestPaths(g *Graph, sources []int32, opt Options) (*SSSPResult, error) {
-	if g == nil {
-		return nil, errNilGraph
-	}
-	procs := opt.Procs
-	if procs <= 1 && opt.Plan == nil {
-		return core.SSSP(g, sources)
-	}
-	res, _, err := core.SSSPDistributed(g, sources, core.DistOptions{
-		Procs: procs, Workers: opt.Workers, Plan: opt.Plan, Constraint: opt.Constraint, Model: opt.Model,
-	})
-	return res, err
-}
 
 // ApproximateBC estimates betweenness centrality from a random sample of
 // `samples` source vertices, scaling each vertex's accumulated dependency

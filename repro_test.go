@@ -8,12 +8,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/spgemm"
 )
-
-// oneRankPlan, forced, is how a caller asks for a modeled machine run at
-// Procs 1.
-var oneRankPlan = &spgemm.Plan{P1: 1, P2: 1, P3: 1, X: spgemm.RoleA, YZ: spgemm.VarAB}
 
 func almostEqual(a, b float64) bool {
 	diff := math.Abs(a - b)
@@ -116,10 +113,8 @@ func TestSourcesBatchMode(t *testing.T) {
 // TestComputeRouting pins the one routing rule: the data layout picks the
 // sweep, not the entry point. Exact, explicit-source and sampled runs at
 // Procs ≤ 1 take the sequential path (no plan, zero Comm); the same inputs
-// under a forced 1x1x1 plan or at Procs 4 run on the simulated machine
-// (plan string, modeled flops). Every route matches the Brandes oracle and
-// the others bit for bit. Batch 5 makes the sequential path chunk the
-// 12-source lists, which the machine path sweeps as one batch.
+// at Procs 4 run on the simulated machine (plan string, modeled flops).
+// Every route matches the Brandes oracle and the others bit for bit.
 func TestComputeRouting(t *testing.T) {
 	g := GridGraph(7, 7, 8, 3)
 	const k, seed = 12, 5
@@ -151,7 +146,6 @@ func TestComputeRouting(t *testing.T) {
 	}{
 		{"procs=0", Options{Batch: 5}, false},
 		{"procs=1", Options{Batch: 5, Procs: 1}, false},
-		{"procs=1/forced-plan", Options{Batch: 5, Procs: 1, Plan: oneRankPlan}, true},
 		{"procs=4", Options{Batch: 5, Procs: 4}, true},
 	}
 	for _, in := range inputs {
@@ -289,28 +283,6 @@ func TestUnknownEngine(t *testing.T) {
 	}
 }
 
-func TestShortestPaths(t *testing.T) {
-	g := GridGraph(5, 5, 7, 2)
-	seq, err := ShortestPaths(g, []int32{0, 12}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dist, err := ShortestPaths(g, []int32{0, 12}, Options{Procs: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s := range seq.Dist {
-		for v := range seq.Dist[s] {
-			if seq.Dist[s][v] != dist.Dist[s][v] || seq.Counts[s][v] != dist.Counts[s][v] {
-				t.Fatalf("sequential and distributed SSSP disagree at (%d,%d)", s, v)
-			}
-		}
-	}
-	if seq.Dist[0][0] != 0 || seq.Counts[0][0] != 1 {
-		t.Fatal("source self-distance must be 0 with multiplicity 1")
-	}
-}
-
 // TestApproximateBC checks the sampling estimator: unbiased scaling and a
 // sane top-vertex on a structured graph.
 func TestApproximateBC(t *testing.T) {
@@ -390,7 +362,6 @@ func TestNilGraph(t *testing.T) {
 	for name, call := range map[string]func() error{
 		"Compute":       func() error { _, err := Compute(nil, Options{}); return err },
 		"ApproximateBC": func() error { _, err := ApproximateBC(nil, 4, 1, Options{}); return err },
-		"ShortestPaths": func() error { _, err := ShortestPaths(nil, []int32{0}, Options{}); return err },
 	} {
 		if err := call(); err == nil || err.Error() != "repro: nil graph" {
 			t.Errorf("%s(nil) = %v, want repro: nil graph", name, err)
@@ -399,15 +370,16 @@ func TestNilGraph(t *testing.T) {
 }
 
 // TestBadPlanRejected: a forced plan that does not tile Procs is refused by
-// every machine entry point with the same one-line error, before any rank
-// starts (ShortestPaths used to die as a rank panic inside the region).
+// both machine entry points that take one (the façade takes none) with the
+// same one-line error, before any rank starts rather than as a rank's panic
+// inside the region.
 func TestBadPlanRejected(t *testing.T) {
 	g := GridGraph(4, 4, 1, 1)
-	opt := Options{Procs: 4, Plan: &spgemm.Plan{P1: 2, P2: 1, P3: 1}}
+	opt := core.DistOptions{Procs: 4, Plan: &spgemm.Plan{P1: 2, P2: 1, P3: 1}}
 	const want = "core: plan 2x1x1/X=A/YZ=AB does not tile 4 processors"
 	for name, call := range map[string]func() error{
-		"Compute":       func() error { _, err := Compute(g, opt); return err },
-		"ShortestPaths": func() error { _, err := ShortestPaths(g, []int32{0}, opt); return err },
+		"MFBCDistributed": func() error { _, err := core.MFBCDistributed(g, opt); return err },
+		"NewDistSession":  func() error { _, err := core.NewDistSession(g, opt); return err },
 	} {
 		if err := call(); err == nil || err.Error() != want {
 			t.Errorf("%s = %v, want %s", name, err, want)
