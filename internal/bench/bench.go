@@ -1,8 +1,8 @@
 // Package bench is the paper's evaluation (§7) and nothing else: one
-// runner per table and figure, plus the two design-choice ablations
-// (decomposition space, batch size). Runners print the same rows/series
-// the paper reports and return them as data for tests and for
-// mfbc-bench -json.
+// ordered grid of experiments, a row per table and figure plus the two
+// design-choice ablations (decomposition space, batch size). Run prints the
+// same rows/series the paper reports and returns them as data for tests and
+// for mfbc-bench -json.
 //
 // Performance is reported in MTEPS/node computed from the *modeled*
 // critical-path time T = γ·flops + β·bytes + α·msgs of the simulated
@@ -12,10 +12,11 @@
 package bench
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/baseline"
 	"repro/internal/core"
@@ -43,21 +44,14 @@ type Config struct {
 }
 
 func (c *Config) fill() {
-	if c.Out == nil {
-		c.Out = io.Discard
-	}
+	c.Out = cmp.Or(c.Out, io.Discard)
 	if len(c.Procs) == 0 {
 		c.Procs = []int{1, 4, 16, 64}
-	}
-	if c.Scale < 1 {
-		c.Scale = 1
 	}
 	if c.Batch <= 0 {
 		c.Batch = 32
 	}
-	if c.Seed == 0 {
-		c.Seed = 42
-	}
+	c.Scale, c.Seed = max(c.Scale, 1), cmp.Or(c.Seed, 42)
 }
 
 // Point is one measured series point. The JSON tags are the schema of
@@ -82,55 +76,264 @@ type Point struct {
 	Err        string  `json:"err,omitempty"` // engines can fail (reproducing the paper's CombBLAS failures)
 }
 
-// Experiments lists the available experiment ids in presentation order.
-var Experiments = []string{
-	"table2", "fig1a", "fig1b", "fig1c", "fig2a", "fig2b", "table3",
-	"ablate-decomp", "ablate-batch",
+// point is one measurement: engine on p ranks with a batch of nb sources
+// under constraint cons, on graph g of its step, whose name label extends
+// ("orkut-sim" + "/1D-only"). Engine "" is table2's statistics (nb BFS sources).
+type point struct {
+	engine string
+	g      int
+	p, nb  int
+	cons   spgemm.Constraint
+	label  string
 }
+
+var mfbc, combblas = point{engine: "ctf-mfbc"}, point{engine: "combblas"}
+
+// at places the templates on every p of procs, in that order.
+func at(procs []int, nb int, templates ...point) (pts []point) {
+	for _, p := range procs {
+		for _, t := range templates {
+			t.p, t.nb = p, nb
+			pts = append(pts, t)
+		}
+	}
+	return pts
+}
+
+// A step is the graphs one stretch of an experiment measures and its
+// points on them. Run builds them as it reaches the step, one step's graphs
+// at a time: at p = 64, full-size fig2a reaches n = 32,768, fig2b 65,536.
+type step struct {
+	build  func() ([]*graph.Graph, error)
+	points []point
+}
+
+var standinIDs = []string{"friendster-sim", "orkut-sim", "livejournal-sim", "patents-sim"}
+
+// standins is a step per stand-in, each measuring pts.
+func standins(cfg Config, ids []string, pts []point) (steps []step) {
+	for _, id := range ids {
+		steps = append(steps, step{func() ([]*graph.Graph, error) {
+			g, err := graph.Standin(id, cfg.Scale, cfg.Seed)
+			return []*graph.Graph{g}, err
+		}, pts})
+	}
+	return steps
+}
+
+// uniform is one G(n, m) graph, measured on both engines at p.
+func uniform(cfg Config, name string, n, m, p int) step {
+	return step{func() ([]*graph.Graph, error) {
+		g := graph.Uniform(n, m, false, cfg.Seed+int64(n))
+		g.Name = name
+		return []*graph.Graph{g}, nil
+	}, at([]int{p}, cfg.Batch, mfbc, combblas)}
+}
+
+// pick is full, or quick in quick mode.
+func pick[T any](cfg Config, full, quick T) T {
+	if cfg.Quick {
+		return quick
+	}
+	return full
+}
+
+// An experiment is one row of the grid: its id, its format, and its title
+// and steps for a filled Config. Rows on one p take the largest -procs entry.
+type experiment struct {
+	id     string
+	format format
+	plan   func(cfg Config) (string, []step)
+}
+
+var grid = []experiment{
+	{"table2", stats, func(cfg Config) (string, []step) {
+		return "Table 2: analyzed real-world graphs (synthetic stand-ins; paper originals in parentheses)",
+			standins(cfg, standinIDs, []point{{nb: pick(cfg, 32, 8)}})
+	}},
+	{"fig1a", rates, func(cfg Config) (string, []step) {
+		return "Figure 1(a): strong scaling of MFBC for real graphs (stand-ins)",
+			standins(cfg, pick(cfg, standinIDs, standinIDs[1:3]), at(cfg.Procs, cfg.Batch, mfbc))
+	}},
+	// No friendster-sim: the paper's CombBLAS could not execute Friendster.
+	{"fig1b", rates, func(cfg Config) (string, []step) {
+		return "Figure 1(b): strong scaling of CombBLAS-style BC for real graphs (stand-ins)",
+			standins(cfg, pick(cfg, standinIDs[1:], standinIDs[1:3]), at(cfg.Procs, cfg.Batch, combblas))
+	}},
+	// R-MAT with E ∈ {8, 128}, unweighted (g 0) and weighted (g 1).
+	{"fig1c", rates, func(cfg Config) (title string, steps []step) {
+		scale := pick(cfg, 11, 9)
+		for _, e := range []int{8, 128} {
+			steps = append(steps, step{func() ([]*graph.Graph, error) {
+				base := graph.RMAT(graph.DefaultRMAT(scale, e, cfg.Seed))
+				weighted := graph.RMAT(graph.DefaultRMAT(scale, e, cfg.Seed))
+				weighted.AddUniformWeights(1, 100, cfg.Seed+1)
+				weighted.Name = base.Name + "-w"
+				return []*graph.Graph{base, weighted}, nil
+			}, at(cfg.Procs, cfg.Batch, mfbc, combblas, point{engine: mfbc.engine, g: 1})})
+		}
+		return "Figure 1(c): strong scaling for R-MAT graphs (weighted and unweighted)", steps
+	}},
+	// Edge weak scaling: n²/p and the fill f = m/n² held, so n grows with √p.
+	{"fig2a", rates, func(cfg Config) (title string, steps []step) {
+		series := [][2]float64{{1024, 0.005}, {1024, 0.0005}, {4096, 0.0005}, {4096, 0.00005}} // {n0, f}
+		for _, s := range pick(cfg, series, series[:2]) {
+			for _, p := range cfg.Procs {
+				n := int(s[0] * sqrtInt(p))
+				steps = append(steps, uniform(cfg, fmt.Sprintf("uni-n0=%d-f=%.3g%%", int(s[0]), s[1]*100), n, int(s[1]*float64(n)*float64(n)), p))
+			}
+		}
+		return "Figure 2(a): edge weak scaling for uniform random graphs", steps
+	}},
+	// Vertex weak scaling: n/p and the degree k = m/n held, so n grows with p.
+	{"fig2b", rates, func(cfg Config) (title string, steps []step) {
+		series := [][2]int{{256, 96}, {256, 16}, {1024, 16}, {1024, 4}} // {n0, k}
+		for _, s := range pick(cfg, series, series[1:3]) {
+			for _, p := range cfg.Procs {
+				steps = append(steps, uniform(cfg, fmt.Sprintf("uni-n0=%d-k=%d", s[0], s[1]), s[0]*p, s[1]*s[0]*p/2, p))
+			}
+		}
+		return "Figure 2(b): vertex weak scaling for uniform random graphs", steps
+	}},
+	{"table3", costs, func(cfg Config) (string, []step) {
+		p, nb := slices.Max(cfg.Procs), 2*cfg.Batch
+		return fmt.Sprintf("Table 3: critical path costs, single batch of %d sources on p=%d", nb, p),
+			standins(cfg, pick(cfg, standinIDs[1:], standinIDs[1:2]), at([]int{p}, nb, combblas, mfbc))
+	}},
+	// Forced 1D / 2D / 3D decompositions against the automatic search (§5.2, §6).
+	{"ablate-decomp", rates, func(cfg Config) (string, []step) {
+		p := slices.Max(cfg.Procs)
+		return fmt.Sprintf("Ablation: decomposition space on p=%d", p), standins(cfg, []string{"orkut-sim"}, at([]int{p}, cfg.Batch,
+			point{engine: mfbc.engine, label: "/auto"}, point{engine: mfbc.engine, cons: spgemm.Only1D, label: "/1D-only"},
+			point{engine: mfbc.engine, cons: spgemm.Only2D, label: "/2D-only"}, point{engine: mfbc.engine, cons: spgemm.Only3D, label: "/3D-only"}))
+	}},
+	// The batch size n_b (§4's time/memory trade-off), on a quarter of the largest p.
+	{"ablate-batch", rates, func(cfg Config) (string, []step) {
+		p := max(slices.Max(cfg.Procs)/4, 1)
+		var pts []point
+		for _, nb := range pick(cfg, []int{4, 16, 64, 256}, []int{4, 16}) {
+			pts = append(pts, at([]int{p}, nb, mfbc)...)
+		}
+		return fmt.Sprintf("Ablation: batch size n_b on p=%d", p), standins(cfg, []string{"livejournal-sim"}, pts)
+	}},
+}
+
+// Experiments lists the available experiment ids in presentation order.
+var Experiments = func() (ids []string) {
+	for _, e := range grid {
+		ids = append(ids, e.id)
+	}
+	return ids
+}()
 
 // Run executes one experiment by id. An unknown transport fails the run
 // before any point is measured.
 func Run(id string, cfg Config) ([]Point, error) {
 	cfg.fill()
-	if cfg.Transport != "" && cfg.Transport != "sim" && cfg.Transport != "tcp" {
+	i := slices.IndexFunc(grid, func(e experiment) bool { return e.id == id })
+	switch {
+	case cfg.Transport != "" && cfg.Transport != "sim" && cfg.Transport != "tcp":
 		return nil, fmt.Errorf("bench: unknown transport %q (want sim or tcp)", cfg.Transport)
-	}
-	switch id {
-	case "table2":
-		return Table2(cfg)
-	case "fig1a":
-		return Fig1a(cfg)
-	case "fig1b":
-		return Fig1b(cfg)
-	case "fig1c":
-		return Fig1c(cfg)
-	case "fig2a":
-		return Fig2a(cfg)
-	case "fig2b":
-		return Fig2b(cfg)
-	case "table3":
-		return Table3(cfg)
-	case "ablate-decomp":
-		return AblateDecomp(cfg)
-	case "ablate-batch":
-		return AblateBatch(cfg)
-	default:
+	case i < 0:
 		return nil, fmt.Errorf("bench: unknown experiment %q (have %v)", id, Experiments)
 	}
+	title, steps := grid[i].plan(cfg)
+	fmt.Fprintf(cfg.Out, "\n== %s ==\n%s", title, grid[i].format.header)
+	var pts []Point
+	for _, s := range steps {
+		gs, err := s.build()
+		if err != nil {
+			return nil, err
+		}
+		for _, pt := range s.points {
+			r, st := measure(id, gs[pt.g], cfg, pt)
+			grid[i].format.row(cfg.Out, r, st)
+			pts = append(pts, r)
+		}
+	}
+	return pts, nil
 }
+
+// measure takes one point on g. It returns the Point and, for table2, the
+// statistics Point has no column for.
+func measure(exp string, g *graph.Graph, cfg Config, pt point) (r Point, st graph.Stats) {
+	r = Point{Experiment: exp, Graph: g.Name + pt.label, N: g.N, M: g.M()}
+	if pt.engine == "" {
+		st = graph.ComputeStats(g, pt.nb, cfg.Seed)
+		r.Iters, r.MTEPSNode = st.Diameter, st.AvgDegree
+		return r, st
+	}
+	sources := sampleSources(g.N, pt.nb, cfg.Seed)
+	r.Engine, r.Weighted, r.Procs, r.Batch = pt.engine, g.Weighted, pt.p, len(sources)
+	tr, done, err := cfg.newTransport(pt.p)
+	if err != nil {
+		r.Err = err.Error()
+		return r, st
+	}
+	defer done()
+	var res *core.DistResult
+	if pt.engine == combblas.engine {
+		var cb *baseline.DistCombBLASResult
+		if cb, err = baseline.CombBLASStyleDistributed(g, baseline.DistCombBLASOptions{
+			Procs: pt.p, Batch: len(sources), Sources: sources, Transport: tr}); err == nil {
+			res = &core.DistResult{Plan: cb.Plan, Stats: cb.Stats, Iterations: cb.Levels}
+		}
+	} else {
+		res, err = core.MFBCDistributed(g, core.DistOptions{
+			Procs: pt.p, Workers: cfg.Workers, Batch: len(sources), Sources: sources, Constraint: pt.cons, Transport: tr})
+	}
+	if err != nil {
+		r.Err = err.Error()
+		return r, st
+	}
+	r.Plan, r.Iters, r.Bytes, r.Msgs = res.Plan.String(), res.Iterations, res.Stats.MaxCost.Bytes, res.Stats.MaxCost.Msgs
+	r.ModelSec, r.CommSec, r.WallSec = res.Stats.ModelSec, res.Stats.CommSec, res.Stats.Wall.Seconds()
+	r.MTEPSNode = mteps(g.AdjacencyNNZ(), len(sources), pt.p, res.Stats.ModelSec)
+	return r, st
+}
+
+// A format is a column header and a row per point: Table 2's statistics,
+// Table 3's costs, or the rate table every other experiment prints.
+type format struct {
+	header string
+	row    func(w io.Writer, r Point, st graph.Stats)
+}
+
+var rates = format{"graph              engine        p  batch  MTEPS/nd   model(s)    comm(s)    wall(s)    iters plan\n",
+	func(w io.Writer, r Point, _ graph.Stats) {
+		if r.Err != "" {
+			fmt.Fprintf(w, "%-18s %-9s %5d %6d %9s   failed: %s\n", r.Graph, r.Engine, r.Procs, r.Batch, "n/a", r.Err)
+			return
+		}
+		fmt.Fprintf(w, "%-18s %-9s %5d %6d %9.2f %10.4f %10.4f %10.3f %8d %s\n",
+			r.Graph, r.Engine, r.Procs, r.Batch, r.MTEPSNode, r.ModelSec, r.CommSec, r.WallSec, r.Iters, r.Plan)
+	}}
+
+var stats = format{"ID                 directed?          n          m       d     d90       k\n",
+	func(w io.Writer, r Point, st graph.Stats) {
+		spec := graph.Standins[slices.IndexFunc(graph.Standins, func(s graph.StandinSpec) bool { return s.ID == r.Graph })]
+		fmt.Fprintf(w, "%-18s %-10v %9d %10d %7d %7.1f %7.1f   (paper: n=%.1fM m=%.0fM d=%d)\n",
+			r.Graph, st.Directed, st.N, st.M, st.Diameter, st.EffDiam, st.AvgDegree,
+			float64(spec.PaperN)/1e6, float64(spec.PaperM)/1e6, spec.PaperDiam)
+	}}
+
+var costs = format{"graph              code            W (MB)    S (#msgs)     comm (s)    total (s)\n",
+	func(w io.Writer, r Point, _ graph.Stats) {
+		if r.Err != "" {
+			fmt.Fprintf(w, "%-18s %-9s   failed: %s\n", r.Graph, r.Engine, r.Err)
+			return
+		}
+		fmt.Fprintf(w, "%-18s %-9s %12.3f %12d %12.4f %12.4f\n", r.Graph, r.Engine, float64(r.Bytes)/1e6, r.Msgs, r.CommSec, r.ModelSec)
+	}}
 
 // sampleSources draws nb distinct source vertices.
 func sampleSources(n, nb int, seed int64) []int32 {
-	if nb > n {
-		nb = n
-	}
-	rng := rand.New(rand.NewSource(seed))
-	perm := rng.Perm(n)
-	out := make([]int32, nb)
+	perm := rand.New(rand.NewSource(seed)).Perm(n)
+	out := make([]int32, min(nb, n))
 	for i := range out {
 		out[i] = int32(perm[i])
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
+	slices.Sort(out)
 	return out
 }
 
@@ -156,335 +359,6 @@ func (c Config) newTransport(p int) (machine.Transport, func(), error) {
 		return nil, nil, err
 	}
 	return mesh, func() { mesh.Close() }, nil
-}
-
-// runMFBC measures one CTF-MFBC batch on cfg's machine backend.
-func runMFBC(exp string, g *graph.Graph, cfg Config, procs, nb int, cons spgemm.Constraint, plan *spgemm.Plan) Point {
-	sources := sampleSources(g.N, nb, cfg.Seed)
-	pt := Point{
-		Experiment: exp, Graph: g.Name, Engine: "ctf-mfbc", Weighted: g.Weighted,
-		Procs: procs, Batch: len(sources), N: g.N, M: g.M(),
-	}
-	tr, done, err := cfg.newTransport(procs)
-	if err != nil {
-		pt.Err = err.Error()
-		return pt
-	}
-	defer done()
-	res, err := core.MFBCDistributed(g, core.DistOptions{
-		Procs: procs, Workers: cfg.Workers, Batch: len(sources), Sources: sources,
-		Constraint: cons, Plan: plan, Transport: tr,
-	})
-	if err != nil {
-		pt.Err = err.Error()
-		return pt
-	}
-	pt.Plan = res.Plan.String()
-	pt.ModelSec = res.Stats.ModelSec
-	pt.CommSec = res.Stats.CommSec
-	pt.WallSec = res.Stats.Wall.Seconds()
-	pt.Bytes = res.Stats.MaxCost.Bytes
-	pt.Msgs = res.Stats.MaxCost.Msgs
-	pt.Iters = res.Iterations
-	pt.MTEPSNode = mteps(g.AdjacencyNNZ(), len(sources), procs, res.Stats.ModelSec)
-	return pt
-}
-
-// runCombBLAS measures one CombBLAS-style batch.
-func runCombBLAS(exp string, g *graph.Graph, cfg Config, procs, nb int) Point {
-	sources := sampleSources(g.N, nb, cfg.Seed)
-	pt := Point{
-		Experiment: exp, Graph: g.Name, Engine: "combblas", Weighted: g.Weighted,
-		Procs: procs, Batch: len(sources), N: g.N, M: g.M(),
-	}
-	tr, done, err := cfg.newTransport(procs)
-	if err != nil {
-		pt.Err = err.Error()
-		return pt
-	}
-	defer done()
-	res, err := baseline.CombBLASStyleDistributed(g, baseline.DistCombBLASOptions{
-		Procs: procs, Batch: len(sources), Sources: sources, Transport: tr,
-	})
-	if err != nil {
-		pt.Err = err.Error()
-		return pt
-	}
-	pt.Plan = res.Plan.String()
-	pt.ModelSec = res.Stats.ModelSec
-	pt.CommSec = res.Stats.CommSec
-	pt.WallSec = res.Stats.Wall.Seconds()
-	pt.Bytes = res.Stats.MaxCost.Bytes
-	pt.Msgs = res.Stats.MaxCost.Msgs
-	pt.Iters = res.Levels
-	pt.MTEPSNode = mteps(g.AdjacencyNNZ(), len(sources), procs, res.Stats.ModelSec)
-	return pt
-}
-
-func printHeader(cfg Config, title string) {
-	fmt.Fprintf(cfg.Out, "\n== %s ==\n", title)
-	fmt.Fprintf(cfg.Out, "%-18s %-9s %5s %6s %9s %10s %10s %10s %8s %s\n",
-		"graph", "engine", "p", "batch", "MTEPS/nd", "model(s)", "comm(s)", "wall(s)", "iters", "plan")
-}
-
-func printPoint(cfg Config, p Point) {
-	if p.Err != "" {
-		fmt.Fprintf(cfg.Out, "%-18s %-9s %5d %6d %9s   failed: %s\n",
-			p.Graph, p.Engine, p.Procs, p.Batch, "n/a", p.Err)
-		return
-	}
-	fmt.Fprintf(cfg.Out, "%-18s %-9s %5d %6d %9.2f %10.4f %10.4f %10.3f %8d %s\n",
-		p.Graph, p.Engine, p.Procs, p.Batch, p.MTEPSNode, p.ModelSec, p.CommSec, p.WallSec, p.Iters, p.Plan)
-}
-
-// Table2 regenerates the real-graph property table from the SNAP stand-ins.
-func Table2(cfg Config) ([]Point, error) {
-	cfg.fill()
-	fmt.Fprintf(cfg.Out, "\n== Table 2: analyzed real-world graphs (synthetic stand-ins; paper originals in parentheses) ==\n")
-	fmt.Fprintf(cfg.Out, "%-18s %-10s %9s %10s %7s %7s %7s\n", "ID", "directed?", "n", "m", "d", "d90", "k")
-	var pts []Point
-	samples := 32
-	if cfg.Quick {
-		samples = 8
-	}
-	for _, spec := range graph.Standins {
-		g, err := graph.Standin(spec.ID, cfg.Scale, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		st := graph.ComputeStats(g, samples, cfg.Seed)
-		fmt.Fprintf(cfg.Out, "%-18s %-10v %9d %10d %7d %7.1f %7.1f   (paper: n=%.1fM m=%.0fM d=%d)\n",
-			spec.ID, st.Directed, st.N, st.M, st.Diameter, st.EffDiam, st.AvgDegree,
-			float64(spec.PaperN)/1e6, float64(spec.PaperM)/1e6, spec.PaperDiam)
-		pts = append(pts, Point{
-			Experiment: "table2", Graph: spec.ID, N: st.N, M: st.M,
-			Iters: st.Diameter, MTEPSNode: st.AvgDegree,
-		})
-	}
-	return pts, nil
-}
-
-// Fig1a: strong scaling of CTF-MFBC on the real-graph stand-ins.
-func Fig1a(cfg Config) ([]Point, error) {
-	cfg.fill()
-	printHeader(cfg, "Figure 1(a): strong scaling of MFBC for real graphs (stand-ins)")
-	ids := []string{"friendster-sim", "orkut-sim", "livejournal-sim", "patents-sim"}
-	if cfg.Quick {
-		ids = ids[1:3]
-	}
-	var pts []Point
-	for _, id := range ids {
-		g, err := graph.Standin(id, cfg.Scale, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		for _, p := range cfg.Procs {
-			pt := runMFBC("fig1a", g, cfg, p, cfg.Batch, spgemm.AnyPlan, nil)
-			printPoint(cfg, pt)
-			pts = append(pts, pt)
-		}
-	}
-	return pts, nil
-}
-
-// Fig1b: strong scaling of the CombBLAS-style code on the stand-ins.
-// Friendster-sim is skipped below 32 simulated nodes, reproducing the
-// paper's observation that CombBLAS could not execute it.
-func Fig1b(cfg Config) ([]Point, error) {
-	cfg.fill()
-	printHeader(cfg, "Figure 1(b): strong scaling of CombBLAS-style BC for real graphs (stand-ins)")
-	ids := []string{"orkut-sim", "livejournal-sim", "patents-sim"}
-	if cfg.Quick {
-		ids = ids[:2]
-	}
-	var pts []Point
-	for _, id := range ids {
-		g, err := graph.Standin(id, cfg.Scale, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		for _, p := range cfg.Procs {
-			pt := runCombBLAS("fig1b", g, cfg, p, cfg.Batch)
-			printPoint(cfg, pt)
-			pts = append(pts, pt)
-		}
-	}
-	return pts, nil
-}
-
-// Fig1c: strong scaling on R-MAT graphs, weighted and unweighted,
-// E ∈ {8, 128}.
-func Fig1c(cfg Config) ([]Point, error) {
-	cfg.fill()
-	printHeader(cfg, "Figure 1(c): strong scaling for R-MAT graphs (weighted and unweighted)")
-	scale := 11
-	if cfg.Quick {
-		scale = 9
-	}
-	var pts []Point
-	for _, e := range []int{8, 128} {
-		base := graph.RMAT(graph.DefaultRMAT(scale, e, cfg.Seed))
-		weighted := graph.RMAT(graph.DefaultRMAT(scale, e, cfg.Seed))
-		weighted.AddUniformWeights(1, 100, cfg.Seed+1)
-		weighted.Name = base.Name + "-w"
-		for _, p := range cfg.Procs {
-			m := runMFBC("fig1c", base, cfg, p, cfg.Batch, spgemm.AnyPlan, nil)
-			printPoint(cfg, m)
-			c := runCombBLAS("fig1c", base, cfg, p, cfg.Batch)
-			printPoint(cfg, c)
-			w := runMFBC("fig1c", weighted, cfg, p, cfg.Batch, spgemm.AnyPlan, nil)
-			printPoint(cfg, w)
-			pts = append(pts, m, c, w)
-		}
-	}
-	return pts, nil
-}
-
-// Fig2a: edge weak scaling on uniform random graphs — n²/p and the fill
-// fraction f = m/n² held constant, so n grows with √p.
-func Fig2a(cfg Config) ([]Point, error) {
-	cfg.fill()
-	printHeader(cfg, "Figure 2(a): edge weak scaling for uniform random graphs")
-	type series struct {
-		n0 int
-		f  float64
-	}
-	set := []series{{1024, 0.005}, {1024, 0.0005}, {4096, 0.0005}, {4096, 0.00005}}
-	if cfg.Quick {
-		set = set[:2]
-	}
-	var pts []Point
-	for _, s := range set {
-		for _, p := range cfg.Procs {
-			n := int(float64(s.n0) * sqrtInt(p))
-			m := int(s.f * float64(n) * float64(n))
-			g := graph.Uniform(n, m, false, cfg.Seed+int64(n))
-			g.Name = fmt.Sprintf("uni-n0=%d-f=%.3g%%", s.n0, s.f*100)
-			mp := runMFBC("fig2a", g, cfg, p, cfg.Batch, spgemm.AnyPlan, nil)
-			printPoint(cfg, mp)
-			cp := runCombBLAS("fig2a", g, cfg, p, cfg.Batch)
-			printPoint(cfg, cp)
-			pts = append(pts, mp, cp)
-		}
-	}
-	return pts, nil
-}
-
-// Fig2b: vertex weak scaling — n/p and the average degree k = m/n held
-// constant, so n grows linearly with p.
-func Fig2b(cfg Config) ([]Point, error) {
-	cfg.fill()
-	printHeader(cfg, "Figure 2(b): vertex weak scaling for uniform random graphs")
-	type series struct {
-		n0, k int
-	}
-	set := []series{{256, 96}, {256, 16}, {1024, 16}, {1024, 4}}
-	if cfg.Quick {
-		set = set[1:3]
-	}
-	var pts []Point
-	for _, s := range set {
-		for _, p := range cfg.Procs {
-			n := s.n0 * p
-			m := s.k * n / 2
-			g := graph.Uniform(n, m, false, cfg.Seed+int64(n))
-			g.Name = fmt.Sprintf("uni-n0=%d-k=%d", s.n0, s.k)
-			mp := runMFBC("fig2b", g, cfg, p, cfg.Batch, spgemm.AnyPlan, nil)
-			printPoint(cfg, mp)
-			cp := runCombBLAS("fig2b", g, cfg, p, cfg.Batch)
-			printPoint(cfg, cp)
-			pts = append(pts, mp, cp)
-		}
-	}
-	return pts, nil
-}
-
-// Table3: critical-path communication costs for a single batch on the
-// largest processor count, for both engines.
-func Table3(cfg Config) ([]Point, error) {
-	cfg.fill()
-	p := cfg.Procs[len(cfg.Procs)-1]
-	nb := cfg.Batch * 2
-	fmt.Fprintf(cfg.Out, "\n== Table 3: critical path costs, single batch of %d sources on p=%d ==\n", nb, p)
-	fmt.Fprintf(cfg.Out, "%-18s %-9s %12s %12s %12s %12s\n", "graph", "code", "W (MB)", "S (#msgs)", "comm (s)", "total (s)")
-	ids := []string{"orkut-sim", "livejournal-sim", "patents-sim"}
-	if cfg.Quick {
-		ids = ids[:1]
-	}
-	var pts []Point
-	for _, id := range ids {
-		g, err := graph.Standin(id, cfg.Scale, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		for _, run := range []func() Point{
-			func() Point { return runCombBLAS("table3", g, cfg, p, nb) },
-			func() Point { return runMFBC("table3", g, cfg, p, nb, spgemm.AnyPlan, nil) },
-		} {
-			pt := run()
-			if pt.Err != "" {
-				fmt.Fprintf(cfg.Out, "%-18s %-9s   failed: %s\n", pt.Graph, pt.Engine, pt.Err)
-			} else {
-				fmt.Fprintf(cfg.Out, "%-18s %-9s %12.3f %12d %12.4f %12.4f\n",
-					pt.Graph, pt.Engine, float64(pt.Bytes)/1e6, pt.Msgs, pt.CommSec, pt.ModelSec)
-			}
-			pts = append(pts, pt)
-		}
-	}
-	return pts, nil
-}
-
-// AblateDecomp compares forced 1D / 2D / 3D decompositions against the
-// automatic search (§5.2 / §6 design space).
-func AblateDecomp(cfg Config) ([]Point, error) {
-	cfg.fill()
-	p := cfg.Procs[len(cfg.Procs)-1]
-	printHeader(cfg, fmt.Sprintf("Ablation: decomposition space on p=%d", p))
-	g, err := graph.Standin("orkut-sim", cfg.Scale, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	var pts []Point
-	for _, c := range []struct {
-		name string
-		cons spgemm.Constraint
-	}{
-		{"auto", spgemm.AnyPlan},
-		{"1D-only", spgemm.Only1D},
-		{"2D-only", spgemm.Only2D},
-		{"3D-only", spgemm.Only3D},
-	} {
-		pt := runMFBC("ablate-decomp", g, cfg, p, cfg.Batch, c.cons, nil)
-		pt.Graph = g.Name + "/" + c.name
-		printPoint(cfg, pt)
-		pts = append(pts, pt)
-	}
-	return pts, nil
-}
-
-// AblateBatch sweeps the batch size n_b (§4's time/memory trade-off).
-func AblateBatch(cfg Config) ([]Point, error) {
-	cfg.fill()
-	p := cfg.Procs[len(cfg.Procs)-1] / 4
-	if p < 1 {
-		p = 1
-	}
-	printHeader(cfg, fmt.Sprintf("Ablation: batch size n_b on p=%d", p))
-	g, err := graph.Standin("livejournal-sim", cfg.Scale, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	sizes := []int{4, 16, 64, 256}
-	if cfg.Quick {
-		sizes = sizes[:2]
-	}
-	var pts []Point
-	for _, nb := range sizes {
-		pt := runMFBC("ablate-batch", g, cfg, p, nb, spgemm.AnyPlan, nil)
-		printPoint(cfg, pt)
-		pts = append(pts, pt)
-	}
-	return pts, nil
 }
 
 func sqrtInt(p int) float64 {

@@ -2,8 +2,11 @@ package bench
 
 import (
 	"bytes"
+	"fmt"
+	"os"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -27,6 +30,40 @@ func TestRunUnknownTransport(t *testing.T) {
 	}
 }
 
+// quickRun is one experiment of the shared quick run.
+type quickRun struct {
+	pts []Point
+	out string
+	err error
+}
+
+// quickRuns holds, per experiment, its one run under quickCfg on the
+// simulated machine, made the first time a test asks for it; the tests
+// below read that run.
+var quickRuns = func() map[string]func() quickRun {
+	runs := map[string]func() quickRun{}
+	for _, id := range Experiments {
+		runs[id] = sync.OnceValue(func() quickRun {
+			var buf bytes.Buffer
+			cfg := quickCfg()
+			cfg.Out = &buf
+			pts, err := Run(id, cfg)
+			return quickRun{pts, buf.String(), err}
+		})
+	}
+	return runs
+}()
+
+// quickPoints returns id's points from the shared quick run.
+func quickPoints(t *testing.T, id string) []Point {
+	t.Helper()
+	r := quickRuns[id]()
+	if r.err != nil {
+		t.Fatalf("%s: %v", id, r.err)
+	}
+	return r.pts
+}
+
 // TestAllExperimentsSmoke also pins the id list: the paper's seven tables
 // and figures plus the two ablations, each once — what mfbc-bench -list
 // prints.
@@ -36,19 +73,12 @@ func TestAllExperimentsSmoke(t *testing.T) {
 		t.Fatalf("experiment ids = %v, want %v", Experiments, want)
 	}
 	for _, id := range Experiments {
-		id := id
 		t.Run(id, func(t *testing.T) {
-			var buf bytes.Buffer
-			cfg := quickCfg()
-			cfg.Out = &buf
-			pts, err := Run(id, cfg)
-			if err != nil {
-				t.Fatalf("%s: %v", id, err)
-			}
+			pts := quickPoints(t, id)
 			if len(pts) == 0 {
 				t.Fatalf("%s produced no points", id)
 			}
-			if buf.Len() == 0 {
+			if quickRuns[id]().out == "" {
 				t.Fatalf("%s printed nothing", id)
 			}
 			for _, p := range pts {
@@ -61,12 +91,44 @@ func TestAllExperimentsSmoke(t *testing.T) {
 	}
 }
 
-func TestFig1cWeightedSlowdown(t *testing.T) {
-	cfg := quickCfg()
-	pts, err := Run("fig1c", cfg)
+// TestQuickGridGolden pins every quick point's integer and string columns
+// to testdata/quick_points.tsv, which was captured from the nine
+// hand-written runners the grid replaced. Modeled and wall seconds and the
+// rate are floats and are left out.
+func TestQuickGridGolden(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("# experiment\tgraph\tengine\tprocs\tbatch\tn\tm\tplan\tbytes\tmsgs\titers\terr\n")
+	for _, id := range Experiments {
+		for _, p := range quickPoints(t, id) {
+			fmt.Fprintf(&b, "%s\t%s\t%s\t%d\t%d\t%d\t%d\t%s\t%d\t%d\t%d\t%q\n",
+				p.Experiment, p.Graph, p.Engine, p.Procs, p.Batch, p.N, p.M, p.Plan, p.Bytes, p.Msgs, p.Iters, p.Err)
+		}
+	}
+	want, err := os.ReadFile("testdata/quick_points.tsv")
 	if err != nil {
 		t.Fatal(err)
 	}
+	if got := b.String(); got != string(want) {
+		t.Fatalf("quick points moved from testdata/quick_points.tsv; fresh rows:\n%s", got)
+	}
+}
+
+// TestSinglePUsesLargestProcs: the experiments measured on one p take it
+// from the largest -procs entry, not the last one.
+func TestSinglePUsesLargestProcs(t *testing.T) {
+	pts, err := Run("ablate-batch", Config{Procs: []int{16, 4}, Quick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range pts {
+		if p.Procs != 4 {
+			t.Fatalf("ablate-batch with -procs 16,4 measured at p=%d, want 16/4 = 4", p.Procs)
+		}
+	}
+}
+
+func TestFig1cWeightedSlowdown(t *testing.T) {
+	pts := quickPoints(t, "fig1c")
 	// The paper: adding weights costs MFBC more than 2x in rate (more
 	// iterations, denser frontiers). Compare at matching procs/E.
 	var unweighted, weighted []Point
@@ -98,11 +160,7 @@ func TestFig1cWeightedSlowdown(t *testing.T) {
 }
 
 func TestTable3ReportsBothEngines(t *testing.T) {
-	cfg := quickCfg()
-	pts, err := Run("table3", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pts := quickPoints(t, "table3")
 	engines := map[string]bool{}
 	for _, p := range pts {
 		engines[p.Engine] = true
@@ -153,13 +211,9 @@ func TestMTEPS(t *testing.T) {
 // -transport only changes how bytes move, never what the machine computes.
 func TestTransportDifferential(t *testing.T) {
 	t.Run("fig1c", func(t *testing.T) {
-		sim := quickCfg()
+		simPts := quickPoints(t, "fig1c")
 		tcp := quickCfg()
 		tcp.Transport = "tcp"
-		simPts, err := Run("fig1c", sim)
-		if err != nil {
-			t.Fatalf("sim: %v", err)
-		}
 		tcpPts, err := Run("fig1c", tcp)
 		if err != nil {
 			t.Fatalf("tcp: %v", err)

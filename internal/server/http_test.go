@@ -5,8 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -132,6 +135,53 @@ func TestHTTPWeightedAndStandinSpecs(t *testing.T) {
 	for _, kind := range []string{"rmat", "uniform", "grid", "file"} {
 		doJSON(t, ts, "POST", "/graphs/bad", GraphSpec{Kind: kind}, http.StatusBadRequest, nil)
 	}
+}
+
+// TestRegisterOpensNoClientPath: registration only generates graphs. A body
+// that names a file, as kind "file" or as a "path" field beside a valid
+// kind, gets 400, and no line of the file reaches the response.
+func TestRegisterOpensNoClientPath(t *testing.T) {
+	s := New(Config{Workers: 1})
+	ts := httptest.NewServer(NewMux(s))
+	defer ts.Close()
+
+	const marker = "first-line-marker-5e1d"
+	path := filepath.Join(t.TempDir(), "private.txt")
+	if err := os.WriteFile(path, []byte(marker+" x\n0 1\n"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	for _, body := range []map[string]any{
+		{"kind": "file", "path": path},
+		{"kind": "rmat", "scale": 4, "edge_factor": 4, "path": path},
+	} {
+		raw, _ := json.Marshal(body)
+		resp, err := ts.Client().Post(ts.URL+"/graphs/x", "application/json", bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || strings.Contains(string(got), marker) {
+			t.Fatalf("POST %s: status %d, body %s; want 400 without the file's content", raw, resp.StatusCode, got)
+		}
+	}
+}
+
+// TestRegisterDirected: directed builds an rmat digraph, and grid and
+// standin, whose orientation is fixed, reject it rather than ignore it.
+func TestRegisterDirected(t *testing.T) {
+	s := New(Config{Workers: 1})
+	ts := httptest.NewServer(NewMux(s))
+	defer ts.Close()
+
+	var info GraphInfo
+	doJSON(t, ts, "POST", "/graphs/cites",
+		GraphSpec{Kind: "rmat", Scale: 6, EdgeFactor: 6, Seed: 3, Directed: true}, http.StatusCreated, &info)
+	if !info.Directed {
+		t.Fatalf("rmat with directed = %+v", info)
+	}
+	doJSON(t, ts, "POST", "/graphs/road", GraphSpec{Kind: "grid", Rows: 4, Cols: 4, Directed: true}, http.StatusBadRequest, nil)
+	doJSON(t, ts, "POST", "/graphs/sim", GraphSpec{Kind: "standin", ID: "orkut-sim", Directed: true}, http.StatusBadRequest, nil)
 }
 
 // rawStatus sends body verbatim and returns only the response status.

@@ -1,10 +1,12 @@
 // Package server is an embeddable, concurrency-safe betweenness-centrality
 // query service on top of the repro engines.
 //
-// It keeps a registry of named graphs (loaded from edge-list files,
-// generated on demand, or handed in by the embedding program), a bounded
-// LRU cache of computed results keyed by the graph's structural version and
-// every score-relevant query parameter, and single-flight deduplication so
+// It keeps a registry of named graphs (generated on demand from a
+// GraphSpec, or handed in by the embedding program: AddGraph, or LoadGraph
+// for an edge-list file, which is how mfbc-serve -preload loads one; no
+// HTTP route names a file), a bounded LRU cache of computed results keyed
+// by the graph's structural version and every score-relevant query
+// parameter, and single-flight deduplication so
 // N concurrent identical queries trigger exactly one underlying compute —
 // the expensive SpGEMM sweeps are amortized across all callers.
 //

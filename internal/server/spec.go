@@ -4,16 +4,20 @@ import (
 	"fmt"
 
 	"repro"
+	"repro/internal/graph"
 )
 
-// GraphSpec describes a graph to build into the registry: one of the
-// library generators or an edge-list file. Kind selects the family; the
-// remaining fields parameterize it (unused fields are ignored).
+// GraphSpec describes a graph to build into the registry from one of the
+// library generators. Kind selects the family; the remaining fields
+// parameterize it (unused fields are ignored, except Directed, which grid
+// and standin reject). There is no file kind: a client never names a path
+// the server opens, and edge-list files load only through Server.LoadGraph
+// (mfbc-serve -preload).
 type GraphSpec struct {
-	// Kind: "rmat" | "uniform" | "grid" | "standin" | "file".
+	// Kind: "rmat" | "uniform" | "grid" | "standin".
 	Kind string `json:"kind"`
 
-	// rmat: 2^Scale vertices, ~EdgeFactor·2^Scale edges.
+	// rmat: 2^Scale vertices, ~EdgeFactor·2^Scale edges; Directed applies.
 	Scale      int `json:"scale,omitempty"`
 	EdgeFactor int `json:"edge_factor,omitempty"`
 
@@ -29,18 +33,18 @@ type GraphSpec struct {
 	// standin: ID names a Table 2 stand-in ("orkut-sim", ...), Scale scales it.
 	ID string `json:"id,omitempty"`
 
-	// file: Path is an edge-list file readable by the server process.
-	Path string `json:"path,omitempty"`
-
 	Directed bool  `json:"directed,omitempty"`
 	Seed     int64 `json:"seed,omitempty"`
 	// Weights > 1 overlays uniform integer weights in [1, Weights] on the
-	// generated graph (any Kind except file).
+	// generated graph.
 	Weights int `json:"weights,omitempty"`
 }
 
 // BuildGraph materializes the spec.
 func BuildGraph(spec GraphSpec) (*repro.Graph, error) {
+	if spec.Directed && (spec.Kind == "grid" || spec.Kind == "standin") {
+		return nil, fmt.Errorf("server: directed applies to rmat and uniform graphs, not %s", spec.Kind)
+	}
 	var g *repro.Graph
 	var err error
 	switch spec.Kind {
@@ -48,7 +52,9 @@ func BuildGraph(spec GraphSpec) (*repro.Graph, error) {
 		if spec.Scale < 1 || spec.EdgeFactor < 1 {
 			return nil, fmt.Errorf("server: rmat needs scale ≥ 1 and edge_factor ≥ 1, got %d,%d", spec.Scale, spec.EdgeFactor)
 		}
-		g = repro.RMATGraph(spec.Scale, spec.EdgeFactor, spec.Seed)
+		opt := graph.DefaultRMAT(spec.Scale, spec.EdgeFactor, spec.Seed)
+		opt.Directed = spec.Directed
+		g = graph.RMAT(opt)
 	case "uniform":
 		if spec.N < 2 || spec.M < 1 {
 			return nil, fmt.Errorf("server: uniform needs n ≥ 2 and m ≥ 1, got %d,%d", spec.N, spec.M)
@@ -64,18 +70,10 @@ func BuildGraph(spec GraphSpec) (*repro.Graph, error) {
 		if err != nil {
 			return nil, err
 		}
-	case "file":
-		if spec.Path == "" {
-			return nil, fmt.Errorf("server: file kind needs a path")
-		}
-		g, err = repro.LoadGraph(spec.Path)
-		if err != nil {
-			return nil, err
-		}
 	default:
 		return nil, fmt.Errorf("server: unknown graph kind %q", spec.Kind)
 	}
-	if spec.Weights > 1 && spec.Kind != "file" {
+	if spec.Weights > 1 {
 		g.AddUniformWeights(1, spec.Weights, spec.Seed+1)
 	}
 	return g, nil
