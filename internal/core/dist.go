@@ -242,12 +242,12 @@ func sideProject[T algebra.Sided[T, E], E any](m *distmat.Mat[T], s int, zero T,
 // also plans the dead sides. When the live sides agree on a plan — always,
 // at one side — a single multiply runs under it, screened by what align
 // returns once it has moved the caller's T to the plan's C distribution,
-// with the kept products folding into acc, and the exact componentwise
-// identities make each side bit-identical to its scalar product. When they
-// diverge, the frontier is projected per side, each projection is
-// multiplied under its own plan, and the products are merged in the first
-// live side's distribution: the price of replaying every side's scalar plan
-// sequence exactly, paid only on the (rare) divergent rounds.
+// and the exact componentwise identities make each side bit-identical to
+// its scalar product. When they diverge, the frontier is projected per
+// side, each projection is multiplied under its own plan, unscreened, and
+// the products are merged in the first live side's distribution: the price
+// of replaying every side's scalar plan sequence exactly, paid only on the
+// (rare) divergent rounds. Every product folds by column into acc.
 func mulPerSide[T algebra.Sided[T, E], E, W any](
 	sp *sidePlans, all bool, bytes int64,
 	frontier *distmat.Mat[T], b *distmat.Mat[W], f func(T, W) T,
@@ -279,7 +279,7 @@ func mulPerSide[T algebra.Sided[T, E], E, W any](
 		if nnz[s] == 0 {
 			continue
 		}
-		ext := spgemm.Multiply(sp.sess, sp.plans[s], sideProject(frontier, s, mon.Identity, isZero), b, f, mon, edge, nil, nil)
+		ext := spgemm.Multiply(sp.sess, sp.plans[s], sideProject(frontier, s, mon.Identity, isZero), b, f, mon, edge, nil, acc)
 		if out == nil {
 			out = ext
 		} else {
@@ -489,10 +489,37 @@ func sweepMFBr[M multSided[M], C centSided[C], W any](
 // split-plan branch passes neither. A lookup is one load from x, which must
 // index t; the closures only read, so the kernel's workers share them.
 //
+// Both are asked once per product, so over the one-sided scalar types they
+// are closures over those types (scalarScreen, scalarMask), which read the
+// one side in place; the pair types keep the per-side loop (sidedScreen,
+// sidedMask). The scalar constructors stay out of line: inlined into their
+// generic callers, their closures were compiled without the lookup and the
+// rule inlined into them.
+//
 // screenAgainst is the forward product's screen: it drops a product when the
 // block holds its coordinate and every side of it loses there. A product
 // where T holds nothing yet is a new path, and kept.
 func screenAgainst[M multSided[M]](t []sparse.Entry[M], x *blockIndex) func(i, j int32, v M) bool {
+	if ts, ok := any(t).([]sparse.Entry[algebra.MultPath]); ok {
+		return any(scalarScreen(ts, x)).(func(i, j int32, v M) bool)
+	}
+	return sidedScreen(t, x)
+}
+
+// maskAgainst is the backward product's screen. A backward product that can
+// survive lands on T's pattern (Z shares it), so it masks the product by T:
+// it drops what lands off the block, as screenCentSided would, and what
+// loses on every side there.
+func maskAgainst[M multSided[M], C centSided[C]](t []sparse.Entry[M], x *blockIndex) func(i, j int32, v C) bool {
+	if ts, ok := any(t).([]sparse.Entry[algebra.MultPath]); ok {
+		if keep, ok := any(scalarMask(ts, x)).(func(i, j int32, v C) bool); ok {
+			return keep
+		}
+	}
+	return sidedMask[M, C](t, x)
+}
+
+func sidedScreen[M multSided[M]](t []sparse.Entry[M], x *blockIndex) func(i, j int32, v M) bool {
 	return func(i, j int32, v M) bool {
 		k := x.at(i, j)
 		drop := k >= 0
@@ -503,11 +530,7 @@ func screenAgainst[M multSided[M]](t []sparse.Entry[M], x *blockIndex) func(i, j
 	}
 }
 
-// maskAgainst is the backward product's screen. A backward product that can
-// survive lands on T's pattern (Z shares it), so it masks the product by T:
-// it drops what lands off the block, as screenCentSided would, and what
-// loses on every side there.
-func maskAgainst[M multSided[M], C centSided[C]](t []sparse.Entry[M], x *blockIndex) func(i, j int32, v C) bool {
+func sidedMask[M multSided[M], C centSided[C]](t []sparse.Entry[M], x *blockIndex) func(i, j int32, v C) bool {
 	return func(i, j int32, v C) bool {
 		k := x.at(i, j)
 		if k < 0 {
@@ -519,6 +542,22 @@ func maskAgainst[M multSided[M], C centSided[C]](t []sparse.Entry[M], x *blockIn
 			}
 		}
 		return false
+	}
+}
+
+//go:noinline
+func scalarScreen(t []sparse.Entry[algebra.MultPath], x *blockIndex) func(i, j int32, v algebra.MultPath) bool {
+	return func(i, j int32, v algebra.MultPath) bool {
+		k := x.at(i, j)
+		return k < 0 || !multLoses(t[k].V, v)
+	}
+}
+
+//go:noinline
+func scalarMask(t []sparse.Entry[algebra.MultPath], x *blockIndex) func(i, j int32, v algebra.CentPath) bool {
+	return func(i, j int32, v algebra.CentPath) bool {
+		k := x.at(i, j)
+		return k >= 0 && !centLoses(t[k].V, v)
 	}
 }
 

@@ -8,8 +8,10 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/algebra"
 	"repro/internal/graph"
 	"repro/internal/obs"
+	"repro/internal/sparse"
 	"repro/internal/spgemm"
 )
 
@@ -229,6 +231,73 @@ func TestScreenedSweepDropsLosers(t *testing.T) {
 		t.Logf("plan %v: %d of %d products screened out (%.1f %%)", c.plan, screened, products, 100*share)
 		if products == 0 || share < c.minShare || (c.minShare == 0 && screened != 0) {
 			t.Errorf("plan %v: %d of %d products screened out, want a share ≥ %.2f (0: none)", c.plan, screened, products, c.minShare)
+		}
+	}
+}
+
+// TestScalarScreensMatchSided: the scalar screens decide every product as
+// the per-side rule does over the one side, verdict for verdict, on the
+// spgemm screen tests' graphs — RMAT scale 6 and a weighted 6×6 mesh — with
+// T two Bellman-Ford rounds from 8 sources. The forward products are T's
+// entries extended by one edge, the backward ones T's pattern lifted to
+// centpaths and pulled back over one edge, each also as the exact zero, at
+// coordinates on and off the block.
+func TestScalarScreensMatchSided(t *testing.T) {
+	mesh := graph.Grid2D(6, 6, 5, 2)
+	mesh.Name = "mesh-6x6"
+	rmat := graph.RMAT(graph.DefaultRMAT(6, 6, 4))
+	rmat.Name = "rmat-s6"
+	for _, g := range []*graph.Graph{rmat, mesh} {
+		a := g.Adjacency()
+		const rows = 8
+		seed := sparse.NewCOO[algebra.MultPath](rows, g.N)
+		for i := 0; i < rows; i++ {
+			src := i * g.N / rows
+			cols, vals := a.Row(src)
+			for x, j := range cols {
+				seed.Append(int32(i), j, algebra.BFAction(algebra.MultPath{M: 1}, vals[x]))
+			}
+		}
+		mp := algebra.MultPathMonoid()
+		tm := sparse.FromCOO(seed, mp)
+		for r := 0; r < 2; r++ {
+			ext, _ := sparse.Mul(tm, a, algebra.BFAction, mp)
+			tm = sparse.EWise(tm, ext, mp)
+		}
+		block := tm.ToCOO().E
+		var x blockIndex
+		indexBlock(&x, block)
+		fwd, fwdSided := scalarScreen(block, &x), sidedScreen(block, &x)
+		back, backSided := scalarMask(block, &x), sidedMask[algebra.MultPath, algebra.CentPath](block, &x)
+		var kept, dropped [2]int
+		tally := func(dir int, keep bool) {
+			if keep {
+				kept[dir]++
+			} else {
+				dropped[dir]++
+			}
+		}
+		for _, e := range block {
+			cols, vals := a.Row(int(e.J))
+			for y, j := range cols {
+				for _, v := range []algebra.MultPath{algebra.BFAction(e.V, vals[y]), algebra.MultPathZero()} {
+					if got, want := fwd(e.I, j, v), fwdSided(e.I, j, v); got != want {
+						t.Fatalf("%s: forward product %v at (%d, %d): scalar screen keeps %t, the per-side rule %t", g.Name, v, e.I, j, got, want)
+					}
+					tally(0, fwd(e.I, j, v))
+				}
+				lifted := algebra.CentPath{W: e.V.W, P: 1 / e.V.M, C: 1}
+				for _, v := range []algebra.CentPath{algebra.BrandesAction(lifted, vals[y]), algebra.CentPathZero()} {
+					if got, want := back(e.I, j, v), backSided(e.I, j, v); got != want {
+						t.Fatalf("%s: backward product %v at (%d, %d): scalar mask keeps %t, the per-side rule %t", g.Name, v, e.I, j, got, want)
+					}
+					tally(1, back(e.I, j, v))
+				}
+			}
+		}
+		t.Logf("%s: forward %d kept %d dropped, backward %d kept %d dropped", g.Name, kept[0], dropped[0], kept[1], dropped[1])
+		if min(kept[0], dropped[0], kept[1], dropped[1]) == 0 {
+			t.Errorf("%s: a verdict never occurred (forward kept/dropped %v/%v, backward %v/%v): the case tests too little", g.Name, kept[0], dropped[0], kept[1], dropped[1])
 		}
 	}
 }

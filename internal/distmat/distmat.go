@@ -110,17 +110,19 @@ func (m *Mat[T]) ID() uint64 {
 
 // FromGlobal builds this rank's piece of a globally known COO matrix (the
 // generator-replication input convention; no communication is charged, as
-// the paper's benchmarks exclude graph load time).
+// the paper's benchmarks exclude graph load time). It takes the rank's
+// share of coo's entries, then canonicalizes the share alone: an owner
+// depends on the coordinate only, so duplicates meet in one share, and the
+// piece is the canonical matrix filtered to the rank. coo is left as it was.
 func FromGlobal[T any](rank int, coo *sparse.COO[T], d Dist, m algebra.Monoid[T]) *Mat[T] {
-	c := coo.Clone()
-	c.Canonicalize(m)
-	out := &Mat[T]{Rows: coo.Rows, Cols: coo.Cols, Dist: d}
-	for _, e := range c.E {
+	share := &sparse.COO[T]{Rows: coo.Rows, Cols: coo.Cols}
+	for _, e := range coo.E {
 		if d.Owner(e.I, e.J) == rank {
-			out.Local = append(out.Local, e)
+			share.E = append(share.E, e)
 		}
 	}
-	return out
+	share.Canonicalize(m)
+	return &Mat[T]{Rows: coo.Rows, Cols: coo.Cols, Dist: d, Local: share.E}
 }
 
 // LocalNNZ returns the number of locally held entries.

@@ -288,3 +288,67 @@ func TestAccumulatorMatchesMergeSorted(t *testing.T) {
 		t.Fatalf("a warm Merge allocates %v times", allocs)
 	}
 }
+
+// TestFromGlobalMatchesDefinition: on shuffled COOs with duplicates, zero
+// folds and a hub row of 1,000 to 4,000 entries, each rank's piece under a
+// hashed and a row-blocked distribution is the old definition's — the whole
+// matrix copied, canonicalized, then filtered to the rank — and the input is
+// left as it was.
+func TestFromGlobalMatchesDefinition(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for trial := 0; trial < 20; trial++ {
+		rows, cols := 1+rng.Intn(60), 1+rng.Intn(3000)
+		coo := sparse.NewCOO[float64](rows, cols)
+		val := func() float64 { return float64(rng.Intn(5) - 2) }
+		for k := 0; k < 4*rows; k++ {
+			i, j := int32(rng.Intn(rows)), int32(rng.Intn(cols))
+			coo.Append(i, j, val())
+			coo.Append(i, j, val())
+		}
+		hub := int32(rng.Intn(rows))
+		for k := 1000 + rng.Intn(3000); k > 0; k-- {
+			coo.Append(hub, int32(rng.Intn(cols)), val())
+		}
+		rng.Shuffle(len(coo.E), func(x, y int) { coo.E[x], coo.E[y] = coo.E[y], coo.E[x] })
+		before := slices.Clone(coo.E)
+		// The definition: clone, sort by (row, col), fold each coordinate's
+		// run (small integers: exact in any order), drop zeros, filter.
+		es := slices.Clone(coo.E)
+		SortEntries(es)
+		var canonical []sparse.Entry[float64]
+		for x := 0; x < len(es); {
+			cur, y := es[x], x+1
+			for ; y < len(es) && es[y].I == cur.I && es[y].J == cur.J; y++ {
+				cur.V += es[y].V
+			}
+			if cur.V != 0 {
+				canonical = append(canonical, cur)
+			}
+			x = y
+		}
+		for _, p := range []int{1, 3, 4} {
+			for _, d := range []Dist{DistShard(p), DistRowBlock(p, rows)} {
+				total := 0
+				for r := 0; r < p; r++ {
+					var want []sparse.Entry[float64]
+					for _, e := range canonical {
+						if d.Owner(e.I, e.J) == r {
+							want = append(want, e)
+						}
+					}
+					got := FromGlobal(r, coo, d, addF)
+					if !slices.Equal(got.Local, want) {
+						t.Fatalf("trial %d %s rank %d: %d entries, the definition gives %d", trial, d.Key, r, len(got.Local), len(want))
+					}
+					total += len(want)
+				}
+				if total != len(canonical) || len(canonical) == len(before) {
+					t.Fatalf("trial %d %s: %d of %d canonical entries placed, %d input entries: the case folds nothing", trial, d.Key, total, len(canonical), len(before))
+				}
+			}
+		}
+		if !slices.Equal(coo.E, before) {
+			t.Fatalf("trial %d: FromGlobal changed its input", trial)
+		}
+	}
+}

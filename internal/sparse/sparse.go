@@ -7,7 +7,9 @@
 package sparse
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/algebra"
@@ -47,20 +49,17 @@ func (a *COO[T]) Clone() *COO[T] {
 }
 
 // Canonicalize sorts entries by (row, col) and merges duplicates with the
-// monoid operation, dropping merged values for which IsZero holds.
+// monoid operation, in their order in E, dropping merged values for which
+// IsZero holds. The result is a fresh slice: the one E held before keeps its
+// entries. Coordinates must lie in the matrix.
 func (a *COO[T]) Canonicalize(m algebra.Monoid[T]) {
 	if len(a.E) == 0 {
 		return
 	}
-	sort.Slice(a.E, func(x, y int) bool {
-		if a.E[x].I != a.E[y].I {
-			return a.E[x].I < a.E[y].I
-		}
-		return a.E[x].J < a.E[y].J
-	})
-	out := a.E[:0]
-	cur := a.E[0]
-	for _, e := range a.E[1:] {
+	es := a.sortRows()
+	out := es[:0]
+	cur := es[0]
+	for _, e := range es[1:] {
 		if e.I == cur.I && e.J == cur.J {
 			cur.V = m.Op(cur.V, e.V)
 			continue
@@ -74,6 +73,35 @@ func (a *COO[T]) Canonicalize(m algebra.Monoid[T]) {
 		out = append(out, cur)
 	}
 	a.E = out
+}
+
+// sortRows returns E in (row, col) order in a fresh slice, entries at one
+// coordinate in their order in E: a counting pass places each row's entries
+// in order, and a row found out of column order is then sorted by column,
+// stably. Rows are never compared, and a row already in order — as a
+// sorted edge list leaves every row of its adjacency — costs one pass.
+func (a *COO[T]) sortRows() []Entry[T] {
+	end := make([]int, a.Rows+1)
+	for _, e := range a.E {
+		end[e.I+1]++
+	}
+	for i := 0; i < a.Rows; i++ {
+		end[i+1] += end[i]
+	}
+	out := make([]Entry[T], len(a.E))
+	for _, e := range a.E {
+		out[end[e.I]] = e
+		end[e.I]++
+	}
+	byCol := func(x, y Entry[T]) int { return cmp.Compare(x.J, y.J) }
+	lo := 0
+	for _, hi := range end[:a.Rows] {
+		if row := out[lo:hi]; !slices.IsSortedFunc(row, byCol) {
+			slices.SortStableFunc(row, byCol)
+		}
+		lo = hi
+	}
+	return out
 }
 
 // Validate checks that all coordinates are in range.
@@ -117,9 +145,11 @@ func (a *CSR[T]) Get(i, j int32) (T, bool) {
 }
 
 // FromCOO builds a CSR matrix from a (possibly unsorted, duplicated) COO
-// matrix, merging duplicates with the monoid.
+// matrix, merging duplicates with the monoid as Canonicalize does, and
+// leaves a as it was: its entries are bucketed by row with a counting pass,
+// and only rows out of column order are sorted.
 func FromCOO[T any](a *COO[T], m algebra.Monoid[T]) *CSR[T] {
-	c := a.Clone()
+	c := *a
 	c.Canonicalize(m)
 	out := &CSR[T]{
 		Rows:   c.Rows,

@@ -3,8 +3,11 @@ package sparse
 import (
 	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/algebra"
 )
@@ -270,5 +273,102 @@ func TestCanonicalizeProperties(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// hubCOO is a shuffled rows×cols COO with duplicate coordinates, values in
+// [−2, 2] so that some duplicates fold to zero, and one hub row of hub
+// entries (duplicates among them). Values are small integers, so every fold
+// is exact in any order.
+func hubCOO(rng *rand.Rand, rows, cols, hub int) *COO[float64] {
+	a := NewCOO[float64](rows, cols)
+	val := func() float64 { return float64(rng.Intn(5) - 2) }
+	for k := 0; k < 4*rows; k++ {
+		i, j := int32(rng.Intn(rows)), int32(rng.Intn(cols))
+		a.Append(i, j, val())
+		if k%3 == 0 {
+			a.Append(i, j, val())
+		}
+	}
+	h := int32(rng.Intn(rows))
+	for k := 0; k < hub; k++ {
+		a.Append(h, int32(rng.Intn(cols)), val())
+	}
+	rng.Shuffle(len(a.E), func(x, y int) { a.E[x], a.E[y] = a.E[y], a.E[x] })
+	return a
+}
+
+// canonicalByDefinition is what Canonicalize did before it bucketed rows: a
+// copy of a's entries under one comparison sort by (row, col), each run at
+// one coordinate folded, zero folds dropped.
+func canonicalByDefinition[T any](a *COO[T], m algebra.Monoid[T]) []Entry[T] {
+	es := slices.Clone(a.E)
+	sort.Slice(es, func(x, y int) bool {
+		if es[x].I != es[y].I {
+			return es[x].I < es[y].I
+		}
+		return es[x].J < es[y].J
+	})
+	var out []Entry[T]
+	for x := 0; x < len(es); {
+		cur, y := es[x], x+1
+		for ; y < len(es) && es[y].I == cur.I && es[y].J == cur.J; y++ {
+			cur.V = m.Op(cur.V, es[y].V)
+		}
+		if !m.IsZero(cur.V) {
+			out = append(out, cur)
+		}
+		x = y
+	}
+	return out
+}
+
+// TestFromCOOMatchesDefinition: on shuffled COOs with duplicates, zero
+// folds and a hub row of 1,000 to 4,000 entries, FromCOO and Canonicalize
+// give the old definition's entries, and FromCOO leaves its input as it
+// was. The shuffle leaves the rows out of column order, so they are sorted.
+func TestFromCOOMatchesDefinition(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 40; trial++ {
+		a := hubCOO(rng, 1+rng.Intn(60), 1+rng.Intn(3000), 1000+rng.Intn(3000))
+		before := slices.Clone(a.E)
+		want := canonicalByDefinition(a, addF)
+		got := FromCOO(a, addF)
+		if !slices.Equal(a.E, before) {
+			t.Fatalf("trial %d: FromCOO changed its input", trial)
+		}
+		if !slices.Equal(got.ToCOO().E, want) {
+			t.Fatalf("trial %d: FromCOO differs from the definition (%d entries, want %d)", trial, got.NNZ(), len(want))
+		}
+		if got.NNZ() == 0 || len(want) == len(before) {
+			t.Fatalf("trial %d: %d of %d entries kept: the case folds nothing", trial, len(want), len(before))
+		}
+		c := a.Clone()
+		c.Canonicalize(addF)
+		if !slices.Equal(c.E, want) {
+			t.Fatalf("trial %d: Canonicalize differs from the definition", trial)
+		}
+	}
+}
+
+// TestFromCOOHubRowNotQuadratic: one row of 2¹⁸ entries in descending
+// column order — the worst case of a quadratic per-row sort, 3·10¹⁰ moves
+// that take minutes — is sorted in a fraction of a second (well under the
+// 10 s bound, race detector included).
+func TestFromCOOHubRowNotQuadratic(t *testing.T) {
+	const n = 1 << 18
+	a := NewCOO[float64](2, n)
+	for j := int32(n - 1); j >= 0; j-- {
+		a.Append(1, j, 1)
+	}
+	start := time.Now()
+	got := FromCOO(a, addF)
+	took := time.Since(start)
+	cols, _ := got.Row(1)
+	if len(cols) != n || !slices.IsSorted(cols) {
+		t.Fatalf("hub row: %d columns, sorted %t", len(cols), slices.IsSorted(cols))
+	}
+	if took > 10*time.Second {
+		t.Fatalf("a %d-entry hub row took %v to sort", n, took)
 	}
 }

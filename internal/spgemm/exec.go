@@ -60,8 +60,12 @@ type distsKey struct {
 // plans come from a fixed candidate list — so a matrix has at most one set
 // per candidate plan. A fused region's pair sets are dropped by DropMatrix
 // when the region ends.
+//
+// Beside the sets it keeps the owner tables of their k and n dimensions,
+// bounded the same way: one per candidate plan's placement of each.
 type OperandCache struct {
-	sets map[operandKey]*cachedOperand
+	sets   map[operandKey]*cachedOperand
+	owners ownerTables
 }
 
 // operandKey identifies one staged working set: the matrix (by its
@@ -85,7 +89,7 @@ type cachedOperand struct {
 
 // NewOperandCache returns an empty stationary-operand cache.
 func NewOperandCache() *OperandCache {
-	return &OperandCache{sets: make(map[operandKey]*cachedOperand)}
+	return &OperandCache{sets: make(map[operandKey]*cachedOperand), owners: make(ownerTables)}
 }
 
 // Len returns the number of resident working sets.
@@ -195,30 +199,6 @@ func layerRanges(plan Plan, m, k, n, layer int) ranges {
 	return r
 }
 
-// layerOf maps a coordinate on the fiber-split dimension to its layer.
-func layerOf(plan Plan, m, k, n int, i, kc, j int32, role Role) int {
-	if plan.P1 <= 1 {
-		return 0
-	}
-	switch plan.X {
-	case RoleA: // split n
-		if role == RoleA { // A is replicated: shard pseudo-randomly pre-replication
-			return shard(i, kc, plan.P1)
-		}
-		return distmat.Part(j, n, plan.P1)
-	case RoleB: // split m
-		if role == RoleB {
-			return shard(kc, j, plan.P1)
-		}
-		return distmat.Part(i, m, plan.P1)
-	default: // RoleC: split k
-		if role == RoleC {
-			panic("spgemm: C has no input layer assignment under RoleC")
-		}
-		return distmat.Part(kc, k, plan.P1)
-	}
-}
-
 func shard(i, j int32, p int) int {
 	h := uint64(uint32(i))*0x9E3779B1 ^ uint64(uint32(j))*0x85EBCA77
 	h ^= h >> 33
@@ -227,148 +207,147 @@ func shard(i, j int32, p int) int {
 
 func partIn(x, lo, hi int32, parts int) int { return distmat.Part(x-lo, int(hi-lo), parts) }
 
-// cut is partIn over one range and part count with its divisions done once:
-// of(x) is partIn(x, lo, hi, parts), taken modulo mod when mod > 0.
-type cut struct {
-	lo, big         int32
-	q, r, last, mod int
+// axis is how one coordinate of an operand finds its place on its layer's
+// p2×p3 grid: the layer's range of the coordinate's dimension is cut into
+// parts contiguous parts, and the coordinate's part, counted modulo mod
+// (0 = not wrapped), is its grid row (stride p3) or column (stride 1).
+type axis struct{ parts, mod, stride int }
+
+// axes returns the placement of operand role's row and column coordinates
+// under plan's layer variant: each operand is blocked over the grid, or
+// staged (lcm(p2, p3) stages dealt round the grid) along the dimension the
+// variant broadcasts it by.
+func axes(plan Plan, role Role) (row, col axis) {
+	s := plan.Stages()
+	rowBlock, colBlock := axis{plan.P2, 0, plan.P3}, axis{plan.P3, 0, 1}
+	rowStage, colStage := axis{s, plan.P2, plan.P3}, axis{s, plan.P3, 1}
+	var by [3][2]axis // by role: A (i, k), B (k, j), C (i, j)
+	switch plan.YZ {
+	case VarAB: // A: k staged over p3; B: k staged over p2; C stationary
+		by = [3][2]axis{{rowBlock, colStage}, {rowStage, colBlock}, {rowBlock, colBlock}}
+	case VarAC: // A: k blocked over p2, m staged over p3; B stationary; C: m staged over p2
+		by = [3][2]axis{{colStage, rowBlock}, {rowBlock, colBlock}, {rowStage, colBlock}}
+	default: // VarBC: A stationary; B: n staged over p2, k blocked over p3; C: n staged over p3
+		by = [3][2]axis{{rowBlock, colBlock}, {colBlock, rowStage}, {rowBlock, colStage}}
+	}
+	return by[role][0], by[role][1]
 }
 
-func newCut(lo, hi int32, parts, mod int) cut {
-	q, r := int(hi-lo)/parts, int(hi-lo)%parts
-	return cut{lo: lo, big: int32(r * (q + 1)), q: q, r: r, last: parts - 1, mod: mod}
+// axisKey identifies one owner table: a dimension of size coordinates,
+// split over layers layers of inner ranks each, and placed by axis.
+type axisKey struct {
+	size, layers, inner int
+	axis
 }
 
-func (c cut) of(x int32) int {
-	i := x - c.lo
-	var v int
+// table returns every coordinate's owner term along one dimension: its
+// layer's first rank plus its place on the layer grid. The ranges come from
+// PartBounds, so filling it costs no division per coordinate.
+func (key axisKey) table() []int32 {
+	t := make([]int32, key.size)
+	for l := 0; l < key.layers; l++ {
+		lo, hi := distmat.PartBounds(l, key.size, key.layers)
+		at := 0
+		for part := 0; part < key.parts; part++ {
+			p0, p1 := distmat.PartBounds(part, int(hi-lo), key.parts)
+			v := int32(l*key.inner + at*key.stride)
+			for x := lo + p0; x < lo+p1; x++ {
+				t[x] = v
+			}
+			if at++; at == key.mod {
+				at = 0
+			}
+		}
+	}
+	return t
+}
+
+// ownerTables holds the owner tables of the k and n dimensions, which are
+// the vertex count for every multiply a resident operand cache serves, so
+// that a region or an apply that starts a new Session builds none of them
+// again. The frontier's m dimension changes from batch to batch; its tables
+// are built per Session. A nil ownerTables builds every table afresh.
+type ownerTables map[axisKey][]int32
+
+func (o ownerTables) get(key axisKey, keep bool) []int32 {
+	if t, ok := o[key]; ok {
+		return t
+	}
+	t := key.table()
+	if keep && o != nil {
+		o[key] = t
+	}
+	return t
+}
+
+// owner returns the owner function of operand role under plan: the sum of
+// its coordinates' table terms. The fiber dimension — n under RoleA, m
+// under RoleB, k under RoleC — is split into p1 layer ranges, and a
+// coordinate on it carries its layer in its term. The operand a 3D plan
+// replicates has no coordinate on it: before replication its entries are
+// spread over the layers by a hash of the coordinate pair. C, reduced under
+// RoleC, sums to its inner grid position on every layer, and the reduction
+// root rotates with it.
+func owner(plan Plan, m, k, n int, role Role, tables ownerTables) func(i, j int32) int {
+	row, col := ownerTerms(plan, m, k, n, role, tables)
+	p1, inner := plan.P1, plan.P2*plan.P3
 	switch {
-	case i < c.big:
-		v = int(i) / (c.q + 1)
-	case c.q == 0:
-		v = c.last
-	default:
-		v = c.r + int(i-c.big)/c.q
-	}
-	if c.mod > 0 {
-		v %= c.mod
-	}
-	return v
-}
-
-// layerGrid places one operand's coordinate pair (i, j) on one layer's p2×p3
-// grid: the grid row is li of i and the grid column lj of j, or li of j and
-// lj of i where swap is set.
-type layerGrid struct {
-	li, lj cut
-	swap   bool
-}
-
-func (g layerGrid) at(i, j int32) (int, int) {
-	if g.swap {
-		i, j = j, i
-	}
-	return g.li.of(i), g.lj.of(j)
-}
-
-// layerGrids is the placement of operand role under plan on every layer,
-// indexed by layer: an owner closure builds it once, with each layer's
-// ranges and their divisions, and looks a layer up per entry.
-func layerGrids(plan Plan, m, k, n int, role Role) []layerGrid {
-	p2, p3, s := plan.P2, plan.P3, plan.Stages()
-	gs := make([]layerGrid, max(plan.P1, 1))
-	for l := range gs {
-		r := layerRanges(plan, m, k, n, l)
-		switch plan.YZ {
-		case VarAB:
-			switch role {
-			case RoleA: // (i, k): rows blocked over p2, k staged mod p3
-				gs[l] = layerGrid{li: newCut(r.m0, r.m1, p2, 0), lj: newCut(r.k0, r.k1, s, p3)}
-			case RoleB: // (k, j): k staged mod p2, cols blocked over p3
-				gs[l] = layerGrid{li: newCut(r.k0, r.k1, s, p2), lj: newCut(r.n0, r.n1, p3, 0)}
-			default: // C stationary block
-				gs[l] = layerGrid{li: newCut(r.m0, r.m1, p2, 0), lj: newCut(r.n0, r.n1, p3, 0)}
-			}
-		case VarAC:
-			switch role {
-			case RoleA: // (i, k): k blocked over p2, m staged mod p3
-				gs[l] = layerGrid{li: newCut(r.k0, r.k1, p2, 0), lj: newCut(r.m0, r.m1, s, p3), swap: true}
-			case RoleB: // stationary block (k→p2, n→p3)
-				gs[l] = layerGrid{li: newCut(r.k0, r.k1, p2, 0), lj: newCut(r.n0, r.n1, p3, 0)}
-			default: // C: m staged mod p2, n blocked over p3
-				gs[l] = layerGrid{li: newCut(r.m0, r.m1, s, p2), lj: newCut(r.n0, r.n1, p3, 0)}
-			}
-		default: // VarBC
-			switch role {
-			case RoleA: // stationary block (m→p2, k→p3)
-				gs[l] = layerGrid{li: newCut(r.m0, r.m1, p2, 0), lj: newCut(r.k0, r.k1, p3, 0)}
-			case RoleB: // (k, j): n staged mod p2, k blocked over p3
-				gs[l] = layerGrid{li: newCut(r.n0, r.n1, s, p2), lj: newCut(r.k0, r.k1, p3, 0), swap: true}
-			default: // C: m blocked over p2, n staged mod p3
-				gs[l] = layerGrid{li: newCut(r.m0, r.m1, p2, 0), lj: newCut(r.n0, r.n1, s, p3)}
+	case p1 > 1 && role == plan.X && role != RoleC:
+		return func(i, j int32) int { return int(row[i]+col[j]) + shard(i, j, p1)*inner }
+	case p1 > 1 && role == RoleC && plan.X == RoleC:
+		rot := make([]int32, inner)
+		for q, l := 0, 0; q < inner; q++ {
+			rot[q] = int32(l*inner + q)
+			if l++; l == p1 {
+				l = 0
 			}
 		}
+		return func(i, j int32) int { return int(rot[row[i]+col[j]]) }
 	}
-	return gs
+	return func(i, j int32) int { return int(row[i] + col[j]) }
 }
 
-// operandOwner returns the owner function of input operand role (RoleA or
-// RoleB) under plan: the layer its fiber-split coordinate selects, then the
-// position within the layer grid.
-func operandOwner(plan Plan, m, k, n int, role Role) func(i, j int32) int {
-	gs := layerGrids(plan, m, k, n, role)
-	return func(i, j int32) int {
-		ri, rk, rj := i, j, int32(-1) // A's (i, k)
-		if role == RoleB {
-			ri, rk, rj = -1, i, j // B's (k, j)
+// ownerTerms returns the tables of operand role's row and column
+// coordinates under plan.
+func ownerTerms(plan Plan, m, k, n int, role Role, tables ownerTables) (row, col []int32) {
+	const dimM, dimK, dimN = 0, 1, 2
+	size := [3]int{m, k, n}
+	dims := [3][2]int{{dimM, dimK}, {dimK, dimN}, {dimM, dimN}}[role]
+	split := [3]int{dimN, dimM, dimK}[plan.X]
+	tableOf := func(d int, a axis) []int32 {
+		key := axisKey{size: size[d], layers: 1, inner: plan.P2 * plan.P3, axis: a}
+		if d == split {
+			key.layers = max(plan.P1, 1)
 		}
-		l := layerOf(plan, m, k, n, ri, rk, rj, role)
-		li, lj := gs[l].at(i, j)
-		return l*plan.P2*plan.P3 + li*plan.P3 + lj
+		return tables.get(key, d != dimM)
 	}
+	ai, aj := axes(plan, role)
+	return tableOf(dims[0], ai), tableOf(dims[1], aj)
 }
 
 // Dists returns the input distributions the plan requires for A and B and
 // the output distribution it produces for C.
 func Dists(plan Plan, m, k, n int) (da, db, dc distmat.Dist) {
+	return dists(plan, m, k, n, nil)
+}
+
+func dists(plan Plan, m, k, n int, tables ownerTables) (da, db, dc distmat.Dist) {
 	p := plan.Procs()
-	key := func(tag string) string { return fmt.Sprintf("spgemm(%s,%s,m=%d,k=%d,n=%d)", plan, tag, m, k, n) }
-	da = distmat.Dist{Key: key("A"), P: p, Owner: operandOwner(plan, m, k, n, RoleA)}
-	db = distmat.Dist{Key: key("B"), P: p, Owner: operandOwner(plan, m, k, n, RoleB)}
-	// C's layer under RoleC is the reduction root, spread by inner position.
-	gs := layerGrids(plan, m, k, n, RoleC)
-	dc = distmat.Dist{
-		Key: key("C"),
-		P:   p,
-		Owner: func(i, j int32) int {
-			var l int
-			if plan.P1 > 1 {
-				switch plan.X {
-				case RoleA:
-					l = distmat.Part(j, n, plan.P1)
-				case RoleB:
-					l = distmat.Part(i, m, plan.P1)
-				case RoleC:
-					// all layers share full (m, n): the root layer rotates
-					// with the inner rank.
-					li, lj := gs[0].at(i, j)
-					return ((li*plan.P3+lj)%plan.P1)*plan.P2*plan.P3 + li*plan.P3 + lj
-				}
-			}
-			li, lj := gs[l].at(i, j)
-			return l*plan.P2*plan.P3 + li*plan.P3 + lj
-		},
+	dist := func(role Role) distmat.Dist {
+		key := fmt.Sprintf("spgemm(%s,%s,m=%d,k=%d,n=%d)", plan, role, m, k, n)
+		return distmat.Dist{Key: key, P: p, Owner: owner(plan, m, k, n, role, tables)}
 	}
-	return da, db, dc
+	return dist(RoleA), dist(RoleB), dist(RoleC)
 }
 
 // Dists is the package-level Dists, built once per (plan, dims) and kept
 // for the session: a sweep multiplies under the same few shapes every round.
+// Its k and n tables come from the operand cache.
 func (s *Session) Dists(plan Plan, m, k, n int) (da, db, dc distmat.Dist) {
 	key := distsKey{plan, m, k, n}
 	d, ok := s.dists[key]
 	if !ok {
-		da, db, dc = Dists(plan, m, k, n)
+		da, db, dc = dists(plan, m, k, n, s.cache.owners)
 		d = [3]distmat.Dist{da, db, dc}
 		s.dists[key] = d
 	}
@@ -382,18 +361,23 @@ func (s *Session) Dists(plan Plan, m, k, n int) (da, db, dc distmat.Dist) {
 // so repeated multiplications against the same stationary matrix (MFBC's
 // adjacency) pay its movement once.
 //
+// Where the caller passes acc, every product folds by column, a row at a
+// time, into acc's storage, which the caller keeps across products, and
+// each row drains in column order: the sorting kernel's output bit for bit,
+// without the sort, under every plan. The returned C never shares storage
+// with acc. Without acc the products are sorted, row by row: the kernel of
+// the CombBLAS-style baseline, which keeps its own, and of the tests'
+// oracle.
+//
 // screen (nil = none) is asked about every product f yields, by output
 // coordinate, before the local kernel folds it: a rejected product is charged
 // as a flop, then neither folded nor merged. The caller must reject only what
 // cannot change what it keeps of C, and depend on no rejection: the screen
 // runs only where a rank's products are final (C stationary: VarAB without a
 // RoleC fiber) — a partial-C reduction is charged by contribution size, so
-// there it would move the modeled bytes. There the kept products fold by
-// column, a row at a time, into acc, whose storage the caller keeps across
-// products (nil = storage of the call's own), and each row drains in column
-// order: the sorting kernel's output bit for bit, without the sort. The
-// returned C never shares storage with acc. Workers > 1 call the screen from
-// several goroutines at once.
+// there it would move the modeled bytes. A screen that runs always folds by
+// column, into storage of the call's own where acc is nil. Workers > 1 call
+// the screen from several goroutines at once.
 func Multiply[TC, TB any](
 	s *Session, plan Plan,
 	a *distmat.Mat[TC], b *distmat.Mat[TB],
@@ -441,21 +425,21 @@ func Multiply[TC, TB any](
 	}
 
 	r := layerRanges(plan, m, k, n, g.MyLayer)
+	flt := filter[TC]{screen: screen, acc: acc}
+	if plan.YZ != VarAB || plan.P1 > 1 && plan.X == RoleC {
+		flt.screen = nil // partial products: their reduction is charged by size
+	}
+	if flt.screen != nil && acc == nil {
+		flt.acc = new(Accumulator[TC])
+	}
 	var c []sparse.Entry[TC]
 	switch plan.YZ {
 	case VarAB:
-		flt := filter[TC]{screen: screen, acc: acc}
-		switch {
-		case plan.P1 > 1 && plan.X == RoleC:
-			flt = filter[TC]{} // the layers' partial products meet in the fiber reduce below
-		case screen != nil && acc == nil:
-			flt.acc = new(Accumulator[TC])
-		}
 		c = runAB(s, g, plan, r, aE, sb, f, add, workers, flt)
 	case VarAC:
-		c = runAC(s, g, plan, r, aE, sb, f, add, workers)
+		c = runAC(s, g, plan, r, aE, sb, f, add, workers, flt)
 	default:
-		c = runBC(s, g, plan, r, aE, sb, f, add, workers)
+		c = runBC(s, g, plan, r, aE, sb, f, add, workers, flt)
 	}
 
 	if plan.P1 > 1 && plan.X == RoleC {
@@ -507,7 +491,7 @@ func PatchStationary[T any](c *OperandCache, rank int, id uint64, edits []Statio
 		if co.id != id {
 			continue
 		}
-		owns := StationaryOwnership(co.plan, co.k, co.n)
+		owns := stationaryOwnership(co.plan, co.k, co.n, c.owners)
 		out := Splice(co.staged.(*stagedB[T]).entries, edits, func(i, j int32) bool { return owns(rank, i, j) })
 		co.staged = stageB(co.plan, co.k, co.n, rank, out)
 		ops += int64(len(out))
@@ -549,13 +533,19 @@ func Splice[T any](cur []sparse.Entry[T], edits []StationaryEdit[T], owned func(
 // (only the k and n coordinates of a B entry are consulted), matching the
 // cache key's omission of m.
 func StationaryOwnership(plan Plan, k, n int) func(rank int, i, j int32) bool {
-	owner := operandOwner(plan, 1, k, n, RoleB)
+	return stationaryOwnership(plan, k, n, nil)
+}
+
+func stationaryOwnership(plan Plan, k, n int, tables ownerTables) func(rank int, i, j int32) bool {
 	if plan.P1 > 1 && plan.X == RoleB {
 		// After replication a rank holds the union of its fiber group:
-		// every layer at the same inner grid position.
+		// every layer at the same inner grid position, which is what B's
+		// terms sum to before the layer hash is added.
+		row, col := ownerTerms(plan, 1, k, n, RoleB, tables)
 		inner := plan.P2 * plan.P3
-		return func(rank int, i, j int32) bool { return owner(i, j)%inner == rank%inner }
+		return func(rank int, i, j int32) bool { return int(row[i]+col[j]) == rank%inner }
 	}
+	owner := owner(plan, 1, k, n, RoleB, tables)
 	return func(rank int, i, j int32) bool { return owner(i, j) == rank }
 }
 
@@ -613,7 +603,7 @@ func StagePairStationary(c *OperandCache, rank int, srcID, dstID uint64, edits [
 	for _, pd := range CachedPlans(c, srcID) {
 		plan, k, n := pd.Plan, pd.K, pd.N
 		src := c.sets[operandKey{id: srcID, plan: plan, k: k, n: n}]
-		owns := StationaryOwnership(plan, k, n)
+		owns := stationaryOwnership(plan, k, n, c.owners)
 		pair := PairSplice(src.staged.(*stagedB[float64]).entries, edits, func(i, j int32) bool {
 			return owns(rank, i, j)
 		})
@@ -632,15 +622,33 @@ func stageBounds(t int, lo0, hi0 int32, s int) (int32, int32) {
 }
 
 // bucketByStage splits es by stage, keeping each bucket in es's order. The
-// single bucket of a one-stage plan is es itself.
+// single bucket of a one-stage plan is es itself; otherwise one counting
+// pass sizes every bucket inside a single buffer, as Redistribute sizes its
+// parts.
 func bucketByStage[T any](es []sparse.Entry[T], s int, stageOf func(sparse.Entry[T]) int) [][]sparse.Entry[T] {
 	if s == 1 {
 		return [][]sparse.Entry[T]{es}
 	}
-	out := make([][]sparse.Entry[T], s)
-	for _, e := range es {
+	stage := make([]int32, len(es))
+	end := make([]int, s+1)
+	for x, e := range es {
 		t := stageOf(e)
-		out[t] = append(out[t], e)
+		stage[x] = int32(t)
+		end[t+1]++
+	}
+	for t := 0; t < s; t++ {
+		end[t+1] += end[t]
+	}
+	buf := make([]sparse.Entry[T], len(es))
+	for x, e := range es {
+		buf[end[stage[x]]] = e
+		end[stage[x]]++
+	}
+	out := make([][]sparse.Entry[T], s)
+	lo := 0
+	for t, hi := range end[:s] {
+		out[t] = buf[lo:hi:hi]
+		lo = hi
 	}
 	return out
 }
@@ -714,7 +722,7 @@ func (b *stagedB[T]) bcast(c *machine.Comm, root, t int) ([]sparse.Entry[T], []i
 // runAB: C stationary; A broadcast along grid rows, B along grid columns,
 // one stage per k-block (lcm(p2,p3) stages). Every B column broadcast to
 // this grid column lies in the rank's C block, whose columns bound the
-// screened kernel's accumulator.
+// column kernel's accumulator.
 func runAB[TC, TB any](
 	sess *Session, g *machine.Grid3, plan Plan, r ranges,
 	aE []sparse.Entry[TC], b *stagedB[TB],
@@ -736,13 +744,15 @@ func runAB[TC, TB any](
 }
 
 // runAC: B stationary; A broadcast along grid rows, partial C reduced along
-// grid columns, one stage per m-block.
+// grid columns, one stage per m-block. The rank's B block bounds the
+// columns of every partial product.
 func runAC[TC, TB any](
 	sess *Session, g *machine.Grid3, plan Plan, r ranges,
 	aE []sparse.Entry[TC], b *stagedB[TB],
-	f func(TC, TB) TC, add algebra.Monoid[TC], workers int,
+	f func(TC, TB) TC, add algebra.Monoid[TC], workers int, flt filter[TC],
 ) []sparse.Entry[TC] {
 	s := plan.Stages()
+	flt.c0, flt.c1 = stageBounds(g.G2.MyC, r.n0, r.n1, plan.P3)
 	aStage := bucketByStage(aE, s, func(e sparse.Entry[TC]) int { return partIn(e.I, r.m0, r.m1, s) })
 	kb0, kb1 := stageBounds(g.G2.MyR, r.k0, r.k1, plan.P2)
 	var acc []sparse.Entry[TC]
@@ -751,7 +761,7 @@ func runAC[TC, TB any](
 	}
 	for t := 0; t < s; t++ {
 		aBlk := machine.Bcast(g.G2.Row, t%plan.P3, aStage[t])
-		prod, ops := mulEntriesParallel(sess, aBlk, b.entries, b.offs[0], kb0, kb1, f, add, workers, filter[TC]{})
+		prod, ops := mulEntriesParallel(sess, aBlk, b.entries, b.offs[0], kb0, kb1, f, add, workers, flt)
 		sess.Proc.AddFlops(ops)
 		red := machine.ReduceSlices(g.G2.Col, t%plan.P2, prod, merge)
 		if g.G2.MyR == t%plan.P2 {
@@ -762,11 +772,12 @@ func runAC[TC, TB any](
 }
 
 // runBC: A stationary; B broadcast along grid columns, partial C reduced
-// along grid rows, one stage per n-block.
+// along grid rows, one stage per n-block, which bounds the columns of the
+// stage's partial product.
 func runBC[TC, TB any](
 	sess *Session, g *machine.Grid3, plan Plan, r ranges,
 	aE []sparse.Entry[TC], b *stagedB[TB],
-	f func(TC, TB) TC, add algebra.Monoid[TC], workers int,
+	f func(TC, TB) TC, add algebra.Monoid[TC], workers int, flt filter[TC],
 ) []sparse.Entry[TC] {
 	s := plan.Stages()
 	kb0, kb1 := stageBounds(g.G2.MyC, r.k0, r.k1, plan.P3)
@@ -776,7 +787,8 @@ func runBC[TC, TB any](
 	}
 	for t := 0; t < s; t++ {
 		bBlk, offs := b.bcast(g.G2.Col, t%plan.P2, t)
-		prod, ops := mulEntriesParallel(sess, aE, bBlk, offs, kb0, kb1, f, add, workers, filter[TC]{})
+		flt.c0, flt.c1 = stageBounds(t, r.n0, r.n1, s)
+		prod, ops := mulEntriesParallel(sess, aE, bBlk, offs, kb0, kb1, f, add, workers, flt)
 		sess.Proc.AddFlops(ops)
 		red := machine.ReduceSlices(g.G2.Row, t%plan.P3, prod, merge)
 		if g.G2.MyC == t%plan.P3 {
@@ -786,16 +798,17 @@ func runBC[TC, TB any](
 	return acc
 }
 
-// filter is what the local kernel asks about a product before it folds it:
-// the screen (nil = keep everything) and, under one, the storage the kept
-// products fold into and [c0, c1), the columns of the rank's C block.
+// filter is how the local kernel folds a product: the screen it asks first
+// (nil = keep everything), and the storage the kept products fold into by
+// column (nil = sort them instead) with [c0, c1), the columns the product
+// can reach.
 type filter[TC any] struct {
 	screen func(i, j int32, v TC) bool
 	acc    *Accumulator[TC]
 	c0, c1 int32
 }
 
-// Accumulator is the storage screened products fold into, kept by the
+// Accumulator is the storage products fold into by column, kept by the
 // caller across products so that a round allocates only its result: per
 // worker chunk of A's rows, a column accumulator and the scratch its drained
 // rows go into. Column keys recur in every row, so no two chunks share one.
@@ -827,10 +840,10 @@ const mulEntriesMinEntries = 8
 // blocked across workers: chunk boundaries are aligned to row breaks, each
 // worker runs the kernel on its chunk against the shared B index, and the
 // row-disjoint sorted outputs are concatenated in row order — so the result
-// is identical to the sequential kernel. Under a screen, chunk c folds into
-// the accumulator's chunk c, and the result is copied out of its scratch —
-// by the concatenation, or alone where there is one chunk — so the caller
-// may hold it past the next product. offs is bE's row index over [k0, k1)
+// is identical to the sequential kernel. With an accumulator, chunk c
+// folds into the accumulator's chunk c, and the result is copied out of its
+// scratch — by the concatenation, or alone where there is one chunk — so
+// the caller may hold it past the next product. offs is bE's row index over [k0, k1)
 // when the caller holds one (a staged stationary block), nil to have it
 // built here.
 func mulEntriesParallel[TC, TB any](
@@ -860,18 +873,18 @@ func mulEntriesParallel[TC, TB any](
 	}
 	parts := max(len(bounds)-1, 1)
 	var accs []columnAcc[TC]
-	if flt.screen != nil {
+	if flt.acc != nil {
 		accs = flt.acc.chunked(parts)
 	}
 	kernel := func(aE []sparse.Entry[TC], part int) ([]sparse.Entry[TC], int64) {
-		if flt.screen == nil {
+		if flt.acc == nil {
 			return mulEntriesRange(sess, aE, bE, offs, k0, k1, f, add)
 		}
 		return mulEntriesColumns(sess, aE, bE, offs, k0, k1, f, add, flt.screen, &accs[part], flt.c0, flt.c1)
 	}
 	if parts == 1 {
 		out, ops := kernel(aE, 0)
-		if flt.screen != nil {
+		if flt.acc != nil {
 			out = slices.Clone(out)
 		}
 		return out, ops
@@ -911,12 +924,11 @@ func indexRows[TB any](bE []sparse.Entry[TB], k0, k1 int32) []int32 {
 // entries (whole rows) against the shared B row index: aE's columns and
 // bE's rows both lie in [k0, k1). Inputs are (row, col)-sorted; the output
 // is sorted and duplicate-free. The session counts every product. Returns
-// the entry list and the f-evaluation count. It sorts each row's products:
-// this is the kernel of every unscreened product — partial-C plans' (MFBr's
-// child counts among them), the fused apply's split-plan rounds, and the
-// CombBLAS-style baseline's. The baseline's is why the sort stays: a column
-// accumulator here would speed the yardstick MFBC is measured against, so
-// it waits until that yardstick is pinned to a kernel of its own.
+// the entry list and the f-evaluation count. It sorts each row's products,
+// and runs only for callers that pass Multiply no accumulator: the
+// CombBLAS-style baseline, whose kernel this is — a column accumulator here
+// would speed the yardstick MFBC is measured against — and the tests'
+// oracle for the column kernel.
 func mulEntriesRange[TC, TB any](
 	sess *Session, aE []sparse.Entry[TC], bE []sparse.Entry[TB], offs []int32, k0, k1 int32,
 	f func(TC, TB) TC, add algebra.Monoid[TC],
@@ -975,11 +987,12 @@ func mulEntriesRange[TC, TB any](
 	return out, ops
 }
 
-// mulEntriesColumns is mulEntriesRange under a screen, for a C block whose
-// columns lie in [c0, c1): each product the screen keeps folds at key j − c0
-// of acc's column accumulator, sized to c1 − c0 values, and at each row
-// break the touched keys drain in ascending order into acc's row scratch,
-// which it returns. A rejected product is counted in Session.Screened.
+// mulEntriesColumns is mulEntriesRange folding by column, for products whose
+// columns lie in [c0, c1): each product the screen (nil = none) keeps folds
+// at key j − c0 of acc's column accumulator, sized to c1 − c0 values, and at
+// each row break the touched keys drain in ascending order into acc's row
+// scratch, which it returns. A rejected product is counted in
+// Session.Screened.
 // Products reach a column in k-order, as the stable sort left them, and
 // fold left to right from the first, so the output — zero folds dropped —
 // is bit for bit the sorting kernel's over the kept products.
@@ -1012,7 +1025,7 @@ func mulEntriesColumns[TC, TB any](
 			v := f(ea.V, eb.V)
 			ops++
 			switch key := eb.J - c0; {
-			case !screen(row, eb.J, v):
+			case screen != nil && !screen(row, eb.J, v):
 				dropped++
 			case cols.Touch(key):
 				slab[key] = v

@@ -30,7 +30,8 @@ type maskRun[V any] struct {
 
 // Kernels the mask test runs one product through.
 const (
-	kernelPlain    = iota // Multiply without a screen: the sorting kernel, the oracle
+	kernelPlain    = iota // Multiply without a screen or an accumulator: the sorting kernel, the oracle
+	kernelColumns         // Multiply without a screen, through a caller's accumulator: the column kernel
 	kernelKeepAll         // Multiply under a screen that keeps everything: the column kernel
 	kernelScreened        // Multiply under the losers' screen: the column kernel
 )
@@ -74,8 +75,9 @@ func rankOperands[V, W any](proc *machine.Proc, s *Session, c screenCase[V, W], 
 }
 
 // maskedProduct multiplies c's frontier by its adjacency under plan with the
-// given kernel, through an accumulator of the call's own. A plan of several
-// stages drains the accumulator once per row of every stage.
+// given kernel, through an accumulator of the call's own where it has one. A
+// plan of several stages drains the accumulator once per row of every
+// stage.
 func maskedProduct[V, W any](t *testing.T, c screenCase[V, W], plan Plan, workers, kernel int) maskRun[V] {
 	t.Helper()
 	p := plan.Procs()
@@ -87,13 +89,16 @@ func maskedProduct[V, W any](t *testing.T, c screenCase[V, W], plan Plan, worker
 		a, b, block := rankOperands(proc, s, c, plan)
 		vd := &verdicts{kept: map[uint64]bool{}}
 		var screen func(i, j int32, v V) bool
+		var acc *Accumulator[V]
 		switch kernel {
+		case kernelColumns:
+			acc = new(Accumulator[V])
 		case kernelKeepAll:
 			screen = func(int32, int32, V) bool { return true }
 		case kernelScreened:
 			screen = losersScreen(c, block, vd)
 		}
-		prod := Multiply(s, plan, a, b, c.f, c.add, c.edge, screen, nil)
+		prod := Multiply(s, plan, a, b, c.f, c.add, c.edge, screen, acc)
 		out.parts[proc.Rank()] = prod.Local
 		out.kept[proc.Rank()] = vd.kept
 		tallies[proc.Rank()] = [3]int64{s.Products.Load(), s.Screened.Load(), vd.dropped.Load()}
@@ -111,12 +116,12 @@ func maskedProduct[V, W any](t *testing.T, c screenCase[V, W], plan Plan, worker
 }
 
 // reusedProducts multiplies each of cs in turn, in one region under plan,
-// under the losers' screen and through one accumulator per rank that the
-// caller keeps across the products, as a sweep keeps one across its rounds.
-// It returns each product's blocks by rank, held until every product has
-// run: a result that shared the accumulator's storage would be overwritten
-// by the products after it.
-func reusedProducts[V, W any](t *testing.T, cs []screenCase[V, W], plan Plan, workers int) [][][]sparse.Entry[V] {
+// under the losers' screen or none, and through one accumulator per rank
+// that the caller keeps across the products, as a sweep keeps one across
+// its rounds. It returns each product's blocks by rank, held until every
+// product has run: a result that shared the accumulator's storage would be
+// overwritten by the products after it.
+func reusedProducts[V, W any](t *testing.T, cs []screenCase[V, W], plan Plan, workers int, screened bool) [][][]sparse.Entry[V] {
 	t.Helper()
 	p := plan.Procs()
 	out := make([][][]sparse.Entry[V], len(cs))
@@ -129,7 +134,10 @@ func reusedProducts[V, W any](t *testing.T, cs []screenCase[V, W], plan Plan, wo
 		var acc Accumulator[V]
 		for x, c := range cs {
 			a, b, block := rankOperands(proc, s, c, plan)
-			screen := losersScreen(c, block, &verdicts{kept: map[uint64]bool{}})
+			var screen func(i, j int32, v V) bool
+			if screened {
+				screen = losersScreen(c, block, &verdicts{kept: map[uint64]bool{}})
+			}
 			out[x][proc.Rank()] = Multiply(s, plan, a, b, c.f, c.add, c.edge, screen, &acc).Local
 		}
 	})
@@ -171,28 +179,36 @@ func entryBits[V any](t *testing.T, parts ...[]sparse.Entry[V]) []byte {
 	return buf.Bytes()
 }
 
-// checkKernels is the contract of the screened kernel for one case under
-// every candidate plan of p processors, with the sorting kernel — an
-// unscreened Multiply — as the oracle. Per rank, byte for byte and in order:
-// under a screen that keeps everything the column kernel emits the oracle's
-// entries; under the losers' screen it emits the oracle's entries at the
-// coordinates where it kept a product (sides every kept product lost on
-// zeroed in both); and through an accumulator kept across products — the
-// case's product, the same again, then other's, whose C block is another
-// width — each product is what it is through a fresh one. Each dropped
-// product counts as screened out; where C is partial the screen is ignored.
-// No screen moves the products evaluated or the modeled cost.
+// checkKernels is the contract of the column kernel for one case under
+// every candidate plan of p processors — partial-C ones (VarAC, VarBC, a
+// RoleC fiber) among them — with the sorting kernel, a Multiply with
+// neither a screen nor an accumulator, as the oracle. Per rank, byte for
+// byte and in order: without a screen, and under a screen that keeps
+// everything, the column kernel emits the oracle's entries; under the
+// losers' screen it emits the oracle's entries at the coordinates where it
+// kept a product (sides every kept product lost on zeroed in both); and
+// through an accumulator kept across products — the case's product, the
+// same again, then other's, whose C block is another width — each product
+// is what it is through a fresh one, screened or not. Each dropped product
+// counts as screened out; where C is partial the screen is ignored. Neither
+// the accumulator nor a screen moves the products evaluated or the modeled
+// cost.
 func checkKernels[V, W any](t *testing.T, p int, c, other screenCase[V, W]) {
 	for _, plan := range candidatesFor(p, AnyPlan) {
 		stationaryC := plan.YZ == VarAB && !(plan.P1 > 1 && plan.X == RoleC)
 		for _, workers := range []int{1, 3} {
 			name := fmt.Sprintf("%s %s workers=%d", c.name, plan, workers)
 			plain := maskedProduct(t, c, plan, workers, kernelPlain)
+			columns := maskedProduct(t, c, plan, workers, kernelColumns)
 			keepAll := maskedProduct(t, c, plan, workers, kernelKeepAll)
 			screened := maskedProduct(t, c, plan, workers, kernelScreened)
+			otherPlain := maskedProduct(t, other, plan, workers, kernelPlain)
 			otherScreened := maskedProduct(t, other, plan, workers, kernelScreened)
 			if plain.products == 0 {
 				t.Fatalf("%s: empty product, the case tests nothing", name)
+			}
+			if !bytes.Equal(entryBits(t, columns.parts...), entryBits(t, plain.parts...)) {
+				t.Errorf("%s: without a screen the column kernel's output differs from the sorting kernel's", name)
 			}
 			if !bytes.Equal(entryBits(t, keepAll.parts...), entryBits(t, plain.parts...)) {
 				t.Errorf("%s: under a screen that keeps everything the kernel's output differs from the sorting kernel's", name)
@@ -204,22 +220,27 @@ func checkKernels[V, W any](t *testing.T, p int, c, other screenCase[V, W]) {
 			} else if !bytes.Equal(entryBits(t, screened.parts...), entryBits(t, plain.parts...)) {
 				t.Errorf("%s: a partial-C plan did not ignore the screen", name)
 			}
-			for x, got := range reusedProducts(t, []screenCase[V, W]{c, c, other}, plan, workers) {
-				want := screened
-				if x == 2 {
-					want = otherScreened
-				}
-				if !bytes.Equal(entryBits(t, got...), entryBits(t, want.parts...)) {
-					t.Errorf("%s: product %d of 3 through a kept accumulator differs from the product through a fresh one", name, x+1)
+			for _, kept := range []struct {
+				screened   bool
+				this, that maskRun[V]
+			}{{false, plain, otherPlain}, {true, screened, otherScreened}} {
+				for x, got := range reusedProducts(t, []screenCase[V, W]{c, c, other}, plan, workers, kept.screened) {
+					want := kept.this
+					if x == 2 {
+						want = kept.that
+					}
+					if !bytes.Equal(entryBits(t, got...), entryBits(t, want.parts...)) {
+						t.Errorf("%s: product %d of 3 through a kept accumulator (screened: %t) differs from the product through a fresh one", name, x+1, kept.screened)
+					}
 				}
 			}
-			for _, r := range []maskRun[V]{keepAll, screened} {
+			for _, r := range []maskRun[V]{columns, keepAll, screened} {
 				if r.cost != plain.cost || r.products != plain.products {
 					t.Errorf("%s: the screen moved the modeled work: cost %v products %d, unscreened %v %d", name, r.cost, r.products, plain.cost, plain.products)
 				}
 			}
-			if keepAll.screened != 0 {
-				t.Errorf("%s: a screen that keeps everything screened out %d products", name, keepAll.screened)
+			if columns.screened != 0 || keepAll.screened != 0 {
+				t.Errorf("%s: no screen, or one that keeps everything, screened out %d, %d products", name, columns.screened, keepAll.screened)
 			}
 			if screened.screened != screened.dropped {
 				t.Errorf("%s: %d products screened out, the verdicts dropped %d", name, screened.screened, screened.dropped)
@@ -233,9 +254,9 @@ func checkKernels[V, W any](t *testing.T, p int, c, other screenCase[V, W]) {
 
 // TestMaskIsTheSort: the forward and backward products of graphCases, scalar
 // and (old, new) pairs, on an RMAT graph and a weighted mesh at p ∈ {4, 6},
-// with one and three workers per rank, through the column kernel — under a
-// screen that keeps everything, and under the losers' screen, which masks
-// each product by T — against the sorting one. Each graph's products are
+// with one and three workers per rank, through the column kernel — without
+// a screen, under a screen that keeps everything, and under the losers'
+// screen, which masks each product by T — against the sorting one. Each graph's products are
 // the differently sized ones that follow the other's through a kept
 // accumulator.
 func TestMaskIsTheSort(t *testing.T) {

@@ -9,8 +9,8 @@ import (
 
 // inner2D is the layer-grid position (li, lj) of a coordinate pair for the
 // given operand under the given variant, from the layer's local ranges and
-// s stages, with every division done per entry: the definition layerGrids
-// hoists.
+// s stages, with every division done per entry: the definition the owner
+// tables are filled by.
 func inner2D(v Variant, role Role, p2, p3, s int, r ranges, i, j int32) (int, int) {
 	switch v {
 	case VarAB:
@@ -43,10 +43,35 @@ func inner2D(v Variant, role Role, p2, p3, s int, r ranges, i, j int32) (int, in
 	}
 }
 
+// layerOf maps a coordinate on the fiber-split dimension to its layer: the
+// definition the owner tables' layer offsets and hash agree with.
+func layerOf(plan Plan, m, k, n int, i, kc, j int32, role Role) int {
+	if plan.P1 <= 1 {
+		return 0
+	}
+	switch plan.X {
+	case RoleA: // split n
+		if role == RoleA { // A is replicated: shard pseudo-randomly pre-replication
+			return shard(i, kc, plan.P1)
+		}
+		return distmat.Part(j, n, plan.P1)
+	case RoleB: // split m
+		if role == RoleB {
+			return shard(kc, j, plan.P1)
+		}
+		return distmat.Part(i, m, plan.P1)
+	default: // RoleC: split k
+		if role == RoleC {
+			panic("spgemm: C has no input layer assignment under RoleC")
+		}
+		return distmat.Part(kc, k, plan.P1)
+	}
+}
+
 // ownerByDefinition is the owner of coordinate (i, j) of operand role under
 // plan, each entry's layer ranges derived afresh by layerRanges and placed
-// by inner2D: the definition that the owner closures, which look a layer's
-// placement up in a table built once, must agree with.
+// by inner2D: the definition that the owner closures, which add up one
+// table term per coordinate, must agree with.
 func ownerByDefinition(plan Plan, m, k, n int, role Role, i, j int32) int {
 	s := plan.Stages()
 	at := func(l int) int {
@@ -72,15 +97,30 @@ func ownerByDefinition(plan Plan, m, k, n int, role Role, i, j int32) int {
 // TestDistsPartitionCoordinates: for every plan shape, the generated A/B/C
 // distributions map every coordinate to a valid rank, the one the
 // definition gives, and the stationary-B membership test agrees with it for
-// every rank.
+// every rank. Besides a shape larger than every part count, a 6-row
+// frontier — a fused apply's few dirty sources — and a shape with every
+// dimension below 12 stages leave some parts, and some layers' parts,
+// empty. The tables are built afresh, and drawn from one cache across every
+// plan and shape, as a resident operand cache serves them.
 func TestDistsPartitionCoordinates(t *testing.T) {
-	m, k, n := 23, 31, 19
+	cached := make(ownerTables)
+	for _, tables := range []ownerTables{nil, cached} {
+		for _, shape := range [][3]int{{23, 31, 19}, {6, 31, 19}, {6, 7, 5}} {
+			checkDistsPartition(t, shape[0], shape[1], shape[2], tables)
+		}
+	}
+	if len(cached) == 0 {
+		t.Fatal("no table was kept")
+	}
+}
+
+func checkDistsPartition(t *testing.T, m, k, n int, tables ownerTables) {
 	for _, f := range machine.Factorizations3(12) {
 		for _, x := range []Role{RoleA, RoleB, RoleC} {
 			for _, yz := range []Variant{VarAB, VarAC, VarBC} {
 				plan := Plan{P1: f[0], P2: f[1], P3: f[2], X: x, YZ: yz}
-				da, db, dc := Dists(plan, m, k, n)
-				owns := StationaryOwnership(plan, k, n)
+				da, db, dc := dists(plan, m, k, n, tables)
+				owns := stationaryOwnership(plan, k, n, tables)
 				p, inner := plan.Procs(), plan.P2*plan.P3
 				checkOwners := func(d distmat.Dist, role Role, rows, cols int) {
 					for i := int32(0); i < int32(rows); i++ {
