@@ -130,7 +130,6 @@ func distCombBLASBatch(
 	sources []int32, n int, shard distmat.Dist, bc []float64,
 ) int {
 	count := algebra.CountMonoid()
-	trop := algebra.TropicalMonoid()
 	world := sess.Proc.World()
 	nb := len(sources)
 
@@ -147,8 +146,8 @@ func distCombBLASBatch(
 		if distmat.GlobalNNZ(world, frontier) == 0 {
 			break
 		}
-		next := spgemm.Multiply(sess, plan, frontier, aMat, copyX, count, trop, nil, nil)
-		nsp = distmat.Redistribute(world, nsp, next.Dist, count)
+		next := spgemm.Multiply(sess, plan, frontier, aMat, copyX, count, nil, nil)
+		nsp = distmat.Redistribute(world, nsp, next.Dist)
 		next = &distmat.Mat[float64]{
 			Rows: nb, Cols: n, Dist: next.Dist,
 			Local: maskEntries(next.Local, nsp.Local, false),
@@ -166,15 +165,15 @@ func distCombBLASBatch(
 	// early); align lazily.
 	delta := &distmat.Mat[float64]{Rows: nb, Cols: n, Dist: nsp.Dist}
 	for l := len(levels) - 1; l >= 1; l-- {
-		lvl := distmat.Redistribute(world, levels[l], nsp.Dist, count)
+		lvl := distmat.Redistribute(world, levels[l], nsp.Dist)
 		w := &distmat.Mat[float64]{
 			Rows: nb, Cols: n, Dist: nsp.Dist,
 			Local: scaleByJoin(lvl.Local, delta.Local, nsp.Local),
 		}
-		u := spgemm.Multiply(sess, plan, w, atMat, copyX, count, trop, nil, nil)
-		prev := distmat.Redistribute(world, levels[l-1], u.Dist, count)
-		nsp = distmat.Redistribute(world, nsp, u.Dist, count)
-		delta = distmat.Redistribute(world, delta, u.Dist, count)
+		u := spgemm.Multiply(sess, plan, w, atMat, copyX, count, nil, nil)
+		prev := distmat.Redistribute(world, levels[l-1], u.Dist)
+		nsp = distmat.Redistribute(world, nsp, u.Dist)
+		delta = distmat.Redistribute(world, delta, u.Dist)
 		masked := maskEntries(u.Local, prev.Local, true)
 		scaled := mulByJoin(masked, nsp.Local)
 		delta = distmat.EWise(delta, &distmat.Mat[float64]{Rows: nb, Cols: n, Dist: u.Dist, Local: scaled}, count)

@@ -161,12 +161,11 @@ func batchList(n, nb int, explicit []int32) [][]int32 {
 }
 
 // sweepAlgebra is what one instantiation of the sweep computes with: the
-// frontier (M), centrality (C) and adjacency (W) monoids and the two
-// actions. M and C are Sided; W is opaque to the sweep.
+// frontier (M) and centrality (C) monoids and the two actions on adjacency
+// values (W). M and C are Sided; W is opaque to the sweep.
 type sweepAlgebra[M, C, W any] struct {
 	mult algebra.Monoid[M]
 	cent algebra.Monoid[C]
-	edge algebra.Monoid[W]
 	bf   func(M, W) M
 	br   func(C, W) C
 }
@@ -184,14 +183,14 @@ type (
 
 func scalarAlgebra() sweepAlgebra[algebra.MultPath, algebra.CentPath, float64] {
 	return sweepAlgebra[algebra.MultPath, algebra.CentPath, float64]{
-		algebra.MultPathMonoid(), algebra.CentPathMonoid(), algebra.TropicalMonoid(),
+		algebra.MultPathMonoid(), algebra.CentPathMonoid(),
 		algebra.BFAction, algebra.BrandesAction,
 	}
 }
 
 func pairAlgebra() sweepAlgebra[algebra.MultPathPair, algebra.CentPathPair, algebra.WeightPair] {
 	return sweepAlgebra[algebra.MultPathPair, algebra.CentPathPair, algebra.WeightPair]{
-		algebra.MultPathPairMonoid(), algebra.CentPathPairMonoid(), algebra.WeightPairMonoid(),
+		algebra.MultPathPairMonoid(), algebra.CentPathPairMonoid(),
 		algebra.BFActionPair, algebra.BrandesActionPair,
 	}
 }
@@ -251,7 +250,7 @@ func sideProject[T algebra.Sided[T, E], E any](m *distmat.Mat[T], s int, zero T,
 func mulPerSide[T algebra.Sided[T, E], E, W any](
 	sp *sidePlans, all bool, bytes int64,
 	frontier *distmat.Mat[T], b *distmat.Mat[W], f func(T, W) T,
-	mon algebra.Monoid[T], edge algebra.Monoid[W], isZero func(E) bool,
+	mon algebra.Monoid[T], isZero func(E) bool,
 	align func(distmat.Dist) func(i, j int32, v T) bool, acc *spgemm.Accumulator[T],
 ) (*distmat.Mat[T], bool) {
 	world := sp.sess.Proc.World()
@@ -271,7 +270,7 @@ func mulPerSide[T algebra.Sided[T, E], E, W any](
 	}
 	if !split {
 		_, _, dc := sp.sess.Dists(sp.plans[lead], frontier.Rows, frontier.Cols, b.Cols)
-		return spgemm.Multiply(sp.sess, sp.plans[lead], frontier, b, f, mon, edge, align(dc), acc), true
+		return spgemm.Multiply(sp.sess, sp.plans[lead], frontier, b, f, mon, align(dc), acc), true
 	}
 	sp.split++
 	var out *distmat.Mat[T]
@@ -279,11 +278,11 @@ func mulPerSide[T algebra.Sided[T, E], E, W any](
 		if nnz[s] == 0 {
 			continue
 		}
-		ext := spgemm.Multiply(sp.sess, sp.plans[s], sideProject(frontier, s, mon.Identity, isZero), b, f, mon, edge, nil, acc)
+		ext := spgemm.Multiply(sp.sess, sp.plans[s], sideProject(frontier, s, mon.Identity, isZero), b, f, mon, nil, acc)
 		if out == nil {
 			out = ext
 		} else {
-			out = distmat.EWise(out, distmat.Redistribute(world, ext, out.Dist, mon), mon)
+			out = distmat.EWise(out, distmat.Redistribute(world, ext, out.Dist), mon)
 		}
 	}
 	return out, true
@@ -385,12 +384,12 @@ func sweepMFBF[M multSided[M], C, W any](
 	frontier := t
 	// T grows every round, so every multiply re-indexes it.
 	align := func(d distmat.Dist) func(i, j int32, v M) bool {
-		t = distmat.Redistribute(world, t, d, alg.mult)
+		t = distmat.Redistribute(world, t, d)
 		indexBlock(buf.index, t.Local)
 		return screenAgainst(t.Local, buf.index)
 	}
 	for iters := 0; ; iters++ {
-		ext, ok := mulPerSide(sp, false, multpathBytes, frontier, a, alg.bf, alg.mult, alg.edge, algebra.MultPathIsZero, align, &buf.fwd)
+		ext, ok := mulPerSide(sp, false, multpathBytes, frontier, a, alg.bf, alg.mult, algebra.MultPathIsZero, align, &buf.fwd)
 		if !ok {
 			return t, iters
 		}
@@ -405,7 +404,7 @@ func sweepMFBF[M multSided[M], C, W any](
 				live = append(live, e)
 			}
 		}
-		t = distmat.Redistribute(world, t, ext.Dist, alg.mult)
+		t = distmat.Redistribute(world, t, ext.Dist)
 		t = &distmat.Mat[M]{Rows: t.Rows, Cols: t.Cols, Dist: t.Dist, Local: buf.t.Merge(t.Local, live, alg.mult)}
 		frontier = &distmat.Mat[M]{Rows: t.Rows, Cols: t.Cols, Dist: t.Dist, Local: screenFrontierSided(live, t.Local)}
 	}
@@ -422,7 +421,7 @@ func sweepMFBr[M multSided[M], C centSided[C], W any](
 	// moves to another distribution.
 	var indexed *distmat.Mat[M]
 	moveT := func(d distmat.Dist) {
-		if t = distmat.Redistribute(world, t, d, alg.mult); t != indexed {
+		if t = distmat.Redistribute(world, t, d); t != indexed {
 			indexBlock(buf.index, t.Local)
 			indexed = t
 		}
@@ -432,7 +431,7 @@ func sweepMFBr[M multSided[M], C centSided[C], W any](
 		return maskAgainst[M, C](t.Local, buf.index)
 	}
 	mul := func(frontier *distmat.Mat[C], all bool) (*distmat.Mat[C], bool) {
-		return mulPerSide(sp, all, centpathBytes, frontier, at, alg.br, alg.cent, alg.edge, algebra.CentPathIsZero, align, &buf.back)
+		return mulPerSide(sp, all, centpathBytes, frontier, at, alg.br, alg.cent, algebra.CentPathIsZero, align, &buf.back)
 	}
 	mat := func(d distmat.Dist, local []sparse.Entry[C]) *distmat.Mat[C] {
 		return &distmat.Mat[C]{Rows: t.Rows, Cols: t.Cols, Dist: d, Local: local}
@@ -461,7 +460,7 @@ func sweepMFBr[M multSided[M], C centSided[C], W any](
 		// Keep Z and T aligned with the product's distribution; the
 		// positions folded into are where the next frontier can come from.
 		moveT(p.Dist)
-		z = distmat.Redistribute(world, z, p.Dist, alg.cent)
+		z = distmat.Redistribute(world, z, p.Dist)
 		var kept []sparse.Entry[C]
 		kept, ready = screenCentSided(p.Local, t.Local, buf.index, ready[:0])
 		foldInto(z.Local, kept, ready, alg.cent.Op)

@@ -299,7 +299,7 @@ func sweepRegion[M multSided[M], C centSided[C], W any](
 			for side, plan := range sp.plans {
 				_, _, d := sp.sess.Dists(plan, z.Rows, n, n)
 				bc := acc[side*n : (side+1)*n]
-				distmat.ZipJoin(distmat.Redistribute(world, z, d, alg.cent), distmat.Redistribute(world, t, d, alg.mult),
+				distmat.ZipJoin(distmat.Redistribute(world, z, d), distmat.Redistribute(world, t, d),
 					func(_, j int32, zc C, tm M) { bc[j] += zc.Side(side).P * tm.Side(side).M })
 			}
 		}

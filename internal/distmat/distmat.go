@@ -133,57 +133,184 @@ func GlobalNNZ[T any](c *machine.Comm, m *Mat[T]) int64 {
 	return machine.AllreduceScalar(c, int64(len(m.Local)), func(a, b int64) int64 { return a + b })
 }
 
-// Redistribute moves m into distribution `to` with one all-to-all. A no-op
-// (returning m) when the keys already match. One counting pass sizes every
-// outgoing part exactly inside a single buffer; each part inherits the
-// (row, col) order of the local block, so the receiver merges p sorted runs
-// (MergeRuns) instead of sorting their concatenation. A rank that neither
-// sends nor receives anything keeps its block as is: the result shares
-// m.Local.
-func Redistribute[T any](c *machine.Comm, m *Mat[T], to Dist, mon algebra.Monoid[T]) *Mat[T] {
+// Redistribute moves m into distribution `to` with one all-to-all, writing
+// each moved entry once on either side. A no-op (returning m) when the keys
+// already match. One counting pass sizes every outgoing part inside the
+// rank's send storage, which it reuses from call to call (sendBuf); each
+// part inherits the (row, col) order of the local block. The receiver
+// merges the p sorted runs that arrive (MergeDisjoint) inside the
+// all-to-all, straight from the senders' parts. The runs share no
+// coordinate, since m.Dist gives each coordinate one owner; a coordinate
+// that arrives twice panics. A rank that neither sends nor receives
+// anything keeps its block as is: the result shares m.Local. Otherwise the
+// result is fresh storage.
+func Redistribute[T any](c *machine.Comm, m *Mat[T], to Dist) *Mat[T] {
 	if m.Dist.Key == to.Key {
 		return m
 	}
 	p, me := c.Size(), c.Rank()
-	owner := make([]int32, len(m.Local))
-	start := make([]int, p+1)
-	for x, e := range m.Local {
-		r := to.Owner(e.I, e.J)
-		owner[x] = int32(r)
-		start[r+1]++
+	buf := getSendBuf[T](c.Proc(), p)
+	start, parts := buf.start, buf.parts
+	for _, e := range m.Local {
+		start[to.Owner(e.I, e.J)+1]++
 	}
-	parts := make([][]sparse.Entry[T], p)
-	if start[me+1] == len(m.Local) {
+	kept := start[me+1] == len(m.Local)
+	if kept {
 		parts[me] = m.Local
 	} else {
 		for r := 0; r < p; r++ {
 			start[r+1] += start[r]
 		}
-		buf := make([]sparse.Entry[T], len(m.Local))
-		for x, e := range m.Local {
-			buf[start[owner[x]]] = e
-			start[owner[x]]++
-		}
-		lo := 0
+		buf.entries = slices.Grow(buf.entries[:0], len(m.Local))
+		out := buf.entries[:len(m.Local)]
 		for r := 0; r < p; r++ {
-			parts[r] = buf[lo:start[r]:start[r]]
-			lo = start[r]
+			parts[r] = out[start[r]:start[r+1]:start[r+1]]
+		}
+		for _, e := range m.Local {
+			r := to.Owner(e.I, e.J)
+			out[start[r]] = e
+			start[r]++
 		}
 	}
-	got := machine.Alltoall(c, parts)
 	n := 0
-	for _, run := range got {
-		n += len(run)
-	}
+	res := &Mat[T]{Rows: m.Rows, Cols: m.Cols, Dist: to}
+	machine.AlltoallRecv(c, parts, func(runs [][]sparse.Entry[T]) {
+		for _, run := range runs {
+			n += len(run)
+		}
+		if kept && n == len(m.Local) {
+			res.Local = m.Local
+			return
+		}
+		res.Local = MergeDisjoint(runs)
+	})
 	c.Proc().AddFlops(int64(n))
-	return &Mat[T]{Rows: m.Rows, Cols: m.Cols, Dist: to, Local: MergeRuns(got, mon)}
+	return res
+}
+
+// sendBuf is Redistribute's send storage on one rank (machine.Scratch):
+// the part boundaries, the part headers and the buffer the parts are cut
+// from. The rank reuses it for the region's every redistribution of its
+// entry type: once the all-to-all returns, every receiver has finished
+// reading the parts (the superstep's closing barrier), and no result
+// shares them.
+type sendBuf[T any] struct {
+	start   []int
+	parts   [][]sparse.Entry[T]
+	entries []sparse.Entry[T]
+}
+
+// getSendBuf returns the rank's send storage for p parts, its boundaries
+// zeroed and its part headers empty.
+func getSendBuf[T any](proc *machine.Proc, p int) *sendBuf[T] {
+	buf := machine.Scratch[sendBuf[T]](proc)
+	if cap(buf.start) < p+1 {
+		buf.start, buf.parts = make([]int, p+1), make([][]sparse.Entry[T], p)
+	}
+	buf.start, buf.parts = buf.start[:p+1], buf.parts[:p]
+	clear(buf.start)
+	clear(buf.parts)
+	return buf
+}
+
+// MergeDisjoint merges (row, col)-sorted duplicate-free runs that share no
+// coordinate — each coordinate has one owner — into one sorted slice in
+// fresh storage (nil when every run is empty). It copies maximal segments:
+// a run's entries below every other run's next coordinate go out in one
+// copy, found by galloping, so runs that cover disjoint ranges merge by a
+// few copies. No monoid: nothing folds. A coordinate held by two runs
+// panics, naming it — the owner function that cut the runs was not a
+// function of the coordinate. MergeRuns is its reference.
+func MergeDisjoint[T any](runs [][]sparse.Entry[T]) []sparse.Entry[T] {
+	type cursor struct {
+		key  uint64
+		rest []sparse.Entry[T]
+	}
+	heap := make([]cursor, 0, len(runs))
+	total := 0
+	for _, run := range runs {
+		if len(run) > 0 {
+			heap = append(heap, cursor{CoordKey(run[0].I, run[0].J), run})
+			total += len(run)
+		}
+	}
+	if total == 0 {
+		return nil
+	}
+	down := func(x int) {
+		for c := 2*x + 1; c < len(heap); x, c = c, 2*c+1 {
+			if c+1 < len(heap) && heap[c+1].key < heap[c].key {
+				c++
+			}
+			if heap[c].key >= heap[x].key {
+				return
+			}
+			heap[x], heap[c] = heap[c], heap[x]
+		}
+	}
+	for x := len(heap)/2 - 1; x >= 0; x-- {
+		down(x)
+	}
+	out := make([]sparse.Entry[T], 0, total)
+	for len(heap) > 1 {
+		// The next smallest head is a child of the root; the top run's
+		// entries below it go out as one segment. An equal head is a
+		// shared coordinate: every head on the path to it equals it too.
+		top, next := &heap[0], heap[1].key
+		if len(heap) > 2 && heap[2].key < next {
+			next = heap[2].key
+		}
+		if top.key == next {
+			e := top.rest[0]
+			panic(fmt.Sprintf("distmat: coordinate (%d, %d) held by two runs", e.I, e.J))
+		}
+		run, seg := top.rest, 1
+		if len(run) > 1 && CoordKey(run[1].I, run[1].J) < next {
+			seg = below(run, next)
+		}
+		if seg == 1 {
+			out = append(out, run[0])
+		} else {
+			out = append(out, run[:seg]...)
+		}
+		if top.rest = run[seg:]; len(top.rest) > 0 {
+			top.key = CoordKey(top.rest[0].I, top.rest[0].J)
+		} else {
+			heap[0] = heap[len(heap)-1]
+			heap = heap[:len(heap)-1]
+		}
+		down(0)
+	}
+	return append(out, heap[0].rest...)
+}
+
+// below returns how many leading entries of run lie below key, galloping
+// from the front; run[0] and run[1] must.
+func below[T any](run []sparse.Entry[T], key uint64) int {
+	lo, step := 1, 1 // run[lo] < key
+	for lo+step < len(run) && CoordKey(run[lo+step].I, run[lo+step].J) < key {
+		lo += step
+		step *= 2
+	}
+	hi := min(lo+step, len(run)) // run[hi] ≥ key, or the end
+	for lo+1 < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if CoordKey(run[mid].I, run[mid].J) < key {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return hi
 }
 
 // MergeRuns merges any number of (row, col)-sorted duplicate-free runs into
 // one sorted duplicate-free slice: MergeSorted generalized from two runs to
 // k. Coordinates shared by several runs fold with the monoid in run order
 // and drop when the fold is zero. With at most one non-empty run the result
-// is that run itself, not a copy.
+// is that run itself, not a copy. No production path merges runs that share
+// coordinates: MergeRuns is the tests' reference for MergeDisjoint, and
+// defines what a shared coordinate would fold to.
 func MergeRuns[T any](runs [][]sparse.Entry[T], mon algebra.Monoid[T]) []sparse.Entry[T] {
 	// heap orders the runs' unmerged remainders by their next coordinate,
 	// then by run.

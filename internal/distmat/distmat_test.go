@@ -1,9 +1,11 @@
 package distmat
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -121,20 +123,20 @@ func TestRedistributeRoundTrip(t *testing.T) {
 	_, err := mach.Run(func(proc *machine.Proc) {
 		w := proc.World()
 		m := FromGlobal(proc.Rank(), coo, DistShard(p), addF)
-		m2 := Redistribute(w, m, DistRowBlock(p, 30), addF)
+		m2 := Redistribute(w, m, DistRowBlock(p, 30))
 		for _, e := range m2.Local {
 			if DistRowBlock(p, 30).Owner(e.I, e.J) != proc.Rank() {
 				panic("redistribute placed an entry at the wrong rank")
 			}
 		}
-		m3 := Redistribute(w, m2, DistColBlock(p, 30), addF)
-		m4 := Redistribute(w, m3, DistShard(p), addF)
+		m3 := Redistribute(w, m2, DistColBlock(p, 30))
+		m4 := Redistribute(w, m3, DistShard(p))
 		got := Gather(w, m4, addF)
 		if !sparse.Equal(want, got, func(a, b float64) bool { return a == b }) {
 			panic("redistribution round trip changed the matrix")
 		}
 		// No-op fast path.
-		m5 := Redistribute(w, m4, DistShard(p), addF)
+		m5 := Redistribute(w, m4, DistShard(p))
 		if m5 != m4 {
 			panic("same-key redistribute must be a no-op")
 		}
@@ -255,6 +257,43 @@ func TestMergeRunsProperties(t *testing.T) {
 	if got := MergeRuns[float64](nil, addF); got != nil {
 		t.Fatalf("merge of no runs = %v", got)
 	}
+}
+
+// TestMergeDisjointMatchesMergeRuns: on runs cut from one matrix — by a
+// random owner per entry, and by row blocks, where every run merges as one
+// segment — the disjoint merge equals the k-way reference, in fresh
+// storage even for a lone run; a coordinate in two runs panics, named.
+func TestMergeDisjointMatchesMergeRuns(t *testing.T) {
+	check := func(q quickEntries, seed int64, k uint8, byRows bool) bool {
+		rng := rand.New(rand.NewSource(seed))
+		runs := make([][]sparse.Entry[float64], 1+int(k)%7)
+		for _, e := range q {
+			r := rng.Intn(len(runs))
+			if byRows {
+				r = Part(e.I, 12, len(runs))
+			}
+			runs[r] = append(runs[r], e)
+		}
+		got := MergeDisjoint(runs)
+		for _, run := range runs {
+			if len(run) > 0 && &run[0] == &got[0] {
+				return false
+			}
+		}
+		return slices.Equal(got, MergeRuns(runs, addF))
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+	if got := MergeDisjoint([][]sparse.Entry[float64]{nil, {}}); got != nil {
+		t.Fatalf("merge of empty runs = %v", got)
+	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "(2, 7)") {
+			t.Fatalf("shared coordinate: recovered %v, want a panic naming (2, 7)", r)
+		}
+	}()
+	MergeDisjoint([][]sparse.Entry[float64]{{{I: 1, J: 1}, {I: 2, J: 7}}, {{I: 2, J: 3}}, {{I: 2, J: 7}}})
 }
 
 // TestAccumulatorMatchesMergeSorted folds a stream of runs through one

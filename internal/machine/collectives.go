@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"slices"
 	"sort"
 	"unsafe"
 )
@@ -62,10 +63,30 @@ func Bcast[T any](c *Comm, root int, data []T) []T {
 	return out
 }
 
-// Allgather returns every member's contribution, in rank order.
-// Cost: xβ + ⌈log₂p⌉α with x the total gathered size.
+// Allgather returns every member's contribution, in rank order: the
+// copying form of AllgatherRecv, where every peer's part is a fresh copy
+// and the member's own part is data itself.
 func Allgather[T any](c *Comm, data []T) [][]T {
-	out := make([][]T, c.Size())
+	var out [][]T
+	AllgatherRecv(c, data, func(parts [][]T) {
+		out = parts
+		for i, part := range parts {
+			if i != c.rank {
+				out[i] = slices.Clone(part)
+			}
+		}
+	})
+	return out
+}
+
+// AllgatherRecv is Allgather without the copies: recv runs inside the
+// superstep and is handed every member's contribution, indexed by rank,
+// the member's own being data. The parts slice is recv's to keep; the
+// parts' storage is not: on an in-process backend a peer's part is the
+// peer's own slice, which it may overwrite once the collective returns, so
+// recv must not keep a part after it returns.
+// Cost: xβ + ⌈log₂p⌉α with x the total gathered size.
+func AllgatherRecv[T any](c *Comm, data []T, recv func(parts [][]T)) {
 	total := 0
 	pl := Payload{
 		V:    data,
@@ -77,32 +98,24 @@ func Allgather[T any](c *Comm, data []T) [][]T {
 		for _, s := range sizes {
 			total += int(s)
 		}
-		for i := range out {
+		parts := make([][]T, c.Size())
+		for i := range parts {
 			if i == c.rank {
-				out[i] = data
-				continue
+				parts[i] = data
+			} else {
+				parts[i] = slots[i].([]T)
 			}
-			src := slots[i].([]T)
-			cp := make([]T, len(src))
-			copy(cp, src)
-			out[i] = cp
 		}
+		recv(parts)
 	})
 	c.proc.cost = group.Add(commCost(c.Size(), Cost{Bytes: bytesOf[T](total), Msgs: LogMsgs(c.Size())}))
-	return out
 }
 
-// AllgatherConcat is Allgather flattened into one slice.
+// AllgatherConcat is Allgather flattened into one slice, built in one pass
+// over the posted parts.
 func AllgatherConcat[T any](c *Comm, data []T) []T {
-	parts := Allgather(c, data)
-	n := 0
-	for _, p := range parts {
-		n += len(p)
-	}
-	out := make([]T, 0, n)
-	for _, p := range parts {
-		out = append(out, p...)
-	}
+	var out []T
+	AllgatherRecv(c, data, func(parts [][]T) { out = slices.Concat(parts...) })
 	return out
 }
 
@@ -180,7 +193,10 @@ func AllreduceScalar[T any](c *Comm, v T, op func(T, T) T) T {
 
 // ReduceSlices performs a sparse reduction: every member contributes a
 // variable-length slice, combine folds two slices into one (e.g. a sorted
-// merge that sums duplicates), and root receives the fold (others nil).
+// merge that sums duplicates) and returns fresh storage or one of its
+// arguments as is, and root receives the fold (others nil). The fold never
+// shares a peer's storage; where nothing merged into root's own data, it
+// is that data itself.
 // Cost per the paper's sparse-reduction bound: 2xβ + 2⌈log₂p⌉α with x the
 // *output* size, plus the fold work as flops.
 func ReduceSlices[T any](c *Comm, root int, data []T, combine func(a, b []T) []T) []T {
@@ -204,13 +220,13 @@ func ReduceSlices[T any](c *Comm, root int, data []T, combine func(a, b []T) []T
 		if c.rank != root {
 			return
 		}
-		// Tree-order fold for deterministic association.
+		// Tree-order fold for deterministic association, straight from the
+		// posted parts: combine returns fresh storage or one of its
+		// arguments as is, so only a peer's part that survives unmerged is
+		// copied (the root's own comes back as is).
 		parts := make([][]T, c.Size())
 		for i := range parts {
-			src := slots[i].([]T)
-			cp := make([]T, len(src))
-			copy(cp, src)
-			parts[i] = cp
+			parts[i] = slots[i].([]T)
 		}
 		for len(parts) > 1 {
 			var next [][]T
@@ -223,6 +239,12 @@ func ReduceSlices[T any](c *Comm, root int, data []T, combine func(a, b []T) []T
 			parts = next
 		}
 		out = parts[0]
+		for i, s := range slots {
+			if i != root && len(out) > 0 && unsafe.SliceData(s.([]T)) == unsafe.SliceData(out) {
+				out = slices.Clone(out)
+				break
+			}
+		}
 	})
 	outLen := len(out)
 	// Non-roots charge the same modeled cost: they participated in the tree.
@@ -240,8 +262,29 @@ func ReduceSlices[T any](c *Comm, root int, data []T, combine func(a, b []T) []T
 
 // Alltoall performs personalized all-to-all: member i's parts[j] is
 // delivered to member j; the return value holds, per source rank, the slice
-// it sent here. Cost per member: max(sent, received)·β + ⌈log₂p⌉α.
+// it sent here. It is the copying form of AlltoallRecv: every peer's part
+// is a fresh copy, and the member's own part is parts[rank] itself.
 func Alltoall[T any](c *Comm, parts [][]T) [][]T {
+	var out [][]T
+	AlltoallRecv(c, parts, func(runs [][]T) {
+		out = runs
+		for i, run := range runs {
+			if i != c.rank {
+				out[i] = slices.Clone(run)
+			}
+		}
+	})
+	return out
+}
+
+// AlltoallRecv is Alltoall without the copies: recv runs inside the
+// superstep and is handed, per source rank in rank order, the part that
+// source sent here (on an in-process backend the source's own slice, on a
+// network backend the decoded frame). The runs slice is recv's to keep;
+// the runs' storage is not: a sender may overwrite its parts once the
+// collective returns, so recv must not keep a run after it returns.
+// Cost per member: max(sent, received)·β + ⌈log₂p⌉α.
+func AlltoallRecv[T any](c *Comm, parts [][]T, recv func(runs [][]T)) {
 	if len(parts) != c.Size() {
 		c.proc.Fail(errAlltoallShape{len(parts), c.Size()})
 		Abort("alltoall parts/size mismatch")
@@ -250,8 +293,7 @@ func Alltoall[T any](c *Comm, parts [][]T) [][]T {
 	for _, p := range parts {
 		sent += len(p)
 	}
-	out := make([][]T, c.Size())
-	recv := 0
+	recvd := 0
 	pl := Payload{
 		V:    parts,
 		Size: int64(sent),
@@ -263,24 +305,14 @@ func Alltoall[T any](c *Comm, parts [][]T) [][]T {
 		},
 	}
 	group := c.step(pl, func(slots []any, _ []int64) {
-		for i := 0; i < c.Size(); i++ {
-			src := slots[i].([][]T)[c.rank]
-			recv += len(src)
-			if i == c.rank {
-				out[i] = parts[c.rank]
-				continue
-			}
-			cp := make([]T, len(src))
-			copy(cp, src)
-			out[i] = cp
+		runs := make([][]T, c.Size())
+		for i := range runs {
+			runs[i] = slots[i].([][]T)[c.rank]
+			recvd += len(runs[i])
 		}
+		recv(runs)
 	})
-	x := sent
-	if recv > x {
-		x = recv
-	}
-	c.proc.cost = group.Add(commCost(c.Size(), Cost{Bytes: bytesOf[T](x), Msgs: LogMsgs(c.Size())}))
-	return out
+	c.proc.cost = group.Add(commCost(c.Size(), Cost{Bytes: bytesOf[T](max(sent, recvd)), Msgs: LogMsgs(c.Size())}))
 }
 
 type errAlltoallShape [2]int

@@ -11,9 +11,12 @@
 // process (modeled cost only), and machine/tcpnet runs rank-per-process
 // over real TCP sockets (modeled cost plus measured wall clock).
 //
-// Every collective moves real data (callers never alias each other's
-// buffers) and charges an α–β model cost to each participant's critical
-// path, following the paper's measurement methodology (§7.4): "for each
+// Every collective moves real data. The copying forms never alias a
+// peer's buffers; the receive forms (AlltoallRecv, AllgatherRecv) hand a
+// callback the peers' posted parts for the length of the superstep, and
+// the callback must not keep them past its return. Every collective
+// charges an α–β model cost to each participant's critical path,
+// following the paper's measurement methodology (§7.4): "for each
 // collective over a set of processors, we maximize the critical path costs
 // incurred by those processors so far", then add the collective's own cost.
 // Broadcast and reduce of x bytes over p processors cost 2xβ + 2⌈log₂p⌉α
@@ -348,6 +351,8 @@ type Proc struct {
 	phaseSeq    []string
 	phaseCost   []Cost
 	phaseWall   []time.Duration
+
+	scratch map[any]any // by the nil *T of each Scratch[T]
 }
 
 // NewProc constructs a rank handle for a backend: world is the
@@ -384,6 +389,23 @@ func (p *Proc) Fail(err error) {
 	if p.fail != nil {
 		p.fail(err)
 	}
+}
+
+// Scratch returns the rank's *T for the region, zero at the first call:
+// storage a layer reuses from one collective to the next instead of
+// allocating per call. There is one per type, so a layer keys it with a
+// type of its own. Rank-local, like the Proc.
+func Scratch[T any](p *Proc) *T {
+	key := any((*T)(nil))
+	if v, ok := p.scratch[key]; ok {
+		return v.(*T)
+	}
+	if p.scratch == nil {
+		p.scratch = make(map[any]any)
+	}
+	v := new(T)
+	p.scratch[key] = v
+	return v
 }
 
 // AddFlops charges local computation to the critical path.

@@ -1,15 +1,16 @@
 // Differential for distmat.Redistribute, run under the backend conformance
 // suite so the tcp mesh exercises the same path as the simulator: the
-// counting pass, exact parts and k-way run merge must leave on every rank
-// exactly what the textbook form leaves — concatenate what arrives in
-// source-rank order, canonicalize, charge one flop per received entry — at
-// the same modeled cost.
+// counting pass, reused send storage and disjoint merge of the arriving
+// runs must leave on every rank exactly what the textbook form leaves —
+// concatenate what arrives in source-rank order, canonicalize, charge one
+// flop per received entry — at the same modeled cost.
 package machine_test
 
 import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/algebra"
@@ -123,7 +124,7 @@ func TestRedistributeMatchesCanonicalize(t *testing.T) {
 			var gotStats, wantStats machine.RunStats
 			t.Run(fmt.Sprintf("nnz=%d/merge", nnz), func(t *testing.T) {
 				forEachBackend(t, p, redistRegion(global, n, chain, got, func(c *machine.Comm, m *distmat.Mat[float64], to distmat.Dist) []sparse.Entry[float64] {
-					return distmat.Redistribute(c, m, to, addF).Local
+					return distmat.Redistribute(c, m, to).Local
 				}), func(_ *testing.T, s machine.RunStats) { gotStats = s })
 			})
 			t.Run(fmt.Sprintf("nnz=%d/canonicalize", nnz), func(t *testing.T) {
@@ -147,10 +148,34 @@ func TestRedistributeMatchesCanonicalize(t *testing.T) {
 	}
 }
 
+// TestRedistributeSharedCoordinatePanics: two ranks holding one coordinate
+// means the source distribution's owner is not a function of the
+// coordinate; the rank both copies arrive at panics, naming it.
+func TestRedistributeSharedCoordinatePanics(t *testing.T) {
+	const p = 3
+	bogus := distmat.Dist{Key: "bogus", P: p, Owner: func(int32, int32) int { return 0 }}
+	for _, b := range listBackends() {
+		t.Run(b.name, func(t *testing.T) {
+			_, err := b.make(t, p).Run(func(pr *machine.Proc) {
+				m := &distmat.Mat[float64]{Rows: 8, Cols: 8, Dist: bogus}
+				if pr.Rank() < 2 {
+					m.Local = []sparse.Entry[float64]{{I: 3, J: 4, V: 1}, {I: 5, J: int32(pr.Rank()), V: 2}}
+				}
+				distmat.Redistribute(pr.World(), m, distmat.DistRowBlock(p, 8))
+			})
+			if err == nil || !strings.Contains(err.Error(), "coordinate (3, 4) held by two runs") {
+				t.Fatalf("want a panic naming (3, 4), got %v", err)
+			}
+		})
+	}
+}
+
 // FuzzRedistribute drives the same differential from fuzzed shapes on the
-// simulator, and MergeRuns alone over runs that do share coordinates (a
-// valid matrix never produces those, Canonicalize defines them): small
-// integer values fold exactly and commutatively, and cancel to zero often.
+// simulator; then MergeDisjoint against MergeRuns over runs cut from one
+// matrix by a random owner per entry, or by row blocks (long segments);
+// and MergeRuns alone over runs that do share coordinates (a valid matrix
+// never produces those, Canonicalize defines them): small integer values
+// fold exactly and commutatively, and cancel to zero often.
 func FuzzRedistribute(f *testing.F) {
 	f.Add(int64(1), uint8(4), uint8(60), uint16(0), uint16(1))
 	f.Add(int64(2), uint8(1), uint8(0), uint16(2), uint16(3))
@@ -166,7 +191,7 @@ func FuzzRedistribute(f *testing.F) {
 		got := [][][]sparse.Entry[float64]{make([][]sparse.Entry[float64], p)}
 		want := [][][]sparse.Entry[float64]{make([][]sparse.Entry[float64], p)}
 		gotStats, err := sim.New(p).Run(redistRegion(global, n, chain, got, func(c *machine.Comm, m *distmat.Mat[float64], to distmat.Dist) []sparse.Entry[float64] {
-			return distmat.Redistribute(c, m, to, addF).Local
+			return distmat.Redistribute(c, m, to).Local
 		}))
 		if err != nil {
 			t.Fatal(err)
@@ -180,6 +205,19 @@ func FuzzRedistribute(f *testing.F) {
 			if !slices.Equal(got[0][r], want[0][r]) {
 				t.Fatalf("p=%d %s → %s rank %d:\n got %v\nwant %v", p, chain[0].Key, chain[1].Key, r, got[0][r], want[0][r])
 			}
+		}
+
+		disjoint := make([][]sparse.Entry[float64], 1+rng.Intn(6))
+		rowBlocks := rng.Intn(2) == 0
+		for _, e := range global {
+			r := rng.Intn(len(disjoint))
+			if rowBlocks {
+				r = distmat.Part(e.I, n, len(disjoint))
+			}
+			disjoint[r] = append(disjoint[r], e)
+		}
+		if got, want := distmat.MergeDisjoint(disjoint), distmat.MergeRuns(disjoint, addF); !slices.Equal(got, want) {
+			t.Fatalf("MergeDisjoint(%v)\n got %v\nwant %v", disjoint, got, want)
 		}
 
 		runs := make([][]sparse.Entry[float64], 1+rng.Intn(6))

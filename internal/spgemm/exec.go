@@ -355,11 +355,10 @@ func (s *Session) Dists(plan Plan, m, k, n int) (da, db, dc distmat.Dist) {
 }
 
 // Multiply computes the generalized product C = A •⟨add,f⟩ B according to
-// plan, where A's entries are C's values (add also merges A's blocks) and
-// addB merges B's. The working set of B (redistributed and, for RoleB
-// plans, fiber-replicated) is cached in the session keyed by B's identity,
-// so repeated multiplications against the same stationary matrix (MFBC's
-// adjacency) pay its movement once.
+// plan, where A's entries are C's values. The working set of B
+// (redistributed and, for RoleB plans, fiber-replicated) is cached in the
+// session keyed by B's identity, so repeated multiplications against the
+// same stationary matrix (MFBC's adjacency) pay its movement once.
 //
 // Where the caller passes acc, every product folds by column, a row at a
 // time, into acc's storage, which the caller keeps across products, and
@@ -382,7 +381,7 @@ func Multiply[TC, TB any](
 	s *Session, plan Plan,
 	a *distmat.Mat[TC], b *distmat.Mat[TB],
 	f func(TC, TB) TC,
-	add algebra.Monoid[TC], addB algebra.Monoid[TB],
+	add algebra.Monoid[TC],
 	screen func(i, j int32, v TC) bool, acc *Accumulator[TC],
 ) *distmat.Mat[TC] {
 	if a.Cols != b.Rows {
@@ -398,12 +397,11 @@ func Multiply[TC, TB any](
 	workers := s.workers()
 
 	// Stage the A operand (moving in every variant). Replication gathers
-	// the fiber's blocks, each sorted and no two sharing a coordinate, so
-	// merging them is sorting their union.
-	aw := distmat.Redistribute(world, a, da, add)
-	aE := aw.Local
+	// the fiber's blocks, each sorted and no two sharing a coordinate, and
+	// merges them as they arrive.
+	aE := distmat.Redistribute(world, a, da).Local
 	if plan.P1 > 1 && plan.X == RoleA {
-		aE = distmat.MergeRuns(machine.Allgather(g.Fiber, aE), add)
+		aE = replicate(g.Fiber, aE)
 	}
 
 	// Stage the B operand, or find it in the cache. A rank owning no B
@@ -415,10 +413,9 @@ func Multiply[TC, TB any](
 	if co, hit := s.cache.sets[key]; hit {
 		sb = co.staged.(*stagedB[TB])
 	} else {
-		bw := distmat.Redistribute(world, b, db, addB)
-		bE := bw.Local
+		bE := distmat.Redistribute(world, b, db).Local
 		if plan.P1 > 1 && plan.X == RoleB {
-			bE = distmat.MergeRuns(machine.Allgather(g.Fiber, bE), addB)
+			bE = replicate(g.Fiber, bE)
 		}
 		sb = stageB(plan, k, n, s.Proc.Rank(), bE)
 		s.cache.sets[key] = &cachedOperand{operandKey: key, staged: sb}
@@ -456,6 +453,14 @@ func Multiply[TC, TB any](
 		}
 	}
 	return &distmat.Mat[TC]{Rows: m, Cols: n, Dist: dc, Local: c}
+}
+
+// replicate gathers the fiber's owner-disjoint sorted blocks into one
+// sorted block in fresh storage, merged from the posted blocks.
+func replicate[T any](fiber *machine.Comm, block []sparse.Entry[T]) []sparse.Entry[T] {
+	var out []sparse.Entry[T]
+	machine.AllgatherRecv(fiber, block, func(blocks [][]sparse.Entry[T]) { out = distmat.MergeDisjoint(blocks) })
+	return out
 }
 
 // StationaryEdit is one coordinate edit of a stationary operand: an upsert

@@ -98,7 +98,7 @@ func maskedProduct[V, W any](t *testing.T, c screenCase[V, W], plan Plan, worker
 		case kernelScreened:
 			screen = losersScreen(c, block, vd)
 		}
-		prod := Multiply(s, plan, a, b, c.f, c.add, c.edge, screen, acc)
+		prod := Multiply(s, plan, a, b, c.f, c.add, screen, acc)
 		out.parts[proc.Rank()] = prod.Local
 		out.kept[proc.Rank()] = vd.kept
 		tallies[proc.Rank()] = [3]int64{s.Products.Load(), s.Screened.Load(), vd.dropped.Load()}
@@ -138,7 +138,7 @@ func reusedProducts[V, W any](t *testing.T, cs []screenCase[V, W], plan Plan, wo
 			if screened {
 				screen = losersScreen(c, block, &verdicts{kept: map[uint64]bool{}})
 			}
-			out[x][proc.Rank()] = Multiply(s, plan, a, b, c.f, c.add, c.edge, screen, &acc).Local
+			out[x][proc.Rank()] = Multiply(s, plan, a, b, c.f, c.add, screen, &acc).Local
 		}
 	})
 	if err != nil {

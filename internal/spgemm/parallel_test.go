@@ -26,7 +26,7 @@ func checkPlanWorkers(t *testing.T, plan Plan, m, k, n int, seed int64, workers 
 			s.Workers = workers
 			a := distmat.FromGlobal(proc.Rank(), cooA, distmat.DistShard(p), addF)
 			b := distmat.FromGlobal(proc.Rank(), cooB, distmat.DistRowBlock(p, k), addF)
-			c := Multiply(s, plan, a, b, mulF, addF, addF, nil, nil)
+			c := Multiply(s, plan, a, b, mulF, addF, nil, nil)
 			g := distmat.Gather(proc.World(), c, addF)
 			if proc.Rank() == 0 {
 				out = g
@@ -90,8 +90,8 @@ func TestCacheKeyDistinguishesMatrices(t *testing.T) {
 		da := distmat.FromGlobal(proc.Rank(), cooA, distmat.DistShard(p), addF)
 		db1 := distmat.FromGlobal(proc.Rank(), cooB1, distmat.DistShard(p), addF)
 		db2 := distmat.FromGlobal(proc.Rank(), cooB2, distmat.DistShard(p), addF)
-		c1 := Multiply(s, plan, da, db1, mulF, addF, addF, nil, nil)
-		c2 := Multiply(s, plan, da, db2, mulF, addF, addF, nil, nil) // same session, same shape, different B
+		c1 := Multiply(s, plan, da, db1, mulF, addF, nil, nil)
+		c2 := Multiply(s, plan, da, db2, mulF, addF, nil, nil) // same session, same shape, different B
 		g1 := distmat.Gather(proc.World(), c1, addF)
 		g2 := distmat.Gather(proc.World(), c2, addF)
 		if proc.Rank() == 0 {

@@ -188,7 +188,7 @@ func screenedProduct[V, W any](
 		b := distmat.FromGlobal(proc.Rank(), c.adj, distmat.DistShard(p), c.edge)
 		_, _, dc := s.Dists(plan, a.Rows, a.Cols, b.Cols)
 		block := distmat.FromGlobal(proc.Rank(), tCOO, dc, c.add).Local
-		prod := Multiply(s, plan, a, b, c.f, c.add, c.edge, screenOver(block), nil)
+		prod := Multiply(s, plan, a, b, c.f, c.add, screenOver(block), nil)
 		for _, e := range prod.Local {
 			tv, ok := c.t.Get(e.I, e.J)
 			if e.V, ok = c.post(tv, !ok, e.V); ok {

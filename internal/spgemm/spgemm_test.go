@@ -48,7 +48,7 @@ func checkPlan(t *testing.T, plan Plan, m, k, n int, seed int64) {
 		s := NewSession(proc)
 		a := distmat.FromGlobal(proc.Rank(), cooA, distmat.DistShard(p), addF)
 		b := distmat.FromGlobal(proc.Rank(), cooB, distmat.DistRowBlock(p, k), addF)
-		c := Multiply(s, plan, a, b, mulF, addF, addF, nil, nil)
+		c := Multiply(s, plan, a, b, mulF, addF, nil, nil)
 		results[proc.Rank()] = distmat.Gather(proc.World(), c, addF)
 	})
 	if err != nil {
@@ -131,7 +131,7 @@ func TestMultiplyEmptyOperand(t *testing.T) {
 		a := &distmat.Mat[float64]{Rows: 10, Cols: 10, Dist: distmat.DistShard(4)}
 		cooB := randomCOO(10, 10, 0.3, 5)
 		b := distmat.FromGlobal(proc.Rank(), cooB, distmat.DistShard(4), addF)
-		c := Multiply(s, plan, a, b, mulF, addF, addF, nil, nil)
+		c := Multiply(s, plan, a, b, mulF, addF, nil, nil)
 		if got := distmat.GlobalNNZ(proc.World(), c); got != 0 {
 			panic(fmt.Sprintf("empty * B produced %d nonzeros", got))
 		}
@@ -154,9 +154,9 @@ func TestMultiplyCachedStationary(t *testing.T) {
 		a := distmat.FromGlobal(proc.Rank(), cooA, distmat.DistShard(4), addF)
 		b := distmat.FromGlobal(proc.Rank(), cooB, distmat.DistShard(4), addF)
 		pre := proc.Cost()
-		c1 := Multiply(s, plan, a, b, mulF, addF, addF, nil, nil)
+		c1 := Multiply(s, plan, a, b, mulF, addF, nil, nil)
 		mid := proc.Cost()
-		c2 := Multiply(s, plan, a, b, mulF, addF, addF, nil, nil)
+		c2 := Multiply(s, plan, a, b, mulF, addF, nil, nil)
 		post := proc.Cost()
 		g1 := distmat.Gather(proc.World(), c1, addF)
 		g2 := distmat.Gather(proc.World(), c2, addF)
