@@ -101,8 +101,8 @@ func CombBLASStyleDistributed(g *graph.Graph, opt DistCombBLASOptions) (*DistCom
 		world := proc.World()
 		sess := spgemm.NewSession(proc)
 		shard := distmat.DistShard(p)
-		aMat := distmat.FromGlobal(proc.Rank(), adjCOO, shard, trop)
-		atMat := distmat.FromGlobal(proc.Rank(), atCOO, shard, trop)
+		aMat := spgemm.NewStationary(distmat.FromGlobal(proc.Rank(), adjCOO, shard, trop))
+		atMat := spgemm.NewStationary(distmat.FromGlobal(proc.Rank(), atCOO, shard, trop))
 		bc := make([]float64, g.N)
 		totalLevels := 0
 		for lo := 0; lo < len(sources); lo += nb {
@@ -126,7 +126,7 @@ func CombBLASStyleDistributed(g *graph.Graph, opt DistCombBLASOptions) (*DistCom
 // number of BFS levels.
 func distCombBLASBatch(
 	sess *spgemm.Session, plan spgemm.Plan,
-	aMat, atMat *distmat.Mat[float64],
+	aMat, atMat *spgemm.Stationary[float64],
 	sources []int32, n int, shard distmat.Dist, bc []float64,
 ) int {
 	count := algebra.CountMonoid()

@@ -2,9 +2,9 @@
 // distributed matrices, with every frontier relaxation executed as a
 // communication-efficient generalized sparse matrix multiplication
 // (internal/spgemm) on the simulated machine. The adjacency matrix and its
-// transpose are stationary cached operands, so their placement (including
-// 3D fiber replication) is paid once per run and amortized, as in the proof
-// of Theorem 5.1.
+// transpose are stationary operands (spgemm.Stationary), so their placement
+// (including 3D fiber replication) is paid once per run and amortized, as
+// in the proof of Theorem 5.1.
 //
 // This file holds the one distributed sweep: Algorithms 1 and 2 and their
 // four per-entry rules (two more, optional, screen each sweep's products
@@ -249,7 +249,7 @@ func sideProject[T algebra.Sided[T, E], E any](m *distmat.Mat[T], s int, zero T,
 // (rare) divergent rounds. Every product folds by column into acc.
 func mulPerSide[T algebra.Sided[T, E], E, W any](
 	sp *sidePlans, all bool, bytes int64,
-	frontier *distmat.Mat[T], b *distmat.Mat[W], f func(T, W) T,
+	frontier *distmat.Mat[T], b *spgemm.Stationary[W], f func(T, W) T,
 	mon algebra.Monoid[T], isZero func(E) bool,
 	align func(distmat.Dist) func(i, j int32, v T) bool, acc *spgemm.Accumulator[T],
 ) (*distmat.Mat[T], bool) {
@@ -269,7 +269,7 @@ func mulPerSide[T algebra.Sided[T, E], E, W any](
 		return nil, false
 	}
 	if !split {
-		_, _, dc := sp.sess.Dists(sp.plans[lead], frontier.Rows, frontier.Cols, b.Cols)
+		_, _, dc := b.Dists(sp.sess, sp.plans[lead], frontier.Rows)
 		return spgemm.Multiply(sp.sess, sp.plans[lead], frontier, b, f, mon, align(dc), acc), true
 	}
 	sp.split++
@@ -376,7 +376,7 @@ func (x *blockIndex) at(i, j int32) int {
 // distribution, built locally from the replicated generator data. The
 // returned T lives in buf until the next batch's sweep.
 func sweepMFBF[M multSided[M], C, W any](
-	sp *sidePlans, buf *sweepBufs[M, C], alg sweepAlgebra[M, C, W], a *distmat.Mat[W],
+	sp *sidePlans, buf *sweepBufs[M, C], alg sweepAlgebra[M, C, W], a *spgemm.Stationary[W],
 	adj []*sparse.CSR[float64], in [][]bool, batch []int32,
 ) (*distmat.Mat[M], int) {
 	world := sp.sess.Proc.World()
@@ -414,7 +414,7 @@ func sweepMFBF[M multSided[M], C, W any](
 // (possibly realigned) T sharing Z's distribution, and the iteration count.
 func sweepMFBr[M multSided[M], C centSided[C], W any](
 	sp *sidePlans, buf *sweepBufs[M, C], alg sweepAlgebra[M, C, W],
-	at *distmat.Mat[W], t *distmat.Mat[M],
+	at *spgemm.Stationary[W], t *distmat.Mat[M],
 ) (*distmat.Mat[C], *distmat.Mat[M], int) {
 	world := sp.sess.Proc.World()
 	// T does not change during the sweep, so it is re-indexed only when it

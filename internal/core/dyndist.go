@@ -1,14 +1,14 @@
 // Persistent distributed sessions: the streaming counterpart of
-// MFBCDistributed. A DistSession keeps each simulated rank's share of the
-// stationary adjacency operands (A and Aᵀ, in the neutral shard
-// distribution) and its spgemm operand cache resident across machine runs,
-// so the placement cost of the stationary matrices — the once-per-run term
-// amortized in the proof of Theorem 5.1 — is also amortized across the
-// applies of an evolving-graph workload: a working set staged (replicated,
-// for 3D plans) in one run is a warm cache hit in every later run. Small
-// edge diffs are delta-patched into the resident blocks (Patch) instead of
-// redistributing the whole matrix per apply; only a vertex-set change
-// forces a rebuild.
+// MFBCDistributed. A DistSession keeps each simulated rank's stationary
+// adjacency operands (A and Aᵀ as spgemm.Stationary values: the rank's
+// block in the neutral shard distribution and every working set staged from
+// it) resident across machine runs, so the placement cost of the stationary
+// matrices — the once-per-run term amortized in the proof of Theorem 5.1 —
+// is also amortized across the applies of an evolving-graph workload: a
+// working set staged (replicated, for 3D plans) in one run is a warm hit in
+// every later run. Small edge diffs are delta-patched into the resident
+// operands (Patch) instead of redistributing the whole matrix per apply;
+// only a vertex-set change forces a rebuild.
 //
 // A DistSession is owned by one driver (internal/dynamic's Engine holds it
 // under its apply lock); Run and Patch must not be called concurrently.
@@ -47,13 +47,11 @@ type DistSession struct {
 	ranks  []*distRank
 }
 
-// distRank is one simulated rank's persistent state: its shard of the
-// stationary operands, its staged-working-set cache and the storage of the
-// position table its sweeps find T through.
+// distRank is one simulated rank's persistent state: its stationary
+// operands and the storage of the position table its sweeps find T through.
 type distRank struct {
-	aMat, atMat *distmat.Mat[float64]
-	cache       *spgemm.OperandCache
-	index       blockIndex
+	a, at *spgemm.Stationary[float64]
+	index blockIndex
 	// pendingFlops is the local splice work of host-side Patch calls not
 	// yet charged to the model; the next region charges it as γ-flops in
 	// its "patch" phase, so delta-patching is never free compute.
@@ -81,27 +79,26 @@ func NewDistSession(g *graph.Graph, opt DistOptions) (*DistSession, error) {
 	return s, nil
 }
 
-// install (re)builds every rank's operand shards from the global topology
-// with fresh operand caches.
+// install (re)builds every rank's operands from the global topology, with
+// no working set staged. Splice work still pending from earlier Patch calls
+// carries over: the next region charges it all the same.
 func (s *DistSession) install(g *graph.Graph, adjCSR *sparse.CSR[float64]) {
 	trop := algebra.TropicalMonoid()
 	adjCOO := adjCSR.ToCOO()
 	atCOO := sparse.Transpose(adjCSR).ToCOO()
 	shard := distmat.DistShard(s.p)
 	s.g, s.adjCSR = g, adjCSR
-	s.ranks = make([]*distRank, s.p)
-	for r := 0; r < s.p; r++ {
-		rk := &distRank{
-			aMat:  distmat.FromGlobal(r, adjCOO, shard, trop),
-			atMat: distmat.FromGlobal(r, atCOO, shard, trop),
-			cache: spgemm.NewOperandCache(),
+	ranks := make([]*distRank, s.p)
+	for r := range ranks {
+		ranks[r] = &distRank{
+			a:  spgemm.NewStationary(distmat.FromGlobal(r, adjCOO, shard, trop)),
+			at: spgemm.NewStationary(distmat.FromGlobal(r, atCOO, shard, trop)),
 		}
-		// Pin the matrix identities host-side, before any rank goroutine
-		// could race to lazily assign them.
-		rk.aMat.ID()
-		rk.atMat.ID()
-		s.ranks[r] = rk
+		if s.ranks != nil {
+			ranks[r].pendingFlops = s.ranks[r].pendingFlops
+		}
 	}
+	s.ranks = ranks
 }
 
 // Graph returns the topology the resident operands currently encode.
@@ -110,7 +107,7 @@ func (s *DistSession) Graph() *graph.Graph { return s.g }
 // Procs returns the simulated processor count.
 func (s *DistSession) Procs() int { return s.p }
 
-// Reset rebuilds the resident operands from newG and drops every cached
+// Reset rebuilds the resident operands from newG and drops every staged
 // working set, so the next runs pay full redistribution again. It is the
 // fallback for vertex-set changes (the operand dimensions move) and the
 // full-redistribution oracle the differential tests pin delta-patching
@@ -125,7 +122,7 @@ func (s *DistSession) Reset(newG *graph.Graph, adjCSR *sparse.CSR[float64]) {
 // Patch transitions the resident operands from the current topology to
 // newG, whose edge set must differ from the current graph by exactly
 // diffs. Each rank splices only the diff entries it owns into its resident
-// blocks — the shard-distributed operands and every plan-specific cached
+// operands — the shard-distributed blocks and every plan-specific staged
 // working set — leaving each block entry-identical to a full re-staging of
 // the new matrix while moving nothing on the simulated machine. The diff
 // is globally known, mirroring the generator-replication input convention
@@ -147,24 +144,8 @@ func (s *DistSession) Patch(newG *graph.Graph, adjCSR *sparse.CSR[float64], diff
 	editsA := adjacencyEdits(directed, diffs, false)
 	editsAt := adjacencyEdits(directed, diffs, true)
 	for r, rk := range s.ranks {
-		rk.pendingFlops += s.patchRank(rk, r, editsA, editsAt)
+		rk.pendingFlops += rk.a.Patch(r, editsA) + rk.at.Patch(r, editsAt)
 	}
-}
-
-// patchRank splices the adjacency edits into one rank's resident blocks —
-// the shard operands and every cached working set — and returns the splice
-// work in entry writes. Host callers (Patch) defer that work to the next
-// region via pendingFlops; the fused region calls it per rank goroutine and
-// charges it directly.
-func (s *DistSession) patchRank(rk *distRank, rank int, editsA, editsAt []spgemm.StationaryEdit[float64]) int64 {
-	shard := distmat.DistShard(s.p)
-	owned := func(i, j int32) bool { return shard.Owner(i, j) == rank }
-	rk.aMat.Local = spgemm.Splice(rk.aMat.Local, editsA, owned)
-	rk.atMat.Local = spgemm.Splice(rk.atMat.Local, editsAt, owned)
-	ops := int64(len(rk.aMat.Local) + len(rk.atMat.Local))
-	ops += spgemm.PatchStationary(rk.cache, rank, rk.aMat.ID(), editsA)
-	ops += spgemm.PatchStationary(rk.cache, rank, rk.atMat.ID(), editsAt)
-	return ops
 }
 
 // adjacencyEdits expands an edge diff into sorted coordinate edits of the
@@ -192,8 +173,8 @@ func adjacencyEdits(directed bool, diffs []EdgeDiff, transpose bool) []spgemm.St
 // Run computes the partial centrality Σ_{s∈sources} δ(s,·) of the resident
 // topology on the simulated machine — every source of the graph when
 // sources is nil — chunking explicit source sets into Batch-sized sweeps.
-// Stationary working sets staged by earlier runs of this session are warm
-// cache hits: only the frontier matrices move.
+// Working sets staged by earlier runs of this session are warm hits: only
+// the frontier matrices move.
 func (s *DistSession) Run(sources []int32) (*DistResult, error) {
 	return s.RunCtx(context.Background(), sources)
 }
@@ -212,7 +193,7 @@ func (s *DistSession) RunCtx(ctx context.Context, sources []int32) (*DistResult,
 	mach := transportFor(s.p, s.opt)
 	pl := s.planner(mach, s.g)
 	out, err := sweepRegion(s, mach, scalarAlgebra(), []planner{pl}, []*sparse.CSR[float64]{s.adjCSR}, [][]bool{nil}, sources, nb,
-		func(_ *machine.Proc, rk *distRank) (a, at *distmat.Mat[float64]) { return rk.aMat, rk.atMat })
+		func(_ *machine.Proc, rk *distRank) (a, at *spgemm.Stationary[float64]) { return rk.a, rk.at })
 	if err != nil {
 		return nil, err
 	}
@@ -264,14 +245,14 @@ type regionOutcome struct {
 func sweepRegion[M multSided[M], C centSided[C], W any](
 	s *DistSession, mach machine.Transport, alg sweepAlgebra[M, C, W],
 	pls []planner, adj []*sparse.CSR[float64], in [][]bool, sources []int32, nb int,
-	stage func(*machine.Proc, *distRank) (a, at *distmat.Mat[W]),
+	stage func(*machine.Proc, *distRank) (a, at *spgemm.Stationary[W]),
 ) (*regionOutcome, error) {
 	n := s.g.N
 	out := &regionOutcome{bc: make([]float64, len(pls)*n)}
 	stats, err := mach.Run(func(proc *machine.Proc) {
 		world := proc.World()
 		rk := s.ranks[proc.Rank()]
-		sp := &sidePlans{sess: spgemm.NewSessionWithCache(proc, rk.cache), pls: pls, plans: make([]spgemm.Plan, len(pls))}
+		sp := &sidePlans{sess: spgemm.NewSession(proc), pls: pls, plans: make([]spgemm.Plan, len(pls))}
 		sp.sess.Workers = s.opt.Workers
 		// Deferred host-side Patch splice work is charged here, as local
 		// flops of the region that first benefits from the patched blocks.
@@ -297,7 +278,7 @@ func sweepRegion[M multSided[M], C centSided[C], W any](
 			// sums, and with them the rounding of the closing allreduce,
 			// group exactly as that side's scalar region would.
 			for side, plan := range sp.plans {
-				_, _, d := sp.sess.Dists(plan, z.Rows, n, n)
+				_, _, d := at.Dists(sp.sess, plan, z.Rows)
 				bc := acc[side*n : (side+1)*n]
 				distmat.ZipJoin(distmat.Redistribute(world, z, d), distmat.Redistribute(world, t, d),
 					func(_, j int32, zc C, tm M) { bc[j] += zc.Side(side).P * tm.Side(side).M })

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/graph"
+	"repro/internal/machine"
 	"repro/internal/spgemm"
 )
 
@@ -170,5 +171,53 @@ func TestSessionPatchMatchesReset(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestResetKeepsPendingPatchWork: the splice work a host-side Patch leaves
+// pending is charged by the next region even when a vertex-set change
+// rebuilds the operands before it runs — delta-patching is never free
+// compute.
+func TestResetKeepsPendingPatchWork(t *testing.T) {
+	g := graph.Grid2D(6, 6, 8, 31)
+	sess, err := NewDistSession(g, DistOptions{Procs: 4, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Run(nil); err != nil {
+		t.Fatal(err)
+	}
+	reweighted := g.Clone()
+	e := reweighted.Edges[0]
+	if err := reweighted.Apply(graph.Mutation{Op: graph.OpSetWeight, U: e.U, V: e.V, W: e.W + 1}); err != nil {
+		t.Fatal(err)
+	}
+	sess.Patch(reweighted, nil, []EdgeDiff{{U: e.U, V: e.V, W: e.W + 1, Present: true}})
+	var pending int64
+	for _, rk := range sess.ranks {
+		pending += rk.pendingFlops
+	}
+	if pending == 0 {
+		t.Fatal("the reweight left no splice work pending")
+	}
+	grown := reweighted.Clone()
+	if err := grown.Apply(graph.Mutation{Op: graph.OpAddVertex}); err != nil {
+		t.Fatal(err)
+	}
+	sess.Patch(grown, nil, nil) // a vertex-set change: Reset
+	res, err := sess.Run(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var charged int64
+	for _, ph := range res.Stats.Phases {
+		if ph.Name == machine.PhasePatch {
+			for _, c := range ph.PerProc {
+				charged += c.Flops
+			}
+		}
+	}
+	if charged != pending {
+		t.Fatalf("the region after Reset charged %d patch flops, %d were pending", charged, pending)
 	}
 }

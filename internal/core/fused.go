@@ -17,9 +17,9 @@
 //
 //	diff   — rank 0 scatters each rank's share of the edge diff (the only
 //	         modeled communication the patch itself needs)
-//	patch  — each rank splices its resident blocks (scalar, to advance the
-//	         session, and pair, to stage the fused operand) with the splice
-//	         charged as local γ-flops
+//	patch  — each rank lifts its resident operands into region-local pair
+//	         operands (spgemm.PairOf) and patches the resident ones to the
+//	         post-batch topology, the splice charged as local γ-flops
 //	sweep  — the two-sided MFBF/MFBr sweeps
 //	reduce — one concatenated allreduce of both sides' accumulators
 //
@@ -36,7 +36,6 @@ import (
 	"fmt"
 
 	"repro/internal/algebra"
-	"repro/internal/distmat"
 	"repro/internal/graph"
 	"repro/internal/machine"
 	"repro/internal/sparse"
@@ -110,39 +109,30 @@ func (s *DistSession) ApplyIncrementalCtx(ctx context.Context, oldSources []int3
 	plOld, plNew := s.planner(mach, oldG), s.planner(mach, newG)
 
 	// Rank 0's scatter payload: every rank's share of the edge diff (the
-	// diffs whose derived adjacency coordinates land on one of the rank's
-	// resident blocks). Prepared host-side from the pure ownership
-	// functions — the data the root node of a real machine would hold.
+	// diffs whose derived adjacency coordinates one of the rank's resident
+	// operands holds). Prepared host-side from rank 0's residents — the
+	// data the root node of a real machine would hold.
 	parts := s.diffShares(diffs, directed)
-	pairIDs := make([][2]uint64, s.p)
 
 	out, err := sweepRegion(s, mach, pairAlgebra(), []planner{plOld, plNew},
 		[]*sparse.CSR[float64]{oldAdj, newAdj}, [][]bool{inOld, inNew}, sources, nb,
-		func(proc *machine.Proc, rk *distRank) (aPair, atPair *distmat.Mat[algebra.WeightPair]) {
+		func(proc *machine.Proc, rk *distRank) (aPair, atPair *spgemm.Stationary[algebra.WeightPair]) {
 			// Receive this rank's diff share via the modeled collective.
 			proc.Phase(machine.PhaseDiff)
 			myDiffs := machine.Scatter(proc.World(), 0, parts)
 
-			// Stage the pair operands from resident blocks + diff, and advance
-			// the scalar residents to the post-batch topology, charging the
-			// splice work as local flops.
+			// Lift the pair operands from the residents + diff — before the
+			// patch, which they must not see — then advance the residents to
+			// the post-batch topology, charging the splice work as local flops.
 			proc.Phase(machine.PhasePatch)
+			rank := proc.Rank()
 			editsA := adjacencyEdits(directed, myDiffs, false)
 			editsAt := adjacencyEdits(directed, myDiffs, true)
-			aPair, atPair, ops := s.stagePairRank(rk, proc.Rank(), editsA, editsAt)
-			pairIDs[proc.Rank()] = [2]uint64{aPair.ID(), atPair.ID()}
-			proc.AddFlops(ops)
+			aPair, opsA := spgemm.PairOf(rk.a, rank, editsA)
+			atPair, opsAt := spgemm.PairOf(rk.at, rank, editsAt)
+			proc.AddFlops(opsA + opsAt + rk.a.Patch(rank, editsA) + rk.at.Patch(rank, editsAt))
 			return aPair, atPair
 		})
-	// The pair working sets are per-apply scratch: drop them, or every apply
-	// would leave a dead matrix's sets in the cache.
-	for r, rk := range s.ranks {
-		for _, id := range pairIDs[r] {
-			if id != 0 {
-				spgemm.DropMatrix(rk.cache, id)
-			}
-		}
-	}
 	if err != nil {
 		return nil, err
 	}
@@ -190,79 +180,25 @@ func unionSources(oldS, newS []int32, n int) ([]int32, []bool, []bool) {
 
 // diffShares computes, per destination rank, the subset of the edge diff
 // whose derived adjacency-matrix coordinates (for A or Aᵀ, both edge
-// orientations for undirected graphs) land on one of that rank's resident
-// blocks: the shard operands or any cached working set.
+// orientations for undirected graphs) some resident operand of that rank
+// holds. Rank 0's operands answer for every rank.
 func (s *DistSession) diffShares(diffs []EdgeDiff, directed bool) [][]EdgeDiff {
-	shard := distmat.DistShard(s.p)
 	parts := make([][]EdgeDiff, s.p)
-	// The ownership closures are hoisted once per (plan, dims) — the plan
-	// set is SPMD-identical across ranks, so rank 0's cache describes all.
-	ownsFor := func(plans []spgemm.PlanDims) []func(rank int, i, j int32) bool {
-		out := make([]func(rank int, i, j int32) bool, len(plans))
-		for i, pd := range plans {
-			out[i] = spgemm.StationaryOwnership(pd.Plan, pd.K, pd.N)
-		}
-		return out
-	}
-	ownsA := ownsFor(spgemm.CachedPlans(s.ranks[0].cache, s.ranks[0].aMat.ID()))
-	ownsAt := ownsFor(spgemm.CachedPlans(s.ranks[0].cache, s.ranks[0].atMat.ID()))
+	a, at := s.ranks[0].a, s.ranks[0].at
 	for _, d := range diffs {
 		coords := [][2]int32{{d.U, d.V}}
 		if !directed {
 			coords = append(coords, [2]int32{d.V, d.U})
 		}
 		for r := 0; r < s.p; r++ {
-			needed := false
 			for _, c := range coords {
 				// Both A's (i, j) and Aᵀ's (j, i) coordinates of this edge.
-				if shard.Owner(c[0], c[1]) == r || shard.Owner(c[1], c[0]) == r {
-					needed = true
+				if a.Holds(r, c[0], c[1]) || at.Holds(r, c[1], c[0]) {
+					parts[r] = append(parts[r], d)
 					break
 				}
-				for _, owns := range ownsA {
-					if owns(r, c[0], c[1]) {
-						needed = true
-						break
-					}
-				}
-				if needed {
-					break
-				}
-				for _, owns := range ownsAt {
-					if owns(r, c[1], c[0]) {
-						needed = true
-						break
-					}
-				}
-				if needed {
-					break
-				}
-			}
-			if needed {
-				parts[r] = append(parts[r], d)
 			}
 		}
 	}
 	return parts
-}
-
-// stagePairRank builds one rank's pair operands for the fused region and
-// advances its scalar residents to the post-batch topology. The pair lift
-// reads the pre-patch blocks, so it must (and does) run before the scalar
-// splice. Returns the pair matrices and the total local splice work.
-func (s *DistSession) stagePairRank(rk *distRank, rank int, editsA, editsAt []spgemm.StationaryEdit[float64]) (aPair, atPair *distmat.Mat[algebra.WeightPair], ops int64) {
-	shard := distmat.DistShard(s.p)
-	owned := func(i, j int32) bool { return shard.Owner(i, j) == rank }
-
-	lift := func(m *distmat.Mat[float64], edits []spgemm.StationaryEdit[float64]) *distmat.Mat[algebra.WeightPair] {
-		local := spgemm.PairSplice(m.Local, edits, owned)
-		ops += int64(len(local))
-		pair := &distmat.Mat[algebra.WeightPair]{Rows: m.Rows, Cols: m.Cols, Dist: m.Dist, Local: local}
-		ops += spgemm.StagePairStationary(rk.cache, rank, m.ID(), pair.ID(), edits)
-		return pair
-	}
-	aPair = lift(rk.aMat, editsA)
-	atPair = lift(rk.atMat, editsAt)
-	ops += s.patchRank(rk, rank, editsA, editsAt)
-	return aPair, atPair, ops
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -134,9 +135,8 @@ func TestFusedApplyMatchesTwoRegion(t *testing.T) {
 // fused region plans every multiplication per side from that side's own
 // frontier counts, so its results must be bit-identical to the scalar
 // two-region path — exactly as under forced plans. Every fused apply stages
-// pair working sets and drops them when its region ends, so however many
-// applies run, each rank's operand cache holds its scalar sets and nothing
-// else.
+// its pair working sets on region-local pair operands, so however many
+// applies run, each rank's residents hold the plans they held before.
 func TestFusedApplyMatchesTwoRegionAutoPlan(t *testing.T) {
 	g, g2, diffs, sources := fusedTestSetup(t, false)
 	undo := make([]EdgeDiff, len(diffs))
@@ -167,22 +167,82 @@ func TestFusedApplyMatchesTwoRegionAutoPlan(t *testing.T) {
 			}
 		}
 		// Toggle the edit back and forth: after each fused apply a rank's
-		// cache holds only the sets of its two scalar operands.
+		// residents hold the plans they held before it.
 		for k := 0; k < 4; k++ {
 			next, ds := g, undo
 			if k%2 == 1 {
 				next, ds = g2, diffs
 			}
+			before := residentPlans(sess)
 			if _, err := sess.ApplyIncremental(sources, next, nil, ds, sources); err != nil {
 				t.Fatal(err)
 			}
-			for r, rk := range sess.ranks {
-				scalar := len(spgemm.CachedPlans(rk.cache, rk.aMat.ID())) + len(spgemm.CachedPlans(rk.cache, rk.atMat.ID()))
-				if scalar == 0 || rk.cache.Len() != scalar {
-					t.Fatalf("p=%d after %d more fused applies: rank %d caches %d sets, %d of them scalar", p, k+1, r, rk.cache.Len(), scalar)
-				}
+			if after := residentPlans(sess); len(before[0]) == 0 || !reflect.DeepEqual(after, before) {
+				t.Fatalf("p=%d after %d more fused applies: residents hold plans %v, held %v", p, k+1, after, before)
 			}
 		}
+	}
+}
+
+// residentPlans lists, per rank and operand (A, then Aᵀ), the plans the
+// session's residents hold a working set for, among every plan of its size.
+func residentPlans(s *DistSession) [][]spgemm.Plan {
+	var out [][]spgemm.Plan
+	for _, rk := range s.ranks {
+		for _, b := range []*spgemm.Stationary[float64]{rk.a, rk.at} {
+			var held []spgemm.Plan
+			for _, f := range machine.Factorizations3(s.p) {
+				for _, x := range []spgemm.Role{spgemm.RoleA, spgemm.RoleB, spgemm.RoleC} {
+					for _, yz := range []spgemm.Variant{spgemm.VarAB, spgemm.VarAC, spgemm.VarBC} {
+						if plan := (spgemm.Plan{P1: f[0], P2: f[1], P3: f[2], X: x, YZ: yz}); b.Staged(plan) {
+							held = append(held, plan)
+						}
+					}
+				}
+			}
+			out = append(out, held)
+		}
+	}
+	return out
+}
+
+// TestFusedApplyKeepsResidentPlans: a plan the fused region first uses is
+// staged on the region's pair operands and dies with them. A session that
+// has run nothing holds no set, and still holds none after a fused apply
+// that multiplied; once a run has staged its residents, a fused apply
+// leaves them holding exactly those plans.
+func TestFusedApplyKeepsResidentPlans(t *testing.T) {
+	g, g2, diffs, sources := fusedTestSetup(t, true)
+	sess, err := NewDistSession(g, DistOptions{Procs: 4, Batch: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fused, err := sess.ApplyIncremental(sources, g2, nil, diffs, sources)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fused.Iterations == 0 {
+		t.Fatal("the fused region multiplied nothing")
+	}
+	for x, held := range residentPlans(sess) {
+		if len(held) != 0 {
+			t.Fatalf("resident %d kept the fused region's plans %v", x, held)
+		}
+	}
+	if _, err := sess.Run(nil); err != nil {
+		t.Fatal(err)
+	}
+	undo := make([]EdgeDiff, len(diffs))
+	for i, d := range diffs {
+		w, ok := g.FindEdge(d.U, d.V)
+		undo[i] = EdgeDiff{U: d.U, V: d.V, W: w, Present: ok}
+	}
+	before := residentPlans(sess)
+	if _, err := sess.ApplyIncremental(sources, g, nil, undo, sources); err != nil {
+		t.Fatal(err)
+	}
+	if after := residentPlans(sess); len(before[0]) == 0 || !reflect.DeepEqual(after, before) {
+		t.Fatalf("residents hold plans %v after the fused apply, held %v", after, before)
 	}
 }
 

@@ -29,9 +29,9 @@ func distributedT(t *testing.T, g *graph.Graph, sources []int32, opt DistOptions
 	var iters int
 	stats, err := mach.Run(func(proc *machine.Proc) {
 		rk := sess.ranks[proc.Rank()]
-		sp := &sidePlans{sess: spgemm.NewSessionWithCache(proc, rk.cache), pls: []planner{pl}, plans: make([]spgemm.Plan, 1)}
+		sp := &sidePlans{sess: spgemm.NewSession(proc), pls: []planner{pl}, plans: make([]spgemm.Plan, 1)}
 		sp.sess.Workers = opt.Workers
-		tm, it := sweepMFBF(sp, &sweepBufs[algebra.MultPath, algebra.CentPath]{index: &rk.index}, alg, rk.aMat, []*sparse.CSR[float64]{sess.adjCSR}, [][]bool{nil}, sources)
+		tm, it := sweepMFBF(sp, &sweepBufs[algebra.MultPath, algebra.CentPath]{index: &rk.index}, alg, rk.a, []*sparse.CSR[float64]{sess.adjCSR}, [][]bool{nil}, sources)
 		full := distmat.Gather(proc.World(), tm, alg.mult)
 		if proc.Rank() == 0 {
 			gathered, iters = full, it

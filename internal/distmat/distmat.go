@@ -9,7 +9,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sync/atomic"
 
 	"repro/internal/algebra"
 	"repro/internal/machine"
@@ -84,28 +83,13 @@ func DistShard(p int) Dist {
 // Mat is one processor's view of a distributed sparse matrix: the entries
 // the distribution assigns to this rank, kept sorted by (row, col) and
 // duplicate-free. A Mat is owned by a single rank goroutine; it is not
-// safe for concurrent use.
+// safe for concurrent use. It carries no identity: state derived from it,
+// such as a stationary operand's staged working sets, is held beside it
+// (spgemm.Stationary).
 type Mat[T any] struct {
 	Rows, Cols int
 	Dist       Dist
 	Local      []sparse.Entry[T]
-
-	id uint64 // process-unique identity, issued lazily by ID
-}
-
-// matIDs issues process-unique matrix identities; see (*Mat).ID.
-var matIDs atomic.Uint64
-
-// ID returns a process-unique identity for this matrix, issued on first
-// use. Unlike a formatted pointer (%p), an ID is never reused after the
-// matrix becomes garbage, so caches keyed by it cannot alias a dead matrix
-// whose address the allocator recycled. Called only by the owning rank
-// (Mat is rank-local, see type comment).
-func (m *Mat[T]) ID() uint64 {
-	if m.id == 0 {
-		m.id = matIDs.Add(1)
-	}
-	return m.id
 }
 
 // FromGlobal builds this rank's piece of a globally known COO matrix (the

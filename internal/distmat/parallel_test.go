@@ -78,23 +78,3 @@ func TestMergeSortedParallelIdenticalSlices(t *testing.T) {
 		}
 	}
 }
-
-// TestMatIDUniqueAndStable: distinct matrices get distinct IDs; an ID never
-// changes once issued.
-func TestMatIDUniqueAndStable(t *testing.T) {
-	seen := make(map[uint64]bool)
-	for i := 0; i < 100; i++ {
-		m := &Mat[float64]{Rows: 1, Cols: 1}
-		id := m.ID()
-		if id == 0 {
-			t.Fatal("ID() returned 0")
-		}
-		if seen[id] {
-			t.Fatalf("duplicate Mat ID %d", id)
-		}
-		seen[id] = true
-		if again := m.ID(); again != id {
-			t.Fatalf("ID changed between calls: %d then %d", id, again)
-		}
-	}
-}

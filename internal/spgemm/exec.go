@@ -2,7 +2,6 @@ package spgemm
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 	"sync/atomic"
@@ -14,12 +13,11 @@ import (
 	"repro/internal/sparse"
 )
 
-// Session is one processor's handle for distributed multiplications. Grid
-// construction is collective, so every processor must issue the same plan
-// sequence (guaranteed because plan selection is deterministic). The
-// session also caches stationary-operand working sets so that the
-// adjacency-matrix replication of MFBC is paid once and amortized over all
-// iterations and batches, as in the proof of Theorem 5.1.
+// Session is one processor's handle for distributed multiplications within
+// one machine region. Grid construction is collective, so every processor
+// must issue the same plan sequence (guaranteed because plan selection is
+// deterministic). What a rank keeps of a stationary operand across
+// multiplies and regions lives on the operand (Stationary), not here.
 type Session struct {
 	Proc *machine.Proc
 	// Workers is the shared-memory parallelism of this rank's local
@@ -37,101 +35,12 @@ type Session struct {
 
 	grids map[[3]int]*machine.Grid3
 	dists map[distsKey][3]distmat.Dist
-	cache *OperandCache
 }
 
 // distsKey identifies one multiplication shape under one plan.
 type distsKey struct {
 	plan    Plan
 	m, k, n int
-}
-
-// OperandCache holds one rank's stationary-operand working sets. It is
-// rank-local state that can outlive the Session (and the simulated-machine
-// run) that filled it: core's persistent distributed sessions hand the same
-// cache to a fresh Session on every region, so a stationary matrix staged
-// in one run is a warm hit — no redistribution, no fiber replication — in
-// the next. That extends the Theorem 5.1 once-per-run amortization across
-// the applies of an evolving-graph workload.
-//
-// The cache keeps every set it stages. That is bounded without an eviction
-// policy: a session holds two stationary matrices, k and n are its vertex
-// count (a vertex-set change rebuilds the session and its caches), and
-// plans come from a fixed candidate list — so a matrix has at most one set
-// per candidate plan. A fused region's pair sets are dropped by DropMatrix
-// when the region ends.
-//
-// Beside the sets it keeps the owner tables of their k and n dimensions,
-// bounded the same way: one per candidate plan's placement of each.
-type OperandCache struct {
-	sets   map[operandKey]*cachedOperand
-	owners ownerTables
-}
-
-// operandKey identifies one staged working set: the matrix (by its
-// process-unique ID, not its address — an address can be recycled by the
-// allocator after the matrix dies, which would silently alias the cache to
-// stale entries), the plan it was staged under, and B's dimensions k×n.
-type operandKey struct {
-	id   uint64
-	plan Plan
-	k, n int
-}
-
-// cachedOperand is one staged working set: what this rank holds after
-// redistribution (and, for RoleB fiber plans, replication) of the keyed
-// matrix, as a *stagedB of the matrix's entry type. PatchStationary keeps
-// it current when the matrix is edited in place.
-type cachedOperand struct {
-	operandKey
-	staged any
-}
-
-// NewOperandCache returns an empty stationary-operand cache.
-func NewOperandCache() *OperandCache {
-	return &OperandCache{sets: make(map[operandKey]*cachedOperand), owners: make(ownerTables)}
-}
-
-// Len returns the number of resident working sets.
-func (c *OperandCache) Len() int { return len(c.sets) }
-
-// DropMatrix removes every working set of matrix id: the pair operands a
-// fused region staged for one apply.
-func DropMatrix(c *OperandCache, id uint64) {
-	for key := range c.sets {
-		if key.id == id {
-			delete(c.sets, key)
-		}
-	}
-}
-
-// PlanDims identifies one staged working set of a matrix: the plan it was
-// staged under and B's dimensions.
-type PlanDims struct {
-	Plan Plan
-	K, N int
-}
-
-// CachedPlans lists the (plan, dims) working sets resident for matrix id,
-// sorted deterministically. Because every rank executes the same multiply
-// sequence, the list is identical across the ranks of a session.
-func CachedPlans(c *OperandCache, id uint64) []PlanDims {
-	var out []PlanDims
-	for key := range c.sets {
-		if key.id == id {
-			out = append(out, PlanDims{Plan: key.plan, K: key.k, N: key.n})
-		}
-	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Plan != out[b].Plan {
-			return out[a].Plan.String() < out[b].Plan.String()
-		}
-		if out[a].K != out[b].K {
-			return out[a].K < out[b].K
-		}
-		return out[a].N < out[b].N
-	})
-	return out
 }
 
 // workers resolves the Workers knob for this rank; see the field comment.
@@ -149,21 +58,9 @@ func (s *Session) workers() int {
 	return w
 }
 
-// NewSession creates a session for this processor with a fresh operand
-// cache.
+// NewSession creates a session for this processor.
 func NewSession(p *machine.Proc) *Session {
-	return NewSessionWithCache(p, NewOperandCache())
-}
-
-// NewSessionWithCache creates a session that adopts a previously filled
-// operand cache. Grids are always rebuilt (they embed the run's
-// communicators), but working sets staged by an earlier session over the
-// same matrices are reused without re-staging.
-func NewSessionWithCache(p *machine.Proc, c *OperandCache) *Session {
-	if c == nil {
-		c = NewOperandCache()
-	}
-	return &Session{Proc: p, grids: make(map[[3]int]*machine.Grid3), dists: make(map[distsKey][3]distmat.Dist), cache: c}
+	return &Session{Proc: p, grids: make(map[[3]int]*machine.Grid3), dists: make(map[distsKey][3]distmat.Dist)}
 }
 
 // Grid returns (building on first use) the p1×p2×p3 grid over the world.
@@ -262,8 +159,8 @@ func (key axisKey) table() []int32 {
 	return t
 }
 
-// ownerTables holds the owner tables of the k and n dimensions, which are
-// the vertex count for every multiply a resident operand cache serves, so
+// ownerTables holds the owner tables of a stationary operand's k and n
+// dimensions, which are the matrix's own for every multiply against it, so
 // that a region or an apply that starts a new Session builds none of them
 // again. The frontier's m dimension changes from batch to batch; its tables
 // are built per Session. A nil ownerTables builds every table afresh.
@@ -340,25 +237,11 @@ func dists(plan Plan, m, k, n int, tables ownerTables) (da, db, dc distmat.Dist)
 	return dist(RoleA), dist(RoleB), dist(RoleC)
 }
 
-// Dists is the package-level Dists, built once per (plan, dims) and kept
-// for the session: a sweep multiplies under the same few shapes every round.
-// Its k and n tables come from the operand cache.
-func (s *Session) Dists(plan Plan, m, k, n int) (da, db, dc distmat.Dist) {
-	key := distsKey{plan, m, k, n}
-	d, ok := s.dists[key]
-	if !ok {
-		da, db, dc = dists(plan, m, k, n, s.cache.owners)
-		d = [3]distmat.Dist{da, db, dc}
-		s.dists[key] = d
-	}
-	return d[0], d[1], d[2]
-}
-
 // Multiply computes the generalized product C = A •⟨add,f⟩ B according to
-// plan, where A's entries are C's values. The working set of B
-// (redistributed and, for RoleB plans, fiber-replicated) is cached in the
-// session keyed by B's identity, so repeated multiplications against the
-// same stationary matrix (MFBC's adjacency) pay its movement once.
+// plan, where A's entries are C's values. B's working set under plan
+// (redistributed and, for RoleB plans, fiber-replicated) is staged on b the
+// first time, so repeated multiplications against the same stationary
+// operand (MFBC's adjacency) pay its movement once.
 //
 // Where the caller passes acc, every product folds by column, a row at a
 // time, into acc's storage, which the caller keeps across products, and
@@ -379,21 +262,21 @@ func (s *Session) Dists(plan Plan, m, k, n int) (da, db, dc distmat.Dist) {
 // the screen from several goroutines at once.
 func Multiply[TC, TB any](
 	s *Session, plan Plan,
-	a *distmat.Mat[TC], b *distmat.Mat[TB],
+	a *distmat.Mat[TC], b *Stationary[TB],
 	f func(TC, TB) TC,
 	add algebra.Monoid[TC],
 	screen func(i, j int32, v TC) bool, acc *Accumulator[TC],
 ) *distmat.Mat[TC] {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("spgemm: dimension mismatch %dx%d * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
+	if a.Cols != b.m.Rows {
+		panic(fmt.Sprintf("spgemm: dimension mismatch %dx%d * %dx%d", a.Rows, a.Cols, b.m.Rows, b.m.Cols))
 	}
 	world := s.Proc.World()
 	if plan.Procs() != world.Size() {
 		panic(fmt.Sprintf("spgemm: plan %s does not tile %d processors", plan, world.Size()))
 	}
-	m, k, n := a.Rows, a.Cols, b.Cols
+	m, k, n := a.Rows, a.Cols, b.m.Cols
 	g := s.Grid(plan.P1, plan.P2, plan.P3)
-	da, db, dc := s.Dists(plan, m, k, n)
+	da, db, dc := b.Dists(s, plan, m)
 	workers := s.workers()
 
 	// Stage the A operand (moving in every variant). Replication gathers
@@ -404,21 +287,18 @@ func Multiply[TC, TB any](
 		aE = replicate(g.Fiber, aE)
 	}
 
-	// Stage the B operand, or find it in the cache. A rank owning no B
-	// entries legitimately caches an empty block, so a hit is decided by the
-	// map's ok flag: re-staging on an empty block would have that rank alone
+	// Stage the B operand, or find it staged on b. A rank owning no B
+	// entries legitimately holds an empty set, so a hit is decided by the
+	// map's ok flag: re-staging on an empty set would have that rank alone
 	// re-enter the fiber collectives and desync the simulated machine.
-	var sb *stagedB[TB]
-	key := operandKey{id: b.ID(), plan: plan, k: k, n: n}
-	if co, hit := s.cache.sets[key]; hit {
-		sb = co.staged.(*stagedB[TB])
-	} else {
-		bE := distmat.Redistribute(world, b, db).Local
+	sb, hit := b.sets[plan]
+	if !hit {
+		bE := distmat.Redistribute(world, b.m, db).Local
 		if plan.P1 > 1 && plan.X == RoleB {
 			bE = replicate(g.Fiber, bE)
 		}
 		sb = stageB(plan, k, n, s.Proc.Rank(), bE)
-		s.cache.sets[key] = &cachedOperand{operandKey: key, staged: sb}
+		b.sets[plan] = sb
 	}
 
 	r := layerRanges(plan, m, k, n, g.MyLayer)
@@ -461,162 +341,6 @@ func replicate[T any](fiber *machine.Comm, block []sparse.Entry[T]) []sparse.Ent
 	var out []sparse.Entry[T]
 	machine.AllgatherRecv(fiber, block, func(blocks [][]sparse.Entry[T]) { out = distmat.MergeDisjoint(blocks) })
 	return out
-}
-
-// StationaryEdit is one coordinate edit of a stationary operand: an upsert
-// of value V at (I, J), or — when Del is set — a deletion.
-type StationaryEdit[T any] struct {
-	I, J int32
-	V    T
-	Del  bool
-}
-
-// PatchStationary merges globally known coordinate edits (sorted by row,
-// then column, duplicate-free) into every cached working set of matrix id,
-// in place of invalidating and re-staging. For each set it recomputes,
-// from the cached plan, exactly which edits a full staging would have
-// landed on this rank — the plan's B distribution, widened to the whole
-// fiber group for RoleB-replicated plans — and splices them into the
-// resident sorted block. The patched set is entry-for-entry identical to
-// what Redistribute (+ fiber Allgather) of the edited matrix would
-// produce, but moves no simulated bytes: only the blocks a diff touches
-// change, so the stationary placement cost stays amortized across an
-// evolving-graph mutation stream.
-//
-// The merge rewrites the rank's local block (host-side O(local nnz), no
-// modeled communication; the returned operation count is what a faithful
-// region charges as local γ-flops — core's sessions defer it to the next
-// machine region or charge it inside the fused patch phase).
-func PatchStationary[T any](c *OperandCache, rank int, id uint64, edits []StationaryEdit[T]) int64 {
-	if c == nil || len(edits) == 0 {
-		return 0
-	}
-	var ops int64
-	for _, co := range c.sets {
-		if co.id != id {
-			continue
-		}
-		owns := stationaryOwnership(co.plan, co.k, co.n, c.owners)
-		out := Splice(co.staged.(*stagedB[T]).entries, edits, func(i, j int32) bool { return owns(rank, i, j) })
-		co.staged = stageB(co.plan, co.k, co.n, rank, out)
-		ops += int64(len(out))
-	}
-	return ops
-}
-
-// Splice merges the owned subset of sorted, duplicate-free edits into a
-// sorted, duplicate-free entry slice: upserts insert or replace, deletes
-// drop. The result is a fresh slice; cur is left as it was.
-func Splice[T any](cur []sparse.Entry[T], edits []StationaryEdit[T], owned func(i, j int32) bool) []sparse.Entry[T] {
-	out := make([]sparse.Entry[T], 0, len(cur)+len(edits))
-	x := 0
-	for _, ed := range edits {
-		if !owned(ed.I, ed.J) {
-			continue
-		}
-		for x < len(cur) && (cur[x].I < ed.I || (cur[x].I == ed.I && cur[x].J < ed.J)) {
-			out = append(out, cur[x])
-			x++
-		}
-		if x < len(cur) && cur[x].I == ed.I && cur[x].J == ed.J {
-			x++ // replaced by the upsert, or deleted
-		}
-		if !ed.Del {
-			out = append(out, sparse.Entry[T]{I: ed.I, J: ed.J, V: ed.V})
-		}
-	}
-	return append(out, cur[x:]...)
-}
-
-// StationaryOwnership returns the membership test of a staged stationary-B
-// working set under plan (with B dimensions k×n): whether a rank's set
-// holds coordinate (i, j). The plan's B distribution is hoisted once —
-// call this per (plan, dims) and reuse the closure across coordinates, as
-// the patch/stage hot paths do. Ownership is the B distribution widened to
-// the whole fiber group for plans that replicate B across layers. B's
-// distribution is independent of the frontier row count m for every plan
-// (only the k and n coordinates of a B entry are consulted), matching the
-// cache key's omission of m.
-func StationaryOwnership(plan Plan, k, n int) func(rank int, i, j int32) bool {
-	return stationaryOwnership(plan, k, n, nil)
-}
-
-func stationaryOwnership(plan Plan, k, n int, tables ownerTables) func(rank int, i, j int32) bool {
-	if plan.P1 > 1 && plan.X == RoleB {
-		// After replication a rank holds the union of its fiber group:
-		// every layer at the same inner grid position, which is what B's
-		// terms sum to before the layer hash is added.
-		row, col := ownerTerms(plan, 1, k, n, RoleB, tables)
-		inner := plan.P2 * plan.P3
-		return func(rank int, i, j int32) bool { return int(row[i]+col[j]) == rank%inner }
-	}
-	owner := owner(plan, 1, k, n, RoleB, tables)
-	return func(rank int, i, j int32) bool { return owner(i, j) == rank }
-}
-
-// PairSplice lifts a scalar stationary block into the pair operand of a
-// fused incremental region: each resident entry becomes {Old: w, New: w},
-// and the owned subset of the sorted new-side edits is spliced into the
-// New component — deletions mark the new side absent (∞), upserts replace
-// or insert it. The result is entry-for-entry what staging the old and
-// new matrices side by side would produce, built from resident data alone.
-func PairSplice(cur []sparse.Entry[float64], edits []StationaryEdit[float64], owned func(i, j int32) bool) []sparse.Entry[algebra.WeightPair] {
-	out := make([]sparse.Entry[algebra.WeightPair], 0, len(cur)+len(edits))
-	both := func(e sparse.Entry[float64]) sparse.Entry[algebra.WeightPair] {
-		return sparse.Entry[algebra.WeightPair]{I: e.I, J: e.J, V: algebra.WeightPair{Old: e.V, New: e.V}}
-	}
-	x := 0
-	for _, ed := range edits {
-		if !owned(ed.I, ed.J) {
-			continue
-		}
-		for x < len(cur) && (cur[x].I < ed.I || (cur[x].I == ed.I && cur[x].J < ed.J)) {
-			out = append(out, both(cur[x]))
-			x++
-		}
-		v := algebra.WeightPair{Old: algebra.Inf, New: algebra.Inf}
-		if x < len(cur) && cur[x].I == ed.I && cur[x].J == ed.J {
-			v.Old = cur[x].V
-			x++
-		}
-		if !ed.Del {
-			v.New = ed.V
-		}
-		if !math.IsInf(v.Old, 1) || !math.IsInf(v.New, 1) {
-			out = append(out, sparse.Entry[algebra.WeightPair]{I: ed.I, J: ed.J, V: v})
-		}
-	}
-	for ; x < len(cur); x++ {
-		out = append(out, both(cur[x]))
-	}
-	return out
-}
-
-// StagePairStationary registers, for every resident working set of the
-// scalar matrix srcID, a pair working set for matrix dstID under the same
-// (plan, dims) key, built by PairSplice from the resident entries and the
-// owned subset of the new-side edits. A fused region that pre-stages pairs
-// this way turns its pair multiplications into warm cache hits: no
-// redistribution, no fiber replication — only the diff moved. Returns the
-// local splice work in entry writes (the caller charges it as γ-flops).
-// Pair sets are transient; drop them after the region with DropMatrix.
-func StagePairStationary(c *OperandCache, rank int, srcID, dstID uint64, edits []StationaryEdit[float64]) int64 {
-	if c == nil {
-		return 0
-	}
-	var ops int64
-	for _, pd := range CachedPlans(c, srcID) {
-		plan, k, n := pd.Plan, pd.K, pd.N
-		src := c.sets[operandKey{id: srcID, plan: plan, k: k, n: n}]
-		owns := stationaryOwnership(plan, k, n, c.owners)
-		pair := PairSplice(src.staged.(*stagedB[float64]).entries, edits, func(i, j int32) bool {
-			return owns(rank, i, j)
-		})
-		dst := operandKey{id: dstID, plan: plan, k: k, n: n}
-		c.sets[dst] = &cachedOperand{operandKey: dst, staged: stageB(plan, k, n, rank, pair)}
-		ops += int64(len(pair))
-	}
-	return ops
 }
 
 // stageBounds returns the absolute [lo, hi) bounds of stage t over the
@@ -662,7 +386,7 @@ func bucketByStage[T any](es []sparse.Entry[T], s int, stageOf func(sparse.Entry
 // the rank's sorted block and the views derived from it. The views depend
 // on (plan, k, n, rank) and the entries alone — never on the frontier — so
 // they are built when the block is staged and rebuilt only when it is
-// edited (PatchStationary), not on every multiplication.
+// edited (Stationary.Patch), not on every multiplication.
 type stagedB[T any] struct {
 	entries []sparse.Entry[T]
 	// blocks[t] is what the rank holds of stage t: under VarAB the entries

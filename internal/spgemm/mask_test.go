@@ -66,11 +66,11 @@ func losersScreen[V, W any](c screenCase[V, W], block []sparse.Entry[V], vd *ver
 
 // rankOperands places c's frontier and adjacency on one rank of a region,
 // and returns them with the rank's block of c.t in plan's C distribution.
-func rankOperands[V, W any](proc *machine.Proc, s *Session, c screenCase[V, W], plan Plan) (*distmat.Mat[V], *distmat.Mat[W], []sparse.Entry[V]) {
+func rankOperands[V, W any](proc *machine.Proc, s *Session, c screenCase[V, W], plan Plan) (*distmat.Mat[V], *Stationary[W], []sparse.Entry[V]) {
 	p := plan.Procs()
 	a := distmat.FromGlobal(proc.Rank(), c.frontier, distmat.DistShard(p), c.add)
-	b := distmat.FromGlobal(proc.Rank(), c.adj, distmat.DistShard(p), c.edge)
-	_, _, dc := s.Dists(plan, a.Rows, a.Cols, b.Cols)
+	b := NewStationary(distmat.FromGlobal(proc.Rank(), c.adj, distmat.DistShard(p), c.edge))
+	_, _, dc := b.Dists(s, plan, a.Rows)
 	return a, b, distmat.FromGlobal(proc.Rank(), c.t.ToCOO(), dc, c.add).Local
 }
 

@@ -25,7 +25,7 @@ func checkPlanWorkers(t *testing.T, plan Plan, m, k, n int, seed int64, workers 
 			s := NewSession(proc)
 			s.Workers = workers
 			a := distmat.FromGlobal(proc.Rank(), cooA, distmat.DistShard(p), addF)
-			b := distmat.FromGlobal(proc.Rank(), cooB, distmat.DistRowBlock(p, k), addF)
+			b := NewStationary(distmat.FromGlobal(proc.Rank(), cooB, distmat.DistRowBlock(p, k), addF))
 			c := Multiply(s, plan, a, b, mulF, addF, nil, nil)
 			g := distmat.Gather(proc.World(), c, addF)
 			if proc.Rank() == 0 {
@@ -66,9 +66,9 @@ func TestMultiplyWorkersInvariant(t *testing.T) {
 	}
 }
 
-// TestCacheKeyDistinguishesMatrices: two different B matrices multiplied
-// through the same session must not alias each other's cached working set (the old %p key could, once the allocator reused an
-// address).
+// TestCacheKeyDistinguishesMatrices: two residents multiplied through one
+// session under one plan and shape must each be multiplied as themselves:
+// neither may find the other's staged working set.
 func TestCacheKeyDistinguishesMatrices(t *testing.T) {
 	plan := Plan{P1: 1, P2: 2, P3: 2, X: RoleA, YZ: VarAB}
 	const p = 4
@@ -88,8 +88,8 @@ func TestCacheKeyDistinguishesMatrices(t *testing.T) {
 	_, err := mach.Run(func(proc *machine.Proc) {
 		s := NewSession(proc)
 		da := distmat.FromGlobal(proc.Rank(), cooA, distmat.DistShard(p), addF)
-		db1 := distmat.FromGlobal(proc.Rank(), cooB1, distmat.DistShard(p), addF)
-		db2 := distmat.FromGlobal(proc.Rank(), cooB2, distmat.DistShard(p), addF)
+		db1 := NewStationary(distmat.FromGlobal(proc.Rank(), cooB1, distmat.DistShard(p), addF))
+		db2 := NewStationary(distmat.FromGlobal(proc.Rank(), cooB2, distmat.DistShard(p), addF))
 		c1 := Multiply(s, plan, da, db1, mulF, addF, nil, nil)
 		c2 := Multiply(s, plan, da, db2, mulF, addF, nil, nil) // same session, same shape, different B
 		g1 := distmat.Gather(proc.World(), c1, addF)
@@ -106,6 +106,6 @@ func TestCacheKeyDistinguishesMatrices(t *testing.T) {
 		t.Fatal("first cached multiply wrong")
 	}
 	if !sparse.Equal(want2, got2, eq) {
-		t.Fatal("second multiply hit the first matrix's cache entry")
+		t.Fatal("second multiply hit the first resident's working set")
 	}
 }

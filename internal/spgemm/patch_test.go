@@ -2,6 +2,7 @@ package spgemm
 
 import (
 	"cmp"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/distmat"
 	"repro/internal/machine"
+	"repro/internal/machine/sim"
 	"repro/internal/sparse"
 )
 
@@ -36,14 +38,28 @@ func stageForTest(plan Plan, rank, k, n int, global []sparse.Entry[float64]) []s
 	return out
 }
 
-// setFor builds the cache entry Multiply's staging path would insert for
-// matrix id under (plan, k×n) on rank.
-func setFor[T any](id uint64, plan Plan, k, n, rank int, entries []sparse.Entry[T]) *cachedOperand {
-	return &cachedOperand{operandKey: operandKey{id: id, plan: plan, k: k, n: n}, staged: stageB(plan, k, n, rank, entries)}
+// residentFor builds what rank holds of a k×n matrix with entries global
+// on a p-rank machine, staged under plans: its block in the shard
+// distribution, and the set Multiply's staging leaves under each plan.
+func residentFor(plans []Plan, p, rank, k, n int, global []sparse.Entry[float64]) *Stationary[float64] {
+	b := NewStationary(&distmat.Mat[float64]{Rows: k, Cols: n, Dist: distmat.DistShard(p), Local: shardOf(p, rank, global)})
+	for _, plan := range plans {
+		b.sets[plan] = stageB(plan, k, n, rank, stageForTest(plan, rank, k, n, global))
+	}
+	return b
 }
 
-// entriesOf returns a cached set's resident block.
-func entriesOf[T any](co *cachedOperand) []sparse.Entry[T] { return co.staged.(*stagedB[T]).entries }
+// shardOf returns rank's share of sorted entries in the shard distribution.
+func shardOf[T any](p, rank int, global []sparse.Entry[T]) []sparse.Entry[T] {
+	d := distmat.DistShard(p)
+	var out []sparse.Entry[T]
+	for _, e := range global {
+		if d.Owner(e.I, e.J) == rank {
+			out = append(out, e)
+		}
+	}
+	return out
+}
 
 func sortEntriesByCoord(e []sparse.Entry[float64]) {
 	for i := 1; i < len(e); i++ {
@@ -68,8 +84,33 @@ func TestPatchStationaryMatchesRestage(t *testing.T) {
 		{P1: 2, P2: 2, P3: 1, X: RoleC, YZ: VarBC}, // 3D, k split
 	}
 	const k, n = 17, 23
-	rng := rand.New(rand.NewSource(9))
-	var global []sparse.Entry[float64]
+	global, edits, newGlobal := editedMatrix(9, k, n)
+	for _, plan := range plans {
+		for rank := 0; rank < plan.Procs(); rank++ {
+			b := residentFor([]Plan{plan}, plan.Procs(), rank, k, n, global)
+			b.Patch(rank, edits)
+			got := b.sets[plan].entries
+			want := stageForTest(plan, rank, k, n, newGlobal)
+			if len(got) != len(want) {
+				t.Fatalf("%s rank %d: %d entries after patch, restage has %d", plan, rank, len(got), len(want))
+			}
+			for x := range want {
+				if got[x] != want[x] {
+					t.Fatalf("%s rank %d entry %d: patched %+v, restaged %+v", plan, rank, x, got[x], want[x])
+				}
+			}
+			if !slices.Equal(b.m.Local, shardOf(plan.Procs(), rank, newGlobal)) {
+				t.Fatalf("%s rank %d: patched block %+v is not the rank's shard of the edited matrix", plan, rank, b.m.Local)
+			}
+		}
+	}
+}
+
+// editedMatrix draws a k×n matrix of 60 entries, and edits that delete a
+// third of them, reweight another third and insert fresh coordinates. It
+// returns the matrix, the edits and the edited matrix, each sorted.
+func editedMatrix(seed int64, k, n int) (global []sparse.Entry[float64], edits []StationaryEdit[float64], newGlobal []sparse.Entry[float64]) {
+	rng := rand.New(rand.NewSource(seed))
 	seen := map[[2]int32]bool{}
 	for len(global) < 60 {
 		i, j := int32(rng.Intn(k)), int32(rng.Intn(n))
@@ -83,7 +124,6 @@ func TestPatchStationaryMatchesRestage(t *testing.T) {
 
 	// Edits: delete a third of the existing entries, reweight another
 	// third, insert fresh coordinates.
-	var edits []StationaryEdit[float64]
 	edited := map[[2]int32]*float64{}
 	for _, e := range global {
 		w := e.V
@@ -117,46 +157,11 @@ func TestPatchStationaryMatchesRestage(t *testing.T) {
 		}
 	}
 	sortEdits(edits)
-	var newGlobal []sparse.Entry[float64]
 	for key, w := range edited {
 		newGlobal = append(newGlobal, sparse.Entry[float64]{I: key[0], J: key[1], V: *w})
 	}
 	sortEntriesByCoord(newGlobal)
-
-	const matID = 7
-	for _, plan := range plans {
-		for rank := 0; rank < plan.Procs(); rank++ {
-			c := NewOperandCache()
-			co := setFor(matID, plan, k, n, rank, stageForTest(plan, rank, k, n, global))
-			c.sets[co.operandKey] = co
-			PatchStationary(c, rank, matID, edits)
-			got := entriesOf[float64](co)
-			want := stageForTest(plan, rank, k, n, newGlobal)
-			if len(got) != len(want) {
-				t.Fatalf("%s rank %d: %d entries after patch, restage has %d", plan, rank, len(got), len(want))
-			}
-			for x := range want {
-				if got[x] != want[x] {
-					t.Fatalf("%s rank %d entry %d: patched %+v, restaged %+v", plan, rank, x, got[x], want[x])
-				}
-			}
-		}
-	}
-}
-
-// TestPatchStationaryIgnoresOtherMatrices: edits keyed to one matrix id
-// must leave working sets of other matrices untouched.
-func TestPatchStationaryIgnoresOtherMatrices(t *testing.T) {
-	plan := Plan{P1: 1, P2: 1, P3: 2, X: RoleA, YZ: VarAB}
-	before := []sparse.Entry[float64]{{I: 0, J: 0, V: 1}, {I: 1, J: 1, V: 2}}
-	c := NewOperandCache()
-	other := setFor(3, plan, 4, 4, 0, append([]sparse.Entry[float64](nil), before...))
-	c.sets[other.operandKey] = other
-	PatchStationary(c, 0, 99, []StationaryEdit[float64]{{I: 0, J: 0, Del: true}})
-	got := entriesOf[float64](other)
-	if len(got) != len(before) || got[0] != before[0] || got[1] != before[1] {
-		t.Fatalf("patch for matrix 99 modified matrix 3's set: %+v", got)
-	}
+	return global, edits, newGlobal
 }
 
 // TestPairSpliceMatchesSideBySide: the pair lift of a stationary block must
@@ -172,7 +177,7 @@ func TestPairSpliceMatchesSideBySide(t *testing.T) {
 		{I: 3, J: 3, V: 7},      // insert in the tail
 		{I: 3, J: 4, Del: true}, // delete of a non-entry: no-op
 	}
-	got := PairSplice(cur, edits, func(i, j int32) bool { return true })
+	got := pairSplice(cur, edits, func(i, j int32) bool { return true })
 	inf := func() float64 { return algebra.Inf }
 	want := []sparse.Entry[algebra.WeightPair]{
 		{I: 0, J: 1, V: algebra.WeightPair{Old: 1.5, New: 1.5}},
@@ -191,7 +196,7 @@ func TestPairSpliceMatchesSideBySide(t *testing.T) {
 		}
 	}
 	// Ownership filter: nothing owned, nothing spliced, old entries lifted.
-	none := PairSplice(cur, edits, func(i, j int32) bool { return false })
+	none := pairSplice(cur, edits, func(i, j int32) bool { return false })
 	if len(none) != len(cur) {
 		t.Fatalf("unowned splice must keep the lifted base block, got %d entries", len(none))
 	}
@@ -202,10 +207,10 @@ func TestPairSpliceMatchesSideBySide(t *testing.T) {
 	}
 }
 
-// TestStagePairStationary: pair sets registered for every cached plan of
-// the source matrix, under the destination id, equal to a PairSplice of
-// each set with its own ownership filter; DropMatrix removes them and only
-// them.
+// TestStagePairStationary: PairOf lifts the block and every staged set of
+// the scalar resident, each equal to a pairSplice under its own ownership
+// filter, reports the entries it wrote, and leaves the scalar resident as
+// it was.
 func TestStagePairStationary(t *testing.T) {
 	plans := []Plan{
 		{P1: 1, P2: 2, P3: 2, X: RoleA, YZ: VarAB},
@@ -236,21 +241,23 @@ func TestStagePairStationary(t *testing.T) {
 		}
 	}
 	sortEdits(edits)
-	const srcID, dstID = 5, 6
-	for _, plan := range plans {
-		for rank := 0; rank < plan.Procs(); rank++ {
-			c := NewOperandCache()
-			staged := stageForTest(plan, rank, k, n, global)
-			src := setFor(srcID, plan, k, n, rank, staged)
-			c.sets[src.operandKey] = src
-			ops := StagePairStationary(c, rank, srcID, dstID, edits)
-			co, ok := c.sets[operandKey{id: dstID, plan: plan, k: k, n: n}]
+	const p = 4
+	for rank := 0; rank < p; rank++ {
+		b := residentFor(plans, p, rank, k, n, global)
+		before := residentFor(plans, p, rank, k, n, global)
+		pair, ops := PairOf(b, rank, edits)
+		wrote := len(pair.m.Local)
+		if want := pairSplice(b.m.Local, edits, b.inBlock(rank)); !slices.Equal(pair.m.Local, want) {
+			t.Fatalf("rank %d: pair block %+v, want %+v", rank, pair.m.Local, want)
+		}
+		for _, plan := range plans {
+			set, ok := pair.sets[plan]
 			if !ok {
-				t.Fatalf("%s rank %d: pair set not registered", plan, rank)
+				t.Fatalf("%s rank %d: pair set not staged", plan, rank)
 			}
-			got := entriesOf[algebra.WeightPair](co)
-			owns := StationaryOwnership(plan, k, n)
-			want := PairSplice(staged, edits, func(i, j int32) bool { return owns(rank, i, j) })
+			got := set.entries
+			owns := stationaryOwnership(plan, k, n, nil)
+			want := pairSplice(stageForTest(plan, rank, k, n, global), edits, func(i, j int32) bool { return owns(rank, i, j) })
 			if len(got) != len(want) {
 				t.Fatalf("%s rank %d: %d pair entries, want %d", plan, rank, len(got), len(want))
 			}
@@ -259,29 +266,28 @@ func TestStagePairStationary(t *testing.T) {
 					t.Fatalf("%s rank %d entry %d: %+v vs %+v", plan, rank, x, got[x], want[x])
 				}
 			}
-			if ops != int64(len(got)) {
-				t.Fatalf("%s rank %d: reported %d ops, wrote %d entries", plan, rank, ops, len(got))
-			}
-			DropMatrix(c, dstID)
-			if _, ok := c.sets[operandKey{id: dstID, plan: plan, k: k, n: n}]; ok {
-				t.Fatal("DropMatrix left the pair set resident")
-			}
-			if _, ok := c.sets[src.operandKey]; !ok {
-				t.Fatal("DropMatrix removed the scalar source set")
-			}
+			wrote += len(got)
+		}
+		if len(pair.sets) != len(plans) {
+			t.Fatalf("rank %d: %d pair sets for %d scalar sets", rank, len(pair.sets), len(plans))
+		}
+		if ops != int64(wrote) {
+			t.Fatalf("rank %d: reported %d ops, wrote %d entries", rank, ops, wrote)
+		}
+		if !slices.Equal(b.m.Local, before.m.Local) || !reflect.DeepEqual(b.sets, before.sets) {
+			t.Fatalf("rank %d: PairOf changed the scalar resident", rank)
 		}
 	}
 }
 
-// TestCachedViewsStayCoherent drives a cache through random sequences of
-// staging, PatchStationary, StagePairStationary and DropMatrix, and after
-// every step checks each resident set — block, stage buckets and row
-// offsets — against one staged from scratch out of an independent model of
-// the matrix. A view that outlives a patch multiplies against the
+// TestCachedViewsStayCoherent drives a resident through random sequences of
+// staging, Patch and PairOf, and after every step checks its block and each
+// of its sets — block, stage buckets and row offsets — against ones built
+// from scratch out of an independent model of the matrix, and likewise each
+// pair operand's. A view that outlives a patch multiplies against the
 // pre-patch matrix without any error: only the scores come out wrong. With
-// no eviction the cache stays bounded by the plans alone — a matrix holds
-// at most one set per plan at fixed dimensions — and DropMatrix leaves no
-// pair set behind.
+// no eviction the resident stays bounded by the plans alone, and a pair
+// operand holds exactly the resident's plans.
 func TestCachedViewsStayCoherent(t *testing.T) {
 	plans := []Plan{
 		{P1: 1, P2: 1, P3: 4, X: RoleA, YZ: VarAB},
@@ -293,10 +299,10 @@ func TestCachedViewsStayCoherent(t *testing.T) {
 		{P1: 2, P2: 1, P3: 2, X: RoleB, YZ: VarAC},
 		{P1: 2, P2: 2, P3: 1, X: RoleC, YZ: VarBC},
 	}
-	const k, n, srcID, dstID = 19, 21, 11, 12
+	const k, n, p = 19, 21, 4
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		for rank := 0; rank < 4; rank++ {
+		for rank := 0; rank < p; rank++ {
 			model := map[[2]int32]float64{}
 			for len(model) < 70 {
 				model[[2]int32{int32(rng.Intn(k)), int32(rng.Intn(n))}] = float64(1 + rng.Intn(9))
@@ -328,21 +334,17 @@ func TestCachedViewsStayCoherent(t *testing.T) {
 				})
 				return edits
 			}
-			c := NewOperandCache()
-			// check compares every resident set with a from-scratch staging:
-			// scalar sets of the model, pair sets of the model spliced with
-			// pairEdits.
-			check := func(step string, pairEdits []StationaryEdit[float64]) {
+			b := residentFor(nil, p, rank, k, n, global())
+			// check compares the resident with a from-scratch one of the
+			// model.
+			check := func(step string) {
 				t.Helper()
-				for key, co := range c.sets {
-					base := stageForTest(key.plan, rank, k, n, global())
-					var want any = stageB(key.plan, k, n, rank, base)
-					if key.id == dstID {
-						owns := StationaryOwnership(key.plan, k, n)
-						want = stageB(key.plan, k, n, rank, PairSplice(base, pairEdits, func(i, j int32) bool { return owns(rank, i, j) }))
-					}
-					if !reflect.DeepEqual(co.staged, want) {
-						t.Fatalf("seed %d rank %d after %s: set %+v diverged from a fresh staging\n got %+v\nwant %+v", seed, rank, step, key, co.staged, want)
+				if !slices.Equal(b.m.Local, shardOf(p, rank, global())) {
+					t.Fatalf("seed %d rank %d after %s: block diverged from the model's shard", seed, rank, step)
+				}
+				for plan, set := range b.sets {
+					if want := stageB(plan, k, n, rank, stageForTest(plan, rank, k, n, global())); !reflect.DeepEqual(set, want) {
+						t.Fatalf("seed %d rank %d after %s: set %s diverged from a fresh staging\n got %+v\nwant %+v", seed, rank, step, plan, set, want)
 					}
 				}
 			}
@@ -350,11 +352,10 @@ func TestCachedViewsStayCoherent(t *testing.T) {
 				switch rng.Intn(4) {
 				case 0: // a multiply under some plan: hit, or stage
 					plan := plans[rng.Intn(len(plans))]
-					key := operandKey{id: srcID, plan: plan, k: k, n: n}
-					if _, ok := c.sets[key]; !ok {
-						c.sets[key] = setFor(srcID, plan, k, n, rank, stageForTest(plan, rank, k, n, global()))
+					if !b.Staged(plan) {
+						b.sets[plan] = stageB(plan, k, n, rank, stageForTest(plan, rank, k, n, global()))
 					}
-					check("stage", nil)
+					check("stage")
 				case 1, 2:
 					edits := randomEdits()
 					for _, ed := range edits {
@@ -364,25 +365,77 @@ func TestCachedViewsStayCoherent(t *testing.T) {
 							model[[2]int32{ed.I, ed.J}] = ed.V
 						}
 					}
-					PatchStationary(c, rank, srcID, edits)
-					check("patch", nil)
-				case 3: // a fused region: pair sets staged, used, dropped
+					b.Patch(rank, edits)
+					check("patch")
+				case 3: // a fused region: the pair lift of every set
 					edits := randomEdits()
-					StagePairStationary(c, rank, srcID, dstID, edits)
-					if got, want := len(CachedPlans(c, dstID)), len(CachedPlans(c, srcID)); got != want {
+					pair, _ := PairOf(b, rank, edits)
+					if got, want := len(pair.sets), len(b.sets); got != want {
 						t.Fatalf("seed %d rank %d: %d pair sets for %d scalar sets", seed, rank, got, want)
 					}
-					check("pair staging", edits)
-					DropMatrix(c, dstID)
-					if got := len(CachedPlans(c, dstID)); got != 0 {
-						t.Fatalf("seed %d rank %d: %d pair sets survived DropMatrix", seed, rank, got)
+					for plan, set := range pair.sets {
+						owns := stationaryOwnership(plan, k, n, nil)
+						base := stageForTest(plan, rank, k, n, global())
+						want := stageB(plan, k, n, rank, pairSplice(base, edits, func(i, j int32) bool { return owns(rank, i, j) }))
+						if !b.Staged(plan) || !reflect.DeepEqual(set, want) {
+							t.Fatalf("seed %d rank %d: pair set %s diverged from a fresh staging\n got %+v\nwant %+v", seed, rank, plan, set, want)
+						}
 					}
-					check("drop", nil)
+					check("pair staging")
 				}
-				if got := len(CachedPlans(c, srcID)); got > len(plans) {
+				if got := len(b.sets); got > len(plans) {
 					t.Fatalf("seed %d rank %d: %d sets resident for %d plans", seed, rank, got, len(plans))
 				}
 			}
+		}
+	}
+}
+
+// TestPatchedStationaryMultipliesAsFresh: a resident staged under a plan,
+// then patched, then multiplied, gives the product of one built fresh from
+// the edited matrix — by rank, entry for entry — and holds that one's block
+// and set, under every plan TestCachedViewsStayCoherent draws from.
+func TestPatchedStationaryMultipliesAsFresh(t *testing.T) {
+	plans := []Plan{
+		{P1: 1, P2: 1, P3: 4, X: RoleA, YZ: VarAB},
+		{P1: 1, P2: 2, P3: 2, X: RoleA, YZ: VarAB},
+		{P1: 1, P2: 2, P3: 2, X: RoleA, YZ: VarAC},
+		{P1: 1, P2: 2, P3: 2, X: RoleA, YZ: VarBC},
+		{P1: 4, P2: 1, P3: 1, X: RoleA, YZ: VarAB},
+		{P1: 4, P2: 1, P3: 1, X: RoleB, YZ: VarAB},
+		{P1: 2, P2: 1, P3: 2, X: RoleB, YZ: VarAC},
+		{P1: 2, P2: 2, P3: 1, X: RoleC, YZ: VarBC},
+	}
+	const m, k, n, p = 9, 17, 23, 4
+	global, edits, newGlobal := editedMatrix(5, k, n)
+	coo := func(es []sparse.Entry[float64]) *sparse.COO[float64] {
+		out := sparse.NewCOO[float64](k, n)
+		for _, e := range es {
+			out.Append(e.I, e.J, e.V)
+		}
+		return out
+	}
+	cooA, cooB, cooFresh := randomCOO(m, k, 0.3, 6), coo(global), coo(newGlobal)
+	for _, plan := range plans {
+		_, err := sim.New(p).Run(func(proc *machine.Proc) {
+			s := NewSession(proc)
+			rank := proc.Rank()
+			a := distmat.FromGlobal(rank, cooA, distmat.DistShard(p), addF)
+			b := NewStationary(distmat.FromGlobal(rank, cooB, distmat.DistShard(p), addF))
+			Multiply(s, plan, a, b, mulF, addF, nil, nil)
+			b.Patch(rank, edits)
+			got := Multiply(s, plan, a, b, mulF, addF, nil, nil)
+			fresh := NewStationary(distmat.FromGlobal(rank, cooFresh, distmat.DistShard(p), addF))
+			want := Multiply(s, plan, a, fresh, mulF, addF, nil, nil)
+			if !slices.Equal(got.Local, want.Local) {
+				panic(fmt.Sprintf("%s rank %d: patched product %v, fresh %v", plan, rank, got.Local, want.Local))
+			}
+			if !slices.Equal(b.m.Local, fresh.m.Local) || !reflect.DeepEqual(b.sets, fresh.sets) {
+				panic(fmt.Sprintf("%s rank %d: patched resident differs from a fresh one", plan, rank))
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -100,8 +100,8 @@ func ownerByDefinition(plan Plan, m, k, n int, role Role, i, j int32) int {
 // every rank. Besides a shape larger than every part count, a 6-row
 // frontier — a fused apply's few dirty sources — and a shape with every
 // dimension below 12 stages leave some parts, and some layers' parts,
-// empty. The tables are built afresh, and drawn from one cache across every
-// plan and shape, as a resident operand cache serves them.
+// empty. The tables are built afresh, and drawn from one set kept across
+// every plan and shape, as a stationary operand keeps its own across plans.
 func TestDistsPartitionCoordinates(t *testing.T) {
 	cached := make(ownerTables)
 	for _, tables := range []ownerTables{nil, cached} {

@@ -185,8 +185,8 @@ func screenedProduct[V, W any](
 		s := NewSession(proc)
 		s.Workers = workers
 		a := distmat.FromGlobal(proc.Rank(), c.frontier, distmat.DistShard(p), c.add)
-		b := distmat.FromGlobal(proc.Rank(), c.adj, distmat.DistShard(p), c.edge)
-		_, _, dc := s.Dists(plan, a.Rows, a.Cols, b.Cols)
+		b := NewStationary(distmat.FromGlobal(proc.Rank(), c.adj, distmat.DistShard(p), c.edge))
+		_, _, dc := b.Dists(s, plan, a.Rows)
 		block := distmat.FromGlobal(proc.Rank(), tCOO, dc, c.add).Local
 		prod := Multiply(s, plan, a, b, c.f, c.add, screenOver(block), nil)
 		for _, e := range prod.Local {

@@ -47,7 +47,7 @@ func checkPlan(t *testing.T, plan Plan, m, k, n int, seed int64) {
 	_, err := mach.Run(func(proc *machine.Proc) {
 		s := NewSession(proc)
 		a := distmat.FromGlobal(proc.Rank(), cooA, distmat.DistShard(p), addF)
-		b := distmat.FromGlobal(proc.Rank(), cooB, distmat.DistRowBlock(p, k), addF)
+		b := NewStationary(distmat.FromGlobal(proc.Rank(), cooB, distmat.DistRowBlock(p, k), addF))
 		c := Multiply(s, plan, a, b, mulF, addF, nil, nil)
 		results[proc.Rank()] = distmat.Gather(proc.World(), c, addF)
 	})
@@ -130,7 +130,7 @@ func TestMultiplyEmptyOperand(t *testing.T) {
 		s := NewSession(proc)
 		a := &distmat.Mat[float64]{Rows: 10, Cols: 10, Dist: distmat.DistShard(4)}
 		cooB := randomCOO(10, 10, 0.3, 5)
-		b := distmat.FromGlobal(proc.Rank(), cooB, distmat.DistShard(4), addF)
+		b := NewStationary(distmat.FromGlobal(proc.Rank(), cooB, distmat.DistShard(4), addF))
 		c := Multiply(s, plan, a, b, mulF, addF, nil, nil)
 		if got := distmat.GlobalNNZ(proc.World(), c); got != 0 {
 			panic(fmt.Sprintf("empty * B produced %d nonzeros", got))
@@ -152,7 +152,7 @@ func TestMultiplyCachedStationary(t *testing.T) {
 	_, err := mach.Run(func(proc *machine.Proc) {
 		s := NewSession(proc)
 		a := distmat.FromGlobal(proc.Rank(), cooA, distmat.DistShard(4), addF)
-		b := distmat.FromGlobal(proc.Rank(), cooB, distmat.DistShard(4), addF)
+		b := NewStationary(distmat.FromGlobal(proc.Rank(), cooB, distmat.DistShard(4), addF))
 		pre := proc.Cost()
 		c1 := Multiply(s, plan, a, b, mulF, addF, nil, nil)
 		mid := proc.Cost()
