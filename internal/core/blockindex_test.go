@@ -177,8 +177,8 @@ func checkIndexedBackward[M multSided[M], C interface {
 	if !slices.Equal(counts, wantCounts) {
 		t.Fatalf("seed %d: counts screen kept\n  %v\nwant\n  %v", seed, counts, wantCounts)
 	}
-	z, leaves := buildZSided(bc.tm, counts, 0, nil)
-	zRef, _ := buildZSided(bc.tm, wantCounts, 0, nil)
+	z, leaves := buildZSided(nil, bc.tm, counts, 0, nil)
+	zRef, _ := buildZSided(nil, bc.tm, wantCounts, 0, nil)
 	frontier := collectFrontierSided(nil, z, bc.tm, leaves, czero)
 	if want := scanCollect(zRef, bc.tm, czero); !slices.Equal(frontier, want) {
 		t.Fatalf("seed %d: first frontier from the leaves\n  %v\nwant\n  %v", seed, frontier, want)

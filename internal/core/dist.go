@@ -86,7 +86,7 @@ func ChoosePlan(g *graph.Graph, p, nb int, model machine.CostModel, cons spgemm.
 	pl := planner{
 		p: p, n: g.N, adjNNZ: nnzAdj, model: model, cons: cons,
 	}
-	return pl.planFor(nb, int64(float64(nb)*avgDeg), multpathBytes)
+	return pl.planFor(nil, nb, int64(float64(nb)*avgDeg), multpathBytes)
 }
 
 // planner mirrors CTF's mapping framework: every multiplication is planned
@@ -103,7 +103,10 @@ type planner struct {
 	forced *spgemm.Plan
 }
 
-func (pl planner) planFor(rows int, nnzA int64, bytesA int64) spgemm.Plan {
+// planFor returns the plan of a rows-row frontier product with nnzA
+// entries of bytesA wire bytes each. With a memo (nil = none) it looks the
+// search up there first and records what it searched.
+func (pl planner) planFor(memo *planMemo, rows int, nnzA int64, bytesA int64) spgemm.Plan {
 	if pl.forced != nil {
 		return *pl.forced
 	}
@@ -115,8 +118,36 @@ func (pl planner) planFor(rows int, nnzA int64, bytesA int64) spgemm.Plan {
 		BytesB: weightBytes,
 		BytesC: bytesA,
 	}
-	return spgemm.Search(pl.p, pr, pl.model, pl.cons)
+	if memo == nil {
+		return spgemm.Search(pl.p, pr, pl.model, pl.cons)
+	}
+	key := planKey{pl.p, pr, pl.model, pl.cons}
+	plan, ok := (*memo)[key]
+	if !ok {
+		if *memo == nil || len(*memo) >= maxMemoPlans {
+			*memo = make(planMemo)
+		}
+		plan = spgemm.Search(pl.p, pr, pl.model, pl.cons)
+		(*memo)[key] = plan
+	}
+	return plan
 }
+
+// planMemo holds the plans one rank has searched for, keyed on everything
+// spgemm.Search reads, so a hit is the plan the search would return and a
+// rank that keeps one across regions searches each problem once. Frontier
+// sizes make the problems of a long session unbounded in number, so a memo
+// that reaches maxMemoPlans starts over.
+type planMemo map[planKey]spgemm.Plan
+
+type planKey struct {
+	p     int
+	pr    spgemm.Problem
+	model machine.CostModel
+	cons  spgemm.Constraint
+}
+
+const maxMemoPlans = 1 << 12
 
 // MFBCDistributed computes betweenness centrality on the simulated
 // distributed machine. It is the one-shot form of a DistSession: operands
@@ -206,6 +237,7 @@ type sidePlans struct {
 	pls   []planner     // one per side
 	plans []spgemm.Plan // each side's latest plan
 	split int           // products executed once per side because plans diverged
+	memo  *planMemo     // the rank's searched plans
 }
 
 // sideNNZ counts, with one small allreduce, the entries live on each side:
@@ -258,7 +290,7 @@ func mulPerSide[T algebra.Sided[T, E], E, W any](
 	lead, split := len(nnz)-1, false
 	for s := lead; s >= 0; s-- {
 		if nnz[s] > 0 || all {
-			sp.plans[s] = sp.pls[s].planFor(frontier.Rows, nnz[s], bytes)
+			sp.plans[s] = sp.pls[s].planFor(sp.memo, frontier.Rows, nnz[s], bytes)
 		}
 		if nnz[s] > 0 {
 			split = split || (nnz[lead] > 0 && sp.plans[s] != sp.plans[lead])
@@ -310,21 +342,47 @@ func seedFrontier[M multSided[M]](zero M, adj []*sparse.CSR[float64], in [][]boo
 	return init
 }
 
-// sweepBufs is the storage one rank's sweeps reuse across the rounds and
-// batches of a region, so that a round allocates in proportion to its
-// frontier and not to T: the ping-pong pair T accumulates in, the backward
-// frontier's scratch and the Z positions it is collected from, the
-// accumulators the screened forward and backward products fold into, and
-// the rank's position table over its block of T, which outlives the region.
-// (Z is folded in place, and the per-round filter and screens compact the
-// product they are handed.)
+// sweepBufs is the storage one rank's sweeps of one instantiation reuse
+// across the rounds and batches of a region and across the regions of a
+// session (distRank keeps it), so that a round allocates in proportion to
+// its frontier and not to T, and a region in proportion to what it newly
+// produces: the ping-pong pair T accumulates in, Z and the child-count
+// operand, the backward frontier's scratch and the Z positions it is
+// collected from, the accumulators the screened forward and backward
+// products fold into, and the rank's position table over its block of T.
+// T and Z move between distributions through storage of their own. Every
+// batch writes over what the last one left: each use starts its slice at
+// length 0. (Z is folded in place, and the per-round filter and screens
+// compact the product they are handed.)
 type sweepBufs[M, C any] struct {
 	t        distmat.Accumulator[M]
+	movedT   moves[M]
+	movedZ   moves[C]
+	z, ones  []sparse.Entry[C]
 	frontier []sparse.Entry[C]
 	ready    []int32
 	fwd      spgemm.Accumulator[M]
 	back     spgemm.Accumulator[C]
-	index    *blockIndex
+	index    blockIndex
+}
+
+// moves is the storage one matrix of a sweep is redistributed into
+// (distmat.RedistributeInto): two buffers, written alternately, so that a
+// move never writes over the matrix it moves when that matrix is where the
+// last move left it. Only the last move's result may still be in use.
+type moves[T any] struct {
+	bufs [2][]sparse.Entry[T]
+	next int
+}
+
+// move redistributes m to `to`, merging what arrives into the next buffer.
+func (mv *moves[T]) move(c *machine.Comm, m *distmat.Mat[T], to distmat.Dist) *distmat.Mat[T] {
+	buf := &mv.bufs[mv.next]
+	res := distmat.RedistributeInto(c, m, to, buf)
+	if len(res.Local) > 0 && len(*buf) > 0 && &res.Local[0] == &(*buf)[0] {
+		mv.next ^= 1
+	}
+	return res
 }
 
 // blockIndex is a dense position table over the bounding box of one rank's
@@ -384,9 +442,9 @@ func sweepMFBF[M multSided[M], C, W any](
 	frontier := t
 	// T grows every round, so every multiply re-indexes it.
 	align := func(d distmat.Dist) func(i, j int32, v M) bool {
-		t = distmat.Redistribute(world, t, d)
-		indexBlock(buf.index, t.Local)
-		return screenAgainst(t.Local, buf.index)
+		t = buf.movedT.move(world, t, d)
+		indexBlock(&buf.index, t.Local)
+		return screenAgainst(t.Local, &buf.index)
 	}
 	for iters := 0; ; iters++ {
 		ext, ok := mulPerSide(sp, false, multpathBytes, frontier, a, alg.bf, alg.mult, algebra.MultPathIsZero, align, &buf.fwd)
@@ -421,14 +479,14 @@ func sweepMFBr[M multSided[M], C centSided[C], W any](
 	// moves to another distribution.
 	var indexed *distmat.Mat[M]
 	moveT := func(d distmat.Dist) {
-		if t = distmat.Redistribute(world, t, d); t != indexed {
-			indexBlock(buf.index, t.Local)
+		if t = buf.movedT.move(world, t, d); t != indexed {
+			indexBlock(&buf.index, t.Local)
 			indexed = t
 		}
 	}
 	align := func(d distmat.Dist) func(i, j int32, v C) bool {
 		moveT(d)
-		return maskAgainst[M, C](t.Local, buf.index)
+		return maskAgainst[M, C](t.Local, &buf.index)
 	}
 	mul := func(frontier *distmat.Mat[C], all bool) (*distmat.Mat[C], bool) {
 		return mulPerSide(sp, all, centpathBytes, frontier, at, alg.br, alg.cent, algebra.CentPathIsZero, align, &buf.back)
@@ -440,13 +498,13 @@ func sweepMFBr[M multSided[M], C centSided[C], W any](
 	// Child counting: one product of the full T pattern with Aᵀ — much
 	// denser than any frontier product, so it gets its own plan. The DAG's
 	// leaves, found while Z is built, are the first frontier.
-	ones, _ := buildZSided[M, C](t.Local, nil, 1, nil)
-	p, _ := mul(mat(t.Dist, ones), true)
+	buf.ones, _ = buildZSided[M, C](buf.ones, t.Local, nil, 1, nil)
+	p, _ := mul(mat(t.Dist, buf.ones), true)
 	moveT(p.Dist)
 	// A pass records each position of T at most once, so |T| bounds ready.
-	counts, ready := screenCentSided(p.Local, t.Local, buf.index, slices.Grow(buf.ready[:0], len(t.Local)))
-	zl, ready := buildZSided(t.Local, counts, 0, ready[:0])
-	z := mat(t.Dist, zl)
+	counts, ready := screenCentSided(p.Local, t.Local, &buf.index, slices.Grow(buf.ready[:0], len(t.Local)))
+	buf.z, ready = buildZSided(buf.z, t.Local, counts, 0, ready[:0])
+	z := mat(t.Dist, buf.z)
 	for iters := 0; ; iters++ {
 		buf.frontier = collectFrontierSided(buf.frontier[:0], z.Local, t.Local, ready, alg.cent.Identity)
 		p, ok := mul(mat(z.Dist, buf.frontier), false)
@@ -460,9 +518,9 @@ func sweepMFBr[M multSided[M], C centSided[C], W any](
 		// Keep Z and T aligned with the product's distribution; the
 		// positions folded into are where the next frontier can come from.
 		moveT(p.Dist)
-		z = distmat.Redistribute(world, z, p.Dist)
+		z = buf.movedZ.move(world, z, p.Dist)
 		var kept []sparse.Entry[C]
-		kept, ready = screenCentSided(p.Local, t.Local, buf.index, ready[:0])
+		kept, ready = screenCentSided(p.Local, t.Local, &buf.index, ready[:0])
 		foldInto(z.Local, kept, ready, alg.cent.Op)
 	}
 }
@@ -632,12 +690,13 @@ func screenCentSided[C centSided[C], M multSided[M]](p []sparse.Entry[C], t []sp
 	return out, where
 }
 
-// buildZSided lifts the T pattern to centpaths: every live T component appears
-// as (T.w, 0, c) with c its screened child count — the number of its
-// shortest-path-DAG children — plus base. It appends to leaves the position
-// of every entry with a live component whose c is 0.
-func buildZSided[M multSided[M], C centSided[C]](t []sparse.Entry[M], counts []sparse.Entry[C], base int64, leaves []int32) ([]sparse.Entry[C], []int32) {
-	out := make([]sparse.Entry[C], 0, len(t))
+// buildZSided lifts the T pattern to centpaths, written over dst (dst[:0],
+// grown as needed): every live T component appears as (T.w, 0, c) with c
+// its screened child count — the number of its shortest-path-DAG children
+// — plus base. It appends to leaves the position of every entry with a
+// live component whose c is 0.
+func buildZSided[M multSided[M], C centSided[C]](dst []sparse.Entry[C], t []sparse.Entry[M], counts []sparse.Entry[C], base int64, leaves []int32) ([]sparse.Entry[C], []int32) {
+	out := slices.Grow(dst[:0], len(t))
 	y, hit := 0, false
 	for k, e := range t {
 		y, hit = seek(counts, y, e)

@@ -48,14 +48,32 @@ type DistSession struct {
 }
 
 // distRank is one simulated rank's persistent state: its stationary
-// operands and the storage of the position table its sweeps find T through.
+// operands, and the storage its regions reuse — the rank's machine scratch
+// store (every Proc of the rank runs on it, so Redistribute's send storage
+// and Multiply's A placement outlive the region), its sweeps' buffers, one
+// per sweep instantiation, and the plans it has already searched for.
+// Only the rank's own goroutine touches any of it, and the session's
+// regions run one after another.
 type distRank struct {
 	a, at *spgemm.Stationary[float64]
-	index blockIndex
 	// pendingFlops is the local splice work of host-side Patch calls not
 	// yet charged to the model; the next region charges it as γ-flops in
 	// its "patch" phase, so delta-patching is never free compute.
 	pendingFlops int64
+
+	store  machine.Store
+	scalar sweepBufs[algebra.MultPath, algebra.CentPath]
+	pair   sweepBufs[algebra.MultPathPair, algebra.CentPathPair]
+	plans  planMemo
+}
+
+// bufs returns the rank's sweep buffers of one instantiation: scalar (Run)
+// or pair (ApplyIncremental).
+func bufs[M, C any](rk *distRank) *sweepBufs[M, C] {
+	if b, ok := any(&rk.scalar).(*sweepBufs[M, C]); ok {
+		return b
+	}
+	return any(&rk.pair).(*sweepBufs[M, C])
 }
 
 // NewDistSession validates g and builds the resident operands for
@@ -80,25 +98,25 @@ func NewDistSession(g *graph.Graph, opt DistOptions) (*DistSession, error) {
 }
 
 // install (re)builds every rank's operands from the global topology, with
-// no working set staged. Splice work still pending from earlier Patch calls
-// carries over: the next region charges it all the same.
+// no working set staged. The rest of the rank carries over: splice work
+// still pending from earlier Patch calls, which the next region charges all
+// the same, and the storage its regions reuse.
 func (s *DistSession) install(g *graph.Graph, adjCSR *sparse.CSR[float64]) {
 	trop := algebra.TropicalMonoid()
 	adjCOO := adjCSR.ToCOO()
 	atCOO := sparse.Transpose(adjCSR).ToCOO()
 	shard := distmat.DistShard(s.p)
 	s.g, s.adjCSR = g, adjCSR
-	ranks := make([]*distRank, s.p)
-	for r := range ranks {
-		ranks[r] = &distRank{
-			a:  spgemm.NewStationary(distmat.FromGlobal(r, adjCOO, shard, trop)),
-			at: spgemm.NewStationary(distmat.FromGlobal(r, atCOO, shard, trop)),
-		}
-		if s.ranks != nil {
-			ranks[r].pendingFlops = s.ranks[r].pendingFlops
+	if s.ranks == nil {
+		s.ranks = make([]*distRank, s.p)
+		for r := range s.ranks {
+			s.ranks[r] = new(distRank)
 		}
 	}
-	s.ranks = ranks
+	for r, rk := range s.ranks {
+		rk.a = spgemm.NewStationary(distmat.FromGlobal(r, adjCOO, shard, trop))
+		rk.at = spgemm.NewStationary(distmat.FromGlobal(r, atCOO, shard, trop))
+	}
 }
 
 // Graph returns the topology the resident operands currently encode.
@@ -200,7 +218,7 @@ func (s *DistSession) RunCtx(ctx context.Context, sources []int32) (*DistResult,
 	recordRegionSpan(ctx, "run", s.p, out)
 	// The representative plan reported back: the one a typical frontier
 	// product gets (individual operations may choose differently).
-	plan := pl.planFor(nb, int64(float64(nb)*s.g.AvgDegree()), multpathBytes)
+	plan := pl.planFor(nil, nb, int64(float64(nb)*s.g.AvgDegree()), multpathBytes)
 	return &DistResult{BC: out.bc, Plan: plan, Stats: out.stats, Iterations: out.iters, Batches: out.batches}, nil
 }
 
@@ -252,7 +270,8 @@ func sweepRegion[M multSided[M], C centSided[C], W any](
 	stats, err := mach.Run(func(proc *machine.Proc) {
 		world := proc.World()
 		rk := s.ranks[proc.Rank()]
-		sp := &sidePlans{sess: spgemm.NewSession(proc), pls: pls, plans: make([]spgemm.Plan, len(pls))}
+		proc.UseStore(&rk.store)
+		sp := &sidePlans{sess: spgemm.NewSession(proc), pls: pls, plans: make([]spgemm.Plan, len(pls)), memo: &rk.plans}
 		sp.sess.Workers = s.opt.Workers
 		// Deferred host-side Patch splice work is charged here, as local
 		// flops of the region that first benefits from the patched blocks.
@@ -265,7 +284,7 @@ func sweepRegion[M multSided[M], C centSided[C], W any](
 
 		proc.Phase(machine.PhaseSweep)
 		acc := make([]float64, len(pls)*n)
-		buf := &sweepBufs[M, C]{index: &rk.index}
+		buf := bufs[M, C](rk)
 		iters, batches := 0, 0
 		for _, batch := range batchList(n, nb, sources) {
 			batches++

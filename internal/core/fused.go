@@ -140,7 +140,7 @@ func (s *DistSession) ApplyIncrementalCtx(ctx context.Context, oldSources []int3
 	recordRegionSpan(ctx, "fused-apply", s.p, out)
 	return &IncrementalResult{
 		OldBC: out.bc[:n:n], NewBC: out.bc[n:],
-		Plan:  plNew.planFor(nb, int64(float64(nb)*newG.AvgDegree()), multpathBytes),
+		Plan:  plNew.planFor(nil, nb, int64(float64(nb)*newG.AvgDegree()), multpathBytes),
 		Stats: out.stats, Iterations: out.iters, Batches: out.batches, DualProducts: out.split,
 	}, nil
 }

@@ -140,13 +140,13 @@ func checkSideIndependence(t *testing.T, seed int64) {
 	// reused below, so they screen copies.
 	frontierP := screenFrontierSided(slices.Clone(extP), tP)
 	screenedP, _ := screenCentSided(slices.Clone(pP), tP, indexed(tP), nil)
-	builtP, _ := buildZSided(tP, pP, base, nil)
+	builtP, _ := buildZSided(nil, tP, pP, base, nil)
 	collectedP := collectFrontierSided(nil, zP, ztP, everyPosition(zP), cpz)
 	for s := 0; s < 2; s++ {
 		sameOnSide(t, seed, s, "screenFrontier", sideOf(frontierP, s, algebra.MultPathIsZero), screenFrontierSided(slices.Clone(ext[s]), tt[s]))
 		sameOnSide(t, seed, s, "screenCent", sideOf(screenedP, s, algebra.CentPathIsZero), first(screenCentSided(slices.Clone(p[s]), tt[s], indexed(tt[s]), nil)))
 		sameOnSide(t, seed, s, "buildZ", sideOf(builtP, s, algebra.CentPathIsZero),
-			sideOf(first(buildZSided(tt[s], p[s], base, nil)), 0, algebra.CentPathIsZero))
+			sideOf(first(buildZSided(nil, tt[s], p[s], base, nil)), 0, algebra.CentPathIsZero))
 		sameOnSide(t, seed, s, "collectFrontier", sideOf(collectedP, s, algebra.CentPathIsZero), collectFrontierSided(nil, zt[s], ztT[s], everyPosition(zt[s]), algebra.CentPathZero()))
 		sameOnSide(t, seed, s, "collectFrontier's in-place marking", sideOf(zP, s, algebra.CentPathIsZero), zt[s])
 	}

@@ -129,12 +129,23 @@ func GlobalNNZ[T any](c *machine.Comm, m *Mat[T]) int64 {
 // anything keeps its block as is: the result shares m.Local. Otherwise the
 // result is fresh storage.
 func Redistribute[T any](c *machine.Comm, m *Mat[T], to Dist) *Mat[T] {
+	return RedistributeInto(c, m, to, nil)
+}
+
+// RedistributeInto is Redistribute merging what arrives into storage the
+// caller keeps: when buf is non-nil, a merged result is written into *buf,
+// grown as needed, and *buf is left holding it, so a caller that places
+// one operand after another in one buffer allocates only to grow it. The
+// result is still m itself when the keys match, and shares m.Local when the
+// rank keeps its block: *buf is then untouched. *buf must not alias any
+// rank's block or send storage.
+func RedistributeInto[T any](c *machine.Comm, m *Mat[T], to Dist, buf *[]sparse.Entry[T]) *Mat[T] {
 	if m.Dist.Key == to.Key {
 		return m
 	}
 	p, me := c.Size(), c.Rank()
-	buf := getSendBuf[T](c.Proc(), p)
-	start, parts := buf.start, buf.parts
+	send := getSendBuf[T](c.Proc(), p)
+	start, parts := send.start, send.parts
 	for _, e := range m.Local {
 		start[to.Owner(e.I, e.J)+1]++
 	}
@@ -145,8 +156,8 @@ func Redistribute[T any](c *machine.Comm, m *Mat[T], to Dist) *Mat[T] {
 		for r := 0; r < p; r++ {
 			start[r+1] += start[r]
 		}
-		buf.entries = slices.Grow(buf.entries[:0], len(m.Local))
-		out := buf.entries[:len(m.Local)]
+		send.entries = slices.Grow(send.entries[:0], len(m.Local))
+		out := send.entries[:len(m.Local)]
 		for r := 0; r < p; r++ {
 			parts[r] = out[start[r]:start[r+1]:start[r+1]]
 		}
@@ -166,7 +177,12 @@ func Redistribute[T any](c *machine.Comm, m *Mat[T], to Dist) *Mat[T] {
 			res.Local = m.Local
 			return
 		}
-		res.Local = MergeDisjoint(runs)
+		if buf == nil {
+			res.Local = MergeDisjoint(nil, runs)
+			return
+		}
+		*buf = MergeDisjoint(*buf, runs)
+		res.Local = *buf
 	})
 	c.Proc().AddFlops(int64(n))
 	return res
@@ -174,10 +190,11 @@ func Redistribute[T any](c *machine.Comm, m *Mat[T], to Dist) *Mat[T] {
 
 // sendBuf is Redistribute's send storage on one rank (machine.Scratch):
 // the part boundaries, the part headers and the buffer the parts are cut
-// from. The rank reuses it for the region's every redistribution of its
-// entry type: once the all-to-all returns, every receiver has finished
-// reading the parts (the superstep's closing barrier), and no result
-// shares them.
+// from. The rank reuses it for every redistribution of its entry type, for
+// as long as its scratch store lives — the region, or the regions of a
+// caller that keeps the store: once the all-to-all returns, every receiver
+// has finished reading the parts (the superstep's closing barrier), and no
+// result shares them.
 type sendBuf[T any] struct {
 	start   []int
 	parts   [][]sparse.Entry[T]
@@ -198,19 +215,24 @@ func getSendBuf[T any](proc *machine.Proc, p int) *sendBuf[T] {
 }
 
 // MergeDisjoint merges (row, col)-sorted duplicate-free runs that share no
-// coordinate — each coordinate has one owner — into one sorted slice in
-// fresh storage (nil when every run is empty). It copies maximal segments:
-// a run's entries below every other run's next coordinate go out in one
-// copy, found by galloping, so runs that cover disjoint ranges merge by a
-// few copies. No monoid: nothing folds. A coordinate held by two runs
+// coordinate — each coordinate has one owner — into one sorted slice
+// written over dst: dst[:0] grown as needed, whatever dst held before, so a
+// caller that passes back what the last call returned merges into one
+// buffer, and a nil dst merges into fresh storage (nil when every run is
+// empty). dst must not alias any run, since the merge reads the runs while
+// it writes; the result then shares no run's storage. It copies maximal
+// segments: a run's entries below every other run's next coordinate go out
+// in one copy, found by galloping, so runs that cover disjoint ranges merge
+// by a few copies. No monoid: nothing folds. A coordinate held by two runs
 // panics, naming it — the owner function that cut the runs was not a
 // function of the coordinate. MergeRuns is its reference.
-func MergeDisjoint[T any](runs [][]sparse.Entry[T]) []sparse.Entry[T] {
+func MergeDisjoint[T any](dst []sparse.Entry[T], runs [][]sparse.Entry[T]) []sparse.Entry[T] {
 	type cursor struct {
 		key  uint64
 		rest []sparse.Entry[T]
 	}
-	heap := make([]cursor, 0, len(runs))
+	var small [8]cursor // a world's or a fiber's runs, without allocating
+	heap := small[:0]
 	total := 0
 	for _, run := range runs {
 		if len(run) > 0 {
@@ -218,8 +240,9 @@ func MergeDisjoint[T any](runs [][]sparse.Entry[T]) []sparse.Entry[T] {
 			total += len(run)
 		}
 	}
+	out := slices.Grow(dst[:0], total)
 	if total == 0 {
-		return nil
+		return out
 	}
 	down := func(x int) {
 		for c := 2*x + 1; c < len(heap); x, c = c, 2*c+1 {
@@ -235,7 +258,6 @@ func MergeDisjoint[T any](runs [][]sparse.Entry[T]) []sparse.Entry[T] {
 	for x := len(heap)/2 - 1; x >= 0; x-- {
 		down(x)
 	}
-	out := make([]sparse.Entry[T], 0, total)
 	for len(heap) > 1 {
 		// The next smallest head is a child of the root; the top run's
 		// entries below it go out as one segment. An equal head is a

@@ -261,10 +261,21 @@ func TestMergeRunsProperties(t *testing.T) {
 
 // TestMergeDisjointMatchesMergeRuns: on runs cut from one matrix — by a
 // random owner per entry, and by row blocks, where every run merges as one
-// segment — the disjoint merge equals the k-way reference, in fresh
-// storage even for a lone run; a coordinate in two runs panics, named.
+// segment — the disjoint merge equals the k-way reference whatever it is
+// written over: nothing (fresh storage, even for a lone run), a dirty
+// destination large enough to hold it (which it then fills in place), an
+// undersized one or an oversized one. The result never aliases a run:
+// writing over it leaves every run as it was. A coordinate in two runs
+// panics, named.
 func TestMergeDisjointMatchesMergeRuns(t *testing.T) {
-	check := func(q quickEntries, seed int64, k uint8, byRows bool) bool {
+	dirty := func(n int) []sparse.Entry[float64] {
+		d := make([]sparse.Entry[float64], n)
+		for x := range d {
+			d[x] = sparse.Entry[float64]{I: int32(n - x), J: -1, V: -7}
+		}
+		return d
+	}
+	check := func(q quickEntries, seed int64, k, dstSel uint8, byRows bool) bool {
 		rng := rand.New(rand.NewSource(seed))
 		runs := make([][]sparse.Entry[float64], 1+int(k)%7)
 		for _, e := range q {
@@ -274,26 +285,50 @@ func TestMergeDisjointMatchesMergeRuns(t *testing.T) {
 			}
 			runs[r] = append(runs[r], e)
 		}
-		got := MergeDisjoint(runs)
-		for _, run := range runs {
-			if len(run) > 0 && &run[0] == &got[0] {
+		want := MergeRuns(runs, addF)
+		var dst []sparse.Entry[float64]
+		switch dstSel % 4 {
+		case 1: // dirty, exactly large enough
+			dst = dirty(len(want))
+		case 2: // undersized
+			dst = dirty(len(want) / 2)
+		case 3: // oversized, its tail dirty too
+			dst = dirty(2*len(want) + 3)
+		}
+		fits := cap(dst) >= len(want) && len(want) > 0
+		before := make([][]sparse.Entry[float64], len(runs))
+		for r, run := range runs {
+			before[r] = slices.Clone(run)
+		}
+		got := MergeDisjoint(dst, runs)
+		if !slices.Equal(got, want) || (fits && &got[0] != &dst[0]) {
+			return false
+		}
+		for x := range got {
+			got[x].V = -99
+		}
+		for r := range runs {
+			if !slices.Equal(runs[r], before[r]) {
 				return false
 			}
 		}
-		return slices.Equal(got, MergeRuns(runs, addF))
+		return true
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(check, &quick.Config{MaxCount: 600}); err != nil {
 		t.Fatal(err)
 	}
-	if got := MergeDisjoint([][]sparse.Entry[float64]{nil, {}}); got != nil {
+	if got := MergeDisjoint(nil, [][]sparse.Entry[float64]{nil, {}}); got != nil {
 		t.Fatalf("merge of empty runs = %v", got)
+	}
+	if got := MergeDisjoint(dirty(3), [][]sparse.Entry[float64]{nil, {}}); len(got) != 0 {
+		t.Fatalf("merge of empty runs over a dirty destination = %v", got)
 	}
 	defer func() {
 		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "(2, 7)") {
 			t.Fatalf("shared coordinate: recovered %v, want a panic naming (2, 7)", r)
 		}
 	}()
-	MergeDisjoint([][]sparse.Entry[float64]{{{I: 1, J: 1}, {I: 2, J: 7}}, {{I: 2, J: 3}}, {{I: 2, J: 7}}})
+	MergeDisjoint(nil, [][]sparse.Entry[float64]{{{I: 1, J: 1}, {I: 2, J: 7}}, {{I: 2, J: 3}}, {{I: 2, J: 7}}})
 }
 
 // TestAccumulatorMatchesMergeSorted folds a stream of runs through one

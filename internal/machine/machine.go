@@ -352,7 +352,7 @@ type Proc struct {
 	phaseCost   []Cost
 	phaseWall   []time.Duration
 
-	scratch map[any]any // by the nil *T of each Scratch[T]
+	store *Store // what Scratch draws from; a fresh one unless UseStore
 }
 
 // NewProc constructs a rank handle for a backend: world is the
@@ -391,20 +391,39 @@ func (p *Proc) Fail(err error) {
 	}
 }
 
-// Scratch returns the rank's *T for the region, zero at the first call:
+// Store is one rank's scratch storage: a *T per type, reached through
+// Scratch. A Proc draws from a store of its own, which dies with the region,
+// unless its caller hands it one it keeps (UseStore): storage a layer grows
+// in one region is then there, grown, in the next. A store is rank-local,
+// like the Proc: only the goroutine running its rank may touch it, and the
+// regions it serves must run one after another. The zero value is empty.
+type Store struct {
+	byType map[any]any // by the nil *T of each Scratch[T]
+}
+
+// UseStore makes s the store Scratch draws from for the rest of the region.
+// A caller that keeps one store per rank and hands it to that rank's Proc
+// at the start of every region has the rank's scratch outlive its regions.
+func (p *Proc) UseStore(s *Store) { p.store = s }
+
+// Scratch returns the rank's *T, zero at the first call on the Proc's store:
 // storage a layer reuses from one collective to the next instead of
-// allocating per call. There is one per type, so a layer keys it with a
+// allocating per call — for the region, or for as long as the store its
+// caller keeps (UseStore). There is one per type, so a layer keys it with a
 // type of its own. Rank-local, like the Proc.
 func Scratch[T any](p *Proc) *T {
+	if p.store == nil {
+		p.store = new(Store)
+	}
 	key := any((*T)(nil))
-	if v, ok := p.scratch[key]; ok {
+	if v, ok := p.store.byType[key]; ok {
 		return v.(*T)
 	}
-	if p.scratch == nil {
-		p.scratch = make(map[any]any)
+	if p.store.byType == nil {
+		p.store.byType = make(map[any]any)
 	}
 	v := new(T)
-	p.scratch[key] = v
+	p.store.byType[key] = v
 	return v
 }
 

@@ -216,7 +216,7 @@ func FuzzRedistribute(f *testing.F) {
 			}
 			disjoint[r] = append(disjoint[r], e)
 		}
-		if got, want := distmat.MergeDisjoint(disjoint), distmat.MergeRuns(disjoint, addF); !slices.Equal(got, want) {
+		if got, want := distmat.MergeDisjoint(nil, disjoint), distmat.MergeRuns(disjoint, addF); !slices.Equal(got, want) {
 			t.Fatalf("MergeDisjoint(%v)\n got %v\nwant %v", disjoint, got, want)
 		}
 

@@ -241,7 +241,10 @@ func dists(plan Plan, m, k, n int, tables ownerTables) (da, db, dc distmat.Dist)
 // plan, where A's entries are C's values. B's working set under plan
 // (redistributed and, for RoleB plans, fiber-replicated) is staged on b the
 // first time, so repeated multiplications against the same stationary
-// operand (MFBC's adjacency) pay its movement once.
+// operand (MFBC's adjacency) pay its movement once. A moves for every
+// multiply, into storage the rank reuses (placement, a machine.Scratch): a
+// caller whose ranks keep their scratch store across regions places A
+// without allocating once that storage has grown.
 //
 // Where the caller passes acc, every product folds by column, a row at a
 // time, into acc's storage, which the caller keeps across products, and
@@ -279,12 +282,14 @@ func Multiply[TC, TB any](
 	da, db, dc := b.Dists(s, plan, m)
 	workers := s.workers()
 
-	// Stage the A operand (moving in every variant). Replication gathers
-	// the fiber's blocks, each sorted and no two sharing a coordinate, and
-	// merges them as they arrive.
-	aE := distmat.Redistribute(world, a, da).Local
+	// Stage the A operand (moving in every variant) in the rank's placement
+	// storage. Replication gathers the fiber's blocks, each sorted and no
+	// two sharing a coordinate, and merges them as they arrive.
+	place := machine.Scratch[placement[TC]](s.Proc)
+	aE := distmat.RedistributeInto(world, a, da, &place.moved).Local
 	if plan.P1 > 1 && plan.X == RoleA {
-		aE = replicate(g.Fiber, aE)
+		place.replicated = replicate(g.Fiber, aE, place.replicated)
+		aE = place.replicated
 	}
 
 	// Stage the B operand, or find it staged on b. A rank owning no B
@@ -295,7 +300,7 @@ func Multiply[TC, TB any](
 	if !hit {
 		bE := distmat.Redistribute(world, b.m, db).Local
 		if plan.P1 > 1 && plan.X == RoleB {
-			bE = replicate(g.Fiber, bE)
+			bE = replicate(g.Fiber, bE, nil)
 		}
 		sb = stageB(plan, k, n, s.Proc.Rank(), bE)
 		b.sets[plan] = sb
@@ -335,12 +340,22 @@ func Multiply[TC, TB any](
 	return &distmat.Mat[TC]{Rows: m, Cols: n, Dist: dc, Local: c}
 }
 
+// placement is the storage one rank's multiplies place their A operand in
+// (machine.Scratch): the frontier redistributed into the plan's A
+// distribution, and its fiber replication under RoleA plans. Each multiply
+// writes over the last one's: the placement dies when Multiply returns —
+// its broadcasts' and the fiber gather's readers have finished by the
+// closing barrier of their superstep, and no product shares it.
+type placement[T any] struct {
+	moved, replicated []sparse.Entry[T]
+}
+
 // replicate gathers the fiber's owner-disjoint sorted blocks into one
-// sorted block in fresh storage, merged from the posted blocks.
-func replicate[T any](fiber *machine.Comm, block []sparse.Entry[T]) []sparse.Entry[T] {
-	var out []sparse.Entry[T]
-	machine.AllgatherRecv(fiber, block, func(blocks [][]sparse.Entry[T]) { out = distmat.MergeDisjoint(blocks) })
-	return out
+// sorted block written over dst (fresh storage when dst is nil), merged
+// from the posted blocks. dst must not alias block.
+func replicate[T any](fiber *machine.Comm, block, dst []sparse.Entry[T]) []sparse.Entry[T] {
+	machine.AllgatherRecv(fiber, block, func(blocks [][]sparse.Entry[T]) { dst = distmat.MergeDisjoint(dst, blocks) })
+	return dst
 }
 
 // stageBounds returns the absolute [lo, hi) bounds of stage t over the
