@@ -4,7 +4,7 @@
 GO ?= go
 BIN := bin/mfbc-lint
 
-.PHONY: all build lint lint-standalone test race bench bench-module examples tidy-check fmt-check deps-check loc surface check clean
+.PHONY: all build lint lint-standalone test race bench bench-module examples tidy-check fmt-check deps-check loc surface exports check clean
 
 all: build
 
@@ -63,19 +63,23 @@ fmt-check:
 
 ## deps-check: the import edges that must stay cut. The library links
 ## neither the paper harness nor a TCP mesh it never starts, the paper
-## harness knows no streaming engine and no server, and the metrics/tracing
-## package knows no machine (phase labels are the registry's own names).
+## harness knows no streaming engine and no server, the metrics/tracing
+## package knows no machine (phase labels are the registry's own names),
+## and internal/testkit is imported by _test.go files only.
 deps-check:
 	@nodep() { if $(GO) list -deps $$1 | grep -E "repro/internal/($$2)\$$"; then echo "$$1 must not import the above" >&2; exit 1; fi; }; \
-	nodep . 'bench|machine/tcpnet' && nodep ./internal/bench 'dynamic|server' && nodep ./internal/obs 'machine'
+	nodep . 'bench|machine/tcpnet' && nodep ./internal/bench 'dynamic|server' && nodep ./internal/obs 'machine' && \
+	if $(GO) list -f '{{.ImportPath}}: {{join .Imports " "}}' ./... | grep -v '^repro/internal/testkit:' | grep -E ' repro/internal/testkit( |$$)'; then \
+		echo "only _test.go files may import repro/internal/testkit" >&2; exit 1; fi
 
 ## loc: the non-test Go line count the ROADMAP's simplicity targets are
 ## stated in (*.go outside benchmarks/ and */testdata/*, no *_test.go), for
-## the repository, internal/core and internal/bench. Every simplicity PR
-## reports these.
+## the repository, internal/core and internal/bench. internal/testkit (the
+## tests' shared fixtures) is reported on its own and left out of the
+## repository count. Every simplicity PR reports these.
 loc:
-	@count() { find $$1 -name '*.go' ! -name '*_test.go' ! -path './benchmarks/*' ! -path '*/testdata/*' -exec cat {} + | wc -l; }; \
-	echo "non-test Go lines: repository $$(count .), internal/core $$(count ./internal/core), internal/bench $$(count ./internal/bench)"
+	@count() { find $$1 -name '*.go' ! -name '*_test.go' ! -path './benchmarks/*' ! -path '*/testdata/*' ! -path './internal/testkit/*' -exec cat {} + | wc -l; }; \
+	echo "non-test Go lines: repository $$(count .), internal/core $$(count ./internal/core), internal/bench $$(count ./internal/bench); internal/testkit $$(find ./internal/testkit -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)"
 
 ## surface: the three settable-surface counts every simplicity PR reports
 ## beside `make loc` — flag definitions under cmd/ (package-level flag.X
@@ -89,6 +93,13 @@ surface:
 	opts=$$(( $$(fields repro.go Options) + $$(fields internal/dynamic/dynamic.go Config) + $$(fields internal/core/dist.go DistOptions) + $$(fields internal/server/server.go Config) )); \
 	structs=$$(ls *.go | grep -v '_test\.go$$' | xargs cat | grep -cE '^type [A-Z][A-Za-z0-9]* struct'); \
 	echo "surface: cmd flags $$flags, option fields $$opts, root exported structs $$structs"
+
+## exports: the production API each package shows `go doc` — the line
+## count of `go doc -short` for the root package and every non-test package
+## under internal/ (internal/testkit and the lint fixtures excluded).
+exports:
+	@for p in . $$($(GO) list ./internal/... | grep -v -e /testkit -e /testdata/ | sed 's|^repro/|./|'); do \
+		printf '%-28s %3d\n' "$$p" "$$($(GO) doc -short $$p | wc -l)"; done
 
 check: build fmt-check tidy-check deps-check lint test bench-module examples
 

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/graph"
 	"repro/internal/server"
 )
 
@@ -28,7 +29,7 @@ func TestEndToEndSession(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "social.txt")
 	g := repro.RMATGraph(6, 8, 42)
-	if err := repro.SaveGraph(path, g); err != nil {
+	if err := graph.SaveFile(path, g); err != nil {
 		t.Fatal(err)
 	}
 	// -dyn-procs 2: mutation batches run on the simulated 2-processor

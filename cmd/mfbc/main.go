@@ -89,6 +89,7 @@ func buildGraph(in, rmat, uniform, standin string, directed bool, seed int64) (*
 	if directed && (in != "" || standin != "") {
 		return nil, fmt.Errorf("-directed applies to generated graphs (-rmat, -uniform), not -in or -standin")
 	}
+	var spec graph.GraphSpec
 	switch {
 	case in != "":
 		return repro.LoadGraph(in)
@@ -97,20 +98,20 @@ func buildGraph(in, rmat, uniform, standin string, directed bool, seed int64) (*
 		if err != nil {
 			return nil, fmt.Errorf("bad -rmat %q: %w", rmat, err)
 		}
-		opt := graph.DefaultRMAT(s, e, seed)
-		opt.Directed = directed
-		return graph.RMAT(opt), nil
+		spec = graph.GraphSpec{Kind: "rmat", Scale: s, EdgeFactor: e}
 	case uniform != "":
 		n, m, err := pairArg(uniform)
 		if err != nil {
 			return nil, fmt.Errorf("bad -uniform %q: %w", uniform, err)
 		}
-		return repro.UniformGraph(n, m, directed, seed), nil
+		spec = graph.GraphSpec{Kind: "uniform", N: n, M: m}
 	case standin != "":
-		return repro.StandinGraph(standin, 1, seed)
+		spec = graph.GraphSpec{Kind: "standin", ID: standin, Scale: 1}
 	default:
 		return nil, fmt.Errorf("one of -in, -rmat, -uniform, -standin is required")
 	}
+	spec.Directed, spec.Seed = directed, seed
+	return spec.Build()
 }
 
 func pairArg(s string) (int, int, error) {

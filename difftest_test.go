@@ -219,10 +219,9 @@ func TestRealWeightsDifferential(t *testing.T) {
 			})
 		}
 	}
-	// The other half of ROADMAP item 1(a): the entry-list engines still
-	// subtract on the way back.
+	// ROADMAP item 2: the entry-list engines still subtract on the way back.
 	t.Run("procs4", func(t *testing.T) {
-		t.Skip("Procs > 1 is not exact on real weights yet: core/dist.go's screenFrontierSided and screenCentSided compare weights summed in different orders")
+		t.Skip("Procs > 1 is not exact on real weights yet: the backward sweep applies BrandesAction's ⊖ (T(s,u).w − A(v,u)) to a T built forward, and screenCentSided compares that difference with T(s,v).w, summed in another order (ROADMAP item 2)")
 	})
 }
 

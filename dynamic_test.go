@@ -325,7 +325,7 @@ func (a *ablatedSession) apply(t *testing.T, step int, next *Graph, batch []Muta
 		for v := range all {
 			all[v] = int32(v)
 		}
-		r, err := a.sess.ApplyIncremental(nil, next, nil, diffs, all)
+		r, err := a.sess.ApplyIncrementalCtx(context.Background(), nil, next, nil, diffs, all)
 		if err != nil {
 			t.Fatalf("step %d: fused apply: %v", step, err)
 		}
@@ -478,7 +478,7 @@ func TestDynamicFacadeIsEngine(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := eng.Apply(batch)
+				want, err := eng.ApplyCtx(context.Background(), batch)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -39,9 +39,9 @@ type MultPath struct {
 // MultPathZero is the identity of ⊕: no path.
 func MultPathZero() MultPath { return MultPath{W: Inf, M: 0} }
 
-// MultPathPlus is the ⊕ operator of the multpath monoid: the lower-weight
+// multPathPlus is the ⊕ operator of the multpath monoid: the lower-weight
 // operand wins; equal weights sum their multiplicities.
-func MultPathPlus(x, y MultPath) MultPath {
+func multPathPlus(x, y MultPath) MultPath {
 	switch {
 	case x.W < y.W:
 		return x
@@ -57,7 +57,7 @@ func MultPathIsZero(x MultPath) bool { return math.IsInf(x.W, 1) || x.M == 0 }
 
 // MultPathMonoid is the multpath monoid packaged for generic kernels.
 func MultPathMonoid() Monoid[MultPath] {
-	return Monoid[MultPath]{Identity: MultPathZero(), Op: MultPathPlus, IsZero: MultPathIsZero}
+	return Monoid[MultPath]{Identity: MultPathZero(), Op: multPathPlus, IsZero: MultPathIsZero}
 }
 
 // BFAction is the Bellman-Ford action f : M × W → M of the weight monoid
@@ -111,9 +111,9 @@ func BrandesAction(a CentPath, w Weight) CentPath {
 	return CentPath{W: a.W - w, P: a.P, C: a.C}
 }
 
-// TropicalMin is the ⊕ of the tropical semiring (W, min, +), used by the
+// tropicalMin is the ⊕ of the tropical semiring (W, min, +), used by the
 // adjacency matrix structure and by baseline shortest-path codes.
-func TropicalMin(x, y Weight) Weight {
+func tropicalMin(x, y Weight) Weight {
 	if x < y {
 		return x
 	}
@@ -124,7 +124,7 @@ func TropicalMin(x, y Weight) Weight {
 func TropicalMonoid() Monoid[Weight] {
 	return Monoid[Weight]{
 		Identity: Inf,
-		Op:       TropicalMin,
+		Op:       tropicalMin,
 		IsZero:   func(w Weight) bool { return math.IsInf(w, 1) },
 	}
 }

@@ -35,20 +35,20 @@ var quickCfg = &quick.Config{MaxCount: 4000}
 
 func TestMultPathMonoidLaws(t *testing.T) {
 	commutative := func(a, b quickMP) bool {
-		return MultPathPlus(MultPath(a), MultPath(b)) == MultPathPlus(MultPath(b), MultPath(a))
+		return multPathPlus(MultPath(a), MultPath(b)) == multPathPlus(MultPath(b), MultPath(a))
 	}
 	if err := quick.Check(commutative, quickCfg); err != nil {
 		t.Errorf("⊕ not commutative: %v", err)
 	}
 	associative := func(a, b, c quickMP) bool {
 		x, y, z := MultPath(a), MultPath(b), MultPath(c)
-		return MultPathPlus(MultPathPlus(x, y), z) == MultPathPlus(x, MultPathPlus(y, z))
+		return multPathPlus(multPathPlus(x, y), z) == multPathPlus(x, multPathPlus(y, z))
 	}
 	if err := quick.Check(associative, quickCfg); err != nil {
 		t.Errorf("⊕ not associative: %v", err)
 	}
 	identity := func(a quickMP) bool {
-		return MultPathPlus(MultPath(a), MultPathZero()) == MultPath(a)
+		return multPathPlus(MultPath(a), MultPathZero()) == MultPath(a)
 	}
 	if err := quick.Check(identity, quickCfg); err != nil {
 		t.Errorf("⊕ identity law failed: %v", err)
@@ -91,7 +91,7 @@ func TestBFActionIsMonoidAction(t *testing.T) {
 	distributes := func(a, b quickMP, w uint8) bool {
 		x, y := MultPath(a), MultPath(b)
 		u := float64(w % 16)
-		return BFAction(MultPathPlus(x, y), u) == MultPathPlus(BFAction(x, u), BFAction(y, u))
+		return BFAction(multPathPlus(x, y), u) == multPathPlus(BFAction(x, u), BFAction(y, u))
 	}
 	if err := quick.Check(distributes, quickCfg); err != nil {
 		t.Errorf("f does not distribute over ⊕: %v", err)
@@ -113,10 +113,10 @@ func TestMultPathSemantics(t *testing.T) {
 	a := MultPath{W: 2, M: 3}
 	b := MultPath{W: 2, M: 5}
 	c := MultPath{W: 1, M: 1}
-	if got := MultPathPlus(a, b); got.W != 2 || got.M != 8 {
+	if got := multPathPlus(a, b); got.W != 2 || got.M != 8 {
 		t.Fatalf("tie must sum multiplicities, got %v", got)
 	}
-	if got := MultPathPlus(a, c); got != c {
+	if got := multPathPlus(a, c); got != c {
 		t.Fatalf("lower weight must win, got %v", got)
 	}
 	if !MultPathIsZero(MultPathZero()) || MultPathIsZero(a) {

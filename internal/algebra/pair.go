@@ -43,21 +43,6 @@ type WeightPair struct {
 	Old, New Weight
 }
 
-// WeightPairZero is the identity of the pair tropical monoid: absent on
-// both sides.
-func WeightPairZero() WeightPair { return WeightPair{Old: Inf, New: Inf} }
-
-// WeightPairMonoid is (W×W, min×min) with identity (∞, ∞).
-func WeightPairMonoid() Monoid[WeightPair] {
-	return Monoid[WeightPair]{
-		Identity: WeightPairZero(),
-		Op: func(x, y WeightPair) WeightPair {
-			return WeightPair{Old: TropicalMin(x.Old, y.Old), New: TropicalMin(x.New, y.New)}
-		},
-		IsZero: func(w WeightPair) bool { return w.Old == Inf && w.New == Inf },
-	}
-}
-
 // MultPathPair carries a multpath per side.
 type MultPathPair struct {
 	Old, New MultPath
@@ -86,8 +71,8 @@ func MultPathPairZero() MultPathPair {
 	return MultPathPair{Old: MultPathZero(), New: MultPathZero()}
 }
 
-// MultPathPairIsZero reports that neither side carries path information.
-func MultPathPairIsZero(x MultPathPair) bool {
+// multPathPairIsZero reports that neither side carries path information.
+func multPathPairIsZero(x MultPathPair) bool {
 	return MultPathIsZero(x.Old) && MultPathIsZero(x.New)
 }
 
@@ -98,9 +83,9 @@ func MultPathPairMonoid() Monoid[MultPathPair] {
 	return Monoid[MultPathPair]{
 		Identity: MultPathPairZero(),
 		Op: func(x, y MultPathPair) MultPathPair {
-			return MultPathPair{Old: MultPathPlus(x.Old, y.Old), New: MultPathPlus(x.New, y.New)}
+			return MultPathPair{Old: multPathPlus(x.Old, y.Old), New: multPathPlus(x.New, y.New)}
 		},
-		IsZero: MultPathPairIsZero,
+		IsZero: multPathPairIsZero,
 	}
 }
 
@@ -149,9 +134,9 @@ func CentPathPairZero() CentPathPair {
 	return CentPathPair{Old: CentPathZero(), New: CentPathZero()}
 }
 
-// CentPathPairIsZero reports that neither side carries centrality
+// centPathPairIsZero reports that neither side carries centrality
 // information.
-func CentPathPairIsZero(x CentPathPair) bool {
+func centPathPairIsZero(x CentPathPair) bool {
 	return CentPathIsZero(x.Old) && CentPathIsZero(x.New)
 }
 
@@ -162,7 +147,7 @@ func CentPathPairMonoid() Monoid[CentPathPair] {
 		Op: func(x, y CentPathPair) CentPathPair {
 			return CentPathPair{Old: CentPathTimes(x.Old, y.Old), New: CentPathTimes(x.New, y.New)}
 		},
-		IsZero: CentPathPairIsZero,
+		IsZero: centPathPairIsZero,
 	}
 }
 

@@ -113,18 +113,7 @@ func TestBrandesActionPairKillsAbsentSides(t *testing.T) {
 		t.Fatalf("live side wrong: %v", got.New)
 	}
 	dead := BrandesActionPair(CentPathPairZero(), WeightPair{Old: 1, New: 1})
-	if !CentPathPairIsZero(dead) {
+	if !centPathPairIsZero(dead) {
 		t.Fatalf("dead input must stay dead, got %v", dead)
-	}
-}
-
-func TestWeightPairMonoid(t *testing.T) {
-	m := WeightPairMonoid()
-	got := m.Op(WeightPair{Old: 3, New: Inf}, WeightPair{Old: 5, New: 2})
-	if got != (WeightPair{Old: 3, New: 2}) {
-		t.Fatalf("componentwise min wrong: %v", got)
-	}
-	if !m.IsZero(m.Identity) || m.IsZero(got) {
-		t.Fatal("IsZero misclassifies")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/testkit"
 )
 
 func almostEqual(a, b float64) bool {
@@ -15,7 +16,7 @@ func almostEqual(a, b float64) bool {
 
 func TestBrandesClosedForms(t *testing.T) {
 	// Path: interior vertex i lies between 2·i·(n-1-i) ordered pairs.
-	g := graph.Path(7)
+	g := testkit.Path(7)
 	bc := Brandes(g)
 	for i := 0; i < 7; i++ {
 		want := float64(2 * i * (6 - i))
@@ -24,7 +25,7 @@ func TestBrandesClosedForms(t *testing.T) {
 		}
 	}
 	// Star: hub between all ordered spoke pairs.
-	s := graph.Star(9)
+	s := testkit.Star(9)
 	bcs := Brandes(s)
 	if !almostEqual(bcs[0], float64(8*7)) {
 		t.Fatalf("star hub BC=%g want %d", bcs[0], 8*7)

@@ -68,7 +68,7 @@ type distRank struct {
 }
 
 // bufs returns the rank's sweep buffers of one instantiation: scalar (Run)
-// or pair (ApplyIncremental).
+// or pair (ApplyIncrementalCtx).
 func bufs[M, C any](rk *distRank) *sweepBufs[M, C] {
 	if b, ok := any(&rk.scalar).(*sweepBufs[M, C]); ok {
 		return b
@@ -121,9 +121,6 @@ func (s *DistSession) install(g *graph.Graph, adjCSR *sparse.CSR[float64]) {
 
 // Graph returns the topology the resident operands currently encode.
 func (s *DistSession) Graph() *graph.Graph { return s.g }
-
-// Procs returns the simulated processor count.
-func (s *DistSession) Procs() int { return s.p }
 
 // Reset rebuilds the resident operands from newG and drops every staged
 // working set, so the next runs pay full redistribution again. It is the
@@ -256,7 +253,7 @@ type regionOutcome struct {
 
 // sweepRegion runs one machine region of batched MFBF/MFBr sweeps — the
 // body shared by Run (one side over the resident operands) and
-// ApplyIncremental (two sides over the staged pair operands). Side s
+// ApplyIncrementalCtx (two sides over the staged pair operands). Side s
 // sweeps the sources of the batch list that in[s] admits, seeded from
 // adj[s] and planned by pls[s]; stage yields each rank's stationary
 // operands A and Aᵀ once its deferred patch work has been charged.

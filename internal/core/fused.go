@@ -2,7 +2,7 @@
 // the dependency contributions of the affected pivots on both sides of the
 // edit: δ_old to subtract, δ_new to add. PR 4 ran them as two machine
 // regions with a host-side operand patch in between, paying the latency
-// term S twice. ApplyIncremental fuses everything into ONE region over the
+// term S twice. ApplyIncrementalCtx fuses everything into ONE region over the
 // pair semiring (internal/algebra/pair.go): every matrix entry carries an
 // (old, new) component pair, the stationary operand is the pair lift of
 // the resident adjacency spliced with the batch diff, and the one sweep of
@@ -56,7 +56,7 @@ type IncrementalResult struct {
 	DualProducts int
 }
 
-// ApplyIncremental runs one fused region: the old-side pivot re-runs
+// ApplyIncrementalCtx runs one fused region: the old-side pivot re-runs
 // against the still-resident pre-batch operands and the new-side re-runs
 // against their patched successors execute simultaneously over the pair
 // semiring, with the patch itself performed inside the region (diff
@@ -68,14 +68,9 @@ type IncrementalResult struct {
 // newG must have the session's vertex count (vertex growth changes the
 // operand dimensions; callers fall back to the two-region path). diffs is
 // the effective edge diff between the session's topology and newG, as for
-// Patch. newAdj is newG's adjacency (rebuilt when nil).
-func (s *DistSession) ApplyIncremental(oldSources []int32, newG *graph.Graph, newAdj *sparse.CSR[float64], diffs []EdgeDiff, newSources []int32) (*IncrementalResult, error) {
-	return s.ApplyIncrementalCtx(context.Background(), oldSources, newG, newAdj, diffs, newSources)
-}
-
-// ApplyIncrementalCtx is ApplyIncremental with trace propagation: when ctx
-// carries an obs span, the fused region's modeled-vs-measured stats are
-// attached as a machine.region child span with per-phase grandchildren.
+// Patch. newAdj is newG's adjacency (rebuilt when nil). When ctx carries
+// an obs span, the fused region's modeled-vs-measured stats are attached
+// as a machine.region child span with per-phase grandchildren.
 func (s *DistSession) ApplyIncrementalCtx(ctx context.Context, oldSources []int32, newG *graph.Graph, newAdj *sparse.CSR[float64], diffs []EdgeDiff, newSources []int32) (*IncrementalResult, error) {
 	if newG.N != s.g.N {
 		return nil, fmt.Errorf("core: fused apply needs a fixed vertex set (%d → %d); use Reset + Run", s.g.N, newG.N)

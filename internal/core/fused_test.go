@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"runtime"
@@ -94,7 +95,7 @@ func TestFusedApplyMatchesTwoRegion(t *testing.T) {
 			if _, err := sess.Run(nil); err != nil {
 				t.Fatal(err)
 			}
-			fused, err := sess.ApplyIncremental(sources, g2, nil, diffs, sources)
+			fused, err := sess.ApplyIncrementalCtx(context.Background(), sources, g2, nil, diffs, sources)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -154,7 +155,7 @@ func TestFusedApplyMatchesTwoRegionAutoPlan(t *testing.T) {
 		if _, err := sess.Run(nil); err != nil {
 			t.Fatal(err)
 		}
-		fused, err := sess.ApplyIncremental(sources, g2, nil, diffs, sources)
+		fused, err := sess.ApplyIncrementalCtx(context.Background(), sources, g2, nil, diffs, sources)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,7 +175,7 @@ func TestFusedApplyMatchesTwoRegionAutoPlan(t *testing.T) {
 				next, ds = g2, diffs
 			}
 			before := residentPlans(sess)
-			if _, err := sess.ApplyIncremental(sources, next, nil, ds, sources); err != nil {
+			if _, err := sess.ApplyIncrementalCtx(context.Background(), sources, next, nil, ds, sources); err != nil {
 				t.Fatal(err)
 			}
 			if after := residentPlans(sess); len(before[0]) == 0 || !reflect.DeepEqual(after, before) {
@@ -217,7 +218,7 @@ func TestFusedApplyKeepsResidentPlans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fused, err := sess.ApplyIncremental(sources, g2, nil, diffs, sources)
+	fused, err := sess.ApplyIncrementalCtx(context.Background(), sources, g2, nil, diffs, sources)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +239,7 @@ func TestFusedApplyKeepsResidentPlans(t *testing.T) {
 		undo[i] = EdgeDiff{U: d.U, V: d.V, W: w, Present: ok}
 	}
 	before := residentPlans(sess)
-	if _, err := sess.ApplyIncremental(sources, g, nil, undo, sources); err != nil {
+	if _, err := sess.ApplyIncrementalCtx(context.Background(), sources, g, nil, undo, sources); err != nil {
 		t.Fatal(err)
 	}
 	if after := residentPlans(sess); len(before[0]) == 0 || !reflect.DeepEqual(after, before) {
@@ -289,7 +290,7 @@ func TestFusedApplyAutoPlanDivergence(t *testing.T) {
 		if _, err := sess.Run(nil); err != nil {
 			t.Fatal(err)
 		}
-		fused, err := sess.ApplyIncremental(sources, g2, nil, diffs, sources)
+		fused, err := sess.ApplyIncrementalCtx(context.Background(), sources, g2, nil, diffs, sources)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -333,7 +334,7 @@ func TestFusedApplyLatencyWithinOneShot(t *testing.T) {
 	if _, err := sess.Run(nil); err != nil {
 		t.Fatal(err)
 	}
-	fused, err := sess.ApplyIncremental(sources, g2, nil, diffs, sources)
+	fused, err := sess.ApplyIncrementalCtx(context.Background(), sources, g2, nil, diffs, sources)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +362,7 @@ func TestFusedApplyPhases(t *testing.T) {
 	if _, err := sess.Run(nil); err != nil {
 		t.Fatal(err)
 	}
-	fused, err := sess.ApplyIncremental(sources, g2, nil, diffs, sources)
+	fused, err := sess.ApplyIncrementalCtx(context.Background(), sources, g2, nil, diffs, sources)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +407,7 @@ func TestFusedApplyVertexGrowthRejected(t *testing.T) {
 	if err := g2.Apply(graph.Mutation{Op: graph.OpAddVertex}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.ApplyIncremental(nil, g2, nil, nil, nil); err == nil {
+	if _, err := sess.ApplyIncrementalCtx(context.Background(), nil, g2, nil, nil, nil); err == nil {
 		t.Fatal("vertex growth must be rejected by the fused path")
 	}
 }
@@ -421,10 +422,10 @@ func TestFusedApplyRejectsBadSources(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, bad := range []int32{-1, int32(g.N)} {
-		if _, err := sess.ApplyIncremental([]int32{bad}, g2, nil, diffs, sources); err == nil {
+		if _, err := sess.ApplyIncrementalCtx(context.Background(), []int32{bad}, g2, nil, diffs, sources); err == nil {
 			t.Fatalf("old-side source %d must be rejected", bad)
 		}
-		if _, err := sess.ApplyIncremental(sources, g2, nil, diffs, []int32{bad}); err == nil {
+		if _, err := sess.ApplyIncrementalCtx(context.Background(), sources, g2, nil, diffs, []int32{bad}); err == nil {
 			t.Fatalf("new-side source %d must be rejected", bad)
 		}
 		if _, err := sess.Run([]int32{bad}); err == nil {
@@ -474,7 +475,7 @@ func TestRoundAllocBudget(t *testing.T) {
 	apply := func(i int) {
 		next := graphs[i%2]
 		w, _ := next.FindEdge(62, 63)
-		if _, err := sess.ApplyIncremental(pivots, next, nil, []EdgeDiff{{U: 62, V: 63, W: w, Present: true}}, pivots); err != nil {
+		if _, err := sess.ApplyIncrementalCtx(context.Background(), pivots, next, nil, []EdgeDiff{{U: 62, V: 63, W: w, Present: true}}, pivots); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/testkit"
 )
 
 // randomTree builds a uniformly random labelled tree (attach each new
@@ -119,7 +120,7 @@ func TestScaledWeightsInvariance(t *testing.T) {
 // TestSymmetryOfVertexTransitiveGraphs: every vertex of a ring has equal
 // centrality.
 func TestSymmetryOfVertexTransitiveGraphs(t *testing.T) {
-	g := graph.Ring(17)
+	g := testkit.Ring(17)
 	res, err := MFBC(g, nil, Options{Batch: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -135,7 +136,7 @@ func TestSymmetryOfVertexTransitiveGraphs(t *testing.T) {
 // diameter+1 relaxation rounds per batch; weighted runs take at least as
 // many as unweighted (the paper's §7.2 slowdown mechanism).
 func TestIterationCountsMatchDiameter(t *testing.T) {
-	g := graph.Path(20) // diameter 19
+	g := testkit.Path(20) // diameter 19
 	a := g.Adjacency()
 	sources := []int32{0}
 	_, _, iters := MFBF(a, sources)

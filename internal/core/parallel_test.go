@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"runtime"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/sparse"
 	"repro/internal/spgemm"
+	"repro/internal/testkit"
 )
 
 // workerCounts and batchWidths span the row partition's edge cases: one
@@ -92,10 +94,10 @@ func (o batchOut) diff(want batchOut) string {
 		return fmt.Sprintf("ops/iters %d+%d/%d+%d, want %d+%d/%d+%d",
 			o.opsF, o.opsB, o.itF, o.itB, want.opsF, want.opsB, want.itF, want.itB)
 	}
-	if !sparse.Equal(o.t, want.t, func(x, y algebra.MultPath) bool { return x == y }) {
+	if !testkit.Equal(o.t, want.t, func(x, y algebra.MultPath) bool { return x == y }) {
 		return "T matrix differs"
 	}
-	if !sparse.Equal(o.z, want.z, func(x, y algebra.CentPath) bool { return x == y }) {
+	if !testkit.Equal(o.z, want.z, func(x, y algebra.CentPath) bool { return x == y }) {
 		return "Z matrix differs"
 	}
 	for v := range want.bc {
@@ -221,7 +223,7 @@ func TestMFBCDistributedWorkersInvariant(t *testing.T) {
 			if _, err := sess.Run(nil); err != nil {
 				t.Fatal(err)
 			}
-			fused, err := sess.ApplyIncremental(sources, mesh2, nil, diffs, sources)
+			fused, err := sess.ApplyIncrementalCtx(context.Background(), sources, mesh2, nil, diffs, sources)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -136,7 +137,7 @@ func TestReusedStorageCarriesNothing(t *testing.T) {
 	}
 	fused := func(next *graph.Graph, diffs []EdgeDiff) func(*testing.T, *DistSession) stepOutcome {
 		return func(t *testing.T, s *DistSession) stepOutcome {
-			r, err := s.ApplyIncremental(pivots, next, nil, diffs, pivots)
+			r, err := s.ApplyIncrementalCtx(context.Background(), pivots, next, nil, diffs, pivots)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -192,7 +192,7 @@ func (s *rowScratch) forwardRow(a *sparse.CSR[float64], src int32, trow []algebr
 
 // push extends each frontier entry val[x] at vertex col[x] by one edge into
 // the accumulator: multpath × weight under ⊕ with the Bellman-Ford action,
-// the cases of algebra.MultPathPlus spelled in place. An A row is handled
+// the cases of algebra.MultPathMonoid spelled in place. An A row is handled
 // in two passes — screen compacts the products that can still matter into
 // the candidate buffers, then only those meet the occupancy test and the
 // three-way accumulate. ops is the product's nominal size, the whole A row

@@ -11,6 +11,7 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/graph"
 	"repro/internal/sparse"
+	"repro/internal/testkit"
 )
 
 // sweepPin is everything one sequential batch produces, reduced to
@@ -56,7 +57,7 @@ func pinSweep(t *testing.T, name string, a *sparse.CSR[float64], sources []int32
 	zm, opsB, itB := MFBrParallel(at, tm, sources, workers)
 
 	folded := make([]float64, a.Cols)
-	sparse.ZipJoin(zm, tm, func(_, j int32, zc algebra.CentPath, m algebra.MultPath) {
+	testkit.ZipJoin(zm, tm, func(_, j int32, zc algebra.CentPath, m algebra.MultPath) {
 		folded[j] += zc.P * m.M
 	})
 	bc := make([]float64, a.Cols)

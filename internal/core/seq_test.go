@@ -9,6 +9,7 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/graph"
 	"repro/internal/sparse"
+	"repro/internal/testkit"
 )
 
 func almostEqual(a, b float64) bool {
@@ -32,7 +33,7 @@ func checkAgainstBrandes(t *testing.T, g *graph.Graph, batch int) {
 }
 
 func TestMFBCPath(t *testing.T) {
-	g := graph.Path(10)
+	g := testkit.Path(10)
 	checkAgainstBrandes(t, g, 0)
 	// Closed form: interior vertex i of a path lies on all s<i<t pairs.
 	got, _ := MFBC(g, nil, Options{})
@@ -45,7 +46,7 @@ func TestMFBCPath(t *testing.T) {
 }
 
 func TestMFBCStar(t *testing.T) {
-	g := graph.Star(12)
+	g := testkit.Star(12)
 	checkAgainstBrandes(t, g, 5)
 	got, _ := MFBC(g, nil, Options{})
 	if want := float64(11 * 10); !almostEqual(got.BC[0], want) {
@@ -60,12 +61,12 @@ func TestMFBCStar(t *testing.T) {
 
 func TestMFBCRing(t *testing.T) {
 	for _, n := range []int{4, 5, 8, 9} {
-		checkAgainstBrandes(t, graph.Ring(n), 3)
+		checkAgainstBrandes(t, testkit.Ring(n), 3)
 	}
 }
 
 func TestMFBCBinaryTree(t *testing.T) {
-	checkAgainstBrandes(t, graph.CompleteBinaryTree(4), 0)
+	checkAgainstBrandes(t, testkit.CompleteBinaryTree(4), 0)
 }
 
 func TestMFBCWeightedGrid(t *testing.T) {
@@ -262,7 +263,7 @@ func TestMFBCPermutationEquivariance(t *testing.T) {
 	rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
 	h := &graph.Graph{Name: "permuted", N: g.N, Directed: g.Directed, Weighted: g.Weighted}
 	h.Edges = append(h.Edges, g.Edges...)
-	h.Permute(perm)
+	testkit.Permute(h, perm)
 	res2, err := MFBC(h, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -311,7 +312,7 @@ func TestMFBCEmptyAndTiny(t *testing.T) {
 			t.Fatal("empty graph must have zero BC")
 		}
 	}
-	single := graph.Path(2)
+	single := testkit.Path(2)
 	res, err = MFBC(single, nil, Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -6,11 +6,11 @@ import (
 	"testing"
 
 	"repro/internal/algebra"
-	"repro/internal/distmat"
 	"repro/internal/graph"
 	"repro/internal/machine"
 	"repro/internal/sparse"
 	"repro/internal/spgemm"
+	"repro/internal/testkit"
 )
 
 // distributedT runs the distributed forward sweep (sweepMFBF, Algorithm 1)
@@ -32,7 +32,7 @@ func distributedT(t *testing.T, g *graph.Graph, sources []int32, opt DistOptions
 		sp := &sidePlans{sess: spgemm.NewSession(proc), pls: []planner{pl}, plans: make([]spgemm.Plan, 1)}
 		sp.sess.Workers = opt.Workers
 		tm, it := sweepMFBF(sp, &rk.scalar, alg, rk.a, []*sparse.CSR[float64]{sess.adjCSR}, [][]bool{nil}, sources)
-		full := distmat.Gather(proc.World(), tm, alg.mult)
+		full := testkit.Gather(proc.World(), tm, alg.mult)
 		if proc.Rank() == 0 {
 			gathered, iters = full, it
 		}
@@ -93,7 +93,7 @@ func TestSSSPDistributed(t *testing.T) {
 // distributed entry points themselves (the façade checks before routing,
 // so its tests never reach these checks).
 func TestSSSPValidation(t *testing.T) {
-	g := graph.Path(5)
+	g := testkit.Path(5)
 	if err := CheckSources(g.N, nil); err != nil {
 		t.Fatalf("a nil source list (every vertex) must pass: %v", err)
 	}

@@ -48,24 +48,6 @@ func PartBounds(idx, n, p int) (int32, int32) {
 	return int32(lo), int32(lo + q)
 }
 
-// DistRowBlock splits rows into p contiguous blocks.
-func DistRowBlock(p, rows int) Dist {
-	return Dist{
-		Key:   fmt.Sprintf("rowblock(p=%d,rows=%d)", p, rows),
-		P:     p,
-		Owner: func(i, _ int32) int { return Part(i, rows, p) },
-	}
-}
-
-// DistColBlock splits columns into p contiguous blocks.
-func DistColBlock(p, cols int) Dist {
-	return Dist{
-		Key:   fmt.Sprintf("colblock(p=%d,cols=%d)", p, cols),
-		P:     p,
-		Owner: func(_, j int32) int { return Part(j, cols, p) },
-	}
-}
-
 // DistShard spreads entries pseudo-randomly (used as the neutral input
 // distribution before a plan-specific redistribution).
 func DistShard(p int) Dist {
@@ -108,9 +90,6 @@ func FromGlobal[T any](rank int, coo *sparse.COO[T], d Dist, m algebra.Monoid[T]
 	share.Canonicalize(m)
 	return &Mat[T]{Rows: coo.Rows, Cols: coo.Cols, Dist: d, Local: share.E}
 }
-
-// LocalNNZ returns the number of locally held entries.
-func (m *Mat[T]) LocalNNZ() int { return len(m.Local) }
 
 // GlobalNNZ sums entry counts over the communicator.
 func GlobalNNZ[T any](c *machine.Comm, m *Mat[T]) int64 {
@@ -225,7 +204,7 @@ func getSendBuf[T any](proc *machine.Proc, p int) *sendBuf[T] {
 // in one copy, found by galloping, so runs that cover disjoint ranges merge
 // by a few copies. No monoid: nothing folds. A coordinate held by two runs
 // panics, naming it — the owner function that cut the runs was not a
-// function of the coordinate. MergeRuns is its reference.
+// function of the coordinate. testkit.MergeRuns is its reference.
 func MergeDisjoint[T any](dst []sparse.Entry[T], runs [][]sparse.Entry[T]) []sparse.Entry[T] {
 	type cursor struct {
 		key  uint64
@@ -308,86 +287,6 @@ func below[T any](run []sparse.Entry[T], key uint64) int {
 		}
 	}
 	return hi
-}
-
-// MergeRuns merges any number of (row, col)-sorted duplicate-free runs into
-// one sorted duplicate-free slice: MergeSorted generalized from two runs to
-// k. Coordinates shared by several runs fold with the monoid in run order
-// and drop when the fold is zero. With at most one non-empty run the result
-// is that run itself, not a copy. No production path merges runs that share
-// coordinates: MergeRuns is the tests' reference for MergeDisjoint, and
-// defines what a shared coordinate would fold to.
-func MergeRuns[T any](runs [][]sparse.Entry[T], mon algebra.Monoid[T]) []sparse.Entry[T] {
-	// heap orders the runs' unmerged remainders by their next coordinate,
-	// then by run.
-	type cursor struct {
-		key  uint64
-		run  int
-		rest []sparse.Entry[T]
-	}
-	var heap []cursor
-	total := 0
-	for r, run := range runs {
-		if len(run) > 0 {
-			heap = append(heap, cursor{CoordKey(run[0].I, run[0].J), r, run})
-			total += len(run)
-		}
-	}
-	if len(heap) == 0 {
-		return nil
-	}
-	if len(heap) == 1 {
-		return heap[0].rest
-	}
-	before := func(a, b cursor) bool { return a.key < b.key || (a.key == b.key && a.run < b.run) }
-	down := func(x int) {
-		for c := 2*x + 1; c < len(heap); x, c = c, 2*c+1 {
-			if c+1 < len(heap) && before(heap[c+1], heap[c]) {
-				c++
-			}
-			if !before(heap[c], heap[x]) {
-				return
-			}
-			heap[x], heap[c] = heap[c], heap[x]
-		}
-	}
-	for x := len(heap)/2 - 1; x >= 0; x-- {
-		down(x)
-	}
-	out := make([]sparse.Entry[T], 0, total)
-	last, folded := ^uint64(0), false // out's last coordinate; whether it is a fold
-	dropZeroFold := func() {
-		if folded && mon.IsZero(out[len(out)-1].V) {
-			out = out[:len(out)-1]
-		}
-	}
-	for len(heap) > 0 {
-		top := &heap[0]
-		if e := top.rest[0]; top.key == last {
-			out[len(out)-1].V = mon.Op(out[len(out)-1].V, e.V)
-			folded = true
-		} else {
-			dropZeroFold()
-			out, last, folded = append(out, e), top.key, false
-		}
-		if top.rest = top.rest[1:]; len(top.rest) > 0 {
-			top.key = CoordKey(top.rest[0].I, top.rest[0].J)
-		} else {
-			heap[0] = heap[len(heap)-1]
-			heap = heap[:len(heap)-1]
-		}
-		down(0)
-	}
-	dropZeroFold()
-	return out
-}
-
-// Gather collects the full matrix at every rank (a debugging/verification
-// helper; cost charged as an allgather).
-func Gather[T any](c *machine.Comm, m *Mat[T], mon algebra.Monoid[T]) *sparse.CSR[T] {
-	all := machine.AllgatherConcat(c, m.Local)
-	coo := &sparse.COO[T]{Rows: m.Rows, Cols: m.Cols, E: all}
-	return sparse.FromCOO(coo, mon)
 }
 
 // EWise merges two identically distributed matrices with the monoid.

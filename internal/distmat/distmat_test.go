@@ -1,4 +1,4 @@
-package distmat
+package distmat_test
 
 import (
 	"fmt"
@@ -10,9 +10,11 @@ import (
 	"testing/quick"
 
 	"repro/internal/algebra"
+	"repro/internal/distmat"
 	"repro/internal/machine"
 	"repro/internal/machine/sim"
 	"repro/internal/sparse"
+	"repro/internal/testkit"
 )
 
 var addF = algebra.Monoid[float64]{
@@ -29,13 +31,13 @@ func TestPartProperties(t *testing.T) {
 		// bounds tile [0, n).
 		prev := int32(0)
 		for idx := 0; idx < p; idx++ {
-			lo, hi := PartBounds(idx, n, p)
+			lo, hi := distmat.PartBounds(idx, n, p)
 			if lo != prev || hi < lo {
 				return false
 			}
 			prev = hi
 			for i := lo; i < hi; i++ {
-				if Part(i, n, p) != idx {
+				if distmat.Part(i, n, p) != idx {
 					return false
 				}
 			}
@@ -53,7 +55,7 @@ func TestPartBalance(t *testing.T) {
 		n, p := tc[0], tc[1]
 		min, max := n, 0
 		for idx := 0; idx < p; idx++ {
-			lo, hi := PartBounds(idx, n, p)
+			lo, hi := distmat.PartBounds(idx, n, p)
 			sz := int(hi - lo)
 			if sz < min {
 				min = sz
@@ -69,10 +71,10 @@ func TestPartBalance(t *testing.T) {
 }
 
 func TestDistOwnersInRange(t *testing.T) {
-	dists := []Dist{
-		DistRowBlock(6, 100),
-		DistColBlock(6, 90),
-		DistShard(6),
+	dists := []distmat.Dist{
+		testkit.DistRowBlock(6, 100),
+		testkit.DistColBlock(6, 90),
+		distmat.DistShard(6),
 	}
 	for _, d := range dists {
 		for i := int32(0); i < 100; i++ {
@@ -94,9 +96,9 @@ func TestFromGlobalPartitions(t *testing.T) {
 	}
 	coo.Canonicalize(addF)
 	total := 0
-	d := DistShard(5)
+	d := distmat.DistShard(5)
 	for r := 0; r < 5; r++ {
-		m := FromGlobal(r, coo, d, addF)
+		m := distmat.FromGlobal(r, coo, d, addF)
 		for _, e := range m.Local {
 			if d.Owner(e.I, e.J) != r {
 				t.Fatal("entry assigned to wrong owner")
@@ -122,21 +124,21 @@ func TestRedistributeRoundTrip(t *testing.T) {
 	mach := sim.New(p)
 	_, err := mach.Run(func(proc *machine.Proc) {
 		w := proc.World()
-		m := FromGlobal(proc.Rank(), coo, DistShard(p), addF)
-		m2 := Redistribute(w, m, DistRowBlock(p, 30))
+		m := distmat.FromGlobal(proc.Rank(), coo, distmat.DistShard(p), addF)
+		m2 := distmat.Redistribute(w, m, testkit.DistRowBlock(p, 30))
 		for _, e := range m2.Local {
-			if DistRowBlock(p, 30).Owner(e.I, e.J) != proc.Rank() {
+			if testkit.DistRowBlock(p, 30).Owner(e.I, e.J) != proc.Rank() {
 				panic("redistribute placed an entry at the wrong rank")
 			}
 		}
-		m3 := Redistribute(w, m2, DistColBlock(p, 30))
-		m4 := Redistribute(w, m3, DistShard(p))
-		got := Gather(w, m4, addF)
-		if !sparse.Equal(want, got, func(a, b float64) bool { return a == b }) {
+		m3 := distmat.Redistribute(w, m2, testkit.DistColBlock(p, 30))
+		m4 := distmat.Redistribute(w, m3, distmat.DistShard(p))
+		got := testkit.Gather(w, m4, addF)
+		if !testkit.Equal(want, got, func(a, b float64) bool { return a == b }) {
 			panic("redistribution round trip changed the matrix")
 		}
 		// No-op fast path.
-		m5 := Redistribute(w, m4, DistShard(p))
+		m5 := distmat.Redistribute(w, m4, distmat.DistShard(p))
 		if m5 != m4 {
 			panic("same-key redistribute must be a no-op")
 		}
@@ -163,19 +165,19 @@ func TestEWiseAndZipJoin(t *testing.T) {
 	p := 4
 	mach := sim.New(p)
 	_, err := mach.Run(func(proc *machine.Proc) {
-		d := DistShard(p)
-		a := FromGlobal(proc.Rank(), cooA, d, addF)
-		b := FromGlobal(proc.Rank(), cooB, d, addF)
-		c := EWise(a, b, addF)
-		got := Gather(proc.World(), c, addF)
-		if !sparse.Equal(want, got, func(x, y float64) bool { return x == y }) {
+		d := distmat.DistShard(p)
+		a := distmat.FromGlobal(proc.Rank(), cooA, d, addF)
+		b := distmat.FromGlobal(proc.Rank(), cooB, d, addF)
+		c := distmat.EWise(a, b, addF)
+		got := testkit.Gather(proc.World(), c, addF)
+		if !testkit.Equal(want, got, func(x, y float64) bool { return x == y }) {
 			panic("distributed ewise differs from sequential")
 		}
 		joined := 0
-		ZipJoin(a, b, func(_, _ int32, _, _ float64) { joined++ })
+		distmat.ZipJoin(a, b, func(_, _ int32, _, _ float64) { joined++ })
 		cnt := machine.AllreduceScalar(proc.World(), joined, func(x, y int) int { return x + y })
 		wantJoin := 0
-		sparse.ZipJoin(wantA, wantB, func(_, _ int32, _, _ float64) { wantJoin++ })
+		testkit.ZipJoin(wantA, wantB, func(_, _ int32, _, _ float64) { wantJoin++ })
 		if cnt != wantJoin {
 			panic("distributed zipjoin visited the wrong number of coordinates")
 		}
@@ -200,7 +202,7 @@ func (quickEntries) Generate(r *rand.Rand, _ int) reflect.Value {
 func TestMergeSortedProperties(t *testing.T) {
 	check := func(qa, qb quickEntries) bool {
 		a, b := []sparse.Entry[float64](qa), []sparse.Entry[float64](qb)
-		got := MergeSorted(a, b, addF)
+		got := distmat.MergeSorted(a, b, addF)
 		// Reference: concatenate and canonicalize.
 		coo := &sparse.COO[float64]{Rows: 12, Cols: 12, E: append(append([]sparse.Entry[float64]{}, a...), b...)}
 		coo.Canonicalize(addF)
@@ -223,12 +225,12 @@ func TestMergeSortedProperties(t *testing.T) {
 // is — same backing array, no copy.
 func TestMergeSortedEmptySide(t *testing.T) {
 	a := []sparse.Entry[float64]{{I: 0, J: 1, V: 2}, {I: 3, J: 0, V: 1}}
-	for _, got := range [][]sparse.Entry[float64]{MergeSorted(a, nil, addF), MergeSorted(nil, a, addF)} {
+	for _, got := range [][]sparse.Entry[float64]{distmat.MergeSorted(a, nil, addF), distmat.MergeSorted(nil, a, addF)} {
 		if len(got) != len(a) || &got[0] != &a[0] {
 			t.Fatalf("empty-side merge copied or changed its input: %v", got)
 		}
 	}
-	if got := MergeSorted[float64](nil, nil, addF); len(got) != 0 {
+	if got := distmat.MergeSorted[float64](nil, nil, addF); len(got) != 0 {
 		t.Fatalf("merge of nothing = %v", got)
 	}
 }
@@ -245,16 +247,16 @@ func TestMergeRunsProperties(t *testing.T) {
 		}
 		coo := &sparse.COO[float64]{Rows: 12, Cols: 12, E: all}
 		coo.Canonicalize(addF)
-		return slices.Equal(MergeRuns(runs, addF), coo.E)
+		return slices.Equal(testkit.MergeRuns(runs, addF), coo.E)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 	a := []sparse.Entry[float64]{{I: 1, J: 1, V: 4}}
-	if got := MergeRuns([][]sparse.Entry[float64]{nil, a, nil}, addF); len(got) != 1 || &got[0] != &a[0] {
+	if got := testkit.MergeRuns([][]sparse.Entry[float64]{nil, a, nil}, addF); len(got) != 1 || &got[0] != &a[0] {
 		t.Fatalf("single run copied or changed: %v", got)
 	}
-	if got := MergeRuns[float64](nil, addF); got != nil {
+	if got := testkit.MergeRuns[float64](nil, addF); got != nil {
 		t.Fatalf("merge of no runs = %v", got)
 	}
 }
@@ -281,11 +283,11 @@ func TestMergeDisjointMatchesMergeRuns(t *testing.T) {
 		for _, e := range q {
 			r := rng.Intn(len(runs))
 			if byRows {
-				r = Part(e.I, 12, len(runs))
+				r = distmat.Part(e.I, 12, len(runs))
 			}
 			runs[r] = append(runs[r], e)
 		}
-		want := MergeRuns(runs, addF)
+		want := testkit.MergeRuns(runs, addF)
 		var dst []sparse.Entry[float64]
 		switch dstSel % 4 {
 		case 1: // dirty, exactly large enough
@@ -300,7 +302,7 @@ func TestMergeDisjointMatchesMergeRuns(t *testing.T) {
 		for r, run := range runs {
 			before[r] = slices.Clone(run)
 		}
-		got := MergeDisjoint(dst, runs)
+		got := distmat.MergeDisjoint(dst, runs)
 		if !slices.Equal(got, want) || (fits && &got[0] != &dst[0]) {
 			return false
 		}
@@ -317,10 +319,10 @@ func TestMergeDisjointMatchesMergeRuns(t *testing.T) {
 	if err := quick.Check(check, &quick.Config{MaxCount: 600}); err != nil {
 		t.Fatal(err)
 	}
-	if got := MergeDisjoint(nil, [][]sparse.Entry[float64]{nil, {}}); got != nil {
+	if got := distmat.MergeDisjoint(nil, [][]sparse.Entry[float64]{nil, {}}); got != nil {
 		t.Fatalf("merge of empty runs = %v", got)
 	}
-	if got := MergeDisjoint(dirty(3), [][]sparse.Entry[float64]{nil, {}}); len(got) != 0 {
+	if got := distmat.MergeDisjoint(dirty(3), [][]sparse.Entry[float64]{nil, {}}); len(got) != 0 {
 		t.Fatalf("merge of empty runs over a dirty destination = %v", got)
 	}
 	defer func() {
@@ -328,7 +330,7 @@ func TestMergeDisjointMatchesMergeRuns(t *testing.T) {
 			t.Fatalf("shared coordinate: recovered %v, want a panic naming (2, 7)", r)
 		}
 	}()
-	MergeDisjoint(nil, [][]sparse.Entry[float64]{{{I: 1, J: 1}, {I: 2, J: 7}}, {{I: 2, J: 3}}, {{I: 2, J: 7}}})
+	distmat.MergeDisjoint(nil, [][]sparse.Entry[float64]{{{I: 1, J: 1}, {I: 2, J: 7}}, {{I: 2, J: 3}}, {{I: 2, J: 7}}})
 }
 
 // TestAccumulatorMatchesMergeSorted folds a stream of runs through one
@@ -337,11 +339,11 @@ func TestMergeDisjointMatchesMergeRuns(t *testing.T) {
 // once both buffers have grown — without allocating.
 func TestAccumulatorMatchesMergeSorted(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	var acc Accumulator[float64]
+	var acc distmat.Accumulator[float64]
 	var got, want []sparse.Entry[float64]
 	step := func() {
 		run := quickEntries{}.Generate(rng, 0).Interface().(quickEntries)
-		want = slices.Clone(MergeSorted(want, run, addF)) // MergeSorted may return run itself
+		want = slices.Clone(distmat.MergeSorted(want, run, addF)) // distmat.MergeSorted may return run itself
 		got = acc.Merge(got, run, addF)
 		if !slices.Equal(got, want) {
 			t.Fatalf("accumulated %v, want %v", got, want)
@@ -388,7 +390,7 @@ func TestFromGlobalMatchesDefinition(t *testing.T) {
 		// The definition: clone, sort by (row, col), fold each coordinate's
 		// run (small integers: exact in any order), drop zeros, filter.
 		es := slices.Clone(coo.E)
-		SortEntries(es)
+		distmat.SortEntries(es)
 		var canonical []sparse.Entry[float64]
 		for x := 0; x < len(es); {
 			cur, y := es[x], x+1
@@ -401,7 +403,7 @@ func TestFromGlobalMatchesDefinition(t *testing.T) {
 			x = y
 		}
 		for _, p := range []int{1, 3, 4} {
-			for _, d := range []Dist{DistShard(p), DistRowBlock(p, rows)} {
+			for _, d := range []distmat.Dist{distmat.DistShard(p), testkit.DistRowBlock(p, rows)} {
 				total := 0
 				for r := 0; r < p; r++ {
 					var want []sparse.Entry[float64]
@@ -410,7 +412,7 @@ func TestFromGlobalMatchesDefinition(t *testing.T) {
 							want = append(want, e)
 						}
 					}
-					got := FromGlobal(r, coo, d, addF)
+					got := distmat.FromGlobal(r, coo, d, addF)
 					if !slices.Equal(got.Local, want) {
 						t.Fatalf("trial %d %s rank %d: %d entries, the definition gives %d", trial, d.Key, r, len(got.Local), len(want))
 					}
@@ -422,7 +424,7 @@ func TestFromGlobalMatchesDefinition(t *testing.T) {
 			}
 		}
 		if !slices.Equal(coo.E, before) {
-			t.Fatalf("trial %d: FromGlobal changed its input", trial)
+			t.Fatalf("trial %d: distmat.FromGlobal changed its input", trial)
 		}
 	}
 }

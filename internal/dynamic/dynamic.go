@@ -27,7 +27,7 @@
 // the resident blocks instead of redistributing the whole matrix, so the
 // once-per-run placement cost of Theorem 5.1 amortizes across the whole
 // mutation stream. An incremental apply runs as one fused machine region
-// (core.DistSession.ApplyIncremental: both sides' pivot re-runs over the
+// (core.DistSession.ApplyIncrementalCtx: both sides' pivot re-runs over the
 // pair semiring, operands patched mid-region); the two-region form
 // (old-side run, host patch, new-side run) survives only where fusion
 // cannot apply — vertex-growth batches, whose operand dimensions change,
@@ -359,16 +359,11 @@ func (e *Engine) Stats() Stats {
 	return st
 }
 
-// Apply atomically applies one mutation batch and refreshes the maintained
-// scores. On error the engine state is unchanged (batches are applied to a
-// private clone first). Readers concurrent with Apply see either the old
-// or the new snapshot, never a mix.
-func (e *Engine) Apply(batch []graph.Mutation) (Report, error) {
-	return e.ApplyCtx(context.Background(), batch)
-}
-
-// ApplyCtx is Apply with trace propagation: when ctx carries an obs span,
-// the apply reports itself as a dynamic.apply child span, the
+// ApplyCtx atomically applies one mutation batch and refreshes the
+// maintained scores. On error the engine state is unchanged (batches are
+// applied to a private clone first). Readers concurrent with ApplyCtx see
+// either the old or the new snapshot, never a mix. When ctx carries an obs
+// span, the apply reports itself as a dynamic.apply child span, the
 // affected-source probes and local sweeps as grandchildren, and every
 // machine region as a machine.region span whose per-phase children pair
 // modeled cost with measured wall-clock.
@@ -531,7 +526,7 @@ func (e *Engine) sweep(ctx context.Context, st *state, sources []int32, cost *Co
 }
 
 // fusedIncrementalScores merges the batch's delta through one fused
-// machine region: core.DistSession.ApplyIncremental computes both sides'
+// machine region: core.DistSession.ApplyIncrementalCtx computes both sides'
 // pivot re-runs simultaneously over the pair semiring, patching the
 // resident operands mid-region (diff scattered as a modeled collective,
 // splice charged as local γ-flops), so the latency term is paid once. The

@@ -1,6 +1,7 @@
 package dynamic
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -109,7 +110,7 @@ func TestIncrementalMatchesFromScratch(t *testing.T) {
 						t.Fatalf("step %d: shadow apply: %v", step, err)
 					}
 				}
-				rep, err := eng.Apply(batch)
+				rep, err := eng.ApplyCtx(context.Background(), batch)
 				if err != nil {
 					t.Fatalf("step %d: %v", step, err)
 				}
@@ -140,7 +141,7 @@ func TestDirtyThresholdFallsBackToFull(t *testing.T) {
 	}
 	// Deleting a central edge affects shortest paths from nearly every
 	// source in a mesh.
-	rep, err := eng.Apply([]graph.Mutation{{Op: graph.OpRemoveEdge, U: g.Edges[30].U, V: g.Edges[30].V}})
+	rep, err := eng.ApplyCtx(context.Background(), []graph.Mutation{{Op: graph.OpRemoveEdge, U: g.Edges[30].U, V: g.Edges[30].V}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +174,7 @@ func TestAffectedSourcesLocal(t *testing.T) {
 	}
 	// A chord inside the second component leaves the first component's
 	// sources untouched.
-	rep, err := eng.Apply([]graph.Mutation{{Op: graph.OpAddEdge, U: 25, V: 30, W: 1}})
+	rep, err := eng.ApplyCtx(context.Background(), []graph.Mutation{{Op: graph.OpAddEdge, U: 25, V: 30, W: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +204,7 @@ func TestNoopBatchSkipsCompute(t *testing.T) {
 		}
 	}
 	before := eng.Snapshot()
-	rep, err := eng.Apply([]graph.Mutation{
+	rep, err := eng.ApplyCtx(context.Background(), []graph.Mutation{
 		{Op: graph.OpAddEdge, U: u, V: v, W: 1},
 		{Op: graph.OpRemoveEdge, U: u, V: v},
 	})
@@ -229,7 +230,7 @@ func TestApplyErrorLeavesStateUntouched(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := eng.Snapshot()
-	_, err = eng.Apply([]graph.Mutation{
+	_, err = eng.ApplyCtx(context.Background(), []graph.Mutation{
 		{Op: graph.OpAddEdge, U: 0, V: 5, W: 1},
 		{Op: graph.OpAddEdge, U: 0, V: 99, W: 1}, // out of range
 	})
@@ -304,7 +305,7 @@ func TestConcurrentReadersSeeConsistentSnapshots(t *testing.T) {
 		}()
 	}
 	for _, m := range muts {
-		if _, err := eng.Apply([]graph.Mutation{m}); err != nil {
+		if _, err := eng.ApplyCtx(context.Background(), []graph.Mutation{m}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -342,7 +343,7 @@ func TestApplyNeverMutatesPublishedSnapshot(t *testing.T) {
 			}
 		}
 	}()
-	if _, err := eng.Apply([]graph.Mutation{{Op: graph.OpAddEdge, U: 0, V: 5, W: 1}}); err != nil {
+	if _, err := eng.ApplyCtx(context.Background(), []graph.Mutation{{Op: graph.OpAddEdge, U: 0, V: 5, W: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	<-done
@@ -459,7 +460,7 @@ func TestDistributedIncrementalMatchesFromScratch(t *testing.T) {
 							t.Fatalf("step %d: shadow apply: %v", step, err)
 						}
 					}
-					rep, err := e.Apply(batch)
+					rep, err := e.ApplyCtx(context.Background(), batch)
 					if err != nil {
 						t.Fatalf("step %d: %v", step, err)
 					}
@@ -537,7 +538,7 @@ func TestDistributedApplyCheaperThanFromScratch(t *testing.T) {
 			best, bestAff = cand, n
 		}
 	}
-	rep, err := e.Apply([]graph.Mutation{{Op: graph.OpSetWeight, U: best.U, V: best.V, W: best.W * 1.07}})
+	rep, err := e.ApplyCtx(context.Background(), []graph.Mutation{{Op: graph.OpSetWeight, U: best.U, V: best.V, W: best.W * 1.07}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -567,7 +568,7 @@ func TestFusedApplyReportsPhases(t *testing.T) {
 		t.Fatal(err)
 	}
 	eg := e.Snapshot().Graph
-	rep, err := e.Apply([]graph.Mutation{{Op: graph.OpSetWeight, U: eg.Edges[0].U, V: eg.Edges[0].V, W: 5}})
+	rep, err := e.ApplyCtx(context.Background(), []graph.Mutation{{Op: graph.OpSetWeight, U: eg.Edges[0].U, V: eg.Edges[0].V, W: 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -620,7 +621,7 @@ func TestFusedFallsBackOnVertexGrowth(t *testing.T) {
 	if _, err := shadow.ApplyAll(batch); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := e.Apply(batch)
+	rep, err := e.ApplyCtx(context.Background(), batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -651,7 +652,7 @@ func TestFusedNoopAndEmptyAffectedSkipRegions(t *testing.T) {
 	if _, ok := g.FindEdge(u, v); ok {
 		t.Fatal("test edge unexpectedly present")
 	}
-	rep, err := e.Apply([]graph.Mutation{
+	rep, err := e.ApplyCtx(context.Background(), []graph.Mutation{
 		{Op: graph.OpAddEdge, U: u, V: v, W: 1},
 		{Op: graph.OpRemoveEdge, U: u, V: v}, // transient: effective diff empty
 	})

@@ -23,9 +23,9 @@ var (
 	// ErrQueueFull is returned by Enqueue when the queue is at its
 	// depth bound; callers surface it as backpressure (HTTP 429).
 	ErrQueueFull = errors.New("dynamic: ingest queue full")
-	// ErrQueueClosed is returned by Enqueue after Close — the owning
+	// errQueueClosed is returned by Enqueue after Close — the owning
 	// graph was evicted and the queue must never be reused.
-	ErrQueueClosed = errors.New("dynamic: ingest queue closed")
+	errQueueClosed = errors.New("dynamic: ingest queue closed")
 )
 
 // Pending is one producer's batch waiting in a Queue. The drainer calls
@@ -91,7 +91,7 @@ func (q *Queue[R]) Enqueue(muts []graph.Mutation, now time.Time) (p *Pending[R],
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
-		return nil, 0, false, ErrQueueClosed
+		return nil, 0, false, errQueueClosed
 	}
 	if q.maxDepth > 0 && len(q.pending) >= q.maxDepth {
 		return nil, len(q.pending), false, ErrQueueFull

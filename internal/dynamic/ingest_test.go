@@ -86,7 +86,7 @@ func TestQueueBackpressureAndClose(t *testing.T) {
 	if len(orphans) != 2 {
 		t.Fatalf("close returned %d orphans, want 2", len(orphans))
 	}
-	if _, _, _, err := q.Enqueue(batch(1), now); !errors.Is(err, ErrQueueClosed) {
+	if _, _, _, err := q.Enqueue(batch(1), now); !errors.Is(err, errQueueClosed) {
 		t.Fatalf("enqueue after close: %v, want ErrQueueClosed", err)
 	}
 	if _, ok := q.Drain(); ok {

@@ -51,7 +51,7 @@ func (g *Graph) AvgDegree() float64 {
 // positive weights, no self-loops, canonical undirected orientation, and no
 // edge listed twice — Adjacency would keep the lightest copy and
 // OutAdjacencyLists all of them, so the engines would disagree. Every
-// generator, ReadEdgeList and Apply emit strictly increasing (U,V), which
+// generator, LoadFile and Apply emit strictly increasing (U,V), which
 // one pass confirms; only an unsorted list pays for a set.
 func (g *Graph) Validate() error {
 	sorted := true
@@ -169,9 +169,9 @@ func dedupeEdges(edges []Edge, directed bool) []Edge {
 	return ded
 }
 
-// RemoveDisconnected drops vertices with no incident edges and relabels the
+// removeDisconnected drops vertices with no incident edges and relabels the
 // rest contiguously, as the paper's preprocessing does.
-func (g *Graph) RemoveDisconnected() {
+func (g *Graph) removeDisconnected() {
 	seen := make([]bool, g.N)
 	for _, e := range g.Edges {
 		seen[e.U] = true
@@ -192,25 +192,6 @@ func (g *Graph) RemoveDisconnected() {
 		g.Edges[i].V = remap[g.Edges[i].V]
 	}
 	g.N = int(next)
-}
-
-// Permute relabels vertices by the permutation perm (new = perm[old]),
-// re-canonicalizing edge orientation. Randomized relabeling is what makes
-// the oblivious block distributions of §5.2 load-balanced.
-func (g *Graph) Permute(perm []int32) {
-	for i := range g.Edges {
-		g.Edges[i].U = perm[g.Edges[i].U]
-		g.Edges[i].V = perm[g.Edges[i].V]
-		if !g.Directed && g.Edges[i].U > g.Edges[i].V {
-			g.Edges[i].U, g.Edges[i].V = g.Edges[i].V, g.Edges[i].U
-		}
-	}
-	sort.Slice(g.Edges, func(a, b int) bool {
-		if g.Edges[a].U != g.Edges[b].U {
-			return g.Edges[a].U < g.Edges[b].U
-		}
-		return g.Edges[a].V < g.Edges[b].V
-	})
 }
 
 // AddUniformWeights assigns integer weights drawn uniformly from [lo, hi]
@@ -270,7 +251,7 @@ func RMAT(opt RMATOptions) *Graph {
 		Edges:    dedupeEdges(edges, opt.Directed),
 	}
 	if !opt.KeepIsolated {
-		g.RemoveDisconnected()
+		g.removeDisconnected()
 	}
 	return g
 }
@@ -313,39 +294,6 @@ func Uniform(n, m int, directed bool, seed int64) *Graph {
 	return g
 }
 
-// Ring generates an undirected cycle, a high-diameter stress case.
-func Ring(n int) *Graph {
-	g := &Graph{Name: fmt.Sprintf("ring-%d", n), N: n}
-	for i := 0; i < n; i++ {
-		j := (i + 1) % n
-		u, v := int32(i), int32(j)
-		if u > v {
-			u, v = v, u
-		}
-		g.Edges = append(g.Edges, Edge{U: u, V: v, W: 1})
-	}
-	g.Edges = dedupeEdges(g.Edges, false)
-	return g
-}
-
-// Path generates an undirected path graph.
-func Path(n int) *Graph {
-	g := &Graph{Name: fmt.Sprintf("path-%d", n), N: n}
-	for i := 0; i+1 < n; i++ {
-		g.Edges = append(g.Edges, Edge{U: int32(i), V: int32(i + 1), W: 1})
-	}
-	return g
-}
-
-// Star generates a star with the hub at vertex 0.
-func Star(n int) *Graph {
-	g := &Graph{Name: fmt.Sprintf("star-%d", n), N: n}
-	for i := 1; i < n; i++ {
-		g.Edges = append(g.Edges, Edge{U: 0, V: int32(i), W: 1})
-	}
-	return g
-}
-
 // Grid2D generates an r×c undirected mesh, optionally with uniform random
 // integer weights in [1, maxW] (a road-network-like workload).
 func Grid2D(r, c int, maxW int, seed int64) *Graph {
@@ -371,23 +319,10 @@ func Grid2D(r, c int, maxW int, seed int64) *Graph {
 	return g
 }
 
-// CompleteBinaryTree generates a rooted complete binary tree as an
-// undirected graph; its BC scores have a closed form used by invariant
-// tests.
-func CompleteBinaryTree(levels int) *Graph {
-	n := (1 << levels) - 1
-	g := &Graph{Name: fmt.Sprintf("btree-%d", levels), N: n}
-	for i := 1; i < n; i++ {
-		p := int32((i - 1) / 2)
-		g.Edges = append(g.Edges, Edge{U: p, V: int32(i), W: 1})
-	}
-	return g
-}
-
-// LayeredDAG generates a directed graph of `layers` layers of `width`
+// layeredDAG generates a directed graph of `layers` layers of `width`
 // vertices with forward edges chosen randomly, plus a chain through layer
 // heads guaranteeing a large diameter — a citation-network-like profile.
-func LayeredDAG(layers, width, outDeg int, seed int64) *Graph {
+func layeredDAG(layers, width, outDeg int, seed int64) *Graph {
 	rng := rand.New(rand.NewSource(seed))
 	n := layers * width
 	g := &Graph{Name: fmt.Sprintf("layered-%dx%d", layers, width), N: n, Directed: true}

@@ -8,25 +8,6 @@ import (
 	"testing"
 )
 
-func TestGeneratorsValidate(t *testing.T) {
-	graphs := []*Graph{
-		RMAT(DefaultRMAT(8, 8, 1)),
-		Uniform(200, 900, false, 2),
-		Uniform(200, 900, true, 3),
-		Ring(50),
-		Path(50),
-		Star(50),
-		Grid2D(8, 9, 5, 4),
-		CompleteBinaryTree(5),
-		LayeredDAG(6, 20, 3, 5),
-	}
-	for _, g := range graphs {
-		if err := g.Validate(); err != nil {
-			t.Fatalf("%s: %v", g.Name, err)
-		}
-	}
-}
-
 func TestRMATProperties(t *testing.T) {
 	g := RMAT(DefaultRMAT(9, 8, 7))
 	if g.N > 1<<9 {
@@ -94,7 +75,7 @@ func TestAdjacencySymmetryAndWeights(t *testing.T) {
 			}
 		}
 	}
-	d := LayeredDAG(4, 5, 2, 3)
+	d := layeredDAG(4, 5, 2, 3)
 	if d.Adjacency().NNZ() != d.M() {
 		t.Fatal("directed adjacency must store each edge once")
 	}
@@ -114,69 +95,17 @@ func TestAdjacencyLists(t *testing.T) {
 	}
 }
 
-func TestPermuteRoundTrip(t *testing.T) {
-	g := RMAT(DefaultRMAT(7, 6, 13))
-	perm := make([]int32, g.N)
-	inv := make([]int32, g.N)
-	for i := range perm {
-		perm[i] = int32((i*7 + 3) % g.N)
-	}
-	// ensure bijection (gcd(7, n) may not be 1; verify)
-	seen := make([]bool, g.N)
-	bij := true
-	for _, p := range perm {
-		if seen[p] {
-			bij = false
-			break
-		}
-		seen[p] = true
-	}
-	if !bij {
-		t.Skip("7 divides n; permutation not bijective for this size")
-	}
-	for i, p := range perm {
-		inv[p] = int32(i)
-	}
-	orig := append([]Edge{}, g.Edges...)
-	g.Permute(perm)
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	g.Permute(inv)
-	if len(g.Edges) != len(orig) {
-		t.Fatal("permute round trip lost edges")
-	}
-	for i := range orig {
-		if g.Edges[i] != orig[i] {
-			t.Fatalf("edge %d: %v vs %v", i, g.Edges[i], orig[i])
-		}
-	}
-}
-
-func TestAddUniformWeights(t *testing.T) {
-	g := Ring(30)
-	g.AddUniformWeights(1, 100, 5)
-	if !g.Weighted {
-		t.Fatal("graph must be marked weighted")
-	}
-	for _, e := range g.Edges {
-		if e.W < 1 || e.W > 100 || e.W != math.Trunc(e.W) {
-			t.Fatalf("weight %v outside [1,100] or not integer", e.W)
-		}
-	}
-}
-
 func TestIORoundTrip(t *testing.T) {
 	for _, g := range []*Graph{
 		RMAT(DefaultRMAT(6, 5, 17)),
 		Grid2D(4, 5, 9, 3),
-		LayeredDAG(4, 6, 2, 9),
+		layeredDAG(4, 6, 2, 9),
 	} {
 		var buf bytes.Buffer
 		if err := WriteEdgeList(&buf, g); err != nil {
 			t.Fatal(err)
 		}
-		h, err := ReadEdgeList(&buf)
+		h, err := readEdgeList(&buf)
 		if err != nil {
 			t.Fatalf("%s: %v", g.Name, err)
 		}
@@ -193,37 +122,15 @@ func TestIORoundTrip(t *testing.T) {
 
 func TestReadEdgeListBare(t *testing.T) {
 	in := "0 1\n1 2\n2 0\n"
-	g, err := ReadEdgeList(bytes.NewBufferString(in))
+	g, err := readEdgeList(bytes.NewBufferString(in))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g.N != 3 || g.M() != 3 || g.Weighted {
 		t.Fatalf("bare parse wrong: n=%d m=%d", g.N, g.M())
 	}
-	if _, err := ReadEdgeList(bytes.NewBufferString("0 x\n")); err == nil {
+	if _, err := readEdgeList(bytes.NewBufferString("0 x\n")); err == nil {
 		t.Fatal("malformed line must fail")
-	}
-}
-
-func TestBFSDistancesAndStats(t *testing.T) {
-	g := Path(10)
-	adj, _ := g.OutAdjacencyLists()
-	d := BFSDistances(adj, 0)
-	for i := 0; i < 10; i++ {
-		if d[i] != int32(i) {
-			t.Fatalf("path distance to %d = %d", i, d[i])
-		}
-	}
-	st := ComputeStats(g, 100, 1)
-	if st.Diameter != 9 {
-		t.Fatalf("path diameter %d want 9", st.Diameter)
-	}
-	if st.MaxDegree != 2 || st.Reachable != 1 {
-		t.Fatalf("stats wrong: %+v", st)
-	}
-	ring := ComputeStats(Ring(12), 100, 1)
-	if ring.Diameter != 6 {
-		t.Fatalf("ring diameter %d want 6", ring.Diameter)
 	}
 }
 
@@ -262,7 +169,7 @@ func TestStandins(t *testing.T) {
 
 func TestRemoveDisconnected(t *testing.T) {
 	g := &Graph{N: 10, Edges: []Edge{{U: 2, V: 7, W: 1}, {U: 7, V: 9, W: 1}}}
-	g.RemoveDisconnected()
+	g.removeDisconnected()
 	if g.N != 3 {
 		t.Fatalf("n=%d want 3", g.N)
 	}

@@ -36,10 +36,10 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
-// ReadEdgeList parses the format written by WriteEdgeList. Header lines are
+// readEdgeList parses the format written by WriteEdgeList. Header lines are
 // optional: without them the graph is assumed undirected/unweighted with n
 // inferred from the maximum vertex id.
-func ReadEdgeList(r io.Reader) (*Graph, error) {
+func readEdgeList(r io.Reader) (*Graph, error) {
 	g := &Graph{Name: "edgelist"}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
@@ -117,7 +117,7 @@ func LoadFile(path string) (*Graph, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return ReadEdgeList(f)
+	return readEdgeList(f)
 }
 
 // SaveFile writes a graph to an edge-list file.

@@ -79,7 +79,7 @@ func TestReadEdgeListErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := ReadEdgeList(strings.NewReader(tc.input))
+			_, err := readEdgeList(strings.NewReader(tc.input))
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("ReadEdgeList(%q) = %v, want error containing %q", tc.input, err, tc.want)
 			}
@@ -90,7 +90,7 @@ func TestReadEdgeListErrors(t *testing.T) {
 // TestReadEdgeListSanitizesSelfLoops: self-loop lines are dropped by the
 // canonicalization pass (SNAP dumps contain them), not rejected.
 func TestReadEdgeListSanitizesSelfLoops(t *testing.T) {
-	g, err := ReadEdgeList(strings.NewReader("2 2\n0 1\n"))
+	g, err := readEdgeList(strings.NewReader("2 2\n0 1\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,14 +102,14 @@ func TestReadEdgeListSanitizesSelfLoops(t *testing.T) {
 // TestReadEdgeListDeclaredN: a nodes header larger than the max vertex id
 // must win (isolated tail vertices), and a smaller one must not truncate.
 func TestReadEdgeListDeclaredN(t *testing.T) {
-	g, err := ReadEdgeList(strings.NewReader("# nodes 10\n0 1\n"))
+	g, err := readEdgeList(strings.NewReader("# nodes 10\n0 1\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g.N != 10 {
 		t.Fatalf("declared nodes ignored: n = %d, want 10", g.N)
 	}
-	g, err = ReadEdgeList(strings.NewReader("# nodes 2\n0 5\n"))
+	g, err = readEdgeList(strings.NewReader("# nodes 2\n0 5\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestWriteEdgeListRoundTrip(t *testing.T) {
 	if err := WriteEdgeList(&buf, g); err != nil {
 		t.Fatalf("WriteEdgeList: %v", err)
 	}
-	got, err := ReadEdgeList(&buf)
+	got, err := readEdgeList(&buf)
 	if err != nil {
 		t.Fatalf("ReadEdgeList: %v", err)
 	}

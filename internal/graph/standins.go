@@ -59,7 +59,7 @@ func Standin(id string, scale int, seed int64) (*Graph, error) {
 		return g, nil
 	case "patents-sim":
 		// Directed, sparse, high diameter: a layered citation-style DAG.
-		g := LayeredDAG(22, 700*scale, 4, seed)
+		g := layeredDAG(22, 700*scale, 4, seed)
 		g.Name = id
 		return g, nil
 	default:

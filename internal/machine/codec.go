@@ -62,11 +62,11 @@ func isFlat(t reflect.Type) bool {
 	return false
 }
 
-// EncodeSlice returns the wire form of s: its raw memory image. The
+// encodeSlice returns the wire form of s: its raw memory image. The
 // result aliases s (zero-copy); callers that buffer it past the next
 // mutation of s must copy. Always non-nil, so an encoded empty slice is
 // distinguishable from "no payload" (nil).
-func EncodeSlice[T any](s []T) []byte {
+func encodeSlice[T any](s []T) []byte {
 	assertFlat[T]()
 	if len(s) == 0 {
 		return []byte{}
@@ -78,9 +78,9 @@ func EncodeSlice[T any](s []T) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*sz)
 }
 
-// DecodeSlice reconstructs a []T from its wire form, copying out of b.
+// decodeSlice reconstructs a []T from its wire form, copying out of b.
 // len(b) must be a multiple of Sizeof(T).
-func DecodeSlice[T any](b []byte) []T {
+func decodeSlice[T any](b []byte) []T {
 	assertFlat[T]()
 	var zero T
 	sz := int(unsafe.Sizeof(zero))

@@ -26,14 +26,14 @@ func roundTrip[T any](t *testing.T, raw []byte) {
 	var zero T
 	sz := int(unsafe.Sizeof(zero))
 	b := raw[:len(raw)-len(raw)%sz]
-	vals := DecodeSlice[T](b)
+	vals := decodeSlice[T](b)
 	if len(vals) != len(b)/sz {
 		t.Fatalf("%T: decoded %d elements from %d bytes (element size %d)", zero, len(vals), len(b), sz)
 	}
 	if got := bytesOf[T](len(vals)); got != int64(len(b)) {
 		t.Fatalf("%T: bytesOf(%d) = %d, want %d — modeled and actual wire size diverge", zero, len(vals), got, len(b))
 	}
-	enc := EncodeSlice(vals)
+	enc := encodeSlice(vals)
 	if enc == nil {
 		t.Fatalf("%T: EncodeSlice returned nil; empty payloads must stay distinguishable from none", zero)
 	}
@@ -41,7 +41,7 @@ func roundTrip[T any](t *testing.T, raw []byte) {
 		t.Fatalf("%T: encode(decode(b)) != b\n got %x\nwant %x", zero, enc, b)
 	}
 	// Second lap from the re-encoded form: the fixed point is immediate.
-	if again := EncodeSlice(DecodeSlice[T](enc)); !bytes.Equal(again, b) {
+	if again := encodeSlice(decodeSlice[T](enc)); !bytes.Equal(again, b) {
 		t.Fatalf("%T: second round trip diverged", zero)
 	}
 }
@@ -52,10 +52,10 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	// Seed with real encoded payloads so the corpus starts on interesting
 	// element boundaries: tropical infinities, NaN, negative zero, and a
 	// pair entry with asymmetric sides.
-	f.Add(append([]byte(nil), EncodeSlice([]float64{0, math.Copysign(0, -1), 1.5, math.Inf(1), math.NaN()})...))
-	f.Add(append([]byte(nil), EncodeSlice([]algebra.MultPath{algebra.MultPathZero(), {W: 2.5, M: 3}})...))
-	f.Add(append([]byte(nil), EncodeSlice([]algebra.CentPath{algebra.CentPathZero(), {W: 1, P: 0.5, C: -7}})...))
-	f.Add(append([]byte(nil), EncodeSlice([]sparse.Entry[algebra.MultPathPair]{
+	f.Add(append([]byte(nil), encodeSlice([]float64{0, math.Copysign(0, -1), 1.5, math.Inf(1), math.NaN()})...))
+	f.Add(append([]byte(nil), encodeSlice([]algebra.MultPath{algebra.MultPathZero(), {W: 2.5, M: 3}})...))
+	f.Add(append([]byte(nil), encodeSlice([]algebra.CentPath{algebra.CentPathZero(), {W: 1, P: 0.5, C: -7}})...))
+	f.Add(append([]byte(nil), encodeSlice([]sparse.Entry[algebra.MultPathPair]{
 		{I: 0, J: 1, V: algebra.MultPathPair{Old: algebra.MultPathZero(), New: algebra.MultPath{W: 1, M: 2}}},
 	})...))
 	f.Fuzz(func(t *testing.T, b []byte) {
@@ -104,12 +104,12 @@ func FuzzCodecValues(f *testing.F) {
 // (byte equality subsumes field equality and keeps NaN payloads honest).
 func checkValues[T any](t *testing.T, s []T) {
 	t.Helper()
-	enc := append([]byte(nil), EncodeSlice(s)...)
-	dec := DecodeSlice[T](enc)
+	enc := append([]byte(nil), encodeSlice(s)...)
+	dec := decodeSlice[T](enc)
 	if len(dec) != len(s) {
 		t.Fatalf("%T: round trip length %d, want %d", s, len(dec), len(s))
 	}
-	if !bytes.Equal(EncodeSlice(dec), enc) {
+	if !bytes.Equal(encodeSlice(dec), enc) {
 		t.Fatalf("%T: round trip not bit-exact", s)
 	}
 }
@@ -123,5 +123,5 @@ func TestDecodeSliceRejectsTornFrame(t *testing.T) {
 			t.Fatal("DecodeSlice accepted a torn frame")
 		}
 	}()
-	DecodeSlice[float64](make([]byte, 7))
+	decodeSlice[float64](make([]byte, 7))
 }

@@ -45,9 +45,9 @@ func Bcast[T any](c *Comm, root int, data []T) []T {
 	var out []T
 	pl := Payload{V: data, Size: int64(len(data))}
 	if c.rank == root {
-		pl.Enc = func(int) []byte { return EncodeSlice(data) }
+		pl.Enc = func(int) []byte { return encodeSlice(data) }
 	} else {
-		pl.Dec = func(src int, b []byte) any { return DecodeSlice[T](b) }
+		pl.Dec = func(src int, b []byte) any { return decodeSlice[T](b) }
 	}
 	group := c.step(pl, func(slots []any, _ []int64) {
 		if c.rank == root {
@@ -91,8 +91,8 @@ func AllgatherRecv[T any](c *Comm, data []T, recv func(parts [][]T)) {
 	pl := Payload{
 		V:    data,
 		Size: int64(len(data)),
-		Enc:  func(int) []byte { return EncodeSlice(data) },
-		Dec:  func(src int, b []byte) any { return DecodeSlice[T](b) },
+		Enc:  func(int) []byte { return encodeSlice(data) },
+		Dec:  func(src int, b []byte) any { return decodeSlice[T](b) },
 	}
 	group := c.step(pl, func(slots []any, sizes []int64) {
 		for _, s := range sizes {
@@ -134,12 +134,12 @@ func Scatter[T any](c *Comm, root int, parts [][]T) []T {
 			// A network backend delivers only our own part; rebuild a
 			// sparse parts view so the read path is backend-agnostic.
 			sparse := make([][]T, c.Size())
-			sparse[c.rank] = DecodeSlice[T](b)
+			sparse[c.rank] = decodeSlice[T](b)
 			return sparse
 		},
 	}
 	if c.rank == root {
-		pl.Enc = func(dst int) []byte { return EncodeSlice(parts[dst]) }
+		pl.Enc = func(dst int) []byte { return encodeSlice(parts[dst]) }
 		pl.Dec = nil
 	}
 	total := 0
@@ -161,8 +161,8 @@ func Allreduce[T any](c *Comm, data []T, op func(T, T) T) []T {
 	pl := Payload{
 		V:    data,
 		Size: int64(len(data)),
-		Enc:  func(int) []byte { return EncodeSlice(data) },
-		Dec:  func(src int, b []byte) any { return DecodeSlice[T](b) },
+		Enc:  func(int) []byte { return encodeSlice(data) },
+		Dec:  func(src int, b []byte) any { return decodeSlice[T](b) },
 	}
 	group := c.step(pl, func(slots []any, _ []int64) {
 		out = make([]T, len(data))
@@ -209,9 +209,9 @@ func ReduceSlices[T any](c *Comm, root int, data []T, combine func(a, b []T) []T
 			if dst != root {
 				return nil
 			}
-			return EncodeSlice(data)
+			return encodeSlice(data)
 		},
-		Dec: func(src int, b []byte) any { return DecodeSlice[T](b) },
+		Dec: func(src int, b []byte) any { return decodeSlice[T](b) },
 	}
 	group := c.step(pl, func(slots []any, sizes []int64) {
 		for _, s := range sizes {
@@ -297,10 +297,10 @@ func AlltoallRecv[T any](c *Comm, parts [][]T, recv func(runs [][]T)) {
 	pl := Payload{
 		V:    parts,
 		Size: int64(sent),
-		Enc:  func(dst int) []byte { return EncodeSlice(parts[dst]) },
+		Enc:  func(dst int) []byte { return encodeSlice(parts[dst]) },
 		Dec: func(src int, b []byte) any {
 			sparse := make([][]T, c.Size())
-			sparse[c.rank] = DecodeSlice[T](b)
+			sparse[c.rank] = decodeSlice[T](b)
 			return sparse
 		},
 	}
@@ -321,21 +321,21 @@ func (e errAlltoallShape) Error() string {
 	return "machine: alltoall called with wrong number of parts"
 }
 
-// splitInfo is the bookkeeping triple Split exchanges (24 wire bytes).
+// splitInfo is the bookkeeping triple split exchanges (24 wire bytes).
 type splitInfo struct{ Color, Key, Rank int }
 
-// Split partitions the communicator by color, MPI_Comm_split style: members
+// split partitions the communicator by color, MPI_Comm_split style: members
 // with equal color form a new communicator, ranked by (key, old rank). The
 // bookkeeping exchange is charged as a small allgather; the backend derives
 // the subgroup state from the agreed member list.
-func Split(c *Comm, color, key int) *Comm {
+func split(c *Comm, color, key int) *Comm {
 	mine := splitInfo{Color: color, Key: key, Rank: c.rank}
 	all := make([]splitInfo, c.Size())
 	pl := Payload{
 		V:    mine,
 		Size: 1,
-		Enc:  func(int) []byte { return EncodeSlice([]splitInfo{mine}) },
-		Dec:  func(src int, b []byte) any { return DecodeSlice[splitInfo](b)[0] },
+		Enc:  func(int) []byte { return encodeSlice([]splitInfo{mine}) },
+		Dec:  func(src int, b []byte) any { return decodeSlice[splitInfo](b)[0] },
 	}
 	group := c.step(pl, func(slots []any, _ []int64) {
 		for i := range all {

@@ -16,8 +16,8 @@ type Grid2 struct {
 	MyR, MyC int
 }
 
-// NewGrid2 builds a 2D grid; pr*pc must equal the communicator size.
-func NewGrid2(c *Comm, pr, pc int) *Grid2 {
+// newGrid2 builds a 2D grid; pr*pc must equal the communicator size.
+func newGrid2(c *Comm, pr, pc int) *Grid2 {
 	if pr*pc != c.Size() {
 		panic(fmt.Sprintf("machine: grid %dx%d does not tile %d processors", pr, pc, c.Size()))
 	}
@@ -26,15 +26,12 @@ func NewGrid2(c *Comm, pr, pc int) *Grid2 {
 		PR:   pr,
 		PC:   pc,
 		Comm: c,
-		Row:  Split(c, i, j),
-		Col:  Split(c, pr+j, i),
+		Row:  split(c, i, j),
+		Col:  split(c, pr+j, i),
 		MyR:  i,
 		MyC:  j,
 	}
 }
-
-// RankAt returns the communicator rank of grid position (i, j).
-func (g *Grid2) RankAt(i, j int) int { return i*g.PC + j }
 
 // Grid3 is a p1×(p2×p3) grid: p1 layers, each a p2×p3 2D grid, plus fiber
 // communicators linking the same 2D position across layers — the nesting
@@ -57,8 +54,8 @@ func NewGrid3(c *Comm, p1, p2, p3 int) *Grid3 {
 	layerSize := p2 * p3
 	l := c.Rank() / layerSize
 	pos := c.Rank() % layerSize
-	layer := Split(c, l, pos)
-	fiber := Split(c, c.Size()+pos, l)
+	layer := split(c, l, pos)
+	fiber := split(c, c.Size()+pos, l)
 	return &Grid3{
 		P1:      p1,
 		P2:      p2,
@@ -66,14 +63,9 @@ func NewGrid3(c *Comm, p1, p2, p3 int) *Grid3 {
 		Comm:    c,
 		Layer:   layer,
 		Fiber:   fiber,
-		G2:      NewGrid2(layer, p2, p3),
+		G2:      newGrid2(layer, p2, p3),
 		MyLayer: l,
 	}
-}
-
-// RankAt returns the communicator rank of (layer, i, j).
-func (g *Grid3) RankAt(layer, i, j int) int {
-	return layer*g.P2*g.P3 + i*g.P3 + j
 }
 
 // factorizations3 memoises Factorizations3 per p: the plan search consults
@@ -117,11 +109,11 @@ func Factorizations2(p int) [][2]int {
 
 // LCM returns the least common multiple, the 2D SUMMA stage count.
 func LCM(a, b int) int {
-	return a / GCD(a, b) * b
+	return a / gcd(a, b) * b
 }
 
-// GCD returns the greatest common divisor.
-func GCD(a, b int) int {
+// gcd returns the greatest common divisor.
+func gcd(a, b int) int {
 	for b != 0 {
 		a, b = b, a%b
 	}

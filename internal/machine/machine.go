@@ -82,8 +82,8 @@ func (c Cost) Time(m CostModel) float64 {
 	return float64(c.Msgs)*m.Alpha + float64(c.Bytes)*m.Beta + float64(c.Flops)*m.Gamma
 }
 
-// CommTime converts only the communication components to modeled seconds.
-func (c Cost) CommTime(m CostModel) float64 {
+// commTime converts only the communication components to modeled seconds.
+func (c Cost) commTime(m CostModel) float64 {
 	return float64(c.Msgs)*m.Alpha + float64(c.Bytes)*m.Beta
 }
 
@@ -152,7 +152,7 @@ type Group interface {
 	// network backends; collectives only read the slots their charge
 	// formulas promise are present.
 	Step(p *Proc, rank int, post Payload, read func(slots []any, sizes []int64)) Cost
-	// Subgroup derives the communicator state for a Split: members holds
+	// Subgroup derives the communicator state for a split: members holds
 	// the parent-group ranks of the new group in new-rank order, and
 	// myIdx is this member's position in it. Every member of the new
 	// group calls Subgroup with the identical members slice.
@@ -188,7 +188,7 @@ type RunStats struct {
 	PerProc  []Cost        // final cost vector of each processor
 	Wall     time.Duration // host wall-clock time of the region
 	ModelSec float64       // MaxCost.Time(model)
-	CommSec  float64       // MaxCost.CommTime(model)
+	CommSec  float64       // MaxCost.commTime(model)
 	// Phases attributes the region's cost to the named phases the region
 	// body declared with Proc.Phase, in first-declaration order. Empty when
 	// the body never called Phase. Per processor, the phase costs sum
@@ -313,7 +313,7 @@ func phaseStats(model CostModel, procs []ProcSummary) []PhaseStats {
 			}
 		}
 		ps.ModelSec = ps.MaxCost.Time(model)
-		ps.CommSec = ps.MaxCost.CommTime(model)
+		ps.CommSec = ps.MaxCost.commTime(model)
 		out[i] = ps
 	}
 	return out
@@ -330,7 +330,7 @@ func BuildRunStats(model CostModel, procs []ProcSummary, wall time.Duration) Run
 	}
 	stats.Phases = phaseStats(model, procs)
 	stats.ModelSec = stats.MaxCost.Time(model)
-	stats.CommSec = stats.MaxCost.CommTime(model)
+	stats.CommSec = stats.MaxCost.commTime(model)
 	return stats
 }
 

@@ -129,7 +129,7 @@ func TestBcast(t *testing.T) {
 }
 
 // TestAllgatherAndGather: the gather half checks AllgatherConcat, the
-// flattened form distmat.Gather is built on.
+// flattened form testkit.Gather is built on.
 func TestAllgatherAndGather(t *testing.T) {
 	forEachBackend(t, 5, func(pr *machine.Proc) {
 		data := []int{pr.Rank(), pr.Rank() * 10}

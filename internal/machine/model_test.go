@@ -20,7 +20,7 @@ func TestFactorizations(t *testing.T) {
 	if got := len(Factorizations2(16)); got != 5 {
 		t.Fatalf("Factorizations2(16) = %d, want 5", got)
 	}
-	if LCM(4, 6) != 12 || GCD(12, 18) != 6 {
+	if LCM(4, 6) != 12 || gcd(12, 18) != 6 {
 		t.Fatal("lcm/gcd wrong")
 	}
 }
@@ -29,7 +29,7 @@ func TestCostTimeConversions(t *testing.T) {
 	model := CostModel{Alpha: 1e-6, Beta: 1e-9, Gamma: 1e-9}
 	c := Cost{Bytes: 1000, Msgs: 10, Flops: 500}
 	wantComm := 10*1e-6 + 1000*1e-9
-	if got := c.CommTime(model); got != wantComm {
+	if got := c.commTime(model); got != wantComm {
 		t.Fatalf("comm time %g want %g", got, wantComm)
 	}
 	if got := c.Time(model); got != wantComm+500*1e-9 {

@@ -19,6 +19,7 @@ import (
 	"repro/internal/machine/sim"
 	"repro/internal/sparse"
 	"repro/internal/spgemm"
+	"repro/internal/testkit"
 )
 
 var addF = algebra.Monoid[float64]{
@@ -50,7 +51,7 @@ func redistributeRef(c *machine.Comm, m *distmat.Mat[float64], to distmat.Dist) 
 // (a different key over the same owners: nothing moves).
 func redistDists(p, n int) []distmat.Dist {
 	shard := distmat.DistShard(p)
-	out := []distmat.Dist{shard, distmat.DistRowBlock(p, n), distmat.DistColBlock(p, n), {Key: "shard-relabelled", P: p, Owner: shard.Owner}}
+	out := []distmat.Dist{shard, testkit.DistRowBlock(p, n), testkit.DistColBlock(p, n), {Key: "shard-relabelled", P: p, Owner: shard.Owner}}
 	for _, f := range machine.Factorizations3(p) {
 		for _, x := range []spgemm.Role{spgemm.RoleA, spgemm.RoleB, spgemm.RoleC} {
 			for _, yz := range []spgemm.Variant{spgemm.VarAB, spgemm.VarAC, spgemm.VarBC} {
@@ -161,7 +162,7 @@ func TestRedistributeSharedCoordinatePanics(t *testing.T) {
 				if pr.Rank() < 2 {
 					m.Local = []sparse.Entry[float64]{{I: 3, J: 4, V: 1}, {I: 5, J: int32(pr.Rank()), V: 2}}
 				}
-				distmat.Redistribute(pr.World(), m, distmat.DistRowBlock(p, 8))
+				distmat.Redistribute(pr.World(), m, testkit.DistRowBlock(p, 8))
 			})
 			if err == nil || !strings.Contains(err.Error(), "coordinate (3, 4) held by two runs") {
 				t.Fatalf("want a panic naming (3, 4), got %v", err)
@@ -216,7 +217,7 @@ func FuzzRedistribute(f *testing.F) {
 			}
 			disjoint[r] = append(disjoint[r], e)
 		}
-		if got, want := distmat.MergeDisjoint(nil, disjoint), distmat.MergeRuns(disjoint, addF); !slices.Equal(got, want) {
+		if got, want := distmat.MergeDisjoint(nil, disjoint), testkit.MergeRuns(disjoint, addF); !slices.Equal(got, want) {
 			t.Fatalf("MergeDisjoint(%v)\n got %v\nwant %v", disjoint, got, want)
 		}
 
@@ -234,7 +235,7 @@ func FuzzRedistribute(f *testing.F) {
 		}
 		coo := sparse.COO[float64]{Rows: 6, Cols: 6, E: concat}
 		coo.Canonicalize(addF)
-		if merged := distmat.MergeRuns(runs, addF); !slices.Equal(merged, coo.E) {
+		if merged := testkit.MergeRuns(runs, addF); !slices.Equal(merged, coo.E) {
 			t.Fatalf("MergeRuns(%v)\n got %v\nwant %v", runs, merged, coo.E)
 		}
 	})

@@ -161,9 +161,9 @@ func (st *commState) Step(p *machine.Proc, rank int, post machine.Payload, read 
 	return group
 }
 
-// Subgroup returns the shared state for a Split-derived communicator.
+// Subgroup returns the shared state for a split-derived communicator.
 // States are memoized per member list: every member of the new group asks
-// for the identical list, the first caller allocates, and later Splits
+// for the identical list, the first caller allocates, and later splits
 // that produce the same grouping reuse the state — safe because the SPMD
 // program order keeps all members of a communicator on the same
 // collective sequence.

@@ -15,7 +15,7 @@ import (
 )
 
 // group is one communicator's view of the mesh: the member world ranks
-// in group-rank order. Subgroups are pure rank arithmetic — Split's
+// in group-rank order. Subgroups are pure rank arithmetic — the split's
 // bookkeeping allgather already agreed on the member list everywhere, so
 // no extra communication is needed.
 type group struct {

@@ -45,9 +45,6 @@ type Gauge struct {
 	bits atomic.Uint64
 }
 
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
 // Add adjusts the gauge by v (may be negative).
 func (g *Gauge) Add(v float64) {
 	for {
@@ -59,11 +56,11 @@ func (g *Gauge) Add(v float64) {
 	}
 }
 
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
+// value returns the current value.
+func (g *Gauge) value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 func (g *Gauge) sampleLines(name, sig string) []string {
-	return []string{name + sig + " " + formatValue(g.Value())}
+	return []string{name + sig + " " + formatValue(g.value())}
 }
 
 // gaugeFunc is a gauge evaluated at scrape time.
@@ -103,7 +100,7 @@ type exemplar struct {
 
 func newHistogram(bounds []float64) *Histogram {
 	if bounds == nil {
-		bounds = DefBuckets()
+		bounds = defBuckets()
 	}
 	for i := 1; i < len(bounds); i++ {
 		if !(bounds[i] > bounds[i-1]) {
@@ -150,21 +147,12 @@ func (h *Histogram) ObserveExemplar(v float64, traceID, spanID string) {
 	h.exMu.Unlock()
 }
 
-// Count returns the total number of observations.
-func (h *Histogram) Count() uint64 {
-	var n uint64
-	for i := range h.counts {
-		n += h.counts[i].Load()
-	}
-	return n
-}
+// sum returns the sum of observed values.
+func (h *Histogram) sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
-// Sum returns the sum of observed values.
-func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
-
-// Snapshot returns the bucket upper bounds (ending with +Inf) and the
+// snapshot returns the bucket upper bounds (ending with +Inf) and the
 // cumulative count at or below each bound.
-func (h *Histogram) Snapshot() (bounds []float64, cumulative []uint64) {
+func (h *Histogram) snapshot() (bounds []float64, cumulative []uint64) {
 	bounds = append(append([]float64(nil), h.bounds...), math.Inf(1))
 	cumulative = make([]uint64, len(bounds))
 	var run uint64
@@ -176,7 +164,7 @@ func (h *Histogram) Snapshot() (bounds []float64, cumulative []uint64) {
 }
 
 func (h *Histogram) sampleLines(name, sig string) []string {
-	bounds, cum := h.Snapshot()
+	bounds, cum := h.snapshot()
 	h.exMu.Lock()
 	ex := append([]exemplar(nil), h.exemplars...)
 	h.exMu.Unlock()
@@ -191,7 +179,7 @@ func (h *Histogram) sampleLines(name, sig string) []string {
 		lines = append(lines, line)
 	}
 	lines = append(lines,
-		name+"_sum"+sig+" "+formatValue(h.Sum()),
+		name+"_sum"+sig+" "+formatValue(h.sum()),
 		name+"_count"+sig+" "+formatValue(float64(cum[len(cum)-1])))
 	return lines
 }
@@ -219,10 +207,10 @@ func (v *HistogramVec) With(values ...string) *Histogram {
 	return v.f.child(values, func() metric { return newHistogram(v.bounds) }).(*Histogram)
 }
 
-// DefBuckets is the default latency bucket layout, in seconds: 100µs to
+// defBuckets is the default latency bucket layout, in seconds: 100µs to
 // ~100s, roughly geometric, covering both in-process cache hits and
 // saturated-queue tail latencies.
-func DefBuckets() []float64 {
+func defBuckets() []float64 {
 	return []float64{
 		0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025,
 		0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 100,

@@ -1,16 +1,19 @@
-package obs
+package obs_test
 
 import (
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
+	"repro/internal/testkit"
 )
 
 // TestParseTextRoundTrip pins ParseText as the inverse of WriteText over
 // every metric shape the registry renders: what the instruments hold is
 // what a reader of the exposition gets back, series for series.
 func TestParseTextRoundTrip(t *testing.T) {
-	r := NewRegistry()
+	r := obs.NewRegistry()
 	c := r.Counter("x_total", "help text with spaces")
 	g := r.Gauge("depth", "Depth.")
 	r.GaugeFunc("fixed", "Scrape-computed.", func() float64 { return 42 })
@@ -31,11 +34,11 @@ func TestParseTextRoundTrip(t *testing.T) {
 	if !strings.Contains(text, `lat_bucket{le="0.5"} 2 # {span_id="s01",trace_id="t000007"} 0.31`) {
 		t.Fatalf("fixture carries no exemplar suffix:\n%s", text)
 	}
-	got, err := ParseText(text)
+	got, err := testkit.ParseText(text)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Samples{
+	want := testkit.Samples{
 		"x_total":                            3,
 		"depth":                              -2.5,
 		"fixed":                              42,
@@ -61,7 +64,7 @@ func TestParseTextRoundTrip(t *testing.T) {
 	}
 
 	for _, bad := range []string{"lonelytoken\n", "x notanumber\n"} {
-		if _, err := ParseText(bad); err == nil {
+		if _, err := testkit.ParseText(bad); err == nil {
 			t.Fatalf("malformed sample line %q must be an error", bad)
 		}
 	}

@@ -94,7 +94,7 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 
 // Histogram registers and returns a fixed-bucket histogram. bounds are the
 // inclusive upper bucket edges, strictly ascending; a +Inf bucket is always
-// appended implicitly. Nil bounds select DefBuckets.
+// appended implicitly. Nil bounds select defBuckets.
 func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 	h := newHistogram(bounds)
 	r.register(&family{name: name, help: help, typ: "histogram", scalar: h})
@@ -118,7 +118,7 @@ func (r *Registry) HistogramVec(name, help string, bounds []float64, labels ...s
 		children: make(map[string]metric),
 	})
 	if bounds == nil {
-		bounds = DefBuckets()
+		bounds = defBuckets()
 	}
 	return &HistogramVec{f: f, bounds: append([]float64(nil), bounds...)}
 }

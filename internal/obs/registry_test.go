@@ -19,7 +19,7 @@ func TestCounterAndGauge(t *testing.T) {
 	if got := c.Value(); got != 3.5 {
 		t.Fatalf("counter value = %v, want 3.5", got)
 	}
-	if got := g.Value(); got != 4 {
+	if got := g.value(); got != 4 {
 		t.Fatalf("gauge value = %v, want 4", got)
 	}
 	text := r.Text()
@@ -58,7 +58,7 @@ func TestHistogramBucketEdges(t *testing.T) {
 	h.Observe(4) // exactly on top finite edge → le="4"
 	h.Observe(5) // above all finite bounds → +Inf only
 
-	bounds, cum := h.Snapshot()
+	bounds, cum := h.snapshot()
 	wantBounds := []float64{1, 2, 4, math.Inf(1)}
 	if len(bounds) != len(wantBounds) {
 		t.Fatalf("bounds = %v, want %v", bounds, wantBounds)
@@ -74,7 +74,7 @@ func TestHistogramBucketEdges(t *testing.T) {
 			t.Fatalf("cumulative = %v, want %v", cum, wantCum)
 		}
 	}
-	if got := h.Sum(); got != 12 {
+	if got := h.sum(); got != 12 {
 		t.Fatalf("sum = %v, want 12", got)
 	}
 	if got := h.Count(); got != 4 {

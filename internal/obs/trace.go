@@ -352,7 +352,7 @@ func (t *trace) finish() {
 }
 
 // SampledOut reports how many finished traces the head sampler discarded
-// (distinct from Dropped, which counts ring evictions of kept traces).
+// (distinct from the ring's evictions of kept traces).
 func (tr *Tracer) SampledOut() uint64 {
 	if tr == nil {
 		return 0
@@ -360,16 +360,6 @@ func (tr *Tracer) SampledOut() uint64 {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
 	return tr.sampledOut
-}
-
-// Dropped reports how many finished traces the ring has evicted.
-func (tr *Tracer) Dropped() uint64 {
-	if tr == nil {
-		return 0
-	}
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	return tr.dropped
 }
 
 // Traces returns the buffered traces, oldest first.
@@ -384,9 +374,9 @@ func (tr *Tracer) Traces() [][]SpanRecord {
 	return out
 }
 
-// WriteJSONL writes every buffered trace to w, one span record per line,
+// writeJSONL writes every buffered trace to w, one span record per line,
 // oldest trace first.
-func (tr *Tracer) WriteJSONL(w io.Writer) error {
+func (tr *Tracer) writeJSONL(w io.Writer) error {
 	for _, records := range tr.Traces() {
 		for _, rec := range records {
 			line, err := json.Marshal(rec)
@@ -407,6 +397,6 @@ func (tr *Tracer) WriteJSONL(w io.Writer) error {
 func (tr *Tracer) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "application/jsonl; charset=utf-8")
-		_ = tr.WriteJSONL(w)
+		_ = tr.writeJSONL(w)
 	})
 }

@@ -122,7 +122,7 @@ func TestTracerRingBoundAndSink(t *testing.T) {
 	}
 
 	var out strings.Builder
-	if err := tr.WriteJSONL(&out); err != nil {
+	if err := tr.writeJSONL(&out); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(strings.Split(strings.TrimSpace(out.String()), "\n")); got != 2 {

@@ -138,11 +138,6 @@ func (d *Driver) NewEngine(name string, g *graph.Graph, opt repro.DynamicOptions
 	return &Engine{d: d, name: name, bc: bc}, nil
 }
 
-// Apply is ApplyCtx with a background context.
-func (e *Engine) Apply(batch []graph.Mutation) (repro.ApplyReport, error) {
-	return e.ApplyCtx(context.Background(), batch)
-}
-
 // ApplyCtx applies one mutation batch on every replica. The batch is
 // broadcast before the local apply, so all ranks run the machine regions
 // of this apply together.
@@ -164,9 +159,6 @@ func (e *Engine) Scores() repro.DynamicSnapshot { return e.bc.Scores() }
 
 // Stats returns the coordinator replica's cumulative counters.
 func (e *Engine) Stats() repro.DynamicStats { return e.bc.Stats() }
-
-// Graph returns the coordinator replica's current topology snapshot.
-func (e *Engine) Graph() *graph.Graph { return e.bc.Graph() }
 
 // Close drops the engine on every worker, releasing the replica state.
 // The coordinator's local replica is released with the Engine itself.

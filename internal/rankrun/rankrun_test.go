@@ -2,6 +2,7 @@ package rankrun
 
 import (
 	"bytes"
+	"context"
 	"encoding/gob"
 	"fmt"
 	"reflect"
@@ -79,7 +80,7 @@ func TestReplicatedMatchesLocal(t *testing.T) {
 		t.Fatalf("reference engine: %v", err)
 	}
 	for i, batch := range stream() {
-		rep, err := eng.Apply(batch)
+		rep, err := eng.ApplyCtx(context.Background(), batch)
 		if err != nil {
 			t.Fatalf("apply %d (replicated): %v", i, err)
 		}
@@ -160,10 +161,10 @@ func TestValidationErrorKeepsLockstep(t *testing.T) {
 	if err != nil {
 		t.Fatalf("engine: %v", err)
 	}
-	if _, err := eng.Apply([]graph.Mutation{{Op: graph.OpAddEdge, U: 0, V: 0, W: 1}}); err == nil {
+	if _, err := eng.ApplyCtx(context.Background(), []graph.Mutation{{Op: graph.OpAddEdge, U: 0, V: 0, W: 1}}); err == nil {
 		t.Fatal("self-loop batch: want error, got nil")
 	}
-	rep, err := eng.Apply([]graph.Mutation{{Op: graph.OpAddEdge, U: 0, V: 15, W: 1}})
+	rep, err := eng.ApplyCtx(context.Background(), []graph.Mutation{{Op: graph.OpAddEdge, U: 0, V: 15, W: 1}})
 	if err != nil {
 		t.Fatalf("apply after rejected batch: %v", err)
 	}
@@ -191,7 +192,7 @@ func TestMultipleEngines(t *testing.T) {
 	for round := 0; round < 2; round++ {
 		for i, e := range engines {
 			m := graph.Mutation{Op: graph.OpAddEdge, U: int32(i), V: int32(8 + round), W: 1}
-			if _, err := e.Apply([]graph.Mutation{m}); err != nil {
+			if _, err := e.ApplyCtx(context.Background(), []graph.Mutation{m}); err != nil {
 				t.Fatalf("round %d engine %d: %v", round, i, err)
 			}
 		}

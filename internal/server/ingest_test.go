@@ -380,7 +380,7 @@ func TestGroupCommitDifferential(t *testing.T) {
 
 			// Oracle: one engine apply per batch, in order.
 			for _, b := range batches {
-				res, err := serial.Mutate("g", b)
+				res, err := serial.MutateCtx(context.Background(), "g", b)
 				if err != nil {
 					t.Fatalf("seed %d round %d: serial apply: %v", seed, round, err)
 				}
@@ -648,7 +648,7 @@ func TestCommitPanicContained(t *testing.T) {
 	go func() { lead <- patch(`{"mutations":[{"op":"add_edge","u":0,"v":24,"w":1}]}`) }()
 	waitFor(t, "leader queued", func() bool { return metric(t, s, `mfbc_ingest_queue_depth`) == 1 })
 	go func() {
-		_, err := s.Mutate("g", []repro.Mutation{{Op: repro.MutAddEdge, U: 1, V: 23, W: 1}})
+		_, err := s.MutateCtx(context.Background(), "g", []repro.Mutation{{Op: repro.MutAddEdge, U: 1, V: 23, W: 1}})
 		follower <- err
 	}()
 	waitFor(t, "follower queued", func() bool { return metric(t, s, `mfbc_ingest_queue_depth`) == 2 })

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math"
 	"net/http"
@@ -46,7 +47,7 @@ func TestMutateBumpsVersionAndSeedsWarmScores(t *testing.T) {
 		{Op: repro.MutAddEdge, U: 0, V: 24, W: 1},
 		{Op: repro.MutRemoveEdge, U: 0, V: 1},
 	}
-	res, err := s.Mutate("g", muts)
+	res, err := s.MutateCtx(context.Background(), "g", muts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +136,7 @@ func TestMutateDistributedMode(t *testing.T) {
 		{Op: repro.MutSetWeight, U: g.Edges[10].U, V: g.Edges[10].V, W: 9},
 		{Op: repro.MutAddEdge, U: 0, V: 24, W: 2},
 	}
-	res, err := s.Mutate("g", muts)
+	res, err := s.MutateCtx(context.Background(), "g", muts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +196,7 @@ func TestWarmSeedTinyCacheKeepsExactKey(t *testing.T) {
 	if _, err := s.AddGraph("g", g.Clone()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Mutate("g", []repro.Mutation{{Op: repro.MutAddEdge, U: 0, V: 15, W: 1}}); err != nil {
+	if _, err := s.MutateCtx(context.Background(), "g", []repro.Mutation{{Op: repro.MutAddEdge, U: 0, V: 15, W: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	computes := metric(t, s, `mfbc_computes_total`)
@@ -220,7 +221,7 @@ func TestMutateInvalidatesOnlyThatGraph(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := s.Mutate("a", []repro.Mutation{{Op: repro.MutAddEdge, U: 0, V: 15, W: 1}}); err != nil {
+	if _, err := s.MutateCtx(context.Background(), "a", []repro.Mutation{{Op: repro.MutAddEdge, U: 0, V: 15, W: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	qb, err := s.Query(QueryRequest{Graph: "b"})
@@ -252,17 +253,17 @@ func TestMutateErrors(t *testing.T) {
 		engines++
 		return repro.NewDynamicBC(g, opt)
 	}})
-	if _, err := s.Mutate("nope", []repro.Mutation{{Op: repro.MutAddVertex}}); !errors.Is(err, ErrGraphNotFound) {
+	if _, err := s.MutateCtx(context.Background(), "nope", []repro.Mutation{{Op: repro.MutAddVertex}}); !errors.Is(err, ErrGraphNotFound) {
 		t.Fatalf("unknown graph: %v", err)
 	}
 	info, err := s.AddGraph("g", repro.GridGraph(3, 3, 1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Mutate("g", nil); err == nil {
+	if _, err := s.MutateCtx(context.Background(), "g", nil); err == nil {
 		t.Fatal("empty batch accepted")
 	}
-	if _, err := s.Mutate("g", []repro.Mutation{
+	if _, err := s.MutateCtx(context.Background(), "g", []repro.Mutation{
 		{Op: repro.MutAddEdge, U: 0, V: 8, W: 1},
 		{Op: repro.MutAddEdge, U: 0, V: 99, W: 1},
 	}); err == nil {
@@ -284,7 +285,7 @@ func TestMutateErrors(t *testing.T) {
 	if engines != 0 || attached {
 		t.Fatalf("invalid first batch built %d engine(s) (attached: %v), want none", engines, attached)
 	}
-	if _, err := s.Mutate("g", []repro.Mutation{{Op: repro.MutAddVertex}}); err != nil {
+	if _, err := s.MutateCtx(context.Background(), "g", []repro.Mutation{{Op: repro.MutAddVertex}}); err != nil {
 		t.Fatalf("valid batch after failed one: %v", err)
 	}
 	if engines != 1 {
@@ -310,7 +311,7 @@ func TestMutationsSurviveAcrossBatches(t *testing.T) {
 	var last *MutateResult
 	for _, b := range batches {
 		var err error
-		last, err = s.Mutate("g", b)
+		last, err = s.MutateCtx(context.Background(), "g", b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -402,7 +403,7 @@ func TestConcurrentQueriesDuringMutations(t *testing.T) {
 		}()
 	}
 	for _, b := range batches {
-		if _, err := s.Mutate("g", b); err != nil {
+		if _, err := s.MutateCtx(context.Background(), "g", b); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -477,7 +478,7 @@ func TestMutateFusedPhasesAndStats(t *testing.T) {
 	if _, err := s.AddGraph("g", g.Clone()); err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Mutate("g", []repro.Mutation{
+	res, err := s.MutateCtx(context.Background(), "g", []repro.Mutation{
 		{Op: repro.MutSetWeight, U: g.Edges[3].U, V: g.Edges[3].V, W: 11},
 	})
 	if err != nil {

@@ -15,6 +15,7 @@ import (
 	"repro"
 	"repro/internal/machine"
 	"repro/internal/obs"
+	"repro/internal/testkit"
 )
 
 // TestMutateTraceMachineRegions is the tracing acceptance test: a PATCH
@@ -168,7 +169,7 @@ func TestMetricsEndpointDeterministic(t *testing.T) {
 
 	spec := GraphSpec{Kind: "uniform", N: 20, M: 60, Seed: 1}
 	doJSON(t, ts, "POST", "/graphs/g", spec, http.StatusCreated, nil)
-	g, err := BuildGraph(spec) // the edges the server registered
+	g, err := spec.Build() // the edges the server registered
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +283,7 @@ func TestMetricsEndpointDeterministic(t *testing.T) {
 			t.Errorf("scrape missing %q", want)
 		}
 	}
-	parsed, err := obs.ParseText(first)
+	parsed, err := testkit.ParseText(first)
 	if err != nil {
 		t.Fatal(err)
 	}

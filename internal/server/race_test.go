@@ -65,7 +65,7 @@ func TestEvictMutateRaceSerialization(t *testing.T) {
 
 		errA := make(chan error, 1)
 		go func() {
-			_, err := s.Mutate("g", []repro.Mutation{
+			_, err := s.MutateCtx(context.Background(), "g", []repro.Mutation{
 				{Op: repro.MutAddEdge, U: pairA[0], V: pairA[1], W: 1},
 			})
 			errA <- err
@@ -85,7 +85,7 @@ func TestEvictMutateRaceSerialization(t *testing.T) {
 
 		errB := make(chan error, 1)
 		go func() {
-			_, err := s.Mutate("g", []repro.Mutation{
+			_, err := s.MutateCtx(context.Background(), "g", []repro.Mutation{
 				{Op: repro.MutAddEdge, U: pairB[0], V: pairB[1], W: 1},
 			})
 			errB <- err
@@ -140,7 +140,7 @@ func TestEvictMutateRegisterStorm(t *testing.T) {
 				switch (w + i) % 4 {
 				case 0: // mutate: reweight a known grid edge
 					u := int32((w*iters + i) % 35)
-					_, err := s.Mutate("g", []repro.Mutation{
+					_, err := s.MutateCtx(context.Background(), "g", []repro.Mutation{
 						{Op: repro.MutSetWeight, U: u, V: u + 1, W: float64(1 + i%5)},
 					})
 					if err != nil && !errors.Is(err, ErrGraphNotFound) && !errors.Is(err, ErrGraphConflict) {

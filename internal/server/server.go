@@ -40,17 +40,17 @@ import (
 // not registered.
 var ErrGraphNotFound = errors.New("server: graph not found")
 
-// ErrGraphConflict is returned by Mutate when the named graph was replaced
+// ErrGraphConflict is returned by MutateCtx when the named graph was replaced
 // or evicted while the mutation batch was being computed; the mutation did
 // not take effect.
 var ErrGraphConflict = errors.New("server: graph replaced during mutation")
 
-// ErrIngestBackpressure is returned by Mutate when the graph's ingestion
+// ErrIngestBackpressure is returned by MutateCtx when the graph's ingestion
 // queue is at its depth bound (the applier has fallen behind); the HTTP
 // layer maps it to 429 + Retry-After. The batch was not enqueued.
 var ErrIngestBackpressure = errors.New("server: ingest queue full")
 
-// ErrInternal is returned by Mutate when the group commit carrying the
+// ErrInternal is returned by MutateCtx when the group commit carrying the
 // batch panicked (the batch did not take effect), and by Query when the
 // engine run it led or coalesced onto panicked; the panic was contained
 // and the HTTP layer maps it to 500.
@@ -187,7 +187,7 @@ type flightCall struct {
 // Stats is the four-counter snapshot the repository benchmark reads
 // in-process (benchmarks/traced.go, which BENCHMARK.json freezes). It is
 // not a second counter surface: every other reader — tests, operators —
-// reads the registry (GET /metrics, obs.ParseText).
+// reads the registry (GET /metrics; tests parse it with testkit.ParseText).
 type Stats struct {
 	Queries   int64 // mfbc_queries_total
 	CacheHits int64 // mfbc_query_cache_hits_total
@@ -465,7 +465,7 @@ func (s *Server) LoadGraph(name, path string) (GraphInfo, error) {
 
 // GenerateGraph builds a graph from spec and registers it under name.
 func (s *Server) GenerateGraph(name string, spec GraphSpec) (GraphInfo, error) {
-	g, err := BuildGraph(spec)
+	g, err := spec.Build()
 	if err != nil {
 		return GraphInfo{}, err
 	}
@@ -476,7 +476,7 @@ func (s *Server) GenerateGraph(name string, spec GraphSpec) (GraphInfo, error) {
 // computations against the old graph finish normally for their waiters.
 //
 // The per-name mutation serializer (mutLocks) deliberately survives the
-// eviction: an in-flight Mutate may hold or be queued on it, and if the
+// eviction: an in-flight MutateCtx may hold or be queued on it, and if the
 // name is re-registered, a freshly minted mutex would let two mutation
 // batches for one graph run concurrently — the queued batch would then
 // lose the install race and fail with a spurious ErrGraphConflict. Keeping
@@ -587,25 +587,20 @@ func (s *Server) mutLockFor(name string) *sync.Mutex {
 	return lk
 }
 
-// Mutate atomically applies a mutation batch to the named graph through
+// MutateCtx atomically applies a mutation batch to the named graph through
 // its dynamic engine (created, with an initial exact compute, on the first
 // valid mutation). On success the registry entry is replaced with the new
 // version, only that graph's cache entries are purged, and the engine's
 // maintained exact vector is seeded into the cache under the default
 // exact query key, so the next query after a
 // mutation is a warm hit instead of a recompute. Queries concurrent with
-// Mutate see either the old or the new version, never a torn state.
+// MutateCtx see either the old or the new version, never a torn state.
 //
 // The batch goes through the graph's write-ahead queue and group-commit
-// pipeline at the server's default durability — see MutateDurable.
-func (s *Server) Mutate(name string, muts []repro.Mutation) (*MutateResult, error) {
-	return s.MutateCtx(context.Background(), name, muts)
-}
-
-// MutateCtx is Mutate with trace propagation: when ctx carries an obs span
-// (the HTTP middleware's root span) and the batch's group commits on the
-// caller's goroutine, the apply reports itself and its machine regions as
-// child spans pairing modeled cost with wall-clock.
+// pipeline at the server's default durability — see MutateDurable. When
+// ctx carries an obs span (the HTTP middleware's root span) and the batch's
+// group commits on the caller's goroutine, the apply reports itself and its
+// machine regions as child spans pairing modeled cost with wall-clock.
 func (s *Server) MutateCtx(ctx context.Context, name string, muts []repro.Mutation) (*MutateResult, error) {
 	return s.MutateDurable(ctx, name, muts, "")
 }

@@ -16,7 +16,7 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/obs"
+	"repro/internal/testkit"
 )
 
 func testGraph(t *testing.T) *repro.Graph {
@@ -34,16 +34,16 @@ func addGraph(t *testing.T, s *Server, name string, g *repro.Graph) GraphInfo {
 }
 
 // scraped is one parsed exposition of a server's registry: the bytes GET
-// /metrics serves, read back through obs.ParseText — the one reader every
+// /metrics serves, read back through testkit.ParseText — the one reader every
 // counter assertion in this package goes through.
 type scraped struct {
 	t testing.TB
-	obs.Samples
+	testkit.Samples
 }
 
 func scrape(t testing.TB, s *Server) scraped {
 	t.Helper()
-	samples, err := obs.ParseText(s.Registry().Text())
+	samples, err := testkit.ParseText(s.Registry().Text())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,8 @@
-package sparse
+package sparse_test
 
 import (
 	"math/rand"
+	"repro/internal/sparse"
 	"slices"
 	"testing"
 )
@@ -12,7 +13,7 @@ import (
 // its occupancy clear, whatever size it is readied for next.
 func TestSPADrainOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	var a SPA[int]
+	var a sparse.SPA[int]
 	for _, n := range []int{1000, 64, 5000, 63, 1, 4096} {
 		a.Size(n)
 		if len(a.Val) != n {

@@ -41,13 +41,6 @@ func (a *COO[T]) Append(i, j int32, v T) {
 // NNZ returns the number of stored entries (duplicates counted separately).
 func (a *COO[T]) NNZ() int { return len(a.E) }
 
-// Clone returns a deep copy.
-func (a *COO[T]) Clone() *COO[T] {
-	e := make([]Entry[T], len(a.E))
-	copy(e, a.E)
-	return &COO[T]{Rows: a.Rows, Cols: a.Cols, E: e}
-}
-
 // Canonicalize sorts entries by (row, col) and merges duplicates with the
 // monoid operation, in their order in E, dropping merged values for which
 // IsZero holds. The result is a fresh slice: the one E held before keeps its
@@ -102,16 +95,6 @@ func (a *COO[T]) sortRows() []Entry[T] {
 		lo = hi
 	}
 	return out
-}
-
-// Validate checks that all coordinates are in range.
-func (a *COO[T]) Validate() error {
-	for _, e := range a.E {
-		if e.I < 0 || int(e.I) >= a.Rows || e.J < 0 || int(e.J) >= a.Cols {
-			return fmt.Errorf("sparse: entry (%d,%d) outside %dx%d", e.I, e.J, a.Rows, a.Cols)
-		}
-	}
-	return nil
 }
 
 // CSR is a compressed-sparse-row matrix. Column indices within each row are
@@ -361,50 +344,4 @@ func Mask[T, U any](a *CSR[T], m *CSR[U], keep bool) *CSR[T] {
 		out.RowPtr[i+1] = int64(len(out.ColIdx))
 	}
 	return out
-}
-
-// ZipJoin walks the entries present in both a and b (an intersection merge)
-// and calls visit for each common coordinate.
-func ZipJoin[T, U any](a *CSR[T], b *CSR[U], visit func(i, j int32, x T, y U)) {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		panic("sparse: zipjoin shape mismatch")
-	}
-	for i := 0; i < a.Rows; i++ {
-		ac, av := a.Row(i)
-		bc, bv := b.Row(i)
-		x, y := 0, 0
-		for x < len(ac) && y < len(bc) {
-			switch {
-			case ac[x] < bc[y]:
-				x++
-			case bc[y] < ac[x]:
-				y++
-			default:
-				visit(int32(i), ac[x], av[x], bv[y])
-				x++
-				y++
-			}
-		}
-	}
-}
-
-// Equal reports whether two matrices have identical structure and, per the
-// provided predicate, equal values.
-func Equal[T any](a, b *CSR[T], eq func(T, T) bool) bool {
-	if a.Rows != b.Rows || a.Cols != b.Cols || a.NNZ() != b.NNZ() {
-		return false
-	}
-	for i := 0; i < a.Rows; i++ {
-		ac, av := a.Row(i)
-		bc, bv := b.Row(i)
-		if len(ac) != len(bc) {
-			return false
-		}
-		for k := range ac {
-			if ac[k] != bc[k] || !eq(av[k], bv[k]) {
-				return false
-			}
-		}
-	}
-	return true
 }

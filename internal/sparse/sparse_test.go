@@ -1,4 +1,4 @@
-package sparse
+package sparse_test
 
 import (
 	"math/rand"
@@ -10,6 +10,8 @@ import (
 	"time"
 
 	"repro/internal/algebra"
+	"repro/internal/sparse"
+	"repro/internal/testkit"
 )
 
 var addF = algebra.Monoid[float64]{
@@ -22,8 +24,8 @@ func mulF(a, b float64) float64 { return a * b }
 
 // mulRef is the reference triple-loop multiply: the oracle Mul's
 // Gustavson kernel is held against.
-func mulRef[TA, TB, TC any](a *CSR[TA], b *CSR[TB], f func(TA, TB) TC, add algebra.Monoid[TC]) *CSR[TC] {
-	acc := NewCOO[TC](a.Rows, b.Cols)
+func mulRef[TA, TB, TC any](a *sparse.CSR[TA], b *sparse.CSR[TB], f func(TA, TB) TC, add algebra.Monoid[TC]) *sparse.CSR[TC] {
+	acc := sparse.NewCOO[TC](a.Rows, b.Cols)
 	for i := 0; i < a.Rows; i++ {
 		acols, avals := a.Row(i)
 		for k, ak := range acols {
@@ -33,27 +35,27 @@ func mulRef[TA, TB, TC any](a *CSR[TA], b *CSR[TB], f func(TA, TB) TC, add algeb
 			}
 		}
 	}
-	return FromCOO(acc, add)
+	return sparse.FromCOO(acc, add)
 }
 
-func randomCSR(rows, cols, nnz int, seed int64) *CSR[float64] {
+func randomCSR(rows, cols, nnz int, seed int64) *sparse.CSR[float64] {
 	rng := rand.New(rand.NewSource(seed))
-	coo := NewCOO[float64](rows, cols)
+	coo := sparse.NewCOO[float64](rows, cols)
 	for i := 0; i < nnz; i++ {
 		coo.Append(int32(rng.Intn(rows)), int32(rng.Intn(cols)), float64(1+rng.Intn(9)))
 	}
-	return FromCOO(coo, addF)
+	return sparse.FromCOO(coo, addF)
 }
 
 func TestFromCOOCanonicalizes(t *testing.T) {
-	coo := NewCOO[float64](3, 3)
+	coo := sparse.NewCOO[float64](3, 3)
 	coo.Append(2, 1, 4)
 	coo.Append(0, 0, 1)
 	coo.Append(2, 1, 6) // duplicate: summed
 	coo.Append(1, 2, 5)
 	coo.Append(1, 1, 3)
 	coo.Append(0, 2, -0.0) // zero after merge? no: stays -0 → IsZero(0) true
-	a := FromCOO(coo, addF)
+	a := sparse.FromCOO(coo, addF)
 	if a.NNZ() != 4 {
 		t.Fatalf("nnz=%d want 4", a.NNZ())
 	}
@@ -67,7 +69,7 @@ func TestFromCOOCanonicalizes(t *testing.T) {
 	if err := coo.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	bad := NewCOO[float64](2, 2)
+	bad := sparse.NewCOO[float64](2, 2)
 	bad.Append(5, 0, 1)
 	if err := bad.Validate(); err == nil {
 		t.Fatal("out-of-range entry must fail validation")
@@ -76,11 +78,11 @@ func TestFromCOOCanonicalizes(t *testing.T) {
 
 func TestTransposeInvolution(t *testing.T) {
 	a := randomCSR(17, 23, 80, 3)
-	att := Transpose(Transpose(a))
-	if !Equal(a, att, func(x, y float64) bool { return x == y }) {
+	att := sparse.Transpose(sparse.Transpose(a))
+	if !testkit.Equal(a, att, func(x, y float64) bool { return x == y }) {
 		t.Fatal("transpose twice must be identity")
 	}
-	at := Transpose(a)
+	at := sparse.Transpose(a)
 	for i := 0; i < a.Rows; i++ {
 		cols, vals := a.Row(i)
 		for k, j := range cols {
@@ -98,9 +100,9 @@ func TestMulMatchesReference(t *testing.T) {
 	check := func(seedA, seedB uint16) bool {
 		a := randomCSR(13, 11, 40, int64(seedA))
 		b := randomCSR(11, 17, 50, int64(seedB))
-		got, _ := Mul(a, b, mulF, addF)
+		got, _ := sparse.Mul(a, b, mulF, addF)
 		want := mulRef(a, b, mulF, addF)
-		return Equal(got, want, func(x, y float64) bool { return x == y })
+		return testkit.Equal(got, want, func(x, y float64) bool { return x == y })
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -110,7 +112,7 @@ func TestMulMatchesReference(t *testing.T) {
 func TestMulOpsCount(t *testing.T) {
 	a := randomCSR(10, 10, 30, 5)
 	b := randomCSR(10, 10, 30, 6)
-	_, ops := Mul(a, b, mulF, addF)
+	_, ops := sparse.Mul(a, b, mulF, addF)
 	var want int64
 	for i := 0; i < a.Rows; i++ {
 		cols, _ := a.Row(i)
@@ -132,20 +134,20 @@ func TestMulDimensionMismatchPanics(t *testing.T) {
 	}()
 	a := randomCSR(4, 5, 6, 1)
 	b := randomCSR(6, 4, 6, 2)
-	Mul(a, b, mulF, addF)
+	sparse.Mul(a, b, mulF, addF)
 }
 
 func TestMulTropicalShortestPath(t *testing.T) {
 	// One step of min-plus matrix "squaring" on a path graph: distances of
 	// up to two hops.
-	coo := NewCOO[float64](4, 4)
+	coo := sparse.NewCOO[float64](4, 4)
 	for i := 0; i < 3; i++ {
 		coo.Append(int32(i), int32(i+1), 1)
 		coo.Append(int32(i+1), int32(i), 1)
 	}
 	trop := algebra.TropicalMonoid()
-	a := FromCOO(coo, trop)
-	two, _ := Mul(a, a, func(x, y float64) float64 { return x + y }, trop)
+	a := sparse.FromCOO(coo, trop)
+	two, _ := sparse.Mul(a, a, func(x, y float64) float64 { return x + y }, trop)
 	if v, ok := two.Get(0, 2); !ok || v != 2 {
 		t.Fatalf("two-hop distance 0→2 = %v, want 2", v)
 	}
@@ -154,7 +156,7 @@ func TestMulTropicalShortestPath(t *testing.T) {
 func TestEWiseUnionAndZeroDrop(t *testing.T) {
 	a := randomCSR(9, 9, 25, 7)
 	b := randomCSR(9, 9, 25, 8)
-	c := EWise(a, b, addF)
+	c := sparse.EWise(a, b, addF)
 	// Every coordinate of a and b appears, values summed.
 	for i := 0; i < 9; i++ {
 		cols, vals := c.Row(i)
@@ -167,8 +169,8 @@ func TestEWiseUnionAndZeroDrop(t *testing.T) {
 		}
 	}
 	// a ⊕ (-a) must vanish entirely.
-	neg := Map(a, addF, func(_, _ int32, v float64) float64 { return -v })
-	zero := EWise(a, neg, addF)
+	neg := sparse.Map(a, addF, func(_, _ int32, v float64) float64 { return -v })
+	zero := sparse.EWise(a, neg, addF)
 	if zero.NNZ() != 0 {
 		t.Fatalf("a + (-a) kept %d entries", zero.NNZ())
 	}
@@ -177,8 +179,8 @@ func TestEWiseUnionAndZeroDrop(t *testing.T) {
 func TestMaskKeepAndDrop(t *testing.T) {
 	a := randomCSR(8, 8, 30, 9)
 	m := randomCSR(8, 8, 20, 10)
-	keep := Mask(a, m, true)
-	drop := Mask(a, m, false)
+	keep := sparse.Mask(a, m, true)
+	drop := sparse.Mask(a, m, false)
 	if keep.NNZ()+drop.NNZ() != a.NNZ() {
 		t.Fatal("mask must partition the entries")
 	}
@@ -200,9 +202,9 @@ func TestMaskKeepAndDrop(t *testing.T) {
 
 func TestFilterMapZip(t *testing.T) {
 	a := randomCSR(6, 6, 20, 11)
-	doubled := Map(a, addF, func(_, _ int32, v float64) float64 { return 2 * v })
+	doubled := sparse.Map(a, addF, func(_, _ int32, v float64) float64 { return 2 * v })
 	count := 0
-	ZipJoin(a, doubled, func(_, _ int32, x, y float64) {
+	testkit.ZipJoin(a, doubled, func(_, _ int32, x, y float64) {
 		count++
 		if y != 2*x {
 			t.Fatalf("map wrong: %v vs %v", x, y)
@@ -215,38 +217,38 @@ func TestFilterMapZip(t *testing.T) {
 
 func TestToCOORoundTrip(t *testing.T) {
 	a := randomCSR(12, 14, 60, 13)
-	b := FromCOO(a.ToCOO(), addF)
-	if !Equal(a, b, func(x, y float64) bool { return x == y }) {
-		t.Fatal("COO round trip changed the matrix")
+	b := sparse.FromCOO(a.ToCOO(), addF)
+	if !testkit.Equal(a, b, func(x, y float64) bool { return x == y }) {
+		t.Fatal("sparse.COO round trip changed the matrix")
 	}
 }
 
 func TestEqualDetectsDifferences(t *testing.T) {
 	a := randomCSR(5, 5, 12, 14)
-	if !Equal(a, a, func(x, y float64) bool { return x == y }) {
+	if !testkit.Equal(a, a, func(x, y float64) bool { return x == y }) {
 		t.Fatal("matrix must equal itself")
 	}
-	b := Map(a, addF, func(i, j int32, v float64) float64 {
+	b := sparse.Map(a, addF, func(i, j int32, v float64) float64 {
 		if i == 0 && j == a.ColIdx[0] {
 			return v + 1
 		}
 		return v
 	})
-	if Equal(a, b, func(x, y float64) bool { return x == y }) {
+	if testkit.Equal(a, b, func(x, y float64) bool { return x == y }) {
 		t.Fatal("value difference missed")
 	}
 }
 
 // quickCOO lets testing/quick generate whole random COO matrices.
 type quickCOO struct {
-	E []Entry[float64]
+	E []sparse.Entry[float64]
 }
 
 func (quickCOO) Generate(r *rand.Rand, _ int) reflect.Value {
 	n := r.Intn(40)
-	es := make([]Entry[float64], n)
+	es := make([]sparse.Entry[float64], n)
 	for i := range es {
-		es[i] = Entry[float64]{I: int32(r.Intn(9)), J: int32(r.Intn(9)), V: float64(r.Intn(5) - 2)}
+		es[i] = sparse.Entry[float64]{I: int32(r.Intn(9)), J: int32(r.Intn(9)), V: float64(r.Intn(5) - 2)}
 	}
 	return reflect.ValueOf(quickCOO{E: es})
 }
@@ -254,8 +256,8 @@ func (quickCOO) Generate(r *rand.Rand, _ int) reflect.Value {
 // Canonicalize is idempotent and order-insensitive.
 func TestCanonicalizeProperties(t *testing.T) {
 	check := func(q quickCOO) bool {
-		a := &COO[float64]{Rows: 9, Cols: 9, E: append([]Entry[float64]{}, q.E...)}
-		b := &COO[float64]{Rows: 9, Cols: 9, E: append([]Entry[float64]{}, q.E...)}
+		a := &sparse.COO[float64]{Rows: 9, Cols: 9, E: append([]sparse.Entry[float64]{}, q.E...)}
+		b := &sparse.COO[float64]{Rows: 9, Cols: 9, E: append([]sparse.Entry[float64]{}, q.E...)}
 		rand.New(rand.NewSource(1)).Shuffle(len(b.E), func(i, j int) { b.E[i], b.E[j] = b.E[j], b.E[i] })
 		a.Canonicalize(addF)
 		b.Canonicalize(addF)
@@ -280,8 +282,8 @@ func TestCanonicalizeProperties(t *testing.T) {
 // [−2, 2] so that some duplicates fold to zero, and one hub row of hub
 // entries (duplicates among them). Values are small integers, so every fold
 // is exact in any order.
-func hubCOO(rng *rand.Rand, rows, cols, hub int) *COO[float64] {
-	a := NewCOO[float64](rows, cols)
+func hubCOO(rng *rand.Rand, rows, cols, hub int) *sparse.COO[float64] {
+	a := sparse.NewCOO[float64](rows, cols)
 	val := func() float64 { return float64(rng.Intn(5) - 2) }
 	for k := 0; k < 4*rows; k++ {
 		i, j := int32(rng.Intn(rows)), int32(rng.Intn(cols))
@@ -301,7 +303,7 @@ func hubCOO(rng *rand.Rand, rows, cols, hub int) *COO[float64] {
 // canonicalByDefinition is what Canonicalize did before it bucketed rows: a
 // copy of a's entries under one comparison sort by (row, col), each run at
 // one coordinate folded, zero folds dropped.
-func canonicalByDefinition[T any](a *COO[T], m algebra.Monoid[T]) []Entry[T] {
+func canonicalByDefinition[T any](a *sparse.COO[T], m algebra.Monoid[T]) []sparse.Entry[T] {
 	es := slices.Clone(a.E)
 	sort.Slice(es, func(x, y int) bool {
 		if es[x].I != es[y].I {
@@ -309,7 +311,7 @@ func canonicalByDefinition[T any](a *COO[T], m algebra.Monoid[T]) []Entry[T] {
 		}
 		return es[x].J < es[y].J
 	})
-	var out []Entry[T]
+	var out []sparse.Entry[T]
 	for x := 0; x < len(es); {
 		cur, y := es[x], x+1
 		for ; y < len(es) && es[y].I == cur.I && es[y].J == cur.J; y++ {
@@ -333,12 +335,12 @@ func TestFromCOOMatchesDefinition(t *testing.T) {
 		a := hubCOO(rng, 1+rng.Intn(60), 1+rng.Intn(3000), 1000+rng.Intn(3000))
 		before := slices.Clone(a.E)
 		want := canonicalByDefinition(a, addF)
-		got := FromCOO(a, addF)
+		got := sparse.FromCOO(a, addF)
 		if !slices.Equal(a.E, before) {
-			t.Fatalf("trial %d: FromCOO changed its input", trial)
+			t.Fatalf("trial %d: sparse.FromCOO changed its input", trial)
 		}
 		if !slices.Equal(got.ToCOO().E, want) {
-			t.Fatalf("trial %d: FromCOO differs from the definition (%d entries, want %d)", trial, got.NNZ(), len(want))
+			t.Fatalf("trial %d: sparse.FromCOO differs from the definition (%d entries, want %d)", trial, got.NNZ(), len(want))
 		}
 		if got.NNZ() == 0 || len(want) == len(before) {
 			t.Fatalf("trial %d: %d of %d entries kept: the case folds nothing", trial, len(want), len(before))
@@ -357,12 +359,12 @@ func TestFromCOOMatchesDefinition(t *testing.T) {
 // 10 s bound, race detector included).
 func TestFromCOOHubRowNotQuadratic(t *testing.T) {
 	const n = 1 << 18
-	a := NewCOO[float64](2, n)
+	a := sparse.NewCOO[float64](2, n)
 	for j := int32(n - 1); j >= 0; j-- {
 		a.Append(1, j, 1)
 	}
 	start := time.Now()
-	got := FromCOO(a, addF)
+	got := sparse.FromCOO(a, addF)
 	took := time.Since(start)
 	cols, _ := got.Row(1)
 	if len(cols) != n || !slices.IsSorted(cols) {

@@ -63,8 +63,8 @@ func NewSession(p *machine.Proc) *Session {
 	return &Session{Proc: p, grids: make(map[[3]int]*machine.Grid3), dists: make(map[distsKey][3]distmat.Dist)}
 }
 
-// Grid returns (building on first use) the p1×p2×p3 grid over the world.
-func (s *Session) Grid(p1, p2, p3 int) *machine.Grid3 {
+// grid returns (building on first use) the p1×p2×p3 grid over the world.
+func (s *Session) grid(p1, p2, p3 int) *machine.Grid3 {
 	key := [3]int{p1, p2, p3}
 	if g, ok := s.grids[key]; ok {
 		return g
@@ -115,7 +115,7 @@ type axis struct{ parts, mod, stride int }
 // staged (lcm(p2, p3) stages dealt round the grid) along the dimension the
 // variant broadcasts it by.
 func axes(plan Plan, role Role) (row, col axis) {
-	s := plan.Stages()
+	s := plan.stages()
 	rowBlock, colBlock := axis{plan.P2, 0, plan.P3}, axis{plan.P3, 0, 1}
 	rowStage, colStage := axis{s, plan.P2, plan.P3}, axis{s, plan.P3, 1}
 	var by [3][2]axis // by role: A (i, k), B (k, j), C (i, j)
@@ -278,7 +278,7 @@ func Multiply[TC, TB any](
 		panic(fmt.Sprintf("spgemm: plan %s does not tile %d processors", plan, world.Size()))
 	}
 	m, k, n := a.Rows, a.Cols, b.m.Cols
-	g := s.Grid(plan.P1, plan.P2, plan.P3)
+	g := s.grid(plan.P1, plan.P2, plan.P3)
 	da, db, dc := b.Dists(s, plan, m)
 	workers := s.workers()
 
@@ -423,7 +423,7 @@ func stageB[T any](plan Plan, k, n, rank int, entries []sparse.Entry[T]) *staged
 	// B's staging consults only the k and n ranges, which no plan derives
 	// from the frontier row count.
 	r := layerRanges(plan, 1, k, n, rank/inner)
-	s := plan.Stages()
+	s := plan.stages()
 	b := &stagedB[T]{entries: entries}
 	switch plan.YZ {
 	case VarAB:
@@ -472,7 +472,7 @@ func runAB[TC, TB any](
 	aE []sparse.Entry[TC], b *stagedB[TB],
 	f func(TC, TB) TC, add algebra.Monoid[TC], workers int, flt filter[TC],
 ) []sparse.Entry[TC] {
-	s := plan.Stages()
+	s := plan.stages()
 	flt.c0, flt.c1 = stageBounds(g.G2.MyC, r.n0, r.n1, plan.P3)
 	aStage := bucketByStage(aE, s, func(e sparse.Entry[TC]) int { return partIn(e.J, r.k0, r.k1, s) })
 	var acc []sparse.Entry[TC]
@@ -495,7 +495,7 @@ func runAC[TC, TB any](
 	aE []sparse.Entry[TC], b *stagedB[TB],
 	f func(TC, TB) TC, add algebra.Monoid[TC], workers int, flt filter[TC],
 ) []sparse.Entry[TC] {
-	s := plan.Stages()
+	s := plan.stages()
 	flt.c0, flt.c1 = stageBounds(g.G2.MyC, r.n0, r.n1, plan.P3)
 	aStage := bucketByStage(aE, s, func(e sparse.Entry[TC]) int { return partIn(e.I, r.m0, r.m1, s) })
 	kb0, kb1 := stageBounds(g.G2.MyR, r.k0, r.k1, plan.P2)
@@ -523,7 +523,7 @@ func runBC[TC, TB any](
 	aE []sparse.Entry[TC], b *stagedB[TB],
 	f func(TC, TB) TC, add algebra.Monoid[TC], workers int, flt filter[TC],
 ) []sparse.Entry[TC] {
-	s := plan.Stages()
+	s := plan.stages()
 	kb0, kb1 := stageBounds(g.G2.MyC, r.k0, r.k1, plan.P3)
 	var acc []sparse.Entry[TC]
 	merge := func(x, y []sparse.Entry[TC]) []sparse.Entry[TC] {

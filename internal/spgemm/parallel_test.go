@@ -7,6 +7,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/machine/sim"
 	"repro/internal/sparse"
+	"repro/internal/testkit"
 )
 
 // checkPlanWorkers runs the distributed multiply with per-rank worker
@@ -25,9 +26,9 @@ func checkPlanWorkers(t *testing.T, plan Plan, m, k, n int, seed int64, workers 
 			s := NewSession(proc)
 			s.Workers = workers
 			a := distmat.FromGlobal(proc.Rank(), cooA, distmat.DistShard(p), addF)
-			b := NewStationary(distmat.FromGlobal(proc.Rank(), cooB, distmat.DistRowBlock(p, k), addF))
+			b := NewStationary(distmat.FromGlobal(proc.Rank(), cooB, testkit.DistRowBlock(p, k), addF))
 			c := Multiply(s, plan, a, b, mulF, addF, nil, nil)
-			g := distmat.Gather(proc.World(), c, addF)
+			g := testkit.Gather(proc.World(), c, addF)
 			if proc.Rank() == 0 {
 				out = g
 			}
@@ -40,7 +41,7 @@ func checkPlanWorkers(t *testing.T, plan Plan, m, k, n int, seed int64, workers 
 
 	want := run(1)
 	got := run(workers)
-	if !sparse.Equal(want, got, func(a, b float64) bool { return a == b }) {
+	if !testkit.Equal(want, got, func(a, b float64) bool { return a == b }) {
 		t.Fatalf("plan %s: workers=%d result differs from sequential", plan, workers)
 	}
 }
@@ -92,8 +93,8 @@ func TestCacheKeyDistinguishesMatrices(t *testing.T) {
 		db2 := NewStationary(distmat.FromGlobal(proc.Rank(), cooB2, distmat.DistShard(p), addF))
 		c1 := Multiply(s, plan, da, db1, mulF, addF, nil, nil)
 		c2 := Multiply(s, plan, da, db2, mulF, addF, nil, nil) // same session, same shape, different B
-		g1 := distmat.Gather(proc.World(), c1, addF)
-		g2 := distmat.Gather(proc.World(), c2, addF)
+		g1 := testkit.Gather(proc.World(), c1, addF)
+		g2 := testkit.Gather(proc.World(), c2, addF)
 		if proc.Rank() == 0 {
 			got1, got2 = g1, g2
 		}
@@ -102,10 +103,10 @@ func TestCacheKeyDistinguishesMatrices(t *testing.T) {
 		t.Fatal(err)
 	}
 	eq := func(a, b float64) bool { return a == b || abs(a-b) < 1e-9*(abs(a)+abs(b)) }
-	if !sparse.Equal(want1, got1, eq) {
+	if !testkit.Equal(want1, got1, eq) {
 		t.Fatal("first cached multiply wrong")
 	}
-	if !sparse.Equal(want2, got2, eq) {
+	if !testkit.Equal(want2, got2, eq) {
 		t.Fatal("second multiply hit the first resident's working set")
 	}
 }

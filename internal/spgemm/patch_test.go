@@ -462,7 +462,7 @@ func TestStagedViewsMatchDefinition(t *testing.T) {
 			for _, x := range []Role{RoleA, RoleB, RoleC} {
 				for _, yz := range []Variant{VarAB, VarAC, VarBC} {
 					plan := Plan{P1: f[0], P2: f[1], P3: f[2], X: x, YZ: yz}
-					s := plan.Stages()
+					s := plan.stages()
 					for rank := 0; rank < p; rank++ {
 						entries := stageForTest(plan, rank, k, n, global)
 						got := stageB(plan, k, n, rank, entries)

@@ -61,8 +61,8 @@ func (p Plan) String() string {
 // Procs returns the total processor count of the plan.
 func (p Plan) Procs() int { return p.P1 * p.P2 * p.P3 }
 
-// Stages returns the 2D stage count lcm(p2, p3).
-func (p Plan) Stages() int { return machine.LCM(p.P2, p.P3) }
+// stages returns the 2D stage count lcm(p2, p3).
+func (p Plan) stages() int { return machine.LCM(p.P2, p.P3) }
 
 // Problem describes one multiplication C(m×n) = A(m×k)·B(k×n) for cost
 // estimation.
@@ -140,7 +140,7 @@ func estimate(p Plan, pr *Problem, model machine.CostModel) float64 {
 	case VarBC:
 		bw = nnzB/float64(p.P2) + nnzC/float64(p.P3)
 	}
-	stages := float64(p.Stages())
+	stages := float64(p.stages())
 	lat := stages * 2 * float64(machine.LogMsgs(p.P2)+machine.LogMsgs(p.P3))
 	twoD := model.Beta*2*bw + model.Alpha*lat
 

@@ -73,7 +73,7 @@ func layerOf(plan Plan, m, k, n int, i, kc, j int32, role Role) int {
 // by inner2D: the definition that the owner closures, which add up one
 // table term per coordinate, must agree with.
 func ownerByDefinition(plan Plan, m, k, n int, role Role, i, j int32) int {
-	s := plan.Stages()
+	s := plan.stages()
 	at := func(l int) int {
 		li, lj := inner2D(plan.YZ, role, plan.P2, plan.P3, s, layerRanges(plan, m, k, n, l), i, j)
 		return l*plan.P2*plan.P3 + li*plan.P3 + lj
@@ -191,8 +191,8 @@ func TestPlanHelpers(t *testing.T) {
 	if plan.Procs() != 24 {
 		t.Fatal("procs wrong")
 	}
-	if plan.Stages() != 12 {
-		t.Fatalf("stages = %d want lcm(3,4)=12", plan.Stages())
+	if plan.stages() != 12 {
+		t.Fatalf("stages = %d want lcm(3,4)=12", plan.stages())
 	}
 	if plan.String() == "" || RoleA.String() != "A" || VarAC.String() != "AC" {
 		t.Fatal("stringers broken")

@@ -12,6 +12,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/machine/sim"
 	"repro/internal/sparse"
+	"repro/internal/testkit"
 )
 
 // screenCase is one product the way MFBC's sweeps issue it: a frontier
@@ -122,7 +123,7 @@ func screenCases(g *graph.Graph, rows int) graphCases {
 			}
 		}
 	}
-	trop, pairTrop := algebra.TropicalMonoid(), algebra.WeightPairMonoid()
+	trop, pairTrop := algebra.TropicalMonoid(), testkit.WeightPairMonoid()
 	mp, mpp := algebra.MultPathMonoid(), algebra.MultPathPairMonoid()
 	cp, cpp := algebra.CentPathMonoid(), algebra.CentPathPairMonoid()
 	t2 := relax(seed, adj, 2, algebra.BFAction, mp, trop)

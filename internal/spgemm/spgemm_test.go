@@ -10,6 +10,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/machine/sim"
 	"repro/internal/sparse"
+	"repro/internal/testkit"
 )
 
 // randomCOO builds a random float64 matrix with ~density fraction nonzeros.
@@ -47,15 +48,15 @@ func checkPlan(t *testing.T, plan Plan, m, k, n int, seed int64) {
 	_, err := mach.Run(func(proc *machine.Proc) {
 		s := NewSession(proc)
 		a := distmat.FromGlobal(proc.Rank(), cooA, distmat.DistShard(p), addF)
-		b := NewStationary(distmat.FromGlobal(proc.Rank(), cooB, distmat.DistRowBlock(p, k), addF))
+		b := NewStationary(distmat.FromGlobal(proc.Rank(), cooB, testkit.DistRowBlock(p, k), addF))
 		c := Multiply(s, plan, a, b, mulF, addF, nil, nil)
-		results[proc.Rank()] = distmat.Gather(proc.World(), c, addF)
+		results[proc.Rank()] = testkit.Gather(proc.World(), c, addF)
 	})
 	if err != nil {
 		t.Fatalf("plan %s: %v", plan, err)
 	}
 	for r, got := range results {
-		if !sparse.Equal(want, got, func(a, b float64) bool { return a == b || abs(a-b) < 1e-9*(abs(a)+abs(b)) }) {
+		if !testkit.Equal(want, got, func(a, b float64) bool { return a == b || abs(a-b) < 1e-9*(abs(a)+abs(b)) }) {
 			t.Fatalf("plan %s: rank %d result differs from sequential (nnz %d vs %d)", plan, r, got.NNZ(), want.NNZ())
 		}
 	}
@@ -158,9 +159,9 @@ func TestMultiplyCachedStationary(t *testing.T) {
 		mid := proc.Cost()
 		c2 := Multiply(s, plan, a, b, mulF, addF, nil, nil)
 		post := proc.Cost()
-		g1 := distmat.Gather(proc.World(), c1, addF)
-		g2 := distmat.Gather(proc.World(), c2, addF)
-		if !sparse.Equal(g1, g2, func(x, y float64) bool { return x == y }) {
+		g1 := testkit.Gather(proc.World(), c1, addF)
+		g2 := testkit.Gather(proc.World(), c2, addF)
+		if !testkit.Equal(g1, g2, func(x, y float64) bool { return x == y }) {
 			panic("cached multiply changed the result")
 		}
 		if proc.Rank() == 0 {

@@ -1,4 +1,4 @@
-package obs
+package testkit
 
 import (
 	"fmt"
@@ -11,7 +11,7 @@ import (
 // shape the text format carries.
 type Samples map[string]float64
 
-// ParseText is the inverse of Registry.WriteText: it parses Prometheus
+// ParseText is the inverse of obs.Registry.WriteText: it parses Prometheus
 // text exposition into its samples. Comment and blank lines are skipped;
 // a malformed sample line is an error. Exemplar suffixes (` # {...} value`)
 // on histogram bucket lines are stripped — the result carries series
@@ -28,11 +28,11 @@ func ParseText(text string) (Samples, error) {
 		}
 		i := strings.LastIndexByte(line, ' ')
 		if i < 0 {
-			return nil, fmt.Errorf("obs: malformed metrics line %q", line)
+			return nil, fmt.Errorf("testkit: malformed metrics line %q", line)
 		}
 		v, err := strconv.ParseFloat(line[i+1:], 64)
 		if err != nil {
-			return nil, fmt.Errorf("obs: bad value in metrics line %q: %w", line, err)
+			return nil, fmt.Errorf("testkit: bad value in metrics line %q: %w", line, err)
 		}
 		out[line[:i]] = v
 	}

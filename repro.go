@@ -337,9 +337,6 @@ func StandinGraph(id string, scale int, seed int64) (*Graph, error) {
 	return graph.Standin(id, scale, seed)
 }
 
-// LoadGraph reads an edge-list file (see internal/graph.ReadEdgeList for
+// LoadGraph reads an edge-list file (see internal/graph.LoadFile for
 // the format).
 func LoadGraph(path string) (*Graph, error) { return graph.LoadFile(path) }
-
-// SaveGraph writes an edge-list file.
-func SaveGraph(path string, g *Graph) error { return graph.SaveFile(path, g) }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/graph"
 	"repro/internal/spgemm"
 )
 
@@ -258,7 +259,7 @@ func TestGraphFileRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "g.txt")
 	g := RMATGraph(6, 6, 11)
-	if err := SaveGraph(path, g); err != nil {
+	if err := graph.SaveFile(path, g); err != nil {
 		t.Fatal(err)
 	}
 	h, err := LoadGraph(path)
