@@ -4,7 +4,7 @@
 GO ?= go
 BIN := bin/mfbc-lint
 
-.PHONY: all build lint lint-standalone test race bench bench-module examples tidy-check fmt-check deps-check loc surface exports check clean
+.PHONY: all build lint lint-standalone test race bench bench-module examples tidy-check fmt-check deps-check ci-names loc surface exports check clean
 
 all: build
 
@@ -72,6 +72,17 @@ deps-check:
 	if $(GO) list -f '{{.ImportPath}}: {{join .Imports " "}}' ./... | grep -v '^repro/internal/testkit:' | grep -E ' repro/internal/testkit( |$$)'; then \
 		echo "only _test.go files may import repro/internal/testkit" >&2; exit 1; fi
 
+## ci-names: every alternative of a quoted `-run '…'` pattern in the CI
+## workflow matches some `func Test…`/`Fuzz…` declaration, so renaming a
+## test cannot silently drop it from the steps that select tests by name.
+ci-names:
+	@names=$$(grep -rhoE --include='*_test.go' --exclude-dir=testdata '^func (Test|Fuzz)[A-Za-z0-9_]*' . | sed 's/^func //'); \
+	bad=0; \
+	for alt in $$(grep -oE -- "-run '[^']*'" .github/workflows/ci.yml | sed -E "s/^-run '(.*)'$$/\1/" | tr '|' ' '); do \
+		printf '%s\n' "$$names" | grep -qE -- "$$alt" || { echo ".github/workflows/ci.yml: -run alternative $$alt matches no Test/Fuzz function" >&2; bad=1; }; \
+	done; \
+	exit $$bad
+
 ## loc: the non-test Go line count the ROADMAP's simplicity targets are
 ## stated in (*.go outside benchmarks/ and */testdata/*, no *_test.go), for
 ## the repository, internal/core and internal/bench. internal/testkit (the
@@ -101,7 +112,7 @@ exports:
 	@for p in . $$($(GO) list ./internal/... | grep -v -e /testkit -e /testdata/ | sed 's|^repro/|./|'); do \
 		printf '%-28s %3d\n' "$$p" "$$($(GO) doc -short $$p | wc -l)"; done
 
-check: build fmt-check tidy-check deps-check lint test bench-module examples
+check: build fmt-check tidy-check deps-check ci-names lint test bench-module examples
 
 clean:
 	rm -rf bin

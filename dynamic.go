@@ -14,15 +14,13 @@
 // multiplication and sweeps the default batch; it takes no forced plan or
 // search constraint (those ablations are core.DistOptions').
 //
-// The façade declares no description type of its own: DynamicOptions,
-// ApplyReport, DynamicSnapshot, DynamicStats, PhaseComm and CommReport are
-// the engine's types under their public names, so an option or a report
-// field is added in internal/dynamic and nowhere else.
+// The façade declares no type of its own: DynamicBC, DynamicOptions,
+// ApplyReport, DynamicSnapshot, PhaseComm and CommReport are the engine's
+// types under their public names, so a method, an option or a report field
+// is added in internal/dynamic and nowhere else.
 package repro
 
 import (
-	"context"
-
 	"repro/internal/dynamic"
 	"repro/internal/graph"
 )
@@ -67,45 +65,17 @@ type ApplyReport = dynamic.Report
 // shared-memory engines.
 type DynamicSnapshot = dynamic.Snapshot
 
-// DynamicStats re-exports the engine's cumulative counters.
-type DynamicStats = dynamic.Stats
-
 // DynamicBC maintains betweenness-centrality scores over an evolving
-// graph. All methods are safe for concurrent use; concurrent readers see
+// graph: the streaming engine itself. Apply and ApplyCtx apply one batch
+// atomically, Scores reads a consistent snapshot and Graph the current
+// topology. All methods are safe for concurrent use; concurrent readers see
 // either the pre- or post-batch snapshot of an Apply, never a torn state.
-type DynamicBC struct {
-	eng *dynamic.Engine
-}
+// Each apply is described by the ApplyReport it returns; what accumulates
+// over applies is the snapshot's (Seq, Comm).
+type DynamicBC = dynamic.Engine
 
 // NewDynamicBC computes initial exact scores for g and returns the
 // maintenance engine. g is cloned; the caller's graph stays independent.
 func NewDynamicBC(g *Graph, opt DynamicOptions) (*DynamicBC, error) {
-	eng, err := dynamic.New(g, opt)
-	if err != nil {
-		return nil, err
-	}
-	return &DynamicBC{eng: eng}, nil
+	return dynamic.New(g, opt)
 }
-
-// Apply atomically applies one mutation batch and refreshes the scores.
-// On error (an invalid mutation anywhere in the batch) nothing is applied.
-func (d *DynamicBC) Apply(batch []Mutation) (ApplyReport, error) {
-	return d.ApplyCtx(context.Background(), batch)
-}
-
-// ApplyCtx is Apply with trace propagation: when ctx carries an
-// observability span (internal/obs), the engine attaches child spans for
-// the apply, its probes, and every machine region it runs.
-func (d *DynamicBC) ApplyCtx(ctx context.Context, batch []Mutation) (ApplyReport, error) {
-	return d.eng.ApplyCtx(ctx, batch)
-}
-
-// Scores returns the current consistent snapshot of the maintained state.
-func (d *DynamicBC) Scores() DynamicSnapshot { return d.eng.Snapshot() }
-
-// Graph returns the current immutable topology snapshot. Callers must not
-// mutate it; use Apply.
-func (d *DynamicBC) Graph() *Graph { return d.eng.Graph() }
-
-// Stats returns cumulative engine counters.
-func (d *DynamicBC) Stats() DynamicStats { return d.eng.Stats() }

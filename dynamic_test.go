@@ -121,6 +121,9 @@ func TestDynamicDifferential(t *testing.T) {
 						if err != nil {
 							t.Fatalf("step %d: %v", step, err)
 						}
+						if eng.name == "incremental" && rep.Strategy != dynamic.StrategyIncremental {
+							t.Fatalf("step %d: always-incremental engine took strategy %q", step, rep.Strategy)
+						}
 						snap := dyn.Scores()
 						if snap.Version != rep.Version || snap.Version != Fingerprint(shadow) {
 							t.Fatalf("step %d: version mismatch vs shadow replay", step)
@@ -139,12 +142,8 @@ func TestDynamicDifferential(t *testing.T) {
 							}
 						}
 					}
-					st := dyn.Stats()
-					if st.Applies != 6 {
-						t.Fatalf("applies = %d", st.Applies)
-					}
-					if eng.name == "incremental" && st.FullRecomputes != 0 {
-						t.Fatalf("always-incremental engine recomputed fully: %+v", st)
+					if seq := dyn.Scores().Seq; seq != 6 {
+						t.Fatalf("applies = %d", seq)
 					}
 				})
 			}
@@ -221,10 +220,7 @@ func TestDynamicDistributedDifferential(t *testing.T) {
 							return snap.BC, fmt.Sprintf("%s, fused=%v", rep.Strategy, rep.Fused)
 						}
 						commBytes = func() int64 {
-							if st := dyn.Stats(); st.Comm.Runs > 0 {
-								return st.Comm.Bytes
-							}
-							return 0
+							return dyn.Scores().Comm.Bytes
 						}
 					}
 					shadow := g.Clone()
@@ -325,7 +321,7 @@ func (a *ablatedSession) apply(t *testing.T, step int, next *Graph, batch []Muta
 		for v := range all {
 			all[v] = int32(v)
 		}
-		r, err := a.sess.ApplyIncrementalCtx(context.Background(), nil, next, nil, diffs, all)
+		r, err := a.sess.ApplyIncrementalCtx(context.Background(), all, next, nil, diffs)
 		if err != nil {
 			t.Fatalf("step %d: fused apply: %v", step, err)
 		}
@@ -439,13 +435,13 @@ func TestDynamicGraphDoesNotCopyScores(t *testing.T) {
 	}
 }
 
-// TestDynamicFacadeIsEngine: the façade adds nothing to, and takes nothing
-// from, the engine's descriptions. ApplyCtx's report equals the one an
-// identically configured bare engine returns for the same batch (wall-clock
-// fields aside), and Scores is the engine's own snapshot, for an
-// incremental and a full apply on the shared-memory path and on the
-// simulated machine. The helper below takes a *dynamic.Report: a
-// mirrored ApplyReport struct would not compile here.
+// TestDynamicFacadeIsEngine: the façade is the engine. DynamicBC is
+// dynamic.Engine and ApplyReport is dynamic.Report — the assignment and the
+// helper below would not compile against types of the façade's own — and
+// NewDynamicBC builds what dynamic.New builds: for an incremental and a
+// full apply on the shared-memory path and on the simulated machine, the
+// report equals a bare engine's for the same batch (wall-clock fields
+// aside), and so do the scores, version and sequence number after it.
 func TestDynamicFacadeIsEngine(t *testing.T) {
 	scrubWall := func(r *dynamic.Report) {
 		r.WallMS, r.Comm.WallSec = 0, 0
@@ -466,6 +462,7 @@ func TestDynamicFacadeIsEngine(t *testing.T) {
 		} {
 			t.Run(fmt.Sprintf("%s/p%d", tc.strategy, procs), func(t *testing.T) {
 				tc.opt.Procs, tc.opt.Workers = procs, 1
+				var dyn *dynamic.Engine
 				dyn, err := NewDynamicBC(g, tc.opt)
 				if err != nil {
 					t.Fatal(err)
@@ -490,8 +487,8 @@ func TestDynamicFacadeIsEngine(t *testing.T) {
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("façade report differs from the engine's:\n got %+v\nwant %+v", got, want)
 				}
-				if snap := dyn.Scores(); !reflect.DeepEqual(snap, dyn.eng.Snapshot()) {
-					t.Fatalf("Scores() is not the engine's snapshot: %+v", snap)
+				if a, b := dyn.Scores(), eng.Scores(); a.Version != b.Version || a.Seq != b.Seq || !slices.Equal(a.BC, b.BC) {
+					t.Fatalf("façade scores differ from the engine's:\n got v%d seq %d\nwant v%d seq %d", a.Version, a.Seq, b.Version, b.Seq)
 				}
 			})
 		}

@@ -60,6 +60,7 @@ func main() {
 	// affected fraction exceeds the dirtiness threshold recompute fully.
 	fmt.Println("batch  muts  affected/n     strategy       refresh      full recompute   max |Δ|")
 	rng := rand.New(rand.NewSource(7))
+	var incremental, affected int
 	for round := 1; round <= 8; round++ {
 		batch := roadBatch(rng, dyn.Graph(), 1+rng.Intn(2), false)
 		rep, err := dyn.Apply(batch)
@@ -77,12 +78,15 @@ func main() {
 		fmt.Printf("%5d  %4d  %6d/%-5d  %-11s  %9.1f ms  %12.1f ms   %.2g\n",
 			round, rep.Applied, rep.Affected, rep.N, rep.Strategy,
 			rep.WallMS, fullMS, mustMatch(round, dyn.Scores().BC, full.BC))
+		if rep.Strategy == "incremental" {
+			incremental++
+		}
+		affected += rep.Affected
 	}
-	st := dyn.Stats()
+	applies := int(dyn.Scores().Seq)
 	fmt.Printf("\nexact stream: %d applies, %d incremental, %d full fallbacks, "+
 		"%d affected sources identified in total (a full recompute re-runs %d every time)\n\n",
-		st.Applies, st.IncrementalRuns, st.FullRecomputes,
-		st.AffectedSources, dyn.Graph().N)
+		applies, incremental, applies-incremental, affected, dyn.Graph().N)
 
 	// --- 2. Sampled estimates of the live graph: ApproximateBC sweeps only
 	// k random sources and scales by n/k. Its ErrBound is a 95% Hoeffding
@@ -158,7 +162,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	total := dist.Stats().Comm
+	total := dist.Scores().Comm
 	fmt.Printf("from-scratch distributed run on the evolved mesh: %d bytes, %d msgs, %.6f model s (plan %s)\n",
 		scratch.Comm.Bytes, scratch.Comm.Msgs, scratch.Comm.ModelSec, scratch.Plan)
 	fmt.Printf("cumulative stream communication (%d machine runs incl. the initial compute): %d bytes\n\n",

@@ -320,17 +320,13 @@ func mulPerSide[T algebra.Sided[T, E], E, W any](
 	return out, true
 }
 
-// seedFrontier builds a batch's initial T: row i carries, on every side that
-// sweeps source batch[i] (in[s] nil = all of them), the source's adjacency
-// row on that side with multiplicity 1. Sides meeting at one coordinate are
-// merged by FromGlobal's canonicalization.
-func seedFrontier[M multSided[M]](zero M, adj []*sparse.CSR[float64], in [][]bool, batch []int32) *sparse.COO[M] {
+// seedFrontier builds a batch's initial T: row i carries, on every side, the
+// adjacency row of source batch[i] on that side with multiplicity 1. Sides
+// meeting at one coordinate are merged by FromGlobal's canonicalization.
+func seedFrontier[M multSided[M]](zero M, adj []*sparse.CSR[float64], batch []int32) *sparse.COO[M] {
 	init := sparse.NewCOO[M](len(batch), adj[0].Cols)
 	for i, src := range batch {
 		for s, a := range adj {
-			if in[s] != nil && !in[s][src] {
-				continue
-			}
 			cols, vals := a.Row(int(src))
 			for k, v := range cols {
 				if v != src {
@@ -429,16 +425,16 @@ func (x *blockIndex) at(i, j int32) int {
 
 // sweepMFBF is Algorithm 1 on distributed matrices: every side's frontier
 // advances over its component of the adjacency operand a in lock-step. Row
-// i of the frontier belongs to source batch[i]; side s is seeded from
-// adj[s] for the sources in[s] admits. T starts in the neutral shard
-// distribution, built locally from the replicated generator data. The
-// returned T lives in buf until the next batch's sweep.
+// i of the frontier belongs to source batch[i], and side s is seeded from
+// adj[s]. T starts in the neutral shard distribution, built locally from
+// the replicated generator data. The returned T lives in buf until the next
+// batch's sweep.
 func sweepMFBF[M multSided[M], C, W any](
 	sp *sidePlans, buf *sweepBufs[M, C], alg sweepAlgebra[M, C, W], a *spgemm.Stationary[W],
-	adj []*sparse.CSR[float64], in [][]bool, batch []int32,
+	adj []*sparse.CSR[float64], batch []int32,
 ) (*distmat.Mat[M], int) {
 	world := sp.sess.Proc.World()
-	t := distmat.FromGlobal(world.Rank(), seedFrontier(alg.mult.Identity, adj, in, batch), distmat.DistShard(world.Size()), alg.mult)
+	t := distmat.FromGlobal(world.Rank(), seedFrontier(alg.mult.Identity, adj, batch), distmat.DistShard(world.Size()), alg.mult)
 	frontier := t
 	// T grows every round, so every multiply re-indexes it.
 	align := func(d distmat.Dist) func(i, j int32, v M) bool {

@@ -122,12 +122,12 @@ func (s *DistSession) install(g *graph.Graph, adjCSR *sparse.CSR[float64]) {
 // Graph returns the topology the resident operands currently encode.
 func (s *DistSession) Graph() *graph.Graph { return s.g }
 
-// Reset rebuilds the resident operands from newG and drops every staged
+// reset rebuilds the resident operands from newG and drops every staged
 // working set, so the next runs pay full redistribution again. It is the
 // fallback for vertex-set changes (the operand dimensions move) and the
 // full-redistribution oracle the differential tests pin delta-patching
 // against (TestSessionPatchMatchesReset). adjCSR may be nil.
-func (s *DistSession) Reset(newG *graph.Graph, adjCSR *sparse.CSR[float64]) {
+func (s *DistSession) reset(newG *graph.Graph, adjCSR *sparse.CSR[float64]) {
 	if adjCSR == nil {
 		adjCSR = newG.Adjacency()
 	}
@@ -142,10 +142,10 @@ func (s *DistSession) Reset(newG *graph.Graph, adjCSR *sparse.CSR[float64]) {
 // the new matrix while moving nothing on the simulated machine. The diff
 // is globally known, mirroring the generator-replication input convention
 // of FromGlobal. Vertex growth changes the operand dimensions and falls
-// back to Reset. adjCSR is newG's adjacency (rebuilt when nil).
+// back to reset. adjCSR is newG's adjacency (rebuilt when nil).
 func (s *DistSession) Patch(newG *graph.Graph, adjCSR *sparse.CSR[float64], diffs []EdgeDiff) {
 	if newG.N != s.g.N {
-		s.Reset(newG, adjCSR)
+		s.reset(newG, adjCSR)
 		return
 	}
 	if adjCSR == nil {
@@ -207,7 +207,7 @@ func (s *DistSession) RunCtx(ctx context.Context, sources []int32) (*DistResult,
 	}
 	mach := transportFor(s.p, s.opt)
 	pl := s.planner(mach, s.g)
-	out, err := sweepRegion(s, mach, scalarAlgebra(), []planner{pl}, []*sparse.CSR[float64]{s.adjCSR}, [][]bool{nil}, sources, nb,
+	out, err := sweepRegion(s, mach, scalarAlgebra(), []planner{pl}, []*sparse.CSR[float64]{s.adjCSR}, sources, nb,
 		func(_ *machine.Proc, rk *distRank) (a, at *spgemm.Stationary[float64]) { return rk.a, rk.at })
 	if err != nil {
 		return nil, err
@@ -253,13 +253,13 @@ type regionOutcome struct {
 
 // sweepRegion runs one machine region of batched MFBF/MFBr sweeps — the
 // body shared by Run (one side over the resident operands) and
-// ApplyIncrementalCtx (two sides over the staged pair operands). Side s
-// sweeps the sources of the batch list that in[s] admits, seeded from
-// adj[s] and planned by pls[s]; stage yields each rank's stationary
-// operands A and Aᵀ once its deferred patch work has been charged.
+// ApplyIncrementalCtx (two sides over the staged pair operands). Every side
+// sweeps every source of the batch list; side s is seeded from adj[s] and
+// planned by pls[s]; stage yields each rank's stationary operands A and Aᵀ
+// once its deferred patch work has been charged.
 func sweepRegion[M multSided[M], C centSided[C], W any](
 	s *DistSession, mach machine.Transport, alg sweepAlgebra[M, C, W],
-	pls []planner, adj []*sparse.CSR[float64], in [][]bool, sources []int32, nb int,
+	pls []planner, adj []*sparse.CSR[float64], sources []int32, nb int,
 	stage func(*machine.Proc, *distRank) (a, at *spgemm.Stationary[W]),
 ) (*regionOutcome, error) {
 	n := s.g.N
@@ -285,7 +285,7 @@ func sweepRegion[M multSided[M], C centSided[C], W any](
 		iters, batches := 0, 0
 		for _, batch := range batchList(n, nb, sources) {
 			batches++
-			t, itF := sweepMFBF(sp, buf, alg, a, adj, in, batch)
+			t, itF := sweepMFBF(sp, buf, alg, a, adj, batch)
 			z, t, itB := sweepMFBr(sp, buf, alg, at, t)
 			iters += itF + itB
 			// Accumulate each side under the distribution its own last

@@ -76,12 +76,12 @@ func sessionStep(t *testing.T, rng *rand.Rand, cur *graph.Graph, weighted bool) 
 // TestSessionPatchMatchesReset pins the operand delta-patch against its
 // oracle: two sessions replay the same seeded mutation stream, one
 // splicing each step's edge diff into its resident operands (Patch), one
-// rebuilding and fully redistributing them (Reset). After every step both
+// rebuilding and fully redistributing them (reset). After every step both
 // must choose the same plan and return bit-identical scores for the same
 // pivot re-run, while the patched session moves strictly fewer modeled
-// bytes in total — the staging cost Reset pays again per step is what
+// bytes in total — the staging cost reset pays again per step is what
 // residency amortizes. Steps that grow the vertex set exercise Patch's own
-// Reset fallback.
+// reset fallback.
 func TestSessionPatchMatchesReset(t *testing.T) {
 	topologies := []struct {
 		name     string
@@ -125,7 +125,7 @@ func TestSessionPatchMatchesReset(t *testing.T) {
 					var diffs []EdgeDiff
 					g, diffs = sessionStep(t, rng, g, topo.weighted)
 					patched.Patch(g, nil, diffs)
-					rebuilt.Reset(g, nil)
+					rebuilt.reset(g, nil)
 					// An incremental-style pivot re-run: a seeded ascending
 					// quarter of the sources.
 					var sources []int32
@@ -204,7 +204,7 @@ func TestResetKeepsPendingPatchWork(t *testing.T) {
 	if err := grown.Apply(graph.Mutation{Op: graph.OpAddVertex}); err != nil {
 		t.Fatal(err)
 	}
-	sess.Patch(grown, nil, nil) // a vertex-set change: Reset
+	sess.Patch(grown, nil, nil) // a vertex-set change: reset
 	res, err := sess.Run(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -218,6 +218,6 @@ func TestResetKeepsPendingPatchWork(t *testing.T) {
 		}
 	}
 	if charged != pending {
-		t.Fatalf("the region after Reset charged %d patch flops, %d were pending", charged, pending)
+		t.Fatalf("the region after reset charged %d patch flops, %d were pending", charged, pending)
 	}
 }

@@ -10,8 +10,7 @@
 // superstep's collectives are paid once for the pair instead of once per
 // side, so modeled S is comparable to a single run (iterations = max of
 // the two sides, not their sum). This file holds only what is specific to
-// the fused region: the source union, the diff scatter and the operand
-// staging.
+// the fused region: the diff scatter and the operand staging.
 //
 // The region's phases, attributed via machine.Proc.Phase:
 //
@@ -44,8 +43,8 @@ import (
 
 // IncrementalResult is the outcome of one fused incremental region.
 type IncrementalResult struct {
-	OldBC []float64 // Σ_{s∈oldSources} δ_old(s,·) on the pre-batch topology
-	NewBC []float64 // Σ_{s∈newSources} δ_new(s,·) on the post-batch topology
+	OldBC []float64 // Σ_{s∈sources} δ_old(s,·) on the pre-batch topology
+	NewBC []float64 // Σ_{s∈sources} δ_new(s,·) on the post-batch topology
 	Plan  spgemm.Plan
 	Stats machine.RunStats // with per-phase attribution (diff/patch/sweep/reduce)
 
@@ -56,14 +55,15 @@ type IncrementalResult struct {
 	DualProducts int
 }
 
-// ApplyIncrementalCtx runs one fused region: the old-side pivot re-runs
-// against the still-resident pre-batch operands and the new-side re-runs
-// against their patched successors execute simultaneously over the pair
-// semiring, with the patch itself performed inside the region (diff
-// scattered as a modeled collective, splice charged as local γ-flops). On
-// success the session's resident operands encode newG, exactly as a
-// Patch + Run sequence would leave them. On error the resident state is
-// indeterminate; callers should drop and rebuild the session.
+// ApplyIncrementalCtx runs one fused region: the pivot re-runs of sources
+// against the still-resident pre-batch operands (the old side) and against
+// their patched successors (the new side) execute simultaneously over the
+// pair semiring, every frontier row seeded on both sides, with the patch
+// itself performed inside the region (diff scattered as a modeled
+// collective, splice charged as local γ-flops). On success the session's
+// resident operands encode newG, exactly as a Patch + Run sequence would
+// leave them. On error the resident state is indeterminate; callers should
+// drop and rebuild the session.
 //
 // newG must have the session's vertex count (vertex growth changes the
 // operand dimensions; callers fall back to the two-region path). diffs is
@@ -71,9 +71,9 @@ type IncrementalResult struct {
 // Patch. newAdj is newG's adjacency (rebuilt when nil). When ctx carries
 // an obs span, the fused region's modeled-vs-measured stats are attached
 // as a machine.region child span with per-phase grandchildren.
-func (s *DistSession) ApplyIncrementalCtx(ctx context.Context, oldSources []int32, newG *graph.Graph, newAdj *sparse.CSR[float64], diffs []EdgeDiff, newSources []int32) (*IncrementalResult, error) {
+func (s *DistSession) ApplyIncrementalCtx(ctx context.Context, sources []int32, newG *graph.Graph, newAdj *sparse.CSR[float64], diffs []EdgeDiff) (*IncrementalResult, error) {
 	if newG.N != s.g.N {
-		return nil, fmt.Errorf("core: fused apply needs a fixed vertex set (%d → %d); use Reset + Run", s.g.N, newG.N)
+		return nil, fmt.Errorf("core: fused apply needs a fixed vertex set (%d → %d); use Patch + Run", s.g.N, newG.N)
 	}
 	if newAdj == nil {
 		newAdj = newG.Adjacency()
@@ -81,18 +81,15 @@ func (s *DistSession) ApplyIncrementalCtx(ctx context.Context, oldSources []int3
 	oldG, oldAdj := s.g, s.adjCSR
 	directed := newG.Directed
 	n := newG.N
-	if len(diffs) == 0 && len(oldSources) == 0 && len(newSources) == 0 {
+	if len(diffs) == 0 && len(sources) == 0 {
 		// Structural no-op: nothing to patch, nothing to sweep.
 		s.g, s.adjCSR = newG, newAdj
 		return &IncrementalResult{OldBC: make([]float64, n), NewBC: make([]float64, n)}, nil
 	}
 
-	for _, side := range [][]int32{oldSources, newSources} {
-		if err := CheckSources(n, side); err != nil {
-			return nil, err
-		}
+	if err := CheckSources(n, sources); err != nil {
+		return nil, err
 	}
-	sources, inOld, inNew := unionSources(oldSources, newSources, n)
 	nb := Options{Batch: s.opt.Batch}.batchFor(n)
 	if len(sources) > 0 && len(sources) < nb {
 		nb = len(sources)
@@ -110,7 +107,7 @@ func (s *DistSession) ApplyIncrementalCtx(ctx context.Context, oldSources []int3
 	parts := s.diffShares(diffs, directed)
 
 	out, err := sweepRegion(s, mach, pairAlgebra(), []planner{plOld, plNew},
-		[]*sparse.CSR[float64]{oldAdj, newAdj}, [][]bool{inOld, inNew}, sources, nb,
+		[]*sparse.CSR[float64]{oldAdj, newAdj}, sources, nb,
 		func(proc *machine.Proc, rk *distRank) (aPair, atPair *spgemm.Stationary[algebra.WeightPair]) {
 			// Receive this rank's diff share via the modeled collective.
 			proc.Phase(machine.PhaseDiff)
@@ -138,39 +135,6 @@ func (s *DistSession) ApplyIncrementalCtx(ctx context.Context, oldSources []int3
 		Plan:  plNew.planFor(nil, nb, int64(float64(nb)*newG.AvgDegree()), multpathBytes),
 		Stats: out.stats, Iterations: out.iters, Batches: out.batches, DualProducts: out.split,
 	}, nil
-}
-
-// unionSources merges two ascending source lists and returns per-vertex
-// membership masks. The fused frontier has one row per union source; a
-// side's component is seeded only for its members.
-func unionSources(oldS, newS []int32, n int) ([]int32, []bool, []bool) {
-	inOld := make([]bool, n)
-	inNew := make([]bool, n)
-	out := make([]int32, 0, len(oldS)+len(newS))
-	x, y := 0, 0
-	for x < len(oldS) || y < len(newS) {
-		var v int32
-		switch {
-		case y >= len(newS) || (x < len(oldS) && oldS[x] < newS[y]):
-			v = oldS[x]
-			x++
-		case x >= len(oldS) || newS[y] < oldS[x]:
-			v = newS[y]
-			y++
-		default:
-			v = oldS[x]
-			x++
-			y++
-		}
-		out = append(out, v)
-	}
-	for _, v := range oldS {
-		inOld[v] = true
-	}
-	for _, v := range newS {
-		inNew[v] = true
-	}
-	return out, inOld, inNew
 }
 
 // diffShares computes, per destination rank, the subset of the edge diff

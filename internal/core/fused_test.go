@@ -95,7 +95,7 @@ func TestFusedApplyMatchesTwoRegion(t *testing.T) {
 			if _, err := sess.Run(nil); err != nil {
 				t.Fatal(err)
 			}
-			fused, err := sess.ApplyIncrementalCtx(context.Background(), sources, g2, nil, diffs, sources)
+			fused, err := sess.ApplyIncrementalCtx(context.Background(), sources, g2, nil, diffs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -155,7 +155,7 @@ func TestFusedApplyMatchesTwoRegionAutoPlan(t *testing.T) {
 		if _, err := sess.Run(nil); err != nil {
 			t.Fatal(err)
 		}
-		fused, err := sess.ApplyIncrementalCtx(context.Background(), sources, g2, nil, diffs, sources)
+		fused, err := sess.ApplyIncrementalCtx(context.Background(), sources, g2, nil, diffs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,7 +175,7 @@ func TestFusedApplyMatchesTwoRegionAutoPlan(t *testing.T) {
 				next, ds = g2, diffs
 			}
 			before := residentPlans(sess)
-			if _, err := sess.ApplyIncrementalCtx(context.Background(), sources, next, nil, ds, sources); err != nil {
+			if _, err := sess.ApplyIncrementalCtx(context.Background(), sources, next, nil, ds); err != nil {
 				t.Fatal(err)
 			}
 			if after := residentPlans(sess); len(before[0]) == 0 || !reflect.DeepEqual(after, before) {
@@ -218,7 +218,7 @@ func TestFusedApplyKeepsResidentPlans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fused, err := sess.ApplyIncrementalCtx(context.Background(), sources, g2, nil, diffs, sources)
+	fused, err := sess.ApplyIncrementalCtx(context.Background(), sources, g2, nil, diffs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestFusedApplyKeepsResidentPlans(t *testing.T) {
 		undo[i] = EdgeDiff{U: d.U, V: d.V, W: w, Present: ok}
 	}
 	before := residentPlans(sess)
-	if _, err := sess.ApplyIncrementalCtx(context.Background(), sources, g, nil, undo, sources); err != nil {
+	if _, err := sess.ApplyIncrementalCtx(context.Background(), sources, g, nil, undo); err != nil {
 		t.Fatal(err)
 	}
 	if after := residentPlans(sess); len(before[0]) == 0 || !reflect.DeepEqual(after, before) {
@@ -290,7 +290,7 @@ func TestFusedApplyAutoPlanDivergence(t *testing.T) {
 		if _, err := sess.Run(nil); err != nil {
 			t.Fatal(err)
 		}
-		fused, err := sess.ApplyIncrementalCtx(context.Background(), sources, g2, nil, diffs, sources)
+		fused, err := sess.ApplyIncrementalCtx(context.Background(), sources, g2, nil, diffs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -334,7 +334,7 @@ func TestFusedApplyLatencyWithinOneShot(t *testing.T) {
 	if _, err := sess.Run(nil); err != nil {
 		t.Fatal(err)
 	}
-	fused, err := sess.ApplyIncrementalCtx(context.Background(), sources, g2, nil, diffs, sources)
+	fused, err := sess.ApplyIncrementalCtx(context.Background(), sources, g2, nil, diffs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +362,7 @@ func TestFusedApplyPhases(t *testing.T) {
 	if _, err := sess.Run(nil); err != nil {
 		t.Fatal(err)
 	}
-	fused, err := sess.ApplyIncrementalCtx(context.Background(), sources, g2, nil, diffs, sources)
+	fused, err := sess.ApplyIncrementalCtx(context.Background(), sources, g2, nil, diffs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +396,7 @@ func TestFusedApplyPhases(t *testing.T) {
 }
 
 // TestFusedApplyVertexGrowthRejected: a vertex-set change must be refused
-// (callers fall back to Reset + two-region).
+// (callers fall back to Patch + Run, the two-region path).
 func TestFusedApplyVertexGrowthRejected(t *testing.T) {
 	g, _, _, _ := fusedTestSetup(t, true)
 	sess, err := NewDistSession(g, DistOptions{Procs: 2})
@@ -407,26 +407,22 @@ func TestFusedApplyVertexGrowthRejected(t *testing.T) {
 	if err := g2.Apply(graph.Mutation{Op: graph.OpAddVertex}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.ApplyIncrementalCtx(context.Background(), nil, g2, nil, nil, nil); err == nil {
+	if _, err := sess.ApplyIncrementalCtx(context.Background(), nil, g2, nil, nil); err == nil {
 		t.Fatal("vertex growth must be rejected by the fused path")
 	}
 }
 
 // TestFusedApplyRejectsBadSources: a pivot outside the vertex set is an
-// error from either side's list, before any rank runs (and before the
-// host-side source union indexes its membership masks).
+// error, before any rank runs.
 func TestFusedApplyRejectsBadSources(t *testing.T) {
-	g, g2, diffs, sources := fusedTestSetup(t, true)
+	g, g2, diffs, _ := fusedTestSetup(t, true)
 	sess, err := NewDistSession(g, DistOptions{Procs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, bad := range []int32{-1, int32(g.N)} {
-		if _, err := sess.ApplyIncrementalCtx(context.Background(), []int32{bad}, g2, nil, diffs, sources); err == nil {
-			t.Fatalf("old-side source %d must be rejected", bad)
-		}
-		if _, err := sess.ApplyIncrementalCtx(context.Background(), sources, g2, nil, diffs, []int32{bad}); err == nil {
-			t.Fatalf("new-side source %d must be rejected", bad)
+		if _, err := sess.ApplyIncrementalCtx(context.Background(), []int32{bad}, g2, nil, diffs); err == nil {
+			t.Fatalf("source %d must be rejected", bad)
 		}
 		if _, err := sess.Run([]int32{bad}); err == nil {
 			t.Fatalf("Run source %d must be rejected", bad)
@@ -475,7 +471,7 @@ func TestRoundAllocBudget(t *testing.T) {
 	apply := func(i int) {
 		next := graphs[i%2]
 		w, _ := next.FindEdge(62, 63)
-		if _, err := sess.ApplyIncrementalCtx(context.Background(), pivots, next, nil, []EdgeDiff{{U: 62, V: 63, W: w, Present: true}}, pivots); err != nil {
+		if _, err := sess.ApplyIncrementalCtx(context.Background(), pivots, next, nil, []EdgeDiff{{U: 62, V: 63, W: w, Present: true}}); err != nil {
 			t.Fatal(err)
 		}
 	}

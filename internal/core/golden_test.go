@@ -99,7 +99,7 @@ func TestModeledCostGolden(t *testing.T) {
 			w, ok := g2.FindEdge(m.U, m.V)
 			diffs = append(diffs, EdgeDiff{U: m.U, V: m.V, W: w, Present: ok})
 		}
-		res, err := sess.ApplyIncrementalCtx(context.Background(), st.sources, g2, nil, diffs, st.sources)
+		res, err := sess.ApplyIncrementalCtx(context.Background(), st.sources, g2, nil, diffs)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -82,7 +82,7 @@ func wipeStorage(s *DistSession) {
 // memo from region to region; none of it may carry anything from one region
 // into the next. One session at p=4 runs an interleaving of scalar runs,
 // fused pair applies, two-region applies (run, patch, run) and a
-// vertex-growth Reset, first at Workers 1, then at 2, then at 1 again, with
+// vertex-growth reset, first at Workers 1, then at 2, then at 1 again, with
 // batches of 8 so that every region sweeps several. Beside it a twin replays
 // every step on ranks whose storage is wiped first — what a fresh session's
 // ranks start from, over the same staged operands — and a fresh session
@@ -137,7 +137,7 @@ func TestReusedStorageCarriesNothing(t *testing.T) {
 	}
 	fused := func(next *graph.Graph, diffs []EdgeDiff) func(*testing.T, *DistSession) stepOutcome {
 		return func(t *testing.T, s *DistSession) stepOutcome {
-			r, err := s.ApplyIncrementalCtx(context.Background(), pivots, next, nil, diffs, pivots)
+			r, err := s.ApplyIncrementalCtx(context.Background(), pivots, next, nil, diffs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -157,7 +157,7 @@ func TestReusedStorageCarriesNothing(t *testing.T) {
 	}
 	reset := func(next *graph.Graph) func(*testing.T, *DistSession) stepOutcome {
 		return func(t *testing.T, s *DistSession) (o stepOutcome) {
-			s.Reset(next, nil)
+			s.reset(next, nil)
 			r, err := s.Run(nil)
 			o.addRun(t, r, err)
 			return o

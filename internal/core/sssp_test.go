@@ -31,7 +31,7 @@ func distributedT(t *testing.T, g *graph.Graph, sources []int32, opt DistOptions
 		rk := sess.ranks[proc.Rank()]
 		sp := &sidePlans{sess: spgemm.NewSession(proc), pls: []planner{pl}, plans: make([]spgemm.Plan, 1)}
 		sp.sess.Workers = opt.Workers
-		tm, it := sweepMFBF(sp, &rk.scalar, alg, rk.a, []*sparse.CSR[float64]{sess.adjCSR}, [][]bool{nil}, sources)
+		tm, it := sweepMFBF(sp, &rk.scalar, alg, rk.a, []*sparse.CSR[float64]{sess.adjCSR}, sources)
 		full := testkit.Gather(proc.World(), tm, alg.mult)
 		if proc.Rank() == 0 {
 			gathered, iters = full, it

@@ -35,12 +35,16 @@
 // apply (critical-path words, messages, α–β–γ seconds, plan chosen) is
 // reported per apply and accumulated into the snapshot.
 //
-// This package holds the one declaration of every description the layers
-// above pass around: Config (repro.DynamicOptions), Report
+// This package holds the one declaration of the streaming engine and of
+// every description the layers above pass around: Engine
+// (repro.DynamicBC), Config (repro.DynamicOptions), Report
 // (repro.ApplyReport, embedded in the service's PATCH response), Snapshot
-// (repro.DynamicSnapshot), Stats, and the flattened machine costs
-// CommSummary (repro.CommReport) and PhaseComm, which travel together as a
-// Cost from the region that incurred them to the report and the snapshot.
+// (repro.DynamicSnapshot), and the flattened machine costs CommSummary
+// (repro.CommReport) and PhaseComm, which travel together as a Cost from
+// the region that incurred them to the report and the snapshot. An apply
+// is described once, by the Report it returns; what accumulates across
+// applies is the snapshot's (Seq counts them, Cost.Comm sums their
+// regions).
 //
 // Affected-source detection is conservative-exact: a source s is re-run
 // iff some edge of the effective batch diff lies on a shortest path from s
@@ -224,23 +228,6 @@ func newState(g *graph.Graph, seq uint64) *state {
 	}
 }
 
-// Stats is a snapshot of cumulative engine counters.
-type Stats struct {
-	Applies          int64       `json:"applies"`
-	MutationsApplied int64       `json:"mutations_applied"`
-	IncrementalRuns  int64       `json:"incremental_runs"`
-	FullRecomputes   int64       `json:"full_recomputes"`
-	AffectedSources  int64       `json:"affected_sources"` // cumulative
-	LastAffected     int         `json:"last_affected"`
-	Comm             CommSummary `json:"comm"` // cumulative modeled communication (distributed mode)
-	LastPlan         string      `json:"last_plan,omitempty"`
-	// FusedApplies counts incremental applies that ran as one fused
-	// machine region; TwoRegionApplies counts those on the two-region path
-	// (a vertex-set change, or a batch with no affected sources).
-	FusedApplies     int64 `json:"fused_applies"`
-	TwoRegionApplies int64 `json:"two_region_applies"`
-}
-
 // Report describes one applied batch. It is the one declaration of the
 // apply report: repro.ApplyReport is this type, and the service's PATCH
 // response embeds it (README "The apply report" is its field table).
@@ -284,9 +271,8 @@ type Engine struct {
 	// snapshot.
 	dist *core.DistSession
 
-	mu    sync.RWMutex
-	cur   *state // guarded by mu
-	stats Stats  // guarded by mu
+	mu  sync.RWMutex
+	cur *state // guarded by mu
 }
 
 // New creates an engine over g, computing the initial exact scores (on the
@@ -327,8 +313,8 @@ func (e *Engine) distOpts() core.DistOptions {
 	}
 }
 
-// Snapshot returns the current consistent (graph, scores, version) view.
-func (e *Engine) Snapshot() Snapshot {
+// Scores returns the current consistent (graph, scores, version) view.
+func (e *Engine) Scores() Snapshot {
 	e.mu.RLock()
 	st := e.cur
 	e.mu.RUnlock()
@@ -342,21 +328,17 @@ func (e *Engine) Snapshot() Snapshot {
 }
 
 // Graph returns the current immutable topology without copying the scores
-// (Snapshot copies the whole vector). Callers must not mutate it.
+// (Scores copies the whole vector). Callers must not mutate it.
 func (e *Engine) Graph() *graph.Graph {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	return e.cur.g
 }
 
-// Stats returns cumulative engine counters; the communication and plan are
-// the current snapshot's.
-func (e *Engine) Stats() Stats {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	st := e.stats
-	st.Comm, st.LastPlan = e.cur.cost.Comm, e.cur.cost.Plan
-	return st
+// Apply is ApplyCtx with a context that carries no trace: one batch
+// applied atomically, nothing of it on error.
+func (e *Engine) Apply(batch []graph.Mutation) (Report, error) {
+	return e.ApplyCtx(context.Background(), batch)
 }
 
 // ApplyCtx atomically applies one mutation batch and refreshes the
@@ -457,23 +439,6 @@ func (e *Engine) ApplyCtx(ctx context.Context, batch []graph.Mutation) (Report, 
 
 	e.mu.Lock()
 	e.cur = st
-	e.stats.Applies++
-	e.stats.MutationsApplied += int64(len(batch))
-	switch strategy {
-	case StrategyIncremental:
-		e.stats.IncrementalRuns++
-	case StrategyFull:
-		e.stats.FullRecomputes++
-	}
-	e.stats.AffectedSources += int64(len(affected))
-	e.stats.LastAffected = len(affected)
-	if strategy == StrategyIncremental && useDist {
-		if fused {
-			e.stats.FusedApplies++
-		} else {
-			e.stats.TwoRegionApplies++
-		}
-	}
 	e.mu.Unlock()
 	return rep, nil
 }
@@ -538,7 +503,7 @@ func (e *Engine) fusedIncrementalScores(ctx context.Context, old, st *state, aff
 	if err != nil {
 		return nil, err
 	}
-	res, err := sess.ApplyIncrementalCtx(ctx, affected, st.g, st.a, coreDiffs(diffs), affected)
+	res, err := sess.ApplyIncrementalCtx(ctx, affected, st.g, st.a, coreDiffs(diffs))
 	if err != nil {
 		// The resident operands may be mid-transition; rebuild from the
 		// committed snapshot on the next apply.

@@ -99,7 +99,7 @@ func TestIncrementalMatchesFromScratch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			compareScores(t, "initial", eng.Snapshot().BC, fromScratch(t, g))
+			compareScores(t, "initial", eng.Scores().BC, fromScratch(t, g))
 			rng := rand.New(rand.NewSource(99))
 			shadow := g.Clone()
 			for step := 0; step < 8; step++ {
@@ -117,15 +117,14 @@ func TestIncrementalMatchesFromScratch(t *testing.T) {
 				if rep.Strategy != StrategyIncremental {
 					t.Fatalf("step %d: strategy %q, want incremental", step, rep.Strategy)
 				}
-				snap := eng.Snapshot()
+				snap := eng.Scores()
 				if snap.Version != graph.Fingerprint(shadow) {
 					t.Fatalf("step %d: engine graph diverged from shadow replay", step)
 				}
 				compareScores(t, tc.name, snap.BC, fromScratch(t, shadow))
 			}
-			st := eng.Stats()
-			if st.Applies != 8 || st.IncrementalRuns != 8 || st.FullRecomputes != 0 {
-				t.Fatalf("stats = %+v", st)
+			if seq := eng.Scores().Seq; seq != 8 {
+				t.Fatalf("Seq = %d after 8 incremental applies", seq)
 			}
 		})
 	}
@@ -152,9 +151,10 @@ func TestDirtyThresholdFallsBackToFull(t *testing.T) {
 	if err := shadow.RemoveEdge(g.Edges[30].U, g.Edges[30].V); err != nil {
 		t.Fatal(err)
 	}
-	compareScores(t, "full fallback", eng.Snapshot().BC, fromScratch(t, shadow))
-	if st := eng.Stats(); st.FullRecomputes != 1 {
-		t.Fatalf("stats = %+v", st)
+	snap := eng.Scores()
+	compareScores(t, "full fallback", snap.BC, fromScratch(t, shadow))
+	if snap.Seq != 1 || snap.Seq != rep.Seq {
+		t.Fatalf("Seq = %d (report %d) after one full apply", snap.Seq, rep.Seq)
 	}
 }
 
@@ -185,7 +185,7 @@ func TestAffectedSourcesLocal(t *testing.T) {
 	if err := shadow.AddEdge(25, 30, 1); err != nil {
 		t.Fatal(err)
 	}
-	compareScores(t, "local insert", eng.Snapshot().BC, fromScratch(t, shadow))
+	compareScores(t, "local insert", eng.Scores().BC, fromScratch(t, shadow))
 }
 
 // TestNoopBatchSkipsCompute: add+remove of the same edge in one batch is a
@@ -203,7 +203,7 @@ func TestNoopBatchSkipsCompute(t *testing.T) {
 			break
 		}
 	}
-	before := eng.Snapshot()
+	before := eng.Scores()
 	rep, err := eng.ApplyCtx(context.Background(), []graph.Mutation{
 		{Op: graph.OpAddEdge, U: u, V: v, W: 1},
 		{Op: graph.OpRemoveEdge, U: u, V: v},
@@ -214,7 +214,7 @@ func TestNoopBatchSkipsCompute(t *testing.T) {
 	if rep.Affected != 0 {
 		t.Fatalf("affected = %d for a transient edge, want 0", rep.Affected)
 	}
-	after := eng.Snapshot()
+	after := eng.Scores()
 	if after.Version != before.Version {
 		t.Fatal("structural no-op changed the fingerprint")
 	}
@@ -229,7 +229,7 @@ func TestApplyErrorLeavesStateUntouched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := eng.Snapshot()
+	before := eng.Scores()
 	_, err = eng.ApplyCtx(context.Background(), []graph.Mutation{
 		{Op: graph.OpAddEdge, U: 0, V: 5, W: 1},
 		{Op: graph.OpAddEdge, U: 0, V: 99, W: 1}, // out of range
@@ -237,12 +237,12 @@ func TestApplyErrorLeavesStateUntouched(t *testing.T) {
 	if err == nil {
 		t.Fatal("invalid batch accepted")
 	}
-	after := eng.Snapshot()
+	after := eng.Scores()
 	if after.Version != before.Version || after.Seq != before.Seq {
 		t.Fatal("failed batch mutated the snapshot")
 	}
-	if st := eng.Stats(); st.Applies != 0 {
-		t.Fatalf("failed batch counted: %+v", st)
+	if after.Seq != 0 {
+		t.Fatalf("failed batch counted: Seq = %d", after.Seq)
 	}
 }
 
@@ -285,7 +285,7 @@ func TestConcurrentReadersSeeConsistentSnapshots(t *testing.T) {
 					return
 				default:
 				}
-				snap := eng.Snapshot()
+				snap := eng.Scores()
 				want, ok := expect[snap.Version]
 				if !ok {
 					errs <- "reader saw unknown version"
@@ -320,7 +320,7 @@ func TestConcurrentReadersSeeConsistentSnapshots(t *testing.T) {
 
 // TestApplyNeverMutatesPublishedSnapshot: Apply must treat installed
 // snapshots as immutable even when the input graph's edge slice is not in
-// canonical order — a reader iterating Snapshot().Graph.Edges while a
+// canonical order — a reader iterating Scores().Graph.Edges while a
 // batch applies must see the slice untouched (runs under -race in CI).
 func TestApplyNeverMutatesPublishedSnapshot(t *testing.T) {
 	g := &graph.Graph{Name: "unsorted", N: 6, Edges: []graph.Edge{
@@ -331,7 +331,7 @@ func TestApplyNeverMutatesPublishedSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := eng.Snapshot()
+	snap := eng.Scores()
 	before := append([]graph.Edge(nil), snap.Graph.Edges...)
 
 	done := make(chan struct{})
@@ -433,9 +433,9 @@ func TestDistributedIncrementalMatchesFromScratch(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				compareScores(t, "initial", e.Snapshot().BC, fromScratch(t, g))
-				if e.Snapshot().Comm.Runs == 0 || e.Snapshot().Plan == "" {
-					t.Fatalf("initial distributed compute reported no comm/plan: %+v", e.Snapshot())
+				compareScores(t, "initial", e.Scores().BC, fromScratch(t, g))
+				if e.Scores().Comm.Runs == 0 || e.Scores().Plan == "" {
+					t.Fatalf("initial distributed compute reported no comm/plan: %+v", e.Scores())
 				}
 				if eng.plan != nil || eng.cons != spgemm.AnyPlan {
 					seatAblation(t, e, eng.plan, eng.cons)
@@ -450,7 +450,6 @@ func TestDistributedIncrementalMatchesFromScratch(t *testing.T) {
 				}
 				rng := rand.New(rand.NewSource(41))
 				shadow := g.Clone()
-				var fusedSteps int64
 				for step := 0; step < 4; step++ {
 					oldN := shadow.N
 					batch := make([]graph.Mutation, 1+rng.Intn(2))
@@ -473,8 +472,10 @@ func TestDistributedIncrementalMatchesFromScratch(t *testing.T) {
 						t.Fatalf("step %d: fused = %v, want %v (affected %d, n %d→%d)",
 							step, rep.Fused, want, rep.Affected, oldN, shadow.N)
 					}
-					if rep.Fused {
-						fusedSteps++
+					// Every incremental apply of a distributed engine is fused
+					// or two-region, and says which at its processor count.
+					if rep.Procs != eng.cfg.Procs {
+						t.Fatalf("step %d: report at %d procs, engine at %d", step, rep.Procs, eng.cfg.Procs)
 					}
 					if rep.Affected > 0 && (rep.Comm.Runs == 0 || rep.Plan == "") {
 						t.Fatalf("step %d: distributed apply with %d affected reported no comm/plan: %+v",
@@ -483,21 +484,18 @@ func TestDistributedIncrementalMatchesFromScratch(t *testing.T) {
 					if rep.Plan != "" && !planAdmitted(rep.Plan, eng.plan, eng.cons) {
 						t.Fatalf("step %d: %s apply ran plan %s", step, eng.name, rep.Plan)
 					}
-					snap := e.Snapshot()
+					snap := e.Scores()
 					if snap.Version != graph.Fingerprint(shadow) {
 						t.Fatalf("step %d: engine graph diverged from shadow replay", step)
 					}
 					compareScores(t, topo.name+"/"+eng.name, snap.BC, fromScratch(t, shadow))
 				}
-				st := e.Stats()
-				if st.Applies != 4 || st.FullRecomputes != 0 {
-					t.Fatalf("stats = %+v", st)
+				snap := e.Scores()
+				if snap.Seq != 4 {
+					t.Fatalf("Seq = %d after 4 incremental applies", snap.Seq)
 				}
-				if st.FusedApplies != fusedSteps || st.FusedApplies+st.TwoRegionApplies != 4 {
-					t.Fatalf("fused/two-region counters off (%d fused steps): %+v", fusedSteps, st)
-				}
-				if st.Comm.Runs == 0 {
-					t.Fatalf("no machine runs accumulated: %+v", st.Comm)
+				if snap.Comm.Runs == 0 {
+					t.Fatalf("no machine runs accumulated: %+v", snap.Comm)
 				}
 			})
 		}
@@ -545,7 +543,7 @@ func TestDistributedApplyCheaperThanFromScratch(t *testing.T) {
 	if rep.Strategy != StrategyIncremental {
 		t.Fatalf("strategy %q (affected %d/%d), want incremental", rep.Strategy, rep.Affected, rep.N)
 	}
-	full, err := core.MFBCDistributed(e.Snapshot().Graph, core.DistOptions{Procs: 4, Workers: 1})
+	full, err := core.MFBCDistributed(e.Scores().Graph, core.DistOptions{Procs: 4, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -567,7 +565,7 @@ func TestFusedApplyReportsPhases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eg := e.Snapshot().Graph
+	eg := e.Scores().Graph
 	rep, err := e.ApplyCtx(context.Background(), []graph.Mutation{{Op: graph.OpSetWeight, U: eg.Edges[0].U, V: eg.Edges[0].V, W: 5}})
 	if err != nil {
 		t.Fatal(err)
@@ -598,7 +596,7 @@ func TestFusedApplyReportsPhases(t *testing.T) {
 	if bytes < rep.Comm.Bytes || flops < rep.Comm.Flops {
 		t.Fatalf("phase sums (W=%d F=%d) below apply totals %+v", bytes, flops, rep.Comm)
 	}
-	snap := e.Snapshot()
+	snap := e.Scores()
 	if len(snap.Phases) != len(rep.Phases) {
 		t.Fatalf("snapshot lost the phase breakdown: %+v", snap.Phases)
 	}
@@ -613,7 +611,7 @@ func TestFusedFallsBackOnVertexGrowth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shadow := e.Snapshot().Graph.Clone()
+	shadow := e.Scores().Graph.Clone()
 	batch := []graph.Mutation{
 		{Op: graph.OpAddVertex},
 		{Op: graph.OpAddEdge, U: 3, V: 25, W: 1},
@@ -628,9 +626,9 @@ func TestFusedFallsBackOnVertexGrowth(t *testing.T) {
 	if rep.Fused {
 		t.Fatal("vertex growth must not fuse")
 	}
-	compareScores(t, "growth apply", e.Snapshot().BC, fromScratch(t, shadow))
-	if st := e.Stats(); st.TwoRegionApplies != 1 {
-		t.Fatalf("growth apply not counted as two-region: %+v", st)
+	compareScores(t, "growth apply", e.Scores().BC, fromScratch(t, shadow))
+	if rep.Strategy != StrategyIncremental || rep.Procs != 4 {
+		t.Fatalf("growth apply is not a two-region incremental apply: %+v", rep)
 	}
 }
 
@@ -644,7 +642,7 @@ func TestFusedNoopAndEmptyAffectedSkipRegions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	planBefore := e.Snapshot().Plan
+	planBefore := e.Scores().Plan
 	if planBefore == "" {
 		t.Fatal("initial distributed compute must record a plan")
 	}
@@ -665,11 +663,11 @@ func TestFusedNoopAndEmptyAffectedSkipRegions(t *testing.T) {
 	if rep.Comm.Runs != 0 || rep.Comm.Msgs != 0 {
 		t.Fatalf("no-op batch ran a machine region: %+v", rep.Comm)
 	}
-	snap := e.Snapshot()
+	snap := e.Scores()
 	if snap.Plan != planBefore {
 		t.Fatalf("no-op apply clobbered the plan: %q -> %q", planBefore, snap.Plan)
 	}
-	if st := e.Stats(); st.FusedApplies != 0 {
-		t.Fatalf("no-op batch counted as a fused apply: %+v", st)
+	if snap.Seq != 1 || rep.Strategy != StrategyIncremental || rep.Procs != 4 {
+		t.Fatalf("no-op batch is not one two-region incremental apply: Seq %d, %+v", snap.Seq, rep)
 	}
 }

@@ -111,14 +111,6 @@ func AllgatherRecv[T any](c *Comm, data []T, recv func(parts [][]T)) {
 	c.proc.cost = group.Add(commCost(c.Size(), Cost{Bytes: bytesOf[T](total), Msgs: LogMsgs(c.Size())}))
 }
 
-// AllgatherConcat is Allgather flattened into one slice, built in one pass
-// over the posted parts.
-func AllgatherConcat[T any](c *Comm, data []T) []T {
-	var out []T
-	AllgatherRecv(c, data, func(parts [][]T) { out = slices.Concat(parts...) })
-	return out
-}
-
 // Scatter distributes root's parts (len == group size); member i receives
 // parts[i]. Cost: xβ + ⌈log₂p⌉α with x the total scattered size.
 func Scatter[T any](c *Comm, root int, parts [][]T) []T {

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/machine/sim"
+	"repro/internal/testkit"
 )
 
 type backendCase struct {
@@ -128,8 +129,8 @@ func TestBcast(t *testing.T) {
 	}
 }
 
-// TestAllgatherAndGather: the gather half checks AllgatherConcat, the
-// flattened form testkit.Gather is built on.
+// TestAllgatherAndGather: the gather half checks testkit.AllgatherConcat,
+// the flattened form testkit.Gather is built on.
 func TestAllgatherAndGather(t *testing.T) {
 	forEachBackend(t, 5, func(pr *machine.Proc) {
 		data := []int{pr.Rank(), pr.Rank() * 10}
@@ -139,7 +140,7 @@ func TestAllgatherAndGather(t *testing.T) {
 				panic("allgather wrong content")
 			}
 		}
-		flat := machine.AllgatherConcat(pr.World(), data)
+		flat := testkit.AllgatherConcat(pr.World(), data)
 		if len(flat) != 10 || flat[8] != 4 || flat[9] != 40 {
 			panic("allgather-concat lost rank order")
 		}
@@ -273,7 +274,7 @@ func TestSingleProcDegenerate(t *testing.T) {
 		if got := machine.Bcast(pr.World(), 0, []int{7}); got[0] != 7 {
 			panic("p=1 bcast")
 		}
-		if got := machine.AllgatherConcat(pr.World(), []int{1, 2}); len(got) != 2 {
+		if got := testkit.AllgatherConcat(pr.World(), []int{1, 2}); len(got) != 2 {
 			panic("p=1 allgather")
 		}
 		if got := machine.Alltoall(pr.World(), [][]int{{9}}); got[0][0] != 9 {

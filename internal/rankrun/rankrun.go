@@ -108,8 +108,8 @@ func (d *Driver) do(o op, local func() error) error {
 }
 
 // Engine is one replicated streaming engine: a local repro.DynamicBC
-// whose applies are mirrored on every worker rank. Reads (Scores, Stats,
-// Graph) are host-side and served locally.
+// whose applies are mirrored on every worker rank. Reads (Scores) are
+// host-side and served locally.
 type Engine struct {
 	d    *Driver
 	name string
@@ -156,9 +156,6 @@ func (e *Engine) ApplyCtx(ctx context.Context, batch []graph.Mutation) (repro.Ap
 
 // Scores returns the coordinator replica's consistent snapshot.
 func (e *Engine) Scores() repro.DynamicSnapshot { return e.bc.Scores() }
-
-// Stats returns the coordinator replica's cumulative counters.
-func (e *Engine) Stats() repro.DynamicStats { return e.bc.Stats() }
 
 // Close drops the engine on every worker, releasing the replica state.
 // The coordinator's local replica is released with the Engine itself.

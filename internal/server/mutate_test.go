@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
+	"log/slog"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -499,4 +501,94 @@ func TestMutateFusedPhasesAndStats(t *testing.T) {
 	if st := scrape(t, s); st.get(`mfbc_dyn_fused_applies`) != 1 {
 		t.Fatalf("stats must count the fused apply: %+v", st)
 	}
+}
+
+// TestDynApplyGauges drives both mfbc_dyn_* gauges through every way an
+// engine's applies join or leave the registry: fused PATCHes at DynProcs 2,
+// a vertex-growth PATCH (the two-region path), an Evict, a re-register and
+// a replace under the same name, and a contained group-commit panic. The
+// gauges sum over the registered graphs' engines, so a graph's applies leave
+// them with its engine.
+func TestDynApplyGauges(t *testing.T) {
+	s := New(Config{Workers: 1, DynProcs: 2, DirtyThreshold: -1,
+		Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	g := repro.GridGraph(5, 5, 3, 7)
+	register := func(name string) {
+		t.Helper()
+		if _, err := s.AddGraph(name, g.Clone()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Every reweight lowers the edge below any weight the grid holds, so it
+	// is the unique shortest path between its endpoints and the apply has
+	// sources to sweep.
+	w := 1.0
+	reweight := func(name string) {
+		t.Helper()
+		w /= 2
+		res, err := s.MutateCtx(context.Background(), name, []repro.Mutation{
+			{Op: repro.MutSetWeight, U: g.Edges[3].U, V: g.Edges[3].V, W: w},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Strategy != "incremental" || !res.Fused {
+			t.Fatalf("reweight of %q: want a fused incremental apply, got %+v", name, res)
+		}
+	}
+	gauges := func(step string, fused, twoRegion float64) {
+		t.Helper()
+		st := scrape(t, s)
+		if st.get(`mfbc_dyn_fused_applies`) != fused || st.get(`mfbc_dyn_two_region_applies`) != twoRegion {
+			t.Fatalf("%s: fused %v, two-region %v; want %v, %v", step,
+				st.get(`mfbc_dyn_fused_applies`), st.get(`mfbc_dyn_two_region_applies`), fused, twoRegion)
+		}
+	}
+
+	register("g")
+	register("h")
+	gauges("cold", 0, 0)
+	reweight("g")
+	reweight("h")
+	gauges("one fused apply per graph", 2, 0)
+	res, err := s.MutateCtx(context.Background(), "g", []repro.Mutation{
+		{Op: repro.MutAddVertex},
+		{Op: repro.MutAddEdge, U: 3, V: int32(g.N), W: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Strategy != "incremental" || res.Fused || res.Procs != 2 {
+		t.Fatalf("vertex growth: want a two-region incremental apply at 2 procs, got %+v", res)
+	}
+	gauges("vertex growth", 2, 1)
+	reweight("g")
+	gauges("fused after growth", 3, 1)
+
+	if err := s.Evict("g"); err != nil {
+		t.Fatal(err)
+	}
+	gauges("g evicted", 1, 0)
+	register("g")
+	gauges("g re-registered", 1, 0)
+	reweight("g")
+	gauges("re-registered g applied", 2, 0)
+	register("g")
+	gauges("g replaced", 1, 0)
+	reweight("g")
+	reweight("g")
+	gauges("replaced g applied twice", 3, 0)
+
+	// A bug surfacing mid-stream: g's engine, two applies in, panics.
+	s.mu.Lock()
+	s.graphs["g"].dyn = panicEngine{s.graphs["g"].dyn}
+	s.mu.Unlock()
+	if _, err := s.MutateCtx(context.Background(), "g", []repro.Mutation{
+		{Op: repro.MutSetWeight, U: g.Edges[3].U, V: g.Edges[3].V, W: w / 2},
+	}); !errors.Is(err, ErrInternal) {
+		t.Fatalf("PATCH into a panicking commit: %v, want ErrInternal", err)
+	}
+	gauges("g's engine detached by the contained panic", 1, 0)
+	reweight("g")
+	gauges("g's rebuilt engine applied", 2, 0)
 }

@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/dynamic"
 	"repro/internal/machine"
 	"repro/internal/obs"
 )
@@ -116,12 +117,12 @@ type Config struct {
 }
 
 // DynEngine is the streaming-engine surface the server drives for PATCH
-// mutations: apply a batch, snapshot the scores, report counters.
-// *repro.DynamicBC is the canonical implementation.
+// mutations: apply a batch, snapshot the scores. *repro.DynamicBC is the
+// canonical implementation. What the server counts of an engine's applies
+// it reads from the reports they return.
 type DynEngine interface {
 	ApplyCtx(ctx context.Context, batch []repro.Mutation) (repro.ApplyReport, error)
 	Scores() repro.DynamicSnapshot
-	Stats() repro.DynamicStats
 }
 
 const defaultCacheSize = 256
@@ -162,6 +163,11 @@ type graphEntry struct {
 	// dyn is the graph's streaming engine, created on the first mutation
 	// and carried across versions so incremental applies keep warm scores.
 	dyn DynEngine
+	// fused and twoRegion count dyn's incremental applies on the simulated
+	// machine by path: one fused region, or the two-region fallback (vertex
+	// growth, or no affected source). They are carried and dropped with
+	// dyn; guarded by Server.mu.
+	fused, twoRegion int64
 }
 
 type cacheEntry struct {
@@ -252,23 +258,21 @@ func New(cfg Config) *Server {
 	})
 	// Dynamic-engine aggregates over the registered graphs' engines (an
 	// evicted graph takes its engine's share with it, hence gauges).
-	dynSum := func(field func(repro.DynamicStats) int64) func() float64 {
+	dynSum := func(count func(*graphEntry) int64) func() float64 {
 		return func() float64 {
 			s.mu.Lock()
 			defer s.mu.Unlock()
 			var sum int64
 			for _, ge := range s.graphs {
-				if ge.dyn != nil {
-					sum += field(ge.dyn.Stats())
-				}
+				sum += count(ge)
 			}
 			return float64(sum)
 		}
 	}
 	reg.GaugeFunc("mfbc_dyn_fused_applies", "Incremental applies that ran as one fused machine region.",
-		dynSum(func(ds repro.DynamicStats) int64 { return ds.FusedApplies }))
+		dynSum(func(ge *graphEntry) int64 { return ge.fused }))
 	reg.GaugeFunc("mfbc_dyn_two_region_applies", "Incremental applies on the two-region path (vertex growth, or no affected source).",
-		dynSum(func(ds repro.DynamicStats) int64 { return ds.TwoRegionApplies }))
+		dynSum(func(ge *graphEntry) int64 { return ge.twoRegion }))
 	return s
 }
 
@@ -664,6 +668,14 @@ func (s *Server) applyCommitted(ctx context.Context, name string, ge *graphEntry
 		return nil, fmt.Errorf("%w: %q", ErrGraphConflict, name)
 	}
 	s.purgeLocked(name) // delta-aware: only this graph's entries drop
+	ne.fused, ne.twoRegion = ge.fused, ge.twoRegion
+	if rep.Strategy == dynamic.StrategyIncremental && rep.Procs > 0 {
+		if rep.Fused {
+			ne.fused++
+		} else {
+			ne.twoRegion++
+		}
+	}
 	s.graphs[name] = ne
 	s.m.mutations.Inc()
 	if seed != nil {

@@ -2,6 +2,7 @@ package testkit
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/algebra"
 	"repro/internal/distmat"
@@ -102,9 +103,17 @@ func MergeRuns[T any](runs [][]sparse.Entry[T], mon algebra.Monoid[T]) []sparse.
 // Gather collects the full matrix at every rank (cost charged as an
 // allgather).
 func Gather[T any](c *machine.Comm, m *distmat.Mat[T], mon algebra.Monoid[T]) *sparse.CSR[T] {
-	all := machine.AllgatherConcat(c, m.Local)
+	all := AllgatherConcat(c, m.Local)
 	coo := &sparse.COO[T]{Rows: m.Rows, Cols: m.Cols, E: all}
 	return sparse.FromCOO(coo, mon)
+}
+
+// AllgatherConcat is machine.Allgather flattened into one slice, built in
+// one pass over the posted parts.
+func AllgatherConcat[T any](c *machine.Comm, data []T) []T {
+	var out []T
+	machine.AllgatherRecv(c, data, func(parts [][]T) { out = slices.Concat(parts...) })
+	return out
 }
 
 // WeightPairMonoid is (W×W, min×min) with identity (∞, ∞): the tropical

@@ -263,9 +263,14 @@ func Fingerprint(g *Graph) uint64 { return graph.Fingerprint(g) }
 // Compute routes opt to, so the cost is samples/n of the exact computation.
 // The result's ErrBound is the estimate's 95% half-width per vertex (0 when
 // samples ≥ n, where the answer is exact), normalized with the scores.
+// The sample is the source list, so opt.Sources must be nil: a caller's
+// list is an error, not a silent override.
 func ApproximateBC(g *Graph, samples int, seed int64, opt Options) (*Result, error) {
 	if samples < 1 {
 		return nil, fmt.Errorf("repro: need at least one sample source")
+	}
+	if opt.Sources != nil {
+		return nil, fmt.Errorf("repro: ApproximateBC samples its own sources; opt.Sources must be nil")
 	}
 	if g == nil {
 		return nil, errNilGraph

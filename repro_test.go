@@ -324,6 +324,21 @@ func TestApproximateBC(t *testing.T) {
 	}
 }
 
+// TestApproximateBCRejectsSources: the estimator draws its own source
+// list, so a caller's opt.Sources is an error on the sampled path and on the
+// samples ≥ n path alike — never silently replaced by the sample, nor
+// returned as a partial sum labelled exact.
+func TestApproximateBCRejectsSources(t *testing.T) {
+	g := GridGraph(4, 4, 1, 1)
+	for _, samples := range []int{3, g.N, 2 * g.N} {
+		for _, sources := range [][]int32{{0, 5}, {}} {
+			if res, err := ApproximateBC(g, samples, 1, Options{Sources: sources}); err == nil {
+				t.Fatalf("samples %d, opt.Sources %v: accepted (ErrBound %g)", samples, sources, res.ErrBound)
+			}
+		}
+	}
+}
+
 // TestApproximateBCErrBound: a sampled estimate carries a positive
 // Hoeffding half-width that tightens as the budget grows, is 0 once the
 // budget covers every vertex (the answer is exact), and is normalized with
