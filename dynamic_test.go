@@ -160,9 +160,9 @@ func TestDynamicDifferential(t *testing.T) {
 // the engine's session (core.DistSession) under core.DistOptions' ablation,
 // driven as the engine drives it; the engine itself under those plans is
 // internal/dynamic's TestDistributedIncrementalMatchesFromScratch.
-// Incremental applies run fused, or two-region on vertex growth; that
-// delta-patched operands match full redistribution bit for bit is pinned
-// one layer down (core.TestSessionPatchMatchesReset). MFBC_DIFFTEST_SEEDS
+// Incremental applies with affected sources run fused, vertex growth
+// included; that delta-patched operands match full redistribution bit for
+// bit is pinned one layer down (core.TestSessionPatchMatchesReset). MFBC_DIFFTEST_SEEDS
 // widens the seed matrix as in the static harness.
 func TestDynamicDistributedDifferential(t *testing.T) {
 	topologies := []struct {
@@ -260,9 +260,8 @@ func TestDynamicDistributedDifferential(t *testing.T) {
 
 // ablatedSession replays a mutation stream through a core.DistSession the
 // way the streaming engine drives its own: an initial full run, then one
-// fused region per batch on a fixed vertex set, Patch then Run when the
-// batch grows it. Here every vertex is a pivot, so each apply's new side is
-// the full score vector.
+// fused region per batch, vertex growth included. Here every vertex is a
+// pivot, so each apply's new side is the full score vector.
 type ablatedSession struct {
 	opt   core.DistOptions
 	sess  *core.DistSession
@@ -310,35 +309,19 @@ func (a *ablatedSession) apply(t *testing.T, step int, next *Graph, batch []Muta
 		w, ok := next.FindEdge(e[0], e[1])
 		diffs[i] = core.EdgeDiff{U: e[0], V: e[1], W: w, Present: ok}
 	}
-	var (
-		bc    []float64
-		plan  spgemm.Plan
-		bytes int64
-		desc  string
-	)
-	if next.N == a.sess.Graph().N {
-		all := make([]int32, next.N)
-		for v := range all {
-			all[v] = int32(v)
-		}
-		r, err := a.sess.ApplyIncrementalCtx(context.Background(), all, next, nil, diffs)
-		if err != nil {
-			t.Fatalf("step %d: fused apply: %v", step, err)
-		}
-		bc, plan, bytes, desc = r.NewBC, r.Plan, r.Stats.MaxCost.Bytes, "fused"
-	} else {
-		a.sess.Patch(next, nil, diffs)
-		r, err := a.sess.Run(nil)
-		if err != nil {
-			t.Fatalf("step %d: run after growth: %v", step, err)
-		}
-		bc, plan, bytes, desc = r.BC, r.Plan, r.Stats.MaxCost.Bytes, "patch+run"
+	all := make([]int32, next.N)
+	for v := range all {
+		all[v] = int32(v)
 	}
-	a.bytes += bytes
-	if !planAdmitted(plan, a.opt) {
-		t.Fatalf("step %d (%s): ran plan %s outside the ablation", step, desc, plan)
+	r, err := a.sess.ApplyIncrementalCtx(context.Background(), all, next, nil, diffs)
+	if err != nil {
+		t.Fatalf("step %d: fused apply: %v", step, err)
 	}
-	return bc, desc + " under " + plan.String()
+	a.bytes += r.Stats.MaxCost.Bytes
+	if !planAdmitted(r.Plan, a.opt) {
+		t.Fatalf("step %d (fused): ran plan %s outside the ablation", step, r.Plan)
+	}
+	return r.NewBC, "fused under " + r.Plan.String()
 }
 
 // planAdmitted reports whether p is opt's forced plan or, with none forced,

@@ -1,6 +1,6 @@
 // Fused single-region incremental applies. An evolving-graph apply needs
 // the dependency contributions of the affected pivots on both sides of the
-// edit: δ_old to subtract, δ_new to add. PR 4 ran them as two machine
+// edit: δ_old to subtract, δ_new to add. Run apart, they take two machine
 // regions with a host-side operand patch in between, paying the latency
 // term S twice. ApplyIncrementalCtx fuses everything into ONE region over the
 // pair semiring (internal/algebra/pair.go): every matrix entry carries an
@@ -32,7 +32,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/algebra"
 	"repro/internal/graph"
@@ -43,7 +42,7 @@ import (
 
 // IncrementalResult is the outcome of one fused incremental region.
 type IncrementalResult struct {
-	OldBC []float64 // Σ_{s∈sources} δ_old(s,·) on the pre-batch topology
+	OldBC []float64 // Σ_{s∈sources} δ_old(s,·) on the pre-batch topology (0 on added vertices)
 	NewBC []float64 // Σ_{s∈sources} δ_new(s,·) on the post-batch topology
 	Plan  spgemm.Plan
 	Stats machine.RunStats // with per-phase attribution (diff/patch/sweep/reduce)
@@ -65,31 +64,34 @@ type IncrementalResult struct {
 // leave them. On error the resident state is indeterminate; callers should
 // drop and rebuild the session.
 //
-// newG must have the session's vertex count (vertex growth changes the
-// operand dimensions; callers fall back to the two-region path). diffs is
-// the effective edge diff between the session's topology and newG, as for
-// Patch. newAdj is newG's adjacency (rebuilt when nil). When ctx carries
-// an obs span, the fused region's modeled-vs-measured stats are attached
-// as a machine.region child span with per-phase grandchildren.
+// When newG has more vertices than the session's topology, the residents
+// are first rebuilt (reset) on that topology padded with the new vertices,
+// isolated, so the old side reads 0 on them.
+// diffs is the effective edge diff between the session's topology and newG,
+// as for Patch. newAdj is newG's adjacency (rebuilt when nil). When ctx
+// carries an obs span, the fused region's modeled-vs-measured stats are
+// attached as a machine.region child span with per-phase grandchildren.
 func (s *DistSession) ApplyIncrementalCtx(ctx context.Context, sources []int32, newG *graph.Graph, newAdj *sparse.CSR[float64], diffs []EdgeDiff) (*IncrementalResult, error) {
-	if newG.N != s.g.N {
-		return nil, fmt.Errorf("core: fused apply needs a fixed vertex set (%d → %d); use Patch + Run", s.g.N, newG.N)
+	n := newG.N
+	if err := CheckSources(n, sources); err != nil {
+		return nil, err
+	}
+	if n > s.g.N {
+		padded := s.g.Clone()
+		padded.N = n
+		s.reset(padded, nil)
 	}
 	if newAdj == nil {
 		newAdj = newG.Adjacency()
 	}
 	oldG, oldAdj := s.g, s.adjCSR
 	directed := newG.Directed
-	n := newG.N
 	if len(diffs) == 0 && len(sources) == 0 {
 		// Structural no-op: nothing to patch, nothing to sweep.
 		s.g, s.adjCSR = newG, newAdj
 		return &IncrementalResult{OldBC: make([]float64, n), NewBC: make([]float64, n)}, nil
 	}
 
-	if err := CheckSources(n, sources); err != nil {
-		return nil, err
-	}
 	nb := Options{Batch: s.opt.Batch}.batchFor(n)
 	if len(sources) > 0 && len(sources) < nb {
 		nb = len(sources)

@@ -8,6 +8,7 @@ import (
 	"runtime/debug"
 	"testing"
 
+	"repro/internal/baseline"
 	"repro/internal/graph"
 	"repro/internal/machine"
 	"repro/internal/spgemm"
@@ -395,20 +396,79 @@ func TestFusedApplyPhases(t *testing.T) {
 	}
 }
 
-// TestFusedApplyVertexGrowthRejected: a vertex-set change must be refused
-// (callers fall back to Patch + Run, the two-region path).
-func TestFusedApplyVertexGrowthRejected(t *testing.T) {
-	g, _, _, _ := fusedTestSetup(t, true)
-	sess, err := NewDistSession(g, DistOptions{Procs: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestFusedApplyGrowsVertexSet: a batch that grows the vertex set runs as
+// one fused region on a session that has already staged its residents. The
+// old side is the pre-batch graph's, reading 0 on the new vertices (they
+// are isolated there); the new side and a later full run are the grown
+// graph's. Integer weights keep the distributed sweeps exact.
+func TestFusedApplyGrowsVertexSet(t *testing.T) {
+	g := graph.Grid2D(7, 7, 8, 13)
 	g2 := g.Clone()
-	if err := g2.Apply(graph.Mutation{Op: graph.OpAddVertex}); err != nil {
+	muts := []graph.Mutation{
+		{Op: graph.OpAddVertex}, {Op: graph.OpAddVertex},
+		{Op: graph.OpAddEdge, U: 3, V: int32(g.N), W: 2},
+		{Op: graph.OpAddEdge, U: int32(g.N), V: int32(g.N) + 1, W: 1.5},
+		{Op: graph.OpSetWeight, U: g.Edges[5].U, V: g.Edges[5].V, W: g.Edges[5].W * 2},
+	}
+	if _, err := g2.ApplyAll(muts); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.ApplyIncrementalCtx(context.Background(), nil, g2, nil, nil); err == nil {
-		t.Fatal("vertex growth must be rejected by the fused path")
+	var diffs []EdgeDiff
+	for _, m := range muts[2:] {
+		w, ok := g2.FindEdge(m.U, m.V)
+		diffs = append(diffs, EdgeDiff{U: m.U, V: m.V, W: w, Present: ok})
+	}
+	sources := make([]int32, g2.N)
+	for v := range sources {
+		sources[v] = int32(v)
+	}
+	wantOld, wantNew := baseline.Brandes(g), baseline.Brandes(g2)
+	for _, tc := range []struct {
+		name string
+		opt  DistOptions
+	}{
+		{"p2", DistOptions{Procs: 2, Batch: 16}},
+		{"p4", DistOptions{Procs: 4, Batch: 16}},
+		{"p4-2d", DistOptions{Procs: 4, Batch: 16, Constraint: spgemm.Only2D}},
+		{"p4-3d", DistOptions{Procs: 4, Batch: 16, Constraint: spgemm.Only3D}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sess, err := NewDistSession(g, tc.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sess.Run(nil); err != nil {
+				t.Fatal(err)
+			}
+			res, err := sess.ApplyIncrementalCtx(context.Background(), sources, g2, nil, diffs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.OldBC) != g2.N || len(res.NewBC) != g2.N || sess.Graph() != g2 {
+				t.Fatalf("grown apply: %d old and %d new scores, want %d on the grown session", len(res.OldBC), len(res.NewBC), g2.N)
+			}
+			for v := range res.OldBC {
+				want := 0.0
+				if v < g.N {
+					want = wantOld[v]
+				}
+				if !almostEqual(res.OldBC[v], want) {
+					t.Fatalf("old side BC[%d] = %v, want %v", v, res.OldBC[v], want)
+				}
+				if !almostEqual(res.NewBC[v], wantNew[v]) {
+					t.Fatalf("new side BC[%d] = %v, want %v", v, res.NewBC[v], wantNew[v])
+				}
+			}
+			full, err := sess.Run(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for v := range wantNew {
+				if !almostEqual(full.BC[v], wantNew[v]) {
+					t.Fatalf("full run on the grown session: BC[%d] = %v, want %v", v, full.BC[v], wantNew[v])
+				}
+			}
+		})
 	}
 }
 

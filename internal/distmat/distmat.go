@@ -52,14 +52,19 @@ func PartBounds(idx, n, p int) (int32, int32) {
 // distribution before a plan-specific redistribution).
 func DistShard(p int) Dist {
 	return Dist{
-		Key: fmt.Sprintf("shard(p=%d)", p),
-		P:   p,
-		Owner: func(i, j int32) int {
-			h := uint64(uint32(i))*0x9E3779B1 ^ uint64(uint32(j))*0x85EBCA77
-			h ^= h >> 33
-			return int(h % uint64(p))
-		},
+		Key:   fmt.Sprintf("shard(p=%d)", p),
+		P:     p,
+		Owner: func(i, j int32) int { return Shard(i, j, p) },
 	}
+}
+
+// Shard is the pseudo-random owner in [0, p) of coordinate (i, j): the
+// hash DistShard places by, and a replicated 3D operand's layer before
+// replication.
+func Shard(i, j int32, p int) int {
+	h := uint64(uint32(i))*0x9E3779B1 ^ uint64(uint32(j))*0x85EBCA77
+	h ^= h >> 33
+	return int(h % uint64(p))
 }
 
 // Mat is one processor's view of a distributed sparse matrix: the entries

@@ -26,14 +26,15 @@
 // resident across applies and each batch's edge diff is delta-patched into
 // the resident blocks instead of redistributing the whole matrix, so the
 // once-per-run placement cost of Theorem 5.1 amortizes across the whole
-// mutation stream. An incremental apply runs as one fused machine region
+// mutation stream. An apply runs at most one machine region: an
+// incremental apply with affected sources is one fused region
 // (core.DistSession.ApplyIncrementalCtx: both sides' pivot re-runs over the
-// pair semiring, operands patched mid-region); the two-region form
-// (old-side run, host patch, new-side run) survives only where fusion
-// cannot apply — vertex-growth batches, whose operand dimensions change,
-// and batches with no affected sources. The modeled communication of each
-// apply (critical-path words, messages, α–β–γ seconds, plan chosen) is
-// reported per apply and accumulated into the snapshot.
+// pair semiring, operands patched mid-region, a vertex-growth batch's new
+// vertices isolated on the old side), a full recompute is one run on the
+// host-patched operands, and a batch with no affected source runs none —
+// its diff is patched host-side. The modeled communication of each apply
+// (critical-path words, messages, α–β–γ seconds, plan chosen) is reported
+// per apply and accumulated into the snapshot.
 //
 // This package holds the one declaration of the streaming engine and of
 // every description the layers above pass around: Engine
@@ -147,8 +148,7 @@ func (c *CommSummary) add(o CommSummary) {
 
 // PhaseComm is one named region phase's share of an apply's modeled cost
 // (machine.PhaseStats flattened for reports and JSON). For a fused apply
-// the phases are diff/patch/sweep/reduce; a multi-region apply merges the
-// phases of its regions by name.
+// the phases are diff/patch/sweep/reduce.
 type PhaseComm struct {
 	Name     string  `json:"name"`
 	Bytes    int64   `json:"bytes"`
@@ -156,35 +156,9 @@ type PhaseComm struct {
 	Flops    int64   `json:"flops"`
 	ModelSec float64 `json:"model_sec"`
 	// WallMS is the measured host wall-clock of the phase in milliseconds
-	// (max over ranks, summed over merged regions) — the observability
-	// counterpart of the modeled ModelSec.
+	// (max over ranks) — the observability counterpart of the modeled
+	// ModelSec.
 	WallMS float64 `json:"wall_ms"`
-}
-
-// mergePhases folds a region's phase breakdown into the apply's, by name.
-func mergePhases(acc []PhaseComm, phases []machine.PhaseStats) []PhaseComm {
-	for _, ph := range phases {
-		found := false
-		for i := range acc {
-			if acc[i].Name == ph.Name {
-				acc[i].Bytes += ph.MaxCost.Bytes
-				acc[i].Msgs += ph.MaxCost.Msgs
-				acc[i].Flops += ph.MaxCost.Flops
-				acc[i].ModelSec += ph.ModelSec
-				acc[i].WallMS += float64(ph.Wall.Microseconds()) / 1e3
-				found = true
-				break
-			}
-		}
-		if !found {
-			acc = append(acc, PhaseComm{
-				Name: ph.Name, Bytes: ph.MaxCost.Bytes, Msgs: ph.MaxCost.Msgs,
-				Flops: ph.MaxCost.Flops, ModelSec: ph.ModelSec,
-				WallMS: float64(ph.Wall.Microseconds()) / 1e3,
-			})
-		}
-	}
-	return acc
 }
 
 // Cost is what machine regions cost on the simulated machine: of one apply
@@ -198,11 +172,17 @@ type Cost struct {
 	Phases []PhaseComm `json:"phases,omitempty"`
 }
 
-// charge folds one machine region, run under plan, into the cost.
-func (c *Cost) charge(plan spgemm.Plan, st machine.RunStats) {
-	c.Plan = plan.String()
-	c.Comm.add(Summarize(st))
-	c.Phases = mergePhases(c.Phases, st.Phases)
+// regionCost is the cost of one machine region, run under plan.
+func regionCost(plan spgemm.Plan, st machine.RunStats) Cost {
+	c := Cost{Plan: plan.String(), Comm: Summarize(st)}
+	for _, ph := range st.Phases {
+		c.Phases = append(c.Phases, PhaseComm{
+			Name: ph.Name, Bytes: ph.MaxCost.Bytes, Msgs: ph.MaxCost.Msgs,
+			Flops: ph.MaxCost.Flops, ModelSec: ph.ModelSec,
+			WallMS: float64(ph.Wall.Microseconds()) / 1e3,
+		})
+	}
+	return c
 }
 
 // state is one immutable (graph, scores) snapshot. Installed whole under
@@ -241,7 +221,7 @@ type Report struct {
 	M        int    `json:"m"`
 	Procs    int    `json:"procs,omitempty"` // simulated processors (distributed mode)
 	Fused    bool   `json:"fused,omitempty"` // this apply ran as one fused machine region
-	// Cost is this apply's machine regions: representative plan, modeled
+	// Cost is this apply's machine region, if one ran: plan, modeled
 	// communication, per-phase attribution (distributed mode).
 	Cost
 	WallMS float64 `json:"wall_ms"` // host wall-clock of the whole apply
@@ -291,13 +271,13 @@ func New(g *graph.Graph, cfg Config) (*Engine, error) {
 	own := g.Clone()
 	st := newState(own, 0)
 	e := &Engine{cfg: cfg}
-	// A machine run charges st.cost; shared memory leaves it zero.
-	bc, err := e.sweep(context.Background(), st, nil, &st.cost)
+	// A machine run costs something; shared memory leaves the cost zero.
+	bc, cost, err := e.sweep(context.Background(), st)
 	if err != nil {
 		return nil, err
 	}
 	st.bc = bc
-	st.cost.Phases = nil // the breakdown of the latest apply: none yet
+	st.cost = Cost{Plan: cost.Plan, Comm: cost.Comm} // no apply's phases yet
 	// The engine is not shared yet, but publishing the initial snapshot
 	// under the lock keeps the guarded-field discipline uniform (and the
 	// happens-before edge costs nothing here).
@@ -367,27 +347,6 @@ func (e *Engine) ApplyCtx(ctx context.Context, batch []graph.Mutation) (Report, 
 	st := newState(newG, old.seq+1)
 	diffs := batchDiff(old.g, newG, batch)
 
-	var (
-		fused bool
-		cost  Cost // of this apply's machine regions
-	)
-	useDist := e.cfg.Procs > 1
-	// advance moves the resident distributed operands to the post-batch
-	// topology — delta-patching the blocks the diff touches (Patch itself
-	// rebuilds on vertex growth). It must run exactly once per apply in
-	// distributed mode, after any old-topology runs and before any
-	// new-topology runs.
-	advance := func() error {
-		if !useDist {
-			return nil
-		}
-		sess, err := e.session(old)
-		if err != nil {
-			return err
-		}
-		sess.Patch(newG, st.a, coreDiffs(diffs))
-		return nil
-	}
 	_, probe := obs.StartSpan(ctx, "dynamic.probe")
 	affected := affectedSources(old, st, diffs, e.cfg.Workers)
 	probe.SetAttr("affected", len(affected)).SetAttr("diffs", len(diffs))
@@ -397,23 +356,28 @@ func (e *Engine) ApplyCtx(ctx context.Context, batch []graph.Mutation) (Report, 
 		frac = float64(len(affected)) / float64(newG.N)
 	}
 	strategy := StrategyIncremental
-	var bc []float64
-	var err error
+	var (
+		bc    []float64
+		cost  Cost // of this apply's machine region, if one ran
+		fused bool
+		err   error
+	)
 	switch {
 	case e.cfg.DirtyThreshold > 0 && frac > e.cfg.DirtyThreshold:
 		strategy = StrategyFull
-		if err = advance(); err == nil {
-			bc, err = e.sweep(ctx, st, nil, &cost)
+		if err = e.advance(old, st, diffs); err == nil {
+			bc, cost, err = e.sweep(ctx, st)
 		}
-	case e.fuseEligible(old, newG) && len(affected) > 0:
-		// With no affected sources there is nothing to sweep: the
-		// two-region path below advances the operands host-side and runs
-		// zero regions, which a fused region (diff scatter + full splice +
-		// empty sweep + O(n) reduce) would only make more expensive.
-		bc, err = e.fusedIncrementalScores(ctx, old, st, affected, diffs, &cost)
-		fused = err == nil
+	case e.cfg.Procs > 1 && len(affected) > 0:
+		bc, cost, err = e.fusedIncrementalScores(ctx, old, st, affected, diffs)
+		fused = true
 	default:
-		bc, err = e.incrementalScores(ctx, old, st, affected, advance, &cost)
+		// Shared memory, or nothing to sweep: with no affected source a
+		// fused region (diff scatter + full splice + empty sweep + O(n)
+		// reduce) would only cost more than patching host-side.
+		if err = e.advance(old, st, diffs); err == nil {
+			bc = e.incrementalScores(ctx, old, st, affected)
+		}
 	}
 	if err != nil {
 		return Report{}, err
@@ -430,7 +394,7 @@ func (e *Engine) ApplyCtx(ctx context.Context, batch []graph.Mutation) (Report, 
 		N: newG.N, M: newG.M(), Procs: e.cfg.Procs, Fused: fused, Cost: cost,
 		WallMS: float64(time.Since(start)) / float64(time.Millisecond),
 	}
-	if !useDist {
+	if e.cfg.Procs <= 1 {
 		rep.Procs = 0
 	}
 	span.SetAttr("strategy", strategy).SetAttr("applied", len(batch)).
@@ -443,12 +407,20 @@ func (e *Engine) ApplyCtx(ctx context.Context, batch []graph.Mutation) (Report, 
 	return rep, nil
 }
 
-// fuseEligible reports whether this incremental apply can run as one fused
-// machine region: distributed mode and a fixed vertex set (vertex growth
-// changes the operand dimensions, which the resident pair lift cannot
-// express).
-func (e *Engine) fuseEligible(old *state, newG *graph.Graph) bool {
-	return e.cfg.Procs > 1 && newG.N == old.g.N
+// advance moves the resident distributed operands, if any, from old's
+// topology to st's host-side — delta-patching the blocks the diff touches
+// (Patch itself rebuilds on vertex growth) — ahead of an apply that runs
+// no fused region.
+func (e *Engine) advance(old, st *state, diffs []edgeDiff) error {
+	if e.cfg.Procs <= 1 {
+		return nil
+	}
+	sess, err := e.session(old)
+	if err != nil {
+		return err
+	}
+	sess.Patch(st.g, st.a, coreDiffs(diffs))
+	return nil
 }
 
 // session returns the live distributed session, rebuilding it on the given
@@ -464,120 +436,99 @@ func (e *Engine) session(st *state) (*core.DistSession, error) {
 	return e.dist, nil
 }
 
-// sweep runs batched MFBC sweeps for exactly the given sources (nil = every
-// vertex, the exact full recompute) over snapshot st and returns their
-// accumulated dependency contributions: one machine region in distributed
-// mode (Procs > 1), where the resident operands must already be at st's
-// topology — a session dropped by a failed run is rebuilt from st — and
-// the shared-memory kernel over st's cached operands otherwise. A machine
-// region is charged to cost; when it fails the session is dropped so the
-// next apply rebuilds it from the committed snapshot (the resident operands
-// may be mid-transition).
-func (e *Engine) sweep(ctx context.Context, st *state, sources []int32, cost *Cost) ([]float64, error) {
+// sweep is the exact full recompute over snapshot st: one machine region
+// in distributed mode (Procs > 1), where the resident operands must already
+// be at st's topology — a session dropped by a failed run is rebuilt from
+// st — and the shared-memory kernel over st's cached operands otherwise,
+// which costs nothing on the machine. When the region fails the session is
+// dropped so the next apply rebuilds it from the committed snapshot (the
+// resident operands may be mid-transition).
+func (e *Engine) sweep(ctx context.Context, st *state) ([]float64, Cost, error) {
 	if e.cfg.Procs <= 1 {
-		return e.pivotScores(ctx, st, sources), nil
+		return e.pivotScores(ctx, st, nil), Cost{}, nil
 	}
 	sess, err := e.session(st)
 	if err != nil {
-		return nil, err
+		return nil, Cost{}, err
 	}
-	r, err := sess.RunCtx(ctx, sources)
+	r, err := sess.RunCtx(ctx, nil)
 	if err != nil {
 		e.dist = nil
-		return nil, fmt.Errorf("dynamic: distributed run: %w", err)
+		return nil, Cost{}, fmt.Errorf("dynamic: distributed run: %w", err)
 	}
-	cost.charge(r.Plan, r.Stats)
-	return r.BC, nil
+	return r.BC, regionCost(r.Plan, r.Stats), nil
 }
 
 // fusedIncrementalScores merges the batch's delta through one fused
 // machine region: core.DistSession.ApplyIncrementalCtx computes both sides'
 // pivot re-runs simultaneously over the pair semiring, patching the
 // resident operands mid-region (diff scattered as a modeled collective,
-// splice charged as local γ-flops), so the latency term is paid once. The
-// arithmetic — subtract the old-side partials, add the new-side partials —
-// is the exact operation sequence of the two-region path, and the side
-// partials themselves are bit-identical to it under a fixed plan.
-func (e *Engine) fusedIncrementalScores(ctx context.Context, old, st *state, affected []int32, diffs []edgeDiff, cost *Cost) ([]float64, error) {
+// splice charged as local γ-flops), so the latency term is paid once. A
+// vertex-growth batch's new vertices are isolated on the old side, so their
+// old-side partials are 0. The side partials are bit-identical, under a
+// fixed plan, to separate old-side and new-side runs.
+func (e *Engine) fusedIncrementalScores(ctx context.Context, old, st *state, affected []int32, diffs []edgeDiff) ([]float64, Cost, error) {
 	sess, err := e.session(old)
 	if err != nil {
-		return nil, err
+		return nil, Cost{}, err
 	}
 	res, err := sess.ApplyIncrementalCtx(ctx, affected, st.g, st.a, coreDiffs(diffs))
 	if err != nil {
 		// The resident operands may be mid-transition; rebuild from the
 		// committed snapshot on the next apply.
 		e.dist = nil
-		return nil, fmt.Errorf("dynamic: fused apply: %w", err)
+		return nil, Cost{}, fmt.Errorf("dynamic: fused apply: %w", err)
 	}
-	cost.charge(res.Plan, res.Stats)
-
-	bc := make([]float64, st.g.N)
-	copy(bc, old.bc)
-	for v := 0; v < old.g.N; v++ {
-		bc[v] -= res.OldBC[v]
-	}
-	for v := range bc {
-		bc[v] += res.NewBC[v]
-	}
-	clampResidue(bc)
-	return bc, nil
+	return mergeDelta(old.bc, st.g.N, res.OldBC, res.NewBC), regionCost(res.Plan, res.Stats), nil
 }
 
-// incrementalScores merges the batch's delta into the maintained vector:
-// bc_new = bc_old − Σ_{s∈affected} δ_old(s,·) + Σ_{s∈affected} δ_new(s,·),
-// each side computed with batched MFBC sweeps restricted to the affected
-// pivots — on the simulated machine in distributed mode, where the old
-// side runs against the still-resident pre-batch operands, advance patches
-// in the diff, and the new side reuses the freshly patched blocks.
-func (e *Engine) incrementalScores(ctx context.Context, old, st *state, affected []int32, advance func() error, cost *Cost) ([]float64, error) {
-	bc := make([]float64, st.g.N)
-	copy(bc, old.bc)
-
-	// Sources added by this batch have no contribution to subtract;
+// incrementalScores is the shared-memory incremental apply: the affected
+// pivots re-run with batched MFBC sweeps on each side of the batch, merged
+// by mergeDelta. Sources added by this batch have no contribution to
+// subtract, and an empty side sweeps nothing (a nil source list would sweep
+// every vertex).
+func (e *Engine) incrementalScores(ctx context.Context, old, st *state, affected []int32) []float64 {
+	if len(affected) == 0 {
+		return mergeDelta(old.bc, st.g.N, nil, nil)
+	}
 	// affected is ascending, so the pre-batch sources are a prefix.
-	oldN := old.g.N
-	cut, _ := slices.BinarySearch(affected, int32(oldN))
-	oldAff := affected[:cut]
-	if len(oldAff) > 0 {
-		delta, err := e.sweep(ctx, old, oldAff, cost)
-		if err != nil {
-			return nil, err
-		}
-		for v := 0; v < oldN; v++ {
-			bc[v] -= delta[v]
-		}
+	var dOld []float64
+	if cut, _ := slices.BinarySearch(affected, int32(old.g.N)); cut > 0 {
+		dOld = e.pivotScores(ctx, old, affected[:cut])
 	}
-	if err := advance(); err != nil {
-		return nil, err
-	}
-	if len(affected) > 0 {
-		delta, err := e.sweep(ctx, st, affected, cost)
-		if err != nil {
-			return nil, err
-		}
-		for v := range bc {
-			bc[v] += delta[v]
-		}
-	}
-	clampResidue(bc)
-	return bc, nil
+	return mergeDelta(old.bc, st.g.N, dOld, e.pivotScores(ctx, st, affected))
 }
 
-// clampResidue zeroes tiny negative residue: subtracting recomputed old
-// contributions from the running vector can leave −1e-12-scale values at
-// mathematically zero scores; large negatives would mean a bookkeeping bug
-// and are left visible.
-func clampResidue(bc []float64) {
+// mergeDelta returns the n-vector bc_old − δ_old + δ_new: δ_old is
+// subtracted on the pre-batch vertices (those of bcOld), δ_new added on
+// every vertex, and a nil side contributes nothing. Tiny negative residue
+// is then zeroed: subtracting recomputed old contributions from the running
+// vector can leave −1e-12-scale values at mathematically zero scores; large
+// negatives would mean a bookkeeping bug and are left visible.
+func mergeDelta(bcOld []float64, n int, dOld, dNew []float64) []float64 {
+	bc := make([]float64, n)
+	copy(bc, bcOld)
+	if dOld != nil {
+		for v := range bcOld {
+			bc[v] -= dOld[v]
+		}
+	}
+	if dNew != nil {
+		for v := range bc {
+			bc[v] += dNew[v]
+		}
+	}
 	for v := range bc {
 		if bc[v] < 0 && bc[v] > -1e-6 {
 			bc[v] = 0
 		}
 	}
+	return bc
 }
 
-// pivotScores is sweep's shared-memory side: core.SweepSources over the
-// snapshot's cached operands, reported as a sweep.local span.
+// pivotScores is the shared-memory sweep: core.SweepSources for exactly the
+// given sources (nil = every vertex) over the snapshot's cached operands,
+// reported as a sweep.local span.
 func (e *Engine) pivotScores(ctx context.Context, st *state, sources []int32) []float64 {
 	swept := len(sources)
 	if sources == nil {

@@ -14,15 +14,12 @@ const (
 	// PhaseStage: staging an operand onto the machine (redistribution,
 	// fiber replication) ahead of the multiply supersteps.
 	PhaseStage = "stage"
-	// PhaseDiff: computing the old/new operand difference of an
-	// incremental apply (edit extraction, pair lifting).
+	// PhaseDiff: delivering each rank its share of an incremental apply's
+	// edge diff (the fused apply's scatter from rank 0).
 	PhaseDiff = "diff"
 	// PhasePatch: splicing a mutation diff into resident working sets in
-	// place of re-staging.
+	// place of re-staging, and lifting the fused apply's pair operands.
 	PhasePatch = "patch"
-	// PhaseProbe: the affected-source detection probes (multi-source
-	// reverse SSSP) that scope an incremental apply.
-	PhaseProbe = "probe"
 	// PhaseSweep: the forward Bellman-Ford / Brandes back-propagation
 	// supersteps, the multiply-heavy body of a region.
 	PhaseSweep = "sweep"
@@ -34,13 +31,13 @@ const (
 // CanonicalPhases lists the registry in declaration order. The returned
 // slice is fresh on every call; callers may sort or mutate it.
 func CanonicalPhases() []string {
-	return []string{PhaseStage, PhaseDiff, PhasePatch, PhaseProbe, PhaseSweep, PhaseReduce}
+	return []string{PhaseStage, PhaseDiff, PhasePatch, PhaseSweep, PhaseReduce}
 }
 
 // IsCanonicalPhase reports whether name is in the phase registry.
 func IsCanonicalPhase(name string) bool {
 	switch name {
-	case PhaseStage, PhaseDiff, PhasePatch, PhaseProbe, PhaseSweep, PhaseReduce:
+	case PhaseStage, PhaseDiff, PhasePatch, PhaseSweep, PhaseReduce:
 		return true
 	}
 	return false

@@ -59,51 +59,57 @@ func stream() [][]graph.Mutation {
 
 // TestReplicatedMatchesLocal drives the same mutation stream through a
 // 4-rank replicated engine and a plain in-process engine (simulated
-// machine) and requires bit-identical scores, versions, and strategy
-// decisions on every apply — the acceptance bar for the TCP backend. The
-// graph has more vertices than the default batch, so a full sweep runs
-// more than one batch.
+// machine) and requires bit-identical scores, versions, and strategy and
+// fusion decisions on every apply — the acceptance bar for the TCP backend.
+// The graph has more vertices than the default batch, so a full sweep runs
+// more than one batch. The stream runs twice: under the default dirtiness
+// threshold every apply recomputes in full; with the fallback off every
+// apply is one fused region, the third's vertex growth included.
 func TestReplicatedMatchesLocal(t *testing.T) {
 	const p = 4
 	d, _, _ := mesh(t, p)
 	defer d.Shutdown()
 
 	g := graph.Grid2D(12, 11, 8, 13)
-	opt := repro.DynamicOptions{Procs: p, Workers: 1}
-
-	eng, err := d.NewEngine("g", g, opt)
-	if err != nil {
-		t.Fatalf("replicated engine: %v", err)
-	}
-	ref, err := repro.NewDynamicBC(g, opt)
-	if err != nil {
-		t.Fatalf("reference engine: %v", err)
-	}
-	for i, batch := range stream() {
-		rep, err := eng.ApplyCtx(context.Background(), batch)
+	for _, threshold := range []float64{0, -1} {
+		opt := repro.DynamicOptions{Procs: p, Workers: 1, DirtyThreshold: threshold}
+		eng, err := d.NewEngine(fmt.Sprintf("g%v", threshold), g, opt)
 		if err != nil {
-			t.Fatalf("apply %d (replicated): %v", i, err)
+			t.Fatalf("replicated engine: %v", err)
 		}
-		want, err := ref.Apply(batch)
+		ref, err := repro.NewDynamicBC(g, opt)
 		if err != nil {
-			t.Fatalf("apply %d (reference): %v", i, err)
+			t.Fatalf("reference engine: %v", err)
 		}
-		if rep.Strategy != want.Strategy || rep.Version != want.Version || rep.Affected != want.Affected {
-			t.Fatalf("apply %d: decision diverged: got (%s v%d a%d), want (%s v%d a%d)",
-				i, rep.Strategy, rep.Version, rep.Affected, want.Strategy, want.Version, want.Affected)
+		for i, batch := range stream() {
+			rep, err := eng.ApplyCtx(context.Background(), batch)
+			if err != nil {
+				t.Fatalf("threshold %v apply %d (replicated): %v", threshold, i, err)
+			}
+			want, err := ref.Apply(batch)
+			if err != nil {
+				t.Fatalf("threshold %v apply %d (reference): %v", threshold, i, err)
+			}
+			if rep.Strategy != want.Strategy || rep.Version != want.Version || rep.Affected != want.Affected || rep.Fused != want.Fused {
+				t.Fatalf("threshold %v apply %d: decision diverged: got (%s v%d a%d fused=%v), want (%s v%d a%d fused=%v)", threshold,
+					i, rep.Strategy, rep.Version, rep.Affected, rep.Fused, want.Strategy, want.Version, want.Affected, want.Fused)
+			}
+			if threshold < 0 && !rep.Fused {
+				t.Fatalf("apply %d with the fallback off: want one fused region, got %+v", i, rep)
+			}
 		}
-	}
-	got, want := eng.Scores(), ref.Scores()
-	if got.Version != want.Version || len(got.BC) != len(want.BC) {
-		t.Fatalf("snapshot shape: got v%d n=%d, want v%d n=%d", got.Version, len(got.BC), want.Version, len(want.BC))
-	}
-	for i := range got.BC {
-		if got.BC[i] != want.BC[i] {
-			t.Fatalf("score %d: tcpnet %v != sim %v", i, got.BC[i], want.BC[i])
+		got, want := eng.Scores(), ref.Scores()
+		if got.Version != want.Version || len(got.BC) != len(want.BC) {
+			t.Fatalf("threshold %v snapshot shape: got v%d n=%d, want v%d n=%d", threshold, got.Version, len(got.BC), want.Version, len(want.BC))
 		}
-	}
-	if err := eng.Close(); err != nil {
-		t.Fatalf("close: %v", err)
+		for i := range got.BC {
+			if got.BC[i] != want.BC[i] {
+				t.Fatalf("threshold %v score %d: tcpnet %v != sim %v", threshold, i, got.BC[i], want.BC[i])
+			}
+		}
+		if err := eng.Close(); err != nil {
+			t.Fatalf("close: %v", err)
+		}
 	}
 }
 

@@ -179,7 +179,7 @@ func (s *Server) commitGroup(ctx context.Context, name string, group []*ingestPe
 		s.cfg.Logger.Error("panic in group commit", "graph", name, "panic", r, "stack", string(debug.Stack()))
 		s.mu.Lock()
 		if cur, ok := s.graphs[name]; ok {
-			cur.dyn, cur.fused, cur.twoRegion = nil, 0, 0
+			cur.dyn, cur.fused = nil, 0
 		}
 		s.mu.Unlock()
 		s.failBatches(open, fmt.Errorf("%w: panic in group commit of %q: %v", ErrInternal, name, r))

@@ -503,12 +503,12 @@ func TestMutateFusedPhasesAndStats(t *testing.T) {
 	}
 }
 
-// TestDynApplyGauges drives both mfbc_dyn_* gauges through every way an
-// engine's applies join or leave the registry: fused PATCHes at DynProcs 2,
-// a vertex-growth PATCH (the two-region path), an Evict, a re-register and
-// a replace under the same name, and a contained group-commit panic. The
-// gauges sum over the registered graphs' engines, so a graph's applies leave
-// them with its engine.
+// TestDynApplyGauges drives the mfbc_dyn_fused_applies gauge through every
+// way an engine's applies join or leave the registry: fused PATCHes at
+// DynProcs 2, a vertex-growth PATCH (fused too), an Evict, a re-register
+// and a replace under the same name, and a contained group-commit panic.
+// The gauge sums over the registered graphs' engines, so a graph's applies
+// leave it with its engine.
 func TestDynApplyGauges(t *testing.T) {
 	s := New(Config{Workers: 1, DynProcs: 2, DirtyThreshold: -1,
 		Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
@@ -536,21 +536,19 @@ func TestDynApplyGauges(t *testing.T) {
 			t.Fatalf("reweight of %q: want a fused incremental apply, got %+v", name, res)
 		}
 	}
-	gauges := func(step string, fused, twoRegion float64) {
+	gauges := func(step string, fused float64) {
 		t.Helper()
-		st := scrape(t, s)
-		if st.get(`mfbc_dyn_fused_applies`) != fused || st.get(`mfbc_dyn_two_region_applies`) != twoRegion {
-			t.Fatalf("%s: fused %v, two-region %v; want %v, %v", step,
-				st.get(`mfbc_dyn_fused_applies`), st.get(`mfbc_dyn_two_region_applies`), fused, twoRegion)
+		if got := scrape(t, s).get(`mfbc_dyn_fused_applies`); got != fused {
+			t.Fatalf("%s: fused %v; want %v", step, got, fused)
 		}
 	}
 
 	register("g")
 	register("h")
-	gauges("cold", 0, 0)
+	gauges("cold", 0)
 	reweight("g")
 	reweight("h")
-	gauges("one fused apply per graph", 2, 0)
+	gauges("one fused apply per graph", 2)
 	res, err := s.MutateCtx(context.Background(), "g", []repro.Mutation{
 		{Op: repro.MutAddVertex},
 		{Op: repro.MutAddEdge, U: 3, V: int32(g.N), W: 1},
@@ -558,26 +556,26 @@ func TestDynApplyGauges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Strategy != "incremental" || res.Fused || res.Procs != 2 {
-		t.Fatalf("vertex growth: want a two-region incremental apply at 2 procs, got %+v", res)
+	if res.Strategy != "incremental" || !res.Fused || res.Procs != 2 {
+		t.Fatalf("vertex growth: want a fused incremental apply at 2 procs, got %+v", res)
 	}
-	gauges("vertex growth", 2, 1)
+	gauges("vertex growth", 3)
 	reweight("g")
-	gauges("fused after growth", 3, 1)
+	gauges("fused after growth", 4)
 
 	if err := s.Evict("g"); err != nil {
 		t.Fatal(err)
 	}
-	gauges("g evicted", 1, 0)
+	gauges("g evicted", 1)
 	register("g")
-	gauges("g re-registered", 1, 0)
+	gauges("g re-registered", 1)
 	reweight("g")
-	gauges("re-registered g applied", 2, 0)
+	gauges("re-registered g applied", 2)
 	register("g")
-	gauges("g replaced", 1, 0)
+	gauges("g replaced", 1)
 	reweight("g")
 	reweight("g")
-	gauges("replaced g applied twice", 3, 0)
+	gauges("replaced g applied twice", 3)
 
 	// A bug surfacing mid-stream: g's engine, two applies in, panics.
 	s.mu.Lock()
@@ -588,7 +586,7 @@ func TestDynApplyGauges(t *testing.T) {
 	}); !errors.Is(err, ErrInternal) {
 		t.Fatalf("PATCH into a panicking commit: %v, want ErrInternal", err)
 	}
-	gauges("g's engine detached by the contained panic", 1, 0)
+	gauges("g's engine detached by the contained panic", 1)
 	reweight("g")
-	gauges("g's rebuilt engine applied", 2, 0)
+	gauges("g's rebuilt engine applied", 2)
 }

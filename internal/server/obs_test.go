@@ -193,7 +193,6 @@ func TestMetricsEndpointDeterministic(t *testing.T) {
 	cold := scrapeHTTP()
 	for _, want := range []string{
 		"mfbc_dyn_fused_applies 0",
-		"mfbc_dyn_two_region_applies 0",
 		`mfbc_panics_total{site="ingest.commit"} 0`,
 		`mfbc_panics_total{site="query.compute"} 0`,
 	} {

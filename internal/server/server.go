@@ -32,7 +32,6 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/dynamic"
 	"repro/internal/machine"
 	"repro/internal/obs"
 )
@@ -163,11 +162,9 @@ type graphEntry struct {
 	// dyn is the graph's streaming engine, created on the first mutation
 	// and carried across versions so incremental applies keep warm scores.
 	dyn DynEngine
-	// fused and twoRegion count dyn's incremental applies on the simulated
-	// machine by path: one fused region, or the two-region fallback (vertex
-	// growth, or no affected source). They are carried and dropped with
-	// dyn; guarded by Server.mu.
-	fused, twoRegion int64
+	// fused counts dyn's applies that ran as one fused machine region. It
+	// is carried and dropped with dyn; guarded by Server.mu.
+	fused int64
 }
 
 type cacheEntry struct {
@@ -256,23 +253,17 @@ func New(cfg Config) *Server {
 		defer s.mu.Unlock()
 		return float64(len(s.flight))
 	})
-	// Dynamic-engine aggregates over the registered graphs' engines (an
-	// evicted graph takes its engine's share with it, hence gauges).
-	dynSum := func(count func(*graphEntry) int64) func() float64 {
-		return func() float64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			var sum int64
-			for _, ge := range s.graphs {
-				sum += count(ge)
-			}
-			return float64(sum)
+	// Summed over the registered graphs' engines (an evicted graph takes
+	// its engine's share with it, hence a gauge).
+	reg.GaugeFunc("mfbc_dyn_fused_applies", "Incremental applies that ran as one fused machine region.", func() float64 {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		var sum int64
+		for _, ge := range s.graphs {
+			sum += ge.fused
 		}
-	}
-	reg.GaugeFunc("mfbc_dyn_fused_applies", "Incremental applies that ran as one fused machine region.",
-		dynSum(func(ge *graphEntry) int64 { return ge.fused }))
-	reg.GaugeFunc("mfbc_dyn_two_region_applies", "Incremental applies on the two-region path (vertex growth, or no affected source).",
-		dynSum(func(ge *graphEntry) int64 { return ge.twoRegion }))
+		return float64(sum)
+	})
 	return s
 }
 
@@ -320,7 +311,7 @@ type serverMetrics struct {
 
 	// Modeled-vs-measured cost telemetry, accumulated per applied mutation
 	// batch: the α-β-γ model's seconds next to host wall-clock, per machine
-	// phase and per whole apply — the roofline comparison ROADMAP item 3
+	// phase and per whole apply — the roofline comparison ROADMAP item 14
 	// asks for, as counters.
 	applyModelSec *obs.Counter
 	applyWallSec  *obs.Counter
@@ -668,13 +659,9 @@ func (s *Server) applyCommitted(ctx context.Context, name string, ge *graphEntry
 		return nil, fmt.Errorf("%w: %q", ErrGraphConflict, name)
 	}
 	s.purgeLocked(name) // delta-aware: only this graph's entries drop
-	ne.fused, ne.twoRegion = ge.fused, ge.twoRegion
-	if rep.Strategy == dynamic.StrategyIncremental && rep.Procs > 0 {
-		if rep.Fused {
-			ne.fused++
-		} else {
-			ne.twoRegion++
-		}
+	ne.fused = ge.fused
+	if rep.Fused {
+		ne.fused++
 	}
 	s.graphs[name] = ne
 	s.m.mutations.Inc()

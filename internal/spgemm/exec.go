@@ -96,12 +96,6 @@ func layerRanges(plan Plan, m, k, n, layer int) ranges {
 	return r
 }
 
-func shard(i, j int32, p int) int {
-	h := uint64(uint32(i))*0x9E3779B1 ^ uint64(uint32(j))*0x85EBCA77
-	h ^= h >> 33
-	return int(h % uint64(p))
-}
-
 func partIn(x, lo, hi int32, parts int) int { return distmat.Part(x-lo, int(hi-lo), parts) }
 
 // axis is how one coordinate of an operand finds its place on its layer's
@@ -190,7 +184,7 @@ func owner(plan Plan, m, k, n int, role Role, tables ownerTables) func(i, j int3
 	p1, inner := plan.P1, plan.P2*plan.P3
 	switch {
 	case p1 > 1 && role == plan.X && role != RoleC:
-		return func(i, j int32) int { return int(row[i]+col[j]) + shard(i, j, p1)*inner }
+		return func(i, j int32) int { return int(row[i]+col[j]) + distmat.Shard(i, j, p1)*inner }
 	case p1 > 1 && role == RoleC && plan.X == RoleC:
 		rot := make([]int32, inner)
 		for q, l := 0, 0; q < inner; q++ {

@@ -52,12 +52,12 @@ func layerOf(plan Plan, m, k, n int, i, kc, j int32, role Role) int {
 	switch plan.X {
 	case RoleA: // split n
 		if role == RoleA { // A is replicated: shard pseudo-randomly pre-replication
-			return shard(i, kc, plan.P1)
+			return distmat.Shard(i, kc, plan.P1)
 		}
 		return distmat.Part(j, n, plan.P1)
 	case RoleB: // split m
 		if role == RoleB {
-			return shard(kc, j, plan.P1)
+			return distmat.Shard(kc, j, plan.P1)
 		}
 		return distmat.Part(i, m, plan.P1)
 	default: // RoleC: split k
