@@ -25,6 +25,7 @@ package core
 import (
 	"context"
 	"slices"
+	"unsafe"
 
 	"repro/internal/algebra"
 	"repro/internal/distmat"
@@ -71,11 +72,12 @@ type DistResult struct {
 	Batches    int
 }
 
-// multpathBytes and centpathBytes are the wire sizes used for plan costing.
+// The wire sizes used for plan costing: an entry's memory image, which is
+// what the machine codec sends.
 const (
-	multpathBytes = 24 // Entry[MultPath]: 2×int32 + float64 + float64
-	centpathBytes = 32 // Entry[CentPath]: 2×int32 + float64 + float64 + int64
-	weightBytes   = 16 // Entry[float64]
+	multpathBytes = int64(unsafe.Sizeof(sparse.Entry[algebra.MultPath]{}))
+	centpathBytes = int64(unsafe.Sizeof(sparse.Entry[algebra.CentPath]{}))
+	weightBytes   = int64(unsafe.Sizeof(sparse.Entry[float64]{}))
 )
 
 // ChoosePlan runs the automatic decomposition search for an MFBC frontier

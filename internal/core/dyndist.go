@@ -48,12 +48,11 @@ type DistSession struct {
 }
 
 // distRank is one simulated rank's persistent state: its stationary
-// operands, and the storage its regions reuse — the rank's machine scratch
-// store (every Proc of the rank runs on it, so Redistribute's send storage
-// and Multiply's A placement outlive the region), its sweeps' buffers, one
-// per sweep instantiation, and the plans it has already searched for.
-// Only the rank's own goroutine touches any of it, and the session's
-// regions run one after another.
+// operands, and the machine scratch store every Proc of the rank runs on,
+// so what its regions reuse outlives them — Redistribute's send storage,
+// Multiply's A placement, the sweeps' buffers and the plans the rank has
+// already searched for. Only the rank's own goroutine touches any of it,
+// and the session's regions run one after another.
 type distRank struct {
 	a, at *spgemm.Stationary[float64]
 	// pendingFlops is the local splice work of host-side Patch calls not
@@ -61,19 +60,7 @@ type distRank struct {
 	// its "patch" phase, so delta-patching is never free compute.
 	pendingFlops int64
 
-	store  machine.Store
-	scalar sweepBufs[algebra.MultPath, algebra.CentPath]
-	pair   sweepBufs[algebra.MultPathPair, algebra.CentPathPair]
-	plans  planMemo
-}
-
-// bufs returns the rank's sweep buffers of one instantiation: scalar (Run)
-// or pair (ApplyIncrementalCtx).
-func bufs[M, C any](rk *distRank) *sweepBufs[M, C] {
-	if b, ok := any(&rk.scalar).(*sweepBufs[M, C]); ok {
-		return b
-	}
-	return any(&rk.pair).(*sweepBufs[M, C])
+	store machine.Store
 }
 
 // NewDistSession validates g and builds the resident operands for
@@ -93,20 +80,27 @@ func NewDistSession(g *graph.Graph, opt DistOptions) (*DistSession, error) {
 		return nil, fmt.Errorf("core: transport spans %d ranks but session wants %d", opt.Transport.Size(), p)
 	}
 	s := &DistSession{opt: opt, p: p}
-	s.install(g, g.Adjacency())
+	s.reset(g, nil)
 	return s, nil
 }
 
-// install (re)builds every rank's operands from the global topology, with
-// no working set staged. The rest of the rank carries over: splice work
-// still pending from earlier Patch calls, which the next region charges all
-// the same, and the storage its regions reuse.
-func (s *DistSession) install(g *graph.Graph, adjCSR *sparse.CSR[float64]) {
+// reset (re)builds every rank's operands from the global topology newG,
+// with no working set staged, so the next runs pay full redistribution
+// again. The rest of the rank carries over: splice work still pending from
+// earlier Patch calls, which the next region charges all the same, and the
+// storage its regions reuse. It builds a new session's residents, is the
+// fallback for vertex-set changes (the operand dimensions move) and the
+// full-redistribution oracle the differential tests pin delta-patching
+// against (TestSessionPatchMatchesReset). adjCSR may be nil.
+func (s *DistSession) reset(newG *graph.Graph, adjCSR *sparse.CSR[float64]) {
+	if adjCSR == nil {
+		adjCSR = newG.Adjacency()
+	}
 	trop := algebra.TropicalMonoid()
 	adjCOO := adjCSR.ToCOO()
 	atCOO := sparse.Transpose(adjCSR).ToCOO()
 	shard := distmat.DistShard(s.p)
-	s.g, s.adjCSR = g, adjCSR
+	s.g, s.adjCSR = newG, adjCSR
 	if s.ranks == nil {
 		s.ranks = make([]*distRank, s.p)
 		for r := range s.ranks {
@@ -121,18 +115,6 @@ func (s *DistSession) install(g *graph.Graph, adjCSR *sparse.CSR[float64]) {
 
 // Graph returns the topology the resident operands currently encode.
 func (s *DistSession) Graph() *graph.Graph { return s.g }
-
-// reset rebuilds the resident operands from newG and drops every staged
-// working set, so the next runs pay full redistribution again. It is the
-// fallback for vertex-set changes (the operand dimensions move) and the
-// full-redistribution oracle the differential tests pin delta-patching
-// against (TestSessionPatchMatchesReset). adjCSR may be nil.
-func (s *DistSession) reset(newG *graph.Graph, adjCSR *sparse.CSR[float64]) {
-	if adjCSR == nil {
-		adjCSR = newG.Adjacency()
-	}
-	s.install(newG, adjCSR)
-}
 
 // Patch transitions the resident operands from the current topology to
 // newG, whose edge set must differ from the current graph by exactly
@@ -268,7 +250,7 @@ func sweepRegion[M multSided[M], C centSided[C], W any](
 		world := proc.World()
 		rk := s.ranks[proc.Rank()]
 		proc.UseStore(&rk.store)
-		sp := &sidePlans{sess: spgemm.NewSession(proc), pls: pls, plans: make([]spgemm.Plan, len(pls)), memo: &rk.plans}
+		sp := &sidePlans{sess: spgemm.NewSession(proc), pls: pls, plans: make([]spgemm.Plan, len(pls)), memo: machine.Scratch[planMemo](proc)}
 		sp.sess.Workers = s.opt.Workers
 		// Deferred host-side Patch splice work is charged here, as local
 		// flops of the region that first benefits from the patched blocks.
@@ -281,7 +263,7 @@ func sweepRegion[M multSided[M], C centSided[C], W any](
 
 		proc.Phase(machine.PhaseSweep)
 		acc := make([]float64, len(pls)*n)
-		buf := bufs[M, C](rk)
+		buf := machine.Scratch[sweepBufs[M, C]](proc)
 		iters, batches := 0, 0
 		for _, batch := range batchList(n, nb, sources) {
 			batches++

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/algebra"
 	"repro/internal/graph"
 	"repro/internal/machine"
 )
@@ -65,15 +64,13 @@ func sameBits(a, b []float64) bool {
 	return true
 }
 
-// wipeStorage empties every rank's reused storage — scratch store, sweep
-// buffers, plan memo — leaving the operands as they are: the state a fresh
-// session's ranks start from, with this session's operands staged.
+// wipeStorage empties every rank's reused storage — its scratch store:
+// send storage, A placement, sweep buffers, plan memo — leaving the
+// operands as they are: the state a fresh session's ranks start from, with
+// this session's operands staged.
 func wipeStorage(s *DistSession) {
 	for _, rk := range s.ranks {
 		rk.store = machine.Store{}
-		rk.scalar = sweepBufs[algebra.MultPath, algebra.CentPath]{}
-		rk.pair = sweepBufs[algebra.MultPathPair, algebra.CentPathPair]{}
-		rk.plans = nil
 	}
 }
 

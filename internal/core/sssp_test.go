@@ -28,10 +28,10 @@ func distributedT(t *testing.T, g *graph.Graph, sources []int32, opt DistOptions
 	var gathered *sparse.CSR[algebra.MultPath]
 	var iters int
 	stats, err := mach.Run(func(proc *machine.Proc) {
-		rk := sess.ranks[proc.Rank()]
 		sp := &sidePlans{sess: spgemm.NewSession(proc), pls: []planner{pl}, plans: make([]spgemm.Plan, 1)}
 		sp.sess.Workers = opt.Workers
-		tm, it := sweepMFBF(sp, &rk.scalar, alg, rk.a, []*sparse.CSR[float64]{sess.adjCSR}, sources)
+		buf := machine.Scratch[sweepBufs[algebra.MultPath, algebra.CentPath]](proc)
+		tm, it := sweepMFBF(sp, buf, alg, sess.ranks[proc.Rank()].a, []*sparse.CSR[float64]{sess.adjCSR}, sources)
 		full := testkit.Gather(proc.World(), tm, alg.mult)
 		if proc.Rank() == 0 {
 			gathered, iters = full, it

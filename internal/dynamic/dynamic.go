@@ -689,3 +689,14 @@ func onPath(du, dv, w float64) bool {
 	tol := 1e-9 * (1 + math.Max(math.Abs(sum), math.Abs(dv)))
 	return math.Abs(sum-dv) <= tol
 }
+
+// Coalesce collapses a concatenated mutation stream into its compact
+// equivalent under graph.Compact's algebra (add+remove cancels,
+// remove+add becomes set_weight, chained sets keep the last, add_vertex
+// hoisted). Replaying the result yields the same graph as replaying the
+// input one op at a time — pinned by the compact_prop_test oracle. The
+// server's group commit calls graph.Compact directly; the benchmark's
+// coalescing probe times this name.
+func Coalesce(directed bool, muts []graph.Mutation) []graph.Mutation {
+	return graph.Compact(directed, muts)
+}

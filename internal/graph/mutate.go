@@ -3,8 +3,9 @@
 // SetWeight / AddVertex, each validating the same structural invariants
 // Validate enforces (coordinates in range, strictly positive finite
 // weights, no self-loops, canonical undirected orientation, no
-// multi-edges). Mutation records the operations compactly so engines
-// downstream (internal/dynamic) can log, replay, and compact histories.
+// multi-edges). Mutation records the operations compactly, and Compact
+// collapses a batch of them — the server's group commit coalesces queued
+// batches with it.
 package graph
 
 import (

@@ -527,6 +527,10 @@ func checkGuardedFields(pass *analysis.Pass) {
 				if p, ok := base.Underlying().(*types.Pointer); ok {
 					base = p.Elem()
 				}
+				// In a generic type's methods the base is an instance.
+				if n, ok := base.(*types.Named); ok {
+					base = n.Origin()
+				}
 				for _, g := range guards {
 					if sel.Sel.Name != g.field || !types.Identical(base, g.structType) {
 						continue

@@ -124,6 +124,23 @@ func (s *store) unguarded(k string) int {
 	return s.data[k] // want `store.data is annotated`
 }
 
+// box is generic: its methods see an instantiation of it, and the
+// annotation on the origin still applies.
+type box[T any] struct {
+	mu sync.Mutex
+	v  T // guarded by mu
+}
+
+func (b *box[T]) get() T {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.v
+}
+
+func (b *box[T]) peek() T {
+	return b.v // want `box.v is annotated`
+}
+
 func allowedHandoff(c *counter) {
 	c.mu.Lock()
 	//lint:allow lockscope fixture demonstrates an annotated lock handoff

@@ -1,9 +1,6 @@
 package machine
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Grid2 is a pr×pc processor grid over a communicator: rank r sits at
 // (r / pc, r % pc), with row and column sub-communicators — the layout used
@@ -68,17 +65,9 @@ func NewGrid3(c *Comm, p1, p2, p3 int) *Grid3 {
 	}
 }
 
-// factorizations3 memoises Factorizations3 per p: the plan search consults
-// it for every multiplication of every round, always for the same p.
-var factorizations3 sync.Map // int → [][3]int
-
 // Factorizations3 enumerates all ordered triples (p1,p2,p3) with product p,
-// the search space of the automatic decomposition selection. The slice is
-// shared between callers and must not be modified.
+// the search space of the automatic decomposition selection.
 func Factorizations3(p int) [][3]int {
-	if f, ok := factorizations3.Load(p); ok {
-		return f.([][3]int)
-	}
 	var out [][3]int
 	for p1 := 1; p1 <= p; p1++ {
 		if p%p1 != 0 {
@@ -92,7 +81,6 @@ func Factorizations3(p int) [][3]int {
 			out = append(out, [3]int{p1, p2, q / p2})
 		}
 	}
-	factorizations3.Store(p, out)
 	return out
 }
 

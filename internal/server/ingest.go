@@ -1,20 +1,21 @@
 // The write path: per-graph write-ahead queues with coalescing
 // group-commit applies. Every mutation batch takes it.
 //
-// A PATCH batch lands in its graph's queue, bounded by IngestMaxDepth
-// (ErrIngestBackpressure beyond it). The Enqueue that finds no drainer
-// active wins drain duty. An applied-durability writer that wins it leads:
-// on its own goroutine and under its own ctx it takes the per-graph
-// mutation serializer, drains whatever accumulated while it waited for it
-// and commits that group, so an uncontended PATCH applies exactly its own
-// batch as a child of its own request span. Enqueued-durability acks, and
-// whatever backlog built up during a leader's commit, go to a background
-// drainer instead. Either way the serializer is taken FIRST and the queue
-// drained second, so every batch that arrives while a commit holds the
-// lock piles up and rides the next group. One group commit validates each
-// batch in arrival order, coalesces the valid ones via the graph.Compact
-// algebra into one merged batch, and runs that through the engine — N
-// queued writers pay ~one probe + one machine region instead of N.
+// A PATCH batch lands in its graph's queue (ingestQueue), bounded by
+// IngestMaxDepth (ErrIngestBackpressure beyond it). The Enqueue that finds
+// no drainer active wins drain duty. An applied-durability writer that
+// wins it leads: on its own goroutine and under its own ctx it takes the
+// per-graph mutation serializer, drains whatever accumulated while it
+// waited for it and commits that group, so an uncontended PATCH applies
+// exactly its own batch as a child of its own request span.
+// Enqueued-durability acks, and whatever backlog built up during a
+// leader's commit, go to a background drainer instead. Either way the
+// serializer is taken FIRST and the queue drained second, so every batch
+// that arrives while a commit holds the lock piles up and rides the next
+// group. One group commit validates each batch in arrival order, coalesces
+// the valid ones with graph.Compact into one merged batch, and runs that
+// through the engine — N queued writers pay ~one probe + one machine
+// region instead of N.
 //
 // Readers never see the queue: queries serve the last committed
 // (version, scores) snapshot.
@@ -25,10 +26,11 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
+	"sync"
 	"time"
 
 	"repro"
-	"repro/internal/dynamic"
+	"repro/internal/graph"
 	"repro/internal/obs"
 )
 
@@ -46,10 +48,120 @@ const (
 
 const defaultIngestMaxDepth = 256
 
-type (
-	ingestQueue   = dynamic.Queue[*MutateResult]
-	ingestPending = dynamic.Pending[*MutateResult]
-)
+// ingestPending is one producer's batch waiting in an ingestQueue. The
+// drainer calls Resolve exactly once; producers that asked for applied
+// durability block in Wait until then.
+type ingestPending struct {
+	Muts       []repro.Mutation
+	EnqueuedAt time.Time
+
+	done chan struct{}
+	res  *MutateResult
+	err  error
+}
+
+// Resolve delivers the batch's outcome and wakes every waiter. It must be
+// called exactly once, by whoever removed the batch from the queue.
+func (p *ingestPending) Resolve(res *MutateResult, err error) {
+	p.res = res
+	p.err = err
+	close(p.done)
+}
+
+// Wait blocks until Resolve or ctx cancellation. A ctx error abandons
+// only this wait — the batch is still in the queue and still commits.
+func (p *ingestPending) Wait(ctx context.Context) (*MutateResult, error) {
+	select {
+	case <-p.done:
+		return p.res, p.err
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+}
+
+// ingestQueue is one graph's bounded multi-producer, single-drainer
+// write-ahead queue.
+//
+// Drain duty is handed off atomically with queue state: the Enqueue that
+// finds no drainer active is told to start one (startDrain), and a
+// drainer holds duty until a Drain or Release call finds the queue empty
+// or closed.
+// The handoff happens under one mutex, so there is no window where
+// batches sit queued with nobody responsible for them, and never two
+// drainers for one queue.
+type ingestQueue struct {
+	maxDepth int // 0 or negative = unbounded
+
+	mu       sync.Mutex
+	pending  []*ingestPending // guarded by mu
+	draining bool             // guarded by mu
+	closed   bool             // guarded by mu
+}
+
+// Enqueue appends a batch. depth is the queue depth including the new
+// batch; startDrain is true iff the caller now holds drain duty (no
+// drainer held it) and must drain, itself or through a goroutine it starts.
+// A full queue fails with ErrIngestBackpressure, a closed one (its graph
+// was evicted) with ErrGraphNotFound.
+func (q *ingestQueue) Enqueue(muts []repro.Mutation, now time.Time) (p *ingestPending, depth int, startDrain bool, err error) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.closed {
+		return nil, 0, false, ErrGraphNotFound
+	}
+	if q.maxDepth > 0 && len(q.pending) >= q.maxDepth {
+		return nil, len(q.pending), false, ErrIngestBackpressure
+	}
+	p = &ingestPending{Muts: muts, EnqueuedAt: now, done: make(chan struct{})}
+	q.pending = append(q.pending, p)
+	startDrain = !q.draining
+	q.draining = true
+	return p, len(q.pending), startDrain, nil
+}
+
+// Drain hands the entire backlog to the calling drainer. ok == false
+// means the queue is empty or closed and drain duty has been released —
+// the drainer must exit (a later Enqueue will elect a fresh one).
+func (q *ingestQueue) Drain() (group []*ingestPending, ok bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.releaseLocked() {
+		return nil, false
+	}
+	group = q.pending
+	q.pending = nil
+	return group, true
+}
+
+// Release gives up drain duty without taking work, if the queue is empty
+// or closed, and reports whether it did. false means a backlog remains
+// and the caller still owes it a drainer: a duty holder that will not
+// loop itself hands the duty to one that will.
+func (q *ingestQueue) Release() bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.releaseLocked()
+}
+
+// releaseLocked is Release's body. The caller holds mu.
+func (q *ingestQueue) releaseLocked() bool {
+	if q.closed || len(q.pending) == 0 {
+		q.draining = false
+		return true
+	}
+	return false
+}
+
+// Close marks the queue unusable and returns the orphaned backlog; the
+// caller owns failing those waiters. Idempotent.
+func (q *ingestQueue) Close() []*ingestPending {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.closed = true
+	orphans := q.pending
+	q.pending = nil
+	return orphans
+}
 
 // MutateDurable is MutateCtx with an explicit acknowledgment level
 // (empty = the server default): it admits the batch into the graph's
@@ -75,20 +187,20 @@ func (s *Server) MutateDurable(ctx context.Context, name string, muts []repro.Mu
 	}
 	q, ok := s.queues[name]
 	if !ok {
-		q = dynamic.NewQueue[*MutateResult](s.cfg.IngestMaxDepth)
+		q = &ingestQueue{maxDepth: s.cfg.IngestMaxDepth}
 		s.queues[name] = q
 	}
 	s.mu.Unlock()
 
 	p, depth, lead, err := q.Enqueue(muts, time.Now())
-	if errors.Is(err, dynamic.ErrQueueFull) {
+	if errors.Is(err, ErrIngestBackpressure) {
 		s.m.ingestRejected.Inc()
-		return nil, fmt.Errorf("%w: %q at depth %d", ErrIngestBackpressure, name, depth)
+		return nil, fmt.Errorf("%w: %q at depth %d", err, name, depth)
 	}
 	if err != nil {
 		// Closed: evicted between the registry lookup and the enqueue;
 		// same outcome as losing the lookup race outright.
-		return nil, fmt.Errorf("%w: %q", ErrGraphNotFound, name)
+		return nil, fmt.Errorf("%w: %q", err, name)
 	}
 	s.m.ingestEnqueued.Inc()
 	s.m.ingestDepth.Add(1)
@@ -211,7 +323,7 @@ func (s *Server) commitGroup(ctx context.Context, name string, group []*ingestPe
 	for _, p := range valid {
 		merged = append(merged, p.Muts...)
 	}
-	coalesced := dynamic.Coalesce(ge.g.Directed, merged)
+	coalesced := graph.Compact(ge.g.Directed, merged)
 	s.m.ingestCoalesced.Add(float64(len(valid)))
 	s.m.ingestCommits.Inc()
 	s.m.ingestGroupSize.Observe(float64(len(valid)))

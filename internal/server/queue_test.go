@@ -1,4 +1,4 @@
-package dynamic
+package server
 
 import (
 	"context"
@@ -19,7 +19,7 @@ func batch(n int) []graph.Mutation {
 }
 
 func TestQueueDrainHandoff(t *testing.T) {
-	q := NewQueue[int](0)
+	q := &ingestQueue{}
 	now := time.Now()
 
 	p1, depth, start, err := q.Enqueue(batch(1), now)
@@ -74,20 +74,20 @@ func TestQueueDrainHandoff(t *testing.T) {
 }
 
 func TestQueueBackpressureAndClose(t *testing.T) {
-	q := NewQueue[int](2)
+	q := &ingestQueue{maxDepth: 2}
 	now := time.Now()
 	q.Enqueue(batch(1), now)
 	q.Enqueue(batch(1), now)
-	if _, depth, _, err := q.Enqueue(batch(1), now); !errors.Is(err, ErrQueueFull) || depth != 2 {
-		t.Fatalf("over-depth enqueue: depth=%d err=%v, want 2 ErrQueueFull", depth, err)
+	if _, depth, _, err := q.Enqueue(batch(1), now); !errors.Is(err, ErrIngestBackpressure) || depth != 2 {
+		t.Fatalf("over-depth enqueue: depth=%d err=%v, want 2 ErrIngestBackpressure", depth, err)
 	}
 
 	orphans := q.Close()
 	if len(orphans) != 2 {
 		t.Fatalf("close returned %d orphans, want 2", len(orphans))
 	}
-	if _, _, _, err := q.Enqueue(batch(1), now); !errors.Is(err, errQueueClosed) {
-		t.Fatalf("enqueue after close: %v, want ErrQueueClosed", err)
+	if _, _, _, err := q.Enqueue(batch(1), now); !errors.Is(err, ErrGraphNotFound) {
+		t.Fatalf("enqueue after close: %v, want ErrGraphNotFound", err)
 	}
 	if _, ok := q.Drain(); ok {
 		t.Fatal("drain after close reported work")
@@ -98,22 +98,23 @@ func TestQueueBackpressureAndClose(t *testing.T) {
 }
 
 func TestPendingWaitAndResolve(t *testing.T) {
-	q := NewQueue[int](0)
+	q := &ingestQueue{}
 	p, _, _, err := q.Enqueue(batch(1), time.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := &MutateResult{Graph: "g"}
 
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		res, werr := p.Wait(context.Background())
-		if res != 42 || werr != nil {
-			t.Errorf("Wait = (%d, %v), want (42, nil)", res, werr)
+		if res != want || werr != nil {
+			t.Errorf("Wait = (%p, %v), want (%p, nil)", res, werr, want)
 		}
 	}()
-	p.Resolve(42, nil)
+	p.Resolve(want, nil)
 	wg.Wait()
 
 	// A canceled wait abandons only the waiter; the resolution sticks.
@@ -124,61 +125,8 @@ func TestPendingWaitAndResolve(t *testing.T) {
 		t.Fatalf("canceled Wait = %v, want context.Canceled", werr)
 	}
 	wantErr := errors.New("boom")
-	p2.Resolve(0, wantErr)
+	p2.Resolve(nil, wantErr)
 	if _, werr := p2.Wait(context.Background()); !errors.Is(werr, wantErr) {
 		t.Fatalf("post-resolve Wait = %v, want boom", werr)
-	}
-}
-
-func TestCoalesceAlgebra(t *testing.T) {
-	cases := []struct {
-		name string
-		in   []graph.Mutation
-		want []graph.Mutation
-	}{
-		{
-			name: "add then remove cancels",
-			in: []graph.Mutation{
-				{Op: graph.OpAddEdge, U: 0, V: 1, W: 2},
-				{Op: graph.OpRemoveEdge, U: 0, V: 1},
-			},
-			want: nil,
-		},
-		{
-			name: "chained sets keep last",
-			in: []graph.Mutation{
-				{Op: graph.OpSetWeight, U: 0, V: 1, W: 2},
-				{Op: graph.OpSetWeight, U: 0, V: 1, W: 3},
-				{Op: graph.OpSetWeight, U: 0, V: 1, W: 5},
-			},
-			want: []graph.Mutation{{Op: graph.OpSetWeight, U: 0, V: 1, W: 5}},
-		},
-		{
-			name: "remove then add becomes set_weight",
-			in: []graph.Mutation{
-				{Op: graph.OpRemoveEdge, U: 0, V: 1},
-				{Op: graph.OpAddEdge, U: 0, V: 1, W: 4},
-			},
-			want: []graph.Mutation{{Op: graph.OpSetWeight, U: 0, V: 1, W: 4}},
-		},
-		{
-			name: "sentinel re-add restores weight 1",
-			in: []graph.Mutation{
-				{Op: graph.OpRemoveEdge, U: 0, V: 1},
-				{Op: graph.OpAddEdge, U: 0, V: 1, W: 0},
-			},
-			want: []graph.Mutation{{Op: graph.OpSetWeight, U: 0, V: 1, W: 1}},
-		},
-	}
-	for _, tc := range cases {
-		got := Coalesce(false, tc.in)
-		if len(got) != len(tc.want) {
-			t.Fatalf("%s: got %v, want %v", tc.name, got, tc.want)
-		}
-		for i := range got {
-			if got[i] != tc.want[i] { //lint:allow floateq exact literals round-trip through compaction
-				t.Fatalf("%s: op %d = %+v, want %+v", tc.name, i, got[i], tc.want[i])
-			}
-		}
 	}
 }
