@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -18,28 +19,42 @@ import (
 	"repro/internal/bench"
 )
 
-func main() {
-	exp := flag.String("exp", "", "experiment id (or 'all')")
-	list := flag.Bool("list", false, "list experiment ids and exit")
-	procs := flag.String("procs", "1,4,16,64", "comma-separated simulated node counts")
-	workers := flag.Int("workers", 0, "local kernel threads per simulated rank (0 = fair share of all cores; 1 = sequential)")
-	scale := flag.Int("scale", 1, "stand-in graph scale multiplier")
-	batch := flag.Int("batch", 32, "sources per timed batch")
-	seed := flag.Int64("seed", 42, "generator seed")
-	quick := flag.Bool("quick", false, "shrink workloads (smoke test)")
-	transport := flag.String("transport", "sim", "machine backend for distributed runs: 'sim' (in-process simulated machine) or 'tcp' (loopback rank-per-process mesh per run; modeled columns are identical, wall_sec measures real transport overhead)")
-	jsonPath := flag.String("json", "", "write all bench points as a JSON array to this path (BENCH_*.json)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run parses args, runs the experiments and returns the exit status: 2 for
+// a bad invocation, 1 when an experiment or the -json file fails. With
+// -json the file is rewritten after every experiment, and before an
+// experiment's failure ends the run, so a grid that fails or is killed
+// keeps every point it finished.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mfbc-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	exp := fs.String("exp", "", "experiment id (or 'all')")
+	list := fs.Bool("list", false, "list experiment ids and exit")
+	procs := fs.String("procs", "1,4,16,64", "comma-separated simulated node counts")
+	workers := fs.Int("workers", 0, "local kernel threads per simulated rank (0 = fair share of all cores; 1 = sequential)")
+	scale := fs.Int("scale", 1, "stand-in graph scale multiplier")
+	batch := fs.Int("batch", 32, "sources per timed batch")
+	seed := fs.Int64("seed", 42, "generator seed")
+	quick := fs.Bool("quick", false, "shrink workloads (smoke test)")
+	transport := fs.String("transport", "sim", "machine backend for distributed runs: 'sim' (in-process simulated machine) or 'tcp' (loopback rank-per-process mesh per run; modeled columns are identical, wall_sec measures real transport overhead)")
+	jsonPath := fs.String("json", "", "write all bench points as a JSON array to this path (BENCH_*.json)")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
 
 	if *list {
 		for _, id := range bench.Experiments {
-			fmt.Println(id)
+			fmt.Fprintln(stdout, id)
 		}
-		return
+		return 0
 	}
 	if *exp == "" {
-		fmt.Fprintln(os.Stderr, "mfbc-bench: -exp is required (use -list to enumerate)")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "mfbc-bench: -exp is required (use -list to enumerate)")
+		return 2
 	}
 
 	var procList []int
@@ -50,17 +65,17 @@ func main() {
 		}
 		v, err := strconv.Atoi(tok)
 		if err != nil || v < 1 {
-			fmt.Fprintf(os.Stderr, "mfbc-bench: bad proc count %q\n", tok)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "mfbc-bench: bad proc count %q\n", tok)
+			return 2
 		}
 		procList = append(procList, v)
 	}
 	if len(procList) == 0 {
-		fmt.Fprintf(os.Stderr, "mfbc-bench: -procs %q names no node count\n", *procs)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "mfbc-bench: -procs %q names no node count\n", *procs)
+		return 2
 	}
 	cfg := bench.Config{
-		Out:       os.Stdout,
+		Out:       stdout,
 		Procs:     procList,
 		Workers:   *workers,
 		Scale:     *scale,
@@ -74,27 +89,41 @@ func main() {
 		ids = bench.Experiments
 	}
 	points := make([]bench.Point, 0, 64)
+	save := func() bool {
+		if *jsonPath == "" {
+			return true
+		}
+		if err := writeJSON(*jsonPath, points); err != nil {
+			fmt.Fprintf(stderr, "mfbc-bench: -json: %v\n", err)
+			return false
+		}
+		return true
+	}
 	for _, id := range ids {
 		pts, err := bench.Run(id, cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mfbc-bench: %s: %v\n", id, err)
-			os.Exit(1)
-		}
 		points = append(points, pts...)
+		if err != nil {
+			fmt.Fprintf(stderr, "mfbc-bench: %s: %v\n", id, err)
+			save()
+			return 1
+		}
+		if !save() {
+			return 1
+		}
 	}
 	if *jsonPath != "" {
-		if err := writeJSON(*jsonPath, points); err != nil {
-			fmt.Fprintf(os.Stderr, "mfbc-bench: -json: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "mfbc-bench: wrote %d points to %s\n", len(points), *jsonPath)
+		fmt.Fprintf(stderr, "mfbc-bench: wrote %d points to %s\n", len(points), *jsonPath)
 	}
+	return 0
 }
 
 // writeJSON dumps the collected points as an indented JSON array, so the
 // perf trajectory across runs is machine-readable rather than stderr-only.
+// It writes a temporary file beside path and renames it over path, so a
+// run killed mid-write leaves the last complete file.
 func writeJSON(path string, points []bench.Point) error {
-	f, err := os.Create(path)
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
@@ -104,5 +133,8 @@ func writeJSON(path string, points []bench.Point) error {
 		f.Close()
 		return err
 	}
-	return f.Close()
+	if err := f.Close(); err != nil {
+		return err
+	}
+	return os.Rename(tmp, path)
 }

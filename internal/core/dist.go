@@ -240,13 +240,17 @@ type sidePlans struct {
 	plans []spgemm.Plan // each side's latest plan
 	split int           // products executed once per side because plans diverged
 	memo  *planMemo     // the rank's searched plans
+	count []int64       // sideNNZ's local counts
 }
 
 // sideNNZ counts, with one small allreduce, the entries live on each side:
-// the frontier sizes per-side scalar sweeps would have measured.
-func sideNNZ[T algebra.Sided[T, E], E any](world *machine.Comm, m *distmat.Mat[T], isZero func(E) bool) []int64 {
+// the frontier sizes per-side scalar sweeps would have measured. The local
+// counts go into *scratch, grown as needed.
+func sideNNZ[T algebra.Sided[T, E], E any](world *machine.Comm, m *distmat.Mat[T], isZero func(E) bool, scratch *[]int64) []int64 {
 	var v T
-	cnt := make([]int64, v.Sides())
+	cnt := slices.Grow((*scratch)[:0], v.Sides())[:v.Sides()]
+	*scratch = cnt
+	clear(cnt)
 	for _, e := range m.Local {
 		for s := range cnt {
 			if !isZero(e.V.Side(s)) {
@@ -278,7 +282,8 @@ func sideProject[T algebra.Sided[T, E], E any](m *distmat.Mat[T], s int, zero T,
 // and the exact componentwise identities make each side bit-identical to
 // its scalar product. When they diverge, the frontier is projected per
 // side, each projection is multiplied under its own plan, unscreened, and
-// the products are merged in the first live side's distribution: the price
+// the products are merged in the first live side's distribution, into
+// storage that acc does not hold: the price
 // of replaying every side's scalar plan sequence exactly, paid only on the
 // (rare) divergent rounds. Every product folds by column into acc.
 func mulPerSide[T algebra.Sided[T, E], E, W any](
@@ -288,7 +293,7 @@ func mulPerSide[T algebra.Sided[T, E], E, W any](
 	align func(distmat.Dist) func(i, j int32, v T) bool, acc *spgemm.Accumulator[T],
 ) (*distmat.Mat[T], bool) {
 	world := sp.sess.Proc.World()
-	nnz := sideNNZ(world, frontier, isZero)
+	nnz := sideNNZ(world, frontier, isZero, &sp.count)
 	lead, split := len(nnz)-1, false
 	for s := lead; s >= 0; s-- {
 		if nnz[s] > 0 || all {
@@ -315,9 +320,17 @@ func mulPerSide[T algebra.Sided[T, E], E, W any](
 		ext := spgemm.Multiply(sp.sess, sp.plans[s], sideProject(frontier, s, mon.Identity, isZero), b, f, mon, nil, acc)
 		if out == nil {
 			out = ext
-		} else {
-			out = distmat.EWise(out, distmat.Redistribute(world, ext, out.Dist), mon)
+			continue
 		}
+		// Both products live in acc. Where one is empty on this rank the
+		// merge is the other as is, which the next multiply writes over
+		// while the sweep still holds it: the merge gets storage of its own.
+		ext = distmat.Redistribute(world, ext, out.Dist)
+		merged := distmat.MergeSorted(out.Local, ext.Local, mon)
+		if len(out.Local) == 0 || len(ext.Local) == 0 {
+			merged = slices.Clone(merged)
+		}
+		out = &distmat.Mat[T]{Rows: out.Rows, Cols: out.Cols, Dist: out.Dist, Local: merged}
 	}
 	return out, true
 }

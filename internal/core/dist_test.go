@@ -1,6 +1,9 @@
 package core
 
 import (
+	"math"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/baseline"
@@ -144,5 +147,51 @@ func TestDistMFBCCostsAccumulate(t *testing.T) {
 	if res.Stats.MaxCost.Flops > res1.Stats.MaxCost.Flops*2 {
 		t.Fatalf("p=8 critical path flops %d exceed 2x the p=1 work %d",
 			res.Stats.MaxCost.Flops, res1.Stats.MaxCost.Flops)
+	}
+}
+
+// raceDetector reports a build with the race detector (race_test.go), whose
+// instrumentation allocates the make argument of slices.Grow's append as
+// well as the grown slice: a cold region, whose storage grows from nothing,
+// reads about 40 % more bytes there.
+var raceDetector bool
+
+// TestOneShotAllocBudget gates the bytes of the one-shot distributed batch
+// (MFBCDistributed, dist-rmat's regime), where every region places its
+// operands afresh: RMAT scale 10, edge factor 8, 32 sources at p=4, one
+// worker per rank. A one-shot region builds its ranks' storage from nothing,
+// so its bytes are what placement, the sweeps' buffers and the products grow
+// to, not per-round overhead. It allocated 46.9 MB while every
+// redistribution copied each moved entry into a fresh buffer, out of the
+// sender's part and through a k-way merge, 32.1 MB while every product was
+// copied out of its accumulator and every stage block a rank received, stage
+// merge and row index went to fresh storage, and allocates 27.8 MB now
+// (47.2 MB, 41.5 MB and 38.7 MB under the race detector). The budgets are
+// about 1.2× that. The collector is held off and the minimum of a few tries
+// gated, so the test does not depend on when a cycle lands.
+func TestOneShotAllocBudget(t *testing.T) {
+	maxBytes := uint64(32 << 20) // 32 MiB
+	if raceDetector {
+		maxBytes = 44 << 20
+	}
+	g := graph.RMAT(graph.DefaultRMAT(10, 8, 1))
+	opt := DistOptions{Procs: 4, Workers: 1, Batch: 32, Sources: strideSources(g.N, 32, 25)}
+	if _, err := MFBCDistributed(g, opt); err != nil {
+		t.Fatal(err)
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	bytes := uint64(math.MaxUint64)
+	var before, after runtime.MemStats
+	for try := 0; try < 4; try++ {
+		runtime.ReadMemStats(&before)
+		if _, err := MFBCDistributed(g, opt); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+	}
+	t.Logf("a one-shot batch allocates %d bytes", bytes)
+	if bytes > maxBytes {
+		t.Errorf("a one-shot batch allocates %d bytes, budget %d", bytes, maxBytes)
 	}
 }

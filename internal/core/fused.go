@@ -122,8 +122,9 @@ func (s *DistSession) ApplyIncrementalCtx(ctx context.Context, sources []int32, 
 			rank := proc.Rank()
 			editsA := adjacencyEdits(directed, myDiffs, false)
 			editsAt := adjacencyEdits(directed, myDiffs, true)
-			aPair, opsA := spgemm.PairOf(rk.a, rank, editsA)
-			atPair, opsAt := spgemm.PairOf(rk.at, rank, editsAt)
+			lift := machine.Scratch[pairLifts](proc)
+			aPair, opsA := spgemm.PairOf(rk.a, rank, editsA, &lift.a)
+			atPair, opsAt := spgemm.PairOf(rk.at, rank, editsAt, &lift.at)
 			proc.AddFlops(opsA + opsAt + rk.a.Patch(rank, editsA) + rk.at.Patch(rank, editsAt))
 			return aPair, atPair
 		})
@@ -138,6 +139,11 @@ func (s *DistSession) ApplyIncrementalCtx(ctx context.Context, sources []int32, 
 		Stats: out.stats, Iterations: out.iters, Batches: out.batches, DualProducts: out.split,
 	}, nil
 }
+
+// pairLifts is the storage a rank lifts its pair operands into
+// (machine.Scratch): the fused region's A and Aᵀ, written over by the next
+// fused region's once this one's operands are gone.
+type pairLifts struct{ a, at spgemm.PairLift }
 
 // diffShares computes, per destination rank, the subset of the edge diff
 // whose derived adjacency-matrix coordinates (for A or Aᵀ, both edge

@@ -506,13 +506,15 @@ func TestFusedApplyRejectsBadSources(t *testing.T) {
 // the sender's part and through a k-way merge, and 4.0 MB and 2.5 MB while
 // each region regrew the sweep buffers, the send storage and the A
 // placement the previous one had grown, and searched again for plans it
-// had priced. The budgets are about 1.2× what they allocate now that a
-// rank's storage outlives its regions (1.39 MB and 0.68 MB, most of it the
-// products, the pair lift and resident splice of the apply, and the
-// broadcasts' copies). The collector is held off and the minimum of a few
-// tries gated, so the test does not depend on when a cycle lands.
+// had priced, and 1.39 MB and 0.68 MB while every product was copied out
+// of its accumulator and the pair lift, the resident splice and every
+// broadcast receive went to fresh storage. The budgets are about 1.2× what
+// they allocate now that a rank's storage outlives its regions and all of
+// that is storage the next multiply or apply writes over (0.60 MB and
+// 0.48 MB). The collector is held off and the minimum of a few tries gated,
+// so the test does not depend on when a cycle lands.
 func TestRoundAllocBudget(t *testing.T) {
-	const maxApplyBytes, maxRunBytes = 51 << 15, 25 << 15 // 1.59375 MiB, 0.78125 MiB
+	const maxApplyBytes, maxRunBytes = 22 << 15, 18 << 15 // 0.6875 MiB, 0.5625 MiB
 	g := graph.Grid2D(16, 16, 30, 1)
 	sess, err := NewDistSession(g, DistOptions{Procs: 4, Workers: 1})
 	if err != nil {

@@ -21,11 +21,10 @@ const mergeParallelMin = 1 << 12
 // concatenating. Output is identical to MergeSorted(a, b, mon) for any
 // monoid. workers <= 0 selects GOMAXPROCS.
 func MergeSortedParallel[T any](a, b []sparse.Entry[T], mon algebra.Monoid[T], workers int) []sparse.Entry[T] {
-	workers = parallel.Resolve(workers)
-	if workers <= 1 || len(a)+len(b) < mergeParallelMin || len(a) == 0 || len(b) == 0 {
+	if !splitsMerge(a, b, workers) {
 		return MergeSorted(a, b, mon)
 	}
-	rs := parallel.Ranges(len(a), workers)
+	rs := parallel.Ranges(len(a), parallel.Resolve(workers))
 	// cuts[i] is the b-position of segment boundary i: the first entry of b
 	// not less than a[rs[i][0]], so equal coordinates land in the same
 	// segment as their a counterpart and merge there.
@@ -48,4 +47,21 @@ func MergeSortedParallel[T any](a, b []sparse.Entry[T], mon algebra.Monoid[T], w
 		out = append(out, p...)
 	}
 	return out
+}
+
+// MergeParallel is Merge, or MergeSortedParallel where the merge is large
+// enough to split over workers: that one runs concurrently into fresh
+// storage, which stays valid for good. Either way the result is
+// MergeSorted's, bit for bit.
+func (acc *Accumulator[T]) MergeParallel(a, b []sparse.Entry[T], mon algebra.Monoid[T], workers int) []sparse.Entry[T] {
+	if !splitsMerge(a, b, workers) {
+		return acc.Merge(a, b, mon)
+	}
+	return MergeSortedParallel(a, b, mon, workers)
+}
+
+// splitsMerge reports whether a merge of a and b splits over workers: both
+// sides are live, and there are workers and entries enough to win.
+func splitsMerge[T any](a, b []sparse.Entry[T], workers int) bool {
+	return parallel.Resolve(workers) > 1 && len(a)+len(b) >= mergeParallelMin && len(a) > 0 && len(b) > 0
 }

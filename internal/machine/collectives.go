@@ -39,10 +39,27 @@ func Barrier(c *Comm) {
 	c.proc.cost = group.Add(commCost(c.Size(), Cost{Msgs: LogMsgs(c.Size())}))
 }
 
-// Bcast broadcasts root's data to every member. Cost per the paper's
-// Table-3 model: 2xβ + 2⌈log₂p⌉α with x the message size.
+// Bcast broadcasts root's data to every member: the copying form of
+// BcastRecv, where a receiver's result is a fresh copy and the root's is
+// data itself.
 func Bcast[T any](c *Comm, root int, data []T) []T {
 	var out []T
+	BcastRecv(c, root, data, func(blk []T) {
+		if out = blk; c.rank != root {
+			out = slices.Clone(blk)
+		}
+	})
+	return out
+}
+
+// BcastRecv is Bcast without the copy: recv runs inside the superstep and
+// is handed root's data — at the root data itself, elsewhere the root's
+// posted slice (in process) or the decoded frame. The root may overwrite
+// its data once the collective returns, so recv must not keep blk after it
+// returns. Cost per the paper's Table-3 model: 2xβ + 2⌈log₂p⌉α with x the
+// message size.
+func BcastRecv[T any](c *Comm, root int, data []T, recv func(blk []T)) {
+	n := 0
 	pl := Payload{V: data, Size: int64(len(data))}
 	if c.rank == root {
 		pl.Enc = func(int) []byte { return encodeSlice(data) }
@@ -50,17 +67,15 @@ func Bcast[T any](c *Comm, root int, data []T) []T {
 		pl.Dec = func(src int, b []byte) any { return decodeSlice[T](b) }
 	}
 	group := c.step(pl, func(slots []any, _ []int64) {
-		if c.rank == root {
-			out = data
-			return
+		blk := data
+		if c.rank != root {
+			blk = slots[root].([]T)
 		}
-		src := slots[root].([]T)
-		out = make([]T, len(src))
-		copy(out, src)
+		n = len(blk)
+		recv(blk)
 	})
-	x := bytesOf[T](len(out))
+	x := bytesOf[T](n)
 	c.proc.cost = group.Add(commCost(c.Size(), Cost{Bytes: 2 * x, Msgs: 2 * LogMsgs(c.Size())}))
-	return out
 }
 
 // Allgather returns every member's contribution, in rank order: the

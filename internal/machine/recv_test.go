@@ -1,6 +1,7 @@
 // Conformance for the receive forms of the collectives, on every
 // backend: AlltoallRecv and AllgatherRecv hand recv each source's part at
-// its rank's index, charge exactly what the copying forms charge, and a
+// its rank's index, BcastRecv the root's data, charge exactly what the
+// copying forms charge, and a
 // receiver that copies inside recv keeps an intact result however the
 // senders scribble on their send storage once the call returns. So does
 // ReduceSlices' root, which folds straight from the posted parts.
@@ -24,7 +25,7 @@ func recvPart(src, dst int) []int {
 	return out
 }
 
-// recvRegion runs one all-to-all and one allgather per rank, with the
+// recvRegion runs one all-to-all, one allgather and one broadcast per rank, with the
 // receive forms when recv is set and the copying forms otherwise, and one
 // sparse reduction, then scribbles over every send buffer, synchronizes,
 // and checks what each rank received.
@@ -37,6 +38,7 @@ func recvRegion(recv bool) func(*machine.Proc) {
 		}
 		mine := recvPart(me, me)
 		var toAll, fromAll [][]int
+		var bcast []int
 		if recv {
 			machine.AlltoallRecv(c, parts, func(runs [][]int) {
 				toAll = make([][]int, len(runs))
@@ -50,9 +52,11 @@ func recvRegion(recv bool) func(*machine.Proc) {
 					fromAll[src] = slices.Clone(b)
 				}
 			})
+			machine.BcastRecv(c, 0, mine, func(blk []int) { bcast = slices.Clone(blk) })
 		} else {
 			toAll = machine.Alltoall(c, parts)
 			fromAll = machine.Allgather(c, mine)
+			bcast = slices.Clone(machine.Bcast(c, 0, mine))
 			// The copying forms return the member's own part itself.
 			toAll[me], fromAll[me] = slices.Clone(toAll[me]), slices.Clone(fromAll[me])
 		}
@@ -81,6 +85,9 @@ func recvRegion(recv bool) func(*machine.Proc) {
 		machine.Barrier(c)
 		if want := recvPart(c.Size()-1, 0); me == 0 && c.Size() > 1 && !slices.Equal(reduced, want) {
 			panic(fmt.Sprintf("root's reduction: got %v, want %v", reduced, want))
+		}
+		if want := recvPart(0, 0); !slices.Equal(bcast, want) {
+			panic(fmt.Sprintf("rank %d broadcast from 0: got %v, want %v", me, bcast, want))
 		}
 		for src := range toAll {
 			if want := recvPart(src, me); !slices.Equal(toAll[src], want) {

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sort"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/algebra"
 	"repro/internal/distmat"
@@ -236,17 +237,20 @@ func dists(plan Plan, m, k, n int, tables ownerTables) (da, db, dc distmat.Dist)
 // (redistributed and, for RoleB plans, fiber-replicated) is staged on b the
 // first time, so repeated multiplications against the same stationary
 // operand (MFBC's adjacency) pay its movement once. A moves for every
-// multiply, into storage the rank reuses (placement, a machine.Scratch): a
-// caller whose ranks keep their scratch store across regions places A
-// without allocating once that storage has grown.
+// multiply, into storage the rank reuses (placement, a machine.Scratch), as
+// do the stage blocks a rank receives and its stage products and merges: a
+// caller whose ranks keep their scratch store across regions multiplies
+// without allocating for any of it once that storage has grown.
 //
 // Where the caller passes acc, every product folds by column, a row at a
 // time, into acc's storage, which the caller keeps across products, and
 // each row drains in column order: the sorting kernel's output bit for bit,
-// without the sort, under every plan. The returned C never shares storage
-// with acc. Without acc the products are sorted, row by row: the kernel of
-// the CombBLAS-style baseline, which keeps its own, and of the tests'
-// oracle.
+// without the sort, under every plan. C lives in acc's storage too, and
+// stays valid until the second product after it through the same
+// accumulator: a sweep may hold one product while it forms the next, and
+// feed it back as the next product's A. Without acc the products are
+// sorted, row by row, and C is fresh storage: the kernel of the
+// CombBLAS-style baseline, which keeps its own, and of the tests' oracle.
 //
 // screen (nil = none) is asked about every product f yields, by output
 // coordinate, before the local kernel folds it: a rejected product is charged
@@ -279,7 +283,7 @@ func Multiply[TC, TB any](
 	// Stage the A operand (moving in every variant) in the rank's placement
 	// storage. Replication gathers the fiber's blocks, each sorted and no
 	// two sharing a coordinate, and merges them as they arrive.
-	place := machine.Scratch[placement[TC]](s.Proc)
+	place := machine.Scratch[placement[TC, TB]](s.Proc)
 	aE := distmat.RedistributeInto(world, a, da, &place.moved).Local
 	if plan.P1 > 1 && plan.X == RoleA {
 		place.replicated = replicate(g.Fiber, aE, place.replicated)
@@ -295,8 +299,13 @@ func Multiply[TC, TB any](
 		bE := distmat.Redistribute(world, b.m, db).Local
 		if plan.P1 > 1 && plan.X == RoleB {
 			bE = replicate(g.Fiber, bE, nil)
+		} else if unsafe.SliceData(bE) == unsafe.SliceData(b.m.Local) {
+			// A rank that kept its whole block would share its storage with
+			// the set, also when the block is empty but has room: Patch hands
+			// each one's storage on to the next splice.
+			bE = slices.Clone(bE)
 		}
-		sb = stageB(plan, k, n, s.Proc.Rank(), bE)
+		sb = stageB(nil, plan, k, n, s.Proc.Rank(), bE)
 		b.sets[plan] = sb
 	}
 
@@ -308,40 +317,83 @@ func Multiply[TC, TB any](
 	if flt.screen != nil && acc == nil {
 		flt.acc = new(Accumulator[TC])
 	}
+	// C is written over the older of acc's two products, or into fresh
+	// storage without acc.
 	var c []sparse.Entry[TC]
+	if acc != nil {
+		c = acc.out[acc.next]
+	}
 	switch plan.YZ {
 	case VarAB:
-		c = runAB(s, g, plan, r, aE, sb, f, add, workers, flt)
+		c = runAB(s, g, plan, r, aE, sb, f, add, workers, flt, place, c)
 	case VarAC:
-		c = runAC(s, g, plan, r, aE, sb, f, add, workers, flt)
+		c = runAC(s, g, plan, r, aE, sb, f, add, workers, flt, place, c)
 	default:
-		c = runBC(s, g, plan, r, aE, sb, f, add, workers, flt)
+		c = runBC(s, g, plan, r, aE, sb, f, add, workers, flt, place, c)
 	}
 
 	if plan.P1 > 1 && plan.X == RoleC {
 		// Partial C matrices live at the same inner position of every
-		// layer; reduce over the fiber to the rotating root layer.
+		// layer; reduce over the fiber to the rotating root layer, which
+		// receives the fold (its own part, or fresh storage) back into c.
 		rootLayer := (g.G2.MyR*plan.P3 + g.G2.MyC) % plan.P1
 		red := machine.ReduceSlices(g.Fiber, rootLayer, c, func(x, y []sparse.Entry[TC]) []sparse.Entry[TC] {
 			return distmat.MergeSortedParallel(x, y, add, workers)
 		})
-		if g.MyLayer == rootLayer {
-			c = red
-		} else {
-			c = nil
-		}
+		c = append(c[:0], red...)
+	}
+	if acc != nil {
+		acc.out[acc.next] = c
+		acc.next ^= 1
 	}
 	return &distmat.Mat[TC]{Rows: m, Cols: n, Dist: dc, Local: c}
 }
 
-// placement is the storage one rank's multiplies place their A operand in
-// (machine.Scratch): the frontier redistributed into the plan's A
-// distribution, and its fiber replication under RoleA plans. Each multiply
-// writes over the last one's: the placement dies when Multiply returns —
-// its broadcasts' and the fiber gather's readers have finished by the
-// closing barrier of their superstep, and no product shares it.
-type placement[T any] struct {
-	moved, replicated []sparse.Entry[T]
+// placement is the storage one rank's multiplies of one pair of entry
+// types stage and combine their operands in (machine.Scratch): the frontier
+// redistributed into the plan's A distribution, its fiber replication under
+// RoleA plans and its stage buckets; the A and B stage blocks the rank
+// receives from a stage's broadcast root, and the received B block's row
+// index; a stage's product, before it is merged or reduced; and the pair
+// the stages' products merge in. Each multiply writes over the last one's:
+// the placement dies when Multiply returns — its broadcasts' and the fiber
+// gather's readers have finished by the closing barrier of their superstep,
+// and a C merged here is copied out.
+type placement[TC, TB any] struct {
+	moved, replicated []sparse.Entry[TC]
+	stages            buckets[TC]
+	recvA             []sparse.Entry[TC]
+	recvB             []sparse.Entry[TB]
+	offsB             []int32
+	prod              []sparse.Entry[TC]
+	merged            distmat.Accumulator[TC]
+}
+
+// bcastA broadcasts stage block blk from root over c: the root's own block,
+// or a copy of it in the receiver's placement.
+func (pl *placement[TC, TB]) bcastA(c *machine.Comm, root int, blk []sparse.Entry[TC]) []sparse.Entry[TC] {
+	machine.BcastRecv(c, root, blk, func(in []sparse.Entry[TC]) {
+		if c.Rank() != root {
+			pl.recvA = append(pl.recvA[:0], in...)
+			blk = pl.recvA
+		}
+	})
+	return blk
+}
+
+// bcastB broadcasts stage t of b from root over c and returns it with its
+// row index over [k0, k1): the root's own block with the index prebuilt on
+// it, or a copy of it in the receiver's placement, indexed there.
+func (pl *placement[TC, TB]) bcastB(c *machine.Comm, root int, b *stagedB[TB], t int, k0, k1 int32) ([]sparse.Entry[TB], []int32) {
+	blk, offs := b.blocks[t], b.offs[t]
+	machine.BcastRecv(c, root, blk, func(in []sparse.Entry[TB]) {
+		if c.Rank() != root {
+			pl.recvB = append(pl.recvB[:0], in...)
+			pl.offsB = indexRows(pl.offsB, pl.recvB, k0, k1)
+			blk, offs = pl.recvB, pl.offsB
+		}
+	})
+	return blk, offs
 }
 
 // replicate gathers the fiber's owner-disjoint sorted blocks into one
@@ -359,16 +411,30 @@ func stageBounds(t int, lo0, hi0 int32, s int) (int32, int32) {
 	return lo0 + lo, lo0 + hi
 }
 
-// bucketByStage splits es by stage, keeping each bucket in es's order. The
-// single bucket of a one-stage plan is es itself; otherwise one counting
-// pass sizes every bucket inside a single buffer, as Redistribute sizes its
-// parts.
-func bucketByStage[T any](es []sparse.Entry[T], s int, stageOf func(sparse.Entry[T]) int) [][]sparse.Entry[T] {
+// buckets is the storage bucketByStage splits entries into: each entry's
+// stage, the buckets' bounds, the buffer they are cut from and their
+// headers.
+type buckets[T any] struct {
+	stage []int32
+	end   []int
+	buf   []sparse.Entry[T]
+	out   [][]sparse.Entry[T]
+}
+
+// bucketByStage splits es by stage into storage in, keeping each bucket in
+// es's order, and returns the buckets; the next call on in writes over
+// them. The single bucket of a one-stage plan is es itself; otherwise one
+// counting pass sizes every bucket inside a single buffer, as Redistribute
+// sizes its parts.
+func bucketByStage[T any](in *buckets[T], es []sparse.Entry[T], s int, stageOf func(sparse.Entry[T]) int) [][]sparse.Entry[T] {
 	if s == 1 {
-		return [][]sparse.Entry[T]{es}
+		in.out = append(in.out[:0], es)
+		return in.out
 	}
-	stage := make([]int32, len(es))
-	end := make([]int, s+1)
+	in.stage = slices.Grow(in.stage[:0], len(es))[:len(es)]
+	in.end = slices.Grow(in.end[:0], s+1)[:s+1]
+	clear(in.end)
+	stage, end := in.stage, in.end
 	for x, e := range es {
 		t := stageOf(e)
 		stage[x] = int32(t)
@@ -377,18 +443,18 @@ func bucketByStage[T any](es []sparse.Entry[T], s int, stageOf func(sparse.Entry
 	for t := 0; t < s; t++ {
 		end[t+1] += end[t]
 	}
-	buf := make([]sparse.Entry[T], len(es))
+	in.buf = slices.Grow(in.buf[:0], len(es))[:len(es)]
 	for x, e := range es {
-		buf[end[stage[x]]] = e
+		in.buf[end[stage[x]]] = e
 		end[stage[x]]++
 	}
-	out := make([][]sparse.Entry[T], s)
+	in.out = slices.Grow(in.out[:0], s)[:s]
 	lo := 0
 	for t, hi := range end[:s] {
-		out[t] = buf[lo:hi:hi]
+		in.out[t] = in.buf[lo:hi:hi]
 		lo = hi
 	}
-	return out
+	return in.out
 }
 
 // stagedB is a B operand as its plan's stage loop consumes it on one rank:
@@ -401,121 +467,131 @@ type stagedB[T any] struct {
 	// blocks[t] is what the rank holds of stage t: under VarAB the entries
 	// whose row lies in the stage's k-range (rows are the major sort key,
 	// so a sub-slice of entries); under VarBC a copy of those whose column
-	// lies in the stage's n-range; under VarAC, where B is stationary, the
-	// one block, entries itself.
+	// lies in the stage's n-range, cut from stages; under VarAC, where B is
+	// stationary, the one block, entries itself.
 	blocks [][]sparse.Entry[T]
+	stages buckets[T]
 	// offs[t] is blocks[t]'s row index over the k-range the rank multiplies
 	// it against — valid for the rank's own block, which is what it
 	// multiplies whenever it is the stage's broadcast root.
 	offs [][]int32
 }
 
-// stageB derives the stage views of a rank's staged block.
-func stageB[T any](plan Plan, k, n, rank int, entries []sparse.Entry[T]) *stagedB[T] {
+// stageB derives the stage views of a rank's staged block, written over
+// into's (fresh ones when into is nil): a set rebuilt after an edit reuses
+// the storage of the views it replaces.
+func stageB[T any](into *stagedB[T], plan Plan, k, n, rank int, entries []sparse.Entry[T]) *stagedB[T] {
 	inner := plan.P2 * plan.P3
 	myR, myC := rank%inner/plan.P3, rank%plan.P3
 	// B's staging consults only the k and n ranges, which no plan derives
 	// from the frontier row count.
 	r := layerRanges(plan, 1, k, n, rank/inner)
 	s := plan.stages()
-	b := &stagedB[T]{entries: entries}
+	b := into
+	if b == nil {
+		b = new(stagedB[T])
+	}
+	b.entries = entries
 	switch plan.YZ {
 	case VarAB:
-		b.blocks = make([][]sparse.Entry[T], s)
-		b.offs = make([][]int32, s)
+		b.blocks = slices.Grow(b.blocks[:0], s)[:s]
+		b.offs = slices.Grow(b.offs[:0], s)[:s]
 		lo := 0
 		for t := range b.blocks {
 			kb0, kb1 := stageBounds(t, r.k0, r.k1, s)
 			hi := lo + sort.Search(len(entries)-lo, func(x int) bool { return entries[lo+x].I >= kb1 })
 			b.blocks[t] = entries[lo:hi:hi]
-			b.offs[t] = indexRows(b.blocks[t], kb0, kb1)
+			b.offs[t] = indexRows(b.offs[t], b.blocks[t], kb0, kb1)
 			lo = hi
 		}
 	case VarAC:
 		kb0, kb1 := stageBounds(myR, r.k0, r.k1, plan.P2)
-		b.blocks = [][]sparse.Entry[T]{entries}
-		b.offs = [][]int32{indexRows(entries, kb0, kb1)}
+		b.blocks = append(b.blocks[:0], entries)
+		b.offs = slices.Grow(b.offs[:0], 1)[:1]
+		b.offs[0] = indexRows(b.offs[0], entries, kb0, kb1)
 	default:
 		kb0, kb1 := stageBounds(myC, r.k0, r.k1, plan.P3)
-		b.blocks = bucketByStage(entries, s, func(e sparse.Entry[T]) int { return partIn(e.J, r.n0, r.n1, s) })
-		b.offs = make([][]int32, s)
+		b.blocks = bucketByStage(&b.stages, entries, s, func(e sparse.Entry[T]) int { return partIn(e.J, r.n0, r.n1, s) })
+		b.offs = slices.Grow(b.offs[:0], s)[:s]
 		for t, blk := range b.blocks {
-			b.offs[t] = indexRows(blk, kb0, kb1)
+			b.offs[t] = indexRows(b.offs[t], blk, kb0, kb1)
 		}
 	}
 	return b
 }
 
-// bcast broadcasts stage t's block from root over c and returns it with its
-// row index: the prebuilt one at the root, whose block is its own; nil at
-// the receivers, which index what arrives.
-func (b *stagedB[T]) bcast(c *machine.Comm, root, t int) ([]sparse.Entry[T], []int32) {
-	blk := machine.Bcast(c, root, b.blocks[t])
-	if c.Rank() == root {
-		return blk, b.offs[t]
-	}
-	return blk, nil
-}
-
 // runAB: C stationary; A broadcast along grid rows, B along grid columns,
 // one stage per k-block (lcm(p2,p3) stages). Every B column broadcast to
 // this grid column lies in the rank's C block, whose columns bound the
-// column kernel's accumulator.
+// column kernel's accumulator. C is written over out: a one-stage product
+// directly, the merge of several copied there.
 func runAB[TC, TB any](
 	sess *Session, g *machine.Grid3, plan Plan, r ranges,
 	aE []sparse.Entry[TC], b *stagedB[TB],
 	f func(TC, TB) TC, add algebra.Monoid[TC], workers int, flt filter[TC],
+	place *placement[TC, TB], out []sparse.Entry[TC],
 ) []sparse.Entry[TC] {
 	s := plan.stages()
 	flt.c0, flt.c1 = stageBounds(g.G2.MyC, r.n0, r.n1, plan.P3)
-	aStage := bucketByStage(aE, s, func(e sparse.Entry[TC]) int { return partIn(e.J, r.k0, r.k1, s) })
+	aStage := bucketByStage(&place.stages, aE, s, func(e sparse.Entry[TC]) int { return partIn(e.J, r.k0, r.k1, s) })
 	var acc []sparse.Entry[TC]
 	for t := 0; t < s; t++ {
-		aBlk := machine.Bcast(g.G2.Row, t%plan.P3, aStage[t])
-		bBlk, offs := b.bcast(g.G2.Col, t%plan.P2, t)
+		aBlk := place.bcastA(g.G2.Row, t%plan.P3, aStage[t])
 		kb0, kb1 := stageBounds(t, r.k0, r.k1, s)
-		prod, ops := mulEntriesParallel(sess, aBlk, bBlk, offs, kb0, kb1, f, add, workers, flt)
+		bBlk, offs := place.bcastB(g.G2.Col, t%plan.P2, b, t, kb0, kb1)
+		if s == 1 {
+			prod, ops := mulEntriesParallel(sess, aBlk, bBlk, offs, kb0, kb1, f, add, workers, flt, out)
+			sess.Proc.AddFlops(ops)
+			return prod
+		}
+		prod, ops := mulEntriesParallel(sess, aBlk, bBlk, offs, kb0, kb1, f, add, workers, flt, place.prod)
 		sess.Proc.AddFlops(ops)
-		acc = distmat.MergeSortedParallel(acc, prod, add, workers)
+		place.prod = prod
+		acc = place.merged.MergeParallel(acc, prod, add, workers)
 	}
-	return acc
+	return append(out[:0], acc...)
 }
 
 // runAC: B stationary; A broadcast along grid rows, partial C reduced along
 // grid columns, one stage per m-block. The rank's B block bounds the
-// columns of every partial product.
+// columns of every partial product. The stages the rank roots are
+// appended to out.
 func runAC[TC, TB any](
 	sess *Session, g *machine.Grid3, plan Plan, r ranges,
 	aE []sparse.Entry[TC], b *stagedB[TB],
 	f func(TC, TB) TC, add algebra.Monoid[TC], workers int, flt filter[TC],
+	place *placement[TC, TB], out []sparse.Entry[TC],
 ) []sparse.Entry[TC] {
 	s := plan.stages()
 	flt.c0, flt.c1 = stageBounds(g.G2.MyC, r.n0, r.n1, plan.P3)
-	aStage := bucketByStage(aE, s, func(e sparse.Entry[TC]) int { return partIn(e.I, r.m0, r.m1, s) })
+	aStage := bucketByStage(&place.stages, aE, s, func(e sparse.Entry[TC]) int { return partIn(e.I, r.m0, r.m1, s) })
 	kb0, kb1 := stageBounds(g.G2.MyR, r.k0, r.k1, plan.P2)
-	var acc []sparse.Entry[TC]
+	out = out[:0]
 	merge := func(x, y []sparse.Entry[TC]) []sparse.Entry[TC] {
 		return distmat.MergeSortedParallel(x, y, add, workers)
 	}
 	for t := 0; t < s; t++ {
-		aBlk := machine.Bcast(g.G2.Row, t%plan.P3, aStage[t])
-		prod, ops := mulEntriesParallel(sess, aBlk, b.entries, b.offs[0], kb0, kb1, f, add, workers, flt)
+		aBlk := place.bcastA(g.G2.Row, t%plan.P3, aStage[t])
+		prod, ops := mulEntriesParallel(sess, aBlk, b.entries, b.offs[0], kb0, kb1, f, add, workers, flt, place.prod)
 		sess.Proc.AddFlops(ops)
+		place.prod = prod
 		red := machine.ReduceSlices(g.G2.Col, t%plan.P2, prod, merge)
 		if g.G2.MyR == t%plan.P2 {
-			acc = append(acc, red...) // stages cover ascending row ranges
+			out = append(out, red...) // stages cover ascending row ranges
 		}
 	}
-	return acc
+	return out
 }
 
 // runBC: A stationary; B broadcast along grid columns, partial C reduced
 // along grid rows, one stage per n-block, which bounds the columns of the
-// stage's partial product.
+// stage's partial product. The merge of the stages the rank roots is
+// copied over out.
 func runBC[TC, TB any](
 	sess *Session, g *machine.Grid3, plan Plan, r ranges,
 	aE []sparse.Entry[TC], b *stagedB[TB],
 	f func(TC, TB) TC, add algebra.Monoid[TC], workers int, flt filter[TC],
+	place *placement[TC, TB], out []sparse.Entry[TC],
 ) []sparse.Entry[TC] {
 	s := plan.stages()
 	kb0, kb1 := stageBounds(g.G2.MyC, r.k0, r.k1, plan.P3)
@@ -524,16 +600,17 @@ func runBC[TC, TB any](
 		return distmat.MergeSortedParallel(x, y, add, workers)
 	}
 	for t := 0; t < s; t++ {
-		bBlk, offs := b.bcast(g.G2.Col, t%plan.P2, t)
+		bBlk, offs := place.bcastB(g.G2.Col, t%plan.P2, b, t, kb0, kb1)
 		flt.c0, flt.c1 = stageBounds(t, r.n0, r.n1, s)
-		prod, ops := mulEntriesParallel(sess, aE, bBlk, offs, kb0, kb1, f, add, workers, flt)
+		prod, ops := mulEntriesParallel(sess, aE, bBlk, offs, kb0, kb1, f, add, workers, flt, place.prod)
 		sess.Proc.AddFlops(ops)
+		place.prod = prod
 		red := machine.ReduceSlices(g.G2.Row, t%plan.P3, prod, merge)
 		if g.G2.MyC == t%plan.P3 {
-			acc = distmat.MergeSortedParallel(acc, red, add, workers) // stage columns interleave rows
+			acc = place.merged.MergeParallel(acc, red, add, workers) // stage columns interleave rows
 		}
 	}
-	return acc
+	return append(out[:0], acc...)
 }
 
 // filter is how the local kernel folds a product: the screen it asks first
@@ -547,12 +624,16 @@ type filter[TC any] struct {
 }
 
 // Accumulator is the storage products fold into by column, kept by the
-// caller across products so that a round allocates only its result: per
-// worker chunk of A's rows, a column accumulator and the scratch its drained
-// rows go into. Column keys recur in every row, so no two chunks share one.
-// The zero value is ready to use; one product at a time uses it.
+// caller across products so that a round allocates nothing for its
+// product: per worker chunk of A's rows, a column accumulator and the
+// scratch its drained rows go into (column keys recur in every row, so no
+// two chunks share one), and the pair of buffers the products themselves
+// are written into in turn, so that a product outlives the next one. The
+// zero value is ready to use; one product at a time uses it.
 type Accumulator[T any] struct {
 	chunks []columnAcc[T]
+	out    [2][]sparse.Entry[T]
+	next   int // the buffer the next product is written over
 }
 
 // columnAcc is one worker chunk's share of an Accumulator.
@@ -579,20 +660,16 @@ const mulEntriesMinEntries = 8
 // worker runs the kernel on its chunk against the shared B index, and the
 // row-disjoint sorted outputs are concatenated in row order — so the result
 // is identical to the sequential kernel. With an accumulator, chunk c
-// folds into the accumulator's chunk c, and the result is copied out of its
-// scratch — by the concatenation, or alone where there is one chunk — so
-// the caller may hold it past the next product. offs is bE's row index over [k0, k1)
-// when the caller holds one (a staged stationary block), nil to have it
-// built here.
+// folds into the accumulator's chunk c. The product is written over dst
+// (dst[:0], grown as needed): by the kernel itself where there is one
+// chunk, by the concatenation of the chunks' scratch otherwise. offs is
+// bE's row index over [k0, k1).
 func mulEntriesParallel[TC, TB any](
 	sess *Session, aE []sparse.Entry[TC], bE []sparse.Entry[TB], offs []int32, k0, k1 int32,
-	f func(TC, TB) TC, add algebra.Monoid[TC], workers int, flt filter[TC],
+	f func(TC, TB) TC, add algebra.Monoid[TC], workers int, flt filter[TC], dst []sparse.Entry[TC],
 ) ([]sparse.Entry[TC], int64) {
 	if len(aE) == 0 || len(bE) == 0 {
-		return nil, 0
-	}
-	if offs == nil {
-		offs = indexRows(bE, k0, k1)
+		return dst[:0], 0
 	}
 	// Align the even split of aE to row boundaries (entries are row-sorted).
 	var bounds []int
@@ -609,46 +686,61 @@ func mulEntriesParallel[TC, TB any](
 		}
 		bounds = append(bounds, len(aE))
 	}
-	parts := max(len(bounds)-1, 1)
+	if len(bounds) < 3 {
+		var acc *columnAcc[TC]
+		if flt.acc != nil {
+			acc = &flt.acc.chunked(1)[0]
+		}
+		return mulEntriesChunk(sess, aE, bE, offs, k0, k1, f, add, flt.screen, acc, flt.c0, flt.c1, dst)
+	}
+	parts := len(bounds) - 1
 	var accs []columnAcc[TC]
 	if flt.acc != nil {
 		accs = flt.acc.chunked(parts)
 	}
-	kernel := func(aE []sparse.Entry[TC], part int) ([]sparse.Entry[TC], int64) {
-		if flt.acc == nil {
-			return mulEntriesRange(sess, aE, bE, offs, k0, k1, f, add)
-		}
-		return mulEntriesColumns(sess, aE, bE, offs, k0, k1, f, add, flt.screen, &accs[part], flt.c0, flt.c1)
-	}
-	if parts == 1 {
-		out, ops := kernel(aE, 0)
-		if flt.acc != nil {
-			out = slices.Clone(out)
-		}
-		return out, ops
-	}
 	chunks := make([][]sparse.Entry[TC], parts)
 	var ops atomic.Int64
 	parallel.For(parts, parts, func(part, _, _ int) {
-		out, n := kernel(aE[bounds[part]:bounds[part+1]], part)
+		var acc *columnAcc[TC]
+		var rows []sparse.Entry[TC]
+		if accs != nil {
+			acc = &accs[part]
+			rows = acc.rows
+		}
+		out, n := mulEntriesChunk(sess, aE[bounds[part]:bounds[part+1]], bE, offs, k0, k1, f, add, flt.screen, acc, flt.c0, flt.c1, rows)
+		if acc != nil {
+			acc.rows = out
+		}
 		chunks[part] = out
 		ops.Add(n)
 	})
-	total := 0
+	dst = dst[:0]
 	for _, c := range chunks {
-		total += len(c)
+		dst = append(dst, c...)
 	}
-	out := make([]sparse.Entry[TC], 0, total)
-	for _, c := range chunks {
-		out = append(out, c...)
-	}
-	return out, ops.Load()
+	return dst, ops.Load()
 }
 
-// indexRows builds the CSR-style row offsets of bE over [k0, k1).
-func indexRows[TB any](bE []sparse.Entry[TB], k0, k1 int32) []int32 {
+// mulEntriesChunk runs one chunk of A's rows through the kernel, written
+// over dst: the column kernel, folding into acc, or the sorting kernel
+// where acc is nil.
+func mulEntriesChunk[TC, TB any](
+	sess *Session, aE []sparse.Entry[TC], bE []sparse.Entry[TB], offs []int32, k0, k1 int32,
+	f func(TC, TB) TC, add algebra.Monoid[TC], screen func(i, j int32, v TC) bool, acc *columnAcc[TC], c0, c1 int32,
+	dst []sparse.Entry[TC],
+) ([]sparse.Entry[TC], int64) {
+	if acc == nil {
+		return mulEntriesRange(sess, aE, bE, offs, k0, k1, f, add, dst)
+	}
+	return mulEntriesColumns(sess, aE, bE, offs, k0, k1, f, add, screen, &acc.cols, c0, c1, dst)
+}
+
+// indexRows builds the CSR-style row offsets of bE over [k0, k1), written
+// over dst (dst[:0], grown as needed).
+func indexRows[TB any](dst []int32, bE []sparse.Entry[TB], k0, k1 int32) []int32 {
 	nk := int(k1 - k0)
-	offs := make([]int32, nk+1)
+	offs := slices.Grow(dst[:0], nk+1)[:nk+1]
+	clear(offs)
 	for _, e := range bE {
 		offs[e.I-k0+1]++
 	}
@@ -660,18 +752,18 @@ func indexRows[TB any](bE []sparse.Entry[TB], k0, k1 int32) []int32 {
 
 // mulEntriesRange is the row-wise kernel over one contiguous chunk of A
 // entries (whole rows) against the shared B row index: aE's columns and
-// bE's rows both lie in [k0, k1). Inputs are (row, col)-sorted; the output
-// is sorted and duplicate-free. The session counts every product. Returns
-// the entry list and the f-evaluation count. It sorts each row's products,
+// bE's rows both lie in [k0, k1). Inputs are (row, col)-sorted; the output,
+// written over dst, is sorted and duplicate-free. The session counts every
+// product. Returns the entry list and the f-evaluation count. It sorts each row's products,
 // and runs only for callers that pass Multiply no accumulator: the
 // CombBLAS-style baseline, whose kernel this is — a column accumulator here
 // would speed the yardstick MFBC is measured against — and the tests'
 // oracle for the column kernel.
 func mulEntriesRange[TC, TB any](
 	sess *Session, aE []sparse.Entry[TC], bE []sparse.Entry[TB], offs []int32, k0, k1 int32,
-	f func(TC, TB) TC, add algebra.Monoid[TC],
+	f func(TC, TB) TC, add algebra.Monoid[TC], dst []sparse.Entry[TC],
 ) ([]sparse.Entry[TC], int64) {
-	var out []sparse.Entry[TC]
+	out := dst[:0]
 	var ops int64
 	type jv struct {
 		j int32
@@ -727,20 +819,20 @@ func mulEntriesRange[TC, TB any](
 
 // mulEntriesColumns is mulEntriesRange folding by column, for products whose
 // columns lie in [c0, c1): each product the screen (nil = none) keeps folds
-// at key j − c0 of acc's column accumulator, sized to c1 − c0 values, and at
-// each row break the touched keys drain in ascending order into acc's row
-// scratch, which it returns. A rejected product is counted in
+// at key j − c0 of the column accumulator cols, sized to c1 − c0 values, and
+// at each row break the touched keys drain in ascending order into the
+// output, written over dst. A rejected product is counted in
 // Session.Screened.
 // Products reach a column in k-order, as the stable sort left them, and
 // fold left to right from the first, so the output — zero folds dropped —
 // is bit for bit the sorting kernel's over the kept products.
 func mulEntriesColumns[TC, TB any](
 	sess *Session, aE []sparse.Entry[TC], bE []sparse.Entry[TB], offs []int32, k0, k1 int32,
-	f func(TC, TB) TC, add algebra.Monoid[TC], screen func(i, j int32, v TC) bool, acc *columnAcc[TC], c0, c1 int32,
+	f func(TC, TB) TC, add algebra.Monoid[TC], screen func(i, j int32, v TC) bool, cols *sparse.SPA[TC], c0, c1 int32,
+	dst []sparse.Entry[TC],
 ) ([]sparse.Entry[TC], int64) {
-	cols := &acc.cols
 	cols.Size(int(c1 - c0))
-	slab, out := cols.Val, acc.rows[:0]
+	slab, out := cols.Val, dst[:0]
 	var ops, dropped int64
 	drain := func(i int32) {
 		for _, key := range cols.Drain() {
@@ -773,7 +865,6 @@ func mulEntriesColumns[TC, TB any](
 		}
 	}
 	drain(row)
-	acc.rows = out
 	sess.Products.Add(ops)
 	sess.Screened.Add(dropped)
 	return out, ops

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -118,9 +119,9 @@ func maskedProduct[V, W any](t *testing.T, c screenCase[V, W], plan Plan, worker
 // reusedProducts multiplies each of cs in turn, in one region under plan,
 // under the losers' screen or none, and through one accumulator per rank
 // that the caller keeps across the products, as a sweep keeps one across
-// its rounds. It returns each product's blocks by rank, held until every
-// product has run: a result that shared the accumulator's storage would be
-// overwritten by the products after it.
+// its rounds. It returns each product's blocks by rank as they stand once
+// the next product has been formed — the latest a caller may still read
+// them, since the product after that is written over them.
 func reusedProducts[V, W any](t *testing.T, cs []screenCase[V, W], plan Plan, workers int, screened bool) [][][]sparse.Entry[V] {
 	t.Helper()
 	p := plan.Procs()
@@ -132,14 +133,20 @@ func reusedProducts[V, W any](t *testing.T, cs []screenCase[V, W], plan Plan, wo
 		s := NewSession(proc)
 		s.Workers = workers
 		var acc Accumulator[V]
+		var last []sparse.Entry[V]
 		for x, c := range cs {
 			a, b, block := rankOperands(proc, s, c, plan)
 			var screen func(i, j int32, v V) bool
 			if screened {
 				screen = losersScreen(c, block, &verdicts{kept: map[uint64]bool{}})
 			}
-			out[x][proc.Rank()] = Multiply(s, plan, a, b, c.f, c.add, screen, &acc).Local
+			prod := Multiply(s, plan, a, b, c.f, c.add, screen, &acc).Local
+			if x > 0 {
+				out[x-1][proc.Rank()] = slices.Clone(last)
+			}
+			last = prod
 		}
+		out[len(cs)-1][proc.Rank()] = slices.Clone(last)
 	})
 	if err != nil {
 		t.Fatalf("%s under %s: %v", cs[0].name, plan, err)
@@ -188,8 +195,9 @@ func entryBits[V any](t *testing.T, parts ...[]sparse.Entry[V]) []byte {
 // losers' screen it emits the oracle's entries at the coordinates where it
 // kept a product (sides every kept product lost on zeroed in both); and
 // through an accumulator kept across products — the case's product, the
-// same again, then other's, whose C block is another width — each product
-// is what it is through a fresh one, screened or not. Each dropped product
+// same again, then other's, whose C block is another width — each product,
+// read once the next one is formed, is what it is through a fresh one,
+// screened or not. Each dropped product
 // counts as screened out; where C is partial the screen is ignored. Neither
 // the accumulator nor a screen moves the products evaluated or the modeled
 // cost.

@@ -44,7 +44,7 @@ func stageForTest(plan Plan, rank, k, n int, global []sparse.Entry[float64]) []s
 func residentFor(plans []Plan, p, rank, k, n int, global []sparse.Entry[float64]) *Stationary[float64] {
 	b := NewStationary(&distmat.Mat[float64]{Rows: k, Cols: n, Dist: distmat.DistShard(p), Local: shardOf(p, rank, global)})
 	for _, plan := range plans {
-		b.sets[plan] = stageB(plan, k, n, rank, stageForTest(plan, rank, k, n, global))
+		b.sets[plan] = stageB(nil, plan, k, n, rank, stageForTest(plan, rank, k, n, global))
 	}
 	return b
 }
@@ -177,7 +177,7 @@ func TestPairSpliceMatchesSideBySide(t *testing.T) {
 		{I: 3, J: 3, V: 7},      // insert in the tail
 		{I: 3, J: 4, Del: true}, // delete of a non-entry: no-op
 	}
-	got := pairSplice(cur, edits, func(i, j int32) bool { return true })
+	got := pairSplice(nil, cur, edits, func(i, j int32) bool { return true })
 	inf := func() float64 { return algebra.Inf }
 	want := []sparse.Entry[algebra.WeightPair]{
 		{I: 0, J: 1, V: algebra.WeightPair{Old: 1.5, New: 1.5}},
@@ -196,7 +196,7 @@ func TestPairSpliceMatchesSideBySide(t *testing.T) {
 		}
 	}
 	// Ownership filter: nothing owned, nothing spliced, old entries lifted.
-	none := pairSplice(cur, edits, func(i, j int32) bool { return false })
+	none := pairSplice(nil, cur, edits, func(i, j int32) bool { return false })
 	if len(none) != len(cur) {
 		t.Fatalf("unowned splice must keep the lifted base block, got %d entries", len(none))
 	}
@@ -245,9 +245,9 @@ func TestStagePairStationary(t *testing.T) {
 	for rank := 0; rank < p; rank++ {
 		b := residentFor(plans, p, rank, k, n, global)
 		before := residentFor(plans, p, rank, k, n, global)
-		pair, ops := PairOf(b, rank, edits)
+		pair, ops := PairOf(b, rank, edits, new(PairLift))
 		wrote := len(pair.m.Local)
-		if want := pairSplice(b.m.Local, edits, b.inBlock(rank)); !slices.Equal(pair.m.Local, want) {
+		if want := pairSplice(nil, b.m.Local, edits, b.inBlock(rank)); !slices.Equal(pair.m.Local, want) {
 			t.Fatalf("rank %d: pair block %+v, want %+v", rank, pair.m.Local, want)
 		}
 		for _, plan := range plans {
@@ -257,7 +257,7 @@ func TestStagePairStationary(t *testing.T) {
 			}
 			got := set.entries
 			owns := stationaryOwnership(plan, k, n, nil)
-			want := pairSplice(stageForTest(plan, rank, k, n, global), edits, func(i, j int32) bool { return owns(rank, i, j) })
+			want := pairSplice(nil, stageForTest(plan, rank, k, n, global), edits, func(i, j int32) bool { return owns(rank, i, j) })
 			if len(got) != len(want) {
 				t.Fatalf("%s rank %d: %d pair entries, want %d", plan, rank, len(got), len(want))
 			}
@@ -285,9 +285,12 @@ func TestStagePairStationary(t *testing.T) {
 // of its sets — block, stage buckets and row offsets — against ones built
 // from scratch out of an independent model of the matrix, and likewise each
 // pair operand's. A view that outlives a patch multiplies against the
-// pre-patch matrix without any error: only the scores come out wrong. With
-// no eviction the resident stays bounded by the plans alone, and a pair
-// operand holds exactly the resident's plans.
+// pre-patch matrix without any error: only the scores come out wrong. Each
+// Patch splices into the storage the one before it replaced, and every
+// fused region lifts into one kept PairLift, so a view left on storage a
+// later step writes over shows as well. With no eviction the resident stays
+// bounded by the plans alone, and a pair operand holds exactly the
+// resident's plans.
 func TestCachedViewsStayCoherent(t *testing.T) {
 	plans := []Plan{
 		{P1: 1, P2: 1, P3: 4, X: RoleA, YZ: VarAB},
@@ -335,6 +338,7 @@ func TestCachedViewsStayCoherent(t *testing.T) {
 				return edits
 			}
 			b := residentFor(nil, p, rank, k, n, global())
+			var lift PairLift // kept across the fused regions, as a rank keeps it
 			// check compares the resident with a from-scratch one of the
 			// model.
 			check := func(step string) {
@@ -343,7 +347,7 @@ func TestCachedViewsStayCoherent(t *testing.T) {
 					t.Fatalf("seed %d rank %d after %s: block diverged from the model's shard", seed, rank, step)
 				}
 				for plan, set := range b.sets {
-					if want := stageB(plan, k, n, rank, stageForTest(plan, rank, k, n, global())); !reflect.DeepEqual(set, want) {
+					if want := stageB(nil, plan, k, n, rank, stageForTest(plan, rank, k, n, global())); !reflect.DeepEqual(set, want) {
 						t.Fatalf("seed %d rank %d after %s: set %s diverged from a fresh staging\n got %+v\nwant %+v", seed, rank, step, plan, set, want)
 					}
 				}
@@ -353,7 +357,7 @@ func TestCachedViewsStayCoherent(t *testing.T) {
 				case 0: // a multiply under some plan: hit, or stage
 					plan := plans[rng.Intn(len(plans))]
 					if !b.Staged(plan) {
-						b.sets[plan] = stageB(plan, k, n, rank, stageForTest(plan, rank, k, n, global()))
+						b.sets[plan] = stageB(nil, plan, k, n, rank, stageForTest(plan, rank, k, n, global()))
 					}
 					check("stage")
 				case 1, 2:
@@ -369,14 +373,14 @@ func TestCachedViewsStayCoherent(t *testing.T) {
 					check("patch")
 				case 3: // a fused region: the pair lift of every set
 					edits := randomEdits()
-					pair, _ := PairOf(b, rank, edits)
+					pair, _ := PairOf(b, rank, edits, &lift)
 					if got, want := len(pair.sets), len(b.sets); got != want {
 						t.Fatalf("seed %d rank %d: %d pair sets for %d scalar sets", seed, rank, got, want)
 					}
 					for plan, set := range pair.sets {
 						owns := stationaryOwnership(plan, k, n, nil)
 						base := stageForTest(plan, rank, k, n, global())
-						want := stageB(plan, k, n, rank, pairSplice(base, edits, func(i, j int32) bool { return owns(rank, i, j) }))
+						want := stageB(nil, plan, k, n, rank, pairSplice(nil, base, edits, func(i, j int32) bool { return owns(rank, i, j) }))
 						if !b.Staged(plan) || !reflect.DeepEqual(set, want) {
 							t.Fatalf("seed %d rank %d: pair set %s diverged from a fresh staging\n got %+v\nwant %+v", seed, rank, plan, set, want)
 						}
@@ -394,7 +398,13 @@ func TestCachedViewsStayCoherent(t *testing.T) {
 // TestPatchedStationaryMultipliesAsFresh: a resident staged under a plan,
 // then patched, then multiplied, gives the product of one built fresh from
 // the edited matrix — by rank, entry for entry — and holds that one's block
-// and set, under every plan TestCachedViewsStayCoherent draws from.
+// and set, under every plan TestCachedViewsStayCoherent draws from and on
+// one rank, which keeps its whole block as its set. Before staging, the
+// resident is patched there and back, so that its block sits in storage a
+// splice grew, with room to spare, as a long-patched block does; or it is
+// emptied, so that every rank keeps its block, of no entries but with room,
+// as its set, and is then refilled before the edits, so that two patches
+// splice over that storage.
 func TestPatchedStationaryMultipliesAsFresh(t *testing.T) {
 	plans := []Plan{
 		{P1: 1, P2: 1, P3: 4, X: RoleA, YZ: VarAB},
@@ -405,9 +415,19 @@ func TestPatchedStationaryMultipliesAsFresh(t *testing.T) {
 		{P1: 4, P2: 1, P3: 1, X: RoleB, YZ: VarAB},
 		{P1: 2, P2: 1, P3: 2, X: RoleB, YZ: VarAC},
 		{P1: 2, P2: 2, P3: 1, X: RoleC, YZ: VarBC},
+		{P1: 1, P2: 1, P3: 1, X: RoleA, YZ: VarAB},
 	}
-	const m, k, n, p = 9, 17, 23, 4
+	const m, k, n = 9, 17, 23
 	global, edits, newGlobal := editedMatrix(5, k, n)
+	undo := make([]StationaryEdit[float64], len(edits))
+	for x, ed := range edits {
+		undo[x] = StationaryEdit[float64]{I: ed.I, J: ed.J, Del: true}
+		for _, e := range global {
+			if e.I == ed.I && e.J == ed.J {
+				undo[x] = StationaryEdit[float64]{I: e.I, J: e.J, V: e.V}
+			}
+		}
+	}
 	coo := func(es []sparse.Entry[float64]) *sparse.COO[float64] {
 		out := sparse.NewCOO[float64](k, n)
 		for _, e := range es {
@@ -415,27 +435,47 @@ func TestPatchedStationaryMultipliesAsFresh(t *testing.T) {
 		}
 		return out
 	}
+	clearAll, refill := make([]StationaryEdit[float64], len(global)), make([]StationaryEdit[float64], len(global))
+	for x, e := range global {
+		clearAll[x] = StationaryEdit[float64]{I: e.I, J: e.J, Del: true}
+		refill[x] = StationaryEdit[float64]{I: e.I, J: e.J, V: e.V}
+	}
+	histories := []struct {
+		name          string
+		before, after [][]StationaryEdit[float64] // the patches before and after staging
+	}{
+		{"patched there and back", [][]StationaryEdit[float64]{edits, undo}, [][]StationaryEdit[float64]{edits}},
+		{"emptied", [][]StationaryEdit[float64]{clearAll}, [][]StationaryEdit[float64]{refill, edits}},
+	}
 	cooA, cooB, cooFresh := randomCOO(m, k, 0.3, 6), coo(global), coo(newGlobal)
-	for _, plan := range plans {
-		_, err := sim.New(p).Run(func(proc *machine.Proc) {
-			s := NewSession(proc)
-			rank := proc.Rank()
-			a := distmat.FromGlobal(rank, cooA, distmat.DistShard(p), addF)
-			b := NewStationary(distmat.FromGlobal(rank, cooB, distmat.DistShard(p), addF))
-			Multiply(s, plan, a, b, mulF, addF, nil, nil)
-			b.Patch(rank, edits)
-			got := Multiply(s, plan, a, b, mulF, addF, nil, nil)
-			fresh := NewStationary(distmat.FromGlobal(rank, cooFresh, distmat.DistShard(p), addF))
-			want := Multiply(s, plan, a, fresh, mulF, addF, nil, nil)
-			if !slices.Equal(got.Local, want.Local) {
-				panic(fmt.Sprintf("%s rank %d: patched product %v, fresh %v", plan, rank, got.Local, want.Local))
+	for _, h := range histories {
+		for _, plan := range plans {
+			p := plan.Procs()
+			_, err := sim.New(p).Run(func(proc *machine.Proc) {
+				s := NewSession(proc)
+				rank := proc.Rank()
+				a := distmat.FromGlobal(rank, cooA, distmat.DistShard(p), addF)
+				b := NewStationary(distmat.FromGlobal(rank, cooB, distmat.DistShard(p), addF))
+				for _, ed := range h.before {
+					b.Patch(rank, ed)
+				}
+				Multiply(s, plan, a, b, mulF, addF, nil, nil)
+				for _, ed := range h.after {
+					b.Patch(rank, ed)
+				}
+				got := Multiply(s, plan, a, b, mulF, addF, nil, nil)
+				fresh := NewStationary(distmat.FromGlobal(rank, cooFresh, distmat.DistShard(p), addF))
+				want := Multiply(s, plan, a, fresh, mulF, addF, nil, nil)
+				if !slices.Equal(got.Local, want.Local) {
+					panic(fmt.Sprintf("%s, %s rank %d: patched product %v, fresh %v", h.name, plan, rank, got.Local, want.Local))
+				}
+				if !slices.Equal(b.m.Local, fresh.m.Local) || !reflect.DeepEqual(b.sets, fresh.sets) {
+					panic(fmt.Sprintf("%s, %s rank %d: patched resident differs from a fresh one", h.name, plan, rank))
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-			if !slices.Equal(b.m.Local, fresh.m.Local) || !reflect.DeepEqual(b.sets, fresh.sets) {
-				panic(fmt.Sprintf("%s rank %d: patched resident differs from a fresh one", plan, rank))
-			}
-		})
-		if err != nil {
-			t.Fatal(err)
 		}
 	}
 }
@@ -465,7 +505,7 @@ func TestStagedViewsMatchDefinition(t *testing.T) {
 					s := plan.stages()
 					for rank := 0; rank < p; rank++ {
 						entries := stageForTest(plan, rank, k, n, global)
-						got := stageB(plan, k, n, rank, entries)
+						got := stageB(nil, plan, k, n, rank, entries)
 						inner := plan.P2 * plan.P3
 						r := layerRanges(plan, 1, k, n, rank/inner)
 						var blocks [][]sparse.Entry[float64]
@@ -479,11 +519,11 @@ func TestStagedViewsMatchDefinition(t *testing.T) {
 							}
 							for st, blk := range blocks {
 								kb0, kb1 := stageBounds(st, r.k0, r.k1, s)
-								offs = append(offs, indexRows(blk, kb0, kb1))
+								offs = append(offs, indexRows(nil, blk, kb0, kb1))
 							}
 						case VarAC:
 							kb0, kb1 := stageBounds(rank%inner/plan.P3, r.k0, r.k1, plan.P2)
-							blocks, offs = [][]sparse.Entry[float64]{entries}, [][]int32{indexRows(entries, kb0, kb1)}
+							blocks, offs = [][]sparse.Entry[float64]{entries}, [][]int32{indexRows(nil, entries, kb0, kb1)}
 						default:
 							blocks = make([][]sparse.Entry[float64], s)
 							for _, e := range entries {
@@ -492,7 +532,7 @@ func TestStagedViewsMatchDefinition(t *testing.T) {
 							}
 							kb0, kb1 := stageBounds(rank%plan.P3, r.k0, r.k1, plan.P3)
 							for _, blk := range blocks {
-								offs = append(offs, indexRows(blk, kb0, kb1))
+								offs = append(offs, indexRows(nil, blk, kb0, kb1))
 							}
 						}
 						if len(got.blocks) != len(blocks) {

@@ -2,6 +2,7 @@ package spgemm
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/algebra"
 	"repro/internal/distmat"
@@ -20,13 +21,15 @@ import (
 // across machine regions extends that to the applies of an evolving graph.
 //
 // Edits reach the operand through Patch, which keeps the block and every
-// set current. The sets need no eviction policy: plans come from a fixed
-// candidate list, and a vertex-set change builds a new operand. A
+// set current, splicing each into a spare buffer that then takes over the
+// storage it replaced. The sets need no eviction policy: plans come from a
+// fixed candidate list, and a vertex-set change builds a new operand. A
 // Stationary is owned by one rank; it is not safe for concurrent use.
 type Stationary[T any] struct {
 	m      *distmat.Mat[T]
 	sets   map[Plan]*stagedB[T]
 	owners ownerTables
+	spare  []sparse.Entry[T] // the storage the next splice writes over
 }
 
 // NewStationary wraps the rank's block m as an operand with no set staged.
@@ -107,17 +110,28 @@ type StationaryEdit[T any] struct {
 // (core's sessions defer it to the next region, or charge it inside the
 // fused patch phase).
 func (b *Stationary[T]) Patch(rank int, edits []StationaryEdit[T]) int64 {
-	b.m.Local = splice(b.m.Local, edits, b.inBlock(rank))
+	b.m.Local = b.splice(b.m.Local, edits, b.inBlock(rank))
 	ops := int64(len(b.m.Local))
 	if len(edits) == 0 {
 		return ops
 	}
 	for plan, sb := range b.sets {
-		out := splice(sb.entries, edits, b.inSet(plan, rank))
-		b.sets[plan] = stageB(plan, b.m.Rows, b.m.Cols, rank, out)
+		out := b.splice(sb.entries, edits, b.inSet(plan, rank))
+		stageB(sb, plan, b.m.Rows, b.m.Cols, rank, out)
 		ops += int64(len(out))
 	}
 	return ops
+}
+
+// splice is the package-level splice written over the operand's spare
+// buffer; cur's storage, which nothing reads once its replacement is in
+// place, becomes the spare. No two of the block and the sets share
+// storage (Multiply stages none on the block's), so none is written over
+// while it is in use.
+func (b *Stationary[T]) splice(cur []sparse.Entry[T], edits []StationaryEdit[T], owned func(i, j int32) bool) []sparse.Entry[T] {
+	out := splice(b.spare, cur, edits, owned)
+	b.spare = cur[:0]
+	return out
 }
 
 // PairOf lifts what rank holds of b — its block and every working set — into
@@ -126,29 +140,50 @@ func (b *Stationary[T]) Patch(rank int, edits []StationaryEdit[T]) int64 {
 // holds are spliced into the New component. Every pair set is thereby staged
 // from resident data alone, so the region's pair multiplies are warm hits
 // with only the diff moved; a plan the region first uses is staged on the
-// pair operand, which shares b's owner tables, and dies with it. b is left as
-// it was. Returns the pair operand and the splice work in entry writes.
-func PairOf(b *Stationary[float64], rank int, edits []StationaryEdit[float64]) (*Stationary[algebra.WeightPair], int64) {
-	local := pairSplice(b.m.Local, edits, b.inBlock(rank))
+// pair operand, which shares b's owner tables, and dies with it. The lifted
+// entries are written over into's storage, so the operand a PairOf returns
+// is valid until the next PairOf into the same storage. b is left as it was. Returns the pair operand and the
+// splice work in entry writes.
+func PairOf(b *Stationary[float64], rank int, edits []StationaryEdit[float64], into *PairLift) (*Stationary[algebra.WeightPair], int64) {
+	if into.sets == nil {
+		into.sets = make(map[Plan]*stagedB[algebra.WeightPair], len(b.sets))
+	}
+	into.block = pairSplice(into.block, b.m.Local, edits, b.inBlock(rank))
 	pair := &Stationary[algebra.WeightPair]{
-		m:      &distmat.Mat[algebra.WeightPair]{Rows: b.m.Rows, Cols: b.m.Cols, Dist: b.m.Dist, Local: local},
+		m:      &distmat.Mat[algebra.WeightPair]{Rows: b.m.Rows, Cols: b.m.Cols, Dist: b.m.Dist, Local: into.block},
 		sets:   make(map[Plan]*stagedB[algebra.WeightPair], len(b.sets)),
 		owners: b.owners,
 	}
-	ops := int64(len(local))
+	ops := int64(len(into.block))
 	for plan, sb := range b.sets {
-		es := pairSplice(sb.entries, edits, b.inSet(plan, rank))
-		pair.sets[plan] = stageB(plan, b.m.Rows, b.m.Cols, rank, es)
-		ops += int64(len(es))
+		set := into.sets[plan]
+		var dst []sparse.Entry[algebra.WeightPair]
+		if set != nil {
+			dst = set.entries
+		}
+		set = stageB(set, plan, b.m.Rows, b.m.Cols, rank, pairSplice(dst, sb.entries, edits, b.inSet(plan, rank)))
+		into.sets[plan], pair.sets[plan] = set, set
+		ops += int64(len(set.entries))
 	}
 	return pair, ops
 }
 
+// PairLift is the storage PairOf lifts one operand into: the pair entries
+// of its block, and each working set with its stage views, by plan. A
+// caller that keeps one per operand across fused regions lifts without
+// allocating once it has grown; each PairOf writes over what the last one
+// lifted. The zero value is ready to use.
+type PairLift struct {
+	block []sparse.Entry[algebra.WeightPair]
+	sets  map[Plan]*stagedB[algebra.WeightPair]
+}
+
 // splice merges the owned subset of sorted, duplicate-free edits into a
 // sorted, duplicate-free entry slice: upserts insert or replace, deletes
-// drop. The result is a fresh slice; cur is left as it was.
-func splice[T any](cur []sparse.Entry[T], edits []StationaryEdit[T], owned func(i, j int32) bool) []sparse.Entry[T] {
-	out := make([]sparse.Entry[T], 0, len(cur)+len(edits))
+// drop. The result is written over dst (dst[:0], grown as needed), which
+// must not share cur's storage; cur is left as it was.
+func splice[T any](dst, cur []sparse.Entry[T], edits []StationaryEdit[T], owned func(i, j int32) bool) []sparse.Entry[T] {
+	out := slices.Grow(dst[:0], len(cur)+len(edits))
 	x := 0
 	for _, ed := range edits {
 		if !owned(ed.I, ed.J) {
@@ -168,13 +203,13 @@ func splice[T any](cur []sparse.Entry[T], edits []StationaryEdit[T], owned func(
 	return append(out, cur[x:]...)
 }
 
-// pairSplice is splice into the pair lift of cur: each entry becomes
-// {Old: w, New: w}, and the owned edits go into the New component —
-// deletions mark the new side absent (∞), upserts replace or insert it. The
-// result is entry for entry what staging the old and new matrices side by
-// side would produce.
-func pairSplice(cur []sparse.Entry[float64], edits []StationaryEdit[float64], owned func(i, j int32) bool) []sparse.Entry[algebra.WeightPair] {
-	out := make([]sparse.Entry[algebra.WeightPair], 0, len(cur)+len(edits))
+// pairSplice is splice into the pair lift of cur, written over dst: each
+// entry becomes {Old: w, New: w}, and the owned edits go into the New
+// component — deletions mark the new side absent (∞), upserts replace or
+// insert it. The result is entry for entry what staging the old and new
+// matrices side by side would produce.
+func pairSplice(dst []sparse.Entry[algebra.WeightPair], cur []sparse.Entry[float64], edits []StationaryEdit[float64], owned func(i, j int32) bool) []sparse.Entry[algebra.WeightPair] {
+	out := slices.Grow(dst[:0], len(cur)+len(edits))
 	both := func(e sparse.Entry[float64]) sparse.Entry[algebra.WeightPair] {
 		return sparse.Entry[algebra.WeightPair]{I: e.I, J: e.J, V: algebra.WeightPair{Old: e.V, New: e.V}}
 	}
