@@ -283,9 +283,9 @@ func sideProject[T algebra.Sided[T, E], E any](m *distmat.Mat[T], s int, zero T,
 // its scalar product. When they diverge, the frontier is projected per
 // side, each projection is multiplied under its own plan, unscreened, and
 // the products are merged in the first live side's distribution, into
-// storage that acc does not hold: the price
-// of replaying every side's scalar plan sequence exactly, paid only on the
-// (rare) divergent rounds. Every product folds by column into acc.
+// fresh storage that acc does not hold: the price of replaying every
+// side's scalar plan sequence exactly, paid only on the (rare) divergent
+// rounds. Every product folds by column into acc.
 func mulPerSide[T algebra.Sided[T, E], E, W any](
 	sp *sidePlans, all bool, bytes int64,
 	frontier *distmat.Mat[T], b *spgemm.Stationary[W], f func(T, W) T,
@@ -322,15 +322,10 @@ func mulPerSide[T algebra.Sided[T, E], E, W any](
 			out = ext
 			continue
 		}
-		// Both products live in acc. Where one is empty on this rank the
-		// merge is the other as is, which the next multiply writes over
-		// while the sweep still holds it: the merge gets storage of its own.
+		// Both products live in acc; the merge is fresh storage, which no
+		// later multiply writes over.
 		ext = distmat.Redistribute(world, ext, out.Dist)
-		merged := distmat.MergeSorted(out.Local, ext.Local, mon)
-		if len(out.Local) == 0 || len(ext.Local) == 0 {
-			merged = slices.Clone(merged)
-		}
-		out = &distmat.Mat[T]{Rows: out.Rows, Cols: out.Cols, Dist: out.Dist, Local: merged}
+		out = distmat.EWise(out, ext, mon)
 	}
 	return out, true
 }
@@ -357,43 +352,23 @@ func seedFrontier[M multSided[M]](zero M, adj []*sparse.CSR[float64], batch []in
 // across the rounds and batches of a region and across the regions of a
 // session (distRank keeps it), so that a round allocates in proportion to
 // its frontier and not to T, and a region in proportion to what it newly
-// produces: the ping-pong pair T accumulates in, Z and the child-count
-// operand, the backward frontier's scratch and the Z positions it is
-// collected from, the accumulators the screened forward and backward
-// products fold into, and the rank's position table over its block of T.
-// T and Z move between distributions through storage of their own. Every
-// batch writes over what the last one left: each use starts its slice at
-// length 0. (Z is folded in place, and the per-round filter and screens
-// compact the product they are handed.)
+// produces: one rotation per matrix (distmat.Accumulator) — T's merges and
+// moves; the child-count operand, Z and Z's moves — the backward
+// frontier's scratch and the Z positions it is collected from, the
+// accumulators the screened forward and backward products fold into, and
+// the rank's position table over its block of T. Each step of a sweep
+// reads only its matrix's newest result, so the rotation never writes over
+// what a step reads. Every batch writes over what the last one left: each
+// use starts its slice at length 0. (Z is folded in place, and the
+// per-round filter and screens compact the product they are handed.)
 type sweepBufs[M, C any] struct {
 	t        distmat.Accumulator[M]
-	movedT   moves[M]
-	movedZ   moves[C]
-	z, ones  []sparse.Entry[C]
+	z        distmat.Accumulator[C]
 	frontier []sparse.Entry[C]
 	ready    []int32
 	fwd      spgemm.Accumulator[M]
 	back     spgemm.Accumulator[C]
 	index    blockIndex
-}
-
-// moves is the storage one matrix of a sweep is redistributed into
-// (distmat.RedistributeInto): two buffers, written alternately, so that a
-// move never writes over the matrix it moves when that matrix is where the
-// last move left it. Only the last move's result may still be in use.
-type moves[T any] struct {
-	bufs [2][]sparse.Entry[T]
-	next int
-}
-
-// move redistributes m to `to`, merging what arrives into the next buffer.
-func (mv *moves[T]) move(c *machine.Comm, m *distmat.Mat[T], to distmat.Dist) *distmat.Mat[T] {
-	buf := &mv.bufs[mv.next]
-	res := distmat.RedistributeInto(c, m, to, buf)
-	if len(res.Local) > 0 && len(*buf) > 0 && &res.Local[0] == &(*buf)[0] {
-		mv.next ^= 1
-	}
-	return res
 }
 
 // blockIndex is a dense position table over the bounding box of one rank's
@@ -453,7 +428,7 @@ func sweepMFBF[M multSided[M], C, W any](
 	frontier := t
 	// T grows every round, so every multiply re-indexes it.
 	align := func(d distmat.Dist) func(i, j int32, v M) bool {
-		t = buf.movedT.move(world, t, d)
+		t = buf.t.Move(world, t, d)
 		indexBlock(&buf.index, t.Local)
 		return screenAgainst(t.Local, &buf.index)
 	}
@@ -490,7 +465,7 @@ func sweepMFBr[M multSided[M], C centSided[C], W any](
 	// moves to another distribution.
 	var indexed *distmat.Mat[M]
 	moveT := func(d distmat.Dist) {
-		if t = buf.movedT.move(world, t, d); t != indexed {
+		if t = buf.t.Move(world, t, d); t != indexed {
 			indexBlock(&buf.index, t.Local)
 			indexed = t
 		}
@@ -509,13 +484,13 @@ func sweepMFBr[M multSided[M], C centSided[C], W any](
 	// Child counting: one product of the full T pattern with Aᵀ — much
 	// denser than any frontier product, so it gets its own plan. The DAG's
 	// leaves, found while Z is built, are the first frontier.
-	buf.ones, _ = buildZSided[M, C](buf.ones, t.Local, nil, 1, nil)
-	p, _ := mul(mat(t.Dist, buf.ones), true)
+	ones, _ := buildZSided[M, C](buf.z.Spare(), t.Local, nil, 1, nil)
+	p, _ := mul(mat(t.Dist, buf.z.Rotate(ones)), true)
 	moveT(p.Dist)
 	// A pass records each position of T at most once, so |T| bounds ready.
 	counts, ready := screenCentSided(p.Local, t.Local, &buf.index, slices.Grow(buf.ready[:0], len(t.Local)))
-	buf.z, ready = buildZSided(buf.z, t.Local, counts, 0, ready[:0])
-	z := mat(t.Dist, buf.z)
+	zs, ready := buildZSided(buf.z.Spare(), t.Local, counts, 0, ready[:0])
+	z := mat(t.Dist, buf.z.Rotate(zs))
 	for iters := 0; ; iters++ {
 		buf.frontier = collectFrontierSided(buf.frontier[:0], z.Local, t.Local, ready, alg.cent.Identity)
 		p, ok := mul(mat(z.Dist, buf.frontier), false)
@@ -529,7 +504,7 @@ func sweepMFBr[M multSided[M], C centSided[C], W any](
 		// Keep Z and T aligned with the product's distribution; the
 		// positions folded into are where the next frontier can come from.
 		moveT(p.Dist)
-		z = buf.movedZ.move(world, z, p.Dist)
+		z = buf.z.Move(world, z, p.Dist)
 		var kept []sparse.Entry[C]
 		kept, ready = screenCentSided(p.Local, t.Local, &buf.index, ready[:0])
 		foldInto(z.Local, kept, ready, alg.cent.Op)

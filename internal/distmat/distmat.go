@@ -9,6 +9,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"unsafe"
 
 	"repro/internal/algebra"
 	"repro/internal/machine"
@@ -305,15 +306,10 @@ func EWise[T any](a, b *Mat[T], mon algebra.Monoid[T]) *Mat[T] {
 }
 
 // MergeSorted merges two sorted duplicate-free entry slices, combining
-// coordinate collisions with the monoid and dropping zeros. When one side
-// is empty the other is returned as is, not copied.
+// coordinate collisions with the monoid and dropping zeros, into fresh
+// storage: the result shares neither argument's, also when one side is
+// empty.
 func MergeSorted[T any](a, b []sparse.Entry[T], mon algebra.Monoid[T]) []sparse.Entry[T] {
-	if len(b) == 0 {
-		return a
-	}
-	if len(a) == 0 {
-		return b
-	}
 	return mergeInto(make([]sparse.Entry[T], 0, len(a)+len(b)), a, b, mon)
 }
 
@@ -341,32 +337,50 @@ func mergeInto[T any](out, a, b []sparse.Entry[T], mon algebra.Monoid[T]) []spar
 	return append(out, b[y:]...)
 }
 
-// Accumulator folds a stream of sorted runs into one sorted duplicate-free
-// slice without allocating per merge: it owns two buffers and writes each
-// Merge into the one that does not hold the previous result. A sweep that
-// grows T by one frontier per round keeps one per rank for the region.
+// Accumulator is two buffers written in turn, so that each result stays
+// valid through the next and is written over by the one after: a merge
+// (Merge), a move (Move), or a result a kernel writes over Spare itself
+// and hands to Rotate. A sweep keeps one per rank and matrix for as long as
+// its storage lives. The zero value is ready to use.
 type Accumulator[T any] struct {
 	bufs [2][]sparse.Entry[T]
-	next int
+	next int // the buffer the next result is written over
 }
 
-// Merge returns MergeSorted(a, b, mon) in the accumulator's storage. a is
-// the running result — normally what the previous Merge returned, or any
-// slice from elsewhere — and b the run to fold in; the result never shares
-// storage with b, and is a itself when b is empty. It stays valid through
-// the next Merge and is overwritten by the one after.
+// Spare returns the buffer the next result is written over, at length 0.
+func (acc *Accumulator[T]) Spare() []sparse.Entry[T] { return acc.bufs[acc.next][:0] }
+
+// Rotate makes out, written over Spare's buffer and grown as needed, the
+// newest result, and returns it.
+func (acc *Accumulator[T]) Rotate(out []sparse.Entry[T]) []sparse.Entry[T] {
+	acc.bufs[acc.next], acc.next = out, acc.next^1
+	return out
+}
+
+// Merge returns MergeSorted(a, b, mon) as the newest result, never sharing
+// b's storage. a is the running result, normally the newest. When b is
+// empty Merge returns a and leaves the rotation where it was.
 func (acc *Accumulator[T]) Merge(a, b []sparse.Entry[T], mon algebra.Monoid[T]) []sparse.Entry[T] {
 	if len(b) == 0 {
 		return a
 	}
-	out := acc.bufs[acc.next][:0]
+	out := acc.Spare()
 	if need := len(a) + len(b); cap(out) < need {
 		out = make([]sparse.Entry[T], 0, need+need/4)
 	}
-	out = mergeInto(out, a, b, mon)
-	acc.bufs[acc.next] = out
-	acc.next ^= 1
-	return out
+	return acc.Rotate(mergeInto(out, a, b, mon))
+}
+
+// Move is RedistributeInto merging what arrives over the spare buffer,
+// which holds the newest result. A move that returns m itself (the keys
+// match) or the rank's kept block writes no buffer and leaves the rotation
+// where it was.
+func (acc *Accumulator[T]) Move(c *machine.Comm, m *Mat[T], to Dist) *Mat[T] {
+	res := RedistributeInto(c, m, to, &acc.bufs[acc.next])
+	if unsafe.SliceData(res.Local) != unsafe.SliceData(m.Local) {
+		acc.next ^= 1 // the spare buffer holds the result
+	}
+	return res
 }
 
 func less[T any](a, b sparse.Entry[T]) bool {

@@ -2,12 +2,16 @@ package distmat_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/algebra"
 	"repro/internal/distmat"
@@ -221,13 +225,14 @@ func TestMergeSortedProperties(t *testing.T) {
 	}
 }
 
-// TestMergeSortedEmptySide: with one side empty the other comes back as
-// is — same backing array, no copy.
+// TestMergeSortedEmptySide: with one side empty the result equals the
+// other side and shares no argument's storage.
 func TestMergeSortedEmptySide(t *testing.T) {
 	a := []sparse.Entry[float64]{{I: 0, J: 1, V: 2}, {I: 3, J: 0, V: 1}}
-	for _, got := range [][]sparse.Entry[float64]{distmat.MergeSorted(a, nil, addF), distmat.MergeSorted(nil, a, addF)} {
-		if len(got) != len(a) || &got[0] != &a[0] {
-			t.Fatalf("empty-side merge copied or changed its input: %v", got)
+	for _, sides := range [][2][]sparse.Entry[float64]{{a, nil}, {nil, a}} {
+		got := distmat.MergeSorted(sides[0], sides[1], addF)
+		if !slices.Equal(got, a) || unsafe.SliceData(got) == unsafe.SliceData(a) {
+			t.Fatalf("empty-side merge = %v, the other side as is or changed", got)
 		}
 	}
 	if got := distmat.MergeSorted[float64](nil, nil, addF); len(got) != 0 {
@@ -343,7 +348,7 @@ func TestAccumulatorMatchesMergeSorted(t *testing.T) {
 	var got, want []sparse.Entry[float64]
 	step := func() {
 		run := quickEntries{}.Generate(rng, 0).Interface().(quickEntries)
-		want = slices.Clone(distmat.MergeSorted(want, run, addF)) // distmat.MergeSorted may return run itself
+		want = distmat.MergeSorted(want, run, addF)
 		got = acc.Merge(got, run, addF)
 		if !slices.Equal(got, want) {
 			t.Fatalf("accumulated %v, want %v", got, want)
@@ -362,6 +367,193 @@ func TestAccumulatorMatchesMergeSorted(t *testing.T) {
 		got = acc.Merge(got, []sparse.Entry[float64]{{I: 11, J: 11, V: 1}}, addF)
 	}); allocs != 0 {
 		t.Fatalf("a warm Merge allocates %v times", allocs)
+	}
+}
+
+// TestAccumulatorRotation interleaves the three kinds of result one
+// Accumulator holds on every rank at p=4 — merges, moves between
+// distributions, and results a kernel writes over Spare itself — against a
+// model of the global matrix. Every result is the rank's share of the
+// model; it stays intact through the next result that writes a buffer, and
+// the one after that is written over its storage where it fits. A move
+// that returns m (the keys match) or the rank's kept block (another key,
+// the same owners) writes nothing and leaves the rotation where it was: the
+// next write goes over the older buffer, not over the matrix it returned.
+func TestAccumulatorRotation(t *testing.T) {
+	const p, n = 4, 16
+	row := testkit.DistRowBlock(p, n)
+	sameOwners := row
+	sameOwners.Key += "/same-owners"
+	dists := []distmat.Dist{distmat.DistShard(p), row, sameOwners}
+	const merge, kernel = -1, -2
+	// Moves name their target; every transition runs: shard → row blocks
+	// (entries move), row blocks → same owners (every rank keeps its
+	// block), a move to the current key (m itself) and back to the shard.
+	script := []int{merge, 1, kernel, merge, 2, merge, kernel, 2, kernel, 0, merge, 0, merge, 1, 2, 1, kernel}
+	_, err := sim.New(p).Run(func(proc *machine.Proc) {
+		c, me := proc.World(), proc.Rank()
+		rng := rand.New(rand.NewSource(47)) // one script, and one model, on every rank
+		model := map[[2]int32]float64{}
+		share := func(d distmat.Dist) []sparse.Entry[float64] {
+			var es []sparse.Entry[float64]
+			for key, v := range model {
+				if d.Owner(key[0], key[1]) == me {
+					es = append(es, sparse.Entry[float64]{I: key[0], J: key[1], V: v})
+				}
+			}
+			distmat.SortEntries(es)
+			return es
+		}
+		type result struct {
+			es, snap []sparse.Entry[float64]
+			ours     bool // written by the accumulator
+		}
+		var acc distmat.Accumulator[float64]
+		cur := &distmat.Mat[float64]{Rows: n, Cols: n, Dist: dists[0]}
+		var older, newer result // the last two results that wrote a buffer
+		kinds := map[string]int{}
+		for pass := 0; pass < 4; pass++ {
+			for step, op := range script {
+				var next *distmat.Mat[float64]
+				wrote, need := false, 0
+				switch op {
+				case merge:
+					run := &sparse.COO[float64]{Rows: n, Cols: n}
+					for k := rng.Intn(24); k > 0; k-- {
+						run.Append(int32(rng.Intn(n)), int32(rng.Intn(n)), float64(rng.Intn(5)-2))
+					}
+					run.Canonicalize(addF)
+					for _, e := range run.E {
+						key := [2]int32{e.I, e.J}
+						if model[key] += e.V; model[key] == 0 {
+							delete(model, key)
+						}
+					}
+					mine := distmat.FromGlobal(me, run, cur.Dist, addF).Local
+					wrote, need = len(mine) > 0, len(cur.Local)+len(mine)
+					next = &distmat.Mat[float64]{Rows: n, Cols: n, Dist: cur.Dist, Local: acc.Merge(cur.Local, mine, addF)}
+					kinds["merge"]++
+				case kernel:
+					out := acc.Spare()
+					for _, e := range cur.Local {
+						out = append(out, sparse.Entry[float64]{I: e.I, J: e.J, V: 2 * e.V})
+					}
+					for key := range model {
+						model[key] *= 2
+					}
+					wrote, need = true, len(cur.Local)
+					next = &distmat.Mat[float64]{Rows: n, Cols: n, Dist: cur.Dist, Local: acc.Rotate(out)}
+					kinds["kernel"]++
+				default:
+					to := dists[op]
+					from, into := share(cur.Dist), share(to)
+					keeps := len(from) == len(into)
+					for x := 0; keeps && x < len(from); x++ {
+						keeps = from[x].I == into[x].I && from[x].J == into[x].J
+					}
+					next = acc.Move(c, cur, to)
+					switch {
+					case to.Key == cur.Dist.Key:
+						if next != cur {
+							panic(fmt.Sprintf("rank %d step %d: a move to the current key is not m itself", me, step))
+						}
+						kinds["same key"]++
+					case keeps:
+						if unsafe.SliceData(next.Local) != unsafe.SliceData(cur.Local) {
+							panic(fmt.Sprintf("rank %d step %d: a kept block came back in other storage", me, step))
+						}
+						kinds["kept block"]++
+					default:
+						wrote, need = true, len(into)
+						kinds["moved"]++
+					}
+				}
+				if want := share(next.Dist); !slices.Equal(next.Local, want) {
+					panic(fmt.Sprintf("rank %d pass %d step %d: got %v, want %v", me, pass, step, next.Local, want))
+				}
+				if wrote {
+					if older.ours && cap(older.es) >= need && unsafe.SliceData(next.Local) != unsafe.SliceData(older.es) {
+						panic(fmt.Sprintf("rank %d pass %d step %d: the result was not written over the one two writes before", me, pass, step))
+					}
+					older, newer = newer, result{next.Local, slices.Clone(next.Local), true}
+				}
+				for _, r := range []result{older, newer} {
+					if !slices.Equal(r.es, r.snap) {
+						panic(fmt.Sprintf("rank %d pass %d step %d: a result was written over before the second write after it", me, pass, step))
+					}
+				}
+				cur = next
+			}
+		}
+		for _, kind := range []string{"merge", "kernel", "moved", "kept block", "same key"} {
+			if kinds[kind] == 0 {
+				panic(fmt.Sprintf("rank %d: the script ran no %s step", me, kind))
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMoveAllocBudget gates the bytes of a warm redistribution through an
+// Accumulator (Move): on the sim at p=4, with every rank's send storage
+// and both of the accumulator's buffers grown by earlier moves, moving
+// about 2k entries back and forth between a hashed and a row-blocked
+// distribution allocates what moving about 32k does — the collective's
+// closures and headers, and the barrier's occasional park — and nothing
+// per entry: 1.60 to 1.71 KB a move (1.68 to 1.87 KB under the race
+// detector). The budget is about 1.2× the most of that. A move that merged
+// into fresh storage on every call, as every redistribution did before it
+// had a kept buffer, allocates 16 bytes more per entry it receives. The
+// collector is held off and the minimum of a few tries gated, so the test
+// does not depend on when a cycle lands.
+func TestMoveAllocBudget(t *testing.T) {
+	const p, maxBytes = 4, 2304 // 2.25 KiB
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, entries := range []int{1 << 11, 1 << 15} {
+		n := int(math.Sqrt(float64(entries))) * 4
+		coo := sparse.NewCOO[float64](n, n)
+		rng := rand.New(rand.NewSource(int64(entries)))
+		for coo.NNZ() < entries {
+			coo.Append(int32(rng.Intn(n)), int32(rng.Intn(n)), 1)
+		}
+		coo.Canonicalize(addF)
+		dists := [2]distmat.Dist{distmat.DistShard(p), testkit.DistRowBlock(p, n)}
+		const moves = 8
+		bytes := uint64(math.MaxUint64)
+		_, err := sim.New(p).Run(func(proc *machine.Proc) {
+			c := proc.World()
+			var acc distmat.Accumulator[float64]
+			m := distmat.FromGlobal(proc.Rank(), coo, dists[0], addF)
+			for k := 1; k <= 4; k++ {
+				m = acc.Move(c, m, dists[k%2])
+			}
+			var before, after runtime.MemStats
+			for try := 0; try < 4; try++ {
+				machine.Barrier(c)
+				if proc.Rank() == 0 {
+					runtime.ReadMemStats(&before)
+				}
+				machine.Barrier(c)
+				for k := 1; k <= moves; k++ {
+					m = acc.Move(c, m, dists[k%2])
+				}
+				machine.Barrier(c)
+				if proc.Rank() == 0 {
+					runtime.ReadMemStats(&after)
+					bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+				}
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		perMove := bytes / moves
+		t.Logf("a warm move of %d entries at p=%d allocates %d bytes", coo.NNZ(), p, perMove)
+		if perMove > maxBytes {
+			t.Errorf("a warm move of %d entries at p=%d allocates %d bytes, budget %d", coo.NNZ(), p, perMove, maxBytes)
+		}
 	}
 }
 

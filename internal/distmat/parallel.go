@@ -51,8 +51,8 @@ func MergeSortedParallel[T any](a, b []sparse.Entry[T], mon algebra.Monoid[T], w
 
 // MergeParallel is Merge, or MergeSortedParallel where the merge is large
 // enough to split over workers: that one runs concurrently into fresh
-// storage, which stays valid for good. Either way the result is
-// MergeSorted's, bit for bit.
+// storage, which stays valid for good, and leaves the rotation where it
+// was. Either way the result is MergeSorted's, bit for bit.
 func (acc *Accumulator[T]) MergeParallel(a, b []sparse.Entry[T], mon algebra.Monoid[T], workers int) []sparse.Entry[T] {
 	if !splitsMerge(a, b, workers) {
 		return acc.Merge(a, b, mon)

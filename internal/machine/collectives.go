@@ -199,11 +199,9 @@ func AllreduceScalar[T any](c *Comm, v T, op func(T, T) T) T {
 }
 
 // ReduceSlices performs a sparse reduction: every member contributes a
-// variable-length slice, combine folds two slices into one (e.g. a sorted
-// merge that sums duplicates) and returns fresh storage or one of its
-// arguments as is, and root receives the fold (others nil). The fold never
-// shares a peer's storage; where nothing merged into root's own data, it
-// is that data itself.
+// variable-length slice, combine folds two slices into one in fresh
+// storage (e.g. a sorted merge that sums duplicates), and root receives
+// the fold (others nil): fresh storage, or root's own data at p = 1.
 // Cost per the paper's sparse-reduction bound: 2xβ + 2⌈log₂p⌉α with x the
 // *output* size, plus the fold work as flops.
 func ReduceSlices[T any](c *Comm, root int, data []T, combine func(a, b []T) []T) []T {
@@ -228,9 +226,8 @@ func ReduceSlices[T any](c *Comm, root int, data []T, combine func(a, b []T) []T
 			return
 		}
 		// Tree-order fold for deterministic association, straight from the
-		// posted parts: combine returns fresh storage or one of its
-		// arguments as is, so only a peer's part that survives unmerged is
-		// copied (the root's own comes back as is).
+		// posted parts: combine writes fresh storage, so no fold shares a
+		// peer's part.
 		parts := make([][]T, c.Size())
 		for i := range parts {
 			parts[i] = slots[i].([]T)
@@ -246,12 +243,6 @@ func ReduceSlices[T any](c *Comm, root int, data []T, combine func(a, b []T) []T
 			parts = next
 		}
 		out = parts[0]
-		for i, s := range slots {
-			if i != root && len(out) > 0 && unsafe.SliceData(s.([]T)) == unsafe.SliceData(out) {
-				out = slices.Clone(out)
-				break
-			}
-		}
 	})
 	outLen := len(out)
 	// Non-roots charge the same modeled cost: they participated in the tree.

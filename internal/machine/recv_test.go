@@ -60,21 +60,16 @@ func recvRegion(recv bool) func(*machine.Proc) {
 			// The copying forms return the member's own part itself.
 			toAll[me], fromAll[me] = slices.Clone(toAll[me]), slices.Clone(fromAll[me])
 		}
-		// Only the last rank contributes to the reduction, and combine hands
-		// back a side as is when the other is empty, so at p > 1 the root's
-		// fold is a peer's posted part, which must come back copied. (At
-		// p = 1 it is the root's own, which comes back as is.)
+		// Only the last rank contributes to the reduction, so at p > 1 the
+		// root's fold is that peer's posted part merged with nothing, into
+		// the fresh storage combine returns, and it survives the peer
+		// writing over its part. (At p = 1 it is the root's own, which
+		// comes back as is.)
 		var contrib []int
 		if me == c.Size()-1 && me > 0 {
 			contrib = recvPart(me, 0)
 		}
 		reduced := machine.ReduceSlices(c, 0, contrib, func(a, b []int) []int {
-			if len(b) == 0 {
-				return a
-			}
-			if len(a) == 0 {
-				return b
-			}
 			return append(slices.Clone(a), b...)
 		})
 		for _, p := range append(parts, mine, contrib) {

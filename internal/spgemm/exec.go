@@ -245,10 +245,11 @@ func dists(plan Plan, m, k, n int, tables ownerTables) (da, db, dc distmat.Dist)
 // Where the caller passes acc, every product folds by column, a row at a
 // time, into acc's storage, which the caller keeps across products, and
 // each row drains in column order: the sorting kernel's output bit for bit,
-// without the sort, under every plan. C lives in acc's storage too, and
-// stays valid until the second product after it through the same
-// accumulator: a sweep may hold one product while it forms the next, and
-// feed it back as the next product's A. Without acc the products are
+// without the sort, under every plan. C too is written into acc, as the
+// newest result of its rotation (distmat.Accumulator): it stays valid
+// through acc's next product and is written over by the one after, so a
+// sweep may hold one product while it forms the next, and feed it back as
+// the next product's A. Without acc the products are
 // sorted, row by row, and C is fresh storage: the kernel of the
 // CombBLAS-style baseline, which keeps its own, and of the tests' oracle.
 //
@@ -321,7 +322,7 @@ func Multiply[TC, TB any](
 	// storage without acc.
 	var c []sparse.Entry[TC]
 	if acc != nil {
-		c = acc.out[acc.next]
+		c = acc.out.Spare()
 	}
 	switch plan.YZ {
 	case VarAB:
@@ -335,7 +336,7 @@ func Multiply[TC, TB any](
 	if plan.P1 > 1 && plan.X == RoleC {
 		// Partial C matrices live at the same inner position of every
 		// layer; reduce over the fiber to the rotating root layer, which
-		// receives the fold (its own part, or fresh storage) back into c.
+		// copies the fold, fresh storage, back into c.
 		rootLayer := (g.G2.MyR*plan.P3 + g.G2.MyC) % plan.P1
 		red := machine.ReduceSlices(g.Fiber, rootLayer, c, func(x, y []sparse.Entry[TC]) []sparse.Entry[TC] {
 			return distmat.MergeSortedParallel(x, y, add, workers)
@@ -343,8 +344,7 @@ func Multiply[TC, TB any](
 		c = append(c[:0], red...)
 	}
 	if acc != nil {
-		acc.out[acc.next] = c
-		acc.next ^= 1
+		acc.out.Rotate(c)
 	}
 	return &distmat.Mat[TC]{Rows: m, Cols: n, Dist: dc, Local: c}
 }
@@ -627,13 +627,12 @@ type filter[TC any] struct {
 // caller across products so that a round allocates nothing for its
 // product: per worker chunk of A's rows, a column accumulator and the
 // scratch its drained rows go into (column keys recur in every row, so no
-// two chunks share one), and the pair of buffers the products themselves
-// are written into in turn, so that a product outlives the next one. The
-// zero value is ready to use; one product at a time uses it.
+// two chunks share one), and the rotation the products themselves are
+// written into (distmat.Accumulator), so that a product outlives the next
+// one. The zero value is ready to use; one product at a time uses it.
 type Accumulator[T any] struct {
 	chunks []columnAcc[T]
-	out    [2][]sparse.Entry[T]
-	next   int // the buffer the next product is written over
+	out    distmat.Accumulator[T]
 }
 
 // columnAcc is one worker chunk's share of an Accumulator.

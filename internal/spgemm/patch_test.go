@@ -177,7 +177,7 @@ func TestPairSpliceMatchesSideBySide(t *testing.T) {
 		{I: 3, J: 3, V: 7},      // insert in the tail
 		{I: 3, J: 4, Del: true}, // delete of a non-entry: no-op
 	}
-	got := pairSplice(nil, cur, edits, func(i, j int32) bool { return true })
+	got := splice(nil, cur, edits, func(i, j int32) bool { return true }, asPair, onNewSide)
 	inf := func() float64 { return algebra.Inf }
 	want := []sparse.Entry[algebra.WeightPair]{
 		{I: 0, J: 1, V: algebra.WeightPair{Old: 1.5, New: 1.5}},
@@ -196,7 +196,7 @@ func TestPairSpliceMatchesSideBySide(t *testing.T) {
 		}
 	}
 	// Ownership filter: nothing owned, nothing spliced, old entries lifted.
-	none := pairSplice(nil, cur, edits, func(i, j int32) bool { return false })
+	none := splice(nil, cur, edits, func(i, j int32) bool { return false }, asPair, onNewSide)
 	if len(none) != len(cur) {
 		t.Fatalf("unowned splice must keep the lifted base block, got %d entries", len(none))
 	}
@@ -208,9 +208,9 @@ func TestPairSpliceMatchesSideBySide(t *testing.T) {
 }
 
 // TestStagePairStationary: PairOf lifts the block and every staged set of
-// the scalar resident, each equal to a pairSplice under its own ownership
-// filter, reports the entries it wrote, and leaves the scalar resident as
-// it was.
+// the scalar resident, each equal to a splice by asPair and onNewSide under
+// its own ownership filter, reports the entries it wrote, and leaves the
+// scalar resident as it was.
 func TestStagePairStationary(t *testing.T) {
 	plans := []Plan{
 		{P1: 1, P2: 2, P3: 2, X: RoleA, YZ: VarAB},
@@ -247,7 +247,7 @@ func TestStagePairStationary(t *testing.T) {
 		before := residentFor(plans, p, rank, k, n, global)
 		pair, ops := PairOf(b, rank, edits, new(PairLift))
 		wrote := len(pair.m.Local)
-		if want := pairSplice(nil, b.m.Local, edits, b.inBlock(rank)); !slices.Equal(pair.m.Local, want) {
+		if want := splice(nil, b.m.Local, edits, b.inBlock(rank), asPair, onNewSide); !slices.Equal(pair.m.Local, want) {
 			t.Fatalf("rank %d: pair block %+v, want %+v", rank, pair.m.Local, want)
 		}
 		for _, plan := range plans {
@@ -257,7 +257,7 @@ func TestStagePairStationary(t *testing.T) {
 			}
 			got := set.entries
 			owns := stationaryOwnership(plan, k, n, nil)
-			want := pairSplice(nil, stageForTest(plan, rank, k, n, global), edits, func(i, j int32) bool { return owns(rank, i, j) })
+			want := splice(nil, stageForTest(plan, rank, k, n, global), edits, func(i, j int32) bool { return owns(rank, i, j) }, asPair, onNewSide)
 			if len(got) != len(want) {
 				t.Fatalf("%s rank %d: %d pair entries, want %d", plan, rank, len(got), len(want))
 			}
@@ -380,7 +380,7 @@ func TestCachedViewsStayCoherent(t *testing.T) {
 					for plan, set := range pair.sets {
 						owns := stationaryOwnership(plan, k, n, nil)
 						base := stageForTest(plan, rank, k, n, global())
-						want := stageB(nil, plan, k, n, rank, pairSplice(nil, base, edits, func(i, j int32) bool { return owns(rank, i, j) }))
+						want := stageB(nil, plan, k, n, rank, splice(nil, base, edits, func(i, j int32) bool { return owns(rank, i, j) }, asPair, onNewSide))
 						if !b.Staged(plan) || !reflect.DeepEqual(set, want) {
 							t.Fatalf("seed %d rank %d: pair set %s diverged from a fresh staging\n got %+v\nwant %+v", seed, rank, plan, set, want)
 						}

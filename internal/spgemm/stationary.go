@@ -129,7 +129,7 @@ func (b *Stationary[T]) Patch(rank int, edits []StationaryEdit[T]) int64 {
 // storage (Multiply stages none on the block's), so none is written over
 // while it is in use.
 func (b *Stationary[T]) splice(cur []sparse.Entry[T], edits []StationaryEdit[T], owned func(i, j int32) bool) []sparse.Entry[T] {
-	out := splice(b.spare, cur, edits, owned)
+	out := splice(b.spare, cur, edits, owned, asIs[T], upsert[T])
 	b.spare = cur[:0]
 	return out
 }
@@ -141,14 +141,15 @@ func (b *Stationary[T]) splice(cur []sparse.Entry[T], edits []StationaryEdit[T],
 // from resident data alone, so the region's pair multiplies are warm hits
 // with only the diff moved; a plan the region first uses is staged on the
 // pair operand, which shares b's owner tables, and dies with it. The lifted
-// entries are written over into's storage, so the operand a PairOf returns
-// is valid until the next PairOf into the same storage. b is left as it was. Returns the pair operand and the
+// entries (splice by asPair and onNewSide) are written over into's storage,
+// so the operand a PairOf returns is valid until the next PairOf into the
+// same storage. b is left as it was. Returns the pair operand and the
 // splice work in entry writes.
 func PairOf(b *Stationary[float64], rank int, edits []StationaryEdit[float64], into *PairLift) (*Stationary[algebra.WeightPair], int64) {
 	if into.sets == nil {
 		into.sets = make(map[Plan]*stagedB[algebra.WeightPair], len(b.sets))
 	}
-	into.block = pairSplice(into.block, b.m.Local, edits, b.inBlock(rank))
+	into.block = splice(into.block, b.m.Local, edits, b.inBlock(rank), asPair, onNewSide)
 	pair := &Stationary[algebra.WeightPair]{
 		m:      &distmat.Mat[algebra.WeightPair]{Rows: b.m.Rows, Cols: b.m.Cols, Dist: b.m.Dist, Local: into.block},
 		sets:   make(map[Plan]*stagedB[algebra.WeightPair], len(b.sets)),
@@ -161,7 +162,7 @@ func PairOf(b *Stationary[float64], rank int, edits []StationaryEdit[float64], i
 		if set != nil {
 			dst = set.entries
 		}
-		set = stageB(set, plan, b.m.Rows, b.m.Cols, rank, pairSplice(dst, sb.entries, edits, b.inSet(plan, rank)))
+		set = stageB(set, plan, b.m.Rows, b.m.Cols, rank, splice(dst, sb.entries, edits, b.inSet(plan, rank), asPair, onNewSide))
 		into.sets[plan], pair.sets[plan] = set, set
 		ops += int64(len(set.entries))
 	}
@@ -178,66 +179,70 @@ type PairLift struct {
 	sets  map[Plan]*stagedB[algebra.WeightPair]
 }
 
-// splice merges the owned subset of sorted, duplicate-free edits into a
-// sorted, duplicate-free entry slice: upserts insert or replace, deletes
-// drop. The result is written over dst (dst[:0], grown as needed), which
-// must not share cur's storage; cur is left as it was.
-func splice[T any](dst, cur []sparse.Entry[T], edits []StationaryEdit[T], owned func(i, j int32) bool) []sparse.Entry[T] {
+// splice merges the owned subset of sorted, duplicate-free edits into cur,
+// a sorted, duplicate-free entry slice, by two rules: keep appends a run of
+// resident entries no edit touches, and land gives what an owned edit
+// leaves at its coordinate from the resident value there (had: whether
+// there is one), or nothing (ok false). The result is written over dst
+// (dst[:0], grown as needed), which must not share cur's storage; cur is
+// left as it was. Patch splices by asIs and upsert, PairOf by asPair and
+// onNewSide.
+func splice[S, T any](
+	dst []sparse.Entry[T], cur []sparse.Entry[S], edits []StationaryEdit[S], owned func(i, j int32) bool,
+	keep func(out []sparse.Entry[T], run []sparse.Entry[S]) []sparse.Entry[T],
+	land func(old S, had bool, ed StationaryEdit[S]) (v T, ok bool),
+) []sparse.Entry[T] {
 	out := slices.Grow(dst[:0], len(cur)+len(edits))
 	x := 0
 	for _, ed := range edits {
 		if !owned(ed.I, ed.J) {
 			continue
 		}
+		x0 := x
 		for x < len(cur) && (cur[x].I < ed.I || (cur[x].I == ed.I && cur[x].J < ed.J)) {
-			out = append(out, cur[x])
 			x++
 		}
-		if x < len(cur) && cur[x].I == ed.I && cur[x].J == ed.J {
-			x++ // replaced by the upsert, or deleted
+		out = keep(out, cur[x0:x])
+		var old S
+		had := x < len(cur) && cur[x].I == ed.I && cur[x].J == ed.J
+		if had {
+			old = cur[x].V
+			x++
 		}
-		if !ed.Del {
-			out = append(out, sparse.Entry[T]{I: ed.I, J: ed.J, V: ed.V})
+		if v, ok := land(old, had, ed); ok {
+			out = append(out, sparse.Entry[T]{I: ed.I, J: ed.J, V: v})
 		}
 	}
-	return append(out, cur[x:]...)
+	return keep(out, cur[x:])
 }
 
-// pairSplice is splice into the pair lift of cur, written over dst: each
-// entry becomes {Old: w, New: w}, and the owned edits go into the New
-// component — deletions mark the new side absent (∞), upserts replace or
-// insert it. The result is entry for entry what staging the old and new
-// matrices side by side would produce.
-func pairSplice(dst []sparse.Entry[algebra.WeightPair], cur []sparse.Entry[float64], edits []StationaryEdit[float64], owned func(i, j int32) bool) []sparse.Entry[algebra.WeightPair] {
-	out := slices.Grow(dst[:0], len(cur)+len(edits))
-	both := func(e sparse.Entry[float64]) sparse.Entry[algebra.WeightPair] {
-		return sparse.Entry[algebra.WeightPair]{I: e.I, J: e.J, V: algebra.WeightPair{Old: e.V, New: e.V}}
-	}
-	x := 0
-	for _, ed := range edits {
-		if !owned(ed.I, ed.J) {
-			continue
-		}
-		for x < len(cur) && (cur[x].I < ed.I || (cur[x].I == ed.I && cur[x].J < ed.J)) {
-			out = append(out, both(cur[x]))
-			x++
-		}
-		v := algebra.WeightPair{Old: algebra.Inf, New: algebra.Inf}
-		if x < len(cur) && cur[x].I == ed.I && cur[x].J == ed.J {
-			v.Old = cur[x].V
-			x++
-		}
-		if !ed.Del {
-			v.New = ed.V
-		}
-		if !math.IsInf(v.Old, 1) || !math.IsInf(v.New, 1) {
-			out = append(out, sparse.Entry[algebra.WeightPair]{I: ed.I, J: ed.J, V: v})
-		}
-	}
-	for ; x < len(cur); x++ {
-		out = append(out, both(cur[x]))
+// asIs keeps resident entries as they are.
+func asIs[T any](out, run []sparse.Entry[T]) []sparse.Entry[T] { return append(out, run...) }
+
+// upsert lands an edit as an upsert (insert or replace) or a deletion.
+func upsert[T any](_ T, _ bool, ed StationaryEdit[T]) (T, bool) { return ed.V, !ed.Del }
+
+// asPair keeps each resident entry as the pair {Old: w, New: w}.
+func asPair(out []sparse.Entry[algebra.WeightPair], run []sparse.Entry[float64]) []sparse.Entry[algebra.WeightPair] {
+	for _, e := range run {
+		out = append(out, sparse.Entry[algebra.WeightPair]{I: e.I, J: e.J, V: algebra.WeightPair{Old: e.V, New: e.V}})
 	}
 	return out
+}
+
+// onNewSide lands an edit on the pair's new side: a deletion marks it
+// absent (∞), an upsert replaces or inserts it, and a coordinate absent on
+// both sides is dropped. After asPair, the result is entry for entry what
+// staging the old and new matrices side by side would produce.
+func onNewSide(old float64, had bool, ed StationaryEdit[float64]) (algebra.WeightPair, bool) {
+	v := algebra.WeightPair{Old: algebra.Inf, New: algebra.Inf}
+	if had {
+		v.Old = old
+	}
+	if !ed.Del {
+		v.New = ed.V
+	}
+	return v, !math.IsInf(v.Old, 1) || !math.IsInf(v.New, 1)
 }
 
 // stationaryOwnership returns the membership test of a working set staged
