@@ -240,16 +240,18 @@ type sidePlans struct {
 	plans []spgemm.Plan // each side's latest plan
 	split int           // products executed once per side because plans diverged
 	memo  *planMemo     // the rank's searched plans
-	count []int64       // sideNNZ's local counts
+	count []int64       // sideNNZ's local counts and their sums
 }
 
 // sideNNZ counts, with one small allreduce, the entries live on each side:
 // the frontier sizes per-side scalar sweeps would have measured. The local
-// counts go into *scratch, grown as needed.
+// counts and their sums go into the two halves of *scratch, grown as
+// needed; the sums are valid until the next call.
 func sideNNZ[T algebra.Sided[T, E], E any](world *machine.Comm, m *distmat.Mat[T], isZero func(E) bool, scratch *[]int64) []int64 {
 	var v T
-	cnt := slices.Grow((*scratch)[:0], v.Sides())[:v.Sides()]
-	*scratch = cnt
+	sides := v.Sides()
+	*scratch = slices.Grow((*scratch)[:0], 2*sides)[:2*sides]
+	cnt, sum := (*scratch)[:sides], (*scratch)[sides:]
 	clear(cnt)
 	for _, e := range m.Local {
 		for s := range cnt {
@@ -258,7 +260,8 @@ func sideNNZ[T algebra.Sided[T, E], E any](world *machine.Comm, m *distmat.Mat[T
 			}
 		}
 	}
-	return machine.Allreduce(world, cnt, func(a, b int64) int64 { return a + b })
+	machine.AllreduceInto(world, cnt, sum, func(a, b int64) int64 { return a + b })
+	return sum
 }
 
 // sideProject masks a matrix onto side s: entries live there survive with

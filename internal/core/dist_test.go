@@ -165,14 +165,17 @@ var raceDetector bool
 // redistribution copied each moved entry into a fresh buffer, out of the
 // sender's part and through a k-way merge, 32.1 MB while every product was
 // copied out of its accumulator and every stage block a rank received, stage
-// merge and row index went to fresh storage, and allocates 27.8 MB now
-// (47.2 MB, 41.5 MB and 38.7 MB under the race detector). The budgets are
-// about 1.2× that. The collector is held off and the minimum of a few tries
-// gated, so the test does not depend on when a cycle lands.
+// merge and row index went to fresh storage, 27.8 MB while T's and Z's
+// merges and moves each kept a rotation of their own, 24.9 MB while every
+// collective built its payload's closures and its peer views per call, and
+// allocates 24.75 MB now (47.2 MB, 41.5 MB, 38.7 MB, 33.1 MB and 33.0 MB
+// under the race detector). The budgets are about 1.2× that. The collector
+// is held off and the minimum of a few tries gated, so the test does not
+// depend on when a cycle lands.
 func TestOneShotAllocBudget(t *testing.T) {
-	maxBytes := uint64(32 << 20) // 32 MiB
+	maxBytes := uint64(57 << 19) // 28.5 MiB
 	if raceDetector {
-		maxBytes = 44 << 20
+		maxBytes = 38 << 20
 	}
 	g := graph.RMAT(graph.DefaultRMAT(10, 8, 1))
 	opt := DistOptions{Procs: 4, Workers: 1, Batch: 32, Sources: strideSources(g.N, 32, 25)}

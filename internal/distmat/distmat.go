@@ -114,19 +114,22 @@ func GlobalNNZ[T any](c *machine.Comm, m *Mat[T]) int64 {
 // anything keeps its block as is: the result shares m.Local. Otherwise the
 // result is fresh storage.
 func Redistribute[T any](c *machine.Comm, m *Mat[T], to Dist) *Mat[T] {
-	return RedistributeInto(c, m, to, nil)
-}
-
-// RedistributeInto is Redistribute merging what arrives into storage the
-// caller keeps: when buf is non-nil, a merged result is written into *buf,
-// grown as needed, and *buf is left holding it, so a caller that places
-// one operand after another in one buffer allocates only to grow it. The
-// result is still m itself when the keys match, and shares m.Local when the
-// rank keeps its block: *buf is then untouched. *buf must not alias any
-// rank's block or send storage.
-func RedistributeInto[T any](c *machine.Comm, m *Mat[T], to Dist, buf *[]sparse.Entry[T]) *Mat[T] {
 	if m.Dist.Key == to.Key {
 		return m
+	}
+	return &Mat[T]{Rows: m.Rows, Cols: m.Cols, Dist: to, Local: RedistributeInto(c, m, to, nil)}
+}
+
+// RedistributeInto is Redistribute returning only the rank's entries under
+// `to`, and merging what arrives into storage the caller keeps: when buf is
+// non-nil, a merged result is written into *buf, grown as needed, and *buf
+// is left holding it, so a caller that places one operand after another in
+// one buffer allocates only to grow it. The entries are still m.Local when
+// the keys match or the rank keeps its block: *buf is then untouched. *buf
+// must not alias any rank's block or send storage.
+func RedistributeInto[T any](c *machine.Comm, m *Mat[T], to Dist, buf *[]sparse.Entry[T]) []sparse.Entry[T] {
+	if m.Dist.Key == to.Key {
+		return m.Local
 	}
 	p, me := c.Size(), c.Rank()
 	send := getSendBuf[T](c.Proc(), p)
@@ -153,21 +156,20 @@ func RedistributeInto[T any](c *machine.Comm, m *Mat[T], to Dist, buf *[]sparse.
 		}
 	}
 	n := 0
-	res := &Mat[T]{Rows: m.Rows, Cols: m.Cols, Dist: to}
+	var res []sparse.Entry[T]
 	machine.AlltoallRecv(c, parts, func(runs [][]sparse.Entry[T]) {
 		for _, run := range runs {
 			n += len(run)
 		}
-		if kept && n == len(m.Local) {
-			res.Local = m.Local
-			return
+		switch {
+		case kept && n == len(m.Local):
+			res = m.Local
+		case buf == nil:
+			res = MergeDisjoint(nil, runs)
+		default:
+			*buf = MergeDisjoint(*buf, runs)
+			res = *buf
 		}
-		if buf == nil {
-			res.Local = MergeDisjoint(nil, runs)
-			return
-		}
-		*buf = MergeDisjoint(*buf, runs)
-		res.Local = *buf
 	})
 	c.Proc().AddFlops(int64(n))
 	return res
@@ -340,11 +342,14 @@ func mergeInto[T any](out, a, b []sparse.Entry[T], mon algebra.Monoid[T]) []spar
 // Accumulator is two buffers written in turn, so that each result stays
 // valid through the next and is written over by the one after: a merge
 // (Merge), a move (Move), or a result a kernel writes over Spare itself
-// and hands to Rotate. A sweep keeps one per rank and matrix for as long as
-// its storage lives. The zero value is ready to use.
+// and hands to Rotate. Move's results keep their headers in two more slots
+// written in turn, under the same rule. A sweep keeps one per rank and
+// matrix for as long as its storage lives. The zero value is ready to use.
 type Accumulator[T any] struct {
 	bufs [2][]sparse.Entry[T]
 	next int // the buffer the next result is written over
+	mats [2]Mat[T]
+	mat  int // the header the next move is written over
 }
 
 // Spare returns the buffer the next result is written over, at length 0.
@@ -372,14 +377,21 @@ func (acc *Accumulator[T]) Merge(a, b []sparse.Entry[T], mon algebra.Monoid[T]) 
 }
 
 // Move is RedistributeInto merging what arrives over the spare buffer,
-// which holds the newest result. A move that returns m itself (the keys
-// match) or the rank's kept block writes no buffer and leaves the rotation
-// where it was.
+// which holds the newest result, with the result's header in the
+// accumulator. A move that returns m itself (the keys match) writes
+// nothing; one that keeps the rank's block writes no buffer and leaves the
+// buffers' rotation where it was.
 func (acc *Accumulator[T]) Move(c *machine.Comm, m *Mat[T], to Dist) *Mat[T] {
-	res := RedistributeInto(c, m, to, &acc.bufs[acc.next])
-	if unsafe.SliceData(res.Local) != unsafe.SliceData(m.Local) {
+	if m.Dist.Key == to.Key {
+		return m
+	}
+	local := RedistributeInto(c, m, to, &acc.bufs[acc.next])
+	if unsafe.SliceData(local) != unsafe.SliceData(m.Local) {
 		acc.next ^= 1 // the spare buffer holds the result
 	}
+	res := &acc.mats[acc.mat]
+	acc.mat ^= 1
+	*res = Mat[T]{Rows: m.Rows, Cols: m.Cols, Dist: to, Local: local}
 	return res
 }
 

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"runtime/debug"
 	"slices"
 	"strings"
@@ -500,16 +499,24 @@ func TestAccumulatorRotation(t *testing.T) {
 // Accumulator (Move): on the sim at p=4, with every rank's send storage
 // and both of the accumulator's buffers grown by earlier moves, moving
 // about 2k entries back and forth between a hashed and a row-blocked
-// distribution allocates what moving about 32k does — the collective's
-// closures and headers, and the barrier's occasional park — and nothing
-// per entry: 1.60 to 1.71 KB a move (1.68 to 1.87 KB under the race
-// detector). The budget is about 1.2× the most of that. A move that merged
-// into fresh storage on every call, as every redistribution did before it
-// had a kept buffer, allocates 16 bytes more per entry it receives. The
-// collector is held off and the minimum of a few tries gated, so the test
-// does not depend on when a cycle lands.
+// distribution allocates what moving about 32k does, and nothing per
+// entry. The move itself allocates nothing: the all-to-all's header, peer
+// views and receive live in the rank's store and its own frame, and the
+// result's header in the accumulator. What the test reads is barrier
+// waiters that park when a peer is slow to arrive, each on a channel it
+// makes: 0 to 90 bytes a move in the quietest of ten tries on a 2-vCPU
+// box, up to 165 under the race detector, which slows the merges. The
+// budget, 256 bytes a move, is below what a fresh header per rank and move
+// alone would cost (320). A move
+// allocated 1.60 to 1.71 KB while the collective built its payload's
+// closures, boxed the parts and made fresh peer views, and the result's
+// header was fresh, and a move that merged into fresh storage on every
+// call, as every redistribution did before it had a kept buffer, allocates
+// 16 bytes more per entry it receives. The collector is held off, so the
+// test does not depend on when a cycle lands, and the bytes are read by
+// testkit.AllocMeter, whose waiters do not park.
 func TestMoveAllocBudget(t *testing.T) {
-	const p, maxBytes = 4, 2304 // 2.25 KiB
+	const p, maxBytes = 4, 256
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for _, entries := range []int{1 << 11, 1 << 15} {
 		n := int(math.Sqrt(float64(entries))) * 4
@@ -521,7 +528,8 @@ func TestMoveAllocBudget(t *testing.T) {
 		coo.Canonicalize(addF)
 		dists := [2]distmat.Dist{distmat.DistShard(p), testkit.DistRowBlock(p, n)}
 		const moves = 8
-		bytes := uint64(math.MaxUint64)
+		meter := testkit.NewAllocMeter(p)
+		var bytes uint64
 		_, err := sim.New(p).Run(func(proc *machine.Proc) {
 			c := proc.World()
 			var acc distmat.Accumulator[float64]
@@ -529,21 +537,13 @@ func TestMoveAllocBudget(t *testing.T) {
 			for k := 1; k <= 4; k++ {
 				m = acc.Move(c, m, dists[k%2])
 			}
-			var before, after runtime.MemStats
-			for try := 0; try < 4; try++ {
-				machine.Barrier(c)
-				if proc.Rank() == 0 {
-					runtime.ReadMemStats(&before)
-				}
-				machine.Barrier(c)
+			b := meter.Least(proc, 10, func() {
 				for k := 1; k <= moves; k++ {
 					m = acc.Move(c, m, dists[k%2])
 				}
-				machine.Barrier(c)
-				if proc.Rank() == 0 {
-					runtime.ReadMemStats(&after)
-					bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
-				}
+			})
+			if proc.Rank() == 0 {
+				bytes = b
 			}
 		})
 		if err != nil {

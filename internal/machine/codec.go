@@ -3,6 +3,7 @@ package machine
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"unsafe"
 )
@@ -78,21 +79,21 @@ func encodeSlice[T any](s []T) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*sz)
 }
 
-// decodeSlice reconstructs a []T from its wire form, copying out of b.
-// len(b) must be a multiple of Sizeof(T).
-func decodeSlice[T any](b []byte) []T {
+// decodeSlice reconstructs a []T from its wire form over dst (dst[:0]
+// grown as needed), copying out of b. len(b) must be a multiple of
+// Sizeof(T).
+func decodeSlice[T any](dst []T, b []byte) []T {
 	assertFlat[T]()
 	var zero T
 	sz := int(unsafe.Sizeof(zero))
 	if sz == 0 || len(b) == 0 {
-		return []T{}
+		return dst[:0]
 	}
 	if len(b)%sz != 0 {
 		panic(fmt.Sprintf("machine: codec frame of %d bytes is not a multiple of element size %d", len(b), sz))
 	}
 	n := len(b) / sz
-	out := make([]T, n)
-	dst := unsafe.Slice((*byte)(unsafe.Pointer(&out[0])), n*sz)
-	copy(dst, b)
+	out := slices.Grow(dst[:0], n)[:n]
+	copy(unsafe.Slice((*byte)(unsafe.Pointer(&out[0])), n*sz), b)
 	return out
 }

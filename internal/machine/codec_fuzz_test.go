@@ -26,7 +26,7 @@ func roundTrip[T any](t *testing.T, raw []byte) {
 	var zero T
 	sz := int(unsafe.Sizeof(zero))
 	b := raw[:len(raw)-len(raw)%sz]
-	vals := decodeSlice[T](b)
+	vals := decodeSlice[T](nil, b)
 	if len(vals) != len(b)/sz {
 		t.Fatalf("%T: decoded %d elements from %d bytes (element size %d)", zero, len(vals), len(b), sz)
 	}
@@ -41,7 +41,7 @@ func roundTrip[T any](t *testing.T, raw []byte) {
 		t.Fatalf("%T: encode(decode(b)) != b\n got %x\nwant %x", zero, enc, b)
 	}
 	// Second lap from the re-encoded form: the fixed point is immediate.
-	if again := encodeSlice(decodeSlice[T](enc)); !bytes.Equal(again, b) {
+	if again := encodeSlice(decodeSlice[T](nil, enc)); !bytes.Equal(again, b) {
 		t.Fatalf("%T: second round trip diverged", zero)
 	}
 }
@@ -105,7 +105,7 @@ func FuzzCodecValues(f *testing.F) {
 func checkValues[T any](t *testing.T, s []T) {
 	t.Helper()
 	enc := append([]byte(nil), encodeSlice(s)...)
-	dec := decodeSlice[T](enc)
+	dec := decodeSlice[T](nil, enc)
 	if len(dec) != len(s) {
 		t.Fatalf("%T: round trip length %d, want %d", s, len(dec), len(s))
 	}
@@ -123,5 +123,5 @@ func TestDecodeSliceRejectsTornFrame(t *testing.T) {
 			t.Fatal("DecodeSlice accepted a torn frame")
 		}
 	}()
-	decodeSlice[float64](make([]byte, 7))
+	decodeSlice[float64](nil, make([]byte, 7))
 }

@@ -14,13 +14,82 @@ func bytesOf[T any](n int) int64 {
 	return int64(n) * int64(unsafe.Sizeof(zero))
 }
 
-// step posts one superstep contribution through the communicator's
-// backend group and returns the group's critical-path maximum; the
-// collective then assigns the member's cost as max + its own charge. The
-// charge callbacks see every member's posted Size so the §5.1 formulas
-// need no peer payloads.
-func (c *Comm) step(post Payload, read func(slots []any, sizes []int64)) Cost {
-	return c.group.Step(c.proc, c.rank, post, read)
+// Members a header's data goes to, besides a member's rank (the root of
+// a reduction): every member, or none.
+const (
+	toAll  = -1
+	toNone = -2
+)
+
+// post is one rank's collective header for element type T, kept in its
+// Store (Scratch), so a warm collective allocates nothing: what the rank
+// posts — one slice for the members `to` names, or one part per member —
+// and its views of what each member sent it, with the storage a network
+// backend decodes frames into and the fold ReduceSlices runs over them.
+// A rank runs one collective at a time, so one header per type serves
+// every communicator it belongs to.
+type post[T any] struct {
+	data   []T
+	parts  [][]T // one per member when non-nil: data is then unused
+	to     int
+	views  [][]T // by source: what it sent here, valid until Release
+	frames [][]T // by source: decode storage
+	fold   [][]T // ReduceSlices' tree, empty between calls
+	one    [1]T  // a one-element post: AllreduceScalar's, split's
+}
+
+// Encode is the wire form of what h sends dst (codec.go).
+func (h *post[T]) Encode(dst int) []byte {
+	if h.to != toAll && h.to != dst {
+		return nil
+	}
+	if h.parts != nil {
+		return encodeSlice(h.parts[dst])
+	}
+	return encodeSlice(h.data)
+}
+
+// Decode takes src's frame into h's view of src, over the storage the last
+// frame from src was decoded into.
+func (h *post[T]) Decode(src int, b []byte) {
+	h.frames[src] = decodeSlice(h.frames[src], b)
+	h.views[src] = h.frames[src]
+}
+
+// exchange posts data, or parts when parts is non-nil, to the members to
+// names, with size elements, and opens the superstep: on return h.views
+// holds, by source, what each member in reach or decoded sent this rank
+// (nil for the others) and sizes every member's posted size. The caller
+// reads them, then calls release.
+func exchange[T any](c *Comm, data []T, parts [][]T, to int, size int64) (h *post[T], sizes []int64, group Cost) {
+	h = Scratch[post[T]](c.proc)
+	n := c.Size()
+	if cap(h.views) < n {
+		h.views, h.frames = make([][]T, n), make([][]T, n)
+	}
+	h.views, h.frames = h.views[:n], h.frames[:n]
+	clear(h.views)
+	h.data, h.parts, h.to = data, parts, to
+	posts, sizes, group := c.group.Exchange(c.proc, c.rank, Payload{Codec: h, Size: size})
+	for src, ps := range posts {
+		if ps == nil {
+			continue
+		}
+		if peer := ps.(*post[T]); peer.parts != nil {
+			h.views[src] = peer.parts[c.rank]
+		} else {
+			h.views[src] = peer.data
+		}
+	}
+	return h, sizes, group
+}
+
+// release closes the superstep exchange opened and drops h's references to
+// posted storage, its own and its peers'.
+func (h *post[T]) release(c *Comm) {
+	c.group.Release(c.proc, c.rank)
+	h.data, h.parts = nil, nil
+	clear(h.views)
 }
 
 // commCost returns the charge for a collective, which is free on a
@@ -35,7 +104,8 @@ func commCost(size int, c Cost) Cost {
 
 // Barrier synchronizes the group, charging ⌈log₂p⌉ latency.
 func Barrier(c *Comm) {
-	group := c.step(Payload{}, func([]any, []int64) {})
+	_, _, group := c.group.Exchange(c.proc, c.rank, Payload{})
+	c.group.Release(c.proc, c.rank)
 	c.proc.cost = group.Add(commCost(c.Size(), Cost{Msgs: LogMsgs(c.Size())}))
 }
 
@@ -55,26 +125,19 @@ func Bcast[T any](c *Comm, root int, data []T) []T {
 // BcastRecv is Bcast without the copy: recv runs inside the superstep and
 // is handed root's data — at the root data itself, elsewhere the root's
 // posted slice (in process) or the decoded frame. The root may overwrite
-// its data once the collective returns, so recv must not keep blk after it
-// returns. Cost per the paper's Table-3 model: 2xβ + 2⌈log₂p⌉α with x the
-// message size.
+// its data once the collective returns, and a receiver's decode storage
+// is reused, so recv must not keep blk after it returns. Cost per the
+// paper's Table-3 model: 2xβ + 2⌈log₂p⌉α with x the message size.
 func BcastRecv[T any](c *Comm, root int, data []T, recv func(blk []T)) {
-	n := 0
-	pl := Payload{V: data, Size: int64(len(data))}
+	to := toNone
 	if c.rank == root {
-		pl.Enc = func(int) []byte { return encodeSlice(data) }
-	} else {
-		pl.Dec = func(src int, b []byte) any { return decodeSlice[T](b) }
+		to = toAll
 	}
-	group := c.step(pl, func(slots []any, _ []int64) {
-		blk := data
-		if c.rank != root {
-			blk = slots[root].([]T)
-		}
-		n = len(blk)
-		recv(blk)
-	})
-	x := bytesOf[T](n)
+	h, _, group := exchange(c, data, nil, to, int64(len(data)))
+	blk := h.views[root]
+	recv(blk)
+	h.release(c)
+	x := bytesOf[T](len(blk))
 	c.proc.cost = group.Add(commCost(c.Size(), Cost{Bytes: 2 * x, Msgs: 2 * LogMsgs(c.Size())}))
 }
 
@@ -82,11 +145,10 @@ func BcastRecv[T any](c *Comm, root int, data []T, recv func(blk []T)) {
 // copying form of AllgatherRecv, where every peer's part is a fresh copy
 // and the member's own part is data itself.
 func Allgather[T any](c *Comm, data []T) [][]T {
-	var out [][]T
+	out := make([][]T, c.Size())
 	AllgatherRecv(c, data, func(parts [][]T) {
-		out = parts
 		for i, part := range parts {
-			if i != c.rank {
+			if out[i] = part; i != c.rank {
 				out[i] = slices.Clone(part)
 			}
 		}
@@ -96,106 +158,82 @@ func Allgather[T any](c *Comm, data []T) [][]T {
 
 // AllgatherRecv is Allgather without the copies: recv runs inside the
 // superstep and is handed every member's contribution, indexed by rank,
-// the member's own being data. The parts slice is recv's to keep; the
-// parts' storage is not: on an in-process backend a peer's part is the
-// peer's own slice, which it may overwrite once the collective returns, so
-// recv must not keep a part after it returns.
+// the member's own being data. Neither the parts slice nor a peer's part
+// is recv's to keep: the slice is the rank's reused view, and on an
+// in-process backend a peer's part is the peer's own slice, which it may
+// overwrite once the collective returns.
 // Cost: xβ + ⌈log₂p⌉α with x the total gathered size.
 func AllgatherRecv[T any](c *Comm, data []T, recv func(parts [][]T)) {
+	h, sizes, group := exchange(c, data, nil, toAll, int64(len(data)))
 	total := 0
-	pl := Payload{
-		V:    data,
-		Size: int64(len(data)),
-		Enc:  func(int) []byte { return encodeSlice(data) },
-		Dec:  func(src int, b []byte) any { return decodeSlice[T](b) },
+	for _, s := range sizes {
+		total += int(s)
 	}
-	group := c.step(pl, func(slots []any, sizes []int64) {
-		for _, s := range sizes {
-			total += int(s)
-		}
-		parts := make([][]T, c.Size())
-		for i := range parts {
-			if i == c.rank {
-				parts[i] = data
-			} else {
-				parts[i] = slots[i].([]T)
-			}
-		}
-		recv(parts)
-	})
+	recv(h.views)
+	h.release(c)
 	c.proc.cost = group.Add(commCost(c.Size(), Cost{Bytes: bytesOf[T](total), Msgs: LogMsgs(c.Size())}))
 }
 
 // Scatter distributes root's parts (len == group size); member i receives
-// parts[i]. Cost: xβ + ⌈log₂p⌉α with x the total scattered size.
+// a fresh copy of parts[i]. Cost: xβ + ⌈log₂p⌉α with x the total
+// scattered size.
 func Scatter[T any](c *Comm, root int, parts [][]T) []T {
-	var out []T
 	var mySize int64
 	for _, p := range parts {
 		mySize += int64(len(p))
 	}
-	pl := Payload{
-		V:    parts,
-		Size: mySize,
-		Dec: func(src int, b []byte) any {
-			// A network backend delivers only our own part; rebuild a
-			// sparse parts view so the read path is backend-agnostic.
-			sparse := make([][]T, c.Size())
-			sparse[c.rank] = decodeSlice[T](b)
-			return sparse
-		},
-	}
+	to := toNone
 	if c.rank == root {
-		pl.Enc = func(dst int) []byte { return encodeSlice(parts[dst]) }
-		pl.Dec = nil
+		to = toAll
 	}
-	total := 0
-	group := c.step(pl, func(slots []any, sizes []int64) {
-		total = int(sizes[root])
-		src := slots[root].([][]T)
-		mine := src[c.rank]
-		out = make([]T, len(mine))
-		copy(out, mine)
-	})
+	h, sizes, group := exchange(c, nil, parts, to, mySize)
+	total := int(sizes[root])
+	out := make([]T, len(h.views[root]))
+	copy(out, h.views[root])
+	h.release(c)
 	c.proc.cost = group.Add(commCost(c.Size(), Cost{Bytes: bytesOf[T](total), Msgs: LogMsgs(c.Size())}))
 	return out
 }
 
 // Allreduce combines equal-length vectors elementwise with op; every member
-// receives the result. Cost: 2xβ + 2⌈log₂p⌉α.
+// receives the result, in fresh storage. Cost: 2xβ + 2⌈log₂p⌉α.
 func Allreduce[T any](c *Comm, data []T, op func(T, T) T) []T {
-	var out []T
-	pl := Payload{
-		V:    data,
-		Size: int64(len(data)),
-		Enc:  func(int) []byte { return encodeSlice(data) },
-		Dec:  func(src int, b []byte) any { return decodeSlice[T](b) },
-	}
-	group := c.step(pl, func(slots []any, _ []int64) {
-		out = make([]T, len(data))
-		copy(out, data)
-		for i := 0; i < c.Size(); i++ {
-			if i == c.rank {
-				continue
-			}
-			src := slots[i].([]T)
-			for k := range out {
-				out[k] = op(out[k], src[k])
-			}
+	out := make([]T, len(data))
+	AllreduceInto(c, data, out, op)
+	return out
+}
+
+// AllreduceInto is Allreduce writing the result over out, caller storage
+// of data's length that must not overlap data: peers read data until the
+// collective returns. The result is data folded with every peer's vector
+// in rank order.
+func AllreduceInto[T any](c *Comm, data, out []T, op func(T, T) T) {
+	h, _, group := exchange(c, data, nil, toAll, int64(len(data)))
+	copy(out, data)
+	for i, src := range h.views {
+		if i == c.rank {
+			continue
 		}
-	})
+		for k := range out {
+			out[k] = op(out[k], src[k])
+		}
+	}
+	h.release(c)
 	x := bytesOf[T](len(out))
 	c.proc.cost = group.Add(commCost(c.Size(), Cost{
 		Bytes: 2 * x,
 		Msgs:  2 * LogMsgs(c.Size()),
 		Flops: int64(len(out)) * LogMsgs(c.Size()),
 	}))
-	return out
 }
 
 // AllreduceScalar is Allreduce for a single value.
 func AllreduceScalar[T any](c *Comm, v T, op func(T, T) T) T {
-	return Allreduce(c, []T{v}, op)[0]
+	h := Scratch[post[T]](c.proc)
+	h.one[0] = v
+	var out [1]T
+	AllreduceInto(c, h.one[:], out[:], op)
+	return out[0]
 }
 
 // ReduceSlices performs a sparse reduction: every member contributes a
@@ -205,48 +243,36 @@ func AllreduceScalar[T any](c *Comm, v T, op func(T, T) T) T {
 // Cost per the paper's sparse-reduction bound: 2xβ + 2⌈log₂p⌉α with x the
 // *output* size, plus the fold work as flops.
 func ReduceSlices[T any](c *Comm, root int, data []T, combine func(a, b []T) []T) []T {
-	var out []T
-	var inTotal int
-	pl := Payload{
-		V:    data,
-		Size: int64(len(data)),
-		Enc: func(dst int) []byte {
-			if dst != root {
-				return nil
-			}
-			return encodeSlice(data)
-		},
-		Dec: func(src int, b []byte) any { return decodeSlice[T](b) },
+	h, sizes, group := exchange(c, data, nil, root, int64(len(data)))
+	inTotal := 0
+	for _, s := range sizes {
+		inTotal += int(s)
 	}
-	group := c.step(pl, func(slots []any, sizes []int64) {
-		for _, s := range sizes {
-			inTotal += int(s)
-		}
-		if c.rank != root {
-			return
-		}
+	var out []T
+	if c.rank == root {
 		// Tree-order fold for deterministic association, straight from the
-		// posted parts: combine writes fresh storage, so no fold shares a
-		// peer's part.
-		parts := make([][]T, c.Size())
-		for i := range parts {
-			parts[i] = slots[i].([]T)
-		}
+		// posted parts, in place over the rank's fold storage: combine
+		// writes fresh storage, so no fold shares a peer's part.
+		parts := append(h.fold[:0], h.views...)
 		for len(parts) > 1 {
-			var next [][]T
+			next := 0
 			for i := 0; i+1 < len(parts); i += 2 {
-				next = append(next, combine(parts[i], parts[i+1]))
+				parts[next] = combine(parts[i], parts[i+1])
+				next++
 			}
 			if len(parts)%2 == 1 {
-				next = append(next, parts[len(parts)-1])
+				parts[next] = parts[len(parts)-1]
+				next++
 			}
-			parts = next
+			parts = parts[:next]
 		}
 		out = parts[0]
-	})
-	outLen := len(out)
+		clear(parts[:cap(parts)])
+		h.fold = parts[:0]
+	}
+	h.release(c)
 	// Non-roots charge the same modeled cost: they participated in the tree.
-	outBytes := bytesOf[T](outLen)
+	outBytes := bytesOf[T](len(out))
 	if c.rank != root {
 		outBytes = bytesOf[T](inTotal) / int64(max(1, c.Size()))
 	}
@@ -263,11 +289,10 @@ func ReduceSlices[T any](c *Comm, root int, data []T, combine func(a, b []T) []T
 // it sent here. It is the copying form of AlltoallRecv: every peer's part
 // is a fresh copy, and the member's own part is parts[rank] itself.
 func Alltoall[T any](c *Comm, parts [][]T) [][]T {
-	var out [][]T
+	out := make([][]T, c.Size())
 	AlltoallRecv(c, parts, func(runs [][]T) {
-		out = runs
 		for i, run := range runs {
-			if i != c.rank {
+			if out[i] = run; i != c.rank {
 				out[i] = slices.Clone(run)
 			}
 		}
@@ -278,9 +303,9 @@ func Alltoall[T any](c *Comm, parts [][]T) [][]T {
 // AlltoallRecv is Alltoall without the copies: recv runs inside the
 // superstep and is handed, per source rank in rank order, the part that
 // source sent here (on an in-process backend the source's own slice, on a
-// network backend the decoded frame). The runs slice is recv's to keep;
-// the runs' storage is not: a sender may overwrite its parts once the
-// collective returns, so recv must not keep a run after it returns.
+// network backend the decoded frame). Neither the runs slice nor a run is
+// recv's to keep: the slice is the rank's reused view, and a sender may
+// overwrite its parts once the collective returns.
 // Cost per member: max(sent, received)·β + ⌈log₂p⌉α.
 func AlltoallRecv[T any](c *Comm, parts [][]T, recv func(runs [][]T)) {
 	if len(parts) != c.Size() {
@@ -291,25 +316,13 @@ func AlltoallRecv[T any](c *Comm, parts [][]T, recv func(runs [][]T)) {
 	for _, p := range parts {
 		sent += len(p)
 	}
+	h, _, group := exchange(c, nil, parts, toAll, int64(sent))
 	recvd := 0
-	pl := Payload{
-		V:    parts,
-		Size: int64(sent),
-		Enc:  func(dst int) []byte { return encodeSlice(parts[dst]) },
-		Dec: func(src int, b []byte) any {
-			sparse := make([][]T, c.Size())
-			sparse[c.rank] = decodeSlice[T](b)
-			return sparse
-		},
+	for _, run := range h.views {
+		recvd += len(run)
 	}
-	group := c.step(pl, func(slots []any, _ []int64) {
-		runs := make([][]T, c.Size())
-		for i := range runs {
-			runs[i] = slots[i].([][]T)[c.rank]
-			recvd += len(runs[i])
-		}
-		recv(runs)
-	})
+	recv(h.views)
+	h.release(c)
 	c.proc.cost = group.Add(commCost(c.Size(), Cost{Bytes: bytesOf[T](max(sent, recvd)), Msgs: LogMsgs(c.Size())}))
 }
 
@@ -327,26 +340,17 @@ type splitInfo struct{ Color, Key, Rank int }
 // bookkeeping exchange is charged as a small allgather; the backend derives
 // the subgroup state from the agreed member list.
 func split(c *Comm, color, key int) *Comm {
-	mine := splitInfo{Color: color, Key: key, Rank: c.rank}
-	all := make([]splitInfo, c.Size())
-	pl := Payload{
-		V:    mine,
-		Size: 1,
-		Enc:  func(int) []byte { return encodeSlice([]splitInfo{mine}) },
-		Dec:  func(src int, b []byte) any { return decodeSlice[splitInfo](b)[0] },
-	}
-	group := c.step(pl, func(slots []any, _ []int64) {
-		for i := range all {
-			all[i] = slots[i].(splitInfo)
-		}
-	})
+	h := Scratch[post[splitInfo]](c.proc)
+	h.one[0] = splitInfo{Color: color, Key: key, Rank: c.rank}
+	h, _, group := exchange(c, h.one[:], nil, toAll, 1)
 	// Everyone derives the same grouping.
 	var members []splitInfo
-	for _, in := range all {
-		if in.Color == color {
-			members = append(members, in)
+	for _, in := range h.views {
+		if in[0].Color == color {
+			members = append(members, in[0])
 		}
 	}
+	h.release(c)
 	sort.Slice(members, func(a, b int) bool {
 		if members[a].Key != members[b].Key {
 			return members[a].Key < members[b].Key

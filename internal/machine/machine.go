@@ -12,13 +12,16 @@
 // over real TCP sockets (modeled cost plus measured wall clock).
 //
 // Every collective moves real data. The copying forms never alias a
-// peer's buffers; the receive forms (AlltoallRecv, AllgatherRecv) hand a
-// callback the peers' posted parts for the length of the superstep, and
-// the callback must not keep them past its return. Every collective
-// charges an α–β model cost to each participant's critical path,
-// following the paper's measurement methodology (§7.4): "for each
-// collective over a set of processors, we maximize the critical path costs
-// incurred by those processors so far", then add the collective's own cost.
+// peer's buffers; the receive forms (BcastRecv, AllgatherRecv,
+// AlltoallRecv) call a callback from inside the superstep with views of
+// the peers' posted parts, and the callback must keep neither the views
+// nor the storage they show past its return. A warm collective allocates
+// nothing: its header, views and decode storage live in the rank's
+// Store. Every collective charges an α–β model cost to each
+// participant's critical path, following the paper's measurement
+// methodology (§7.4): "for each collective over a set of processors, we
+// maximize the critical path costs incurred by those processors so far",
+// then add the collective's own cost.
 // Broadcast and reduce of x bytes over p processors cost 2xβ + 2⌈log₂p⌉α
 // (twice scatter/allgather), matching the Table-3 model.
 package machine
@@ -113,45 +116,60 @@ type Transport interface {
 	Run(fn func(p *Proc)) (RunStats, error)
 }
 
-// Payload is one rank's contribution to a collective superstep. The
-// simulated backend delivers V to peers directly (shared memory, zero
-// copies beyond what the collective itself makes); a network backend
-// instead calls Enc once per destination and Dec once per arrived frame.
+// Payload is one rank's contribution to a collective superstep: its
+// posted header and the element count it posts. The header is the rank's
+// own, kept in its Store for the type the collective moves, so a warm
+// collective neither builds closures nor boxes a slice: the simulated
+// backend hands peers the header itself (shared memory, zero copies beyond
+// what the collective makes), a network backend calls Encode once per
+// destination and Decode once per arrived frame. A posted header, and the
+// storage it publishes, must stay as posted until the rank's Release.
 type Payload struct {
-	// V is the posted value, delivered verbatim into peer slot arrays by
-	// in-process backends.
-	V any
-	// Size is the element count posted (for nested [][]T posts, the total
-	// across parts). Backends expose every rank's Size to the read
-	// callback so charge formulas need no peer data.
+	// Codec is the posted header; nil posts nothing (a barrier).
+	Codec Codec
+	// Size is the element count posted (for posts of one part per member,
+	// the total across parts). Backends expose every rank's Size to the
+	// collective so charge formulas need no peer data.
 	Size int64
-	// Enc encodes the part of the payload destined for rank dst, or
-	// returns nil when dst needs no data from us (the frame then carries
-	// cost bookkeeping only). nil Enc means no rank needs our data.
-	Enc func(dst int) []byte
-	// Dec decodes a frame from rank src into the value placed in the
-	// receiver's slot array. Required whenever any peer's Enc may address
-	// this rank.
-	Dec func(src int, b []byte) any
+}
+
+// Codec is a posted header as a network backend sees it.
+type Codec interface {
+	// Encode returns the wire form of what the header sends member dst, or
+	// nil when dst needs no data from it (the frame then carries cost
+	// bookkeeping only). It may alias the posted storage.
+	Encode(dst int) []byte
+	// Decode takes a frame member src sent this rank into the receiver's
+	// header, in storage the header reuses from one collective to the next.
+	Decode(src int, b []byte)
 }
 
 // Group is one communicator's backend state: the set of ranks that move
 // through collective supersteps together. Comm wraps a Group with the
 // caller's rank; the collectives in this package are written against
-// Step, so any Group implementation gets the full collective set.
+// Exchange and Release, so any Group implementation gets the full
+// collective set. A collective runs its receive between the two, in its
+// own frame: what it reads of its peers is valid until its Release, so
+// nothing it receives may be kept past it.
 type Group interface {
 	// Size returns the number of group members.
 	Size() int
-	// Step runs one BSP superstep: every member posts its contribution
-	// and its current critical-path cost, read consumes peer
-	// contributions (slots indexed by group rank; sizes holds every
-	// member's posted Payload.Size), and the returned Cost is the group
-	// maximum of the members' pre-step costs — the critical-path join of
-	// §7.4. The collective then assigns p's cost itself. Slot entries for
-	// ranks whose data was not addressed to this member may be nil on
-	// network backends; collectives only read the slots their charge
-	// formulas promise are present.
-	Step(p *Proc, rank int, post Payload, read func(slots []any, sizes []int64)) Cost
+	// Exchange opens one BSP superstep: every member posts its contribution
+	// and its current critical-path cost. It returns, indexed by group
+	// rank, each member's posted header where it is in reach (in process;
+	// always the member's own), nil where the member's frame was decoded
+	// into this member's header instead (Codec.Decode), and every member's
+	// posted Payload.Size; and the group maximum of the members' pre-step
+	// costs — the critical-path join of §7.4. The collective then assigns
+	// p's cost itself. A peer whose data was not addressed to this member
+	// may be neither in reach nor decoded on a network backend; collectives
+	// only read the peers their charge formulas promise are present. Both
+	// slices belong to the backend and are valid until Release.
+	Exchange(p *Proc, rank int, post Payload) (posts []Codec, sizes []int64, group Cost)
+	// Release closes the superstep Exchange opened: once it returns, every
+	// member has finished reading what this one posted, which the poster
+	// may then overwrite.
+	Release(p *Proc, rank int)
 	// Subgroup derives the communicator state for a split: members holds
 	// the parent-group ranks of the new group in new-rank order, and
 	// myIdx is this member's position in it. Every member of the new

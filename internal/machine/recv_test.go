@@ -1,10 +1,11 @@
 // Conformance for the receive forms of the collectives, on every
 // backend: AlltoallRecv and AllgatherRecv hand recv each source's part at
-// its rank's index, BcastRecv the root's data, charge exactly what the
-// copying forms charge, and a
-// receiver that copies inside recv keeps an intact result however the
-// senders scribble on their send storage once the call returns. So does
-// ReduceSlices' root, which folds straight from the posted parts.
+// its rank's index, BcastRecv the root's data, AllreduceInto writes what
+// Allreduce returns, all charge exactly what the copying forms charge, and
+// a receiver that copies inside recv keeps an intact result however the
+// senders scribble on their send storage once the call returns. So do
+// ReduceSlices' root, which folds straight from the posted parts, every
+// member of an Allreduce, and every receiver of a Scatter.
 package machine_test
 
 import (
@@ -25,10 +26,11 @@ func recvPart(src, dst int) []int {
 	return out
 }
 
-// recvRegion runs one all-to-all, one allgather and one broadcast per rank, with the
-// receive forms when recv is set and the copying forms otherwise, and one
-// sparse reduction, then scribbles over every send buffer, synchronizes,
-// and checks what each rank received.
+// recvRegion runs one all-to-all, one allgather, one broadcast and one
+// allreduce per rank, with the receive forms when recv is set and the
+// copying forms otherwise, and one sparse reduction and one scatter, then
+// scribbles over every send buffer, synchronizes, and checks what each
+// rank received.
 func recvRegion(recv bool) func(*machine.Proc) {
 	return func(pr *machine.Proc) {
 		c, me := pr.World(), pr.Rank()
@@ -37,8 +39,9 @@ func recvRegion(recv bool) func(*machine.Proc) {
 			parts[dst] = recvPart(me, dst)
 		}
 		mine := recvPart(me, me)
+		vec := recvPart(me, 2)
 		var toAll, fromAll [][]int
-		var bcast []int
+		var bcast, summed []int
 		if recv {
 			machine.AlltoallRecv(c, parts, func(runs [][]int) {
 				toAll = make([][]int, len(runs))
@@ -53,10 +56,13 @@ func recvRegion(recv bool) func(*machine.Proc) {
 				}
 			})
 			machine.BcastRecv(c, 0, mine, func(blk []int) { bcast = slices.Clone(blk) })
+			summed = make([]int, len(vec))
+			machine.AllreduceInto(c, vec, summed, func(a, b int) int { return a + b })
 		} else {
 			toAll = machine.Alltoall(c, parts)
 			fromAll = machine.Allgather(c, mine)
 			bcast = slices.Clone(machine.Bcast(c, 0, mine))
+			summed = machine.Allreduce(c, vec, func(a, b int) int { return a + b })
 			// The copying forms return the member's own part itself.
 			toAll[me], fromAll[me] = slices.Clone(toAll[me]), slices.Clone(fromAll[me])
 		}
@@ -72,7 +78,8 @@ func recvRegion(recv bool) func(*machine.Proc) {
 		reduced := machine.ReduceSlices(c, 0, contrib, func(a, b []int) []int {
 			return append(slices.Clone(a), b...)
 		})
-		for _, p := range append(parts, mine, contrib) {
+		scattered := machine.Scatter(c, 0, parts)
+		for _, p := range append(parts, mine, contrib, vec) {
 			for x := range p {
 				p[x] = -1
 			}
@@ -83,6 +90,18 @@ func recvRegion(recv bool) func(*machine.Proc) {
 		}
 		if want := recvPart(0, 0); !slices.Equal(bcast, want) {
 			panic(fmt.Sprintf("rank %d broadcast from 0: got %v, want %v", me, bcast, want))
+		}
+		if want := recvPart(0, me); !slices.Equal(scattered, want) {
+			panic(fmt.Sprintf("rank %d scatter from 0: got %v, want %v", me, scattered, want))
+		}
+		want := make([]int, len(vec))
+		for src := 0; src < c.Size(); src++ {
+			for x, v := range recvPart(src, 2) {
+				want[x] += v
+			}
+		}
+		if !slices.Equal(summed, want) {
+			panic(fmt.Sprintf("rank %d allreduce: got %v, want %v", me, summed, want))
 		}
 		for src := range toAll {
 			if want := recvPart(src, me); !slices.Equal(toAll[src], want) {

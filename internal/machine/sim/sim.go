@@ -1,7 +1,7 @@
 // Package sim is the in-process backend of the machine abstraction: the
 // p virtual processors of a region run as goroutines inside one OS
 // process and exchange collective contributions through shared slot
-// arrays, so every rank sees peers' posted values directly and the only
+// arrays, so every rank sees peers' posted headers directly and the only
 // cost is the modeled α–β–γ charge. This is the simulator the paper-level
 // differential tests and plan searches run on — deterministic, free of
 // real communication, and bit-identical across runs.
@@ -109,12 +109,12 @@ func (m *Machine) Run(fn func(p *machine.Proc)) (machine.RunStats, error) {
 }
 
 // commState is the shared slot array of one communicator: every member
-// posts into its rank's slot, the barrier releases, and members read
-// peers' values directly. It implements machine.Group.
+// posts its header into its rank's slot, the barrier releases, and members
+// read peers' headers directly. It implements machine.Group.
 type commState struct {
 	region *region
 	size   int
-	slots  []any
+	posts  []machine.Codec
 	sizes  []int64
 	costs  []machine.Cost
 	bar    barrier
@@ -127,7 +127,7 @@ func newCommState(rg *region, size int) *commState {
 	return &commState{
 		region: rg,
 		size:   size,
-		slots:  make([]any, size),
+		posts:  make([]machine.Codec, size),
 		sizes:  make([]int64, size),
 		costs:  make([]machine.Cost, size),
 		bar:    barrier{n: uint64(size)},
@@ -137,28 +137,31 @@ func newCommState(rg *region, size int) *commState {
 // Size returns the number of group members.
 func (st *commState) Size() int { return st.size }
 
-// Step runs one BSP superstep over the shared slots: post, barrier, read,
-// group-max, and a second barrier. Posted values are delivered to peers
-// verbatim (shared memory). The second barrier protects more than slot
-// reuse: read callbacks copy out of the poster's own slice, which the
-// poster is free to overwrite as soon as its collective returns. A
-// one-member communicator has no peer to wait for and runs read directly.
-func (st *commState) Step(p *machine.Proc, rank int, post machine.Payload, read func(slots []any, sizes []int64)) machine.Cost {
-	st.slots[rank] = post.V
+// Exchange opens one BSP superstep over the shared slots: post, barrier,
+// group-max. Posted headers are delivered to peers verbatim (shared
+// memory). A one-member communicator has no peer to wait for.
+func (st *commState) Exchange(p *machine.Proc, rank int, post machine.Payload) ([]machine.Codec, []int64, machine.Cost) {
+	st.posts[rank] = post.Codec
 	st.sizes[rank] = post.Size
 	if st.size == 1 {
-		read(st.slots, st.sizes)
-		return p.Cost()
+		return st.posts, st.sizes, p.Cost()
 	}
 	st.costs[rank] = p.Cost()
 	st.bar.await(st.region, p.Rank())
-	read(st.slots, st.sizes)
 	group := machine.Cost{}
 	for _, pc := range st.costs {
 		group = group.Max(pc)
 	}
-	st.bar.await(st.region, p.Rank())
-	return group
+	return st.posts, st.sizes, group
+}
+
+// Release closes the superstep with a second barrier. It protects more
+// than slot reuse: readers copy out of the poster's own storage, which the
+// poster is free to overwrite as soon as its collective returns.
+func (st *commState) Release(p *machine.Proc, rank int) {
+	if st.size > 1 {
+		st.bar.await(st.region, p.Rank())
+	}
 }
 
 // Subgroup returns the shared state for a split-derived communicator.

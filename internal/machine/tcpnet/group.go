@@ -15,13 +15,21 @@ import (
 )
 
 // group is one communicator's view of the mesh: the member world ranks
-// in group-rank order. Subgroups are pure rank arithmetic — the split's
-// bookkeeping allgather already agreed on the member list everywhere, so
-// no extra communication is needed.
+// in group-rank order, and the per-step post and size slots it reuses.
+// Subgroups are pure rank arithmetic — the split's bookkeeping allgather
+// already agreed on the member list everywhere, so no extra communication
+// is needed.
 type group struct {
 	t       *Transport
 	members []int // world rank of each group rank
 	myIdx   int   // this rank's group rank
+	posts   []machine.Codec
+	sizes   []int64
+}
+
+func newGroup(t *Transport, members []int, myIdx int) *group {
+	n := len(members)
+	return &group{t: t, members: members, myIdx: myIdx, posts: make([]machine.Codec, n), sizes: make([]int64, n)}
 }
 
 func worldGroup(t *Transport) *group {
@@ -29,29 +37,27 @@ func worldGroup(t *Transport) *group {
 	for i := range members {
 		members[i] = i
 	}
-	return &group{t: t, members: members, myIdx: t.rank}
+	return newGroup(t, members, t.rank)
 }
 
 func (g *group) Size() int { return len(g.members) }
 
-// Step runs one BSP superstep: send one frame to every other member
-// (payload where Enc addresses that peer, cost-only otherwise), then
-// collect one frame from each. Per-pair FIFO plus SPMD program order
-// guarantees the collected frames belong to this superstep.
-func (g *group) Step(p *machine.Proc, rank int, post machine.Payload, read func(slots []any, sizes []int64)) machine.Cost {
-	n := len(g.members)
-	slots := make([]any, n)
-	sizes := make([]int64, n)
+// Exchange runs one BSP superstep: send one frame to every other member
+// (payload where the header addresses that peer, cost-only otherwise),
+// then collect one frame from each, decoding payloads into the header.
+// Per-pair FIFO plus SPMD program order guarantees the collected frames
+// belong to this superstep. Only the rank's own header is in reach.
+func (g *group) Exchange(p *machine.Proc, rank int, post machine.Payload) ([]machine.Codec, []int64, machine.Cost) {
+	g.posts[g.myIdx] = post.Codec
+	g.sizes[g.myIdx] = post.Size
 	own := p.Cost()
-	slots[g.myIdx] = post.V
-	sizes[g.myIdx] = post.Size
 	for gi, wr := range g.members {
 		if gi == g.myIdx {
 			continue
 		}
 		var payload []byte
-		if post.Enc != nil {
-			payload = post.Enc(gi)
+		if post.Codec != nil {
+			payload = post.Codec.Encode(gi)
 		}
 		if err := g.t.sendData(wr, own, post.Size, payload); err != nil {
 			p.Fail(err)
@@ -64,22 +70,25 @@ func (g *group) Step(p *machine.Proc, rank int, post machine.Payload, read func(
 			continue
 		}
 		df := g.t.recvData(p, wr)
-		sizes[gi] = df.size
+		g.sizes[gi] = df.size
 		max = max.Max(df.cost)
-		if df.payload != nil && post.Dec != nil {
-			slots[gi] = post.Dec(gi, df.payload)
+		if df.payload != nil && post.Codec != nil {
+			post.Codec.Decode(gi, df.payload)
 		}
 	}
-	read(slots, sizes)
-	return max
+	return g.posts, g.sizes, max
 }
+
+// Release has nothing to wait for: what a peer posted arrived as a copy,
+// and the frames this rank sent were written out before Exchange returned.
+func (g *group) Release(*machine.Proc, int) {}
 
 func (g *group) Subgroup(p *machine.Proc, rank int, members []int, myIdx int) machine.Group {
 	world := make([]int, len(members))
 	for i, m := range members {
 		world[i] = g.members[m]
 	}
-	return &group{t: g.t, members: world, myIdx: myIdx}
+	return newGroup(g.t, world, myIdx)
 }
 
 // Run executes fn as this rank's part of one SPMD machine region. All
@@ -145,33 +154,39 @@ func (t *Transport) exchangeSummaries(world *group, proc *machine.Proc) (sums []
 		t.fail(fmt.Errorf("tcpnet: encoding rank %d summary: %w", t.rank, err))
 		return nil, false
 	}
-	enc := buf.Bytes()
-	out := make([]machine.ProcSummary, t.p)
-	world.Step(proc, t.rank, machine.Payload{
-		V:   self,
-		Enc: func(int) []byte { return enc },
-		Dec: func(src int, b []byte) any {
-			var s machine.ProcSummary
-			if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&s); err != nil {
-				t.fail(fmt.Errorf("tcpnet: decoding rank %d summary: %w", src, err))
-				machine.Abort("summary decode failure")
-			}
-			return s
-		},
-	}, func(slots []any, _ []int64) {
-		for i := range slots {
-			s, isSummary := slots[i].(machine.ProcSummary)
-			if !isSummary {
-				// A cost-only frame here means some rank ran a different
-				// collective sequence (its frame was consumed elsewhere).
-				t.fail(fmt.Errorf("machine: rank %d summary exchange desynchronized (mismatched collective calls across ranks?)", t.rank))
-				machine.Abort("summary desync")
-			}
-			out[i] = s
+	sp := &summaryPost{t: t, enc: buf.Bytes(), out: make([]machine.ProcSummary, t.p), got: make([]bool, t.p)}
+	sp.out[t.rank], sp.got[t.rank] = self, true
+	world.Exchange(proc, t.rank, machine.Payload{Codec: sp})
+	world.Release(proc, t.rank)
+	for _, got := range sp.got {
+		if !got {
+			// A cost-only frame here means some rank ran a different
+			// collective sequence (its frame was consumed elsewhere).
+			t.fail(fmt.Errorf("machine: rank %d summary exchange desynchronized (mismatched collective calls across ranks?)", t.rank))
+			machine.Abort("summary desync")
 		}
-	})
+	}
 	if err := t.err(); err != nil {
 		return nil, false
 	}
-	return out, true
+	return sp.out, true
+}
+
+// summaryPost is the summary exchange's header: the rank's gob-encoded
+// summary, sent to every peer, and the summaries decoded from theirs.
+type summaryPost struct {
+	t   *Transport
+	enc []byte
+	out []machine.ProcSummary
+	got []bool
+}
+
+func (sp *summaryPost) Encode(int) []byte { return sp.enc }
+
+func (sp *summaryPost) Decode(src int, b []byte) {
+	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&sp.out[src]); err != nil {
+		sp.t.fail(fmt.Errorf("tcpnet: decoding rank %d summary: %w", src, err))
+		machine.Abort("summary decode failure")
+	}
+	sp.got[src] = true
 }

@@ -16,7 +16,7 @@
 //
 // The BSP superstep maps onto the mesh directly: in a collective over a
 // group, every member sends one frame to every other member (payload
-// frames where the collective's Enc addresses that peer, cost-only
+// frames where the posted header's Encode addresses that peer, cost-only
 // frames otherwise) and receives one frame from each. Because regions
 // are SPMD, any two ranks observe their common groups' supersteps in the
 // same program order, so per-pair FIFO delivery is sufficient ordering —

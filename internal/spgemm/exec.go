@@ -285,7 +285,7 @@ func Multiply[TC, TB any](
 	// storage. Replication gathers the fiber's blocks, each sorted and no
 	// two sharing a coordinate, and merges them as they arrive.
 	place := machine.Scratch[placement[TC, TB]](s.Proc)
-	aE := distmat.RedistributeInto(world, a, da, &place.moved).Local
+	aE := distmat.RedistributeInto(world, a, da, &place.moved)
 	if plan.P1 > 1 && plan.X == RoleA {
 		place.replicated = replicate(g.Fiber, aE, place.replicated)
 		aE = place.replicated
@@ -297,7 +297,7 @@ func Multiply[TC, TB any](
 	// re-enter the fiber collectives and desync the simulated machine.
 	sb, hit := b.sets[plan]
 	if !hit {
-		bE := distmat.Redistribute(world, b.m, db).Local
+		bE := distmat.RedistributeInto(world, b.m, db, nil)
 		if plan.P1 > 1 && plan.X == RoleB {
 			bE = replicate(g.Fiber, bE, nil)
 		} else if unsafe.SliceData(bE) == unsafe.SliceData(b.m.Local) {
