@@ -92,18 +92,19 @@ loc:
 	@count() { find $$1 -name '*.go' ! -name '*_test.go' ! -path './benchmarks/*' ! -path '*/testdata/*' ! -path './internal/testkit/*' -exec cat {} + | wc -l; }; \
 	echo "non-test Go lines: repository $$(count .), internal/core $$(count ./internal/core), internal/bench $$(count ./internal/bench); internal/testkit $$(find ./internal/testkit -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)"
 
-## surface: the three settable-surface counts every simplicity PR reports
+## surface: the settable-surface counts every simplicity PR reports
 ## beside `make loc` — flag definitions under cmd/ (package-level flag.X
 ## calls and the same methods on a FlagSet, which is named fs by
 ## convention), exported fields of the four option structs, exported struct
-## types declared in the root package (aliases are not declarations) — all
-## over non-test sources.
+## types declared in the root package (aliases are not declarations) — and
+## the backend settings: exported fields of tcpnet.Options and methods of
+## machine.Transport. All over non-test sources.
 surface:
-	@fields() { awk -v t="type $$2 struct {" '$$0 == t {in_t = 1; next} in_t && /^}/ {in_t = 0} in_t && /^\t[A-Z][A-Za-z0-9]*( |$$)/ {n++} END {print n + 0}' $$1; }; \
+	@members() { awk -v t="type $$2 $${3:-struct} {" '$$0 == t {in_t = 1; next} in_t && /^}/ {in_t = 0} in_t && /^\t[A-Z][A-Za-z0-9]*( |\(|$$)/ {n++} END {print n + 0}' $$1; }; \
 	flags=$$(find cmd -name '*.go' ! -name '*_test.go' | xargs grep -hoE '\<(flag|fs)\.(Bool|Int|Int64|Uint|Uint64|Float64|String|Duration|Text)?(Var|Func)?\(' | wc -l); \
-	opts=$$(( $$(fields repro.go Options) + $$(fields internal/dynamic/dynamic.go Config) + $$(fields internal/core/dist.go DistOptions) + $$(fields internal/server/server.go Config) )); \
+	opts=$$(( $$(members repro.go Options) + $$(members internal/dynamic/dynamic.go Config) + $$(members internal/core/dist.go DistOptions) + $$(members internal/server/server.go Config) )); \
 	structs=$$(ls *.go | grep -v '_test\.go$$' | xargs cat | grep -cE '^type [A-Z][A-Za-z0-9]* struct'); \
-	echo "surface: cmd flags $$flags, option fields $$opts, root exported structs $$structs"
+	echo "surface: cmd flags $$flags, option fields $$opts, root exported structs $$structs; backend: tcpnet.Options fields $$(members internal/machine/tcpnet/tcpnet.go Options), machine.Transport methods $$(members internal/machine/machine.go Transport interface)"
 
 ## exports: the production API each package shows `go doc` — the line
 ## count of `go doc -short` for the root package and every non-test package

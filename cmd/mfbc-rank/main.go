@@ -1,7 +1,8 @@
 // Command mfbc-rank is one worker process of a rank-per-process TCP
-// machine. It joins the mesh at its assigned rank, adopts the
-// coordinator's cost model and watchdog timeout through the rendezvous
-// handshake, and then mirrors the coordinator's streaming engines: every
+// machine. It joins the mesh at its assigned rank, acknowledges readiness
+// to the coordinator (the handshake ships no configuration: every rank
+// prices with the one cost model), and then mirrors the coordinator's
+// streaming engines: every
 // engine build and mutation batch the coordinator (mfbc-serve
 // -transport tcp, always rank 0) broadcasts is replayed on a local
 // replica, with this process contributing its rank's shard of every

@@ -98,7 +98,10 @@ func (s *DistSession) reset(newG *graph.Graph, adjCSR *sparse.CSR[float64]) {
 	}
 	trop := algebra.TropicalMonoid()
 	adjCOO := adjCSR.ToCOO()
-	atCOO := sparse.Transpose(adjCSR).ToCOO()
+	atCOO := adjCOO // an undirected Aᵀ is A
+	if newG.Directed {
+		atCOO = sparse.Transpose(adjCSR).ToCOO()
+	}
 	shard := distmat.DistShard(s.p)
 	s.g, s.adjCSR = newG, adjCSR
 	if s.ranks == nil {
@@ -112,9 +115,6 @@ func (s *DistSession) reset(newG *graph.Graph, adjCSR *sparse.CSR[float64]) {
 		rk.at = spgemm.NewStationary(distmat.FromGlobal(r, atCOO, shard, trop))
 	}
 }
-
-// Graph returns the topology the resident operands currently encode.
-func (s *DistSession) Graph() *graph.Graph { return s.g }
 
 // Patch transitions the resident operands from the current topology to
 // newG, whose edge set must differ from the current graph by exactly
@@ -188,7 +188,7 @@ func (s *DistSession) RunCtx(ctx context.Context, sources []int32) (*DistResult,
 		nb = len(sources)
 	}
 	mach := transportFor(s.p, s.opt)
-	pl := s.planner(mach, s.g)
+	pl := s.planner(s.g)
 	out, err := sweepRegion(s, mach, scalarAlgebra(), []planner{pl}, []*sparse.CSR[float64]{s.adjCSR}, sources, nb,
 		func(_ *machine.Proc, rk *distRank) (a, at *spgemm.Stationary[float64]) { return rk.a, rk.at })
 	if err != nil {
@@ -213,10 +213,10 @@ func CheckSources(n int, sources []int32) error {
 }
 
 // planner returns the per-multiplication planner of a region over g.
-func (s *DistSession) planner(mach machine.Transport, g *graph.Graph) planner {
+func (s *DistSession) planner(g *graph.Graph) planner {
 	return planner{
 		p: s.p, n: g.N, adjNNZ: int64(g.AdjacencyNNZ()),
-		model: mach.Model(), cons: s.opt.Constraint, forced: s.opt.Plan,
+		model: machine.DefaultModel(), cons: s.opt.Constraint, forced: s.opt.Plan,
 	}
 }
 
@@ -232,6 +232,12 @@ type regionOutcome struct {
 	// them, over the ranks this process hosts.
 	products, screened atomic.Int64
 }
+
+// reduceBufs is the closing reduction's storage on a rank's store: the
+// rank's partial sums, all sides concatenated, and the allreduced total.
+// A region clears acc before it sums into it; the reduction writes every
+// entry of total.
+type reduceBufs struct{ acc, total []float64 }
 
 // sweepRegion runs one machine region of batched MFBF/MFBr sweeps — the
 // body shared by Run (one side over the resident operands) and
@@ -262,7 +268,11 @@ func sweepRegion[M multSided[M], C centSided[C], W any](
 		a, at := stage(proc, rk)
 
 		proc.Phase(machine.PhaseSweep)
-		acc := make([]float64, len(pls)*n)
+		red := machine.Scratch[reduceBufs](proc)
+		acc := grow(red.acc, len(pls)*n)
+		clear(acc)
+		total := grow(red.total, len(acc))
+		red.acc, red.total = acc, total
 		buf := machine.Scratch[sweepBufs[M, C]](proc)
 		iters, batches := 0, 0
 		for _, batch := range batchList(n, nb, sources) {
@@ -285,7 +295,7 @@ func sweepRegion[M multSided[M], C centSided[C], W any](
 		// One deferred dense reduction accumulates λ across processors, all
 		// sides concatenated.
 		proc.Phase(machine.PhaseReduce)
-		total := machine.Allreduce(world, acc, func(a, b float64) float64 { return a + b })
+		machine.AllreduceInto(world, acc, total, func(a, b float64) float64 { return a + b })
 		out.products.Add(sp.sess.Products.Load()) // host-side sums: no modeled traffic
 		out.screened.Add(sp.sess.Screened.Load())
 		if proc.Rank() == 0 {

@@ -100,7 +100,7 @@ func (s *DistSession) ApplyIncrementalCtx(ctx context.Context, sources []int32, 
 	mach := transportFor(s.p, s.opt)
 	// One planner per side, with exactly the inputs the side's scalar region
 	// would have used (its own adjacency count, the scalar wire sizes).
-	plOld, plNew := s.planner(mach, oldG), s.planner(mach, newG)
+	plOld, plNew := s.planner(oldG), s.planner(newG)
 
 	// Rank 0's scatter payload: every rank's share of the edge diff (the
 	// diffs whose derived adjacency coordinates one of the rank's resident

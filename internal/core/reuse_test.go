@@ -189,7 +189,7 @@ func TestReusedStorageCarriesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, st := range steps {
-		if sess.Graph() != st.from {
+		if sess.g != st.from {
 			t.Fatalf("%s: the session is not on the step's starting topology", st.name)
 		}
 		sess.opt.Workers, twin.opt.Workers = st.workers, st.workers

@@ -543,7 +543,11 @@ func MFBC(g *graph.Graph, sources []int32, opt Options) (*Result, error) {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	a := g.Adjacency()
-	return SweepSources(a, sparse.Transpose(a), sources, opt), nil
+	at := a // an undirected Aᵀ is A
+	if g.Directed {
+		at = sparse.Transpose(a)
+	}
+	return SweepSources(a, at, sources, opt), nil
 }
 
 // SweepSources is the batching loop of Algorithm 3 over prebuilt operands:

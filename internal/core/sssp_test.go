@@ -23,7 +23,7 @@ func distributedT(t *testing.T, g *graph.Graph, sources []int32, opt DistOptions
 		t.Fatal(err)
 	}
 	mach := transportFor(sess.p, opt)
-	pl := sess.planner(mach, g)
+	pl := sess.planner(g)
 	alg := scalarAlgebra()
 	var gathered *sparse.CSR[algebra.MultPath]
 	var iters int

@@ -193,7 +193,7 @@ func regionCost(plan spgemm.Plan, st machine.RunStats) Cost {
 type state struct {
 	g       *graph.Graph
 	a       *sparse.CSR[float64] // adjacency of g
-	at      *sparse.CSR[float64] // transpose of a (reverse-graph adjacency)
+	at      *sparse.CSR[float64] // transpose of a (reverse-graph adjacency); a itself when undirected
 	bc      []float64
 	version uint64 // graph.Fingerprint(g)
 	seq     uint64 // applies since engine creation
@@ -202,8 +202,12 @@ type state struct {
 
 func newState(g *graph.Graph, seq uint64) *state {
 	a := g.Adjacency()
+	at := a // an undirected Aᵀ is A
+	if g.Directed {
+		at = sparse.Transpose(a)
+	}
 	return &state{
-		g: g, a: a, at: sparse.Transpose(a),
+		g: g, a: a, at: at,
 		version: graph.Fingerprint(g), seq: seq,
 	}
 }

@@ -2,9 +2,11 @@ package graph_test
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/sparse"
 	"repro/internal/testkit"
 )
 
@@ -98,5 +100,42 @@ func TestBFSDistancesAndStats(t *testing.T) {
 	ring := graph.ComputeStats(testkit.Ring(12), 100, 1)
 	if ring.Diameter != 6 {
 		t.Fatalf("ring diameter %d want 6", ring.Diameter)
+	}
+}
+
+// TestUndirectedAdjacencyIsItsTranspose: the kernels take an undirected
+// graph's adjacency as its own transpose instead of building Aᵀ, which
+// holds only if every undirected generator yields a matrix that transposes
+// to itself, structure and weights alike, bit for bit.
+func TestUndirectedAdjacencyIsItsTranspose(t *testing.T) {
+	weighted := graph.RMAT(graph.DefaultRMAT(8, 8, 5))
+	weighted.AddUniformWeights(1, 100, 6)
+	graphs := []*graph.Graph{
+		graph.RMAT(graph.DefaultRMAT(8, 8, 1)),
+		weighted,
+		graph.Uniform(200, 900, false, 2),
+		graph.Grid2D(8, 9, 5, 4),
+		testkit.Ring(50),
+		testkit.Path(50),
+		testkit.Star(50),
+		testkit.CompleteBinaryTree(5),
+	}
+	for _, spec := range graph.Standins {
+		if !spec.Directed {
+			g, err := graph.Standin(spec.ID, 1, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			graphs = append(graphs, g)
+		}
+	}
+	for _, g := range graphs {
+		if g.Directed {
+			t.Fatalf("%s: want an undirected graph", g.Name)
+		}
+		a := g.Adjacency()
+		if at := sparse.Transpose(a); !reflect.DeepEqual(at, a) {
+			t.Errorf("%s: Transpose(Adjacency()) differs from Adjacency()", g.Name)
+		}
 	}
 }

@@ -13,7 +13,7 @@ import (
 // the machine tree. Callers hold a machine.Transport; downcasting it to
 // the sim backend couples them to one transport and silently breaks when
 // the same code runs over tcpnet. Capability probes through interfaces
-// (e.g. `tr.(interface{ SetModel(machine.CostModel) })`) stay legal — the
+// (e.g. `tr.(interface{ Rank() int })`) stay legal — the
 // analyzer only matches named sim types, not interface shapes.
 var SimAssert = &analysis.Analyzer{
 	Name: "simassert",

@@ -29,6 +29,7 @@ package machine
 import (
 	"fmt"
 	"math/bits"
+	"runtime/debug"
 	"time"
 )
 
@@ -94,20 +95,17 @@ func (c Cost) String() string {
 	return fmt.Sprintf("{bytes=%d msgs=%d flops=%d}", c.Bytes, c.Msgs, c.Flops)
 }
 
-// Transport is one concrete machine backend: it knows the world size,
-// owns the cost model and the collective watchdog timeout, and executes
-// SPMD regions. The simulated backend (machine/sim) runs fn on every rank
-// as a goroutine; the TCP backend (machine/tcpnet) runs fn only on the
-// ranks hosted by this OS process, synchronizing with its peers over
-// sockets. Either way the returned RunStats are identical on every
+// Transport is one concrete machine backend: its barrier and its wire.
+// It knows the world size and the collective watchdog timeout, and
+// executes SPMD regions, each rank through RunRank. The simulated backend
+// (machine/sim) runs fn on every rank as a goroutine; the TCP backend
+// (machine/tcpnet) runs fn only on the ranks hosted by this OS process,
+// synchronizing with its peers over sockets. Either way the returned
+// RunStats, priced with the one DefaultModel, are identical on every
 // participating process.
 type Transport interface {
 	// Size returns the world size p.
 	Size() int
-	// Model returns the α–β–γ constants charged by this transport.
-	Model() CostModel
-	// SetModel replaces the cost model (before a region, not during).
-	SetModel(CostModel)
 	// SetTimeout replaces the per-collective watchdog; 0 disables.
 	SetTimeout(time.Duration)
 	// Run executes fn as one machine region and reports critical-path
@@ -178,7 +176,7 @@ type Group interface {
 }
 
 // abortError marks the panic that unwinds ranks after a peer failure or
-// watchdog timeout, so backends can tell cooperative teardown from a real
+// watchdog timeout, so RunRank can tell cooperative teardown from a real
 // region panic.
 type abortError struct{ reason string }
 
@@ -191,13 +189,22 @@ func Abort(reason string) {
 	panic(abortError{reason: reason})
 }
 
-// AbortErr reports whether a recovered panic value is the cooperative
-// teardown marker, returning it as an error when so.
-func AbortErr(r any) (error, bool) {
-	if e, ok := r.(abortError); ok {
-		return e, true
-	}
-	return nil, false
+// RunRank runs fn as rank p's part of a region, the one rank runner both
+// backends use: a panic in fn becomes the machine's failure, recorded
+// through p's fail hook — an Abort as the teardown it marks, any other
+// panic as "machine: proc r panicked" with its stack — and RunRank
+// returns normally, so the backend goes on to the rank's summary.
+func RunRank(p *Proc, fn func(*Proc)) {
+	defer func() {
+		if r := recover(); r != nil {
+			if ab, ok := r.(abortError); ok {
+				p.Fail(ab)
+				return
+			}
+			p.Fail(fmt.Errorf("machine: proc %d panicked: %v\n%s", p.rank, r, debug.Stack()))
+		}
+	}()
+	fn(p)
 }
 
 // RunStats aggregates a run's outcome.
@@ -205,8 +212,8 @@ type RunStats struct {
 	MaxCost  Cost          // componentwise max over processors (critical path)
 	PerProc  []Cost        // final cost vector of each processor
 	Wall     time.Duration // host wall-clock time of the region
-	ModelSec float64       // MaxCost.Time(model)
-	CommSec  float64       // MaxCost.commTime(model)
+	ModelSec float64       // MaxCost.Time(DefaultModel())
+	CommSec  float64       // MaxCost.commTime(DefaultModel())
 	// Phases attributes the region's cost to the named phases the region
 	// body declared with Proc.Phase, in first-declaration order. Empty when
 	// the body never called Phase. Per processor, the phase costs sum
@@ -294,8 +301,9 @@ func (p *Proc) Summary() ProcSummary {
 
 // phaseStats merges the per-proc phase buckets into the run's breakdown:
 // names ordered by first declaration scanning ranks in order, costs joined
-// componentwise. Returns nil when no processor declared a phase.
-func phaseStats(model CostModel, procs []ProcSummary) []PhaseStats {
+// componentwise and priced with DefaultModel. Returns nil when no
+// processor declared a phase.
+func phaseStats(procs []ProcSummary) []PhaseStats {
 	named := false
 	for _, p := range procs {
 		if len(p.PhaseSeq) > 1 || (len(p.PhaseSeq) == 1 && p.PhaseSeq[0] != "") {
@@ -316,6 +324,7 @@ func phaseStats(model CostModel, procs []ProcSummary) []PhaseStats {
 			}
 		}
 	}
+	model := DefaultModel()
 	out := make([]PhaseStats, len(order))
 	for i, n := range order {
 		ps := PhaseStats{Name: n, PerProc: make([]Cost, len(procs))}
@@ -338,15 +347,17 @@ func phaseStats(model CostModel, procs []ProcSummary) []PhaseStats {
 }
 
 // BuildRunStats folds every rank's ProcSummary into the region's
-// RunStats. Deterministic in its inputs, so backends that exchange
-// summaries build bit-identical stats on every process.
-func BuildRunStats(model CostModel, procs []ProcSummary, wall time.Duration) RunStats {
+// RunStats, priced with DefaultModel. Deterministic in its inputs, so
+// backends that exchange summaries build bit-identical stats on every
+// process.
+func BuildRunStats(procs []ProcSummary, wall time.Duration) RunStats {
+	model := DefaultModel()
 	stats := RunStats{Wall: wall, PerProc: make([]Cost, len(procs))}
 	for r, p := range procs {
 		stats.PerProc[r] = p.Cost
 		stats.MaxCost = stats.MaxCost.Max(p.Cost)
 	}
-	stats.Phases = phaseStats(model, procs)
+	stats.Phases = phaseStats(procs)
 	stats.ModelSec = stats.MaxCost.Time(model)
 	stats.CommSec = stats.MaxCost.commTime(model)
 	return stats

@@ -11,7 +11,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"runtime"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,26 +24,19 @@ import (
 // region, so a Machine is reusable after a region that failed.
 type Machine struct {
 	p       int
-	model   machine.CostModel
 	timeout time.Duration
 }
 
-// New creates a machine with p processors and the default cost model.
+// New creates a machine with p processors.
 func New(p int) *Machine {
 	if p < 1 {
 		panic("machine: need at least one processor")
 	}
-	return &Machine{p: p, model: machine.DefaultModel(), timeout: 2 * time.Minute}
+	return &Machine{p: p, timeout: 2 * time.Minute}
 }
 
 // Size returns the number of simulated processors.
 func (m *Machine) Size() int { return m.p }
-
-// Model returns the machine's α–β–γ constants.
-func (m *Machine) Model() machine.CostModel { return m.model }
-
-// SetModel replaces the cost model.
-func (m *Machine) SetModel(model machine.CostModel) { m.model = model }
 
 // SetTimeout replaces the per-barrier watchdog; 0 disables it.
 func (m *Machine) SetTimeout(d time.Duration) { m.timeout = d }
@@ -84,16 +76,7 @@ func (m *Machine) Run(fn func(p *machine.Proc)) (machine.RunStats, error) {
 		wg.Add(1)
 		go func(p *machine.Proc) {
 			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					if ab, ok := machine.AbortErr(r); ok {
-						rg.fail(ab)
-						return
-					}
-					rg.fail(fmt.Errorf("machine: proc %d panicked: %v\n%s", p.Rank(), r, debug.Stack()))
-				}
-			}()
-			fn(p)
+			machine.RunRank(p, fn)
 		}(p)
 	}
 	wg.Wait()
@@ -101,7 +84,7 @@ func (m *Machine) Run(fn func(p *machine.Proc)) (machine.RunStats, error) {
 	for r, p := range procs {
 		summaries[r] = p.Summary()
 	}
-	stats := machine.BuildRunStats(m.model, summaries, time.Since(start))
+	stats := machine.BuildRunStats(summaries, time.Since(start))
 	if err := rg.failure.Load(); err != nil {
 		return stats, *err
 	}

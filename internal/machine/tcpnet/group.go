@@ -8,7 +8,6 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"runtime/debug"
 	"time"
 
 	"repro/internal/machine"
@@ -108,51 +107,32 @@ func (t *Transport) Run(fn func(p *machine.Proc)) (machine.RunStats, error) {
 	start := time.Now()
 	world := worldGroup(t)
 	proc := machine.NewProc(world, t.rank, 1, t.fail, start)
-	t.runBody(proc, fn)
+	var sums []machine.ProcSummary
+	machine.RunRank(proc, func(p *machine.Proc) {
+		fn(p)
+		if t.err() == nil {
+			sums = t.exchangeSummaries(world, p)
+		}
+	})
 	if err := t.err(); err != nil {
 		return machine.RunStats{}, err
 	}
-	sums, ok := t.exchangeSummaries(world, proc)
-	if !ok {
-		return machine.RunStats{}, t.err()
-	}
-	return machine.BuildRunStats(t.model, sums, time.Since(start)), nil
-}
-
-func (t *Transport) runBody(proc *machine.Proc, fn func(p *machine.Proc)) {
-	defer func() {
-		if r := recover(); r != nil {
-			if err, ok := machine.AbortErr(r); ok {
-				t.fail(err)
-				return
-			}
-			t.fail(fmt.Errorf("machine: proc %d panicked: %v\n%s", t.rank, r, debug.Stack()))
-		}
-	}()
-	fn(proc)
+	return machine.BuildRunStats(sums, time.Since(start)), nil
 }
 
 // exchangeSummaries closes the rank's phase bookkeeping and runs one
 // cost-free superstep carrying every rank's gob-encoded ProcSummary, so
 // each process can fold the identical stats. The step's cost maximum is
 // deliberately discarded: stats exchange is bookkeeping, not part of the
-// modeled program.
-func (t *Transport) exchangeSummaries(world *group, proc *machine.Proc) (sums []machine.ProcSummary, ok bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			if err, isAbort := machine.AbortErr(r); isAbort {
-				t.fail(err)
-				ok = false
-				return
-			}
-			panic(r)
-		}
-	}()
+// modeled program. It runs inside the rank's machine.RunRank, after the
+// region body: a failure is recorded on the transport, and the summaries
+// are then nil.
+func (t *Transport) exchangeSummaries(world *group, proc *machine.Proc) []machine.ProcSummary {
 	self := proc.Summary()
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(self); err != nil {
 		t.fail(fmt.Errorf("tcpnet: encoding rank %d summary: %w", t.rank, err))
-		return nil, false
+		return nil
 	}
 	sp := &summaryPost{t: t, enc: buf.Bytes(), out: make([]machine.ProcSummary, t.p), got: make([]bool, t.p)}
 	sp.out[t.rank], sp.got[t.rank] = self, true
@@ -163,13 +143,10 @@ func (t *Transport) exchangeSummaries(world *group, proc *machine.Proc) (sums []
 			// A cost-only frame here means some rank ran a different
 			// collective sequence (its frame was consumed elsewhere).
 			t.fail(fmt.Errorf("machine: rank %d summary exchange desynchronized (mismatched collective calls across ranks?)", t.rank))
-			machine.Abort("summary desync")
+			return nil
 		}
 	}
-	if err := t.err(); err != nil {
-		return nil, false
-	}
-	return sp.out, true
+	return sp.out
 }
 
 // summaryPost is the summary exchange's header: the rank's gob-encoded

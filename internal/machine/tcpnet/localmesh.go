@@ -75,17 +75,6 @@ func StartLocalMesh(p int, opt Options) (*LocalMesh, error) {
 // Size returns the world size p.
 func (m *LocalMesh) Size() int { return len(m.ranks) }
 
-// Model returns the mesh's cost model.
-func (m *LocalMesh) Model() machine.CostModel { return m.ranks[0].Model() }
-
-// SetModel applies the model on every rank (the in-process analogue of
-// replicated SPMD configuration).
-func (m *LocalMesh) SetModel(cm machine.CostModel) {
-	for _, tr := range m.ranks {
-		tr.SetModel(cm)
-	}
-}
-
 // SetTimeout applies the watchdog on every rank.
 func (m *LocalMesh) SetTimeout(d time.Duration) {
 	for _, tr := range m.ranks {

@@ -6,10 +6,11 @@
 // Topology and rendezvous are static: every process is given the same
 // ordered peer list (rank i listens on peers[i]), rank i dials every
 // lower rank and accepts from every higher rank, and rank 0 then acts as
-// coordinator, shipping its cost model and watchdog timeout to all
-// workers and collecting readiness before the transport is handed to the
-// caller. After the mesh is up, rank 0 can also drive workers through
-// the opaque operation channel (OpBroadcast/OpCollect on the
+// coordinator, collecting every worker's readiness before the transport
+// is handed to the caller. The rendezvous ships no configuration: every
+// rank prices with machine.DefaultModel and starts from the same
+// watchdog default. After the mesh is up, rank 0 can also drive workers
+// through the opaque operation channel (OpBroadcast/OpCollect on the
 // coordinator, NextOp/AckOp on workers) — the session layer uses it to
 // replicate region requests before entering machine.Transport.Run on
 // every rank.
@@ -34,9 +35,7 @@
 package tcpnet
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -44,20 +43,11 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/machine"
 )
 
-// Options configures one rank's endpoint.
+// Options configures how one rank's endpoint joins the mesh; nothing in
+// it outlives the rendezvous.
 type Options struct {
-	// Model overrides the α–β–γ constants; nil keeps machine.DefaultModel.
-	// Only the coordinator's value matters: the rendezvous handshake ships
-	// rank 0's model to every worker.
-	Model *machine.CostModel
-	// Timeout is the per-collective watchdog (and per-write deadline).
-	// Zero keeps the 2-minute default; negative disables the watchdog.
-	// Like Model, the coordinator's value wins.
-	Timeout time.Duration
 	// Rendezvous bounds mesh establishment (dial retries plus accepts).
 	// Zero keeps the 15-second default.
 	Rendezvous time.Duration
@@ -74,15 +64,16 @@ const (
 
 var errClosed = errors.New("tcpnet: transport closed")
 
-// Transport is one rank's endpoint of the TCP machine. It implements
+// Transport is one rank's endpoint of the TCP machine: its wire to every
+// peer, the collective watchdog (a 2-minute default, per process, until
+// SetTimeout), and the failure that poisons it for good. It implements
 // machine.Transport; Run executes the region body for this rank only,
 // synchronizing with the peer processes over the mesh.
 type Transport struct {
 	rank    int
 	p       int
 	peers   []string
-	model   machine.CostModel
-	timeout time.Duration
+	timeout time.Duration // the collective watchdog and write deadline; 0 disables
 
 	ln    net.Listener
 	conns []*conn // indexed by world rank; conns[rank] == nil
@@ -95,14 +86,14 @@ type Transport struct {
 	failErr   error
 }
 
-// Coordinate brings up rank 0: it joins the mesh, ships its model and
-// timeout to every worker, and returns once all workers acknowledged.
+// Coordinate brings up rank 0: it joins the mesh and returns once every
+// worker acknowledged readiness.
 func Coordinate(peers []string, opt Options) (*Transport, error) {
 	return start(0, peers, opt)
 }
 
-// Join brings up a worker rank: it joins the mesh, adopts the
-// coordinator's model and timeout, and acknowledges readiness.
+// Join brings up a worker rank: it joins the mesh and acknowledges
+// readiness to the coordinator.
 func Join(rank int, peers []string, opt Options) (*Transport, error) {
 	if rank == 0 {
 		return nil, errors.New("tcpnet: rank 0 must call Coordinate")
@@ -122,19 +113,9 @@ func start(rank int, peers []string, opt Options) (*Transport, error) {
 		rank:    rank,
 		p:       p,
 		peers:   append([]string(nil), peers...),
-		model:   machine.DefaultModel(),
 		timeout: defaultTimeout,
 		abort:   make(chan struct{}),
 		conns:   make([]*conn, p),
-	}
-	if opt.Model != nil {
-		t.model = *opt.Model
-	}
-	if opt.Timeout != 0 {
-		t.timeout = opt.Timeout
-		if t.timeout < 0 {
-			t.timeout = 0 // watchdog disabled
-		}
 	}
 	window := opt.Rendezvous
 	if window <= 0 {
@@ -237,41 +218,22 @@ func (t *Transport) dialPeers(deadline time.Time) error {
 	return nil
 }
 
-// wireConfig is the coordinator's CONFIG payload: the settings every
-// rank must share for modeled costs to agree.
-type wireConfig struct {
-	Model   machine.CostModel
-	Timeout time.Duration
-}
-
-// handshake distributes rank 0's configuration and synchronizes
-// readiness, reusing the operation channel (the CONFIG broadcast is the
-// mesh's first op, READY its ack).
+// handshake is the mesh's readiness barrier, the first round trip on the
+// operation channel: the coordinator broadcasts an empty operation, and
+// every worker's READY acknowledgement ends it.
 func (t *Transport) handshake() error {
 	if t.rank == 0 {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(wireConfig{Model: t.model, Timeout: t.timeout}); err != nil {
-			return fmt.Errorf("tcpnet: encoding config: %w", err)
-		}
-		if err := t.OpBroadcast(buf.Bytes()); err != nil {
-			return fmt.Errorf("tcpnet: config broadcast: %w", err)
+		if err := t.OpBroadcast(nil); err != nil {
+			return fmt.Errorf("tcpnet: readiness broadcast: %w", err)
 		}
 		if err := t.OpCollect(); err != nil {
 			return fmt.Errorf("tcpnet: waiting for workers: %w", err)
 		}
 		return nil
 	}
-	op, err := t.NextOp()
-	if err != nil {
-		return fmt.Errorf("tcpnet: waiting for config: %w", err)
+	if _, err := t.NextOp(); err != nil {
+		return fmt.Errorf("tcpnet: waiting for the coordinator: %w", err)
 	}
-	var cfg wireConfig
-	if err := gob.NewDecoder(bytes.NewReader(op)).Decode(&cfg); err != nil {
-		t.AckOp(err)
-		return fmt.Errorf("tcpnet: decoding config: %w", err)
-	}
-	t.model = cfg.Model
-	t.timeout = cfg.Timeout
 	return t.AckOp(nil)
 }
 
@@ -281,16 +243,8 @@ func (t *Transport) Size() int { return t.p }
 // Rank returns this process's world rank.
 func (t *Transport) Rank() int { return t.rank }
 
-// Model returns the α–β–γ constants charged by this transport.
-func (t *Transport) Model() machine.CostModel { return t.model }
-
-// SetModel replaces the cost model. It is process-local: in a real
-// deployment every rank must apply the identical model (the SPMD program
-// replicates its configuration), exactly as the handshake seeded it.
-func (t *Transport) SetModel(m machine.CostModel) { t.model = m }
-
-// SetTimeout replaces the collective watchdog; 0 disables it. Like
-// SetModel it is process-local.
+// SetTimeout replaces the collective watchdog; 0 disables it. It is
+// process-local: the handshake ships no setting.
 func (t *Transport) SetTimeout(d time.Duration) {
 	if d < 0 {
 		d = 0

@@ -259,9 +259,9 @@ func dists(plan Plan, m, k, n int, tables ownerTables) (da, db, dc distmat.Dist)
 // cannot change what it keeps of C, and depend on no rejection: the screen
 // runs only where a rank's products are final (C stationary: VarAB without a
 // RoleC fiber) — a partial-C reduction is charged by contribution size, so
-// there it would move the modeled bytes. A screen that runs always folds by
-// column, into storage of the call's own where acc is nil. Workers > 1 call
-// the screen from several goroutines at once.
+// there it would move the modeled bytes — and only with acc: the sorting
+// kernel keeps every product. Workers > 1 call the screen from several
+// goroutines at once.
 func Multiply[TC, TB any](
 	s *Session, plan Plan,
 	a *distmat.Mat[TC], b *Stationary[TB],
@@ -314,9 +314,6 @@ func Multiply[TC, TB any](
 	flt := filter[TC]{screen: screen, acc: acc}
 	if plan.YZ != VarAB || plan.P1 > 1 && plan.X == RoleC {
 		flt.screen = nil // partial products: their reduction is charged by size
-	}
-	if flt.screen != nil && acc == nil {
-		flt.acc = new(Accumulator[TC])
 	}
 	// C is written over the older of acc's two products, or into fresh
 	// storage without acc.

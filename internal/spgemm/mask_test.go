@@ -33,8 +33,8 @@ type maskRun[V any] struct {
 const (
 	kernelPlain    = iota // Multiply without a screen or an accumulator: the sorting kernel, the oracle
 	kernelColumns         // Multiply without a screen, through a caller's accumulator: the column kernel
-	kernelKeepAll         // Multiply under a screen that keeps everything: the column kernel
-	kernelScreened        // Multiply under the losers' screen: the column kernel
+	kernelKeepAll         // Multiply under a screen that keeps everything, through a fresh accumulator: the column kernel
+	kernelScreened        // Multiply under the losers' screen, through a fresh accumulator: the column kernel
 )
 
 // verdicts is what the losers' screen decided on one rank: how many
@@ -91,9 +91,10 @@ func maskedProduct[V, W any](t *testing.T, c screenCase[V, W], plan Plan, worker
 		vd := &verdicts{kept: map[uint64]bool{}}
 		var screen func(i, j int32, v V) bool
 		var acc *Accumulator[V]
-		switch kernel {
-		case kernelColumns:
+		if kernel != kernelPlain {
 			acc = new(Accumulator[V])
+		}
+		switch kernel {
 		case kernelKeepAll:
 			screen = func(int32, int32, V) bool { return true }
 		case kernelScreened:

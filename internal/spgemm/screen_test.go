@@ -189,7 +189,7 @@ func screenedProduct[V, W any](
 		b := NewStationary(distmat.FromGlobal(proc.Rank(), c.adj, distmat.DistShard(p), c.edge))
 		_, _, dc := b.Dists(s, plan, a.Rows)
 		block := distmat.FromGlobal(proc.Rank(), tCOO, dc, c.add).Local
-		prod := Multiply(s, plan, a, b, c.f, c.add, screenOver(block), nil)
+		prod := Multiply(s, plan, a, b, c.f, c.add, screenOver(block), new(Accumulator[V]))
 		for _, e := range prod.Local {
 			tv, ok := c.t.Get(e.I, e.J)
 			if e.V, ok = c.post(tv, !ok, e.V); ok {

@@ -37,12 +37,6 @@ func NewStationary[T any](m *distmat.Mat[T]) *Stationary[T] {
 	return &Stationary[T]{m: m, sets: make(map[Plan]*stagedB[T]), owners: make(ownerTables)}
 }
 
-// Staged reports whether the operand holds a working set staged under plan.
-func (b *Stationary[T]) Staged(plan Plan) bool {
-	_, ok := b.sets[plan]
-	return ok
-}
-
 // Dists is the package-level Dists of a product of an m-row A by b, built
 // once per (plan, m) for the session — a sweep multiplies under the same few
 // shapes every round — from the k and n tables b keeps.
