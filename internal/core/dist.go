@@ -333,30 +333,54 @@ func mulPerSide[T algebra.Sided[T, E], E, W any](
 	return out, true
 }
 
-// seedFrontier builds a batch's initial T: row i carries, on every side, the
-// adjacency row of source batch[i] on that side with multiplicity 1. Sides
-// meeting at one coordinate are merged by FromGlobal's canonicalization.
-func seedFrontier[M multSided[M]](zero M, adj []*sparse.CSR[float64], batch []int32) *sparse.COO[M] {
-	init := sparse.NewCOO[M](len(batch), adj[0].Cols)
+// seedShare writes over dst the rank's share, under the shard distribution
+// of p ranks, of a batch's initial T: row i carries, on every side s, the
+// adjacency row of source batch[i] in adj[s] with multiplicity 1, less the
+// source's own column. Each side's rows are sorted, so merging the sides
+// column by column (a column both carry folds with mon, side 0 first)
+// leaves the share in (row, col) order, and only the rank's own entries
+// are built: no sort, and no other rank's share. adj holds one side or
+// two, and no ∞ weight, so no seed entry is zero.
+func seedShare[M multSided[M]](dst []sparse.Entry[M], mon algebra.Monoid[M], adj []*sparse.CSR[float64], batch []int32, rank, p int) []sparse.Entry[M] {
+	side := func(s int, w float64) M { return mon.Identity.WithSide(s, algebra.MultPath{W: w, M: 1}) }
+	out := dst[:0]
 	for i, src := range batch {
-		for s, a := range adj {
-			cols, vals := a.Row(int(src))
-			for k, v := range cols {
-				if v != src {
-					init.Append(int32(i), v, zero.WithSide(s, algebra.MultPath{W: vals[k], M: 1}))
-				}
+		row := int32(i)
+		c0, w0 := adj[0].Row(int(src))
+		var c1 []int32
+		var w1 []float64
+		if len(adj) > 1 {
+			c1, w1 = adj[1].Row(int(src))
+		}
+		for x, y := 0, 0; x < len(c0) || y < len(c1); {
+			var j int32
+			var v M
+			switch {
+			case y == len(c1) || x < len(c0) && c0[x] < c1[y]:
+				j, v = c0[x], side(0, w0[x])
+				x++
+			case x == len(c0) || c1[y] < c0[x]:
+				j, v = c1[y], side(1, w1[y])
+				y++
+			default:
+				j, v = c0[x], mon.Op(side(0, w0[x]), side(1, w1[y]))
+				x++
+				y++
+			}
+			if j != src && distmat.Shard(row, j, p) == rank {
+				out = append(out, sparse.Entry[M]{I: row, J: j, V: v})
 			}
 		}
 	}
-	return init
+	return out
 }
 
 // sweepBufs is the storage one rank's sweeps of one instantiation reuse
 // across the rounds and batches of a region and across the regions of a
 // session (distRank keeps it), so that a round allocates in proportion to
 // its frontier and not to T, and a region in proportion to what it newly
-// produces: one rotation per matrix (distmat.Accumulator) — T's merges and
-// moves; the child-count operand, Z and Z's moves — the backward
+// produces: one rotation per matrix (distmat.Accumulator) — T's seed,
+// merges and moves; the child-count operand, Z and Z's moves — the backward
 // frontier's scratch and the Z positions it is collected from, the
 // accumulators the screened forward and backward products fold into, and
 // the rank's position table over its block of T. Each step of a sweep
@@ -419,15 +443,17 @@ func (x *blockIndex) at(i, j int32) int {
 // sweepMFBF is Algorithm 1 on distributed matrices: every side's frontier
 // advances over its component of the adjacency operand a in lock-step. Row
 // i of the frontier belongs to source batch[i], and side s is seeded from
-// adj[s]. T starts in the neutral shard distribution, built locally from
-// the replicated generator data. The returned T lives in buf until the next
-// batch's sweep.
+// adj[s]. T starts in the neutral shard distribution, each rank seeding its
+// own share straight from the replicated adjacency rows (seedShare) into
+// T's rotation. The returned T lives in buf until the next batch's sweep.
 func sweepMFBF[M multSided[M], C, W any](
 	sp *sidePlans, buf *sweepBufs[M, C], alg sweepAlgebra[M, C, W], a *spgemm.Stationary[W],
 	adj []*sparse.CSR[float64], batch []int32,
 ) (*distmat.Mat[M], int) {
 	world := sp.sess.Proc.World()
-	t := distmat.FromGlobal(world.Rank(), seedFrontier(alg.mult.Identity, adj, batch), distmat.DistShard(world.Size()), alg.mult)
+	p := world.Size()
+	t := &distmat.Mat[M]{Rows: len(batch), Cols: adj[0].Cols, Dist: distmat.DistShard(p),
+		Local: buf.t.Rotate(seedShare(buf.t.Spare(), alg.mult, adj, batch, world.Rank(), p))}
 	frontier := t
 	// T grows every round, so every multiply re-indexes it.
 	align := func(d distmat.Dist) func(i, j int32, v M) bool {

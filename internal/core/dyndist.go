@@ -21,7 +21,6 @@ import (
 	"slices"
 	"sync/atomic"
 
-	"repro/internal/algebra"
 	"repro/internal/distmat"
 	"repro/internal/graph"
 	"repro/internal/machine"
@@ -96,13 +95,15 @@ func (s *DistSession) reset(newG *graph.Graph, adjCSR *sparse.CSR[float64]) {
 	if adjCSR == nil {
 		adjCSR = newG.Adjacency()
 	}
-	trop := algebra.TropicalMonoid()
-	adjCOO := adjCSR.ToCOO()
-	atCOO := adjCOO // an undirected Aᵀ is A
+	at := adjCSR // an undirected Aᵀ is A
 	if newG.Directed {
-		atCOO = sparse.Transpose(adjCSR).ToCOO()
+		at = sparse.Transpose(adjCSR)
 	}
+	// Each rank's shard of A and of Aᵀ is cut from the rows as they stand:
+	// sorted, and sized exactly. An undirected graph cuts A twice, since
+	// each resident is patched in place.
 	shard := distmat.DistShard(s.p)
+	as, ats := distmat.FromCSR(adjCSR, shard), distmat.FromCSR(at, shard)
 	s.g, s.adjCSR = newG, adjCSR
 	if s.ranks == nil {
 		s.ranks = make([]*distRank, s.p)
@@ -111,8 +112,7 @@ func (s *DistSession) reset(newG *graph.Graph, adjCSR *sparse.CSR[float64]) {
 		}
 	}
 	for r, rk := range s.ranks {
-		rk.a = spgemm.NewStationary(distmat.FromGlobal(r, adjCOO, shard, trop))
-		rk.at = spgemm.NewStationary(distmat.FromGlobal(r, atCOO, shard, trop))
+		rk.a, rk.at = spgemm.NewStationary(as[r]), spgemm.NewStationary(ats[r])
 	}
 }
 
@@ -123,8 +123,9 @@ func (s *DistSession) reset(newG *graph.Graph, adjCSR *sparse.CSR[float64]) {
 // working set — leaving each block entry-identical to a full re-staging of
 // the new matrix while moving nothing on the simulated machine. The diff
 // is globally known, mirroring the generator-replication input convention
-// of FromGlobal. Vertex growth changes the operand dimensions and falls
-// back to reset. adjCSR is newG's adjacency (rebuilt when nil).
+// that reset cuts the residents by. Vertex growth changes the operand
+// dimensions and falls back to reset. adjCSR is newG's adjacency (rebuilt
+// when nil).
 func (s *DistSession) Patch(newG *graph.Graph, adjCSR *sparse.CSR[float64], diffs []EdgeDiff) {
 	if newG.N != s.g.N {
 		s.reset(newG, adjCSR)

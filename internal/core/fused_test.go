@@ -515,14 +515,16 @@ func TestFusedApplyRejectsBadSources(t *testing.T) {
 // broadcast receive went to fresh storage, and 0.60 MB and 0.48 MB while
 // every collective built its payload's closures, boxed its posted slice
 // and made its peer views per call, and its receive callback took what it
-// captured to the heap. The budgets are about 1.2× what they allocate now
-// that a rank's storage outlives its regions, all of that is storage the
-// next multiply or apply writes over, and a warm collective allocates
-// nothing (0.234 MB and 0.104 MB; 0.241 MB and 0.112 MB under the race
-// detector). The collector is held off and the minimum of a few tries
+// captured to the heap, and 0.200 MB and 0.087 MB while the apply rebuilt
+// the adjacency through a COO and every rank built each batch's whole seed
+// frontier. The budgets are about 1.2× what they allocate now that a
+// rank's storage outlives its regions, all of that is storage the next
+// multiply or apply writes over, a warm collective allocates nothing, and
+// the adjacency and each rank's seed are cut from sorted rows (0.105 MB
+// and 0.078 MB; 0.113 MB and 0.087 MB under the race detector). The collector is held off and the minimum of a few tries
 // gated, so the test does not depend on when a cycle lands.
 func TestRoundAllocBudget(t *testing.T) {
-	const maxApplyBytes, maxRunBytes = 278 << 10, 122 << 10 // 278 KiB, 122 KiB
+	const maxApplyBytes, maxRunBytes = 123 << 10, 92 << 10 // 123 KiB, 92 KiB
 	g := graph.Grid2D(16, 16, 30, 1)
 	sess, err := NewDistSession(g, DistOptions{Procs: 4, Workers: 1})
 	if err != nil {

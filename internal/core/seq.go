@@ -479,6 +479,32 @@ func MFBF(a *sparse.CSR[float64], sources []int32) (*sparse.CSR[algebra.MultPath
 // output is identical to MFBF for every worker count. workers <= 0 selects
 // GOMAXPROCS.
 func MFBFParallel(a *sparse.CSR[float64], sources []int32, workers int) (*sparse.CSR[algebra.MultPath], int64, int) {
+	ws, r := forwardSweep(a, sources, workers)
+	t := exportT(ws.t, len(sources), a.Cols)
+	workspaces.Put(ws)
+	return t, r.ops, r.itF
+}
+
+// MFBFDistances is MFBFParallel reduced to distances, written over dist
+// (at least len(sources)·n long, n = a.Cols) instead of exported as T:
+// dist[i·n+v] is d(sources[i] → v), ∞ where v is unreachable and 0 at the
+// source itself. Nothing is allocated once the pooled workspace has grown.
+func MFBFDistances(a *sparse.CSR[float64], sources []int32, workers int, dist []float64) {
+	ws, _ := forwardSweep(a, sources, workers)
+	n := a.Cols
+	for i, src := range sources {
+		row := dist[i*n : (i+1)*n]
+		for v, t := range ws.t[i*n : (i+1)*n] {
+			row[v] = t.W // an absent pair's distance is ∞
+		}
+		row[src] = 0 // MFBF suppresses the source diagonal
+	}
+	workspaces.Put(ws)
+}
+
+// forwardSweep runs the forward sweep of every source into the rows of a
+// pooled workspace's T slab, which the caller reads and then puts back.
+func forwardSweep(a *sparse.CSR[float64], sources []int32, workers int) (*workspace, tally) {
 	nb, n, limit := len(sources), a.Cols, a.Rows+1
 	ws := workspaces.Get().(*workspace)
 	ws.t = grow(ws.t, nb*n)
@@ -487,9 +513,7 @@ func MFBFParallel(a *sparse.CSR[float64], sources []int32, workers int) (*sparse
 		return tally{ops: ops, itF: it}
 	})
 	checkConverged(r, limit)
-	t := exportT(ws.t, nb, n)
-	workspaces.Put(ws)
-	return t, r.ops, r.itF
+	return ws, r
 }
 
 // MFBrParallel (Algorithm 2, MFBr) back-propagates partial centrality

@@ -97,6 +97,38 @@ func FromGlobal[T any](rank int, coo *sparse.COO[T], d Dist, m algebra.Monoid[T]
 	return &Mat[T]{Rows: coo.Rows, Cols: coo.Cols, Dist: d, Local: share.E}
 }
 
+// FromCSR cuts every rank's piece of a globally known CSR matrix under d
+// at once, as FromGlobal would from a.ToCOO() for a matrix that stores no
+// zero: one pass counts each rank's entries, so every piece is sized
+// exactly, and a second appends them row by row. A CSR's rows are sorted
+// and duplicate-free, so each piece comes out in (row, col) order, with no
+// sort and no merge. A rank that owns nothing gets a nil block. The pieces
+// share no storage with a or with each other.
+func FromCSR[T any](a *sparse.CSR[T], d Dist) []*Mat[T] {
+	count := make([]int, d.P)
+	for i := 0; i < a.Rows; i++ {
+		cols, _ := a.Row(i)
+		for _, j := range cols {
+			count[d.Owner(int32(i), j)]++
+		}
+	}
+	out := make([]*Mat[T], d.P)
+	for r, c := range count {
+		out[r] = &Mat[T]{Rows: a.Rows, Cols: a.Cols, Dist: d}
+		if c > 0 {
+			out[r].Local = make([]sparse.Entry[T], 0, c)
+		}
+	}
+	for i := 0; i < a.Rows; i++ {
+		cols, vals := a.Row(i)
+		for k, j := range cols {
+			m := out[d.Owner(int32(i), j)]
+			m.Local = append(m.Local, sparse.Entry[T]{I: int32(i), J: j, V: vals[k]})
+		}
+	}
+	return out
+}
+
 // GlobalNNZ sums entry counts over the communicator.
 func GlobalNNZ[T any](c *machine.Comm, m *Mat[T]) int64 {
 	return machine.AllreduceScalar(c, int64(len(m.Local)), func(a, b int64) int64 { return a + b })

@@ -254,6 +254,9 @@ type Engine struct {
 	// applyMu; nil after a failed run, lazily rebuilt from the committed
 	// snapshot.
 	dist *core.DistSession
+	// dists is the affected-source probes' distance slab, guarded by
+	// applyMu: every apply writes over what the last one left.
+	dists []float64
 
 	mu  sync.RWMutex
 	cur *state // guarded by mu
@@ -352,7 +355,7 @@ func (e *Engine) ApplyCtx(ctx context.Context, batch []graph.Mutation) (Report, 
 	diffs := batchDiff(old.g, newG, batch)
 
 	_, probe := obs.StartSpan(ctx, "dynamic.probe")
-	affected := affectedSources(old, st, diffs, e.cfg.Workers)
+	affected := affectedSources(old, st, diffs, e.cfg.Workers, &e.dists)
 	probe.SetAttr("affected", len(affected)).SetAttr("diffs", len(diffs))
 	probe.End()
 	frac := 0.0
@@ -597,8 +600,9 @@ func batchDiff(oldG, newG *graph.Graph, batch []graph.Mutation) []edgeDiff {
 // new snapshot whose dependency contributions can differ between the
 // snapshots: those with a mutated edge on some shortest path in either
 // graph. The test is epsilon-tolerant, so floating-point path sums can
-// only widen the set. Both probes run on the snapshots' cached transposes.
-func affectedSources(old, st *state, diffs []edgeDiff, workers int) []int32 {
+// only widen the set. Both probes run on the snapshots' cached transposes,
+// into *slab, grown as needed and written over.
+func affectedSources(old, st *state, diffs []edgeDiff, workers int, slab *[]float64) []int32 {
 	if len(diffs) == 0 {
 		return nil
 	}
@@ -607,17 +611,20 @@ func affectedSources(old, st *state, diffs []edgeDiff, workers int) []int32 {
 	// one multi-source SSSP from the endpoints on the reverse graph.
 	oldEnds := endpointSet(diffs, func(d edgeDiff) bool { return d.inOld })
 	newEnds := endpointSet(diffs, func(d edgeDiff) bool { return d.inNew })
-	distOld := distancesTo(old.at, old.g.N, oldEnds, workers)
-	distNew := distancesTo(st.at, st.g.N, newEnds, workers)
+	cut := len(oldEnds) * old.g.N
+	total := cut + len(newEnds)*st.g.N
+	*slab = slices.Grow((*slab)[:0], total)[:total]
+	distOld := distancesTo(old.at, oldEnds, workers, (*slab)[:cut])
+	distNew := distancesTo(st.at, newEnds, workers, (*slab)[cut:])
 
 	affected := make([]bool, st.g.N)
 	undirected := !st.g.Directed
 	for _, d := range diffs {
 		if d.inOld {
-			markOnShortestPath(affected, distOld[d.u], distOld[d.v], d.wOld, undirected)
+			markOnShortestPath(affected, distOld.to(d.u), distOld.to(d.v), d.wOld, undirected)
 		}
 		if d.inNew {
-			markOnShortestPath(affected, distNew[d.u], distNew[d.v], d.wNew, undirected)
+			markOnShortestPath(affected, distNew.to(d.u), distNew.to(d.v), d.wNew, undirected)
 		}
 	}
 	var out []int32
@@ -629,47 +636,45 @@ func affectedSources(old, st *state, diffs []edgeDiff, workers int) []int32 {
 	return out
 }
 
+// endpointSet returns, sorted and distinct, the endpoints of the diffs
+// want selects: the probe sweeps' sources, in a layout that does not
+// depend on the diff's order.
 func endpointSet(diffs []edgeDiff, want func(edgeDiff) bool) []int32 {
-	set := make(map[int32]bool)
+	var out []int32
 	for _, d := range diffs {
 		if want(d) {
-			set[d.u] = true
-			set[d.v] = true
+			out = append(out, d.u, d.v)
 		}
 	}
-	out := make([]int32, 0, len(set))
-	for e := range set {
-		out = append(out, e)
-	}
-	// The endpoints index the multi-source probe sweeps; a map-ordered
-	// list would make the probe layout differ run to run.
 	slices.Sort(out)
-	return out
+	return slices.Compact(out)
 }
 
-// distancesTo returns dist[e][s] = d(s → e) for every endpoint e: one
+// probeDists holds d(s → e) for every source s and each endpoint e of a
+// sorted endpoint list: row k of the slab, n wide, is that of ends[k].
+type probeDists struct {
+	ends []int32
+	n    int
+	slab []float64
+}
+
+// to returns the distances to endpoint e, which must be one of ends.
+func (p probeDists) to(e int32) []float64 {
+	k, _ := slices.BinarySearch(p.ends, e)
+	return p.slab[k*p.n : (k+1)*p.n]
+}
+
+// distancesTo fills slab with d(s → e) for every endpoint e: one
 // multi-source MFBF sweep from the endpoints over the snapshot's cached
 // transpose (the reverse graph's adjacency; for undirected graphs A is
-// symmetric so the transpose is the graph itself).
-func distancesTo(at *sparse.CSR[float64], n int, endpoints []int32, workers int) map[int32][]float64 {
-	out := make(map[int32][]float64, len(endpoints))
-	if len(endpoints) == 0 {
-		return out
+// symmetric so the transpose is the graph itself), written row by row over
+// slab, at least len(endpoints)·n long.
+func distancesTo(at *sparse.CSR[float64], endpoints []int32, workers int, slab []float64) probeDists {
+	n := at.Rows
+	if len(endpoints) > 0 {
+		core.MFBFDistances(at, endpoints, workers, slab)
 	}
-	t, _, _ := core.MFBFParallel(at, endpoints, workers)
-	for i, e := range endpoints {
-		d := make([]float64, n)
-		for v := range d {
-			d[v] = math.Inf(1)
-		}
-		d[e] = 0 // MFBF suppresses the source diagonal
-		cols, vals := t.Row(i)
-		for k, v := range cols {
-			d[v] = vals[k].W
-		}
-		out[e] = d
-	}
-	return out
+	return probeDists{ends: endpoints, n: n, slab: slab}
 }
 
 // markOnShortestPath marks every source s for which edge (u→v, w) lies on

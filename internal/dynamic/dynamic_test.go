@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 
@@ -540,7 +542,7 @@ func TestDistributedApplyCheaperThanFromScratch(t *testing.T) {
 			t.Fatal(err)
 		}
 		m := []graph.Mutation{{Op: graph.OpSetWeight, U: cand.U, V: cand.V, W: cand.W * 1.07}}
-		aff := affectedSources(st, newState(ng, 1), batchDiff(g, ng, m), 1)
+		aff := affectedSources(st, newState(ng, 1), batchDiff(g, ng, m), 1, new([]float64))
 		if n := len(aff); n > 0 && n < bestAff {
 			best, bestAff = cand, n
 		}
@@ -678,5 +680,52 @@ func TestFusedNoopAndEmptyAffectedSkipRegions(t *testing.T) {
 	}
 	if snap.Seq != 1 || rep.Strategy != StrategyIncremental || rep.Procs != 4 {
 		t.Fatalf("no-op batch is not one regionless incremental apply: Seq %d, %+v", snap.Seq, rep)
+	}
+}
+
+// TestApplyAllocBudget gates the bytes of one warm fused apply of the p=4
+// engine, BenchmarkFusedLocalApply's shape: a 16×16 weighted mesh whose
+// edge (62,63) toggles between two weights, each apply a single-edge
+// reweight over six pivots. An apply builds the snapshot's adjacency,
+// probes for the affected sources and runs one fused region. It allocated
+// 242 KB while the adjacency went through a COO, append, sort and merge,
+// every rank built the whole batch's seed frontier and kept its quarter,
+// and the probes kept a map of fresh n-vectors beside an exported T.
+// Now the adjacency and each rank's seed are cut from sorted rows and the
+// probes write into the engine's slab: 114 KB (123 KB under the race
+// detector). The budget is about 1.2× that. The collector is held off and
+// the minimum of a few tries gated, so the test does not depend on when a
+// cycle lands.
+func TestApplyAllocBudget(t *testing.T) {
+	const maxBytes = 134 << 10 // 134 KiB
+	e, err := New(graph.Grid2D(16, 16, 30, 1), Config{Procs: 4, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Edge (62,63) carries weight 23 on this seed.
+	toggle := []graph.Mutation{
+		{Op: graph.OpSetWeight, U: 62, V: 63, W: 25},
+		{Op: graph.OpSetWeight, U: 62, V: 63, W: 23},
+	}
+	apply := func(i int) {
+		rep, err := e.Apply(toggle[i%2 : i%2+1])
+		if err != nil || !rep.Fused || rep.Affected != 6 {
+			t.Fatalf("apply %d: fused=%v affected=%d err=%v", i, rep.Fused, rep.Affected, err)
+		}
+	}
+	apply(0)
+	apply(1)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	bytes := uint64(math.MaxUint64)
+	var before, after runtime.MemStats
+	for try := 2; try < 8; try++ {
+		runtime.ReadMemStats(&before)
+		apply(try)
+		runtime.ReadMemStats(&after)
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+	}
+	t.Logf("a warm fused apply allocates %d bytes", bytes)
+	if bytes > maxBytes {
+		t.Errorf("a warm fused apply allocates %d bytes, budget %d", bytes, maxBytes)
 	}
 }

@@ -49,10 +49,12 @@ func (g *Graph) AvgDegree() float64 {
 
 // Validate checks structural invariants: coordinates in range, strictly
 // positive weights, no self-loops, canonical undirected orientation, and no
-// edge listed twice — Adjacency would keep the lightest copy and
-// OutAdjacencyLists all of them, so the engines would disagree. Every
-// generator, LoadFile and Apply emit strictly increasing (U,V), which
-// one pass confirms; only an unsorted list pays for a set.
+// edge listed twice — Adjacency would fold the copies into the lightest
+// and OutAdjacencyLists keep all of them, so the engines would disagree.
+// Every generator, LoadFile and Apply emit strictly increasing (U,V),
+// which one pass confirms and which leaves every row of Adjacency in
+// column order as it is filled; only an unsorted list pays for a set here
+// and for a row sort there.
 func (g *Graph) Validate() error {
 	sorted := true
 	for i, e := range g.Edges {
@@ -89,16 +91,45 @@ func (g *Graph) Validate() error {
 
 // Adjacency builds the sparse adjacency matrix A with A(i,j) = w(i,j) on the
 // tropical structure (absent entries represent ∞). Undirected edges appear
-// in both orientations.
+// in both orientations. One counting pass sizes the rows and a second, over
+// the edges from last to first, fills each row from its end, so a row
+// holds its entries in edge-list order and nothing but the matrix's own
+// arrays is allocated. A sorted edge list (every generator, LoadFile and
+// Apply emit one) leaves every row in column order: an undirected row's
+// mirrored entries, from edges (u, r) with u < r, all precede its own,
+// (r, v) with v > r. Only a row that arrives out of order is sorted, in
+// place and stably, and a coordinate listed twice keeps its lightest
+// weight. The result equals sparse.FromCOO over the appended entries.
 func (g *Graph) Adjacency() *sparse.CSR[float64] {
-	coo := sparse.NewCOO[float64](g.N, g.N)
+	n := g.N
+	a := &sparse.CSR[float64]{Rows: n, Cols: n, RowPtr: make([]int64, n+1)}
+	// ptr[r] counts row r and its predecessors, then is decremented to
+	// row r's start as the row fills backwards.
+	ptr := a.RowPtr
 	for _, e := range g.Edges {
-		coo.Append(e.U, e.V, e.W)
+		ptr[e.U]++
 		if !g.Directed {
-			coo.Append(e.V, e.U, e.W)
+			ptr[e.V]++
 		}
 	}
-	return sparse.FromCOO(coo, algebra.TropicalMonoid())
+	for i := 1; i < n; i++ {
+		ptr[i] += ptr[i-1]
+	}
+	if n > 0 {
+		ptr[n] = ptr[n-1]
+	}
+	a.ColIdx, a.Val = make([]int32, ptr[n]), make([]float64, ptr[n])
+	for k := len(g.Edges) - 1; k >= 0; k-- {
+		e := g.Edges[k]
+		ptr[e.U]--
+		a.ColIdx[ptr[e.U]], a.Val[ptr[e.U]] = e.V, e.W
+		if !g.Directed {
+			ptr[e.V]--
+			a.ColIdx[ptr[e.V]], a.Val[ptr[e.V]] = e.U, e.W
+		}
+	}
+	a.Canonicalize(algebra.TropicalMonoid())
+	return a
 }
 
 // AdjacencyNNZ returns the number of stored adjacency nonzeros (2m for

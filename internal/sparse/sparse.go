@@ -154,6 +154,50 @@ func FromCOO[T any](a *COO[T], m algebra.Monoid[T]) *CSR[T] {
 	return out
 }
 
+// Canonicalize restores the CSR invariant, in place, on a matrix whose
+// rows were filled in any column order, a column possibly repeated: each
+// row out of column order is sorted by column, stably, and each run of one
+// column folds with the monoid in row order, a folded value for which
+// IsZero holds dropped, as COO.Canonicalize does. The rows compact towards
+// the front of ColIdx and Val, whose lengths shrink to the stored count. A
+// row already strictly ordered and free of zeros is written onto itself.
+func (a *CSR[T]) Canonicalize(m algebra.Monoid[T]) {
+	w, lo := int64(0), int64(0)
+	for i := 0; i < a.Rows; i++ {
+		hi := a.RowPtr[i+1]
+		if cols := a.ColIdx[lo:hi]; !slices.IsSorted(cols) {
+			sort.Stable(byCol[T]{cols, a.Val[lo:hi]})
+		}
+		a.RowPtr[i] = w
+		for k := lo; k < hi; {
+			j, v := a.ColIdx[k], a.Val[k]
+			for k++; k < hi && a.ColIdx[k] == j; k++ {
+				v = m.Op(v, a.Val[k])
+			}
+			if !m.IsZero(v) {
+				a.ColIdx[w], a.Val[w] = j, v
+				w++
+			}
+		}
+		lo = hi
+	}
+	a.RowPtr[a.Rows] = w
+	a.ColIdx, a.Val = a.ColIdx[:w], a.Val[:w]
+}
+
+// byCol orders one CSR row's entries by column.
+type byCol[T any] struct {
+	cols []int32
+	vals []T
+}
+
+func (r byCol[T]) Len() int           { return len(r.cols) }
+func (r byCol[T]) Less(x, y int) bool { return r.cols[x] < r.cols[y] }
+func (r byCol[T]) Swap(x, y int) {
+	r.cols[x], r.cols[y] = r.cols[y], r.cols[x]
+	r.vals[x], r.vals[y] = r.vals[y], r.vals[x]
+}
+
 // ToCOO converts back to coordinate form.
 func (a *CSR[T]) ToCOO() *COO[T] {
 	out := NewCOO[T](a.Rows, a.Cols)

@@ -353,6 +353,53 @@ func TestFromCOOMatchesDefinition(t *testing.T) {
 	}
 }
 
+// rowsAsListed is a CSR holding a's entries bucketed by row, each row in
+// its order in a.E, duplicates and zeros kept: what CSR.Canonicalize is
+// handed.
+func rowsAsListed(a *sparse.COO[float64]) *sparse.CSR[float64] {
+	out := &sparse.CSR[float64]{Rows: a.Rows, Cols: a.Cols, RowPtr: make([]int64, a.Rows+1)}
+	for r := 0; r < a.Rows; r++ {
+		for _, e := range a.E {
+			if int(e.I) == r {
+				out.ColIdx = append(out.ColIdx, e.J)
+				out.Val = append(out.Val, e.V)
+			}
+		}
+		out.RowPtr[r+1] = int64(len(out.ColIdx))
+	}
+	return out
+}
+
+// TestCSRCanonicalizeMatchesDefinition: on rows filled in shuffled order,
+// with duplicates, zero folds and a hub row, CSR.Canonicalize gives the
+// definition's entries in place; a reversed hub row of 2¹⁸ entries sorts
+// in well under the 10 s bound.
+func TestCSRCanonicalizeMatchesDefinition(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 20; trial++ {
+		a := hubCOO(rng, 1+rng.Intn(60), 1+rng.Intn(3000), 1000+rng.Intn(3000))
+		want := canonicalByDefinition(a, addF)
+		got := rowsAsListed(a)
+		got.Canonicalize(addF)
+		if !slices.Equal(got.ToCOO().E, want) || got.RowPtr[got.Rows] != int64(len(got.ColIdx)) || len(got.Val) != len(got.ColIdx) {
+			t.Fatalf("trial %d: CSR.Canonicalize differs from the definition (%d entries, want %d)", trial, got.NNZ(), len(want))
+		}
+	}
+	const n = 1 << 18
+	hub := &sparse.CSR[float64]{Rows: 2, Cols: n, RowPtr: []int64{0, 0, n}, ColIdx: make([]int32, n), Val: make([]float64, n)}
+	for k := range hub.ColIdx {
+		hub.ColIdx[k], hub.Val[k] = int32(n-1-k), 1
+	}
+	start := time.Now()
+	hub.Canonicalize(addF)
+	if cols, _ := hub.Row(1); len(cols) != n || !slices.IsSorted(cols) {
+		t.Fatalf("hub row: %d columns, sorted %t", len(cols), slices.IsSorted(cols))
+	}
+	if took := time.Since(start); took > 10*time.Second {
+		t.Fatalf("a %d-entry hub row took %v to sort", n, took)
+	}
+}
+
 // TestFromCOOHubRowNotQuadratic: one row of 2¹⁸ entries in descending
 // column order — the worst case of a quadratic per-row sort, 3·10¹⁰ moves
 // that take minutes — is sorted in a fraction of a second (well under the
