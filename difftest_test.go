@@ -145,13 +145,17 @@ func TestDifferential(t *testing.T) {
 	}
 }
 
-// TestRealWeightsDifferential holds the p=1 route to the Brandes oracle on
+// TestRealWeightsDifferential holds every route to the Brandes oracle on
 // weights with no exact sums: 0.05 + rand.Float64(), where path weights
 // added in different orders differ in the last bit. The CSR kernel screens
 // an edge with the expression the relaxation used to produce T, as Brandes
 // does, so it is exact there; before that (it subtracted on the way back)
-// this failed at seed 1. The streaming engine is checked after a few
-// set_weight batches of more such weights.
+// this failed at seed 1. The entry-list sweep at Procs > 1 masks its
+// backward products with that same sum (core's tight), and plans them only
+// where the mask runs; before that it too subtracted, and all 60 graphs
+// failed (the first at grid-9x9 seed 1, Compute{Procs:2}: BC[1] = 78
+// against 150). The streaming engines are checked after three set_weight
+// batches of more such weights, shared-memory and at Procs 4.
 func TestRealWeightsDifferential(t *testing.T) {
 	topologies := []diffTopology{
 		{"grid-9x9", func(s int64) *Graph { return GridGraph(9, 9, 1, s) }},
@@ -174,17 +178,52 @@ func TestRealWeightsDifferential(t *testing.T) {
 			}
 		}
 	}
+	// realCase is a topology's seed graph with real weights and the three
+	// set_weight batches of two edges each that the streaming engines apply.
+	realCase := func(t *testing.T, topo diffTopology, seed int64) (*Graph, [][]Mutation) {
+		g := topo.build(seed)
+		rng := rand.New(rand.NewSource(seed))
+		for i := range g.Edges {
+			g.Edges[i].W = 0.05 + rng.Float64()
+		}
+		g.Weighted = true
+		shadow := g.Clone()
+		steps := make([][]Mutation, 3)
+		for step := range steps {
+			for i := 0; i < 2; i++ {
+				e := shadow.Edges[rng.Intn(shadow.M())]
+				m := Mutation{Op: MutSetWeight, U: e.U, V: e.V, W: 0.05 + rng.Float64()}
+				if err := shadow.Apply(m); err != nil {
+					t.Fatalf("step %d: shadow: %v", step, err)
+				}
+				steps[step] = append(steps[step], m)
+			}
+		}
+		return g, steps
+	}
+	stream := func(t *testing.T, what string, g *Graph, steps [][]Mutation, opt DynamicOptions) {
+		t.Helper()
+		dyn, err := NewDynamicBC(g, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shadow := g.Clone()
+		for step, batch := range steps {
+			if _, err := shadow.ApplyAll(batch); err != nil {
+				t.Fatalf("step %d: shadow: %v", step, err)
+			}
+			rep, err := dyn.Apply(batch)
+			if err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+			matches(t, fmt.Sprintf("%s step %d (%s)", what, step, rep.Strategy), dyn.Scores().BC, brandes(t, shadow))
+		}
+	}
 	for _, topo := range topologies {
 		for seed := int64(1); seed <= 20; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", topo.name, seed), func(t *testing.T) {
-				g := topo.build(seed)
-				rng := rand.New(rand.NewSource(seed))
-				for i := range g.Edges {
-					g.Edges[i].W = 0.05 + rng.Float64()
-				}
-				g.Weighted = true
+				g, steps := realCase(t, topo, seed)
 				want := brandes(t, g)
-
 				res, err := core.MFBC(g, nil, core.Options{Batch: 32, Workers: 1})
 				if err != nil {
 					t.Fatal(err)
@@ -195,33 +234,27 @@ func TestRealWeightsDifferential(t *testing.T) {
 					t.Fatal(err)
 				}
 				matches(t, "Compute{Procs:1}", out.BC, want)
-
-				dyn, err := NewDynamicBC(g, DynamicOptions{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				shadow := g.Clone()
-				for step := 0; step < 3; step++ {
-					batch := make([]Mutation, 2)
-					for i := range batch {
-						e := shadow.Edges[rng.Intn(shadow.M())]
-						batch[i] = Mutation{Op: MutSetWeight, U: e.U, V: e.V, W: 0.05 + rng.Float64()}
-						if err := shadow.Apply(batch[i]); err != nil {
-							t.Fatalf("step %d: shadow: %v", step, err)
-						}
-					}
-					rep, err := dyn.Apply(batch)
-					if err != nil {
-						t.Fatalf("step %d: %v", step, err)
-					}
-					matches(t, fmt.Sprintf("NewDynamicBC step %d (%s)", step, rep.Strategy), dyn.Scores().BC, brandes(t, shadow))
-				}
+				stream(t, "NewDynamicBC", g, steps, DynamicOptions{})
 			})
 		}
 	}
-	// ROADMAP item 2: the entry-list engines still subtract on the way back.
 	t.Run("procs4", func(t *testing.T) {
-		t.Skip("Procs > 1 is not exact on real weights yet: the backward sweep applies BrandesAction's ⊖ (T(s,u).w − A(v,u)) to a T built forward, and screenCentSided compares that difference with T(s,v).w, summed in another order (ROADMAP item 2)")
+		for _, topo := range topologies {
+			for seed := int64(1); seed <= 20; seed++ {
+				t.Run(fmt.Sprintf("%s/seed%d", topo.name, seed), func(t *testing.T) {
+					g, steps := realCase(t, topo, seed)
+					want := brandes(t, g)
+					for _, p := range []int{2, 4, 9} {
+						out, err := Compute(g, Options{Engine: EngineMFBC, Procs: p})
+						if err != nil {
+							t.Fatal(err)
+						}
+						matches(t, fmt.Sprintf("Compute{Procs:%d}", p), out.BC, want)
+					}
+					stream(t, "NewDynamicBC{Procs:4}", g, steps, DynamicOptions{Procs: 4})
+				})
+			}
+		}
 	})
 }
 

@@ -8,9 +8,8 @@
 // graph's scores from a few sampled sources with repro.ApproximateBC — the
 // cheap path when exact maintenance is not worth it — and sets each
 // estimate's Hoeffding error bound beside its actual error against the
-// maintained exact scores. Part 3 runs the same kind of stream, on weights
-// rounded to the 2⁻¹⁰ grid, on the simulated distributed machine
-// (Procs: 4): the stationary adjacency operands stay resident across
+// maintained exact scores. Part 3 runs the same kind of stream on the
+// simulated distributed machine (Procs: 4): the stationary adjacency operands stay resident across
 // applies, and each incremental apply executes as ONE fused machine
 // region — the old-side and new-side pivot re-runs ride the same
 // supersteps over the pair semiring, with the edge diff scattered and
@@ -62,7 +61,7 @@ func main() {
 	rng := rand.New(rand.NewSource(7))
 	var incremental, affected int
 	for round := 1; round <= 8; round++ {
-		batch := roadBatch(rng, dyn.Graph(), 1+rng.Intn(2), false)
+		batch := roadBatch(rng, dyn.Graph(), 1+rng.Intn(2))
 		rep, err := dyn.Apply(batch)
 		if err != nil {
 			log.Fatal(err)
@@ -112,15 +111,11 @@ func main() {
 	// superstep's collectives, the diff arrives by a modeled scatter, and
 	// the operand splice is charged as local γ-flops — the per-apply
 	// report attributes the cost to the diff/patch/sweep/reduce phases,
-	// and the modeled messages sit near a single run instead of two. The
-	// weights live on the 2⁻¹⁰ grid: at Procs > 1 the sweeps compare path
-	// weights summed in different orders, which on arbitrary reals round
-	// apart and drop predecessors (README "Known limits"); sums of grid
-	// weights are exact in any order.
+	// and the modeled messages sit near a single run instead of two.
 	mesh := repro.GridGraph(12, 12, 1, 5)
 	drng := rand.New(rand.NewSource(19))
 	for i := range mesh.Edges {
-		mesh.Edges[i].W = dyadic(1 + 29*drng.Float64())
+		mesh.Edges[i].W = 1 + 29*drng.Float64()
 	}
 	mesh.Weighted = true
 	dist, err := repro.NewDynamicBC(mesh, repro.DynamicOptions{
@@ -135,7 +130,7 @@ func main() {
 	fmt.Println("batch  affected/n     strategy     fused   W (bytes)   S (msgs)   model(s)   max |Δ|   plan")
 	var lastFused repro.ApplyReport
 	for round := 1; round <= 5; round++ {
-		rep, err := dist.Apply(roadBatch(rng, dist.Graph(), 1+rng.Intn(2), true))
+		rep, err := dist.Apply(roadBatch(rng, dist.Graph(), 1+rng.Intn(2)))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -177,9 +172,8 @@ func main() {
 }
 
 // roadBatch draws k valid mutations with a road-traffic profile: mostly
-// reweights of existing links, an occasional new link or closure. With
-// onGrid every new weight is rounded to the 2⁻¹⁰ grid.
-func roadBatch(rng *rand.Rand, g *repro.Graph, k int, onGrid bool) []repro.Mutation {
+// reweights of existing links, an occasional new link or closure.
+func roadBatch(rng *rand.Rand, g *repro.Graph, k int) []repro.Mutation {
 	shadow := g.Clone()
 	batch := make([]repro.Mutation, 0, k)
 	for len(batch) < k {
@@ -206,9 +200,6 @@ func roadBatch(rng *rand.Rand, g *repro.Graph, k int, onGrid bool) []repro.Mutat
 			m = repro.Mutation{Op: repro.MutSetWeight, U: e.U, V: e.V,
 				W: e.W * (1.05 + 0.15*rng.Float64())}
 		}
-		if onGrid {
-			m.W = dyadic(m.W)
-		}
 		if err := shadow.Apply(m); err != nil {
 			continue
 		}
@@ -216,9 +207,6 @@ func roadBatch(rng *rand.Rand, g *repro.Graph, k int, onGrid bool) []repro.Mutat
 	}
 	return batch
 }
-
-// dyadic rounds a weight to the 2⁻¹⁰ grid.
-func dyadic(w float64) float64 { return math.Round(w*1024) / 1024 }
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 

@@ -7,10 +7,11 @@
 // in the proof of Theorem 5.1.
 //
 // This file holds the one distributed sweep: Algorithms 1 and 2 and their
-// four per-entry rules (two more, optional, screen each sweep's products
-// against T inside the multiply — the backward one masking them by T's
-// pattern), written once over sorted entry lists and generic over how many
-// independent sides each entry value carries (algebra.Sided).
+// four per-entry rules (two more form each sweep's products against T
+// inside the multiply — the backward one keeping only the edges of T's
+// shortest-path DAG, by the sum the forward sweep formed), written once
+// over sorted entry lists and generic over how many independent sides each
+// entry value carries (algebra.Sided).
 // One side is the scalar sweep of Run and MFBCDistributed; two sides —
 // (old, new) around a graph edit — is the fused incremental
 // apply of fused.go. At one side every per-side step degenerates to the
@@ -24,6 +25,8 @@ package core
 
 import (
 	"context"
+	"math"
+	"math/bits"
 	"slices"
 	"unsafe"
 
@@ -44,7 +47,11 @@ type DistOptions struct {
 	Sources []int32 // when non-nil, sweep only these, in Batch-sized chunks; BC holds the partial contribution Σ_{s∈Sources} δ(s,·)
 	// Plan and Constraint are the paper's decomposition ablations (§7,
 	// Table 3): Plan forces one decomposition for every multiplication, nil
-	// searches per operation; Constraint restricts that search.
+	// searches per operation; Constraint restricts that search. One
+	// exception: on weights whose path sums are inexact (not all multiples
+	// of one power of two), a forced plan that runs no screen
+	// (spgemm.Plan.Screens) plans the forward products only, and the
+	// backward ones are searched among the plans that screen.
 	Plan       *spgemm.Plan
 	Constraint spgemm.Constraint
 	// Transport pins every region of this run/session to an external
@@ -88,7 +95,7 @@ func ChoosePlan(g *graph.Graph, p, nb int, model machine.CostModel, cons spgemm.
 	pl := planner{
 		p: p, n: g.N, adjNNZ: nnzAdj, model: model, cons: cons,
 	}
-	return pl.planFor(nil, nb, int64(float64(nb)*avgDeg), multpathBytes)
+	return pl.planFor(nil, nb, int64(float64(nb)*avgDeg), multpathBytes, false)
 }
 
 // planner mirrors CTF's mapping framework: every multiplication is planned
@@ -103,22 +110,29 @@ type planner struct {
 	model  machine.CostModel
 	cons   spgemm.Constraint
 	forced *spgemm.Plan
+	exact  bool // the adjacency's path sums are exact (exactSums)
 }
 
 // planFor returns the plan of a rows-row frontier product with nnzA
-// entries of bytesA wire bytes each. With a memo (nil = none) it looks the
-// search up there first and records what it searched.
-func (pl planner) planFor(memo *planMemo, rows int, nnzA int64, bytesA int64) spgemm.Plan {
-	if pl.forced != nil {
+// entries of bytesA wire bytes each, a backward one when back is set. With
+// a memo (nil = none) it looks the search up there first and records what
+// it searched. Where no screen runs, ⊖ forms a backward product, which is
+// exact only on exact weights: elsewhere a backward product is planned
+// among the plans that screen, and a forced plan that does not screen
+// plans the forward products only.
+func (pl planner) planFor(memo *planMemo, rows int, nnzA, bytesA int64, back bool) spgemm.Plan {
+	masked := back && !pl.exact
+	if pl.forced != nil && (!masked || pl.forced.Screens()) {
 		return *pl.forced
 	}
 	pr := spgemm.Problem{
 		M: rows, K: pl.n, N: pl.n,
-		NNZA:   nnzA,
-		NNZB:   pl.adjNNZ,
-		BytesA: bytesA,
-		BytesB: weightBytes,
-		BytesC: bytesA,
+		NNZA:     nnzA,
+		NNZB:     pl.adjNNZ,
+		BytesA:   bytesA,
+		BytesB:   weightBytes,
+		BytesC:   bytesA,
+		Screened: masked,
 	}
 	if memo == nil {
 		return spgemm.Search(pl.p, pr, pl.model, pl.cons)
@@ -150,6 +164,26 @@ type planKey struct {
 }
 
 const maxMemoPlans = 1 << 12
+
+// exactSums reports whether every path sum the sweeps form over the weights
+// ws is exact in float64, so that ⊖ undoes the forward sum: every weight is
+// a multiple of one 2^e and their total is below 2^(53+e). Integer weights
+// and weights on a 2⁻¹⁰ grid pass; ∞ marks an absent edge. The lowest set
+// bit of each weight is read from its bits (one place low on a subnormal,
+// which only makes the test stricter), so a pass costs about an add per
+// weight. A float total reaches 2^(53+e) exactly when the exact one does:
+// below it every partial sum is exact, and rounding is monotone.
+func exactSums(ws []float64) bool {
+	e, total := math.MaxInt, 0.0
+	for _, w := range ws {
+		if !math.IsInf(w, 1) {
+			b := math.Float64bits(w)
+			e = min(e, int(b>>52&0x7ff)-1075+bits.TrailingZeros64(b|1<<52))
+			total += w
+		}
+	}
+	return e == math.MaxInt || total < math.Ldexp(1, 53+e)
+}
 
 // MFBCDistributed computes betweenness centrality on the simulated
 // distributed machine. It is the one-shot form of a DistSession: operands
@@ -194,13 +228,16 @@ func batchList(n, nb int, explicit []int32) [][]int32 {
 }
 
 // sweepAlgebra is what one instantiation of the sweep computes with: the
-// frontier (M) and centrality (C) monoids and the two actions on adjacency
-// values (W). M and C are Sided; W is opaque to the sweep.
+// frontier (M) and centrality (C) monoids, the two actions on adjacency
+// values (W), and the constructor of the forward screen and the backward
+// mask over the block of T a rank's buffers hold. M and C are Sided; W is
+// opaque to the sweep.
 type sweepAlgebra[M, C, W any] struct {
-	mult algebra.Monoid[M]
-	cent algebra.Monoid[C]
-	bf   func(M, W) M
-	br   func(C, W) C
+	mult    algebra.Monoid[M]
+	cent    algebra.Monoid[C]
+	bf      func(M, W) M
+	br      func(C, W) C
+	screens func(*sweepBufs[M, C, W]) (spgemm.Screen[M, W], spgemm.Screen[C, W])
 }
 
 // multSided and centSided constrain the sweep's frontier and centrality
@@ -217,14 +254,14 @@ type (
 func scalarAlgebra() sweepAlgebra[algebra.MultPath, algebra.CentPath, float64] {
 	return sweepAlgebra[algebra.MultPath, algebra.CentPath, float64]{
 		algebra.MultPathMonoid(), algebra.CentPathMonoid(),
-		algebra.BFAction, algebra.BrandesAction,
+		algebra.BFAction, algebra.BrandesAction, scalarScreens,
 	}
 }
 
 func pairAlgebra() sweepAlgebra[algebra.MultPathPair, algebra.CentPathPair, algebra.WeightPair] {
 	return sweepAlgebra[algebra.MultPathPair, algebra.CentPathPair, algebra.WeightPair]{
 		algebra.MultPathPairMonoid(), algebra.CentPathPairMonoid(),
-		algebra.BFActionPair, algebra.BrandesActionPair,
+		algebra.BFActionPair, algebra.BrandesActionPair, pairScreens,
 	}
 }
 
@@ -277,30 +314,33 @@ func sideProject[T algebra.Sided[T, E], E any](m *distmat.Mat[T], s int, zero T,
 	return out
 }
 
-// mulPerSide is one frontier product under per-side plans. It reports false
-// (and multiplies nothing) when no side is live, unless all is set, which
-// also plans the dead sides. When the live sides agree on a plan — always,
-// at one side — a single multiply runs under it, screened by what align
-// returns once it has moved the caller's T to the plan's C distribution,
-// and the exact componentwise identities make each side bit-identical to
-// its scalar product. When they diverge, the frontier is projected per
-// side, each projection is multiplied under its own plan, unscreened, and
-// the products are merged in the first live side's distribution, into
-// fresh storage that acc does not hold: the price of replaying every
-// side's scalar plan sequence exactly, paid only on the (rare) divergent
-// rounds. Every product folds by column into acc.
+// mulPerSide is one frontier product under per-side plans, a backward one
+// when back is set. It reports false (and multiplies nothing) when no side
+// is live, unless all is set, which also plans the dead sides. When the
+// live sides agree on a plan — always, at one side — a single multiply runs
+// under it, screened by what align returns once it has moved the caller's
+// T to the plan's C distribution, and the exact componentwise identities
+// make each side bit-identical to its scalar product. When they diverge,
+// the frontier is projected per side, each projection is multiplied under
+// its own plan, and the products are merged in the first live side's
+// distribution, into fresh storage that acc does not hold: the price of
+// replaying every side's scalar plan sequence exactly, paid only on the
+// (rare) divergent rounds. A projection goes unscreened, unless it is a
+// backward one on an inexact side, which only the mask forms exactly: that
+// one is masked, T moved to its plan. Every product folds by column into
+// acc.
 func mulPerSide[T algebra.Sided[T, E], E, W any](
-	sp *sidePlans, all bool, bytes int64,
+	sp *sidePlans, all, back bool, bytes int64,
 	frontier *distmat.Mat[T], b *spgemm.Stationary[W], f func(T, W) T,
 	mon algebra.Monoid[T], isZero func(E) bool,
-	align func(distmat.Dist) func(i, j int32, v T) bool, acc *spgemm.Accumulator[T],
+	align func(distmat.Dist) spgemm.Screen[T, W], acc *spgemm.Accumulator[T],
 ) (*distmat.Mat[T], bool) {
 	world := sp.sess.Proc.World()
 	nnz := sideNNZ(world, frontier, isZero, &sp.count)
 	lead, split := len(nnz)-1, false
 	for s := lead; s >= 0; s-- {
 		if nnz[s] > 0 || all {
-			sp.plans[s] = sp.pls[s].planFor(sp.memo, frontier.Rows, nnz[s], bytes)
+			sp.plans[s] = sp.pls[s].planFor(sp.memo, frontier.Rows, nnz[s], bytes, back)
 		}
 		if nnz[s] > 0 {
 			split = split || (nnz[lead] > 0 && sp.plans[s] != sp.plans[lead])
@@ -320,7 +360,12 @@ func mulPerSide[T algebra.Sided[T, E], E, W any](
 		if nnz[s] == 0 {
 			continue
 		}
-		ext := spgemm.Multiply(sp.sess, sp.plans[s], sideProject(frontier, s, mon.Identity, isZero), b, f, mon, nil, acc)
+		var screen spgemm.Screen[T, W]
+		if back && !sp.pls[s].exact {
+			_, _, dc := b.Dists(sp.sess, sp.plans[s], frontier.Rows)
+			screen = align(dc)
+		}
+		ext := spgemm.Multiply(sp.sess, sp.plans[s], sideProject(frontier, s, mon.Identity, isZero), b, f, mon, screen, acc)
 		if out == nil {
 			out = ext
 			continue
@@ -382,20 +427,30 @@ func seedShare[M multSided[M]](dst []sparse.Entry[M], mon algebra.Monoid[M], adj
 // produces: one rotation per matrix (distmat.Accumulator) — T's seed,
 // merges and moves; the child-count operand, Z and Z's moves — the backward
 // frontier's scratch and the Z positions it is collected from, the
-// accumulators the screened forward and backward products fold into, and
-// the rank's position table over its block of T. Each step of a sweep
-// reads only its matrix's newest result, so the rotation never writes over
-// what a step reads. Every batch writes over what the last one left: each
-// use starts its slice at length 0. (Z is folded in place, and the
-// per-round filter and screens compact the product they are handed.)
-type sweepBufs[M, C any] struct {
+// accumulators the screened forward and backward products fold into, the
+// rank's current block of T with its position table, and the forward
+// screen and the backward mask, built once over those two. Each step of a
+// sweep reads only its matrix's newest result, so the rotation never
+// writes over what a step reads. Every batch writes over what the last one
+// left: each use starts its slice at length 0. (Z is folded in place, and
+// the per-round filter and screens compact the product they are handed.)
+type sweepBufs[M, C, W any] struct {
 	t        distmat.Accumulator[M]
 	z        distmat.Accumulator[C]
 	frontier []sparse.Entry[C]
 	ready    []int32
 	fwd      spgemm.Accumulator[M]
 	back     spgemm.Accumulator[C]
+	block    []sparse.Entry[M]
 	index    blockIndex
+	screen   spgemm.Screen[M, W]
+	mask     spgemm.Screen[C, W]
+}
+
+// indexT makes es the block of T the screens and the backward rules read.
+func (b *sweepBufs[M, C, W]) indexT(es []sparse.Entry[M]) {
+	b.block = es
+	indexBlock(&b.index, es)
 }
 
 // blockIndex is a dense position table over the bounding box of one rank's
@@ -447,7 +502,7 @@ func (x *blockIndex) at(i, j int32) int {
 // own share straight from the replicated adjacency rows (seedShare) into
 // T's rotation. The returned T lives in buf until the next batch's sweep.
 func sweepMFBF[M multSided[M], C, W any](
-	sp *sidePlans, buf *sweepBufs[M, C], alg sweepAlgebra[M, C, W], a *spgemm.Stationary[W],
+	sp *sidePlans, buf *sweepBufs[M, C, W], alg sweepAlgebra[M, C, W], a *spgemm.Stationary[W],
 	adj []*sparse.CSR[float64], batch []int32,
 ) (*distmat.Mat[M], int) {
 	world := sp.sess.Proc.World()
@@ -456,13 +511,13 @@ func sweepMFBF[M multSided[M], C, W any](
 		Local: buf.t.Rotate(seedShare(buf.t.Spare(), alg.mult, adj, batch, world.Rank(), p))}
 	frontier := t
 	// T grows every round, so every multiply re-indexes it.
-	align := func(d distmat.Dist) func(i, j int32, v M) bool {
+	align := func(d distmat.Dist) spgemm.Screen[M, W] {
 		t = buf.t.Move(world, t, d)
-		indexBlock(&buf.index, t.Local)
-		return screenAgainst(t.Local, &buf.index)
+		buf.indexT(t.Local)
+		return buf.screen
 	}
 	for iters := 0; ; iters++ {
-		ext, ok := mulPerSide(sp, false, multpathBytes, frontier, a, alg.bf, alg.mult, algebra.MultPathIsZero, align, &buf.fwd)
+		ext, ok := mulPerSide(sp, false, false, multpathBytes, frontier, a, alg.bf, alg.mult, algebra.MultPathIsZero, align, &buf.fwd)
 		if !ok {
 			return t, iters
 		}
@@ -486,7 +541,7 @@ func sweepMFBF[M multSided[M], C, W any](
 // sweepMFBr is Algorithm 2 on distributed matrices. It returns Z, the
 // (possibly realigned) T sharing Z's distribution, and the iteration count.
 func sweepMFBr[M multSided[M], C centSided[C], W any](
-	sp *sidePlans, buf *sweepBufs[M, C], alg sweepAlgebra[M, C, W],
+	sp *sidePlans, buf *sweepBufs[M, C, W], alg sweepAlgebra[M, C, W],
 	at *spgemm.Stationary[W], t *distmat.Mat[M],
 ) (*distmat.Mat[C], *distmat.Mat[M], int) {
 	world := sp.sess.Proc.World()
@@ -495,16 +550,16 @@ func sweepMFBr[M multSided[M], C centSided[C], W any](
 	var indexed *distmat.Mat[M]
 	moveT := func(d distmat.Dist) {
 		if t = buf.t.Move(world, t, d); t != indexed {
-			indexBlock(&buf.index, t.Local)
+			buf.indexT(t.Local)
 			indexed = t
 		}
 	}
-	align := func(d distmat.Dist) func(i, j int32, v C) bool {
+	align := func(d distmat.Dist) spgemm.Screen[C, W] {
 		moveT(d)
-		return maskAgainst[M, C](t.Local, &buf.index)
+		return buf.mask
 	}
 	mul := func(frontier *distmat.Mat[C], all bool) (*distmat.Mat[C], bool) {
-		return mulPerSide(sp, all, centpathBytes, frontier, at, alg.br, alg.cent, algebra.CentPathIsZero, align, &buf.back)
+		return mulPerSide(sp, all, true, centpathBytes, frontier, at, alg.br, alg.cent, algebra.CentPathIsZero, align, &buf.back)
 	}
 	mat := func(d distmat.Dist, local []sparse.Entry[C]) *distmat.Mat[C] {
 		return &distmat.Mat[C]{Rows: t.Rows, Cols: t.Cols, Dist: d, Local: local}
@@ -550,97 +605,85 @@ func sweepMFBr[M multSided[M], C centSided[C], W any](
 // T's pattern entry for entry, through the rank's blockIndex: one load per
 // product, so a round costs what its product costs and not what T does.
 //
-// Two more rules, one per sweep, are screens that run inside the multiply,
-// against this rank's block of T, before the local kernel folds its
-// products by column. Both are conservative — a strict loser never wins or
-// ties under ⊕ or ⊗, so the fold of the rest, and what the four rules keep
-// of it, are bit for bit what they were — and optional: T must already be
-// in the product's distribution (the redistribution that used to follow the
-// multiply), Multiply honours them only under stationary-C plans (elsewhere
-// products are partial, their reduction charged by size), and the
-// split-plan branch passes neither. A lookup is one load from x, which must
-// index t; the closures only read, so the kernel's workers share them.
+// Two more rules, one per sweep, are the screens Multiply runs in place of
+// the action wherever the plan lets a screen run (spgemm.Plan.Screens):
+// each forms its product against this rank's block of T, which must
+// already be in the product's distribution, and says whether to fold it.
+// A lookup is one load from the position table the sweep's buffers keep
+// current (sweepBufs.indexT); the screens only read, so the kernel's
+// workers share them. Each algebra carries its own concrete pair of them
+// (scalarScreens, pairScreens), built once per sweepBufs.
 //
-// Both are asked once per product, so over the one-sided scalar types they
-// are closures over those types (scalarScreen, scalarMask), which read the
-// one side in place; the pair types keep the per-side loop (sidedScreen,
-// sidedMask). The scalar constructors stay out of line: inlined into their
-// generic callers, their closures were compiled without the lookup and the
-// rule inlined into them.
+// The forward screen extends a path by its edge and drops the extension
+// when T holds its coordinate and every side of it is zero or strictly
+// heavier there. That is conservative: a strict loser neither wins nor
+// ties under ⊕, so the merge and screenFrontierSided keep what they kept
+// without it. A product where T holds nothing yet is a new path, and kept.
 //
-// screenAgainst is the forward product's screen: it drops a product when the
-// block holds its coordinate and every side of it loses there. A product
-// where T holds nothing yet is a new path, and kept.
-func screenAgainst[M multSided[M]](t []sparse.Entry[M], x *blockIndex) func(i, j int32, v M) bool {
-	if ts, ok := any(t).([]sparse.Entry[algebra.MultPath]); ok {
-		return any(scalarScreen(ts, x)).(func(i, j int32, v M) bool)
-	}
-	return sidedScreen(t, x)
-}
+// The backward mask is the sweep's one test of the shortest-path DAG,
+// tight: a child's component crosses an edge back to its parent only where
+// the forward sweep formed the child's T weight as the parent's plus the
+// edge, and it arrives at the parent's T weight, which screenCentSided's
+// test then matches. What misses on every side, and what lands off the
+// block (Z shares T's pattern), is dropped. Where no screen runs, ⊖ forms
+// the product and screenCentSided's weight test decides, which is exact
+// only on weights whose path sums are (exactSums). So on an inexact side a
+// backward product is planned among the plans that screen (planFor), and
+// the split-plan branch masks that side's projection.
 
-// maskAgainst is the backward product's screen. A backward product that can
-// survive lands on T's pattern (Z shares it), so it masks the product by T:
-// it drops what lands off the block, as screenCentSided would, and what
-// loses on every side there.
-func maskAgainst[M multSided[M], C centSided[C]](t []sparse.Entry[M], x *blockIndex) func(i, j int32, v C) bool {
-	if ts, ok := any(t).([]sparse.Entry[algebra.MultPath]); ok {
-		if keep, ok := any(scalarMask(ts, x)).(func(i, j int32, v C) bool); ok {
-			return keep
-		}
+// tight is one side of the backward mask: the child's component a =
+// (T(s,u).w, ζ, c) reaches its parent v over an edge of weight w when
+// T(s,v).w + w = T(s,u).w, the sum the forward relaxation formed — exact on
+// any weights, as Brandes' own test is. It returns a's factor and counter
+// at weight tw = T(s,v).w, or the exact zero. A dead T side (tw = +∞), a
+// dead child (a.W = −∞) and an absent edge (w = +∞) all miss.
+func tight(tw, w float64, a algebra.CentPath) algebra.CentPath {
+	//lint:allow floateq the forward sweep formed T(s,u).w as exactly this sum
+	if tw+w == a.W {
+		return algebra.CentPath{W: tw, P: a.P, C: a.C}
 	}
-	return sidedMask[M, C](t, x)
-}
-
-func sidedScreen[M multSided[M]](t []sparse.Entry[M], x *blockIndex) func(i, j int32, v M) bool {
-	return func(i, j int32, v M) bool {
-		k := x.at(i, j)
-		drop := k >= 0
-		for s := 0; drop && s < v.Sides(); s++ {
-			drop = multLoses(t[k].V.Side(s), v.Side(s))
-		}
-		return !drop
-	}
-}
-
-func sidedMask[M multSided[M], C centSided[C]](t []sparse.Entry[M], x *blockIndex) func(i, j int32, v C) bool {
-	return func(i, j int32, v C) bool {
-		k := x.at(i, j)
-		if k < 0 {
-			return false
-		}
-		for s := 0; s < v.Sides(); s++ {
-			if !centLoses(t[k].V.Side(s), v.Side(s)) {
-				return true
-			}
-		}
-		return false
-	}
-}
-
-//go:noinline
-func scalarScreen(t []sparse.Entry[algebra.MultPath], x *blockIndex) func(i, j int32, v algebra.MultPath) bool {
-	return func(i, j int32, v algebra.MultPath) bool {
-		k := x.at(i, j)
-		return k < 0 || !multLoses(t[k].V, v)
-	}
-}
-
-//go:noinline
-func scalarMask(t []sparse.Entry[algebra.MultPath], x *blockIndex) func(i, j int32, v algebra.CentPath) bool {
-	return func(i, j int32, v algebra.CentPath) bool {
-		k := x.at(i, j)
-		return k >= 0 && !centLoses(t[k].V, v)
-	}
+	return algebra.CentPathZero()
 }
 
 // multLoses: a forward product that is zero or strictly heavier than T can
 // neither win nor tie under ⊕, whatever else the round produces there.
 func multLoses(t, v algebra.MultPath) bool { return algebra.MultPathIsZero(v) || t.W < v.W }
 
-// centLoses: a backward product (the child count's or a round's) strictly
-// lighter than T — a dead one weighs −∞ — is off the shortest-path DAG: ⊗
-// discards it against one that is on it, or leaves a fold screenCentSided drops.
-func centLoses(t algebra.MultPath, v algebra.CentPath) bool { return v.W < t.W }
+// scalarScreens returns the forward screen and the backward mask over the
+// scalar types, reading b's block of T.
+func scalarScreens(b *sweepBufs[algebra.MultPath, algebra.CentPath, float64]) (spgemm.Screen[algebra.MultPath, float64], spgemm.Screen[algebra.CentPath, float64]) {
+	screen := func(i, j int32, a algebra.MultPath, w float64) (algebra.MultPath, bool) {
+		v := algebra.BFAction(a, w)
+		k := b.index.at(i, j)
+		return v, k < 0 || !multLoses(b.block[k].V, v)
+	}
+	mask := func(i, j int32, a algebra.CentPath, w float64) (algebra.CentPath, bool) {
+		if k := b.index.at(i, j); k >= 0 {
+			v := tight(b.block[k].V.W, w, a)
+			return v, !algebra.CentPathIsZero(v)
+		}
+		return a, false
+	}
+	return screen, mask
+}
+
+// pairScreens is scalarScreens over the (old, new) pairs, side by side.
+func pairScreens(b *sweepBufs[algebra.MultPathPair, algebra.CentPathPair, algebra.WeightPair]) (spgemm.Screen[algebra.MultPathPair, algebra.WeightPair], spgemm.Screen[algebra.CentPathPair, algebra.WeightPair]) {
+	screen := func(i, j int32, a algebra.MultPathPair, w algebra.WeightPair) (algebra.MultPathPair, bool) {
+		v := algebra.BFActionPair(a, w)
+		k := b.index.at(i, j)
+		return v, k < 0 || !multLoses(b.block[k].V.Old, v.Old) || !multLoses(b.block[k].V.New, v.New)
+	}
+	mask := func(i, j int32, a algebra.CentPathPair, w algebra.WeightPair) (algebra.CentPathPair, bool) {
+		if k := b.index.at(i, j); k >= 0 {
+			t := b.block[k].V
+			v := algebra.CentPathPair{Old: tight(t.Old.W, w.Old, a.Old), New: tight(t.New.W, w.New, a.New)}
+			return v, !algebra.CentPathIsZero(v.Old) || !algebra.CentPathIsZero(v.New)
+		}
+		return a, false
+	}
+	return screen, mask
+}
 
 // seek advances y to t's first entry not before e and reports whether that
 // entry sits at e's coordinate.
@@ -680,7 +723,9 @@ func screenFrontierSided[M multSided[M]](ext, t []sparse.Entry[M]) []sparse.Entr
 // screenCentSided keeps the centpath components matching T's weight at the
 // same coordinate, appending to where the position in t (x indexes t) of
 // each entry it keeps. A dead T component carries weight +∞ and a dead centpath
-// component −∞, so the equality test alone screens liveness.
+// component −∞, so the equality test alone screens liveness. A component the
+// mask formed carries T's weight already; one ⊖ formed is tested here, which
+// is exact only on a side whose path sums are (exactSums).
 func screenCentSided[C centSided[C], M multSided[M]](p []sparse.Entry[C], t []sparse.Entry[M], x *blockIndex, where []int32) ([]sparse.Entry[C], []int32) {
 	out := p[:0]
 	for _, e := range p {

@@ -43,6 +43,7 @@ type DistSession struct {
 	p      int
 	g      *graph.Graph
 	adjCSR *sparse.CSR[float64]
+	exact  bool // exactSums of adjCSR's weights
 	ranks  []*distRank
 }
 
@@ -104,7 +105,7 @@ func (s *DistSession) reset(newG *graph.Graph, adjCSR *sparse.CSR[float64]) {
 	// each resident is patched in place.
 	shard := distmat.DistShard(s.p)
 	as, ats := distmat.FromCSR(adjCSR, shard), distmat.FromCSR(at, shard)
-	s.g, s.adjCSR = newG, adjCSR
+	s.g, s.adjCSR, s.exact = newG, adjCSR, exactSums(adjCSR.Val)
 	if s.ranks == nil {
 		s.ranks = make([]*distRank, s.p)
 		for r := range s.ranks {
@@ -135,7 +136,7 @@ func (s *DistSession) Patch(newG *graph.Graph, adjCSR *sparse.CSR[float64], diff
 		adjCSR = newG.Adjacency()
 	}
 	directed := newG.Directed
-	s.g, s.adjCSR = newG, adjCSR
+	s.g, s.adjCSR, s.exact = newG, adjCSR, exactSums(adjCSR.Val)
 	if len(diffs) == 0 {
 		return
 	}
@@ -189,7 +190,7 @@ func (s *DistSession) RunCtx(ctx context.Context, sources []int32) (*DistResult,
 		nb = len(sources)
 	}
 	mach := transportFor(s.p, s.opt)
-	pl := s.planner(s.g)
+	pl := s.planner(s.g, s.exact)
 	out, err := sweepRegion(s, mach, scalarAlgebra(), []planner{pl}, []*sparse.CSR[float64]{s.adjCSR}, sources, nb,
 		func(_ *machine.Proc, rk *distRank) (a, at *spgemm.Stationary[float64]) { return rk.a, rk.at })
 	if err != nil {
@@ -198,7 +199,7 @@ func (s *DistSession) RunCtx(ctx context.Context, sources []int32) (*DistResult,
 	recordRegionSpan(ctx, "run", s.p, out)
 	// The representative plan reported back: the one a typical frontier
 	// product gets (individual operations may choose differently).
-	plan := pl.planFor(nil, nb, int64(float64(nb)*s.g.AvgDegree()), multpathBytes)
+	plan := pl.planFor(nil, nb, int64(float64(nb)*s.g.AvgDegree()), multpathBytes, false)
 	return &DistResult{BC: out.bc, Plan: plan, Stats: out.stats, Iterations: out.iters, Batches: out.batches}, nil
 }
 
@@ -213,11 +214,12 @@ func CheckSources(n int, sources []int32) error {
 	return nil
 }
 
-// planner returns the per-multiplication planner of a region over g.
-func (s *DistSession) planner(g *graph.Graph) planner {
+// planner returns the per-multiplication planner of a region over g, whose
+// adjacency's path sums are exact when exact is set.
+func (s *DistSession) planner(g *graph.Graph, exact bool) planner {
 	return planner{
 		p: s.p, n: g.N, adjNNZ: int64(g.AdjacencyNNZ()),
-		model: machine.DefaultModel(), cons: s.opt.Constraint, forced: s.opt.Plan,
+		model: machine.DefaultModel(), cons: s.opt.Constraint, forced: s.opt.Plan, exact: exact,
 	}
 }
 
@@ -228,8 +230,8 @@ type regionOutcome struct {
 	bc                    []float64
 	stats                 machine.RunStats
 	iters, batches, split int
-	// Products the region's multiplies evaluated and those the in-multiply
-	// screens (screenAgainst, maskAgainst) dropped before the kernel folded
+	// Products the region's multiplies formed and those the in-multiply
+	// screens (scalarScreens, pairScreens) dropped before the kernel folded
 	// them, over the ranks this process hosts.
 	products, screened atomic.Int64
 }
@@ -274,7 +276,10 @@ func sweepRegion[M multSided[M], C centSided[C], W any](
 		clear(acc)
 		total := grow(red.total, len(acc))
 		red.acc, red.total = acc, total
-		buf := machine.Scratch[sweepBufs[M, C]](proc)
+		buf := machine.Scratch[sweepBufs[M, C, W]](proc)
+		if buf.mask == nil {
+			buf.screen, buf.mask = alg.screens(buf)
+		}
 		iters, batches := 0, 0
 		for _, batch := range batchList(n, nb, sources) {
 			batches++

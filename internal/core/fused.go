@@ -86,9 +86,10 @@ func (s *DistSession) ApplyIncrementalCtx(ctx context.Context, sources []int32, 
 	}
 	oldG, oldAdj := s.g, s.adjCSR
 	directed := newG.Directed
+	newExact := exactSums(newAdj.Val)
 	if len(diffs) == 0 && len(sources) == 0 {
 		// Structural no-op: nothing to patch, nothing to sweep.
-		s.g, s.adjCSR = newG, newAdj
+		s.g, s.adjCSR, s.exact = newG, newAdj, newExact
 		return &IncrementalResult{OldBC: make([]float64, n), NewBC: make([]float64, n)}, nil
 	}
 
@@ -99,8 +100,9 @@ func (s *DistSession) ApplyIncrementalCtx(ctx context.Context, sources []int32, 
 
 	mach := transportFor(s.p, s.opt)
 	// One planner per side, with exactly the inputs the side's scalar region
-	// would have used (its own adjacency count, the scalar wire sizes).
-	plOld, plNew := s.planner(oldG), s.planner(newG)
+	// would have used (its own adjacency count and exactness, the scalar wire
+	// sizes).
+	plOld, plNew := s.planner(oldG, s.exact), s.planner(newG, newExact)
 
 	// Rank 0's scatter payload: every rank's share of the edge diff (the
 	// diffs whose derived adjacency coordinates one of the rank's resident
@@ -131,11 +133,11 @@ func (s *DistSession) ApplyIncrementalCtx(ctx context.Context, sources []int32, 
 	if err != nil {
 		return nil, err
 	}
-	s.g, s.adjCSR = newG, newAdj
+	s.g, s.adjCSR, s.exact = newG, newAdj, newExact
 	recordRegionSpan(ctx, "fused-apply", s.p, out)
 	return &IncrementalResult{
 		OldBC: out.bc[:n:n], NewBC: out.bc[n:],
-		Plan:  plNew.planFor(nil, nb, int64(float64(nb)*newG.AvgDegree()), multpathBytes),
+		Plan:  plNew.planFor(nil, nb, int64(float64(nb)*newG.AvgDegree()), multpathBytes, false),
 		Stats: out.stats, Iterations: out.iters, Batches: out.batches, DualProducts: out.split,
 	}, nil
 }

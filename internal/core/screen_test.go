@@ -235,13 +235,15 @@ func TestScreenedSweepDropsLosers(t *testing.T) {
 	}
 }
 
-// TestScalarScreensMatchSided: the scalar screens decide every product as
-// the per-side rule does over the one side, verdict for verdict, on the
-// spgemm screen tests' graphs — RMAT scale 6 and a weighted 6×6 mesh — with
-// T two Bellman-Ford rounds from 8 sources. The forward products are T's
-// entries extended by one edge, the backward ones T's pattern lifted to
-// centpaths and pulled back over one edge, each also as the exact zero, at
-// coordinates on and off the block.
+// TestScalarScreensMatchSided: the scalar screens decide and form every
+// product as the pair screens do on either side of the pair lift, the
+// other side dead, verdict for verdict and bit for bit, on the spgemm
+// screen tests' graphs — RMAT scale 6 and a weighted 6×6 mesh — with T two
+// Bellman-Ford rounds from 8 sources. The forward products extend T's
+// entries by one edge, the backward ones pull T's pattern, lifted to
+// centpaths, back over one edge — each operand also as the exact zero, and
+// a backward one also across an absent (∞) edge — at coordinates on and off
+// the block.
 func TestScalarScreensMatchSided(t *testing.T) {
 	mesh := graph.Grid2D(6, 6, 5, 2)
 	mesh.Name = "mesh-6x6"
@@ -264,11 +266,27 @@ func TestScalarScreensMatchSided(t *testing.T) {
 			ext, _ := sparse.Mul(tm, a, algebra.BFAction, mp)
 			tm = sparse.EWise(tm, ext, mp)
 		}
-		block := tm.ToCOO().E
-		var x blockIndex
-		indexBlock(&x, block)
-		fwd, fwdSided := scalarScreen(block, &x), sidedScreen(block, &x)
-		back, backSided := scalarMask(block, &x), sidedMask[algebra.MultPath, algebra.CentPath](block, &x)
+		var scalar sweepBufs[algebra.MultPath, algebra.CentPath, float64]
+		scalar.indexT(tm.ToCOO().E)
+		fwd, back := scalarScreens(&scalar)
+		// The pair lift of T on side s, the other side dead.
+		var pairs [2]sweepBufs[algebra.MultPathPair, algebra.CentPathPair, algebra.WeightPair]
+		var fwdPair [2]spgemm.Screen[algebra.MultPathPair, algebra.WeightPair]
+		var backPair [2]spgemm.Screen[algebra.CentPathPair, algebra.WeightPair]
+		edge := func(s int, w float64) algebra.WeightPair {
+			if s == 0 {
+				return algebra.WeightPair{Old: w, New: algebra.Inf}
+			}
+			return algebra.WeightPair{Old: algebra.Inf, New: w}
+		}
+		for s := range pairs {
+			lifted := make([]sparse.Entry[algebra.MultPathPair], len(scalar.block))
+			for k, e := range scalar.block {
+				lifted[k] = sparse.Entry[algebra.MultPathPair]{I: e.I, J: e.J, V: algebra.MultPathPairZero().WithSide(s, e.V)}
+			}
+			pairs[s].indexT(lifted)
+			fwdPair[s], backPair[s] = pairScreens(&pairs[s])
+		}
 		var kept, dropped [2]int
 		tally := func(dir int, keep bool) {
 			if keep {
@@ -277,21 +295,31 @@ func TestScalarScreensMatchSided(t *testing.T) {
 				dropped[dir]++
 			}
 		}
-		for _, e := range block {
+		for _, e := range scalar.block {
 			cols, vals := a.Row(int(e.J))
+			lifted := algebra.CentPath{W: e.V.W, P: 1 / e.V.M, C: 1}
 			for y, j := range cols {
-				for _, v := range []algebra.MultPath{algebra.BFAction(e.V, vals[y]), algebra.MultPathZero()} {
-					if got, want := fwd(e.I, j, v), fwdSided(e.I, j, v); got != want {
-						t.Fatalf("%s: forward product %v at (%d, %d): scalar screen keeps %t, the per-side rule %t", g.Name, v, e.I, j, got, want)
+				for _, v := range []algebra.MultPath{e.V, algebra.MultPathZero()} {
+					got, keep := fwd(e.I, j, v, vals[y])
+					for s := range pairs {
+						pv, pkeep := fwdPair[s](e.I, j, algebra.MultPathPairZero().WithSide(s, v), edge(s, vals[y]))
+						if pkeep != keep || pv.Side(s) != got || !algebra.MultPathIsZero(pv.Side(1-s)) {
+							t.Fatalf("%s: forward product of %v over %v at (%d, %d): scalar screen (%v, %t), pair screen on side %d (%v, %t)", g.Name, v, vals[y], e.I, j, got, keep, s, pv, pkeep)
+						}
 					}
-					tally(0, fwd(e.I, j, v))
+					tally(0, keep)
 				}
-				lifted := algebra.CentPath{W: e.V.W, P: 1 / e.V.M, C: 1}
-				for _, v := range []algebra.CentPath{algebra.BrandesAction(lifted, vals[y]), algebra.CentPathZero()} {
-					if got, want := back(e.I, j, v), backSided(e.I, j, v); got != want {
-						t.Fatalf("%s: backward product %v at (%d, %d): scalar mask keeps %t, the per-side rule %t", g.Name, v, e.I, j, got, want)
+				for _, w := range []float64{vals[y], algebra.Inf} {
+					for _, v := range []algebra.CentPath{lifted, algebra.CentPathZero()} {
+						got, keep := back(e.I, j, v, w)
+						for s := range pairs {
+							pv, pkeep := backPair[s](e.I, j, algebra.CentPathPairZero().WithSide(s, v), edge(s, w))
+							if pkeep != keep || (keep && (pv.Side(s) != got || !algebra.CentPathIsZero(pv.Side(1-s)))) {
+								t.Fatalf("%s: backward product of %v over %v at (%d, %d): scalar mask (%v, %t), pair mask on side %d (%v, %t)", g.Name, v, w, e.I, j, got, keep, s, pv, pkeep)
+							}
+						}
+						tally(1, keep)
 					}
-					tally(1, back(e.I, j, v))
 				}
 			}
 		}

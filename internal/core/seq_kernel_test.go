@@ -59,10 +59,11 @@ func TestPushScreen(t *testing.T) {
 // "Known limits").
 var fuzzWeights = [8]float64{1, 1, 2, 3, 0.5, 1.5, 0.25, 4}
 
-// fuzzGraph decodes data into a simple graph of 2–24 vertices, a source
-// list (with repeats) and a worker count. Byte 0 picks direction, workers
-// and n; byte 1 the number of sources; the rest are (u, v, w) triples.
-func fuzzGraph(data []byte) (g *graph.Graph, sources []int32, workers int) {
+// fuzzGraph decodes data into a simple graph of 2–24 vertices with weights
+// from the alphabet ws, a source list (with repeats) and a worker count.
+// Byte 0 picks direction, workers and n; byte 1 the number of sources; the
+// rest are (u, v, w) triples.
+func fuzzGraph(data []byte, ws *[8]float64) (g *graph.Graph, sources []int32, workers int) {
 	data = append(data, 0, 0)
 	n := 2 + int(data[0]>>2)%23
 	g = &graph.Graph{Name: "fuzz", N: n, Directed: data[0]&1 == 1, Weighted: true}
@@ -73,7 +74,7 @@ func fuzzGraph(data []byte) (g *graph.Graph, sources []int32, workers int) {
 	for e := data[2:]; len(e) >= 3; e = e[3:] {
 		u, v := int32(int(e[0])%n), int32(int(e[1])%n)
 		if u != v {
-			_ = g.AddEdge(u, v, fuzzWeights[e[2]%8]) // a repeated edge is refused: first weight wins
+			_ = g.AddEdge(u, v, ws[e[2]%8]) // a repeated edge is refused: first weight wins
 		}
 	}
 	return g, sources, workers
@@ -136,7 +137,7 @@ func FuzzSeqKernel(f *testing.F) {
 	f.Add([]byte{0x5a, 200, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27})
 	f.Add([]byte("a dense little digraph where everything ties with something: 0123456789abcdefghijklmnopqrstuvwxyz"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, sources, workers := fuzzGraph(data)
+		g, sources, workers := fuzzGraph(data, &fuzzWeights)
 		if err := g.Validate(); err != nil {
 			t.Fatalf("decoder built an invalid graph: %v", err)
 		}

@@ -59,9 +59,9 @@ func TestSplitProductSurvivesNextMultiply(t *testing.T) {
 			pls:   []planner{{forced: &oneStage}, {forced: &grid}},
 			plans: make([]spgemm.Plan, 2),
 		}
-		unscreened := func(distmat.Dist) func(i, j int32, v algebra.MultPathPair) bool { return nil }
+		unscreened := func(distmat.Dist) spgemm.Screen[algebra.MultPathPair, algebra.WeightPair] { return nil }
 		var acc spgemm.Accumulator[algebra.MultPathPair]
-		ext, _ := mulPerSide(sp, false, multpathBytes, distmat.FromGlobal(proc.Rank(), front, shard, alg.mult),
+		ext, _ := mulPerSide(sp, false, false, multpathBytes, distmat.FromGlobal(proc.Rank(), front, shard, alg.mult),
 			b, alg.bf, alg.mult, algebra.MultPathIsZero, unscreened, &acc)
 		split.Add(int32(sp.split))
 		if len(ext.Local) > 0 && !slices.ContainsFunc(ext.Local, func(e sparse.Entry[algebra.MultPathPair]) bool {

@@ -23,14 +23,14 @@ func distributedT(t *testing.T, g *graph.Graph, sources []int32, opt DistOptions
 		t.Fatal(err)
 	}
 	mach := transportFor(sess.p, opt)
-	pl := sess.planner(g)
+	pl := sess.planner(g, sess.exact)
 	alg := scalarAlgebra()
 	var gathered *sparse.CSR[algebra.MultPath]
 	var iters int
 	stats, err := mach.Run(func(proc *machine.Proc) {
 		sp := &sidePlans{sess: spgemm.NewSession(proc), pls: []planner{pl}, plans: make([]spgemm.Plan, 1)}
 		sp.sess.Workers = opt.Workers
-		buf := machine.Scratch[sweepBufs[algebra.MultPath, algebra.CentPath]](proc)
+		buf := machine.Scratch[sweepBufs[algebra.MultPath, algebra.CentPath, float64]](proc)
 		tm, it := sweepMFBF(sp, buf, alg, sess.ranks[proc.Rank()].a, []*sparse.CSR[float64]{sess.adjCSR}, sources)
 		full := testkit.Gather(proc.World(), tm, alg.mult)
 		if proc.Rank() == 0 {

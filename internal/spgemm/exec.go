@@ -30,8 +30,9 @@ type Session struct {
 	// their sequential counterparts, so results never depend on this
 	// knob.
 	Workers int
-	// Products counts the f evaluations of this session's multiplies and
-	// Screened those Multiply's screen rejected; the kernel's workers add.
+	// Products counts the products this session's multiplies formed, by f
+	// or by a screen, and Screened those the screen rejected; the kernel's
+	// workers add.
 	Products, Screened atomic.Int64
 
 	grids map[[3]int]*machine.Grid3
@@ -232,6 +233,10 @@ func dists(plan Plan, m, k, n int, tables ownerTables) (da, db, dc distmat.Dist)
 	return dist(RoleA), dist(RoleB), dist(RoleC)
 }
 
+// Screen forms the product of a and b at output coordinate (i, j) and
+// reports whether to fold it.
+type Screen[TC, TB any] func(i, j int32, a TC, b TB) (TC, bool)
+
 // Multiply computes the generalized product C = A •⟨add,f⟩ B according to
 // plan, where A's entries are C's values. B's working set under plan
 // (redistributed and, for RoleB plans, fiber-replicated) is staged on b the
@@ -253,21 +258,21 @@ func dists(plan Plan, m, k, n int, tables ownerTables) (da, db, dc distmat.Dist)
 // sorted, row by row, and C is fresh storage: the kernel of the
 // CombBLAS-style baseline, which keeps its own, and of the tests' oracle.
 //
-// screen (nil = none) is asked about every product f yields, by output
-// coordinate, before the local kernel folds it: a rejected product is charged
-// as a flop, then neither folded nor merged. The caller must reject only what
-// cannot change what it keeps of C, and depend on no rejection: the screen
-// runs only where a rank's products are final (C stationary: VarAB without a
-// RoleC fiber) — a partial-C reduction is charged by contribution size, so
-// there it would move the modeled bytes — and only with acc: the sorting
-// kernel keeps every product. Workers > 1 call the screen from several
-// goroutines at once.
+// screen (nil = none) runs only where plan.Screens() — where a rank's
+// products are final — and only with acc: the sorting kernel keeps every
+// product. There it forms every product in place of f, from the operands
+// and the output coordinate, and says whether to fold it: a rejected
+// product is charged as a flop, then neither folded nor merged. Elsewhere f
+// forms every product, so a caller whose screen forms some product
+// differently from f must plan its multiply among the plans that screen
+// (Problem.Screened). Workers > 1 call the screen from several goroutines
+// at once.
 func Multiply[TC, TB any](
 	s *Session, plan Plan,
 	a *distmat.Mat[TC], b *Stationary[TB],
 	f func(TC, TB) TC,
 	add algebra.Monoid[TC],
-	screen func(i, j int32, v TC) bool, acc *Accumulator[TC],
+	screen Screen[TC, TB], acc *Accumulator[TC],
 ) *distmat.Mat[TC] {
 	if a.Cols != b.m.Rows {
 		panic(fmt.Sprintf("spgemm: dimension mismatch %dx%d * %dx%d", a.Rows, a.Cols, b.m.Rows, b.m.Cols))
@@ -311,9 +316,9 @@ func Multiply[TC, TB any](
 	}
 
 	r := layerRanges(plan, m, k, n, g.MyLayer)
-	flt := filter[TC]{screen: screen, acc: acc}
-	if plan.YZ != VarAB || plan.P1 > 1 && plan.X == RoleC {
-		flt.screen = nil // partial products: their reduction is charged by size
+	flt := filter[TC, TB]{acc: acc}
+	if plan.Screens() {
+		flt.screen = screen
 	}
 	// C is written over the older of acc's two products, or into fresh
 	// storage without acc.
@@ -525,7 +530,7 @@ func stageB[T any](into *stagedB[T], plan Plan, k, n, rank int, entries []sparse
 func runAB[TC, TB any](
 	sess *Session, g *machine.Grid3, plan Plan, r ranges,
 	aE []sparse.Entry[TC], b *stagedB[TB],
-	f func(TC, TB) TC, add algebra.Monoid[TC], workers int, flt filter[TC],
+	f func(TC, TB) TC, add algebra.Monoid[TC], workers int, flt filter[TC, TB],
 	place *placement[TC, TB], out []sparse.Entry[TC],
 ) []sparse.Entry[TC] {
 	s := plan.stages()
@@ -556,7 +561,7 @@ func runAB[TC, TB any](
 func runAC[TC, TB any](
 	sess *Session, g *machine.Grid3, plan Plan, r ranges,
 	aE []sparse.Entry[TC], b *stagedB[TB],
-	f func(TC, TB) TC, add algebra.Monoid[TC], workers int, flt filter[TC],
+	f func(TC, TB) TC, add algebra.Monoid[TC], workers int, flt filter[TC, TB],
 	place *placement[TC, TB], out []sparse.Entry[TC],
 ) []sparse.Entry[TC] {
 	s := plan.stages()
@@ -587,7 +592,7 @@ func runAC[TC, TB any](
 func runBC[TC, TB any](
 	sess *Session, g *machine.Grid3, plan Plan, r ranges,
 	aE []sparse.Entry[TC], b *stagedB[TB],
-	f func(TC, TB) TC, add algebra.Monoid[TC], workers int, flt filter[TC],
+	f func(TC, TB) TC, add algebra.Monoid[TC], workers int, flt filter[TC, TB],
 	place *placement[TC, TB], out []sparse.Entry[TC],
 ) []sparse.Entry[TC] {
 	s := plan.stages()
@@ -610,12 +615,12 @@ func runBC[TC, TB any](
 	return append(out[:0], acc...)
 }
 
-// filter is how the local kernel folds a product: the screen it asks first
-// (nil = keep everything), and the storage the kept products fold into by
-// column (nil = sort them instead) with [c0, c1), the columns the product
-// can reach.
-type filter[TC any] struct {
-	screen func(i, j int32, v TC) bool
+// filter is how the local kernel folds a product: the screen that forms it
+// (nil = f, keeping everything), and the storage the kept products fold
+// into by column (nil = sort them instead) with [c0, c1), the columns the
+// product can reach.
+type filter[TC, TB any] struct {
+	screen Screen[TC, TB]
 	acc    *Accumulator[TC]
 	c0, c1 int32
 }
@@ -662,7 +667,7 @@ const mulEntriesMinEntries = 8
 // bE's row index over [k0, k1).
 func mulEntriesParallel[TC, TB any](
 	sess *Session, aE []sparse.Entry[TC], bE []sparse.Entry[TB], offs []int32, k0, k1 int32,
-	f func(TC, TB) TC, add algebra.Monoid[TC], workers int, flt filter[TC], dst []sparse.Entry[TC],
+	f func(TC, TB) TC, add algebra.Monoid[TC], workers int, flt filter[TC, TB], dst []sparse.Entry[TC],
 ) ([]sparse.Entry[TC], int64) {
 	if len(aE) == 0 || len(bE) == 0 {
 		return dst[:0], 0
@@ -722,7 +727,7 @@ func mulEntriesParallel[TC, TB any](
 // where acc is nil.
 func mulEntriesChunk[TC, TB any](
 	sess *Session, aE []sparse.Entry[TC], bE []sparse.Entry[TB], offs []int32, k0, k1 int32,
-	f func(TC, TB) TC, add algebra.Monoid[TC], screen func(i, j int32, v TC) bool, acc *columnAcc[TC], c0, c1 int32,
+	f func(TC, TB) TC, add algebra.Monoid[TC], screen Screen[TC, TB], acc *columnAcc[TC], c0, c1 int32,
 	dst []sparse.Entry[TC],
 ) ([]sparse.Entry[TC], int64) {
 	if acc == nil {
@@ -814,17 +819,17 @@ func mulEntriesRange[TC, TB any](
 }
 
 // mulEntriesColumns is mulEntriesRange folding by column, for products whose
-// columns lie in [c0, c1): each product the screen (nil = none) keeps folds
-// at key j − c0 of the column accumulator cols, sized to c1 − c0 values, and
-// at each row break the touched keys drain in ascending order into the
-// output, written over dst. A rejected product is counted in
+// columns lie in [c0, c1): each product — f's, or the one the screen forms
+// and keeps — folds at key j − c0 of the column accumulator cols, sized to
+// c1 − c0 values, and at each row break the touched keys drain in ascending
+// order into the output, written over dst. A rejected product is counted in
 // Session.Screened.
 // Products reach a column in k-order, as the stable sort left them, and
 // fold left to right from the first, so the output — zero folds dropped —
 // is bit for bit the sorting kernel's over the kept products.
 func mulEntriesColumns[TC, TB any](
 	sess *Session, aE []sparse.Entry[TC], bE []sparse.Entry[TB], offs []int32, k0, k1 int32,
-	f func(TC, TB) TC, add algebra.Monoid[TC], screen func(i, j int32, v TC) bool, cols *sparse.SPA[TC], c0, c1 int32,
+	f func(TC, TB) TC, add algebra.Monoid[TC], screen Screen[TC, TB], cols *sparse.SPA[TC], c0, c1 int32,
 	dst []sparse.Entry[TC],
 ) ([]sparse.Entry[TC], int64) {
 	cols.Size(int(c1 - c0))
@@ -848,14 +853,20 @@ func mulEntriesColumns[TC, TB any](
 		}
 		lo, hi := offs[ea.J-k0], offs[ea.J-k0+1]
 		for _, eb := range bE[lo:hi] {
-			v := f(ea.V, eb.V)
 			ops++
-			switch key := eb.J - c0; {
-			case screen != nil && !screen(row, eb.J, v):
-				dropped++
-			case cols.Touch(key):
+			var v TC
+			if screen == nil {
+				v = f(ea.V, eb.V)
+			} else {
+				var keep bool
+				if v, keep = screen(row, eb.J, ea.V, eb.V); !keep {
+					dropped++
+					continue
+				}
+			}
+			if key := eb.J - c0; cols.Touch(key) {
 				slab[key] = v
-			default:
+			} else {
 				slab[key] = add.Op(slab[key], v)
 			}
 		}

@@ -48,20 +48,22 @@ type verdicts struct {
 
 // losersScreen is the screen the test multiplies under, over one rank's
 // block of c.t in the product's C distribution, masking the product by T as
-// MFBr's screen does: it keeps a product where the block holds its
-// coordinate and the product does not lose there, and tallies into vd.
-func losersScreen[V, W any](c screenCase[V, W], block []sparse.Entry[V], vd *verdicts) func(i, j int32, v V) bool {
-	return func(i, j int32, v V) bool {
+// MFBr's screen does: it forms the product with c.f, keeps it where the
+// block holds its coordinate and the product does not lose there, and
+// tallies into vd.
+func losersScreen[V, W any](c screenCase[V, W], block []sparse.Entry[V], vd *verdicts) Screen[V, W] {
+	return func(i, j int32, a V, b W) (V, bool) {
+		v := c.f(a, b)
 		key := distmat.CoordKey(i, j)
 		y := sort.Search(len(block), func(y int) bool { return distmat.CoordKey(block[y].I, block[y].J) >= key })
 		if y == len(block) || block[y].I != i || block[y].J != j || c.loses(block[y].V, v) {
 			vd.dropped.Add(1)
-			return false
+			return v, false
 		}
 		vd.mu.Lock()
 		vd.kept[key] = true
 		vd.mu.Unlock()
-		return true
+		return v, true
 	}
 }
 
@@ -89,14 +91,14 @@ func maskedProduct[V, W any](t *testing.T, c screenCase[V, W], plan Plan, worker
 		s.Workers = workers
 		a, b, block := rankOperands(proc, s, c, plan)
 		vd := &verdicts{kept: map[uint64]bool{}}
-		var screen func(i, j int32, v V) bool
+		var screen Screen[V, W]
 		var acc *Accumulator[V]
 		if kernel != kernelPlain {
 			acc = new(Accumulator[V])
 		}
 		switch kernel {
 		case kernelKeepAll:
-			screen = func(int32, int32, V) bool { return true }
+			screen = func(_, _ int32, a V, b W) (V, bool) { return c.f(a, b), true }
 		case kernelScreened:
 			screen = losersScreen(c, block, vd)
 		}
@@ -137,7 +139,7 @@ func reusedProducts[V, W any](t *testing.T, cs []screenCase[V, W], plan Plan, wo
 		var last []sparse.Entry[V]
 		for x, c := range cs {
 			a, b, block := rankOperands(proc, s, c, plan)
-			var screen func(i, j int32, v V) bool
+			var screen Screen[V, W]
 			if screened {
 				screen = losersScreen(c, block, &verdicts{kept: map[uint64]bool{}})
 			}

@@ -4,8 +4,8 @@
 // stages, and the nine 3D variants obtained by nesting a 1D algorithm over
 // the fiber dimension of a 2D algorithm — together with the analytic cost
 // model used to search the space of decompositions automatically, as CTF
-// does (§6.2). A caller that knows which products cannot matter may hand
-// Multiply a screen to keep them out of the local kernel. A caller that
+// does (§6.2). A caller may hand Multiply a screen that forms each product
+// against what the caller keeps and says whether to fold it. A caller that
 // keeps an accumulator has every product fold by column into it; only the
 // products of callers without one, the CombBLAS-style baseline's, are
 // sorted.
@@ -61,6 +61,12 @@ func (p Plan) String() string {
 // Procs returns the total processor count of the plan.
 func (p Plan) Procs() int { return p.P1 * p.P2 * p.P3 }
 
+// Screens reports whether Multiply runs a caller's screen under the plan:
+// only where a rank's products are final, C stationary (VarAB without a
+// RoleC fiber). Elsewhere products are partial and their reduction is
+// charged by size, so a screen would move the modeled bytes.
+func (p Plan) Screens() bool { return p.YZ == VarAB && !(p.P1 > 1 && p.X == RoleC) }
+
 // stages returns the 2D stage count lcm(p2, p3).
 func (p Plan) stages() int { return machine.LCM(p.P2, p.P3) }
 
@@ -71,6 +77,9 @@ type Problem struct {
 	NNZA, NNZB             int64
 	NNZC, Ops              int64 // estimates; ≤0 triggers the uniform-random model of §5.2
 	BytesA, BytesB, BytesC int64 // per-entry wire sizes
+	// Screened admits only plans that run the caller's screen
+	// (Plan.Screens): a product only the screen forms correctly.
+	Screened bool
 }
 
 // fillEstimates applies the paper's uniform-random sparsity model:
@@ -203,13 +212,17 @@ func candidatesFor(p int, cons Constraint) []Plan {
 
 // Search returns the minimum-estimated-cost plan for the problem on p
 // processors, scanning all grid factorizations, fiber roles, and layer
-// variants (the automatic decomposition selection of §6.2). The search is
-// deterministic, so every processor arrives at the same plan.
+// variants (the automatic decomposition selection of §6.2) — those that
+// screen, for a Screened problem. The search is deterministic, so every
+// processor arrives at the same plan.
 func Search(p int, pr Problem, model machine.CostModel, cons Constraint) Plan {
 	pr.fillEstimates()
 	best := Plan{P1: 1, P2: 1, P3: p, X: RoleC, YZ: VarAB}
 	bestCost := math.Inf(1)
 	for _, cand := range candidatesFor(p, cons) {
+		if pr.Screened && !cand.Screens() {
+			continue
+		}
 		if c := estimate(cand, &pr, model); c < bestCost {
 			bestCost = c
 			best = cand

@@ -175,7 +175,7 @@ func screenCases(g *graph.Graph, rows int) graphCases {
 // critical-path cost and the products evaluated and screened out.
 func screenedProduct[V, W any](
 	t *testing.T, c screenCase[V, W], plan Plan, workers int,
-	screenOver func(block []sparse.Entry[V]) func(i, j int32, v V) bool,
+	screenOver func(block []sparse.Entry[V]) Screen[V, W],
 ) (out []sparse.Entry[V], cost machine.Cost, products, screened int64) {
 	t.Helper()
 	p := plan.Procs()
@@ -213,15 +213,16 @@ func screenedProduct[V, W any](
 // check is the contract of Multiply's screen for one case under every
 // candidate plan of p processors.
 func check[V comparable, W any](t *testing.T, p int, c screenCase[V, W]) {
-	none := func([]sparse.Entry[V]) func(i, j int32, v V) bool { return nil }
-	keepAll := func([]sparse.Entry[V]) func(i, j int32, v V) bool {
-		return func(int32, int32, V) bool { return true }
+	none := func([]sparse.Entry[V]) Screen[V, W] { return nil }
+	keepAll := func([]sparse.Entry[V]) Screen[V, W] {
+		return func(_, _ int32, a V, b W) (V, bool) { return c.f(a, b), true }
 	}
-	dropLosers := func(block []sparse.Entry[V]) func(i, j int32, v V) bool {
-		return func(i, j int32, v V) bool {
+	dropLosers := func(block []sparse.Entry[V]) Screen[V, W] {
+		return func(i, j int32, a V, b W) (V, bool) {
+			v := c.f(a, b)
 			key := distmat.CoordKey(i, j)
 			y := sort.Search(len(block), func(y int) bool { return distmat.CoordKey(block[y].I, block[y].J) >= key })
-			return y == len(block) || block[y].I != i || block[y].J != j || !c.loses(block[y].V, v)
+			return v, y == len(block) || block[y].I != i || block[y].J != j || !c.loses(block[y].V, v)
 		}
 	}
 	for _, plan := range candidatesFor(p, AnyPlan) {
