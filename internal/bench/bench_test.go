@@ -157,6 +157,74 @@ func TestFig1cWeightedSlowdown(t *testing.T) {
 	if slower < len(weighted)/2 {
 		t.Fatalf("weighted MFBC faster than unweighted in %d/%d points", len(weighted)-slower, len(weighted))
 	}
+	// Where the weighted rate goes: more Bellman–Ford iterations, each
+	// moving no more modeled bytes than an unweighted one.
+	for i, w := range weighted {
+		u := unweighted[i]
+		if w.Err != "" || u.Err != "" {
+			continue
+		}
+		if w.Iters <= u.Iters || w.Bytes*int64(u.Iters) > u.Bytes*int64(w.Iters) {
+			t.Errorf("%s vs %s at p=%d: %d iterations, %d bytes against %d, %d; want more iterations at no more bytes each",
+				w.Graph, u.Graph, w.Procs, w.Iters, w.Bytes, u.Iters, u.Bytes)
+		}
+	}
+}
+
+// TestMFBCOutscalesBaseline is the paper's claim (§7, Figure 1) on the
+// modeled columns, which are counted work priced by DefaultModel and so do
+// not depend on the host: on each unweighted stand-in of fig1a/fig1b, MFBC's
+// modeled MTEPS/node over the CombBLAS-style baseline's does not fall as p
+// rises through 4, 16 and 64, and MFBC is ahead at p = 64. The p = 4
+// points are the shared quick run's (quickCfg, at its other p).
+func TestMFBCOutscalesBaseline(t *testing.T) {
+	cfg := quickCfg()
+	cfg.Procs = []int{16, 64}
+	ids := []string{"fig1a", "fig1b"}
+	runs := make([]quickRun, len(ids))
+	var wg sync.WaitGroup
+	for i, id := range ids {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			runs[i].pts, runs[i].err = Run(id, cfg)
+		}()
+	}
+	wg.Wait()
+	rate := map[string]map[int]float64{} // by engine+graph, then p
+	for i, id := range ids {
+		if runs[i].err != nil {
+			t.Fatal(runs[i].err)
+		}
+		for _, pt := range append(quickPoints(t, id), runs[i].pts...) {
+			if pt.Err != "" {
+				t.Fatalf("%s %s/%s at p=%d: %s", id, pt.Graph, pt.Engine, pt.Procs, pt.Err)
+			}
+			key := pt.Engine + " " + pt.Graph
+			if rate[key] == nil {
+				rate[key] = map[int]float64{}
+			}
+			rate[key][pt.Procs] = pt.MTEPSNode
+		}
+	}
+	for _, g := range standinIDs[1:3] {
+		prev := 0.0
+		for _, p := range []int{4, 16, 64} {
+			mfbc, base := rate["ctf-mfbc "+g][p], rate["combblas "+g][p]
+			if mfbc == 0 || base == 0 {
+				t.Fatalf("%s at p=%d: no rate (mfbc %v, combblas %v)", g, p, mfbc, base)
+			}
+			ratio := mfbc / base
+			t.Logf("%s p=%d: MFBC %.2f, CombBLAS-style %.2f modeled MTEPS/node, ratio %.2f", g, p, mfbc, base, ratio)
+			if ratio < prev {
+				t.Errorf("%s: MFBC's lead over the baseline falls from %.3f to %.3f at p=%d", g, prev, ratio, p)
+			}
+			prev = ratio
+		}
+		if prev <= 1 {
+			t.Errorf("%s: MFBC ÷ baseline is %.3f at p=64, want > 1", g, prev)
+		}
+	}
 }
 
 func TestTable3ReportsBothEngines(t *testing.T) {

@@ -178,9 +178,12 @@ func (s *DistSession) Run(sources []int32) (*DistResult, error) {
 	return s.RunCtx(context.Background(), sources)
 }
 
-// RunCtx is Run with trace propagation: when ctx carries an obs span, the
-// region's modeled-vs-measured stats are attached as a machine.region
-// child span with one grandchild per attributed phase.
+// RunCtx is Run under ctx: a ctx already ended runs no region, and one
+// that ends mid-region ends the region at its ranks' next superstep, with
+// ctx's cause as the error (on a tcp machine this poisons the mesh, like
+// any region failure). When ctx carries an obs span, the region's
+// modeled-vs-measured stats are attached as a machine.region child span
+// with one grandchild per attributed phase.
 func (s *DistSession) RunCtx(ctx context.Context, sources []int32) (*DistResult, error) {
 	if err := CheckSources(s.g.N, sources); err != nil {
 		return nil, err
@@ -191,7 +194,7 @@ func (s *DistSession) RunCtx(ctx context.Context, sources []int32) (*DistResult,
 	}
 	mach := transportFor(s.p, s.opt)
 	pl := s.planner(s.g, s.exact)
-	out, err := sweepRegion(s, mach, scalarAlgebra(), []planner{pl}, []*sparse.CSR[float64]{s.adjCSR}, sources, nb,
+	out, err := sweepRegion(ctx, s, mach, scalarAlgebra(), []planner{pl}, []*sparse.CSR[float64]{s.adjCSR}, sources, nb,
 		func(_ *machine.Proc, rk *distRank) (a, at *spgemm.Stationary[float64]) { return rk.a, rk.at })
 	if err != nil {
 		return nil, err
@@ -247,15 +250,24 @@ type reduceBufs struct{ acc, total []float64 }
 // ApplyIncrementalCtx (two sides over the staged pair operands). Every side
 // sweeps every source of the batch list; side s is seeded from adj[s] and
 // planned by pls[s]; stage yields each rank's stationary operands A and Aᵀ
-// once its deferred patch work has been charged.
+// once its deferred patch work has been charged. ctx is one more cause
+// that ends the region: ended before it, no region runs; ended during it,
+// rank 0 fails the region with ctx's cause.
 func sweepRegion[M multSided[M], C centSided[C], W any](
-	s *DistSession, mach machine.Transport, alg sweepAlgebra[M, C, W],
+	ctx context.Context, s *DistSession, mach machine.Transport, alg sweepAlgebra[M, C, W],
 	pls []planner, adj []*sparse.CSR[float64], sources []int32, nb int,
 	stage func(*machine.Proc, *distRank) (a, at *spgemm.Stationary[W]),
 ) (*regionOutcome, error) {
+	if err := context.Cause(ctx); err != nil {
+		return nil, err
+	}
 	n := s.g.N
 	out := &regionOutcome{bc: make([]float64, len(pls)*n)}
 	stats, err := mach.Run(func(proc *machine.Proc) {
+		if proc.Rank() == 0 && ctx.Done() != nil {
+			stop := context.AfterFunc(ctx, func() { proc.Fail(context.Cause(ctx)) })
+			defer stop()
+		}
 		world := proc.World()
 		rk := s.ranks[proc.Rank()]
 		proc.UseStore(&rk.store)

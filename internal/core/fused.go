@@ -68,9 +68,10 @@ type IncrementalResult struct {
 // are first rebuilt (reset) on that topology padded with the new vertices,
 // isolated, so the old side reads 0 on them.
 // diffs is the effective edge diff between the session's topology and newG,
-// as for Patch. newAdj is newG's adjacency (rebuilt when nil). When ctx
-// carries an obs span, the fused region's modeled-vs-measured stats are
-// attached as a machine.region child span with per-phase grandchildren.
+// as for Patch. newAdj is newG's adjacency (rebuilt when nil). ctx ends
+// the region as in RunCtx. When ctx carries an obs span, the fused
+// region's modeled-vs-measured stats are attached as a machine.region
+// child span with per-phase grandchildren.
 func (s *DistSession) ApplyIncrementalCtx(ctx context.Context, sources []int32, newG *graph.Graph, newAdj *sparse.CSR[float64], diffs []EdgeDiff) (*IncrementalResult, error) {
 	n := newG.N
 	if err := CheckSources(n, sources); err != nil {
@@ -110,7 +111,7 @@ func (s *DistSession) ApplyIncrementalCtx(ctx context.Context, sources []int32, 
 	// data the root node of a real machine would hold.
 	parts := s.diffShares(diffs, directed)
 
-	out, err := sweepRegion(s, mach, pairAlgebra(), []planner{plOld, plNew},
+	out, err := sweepRegion(ctx, s, mach, pairAlgebra(), []planner{plOld, plNew},
 		[]*sparse.CSR[float64]{oldAdj, newAdj}, sources, nb,
 		func(proc *machine.Proc, rk *distRank) (aPair, atPair *spgemm.Stationary[algebra.WeightPair]) {
 			// Receive this rank's diff share via the modeled collective.

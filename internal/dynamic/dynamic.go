@@ -331,11 +331,14 @@ func (e *Engine) Apply(batch []graph.Mutation) (Report, error) {
 // ApplyCtx atomically applies one mutation batch and refreshes the
 // maintained scores. On error the engine state is unchanged (batches are
 // applied to a private clone first). Readers concurrent with ApplyCtx see
-// either the old or the new snapshot, never a mix. When ctx carries an obs
-// span, the apply reports itself as a dynamic.apply child span, the
-// affected-source probes and local sweeps as grandchildren, and every
-// machine region as a machine.region span whose per-phase children pair
-// modeled cost with measured wall-clock.
+// either the old or the new snapshot, never a mix. At Procs > 1, ctx ends
+// the apply's machine region: an apply whose ctx ends before or during
+// its region returns an error wrapping ctx's cause and keeps the previous
+// version (a shared-memory apply does not yet stop early). When ctx
+// carries an obs span, the apply reports itself as a dynamic.apply child
+// span, the affected-source probes and local sweeps as grandchildren, and
+// every machine region as a machine.region span whose per-phase children
+// pair modeled cost with measured wall-clock.
 func (e *Engine) ApplyCtx(ctx context.Context, batch []graph.Mutation) (Report, error) {
 	ctx, span := obs.StartSpan(ctx, "dynamic.apply")
 	defer span.End()

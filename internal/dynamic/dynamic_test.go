@@ -2,6 +2,7 @@ package dynamic
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -9,9 +10,12 @@ import (
 	"runtime/debug"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/machine"
+	"repro/internal/machine/sim"
 	"repro/internal/spgemm"
 )
 
@@ -729,5 +733,97 @@ func TestApplyAllocBudget(t *testing.T) {
 	t.Logf("a warm fused apply allocates %d bytes", bytes)
 	if bytes > maxBytes {
 		t.Errorf("a warm fused apply allocates %d bytes, budget %d", bytes, maxBytes)
+	}
+}
+
+// cancelInRegion is the engine's machine with a hook: once armed, the next
+// region's rank 1 cancels the caller's ctx as the region starts — past the
+// check before it — and holds its peers at their first superstep long
+// enough for rank 0 to end the region with ctx's cause.
+type cancelInRegion struct {
+	machine.Transport
+	cancel context.CancelFunc
+	runs   int
+}
+
+func (c *cancelInRegion) Run(fn func(*machine.Proc)) (machine.RunStats, error) {
+	c.runs++
+	cancel := c.cancel
+	c.cancel = nil
+	return c.Transport.Run(func(p *machine.Proc) {
+		if cancel != nil && p.Rank() == 1 {
+			cancel()
+			time.Sleep(20 * time.Millisecond)
+		}
+		fn(p)
+	})
+}
+
+// TestCancelledApplyKeepsVersion: at Procs 4, an apply whose ctx is
+// cancelled before its region runs none, and one cancelled inside its
+// region ends it at the next superstep. Either way ApplyCtx returns an
+// error wrapping context.Canceled, the engine keeps its previous version
+// and scores, no goroutine is left behind, and the next apply of the same
+// batch matches a from-scratch compute — on the fused and the full-
+// recompute strategies alike.
+func TestCancelledApplyKeepsVersion(t *testing.T) {
+	for _, strat := range []struct {
+		name  string
+		dirty float64
+	}{{"fused", -1}, {"full", 1e-9}} {
+		for _, inRegion := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/in-region=%v", strat.name, inRegion), func(t *testing.T) {
+				g := graph.Grid2D(8, 8, 1, 1)
+				mach := &cancelInRegion{Transport: sim.New(4)}
+				e, err := New(g, Config{Procs: 4, Workers: 1, DirtyThreshold: strat.dirty, Transport: mach})
+				if err != nil {
+					t.Fatal(err)
+				}
+				before := e.Scores()
+				baseline := runtime.NumGoroutine()
+				batch := []graph.Mutation{{Op: graph.OpAddEdge, U: 0, V: 63, W: 1}}
+
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				wantRuns := mach.runs // no region under an ended ctx
+				if inRegion {
+					mach.cancel = cancel
+					wantRuns++
+				} else {
+					cancel()
+				}
+				_, err = e.ApplyCtx(ctx, batch)
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("cancelled apply returned %v, want context.Canceled", err)
+				}
+				if mach.runs != wantRuns {
+					t.Fatalf("the machine ran %d regions by the cancelled apply's end, want %d", mach.runs, wantRuns)
+				}
+				after := e.Scores()
+				if after.Version != before.Version || after.Seq != before.Seq {
+					t.Fatalf("cancelled apply moved the engine: version %x seq %d, was %x seq %d", after.Version, after.Seq, before.Version, before.Seq)
+				}
+				compareScores(t, "after the cancelled apply", after.BC, before.BC)
+				for i := 0; runtime.NumGoroutine() > baseline; i++ {
+					if i == 100 {
+						t.Fatalf("%d goroutines, %d before the cancelled apply", runtime.NumGoroutine(), baseline)
+					}
+					time.Sleep(time.Millisecond)
+				}
+
+				rep, err := e.Apply(batch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rep.Fused != (strat.name == "fused") {
+					t.Fatalf("retried apply ran strategy %s, fused = %v", rep.Strategy, rep.Fused)
+				}
+				shadow := g.Clone()
+				if err := shadow.Apply(batch[0]); err != nil {
+					t.Fatal(err)
+				}
+				compareScores(t, "retried apply", e.Scores().BC, fromScratch(t, shadow))
+			})
+		}
 	}
 }

@@ -309,8 +309,7 @@ func Alltoall[T any](c *Comm, parts [][]T) [][]T {
 // Cost per member: max(sent, received)·β + ⌈log₂p⌉α.
 func AlltoallRecv[T any](c *Comm, parts [][]T, recv func(runs [][]T)) {
 	if len(parts) != c.Size() {
-		c.proc.Fail(errAlltoallShape{len(parts), c.Size()})
-		Abort("alltoall parts/size mismatch")
+		Abort(errAlltoallShape{len(parts), c.Size()})
 	}
 	sent := 0
 	for _, p := range parts {

@@ -109,8 +109,10 @@ type Transport interface {
 	// SetTimeout replaces the per-collective watchdog; 0 disables.
 	SetTimeout(time.Duration)
 	// Run executes fn as one machine region and reports critical-path
-	// statistics. A panic or failure on any rank aborts the whole machine
-	// and is returned as an error on every process.
+	// statistics. A region ends one way: its first cause — a rank's panic
+	// or Abort, a Proc.Fail from any goroutine, the watchdog, a lost peer —
+	// frees every rank's wait, and Run returns that cause on every
+	// process.
 	Run(fn func(p *Proc)) (RunStats, error)
 }
 
@@ -175,30 +177,29 @@ type Group interface {
 	Subgroup(p *Proc, rank int, members []int, myIdx int) Group
 }
 
-// abortError marks the panic that unwinds ranks after a peer failure or
-// watchdog timeout, so RunRank can tell cooperative teardown from a real
-// region panic.
-type abortError struct{ reason string }
+// abortError is the panic Abort unwinds a rank with: err is the cause it
+// ends the region with.
+type abortError struct{ err error }
 
-func (e abortError) Error() string { return "machine: aborted: " + e.reason }
-
-// Abort panics with the cooperative-teardown marker. Backends call it to
-// unwind a rank after recording the underlying failure via the Proc's
-// fail hook.
-func Abort(reason string) {
-	panic(abortError{reason: reason})
+// Abort ends the region with err as its cause and unwinds the calling rank:
+// RunRank records err through the Proc's fail hook, and the first cause a
+// region records is the one Run returns. A rank calls it where it fails
+// itself, and where a wait finds the region already over (with the
+// region's cause, which it leaves unchanged).
+func Abort(err error) {
+	panic(abortError{err})
 }
 
 // RunRank runs fn as rank p's part of a region, the one rank runner both
-// backends use: a panic in fn becomes the machine's failure, recorded
-// through p's fail hook — an Abort as the teardown it marks, any other
-// panic as "machine: proc r panicked" with its stack — and RunRank
-// returns normally, so the backend goes on to the rank's summary.
+// backends use: a panic in fn ends the region through p's fail hook — an
+// Abort with its cause, any other panic as "machine: proc r panicked" with
+// its stack — and RunRank returns normally, so the backend goes on to the
+// rank's summary.
 func RunRank(p *Proc, fn func(*Proc)) {
 	defer func() {
 		if r := recover(); r != nil {
 			if ab, ok := r.(abortError); ok {
-				p.Fail(ab)
+				p.Fail(ab.err)
 				return
 			}
 			p.Fail(fmt.Errorf("machine: proc %d panicked: %v\n%s", p.rank, r, debug.Stack()))
@@ -386,8 +387,9 @@ type Proc struct {
 
 // NewProc constructs a rank handle for a backend: world is the
 // whole-machine Group, localRanks the number of ranks this OS process
-// hosts (sim: p, tcpnet: 1), fail the backend's first-failure hook, and
-// start the region's wall-clock origin for phase attribution.
+// hosts (sim: p, tcpnet: 1), fail the backend's hook that ends the region
+// with a cause (the first one wins), and start the region's wall-clock
+// origin for phase attribution.
 func NewProc(world Group, rank, localRanks int, fail func(error), start time.Time) *Proc {
 	p := &Proc{rank: rank, localRanks: localRanks, fail: fail, phaseWallAt: start}
 	p.world = &Comm{group: world, rank: rank, proc: p}
@@ -411,9 +413,10 @@ func (p *Proc) LocalRanks() int {
 	return p.localRanks
 }
 
-// Fail records err as the machine's failure through the backend hook,
-// poisoning every barrier so peers unwind instead of deadlocking. It does
-// not panic; callers follow with Abort.
+// Fail ends the region with err as its cause, from any goroutine, without
+// unwinding the caller: every rank's next wait finds the region over and
+// aborts, and Run returns the first cause the region recorded. A rank
+// that fails itself calls Abort, which unwinds it too.
 func (p *Proc) Fail(err error) {
 	if p.fail != nil {
 		p.fail(err)

@@ -8,7 +8,10 @@
 package machine_test
 
 import (
+	"errors"
 	"fmt"
+	"io"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -23,6 +26,9 @@ import (
 type backendCase struct {
 	name string
 	make func(t testing.TB, p int) machine.Transport
+	// closeRank, where set, closes rank r's endpoint of a transport make
+	// built: a peer lost mid-region.
+	closeRank func(tr machine.Transport, r int)
 }
 
 var (
@@ -411,5 +417,99 @@ func TestDeadlockWatchdog(t *testing.T) {
 				t.Fatal("expected watchdog to flag the deadlock")
 			}
 		})
+	}
+}
+
+// TestRegionEndsOneWay: whatever ends a region — a rank's panic, a rank's
+// Abort (AlltoallRecv's shape check), the watchdog, a Proc.Fail from
+// another goroutine and, on tcp, a peer whose endpoint closes mid-region —
+// Run returns that cause, and every goroutine the backend started ends
+// (tcp's once its mesh is closed). A sim machine then runs a clean region;
+// a tcp transport reports itself poisoned.
+func TestRegionEndsOneWay(t *testing.T) {
+	const p = 4
+	injected := errors.New("injected cause")
+	untilEnded := func(pr *machine.Proc) {
+		for {
+			machine.Barrier(pr.World())
+		}
+	}
+	causes := []struct {
+		name    string
+		timeout time.Duration // the watchdog, when set
+		region  func(pr *machine.Proc, closeLast func())
+		want    string
+	}{
+		{name: "panic", want: "machine: proc 3 panicked: injected failure",
+			region: func(pr *machine.Proc, _ func()) {
+				if pr.Rank() == p-1 {
+					panic("injected failure")
+				}
+				machine.Barrier(pr.World())
+			}},
+		{name: "abort", want: "machine: alltoall called with wrong number of parts",
+			region: func(pr *machine.Proc, _ func()) {
+				parts := make([][]int, p)
+				if pr.Rank() == p-1 {
+					parts = parts[:1]
+				}
+				machine.AlltoallRecv(pr.World(), parts, func([][]int) {})
+			}},
+		{name: "watchdog", timeout: 20 * time.Millisecond, want: "(collective deadlock: mismatched collective calls across ranks?)",
+			region: func(pr *machine.Proc, _ func()) {
+				if pr.Rank() == 0 {
+					time.Sleep(200 * time.Millisecond) // a straggler, far past its peers' watchdog
+				}
+				machine.Barrier(pr.World())
+			}},
+		{name: "fail", want: injected.Error(),
+			region: func(pr *machine.Proc, _ func()) {
+				if pr.Rank() == 0 {
+					go pr.Fail(injected)
+				}
+				untilEnded(pr)
+			}},
+		{name: "lost-peer", want: fmt.Sprintf("rank %d", p-1),
+			region: func(pr *machine.Proc, closeLast func()) {
+				machine.Barrier(pr.World())
+				if pr.Rank() == p-1 {
+					closeLast()
+				}
+				untilEnded(pr)
+			}},
+	}
+	for _, b := range listBackends() {
+		for _, c := range causes {
+			if c.name == "lost-peer" && b.closeRank == nil {
+				continue
+			}
+			t.Run(b.name+"/"+c.name, func(t *testing.T) {
+				baseline := runtime.NumGoroutine()
+				tr := b.make(t, p)
+				if c.timeout > 0 {
+					tr.SetTimeout(c.timeout)
+				}
+				_, err := tr.Run(func(pr *machine.Proc) { c.region(pr, func() { b.closeRank(tr, p-1) }) })
+				if err == nil || !strings.Contains(err.Error(), c.want) {
+					t.Fatalf("Run returned %v, want its cause %q", err, c.want)
+				}
+				if b.name == "sim" {
+					if _, err := tr.Run(func(pr *machine.Proc) { machine.Barrier(pr.World()) }); err != nil {
+						t.Fatalf("a clean region after the failed one: %v", err)
+					}
+				} else if _, err := tr.Run(func(*machine.Proc) {}); err == nil || !strings.Contains(err.Error(), "poisoned") {
+					t.Fatalf("a region on the ended transport returned %v, want it poisoned", err)
+				}
+				if cl, ok := tr.(io.Closer); ok {
+					cl.Close()
+				}
+				for i := 0; runtime.NumGoroutine() > baseline; i++ {
+					if i == 1000 {
+						t.Fatalf("%d goroutines, %d before the region", runtime.NumGoroutine(), baseline)
+					}
+					time.Sleep(time.Millisecond)
+				}
+			})
+		}
 	}
 }

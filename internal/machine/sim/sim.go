@@ -8,6 +8,7 @@
 package sim
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"runtime"
@@ -42,36 +43,29 @@ func (m *Machine) Size() int { return m.p }
 func (m *Machine) SetTimeout(d time.Duration) { m.timeout = d }
 
 // region is the state the ranks of one Run share besides their
-// communicators: the failure that frees waiting ranks and the watchdog
-// timers of the ranks that had to park.
+// communicators: the context its first cause ends, and the watchdog timers
+// of the ranks that had to park.
 type region struct {
 	timeout time.Duration
 	timers  []*time.Timer // by world rank; made by a rank's first park, reused after
 
-	failure atomic.Pointer[error] // the first one; polled by yielding waiters
-	abort   chan struct{}         // closed with it, for parked waiters
-}
-
-// fail records the first failure and poisons every barrier so that all
-// processors unwind instead of deadlocking.
-func (rg *region) fail(err error) {
-	if rg.failure.CompareAndSwap(nil, &err) {
-		close(rg.abort)
-	}
+	ctx  context.Context // cancelled with the region's first cause
+	done <-chan struct{} // ctx.Done(), fetched once: what every wait selects on
 }
 
 // Run executes fn on every processor concurrently and reports critical-path
-// statistics. A panic on any processor aborts the region and is returned as
-// an error; the machine itself stays usable.
+// statistics. The region's first cause — a panic, an Abort, a Proc.Fail,
+// the watchdog — is returned as the error; the machine itself stays usable.
 func (m *Machine) Run(fn func(p *machine.Proc)) (machine.RunStats, error) {
-	rg := &region{timeout: m.timeout, timers: make([]*time.Timer, m.p), abort: make(chan struct{})}
+	ctx, end := context.WithCancelCause(context.Background())
+	defer end(nil)
+	rg := &region{timeout: m.timeout, timers: make([]*time.Timer, m.p), ctx: ctx, done: ctx.Done()}
 	world := newCommState(rg, m.p)
 	procs := make([]*machine.Proc, m.p)
 	var wg sync.WaitGroup
 	start := time.Now() //lint:allow detsource wall-clock run stat only; never feeds the cost model
-	fail := rg.fail
 	for r := 0; r < m.p; r++ {
-		p := machine.NewProc(world, r, m.p, fail, start)
+		p := machine.NewProc(world, r, m.p, end, start)
 		procs[r] = p
 		wg.Add(1)
 		go func(p *machine.Proc) {
@@ -84,11 +78,7 @@ func (m *Machine) Run(fn func(p *machine.Proc)) (machine.RunStats, error) {
 	for r, p := range procs {
 		summaries[r] = p.Summary()
 	}
-	stats := machine.BuildRunStats(summaries, time.Since(start))
-	if err := rg.failure.Load(); err != nil {
-		return stats, *err
-	}
-	return stats, nil
+	return machine.BuildRunStats(summaries, time.Since(start)), context.Cause(ctx)
 }
 
 // commState is the shared slot array of one communicator: every member
@@ -209,8 +199,10 @@ func (b *barrier) await(rg *region, worldRank int) {
 		if b.released.Load() > gen {
 			return
 		}
-		if rg.failure.Load() != nil {
-			machine.Abort("peer failure")
+		select {
+		case <-rg.done:
+			machine.Abort(context.Cause(rg.ctx))
+		default:
 		}
 		runtime.Gosched()
 	}
@@ -218,7 +210,7 @@ func (b *barrier) await(rg *region, worldRank int) {
 }
 
 // parkUntilReleased sleeps until generation gen is released, the region
-// fails or the watchdog fires. A channel taken from b.park is closed by
+// ends or the watchdog fires. A channel taken from b.park is closed by
 // whoever swaps it out, and the releaser of gen swaps after publishing the
 // release, so a waiter that sees gen still open after taking a channel is
 // woken. The waker may be the releaser of an earlier generation that was
@@ -250,12 +242,10 @@ func (b *barrier) parkUntilReleased(gen uint64, rg *region, worldRank int) {
 		}
 		select {
 		case <-*ch:
-		case <-rg.abort:
-			machine.Abort("peer failure")
+		case <-rg.done:
+			machine.Abort(context.Cause(rg.ctx))
 		case <-watchdog:
-			err := fmt.Errorf("machine: barrier timeout after %v (collective deadlock: mismatched collective calls across ranks?)", rg.timeout)
-			rg.fail(err)
-			machine.Abort(err.Error())
+			machine.Abort(fmt.Errorf("machine: barrier timeout after %v (collective deadlock: mismatched collective calls across ranks?)", rg.timeout))
 		}
 	}
 }

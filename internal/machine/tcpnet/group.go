@@ -6,6 +6,7 @@ package tcpnet
 
 import (
 	"bytes"
+	"context"
 	"encoding/gob"
 	"fmt"
 	"time"
@@ -59,8 +60,7 @@ func (g *group) Exchange(p *machine.Proc, rank int, post machine.Payload) ([]mac
 			payload = post.Codec.Encode(gi)
 		}
 		if err := g.t.sendData(wr, own, post.Size, payload); err != nil {
-			p.Fail(err)
-			machine.Abort("send failure")
+			machine.Abort(err)
 		}
 	}
 	max := own
@@ -68,7 +68,7 @@ func (g *group) Exchange(p *machine.Proc, rank int, post machine.Payload) ([]mac
 		if gi == g.myIdx {
 			continue
 		}
-		df := g.t.recvData(p, wr)
+		df := g.t.recvData(wr)
 		g.sizes[gi] = df.size
 		max = max.Max(df.cost)
 		if df.payload != nil && post.Codec != nil {
@@ -95,13 +95,15 @@ func (g *group) Subgroup(p *machine.Proc, rank int, members []int, myIdx int) ma
 // exchange then builds bit-identical RunStats everywhere (wall clock
 // aside, which is measured per process).
 //
-// A failed run poisons the transport — peer streams may have died
-// mid-frame — so callers rebuild the mesh rather than retry on it.
+// The region's Proc.Fail is the transport's fail, so whatever ends the
+// region — a rank's panic or Abort, a Proc.Fail from any goroutine, a lost
+// link, the watchdog — ends the transport with it: peer streams may have
+// died mid-frame, so callers rebuild the mesh rather than retry on it.
 func (t *Transport) Run(fn func(p *machine.Proc)) (machine.RunStats, error) {
-	if t.closed.Load() {
+	switch err := context.Cause(t.ctx); {
+	case err == errClosed:
 		return machine.RunStats{}, errClosed
-	}
-	if err := t.err(); err != nil {
+	case err != nil:
 		return machine.RunStats{}, fmt.Errorf("tcpnet: transport poisoned by earlier failure: %w", err)
 	}
 	start := time.Now()
@@ -110,11 +112,9 @@ func (t *Transport) Run(fn func(p *machine.Proc)) (machine.RunStats, error) {
 	var sums []machine.ProcSummary
 	machine.RunRank(proc, func(p *machine.Proc) {
 		fn(p)
-		if t.err() == nil {
-			sums = t.exchangeSummaries(world, p)
-		}
+		sums = t.exchangeSummaries(world, p)
 	})
-	if err := t.err(); err != nil {
+	if err := context.Cause(t.ctx); err != nil {
 		return machine.RunStats{}, err
 	}
 	return machine.BuildRunStats(sums, time.Since(start)), nil
@@ -125,16 +125,14 @@ func (t *Transport) Run(fn func(p *machine.Proc)) (machine.RunStats, error) {
 // each process can fold the identical stats. The step's cost maximum is
 // deliberately discarded: stats exchange is bookkeeping, not part of the
 // modeled program. It runs inside the rank's machine.RunRank, after the
-// region body: a failure is recorded on the transport, and the summaries
-// are then nil.
+// region body, so a failure here aborts the region like one in the body.
 func (t *Transport) exchangeSummaries(world *group, proc *machine.Proc) []machine.ProcSummary {
 	self := proc.Summary()
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(self); err != nil {
-		t.fail(fmt.Errorf("tcpnet: encoding rank %d summary: %w", t.rank, err))
-		return nil
+		machine.Abort(fmt.Errorf("tcpnet: encoding rank %d summary: %w", t.rank, err))
 	}
-	sp := &summaryPost{t: t, enc: buf.Bytes(), out: make([]machine.ProcSummary, t.p), got: make([]bool, t.p)}
+	sp := &summaryPost{enc: buf.Bytes(), out: make([]machine.ProcSummary, t.p), got: make([]bool, t.p)}
 	sp.out[t.rank], sp.got[t.rank] = self, true
 	world.Exchange(proc, t.rank, machine.Payload{Codec: sp})
 	world.Release(proc, t.rank)
@@ -142,8 +140,7 @@ func (t *Transport) exchangeSummaries(world *group, proc *machine.Proc) []machin
 		if !got {
 			// A cost-only frame here means some rank ran a different
 			// collective sequence (its frame was consumed elsewhere).
-			t.fail(fmt.Errorf("machine: rank %d summary exchange desynchronized (mismatched collective calls across ranks?)", t.rank))
-			return nil
+			machine.Abort(fmt.Errorf("machine: rank %d summary exchange desynchronized (mismatched collective calls across ranks?)", t.rank))
 		}
 	}
 	return sp.out
@@ -152,7 +149,6 @@ func (t *Transport) exchangeSummaries(world *group, proc *machine.Proc) []machin
 // summaryPost is the summary exchange's header: the rank's gob-encoded
 // summary, sent to every peer, and the summaries decoded from theirs.
 type summaryPost struct {
-	t   *Transport
 	enc []byte
 	out []machine.ProcSummary
 	got []bool
@@ -162,8 +158,7 @@ func (sp *summaryPost) Encode(int) []byte { return sp.enc }
 
 func (sp *summaryPost) Decode(src int, b []byte) {
 	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&sp.out[src]); err != nil {
-		sp.t.fail(fmt.Errorf("tcpnet: decoding rank %d summary: %w", src, err))
-		machine.Abort("summary decode failure")
+		machine.Abort(fmt.Errorf("tcpnet: decoding rank %d summary: %w", src, err))
 	}
 	sp.got[src] = true
 }

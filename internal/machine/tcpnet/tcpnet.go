@@ -26,21 +26,25 @@
 // paper) bit-identical to the simulated backend; wall-clock time is
 // whatever the network really took.
 //
-// Failure handling mirrors machine/sim: the first failure (a region
-// panic, a lost link, a watchdog timeout) poisons the transport, an
-// abort frame is broadcast best-effort so remote ranks unwind instead of
-// deadlocking, and Run returns the failure as an error everywhere. A
-// poisoned transport stays poisoned — streams may have died mid-frame —
-// so callers rebuild the mesh rather than reuse it.
+// A transport ends one way, as a machine/sim region does: its context is
+// cancelled with the first cause, and every wait (a collective's receive,
+// the operation channel, the read loops) selects on its Done channel. A
+// failure — a region panic or Abort, a Proc.Fail such as a caller's
+// cancelled ctx, a lost link, a watchdog timeout — also broadcasts an abort
+// frame best-effort so remote ranks unwind instead of deadlocking, and Run
+// returns the cause as an error everywhere. Close, and the coordinator's
+// link ending after Leave, end the transport with errClosed and send no
+// abort frame. An ended transport stays ended — streams may have died
+// mid-frame — so callers rebuild the mesh rather than reuse it.
 package tcpnet
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -66,7 +70,7 @@ var errClosed = errors.New("tcpnet: transport closed")
 
 // Transport is one rank's endpoint of the TCP machine: its wire to every
 // peer, the collective watchdog (a 2-minute default, per process, until
-// SetTimeout), and the failure that poisons it for good. It implements
+// SetTimeout), and the cause that ends it for good. It implements
 // machine.Transport; Run executes the region body for this rank only,
 // synchronizing with the peer processes over the mesh.
 type Transport struct {
@@ -75,15 +79,12 @@ type Transport struct {
 	peers   []string
 	timeout time.Duration // the collective watchdog and write deadline; 0 disables
 
-	ln    net.Listener
 	conns []*conn // indexed by world rank; conns[rank] == nil
 
-	closed    atomic.Bool
-	leaving   atomic.Bool
-	abortOnce sync.Once
-	abort     chan struct{}
-	failMu    sync.Mutex
-	failErr   error
+	ctx     context.Context // cancelled with the transport's first cause
+	end     context.CancelCauseFunc
+	done    <-chan struct{} // ctx.Done(): what every wait selects on
+	leaving atomic.Bool
 }
 
 // Coordinate brings up rank 0: it joins the mesh and returns once every
@@ -114,9 +115,10 @@ func start(rank int, peers []string, opt Options) (*Transport, error) {
 		p:       p,
 		peers:   append([]string(nil), peers...),
 		timeout: defaultTimeout,
-		abort:   make(chan struct{}),
 		conns:   make([]*conn, p),
 	}
+	t.ctx, t.end = context.WithCancelCause(context.Background())
+	t.done = t.ctx.Done()
 	window := opt.Rendezvous
 	if window <= 0 {
 		window = defaultRendezvous
@@ -152,7 +154,6 @@ func (t *Transport) connectMesh(ln net.Listener, window time.Duration) error {
 			return fmt.Errorf("tcpnet: rank %d listen %s: %w", t.rank, t.peers[t.rank], err)
 		}
 	}
-	t.ln = ln
 	deadline := time.Now().Add(window)
 	acceptDone := make(chan error, 1)
 	go func() { acceptDone <- t.acceptPeers(ln, deadline) }()
@@ -162,7 +163,6 @@ func (t *Transport) connectMesh(ln net.Listener, window time.Duration) error {
 	}
 	acceptErr := <-acceptDone
 	ln.Close()
-	t.ln = nil
 	if dialErr != nil {
 		return dialErr
 	}
@@ -252,45 +252,28 @@ func (t *Transport) SetTimeout(d time.Duration) {
 	t.timeout = d
 }
 
-// fail records the transport's first failure, wakes every local waiter,
-// and broadcasts an abort frame so remote ranks unwind too.
+// fail ends the transport with err as its cause and, unless it had
+// already ended, broadcasts the cause in an abort frame so remote ranks
+// unwind too. Two failures racing may both broadcast; a peer reads only
+// the first frame.
 func (t *Transport) fail(err error) {
-	if err == nil {
+	if t.ctx.Err() != nil {
 		return
 	}
-	t.failMu.Lock()
-	if t.failErr == nil {
-		t.failErr = err
-	}
-	msg := t.failErr.Error()
-	t.failMu.Unlock()
-	t.abortOnce.Do(func() {
-		close(t.abort)
-		for _, cn := range t.conns {
-			if cn != nil {
-				t.writeAbort(cn, []byte(msg))
-			}
+	t.end(err)
+	msg := []byte(context.Cause(t.ctx).Error())
+	for _, cn := range t.conns {
+		if cn != nil {
+			t.writeAbort(cn, msg)
 		}
-	})
+	}
 }
 
-// err returns the recorded failure, if any.
-func (t *Transport) err() error {
-	t.failMu.Lock()
-	defer t.failMu.Unlock()
-	return t.failErr
-}
-
-// Close tears down the mesh. Idempotent; the transport is unusable
-// afterwards.
+// Close tears down the mesh: it ends the transport with errClosed, sending
+// no abort frame, and closes every link. Idempotent; the transport is
+// unusable afterwards.
 func (t *Transport) Close() error {
-	if t.closed.Swap(true) {
-		return nil
-	}
-	t.abortOnce.Do(func() { close(t.abort) })
-	if t.ln != nil {
-		t.ln.Close()
-	}
+	t.end(errClosed)
 	for _, cn := range t.conns {
 		if cn != nil {
 			cn.c.Close()
@@ -348,8 +331,7 @@ func (t *Transport) OpCollect() error {
 }
 
 // NextOp blocks until the coordinator broadcasts the next operation.
-// Worker ranks only; it returns an error once the transport fails or is
-// closed.
+// Worker ranks only; it returns the transport's cause once it has ended.
 func (t *Transport) NextOp() ([]byte, error) {
 	if t.rank == 0 {
 		return nil, errors.New("tcpnet: NextOp called on the coordinator")
@@ -379,7 +361,7 @@ func (t *Transport) recvCtrl(peer int) ([]byte, error) {
 	select {
 	case b := <-cn.ctrl:
 		return b, nil
-	case <-t.abort:
+	case <-t.done:
 		// The mesh is tearing down, but the frame may already be ahead of
 		// the failure in the stream — e.g. shutdown acks racing the peers'
 		// own closes (each peer's FIN arrives after its ack, but another
@@ -390,10 +372,7 @@ func (t *Transport) recvCtrl(peer int) ([]byte, error) {
 			return b, nil
 		case <-time.After(abortWriteTimeout):
 		}
-		if err := t.err(); err != nil {
-			return nil, err
-		}
-		return nil, errClosed
+		return nil, context.Cause(t.ctx)
 	}
 }
 

@@ -9,6 +9,7 @@ package tcpnet
 
 import (
 	"bufio"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -184,13 +185,13 @@ func (t *Transport) readLoop(cn *conn) {
 			}
 			select {
 			case cn.data <- df:
-			case <-t.abort:
+			case <-t.done:
 				return
 			}
 		case frameCtrl:
 			select {
 			case cn.ctrl <- body:
-			case <-t.abort:
+			case <-t.done:
 				return
 			}
 		case frameAbort:
@@ -226,67 +227,45 @@ func parseData(body []byte) (dataFrame, error) {
 }
 
 // linkLost surfaces a dead connection as a machine failure, unless the
-// transport is already closing or aborting, or the session is over (peers
-// tearing down produce expected EOFs). After Leave only the coordinator's
-// link ending matters: it wakes a worker still waiting for its release.
+// transport has already ended (closing, or failed) or the session is over
+// (peers tearing down produce expected EOFs). After Leave only the
+// coordinator's link ending matters: it ends the transport with errClosed,
+// which wakes a worker still waiting for its release.
 func (t *Transport) linkLost(cn *conn, err error) {
-	if t.closed.Load() {
-		return
-	}
 	select {
-	case <-t.abort:
+	case <-t.done:
 		return
 	default:
 	}
 	if t.leaving.Load() {
 		if cn.peer == 0 {
-			t.abortOnce.Do(func() { close(t.abort) })
+			t.end(errClosed)
 		}
 		return
 	}
 	t.fail(fmt.Errorf("machine: link to rank %d lost: %w", cn.peer, err))
 }
 
-// recvData waits for the next superstep frame from worldRank, guarded by
-// the collective watchdog: one full timeout window, one retry window,
-// then the machine fails (the sim backend's barrier watchdog, translated
-// to message passing). Abort wakes the wait immediately.
-func (t *Transport) recvData(p *machine.Proc, worldRank int) dataFrame {
+// recvData waits for the next superstep frame from worldRank. The wait
+// ends the region with the transport's cause once the transport has ended,
+// and with a timeout after two watchdog windows (the sim backend's barrier
+// watchdog, translated to message passing); with the watchdog off it has
+// no timer.
+func (t *Transport) recvData(worldRank int) dataFrame {
 	cn := t.conns[worldRank]
-	if t.timeout <= 0 {
-		select {
-		case df := <-cn.data:
-			return df
-		case <-t.abort:
-			t.abortRecv(p)
-		}
+	var watchdog <-chan time.Time
+	if t.timeout > 0 {
+		timer := time.NewTimer(2 * t.timeout)
+		defer timer.Stop()
+		watchdog = timer.C
 	}
-	timer := time.NewTimer(t.timeout)
-	defer timer.Stop()
-	retries := 1
-	for {
-		select {
-		case df := <-cn.data:
-			return df
-		case <-t.abort:
-			t.abortRecv(p)
-		case <-timer.C:
-			if retries > 0 {
-				retries--
-				timer.Reset(t.timeout)
-				continue
-			}
-			err := fmt.Errorf("machine: receive from rank %d timed out after %v (collective deadlock: mismatched collective calls across ranks?)", worldRank, 2*t.timeout)
-			p.Fail(err)
-			machine.Abort("collective timeout")
-		}
+	select {
+	case df := <-cn.data:
+		return df
+	case <-t.done:
+		machine.Abort(context.Cause(t.ctx))
+	case <-watchdog:
+		machine.Abort(fmt.Errorf("machine: receive from rank %d timed out after %v (collective deadlock: mismatched collective calls across ranks?)", worldRank, 2*t.timeout))
 	}
-}
-
-// abortRecv unwinds a waiting rank after the transport failed or closed.
-func (t *Transport) abortRecv(p *machine.Proc) {
-	if err := t.err(); err == nil {
-		p.Fail(errClosed)
-	}
-	machine.Abort("peer failure")
+	panic("unreachable")
 }

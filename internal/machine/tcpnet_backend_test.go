@@ -21,5 +21,6 @@ func init() {
 			t.Cleanup(func() { mesh.Close() })
 			return mesh
 		},
+		closeRank: func(tr machine.Transport, r int) { tr.(*tcpnet.LocalMesh).Rank(r).Close() },
 	})
 }

@@ -18,7 +18,10 @@
 //
 // A failed machine region poisons the underlying transport (peer streams
 // may have died mid-frame); the driver surfaces the error and the
-// deployment must rebuild the mesh — there is no in-place recovery.
+// deployment must rebuild the mesh — there is no in-place recovery. A
+// cancelled region is one of them: an Engine.ApplyCtx whose ctx ends
+// mid-region ends the region on every rank with ctx's cause and poisons
+// the mesh like any other region failure.
 package rankrun
 
 import (
@@ -140,7 +143,8 @@ func (d *Driver) NewEngine(name string, g *graph.Graph, opt repro.DynamicOptions
 
 // ApplyCtx applies one mutation batch on every replica. The batch is
 // broadcast before the local apply, so all ranks run the machine regions
-// of this apply together.
+// of this apply together. ctx ends the coordinator's region, and with it
+// every rank's (see the package doc: the mesh is then poisoned).
 func (e *Engine) ApplyCtx(ctx context.Context, batch []graph.Mutation) (repro.ApplyReport, error) {
 	var rep repro.ApplyReport
 	err := e.d.do(op{Kind: opApply, Name: e.name, Batch: batch}, func() error {

@@ -4,10 +4,11 @@
 // A PATCH batch lands in its graph's queue (ingestQueue), bounded by
 // IngestMaxDepth (ErrIngestBackpressure beyond it). The Enqueue that finds
 // no drainer active wins drain duty. An applied-durability writer that
-// wins it leads: on its own goroutine and under its own ctx it takes the
-// per-graph mutation serializer, drains whatever accumulated while it
-// waited for it and commits that group, so an uncontended PATCH applies
-// exactly its own batch as a child of its own request span.
+// wins it leads: on its own goroutine and under its own ctx (its spans,
+// not its cancellation: the group commits whatever becomes of the request)
+// it takes the per-graph mutation serializer, drains whatever accumulated
+// while it waited for it and commits that group, so an uncontended PATCH
+// applies exactly its own batch as a child of its own request span.
 // Enqueued-durability acks, and whatever backlog built up during a
 // leader's commit, go to a background drainer instead. Either way the
 // serializer is taken FIRST and the queue drained second, so every batch
@@ -215,9 +216,10 @@ func (s *Server) MutateDurable(ctx context.Context, name string, muts []repro.Mu
 		return res, nil
 	}
 	if lead {
-		// Commit the group this batch heads here, under the request's ctx;
-		// what queued up meanwhile is a background drainer's.
-		if s.drainOnce(ctx, name, q) && !q.Release() {
+		// Commit the group this batch heads here, under the request's ctx
+		// without its cancellation (the group may hold other writers'
+		// batches); what queued up meanwhile is a background drainer's.
+		if s.drainOnce(context.WithoutCancel(ctx), name, q) && !q.Release() {
 			go s.drainLoop(name, q)
 		}
 	}

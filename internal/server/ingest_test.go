@@ -684,3 +684,48 @@ func TestCommitPanicContained(t *testing.T) {
 	}
 	waitFor(t, "no leaked goroutine", func() bool { return runtime.NumGoroutine() <= before })
 }
+
+// cancelEngine cancels the request leading a group commit once the commit
+// reaches the engine.
+type cancelEngine struct {
+	DynEngine
+	cancel context.CancelFunc
+}
+
+func (e *cancelEngine) ApplyCtx(ctx context.Context, batch []repro.Mutation) (repro.ApplyReport, error) {
+	e.cancel()
+	return e.DynEngine.ApplyCtx(ctx, batch)
+}
+
+// TestLeaderCommitSurvivesCancel: a leader PATCH whose request is
+// cancelled mid-commit still commits its group — at DynProcs 4, where an
+// apply's machine region ends with its ctx, the commit runs without the
+// request's cancellation — so the graph's version advances, whatever the
+// writer's own wait returns.
+func TestLeaderCommitSurvivesCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	s := New(Config{Workers: 1, DynProcs: 4,
+		NewDynamic: func(_ string, g *repro.Graph, opt repro.DynamicOptions) (DynEngine, error) {
+			inner, err := repro.NewDynamicBC(g, opt)
+			return &cancelEngine{DynEngine: inner, cancel: cancel}, err
+		}})
+	info, err := s.AddGraph("g", repro.GridGraph(6, 6, 1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.MutateCtx(ctx, "g", []repro.Mutation{{Op: repro.MutAddEdge, U: 0, V: 35, W: 1}})
+	if err != nil && !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled leader: %v", err)
+	}
+	ni, err := s.GraphInfoFor("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ni.Version == info.Version || ni.M != info.M+1 {
+		t.Fatalf("the cancelled leader's commit did not land: version %016x (was %016x), m %d (was %d)", ni.Version, info.Version, ni.M, info.M)
+	}
+	if res != nil && res.Version != ni.Version {
+		t.Fatalf("the leader was told version %016x, the registry holds %016x", res.Version, ni.Version)
+	}
+}
