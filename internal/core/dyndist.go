@@ -178,10 +178,10 @@ func (s *DistSession) Run(sources []int32) (*DistResult, error) {
 	return s.RunCtx(context.Background(), sources)
 }
 
-// RunCtx is Run under ctx: a ctx already ended runs no region, and one
-// that ends mid-region ends the region at its ranks' next superstep, with
-// ctx's cause as the error (on a tcp machine this poisons the mesh, like
-// any region failure). When ctx carries an obs span, the region's
+// RunCtx is Run under ctx: a ctx that has ended, before the region or
+// during it, ends the region at its ranks' next superstep, with ctx's
+// cause as the error (on a tcp machine this poisons the mesh, like any
+// region failure). When ctx carries an obs span, the region's
 // modeled-vs-measured stats are attached as a machine.region child span
 // with one grandchild per attributed phase.
 func (s *DistSession) RunCtx(ctx context.Context, sources []int32) (*DistResult, error) {
@@ -251,22 +251,30 @@ type reduceBufs struct{ acc, total []float64 }
 // sweeps every source of the batch list; side s is seeded from adj[s] and
 // planned by pls[s]; stage yields each rank's stationary operands A and Aᵀ
 // once its deferred patch work has been charged. ctx is one more cause
-// that ends the region: ended before it, no region runs; ended during it,
-// rank 0 fails the region with ctx's cause.
+// that ends the region: rank 0 fails the region with ctx's cause once ctx
+// has ended — at once if it had ended before the region — so every rank
+// of a tcp mesh unwinds with it.
 func sweepRegion[M multSided[M], C centSided[C], W any](
 	ctx context.Context, s *DistSession, mach machine.Transport, alg sweepAlgebra[M, C, W],
 	pls []planner, adj []*sparse.CSR[float64], sources []int32, nb int,
 	stage func(*machine.Proc, *distRank) (a, at *spgemm.Stationary[W]),
 ) (*regionOutcome, error) {
-	if err := context.Cause(ctx); err != nil {
-		return nil, err
-	}
 	n := s.g.N
 	out := &regionOutcome{bc: make([]float64, len(pls)*n)}
 	stats, err := mach.Run(func(proc *machine.Proc) {
 		if proc.Rank() == 0 && ctx.Done() != nil {
-			stop := context.AfterFunc(ctx, func() { proc.Fail(context.Cause(ctx)) })
-			defer stop()
+			// A Fail that ctx has set off is waited for, so it lands inside
+			// the region and Run reports it.
+			failed := make(chan struct{})
+			stop := context.AfterFunc(ctx, func() {
+				proc.Fail(context.Cause(ctx))
+				close(failed)
+			})
+			defer func() {
+				if !stop() {
+					<-failed
+				}
+			}()
 		}
 		world := proc.World()
 		rk := s.ranks[proc.Rank()]

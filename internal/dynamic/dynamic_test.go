@@ -737,9 +737,8 @@ func TestApplyAllocBudget(t *testing.T) {
 }
 
 // cancelInRegion is the engine's machine with a hook: once armed, the next
-// region's rank 1 cancels the caller's ctx as the region starts — past the
-// check before it — and holds its peers at their first superstep long
-// enough for rank 0 to end the region with ctx's cause.
+// region's rank 1 cancels the caller's ctx as the region starts and holds
+// its peers at their first superstep a little while.
 type cancelInRegion struct {
 	machine.Transport
 	cancel context.CancelFunc
@@ -760,8 +759,8 @@ func (c *cancelInRegion) Run(fn func(*machine.Proc)) (machine.RunStats, error) {
 }
 
 // TestCancelledApplyKeepsVersion: at Procs 4, an apply whose ctx is
-// cancelled before its region runs none, and one cancelled inside its
-// region ends it at the next superstep. Either way ApplyCtx returns an
+// cancelled before its region, or inside it, runs one region, which its
+// ctx's cause ends at the next superstep. Either way ApplyCtx returns an
 // error wrapping context.Canceled, the engine keeps its previous version
 // and scores, no goroutine is left behind, and the next apply of the same
 // batch matches a from-scratch compute — on the fused and the full-
@@ -785,10 +784,9 @@ func TestCancelledApplyKeepsVersion(t *testing.T) {
 
 				ctx, cancel := context.WithCancel(context.Background())
 				defer cancel()
-				wantRuns := mach.runs // no region under an ended ctx
+				wantRuns := mach.runs + 1
 				if inRegion {
 					mach.cancel = cancel
-					wantRuns++
 				} else {
 					cancel()
 				}

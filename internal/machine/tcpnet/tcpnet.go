@@ -81,9 +81,8 @@ type Transport struct {
 
 	conns []*conn // indexed by world rank; conns[rank] == nil
 
-	ctx     context.Context // cancelled with the transport's first cause
+	ctx     context.Context // cancelled with the transport's first cause; every wait selects on its Done
 	end     context.CancelCauseFunc
-	done    <-chan struct{} // ctx.Done(): what every wait selects on
 	leaving atomic.Bool
 }
 
@@ -118,7 +117,6 @@ func start(rank int, peers []string, opt Options) (*Transport, error) {
 		conns:   make([]*conn, p),
 	}
 	t.ctx, t.end = context.WithCancelCause(context.Background())
-	t.done = t.ctx.Done()
 	window := opt.Rendezvous
 	if window <= 0 {
 		window = defaultRendezvous
@@ -252,16 +250,23 @@ func (t *Transport) SetTimeout(d time.Duration) {
 	t.timeout = d
 }
 
-// fail ends the transport with err as its cause and, unless it had
-// already ended, broadcasts the cause in an abort frame so remote ranks
-// unwind too. Two failures racing may both broadcast; a peer reads only
-// the first frame.
+// failure is one fail call's cause, boxed so that the call can tell by
+// pointer identity whether it was the one that ended the transport (the
+// error inside need not be comparable).
+type failure struct{ error }
+
+func (f *failure) Unwrap() error { return f.error }
+
+// fail ends the transport with err as its cause and, if this call ended
+// it, broadcasts err in an abort frame so remote ranks unwind too. A
+// transport that an earlier failure or Close had ended sends nothing.
 func (t *Transport) fail(err error) {
-	if t.ctx.Err() != nil {
+	cause := &failure{err}
+	t.end(cause)
+	if context.Cause(t.ctx) != error(cause) {
 		return
 	}
-	t.end(err)
-	msg := []byte(context.Cause(t.ctx).Error())
+	msg := []byte(err.Error())
 	for _, cn := range t.conns {
 		if cn != nil {
 			t.writeAbort(cn, msg)
@@ -361,7 +366,7 @@ func (t *Transport) recvCtrl(peer int) ([]byte, error) {
 	select {
 	case b := <-cn.ctrl:
 		return b, nil
-	case <-t.done:
+	case <-t.ctx.Done():
 		// The mesh is tearing down, but the frame may already be ahead of
 		// the failure in the stream — e.g. shutdown acks racing the peers'
 		// own closes (each peer's FIN arrives after its ack, but another

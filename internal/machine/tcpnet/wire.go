@@ -185,13 +185,13 @@ func (t *Transport) readLoop(cn *conn) {
 			}
 			select {
 			case cn.data <- df:
-			case <-t.done:
+			case <-t.ctx.Done():
 				return
 			}
 		case frameCtrl:
 			select {
 			case cn.ctrl <- body:
-			case <-t.done:
+			case <-t.ctx.Done():
 				return
 			}
 		case frameAbort:
@@ -233,7 +233,7 @@ func parseData(body []byte) (dataFrame, error) {
 // which wakes a worker still waiting for its release.
 func (t *Transport) linkLost(cn *conn, err error) {
 	select {
-	case <-t.done:
+	case <-t.ctx.Done():
 		return
 	default:
 	}
@@ -262,7 +262,7 @@ func (t *Transport) recvData(worldRank int) dataFrame {
 	select {
 	case df := <-cn.data:
 		return df
-	case <-t.done:
+	case <-t.ctx.Done():
 		machine.Abort(context.Cause(t.ctx))
 	case <-watchdog:
 		machine.Abort(fmt.Errorf("machine: receive from rank %d timed out after %v (collective deadlock: mismatched collective calls across ranks?)", worldRank, 2*t.timeout))

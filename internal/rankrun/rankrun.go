@@ -19,9 +19,9 @@
 // A failed machine region poisons the underlying transport (peer streams
 // may have died mid-frame); the driver surfaces the error and the
 // deployment must rebuild the mesh — there is no in-place recovery. A
-// cancelled region is one of them: an Engine.ApplyCtx whose ctx ends
-// mid-region ends the region on every rank with ctx's cause and poisons
-// the mesh like any other region failure.
+// cancelled region is one of them: an Engine.ApplyCtx whose ctx has ended,
+// before its region or during it, ends the region on every rank with
+// ctx's cause and poisons the mesh like any other region failure.
 package rankrun
 
 import (

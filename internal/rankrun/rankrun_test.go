@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro"
 	"repro/internal/graph"
@@ -207,6 +210,64 @@ func TestMultipleEngines(t *testing.T) {
 		if got := e.Scores().Seq; got != 2 {
 			t.Fatalf("engine %d seq = %d, want 2", i, got)
 		}
+	}
+}
+
+// TestCancelledApplyEndsEveryRank: an apply whose ctx ended before the
+// call still reaches every worker (the op is broadcast first), so every
+// rank enters its region, and the ctx's cause must end that region on all
+// of them. The coordinator's ApplyCtx returns an error wrapping
+// context.Canceled, every worker's loop ends with the cause well inside
+// the watchdog, and the poisoned mesh refuses the next apply.
+func TestCancelledApplyEndsEveryRank(t *testing.T) {
+	const p = 4
+	lm, err := tcpnet.StartLocalMesh(p, tcpnet.Options{})
+	if err != nil {
+		t.Fatalf("loopback mesh: %v", err)
+	}
+	t.Cleanup(func() { lm.Close() })
+	d, err := NewDriver(lm.Rank(0))
+	if err != nil {
+		t.Fatalf("driver: %v", err)
+	}
+	workerErrs := make(chan error, p-1)
+	for r := 1; r < p; r++ {
+		go func(r int) { workerErrs <- ServeWorker(lm.Rank(r)) }(r)
+	}
+	eng, err := d.NewEngine("g", graph.Grid2D(8, 8, 1, 1), repro.DynamicOptions{Procs: p, Workers: 1})
+	if err != nil {
+		t.Fatalf("engine: %v", err)
+	}
+	batch := []graph.Mutation{{Op: graph.OpAddEdge, U: 0, V: 63, W: 1}}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	applied := make(chan error, 1)
+	go func() {
+		_, err := eng.ApplyCtx(ctx, batch)
+		applied <- err
+	}()
+	deadline := time.After(30 * time.Second)
+	select {
+	case err := <-applied:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled apply returned %v, want context.Canceled", err)
+		}
+	case <-deadline:
+		t.Fatal("the coordinator's cancelled apply did not return")
+	}
+	for r := 1; r < p; r++ {
+		select {
+		case err := <-workerErrs:
+			if err == nil || !strings.Contains(err.Error(), context.Canceled.Error()) {
+				t.Errorf("a worker's loop ended with %v, want the ctx's cause", err)
+			}
+		case <-deadline:
+			t.Fatalf("%d of %d workers still in the cancelled region", p-r, p-1)
+		}
+	}
+	if _, err := eng.ApplyCtx(context.Background(), batch); err == nil || !strings.Contains(err.Error(), "poisoned") {
+		t.Fatalf("apply on the poisoned mesh returned %v, want a poisoned-transport error", err)
 	}
 }
 
