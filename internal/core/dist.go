@@ -425,11 +425,12 @@ func seedShare[M multSided[M]](dst []sparse.Entry[M], mon algebra.Monoid[M], adj
 // session (distRank keeps it), so that a round allocates in proportion to
 // its frontier and not to T, and a region in proportion to what it newly
 // produces: one rotation per matrix (distmat.Accumulator) — T's seed,
-// merges and moves; the child-count operand, Z and Z's moves — the backward
-// frontier's scratch and the Z positions it is collected from, the
-// accumulators the screened forward and backward products fold into, the
-// rank's current block of T with its position table, and the forward
-// screen and the backward mask, built once over those two. Each step of a
+// merges and moves; the child-count operand, Z and Z's moves — the headers
+// of the forward sweep's T and frontier, the backward frontier's scratch
+// and the Z positions it is collected from, the accumulators the screened
+// forward and backward products fold into, the rank's current block of T
+// with its position table, and the forward screen and the backward mask,
+// built once over those two. Each step of a
 // sweep reads only its matrix's newest result, so the rotation never
 // writes over what a step reads. Every batch writes over what the last one
 // left: each use starts its slice at length 0. (Z is folded in place, and
@@ -437,6 +438,7 @@ func seedShare[M multSided[M]](dst []sparse.Entry[M], mon algebra.Monoid[M], adj
 type sweepBufs[M, C, W any] struct {
 	t        distmat.Accumulator[M]
 	z        distmat.Accumulator[C]
+	tm, fm   distmat.Mat[M] // the forward sweep's T and frontier
 	frontier []sparse.Entry[C]
 	ready    []int32
 	fwd      spgemm.Accumulator[M]
@@ -500,15 +502,18 @@ func (x *blockIndex) at(i, j int32) int {
 // i of the frontier belongs to source batch[i], and side s is seeded from
 // adj[s]. T starts in the neutral shard distribution, each rank seeding its
 // own share straight from the replicated adjacency rows (seedShare) into
-// T's rotation. The returned T lives in buf until the next batch's sweep.
+// T's rotation. Each round writes T's and the frontier's headers over
+// buf's, once the multiply has read the last ones. The returned T lives in
+// buf until the next batch's sweep.
 func sweepMFBF[M multSided[M], C, W any](
 	sp *sidePlans, buf *sweepBufs[M, C, W], alg sweepAlgebra[M, C, W], a *spgemm.Stationary[W],
 	adj []*sparse.CSR[float64], batch []int32,
 ) (*distmat.Mat[M], int) {
 	world := sp.sess.Proc.World()
 	p := world.Size()
-	t := &distmat.Mat[M]{Rows: len(batch), Cols: adj[0].Cols, Dist: distmat.DistShard(p),
+	buf.tm = distmat.Mat[M]{Rows: len(batch), Cols: adj[0].Cols, Dist: distmat.DistShard(p),
 		Local: buf.t.Rotate(seedShare(buf.t.Spare(), alg.mult, adj, batch, world.Rank(), p))}
+	t := &buf.tm
 	frontier := t
 	// T grows every round, so every multiply re-indexes it.
 	align := func(d distmat.Dist) spgemm.Screen[M, W] {
@@ -533,8 +538,10 @@ func sweepMFBF[M multSided[M], C, W any](
 			}
 		}
 		t = distmat.Redistribute(world, t, ext.Dist)
-		t = &distmat.Mat[M]{Rows: t.Rows, Cols: t.Cols, Dist: t.Dist, Local: buf.t.Merge(t.Local, live, alg.mult)}
-		frontier = &distmat.Mat[M]{Rows: t.Rows, Cols: t.Cols, Dist: t.Dist, Local: screenFrontierSided(live, t.Local)}
+		buf.tm = distmat.Mat[M]{Rows: t.Rows, Cols: t.Cols, Dist: t.Dist, Local: buf.t.Merge(t.Local, live, alg.mult)}
+		t = &buf.tm
+		buf.fm = distmat.Mat[M]{Rows: t.Rows, Cols: t.Cols, Dist: t.Dist, Local: screenFrontierSided(live, t.Local)}
+		frontier = &buf.fm
 	}
 }
 

@@ -23,7 +23,11 @@ type costPin struct {
 // literals captured at the commit before the scalar and pair sweeps were
 // unified (PR 17's parent). Host-side refactors and optimizations must not
 // move them; a change that means to (a new plan search, a different
-// collective) updates the literals and says why.
+// collective) updates the literals and says why. The automatic-plan and
+// mesh literals fell once a move between distributions that place every
+// coordinate alike stopped running a superstep (the 4×1×1 plans' A is the
+// shard's own hash, and a product's C often places as the next plan's C);
+// plans and iteration counts stayed.
 func TestModeledCostGolden(t *testing.T) {
 	check := func(name string, got, want costPin) {
 		t.Helper()
@@ -42,7 +46,7 @@ func TestModeledCostGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("rmat-s8 auto", costPin{auto.Plan.String(), auto.Stats.MaxCost, auto.Iterations, auto.Batches, 0},
-		costPin{"4x1x1/X=A/YZ=AB", machine.Cost{Bytes: 1373304, Msgs: 190, Flops: 111258}, 10, 1, 0})
+		costPin{"4x1x1/X=A/YZ=AB", machine.Cost{Bytes: 1193928, Msgs: 180, Flops: 104762}, 10, 1, 0})
 
 	plan := spgemm.Plan{P1: 2, P2: 2, P3: 1, X: spgemm.RoleB, YZ: spgemm.VarAC}
 	forced, err := MFBCDistributed(rmat, DistOptions{Procs: 4, Sources: sources, Plan: &plan})
@@ -75,11 +79,11 @@ func TestModeledCostGolden(t *testing.T) {
 		want    costPin
 	}{
 		{"mesh reweight", []graph.Mutation{{Op: graph.OpSetWeight, U: mesh.Edges[5].U, V: mesh.Edges[5].V, W: mesh.Edges[5].W + 2}}, []int32{0, 5, 9, 27, 40, 63},
-			costPin{"4x1x1/X=A/YZ=AB", machine.Cost{Bytes: 87736, Msgs: 272, Flops: 4137}, 30, 1, 0}},
+			costPin{"4x1x1/X=A/YZ=AB", machine.Cost{Bytes: 87536, Msgs: 270, Flops: 4132}, 30, 1, 0}},
 		{"mesh cull", cull, all,
-			costPin{"4x1x1/X=A/YZ=AB", machine.Cost{Bytes: 783696, Msgs: 1082, Flops: 29069}, 112, 4, 20}},
+			costPin{"4x1x1/X=A/YZ=AB", machine.Cost{Bytes: 723736, Msgs: 1034, Flops: 27871}, 112, 4, 20}},
 		{"mesh restore", restore, all,
-			costPin{"4x1x1/X=A/YZ=AB", machine.Cost{Bytes: 759360, Msgs: 1146, Flops: 25984}, 118, 4, 28}},
+			costPin{"4x1x1/X=A/YZ=AB", machine.Cost{Bytes: 725272, Msgs: 1122, Flops: 25342}, 118, 4, 28}},
 	}
 	sess, err := NewDistSession(mesh, DistOptions{Procs: 4, Batch: 16})
 	if err != nil {

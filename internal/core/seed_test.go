@@ -42,9 +42,9 @@ func residentBlock(b *spgemm.Stationary[float64]) *distmat.Mat[float64] {
 }
 
 // sameBlock reports whether two pieces of one matrix are equal: shape,
-// distribution key and entries, nil and empty blocks apart.
+// distribution and entries, nil and empty blocks apart.
 func sameBlock[T any](x, y *distmat.Mat[T]) bool {
-	return x.Rows == y.Rows && x.Cols == y.Cols && x.Dist.Key == y.Dist.Key && reflect.DeepEqual(x.Local, y.Local)
+	return x.Rows == y.Rows && x.Cols == y.Cols && x.Dist.Equal(y.Dist) && reflect.DeepEqual(x.Local, y.Local)
 }
 
 // sameEntries reports whether two entry slices hold the same entries.

@@ -1,28 +1,86 @@
 // Package distmat provides sparse matrices distributed over the simulated
-// machine: each processor holds the entries a distribution function assigns
-// to it (global coordinates), and redistribution between arbitrary
-// distributions is a single personalized all-to-all — the sparse-to-sparse
-// redistribution kernel of CTF (§6.2).
+// machine: each processor holds the entries a distribution assigns to it
+// (global coordinates), and redistribution between arbitrary distributions
+// is a single personalized all-to-all — the sparse-to-sparse
+// redistribution kernel of CTF (§6.2). A distribution is data (Dist), so
+// two that place every coordinate alike are equal, and a move between them
+// is no move.
 package distmat
 
 import (
 	"cmp"
 	"fmt"
 	"slices"
-	"unsafe"
 
 	"repro/internal/algebra"
 	"repro/internal/machine"
 	"repro/internal/sparse"
 )
 
-// Dist assigns every matrix coordinate to exactly one world rank. Key
-// identifies the distribution: matrices with equal keys have co-located
-// entries, the precondition for local elementwise operations.
+// Dist assigns every matrix coordinate to exactly one of P world ranks. It
+// is data, not a function — Owners, shared and never written — so two
+// distributions that place every coordinate alike are Equal, and a move
+// between them is no move. Matrices in equal distributions have co-located
+// entries, the precondition for local elementwise operations. NewDist
+// builds one; the zero Dist is none.
 type Dist struct {
-	Key   string
-	P     int
-	Owner func(i, j int32) int
+	P int
+	o *Owners
+}
+
+// Owners places (i, j) on Row[i] + Col[j] (a nil table's terms are zero):
+// plus Shard(i, j, Layers)·Inner where Layers > 1, for an operand a 3D plan
+// replicates, spread over its layers by a hash; or renamed through Rot
+// where it is non-nil, for an output reduced to a root layer that rotates
+// with its inner grid position. Col[0] is zero, or one placement would
+// have two pairs of tables.
+type Owners struct {
+	Row, Col      []int32
+	Layers, Inner int
+	Rot           []int32
+}
+
+// NewDist is the distribution of p ranks that places by o, a table of
+// zeros dropped, so that one placement has one Owners.
+func NewDist(p int, o Owners) Dist {
+	for _, t := range []*[]int32{&o.Row, &o.Col} {
+		if !slices.ContainsFunc(*t, func(x int32) bool { return x != 0 }) {
+			*t = nil
+		}
+	}
+	return Dist{P: p, o: &o}
+}
+
+// Owner returns the rank that holds coordinate (i, j).
+func (d Dist) Owner(i, j int32) int {
+	o := d.o
+	var q int32
+	if o.Row != nil {
+		q = o.Row[i]
+	}
+	if o.Col != nil {
+		q += o.Col[j]
+	}
+	switch {
+	case o.Layers > 1:
+		return int(q) + Shard(i, j, o.Layers)*o.Inner
+	case o.Rot != nil:
+		return int(o.Rot[q])
+	}
+	return int(q)
+}
+
+// Equal reports whether d and e are one distribution: the same rank count
+// and, past one rank, the same Owners, tables compared by content unless
+// both share one. It reads nothing but the two, so every rank reaches one
+// verdict. That is exactly when they place every coordinate alike over
+// every distribution of every plan of 12 ranks
+// (spgemm.TestDistsPartitionCoordinates); in general a hash or a rotation
+// could match another form's placement unseen.
+func (d Dist) Equal(e Dist) bool {
+	a, b := d.o, e.o
+	return d.P == e.P && (d.P == 1 || a == b || a.Layers == b.Layers && a.Inner == b.Inner &&
+		slices.Equal(a.Rot, b.Rot) && slices.Equal(a.Row, b.Row) && slices.Equal(a.Col, b.Col))
 }
 
 // Part computes the contiguous partition of n items into p parts (first
@@ -51,13 +109,7 @@ func PartBounds(idx, n, p int) (int32, int32) {
 
 // DistShard spreads entries pseudo-randomly (used as the neutral input
 // distribution before a plan-specific redistribution).
-func DistShard(p int) Dist {
-	return Dist{
-		Key:   fmt.Sprintf("shard(p=%d)", p),
-		P:     p,
-		Owner: func(i, j int32) int { return Shard(i, j, p) },
-	}
-}
+func DistShard(p int) Dist { return NewDist(p, Owners{Layers: p, Inner: 1}) }
 
 // Shard is the pseudo-random owner in [0, p) of coordinate (i, j): the
 // hash DistShard places by, and a replicated 3D operand's layer before
@@ -135,18 +187,17 @@ func GlobalNNZ[T any](c *machine.Comm, m *Mat[T]) int64 {
 }
 
 // Redistribute moves m into distribution `to` with one all-to-all, writing
-// each moved entry once on either side. A no-op (returning m) when the keys
-// already match. One counting pass sizes every outgoing part inside the
-// rank's send storage, which it reuses from call to call (sendBuf); each
-// part inherits the (row, col) order of the local block. The receiver
-// merges the p sorted runs that arrive (MergeDisjoint) inside the
-// all-to-all, straight from the senders' parts. The runs share no
-// coordinate, since m.Dist gives each coordinate one owner; a coordinate
-// that arrives twice panics. A rank that neither sends nor receives
-// anything keeps its block as is: the result shares m.Local. Otherwise the
-// result is fresh storage.
+// each moved entry once on either side. When m.Dist equals `to` nothing
+// moves: no superstep runs, nothing is charged, and the result is m. One
+// counting pass sizes every outgoing part inside the rank's send storage,
+// which it reuses from call to call (sendBuf); each part inherits the
+// (row, col) order of the local block. The receiver merges the p sorted
+// runs that arrive (MergeDisjoint) inside the all-to-all, straight from the
+// senders' parts. The runs share no coordinate, since m.Dist gives each
+// coordinate one owner; a coordinate that arrives twice panics. The result
+// of a move is fresh storage.
 func Redistribute[T any](c *machine.Comm, m *Mat[T], to Dist) *Mat[T] {
-	if m.Dist.Key == to.Key {
+	if m.Dist.Equal(to) {
 		return m
 	}
 	return &Mat[T]{Rows: m.Rows, Cols: m.Cols, Dist: to, Local: RedistributeInto(c, m, to, nil)}
@@ -156,36 +207,31 @@ func Redistribute[T any](c *machine.Comm, m *Mat[T], to Dist) *Mat[T] {
 // `to`, and merging what arrives into storage the caller keeps: when buf is
 // non-nil, a merged result is written into *buf, grown as needed, and *buf
 // is left holding it, so a caller that places one operand after another in
-// one buffer allocates only to grow it. The entries are still m.Local when
-// the keys match or the rank keeps its block: *buf is then untouched. *buf
-// must not alias any rank's block or send storage.
+// one buffer allocates only to grow it. The entries are m.Local itself when
+// m.Dist equals `to`: *buf is then untouched. *buf must not alias any
+// rank's block or send storage.
 func RedistributeInto[T any](c *machine.Comm, m *Mat[T], to Dist, buf *[]sparse.Entry[T]) []sparse.Entry[T] {
-	if m.Dist.Key == to.Key {
+	if m.Dist.Equal(to) {
 		return m.Local
 	}
-	p, me := c.Size(), c.Rank()
+	p := c.Size()
 	send := getSendBuf[T](c.Proc(), p)
 	start, parts := send.start, send.parts
 	for _, e := range m.Local {
 		start[to.Owner(e.I, e.J)+1]++
 	}
-	kept := start[me+1] == len(m.Local)
-	if kept {
-		parts[me] = m.Local
-	} else {
-		for r := 0; r < p; r++ {
-			start[r+1] += start[r]
-		}
-		send.entries = slices.Grow(send.entries[:0], len(m.Local))
-		out := send.entries[:len(m.Local)]
-		for r := 0; r < p; r++ {
-			parts[r] = out[start[r]:start[r+1]:start[r+1]]
-		}
-		for _, e := range m.Local {
-			r := to.Owner(e.I, e.J)
-			out[start[r]] = e
-			start[r]++
-		}
+	for r := 0; r < p; r++ {
+		start[r+1] += start[r]
+	}
+	send.entries = slices.Grow(send.entries[:0], len(m.Local))
+	out := send.entries[:len(m.Local)]
+	for r := 0; r < p; r++ {
+		parts[r] = out[start[r]:start[r+1]:start[r+1]]
+	}
+	for _, e := range m.Local {
+		r := to.Owner(e.I, e.J)
+		out[start[r]] = e
+		start[r]++
 	}
 	n := 0
 	var res []sparse.Entry[T]
@@ -193,12 +239,9 @@ func RedistributeInto[T any](c *machine.Comm, m *Mat[T], to Dist, buf *[]sparse.
 		for _, run := range runs {
 			n += len(run)
 		}
-		switch {
-		case kept && n == len(m.Local):
-			res = m.Local
-		case buf == nil:
+		if buf == nil {
 			res = MergeDisjoint(nil, runs)
-		default:
+		} else {
 			*buf = MergeDisjoint(*buf, runs)
 			res = *buf
 		}
@@ -331,8 +374,8 @@ func below[T any](run []sparse.Entry[T], key uint64) int {
 
 // EWise merges two identically distributed matrices with the monoid.
 func EWise[T any](a, b *Mat[T], mon algebra.Monoid[T]) *Mat[T] {
-	if a.Dist.Key != b.Dist.Key || a.Rows != b.Rows || a.Cols != b.Cols {
-		panic(fmt.Sprintf("distmat: ewise on mismatched matrices (%s vs %s)", a.Dist.Key, b.Dist.Key))
+	if !a.Dist.Equal(b.Dist) || a.Rows != b.Rows || a.Cols != b.Cols {
+		panic(fmt.Sprintf("distmat: ewise on mismatched matrices (%dx%d vs %dx%d, or another distribution)", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	out := &Mat[T]{Rows: a.Rows, Cols: a.Cols, Dist: a.Dist}
 	out.Local = MergeSorted(a.Local, b.Local, mon)
@@ -409,18 +452,15 @@ func (acc *Accumulator[T]) Merge(a, b []sparse.Entry[T], mon algebra.Monoid[T]) 
 }
 
 // Move is RedistributeInto merging what arrives over the spare buffer,
-// which holds the newest result, with the result's header in the
-// accumulator. A move that returns m itself (the keys match) writes
-// nothing; one that keeps the rank's block writes no buffer and leaves the
-// buffers' rotation where it was.
+// which then holds the newest result, with the result's header in the
+// accumulator. A move between equal distributions returns m itself and
+// writes nothing.
 func (acc *Accumulator[T]) Move(c *machine.Comm, m *Mat[T], to Dist) *Mat[T] {
-	if m.Dist.Key == to.Key {
+	if m.Dist.Equal(to) {
 		return m
 	}
 	local := RedistributeInto(c, m, to, &acc.bufs[acc.next])
-	if unsafe.SliceData(local) != unsafe.SliceData(m.Local) {
-		acc.next ^= 1 // the spare buffer holds the result
-	}
+	acc.next ^= 1
 	res := &acc.mats[acc.mat]
 	acc.mat ^= 1
 	*res = Mat[T]{Rows: m.Rows, Cols: m.Cols, Dist: to, Local: local}
@@ -437,7 +477,7 @@ func less[T any](a, b sparse.Entry[T]) bool {
 // ZipJoin visits coordinates present in both identically distributed
 // matrices.
 func ZipJoin[T, U any](a *Mat[T], b *Mat[U], visit func(i, j int32, x T, y U)) {
-	if a.Dist.Key != b.Dist.Key {
+	if !a.Dist.Equal(b.Dist) {
 		panic("distmat: zipjoin on mismatched distributions")
 	}
 	x, y := 0, 0

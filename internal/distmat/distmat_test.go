@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
-	"unsafe"
 
 	"repro/internal/algebra"
 	"repro/internal/distmat"
@@ -79,12 +78,12 @@ func TestDistOwnersInRange(t *testing.T) {
 		testkit.DistColBlock(6, 90),
 		distmat.DistShard(6),
 	}
-	for _, d := range dists {
+	for x, d := range dists {
 		for i := int32(0); i < 100; i++ {
 			for j := int32(0); j < 90; j += 7 {
 				r := d.Owner(i, j)
 				if r < 0 || r >= 6 {
-					t.Fatalf("%s: owner(%d,%d)=%d out of range", d.Key, i, j, r)
+					t.Fatalf("distribution %d: owner(%d,%d)=%d out of range", x, i, j, r)
 				}
 			}
 		}
@@ -128,9 +127,10 @@ func TestRedistributeRoundTrip(t *testing.T) {
 	_, err := mach.Run(func(proc *machine.Proc) {
 		w := proc.World()
 		m := distmat.FromGlobal(proc.Rank(), coo, distmat.DistShard(p), addF)
-		m2 := distmat.Redistribute(w, m, testkit.DistRowBlock(p, 30))
+		rows := testkit.DistRowBlock(p, 30)
+		m2 := distmat.Redistribute(w, m, rows)
 		for _, e := range m2.Local {
-			if testkit.DistRowBlock(p, 30).Owner(e.I, e.J) != proc.Rank() {
+			if rows.Owner(e.I, e.J) != proc.Rank() {
 				panic("redistribute placed an entry at the wrong rank")
 			}
 		}
@@ -140,10 +140,18 @@ func TestRedistributeRoundTrip(t *testing.T) {
 		if !testkit.Equal(want, got, func(a, b float64) bool { return a == b }) {
 			panic("redistribution round trip changed the matrix")
 		}
-		// No-op fast path.
-		m5 := distmat.Redistribute(w, m4, distmat.DistShard(p))
-		if m5 != m4 {
-			panic("same-key redistribute must be a no-op")
+		// A move between equal distributions is no move: m itself, and no
+		// superstep charged — also to a distribution built apart from m's,
+		// whose tables are other storage with the same terms.
+		before := proc.Cost()
+		if distmat.Redistribute(w, m4, distmat.DistShard(p)) != m4 {
+			panic("a redistribute to m's own distribution must return m")
+		}
+		if distmat.Redistribute(w, m2, testkit.DistRowBlock(p, 30)) != m2 {
+			panic("a redistribute to an equal distribution built apart must return m")
+		}
+		if after := proc.Cost(); after != before {
+			panic(fmt.Sprintf("moves between equal distributions charged %+v", after.Sub(before)))
 		}
 	})
 	if err != nil {
@@ -230,7 +238,7 @@ func TestMergeSortedEmptySide(t *testing.T) {
 	a := []sparse.Entry[float64]{{I: 0, J: 1, V: 2}, {I: 3, J: 0, V: 1}}
 	for _, sides := range [][2][]sparse.Entry[float64]{{a, nil}, {nil, a}} {
 		got := distmat.MergeSorted(sides[0], sides[1], addF)
-		if !slices.Equal(got, a) || unsafe.SliceData(got) == unsafe.SliceData(a) {
+		if !slices.Equal(got, a) || sameStorage(got, a) {
 			t.Fatalf("empty-side merge = %v, the other side as is or changed", got)
 		}
 	}
@@ -375,19 +383,20 @@ func TestAccumulatorMatchesMergeSorted(t *testing.T) {
 // model of the global matrix. Every result is the rank's share of the
 // model; it stays intact through the next result that writes a buffer, and
 // the one after that is written over its storage where it fits. A move
-// that returns m (the keys match) or the rank's kept block (another key,
-// the same owners) writes nothing and leaves the rotation where it was: the
-// next write goes over the older buffer, not over the matrix it returned.
+// between equal distributions — m's own, or one built apart that places
+// every coordinate alike — returns m, writes nothing and leaves the
+// rotation where it was: the next write goes over the older buffer, not
+// over the matrix it returned. Every other move writes a buffer, also on a
+// rank whose entries all stay.
 func TestAccumulatorRotation(t *testing.T) {
 	const p, n = 4, 16
-	row := testkit.DistRowBlock(p, n)
-	sameOwners := row
-	sameOwners.Key += "/same-owners"
-	dists := []distmat.Dist{distmat.DistShard(p), row, sameOwners}
+	// The second row-block distribution is built apart: its table is other
+	// storage with the same terms.
+	dists := []distmat.Dist{distmat.DistShard(p), testkit.DistRowBlock(p, n), testkit.DistRowBlock(p, n)}
 	const merge, kernel = -1, -2
 	// Moves name their target; every transition runs: shard → row blocks
-	// (entries move), row blocks → same owners (every rank keeps its
-	// block), a move to the current key (m itself) and back to the shard.
+	// (entries move), row blocks → the row blocks built apart and a move to
+	// the current distribution (both m itself), and back to the shard.
 	script := []int{merge, 1, kernel, merge, 2, merge, kernel, 2, kernel, 0, merge, 0, merge, 1, 2, 1, kernel}
 	_, err := sim.New(p).Run(func(proc *machine.Proc) {
 		c, me := proc.World(), proc.Rank()
@@ -445,25 +454,14 @@ func TestAccumulatorRotation(t *testing.T) {
 					kinds["kernel"]++
 				default:
 					to := dists[op]
-					from, into := share(cur.Dist), share(to)
-					keeps := len(from) == len(into)
-					for x := 0; keeps && x < len(from); x++ {
-						keeps = from[x].I == into[x].I && from[x].J == into[x].J
-					}
 					next = acc.Move(c, cur, to)
-					switch {
-					case to.Key == cur.Dist.Key:
+					if to.Equal(cur.Dist) {
 						if next != cur {
-							panic(fmt.Sprintf("rank %d step %d: a move to the current key is not m itself", me, step))
+							panic(fmt.Sprintf("rank %d step %d: a move between equal distributions is not m itself", me, step))
 						}
-						kinds["same key"]++
-					case keeps:
-						if unsafe.SliceData(next.Local) != unsafe.SliceData(cur.Local) {
-							panic(fmt.Sprintf("rank %d step %d: a kept block came back in other storage", me, step))
-						}
-						kinds["kept block"]++
-					default:
-						wrote, need = true, len(into)
+						kinds["equal"]++
+					} else {
+						wrote, need = true, len(share(to))
 						kinds["moved"]++
 					}
 				}
@@ -471,7 +469,7 @@ func TestAccumulatorRotation(t *testing.T) {
 					panic(fmt.Sprintf("rank %d pass %d step %d: got %v, want %v", me, pass, step, next.Local, want))
 				}
 				if wrote {
-					if older.ours && cap(older.es) >= need && unsafe.SliceData(next.Local) != unsafe.SliceData(older.es) {
+					if older.ours && cap(older.es) >= need && !sameStorage(next.Local, older.es) {
 						panic(fmt.Sprintf("rank %d pass %d step %d: the result was not written over the one two writes before", me, pass, step))
 					}
 					older, newer = newer, result{next.Local, slices.Clone(next.Local), true}
@@ -484,7 +482,7 @@ func TestAccumulatorRotation(t *testing.T) {
 				cur = next
 			}
 		}
-		for _, kind := range []string{"merge", "kernel", "moved", "kept block", "same key"} {
+		for _, kind := range []string{"merge", "kernel", "moved", "equal"} {
 			if kinds[kind] == 0 {
 				panic(fmt.Sprintf("rank %d: the script ran no %s step", me, kind))
 			}
@@ -595,7 +593,7 @@ func TestFromGlobalMatchesDefinition(t *testing.T) {
 			x = y
 		}
 		for _, p := range []int{1, 3, 4} {
-			for _, d := range []distmat.Dist{distmat.DistShard(p), testkit.DistRowBlock(p, rows)} {
+			for x, d := range []distmat.Dist{distmat.DistShard(p), testkit.DistRowBlock(p, rows)} {
 				total := 0
 				for r := 0; r < p; r++ {
 					var want []sparse.Entry[float64]
@@ -606,12 +604,12 @@ func TestFromGlobalMatchesDefinition(t *testing.T) {
 					}
 					got := distmat.FromGlobal(r, coo, d, addF)
 					if !slices.Equal(got.Local, want) {
-						t.Fatalf("trial %d %s rank %d: %d entries, the definition gives %d", trial, d.Key, r, len(got.Local), len(want))
+						t.Fatalf("trial %d p=%d distribution %d rank %d: %d entries, the definition gives %d", trial, p, x, r, len(got.Local), len(want))
 					}
 					total += len(want)
 				}
 				if total != len(canonical) || len(canonical) == len(before) {
-					t.Fatalf("trial %d %s: %d of %d canonical entries placed, %d input entries: the case folds nothing", trial, d.Key, total, len(canonical), len(before))
+					t.Fatalf("trial %d p=%d distribution %d: %d of %d canonical entries placed, %d input entries: the case folds nothing", trial, p, x, total, len(canonical), len(before))
 				}
 			}
 		}
@@ -619,4 +617,10 @@ func TestFromGlobalMatchesDefinition(t *testing.T) {
 			t.Fatalf("trial %d: distmat.FromGlobal changed its input", trial)
 		}
 	}
+}
+
+// sameStorage reports whether a and b start at one address: the same
+// storage, however long each view of it is.
+func sameStorage[T any](a, b []T) bool {
+	return cap(a) > 0 && cap(b) > 0 && &a[:1][0] == &b[:1][0]
 }

@@ -695,15 +695,19 @@ func TestFusedNoopAndEmptyAffectedSkipRegions(t *testing.T) {
 // 242 KB while the adjacency went through a COO, append, sort and merge,
 // every rank built the whole batch's seed frontier and kept its quarter,
 // and the probes kept a map of fresh n-vectors beside an exported T, and
-// 114 KB while every multiply allocated its screen's closure. Now the
+// 114 KB while every multiply allocated its screen's closure, and 103 KB
+// while every distribution was a formatted key and an owner closure and
+// every forward round allocated T's and the frontier's headers. Now the
 // adjacency and each rank's seed are cut from sorted rows, the probes
-// write into the engine's slab and a rank's screens are built once with
-// its sweep buffers: 103 KB (112 KB under the race detector, up to 120 KB
-// while other packages' tests load the box, as barrier waiters park more).
-// The budget is about 1.2× that. The collector is held off and the minimum
+// write into the engine's slab, a rank's screens are built once with its
+// sweep buffers, a distribution is two words over shared tables and the
+// forward sweep keeps its headers: 77 KB (82 KB under the race detector;
+// before these last changes up to 17 KB more while other packages' tests
+// load the box, as barrier waiters park more). The budget leaves about
+// 25 KB over that. The collector is held off and the minimum
 // of a few tries gated, so the test does not depend on when a cycle lands.
 func TestApplyAllocBudget(t *testing.T) {
-	const maxBytes = 124 << 10 // 124 KiB
+	const maxBytes = 100 << 10 // 100 KiB
 	e, err := New(graph.Grid2D(16, 16, 30, 1), Config{Procs: 4, Workers: 1})
 	if err != nil {
 		t.Fatal(err)

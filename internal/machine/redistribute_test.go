@@ -28,10 +28,11 @@ var addF = algebra.Monoid[float64]{
 	IsZero:   func(a float64) bool { return a == 0 },
 }
 
-// redistributeRef is the reference Redistribute: parts by append, one
-// all-to-all, concatenation, Canonicalize.
+// redistributeRef is the reference Redistribute: nothing, where the two
+// distributions give every coordinate of the matrix the same owner, and
+// otherwise parts by append, one all-to-all, concatenation, Canonicalize.
 func redistributeRef(c *machine.Comm, m *distmat.Mat[float64], to distmat.Dist) []sparse.Entry[float64] {
-	if m.Dist.Key == to.Key {
+	if placeAlike(m.Dist, to, m.Rows, m.Cols) {
 		return m.Local
 	}
 	parts := make([][]sparse.Entry[float64], c.Size())
@@ -45,13 +46,26 @@ func redistributeRef(c *machine.Comm, m *distmat.Mat[float64], to distmat.Dist) 
 	return coo.E
 }
 
+// placeAlike reports, coordinate by coordinate, whether a and b give every
+// coordinate of a rows×cols matrix the same owner.
+func placeAlike(a, b distmat.Dist, rows, cols int) bool {
+	for i := int32(0); i < int32(rows); i++ {
+		for j := int32(0); j < int32(cols); j++ {
+			if a.Owner(i, j) != b.Owner(i, j) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // redistDists lists the distributions of an n×n matrix over p ranks the
-// differential moves between: the three neutral ones, every operand and
-// output distribution of every plan that tiles p, and a relabelled shard
-// (a different key over the same owners: nothing moves).
+// differential moves between: the three neutral ones, the row blocks again
+// built apart (other storage, the same owners: nothing moves), and every
+// operand and output distribution of every plan that tiles p — among them
+// the p×1×1 plans' replicated operands, the shard's own hash.
 func redistDists(p, n int) []distmat.Dist {
-	shard := distmat.DistShard(p)
-	out := []distmat.Dist{shard, testkit.DistRowBlock(p, n), testkit.DistColBlock(p, n), {Key: "shard-relabelled", P: p, Owner: shard.Owner}}
+	out := []distmat.Dist{distmat.DistShard(p), testkit.DistRowBlock(p, n), testkit.DistColBlock(p, n), testkit.DistRowBlock(p, n)}
 	for _, f := range machine.Factorizations3(p) {
 		for _, x := range []spgemm.Role{spgemm.RoleA, spgemm.RoleB, spgemm.RoleC} {
 			for _, yz := range []spgemm.Variant{spgemm.VarAB, spgemm.VarAC, spgemm.VarBC} {
@@ -103,8 +117,8 @@ func TestRedistributeMatchesCanonicalize(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(p)))
 		dists := redistDists(p, n)
 		// One chain visits every distribution twice, in two shuffled orders,
-		// ending with a same-key hop (the no-op) — so each is a source and a
-		// target against varying partners.
+		// ending with a hop to the distribution it is in (the no-op) — so
+		// each is a source and a target against varying partners.
 		chain := []distmat.Dist{dists[0]}
 		for round := 0; round < 2; round++ {
 			for _, x := range rng.Perm(len(dists)) {
@@ -137,7 +151,7 @@ func TestRedistributeMatchesCanonicalize(t *testing.T) {
 				total := 0
 				for r := range want[hop] {
 					if !slices.Equal(got[hop][r], want[hop][r]) {
-						t.Fatalf("p=%d nnz=%d hop %d (%s → %s) rank %d:\n got %v\nwant %v", p, nnz, hop, chain[hop].Key, chain[hop+1].Key, r, got[hop][r], want[hop][r])
+						t.Fatalf("p=%d nnz=%d hop %d rank %d:\n got %v\nwant %v", p, nnz, hop, r, got[hop][r], want[hop][r])
 					}
 					total += len(got[hop][r])
 				}
@@ -154,7 +168,7 @@ func TestRedistributeMatchesCanonicalize(t *testing.T) {
 // coordinate; the rank both copies arrive at panics, naming it.
 func TestRedistributeSharedCoordinatePanics(t *testing.T) {
 	const p = 3
-	bogus := distmat.Dist{Key: "bogus", P: p, Owner: func(int32, int32) int { return 0 }}
+	bogus := distmat.NewDist(p, distmat.Owners{}) // every coordinate on rank 0
 	for _, b := range listBackends() {
 		t.Run(b.name, func(t *testing.T) {
 			_, err := b.make(t, p).Run(func(pr *machine.Proc) {
@@ -204,7 +218,7 @@ func FuzzRedistribute(f *testing.F) {
 		assertStatsEqual(t, "merge", gotStats, "canonicalize", wantStats)
 		for r := range want[0] {
 			if !slices.Equal(got[0][r], want[0][r]) {
-				t.Fatalf("p=%d %s → %s rank %d:\n got %v\nwant %v", p, chain[0].Key, chain[1].Key, r, got[0][r], want[0][r])
+				t.Fatalf("p=%d distribution %d → %d rank %d:\n got %v\nwant %v", p, int(fromSel)%len(dists), int(toSel)%len(dists), r, got[0][r], want[0][r])
 			}
 		}
 

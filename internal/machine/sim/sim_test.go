@@ -14,6 +14,7 @@ import (
 	"repro/internal/distmat"
 	"repro/internal/machine"
 	"repro/internal/sparse"
+	"repro/internal/spgemm"
 	"repro/internal/testkit"
 )
 
@@ -170,8 +171,8 @@ func (*testPost) Decode(int, []byte) {}
 // TestWarmCollectivesAllocNothing: a warm collective allocates nothing on
 // the simulator. At p=4, once each has run twice, 8 calls of each of these
 // allocate 0 bytes in all: a barrier, an allreduce into caller storage, the
-// three receive forms, and a redistribution into a kept buffer both when
-// every rank keeps its block and when entries move. Each collective's
+// three receive forms, a redistribution into a kept buffer, and a move
+// between equal distributions, which runs no superstep. Each collective's
 // header, peer views and result storage live in the rank's store, and its
 // receive runs in its own frame, so no closure or capture escapes. (When
 // the backend ran the receive as a callback, the payload was two closures
@@ -183,7 +184,7 @@ func (*testPost) Decode(int, []byte) {}
 func TestWarmCollectivesAllocNothing(t *testing.T) {
 	const p, n, calls, tries = 4, 64, 8, 24
 	names := []string{"Barrier", "AllreduceInto", "BcastRecv", "AllgatherRecv", "AlltoallRecv",
-		"RedistributeInto/kept", "RedistributeInto/moving"}
+		"RedistributeInto/equal", "RedistributeInto/moving"}
 	coo := sparse.NewCOO[float64](n, n)
 	rng := rand.New(rand.NewSource(3))
 	for coo.NNZ() < 600 {
@@ -192,8 +193,9 @@ func TestWarmCollectivesAllocNothing(t *testing.T) {
 	count := algebra.CountMonoid()
 	coo.Canonicalize(count)
 	shard := distmat.DistShard(p)
-	// Every rank keeps its block: another key over the same owners.
-	same := distmat.Dist{Key: "shard under another key", P: p, Owner: shard.Owner}
+	// The p×1×1 plan's A operand, built by spgemm apart from the shard, is
+	// the same hash over the same ranks: a move to it moves nothing.
+	same, _, _ := spgemm.Dists(spgemm.Plan{P1: p, P2: 1, P3: 1, X: spgemm.RoleA, YZ: spgemm.VarAB}, n, n, n)
 	rows := testkit.DistRowBlock(p, n)
 	meter := testkit.NewAllocMeter(p)
 	least := make([]uint64, len(names))
@@ -214,7 +216,11 @@ func TestWarmCollectivesAllocNothing(t *testing.T) {
 			func() { machine.BcastRecv(c, 1, data, func(blk []float64) { seen += len(blk) }) },
 			func() { machine.AllgatherRecv(c, data, func(all [][]float64) { seen += len(all[3]) }) },
 			func() { machine.AlltoallRecv(c, parts, func(runs [][]float64) { seen += len(runs[2]) }) },
-			func() { seen += len(distmat.RedistributeInto(c, m, same, &buf)) },
+			func() {
+				if es := distmat.RedistributeInto(c, m, same, &buf); len(es) != len(m.Local) {
+					panic("a move between equal distributions changed the block")
+				}
+			},
 			func() { seen += len(distmat.RedistributeInto(c, m, rows, &buf)) },
 		}
 		for o, op := range ops {

@@ -371,10 +371,18 @@ func (t *Transport) recvCtrl(peer int) ([]byte, error) {
 		// the failure in the stream — e.g. shutdown acks racing the peers'
 		// own closes (each peer's FIN arrives after its ack, but another
 		// peer's FIN can poison the transport first). Give the frame one
-		// bounded grace window before reporting the failure.
+		// bounded grace window before reporting the failure; it ends early
+		// once the link's reader has stopped (at an abort frame, or the
+		// link's end), after which no frame can arrive but one it queued.
 		select {
 		case b := <-cn.ctrl:
 			return b, nil
+		case <-cn.read:
+			select {
+			case b := <-cn.ctrl:
+				return b, nil
+			default:
+			}
 		case <-time.After(abortWriteTimeout):
 		}
 		return nil, context.Cause(t.ctx)

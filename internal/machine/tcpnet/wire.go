@@ -40,7 +40,8 @@ const abortWriteTimeout = 2 * time.Second
 // conn is one rank-pair connection. Writes are serialized by wmu (the
 // region goroutine and the abort path share the stream); reads belong
 // exclusively to the readLoop goroutine, which demultiplexes data and
-// control frames into the channels.
+// control frames into the channels and closes read when it stops: no
+// frame arrives from the link after that.
 type conn struct {
 	peer   int
 	c      net.Conn
@@ -49,10 +50,11 @@ type conn struct {
 	seqIn  uint64 // readLoop only
 	data   chan dataFrame
 	ctrl   chan []byte
+	read   chan struct{} // closed when readLoop returns
 }
 
 func newConn(peer int, c net.Conn) *conn {
-	return &conn{peer: peer, c: c, data: make(chan dataFrame, 1024), ctrl: make(chan []byte, 16)}
+	return &conn{peer: peer, c: c, data: make(chan dataFrame, 1024), ctrl: make(chan []byte, 16), read: make(chan struct{})}
 }
 
 // dataFrame is one received superstep contribution.
@@ -107,12 +109,16 @@ func (t *Transport) writeLocked(cn *conn, buf []byte) error {
 	}
 }
 
-// sendData sends one superstep contribution. The sequence number is
-// allocated under the write lock so concurrent control traffic cannot
-// reorder data frames.
+// sendData sends one superstep contribution, framed in one buffer: the
+// frame header, the data header and the payload, copied once. The sequence
+// number is allocated under the write lock so concurrent control traffic
+// cannot reorder data frames.
 func (t *Transport) sendData(worldRank int, cost machine.Cost, size int64, payload []byte) error {
 	cn := t.conns[worldRank]
-	body := make([]byte, dataHeader+len(payload))
+	buf := make([]byte, 5+dataHeader+len(payload))
+	binary.LittleEndian.PutUint32(buf, uint32(1+dataHeader+len(payload)))
+	buf[4] = frameData
+	body := buf[5:]
 	binary.LittleEndian.PutUint64(body[8:], uint64(cost.Bytes))
 	binary.LittleEndian.PutUint64(body[16:], uint64(cost.Msgs))
 	binary.LittleEndian.PutUint64(body[24:], uint64(cost.Flops))
@@ -121,29 +127,38 @@ func (t *Transport) sendData(worldRank int, cost machine.Cost, size int64, paylo
 		body[40] = 1
 		copy(body[dataHeader:], payload)
 	}
-	buf := make([]byte, 5+len(body))
-	binary.LittleEndian.PutUint32(buf, uint32(1+len(body)))
-	buf[4] = frameData
-	copy(buf[5:], body)
 	cn.wmu.Lock()
 	defer cn.wmu.Unlock()
 	cn.seqOut++
-	binary.LittleEndian.PutUint64(buf[5:], cn.seqOut)
+	binary.LittleEndian.PutUint64(body, cn.seqOut)
 	return t.writeLocked(cn, buf)
 }
 
 // writeAbort best-effort pushes an abort frame. It must never block the
-// failure path: if the stream is busy (a concurrent write is stuck) the
-// peer's own watchdog handles teardown instead.
+// failure path on a busy stream: when a concurrent write holds it, a
+// goroutine writes the frame once that write ends — under the transport's
+// write deadline, or at Close — rather than skip it, which would leave the
+// peer's control waits on this link to sit out their grace window.
 func (t *Transport) writeAbort(cn *conn, msg []byte) {
-	if !cn.wmu.TryLock() {
-		return
-	}
-	defer cn.wmu.Unlock()
 	buf := make([]byte, 5+len(msg))
 	binary.LittleEndian.PutUint32(buf, uint32(1+len(msg)))
 	buf[4] = frameAbort
 	copy(buf[5:], msg)
+	if cn.wmu.TryLock() {
+		defer cn.wmu.Unlock()
+		writeAbortLocked(cn, buf)
+		return
+	}
+	go func() {
+		cn.wmu.Lock()
+		defer cn.wmu.Unlock()
+		writeAbortLocked(cn, buf)
+	}()
+}
+
+// writeAbortLocked writes an abort frame under its own deadline; the
+// caller holds cn.wmu.
+func writeAbortLocked(cn *conn, buf []byte) {
 	cn.c.SetWriteDeadline(time.Now().Add(abortWriteTimeout))
 	cn.c.Write(buf)
 }
@@ -154,6 +169,7 @@ func (t *Transport) writeAbort(cn *conn, msg []byte) {
 // collective-level starvation is the recv watchdog's job, not the
 // stream's.
 func (t *Transport) readLoop(cn *conn) {
+	defer close(cn.read)
 	br := bufio.NewReaderSize(cn.c, 64<<10)
 	hdr := make([]byte, 5)
 	for {

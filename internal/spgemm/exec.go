@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sort"
 	"sync/atomic"
-	"unsafe"
 
 	"repro/internal/algebra"
 	"repro/internal/distmat"
@@ -173,31 +172,28 @@ func (o ownerTables) get(key axisKey, keep bool) []int32 {
 	return t
 }
 
-// owner returns the owner function of operand role under plan: the sum of
-// its coordinates' table terms. The fiber dimension — n under RoleA, m
-// under RoleB, k under RoleC — is split into p1 layer ranges, and a
-// coordinate on it carries its layer in its term. The operand a 3D plan
-// replicates has no coordinate on it: before replication its entries are
-// spread over the layers by a hash of the coordinate pair. C, reduced under
-// RoleC, sums to its inner grid position on every layer, and the reduction
-// root rotates with it.
-func owner(plan Plan, m, k, n int, role Role, tables ownerTables) func(i, j int32) int {
-	row, col := ownerTerms(plan, m, k, n, role, tables)
+// dist returns the distribution of operand role under plan: the sum of its
+// coordinates' table terms. The fiber dimension — n under RoleA, m under
+// RoleB, k under RoleC — is split into p1 layer ranges, and a coordinate on
+// it carries its layer in its term. The operand a 3D plan replicates has no
+// coordinate on it: before replication its entries are spread over the
+// layers by a hash of the coordinate pair (the layered form). C, reduced
+// under RoleC, sums to its inner grid position on every layer, and the
+// reduction root rotates with it (the rotated form).
+func dist(plan Plan, m, k, n int, role Role, tables ownerTables) distmat.Dist {
+	var o distmat.Owners
+	o.Row, o.Col = ownerTerms(plan, m, k, n, role, tables)
 	p1, inner := plan.P1, plan.P2*plan.P3
 	switch {
 	case p1 > 1 && role == plan.X && role != RoleC:
-		return func(i, j int32) int { return int(row[i]+col[j]) + distmat.Shard(i, j, p1)*inner }
+		o.Layers, o.Inner = p1, inner
 	case p1 > 1 && role == RoleC && plan.X == RoleC:
-		rot := make([]int32, inner)
-		for q, l := 0, 0; q < inner; q++ {
-			rot[q] = int32(l*inner + q)
-			if l++; l == p1 {
-				l = 0
-			}
+		o.Rot = make([]int32, inner)
+		for q := range o.Rot {
+			o.Rot[q] = int32(q%p1*inner + q)
 		}
-		return func(i, j int32) int { return int(rot[row[i]+col[j]]) }
 	}
-	return func(i, j int32) int { return int(row[i] + col[j]) }
+	return distmat.NewDist(plan.Procs(), o)
 }
 
 // ownerTerms returns the tables of operand role's row and column
@@ -225,12 +221,7 @@ func Dists(plan Plan, m, k, n int) (da, db, dc distmat.Dist) {
 }
 
 func dists(plan Plan, m, k, n int, tables ownerTables) (da, db, dc distmat.Dist) {
-	p := plan.Procs()
-	dist := func(role Role) distmat.Dist {
-		key := fmt.Sprintf("spgemm(%s,%s,m=%d,k=%d,n=%d)", plan, role, m, k, n)
-		return distmat.Dist{Key: key, P: p, Owner: owner(plan, m, k, n, role, tables)}
-	}
-	return dist(RoleA), dist(RoleB), dist(RoleC)
+	return dist(plan, m, k, n, RoleA, tables), dist(plan, m, k, n, RoleB, tables), dist(plan, m, k, n, RoleC, tables)
 }
 
 // Screen forms the product of a and b at output coordinate (i, j) and
@@ -303,12 +294,13 @@ func Multiply[TC, TB any](
 	sb, hit := b.sets[plan]
 	if !hit {
 		bE := distmat.RedistributeInto(world, b.m, db, nil)
-		if plan.P1 > 1 && plan.X == RoleB {
+		switch {
+		case plan.P1 > 1 && plan.X == RoleB:
 			bE = replicate(g.Fiber, bE, nil)
-		} else if unsafe.SliceData(bE) == unsafe.SliceData(b.m.Local) {
-			// A rank that kept its whole block would share its storage with
-			// the set, also when the block is empty but has room: Patch hands
-			// each one's storage on to the next splice.
+		case db.Equal(b.m.Dist):
+			// Nothing moved, so bE is the block itself, which must not share
+			// its storage with the set: Patch hands each one's storage on to
+			// the next splice.
 			bE = slices.Clone(bE)
 		}
 		sb = stageB(nil, plan, k, n, s.Proc.Rank(), bE)

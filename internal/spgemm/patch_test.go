@@ -399,12 +399,13 @@ func TestCachedViewsStayCoherent(t *testing.T) {
 // then patched, then multiplied, gives the product of one built fresh from
 // the edited matrix — by rank, entry for entry — and holds that one's block
 // and set, under every plan TestCachedViewsStayCoherent draws from and on
-// one rank, which keeps its whole block as its set. Before staging, the
-// resident is patched there and back, so that its block sits in storage a
-// splice grew, with room to spare, as a long-patched block does; or it is
-// emptied, so that every rank keeps its block, of no entries but with room,
-// as its set, and is then refilled before the edits, so that two patches
-// splice over that storage.
+// one rank, where B's distribution equals the block's, so nothing moves and
+// the set is staged from the block itself. Before staging, the resident is
+// patched there and back, so that its block sits in storage a splice grew,
+// with room to spare, as a long-patched block does; or it is emptied, so
+// that a set staged from the block itself starts from no entries but with
+// room, and is then refilled before the edits, so that two patches splice
+// over that storage.
 func TestPatchedStationaryMultipliesAsFresh(t *testing.T) {
 	plans := []Plan{
 		{P1: 1, P2: 1, P3: 4, X: RoleA, YZ: VarAB},

@@ -1,10 +1,12 @@
 package spgemm
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/distmat"
 	"repro/internal/machine"
+	"repro/internal/testkit"
 )
 
 // inner2D is the layer-grid position (li, lj) of a coordinate pair for the
@@ -102,6 +104,13 @@ func ownerByDefinition(plan Plan, m, k, n int, role Role, i, j int32) int {
 // dimension below 12 stages leave some parts, and some layers' parts,
 // empty. The tables are built afresh, and drawn from one set kept across
 // every plan and shape, as a stationary operand keeps its own across plans.
+//
+// A distribution is what it places: over every plan and role at each
+// shape, with the shard and the row and column blocks beside them, two
+// distributions of one matrix shape are Equal exactly when they give every
+// coordinate the same owner. Such pairs exist — the shard is the 12×1×1
+// plans' replicated operand, the row blocks the 1×12×1 plans' A — and
+// they are found equal.
 func TestDistsPartitionCoordinates(t *testing.T) {
 	cached := make(ownerTables)
 	for _, tables := range []ownerTables{nil, cached} {
@@ -115,6 +124,20 @@ func TestDistsPartitionCoordinates(t *testing.T) {
 }
 
 func checkDistsPartition(t *testing.T, m, k, n int, tables ownerTables) {
+	type named struct {
+		name string
+		d    distmat.Dist
+	}
+	// One list per matrix shape: A's m×k, B's k×n, C's m×n.
+	var byRole [3][]named
+	sizes := [3][2]int{{m, k}, {k, n}, {m, n}}
+	for role, sz := range sizes {
+		byRole[role] = []named{
+			{"shard", distmat.DistShard(12)},
+			{"row blocks", testkit.DistRowBlock(12, sz[0])},
+			{"column blocks", testkit.DistColBlock(12, sz[1])},
+		}
+	}
 	for _, f := range machine.Factorizations3(12) {
 		for _, x := range []Role{RoleA, RoleB, RoleC} {
 			for _, yz := range []Variant{VarAB, VarAC, VarBC} {
@@ -152,10 +175,39 @@ func checkDistsPartition(t *testing.T, m, k, n int, tables ownerTables) {
 						}
 					}
 				}
-				if da.Key == db.Key || da.Key == dc.Key {
-					t.Fatalf("%s: distribution keys collide", plan)
+				for role, d := range [3]distmat.Dist{da, db, dc} {
+					byRole[role] = append(byRole[role], named{fmt.Sprintf("%s %s", plan, Role(role)), d})
 				}
 			}
+		}
+	}
+	for role, ds := range byRole {
+		// Each distribution's placement of every coordinate, as a string:
+		// equal strings are equal placements.
+		placed := make([]string, len(ds))
+		for x, nd := range ds {
+			owners := make([]byte, 0, sizes[role][0]*sizes[role][1])
+			for i := int32(0); i < int32(sizes[role][0]); i++ {
+				for j := int32(0); j < int32(sizes[role][1]); j++ {
+					owners = append(owners, byte(nd.d.Owner(i, j)))
+				}
+			}
+			placed[x] = string(owners)
+		}
+		alike := 0
+		for x := range ds {
+			for y := range ds {
+				same := placed[x] == placed[y]
+				if ds[x].d.Equal(ds[y].d) != same {
+					t.Fatalf("%dx%dx%d: %s and %s place every coordinate alike: %t, Equal says %t", m, k, n, ds[x].name, ds[y].name, same, !same)
+				}
+				if same && x < 3 && y >= 3 {
+					alike++
+				}
+			}
+		}
+		if role == int(RoleA) && alike < 2 {
+			t.Fatalf("%dx%dx%d: %d plan A distributions equal to the shard or the blocks, want the 12×1×1 and 1×12×1 ones", m, k, n, alike)
 		}
 	}
 }

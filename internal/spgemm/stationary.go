@@ -254,6 +254,6 @@ func stationaryOwnership(plan Plan, k, n int, tables ownerTables) func(rank int,
 		inner := plan.P2 * plan.P3
 		return func(rank int, i, j int32) bool { return int(row[i]+col[j]) == rank%inner }
 	}
-	owner := owner(plan, 1, k, n, RoleB, tables)
-	return func(rank int, i, j int32) bool { return owner(i, j) == rank }
+	d := dist(plan, 1, k, n, RoleB, tables)
+	return func(rank int, i, j int32) bool { return d.Owner(i, j) == rank }
 }

@@ -1,7 +1,6 @@
 package testkit
 
 import (
-	"fmt"
 	"slices"
 
 	"repro/internal/algebra"
@@ -10,22 +9,25 @@ import (
 	"repro/internal/sparse"
 )
 
-// DistRowBlock splits rows into p contiguous blocks.
+// DistRowBlock splits rows into p contiguous blocks. Each call builds its
+// own table: two calls give equal distributions in separate storage.
 func DistRowBlock(p, rows int) distmat.Dist {
-	return distmat.Dist{
-		Key:   fmt.Sprintf("rowblock(p=%d,rows=%d)", p, rows),
-		P:     p,
-		Owner: func(i, _ int32) int { return distmat.Part(i, rows, p) },
-	}
+	return distmat.NewDist(p, distmat.Owners{Row: blocks(p, rows)})
 }
 
 // DistColBlock splits columns into p contiguous blocks.
 func DistColBlock(p, cols int) distmat.Dist {
-	return distmat.Dist{
-		Key:   fmt.Sprintf("colblock(p=%d,cols=%d)", p, cols),
-		P:     p,
-		Owner: func(_, j int32) int { return distmat.Part(j, cols, p) },
+	return distmat.NewDist(p, distmat.Owners{Col: blocks(p, cols)})
+}
+
+// blocks returns the block of each of n items split into p contiguous
+// blocks.
+func blocks(p, n int) []int32 {
+	t := make([]int32, n)
+	for i := range t {
+		t[i] = int32(distmat.Part(int32(i), n, p))
 	}
+	return t
 }
 
 // MergeRuns merges any number of (row, col)-sorted duplicate-free runs into
