@@ -50,9 +50,11 @@ type DistSession struct {
 // distRank is one simulated rank's persistent state: its stationary
 // operands, and the machine scratch store every Proc of the rank runs on,
 // so what its regions reuse outlives them — Redistribute's send storage,
-// Multiply's A placement, the sweeps' buffers and the plans the rank has
-// already searched for. Only the rank's own goroutine touches any of it,
-// and the session's regions run one after another.
+// Multiply's A placement, the distributions the rank has planned under
+// (for A, Aᵀ and the fused regions' pair operands alike), the sweeps'
+// buffers and the plans the rank has already searched for. A region's
+// spgemm.Session then holds only its grids. Only the rank's own goroutine
+// touches any of it, and the session's regions run one after another.
 type distRank struct {
 	a, at *spgemm.Stationary[float64]
 	// pendingFlops is the local splice work of host-side Patch calls not

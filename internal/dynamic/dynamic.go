@@ -334,11 +334,15 @@ func (e *Engine) Apply(batch []graph.Mutation) (Report, error) {
 // either the old or the new snapshot, never a mix. At Procs > 1, ctx ends
 // the apply's machine region: an apply whose ctx ends before or during
 // its region returns an error wrapping ctx's cause and keeps the previous
-// version (a shared-memory apply does not yet stop early). When ctx
-// carries an obs span, the apply reports itself as a dynamic.apply child
-// span, the affected-source probes and local sweeps as grandchildren, and
-// every machine region as a machine.region span whose per-phase children
-// pair modeled cost with measured wall-clock.
+// version; an apply that runs no region does not look at ctx, as its
+// host-side patch must land on every replica of a rank-per-process engine
+// alike. At Procs ≤ 1 an apply whose ctx has ended before its sweep or by
+// the sweep's end returns ctx's cause and keeps the previous version; the
+// sweep itself runs to its end. When ctx carries an obs span, the apply
+// reports itself as a dynamic.apply child span, the affected-source probes
+// and local sweeps as grandchildren, and every machine region as a
+// machine.region span whose per-phase children pair modeled cost with
+// measured wall-clock.
 func (e *Engine) ApplyCtx(ctx context.Context, batch []graph.Mutation) (Report, error) {
 	ctx, span := obs.StartSpan(ctx, "dynamic.apply")
 	defer span.End()
@@ -365,6 +369,10 @@ func (e *Engine) ApplyCtx(ctx context.Context, batch []graph.Mutation) (Report, 
 	if newG.N > 0 {
 		frac = float64(len(affected)) / float64(newG.N)
 	}
+	shared := e.cfg.Procs <= 1
+	if shared && ctx.Err() != nil {
+		return Report{}, context.Cause(ctx)
+	}
 	strategy := StrategyIncremental
 	var (
 		bc    []float64
@@ -389,6 +397,9 @@ func (e *Engine) ApplyCtx(ctx context.Context, batch []graph.Mutation) (Report, 
 			bc = e.incrementalScores(ctx, old, st, affected)
 		}
 	}
+	if err == nil && shared && ctx.Err() != nil {
+		err = context.Cause(ctx)
+	}
 	if err != nil {
 		return Report{}, err
 	}
@@ -404,7 +415,7 @@ func (e *Engine) ApplyCtx(ctx context.Context, batch []graph.Mutation) (Report, 
 		N: newG.N, M: newG.M(), Procs: e.cfg.Procs, Fused: fused, Cost: cost,
 		WallMS: float64(time.Since(start)) / float64(time.Millisecond),
 	}
-	if e.cfg.Procs <= 1 {
+	if shared {
 		rep.Procs = 0
 	}
 	span.SetAttr("strategy", strategy).SetAttr("applied", len(batch)).

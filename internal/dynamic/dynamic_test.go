@@ -697,17 +697,19 @@ func TestFusedNoopAndEmptyAffectedSkipRegions(t *testing.T) {
 // and the probes kept a map of fresh n-vectors beside an exported T, and
 // 114 KB while every multiply allocated its screen's closure, and 103 KB
 // while every distribution was a formatted key and an owner closure and
-// every forward round allocated T's and the frontier's headers. Now the
-// adjacency and each rank's seed are cut from sorted rows, the probes
-// write into the engine's slab, a rank's screens are built once with its
-// sweep buffers, a distribution is two words over shared tables and the
-// forward sweep keeps its headers: 77 KB (82 KB under the race detector;
-// before these last changes up to 17 KB more while other packages' tests
-// load the box, as barrier waiters park more). The budget leaves about
-// 25 KB over that. The collector is held off and the minimum
-// of a few tries gated, so the test does not depend on when a cycle lands.
+// every forward round allocated T's and the frontier's headers, and 77 KB
+// while every region rebuilt the distributions of its shapes and every grid
+// ran a charged split. Now the adjacency and each rank's seed are cut from
+// sorted rows, the probes write into the engine's slab, a rank's screens
+// are built once with its sweep buffers, a distribution is two words over
+// shared tables built once per rank, a grid is rank arithmetic and the
+// forward sweep keeps its headers: 65 KB (69 KB under the race detector,
+// and up to 9 KB more while other packages' race tests load the box, as
+// barrier waiters park more). The budget is about 1.2 times the race
+// detector's reading. The collector is held off and the minimum of a few
+// tries gated, so the test does not depend on when a cycle lands.
 func TestApplyAllocBudget(t *testing.T) {
-	const maxBytes = 100 << 10 // 100 KiB
+	const maxBytes = 81 << 10 // 81 KiB
 	e, err := New(graph.Grid2D(16, 16, 30, 1), Config{Procs: 4, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -764,68 +766,90 @@ func (c *cancelInRegion) Run(fn func(*machine.Proc)) (machine.RunStats, error) {
 
 // TestCancelledApplyKeepsVersion: at Procs 4, an apply whose ctx is
 // cancelled before its region, or inside it, runs one region, which its
-// ctx's cause ends at the next superstep. Either way ApplyCtx returns an
-// error wrapping context.Canceled, the engine keeps its previous version
+// ctx's cause ends at the next superstep; at Procs 1, an apply whose ctx
+// was cancelled before the call sweeps nothing. Either way ApplyCtx returns
+// an error wrapping context.Canceled, the engine keeps its previous version
 // and scores, no goroutine is left behind, and the next apply of the same
-// batch matches a from-scratch compute — on the fused and the full-
-// recompute strategies alike.
+// batch matches a from-scratch compute — on the incremental (fused at
+// Procs 4) and the full-recompute strategies alike.
 func TestCancelledApplyKeepsVersion(t *testing.T) {
+	type cancelCase struct {
+		name     string
+		procs    int
+		dirty    float64
+		inRegion bool
+	}
+	var cases []cancelCase
 	for _, strat := range []struct {
 		name  string
 		dirty float64
 	}{{"fused", -1}, {"full", 1e-9}} {
 		for _, inRegion := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/in-region=%v", strat.name, inRegion), func(t *testing.T) {
-				g := graph.Grid2D(8, 8, 1, 1)
-				mach := &cancelInRegion{Transport: sim.New(4)}
-				e, err := New(g, Config{Procs: 4, Workers: 1, DirtyThreshold: strat.dirty, Transport: mach})
-				if err != nil {
-					t.Fatal(err)
-				}
-				before := e.Scores()
-				baseline := runtime.NumGoroutine()
-				batch := []graph.Mutation{{Op: graph.OpAddEdge, U: 0, V: 63, W: 1}}
-
-				ctx, cancel := context.WithCancel(context.Background())
-				defer cancel()
-				wantRuns := mach.runs + 1
-				if inRegion {
-					mach.cancel = cancel
-				} else {
-					cancel()
-				}
-				_, err = e.ApplyCtx(ctx, batch)
-				if !errors.Is(err, context.Canceled) {
-					t.Fatalf("cancelled apply returned %v, want context.Canceled", err)
-				}
-				if mach.runs != wantRuns {
-					t.Fatalf("the machine ran %d regions by the cancelled apply's end, want %d", mach.runs, wantRuns)
-				}
-				after := e.Scores()
-				if after.Version != before.Version || after.Seq != before.Seq {
-					t.Fatalf("cancelled apply moved the engine: version %x seq %d, was %x seq %d", after.Version, after.Seq, before.Version, before.Seq)
-				}
-				compareScores(t, "after the cancelled apply", after.BC, before.BC)
-				for i := 0; runtime.NumGoroutine() > baseline; i++ {
-					if i == 100 {
-						t.Fatalf("%d goroutines, %d before the cancelled apply", runtime.NumGoroutine(), baseline)
-					}
-					time.Sleep(time.Millisecond)
-				}
-
-				rep, err := e.Apply(batch)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if rep.Fused != (strat.name == "fused") {
-					t.Fatalf("retried apply ran strategy %s, fused = %v", rep.Strategy, rep.Fused)
-				}
-				shadow := g.Clone()
-				if err := shadow.Apply(batch[0]); err != nil {
-					t.Fatal(err)
-				}
-				compareScores(t, "retried apply", e.Scores().BC, fromScratch(t, shadow))
-			})
+			cases = append(cases, cancelCase{fmt.Sprintf("%s/in-region=%v", strat.name, inRegion), 4, strat.dirty, inRegion})
 		}
+	}
+	cases = append(cases, cancelCase{"shared/incremental", 1, -1, false}, cancelCase{"shared/full", 1, 1e-9, false})
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			g := graph.Grid2D(8, 8, 1, 1)
+			cfg := Config{Procs: c.procs, Workers: 1, DirtyThreshold: c.dirty}
+			var mach *cancelInRegion
+			if c.procs > 1 {
+				mach = &cancelInRegion{Transport: sim.New(c.procs)}
+				cfg.Transport = mach
+			}
+			e, err := New(g, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := e.Scores()
+			baseline := runtime.NumGoroutine()
+			batch := []graph.Mutation{{Op: graph.OpAddEdge, U: 0, V: 63, W: 1}}
+
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			wantRuns := 0
+			switch {
+			case c.inRegion:
+				mach.cancel = cancel
+				wantRuns = mach.runs + 1
+			case mach != nil:
+				cancel()
+				wantRuns = mach.runs + 1
+			default:
+				cancel()
+			}
+			_, err = e.ApplyCtx(ctx, batch)
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled apply returned %v, want context.Canceled", err)
+			}
+			if mach != nil && mach.runs != wantRuns {
+				t.Fatalf("the machine ran %d regions by the cancelled apply's end, want %d", mach.runs, wantRuns)
+			}
+			after := e.Scores()
+			if after.Version != before.Version || after.Seq != before.Seq {
+				t.Fatalf("cancelled apply moved the engine: version %x seq %d, was %x seq %d", after.Version, after.Seq, before.Version, before.Seq)
+			}
+			compareScores(t, "after the cancelled apply", after.BC, before.BC)
+			for i := 0; runtime.NumGoroutine() > baseline; i++ {
+				if i == 100 {
+					t.Fatalf("%d goroutines, %d before the cancelled apply", runtime.NumGoroutine(), baseline)
+				}
+				time.Sleep(time.Millisecond)
+			}
+
+			rep, err := e.Apply(batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Fused != (c.procs > 1 && c.dirty < 0) {
+				t.Fatalf("retried apply ran strategy %s, fused = %v", rep.Strategy, rep.Fused)
+			}
+			shadow := g.Clone()
+			if err := shadow.Apply(batch[0]); err != nil {
+				t.Fatal(err)
+			}
+			compareScores(t, "retried apply", e.Scores().BC, fromScratch(t, shadow))
+		})
 	}
 }

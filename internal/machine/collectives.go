@@ -2,7 +2,6 @@ package machine
 
 import (
 	"slices"
-	"sort"
 	"unsafe"
 )
 
@@ -35,7 +34,7 @@ type post[T any] struct {
 	views  [][]T // by source: what it sent here, valid until Release
 	frames [][]T // by source: decode storage
 	fold   [][]T // ReduceSlices' tree, empty between calls
-	one    [1]T  // a one-element post: AllreduceScalar's, split's
+	one    [1]T  // a one-element post: AllreduceScalar's
 }
 
 // Encode is the wire form of what h sends dst (codec.go).
@@ -329,42 +328,4 @@ type errAlltoallShape [2]int
 
 func (e errAlltoallShape) Error() string {
 	return "machine: alltoall called with wrong number of parts"
-}
-
-// splitInfo is the bookkeeping triple split exchanges (24 wire bytes).
-type splitInfo struct{ Color, Key, Rank int }
-
-// split partitions the communicator by color, MPI_Comm_split style: members
-// with equal color form a new communicator, ranked by (key, old rank). The
-// bookkeeping exchange is charged as a small allgather; the backend derives
-// the subgroup state from the agreed member list.
-func split(c *Comm, color, key int) *Comm {
-	h := Scratch[post[splitInfo]](c.proc)
-	h.one[0] = splitInfo{Color: color, Key: key, Rank: c.rank}
-	h, _, group := exchange(c, h.one[:], nil, toAll, 1)
-	// Everyone derives the same grouping.
-	var members []splitInfo
-	for _, in := range h.views {
-		if in[0].Color == color {
-			members = append(members, in[0])
-		}
-	}
-	h.release(c)
-	sort.Slice(members, func(a, b int) bool {
-		if members[a].Key != members[b].Key {
-			return members[a].Key < members[b].Key
-		}
-		return members[a].Rank < members[b].Rank
-	})
-	memberRanks := make([]int, len(members))
-	newRank := 0
-	for i, in := range members {
-		memberRanks[i] = in.Rank
-		if in.Rank == c.rank {
-			newRank = i
-		}
-	}
-	c.proc.cost = group.Add(commCost(c.Size(), Cost{Bytes: int64(24 * c.Size()), Msgs: LogMsgs(c.Size())}))
-	sub := c.group.Subgroup(c.proc, c.rank, memberRanks, newRank)
-	return &Comm{group: sub, rank: newRank, proc: c.proc}
 }

@@ -23,8 +23,8 @@ func newGrid2(c *Comm, pr, pc int) *Grid2 {
 		PR:   pr,
 		PC:   pc,
 		Comm: c,
-		Row:  split(c, i, j),
-		Col:  split(c, pr+j, i),
+		Row:  sub(c, i*pc, 1, pc),
+		Col:  sub(c, j, pc, pr),
 		MyR:  i,
 		MyC:  j,
 	}
@@ -43,7 +43,8 @@ type Grid3 struct {
 }
 
 // NewGrid3 builds a 3D grid; p1*p2*p3 must equal the communicator size.
-// World rank r maps to layer r / (p2*p3), layer-rank r % (p2*p3).
+// World rank r maps to layer r / (p2*p3), layer-rank r % (p2*p3). Like
+// newGrid2 it runs no superstep and charges nothing.
 func NewGrid3(c *Comm, p1, p2, p3 int) *Grid3 {
 	if p1*p2*p3 != c.Size() {
 		panic(fmt.Sprintf("machine: grid %dx%dx%d does not tile %d processors", p1, p2, p3, c.Size()))
@@ -51,8 +52,8 @@ func NewGrid3(c *Comm, p1, p2, p3 int) *Grid3 {
 	layerSize := p2 * p3
 	l := c.Rank() / layerSize
 	pos := c.Rank() % layerSize
-	layer := split(c, l, pos)
-	fiber := split(c, c.Size()+pos, l)
+	layer := sub(c, l*layerSize, 1, layerSize)
+	fiber := sub(c, pos, layerSize, p1)
 	return &Grid3{
 		P1:      p1,
 		P2:      p2,
@@ -63,6 +64,20 @@ func NewGrid3(c *Comm, p1, p2, p3 int) *Grid3 {
 		G2:      newGrid2(layer, p2, p3),
 		MyLayer: l,
 	}
+}
+
+// sub returns the communicator over c's ranks first, first+stride, …, n of
+// them, ranked in that order; c's own rank must be among them. Each grid
+// communicator is such a progression, in the order an MPI_Comm_split by
+// (grid line, position along it) would rank it, so every member names the
+// same list by rank arithmetic: no superstep, nothing charged.
+func sub(c *Comm, first, stride, n int) *Comm {
+	members := make([]int, n)
+	for x := range members {
+		members[x] = first + x*stride
+	}
+	idx := (c.rank - first) / stride
+	return &Comm{group: c.group.Subgroup(members, idx), rank: idx, proc: c.proc}
 }
 
 // Factorizations3 enumerates all ordered triples (p1,p2,p3) with product p,

@@ -170,11 +170,13 @@ type Group interface {
 	// member has finished reading what this one posted, which the poster
 	// may then overwrite.
 	Release(p *Proc, rank int)
-	// Subgroup derives the communicator state for a split: members holds
-	// the parent-group ranks of the new group in new-rank order, and
-	// myIdx is this member's position in it. Every member of the new
-	// group calls Subgroup with the identical members slice.
-	Subgroup(p *Proc, rank int, members []int, myIdx int) Group
+	// Subgroup returns the state of a communicator over some of the
+	// group's members: members holds their group ranks in the new
+	// communicator's rank order, and myIdx is this member's position in
+	// it. It runs no superstep: every member of the new communicator
+	// derives the identical members slice by rank arithmetic (the grids)
+	// and calls Subgroup with it.
+	Subgroup(members []int, myIdx int) Group
 }
 
 // abortError is the panic Abort unwinds a rank with: err is the cause it

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -228,34 +229,83 @@ func TestReduceSlices(t *testing.T) {
 	}, nil)
 }
 
+// TestSplitAndGrids builds every 3D and 2D grid of every factorization of
+// p = 1…12 on every backend, and checks that building them charges nothing
+// and that each Layer, Fiber, Row and Col communicator holds, in rank order,
+// the world ranks an MPI_Comm_split by the grid's (color, key) would: the
+// members sharing this rank's color, ranked by (key, old rank).
 func TestSplitAndGrids(t *testing.T) {
-	forEachBackend(t, 12, func(pr *machine.Proc) {
-		g := machine.NewGrid2(pr.World(), 3, 4)
-		if g.Row.Size() != 4 || g.Col.Size() != 3 {
-			panic("grid2 comm sizes wrong")
-		}
-		if g.Row.Rank() != g.MyC || g.Col.Rank() != g.MyR {
-			panic("grid2 sub-ranks wrong")
-		}
-		// Row-wise sum of ranks must equal the row's world-rank sum.
-		sum := machine.AllreduceScalar(g.Row, pr.Rank(), func(a, b int) int { return a + b })
-		want := 0
-		for j := 0; j < 4; j++ {
-			want += g.RankAt(g.MyR, j)
-		}
-		if sum != want {
-			panic("row communicator grouped wrong members")
-		}
+	for p := 1; p <= 12; p++ {
+		forEachBackend(t, p, func(pr *machine.Proc) {
+			world, me := pr.World(), pr.Rank()
+			fs3, fs2 := machine.Factorizations3(p), machine.Factorizations2(p)
+			g3s := make([]*machine.Grid3, len(fs3))
+			for x, f := range fs3 {
+				g3s[x] = machine.NewGrid3(world, f[0], f[1], f[2])
+			}
+			g2s := make([]*machine.Grid2, len(fs2))
+			for x, f := range fs2 {
+				g2s[x] = machine.NewGrid2(world, f[0], f[1])
+			}
+			if c := pr.Cost(); c != (machine.Cost{}) {
+				panic(fmt.Sprintf("building the grids of %d ranks charged %v", p, c))
+			}
+			// checkGrid2 checks a pr×pc grid over the ranks first, first+1, …
+			checkGrid2 := func(name string, g *machine.Grid2, first int) {
+				q := me - first
+				layer := func(x int) int { return first + x }
+				checkMembers(fmt.Sprintf("%s row", name), g.Row, me, splitBy(g.PR*g.PC, q, func(x int) int { return x / g.PC }, func(x int) int { return x % g.PC }), layer)
+				checkMembers(fmt.Sprintf("%s col", name), g.Col, me, splitBy(g.PR*g.PC, q, func(x int) int { return g.PR + x%g.PC }, func(x int) int { return x / g.PC }), layer)
+				if g.MyR != q/g.PC || g.MyC != q%g.PC {
+					panic(fmt.Sprintf("%s: rank %d at (%d, %d)", name, me, g.MyR, g.MyC))
+				}
+			}
+			same := func(x int) int { return x }
+			for x, g := range g3s {
+				name := fmt.Sprintf("%dx%dx%d", fs3[x][0], fs3[x][1], fs3[x][2])
+				ls := g.P2 * g.P3
+				checkMembers(name+" layer", g.Layer, me, splitBy(p, me, func(x int) int { return x / ls }, func(x int) int { return x % ls }), same)
+				checkMembers(name+" fiber", g.Fiber, me, splitBy(p, me, func(x int) int { return p + x%ls }, func(x int) int { return x / ls }), same)
+				if g.MyLayer != me/ls {
+					panic(fmt.Sprintf("%s: rank %d on layer %d", name, me, g.MyLayer))
+				}
+				checkGrid2(name, g.G2, g.MyLayer*ls)
+			}
+			for x, g := range g2s {
+				checkGrid2(fmt.Sprintf("%dx%d", fs2[x][0], fs2[x][1]), g, 0)
+			}
+		}, nil)
+	}
+}
 
-		g3 := machine.NewGrid3(pr.World(), 3, 2, 2)
-		if g3.Layer.Size() != 4 || g3.Fiber.Size() != 3 {
-			panic("grid3 comm sizes wrong")
+// splitBy is MPI_Comm_split's grouping of ranks 0…n−1: those sharing me's
+// color, ranked by (key, rank).
+func splitBy(n, me int, color, key func(int) int) []int {
+	var members []int
+	for x := 0; x < n; x++ {
+		if color(x) == color(me) {
+			members = append(members, x)
 		}
-		lsum := machine.AllreduceScalar(g3.Fiber, g3.MyLayer, func(a, b int) int { return a + b })
-		if lsum != 0+1+2 {
-			panic("fiber communicator grouped wrong members")
-		}
-	}, nil)
+	}
+	sort.SliceStable(members, func(a, b int) bool { return key(members[a]) < key(members[b]) })
+	return members
+}
+
+// checkMembers checks that c's members, gathered in rank order, are the
+// world ranks world(x) of want, and that me (a world rank) sits at its
+// place in want.
+func checkMembers(name string, c *machine.Comm, me int, want []int, world func(int) int) {
+	got := testkit.AllgatherConcat(c, []int{me})
+	wantWorld := make([]int, len(want))
+	for x, r := range want {
+		wantWorld[x] = world(r)
+	}
+	if !slices.Equal(got, wantWorld) {
+		panic(fmt.Sprintf("%s communicator of rank %d holds %v, the split gives %v", name, me, got, wantWorld))
+	}
+	if got[c.Rank()] != me {
+		panic(fmt.Sprintf("%s communicator ranks %d at %d, which holds %d", name, me, c.Rank(), got[c.Rank()]))
+	}
 }
 
 func TestCriticalPathMax(t *testing.T) {

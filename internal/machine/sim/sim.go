@@ -137,13 +137,15 @@ func (st *commState) Release(p *machine.Proc, rank int) {
 	}
 }
 
-// Subgroup returns the shared state for a split-derived communicator.
-// States are memoized per member list: every member of the new group asks
-// for the identical list, the first caller allocates, and later splits
-// that produce the same grouping reuse the state — safe because the SPMD
-// program order keeps all members of a communicator on the same
-// collective sequence.
-func (st *commState) Subgroup(p *machine.Proc, rank int, members []int, myIdx int) machine.Group {
+// Subgroup returns the shared state of the communicator over members.
+// States are memoized per member list: every member of the new
+// communicator asks for the identical list, the first caller allocates,
+// and a later communicator over the same members (another grid's line)
+// reuses the state — safe because the SPMD program order keeps all members
+// of a communicator on the same collective sequence. No member waits for
+// another here: one that arrives late finds the state its peers may
+// already be posting into.
+func (st *commState) Subgroup(members []int, _ int) machine.Group {
 	// The member ranks, four bytes each, are the key: no formatting.
 	raw := make([]byte, 0, 4*len(members))
 	for _, m := range members {

@@ -16,9 +16,8 @@ import (
 
 // group is one communicator's view of the mesh: the member world ranks
 // in group-rank order, and the per-step post and size slots it reuses.
-// Subgroups are pure rank arithmetic — the split's bookkeeping allgather
-// already agreed on the member list everywhere, so no extra communication
-// is needed.
+// A subgroup is its member list mapped to world ranks: every member derived
+// the same list by rank arithmetic, so it needs no communication.
 type group struct {
 	t       *Transport
 	members []int // world rank of each group rank
@@ -82,7 +81,7 @@ func (g *group) Exchange(p *machine.Proc, rank int, post machine.Payload) ([]mac
 // and the frames this rank sent were written out before Exchange returned.
 func (g *group) Release(*machine.Proc, int) {}
 
-func (g *group) Subgroup(p *machine.Proc, rank int, members []int, myIdx int) machine.Group {
+func (g *group) Subgroup(members []int, myIdx int) machine.Group {
 	world := make([]int, len(members))
 	for i, m := range members {
 		world[i] = g.members[m]

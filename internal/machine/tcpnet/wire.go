@@ -51,6 +51,9 @@ type conn struct {
 	data   chan dataFrame
 	ctrl   chan []byte
 	read   chan struct{} // closed when readLoop returns
+	// watchdog is recvData's timer, made by the first receive and reset by
+	// every later one: only the region goroutine receives.
+	watchdog *time.Timer
 }
 
 func newConn(peer int, c net.Conn) *conn {
@@ -266,14 +269,19 @@ func (t *Transport) linkLost(cn *conn, err error) {
 // ends the region with the transport's cause once the transport has ended,
 // and with a timeout after two watchdog windows (the sim backend's barrier
 // watchdog, translated to message passing); with the watchdog off it has
-// no timer.
+// no timer. The link's one timer serves every receive: since Go 1.23 a
+// Reset leaves no stale tick in its channel.
 func (t *Transport) recvData(worldRank int) dataFrame {
 	cn := t.conns[worldRank]
 	var watchdog <-chan time.Time
 	if t.timeout > 0 {
-		timer := time.NewTimer(2 * t.timeout)
-		defer timer.Stop()
-		watchdog = timer.C
+		if cn.watchdog == nil {
+			cn.watchdog = time.NewTimer(2 * t.timeout)
+		} else {
+			cn.watchdog.Reset(2 * t.timeout)
+		}
+		defer cn.watchdog.Stop()
+		watchdog = cn.watchdog.C
 	}
 	select {
 	case df := <-cn.data:

@@ -14,10 +14,12 @@ import (
 )
 
 // Session is one processor's handle for distributed multiplications within
-// one machine region. Grid construction is collective, so every processor
-// must issue the same plan sequence (guaranteed because plan selection is
-// deterministic). What a rank keeps of a stationary operand across
-// multiplies and regions lives on the operand (Stationary), not here.
+// one machine region. Every processor must issue the same plan sequence
+// (guaranteed because plan selection is deterministic). The session keeps
+// the region's grids; the distributions the rank plans under live in its
+// placement cache (placements, on the rank's store), and what it keeps of
+// a stationary operand across multiplies and regions lives on the operand
+// (Stationary).
 type Session struct {
 	Proc *machine.Proc
 	// Workers is the shared-memory parallelism of this rank's local
@@ -35,13 +37,6 @@ type Session struct {
 	Products, Screened atomic.Int64
 
 	grids map[[3]int]*machine.Grid3
-	dists map[distsKey][3]distmat.Dist
-}
-
-// distsKey identifies one multiplication shape under one plan.
-type distsKey struct {
-	plan    Plan
-	m, k, n int
 }
 
 // workers resolves the Workers knob for this rank; see the field comment.
@@ -61,7 +56,7 @@ func (s *Session) workers() int {
 
 // NewSession creates a session for this processor.
 func NewSession(p *machine.Proc) *Session {
-	return &Session{Proc: p, grids: make(map[[3]int]*machine.Grid3), dists: make(map[distsKey][3]distmat.Dist)}
+	return &Session{Proc: p, grids: make(map[[3]int]*machine.Grid3)}
 }
 
 // grid returns (building on first use) the p1×p2×p3 grid over the world.
@@ -154,36 +149,80 @@ func (key axisKey) table() []int32 {
 	return t
 }
 
-// ownerTables holds the owner tables of a stationary operand's k and n
-// dimensions, which are the matrix's own for every multiply against it, so
-// that a region or an apply that starts a new Session builds none of them
-// again. The frontier's m dimension changes from batch to batch; its tables
-// are built per Session. A nil ownerTables builds every table afresh.
-type ownerTables map[axisKey][]int32
+// placements is one rank's placement cache, a machine.Scratch on its store:
+// the owner tables and the A, B and C distributions of every product shape
+// the rank has planned under. Both are pure functions of their keys, so one
+// cache serves every operand the rank multiplies — A, Aᵀ and a fused
+// region's pair operands alike — for as long as the store lives: one region
+// for a one-shot, every region of a rank that keeps its store. Frontier row
+// counts make the shapes of a long session unbounded in number, so a cache
+// that reaches maxPlacements shapes starts over.
+type placements struct {
+	tables  map[axisKey][]int32
+	byShape map[distsKey][3]distmat.Dist
+}
 
-func (o ownerTables) get(key axisKey, keep bool) []int32 {
-	if t, ok := o[key]; ok {
-		return t
+// distsKey identifies one multiplication shape under one plan.
+type distsKey struct {
+	plan    Plan
+	m, k, n int
+}
+
+const maxPlacements = 1 << 8
+
+// Dists returns the input distributions the plan requires for A and B and
+// the output distribution it produces for C, built afresh.
+func Dists(plan Plan, m, k, n int) (da, db, dc distmat.Dist) {
+	d := new(placements).dists(plan, m, k, n)
+	return d[0], d[1], d[2]
+}
+
+// dists returns the A, B and C distributions of an m×k by k×n product
+// under plan, built on first use.
+func (pc *placements) dists(plan Plan, m, k, n int) [3]distmat.Dist {
+	key := distsKey{plan, m, k, n}
+	if d, ok := pc.byShape[key]; ok {
+		return d
 	}
-	t := key.table()
-	if keep && o != nil {
-		o[key] = t
+	if pc.byShape == nil || len(pc.byShape) >= maxPlacements {
+		// Room for the twenty or so tables a region's plans use: a one-shot
+		// region's map is allocated once.
+		pc.tables, pc.byShape = make(map[axisKey][]int32, 16), make(map[distsKey][3]distmat.Dist)
 	}
-	return t
+	d := [3]distmat.Dist{pc.dist(plan, m, k, n, RoleA), pc.dist(plan, m, k, n, RoleB), pc.dist(plan, m, k, n, RoleC)}
+	pc.byShape[key] = d
+	return d
 }
 
 // dist returns the distribution of operand role under plan: the sum of its
-// coordinates' table terms. The fiber dimension — n under RoleA, m under
-// RoleB, k under RoleC — is split into p1 layer ranges, and a coordinate on
-// it carries its layer in its term. The operand a 3D plan replicates has no
-// coordinate on it: before replication its entries are spread over the
-// layers by a hash of the coordinate pair (the layered form). C, reduced
-// under RoleC, sums to its inner grid position on every layer, and the
-// reduction root rotates with it (the rotated form).
-func dist(plan Plan, m, k, n int, role Role, tables ownerTables) distmat.Dist {
-	var o distmat.Owners
-	o.Row, o.Col = ownerTerms(plan, m, k, n, role, tables)
+// row and column coordinates' table terms. The fiber dimension — n under
+// RoleA, m under RoleB, k under RoleC — is split into p1 layer ranges, and
+// a coordinate on it carries its layer in its term. The operand a 3D plan
+// replicates has no coordinate on it: before replication its entries are
+// spread over the layers by a hash of the coordinate pair (the layered
+// form). C, reduced under RoleC, sums to its inner grid position on every
+// layer, and the reduction root rotates with it (the rotated form).
+func (pc *placements) dist(plan Plan, m, k, n int, role Role) distmat.Dist {
+	const dimM, dimK, dimN = 0, 1, 2
+	size := [3]int{m, k, n}
+	dims := [3][2]int{{dimM, dimK}, {dimK, dimN}, {dimM, dimN}}[role]
+	split := [3]int{dimN, dimM, dimK}[plan.X]
 	p1, inner := plan.P1, plan.P2*plan.P3
+	tableOf := func(d int, a axis) []int32 {
+		key := axisKey{size: size[d], layers: 1, inner: inner, axis: a}
+		if d == split {
+			key.layers = max(p1, 1)
+		}
+		t, ok := pc.tables[key]
+		if !ok {
+			t = key.table()
+			pc.tables[key] = t
+		}
+		return t
+	}
+	var o distmat.Owners
+	ai, aj := axes(plan, role)
+	o.Row, o.Col = tableOf(dims[0], ai), tableOf(dims[1], aj)
 	switch {
 	case p1 > 1 && role == plan.X && role != RoleC:
 		o.Layers, o.Inner = p1, inner
@@ -194,34 +233,6 @@ func dist(plan Plan, m, k, n int, role Role, tables ownerTables) distmat.Dist {
 		}
 	}
 	return distmat.NewDist(plan.Procs(), o)
-}
-
-// ownerTerms returns the tables of operand role's row and column
-// coordinates under plan.
-func ownerTerms(plan Plan, m, k, n int, role Role, tables ownerTables) (row, col []int32) {
-	const dimM, dimK, dimN = 0, 1, 2
-	size := [3]int{m, k, n}
-	dims := [3][2]int{{dimM, dimK}, {dimK, dimN}, {dimM, dimN}}[role]
-	split := [3]int{dimN, dimM, dimK}[plan.X]
-	tableOf := func(d int, a axis) []int32 {
-		key := axisKey{size: size[d], layers: 1, inner: plan.P2 * plan.P3, axis: a}
-		if d == split {
-			key.layers = max(plan.P1, 1)
-		}
-		return tables.get(key, d != dimM)
-	}
-	ai, aj := axes(plan, role)
-	return tableOf(dims[0], ai), tableOf(dims[1], aj)
-}
-
-// Dists returns the input distributions the plan requires for A and B and
-// the output distribution it produces for C.
-func Dists(plan Plan, m, k, n int) (da, db, dc distmat.Dist) {
-	return dists(plan, m, k, n, nil)
-}
-
-func dists(plan Plan, m, k, n int, tables ownerTables) (da, db, dc distmat.Dist) {
-	return dist(plan, m, k, n, RoleA, tables), dist(plan, m, k, n, RoleB, tables), dist(plan, m, k, n, RoleC, tables)
 }
 
 // Screen forms the product of a and b at output coordinate (i, j) and
@@ -303,7 +314,7 @@ func Multiply[TC, TB any](
 			// the next splice.
 			bE = slices.Clone(bE)
 		}
-		sb = stageB(nil, plan, k, n, s.Proc.Rank(), bE)
+		sb = stageB(nil, plan, k, n, s.Proc.Rank(), db, bE)
 		b.sets[plan] = sb
 	}
 
@@ -452,12 +463,14 @@ func bucketByStage[T any](in *buckets[T], es []sparse.Entry[T], s int, stageOf f
 }
 
 // stagedB is a B operand as its plan's stage loop consumes it on one rank:
-// the rank's sorted block and the views derived from it. The views depend
-// on (plan, k, n, rank) and the entries alone — never on the frontier — so
-// they are built when the block is staged and rebuilt only when it is
-// edited (Stationary.Patch), not on every multiplication.
+// the rank's sorted block, the B distribution it was staged by and the
+// views derived from it. The views depend on (plan, k, n, rank) and the
+// entries alone — never on the frontier — so they are built when the block
+// is staged and rebuilt only when it is edited (Stationary.Patch), not on
+// every multiplication.
 type stagedB[T any] struct {
 	entries []sparse.Entry[T]
+	db      distmat.Dist
 	// blocks[t] is what the rank holds of stage t: under VarAB the entries
 	// whose row lies in the stage's k-range (rows are the major sort key,
 	// so a sub-slice of entries); under VarBC a copy of those whose column
@@ -471,10 +484,10 @@ type stagedB[T any] struct {
 	offs [][]int32
 }
 
-// stageB derives the stage views of a rank's staged block, written over
-// into's (fresh ones when into is nil): a set rebuilt after an edit reuses
-// the storage of the views it replaces.
-func stageB[T any](into *stagedB[T], plan Plan, k, n, rank int, entries []sparse.Entry[T]) *stagedB[T] {
+// stageB derives the stage views of a rank's block staged by db, written
+// over into's (fresh ones when into is nil): a set rebuilt after an edit
+// reuses the storage of the views it replaces.
+func stageB[T any](into *stagedB[T], plan Plan, k, n, rank int, db distmat.Dist, entries []sparse.Entry[T]) *stagedB[T] {
 	inner := plan.P2 * plan.P3
 	myR, myC := rank%inner/plan.P3, rank%plan.P3
 	// B's staging consults only the k and n ranges, which no plan derives
@@ -485,7 +498,7 @@ func stageB[T any](into *stagedB[T], plan Plan, k, n, rank int, entries []sparse
 	if b == nil {
 		b = new(stagedB[T])
 	}
-	b.entries = entries
+	b.entries, b.db = entries, db
 	switch plan.YZ {
 	case VarAB:
 		b.blocks = slices.Grow(b.blocks[:0], s)[:s]
@@ -512,6 +525,19 @@ func stageB[T any](into *stagedB[T], plan Plan, k, n, rank int, entries []sparse
 		}
 	}
 	return b
+}
+
+// holds returns whether rank's set, staged under plan, holds (i, j): whether
+// the set's B distribution places (i, j) on rank or, where the plan
+// replicates B across layers, on rank's fiber group — every layer at its
+// inner grid position. Only B's k and n coordinates are consulted, never
+// the frontier row count, which is why a set is named by its plan alone.
+func (b *stagedB[T]) holds(plan Plan, rank int) func(i, j int32) bool {
+	db, group := b.db, plan.Procs()
+	if plan.P1 > 1 && plan.X == RoleB {
+		group = plan.P2 * plan.P3
+	}
+	return func(i, j int32) bool { return db.Owner(i, j)%group == rank%group }
 }
 
 // runAB: C stationary; A broadcast along grid rows, B along grid columns,

@@ -19,23 +19,33 @@ import (
 // a stationary B operand: the entries the plan's B distribution assigns to
 // it, widened to its whole fiber group under RoleB replication, sorted.
 func stageForTest(plan Plan, rank, k, n int, global []sparse.Entry[float64]) []sparse.Entry[float64] {
-	_, db, _ := Dists(plan, 1, k, n)
-	inner := plan.P2 * plan.P3
-	fiberRepl := plan.P1 > 1 && plan.X == RoleB
+	held := heldForTest(plan, rank, k, n)
 	var out []sparse.Entry[float64]
 	for _, e := range global {
-		owner := db.Owner(e.I, e.J)
-		if fiberRepl {
-			if owner%inner != rank%inner {
-				continue
-			}
-		} else if owner != rank {
-			continue
+		if held(e.I, e.J) {
+			out = append(out, e)
 		}
-		out = append(out, e)
 	}
 	sortEntriesByCoord(out)
 	return out
+}
+
+// heldForTest is whether rank's set staged under plan from a k×n operand
+// holds (i, j): the plan's B distribution places it on rank, or on rank's
+// fiber group under RoleB replication.
+func heldForTest(plan Plan, rank, k, n int) func(i, j int32) bool {
+	db := dbForTest(plan, k, n)
+	inner := plan.P2 * plan.P3
+	if plan.P1 > 1 && plan.X == RoleB {
+		return func(i, j int32) bool { return db.Owner(i, j)%inner == rank%inner }
+	}
+	return func(i, j int32) bool { return db.Owner(i, j) == rank }
+}
+
+// dbForTest is the B distribution of a k×n operand under plan.
+func dbForTest(plan Plan, k, n int) distmat.Dist {
+	_, db, _ := Dists(plan, 1, k, n)
+	return db
 }
 
 // residentFor builds what rank holds of a k×n matrix with entries global
@@ -44,7 +54,7 @@ func stageForTest(plan Plan, rank, k, n int, global []sparse.Entry[float64]) []s
 func residentFor(plans []Plan, p, rank, k, n int, global []sparse.Entry[float64]) *Stationary[float64] {
 	b := NewStationary(&distmat.Mat[float64]{Rows: k, Cols: n, Dist: distmat.DistShard(p), Local: shardOf(p, rank, global)})
 	for _, plan := range plans {
-		b.sets[plan] = stageB(nil, plan, k, n, rank, stageForTest(plan, rank, k, n, global))
+		b.sets[plan] = stageB(nil, plan, k, n, rank, dbForTest(plan, k, n), stageForTest(plan, rank, k, n, global))
 	}
 	return b
 }
@@ -256,8 +266,7 @@ func TestStagePairStationary(t *testing.T) {
 				t.Fatalf("%s rank %d: pair set not staged", plan, rank)
 			}
 			got := set.entries
-			owns := stationaryOwnership(plan, k, n, nil)
-			want := splice(nil, stageForTest(plan, rank, k, n, global), edits, func(i, j int32) bool { return owns(rank, i, j) }, asPair, onNewSide)
+			want := splice(nil, stageForTest(plan, rank, k, n, global), edits, heldForTest(plan, rank, k, n), asPair, onNewSide)
 			if len(got) != len(want) {
 				t.Fatalf("%s rank %d: %d pair entries, want %d", plan, rank, len(got), len(want))
 			}
@@ -347,7 +356,7 @@ func TestCachedViewsStayCoherent(t *testing.T) {
 					t.Fatalf("seed %d rank %d after %s: block diverged from the model's shard", seed, rank, step)
 				}
 				for plan, set := range b.sets {
-					if want := stageB(nil, plan, k, n, rank, stageForTest(plan, rank, k, n, global())); !reflect.DeepEqual(set, want) {
+					if want := stageB(nil, plan, k, n, rank, dbForTest(plan, k, n), stageForTest(plan, rank, k, n, global())); !reflect.DeepEqual(set, want) {
 						t.Fatalf("seed %d rank %d after %s: set %s diverged from a fresh staging\n got %+v\nwant %+v", seed, rank, step, plan, set, want)
 					}
 				}
@@ -357,7 +366,7 @@ func TestCachedViewsStayCoherent(t *testing.T) {
 				case 0: // a multiply under some plan: hit, or stage
 					plan := plans[rng.Intn(len(plans))]
 					if _, hit := b.sets[plan]; !hit {
-						b.sets[plan] = stageB(nil, plan, k, n, rank, stageForTest(plan, rank, k, n, global()))
+						b.sets[plan] = stageB(nil, plan, k, n, rank, dbForTest(plan, k, n), stageForTest(plan, rank, k, n, global()))
 					}
 					check("stage")
 				case 1, 2:
@@ -378,9 +387,8 @@ func TestCachedViewsStayCoherent(t *testing.T) {
 						t.Fatalf("seed %d rank %d: %d pair sets for %d scalar sets", seed, rank, got, want)
 					}
 					for plan, set := range pair.sets {
-						owns := stationaryOwnership(plan, k, n, nil)
 						base := stageForTest(plan, rank, k, n, global())
-						want := stageB(nil, plan, k, n, rank, splice(nil, base, edits, func(i, j int32) bool { return owns(rank, i, j) }, asPair, onNewSide))
+						want := stageB(nil, plan, k, n, rank, dbForTest(plan, k, n), splice(nil, base, edits, heldForTest(plan, rank, k, n), asPair, onNewSide))
 						if _, staged := b.sets[plan]; !staged || !reflect.DeepEqual(set, want) {
 							t.Fatalf("seed %d rank %d: pair set %s diverged from a fresh staging\n got %+v\nwant %+v", seed, rank, plan, set, want)
 						}
@@ -506,7 +514,7 @@ func TestStagedViewsMatchDefinition(t *testing.T) {
 					s := plan.stages()
 					for rank := 0; rank < p; rank++ {
 						entries := stageForTest(plan, rank, k, n, global)
-						got := stageB(nil, plan, k, n, rank, entries)
+						got := stageB(nil, plan, k, n, rank, dbForTest(plan, k, n), entries)
 						inner := plan.P2 * plan.P3
 						r := layerRanges(plan, 1, k, n, rank/inner)
 						var blocks [][]sparse.Entry[float64]

@@ -102,8 +102,9 @@ func ownerByDefinition(plan Plan, m, k, n int, role Role, i, j int32) int {
 // every rank. Besides a shape larger than every part count, a 6-row
 // frontier — a fused apply's few dirty sources — and a shape with every
 // dimension below 12 stages leave some parts, and some layers' parts,
-// empty. The tables are built afresh, and drawn from one set kept across
-// every plan and shape, as a stationary operand keeps its own across plans.
+// empty. The distributions are built afresh, and drawn from one placement
+// cache kept across every plan and shape, as a rank keeps its own. The
+// membership test is a staged set's, by the B distribution it was staged by.
 //
 // A distribution is what it places: over every plan and role at each
 // shape, with the shard and the row and column blocks beside them, two
@@ -112,18 +113,20 @@ func ownerByDefinition(plan Plan, m, k, n int, role Role, i, j int32) int {
 // plans' replicated operand, the row blocks the 1×12×1 plans' A — and
 // they are found equal.
 func TestDistsPartitionCoordinates(t *testing.T) {
-	cached := make(ownerTables)
-	for _, tables := range []ownerTables{nil, cached} {
+	cached := new(placements)
+	for _, pc := range []*placements{nil, cached} {
 		for _, shape := range [][3]int{{23, 31, 19}, {6, 31, 19}, {6, 7, 5}} {
-			checkDistsPartition(t, shape[0], shape[1], shape[2], tables)
+			checkDistsPartition(t, shape[0], shape[1], shape[2], pc)
 		}
 	}
-	if len(cached) == 0 {
-		t.Fatal("no table was kept")
+	if len(cached.tables) == 0 || len(cached.byShape) == 0 {
+		t.Fatal("no placement was kept")
 	}
 }
 
-func checkDistsPartition(t *testing.T, m, k, n int, tables ownerTables) {
+// checkDistsPartition checks the distributions of one shape, from pc, or
+// built afresh where pc is nil.
+func checkDistsPartition(t *testing.T, m, k, n int, pc *placements) {
 	type named struct {
 		name string
 		d    distmat.Dist
@@ -142,8 +145,12 @@ func checkDistsPartition(t *testing.T, m, k, n int, tables ownerTables) {
 		for _, x := range []Role{RoleA, RoleB, RoleC} {
 			for _, yz := range []Variant{VarAB, VarAC, VarBC} {
 				plan := Plan{P1: f[0], P2: f[1], P3: f[2], X: x, YZ: yz}
-				da, db, dc := dists(plan, m, k, n, tables)
-				owns := stationaryOwnership(plan, k, n, tables)
+				da, db, dc := Dists(plan, m, k, n)
+				if pc != nil {
+					d := pc.dists(plan, m, k, n)
+					da, db, dc = d[0], d[1], d[2]
+				}
+				set := &stagedB[float64]{db: db}
 				p, inner := plan.Procs(), plan.P2*plan.P3
 				checkOwners := func(d distmat.Dist, role Role, rows, cols int) {
 					for i := int32(0); i < int32(rows); i++ {
@@ -169,7 +176,7 @@ func checkDistsPartition(t *testing.T, m, k, n int, tables ownerTables) {
 							if plan.P1 > 1 && plan.X == RoleB {
 								want = owner%inner == rank%inner
 							}
-							if owns(rank, i, j) != want {
+							if set.holds(plan, rank)(i, j) != want {
 								t.Fatalf("%s: rank %d holds B(%d, %d): %t, the definition says %t", plan, rank, i, j, !want, want)
 							}
 						}

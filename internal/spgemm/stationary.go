@@ -6,16 +6,17 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/distmat"
+	"repro/internal/machine"
 	"repro/internal/sparse"
 )
 
 // Stationary is a stationary B operand as its rank holds it: the rank's
-// block of the matrix, in the block's own distribution; the working sets
-// Multiply staged from it (redistributed and, for RoleB fiber plans,
-// replicated), one per plan — B's dimensions are the matrix's own and no
-// plan places B by the frontier's row count, so the plan alone names a set;
-// and the owner tables of the matrix's k and n dimensions. A multiply
-// against an operand already staged under its plan is a warm hit, so the
+// block of the matrix, in the block's own distribution, and the working
+// sets Multiply staged from it (redistributed and, for RoleB fiber plans,
+// replicated), one per plan, each with the B distribution it was staged by
+// — B's dimensions are the matrix's own and no plan places B by the
+// frontier's row count, so the plan alone names a set. A multiply against
+// an operand already staged under its plan is a warm hit, so the
 // adjacency-matrix replication of MFBC is paid once and amortized over all
 // iterations and batches, as in the proof of Theorem 5.1; an operand kept
 // across machine regions extends that to the applies of an evolving graph.
@@ -26,28 +27,22 @@ import (
 // fixed candidate list, and a vertex-set change builds a new operand. A
 // Stationary is owned by one rank; it is not safe for concurrent use.
 type Stationary[T any] struct {
-	m      *distmat.Mat[T]
-	sets   map[Plan]*stagedB[T]
-	owners ownerTables
-	spare  []sparse.Entry[T] // the storage the next splice writes over
+	m     *distmat.Mat[T]
+	sets  map[Plan]*stagedB[T]
+	spare []sparse.Entry[T] // the storage the next splice writes over
 }
 
 // NewStationary wraps the rank's block m as an operand with no set staged.
 func NewStationary[T any](m *distmat.Mat[T]) *Stationary[T] {
-	return &Stationary[T]{m: m, sets: make(map[Plan]*stagedB[T]), owners: make(ownerTables)}
+	return &Stationary[T]{m: m, sets: make(map[Plan]*stagedB[T])}
 }
 
-// Dists is the package-level Dists of a product of an m-row A by b, built
-// once per (plan, m) for the session — a sweep multiplies under the same few
-// shapes every round — from the k and n tables b keeps.
+// Dists is the package-level Dists of a product of an m-row A by b, drawn
+// from the rank's placement cache: a sweep multiplies under the same few
+// shapes every round, and a rank that keeps its store across regions
+// builds each shape once.
 func (b *Stationary[T]) Dists(s *Session, plan Plan, m int) (da, db, dc distmat.Dist) {
-	key := distsKey{plan, m, b.m.Rows, b.m.Cols}
-	d, ok := s.dists[key]
-	if !ok {
-		da, db, dc = dists(plan, m, b.m.Rows, b.m.Cols, b.owners)
-		d = [3]distmat.Dist{da, db, dc}
-		s.dists[key] = d
-	}
+	d := machine.Scratch[placements](s.Proc).dists(plan, m, b.m.Rows, b.m.Cols)
 	return d[0], d[1], d[2]
 }
 
@@ -55,12 +50,6 @@ func (b *Stationary[T]) Dists(s *Session, plan Plan, m int) (da, db, dc distmat.
 func (b *Stationary[T]) inBlock(rank int) func(i, j int32) bool {
 	d := b.m.Dist
 	return func(i, j int32) bool { return d.Owner(i, j) == rank }
-}
-
-// inSet returns whether rank's working set under plan holds (i, j).
-func (b *Stationary[T]) inSet(plan Plan, rank int) func(i, j int32) bool {
-	owns := stationaryOwnership(plan, b.m.Rows, b.m.Cols, b.owners)
-	return func(i, j int32) bool { return owns(rank, i, j) }
 }
 
 // Holds reports whether rank's share of the operand — its block or any of
@@ -72,8 +61,8 @@ func (b *Stationary[T]) Holds(rank int, i, j int32) bool {
 		return true
 	}
 	holders := 0 // counted, not returned from the map's iteration order
-	for plan := range b.sets {
-		if b.inSet(plan, rank)(i, j) {
+	for plan, sb := range b.sets {
+		if sb.holds(plan, rank)(i, j) {
 			holders++
 		}
 	}
@@ -110,8 +99,8 @@ func (b *Stationary[T]) Patch(rank int, edits []StationaryEdit[T]) int64 {
 		return ops
 	}
 	for plan, sb := range b.sets {
-		out := b.splice(sb.entries, edits, b.inSet(plan, rank))
-		stageB(sb, plan, b.m.Rows, b.m.Cols, rank, out)
+		out := b.splice(sb.entries, edits, sb.holds(plan, rank))
+		stageB(sb, plan, b.m.Rows, b.m.Cols, rank, sb.db, out)
 		ops += int64(len(out))
 	}
 	return ops
@@ -145,9 +134,8 @@ func PairOf(b *Stationary[float64], rank int, edits []StationaryEdit[float64], i
 	}
 	into.block = splice(into.block, b.m.Local, edits, b.inBlock(rank), asPair, onNewSide)
 	pair := &Stationary[algebra.WeightPair]{
-		m:      &distmat.Mat[algebra.WeightPair]{Rows: b.m.Rows, Cols: b.m.Cols, Dist: b.m.Dist, Local: into.block},
-		sets:   make(map[Plan]*stagedB[algebra.WeightPair], len(b.sets)),
-		owners: b.owners,
+		m:    &distmat.Mat[algebra.WeightPair]{Rows: b.m.Rows, Cols: b.m.Cols, Dist: b.m.Dist, Local: into.block},
+		sets: make(map[Plan]*stagedB[algebra.WeightPair], len(b.sets)),
 	}
 	ops := int64(len(into.block))
 	for plan, sb := range b.sets {
@@ -156,7 +144,7 @@ func PairOf(b *Stationary[float64], rank int, edits []StationaryEdit[float64], i
 		if set != nil {
 			dst = set.entries
 		}
-		set = stageB(set, plan, b.m.Rows, b.m.Cols, rank, splice(dst, sb.entries, edits, b.inSet(plan, rank), asPair, onNewSide))
+		set = stageB(set, plan, b.m.Rows, b.m.Cols, rank, sb.db, splice(dst, sb.entries, edits, sb.holds(plan, rank), asPair, onNewSide))
 		into.sets[plan], pair.sets[plan] = set, set
 		ops += int64(len(set.entries))
 	}
@@ -237,23 +225,4 @@ func onNewSide(old float64, had bool, ed StationaryEdit[float64]) (algebra.Weigh
 		v.New = ed.V
 	}
 	return v, !math.IsInf(v.Old, 1) || !math.IsInf(v.New, 1)
-}
-
-// stationaryOwnership returns the membership test of a working set staged
-// under plan from a k×n operand: whether a rank's set holds coordinate
-// (i, j). It is the plan's B distribution, widened to the whole fiber group
-// where the plan replicates B across layers. Only the k and n coordinates of
-// a B entry are consulted, never the frontier row count m — which is why a
-// set is named by its plan alone.
-func stationaryOwnership(plan Plan, k, n int, tables ownerTables) func(rank int, i, j int32) bool {
-	if plan.P1 > 1 && plan.X == RoleB {
-		// After replication a rank holds the union of its fiber group:
-		// every layer at the same inner grid position, which is what B's
-		// terms sum to before the layer hash is added.
-		row, col := ownerTerms(plan, 1, k, n, RoleB, tables)
-		inner := plan.P2 * plan.P3
-		return func(rank int, i, j int32) bool { return int(row[i]+col[j]) == rank%inner }
-	}
-	d := dist(plan, 1, k, n, RoleB, tables)
-	return func(rank int, i, j int32) bool { return d.Owner(i, j) == rank }
 }
