@@ -295,9 +295,11 @@ func BenchmarkDistributedBatchMesh(b *testing.B) {
 // BenchmarkFusedLocalApply measures one warm fused incremental apply of the
 // p=4 streaming engine on a 16×16 weighted mesh: a single-edge reweight
 // that dirties 6 of the 256 sources (the repository benchmark's "local"
-// class is n/64..n/32), so the apply is tens of Bellman-Ford rounds over
-// tiny frontiers and per-round overhead is what is timed. The edge toggles
-// between two weights.
+// class is n/64..n/32). Each rank sweeps its one or two pivots with the
+// CSR kernel, tens of Bellman-Ford rounds over tiny frontiers, on both
+// sides, in one region of three collectives, so the kernel and the
+// region's fixed cost are what is timed, beside the engine's snapshot,
+// probes and merge. The edge toggles between two weights.
 func BenchmarkFusedLocalApply(b *testing.B) {
 	g := graph.Grid2D(16, 16, 30, 1)
 	dyn, err := NewDynamicBC(g, DynamicOptions{Procs: 4, Workers: 1})

@@ -155,7 +155,9 @@ func TestDifferential(t *testing.T) {
 // where the mask runs; before that it too subtracted, and all 60 graphs
 // failed (the first at grid-9x9 seed 1, Compute{Procs:2}: BC[1] = 78
 // against 150). The streaming engines are checked after three set_weight
-// batches of more such weights, shared-memory and at Procs 4.
+// batches of more such weights, shared-memory and at Procs 4, and with
+// every apply incremental at Procs 2, 4 and 9, where each is one region
+// that sweeps its sources with the CSR kernel, split among the ranks.
 func TestRealWeightsDifferential(t *testing.T) {
 	topologies := []diffTopology{
 		{"grid-9x9", func(s int64) *Graph { return GridGraph(9, 9, 1, s) }},
@@ -252,6 +254,9 @@ func TestRealWeightsDifferential(t *testing.T) {
 						matches(t, fmt.Sprintf("Compute{Procs:%d}", p), out.BC, want)
 					}
 					stream(t, "NewDynamicBC{Procs:4}", g, steps, DynamicOptions{Procs: 4})
+					for _, p := range []int{2, 4, 9} {
+						stream(t, fmt.Sprintf("NewDynamicBC{Procs:%d, incremental}", p), g, steps, DynamicOptions{Procs: p, DirtyThreshold: -1})
+					}
 				})
 			}
 		}

@@ -10,12 +10,13 @@
 // estimate's Hoeffding error bound beside its actual error against the
 // maintained exact scores. Part 3 runs the same kind of stream on the
 // simulated distributed machine (Procs: 4): the stationary adjacency operands stay resident across
-// applies, and each incremental apply executes as ONE fused machine
-// region — the old-side and new-side pivot re-runs ride the same
-// supersteps over the pair semiring, with the edge diff scattered and
-// spliced mid-region — so the latency term (S) is paid once, not twice.
-// The per-apply report breaks the cost into its diff/patch/sweep/reduce
-// phases, and every apply is checked against a from-scratch Compute.
+// applies, and each incremental apply executes as ONE machine region —
+// the adjacency replicated once, every rank re-runs its share of the
+// pivots on both sides with the CSR kernel, and the edge diff is scattered
+// and spliced mid-region — in a fixed number of supersteps, however many
+// rounds the sweeps take. The per-apply report breaks the cost into its
+// diff/patch/sweep/reduce phases, and every apply is checked against a
+// from-scratch Compute.
 //
 // Run with: go run ./examples/streaming
 package main
@@ -107,11 +108,12 @@ func main() {
 
 	// --- 3. Distributed streaming: the same engine, but every sweep runs
 	// on the simulated 4-processor machine. Incremental applies execute as
-	// one fused region (rep.Fused): both sides of the update share each
-	// superstep's collectives, the diff arrives by a modeled scatter, and
-	// the operand splice is charged as local γ-flops — the per-apply
+	// one fused region (rep.Fused): each rank sweeps its share of the
+	// pivots on both sides of the update with no communication, the diff
+	// arrives by a modeled scatter, the operand splice is charged as local
+	// γ-flops, and an all-to-all and an allreduce close — the per-apply
 	// report attributes the cost to the diff/patch/sweep/reduce phases,
-	// and the modeled messages sit near a single run instead of two.
+	// and the modeled messages stay flat however many rounds a sweep takes.
 	mesh := repro.GridGraph(12, 12, 1, 5)
 	drng := rand.New(rand.NewSource(19))
 	for i := range mesh.Edges {

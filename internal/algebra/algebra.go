@@ -138,3 +138,22 @@ func CountMonoid() Monoid[float64] {
 		IsZero:   func(x float64) bool { return x == 0 },
 	}
 }
+
+// Sided is the constraint on the entry values of core's distributed sweep:
+// a value carries Sides() independent components of type E (a count that
+// is a property of the type, not of the value), read with Side and replaced
+// with WithSide, and the sweep's per-entry rules decide each side by its
+// own components. MultPath and CentPath are one-sided over themselves.
+type Sided[T, E any] interface {
+	Sides() int
+	Side(s int) E
+	WithSide(s int, e E) T
+}
+
+func (MultPath) Sides() int                          { return 1 }
+func (x MultPath) Side(int) MultPath                 { return x }
+func (MultPath) WithSide(_ int, e MultPath) MultPath { return e }
+
+func (CentPath) Sides() int                          { return 1 }
+func (x CentPath) Side(int) CentPath                 { return x }
+func (CentPath) WithSide(_ int, e CentPath) CentPath { return e }

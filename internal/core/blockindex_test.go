@@ -208,7 +208,7 @@ func TestIndexedBackwardMatchesSeek(t *testing.T) {
 	emitted := 0
 	for seed := int64(1); seed <= 300; seed++ {
 		emitted += checkIndexedBackward(t, seed, algebra.MultPathZero(), algebra.CentPathZero(), algebra.CentPathTimes)
-		emitted += checkIndexedBackward(t, seed, algebra.MultPathPairZero(), algebra.CentPathPairZero(), algebra.CentPathPairMonoid().Op)
+		emitted += checkIndexedBackward(t, seed, multPairZero, centPairZero, centPairTimes)
 	}
 	// The inputs must reach the case under test: counters the fold brings
 	// to zero, collected from the positions it folded into.

@@ -6,21 +6,19 @@
 // (including 3D fiber replication) is paid once per run and amortized, as
 // in the proof of Theorem 5.1.
 //
-// This file holds the one distributed sweep: Algorithms 1 and 2 and their
-// four per-entry rules (two more form each sweep's products against T
-// inside the multiply — the backward one keeping only the edges of T's
-// shortest-path DAG, by the sum the forward sweep formed), written once
-// over sorted entry lists and generic over how many independent sides each
-// entry value carries (algebra.Sided).
-// One side is the scalar sweep of Run and MFBCDistributed; two sides —
-// (old, new) around a graph edit — is the fused incremental
-// apply of fused.go. At one side every per-side step degenerates to the
-// scalar one: one plan, one multiply, the same collectives and the same
-// modeled cost. The rules find T through one dense position table per rank
-// (blockIndex), never by searching it. The CSR sweep of seq.go stays a
-// separate copy by measurement: routing it through these rules costs the
-// sequential kernel about 12 % (ROADMAP, "Not owed": the CSR and entry-list
-// sweeps stay two).
+// This file holds the one distributed sweep of Run and MFBCDistributed:
+// Algorithms 1 and 2 and their four per-entry rules (two more form each
+// sweep's products against T inside the multiply — the backward one
+// keeping only the edges of T's shortest-path DAG, by the sum the forward
+// sweep formed), written once over sorted entry lists. The rules decide
+// each side of a value by its own components (algebra.Sided); the sweep
+// runs them at one side, the scalar multpaths and centpaths. An
+// incremental apply does not run this sweep: it sweeps by source with the
+// CSR kernel (fused.go). The rules find T through one dense position table
+// per rank (blockIndex), never by searching it. The CSR sweep of seq.go
+// stays a separate copy by measurement: routing it through these rules
+// costs the sequential kernel about 12 % (ROADMAP, "Not owed": the CSR and
+// entry-list sweeps stay two).
 package core
 
 import (
@@ -72,11 +70,16 @@ func transportFor(p int, opt DistOptions) machine.Transport {
 
 // DistResult is the outcome of a distributed run.
 type DistResult struct {
-	BC         []float64
-	Plan       spgemm.Plan
-	Stats      machine.RunStats
-	Iterations int
-	Batches    int
+	BC []float64
+	// Plan is the plan a typical frontier product of the run gets, and
+	// BackPlan the plan the same product gets as a backward one: the same
+	// plan, except where backward products are planned apart — among the
+	// plans that screen, on weights whose sums are inexact (planFor), a
+	// forced plan that runs no screen included.
+	Plan, BackPlan spgemm.Plan
+	Stats          machine.RunStats
+	Iterations     int
+	Batches        int
 }
 
 // The wire sizes used for plan costing: an entry's memory image, which is
@@ -258,162 +261,50 @@ func scalarAlgebra() sweepAlgebra[algebra.MultPath, algebra.CentPath, float64] {
 	}
 }
 
-func pairAlgebra() sweepAlgebra[algebra.MultPathPair, algebra.CentPathPair, algebra.WeightPair] {
-	return sweepAlgebra[algebra.MultPathPair, algebra.CentPathPair, algebra.WeightPair]{
-		algebra.MultPathPairMonoid(), algebra.CentPathPairMonoid(),
-		algebra.BFActionPair, algebra.BrandesActionPair, pairScreens,
-	}
+// planState is one rank's planning state across a region's sweeps: every
+// multiplication is planned from its frontier's global entry count, and the
+// latest plan (and thereby the output distribution) is kept.
+type planState struct {
+	sess *spgemm.Session
+	pl   planner
+	plan spgemm.Plan
+	memo *planMemo // the rank's searched plans
 }
 
-// sidePlans is one rank's planning state across a region's sweeps. Every
-// multiplication is planned per side, from that side's own live frontier
-// count and its own planner — exactly the inputs a scalar region over that
-// side alone would use — so each side replays the plan sequence its scalar
-// region would have chosen. A side whose frontier has emptied keeps the
-// plan (and thereby the output distribution) it ended with.
-type sidePlans struct {
-	sess  *spgemm.Session
-	pls   []planner     // one per side
-	plans []spgemm.Plan // each side's latest plan
-	split int           // products executed once per side because plans diverged
-	memo  *planMemo     // the rank's searched plans
-	count []int64       // sideNNZ's local counts and their sums
-}
-
-// sideNNZ counts, with one small allreduce, the entries live on each side:
-// the frontier sizes per-side scalar sweeps would have measured. The local
-// counts and their sums go into the two halves of *scratch, grown as
-// needed; the sums are valid until the next call.
-func sideNNZ[T algebra.Sided[T, E], E any](world *machine.Comm, m *distmat.Mat[T], isZero func(E) bool, scratch *[]int64) []int64 {
-	var v T
-	sides := v.Sides()
-	*scratch = slices.Grow((*scratch)[:0], 2*sides)[:2*sides]
-	cnt, sum := (*scratch)[:sides], (*scratch)[sides:]
-	clear(cnt)
-	for _, e := range m.Local {
-		for s := range cnt {
-			if !isZero(e.V.Side(s)) {
-				cnt[s]++
-			}
-		}
-	}
-	machine.AllreduceInto(world, cnt, sum, func(a, b int64) int64 { return a + b })
-	return sum
-}
-
-// sideProject masks a matrix onto side s: entries live there survive with
-// every other side zeroed — the operand the scalar sweep of that side
-// would multiply.
-func sideProject[T algebra.Sided[T, E], E any](m *distmat.Mat[T], s int, zero T, isZero func(E) bool) *distmat.Mat[T] {
-	out := &distmat.Mat[T]{Rows: m.Rows, Cols: m.Cols, Dist: m.Dist}
-	for _, e := range m.Local {
-		if c := e.V.Side(s); !isZero(c) {
-			out.Local = append(out.Local, sparse.Entry[T]{I: e.I, J: e.J, V: zero.WithSide(s, c)})
-		}
-	}
-	return out
-}
-
-// mulPerSide is one frontier product under per-side plans, a backward one
-// when back is set. It reports false (and multiplies nothing) when no side
-// is live, unless all is set, which also plans the dead sides. When the
-// live sides agree on a plan — always, at one side — a single multiply runs
-// under it, screened by what align returns once it has moved the caller's
-// T to the plan's C distribution, and the exact componentwise identities
-// make each side bit-identical to its scalar product. When they diverge,
-// the frontier is projected per side, each projection is multiplied under
-// its own plan, and the products are merged in the first live side's
-// distribution, into fresh storage that acc does not hold: the price of
-// replaying every side's scalar plan sequence exactly, paid only on the
-// (rare) divergent rounds. A projection goes unscreened, unless it is a
-// backward one on an inexact side, which only the mask forms exactly: that
-// one is masked, T moved to its plan. Every product folds by column into
-// acc.
-func mulPerSide[T algebra.Sided[T, E], E, W any](
-	sp *sidePlans, all, back bool, bytes int64,
-	frontier *distmat.Mat[T], b *spgemm.Stationary[W], f func(T, W) T,
-	mon algebra.Monoid[T], isZero func(E) bool,
+// mulFrontier is one frontier product, a backward one when back is set,
+// planned from the frontier's global entry count (one small allreduce). It
+// reports false (and multiplies nothing) when the frontier is empty on
+// every rank, unless all is set. The product is screened by what align
+// returns once it has moved the caller's T to the plan's C distribution,
+// and folds by column into acc.
+func mulFrontier[T, W any](
+	sp *planState, all, back bool, bytes int64,
+	frontier *distmat.Mat[T], b *spgemm.Stationary[W], f func(T, W) T, mon algebra.Monoid[T],
 	align func(distmat.Dist) spgemm.Screen[T, W], acc *spgemm.Accumulator[T],
 ) (*distmat.Mat[T], bool) {
-	world := sp.sess.Proc.World()
-	nnz := sideNNZ(world, frontier, isZero, &sp.count)
-	lead, split := len(nnz)-1, false
-	for s := lead; s >= 0; s-- {
-		if nnz[s] > 0 || all {
-			sp.plans[s] = sp.pls[s].planFor(sp.memo, frontier.Rows, nnz[s], bytes, back)
-		}
-		if nnz[s] > 0 {
-			split = split || (nnz[lead] > 0 && sp.plans[s] != sp.plans[lead])
-			lead = s
-		}
-	}
-	if nnz[lead] == 0 && !all {
+	nnz := machine.AllreduceScalar(sp.sess.Proc.World(), int64(len(frontier.Local)), func(a, b int64) int64 { return a + b })
+	if nnz == 0 && !all {
 		return nil, false
 	}
-	if !split {
-		_, _, dc := b.Dists(sp.sess, sp.plans[lead], frontier.Rows)
-		return spgemm.Multiply(sp.sess, sp.plans[lead], frontier, b, f, mon, align(dc), acc), true
-	}
-	sp.split++
-	var out *distmat.Mat[T]
-	for s := range nnz {
-		if nnz[s] == 0 {
-			continue
-		}
-		var screen spgemm.Screen[T, W]
-		if back && !sp.pls[s].exact {
-			_, _, dc := b.Dists(sp.sess, sp.plans[s], frontier.Rows)
-			screen = align(dc)
-		}
-		ext := spgemm.Multiply(sp.sess, sp.plans[s], sideProject(frontier, s, mon.Identity, isZero), b, f, mon, screen, acc)
-		if out == nil {
-			out = ext
-			continue
-		}
-		// Both products live in acc; the merge is fresh storage, which no
-		// later multiply writes over.
-		ext = distmat.Redistribute(world, ext, out.Dist)
-		out = distmat.EWise(out, ext, mon)
-	}
-	return out, true
+	sp.plan = sp.pl.planFor(sp.memo, frontier.Rows, nnz, bytes, back)
+	_, _, dc := b.Dists(sp.sess, sp.plan, frontier.Rows)
+	return spgemm.Multiply(sp.sess, sp.plan, frontier, b, f, mon, align(dc), acc), true
 }
 
 // seedShare writes over dst the rank's share, under the shard distribution
-// of p ranks, of a batch's initial T: row i carries, on every side s, the
-// adjacency row of source batch[i] in adj[s] with multiplicity 1, less the
-// source's own column. Each side's rows are sorted, so merging the sides
-// column by column (a column both carry folds with mon, side 0 first)
-// leaves the share in (row, col) order, and only the rank's own entries
-// are built: no sort, and no other rank's share. adj holds one side or
-// two, and no ∞ weight, so no seed entry is zero.
-func seedShare[M multSided[M]](dst []sparse.Entry[M], mon algebra.Monoid[M], adj []*sparse.CSR[float64], batch []int32, rank, p int) []sparse.Entry[M] {
-	side := func(s int, w float64) M { return mon.Identity.WithSide(s, algebra.MultPath{W: w, M: 1}) }
+// of p ranks, of a batch's initial T: row i carries the adjacency row of
+// source batch[i] with multiplicity 1, less the source's own column. The
+// adjacency's rows are sorted, so the share is built in (row, col) order,
+// and only the rank's own entries are built: no sort, and no other rank's
+// share. adj holds no ∞ weight, so no seed entry is zero.
+func seedShare[M multSided[M]](dst []sparse.Entry[M], zero M, adj *sparse.CSR[float64], batch []int32, rank, p int) []sparse.Entry[M] {
 	out := dst[:0]
 	for i, src := range batch {
 		row := int32(i)
-		c0, w0 := adj[0].Row(int(src))
-		var c1 []int32
-		var w1 []float64
-		if len(adj) > 1 {
-			c1, w1 = adj[1].Row(int(src))
-		}
-		for x, y := 0, 0; x < len(c0) || y < len(c1); {
-			var j int32
-			var v M
-			switch {
-			case y == len(c1) || x < len(c0) && c0[x] < c1[y]:
-				j, v = c0[x], side(0, w0[x])
-				x++
-			case x == len(c0) || c1[y] < c0[x]:
-				j, v = c1[y], side(1, w1[y])
-				y++
-			default:
-				j, v = c0[x], mon.Op(side(0, w0[x]), side(1, w1[y]))
-				x++
-				y++
-			}
+		cols, ws := adj.Row(int(src))
+		for x, j := range cols {
 			if j != src && distmat.Shard(row, j, p) == rank {
-				out = append(out, sparse.Entry[M]{I: row, J: j, V: v})
+				out = append(out, sparse.Entry[M]{I: row, J: j, V: zero.WithSide(0, algebra.MultPath{W: ws[x], M: 1})})
 			}
 		}
 	}
@@ -497,22 +388,21 @@ func (x *blockIndex) at(i, j int32) int {
 	return int(x.pos[int(r)*x.span+int(c)])
 }
 
-// sweepMFBF is Algorithm 1 on distributed matrices: every side's frontier
-// advances over its component of the adjacency operand a in lock-step. Row
-// i of the frontier belongs to source batch[i], and side s is seeded from
-// adj[s]. T starts in the neutral shard distribution, each rank seeding its
-// own share straight from the replicated adjacency rows (seedShare) into
-// T's rotation. Each round writes T's and the frontier's headers over
+// sweepMFBF is Algorithm 1 on distributed matrices: the frontier advances
+// over the adjacency operand a. Row i of the frontier belongs to source
+// batch[i]. T starts in the neutral shard distribution, each rank seeding
+// its own share straight from the replicated adjacency rows (seedShare)
+// into T's rotation. Each round writes T's and the frontier's headers over
 // buf's, once the multiply has read the last ones. The returned T lives in
 // buf until the next batch's sweep.
 func sweepMFBF[M multSided[M], C, W any](
-	sp *sidePlans, buf *sweepBufs[M, C, W], alg sweepAlgebra[M, C, W], a *spgemm.Stationary[W],
-	adj []*sparse.CSR[float64], batch []int32,
+	sp *planState, buf *sweepBufs[M, C, W], alg sweepAlgebra[M, C, W], a *spgemm.Stationary[W],
+	adj *sparse.CSR[float64], batch []int32,
 ) (*distmat.Mat[M], int) {
 	world := sp.sess.Proc.World()
 	p := world.Size()
-	buf.tm = distmat.Mat[M]{Rows: len(batch), Cols: adj[0].Cols, Dist: distmat.DistShard(p),
-		Local: buf.t.Rotate(seedShare(buf.t.Spare(), alg.mult, adj, batch, world.Rank(), p))}
+	buf.tm = distmat.Mat[M]{Rows: len(batch), Cols: adj.Cols, Dist: distmat.DistShard(p),
+		Local: buf.t.Rotate(seedShare(buf.t.Spare(), alg.mult.Identity, adj, batch, world.Rank(), p))}
 	t := &buf.tm
 	frontier := t
 	// T grows every round, so every multiply re-indexes it.
@@ -522,7 +412,7 @@ func sweepMFBF[M multSided[M], C, W any](
 		return buf.screen
 	}
 	for iters := 0; ; iters++ {
-		ext, ok := mulPerSide(sp, false, false, multpathBytes, frontier, a, alg.bf, alg.mult, algebra.MultPathIsZero, align, &buf.fwd)
+		ext, ok := mulFrontier(sp, false, false, multpathBytes, frontier, a, alg.bf, alg.mult, align, &buf.fwd)
 		if !ok {
 			return t, iters
 		}
@@ -548,7 +438,7 @@ func sweepMFBF[M multSided[M], C, W any](
 // sweepMFBr is Algorithm 2 on distributed matrices. It returns Z, the
 // (possibly realigned) T sharing Z's distribution, and the iteration count.
 func sweepMFBr[M multSided[M], C centSided[C], W any](
-	sp *sidePlans, buf *sweepBufs[M, C, W], alg sweepAlgebra[M, C, W],
+	sp *planState, buf *sweepBufs[M, C, W], alg sweepAlgebra[M, C, W],
 	at *spgemm.Stationary[W], t *distmat.Mat[M],
 ) (*distmat.Mat[C], *distmat.Mat[M], int) {
 	world := sp.sess.Proc.World()
@@ -566,7 +456,7 @@ func sweepMFBr[M multSided[M], C centSided[C], W any](
 		return buf.mask
 	}
 	mul := func(frontier *distmat.Mat[C], all bool) (*distmat.Mat[C], bool) {
-		return mulPerSide(sp, all, true, centpathBytes, frontier, at, alg.br, alg.cent, algebra.CentPathIsZero, align, &buf.back)
+		return mulFrontier(sp, all, true, centpathBytes, frontier, at, alg.br, alg.cent, align, &buf.back)
 	}
 	mat := func(d distmat.Dist, local []sparse.Entry[C]) *distmat.Mat[C] {
 		return &distmat.Mat[C]{Rows: t.Rows, Cols: t.Cols, Dist: d, Local: local}
@@ -618,8 +508,8 @@ func sweepMFBr[M multSided[M], C centSided[C], W any](
 // already be in the product's distribution, and says whether to fold it.
 // A lookup is one load from the position table the sweep's buffers keep
 // current (sweepBufs.indexT); the screens only read, so the kernel's
-// workers share them. Each algebra carries its own concrete pair of them
-// (scalarScreens, pairScreens), built once per sweepBufs.
+// workers share them. The algebra carries its concrete pair of them
+// (scalarScreens), built once per sweepBufs.
 //
 // The forward screen extends a path by its edge and drops the extension
 // when T holds its coordinate and every side of it is zero or strictly
@@ -634,9 +524,8 @@ func sweepMFBr[M multSided[M], C centSided[C], W any](
 // test then matches. What misses on every side, and what lands off the
 // block (Z shares T's pattern), is dropped. Where no screen runs, ⊖ forms
 // the product and screenCentSided's weight test decides, which is exact
-// only on weights whose path sums are (exactSums). So on an inexact side a
-// backward product is planned among the plans that screen (planFor), and
-// the split-plan branch masks that side's projection.
+// only on weights whose path sums are (exactSums). So on inexact weights a
+// backward product is planned among the plans that screen (planFor).
 
 // tight is one side of the backward mask: the child's component a =
 // (T(s,u).w, ζ, c) reaches its parent v over an edge of weight w when
@@ -668,24 +557,6 @@ func scalarScreens(b *sweepBufs[algebra.MultPath, algebra.CentPath, float64]) (s
 		if k := b.index.at(i, j); k >= 0 {
 			v := tight(b.block[k].V.W, w, a)
 			return v, !algebra.CentPathIsZero(v)
-		}
-		return a, false
-	}
-	return screen, mask
-}
-
-// pairScreens is scalarScreens over the (old, new) pairs, side by side.
-func pairScreens(b *sweepBufs[algebra.MultPathPair, algebra.CentPathPair, algebra.WeightPair]) (spgemm.Screen[algebra.MultPathPair, algebra.WeightPair], spgemm.Screen[algebra.CentPathPair, algebra.WeightPair]) {
-	screen := func(i, j int32, a algebra.MultPathPair, w algebra.WeightPair) (algebra.MultPathPair, bool) {
-		v := algebra.BFActionPair(a, w)
-		k := b.index.at(i, j)
-		return v, k < 0 || !multLoses(b.block[k].V.Old, v.Old) || !multLoses(b.block[k].V.New, v.New)
-	}
-	mask := func(i, j int32, a algebra.CentPathPair, w algebra.WeightPair) (algebra.CentPathPair, bool) {
-		if k := b.index.at(i, j); k >= 0 {
-			t := b.block[k].V
-			v := algebra.CentPathPair{Old: tight(t.Old.W, w.Old, a.Old), New: tight(t.New.W, w.New, a.New)}
-			return v, !algebra.CentPathIsZero(v.Old) || !algebra.CentPathIsZero(v.New)
 		}
 		return a, false
 	}

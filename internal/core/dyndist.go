@@ -21,6 +21,7 @@ import (
 	"slices"
 	"sync/atomic"
 
+	"repro/internal/algebra"
 	"repro/internal/distmat"
 	"repro/internal/graph"
 	"repro/internal/machine"
@@ -43,16 +44,20 @@ type DistSession struct {
 	p      int
 	g      *graph.Graph
 	adjCSR *sparse.CSR[float64]
-	exact  bool // exactSums of adjCSR's weights
+	adjT   *sparse.CSR[float64] // Aᵀ, adjCSR itself when undirected; nil until transpose builds it
+	exact  bool                 // exactSums of adjCSR's weights
 	ranks  []*distRank
+	// replica is set once an incremental apply has charged the staging of
+	// the source route's replica (fused.go), which every rank then holds
+	// and every later edit splices into; a rebuild clears it.
+	replica bool
 }
 
 // distRank is one simulated rank's persistent state: its stationary
 // operands, and the machine scratch store every Proc of the rank runs on,
 // so what its regions reuse outlives them — Redistribute's send storage,
 // Multiply's A placement, the distributions the rank has planned under
-// (for A, Aᵀ and the fused regions' pair operands alike), the sweeps'
-// buffers and the plans the rank has already searched for. A region's
+// (for A and Aᵀ alike), the sweeps' and the source route's buffers and the plans the rank has already searched for. A region's
 // spgemm.Session then holds only its grids. Only the rank's own goroutine
 // touches any of it, and the session's regions run one after another.
 type distRank struct {
@@ -107,7 +112,8 @@ func (s *DistSession) reset(newG *graph.Graph, adjCSR *sparse.CSR[float64]) {
 	// each resident is patched in place.
 	shard := distmat.DistShard(s.p)
 	as, ats := distmat.FromCSR(adjCSR, shard), distmat.FromCSR(at, shard)
-	s.g, s.adjCSR, s.exact = newG, adjCSR, exactSums(adjCSR.Val)
+	s.setTopology(newG, adjCSR, at)
+	s.replica = false
 	if s.ranks == nil {
 		s.ranks = make([]*distRank, s.p)
 		for r := range s.ranks {
@@ -138,7 +144,7 @@ func (s *DistSession) Patch(newG *graph.Graph, adjCSR *sparse.CSR[float64], diff
 		adjCSR = newG.Adjacency()
 	}
 	directed := newG.Directed
-	s.g, s.adjCSR, s.exact = newG, adjCSR, exactSums(adjCSR.Val)
+	s.setTopology(newG, adjCSR, nil)
 	if len(diffs) == 0 {
 		return
 	}
@@ -146,7 +152,28 @@ func (s *DistSession) Patch(newG *graph.Graph, adjCSR *sparse.CSR[float64], diff
 	editsAt := adjacencyEdits(directed, diffs, true)
 	for r, rk := range s.ranks {
 		rk.pendingFlops += rk.a.Patch(r, editsA) + rk.at.Patch(r, editsAt)
+		if s.replica {
+			rk.pendingFlops += int64(len(s.replicaOf(rk))) * int64(adjCSR.NNZ())
+		}
 	}
+}
+
+// setTopology makes g, with adjacency adj and its transpose at, the
+// session's topology. An undirected Aᵀ is A; a directed one left nil is
+// built when first asked for (transpose).
+func (s *DistSession) setTopology(g *graph.Graph, adj, at *sparse.CSR[float64]) {
+	if !g.Directed {
+		at = adj
+	}
+	s.g, s.adjCSR, s.adjT, s.exact = g, adj, at, exactSums(adj.Val)
+}
+
+// transpose returns Aᵀ of the session's topology.
+func (s *DistSession) transpose() *sparse.CSR[float64] {
+	if s.adjT == nil {
+		s.adjT = sparse.Transpose(s.adjCSR)
+	}
+	return s.adjT
 }
 
 // adjacencyEdits expands an edge diff into sorted coordinate edits of the
@@ -194,18 +221,22 @@ func (s *DistSession) RunCtx(ctx context.Context, sources []int32) (*DistResult,
 	if sources != nil && len(sources) < nb {
 		nb = len(sources)
 	}
-	mach := transportFor(s.p, s.opt)
 	pl := s.planner(s.g, s.exact)
-	out, err := sweepRegion(ctx, s, mach, scalarAlgebra(), []planner{pl}, []*sparse.CSR[float64]{s.adjCSR}, sources, nb,
-		func(_ *machine.Proc, rk *distRank) (a, at *spgemm.Stationary[float64]) { return rk.a, rk.at })
+	out, err := s.sweepRegion(ctx, pl, sources, nb)
 	if err != nil {
 		return nil, err
 	}
 	recordRegionSpan(ctx, "run", s.p, out)
-	// The representative plan reported back: the one a typical frontier
-	// product gets (individual operations may choose differently).
-	plan := pl.planFor(nil, nb, int64(float64(nb)*s.g.AvgDegree()), multpathBytes, false)
-	return &DistResult{BC: out.bc, Plan: plan, Stats: out.stats, Iterations: out.iters, Batches: out.batches}, nil
+	// The representative plans reported back: the ones a typical forward and
+	// backward frontier product get (individual operations may choose
+	// differently). They differ only where a backward product is planned
+	// apart from a forced plan that runs no screen, or among the plans that
+	// screen, on weights whose sums are inexact.
+	nnz := int64(float64(nb) * s.g.AvgDegree())
+	return &DistResult{
+		BC: out.bc, Plan: pl.planFor(nil, nb, nnz, multpathBytes, false), BackPlan: pl.planFor(nil, nb, nnz, multpathBytes, true),
+		Stats: out.stats, Iterations: out.iters, Batches: out.batches,
+	}, nil
 }
 
 // CheckSources reports the first entry of an explicit source list that is
@@ -228,42 +259,15 @@ func (s *DistSession) planner(g *graph.Graph, exact bool) planner {
 	}
 }
 
-// regionOutcome is what one sweep region leaves behind: rank 0's view of
-// the allreduced accumulators (the sides' n-vectors, concatenated) and of
-// the sweep counters, with the region's modeled stats.
-type regionOutcome struct {
-	bc                    []float64
-	stats                 machine.RunStats
-	iters, batches, split int
-	// Products the region's multiplies formed and those the in-multiply
-	// screens (scalarScreens, pairScreens) dropped before the kernel folded
-	// them, over the ranks this process hosts.
-	products, screened atomic.Int64
-}
-
-// reduceBufs is the closing reduction's storage on a rank's store: the
-// rank's partial sums, all sides concatenated, and the allreduced total.
-// A region clears acc before it sums into it; the reduction writes every
-// entry of total.
-type reduceBufs struct{ acc, total []float64 }
-
-// sweepRegion runs one machine region of batched MFBF/MFBr sweeps — the
-// body shared by Run (one side over the resident operands) and
-// ApplyIncrementalCtx (two sides over the staged pair operands). Every side
-// sweeps every source of the batch list; side s is seeded from adj[s] and
-// planned by pls[s]; stage yields each rank's stationary operands A and Aᵀ
-// once its deferred patch work has been charged. ctx is one more cause
-// that ends the region: rank 0 fails the region with ctx's cause once ctx
-// has ended — at once if it had ended before the region — so every rank
-// of a tcp mesh unwinds with it.
-func sweepRegion[M multSided[M], C centSided[C], W any](
-	ctx context.Context, s *DistSession, mach machine.Transport, alg sweepAlgebra[M, C, W],
-	pls []planner, adj []*sparse.CSR[float64], sources []int32, nb int,
-	stage func(*machine.Proc, *distRank) (a, at *spgemm.Stationary[W]),
-) (*regionOutcome, error) {
-	n := s.g.N
-	out := &regionOutcome{bc: make([]float64, len(pls)*n)}
-	stats, err := mach.Run(func(proc *machine.Proc) {
+// region runs body as every rank's part of one machine region, on the
+// session's transport: each rank runs on its own store, charges the splice
+// work host-side Patch calls left pending as local flops of its "patch"
+// phase, the region that first benefits from the patched blocks, and then
+// runs body. ctx is one more cause that ends the region: rank 0 fails the
+// region with ctx's cause once ctx has ended — at once if it had ended
+// before the region — so every rank of a tcp mesh unwinds with it.
+func (s *DistSession) region(ctx context.Context, body func(*machine.Proc, *distRank)) (machine.RunStats, error) {
+	return transportFor(s.p, s.opt).Run(func(proc *machine.Proc) {
 		if proc.Rank() == 0 && ctx.Done() != nil {
 			// A Fail that ctx has set off is waited for, so it lands inside
 			// the region and Run reports it.
@@ -278,57 +282,81 @@ func sweepRegion[M multSided[M], C centSided[C], W any](
 				}
 			}()
 		}
-		world := proc.World()
 		rk := s.ranks[proc.Rank()]
 		proc.UseStore(&rk.store)
-		sp := &sidePlans{sess: spgemm.NewSession(proc), pls: pls, plans: make([]spgemm.Plan, len(pls)), memo: machine.Scratch[planMemo](proc)}
-		sp.sess.Workers = s.opt.Workers
-		// Deferred host-side Patch splice work is charged here, as local
-		// flops of the region that first benefits from the patched blocks.
 		if rk.pendingFlops > 0 {
 			proc.Phase(machine.PhasePatch)
 			proc.AddFlops(rk.pendingFlops)
 			rk.pendingFlops = 0
 		}
-		a, at := stage(proc, rk)
+		body(proc, rk)
+	})
+}
 
+// regionOutcome is what one region leaves behind: rank 0's view of the
+// allreduced accumulators (one n-vector per side, concatenated) and of
+// the sweep counters, with the region's modeled stats.
+type regionOutcome struct {
+	bc             []float64
+	stats          machine.RunStats
+	iters, batches int
+	// Products the region's multiplies formed and those the in-multiply
+	// screens (scalarScreens) dropped before the kernel folded them, over
+	// the ranks this process hosts.
+	products, screened atomic.Int64
+}
+
+// reduceBufs is the closing reduction's storage on a rank's store: the
+// rank's partial sums, all sides concatenated, and the allreduced total.
+// A region clears acc before it sums into it; the reduction writes every
+// entry of total.
+type reduceBufs struct{ acc, total []float64 }
+
+// sums returns the rank's partial sums of an n-vector per side, cleared,
+// and the storage of their total.
+func (red *reduceBufs) sums(n int) (acc, total []float64) {
+	red.acc, red.total = grow(red.acc, n), grow(red.total, n)
+	clear(red.acc)
+	return red.acc, red.total
+}
+
+// sweepRegion runs Run's machine region: the batched MFBF/MFBr sweeps of
+// sources (nil = every vertex) over the resident operands, planned by pl,
+// T seeded from the session's adjacency, and one deferred reduction of the
+// accumulated scores.
+func (s *DistSession) sweepRegion(ctx context.Context, pl planner, sources []int32, nb int) (*regionOutcome, error) {
+	n := s.g.N
+	adj, alg := s.adjCSR, scalarAlgebra()
+	out := &regionOutcome{bc: make([]float64, n)}
+	stats, err := s.region(ctx, func(proc *machine.Proc, rk *distRank) {
+		world := proc.World()
+		sp := &planState{sess: spgemm.NewSession(proc), pl: pl, memo: machine.Scratch[planMemo](proc)}
+		sp.sess.Workers = s.opt.Workers
 		proc.Phase(machine.PhaseSweep)
-		red := machine.Scratch[reduceBufs](proc)
-		acc := grow(red.acc, len(pls)*n)
-		clear(acc)
-		total := grow(red.total, len(acc))
-		red.acc, red.total = acc, total
-		buf := machine.Scratch[sweepBufs[M, C, W]](proc)
+		acc, total := machine.Scratch[reduceBufs](proc).sums(n)
+		buf := machine.Scratch[sweepBufs[algebra.MultPath, algebra.CentPath, float64]](proc)
 		if buf.mask == nil {
 			buf.screen, buf.mask = alg.screens(buf)
 		}
 		iters, batches := 0, 0
 		for _, batch := range batchList(n, nb, sources) {
 			batches++
-			t, itF := sweepMFBF(sp, buf, alg, a, adj, batch)
-			z, t, itB := sweepMFBr(sp, buf, alg, at, t)
+			t, itF := sweepMFBF(sp, buf, alg, rk.a, adj, batch)
+			z, t, itB := sweepMFBr(sp, buf, alg, rk.at, t)
 			iters += itF + itB
-			// Accumulate each side under the distribution its own last
-			// product left Z in — Z's own at one side, a free no-op whenever
-			// the sides agreed on their final plan — so the per-rank partial
-			// sums, and with them the rounding of the closing allreduce,
-			// group exactly as that side's scalar region would.
-			for side, plan := range sp.plans {
-				_, _, d := at.Dists(sp.sess, plan, z.Rows)
-				bc := acc[side*n : (side+1)*n]
-				distmat.ZipJoin(distmat.Redistribute(world, z, d), distmat.Redistribute(world, t, d),
-					func(_, j int32, zc C, tm M) { bc[j] += zc.Side(side).P * tm.Side(side).M })
-			}
+			// Accumulate under the distribution the last product left Z in.
+			_, _, d := rk.at.Dists(sp.sess, sp.plan, z.Rows)
+			distmat.ZipJoin(distmat.Redistribute(world, z, d), distmat.Redistribute(world, t, d),
+				func(_, j int32, zc algebra.CentPath, tm algebra.MultPath) { acc[j] += zc.P * tm.M })
 		}
-		// One deferred dense reduction accumulates λ across processors, all
-		// sides concatenated.
+		// One deferred dense reduction accumulates λ across processors.
 		proc.Phase(machine.PhaseReduce)
 		machine.AllreduceInto(world, acc, total, func(a, b float64) float64 { return a + b })
 		out.products.Add(sp.sess.Products.Load()) // host-side sums: no modeled traffic
 		out.screened.Add(sp.sess.Screened.Load())
 		if proc.Rank() == 0 {
 			copy(out.bc, total)
-			out.iters, out.batches, out.split = iters, batches, sp.split
+			out.iters, out.batches = iters, batches
 		}
 	})
 	out.stats = stats

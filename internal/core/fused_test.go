@@ -2,15 +2,20 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"testing"
 
 	"repro/internal/baseline"
 	"repro/internal/graph"
 	"repro/internal/machine"
+	"repro/internal/machine/tcpnet"
+	"repro/internal/sparse"
 	"repro/internal/spgemm"
 )
 
@@ -71,9 +76,50 @@ func runTwoRegion(t *testing.T, g, g2 *graph.Graph, diffs []EdgeDiff, sources []
 	return oldR, newR
 }
 
-// TestFusedApplyMatchesTwoRegion: under a forced plan the fused region's
-// old- and new-side partials must be bit-identical to the two separate
-// scalar regions, while spending strictly fewer critical-path messages.
+// sweepSide is SweepSources over g's adjacency, padded to n vertices, for
+// sources: one side of an incremental apply as the shared-memory kernel
+// computes it.
+func sweepSide(t *testing.T, g *graph.Graph, n int, sources []int32) []float64 {
+	t.Helper()
+	if n > g.N {
+		g = g.Clone()
+		g.N = n
+	}
+	a := g.Adjacency()
+	at := a
+	if g.Directed {
+		at = sparse.Transpose(a)
+	}
+	r, err := SweepSources(context.Background(), a, at, sources, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r.BC
+}
+
+// matchesSweeps requires an apply's sides to be, bit for bit, what
+// SweepSources gives over the pre-batch graph g and the post-batch g2.
+func matchesSweeps(t *testing.T, what string, res *IncrementalResult, g, g2 *graph.Graph, sources []int32) {
+	t.Helper()
+	for side, want := range [][]float64{sweepSide(t, g, g2.N, sources), sweepSide(t, g2, g2.N, sources)} {
+		got := [][]float64{res.OldBC, res.NewBC}[side]
+		if len(got) != len(want) {
+			t.Fatalf("%s: side %d holds %d scores, want %d", what, side, len(got), len(want))
+		}
+		for v := range want {
+			if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
+				t.Fatalf("%s: side %d BC[%d] = %v, SweepSources %v (must be bit-identical)", what, side, v, got[v], want[v])
+			}
+		}
+	}
+}
+
+// TestFusedApplyMatchesTwoRegion: under a forced plan, which governs Run's
+// multiplies and not the apply's, the apply's old- and new-side partials
+// are bit for bit SweepSources' on each side, while it spends strictly
+// fewer critical-path messages than the two scalar regions of the
+// Run + Patch + Run path, and it leaves residents on which a full run
+// equals a fresh session's.
 func TestFusedApplyMatchesTwoRegion(t *testing.T) {
 	g, g2, diffs, sources := fusedTestSetup(t, false)
 	plans := []spgemm.Plan{
@@ -96,17 +142,13 @@ func TestFusedApplyMatchesTwoRegion(t *testing.T) {
 			if _, err := sess.Run(nil); err != nil {
 				t.Fatal(err)
 			}
-			fused, err := sess.ApplyIncrementalCtx(context.Background(), sources, g2, nil, diffs)
+			fused, err := sess.ApplyIncrementalCtx(context.Background(), sources, g2, nil, nil, diffs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for v := range fused.OldBC {
-				if fused.OldBC[v] != oldR.BC[v] {
-					t.Fatalf("old side BC[%d]: fused %v, two-region %v (must be bit-identical)", v, fused.OldBC[v], oldR.BC[v])
-				}
-				if fused.NewBC[v] != newR.BC[v] {
-					t.Fatalf("new side BC[%d]: fused %v, two-region %v (must be bit-identical)", v, fused.NewBC[v], newR.BC[v])
-				}
+			matchesSweeps(t, plan.String(), fused, g, g2, sources)
+			if want := sourcePlan(plan.Procs()); fused.Plan != want {
+				t.Fatalf("the apply reports plan %s, ran %s", fused.Plan, want)
 			}
 			twoRegionMsgs := oldR.Stats.MaxCost.Msgs + newR.Stats.MaxCost.Msgs
 			if fused.Stats.MaxCost.Msgs >= twoRegionMsgs {
@@ -124,21 +166,17 @@ func TestFusedApplyMatchesTwoRegion(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for v := range full.BC {
-				if full.BC[v] != fresh.BC[v] {
-					t.Fatalf("post-apply session diverges from fresh session at BC[%d]: %v vs %v", v, full.BC[v], fresh.BC[v])
-				}
+			if !sameBits(full.BC, fresh.BC) {
+				t.Fatalf("post-apply session diverges from a fresh session:\n got %v\nwant %v", full.BC, fresh.BC)
 			}
 		})
 	}
 }
 
-// TestFusedApplyMatchesTwoRegionAutoPlan: under automatic plan search the
-// fused region plans every multiplication per side from that side's own
-// frontier counts, so its results must be bit-identical to the scalar
-// two-region path — exactly as under forced plans. Every fused apply stages
-// its pair working sets on region-local pair operands, so however many
-// applies run, each rank's residents hold the plans they held before.
+// TestFusedApplyMatchesTwoRegionAutoPlan: under automatic plan search, at
+// p = 2, 4 and 8, the apply's sides are SweepSources' bit for bit, and the
+// apply stages no working set: the residents hold the plans the session's
+// run staged, through the first apply and the edit toggled back and forth.
 func TestFusedApplyMatchesTwoRegionAutoPlan(t *testing.T) {
 	g, g2, diffs, sources := fusedTestSetup(t, false)
 	undo := make([]EdgeDiff, len(diffs))
@@ -148,7 +186,6 @@ func TestFusedApplyMatchesTwoRegionAutoPlan(t *testing.T) {
 	}
 	for _, p := range []int{2, 4, 8} {
 		opt := DistOptions{Procs: p, Batch: 16}
-		oldR, newR := runTwoRegion(t, g, g2, diffs, sources, opt)
 		sess, err := NewDistSession(g, opt)
 		if err != nil {
 			t.Fatal(err)
@@ -156,31 +193,24 @@ func TestFusedApplyMatchesTwoRegionAutoPlan(t *testing.T) {
 		if _, err := sess.Run(nil); err != nil {
 			t.Fatal(err)
 		}
-		fused, err := sess.ApplyIncrementalCtx(context.Background(), sources, g2, nil, diffs)
+		staged := residentPlans(sess)
+		fused, err := sess.ApplyIncrementalCtx(context.Background(), sources, g2, nil, nil, diffs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for v := range fused.OldBC {
-			if fused.OldBC[v] != oldR.BC[v] {
-				t.Fatalf("p=%d old side BC[%d]: fused %v, two-region %v (must be bit-identical)", p, v, fused.OldBC[v], oldR.BC[v])
-			}
-			if fused.NewBC[v] != newR.BC[v] {
-				t.Fatalf("p=%d new side BC[%d]: fused %v, two-region %v (must be bit-identical)", p, v, fused.NewBC[v], newR.BC[v])
-			}
-		}
-		// Toggle the edit back and forth: after each fused apply a rank's
-		// residents hold the plans they held before it.
+		matchesSweeps(t, fmt.Sprintf("p=%d", p), fused, g, g2, sources)
 		for k := 0; k < 4; k++ {
-			next, ds := g, undo
+			from, next, ds := g2, g, undo
 			if k%2 == 1 {
-				next, ds = g2, diffs
+				from, next, ds = g, g2, diffs
 			}
-			before := residentPlans(sess)
-			if _, err := sess.ApplyIncrementalCtx(context.Background(), sources, next, nil, ds); err != nil {
+			res, err := sess.ApplyIncrementalCtx(context.Background(), sources, next, nil, nil, ds)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if after := residentPlans(sess); len(before[0]) == 0 || !reflect.DeepEqual(after, before) {
-				t.Fatalf("p=%d after %d more fused applies: residents hold plans %v, held %v", p, k+1, after, before)
+			matchesSweeps(t, fmt.Sprintf("p=%d toggle %d", p, k), res, from, next, sources)
+			if held := residentPlans(sess); !reflect.DeepEqual(held, staged) {
+				t.Fatalf("p=%d after %d fused applies: residents hold plans %v, the run staged %v", p, k+2, held, staged)
 			}
 		}
 	}
@@ -212,28 +242,30 @@ func residentPlans(s *DistSession) [][]spgemm.Plan {
 	return out
 }
 
-// TestFusedApplyKeepsResidentPlans: a plan the fused region first uses is
-// staged on the region's pair operands and dies with them. A session that
-// has run nothing holds no set, and still holds none after a fused apply
-// that multiplied; once a run has staged its residents, a fused apply
-// leaves them holding exactly those plans.
+// TestFusedApplyKeepsResidentPlans: the apply stages no working set; the
+// session's CSRs stand for the route's replica. On a session that has run
+// nothing, the first apply leaves every resident without a set, charging
+// the replica's staging in its patch phase; once a run has staged its
+// residents, a later apply leaves them holding exactly those plans and
+// moves nothing in its patch phase. The sides are SweepSources' all along.
 func TestFusedApplyKeepsResidentPlans(t *testing.T) {
 	g, g2, diffs, sources := fusedTestSetup(t, true)
 	sess, err := NewDistSession(g, DistOptions{Procs: 4, Batch: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fused, err := sess.ApplyIncrementalCtx(context.Background(), sources, g2, nil, diffs)
+	fused, err := sess.ApplyIncrementalCtx(context.Background(), sources, g2, nil, nil, diffs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fused.Iterations == 0 {
-		t.Fatal("the fused region multiplied nothing")
-	}
+	matchesSweeps(t, "first apply", fused, g, g2, sources)
 	for x, held := range residentPlans(sess) {
 		if len(held) != 0 {
-			t.Fatalf("resident %d kept the fused region's plans %v", x, held)
+			t.Fatalf("resident %d holds plans %v after the first apply, want none", x, held)
 		}
+	}
+	if m := patchMsgs(fused.Stats); m == 0 {
+		t.Fatal("the first apply's patch phase moved nothing: the replica's staging went uncharged")
 	}
 	if _, err := sess.Run(nil); err != nil {
 		t.Fatal(err)
@@ -244,19 +276,33 @@ func TestFusedApplyKeepsResidentPlans(t *testing.T) {
 		undo[i] = EdgeDiff{U: d.U, V: d.V, W: w, Present: ok}
 	}
 	before := residentPlans(sess)
-	if _, err := sess.ApplyIncrementalCtx(context.Background(), sources, g, nil, undo); err != nil {
+	res, err := sess.ApplyIncrementalCtx(context.Background(), sources, g, nil, nil, undo)
+	if err != nil {
 		t.Fatal(err)
 	}
+	matchesSweeps(t, "apply back", res, g2, g, sources)
 	if after := residentPlans(sess); len(before[0]) == 0 || !reflect.DeepEqual(after, before) {
 		t.Fatalf("residents hold plans %v after the fused apply, held %v", after, before)
 	}
+	if m := patchMsgs(res.Stats); m != 0 {
+		t.Fatalf("a warm apply's patch phase sent %d messages: the replica was staged twice", m)
+	}
 }
 
-// TestFusedApplyAutoPlanDivergence drives an edit so asymmetric (a large
-// fraction of the edges deleted) that the two sides' automatic plan
-// searches disagree on at least one iteration, forcing the fused sweep
-// through its dual-product path — and the results must STILL be
-// bit-identical to the two scalar regions.
+// patchMsgs is the critical-path messages of a region's patch phase.
+func patchMsgs(st machine.RunStats) int64 {
+	for _, ph := range st.Phases {
+		if ph.Name == machine.PhasePatch {
+			return ph.MaxCost.Msgs
+		}
+	}
+	return 0
+}
+
+// TestFusedApplyAutoPlanDivergence: an edit so asymmetric — every third
+// edge deleted — that Run's automatic plans differ between the two
+// topologies on some products; the apply runs one route on both sides
+// whatever Run would choose, and its sides are SweepSources' bit for bit.
 func TestFusedApplyAutoPlanDivergence(t *testing.T) {
 	g := graph.Grid2D(9, 9, 1, 5)
 	for i := range g.Edges {
@@ -265,9 +311,6 @@ func TestFusedApplyAutoPlanDivergence(t *testing.T) {
 	g.Weighted = true
 	g2 := g.Clone()
 	var muts []graph.Mutation
-	// Delete every third edge: the new side is far sparser than the old, so
-	// its frontiers (and adjacency counts) feed the planner very different
-	// problem sizes.
 	for i := 0; i < len(g.Edges); i += 3 {
 		muts = append(muts, graph.Mutation{Op: graph.OpRemoveEdge, U: g.Edges[i].U, V: g.Edges[i].V})
 	}
@@ -283,36 +326,19 @@ func TestFusedApplyAutoPlanDivergence(t *testing.T) {
 	for v := 0; v < g.N; v++ {
 		sources = append(sources, int32(v))
 	}
-
-	divergedSomewhere := false
 	for _, p := range []int{4, 8} {
-		opt := DistOptions{Procs: p, Batch: 16}
-		oldR, newR := runTwoRegion(t, g, g2, diffs, sources, opt)
-		sess, err := NewDistSession(g, opt)
+		sess, err := NewDistSession(g, DistOptions{Procs: p, Batch: 16})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, err := sess.Run(nil); err != nil {
 			t.Fatal(err)
 		}
-		fused, err := sess.ApplyIncrementalCtx(context.Background(), sources, g2, nil, diffs)
+		fused, err := sess.ApplyIncrementalCtx(context.Background(), sources, g2, nil, nil, diffs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fused.DualProducts > 0 {
-			divergedSomewhere = true
-		}
-		for v := range fused.OldBC {
-			if fused.OldBC[v] != oldR.BC[v] {
-				t.Fatalf("p=%d old side BC[%d]: fused %v, two-region %v (must be bit-identical)", p, v, fused.OldBC[v], oldR.BC[v])
-			}
-			if fused.NewBC[v] != newR.BC[v] {
-				t.Fatalf("p=%d new side BC[%d]: fused %v, two-region %v (must be bit-identical)", p, v, fused.NewBC[v], newR.BC[v])
-			}
-		}
-	}
-	if !divergedSomewhere {
-		t.Fatal("scenario never diverged the per-side plans; the dual-product path went unexercised")
+		matchesSweeps(t, fmt.Sprintf("p=%d", p), fused, g, g2, sources)
 	}
 }
 
@@ -339,7 +365,7 @@ func TestFusedApplyLatencyWithinOneShot(t *testing.T) {
 	if _, err := sess.Run(nil); err != nil {
 		t.Fatal(err)
 	}
-	fused, err := sess.ApplyIncrementalCtx(context.Background(), sources, g2, nil, diffs)
+	fused, err := sess.ApplyIncrementalCtx(context.Background(), sources, g2, nil, nil, diffs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +382,8 @@ func TestFusedApplyLatencyWithinOneShot(t *testing.T) {
 
 // TestFusedApplyPhases: the fused region must attribute its cost to the
 // diff/patch/sweep/reduce phases, summing per processor to the run total,
-// with the diff scatter charged as communication and the splice as flops.
+// with the diff scatter and the close charged as communication, and the
+// splice and the sweep as flops: a sweep by source moves nothing.
 func TestFusedApplyPhases(t *testing.T) {
 	g, g2, diffs, sources := fusedTestSetup(t, true)
 	opt := DistOptions{Procs: 4, Batch: 16}
@@ -367,7 +394,7 @@ func TestFusedApplyPhases(t *testing.T) {
 	if _, err := sess.Run(nil); err != nil {
 		t.Fatal(err)
 	}
-	fused, err := sess.ApplyIncrementalCtx(context.Background(), sources, g2, nil, diffs)
+	fused, err := sess.ApplyIncrementalCtx(context.Background(), sources, g2, nil, nil, diffs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,8 +413,11 @@ func TestFusedApplyPhases(t *testing.T) {
 	if got["patch"].MaxCost.Flops == 0 {
 		t.Fatal("operand splice must charge flops")
 	}
-	if got["sweep"].MaxCost.Msgs == 0 || got["reduce"].MaxCost.Msgs == 0 {
-		t.Fatal("sweep and reduce phases must charge communication")
+	if sw := got["sweep"].MaxCost; sw.Flops == 0 || sw.Msgs != 0 || sw.Bytes != 0 {
+		t.Fatalf("the sweep must charge flops and no communication, charged %v", sw)
+	}
+	if got["reduce"].MaxCost.Msgs == 0 {
+		t.Fatal("the reduce phase must charge communication")
 	}
 	for r, total := range fused.Stats.PerProc {
 		var sum machine.Cost
@@ -404,7 +434,8 @@ func TestFusedApplyPhases(t *testing.T) {
 // one fused region on a session that has already staged its residents. The
 // old side is the pre-batch graph's, reading 0 on the new vertices (they
 // are isolated there); the new side and a later full run are the grown
-// graph's. Integer weights keep the distributed sweeps exact.
+// graph's; the apply charges the replica's staging again after the rebuild.
+// Integer weights keep the distributed sweeps exact.
 func TestFusedApplyGrowsVertexSet(t *testing.T) {
 	g := graph.Grid2D(7, 7, 8, 13)
 	g2 := g.Clone()
@@ -444,12 +475,17 @@ func TestFusedApplyGrowsVertexSet(t *testing.T) {
 			if _, err := sess.Run(nil); err != nil {
 				t.Fatal(err)
 			}
-			res, err := sess.ApplyIncrementalCtx(context.Background(), sources, g2, nil, diffs)
+			res, err := sess.ApplyIncrementalCtx(context.Background(), sources, g2, nil, nil, diffs)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(res.OldBC) != g2.N || len(res.NewBC) != g2.N || sess.g != g2 {
 				t.Fatalf("grown apply: %d old and %d new scores, want %d on the grown session", len(res.OldBC), len(res.NewBC), g2.N)
+			}
+			// The rebuild dropped every working set; the apply paid for the
+			// replica's staging again.
+			if patchMsgs(res.Stats) == 0 {
+				t.Fatal("grown apply: the replica's staging went uncharged after the rebuild")
 			}
 			for v := range res.OldBC {
 				want := 0.0
@@ -485,7 +521,7 @@ func TestFusedApplyRejectsBadSources(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, bad := range []int32{-1, int32(g.N)} {
-		if _, err := sess.ApplyIncrementalCtx(context.Background(), []int32{bad}, g2, nil, diffs); err == nil {
+		if _, err := sess.ApplyIncrementalCtx(context.Background(), []int32{bad}, g2, nil, nil, diffs); err == nil {
 			t.Fatalf("source %d must be rejected", bad)
 		}
 		if _, err := sess.Run([]int32{bad}); err == nil {
@@ -522,20 +558,25 @@ func TestFusedApplyRejectsBadSources(t *testing.T) {
 // a formatted key and an owner closure, a matrix header carried both, and
 // every forward round allocated T's and the frontier's headers, and
 // 0.067 MB and 0.038 MB while every region rebuilt the distributions of
-// its shapes and every grid ran a charged split. Now a rank's storage
-// outlives its regions, all of that is storage the next multiply or apply
-// writes over, a warm collective allocates nothing, the adjacency and each
-// rank's seed are cut from sorted rows, a rank's screens are built once
-// with its sweep buffers, a distribution is two words over shared tables
-// built once per rank, a grid is rank arithmetic and the forward sweep
-// keeps its headers: 0.052 MB and 0.029 MB, under the race detector
-// 0.057 MB and 0.033 MB (and up to 9 KB more while other packages' race
-// tests load the box, as barrier waiters park more). The budgets are about
-// 1.2 times the race detector's readings, the run's raised to clear its
-// loaded ones. The collector is held off and the minimum of a few tries
-// gated, so the test does not depend on when a cycle lands.
+// its shapes and every grid ran a charged split, and the apply 0.052 MB
+// while it swept both sides over the entry lists, round by round. Now a
+// rank's storage outlives its regions, all of that is storage the next
+// multiply or apply writes over, a warm collective allocates nothing, the
+// adjacency and each rank's seed are cut from sorted rows, a rank's screens
+// are built once with its sweep buffers, a distribution is two words over
+// shared tables built once per rank, a grid is rank arithmetic, the forward
+// sweep keeps its headers, and the apply sweeps by source with the CSR
+// kernel, its workspace and dependency rows on the rank's store, in a
+// fixed number of supersteps: 0.026 MB and 0.029 MB (14 KB of the apply's
+// is newG's adjacency, built when the caller passes none), under the race
+// detector 0.027 MB and 0.034 MB (the run's up to 9 KB more while other
+// packages' race tests load the box, as barrier waiters park more). The
+// budgets are about 1.2 times the race detector's readings, the run's
+// raised to clear its loaded ones. The collector is held off and the
+// minimum of a few tries gated, so the test does not depend on when a
+// cycle lands.
 func TestRoundAllocBudget(t *testing.T) {
-	const maxApplyBytes, maxRunBytes = 67 << 10, 44 << 10 // 67 KiB, 44 KiB
+	const maxApplyBytes, maxRunBytes = 32 << 10, 44 << 10 // 32 KiB, 44 KiB
 	g := graph.Grid2D(16, 16, 30, 1)
 	sess, err := NewDistSession(g, DistOptions{Procs: 4, Workers: 1})
 	if err != nil {
@@ -554,7 +595,7 @@ func TestRoundAllocBudget(t *testing.T) {
 	apply := func(i int) {
 		next := graphs[i%2]
 		w, _ := next.FindEdge(62, 63)
-		if _, err := sess.ApplyIncrementalCtx(context.Background(), pivots, next, nil, []EdgeDiff{{U: 62, V: 63, W: w, Present: true}}); err != nil {
+		if _, err := sess.ApplyIncrementalCtx(context.Background(), pivots, next, nil, nil, []EdgeDiff{{U: 62, V: 63, W: w, Present: true}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -582,6 +623,228 @@ func TestRoundAllocBudget(t *testing.T) {
 		t.Logf("warm %s allocates %d bytes", c.name, bytes)
 		if bytes > c.budget {
 			t.Errorf("warm %s allocates %d bytes, budget %d", c.name, bytes, c.budget)
+		}
+	}
+}
+
+// randomBatch draws a mutation batch on g, each edge touched at most once:
+// deletions and reweights of present edges, inserts of absent ones, and
+// with grow an added vertex joined to the graph. It returns the edited
+// clone with the batch's effective diff.
+func randomBatch(t *testing.T, rng *rand.Rand, g *graph.Graph, grow bool) (*graph.Graph, []EdgeDiff) {
+	t.Helper()
+	weight := func() float64 { return float64(1 + rng.Intn(6)) }
+	var muts []graph.Mutation
+	n := int32(g.N)
+	if grow {
+		muts = append(muts, graph.Mutation{Op: graph.OpAddVertex},
+			graph.Mutation{Op: graph.OpAddEdge, U: n, V: int32(rng.Intn(g.N)), W: weight()})
+	}
+	touched := map[[2]int32]bool{}
+	key := func(u, v int32) [2]int32 {
+		if !g.Directed && u > v {
+			u, v = v, u
+		}
+		return [2]int32{u, v}
+	}
+	for k := 1 + rng.Intn(4); k > 0; k-- {
+		u, v := int32(rng.Intn(g.N)), int32(rng.Intn(g.N))
+		if u == v || touched[key(u, v)] {
+			continue
+		}
+		touched[key(u, v)] = true
+		switch _, ok := g.FindEdge(u, v); {
+		case !ok:
+			muts = append(muts, graph.Mutation{Op: graph.OpAddEdge, U: u, V: v, W: weight()})
+		case rng.Intn(2) == 0:
+			muts = append(muts, graph.Mutation{Op: graph.OpRemoveEdge, U: u, V: v})
+		default:
+			muts = append(muts, graph.Mutation{Op: graph.OpSetWeight, U: u, V: v, W: weight()})
+		}
+	}
+	// A present edge or two, so deletions and reweights always occur.
+	for _, e := range []graph.Edge{g.Edges[rng.Intn(len(g.Edges))], g.Edges[rng.Intn(len(g.Edges))]} {
+		if !touched[key(e.U, e.V)] {
+			touched[key(e.U, e.V)] = true
+			muts = append(muts, graph.Mutation{Op: graph.OpRemoveEdge, U: e.U, V: e.V})
+		}
+	}
+	g2 := g.Clone()
+	if _, err := g2.ApplyAll(muts); err != nil {
+		t.Fatal(err)
+	}
+	var diffs []EdgeDiff
+	for _, m := range muts {
+		if m.Op != graph.OpAddVertex {
+			w, ok := g2.FindEdge(m.U, m.V)
+			diffs = append(diffs, EdgeDiff{U: m.U, V: m.V, W: w, Present: ok})
+		}
+	}
+	return g2, diffs
+}
+
+// randomSources draws a sorted, duplicate-free source set of n vertices:
+// now and then one or two — fewer than most rank counts — now and then
+// none, else up to half of them.
+func randomSources(rng *rand.Rand, n int) []int32 {
+	count := 1 + rng.Intn(n/2)
+	switch rng.Intn(5) {
+	case 0:
+		count = 1 + rng.Intn(2)
+	case 1:
+		count = 0
+	}
+	out := []int32{}
+	for _, v := range rng.Perm(n)[:count] {
+		out = append(out, int32(v))
+	}
+	slices.Sort(out)
+	return out
+}
+
+// TestFusedApplyMatchesSweepSources is the route's differential net: on
+// the simulated machine at p = 2, 3, 4 and 9, and on a 4-rank tcp mesh,
+// streams of random batches — deletions, insertions, reweights, vertex
+// growth — over an undirected weighted mesh and a directed uniform graph,
+// each apply over a random source set (none, fewer than the ranks, or up
+// to half the vertices), give old and new sides bit for bit equal to
+// SweepSources over each side's adjacency. After the stream, a full run of
+// the session equals a fresh session's on the final graph.
+func TestFusedApplyMatchesSweepSources(t *testing.T) {
+	mesh := graph.Grid2D(7, 7, 9, 5)
+	digraph := graph.Uniform(40, 150, true, 3)
+	wr := rand.New(rand.NewSource(11))
+	for i := range digraph.Edges {
+		digraph.Edges[i].W = float64(1 + wr.Intn(7))
+	}
+	digraph.Weighted = true
+	type backend struct {
+		name  string
+		procs int
+		mesh  bool // a 4-rank tcp mesh
+	}
+	backends := []backend{{"sim/p2", 2, false}, {"sim/p3", 3, false}, {"sim/p4", 4, false}, {"sim/p9", 9, false}, {"tcp/p4", 4, true}}
+	for _, be := range backends {
+		t.Run(be.name, func(t *testing.T) {
+			opt := DistOptions{Procs: be.procs, Batch: 8}
+			if be.mesh {
+				lm, err := tcpnet.StartLocalMesh(be.procs, tcpnet.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer lm.Close()
+				opt.Transport = lm
+			}
+			for gi, g := range []*graph.Graph{mesh, digraph} {
+				rng := rand.New(rand.NewSource(int64(7*be.procs + gi)))
+				sess, err := NewDistSession(g, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if gi == 0 {
+					if _, err := sess.Run(nil); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for step := 0; step < 6; step++ {
+					g2, diffs := randomBatch(t, rng, g, step == 2)
+					sources := randomSources(rng, g2.N)
+					res, err := sess.ApplyIncrementalCtx(context.Background(), sources, g2, nil, nil, diffs)
+					if err != nil {
+						t.Fatal(err)
+					}
+					matchesSweeps(t, fmt.Sprintf("%s step %d (%d sources)", g.Name, step, len(sources)), res, g, g2, sources)
+					g = g2
+				}
+				full, err := sess.Run(nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fresh, err := MFBCDistributed(g, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sameBits(full.BC, fresh.BC) {
+					t.Fatalf("%s: the streamed session's full run diverges from a fresh session's\n got %v\nwant %v", g.Name, full.BC, fresh.BC)
+				}
+			}
+		})
+	}
+}
+
+// TestFusedApplyMsgsFlatInRounds: the route's mechanism. A warm apply runs
+// a fixed number of supersteps — the diff scatter, the all-to-all and the
+// allreduce of its close — so its critical-path messages do not grow with
+// the rounds its sweeps take: on the 16×16 mesh at p = 4, an apply from a
+// corner pivot and one from a central pivot, whose sweeps take different
+// round counts, report the same Msgs.
+func TestFusedApplyMsgsFlatInRounds(t *testing.T) {
+	g := graph.Grid2D(16, 16, 30, 1)
+	sess, err := NewDistSession(g, DistOptions{Procs: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Edge (62,63) carries weight 23 on this seed; the applies toggle it.
+	graphs := [2]*graph.Graph{g.Clone(), g}
+	if err := graphs[0].Apply(graph.Mutation{Op: graph.OpSetWeight, U: 62, V: 63, W: 25}); err != nil {
+		t.Fatal(err)
+	}
+	apply := func(i int, sources []int32) *IncrementalResult {
+		next := graphs[i%2]
+		w, _ := next.FindEdge(62, 63)
+		res, err := sess.ApplyIncrementalCtx(context.Background(), sources, next, nil, nil, []EdgeDiff{{U: 62, V: 63, W: w, Present: true}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	apply(0, []int32{100}) // charges the replica's staging
+	rounds := func(sources []int32) int {
+		a := graphs[0].Adjacency()
+		r, err := SweepSources(context.Background(), a, a, sources, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.Iterations
+	}
+	corner, center := []int32{0}, []int32{135}
+	if rc, rm := rounds(corner), rounds(center); rc == rm {
+		t.Fatalf("the pivots' sweeps take %d and %d rounds: the case tests nothing", rc, rm)
+	}
+	a, b := apply(1, corner), apply(2, center)
+	if a.Stats.MaxCost.Msgs != b.Stats.MaxCost.Msgs {
+		t.Fatalf("a corner pivot's apply pays %d messages, a central one's %d: the region's supersteps follow its rounds", a.Stats.MaxCost.Msgs, b.Stats.MaxCost.Msgs)
+	}
+}
+
+// TestFusedApplyBoundsRoundStorage: an apply of more than p·Batch sources
+// sweeps them in rounds, so a rank's dependency rows stay within one
+// round's 2·Batch·n however many sources there are, and its sides are
+// SweepSources' bit for bit.
+func TestFusedApplyBoundsRoundStorage(t *testing.T) {
+	g, g2, diffs, sources := fusedTestSetup(t, false)
+	const p, batch = 3, 4
+	sess, err := NewDistSession(g, DistOptions{Procs: p, Batch: batch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sources) <= 3*p*batch {
+		t.Fatalf("%d sources take fewer than four rounds: the case tests nothing", len(sources))
+	}
+	res, err := sess.ApplyIncrementalCtx(context.Background(), sources, g2, nil, nil, diffs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	matchesSweeps(t, "rounds", res, g, g2, sources)
+	caps := make([]int, p)
+	if _, err := sess.region(context.Background(), func(proc *machine.Proc, _ *distRank) {
+		caps[proc.Rank()] = cap(machine.Scratch[sourceBufs](proc).delta)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for rank, c := range caps {
+		if c == 0 || c > 2*batch*g2.N {
+			t.Fatalf("rank %d holds %d dependency cells, want at most one round's %d", rank, c, 2*batch*g2.N)
 		}
 	}
 }

@@ -223,7 +223,7 @@ func TestMFBCDistributedWorkersInvariant(t *testing.T) {
 			if _, err := sess.Run(nil); err != nil {
 				t.Fatal(err)
 			}
-			fused, err := sess.ApplyIncrementalCtx(context.Background(), sources, mesh2, nil, diffs)
+			fused, err := sess.ApplyIncrementalCtx(context.Background(), sources, mesh2, nil, nil, diffs)
 			if err != nil {
 				t.Fatal(err)
 			}

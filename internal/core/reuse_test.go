@@ -134,12 +134,11 @@ func TestReusedStorageCarriesNothing(t *testing.T) {
 	}
 	fused := func(next *graph.Graph, diffs []EdgeDiff) func(*testing.T, *DistSession) stepOutcome {
 		return func(t *testing.T, s *DistSession) stepOutcome {
-			r, err := s.ApplyIncrementalCtx(context.Background(), pivots, next, nil, diffs)
+			r, err := s.ApplyIncrementalCtx(context.Background(), pivots, next, nil, nil, diffs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return stepOutcome{bc: [][]float64{r.OldBC, r.NewBC}, stats: []machine.RunStats{r.Stats},
-				iters: []int{r.Iterations, r.DualProducts}, batches: []int{r.Batches}}
+			return stepOutcome{bc: [][]float64{r.OldBC, r.NewBC}, stats: []machine.RunStats{r.Stats}}
 		}
 	}
 	twoRegion := func(next *graph.Graph, diffs []EdgeDiff) func(*testing.T, *DistSession) stepOutcome {

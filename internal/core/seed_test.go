@@ -14,19 +14,16 @@ import (
 )
 
 // seedFrontier is seedShare's reference: a batch's whole initial T as one
-// COO, row i carrying, on every side, the adjacency row of source batch[i]
-// on that side with multiplicity 1 and the source's own column left out.
-// FromGlobal cuts a rank's share of it and merges the sides meeting at one
-// coordinate by its canonicalization.
-func seedFrontier[M multSided[M]](zero M, adj []*sparse.CSR[float64], batch []int32) *sparse.COO[M] {
-	init := sparse.NewCOO[M](len(batch), adj[0].Cols)
+// COO, row i carrying the adjacency row of source batch[i] with
+// multiplicity 1 and the source's own column left out, which FromGlobal
+// cuts a rank's share of.
+func seedFrontier(adj *sparse.CSR[float64], batch []int32) *sparse.COO[algebra.MultPath] {
+	init := sparse.NewCOO[algebra.MultPath](len(batch), adj.Cols)
 	for i, src := range batch {
-		for s, a := range adj {
-			cols, vals := a.Row(int(src))
-			for k, v := range cols {
-				if v != src {
-					init.Append(int32(i), v, zero.WithSide(s, algebra.MultPath{W: vals[k], M: 1}))
-				}
+		cols, vals := adj.Row(int(src))
+		for k, v := range cols {
+			if v != src {
+				init.Append(int32(i), v, algebra.MultPath{W: vals[k], M: 1})
 			}
 		}
 	}
@@ -104,11 +101,10 @@ func checkShards(t *testing.T, sess *DistSession, g *graph.Graph) {
 }
 
 // TestSeedShareMatchesFromGlobal: each rank seeds its share of a batch's T
-// straight from the adjacency rows, merging the sides column by column.
-// Its share equals FromGlobal's cut of the whole seed COO at one side, and
-// at two sides whose graphs differ by an added, a removed and a reweighted
-// edge, so both lone and merged coordinates occur, at p ∈ {1, 4, 6}. It is
-// written over whatever storage it is handed.
+// straight from the adjacency rows. Its share equals FromGlobal's cut of
+// the whole seed COO, on a mesh and on the mesh after an added, a removed
+// and a reweighted edge, at p ∈ {1, 4, 6}. It is written over whatever
+// storage it is handed.
 func TestSeedShareMatchesFromGlobal(t *testing.T) {
 	oldG := graph.Grid2D(6, 6, 9, 3)
 	newG := oldG.Clone()
@@ -120,30 +116,27 @@ func TestSeedShareMatchesFromGlobal(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	oldAdj, newAdj := oldG.Adjacency(), newG.Adjacency()
 	batch := []int32{7, 20, e0.U, e0.V, e1.U, 0, 35}
 	for _, p := range []int{1, 4, 6} {
-		shard := distmat.DistShard(p)
-		scalar := scalarAlgebra().mult
-		one := []*sparse.CSR[float64]{newAdj}
-		checkSeed(t, "one side", p, scalar, one, batch, shard)
-		pair := pairAlgebra().mult
-		checkSeed(t, "two sides", p, pair, []*sparse.CSR[float64]{oldAdj, newAdj}, batch, shard)
+		for name, adj := range map[string]*sparse.CSR[float64]{"old": oldG.Adjacency(), "new": newG.Adjacency()} {
+			checkSeed(t, name, p, adj, batch, distmat.DistShard(p))
+		}
 	}
 }
 
-func checkSeed[M multSided[M]](t *testing.T, name string, p int, mon algebra.Monoid[M], adj []*sparse.CSR[float64], batch []int32, shard distmat.Dist) {
+func checkSeed(t *testing.T, name string, p int, adj *sparse.CSR[float64], batch []int32, shard distmat.Dist) {
 	t.Helper()
-	seed := seedFrontier(mon.Identity, adj, batch)
-	var stale []sparse.Entry[M]
+	seed := seedFrontier(adj, batch)
+	mon := algebra.MultPathMonoid()
+	var stale []sparse.Entry[algebra.MultPath]
 	for r := 0; r < p; r++ {
 		want := distmat.FromGlobal(r, seed, shard, mon).Local
-		got := seedShare(nil, mon, adj, batch, r, p)
+		got := seedShare(nil, mon.Identity, adj, batch, r, p)
 		if !sameEntries(got, want) {
 			t.Errorf("%s p=%d rank %d: seed share %+v, want %+v", name, p, r, got, want)
 		}
 		// Written over the last rank's share, in place.
-		if stale = seedShare(stale, mon, adj, batch, r, p); !sameEntries(stale, want) {
+		if stale = seedShare(stale, mon.Identity, adj, batch, r, p); !sameEntries(stale, want) {
 			t.Errorf("%s p=%d rank %d: seed share over used storage %+v, want %+v", name, p, r, stale, want)
 		}
 	}

@@ -50,10 +50,12 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/algebra"
 	"repro/internal/graph"
@@ -97,14 +99,15 @@ func resetRow(trow []algebra.MultPath) {
 // workspace is the batch-resident state of the sweep (see the package
 // comment). Slabs are row-major with stride n.
 type workspace struct {
-	t    []algebra.MultPath
-	z    []float64
-	rows []rowScratch // one per worker
+	t     []algebra.MultPath
+	z     []float64
+	rows  []rowScratch // one per worker
+	parts []tally      // one per worker
 }
 
 // workspaces recycles workspaces across batches and callers. A workspace is
-// put back only after a sweep that ran to completion, so every occupancy
-// bitset in the pool is clear.
+// put back only after a sweep that ran to completion or stopped between two
+// rows, so every occupancy bitset in the pool is clear.
 var workspaces = sync.Pool{New: func() any { return new(workspace) }}
 
 func grow[T any](s []T, n int) []T {
@@ -405,17 +408,27 @@ func (t *tally) merge(r tally) {
 
 // sweep runs row(scratch, i) for every row of the batch, rows partitioned
 // once into contiguous blocks with a private rowScratch per worker, and
-// merges the blocks' tallies. workers <= 0 selects GOMAXPROCS.
-func (ws *workspace) sweep(nb, n, workers int, row func(s *rowScratch, i int) tally) tally {
+// merges the blocks' tallies. workers <= 0 selects GOMAXPROCS. Each worker
+// checks ctx before each of its rows and stops once ctx has ended, and
+// sweep then returns ctx's cause: a row is never left half swept, so the
+// workspace stays fit for the next sweep.
+func (ws *workspace) sweep(ctx context.Context, nb, n, workers int, row func(s *rowScratch, i int) tally) (tally, error) {
 	blocks := min(parallel.Resolve(workers), nb)
 	if len(ws.rows) < blocks {
 		ws.rows = append(ws.rows, make([]rowScratch, blocks-len(ws.rows))...)
 	}
-	parts := make([]tally, blocks)
+	parts := grow(ws.parts, blocks)
+	ws.parts = parts
+	clear(parts)
+	var stopped atomic.Bool
 	parallel.For(blocks, nb, func(part, lo, hi int) {
 		s := &ws.rows[part]
 		s.size(n)
 		for i := lo; i < hi; i++ {
+			if ctx.Err() != nil {
+				stopped.Store(true)
+				return
+			}
 			parts[part].merge(row(s, i))
 		}
 	})
@@ -423,7 +436,10 @@ func (ws *workspace) sweep(nb, n, workers int, row func(s *rowScratch, i int) ta
 	for _, p := range parts {
 		total.merge(p)
 	}
-	return total
+	if stopped.Load() {
+		return total, context.Cause(ctx)
+	}
+	return total, nil
 }
 
 // checkConverged panics, on the caller's goroutine, when a sweep gave up.
@@ -508,7 +524,7 @@ func forwardSweep(a *sparse.CSR[float64], sources []int32, workers int) (*worksp
 	nb, n, limit := len(sources), a.Cols, a.Rows+1
 	ws := workspaces.Get().(*workspace)
 	ws.t = grow(ws.t, nb*n)
-	r := ws.sweep(nb, n, workers, func(s *rowScratch, i int) tally {
+	r, _ := ws.sweep(context.Background(), nb, n, workers, func(s *rowScratch, i int) tally {
 		ops, it := s.forwardRow(a, sources[i], ws.t[i*n:(i+1)*n], limit)
 		return tally{ops: ops, itF: it}
 	})
@@ -531,7 +547,7 @@ func MFBrParallel(at *sparse.CSR[float64], t *sparse.CSR[algebra.MultPath], sour
 		RowPtr: slices.Clone(t.RowPtr), ColIdx: slices.Clone(t.ColIdx)}
 	ws := workspaces.Get().(*workspace)
 	ws.t, ws.z = grow(ws.t, nb*n), grow(ws.z, nb*n)
-	r := ws.sweep(nb, n, workers, func(s *rowScratch, i int) tally {
+	r, _ := ws.sweep(context.Background(), nb, n, workers, func(s *rowScratch, i int) tally {
 		trow, zrow := ws.t[i*n:(i+1)*n], ws.z[i*n:(i+1)*n]
 		resetRow(trow)
 		cols, vals := t.Row(i)
@@ -571,14 +587,16 @@ func MFBC(g *graph.Graph, sources []int32, opt Options) (*Result, error) {
 	if g.Directed {
 		at = sparse.Transpose(a)
 	}
-	return SweepSources(a, at, sources, opt), nil
+	return SweepSources(context.Background(), a, at, sources, opt)
 }
 
 // SweepSources is the batching loop of Algorithm 3 over prebuilt operands:
 // it sweeps sources (nil = every vertex) in chunks of min(Batch|128,
 // len(sources)) and accumulates their dependency contributions. Rows fold
 // into BC in source order, so scores do not depend on the chunk size.
-func SweepSources(a, at *sparse.CSR[float64], sources []int32, opt Options) *Result {
+// ctx is checked before every source row: once it has ended, the sweep
+// stops there and returns ctx's cause.
+func SweepSources(ctx context.Context, a, at *sparse.CSR[float64], sources []int32, opt Options) (*Result, error) {
 	if sources == nil {
 		sources = make([]int32, a.Rows)
 		for s := range sources {
@@ -586,14 +604,22 @@ func SweepSources(a, at *sparse.CSR[float64], sources []int32, opt Options) *Res
 		}
 	}
 	res := &Result{BC: make([]float64, a.Rows)}
+	ws := workspaces.Get().(*workspace)
 	nb := opt.batchFor(len(sources))
 	for lo := 0; lo < len(sources); lo += nb {
 		res.Batches++
-		ops, iters := MFBCBatchParallel(a, at, sources[lo:min(lo+nb, len(sources))], res.BC, opt.Workers)
-		res.Ops += ops
-		res.Iterations += iters
+		batch := sources[lo:min(lo+nb, len(sources))]
+		r, err := ws.batch(ctx, a, at, batch, opt.Workers)
+		if err != nil {
+			workspaces.Put(ws) // stopped between rows: no row is half swept
+			return nil, err
+		}
+		ws.fold(res.BC, len(batch), a.Cols)
+		res.Ops += r.ops
+		res.Iterations += r.itF + r.itB
 	}
-	return res
+	workspaces.Put(ws)
+	return res, nil
 }
 
 // MFBCBatchParallel runs a single batch for the given sources, accumulating
@@ -602,10 +628,19 @@ func SweepSources(a, at *sparse.CSR[float64], sources []int32, opt Options) *Res
 // the fold into bc follows in row order, so scores do not depend on the
 // worker count.
 func MFBCBatchParallel(a, at *sparse.CSR[float64], sources []int32, bc []float64, workers int) (ops int64, iters int) {
-	nb, n, limit := len(sources), a.Cols, a.Rows+1
 	ws := workspaces.Get().(*workspace)
+	r, _ := ws.batch(context.Background(), a, at, sources, workers)
+	ws.fold(bc, len(sources), a.Cols)
+	workspaces.Put(ws)
+	return r.ops, r.itF + r.itB
+}
+
+// batch runs both sweeps of every source into its row of ws's slabs, T and
+// Z, checking ctx before each row as sweep does.
+func (ws *workspace) batch(ctx context.Context, a, at *sparse.CSR[float64], sources []int32, workers int) (tally, error) {
+	nb, n, limit := len(sources), a.Cols, a.Rows+1
 	ws.t, ws.z = grow(ws.t, nb*n), grow(ws.z, nb*n)
-	r := ws.sweep(nb, n, workers, func(s *rowScratch, i int) tally {
+	r, err := ws.sweep(ctx, nb, n, workers, func(s *rowScratch, i int) tally {
 		trow := ws.t[i*n : (i+1)*n]
 		opsF, itF := s.forwardRow(a, sources[i], trow, limit)
 		if itF > limit {
@@ -614,8 +649,16 @@ func MFBCBatchParallel(a, at *sparse.CSR[float64], sources []int32, bc []float64
 		opsB, itB := s.backwardRow(at, trow, ws.z[i*n:(i+1)*n], limit)
 		return tally{ops: opsF + opsB, itF: itF, itB: itB}
 	})
+	if err != nil {
+		return r, err
+	}
 	checkConverged(r, limit)
-	// λ(v) += Σ_s Z(s,v).p · T(s,v).m (Algorithm 3 line 5).
+	return r, nil
+}
+
+// fold adds the dependencies of the batch's nb rows, row by row, into bc
+// (Algorithm 3 line 5: λ(v) += Σ_s Z(s,v).p · T(s,v).m).
+func (ws *workspace) fold(bc []float64, nb, n int) {
 	for i := 0; i < nb; i++ {
 		zrow := ws.z[i*n : (i+1)*n]
 		for j, t := range ws.t[i*n : (i+1)*n] {
@@ -624,6 +667,4 @@ func MFBCBatchParallel(a, at *sparse.CSR[float64], sources []int32, bc []float64
 			}
 		}
 	}
-	workspaces.Put(ws)
-	return r.ops, r.itF + r.itB
 }

@@ -13,8 +13,33 @@ import (
 // lift of two scalar entry lists equals, side by side, the rule applied to
 // each scalar list alone — one side's survival never resurrects the other,
 // whatever the other side holds at the coordinate (a live component, a dead
-// one, or nothing). It is what makes the scalar sweep the pair sweep at one
-// side, and what lets the screening predicate change in one place.
+// one, or nothing). The rules are written over algebra.Sided; the sweep
+// runs them at one side, and these tests at two, over the pairs below.
+
+// multPair and centPair carry a multpath (centpath) per side, side 0 and
+// side 1: the two-sided values the rules' tests run them on.
+type (
+	multPair [2]algebra.MultPath
+	centPair [2]algebra.CentPath
+)
+
+func (multPair) Sides() int                                    { return 2 }
+func (x multPair) Side(s int) algebra.MultPath                 { return x[s] }
+func (x multPair) WithSide(s int, e algebra.MultPath) multPair { x[s] = e; return x }
+
+func (centPair) Sides() int                                    { return 2 }
+func (x centPair) Side(s int) algebra.CentPath                 { return x[s] }
+func (x centPair) WithSide(s int, e algebra.CentPath) centPair { x[s] = e; return x }
+
+var (
+	multPairZero = multPair{algebra.MultPathZero(), algebra.MultPathZero()}
+	centPairZero = centPair{algebra.CentPathZero(), algebra.CentPathZero()}
+)
+
+// centPairTimes is ⊗ side by side.
+func centPairTimes(x, y centPair) centPair {
+	return centPair{algebra.CentPathTimes(x[0], y[0]), algebra.CentPathTimes(x[1], y[1])}
+}
 
 const sideRows, sideCols = 3, 5
 
@@ -116,7 +141,7 @@ func checkSideIndependence(t *testing.T, seed int64) {
 	cent := func() algebra.CentPath {
 		return algebra.CentPath{W: float64(1 + r.Intn(3)), P: float64(r.Intn(5)), C: int64(r.Intn(4) - 1)}
 	}
-	mpz, cpz := algebra.MultPathPairZero(), algebra.CentPathPairZero()
+	mpz, cpz := multPairZero, centPairZero
 
 	var ext, tt [2][]sparse.Entry[algebra.MultPath]
 	var p [2][]sparse.Entry[algebra.CentPath]

@@ -28,10 +28,10 @@ func distributedT(t *testing.T, g *graph.Graph, sources []int32, opt DistOptions
 	var gathered *sparse.CSR[algebra.MultPath]
 	var iters int
 	stats, err := mach.Run(func(proc *machine.Proc) {
-		sp := &sidePlans{sess: spgemm.NewSession(proc), pls: []planner{pl}, plans: make([]spgemm.Plan, 1)}
+		sp := &planState{sess: spgemm.NewSession(proc), pl: pl}
 		sp.sess.Workers = opt.Workers
 		buf := machine.Scratch[sweepBufs[algebra.MultPath, algebra.CentPath, float64]](proc)
-		tm, it := sweepMFBF(sp, buf, alg, sess.ranks[proc.Rank()].a, []*sparse.CSR[float64]{sess.adjCSR}, sources)
+		tm, it := sweepMFBF(sp, buf, alg, sess.ranks[proc.Rank()].a, sess.adjCSR, sources)
 		full := testkit.Gather(proc.World(), tm, alg.mult)
 		if proc.Rank() == 0 {
 			gathered, iters = full, it

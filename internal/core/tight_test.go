@@ -81,7 +81,7 @@ func applyStep(t *testing.T, sess *DistSession, g *graph.Graph, muts []graph.Mut
 		w, ok := g2.FindEdge(m.U, m.V)
 		diffs = append(diffs, EdgeDiff{U: m.U, V: m.V, W: w, Present: ok})
 	}
-	res, err := sess.ApplyIncrementalCtx(context.Background(), sources, g2, nil, diffs)
+	res, err := sess.ApplyIncrementalCtx(context.Background(), sources, g2, nil, nil, diffs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,13 +99,11 @@ func matchesBrandes(t *testing.T, what string, g *graph.Graph, sources []int32, 
 	}
 }
 
-// TestRealWeightsFusedApply: the fused apply at p=4 under automatic
-// planning matches Brandes on both sides on weights with no exact sums,
-// through the pinned stream's steps — a reweight, a cull of every third
-// edge that makes the sides' plans diverge, a restore of half of them —
-// so the backward products of both the agreed and the split rounds are
-// masked on both sides. Subtracting the edge weight on the way back, the
-// sweep was wrong on 53–62 of the 64 vertices at every step.
+// TestRealWeightsFusedApply: the fused apply at p=4 matches Brandes on both
+// sides on weights with no exact sums, through the pinned stream's steps —
+// a reweight, a cull of every third edge, a restore of half of them.
+// Subtracting the edge weight on the way back, the sweep over the entry
+// lists was wrong on 53–62 of the 64 vertices at every step.
 func TestRealWeightsFusedApply(t *testing.T) {
 	g := realMesh(7)
 	all := make([]int32, g.N)
@@ -126,11 +124,10 @@ func TestRealWeightsFusedApply(t *testing.T) {
 		name    string
 		muts    []graph.Mutation
 		sources []int32
-		dual    bool
 	}{
-		{"reweight", []graph.Mutation{{Op: graph.OpSetWeight, U: e5.U, V: e5.V, W: e5.W + 0.7}}, []int32{0, 5, 9, 27, 40, 63}, false},
-		{"cull", cull, all, true},
-		{"restore", restore, all, true},
+		{"reweight", []graph.Mutation{{Op: graph.OpSetWeight, U: e5.U, V: e5.V, W: e5.W + 0.7}}, []int32{0, 5, 9, 27, 40, 63}},
+		{"cull", cull, all},
+		{"restore", restore, all},
 	}
 	sess, err := NewDistSession(g, DistOptions{Procs: 4, Batch: 16})
 	if err != nil {
@@ -141,10 +138,6 @@ func TestRealWeightsFusedApply(t *testing.T) {
 	}
 	for _, st := range steps {
 		g2, res := applyStep(t, sess, g, st.muts, st.sources)
-		t.Logf("%s: %d split-plan products", st.name, res.DualProducts)
-		if st.dual && res.DualProducts == 0 {
-			t.Errorf("%s: no split-plan product, the step misses its case", st.name)
-		}
 		matchesBrandes(t, st.name+" old side", g, st.sources, res.OldBC)
 		matchesBrandes(t, st.name+" new side", g2, st.sources, res.NewBC)
 		g = g2
@@ -153,11 +146,12 @@ func TestRealWeightsFusedApply(t *testing.T) {
 
 // TestMixedExactnessPerSide: one set_weight to 0.37 on an integer mesh
 // under a forced partial-C plan leaves the old side exact and the new one
-// not. The new side's backward products are planned among the plans that
-// screen, and match Brandes; the old side keeps the forced plan and its
-// scalar region's bits — it would not if the gate held for the whole
-// region (22 of 64 vertices move then). Subtracting the edge weight, the
-// new side was wrong on 36 vertices.
+// not. The apply sweeps by source whatever the forced plan: its sides are
+// SweepSources' on each side bit for bit, the new one matches Brandes, and
+// it reports the route's plan. A full run then keeps the forced plan for
+// its forward products and plans its backward ones among the plans that
+// screen, and reports both plans. Subtracting the edge weight, the new
+// side was wrong on 36 vertices.
 func TestMixedExactnessPerSide(t *testing.T) {
 	g := graph.Grid2D(8, 8, 9, 3)
 	forced := spgemm.Plan{P1: 2, P2: 2, P3: 2, X: spgemm.RoleB, YZ: spgemm.VarAC}
@@ -166,24 +160,24 @@ func TestMixedExactnessPerSide(t *testing.T) {
 	for v := range all {
 		all[v] = int32(v)
 	}
-	scalar, err := MFBCDistributed(g, DistOptions{Procs: 8, Batch: 16, Plan: &forced, Sources: all})
-	if err != nil {
-		t.Fatal(err)
-	}
 	sess, err := NewDistSession(g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e := g.Edges[9]
 	g2, res := applyStep(t, sess, g, []graph.Mutation{{Op: graph.OpSetWeight, U: e.U, V: e.V, W: 0.37}}, all)
-	if res.DualProducts == 0 {
-		t.Error("no split-plan product: the sides did not plan apart")
-	}
+	matchesSweeps(t, "apply", res, g, g2, all)
 	matchesBrandes(t, "new side", g2, all, res.NewBC)
-	for v := range res.OldBC {
-		if math.Float64bits(res.OldBC[v]) != math.Float64bits(scalar.BC[v]) {
-			t.Fatalf("old side BC[%d] = %v, its scalar region %v (must be bit-identical)", v, res.OldBC[v], scalar.BC[v])
-		}
+	if got, want := res.Plan.String(), "8x1x1/X=B/YZ=AB"; got != want {
+		t.Errorf("the apply reports plan %s, ran %s", got, want)
+	}
+	full, err := sess.Run(all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	matchesBrandes(t, "full run", g2, all, full.BC)
+	if full.Plan != forced || full.BackPlan == forced || !full.BackPlan.Screens() {
+		t.Errorf("the full run reports forward plan %s and backward plan %s: want %s, and a searched plan that screens", full.Plan, full.BackPlan, forced)
 	}
 }
 

@@ -28,11 +28,12 @@
 // once-per-run placement cost of Theorem 5.1 amortizes across the whole
 // mutation stream. An apply runs at most one machine region: an
 // incremental apply with affected sources is one fused region
-// (core.DistSession.ApplyIncrementalCtx: both sides' pivot re-runs over the
-// pair semiring, operands patched mid-region, a vertex-growth batch's new
-// vertices isolated on the old side), a full recompute is one run on the
-// host-patched operands, and a batch with no affected source runs none —
-// its diff is patched host-side. The modeled communication of each apply
+// (core.DistSession.ApplyIncrementalCtx: the adjacency replicated once per
+// session, every rank re-runs its share of the pivots on both sides with
+// the CSR kernel, operands patched mid-region, a vertex-growth batch's new
+// vertices isolated on the old side), a full recompute is one run of the
+// entry-list sweep on the host-patched operands, and a batch with no
+// affected source runs none — its diff is patched host-side. The modeled communication of each apply
 // (critical-path words, messages, α–β–γ seconds, plan chosen) is reported
 // per apply and accumulated into the snapshot.
 //
@@ -172,9 +173,9 @@ type Cost struct {
 	Phases []PhaseComm `json:"phases,omitempty"`
 }
 
-// regionCost is the cost of one machine region, run under plan.
-func regionCost(plan spgemm.Plan, st machine.RunStats) Cost {
-	c := Cost{Plan: plan.String(), Comm: Summarize(st)}
+// regionCost is the cost of one machine region, run under the named plan.
+func regionCost(plan string, st machine.RunStats) Cost {
+	c := Cost{Plan: plan, Comm: Summarize(st)}
 	for _, ph := range st.Phases {
 		c.Phases = append(c.Phases, PhaseComm{
 			Name: ph.Name, Bytes: ph.MaxCost.Bytes, Msgs: ph.MaxCost.Msgs,
@@ -183,6 +184,15 @@ func regionCost(plan spgemm.Plan, st machine.RunStats) Cost {
 		})
 	}
 	return c
+}
+
+// planName names the plans of a full run: its forward plan, and its
+// backward one where the backward products were planned apart from it.
+func planName(fwd, back spgemm.Plan) string {
+	if back == fwd {
+		return fwd.String()
+	}
+	return fwd.String() + " back " + back.String()
 }
 
 // state is one immutable (graph, scores) snapshot. Installed whole under
@@ -336,9 +346,9 @@ func (e *Engine) Apply(batch []graph.Mutation) (Report, error) {
 // its region returns an error wrapping ctx's cause and keeps the previous
 // version; an apply that runs no region does not look at ctx, as its
 // host-side patch must land on every replica of a rank-per-process engine
-// alike. At Procs ≤ 1 an apply whose ctx has ended before its sweep or by
-// the sweep's end returns ctx's cause and keeps the previous version; the
-// sweep itself runs to its end. When ctx carries an obs span, the apply
+// alike. At Procs ≤ 1 the sweep checks ctx before every source row: an
+// apply whose ctx has ended before its sweep or during it returns ctx's
+// cause and keeps the previous version. When ctx carries an obs span, the apply
 // reports itself as a dynamic.apply child span, the affected-source probes
 // and local sweeps as grandchildren, and every machine region as a
 // machine.region span whose per-phase children pair modeled cost with
@@ -394,11 +404,8 @@ func (e *Engine) ApplyCtx(ctx context.Context, batch []graph.Mutation) (Report, 
 		// fused region (diff scatter + full splice + empty sweep + O(n)
 		// reduce) would only cost more than patching host-side.
 		if err = e.advance(old, st, diffs); err == nil {
-			bc = e.incrementalScores(ctx, old, st, affected)
+			bc, err = e.incrementalScores(ctx, old, st, affected)
 		}
-	}
-	if err == nil && shared && ctx.Err() != nil {
-		err = context.Cause(ctx)
 	}
 	if err != nil {
 		return Report{}, err
@@ -466,7 +473,8 @@ func (e *Engine) session(st *state) (*core.DistSession, error) {
 // resident operands may be mid-transition).
 func (e *Engine) sweep(ctx context.Context, st *state) ([]float64, Cost, error) {
 	if e.cfg.Procs <= 1 {
-		return e.pivotScores(ctx, st, nil), Cost{}, nil
+		bc, err := e.pivotScores(ctx, st, nil)
+		return bc, Cost{}, err
 	}
 	sess, err := e.session(st)
 	if err != nil {
@@ -477,47 +485,54 @@ func (e *Engine) sweep(ctx context.Context, st *state) ([]float64, Cost, error) 
 		e.dist = nil
 		return nil, Cost{}, fmt.Errorf("dynamic: distributed run: %w", err)
 	}
-	return r.BC, regionCost(r.Plan, r.Stats), nil
+	return r.BC, regionCost(planName(r.Plan, r.BackPlan), r.Stats), nil
 }
 
 // fusedIncrementalScores merges the batch's delta through one fused
-// machine region: core.DistSession.ApplyIncrementalCtx computes both sides'
-// pivot re-runs simultaneously over the pair semiring, patching the
-// resident operands mid-region (diff scattered as a modeled collective,
-// splice charged as local γ-flops), so the latency term is paid once. A
-// vertex-growth batch's new vertices are isolated on the old side, so their
-// old-side partials are 0. The side partials are bit-identical, under a
-// fixed plan, to separate old-side and new-side runs.
+// machine region: core.DistSession.ApplyIncrementalCtx re-runs the pivots
+// on both sides, each rank its share with the CSR kernel over the
+// replicated adjacency, patching the resident operands mid-region (diff
+// scattered as a modeled collective, splice charged as local γ-flops), in
+// a fixed number of supersteps. A vertex-growth batch's new vertices are
+// isolated on the old side, so their old-side partials are 0. The side
+// partials are bit-identical to the shared-memory sweeps of each side.
 func (e *Engine) fusedIncrementalScores(ctx context.Context, old, st *state, affected []int32, diffs []edgeDiff) ([]float64, Cost, error) {
 	sess, err := e.session(old)
 	if err != nil {
 		return nil, Cost{}, err
 	}
-	res, err := sess.ApplyIncrementalCtx(ctx, affected, st.g, st.a, coreDiffs(diffs))
+	res, err := sess.ApplyIncrementalCtx(ctx, affected, st.g, st.a, st.at, coreDiffs(diffs))
 	if err != nil {
 		// The resident operands may be mid-transition; rebuild from the
 		// committed snapshot on the next apply.
 		e.dist = nil
 		return nil, Cost{}, fmt.Errorf("dynamic: fused apply: %w", err)
 	}
-	return mergeDelta(old.bc, st.g.N, res.OldBC, res.NewBC), regionCost(res.Plan, res.Stats), nil
+	return mergeDelta(old.bc, st.g.N, res.OldBC, res.NewBC), regionCost(res.Plan.String(), res.Stats), nil
 }
 
 // incrementalScores is the shared-memory incremental apply: the affected
 // pivots re-run with batched MFBC sweeps on each side of the batch, merged
 // by mergeDelta. Sources added by this batch have no contribution to
 // subtract, and an empty side sweeps nothing (a nil source list would sweep
-// every vertex).
-func (e *Engine) incrementalScores(ctx context.Context, old, st *state, affected []int32) []float64 {
+// every vertex). ctx stops the sweeps as pivotScores says.
+func (e *Engine) incrementalScores(ctx context.Context, old, st *state, affected []int32) ([]float64, error) {
 	if len(affected) == 0 {
-		return mergeDelta(old.bc, st.g.N, nil, nil)
+		return mergeDelta(old.bc, st.g.N, nil, nil), nil
 	}
 	// affected is ascending, so the pre-batch sources are a prefix.
 	var dOld []float64
 	if cut, _ := slices.BinarySearch(affected, int32(old.g.N)); cut > 0 {
-		dOld = e.pivotScores(ctx, old, affected[:cut])
+		var err error
+		if dOld, err = e.pivotScores(ctx, old, affected[:cut]); err != nil {
+			return nil, err
+		}
 	}
-	return mergeDelta(old.bc, st.g.N, dOld, e.pivotScores(ctx, st, affected))
+	dNew, err := e.pivotScores(ctx, st, affected)
+	if err != nil {
+		return nil, err
+	}
+	return mergeDelta(old.bc, st.g.N, dOld, dNew), nil
 }
 
 // mergeDelta returns the n-vector bc_old − δ_old + δ_new: δ_old is
@@ -549,15 +564,20 @@ func mergeDelta(bcOld []float64, n int, dOld, dNew []float64) []float64 {
 
 // pivotScores is the shared-memory sweep: core.SweepSources for exactly the
 // given sources (nil = every vertex) over the snapshot's cached operands,
-// reported as a sweep.local span.
-func (e *Engine) pivotScores(ctx context.Context, st *state, sources []int32) []float64 {
+// reported as a sweep.local span. It returns ctx's cause, within one source
+// row, once ctx has ended.
+func (e *Engine) pivotScores(ctx context.Context, st *state, sources []int32) ([]float64, error) {
 	swept := len(sources)
 	if sources == nil {
 		swept = st.g.N
 	}
 	_, span := obs.StartSpan(ctx, "sweep.local")
 	defer span.SetAttr("sources", swept).End()
-	return core.SweepSources(st.a, st.at, sources, core.Options{Workers: e.cfg.Workers}).BC
+	r, err := core.SweepSources(ctx, st.a, st.at, sources, core.Options{Workers: e.cfg.Workers})
+	if err != nil {
+		return nil, err
+	}
+	return r.BC, nil
 }
 
 // edgeDiff is one edge of the effective difference between the pre- and

@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -405,9 +406,10 @@ func planAdmitted(s string, forced *spgemm.Plan, cons spgemm.Constraint) bool {
 // under the 1D/2D/3D constraints and one forced plan) replay seeded
 // mutation sequences; after every applied prefix the maintained scores must
 // match a from-scratch sequential recomputation at 1e-9, and distributed
-// applies must report modeled communication and a plan the row admits. An
-// apply runs at most one machine region, fused exactly when it has
-// affected sources — vertex growth included.
+// applies must report modeled communication and a plan: the source route's
+// for a fused apply, one the row admits for a full run. An apply runs at
+// most one machine region, fused exactly when it has affected sources —
+// vertex growth included.
 func TestDistributedIncrementalMatchesFromScratch(t *testing.T) {
 	grewFused := 0
 	topologies := []struct {
@@ -493,8 +495,11 @@ func TestDistributedIncrementalMatchesFromScratch(t *testing.T) {
 						t.Fatalf("step %d: distributed apply with %d affected reported no comm/plan: %+v",
 							step, rep.Affected, rep)
 					}
-					if rep.Plan != "" && !planAdmitted(rep.Plan, eng.plan, eng.cons) {
-						t.Fatalf("step %d: %s apply ran plan %s", step, eng.name, rep.Plan)
+					// The ablation governs the engine's full runs; a fused apply
+					// sweeps by source under the route's own plan.
+					route := fmt.Sprintf("%dx1x1/X=B/YZ=AB", eng.cfg.Procs)
+					if rep.Fused && rep.Plan != route || !rep.Fused && rep.Plan != "" && !planAdmitted(rep.Plan, eng.plan, eng.cons) {
+						t.Fatalf("step %d: %s apply (fused %t) ran plan %s", step, eng.name, rep.Fused, rep.Plan)
 					}
 					snap := e.Scores()
 					if snap.Version != graph.Fingerprint(shadow) {
@@ -699,17 +704,16 @@ func TestFusedNoopAndEmptyAffectedSkipRegions(t *testing.T) {
 // while every distribution was a formatted key and an owner closure and
 // every forward round allocated T's and the frontier's headers, and 77 KB
 // while every region rebuilt the distributions of its shapes and every grid
-// ran a charged split. Now the adjacency and each rank's seed are cut from
-// sorted rows, the probes write into the engine's slab, a rank's screens
-// are built once with its sweep buffers, a distribution is two words over
-// shared tables built once per rank, a grid is rank arithmetic and the
-// forward sweep keeps its headers: 65 KB (69 KB under the race detector,
-// and up to 9 KB more while other packages' race tests load the box, as
-// barrier waiters park more). The budget is about 1.2 times the race
-// detector's reading. The collector is held off and the minimum of a few
-// tries gated, so the test does not depend on when a cycle lands.
+// ran a charged split, and 65 KB while the region swept both sides over
+// the entry lists, round by round. Now the adjacency is cut from sorted
+// rows, the probes write into the engine's slab, and the region sweeps by
+// source with the CSR kernel, its workspace and dependency rows on each
+// rank's store, in a fixed number of supersteps: 38 KB (39 KB under the
+// race detector). The budget is about 1.2 times the race detector's
+// reading. The collector is held off and the minimum of a few tries gated,
+// so the test does not depend on when a cycle lands.
 func TestApplyAllocBudget(t *testing.T) {
-	const maxBytes = 81 << 10 // 81 KiB
+	const maxBytes = 46 << 10 // 46 KiB
 	e, err := New(graph.Grid2D(16, 16, 30, 1), Config{Procs: 4, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -764,11 +768,29 @@ func (c *cancelInRegion) Run(fn func(*machine.Proc)) (machine.RunStats, error) {
 	})
 }
 
+// countdown is a ctx that ends — its Err turns context.Canceled — at its
+// (left+1)-th check: a cancellation that lands in the middle of a sweep,
+// deterministically and with no timer. It has no Done channel, so only the
+// checks between source rows can see it end.
+type countdown struct {
+	context.Context
+	left atomic.Int64
+}
+
+func (c *countdown) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
 // TestCancelledApplyKeepsVersion: at Procs 4, an apply whose ctx is
 // cancelled before its region, or inside it, runs one region, which its
 // ctx's cause ends at the next superstep; at Procs 1, an apply whose ctx
-// was cancelled before the call sweeps nothing. Either way ApplyCtx returns
-// an error wrapping context.Canceled, the engine keeps its previous version
+// was cancelled before the call sweeps nothing. An apply whose ctx ends
+// mid-sweep — after a few source rows, at Procs 1 or in a fused region's
+// kernel at Procs 4 — stops at the next row. Either way ApplyCtx returns an
+// error wrapping context.Canceled, the engine keeps its previous version
 // and scores, no goroutine is left behind, and the next apply of the same
 // batch matches a from-scratch compute — on the incremental (fused at
 // Procs 4) and the full-recompute strategies alike.
@@ -778,6 +800,7 @@ func TestCancelledApplyKeepsVersion(t *testing.T) {
 		procs    int
 		dirty    float64
 		inRegion bool
+		rows     int64 // > 0: the ctx ends after this many checks
 	}
 	var cases []cancelCase
 	for _, strat := range []struct {
@@ -785,10 +808,12 @@ func TestCancelledApplyKeepsVersion(t *testing.T) {
 		dirty float64
 	}{{"fused", -1}, {"full", 1e-9}} {
 		for _, inRegion := range []bool{false, true} {
-			cases = append(cases, cancelCase{fmt.Sprintf("%s/in-region=%v", strat.name, inRegion), 4, strat.dirty, inRegion})
+			cases = append(cases, cancelCase{fmt.Sprintf("%s/in-region=%v", strat.name, inRegion), 4, strat.dirty, inRegion, 0})
 		}
 	}
-	cases = append(cases, cancelCase{"shared/incremental", 1, -1, false}, cancelCase{"shared/full", 1, 1e-9, false})
+	cases = append(cases, cancelCase{"shared/incremental", 1, -1, false, 0}, cancelCase{"shared/full", 1, 1e-9, false, 0},
+		cancelCase{"shared/incremental/mid-sweep", 1, -1, false, 4}, cancelCase{"shared/full/mid-sweep", 1, 1e-9, false, 4},
+		cancelCase{"fused/mid-sweep", 4, -1, false, 3})
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			g := graph.Grid2D(8, 8, 1, 1)
@@ -806,10 +831,18 @@ func TestCancelledApplyKeepsVersion(t *testing.T) {
 			baseline := runtime.NumGoroutine()
 			batch := []graph.Mutation{{Op: graph.OpAddEdge, U: 0, V: 63, W: 1}}
 
+			var ctx context.Context
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			wantRuns := 0
 			switch {
+			case c.rows > 0:
+				mid := &countdown{Context: context.Background()}
+				mid.left.Store(c.rows)
+				ctx = mid
+				if mach != nil {
+					wantRuns = mach.runs + 1
+				}
 			case c.inRegion:
 				mach.cancel = cancel
 				wantRuns = mach.runs + 1

@@ -9,7 +9,7 @@ import (
 )
 
 // The wire codec for collective payloads. Every element type crossing a
-// collective is a flat struct (float64/int slices, pair-semiring paths,
+// collective is a flat struct (float64/int slices, multpaths and centpaths,
 // distmat entry triples) — no internal pointers — so a slice's wire form
 // is simply its memory image: n elements of Sizeof(T) bytes each, padding
 // included. That keeps the encoded size identical to the bytesOf charge

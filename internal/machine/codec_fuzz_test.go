@@ -1,7 +1,6 @@
 // Round-trip fuzzing for the raw wire codec, over every payload type that
 // crosses a collective: scalar slices (float64, int, int64, int32), the
-// pair-semiring path structs, and the distmat entry triples wrapping each
-// of them. The codec's contract is that a slice's wire form IS its memory
+// path structs, and the distmat entry triples wrapping each of them. The codec's contract is that a slice's wire form IS its memory
 // image, so both directions must be bit-exact — including NaN payloads,
 // infinities, and struct padding — and the encoded size must equal the
 // modeled bytesOf charge.
@@ -51,12 +50,12 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add([]byte{0})
 	// Seed with real encoded payloads so the corpus starts on interesting
 	// element boundaries: tropical infinities, NaN, negative zero, and a
-	// pair entry with asymmetric sides.
+	// centpath entry with a spent counter.
 	f.Add(append([]byte(nil), encodeSlice([]float64{0, math.Copysign(0, -1), 1.5, math.Inf(1), math.NaN()})...))
 	f.Add(append([]byte(nil), encodeSlice([]algebra.MultPath{algebra.MultPathZero(), {W: 2.5, M: 3}})...))
 	f.Add(append([]byte(nil), encodeSlice([]algebra.CentPath{algebra.CentPathZero(), {W: 1, P: 0.5, C: -7}})...))
-	f.Add(append([]byte(nil), encodeSlice([]sparse.Entry[algebra.MultPathPair]{
-		{I: 0, J: 1, V: algebra.MultPathPair{Old: algebra.MultPathZero(), New: algebra.MultPath{W: 1, M: 2}}},
+	f.Add(append([]byte(nil), encodeSlice([]sparse.Entry[algebra.CentPath]{
+		{I: 0, J: 1, V: algebra.CentPath{W: 1, P: 2, C: -1}},
 	})...))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		roundTrip[float64](t, b)
@@ -65,15 +64,9 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		roundTrip[int32](t, b)
 		roundTrip[algebra.MultPath](t, b)
 		roundTrip[algebra.CentPath](t, b)
-		roundTrip[algebra.WeightPair](t, b)
-		roundTrip[algebra.MultPathPair](t, b)
-		roundTrip[algebra.CentPathPair](t, b)
 		roundTrip[sparse.Entry[float64]](t, b)
 		roundTrip[sparse.Entry[algebra.MultPath]](t, b)
 		roundTrip[sparse.Entry[algebra.CentPath]](t, b)
-		roundTrip[sparse.Entry[algebra.WeightPair]](t, b)
-		roundTrip[sparse.Entry[algebra.MultPathPair]](t, b)
-		roundTrip[sparse.Entry[algebra.CentPathPair]](t, b)
 	})
 }
 
@@ -91,12 +84,7 @@ func FuzzCodecValues(f *testing.F) {
 		checkValues(t, []int32{j, int32(i)})
 		checkValues(t, []algebra.MultPath{{W: w, M: p}, algebra.MultPathZero()})
 		checkValues(t, []algebra.CentPath{{W: w, P: p, C: c}})
-		checkValues(t, []algebra.WeightPair{{Old: w, New: p}})
-		checkValues(t, []algebra.MultPathPair{{Old: algebra.MultPath{W: w, M: p}, New: algebra.MultPath{W: p, M: w}}})
-		checkValues(t, []algebra.CentPathPair{{Old: algebra.CentPath{W: w, P: p, C: c}, New: algebra.CentPathZero()}})
-		checkValues(t, []sparse.Entry[algebra.CentPathPair]{
-			{I: j, J: int32(i), V: algebra.CentPathPair{Old: algebra.CentPath{W: w, P: p, C: c}}},
-		})
+		checkValues(t, []sparse.Entry[algebra.CentPath]{{I: j, J: int32(i), V: algebra.CentPath{W: w, P: p, C: c}}})
 	})
 }
 

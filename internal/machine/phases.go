@@ -18,7 +18,7 @@ const (
 	// edge diff (the fused apply's scatter from rank 0).
 	PhaseDiff = "diff"
 	// PhasePatch: splicing a mutation diff into resident working sets in
-	// place of re-staging, and lifting the fused apply's pair operands.
+	// place of re-staging, and an incremental apply's replica charges.
 	PhasePatch = "patch"
 	// PhaseSweep: the forward Bellman-Ford / Brandes back-propagation
 	// supersteps, the multiply-heavy body of a region.

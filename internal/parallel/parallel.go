@@ -25,6 +25,18 @@ func Resolve(n int) int {
 	return n
 }
 
+// Share resolves the worker count of one of ranks machine ranks hosted in
+// this process: n > 0 as given, and n = 0 the rank's fair share of
+// GOMAXPROCS — the host's cores divided by the ranks running on them at
+// once (the whole world under sim, one under a rank-per-process
+// transport), at least 1, so p ranks do not oversubscribe the host p-fold.
+func Share(n, ranks int) int {
+	if n != 0 {
+		return Resolve(n)
+	}
+	return max(1, runtime.GOMAXPROCS(0)/ranks)
+}
+
 // Ranges partitions [0, n) into at most parts contiguous ranges, the first
 // n%parts one element larger — the same convention as distmat.PartBounds,
 // so row blocks computed here line up with the distribution layer. Empty

@@ -40,19 +40,7 @@ type Session struct {
 }
 
 // workers resolves the Workers knob for this rank; see the field comment.
-// The fair share divides host cores by the ranks co-hosted in this OS
-// process (the whole world under sim, one under a rank-per-process
-// transport, where each rank owns its host's cores).
-func (s *Session) workers() int {
-	if s.Workers != 0 {
-		return parallel.Resolve(s.Workers)
-	}
-	w := parallel.Resolve(0) / s.Proc.LocalRanks()
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
+func (s *Session) workers() int { return parallel.Share(s.Workers, s.Proc.LocalRanks()) }
 
 // NewSession creates a session for this processor.
 func NewSession(p *machine.Proc) *Session {
@@ -152,11 +140,11 @@ func (key axisKey) table() []int32 {
 // placements is one rank's placement cache, a machine.Scratch on its store:
 // the owner tables and the A, B and C distributions of every product shape
 // the rank has planned under. Both are pure functions of their keys, so one
-// cache serves every operand the rank multiplies — A, Aᵀ and a fused
-// region's pair operands alike — for as long as the store lives: one region
-// for a one-shot, every region of a rank that keeps its store. Frontier row
-// counts make the shapes of a long session unbounded in number, so a cache
-// that reaches maxPlacements shapes starts over.
+// cache serves every operand the rank multiplies, A and Aᵀ alike, for as
+// long as the store lives: one region for a one-shot, every region of a
+// rank that keeps its store. Frontier row counts make the shapes of a long
+// session unbounded in number, so a cache that reaches maxPlacements shapes
+// starts over.
 type placements struct {
 	tables  map[axisKey][]int32
 	byShape map[distsKey][3]distmat.Dist
@@ -298,25 +286,8 @@ func Multiply[TC, TB any](
 		aE = place.replicated
 	}
 
-	// Stage the B operand, or find it staged on b. A rank owning no B
-	// entries legitimately holds an empty set, so a hit is decided by the
-	// map's ok flag: re-staging on an empty set would have that rank alone
-	// re-enter the fiber collectives and desync the simulated machine.
-	sb, hit := b.sets[plan]
-	if !hit {
-		bE := distmat.RedistributeInto(world, b.m, db, nil)
-		switch {
-		case plan.P1 > 1 && plan.X == RoleB:
-			bE = replicate(g.Fiber, bE, nil)
-		case db.Equal(b.m.Dist):
-			// Nothing moved, so bE is the block itself, which must not share
-			// its storage with the set: Patch hands each one's storage on to
-			// the next splice.
-			bE = slices.Clone(bE)
-		}
-		sb = stageB(nil, plan, k, n, s.Proc.Rank(), db, bE)
-		b.sets[plan] = sb
-	}
+	// Stage the B operand, or find it staged on b.
+	sb := b.staged(s, plan, db)
 
 	r := layerRanges(plan, m, k, n, g.MyLayer)
 	flt := filter[TC, TB]{acc: acc}
@@ -794,11 +765,9 @@ func mulEntriesRange[TC, TB any](
 			return
 		}
 		// Stable by j so contributions at one output coordinate fold in
-		// k-order regardless of what else shares the buffer. The fused
-		// incremental path's bit-identity to per-side scalar sweeps depends
-		// on this: pair and scalar runs fill the buffer with different
-		// entry sets, and an unstable sort could permute equal-j groups
-		// differently between them.
+		// k-order regardless of what else shares the buffer: the column
+		// kernel folds them in that order, and TestMaskIsTheSort holds the
+		// two kernels to the same bits.
 		sort.SliceStable(buf, func(a, b int) bool { return buf[a].j < buf[b].j })
 		cur := buf[0]
 		for _, p := range buf[1:] {

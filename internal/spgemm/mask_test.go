@@ -263,8 +263,8 @@ func checkKernels[V, W any](t *testing.T, p int, c, other screenCase[V, W]) {
 	}
 }
 
-// TestMaskIsTheSort: the forward and backward products of graphCases, scalar
-// and (old, new) pairs, on an RMAT graph and a weighted mesh at p ∈ {4, 6},
+// TestMaskIsTheSort: the forward and backward products of graphCases on an
+// RMAT graph and a weighted mesh at p ∈ {4, 6},
 // with one and three workers per rank, through the column kernel — without
 // a screen, under a screen that keeps everything, and under the losers'
 // screen, which masks each product by T — against the sorting one. Each graph's products are
@@ -282,9 +282,7 @@ func TestMaskIsTheSort(t *testing.T) {
 		for _, p := range []int{4, 6} {
 			t.Run(fmt.Sprintf("%s/p%d", g.Name, p), func(t *testing.T) {
 				checkKernels(t, p, cs.fwd, other.fwd)
-				checkKernels(t, p, cs.fwdPair, other.fwdPair)
 				checkKernels(t, p, cs.back, other.back)
-				checkKernels(t, p, cs.backPair, other.backPair)
 			})
 		}
 	}

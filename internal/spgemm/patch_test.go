@@ -8,7 +8,6 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/algebra"
 	"repro/internal/distmat"
 	"repro/internal/machine"
 	"repro/internal/machine/sim"
@@ -116,6 +115,56 @@ func TestPatchStationaryMatchesRestage(t *testing.T) {
 	}
 }
 
+// TestChargeStageIsMultiplysStaging: ChargeStage charges on every rank
+// exactly the collectives of a multiply's staging — which under the
+// p×1×1/X=B plan leaves the whole matrix on every rank — and keeps no set.
+func TestChargeStageIsMultiplysStaging(t *testing.T) {
+	const k, n = 17, 23
+	global, _, _ := editedMatrix(5, k, n)
+	for _, plan := range []Plan{
+		{P1: 4, P2: 1, P3: 1, X: RoleB, YZ: VarAB},
+		{P1: 2, P2: 1, P3: 2, X: RoleB, YZ: VarAC},
+		{P1: 1, P2: 2, P3: 2, X: RoleA, YZ: VarBC},
+	} {
+		p := plan.Procs()
+		staged, charged := make([]*Stationary[float64], p), make([]*Stationary[float64], p)
+		for rank := range staged {
+			staged[rank] = residentFor(nil, p, rank, k, n, global)
+			charged[rank] = residentFor(nil, p, rank, k, n, global)
+		}
+		var staging, charge [4]machine.Cost
+		if _, err := sim.New(p).Run(func(proc *machine.Proc) {
+			s, rank := NewSession(proc), proc.Rank()
+			_, db, _ := staged[rank].Dists(s, plan, 0)
+			staged[rank].staged(s, plan, db)
+			staging[rank] = proc.Cost()
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sim.New(p).Run(func(proc *machine.Proc) {
+			charged[proc.Rank()].ChargeStage(NewSession(proc), plan)
+			charge[proc.Rank()] = proc.Cost()
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for rank, b := range staged {
+			want := stageB(nil, plan, k, n, rank, dbForTest(plan, k, n), stageForTest(plan, rank, k, n, global))
+			if !reflect.DeepEqual(b.sets[plan], want) {
+				t.Fatalf("%s rank %d: staged %+v, want %+v", plan, rank, b.sets[plan], want)
+			}
+			if plan.P1 == p && plan.X == RoleB && !slices.Equal(b.sets[plan].entries, global) {
+				t.Fatalf("%s rank %d: the replica holds %d of %d entries", plan, rank, len(b.sets[plan].entries), len(global))
+			}
+			if staging[rank].Msgs == 0 || charge[rank] != staging[rank] {
+				t.Fatalf("%s rank %d: staging costs %v, ChargeStage %v", plan, rank, staging[rank], charge[rank])
+			}
+			if len(charged[rank].sets) != 0 {
+				t.Fatalf("%s rank %d: ChargeStage kept sets under %d plans", plan, rank, len(charged[rank].sets))
+			}
+		}
+	}
+}
+
 // editedMatrix draws a k×n matrix of 60 entries, and edits that delete a
 // third of them, reweight another third and insert fresh coordinates. It
 // returns the matrix, the edits and the edited matrix, each sorted.
@@ -174,132 +223,41 @@ func editedMatrix(seed int64, k, n int) (global []sparse.Entry[float64], edits [
 	return global, edits, newGlobal
 }
 
-// TestPairSpliceMatchesSideBySide: the pair lift of a stationary block must
-// equal the old block and the edited block staged side by side.
-func TestPairSpliceMatchesSideBySide(t *testing.T) {
+// TestSpliceUpsertsAndDeletes: a splice lands each owned edit on the block
+// — an insert, a deletion, a reweight, an insert in the tail — and a
+// deletion of a coordinate the block does not hold changes nothing; with
+// nothing owned, the block comes back as it was.
+func TestSpliceUpsertsAndDeletes(t *testing.T) {
 	cur := []sparse.Entry[float64]{
 		{I: 0, J: 1, V: 1.5}, {I: 0, J: 3, V: 2}, {I: 2, J: 0, V: 4}, {I: 2, J: 2, V: 8},
 	}
 	edits := []StationaryEdit[float64]{
-		{I: 0, J: 2, V: 9},      // insert: new side only
-		{I: 0, J: 3, Del: true}, // delete: old side only afterwards
+		{I: 0, J: 2, V: 9},      // insert
+		{I: 0, J: 3, Del: true}, // delete
 		{I: 2, J: 2, V: 5},      // reweight
 		{I: 3, J: 3, V: 7},      // insert in the tail
 		{I: 3, J: 4, Del: true}, // delete of a non-entry: no-op
 	}
-	got := splice(nil, cur, edits, func(i, j int32) bool { return true }, asPair, onNewSide)
-	inf := func() float64 { return algebra.Inf }
-	want := []sparse.Entry[algebra.WeightPair]{
-		{I: 0, J: 1, V: algebra.WeightPair{Old: 1.5, New: 1.5}},
-		{I: 0, J: 2, V: algebra.WeightPair{Old: inf(), New: 9}},
-		{I: 0, J: 3, V: algebra.WeightPair{Old: 2, New: inf()}},
-		{I: 2, J: 0, V: algebra.WeightPair{Old: 4, New: 4}},
-		{I: 2, J: 2, V: algebra.WeightPair{Old: 8, New: 5}},
-		{I: 3, J: 3, V: algebra.WeightPair{Old: inf(), New: 7}},
+	got := splice(nil, cur, edits, func(i, j int32) bool { return true })
+	want := []sparse.Entry[float64]{
+		{I: 0, J: 1, V: 1.5}, {I: 0, J: 2, V: 9}, {I: 2, J: 0, V: 4}, {I: 2, J: 2, V: 5}, {I: 3, J: 3, V: 7},
 	}
-	if len(got) != len(want) {
-		t.Fatalf("got %d entries, want %d: %+v", len(got), len(want), got)
+	if !slices.Equal(got, want) {
+		t.Fatalf("got %+v, want %+v", got, want)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("entry %d: got %+v want %+v", i, got[i], want[i])
-		}
-	}
-	// Ownership filter: nothing owned, nothing spliced, old entries lifted.
-	none := splice(nil, cur, edits, func(i, j int32) bool { return false }, asPair, onNewSide)
-	if len(none) != len(cur) {
-		t.Fatalf("unowned splice must keep the lifted base block, got %d entries", len(none))
-	}
-	for i, e := range cur {
-		if none[i].V != (algebra.WeightPair{Old: e.V, New: e.V}) {
-			t.Fatalf("entry %d not lifted: %+v", i, none[i])
-		}
-	}
-}
-
-// TestStagePairStationary: PairOf lifts the block and every staged set of
-// the scalar resident, each equal to a splice by asPair and onNewSide under
-// its own ownership filter, reports the entries it wrote, and leaves the
-// scalar resident as it was.
-func TestStagePairStationary(t *testing.T) {
-	plans := []Plan{
-		{P1: 1, P2: 2, P3: 2, X: RoleA, YZ: VarAB},
-		{P1: 2, P2: 1, P3: 2, X: RoleB, YZ: VarAC}, // fiber-replicated B
-	}
-	const k, n = 11, 13
-	rng := rand.New(rand.NewSource(4))
-	var global []sparse.Entry[float64]
-	seen := map[[2]int32]bool{}
-	for len(global) < 30 {
-		i, j := int32(rng.Intn(k)), int32(rng.Intn(n))
-		if seen[[2]int32{i, j}] {
-			continue
-		}
-		seen[[2]int32{i, j}] = true
-		global = append(global, sparse.Entry[float64]{I: i, J: j, V: 1 + rng.Float64()})
-	}
-	sortEntriesByCoord(global)
-	edits := []StationaryEdit[float64]{
-		{I: global[0].I, J: global[0].J, Del: true},
-		{I: global[4].I, J: global[4].J, V: 99},
-	}
-	sortEdits := func(es []StationaryEdit[float64]) {
-		for i := 1; i < len(es); i++ {
-			for j := i; j > 0 && (es[j].I < es[j-1].I || (es[j].I == es[j-1].I && es[j].J < es[j-1].J)); j-- {
-				es[j], es[j-1] = es[j-1], es[j]
-			}
-		}
-	}
-	sortEdits(edits)
-	const p = 4
-	for rank := 0; rank < p; rank++ {
-		b := residentFor(plans, p, rank, k, n, global)
-		before := residentFor(plans, p, rank, k, n, global)
-		pair, ops := PairOf(b, rank, edits, new(PairLift))
-		wrote := len(pair.m.Local)
-		if want := splice(nil, b.m.Local, edits, b.inBlock(rank), asPair, onNewSide); !slices.Equal(pair.m.Local, want) {
-			t.Fatalf("rank %d: pair block %+v, want %+v", rank, pair.m.Local, want)
-		}
-		for _, plan := range plans {
-			set, ok := pair.sets[plan]
-			if !ok {
-				t.Fatalf("%s rank %d: pair set not staged", plan, rank)
-			}
-			got := set.entries
-			want := splice(nil, stageForTest(plan, rank, k, n, global), edits, heldForTest(plan, rank, k, n), asPair, onNewSide)
-			if len(got) != len(want) {
-				t.Fatalf("%s rank %d: %d pair entries, want %d", plan, rank, len(got), len(want))
-			}
-			for x := range want {
-				if got[x] != want[x] {
-					t.Fatalf("%s rank %d entry %d: %+v vs %+v", plan, rank, x, got[x], want[x])
-				}
-			}
-			wrote += len(got)
-		}
-		if len(pair.sets) != len(plans) {
-			t.Fatalf("rank %d: %d pair sets for %d scalar sets", rank, len(pair.sets), len(plans))
-		}
-		if ops != int64(wrote) {
-			t.Fatalf("rank %d: reported %d ops, wrote %d entries", rank, ops, wrote)
-		}
-		if !slices.Equal(b.m.Local, before.m.Local) || !reflect.DeepEqual(b.sets, before.sets) {
-			t.Fatalf("rank %d: PairOf changed the scalar resident", rank)
-		}
+	if none := splice(nil, cur, edits, func(i, j int32) bool { return false }); !slices.Equal(none, cur) {
+		t.Fatalf("an unowned splice must keep the block, got %+v", none)
 	}
 }
 
 // TestCachedViewsStayCoherent drives a resident through random sequences of
-// staging, Patch and PairOf, and after every step checks its block and each
-// of its sets — block, stage buckets and row offsets — against ones built
-// from scratch out of an independent model of the matrix, and likewise each
-// pair operand's. A view that outlives a patch multiplies against the
-// pre-patch matrix without any error: only the scores come out wrong. Each
-// Patch splices into the storage the one before it replaced, and every
-// fused region lifts into one kept PairLift, so a view left on storage a
-// later step writes over shows as well. With no eviction the resident stays
-// bounded by the plans alone, and a pair operand holds exactly the
-// resident's plans.
+// staging and Patch, and after every step checks its block and each of its
+// sets — block, stage buckets and row offsets — against ones built from
+// scratch out of an independent model of the matrix. A view that outlives a
+// patch multiplies against the pre-patch matrix without any error: only the
+// scores come out wrong. Each Patch splices into the storage the one before
+// it replaced, so a view left on storage a later step writes over shows as
+// well. With no eviction the resident stays bounded by the plans alone.
 func TestCachedViewsStayCoherent(t *testing.T) {
 	plans := []Plan{
 		{P1: 1, P2: 1, P3: 4, X: RoleA, YZ: VarAB},
@@ -347,7 +305,6 @@ func TestCachedViewsStayCoherent(t *testing.T) {
 				return edits
 			}
 			b := residentFor(nil, p, rank, k, n, global())
-			var lift PairLift // kept across the fused regions, as a rank keeps it
 			// check compares the resident with a from-scratch one of the
 			// model.
 			check := func(step string) {
@@ -362,7 +319,7 @@ func TestCachedViewsStayCoherent(t *testing.T) {
 				}
 			}
 			for step := 0; step < 60; step++ {
-				switch rng.Intn(4) {
+				switch rng.Intn(3) {
 				case 0: // a multiply under some plan: hit, or stage
 					plan := plans[rng.Intn(len(plans))]
 					if _, hit := b.sets[plan]; !hit {
@@ -380,20 +337,6 @@ func TestCachedViewsStayCoherent(t *testing.T) {
 					}
 					b.Patch(rank, edits)
 					check("patch")
-				case 3: // a fused region: the pair lift of every set
-					edits := randomEdits()
-					pair, _ := PairOf(b, rank, edits, &lift)
-					if got, want := len(pair.sets), len(b.sets); got != want {
-						t.Fatalf("seed %d rank %d: %d pair sets for %d scalar sets", seed, rank, got, want)
-					}
-					for plan, set := range pair.sets {
-						base := stageForTest(plan, rank, k, n, global())
-						want := stageB(nil, plan, k, n, rank, dbForTest(plan, k, n), splice(nil, base, edits, heldForTest(plan, rank, k, n), asPair, onNewSide))
-						if _, staged := b.sets[plan]; !staged || !reflect.DeepEqual(set, want) {
-							t.Fatalf("seed %d rank %d: pair set %s diverged from a fresh staging\n got %+v\nwant %+v", seed, rank, plan, set, want)
-						}
-					}
-					check("pair staging")
 				}
 				if got := len(b.sets); got > len(plans) {
 					t.Fatalf("seed %d rank %d: %d sets resident for %d plans", seed, rank, got, len(plans))

@@ -88,7 +88,7 @@ func checkProductChain[V, W any](t *testing.T, p int, c screenCase[V, W]) (alias
 // caller's accumulator — C lives in its storage and stays valid until the
 // second product after it — under every candidate plan at p ∈ {4, 6}, with
 // one and three workers per rank, on the forward products of a weighted
-// mesh, scalar, and its backward (old, new) pair products. A chain of four
+// mesh and its backward products. A chain of four
 // products, each fed back as the next one's A operand as the forward sweep
 // feeds its screened product back as the next frontier, gives through one
 // kept accumulator, product by product and byte for byte, what it gives
@@ -104,7 +104,7 @@ func TestProductValidThroughNextMultiply(t *testing.T) {
 	for _, p := range []int{4, 6} {
 		t.Run(fmt.Sprintf("p%d", p), func(t *testing.T) {
 			fwd := checkProductChain(t, p, cs.fwd)
-			back := checkProductChain(t, p, cs.backPair)
+			back := checkProductChain(t, p, cs.back)
 			if fwd == 0 || back == 0 {
 				t.Errorf("no candidate plan places A as it leaves C (forward %d, backward %d): the chain never feeds a product back in its own storage", fwd, back)
 			}

@@ -12,7 +12,6 @@ import (
 	"repro/internal/machine"
 	"repro/internal/machine/sim"
 	"repro/internal/sparse"
-	"repro/internal/testkit"
 )
 
 // screenCase is one product the way MFBC's sweeps issue it: a frontier
@@ -80,54 +79,32 @@ func sided[V algebra.Sided[V, E], E any](loses, live func(t, v E) bool, zero E, 
 func checkScreenGraph(t *testing.T, g *graph.Graph, rows, p int) {
 	cs := screenCases(g, rows)
 	check(t, p, cs.fwd)
-	check(t, p, cs.fwdPair)
 	check(t, p, cs.back)
-	check(t, p, cs.backPair)
 }
 
 // graphCases are the products the sweeps issue on one graph: the forward
 // product (multpaths extended by one edge, ⊕ keeps the lighter) and the
-// backward one (centpaths pulled back over one edge, ⊗ keeps the heavier),
-// each over scalar values and over (old, new) pairs whose new side reweights
-// some edges and deletes others.
+// backward one (centpaths pulled back over one edge, ⊗ keeps the heavier).
 type graphCases struct {
-	fwd      screenCase[algebra.MultPath, float64]
-	fwdPair  screenCase[algebra.MultPathPair, algebra.WeightPair]
-	back     screenCase[algebra.CentPath, float64]
-	backPair screenCase[algebra.CentPathPair, algebra.WeightPair]
+	fwd  screenCase[algebra.MultPath, float64]
+	back screenCase[algebra.CentPath, float64]
 }
 
 // screenCases builds g's graphCases over T after two Bellman-Ford rounds
 // from rows sources.
 func screenCases(g *graph.Graph, rows int) graphCases {
 	adj := g.Adjacency().ToCOO()
-	pairAdj := sparse.NewCOO[algebra.WeightPair](adj.Rows, adj.Cols)
-	for _, e := range adj.E {
-		w := algebra.WeightPair{Old: e.V, New: e.V}
-		switch (e.I + e.J) % 5 { // symmetric in (i, j): the new side stays undirected
-		case 0:
-			w.New = e.V + 1
-		case 1:
-			w.New = algebra.Inf
-		}
-		pairAdj.Append(e.I, e.J, w)
-	}
 	seed := sparse.NewCOO[algebra.MultPath](rows, adj.Cols)
-	pairSeed := sparse.NewCOO[algebra.MultPathPair](rows, adj.Cols)
 	one := algebra.MultPath{M: 1}
-	for _, e := range pairAdj.E {
+	for _, e := range adj.E {
 		for i := 0; i < rows; i++ {
 			if e.I == int32(i*g.N/rows) {
-				seed.Append(int32(i), e.J, algebra.BFAction(one, e.V.Old))
-				pairSeed.Append(int32(i), e.J, algebra.BFActionPair(algebra.MultPathPair{Old: one, New: one}, e.V))
+				seed.Append(int32(i), e.J, algebra.BFAction(one, e.V))
 			}
 		}
 	}
-	trop, pairTrop := algebra.TropicalMonoid(), testkit.WeightPairMonoid()
-	mp, mpp := algebra.MultPathMonoid(), algebra.MultPathPairMonoid()
-	cp, cpp := algebra.CentPathMonoid(), algebra.CentPathPairMonoid()
+	trop, mp, cp := algebra.TropicalMonoid(), algebra.MultPathMonoid(), algebra.CentPathMonoid()
 	t2 := relax(seed, adj, 2, algebra.BFAction, mp, trop)
-	pairT := relax(pairSeed, pairAdj, 2, algebra.BFActionPair, mpp, pairTrop)
 
 	// The backward cases multiply T's pattern lifted to centpaths (ζ = 1/σ̄,
 	// one child to report) and screen against T's weights, a dead side of T
@@ -138,14 +115,10 @@ func screenCases(g *graph.Graph, rows int) graphCases {
 		}
 		return algebra.CentPath{W: m.W, P: 1 / m.M, C: 1}
 	}
-	liftAll := func(dead algebra.CentPath) (*sparse.CSR[algebra.CentPath], *sparse.CSR[algebra.CentPathPair]) {
-		return sparse.Map(t2, cp, func(_, _ int32, m algebra.MultPath) algebra.CentPath { return lift(m, dead) }),
-			sparse.Map(pairT, cpp, func(_, _ int32, m algebra.MultPathPair) algebra.CentPathPair {
-				return algebra.CentPathPair{Old: lift(m.Old, dead), New: lift(m.New, dead)}
-			})
+	liftAll := func(dead algebra.CentPath) *sparse.CSR[algebra.CentPath] {
+		return sparse.Map(t2, cp, func(_, _ int32, m algebra.MultPath) algebra.CentPath { return lift(m, dead) })
 	}
-	z, pairZ := liftAll(algebra.CentPathZero())
-	tw, pairTW := liftAll(algebra.CentPath{W: algebra.Inf})
+	z, tw := liftAll(algebra.CentPathZero()), liftAll(algebra.CentPath{W: algebra.Inf})
 
 	// A forward product loses when it is zero or heavier than T and is live
 	// otherwise; a backward one loses when it is lighter than T and is live
@@ -157,14 +130,10 @@ func screenCases(g *graph.Graph, rows int) graphCases {
 	onDAG := func(t, v algebra.CentPath) bool { return t.W == v.W }
 
 	loses, post := sided[algebra.MultPath](heavier, notHeavier, algebra.MultPathZero(), true)
-	pairLoses, pairPost := sided[algebra.MultPathPair](heavier, notHeavier, algebra.MultPathZero(), true)
 	backLoses, backPost := sided[algebra.CentPath](lighter, onDAG, algebra.CentPathZero(), false)
-	backPairLoses, backPairPost := sided[algebra.CentPathPair](lighter, onDAG, algebra.CentPathZero(), false)
 	return graphCases{
-		fwd:      screenCase[algebra.MultPath, float64]{"forward", t2.ToCOO(), t2, adj, algebra.BFAction, mp, trop, loses, post},
-		fwdPair:  screenCase[algebra.MultPathPair, algebra.WeightPair]{"forward-pair", pairT.ToCOO(), pairT, pairAdj, algebra.BFActionPair, mpp, pairTrop, pairLoses, pairPost},
-		back:     screenCase[algebra.CentPath, float64]{"backward", z.ToCOO(), tw, adj, algebra.BrandesAction, cp, trop, backLoses, backPost},
-		backPair: screenCase[algebra.CentPathPair, algebra.WeightPair]{"backward-pair", pairZ.ToCOO(), pairTW, pairAdj, algebra.BrandesActionPair, cpp, pairTrop, backPairLoses, backPairPost},
+		fwd:  screenCase[algebra.MultPath, float64]{"forward", t2.ToCOO(), t2, adj, algebra.BFAction, mp, trop, loses, post},
+		back: screenCase[algebra.CentPath, float64]{"backward", z.ToCOO(), tw, adj, algebra.BrandesAction, cp, trop, backLoses, backPost},
 	}
 }
 

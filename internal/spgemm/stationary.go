@@ -1,10 +1,8 @@
 package spgemm
 
 import (
-	"math"
 	"slices"
 
-	"repro/internal/algebra"
 	"repro/internal/distmat"
 	"repro/internal/machine"
 	"repro/internal/sparse"
@@ -44,6 +42,53 @@ func NewStationary[T any](m *distmat.Mat[T]) *Stationary[T] {
 func (b *Stationary[T]) Dists(s *Session, plan Plan, m int) (da, db, dc distmat.Dist) {
 	d := machine.Scratch[placements](s.Proc).dists(plan, m, b.m.Rows, b.m.Cols)
 	return d[0], d[1], d[2]
+}
+
+// ChargeStage runs the collectives that stage b's working set under plan,
+// as a multiply under plan would, and keeps nothing: a collective over the
+// world, which every rank calls with the same plan. A caller that holds a
+// copy of the matrix in a form of its own pays through it for the staging
+// that copy stands for — under a RoleB fiber plan of p×1×1, the whole
+// matrix on every rank.
+func (b *Stationary[T]) ChargeStage(s *Session, plan Plan) {
+	_, db, _ := b.Dists(s, plan, 0) // B's placement does not depend on A's rows
+	b.stage(s, plan, db)
+}
+
+// HasSet reports whether b holds a working set staged under plan.
+func (b *Stationary[T]) HasSet(plan Plan) bool {
+	_, ok := b.sets[plan]
+	return ok
+}
+
+// staged returns b's working set under plan, staging it on first use. A
+// rank owning no B entries legitimately holds an empty set, so a hit is
+// decided by the map's ok flag: re-staging on an empty set would have that
+// rank alone re-enter the fiber collectives and desync the machine.
+func (b *Stationary[T]) staged(s *Session, plan Plan, db distmat.Dist) *stagedB[T] {
+	if sb, hit := b.sets[plan]; hit {
+		return sb
+	}
+	sb := stageB(nil, plan, b.m.Rows, b.m.Cols, s.Proc.Rank(), db, b.stage(s, plan, db))
+	b.sets[plan] = sb
+	return sb
+}
+
+// stage returns b's entries staged by db, the plan's B distribution:
+// redistributed and, for RoleB fiber plans, replicated over the plan's
+// fibers, in storage of their own.
+func (b *Stationary[T]) stage(s *Session, plan Plan, db distmat.Dist) []sparse.Entry[T] {
+	bE := distmat.RedistributeInto(s.Proc.World(), b.m, db, nil)
+	switch {
+	case plan.P1 > 1 && plan.X == RoleB:
+		bE = replicate(s.grid(plan.P1, plan.P2, plan.P3).Fiber, bE, nil)
+	case db.Equal(b.m.Dist):
+		// Nothing moved, so bE is the block itself, which must not share
+		// its storage with the set: Patch hands each one's storage on to
+		// the next splice.
+		bE = slices.Clone(bE)
+	}
+	return bE
 }
 
 // inBlock returns whether rank's block holds (i, j).
@@ -90,8 +135,8 @@ type StationaryEdit[T any] struct {
 //
 // It returns the splice work in entry writes: host-side work with no
 // modeled communication, which a faithful region charges as local γ-flops
-// (core's sessions defer it to the next region, or charge it inside the
-// fused patch phase).
+// (core's sessions defer it to the next region, or charge it inside an
+// incremental apply's patch phase).
 func (b *Stationary[T]) Patch(rank int, edits []StationaryEdit[T]) int64 {
 	b.m.Local = b.splice(b.m.Local, edits, b.inBlock(rank))
 	ops := int64(len(b.m.Local))
@@ -112,68 +157,17 @@ func (b *Stationary[T]) Patch(rank int, edits []StationaryEdit[T]) int64 {
 // storage (Multiply stages none on the block's), so none is written over
 // while it is in use.
 func (b *Stationary[T]) splice(cur []sparse.Entry[T], edits []StationaryEdit[T], owned func(i, j int32) bool) []sparse.Entry[T] {
-	out := splice(b.spare, cur, edits, owned, asIs[T], upsert[T])
+	out := splice(b.spare, cur, edits, owned)
 	b.spare = cur[:0]
 	return out
 }
 
-// PairOf lifts what rank holds of b — its block and every working set — into
-// the pair operand of a fused incremental region: each held entry becomes
-// {Old: w, New: w}, and the new-side edits (sorted, duplicate-free) each one
-// holds are spliced into the New component. Every pair set is thereby staged
-// from resident data alone, so the region's pair multiplies are warm hits
-// with only the diff moved; a plan the region first uses is staged on the
-// pair operand, which shares b's owner tables, and dies with it. The lifted
-// entries (splice by asPair and onNewSide) are written over into's storage,
-// so the operand a PairOf returns is valid until the next PairOf into the
-// same storage. b is left as it was. Returns the pair operand and the
-// splice work in entry writes.
-func PairOf(b *Stationary[float64], rank int, edits []StationaryEdit[float64], into *PairLift) (*Stationary[algebra.WeightPair], int64) {
-	if into.sets == nil {
-		into.sets = make(map[Plan]*stagedB[algebra.WeightPair], len(b.sets))
-	}
-	into.block = splice(into.block, b.m.Local, edits, b.inBlock(rank), asPair, onNewSide)
-	pair := &Stationary[algebra.WeightPair]{
-		m:    &distmat.Mat[algebra.WeightPair]{Rows: b.m.Rows, Cols: b.m.Cols, Dist: b.m.Dist, Local: into.block},
-		sets: make(map[Plan]*stagedB[algebra.WeightPair], len(b.sets)),
-	}
-	ops := int64(len(into.block))
-	for plan, sb := range b.sets {
-		set := into.sets[plan]
-		var dst []sparse.Entry[algebra.WeightPair]
-		if set != nil {
-			dst = set.entries
-		}
-		set = stageB(set, plan, b.m.Rows, b.m.Cols, rank, sb.db, splice(dst, sb.entries, edits, sb.holds(plan, rank), asPair, onNewSide))
-		into.sets[plan], pair.sets[plan] = set, set
-		ops += int64(len(set.entries))
-	}
-	return pair, ops
-}
-
-// PairLift is the storage PairOf lifts one operand into: the pair entries
-// of its block, and each working set with its stage views, by plan. A
-// caller that keeps one per operand across fused regions lifts without
-// allocating once it has grown; each PairOf writes over what the last one
-// lifted. The zero value is ready to use.
-type PairLift struct {
-	block []sparse.Entry[algebra.WeightPair]
-	sets  map[Plan]*stagedB[algebra.WeightPair]
-}
-
 // splice merges the owned subset of sorted, duplicate-free edits into cur,
-// a sorted, duplicate-free entry slice, by two rules: keep appends a run of
-// resident entries no edit touches, and land gives what an owned edit
-// leaves at its coordinate from the resident value there (had: whether
-// there is one), or nothing (ok false). The result is written over dst
-// (dst[:0], grown as needed), which must not share cur's storage; cur is
-// left as it was. Patch splices by asIs and upsert, PairOf by asPair and
-// onNewSide.
-func splice[S, T any](
-	dst []sparse.Entry[T], cur []sparse.Entry[S], edits []StationaryEdit[S], owned func(i, j int32) bool,
-	keep func(out []sparse.Entry[T], run []sparse.Entry[S]) []sparse.Entry[T],
-	land func(old S, had bool, ed StationaryEdit[S]) (v T, ok bool),
-) []sparse.Entry[T] {
+// a sorted, duplicate-free entry slice: an upsert replaces or inserts its
+// entry, a deletion drops it. The result is written over dst (dst[:0],
+// grown as needed), which must not share cur's storage; cur is left as it
+// was.
+func splice[T any](dst, cur []sparse.Entry[T], edits []StationaryEdit[T], owned func(i, j int32) bool) []sparse.Entry[T] {
 	out := slices.Grow(dst[:0], len(cur)+len(edits))
 	x := 0
 	for _, ed := range edits {
@@ -184,45 +178,13 @@ func splice[S, T any](
 		for x < len(cur) && (cur[x].I < ed.I || (cur[x].I == ed.I && cur[x].J < ed.J)) {
 			x++
 		}
-		out = keep(out, cur[x0:x])
-		var old S
-		had := x < len(cur) && cur[x].I == ed.I && cur[x].J == ed.J
-		if had {
-			old = cur[x].V
+		out = append(out, cur[x0:x]...)
+		if x < len(cur) && cur[x].I == ed.I && cur[x].J == ed.J {
 			x++
 		}
-		if v, ok := land(old, had, ed); ok {
-			out = append(out, sparse.Entry[T]{I: ed.I, J: ed.J, V: v})
+		if !ed.Del {
+			out = append(out, sparse.Entry[T]{I: ed.I, J: ed.J, V: ed.V})
 		}
 	}
-	return keep(out, cur[x:])
-}
-
-// asIs keeps resident entries as they are.
-func asIs[T any](out, run []sparse.Entry[T]) []sparse.Entry[T] { return append(out, run...) }
-
-// upsert lands an edit as an upsert (insert or replace) or a deletion.
-func upsert[T any](_ T, _ bool, ed StationaryEdit[T]) (T, bool) { return ed.V, !ed.Del }
-
-// asPair keeps each resident entry as the pair {Old: w, New: w}.
-func asPair(out []sparse.Entry[algebra.WeightPair], run []sparse.Entry[float64]) []sparse.Entry[algebra.WeightPair] {
-	for _, e := range run {
-		out = append(out, sparse.Entry[algebra.WeightPair]{I: e.I, J: e.J, V: algebra.WeightPair{Old: e.V, New: e.V}})
-	}
-	return out
-}
-
-// onNewSide lands an edit on the pair's new side: a deletion marks it
-// absent (∞), an upsert replaces or inserts it, and a coordinate absent on
-// both sides is dropped. After asPair, the result is entry for entry what
-// staging the old and new matrices side by side would produce.
-func onNewSide(old float64, had bool, ed StationaryEdit[float64]) (algebra.WeightPair, bool) {
-	v := algebra.WeightPair{Old: algebra.Inf, New: algebra.Inf}
-	if had {
-		v.Old = old
-	}
-	if !ed.Del {
-		v.New = ed.V
-	}
-	return v, !math.IsInf(v.Old, 1) || !math.IsInf(v.New, 1)
+	return append(out, cur[x:]...)
 }

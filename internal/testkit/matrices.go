@@ -118,19 +118,6 @@ func AllgatherConcat[T any](c *machine.Comm, data []T) []T {
 	return out
 }
 
-// WeightPairMonoid is (W×W, min×min) with identity (∞, ∞): the tropical
-// monoid on each side of an algebra.WeightPair.
-func WeightPairMonoid() algebra.Monoid[algebra.WeightPair] {
-	trop := algebra.TropicalMonoid()
-	return algebra.Monoid[algebra.WeightPair]{
-		Identity: algebra.WeightPair{Old: algebra.Inf, New: algebra.Inf},
-		Op: func(x, y algebra.WeightPair) algebra.WeightPair {
-			return algebra.WeightPair{Old: trop.Op(x.Old, y.Old), New: trop.Op(x.New, y.New)}
-		},
-		IsZero: func(w algebra.WeightPair) bool { return w.Old == algebra.Inf && w.New == algebra.Inf },
-	}
-}
-
 // ZipJoin walks the entries present in both a and b (an intersection merge)
 // and calls visit for each common coordinate.
 func ZipJoin[T, U any](a *sparse.CSR[T], b *sparse.CSR[U], visit func(i, j int32, x T, y U)) {
