@@ -21,9 +21,9 @@
 //	curl -X POST localhost:8080/query -d '{"graph":"demo","k":10}'   # warm hit on the new version
 //
 // With -dyn-procs p, each PATCH re-runs its affected pivots on the
-// simulated p-processor machine (stationary operands stay resident and are
-// delta-patched between batches) and the response carries the modeled
-// communication: {"procs":16,"plan":"4x2x2/X=B/YZ=AB","comm":{"bytes":...}}.
+// simulated p-processor machine (each rank sweeps its share of them over
+// the replicated adjacency) and the response carries the modeled
+// communication: {"procs":16,"plan":"16x1x1/X=B/YZ=AB","comm":{"bytes":...}}.
 //
 // The listener is a hardened http.Server (header/read/idle timeouts guard
 // against slow-drip clients; see -read-header-timeout and friends) and

@@ -6,13 +6,13 @@
 //	snap := dyn.Scores() // consistent (graph version, scores) snapshot
 //
 // With Procs > 1 the engine runs every exact sweep on the simulated
-// distributed machine, keeping the stationary adjacency operands resident
-// across applies and delta-patching them with each batch's edge diff; the
-// per-apply ApplyReport and the cumulative DynamicSnapshot then carry the
-// modeled communication (critical-path words, messages, α–β–γ seconds)
-// and the decomposition plan chosen. The engine searches that plan per
-// multiplication and sweeps the default batch; it takes no forced plan or
-// search constraint (those ablations are core.DistOptions').
+// distributed machine, under the 1D decomposition that replicates the
+// adjacency on every rank (p×1×1/X=B): each rank sweeps its share of the
+// sources with no communication inside a sweep. The per-apply ApplyReport
+// and the cumulative DynamicSnapshot then carry the modeled communication
+// (critical-path words, messages, α–β–γ seconds) and that plan. The engine
+// sweeps the default batch; it takes no forced plan or search constraint
+// (those ablations govern core.DistOptions' one-shot runs).
 //
 // The façade declares no type of its own: DynamicBC, DynamicOptions,
 // ApplyReport, DynamicSnapshot, PhaseComm and CommReport are the engine's
@@ -44,7 +44,7 @@ const (
 type DynamicOptions = dynamic.Config
 
 // PhaseComm re-exports one named region phase's share of an apply's
-// modeled cost (diff / patch / sweep / reduce for a fused apply).
+// modeled cost (diff / patch / sweep / reduce for an apply's region).
 type PhaseComm = dynamic.PhaseComm
 
 // ApplyReport describes one applied mutation batch — the engine's own

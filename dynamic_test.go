@@ -152,18 +152,15 @@ func TestDynamicDifferential(t *testing.T) {
 }
 
 // TestDynamicDistributedDifferential replays seeded mutation sequences
-// through distributed-mode engines — procs 2, 4, 6 and 8 under the
-// automatic plan search — comparing every prefix against a from-scratch
-// repro.Compute at 1e-9. On these graphs the search picks a 1D plan at
-// every p. The façade takes no forced plan or search constraint, so the
-// p2-1d, p4-2d, p4-3d and p4-forced rows replay the same sequences through
-// the engine's session (core.DistSession) under core.DistOptions' ablation,
-// driven as the engine drives it; the engine itself under those plans is
-// internal/dynamic's TestDistributedIncrementalMatchesFromScratch.
-// Incremental applies with affected sources run fused, vertex growth
-// included; that delta-patched operands match full redistribution bit for
-// bit is pinned one layer down (core.TestSessionPatchMatchesReset). MFBC_DIFFTEST_SEEDS
-// widens the seed matrix as in the static harness.
+// through distributed-mode engines — procs 2, 4, 6 and 8 — comparing every
+// prefix against a from-scratch repro.Compute at 1e-9. Incremental applies
+// with affected sources run fused, vertex growth included. The engine runs
+// every sweep as the source route, which no plan ablation governs, so the
+// p2-1d, p4-2d, p4-3d and p4-forced rows compute every prefix of the same
+// sequences one-shot (core.MFBCDistributed) under core.DistOptions'
+// ablation, which the façade does not take: the ablated plans on the
+// evolved graphs, vertex growth included. MFBC_DIFFTEST_SEEDS widens the
+// seed matrix as in the static harness.
 func TestDynamicDistributedDifferential(t *testing.T) {
 	topologies := []struct {
 		name     string
@@ -177,7 +174,7 @@ func TestDynamicDistributedDifferential(t *testing.T) {
 	engines := []struct {
 		name    string
 		opt     DynamicOptions
-		ablated *core.DistOptions // non-nil: drive a session under this ablation instead
+		ablated *core.DistOptions // non-nil: compute each prefix one-shot under this ablation instead
 	}{
 		{"p2", DynamicOptions{Procs: 2, Workers: 1}, nil},
 		{"p2-1d", DynamicOptions{}, &core.DistOptions{Procs: 2, Workers: 1, Constraint: spgemm.Only1D}},
@@ -198,11 +195,19 @@ func TestDynamicDistributedDifferential(t *testing.T) {
 					var apply func(step int, next *Graph, batch []Mutation) (bc []float64, desc string)
 					var commBytes func() int64
 					if eng.ablated != nil {
-						s := newAblatedSession(t, g, *eng.ablated)
-						apply = func(step int, next *Graph, batch []Mutation) ([]float64, string) {
-							return s.apply(t, step, next.Clone(), batch)
+						var bytes int64
+						apply = func(step int, next *Graph, _ []Mutation) ([]float64, string) {
+							r, err := core.MFBCDistributed(next.Clone(), *eng.ablated)
+							if err != nil {
+								t.Fatalf("step %d: %v", step, err)
+							}
+							if !planAdmitted(r.Plan, *eng.ablated) {
+								t.Fatalf("step %d: ran plan %s outside the ablation", step, r.Plan)
+							}
+							bytes += r.Stats.MaxCost.Bytes
+							return r.BC, "one-shot under " + r.Plan.String()
 						}
-						commBytes = func() int64 { return s.bytes }
+						commBytes = func() int64 { return bytes }
 					} else {
 						dyn, err := NewDynamicBC(g, eng.opt)
 						if err != nil {
@@ -256,74 +261,6 @@ func TestDynamicDistributedDifferential(t *testing.T) {
 			}
 		}
 	}
-}
-
-// ablatedSession replays a mutation stream through a core.DistSession the
-// way the streaming engine drives its own: an initial full run, then one
-// fused region per batch, vertex growth included. Here every vertex is a
-// pivot, so each apply's new side is the full score vector.
-type ablatedSession struct {
-	opt   core.DistOptions
-	sess  *core.DistSession
-	bytes int64
-}
-
-func newAblatedSession(t *testing.T, g *Graph, opt core.DistOptions) *ablatedSession {
-	t.Helper()
-	sess, err := core.NewDistSession(g.Clone(), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := sess.Run(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !planAdmitted(r.Plan, opt) {
-		t.Fatalf("initial run ran plan %s outside the ablation", r.Plan)
-	}
-	return &ablatedSession{opt: opt, sess: sess, bytes: r.Stats.MaxCost.Bytes}
-}
-
-// apply advances the session to next, its graph after batch, and returns
-// next's scores with a description of the region that computed them.
-func (a *ablatedSession) apply(t *testing.T, step int, next *Graph, batch []Mutation) ([]float64, string) {
-	t.Helper()
-	type key [2]int32
-	seen := map[key]bool{}
-	var edges []key
-	for _, m := range batch {
-		if m.Op == MutAddVertex {
-			continue
-		}
-		u, v := m.U, m.V
-		if !next.Directed && u > v {
-			u, v = v, u
-		}
-		if !seen[key{u, v}] {
-			seen[key{u, v}] = true
-			edges = append(edges, key{u, v})
-		}
-	}
-	diffs := make([]core.EdgeDiff, len(edges))
-	for i, e := range edges {
-		w, ok := next.FindEdge(e[0], e[1])
-		diffs[i] = core.EdgeDiff{U: e[0], V: e[1], W: w, Present: ok}
-	}
-	all := make([]int32, next.N)
-	for v := range all {
-		all[v] = int32(v)
-	}
-	r, err := a.sess.ApplyIncrementalCtx(context.Background(), all, next, nil, nil, diffs)
-	if err != nil {
-		t.Fatalf("step %d: fused apply: %v", step, err)
-	}
-	a.bytes += r.Stats.MaxCost.Bytes
-	// The ablation governs the session's runs; an apply sweeps by source
-	// under the route's own plan.
-	if route := (spgemm.Plan{P1: a.opt.Procs, P2: 1, P3: 1, X: spgemm.RoleB, YZ: spgemm.VarAB}); r.Plan != route {
-		t.Fatalf("step %d (fused): ran plan %s, the route's is %s", step, r.Plan, route)
-	}
-	return r.NewBC, "fused under " + r.Plan.String()
 }
 
 // planAdmitted reports whether p is opt's forced plan or, with none forced,

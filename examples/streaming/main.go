@@ -9,14 +9,15 @@
 // cheap path when exact maintenance is not worth it — and sets each
 // estimate's Hoeffding error bound beside its actual error against the
 // maintained exact scores. Part 3 runs the same kind of stream on the
-// simulated distributed machine (Procs: 4): the stationary adjacency operands stay resident across
-// applies, and each incremental apply executes as ONE machine region —
-// the adjacency replicated once, every rank re-runs its share of the
-// pivots on both sides with the CSR kernel, and the edge diff is scattered
-// and spliced mid-region — in a fixed number of supersteps, however many
-// rounds the sweeps take. The per-apply report breaks the cost into its
-// diff/patch/sweep/reduce phases, and every apply is checked against a
-// from-scratch Compute.
+// simulated distributed machine (Procs: 4), where every sweep is the same
+// route: the adjacency replicated on every rank once, each rank sweeps its
+// share of the sources with the CSR kernel — an incremental apply its
+// share of the pivots on both sides of the update, a full recompute its
+// share of every vertex on the new side — and the edge diff is scattered
+// and its splice charged mid-region, in ONE machine region of a fixed
+// number of supersteps, however many rounds the sweeps take. The
+// per-apply report breaks the cost into its diff/patch/sweep/reduce
+// phases, and every apply is checked against a from-scratch Compute.
 //
 // Run with: go run ./examples/streaming
 package main
@@ -110,7 +111,7 @@ func main() {
 	// on the simulated 4-processor machine. Incremental applies execute as
 	// one fused region (rep.Fused): each rank sweeps its share of the
 	// pivots on both sides of the update with no communication, the diff
-	// arrives by a modeled scatter, the operand splice is charged as local
+	// arrives by a modeled scatter, the replica's splice is charged as local
 	// γ-flops, and an all-to-all and an allreduce close — the per-apply
 	// report attributes the cost to the diff/patch/sweep/reduce phases,
 	// and the modeled messages stay flat however many rounds a sweep takes.

@@ -1,24 +1,27 @@
-// Persistent distributed sessions: the streaming counterpart of
-// MFBCDistributed. A DistSession keeps each simulated rank's stationary
-// adjacency operands (A and Aᵀ as spgemm.Stationary values: the rank's
-// block in the neutral shard distribution and every working set staged from
-// it) resident across machine runs, so the placement cost of the stationary
-// matrices — the once-per-run term amortized in the proof of Theorem 5.1 —
-// is also amortized across the applies of an evolving-graph workload: a
-// working set staged (replicated, for 3D plans) in one run is a warm hit in
-// every later run. Small edge diffs are delta-patched into the resident
-// operands (Patch) instead of redistributing the whole matrix per apply;
-// only a vertex-set change forces a rebuild.
+// Distributed sessions. A DistSession holds what the machine regions over
+// one topology share, for opt.Procs simulated ranks: each rank's scratch
+// store, so the storage a region grows outlives it, and the rank's shards
+// of A and Aᵀ as Run's entry-list sweep multiplies them (spgemm.Stationary
+// values: the rank's block in the neutral shard distribution and every
+// working set staged from it), so the working sets one run stages are warm
+// hits in the next — the once-per-run term amortized in the proof of
+// Theorem 5.1.
+//
+// One-shot computations (MFBCDistributed) build a session per call and Run
+// it. The streaming engine (internal/dynamic) keeps one across applies and
+// runs every sweep as the source route (fused.go), which reads the
+// session's adjacency CSRs — the replicated input — and not the shards: an
+// apply moves the topology, and drops the shards rather than keep them
+// current, so whatever needs them next cuts them again from the topology
+// as it stands.
 //
 // A DistSession is owned by one driver (internal/dynamic's Engine holds it
-// under its apply lock); Run and Patch must not be called concurrently.
+// under its apply lock); its methods must not be called concurrently.
 package core
 
 import (
-	"cmp"
 	"context"
 	"fmt"
-	"slices"
 	"sync/atomic"
 
 	"repro/internal/algebra"
@@ -30,15 +33,15 @@ import (
 )
 
 // EdgeDiff is one edge of the effective difference between the session's
-// current topology and its successor: the post-patch state of edge (U, V).
+// current topology and its successor: the post-apply state of edge (U, V).
 type EdgeDiff struct {
 	U, V    int32
-	W       float64 // weight after the patch (meaningful when Present)
-	Present bool    // edge exists after the patch
+	W       float64 // weight after the apply (meaningful when Present)
+	Present bool    // edge exists after the apply
 }
 
-// DistSession holds the per-rank resident state of a distributed MFBC
-// computation across runs.
+// DistSession holds the per-rank state of a distributed MFBC computation
+// across runs.
 type DistSession struct {
 	opt    DistOptions
 	p      int
@@ -47,30 +50,34 @@ type DistSession struct {
 	adjT   *sparse.CSR[float64] // Aᵀ, adjCSR itself when undirected; nil until transpose builds it
 	exact  bool                 // exactSums of adjCSR's weights
 	ranks  []*distRank
-	// replica is set once an incremental apply has charged the staging of
-	// the source route's replica (fused.go), which every rank then holds
-	// and every later edit splices into; a rebuild clears it.
+	// replica is set once a region has charged the staging of the source
+	// route's replica (fused.go), which every rank then holds and every
+	// later edit splices into; a vertex-set change clears it.
 	replica bool
+	// pending is the local work, per rank, of the replica splices of
+	// applies that ran no region; the next region charges it as γ-flops of
+	// its "patch" phase, so an edit is never free compute.
+	pending int64
 }
 
-// distRank is one simulated rank's persistent state: its stationary
-// operands, and the machine scratch store every Proc of the rank runs on,
+// distRank is one simulated rank's persistent state: its shards of the
+// topology, and the machine scratch store every Proc of the rank runs on,
 // so what its regions reuse outlives them — Redistribute's send storage,
 // Multiply's A placement, the distributions the rank has planned under
-// (for A and Aᵀ alike), the sweeps' and the source route's buffers and the plans the rank has already searched for. A region's
-// spgemm.Session then holds only its grids. Only the rank's own goroutine
-// touches any of it, and the session's regions run one after another.
+// (for A and Aᵀ alike), the sweeps' and the source route's buffers and
+// the plans the rank has already searched for. A region's spgemm.Session
+// then holds only its grids. Only the rank's own goroutine touches any of
+// it, and the session's regions run one after another.
 type distRank struct {
+	// a and at are the rank's shards of A and Aᵀ, with the working sets
+	// Run's multiplies staged from them; nil from the moment the topology
+	// moves until cutShards cuts them again.
 	a, at *spgemm.Stationary[float64]
-	// pendingFlops is the local splice work of host-side Patch calls not
-	// yet charged to the model; the next region charges it as γ-flops in
-	// its "patch" phase, so delta-patching is never free compute.
-	pendingFlops int64
 
 	store machine.Store
 }
 
-// NewDistSession validates g and builds the resident operands for
+// NewDistSession validates g and makes it the topology of a session of
 // opt.Procs simulated ranks. opt.Sources is ignored; pass sources to Run.
 func NewDistSession(g *graph.Graph, opt DistOptions) (*DistSession, error) {
 	if err := g.Validate(); err != nil {
@@ -86,86 +93,40 @@ func NewDistSession(g *graph.Graph, opt DistOptions) (*DistSession, error) {
 	if opt.Transport != nil && opt.Transport.Size() != p {
 		return nil, fmt.Errorf("core: transport spans %d ranks but session wants %d", opt.Transport.Size(), p)
 	}
-	s := &DistSession{opt: opt, p: p}
+	s := &DistSession{opt: opt, p: p, ranks: make([]*distRank, p)}
+	for r := range s.ranks {
+		s.ranks[r] = new(distRank)
+	}
 	s.reset(g, nil)
 	return s, nil
 }
 
-// reset (re)builds every rank's operands from the global topology newG,
-// with no working set staged, so the next runs pay full redistribution
-// again. The rest of the rank carries over: splice work still pending from
-// earlier Patch calls, which the next region charges all the same, and the
-// storage its regions reuse. It builds a new session's residents, is the
-// fallback for vertex-set changes (the operand dimensions move) and the
-// full-redistribution oracle the differential tests pin delta-patching
-// against (TestSessionPatchMatchesReset). adjCSR may be nil.
+// reset makes newG, whose adjacency is adjCSR (built when nil), the
+// session's topology with no replica staged, so the next region charges
+// its staging again: a new session's topology, and the fallback for a
+// vertex-set change, which moves the operand dimensions. Splice work still
+// pending carries over, which the next region charges all the same, and so
+// does the storage the ranks' regions reuse.
 func (s *DistSession) reset(newG *graph.Graph, adjCSR *sparse.CSR[float64]) {
 	if adjCSR == nil {
 		adjCSR = newG.Adjacency()
 	}
-	at := adjCSR // an undirected Aᵀ is A
-	if newG.Directed {
-		at = sparse.Transpose(adjCSR)
-	}
-	// Each rank's shard of A and of Aᵀ is cut from the rows as they stand:
-	// sorted, and sized exactly. An undirected graph cuts A twice, since
-	// each resident is patched in place.
-	shard := distmat.DistShard(s.p)
-	as, ats := distmat.FromCSR(adjCSR, shard), distmat.FromCSR(at, shard)
-	s.setTopology(newG, adjCSR, at)
-	s.replica = false
-	if s.ranks == nil {
-		s.ranks = make([]*distRank, s.p)
-		for r := range s.ranks {
-			s.ranks[r] = new(distRank)
-		}
-	}
-	for r, rk := range s.ranks {
-		rk.a, rk.at = spgemm.NewStationary(as[r]), spgemm.NewStationary(ats[r])
-	}
-}
-
-// Patch transitions the resident operands from the current topology to
-// newG, whose edge set must differ from the current graph by exactly
-// diffs. Each rank splices only the diff entries it owns into its resident
-// operands — the shard-distributed blocks and every plan-specific staged
-// working set — leaving each block entry-identical to a full re-staging of
-// the new matrix while moving nothing on the simulated machine. The diff
-// is globally known, mirroring the generator-replication input convention
-// that reset cuts the residents by. Vertex growth changes the operand
-// dimensions and falls back to reset. adjCSR is newG's adjacency (rebuilt
-// when nil).
-func (s *DistSession) Patch(newG *graph.Graph, adjCSR *sparse.CSR[float64], diffs []EdgeDiff) {
-	if newG.N != s.g.N {
-		s.reset(newG, adjCSR)
-		return
-	}
-	if adjCSR == nil {
-		adjCSR = newG.Adjacency()
-	}
-	directed := newG.Directed
 	s.setTopology(newG, adjCSR, nil)
-	if len(diffs) == 0 {
-		return
-	}
-	editsA := adjacencyEdits(directed, diffs, false)
-	editsAt := adjacencyEdits(directed, diffs, true)
-	for r, rk := range s.ranks {
-		rk.pendingFlops += rk.a.Patch(r, editsA) + rk.at.Patch(r, editsAt)
-		if s.replica {
-			rk.pendingFlops += int64(len(s.replicaOf(rk))) * int64(adjCSR.NNZ())
-		}
-	}
+	s.replica = false
 }
 
 // setTopology makes g, with adjacency adj and its transpose at, the
-// session's topology. An undirected Aᵀ is A; a directed one left nil is
-// built when first asked for (transpose).
+// session's topology, and drops the ranks' shards of the one before. An
+// undirected Aᵀ is A; a directed one left nil is built when first asked
+// for (transpose).
 func (s *DistSession) setTopology(g *graph.Graph, adj, at *sparse.CSR[float64]) {
 	if !g.Directed {
 		at = adj
 	}
 	s.g, s.adjCSR, s.adjT, s.exact = g, adj, at, exactSums(adj.Val)
+	for _, rk := range s.ranks {
+		rk.a, rk.at = nil, nil
+	}
 }
 
 // transpose returns Aᵀ of the session's topology.
@@ -176,33 +137,30 @@ func (s *DistSession) transpose() *sparse.CSR[float64] {
 	return s.adjT
 }
 
-// adjacencyEdits expands an edge diff into sorted coordinate edits of the
-// adjacency matrix (or, with transpose, of Aᵀ): undirected edges edit both
-// orientations, directed edges one.
-func adjacencyEdits(directed bool, diffs []EdgeDiff, transpose bool) []spgemm.StationaryEdit[float64] {
-	out := make([]spgemm.StationaryEdit[float64], 0, 2*len(diffs))
-	for _, d := range diffs {
-		u, v := d.U, d.V
-		if transpose {
-			u, v = v, u
-		}
-		out = append(out, spgemm.StationaryEdit[float64]{I: u, J: v, V: d.W, Del: !d.Present})
-		if !directed {
-			out = append(out, spgemm.StationaryEdit[float64]{I: v, J: u, V: d.W, Del: !d.Present})
-		}
+// cutShards cuts every rank's shards of A and Aᵀ from the session's
+// topology, unless the ranks hold them already. Each is cut from the rows
+// as they stand — sorted, and sized exactly — and an undirected Aᵀ is A's
+// block; nothing writes either.
+func (s *DistSession) cutShards() {
+	if s.ranks[0].a != nil {
+		return
 	}
-	// An edge diff names each edge once, so the coordinates are distinct.
-	slices.SortFunc(out, func(a, b spgemm.StationaryEdit[float64]) int {
-		return cmp.Compare(distmat.CoordKey(a.I, a.J), distmat.CoordKey(b.I, b.J))
-	})
-	return out
+	shard := distmat.DistShard(s.p)
+	as := distmat.FromCSR(s.adjCSR, shard)
+	ats := as
+	if s.g.Directed {
+		ats = distmat.FromCSR(s.transpose(), shard)
+	}
+	for r, rk := range s.ranks {
+		rk.a, rk.at = spgemm.NewStationary(as[r]), spgemm.NewStationary(ats[r])
+	}
 }
 
-// Run computes the partial centrality Σ_{s∈sources} δ(s,·) of the resident
-// topology on the simulated machine — every source of the graph when
-// sources is nil — chunking explicit source sets into Batch-sized sweeps.
-// Working sets staged by earlier runs of this session are warm hits: only
-// the frontier matrices move.
+// Run computes the partial centrality Σ_{s∈sources} δ(s,·) of the
+// session's topology on the simulated machine — every source of the graph
+// when sources is nil — chunking explicit source sets into Batch-sized
+// sweeps. Working sets staged by earlier runs on the same topology are warm
+// hits: only the frontier matrices move.
 func (s *DistSession) Run(sources []int32) (*DistResult, error) {
 	return s.RunCtx(context.Background(), sources)
 }
@@ -221,6 +179,7 @@ func (s *DistSession) RunCtx(ctx context.Context, sources []int32) (*DistResult,
 	if sources != nil && len(sources) < nb {
 		nb = len(sources)
 	}
+	s.cutShards()
 	pl := s.planner(s.g, s.exact)
 	out, err := s.sweepRegion(ctx, pl, sources, nb)
 	if err != nil {
@@ -260,13 +219,15 @@ func (s *DistSession) planner(g *graph.Graph, exact bool) planner {
 }
 
 // region runs body as every rank's part of one machine region, on the
-// session's transport: each rank runs on its own store, charges the splice
-// work host-side Patch calls left pending as local flops of its "patch"
-// phase, the region that first benefits from the patched blocks, and then
-// runs body. ctx is one more cause that ends the region: rank 0 fails the
-// region with ctx's cause once ctx has ended — at once if it had ended
-// before the region — so every rank of a tcp mesh unwinds with it.
+// session's transport: each rank runs on its own store, charges the
+// replica splices pending on the session as local flops of its "patch"
+// phase, and then runs body. ctx is one more cause that ends the region:
+// rank 0 fails the region with ctx's cause once ctx has ended — at once if
+// it had ended before the region — so every rank of a tcp mesh unwinds
+// with it.
 func (s *DistSession) region(ctx context.Context, body func(*machine.Proc, *distRank)) (machine.RunStats, error) {
+	pending := s.pending
+	s.pending = 0
 	return transportFor(s.p, s.opt).Run(func(proc *machine.Proc) {
 		if proc.Rank() == 0 && ctx.Done() != nil {
 			// A Fail that ctx has set off is waited for, so it lands inside
@@ -284,10 +245,9 @@ func (s *DistSession) region(ctx context.Context, body func(*machine.Proc, *dist
 		}
 		rk := s.ranks[proc.Rank()]
 		proc.UseStore(&rk.store)
-		if rk.pendingFlops > 0 {
+		if pending > 0 {
 			proc.Phase(machine.PhasePatch)
-			proc.AddFlops(rk.pendingFlops)
-			rk.pendingFlops = 0
+			proc.AddFlops(pending)
 		}
 		body(proc, rk)
 	})
@@ -321,7 +281,7 @@ func (red *reduceBufs) sums(n int) (acc, total []float64) {
 }
 
 // sweepRegion runs Run's machine region: the batched MFBF/MFBr sweeps of
-// sources (nil = every vertex) over the resident operands, planned by pl,
+// sources (nil = every vertex) over the ranks' shards, planned by pl,
 // T seeded from the session's adjacency, and one deferred reduction of the
 // accumulated scores.
 func (s *DistSession) sweepRegion(ctx context.Context, pl planner, sources []int32, nb int) (*regionOutcome, error) {

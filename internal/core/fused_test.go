@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
 	"runtime"
 	"runtime/debug"
 	"slices"
@@ -53,27 +52,26 @@ func fusedTestSetup(t *testing.T, narrow bool) (g, g2 *graph.Graph, diffs []Edge
 	return g, g2, diffs, sources
 }
 
-// runTwoRegion replays the PR 4 path on a fresh session: warm one-shot run,
-// old-side region, host patch, new-side region. Returns the side results.
-func runTwoRegion(t *testing.T, g, g2 *graph.Graph, diffs []EdgeDiff, sources []int32, opt DistOptions) (oldR, newR *DistResult) {
+// runTwoRegion is the path of two regions of Run: a warm run of sources on
+// a session at g and one on a session at g2, each after a full run has
+// staged its working sets. Returns the side results.
+func runTwoRegion(t *testing.T, g, g2 *graph.Graph, sources []int32, opt DistOptions) (oldR, newR *DistResult) {
 	t.Helper()
-	sess, err := NewDistSession(g, opt)
-	if err != nil {
-		t.Fatal(err)
+	side := func(g *graph.Graph) *DistResult {
+		sess, err := NewDistSession(g, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sess.Run(nil); err != nil {
+			t.Fatal(err)
+		}
+		r, err := sess.Run(sources)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
 	}
-	if _, err := sess.Run(nil); err != nil {
-		t.Fatal(err)
-	}
-	oldR, err = sess.Run(sources)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess.Patch(g2, nil, diffs)
-	newR, err = sess.Run(sources)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return oldR, newR
+	return side(g), side(g2)
 }
 
 // sweepSide is SweepSources over g's adjacency, padded to n vertices, for
@@ -117,9 +115,8 @@ func matchesSweeps(t *testing.T, what string, res *IncrementalResult, g, g2 *gra
 // TestFusedApplyMatchesTwoRegion: under a forced plan, which governs Run's
 // multiplies and not the apply's, the apply's old- and new-side partials
 // are bit for bit SweepSources' on each side, while it spends strictly
-// fewer critical-path messages than the two scalar regions of the
-// Run + Patch + Run path, and it leaves residents on which a full run
-// equals a fresh session's.
+// fewer critical-path messages than two regions of Run, one per side, and
+// it leaves the session at g2: a full run equals a fresh session's.
 func TestFusedApplyMatchesTwoRegion(t *testing.T) {
 	g, g2, diffs, sources := fusedTestSetup(t, false)
 	plans := []spgemm.Plan{
@@ -133,7 +130,7 @@ func TestFusedApplyMatchesTwoRegion(t *testing.T) {
 		plan := plan
 		t.Run(plan.String(), func(t *testing.T) {
 			opt := DistOptions{Procs: plan.Procs(), Batch: 16, Plan: &plan}
-			oldR, newR := runTwoRegion(t, g, g2, diffs, sources, opt)
+			oldR, newR := runTwoRegion(t, g, g2, sources, opt)
 
 			sess, err := NewDistSession(g, opt)
 			if err != nil {
@@ -155,9 +152,8 @@ func TestFusedApplyMatchesTwoRegion(t *testing.T) {
 				t.Fatalf("fused apply must pay fewer messages: fused %d, two-region %d",
 					fused.Stats.MaxCost.Msgs, twoRegionMsgs)
 			}
-			// After the fused apply the resident operands must encode g2
-			// exactly as the patched two-region session does: a full run on
-			// each yields bit-identical scores.
+			// After the fused apply the session's topology is g2: a full run,
+			// on shards cut from it, equals a fresh session's bit for bit.
 			full, err := sess.Run(nil)
 			if err != nil {
 				t.Fatal(err)
@@ -174,9 +170,8 @@ func TestFusedApplyMatchesTwoRegion(t *testing.T) {
 }
 
 // TestFusedApplyMatchesTwoRegionAutoPlan: under automatic plan search, at
-// p = 2, 4 and 8, the apply's sides are SweepSources' bit for bit, and the
-// apply stages no working set: the residents hold the plans the session's
-// run staged, through the first apply and the edit toggled back and forth.
+// p = 2, 4 and 8, the apply's sides are SweepSources' bit for bit, through
+// the first apply and the edit toggled back and forth.
 func TestFusedApplyMatchesTwoRegionAutoPlan(t *testing.T) {
 	g, g2, diffs, sources := fusedTestSetup(t, false)
 	undo := make([]EdgeDiff, len(diffs))
@@ -193,7 +188,6 @@ func TestFusedApplyMatchesTwoRegionAutoPlan(t *testing.T) {
 		if _, err := sess.Run(nil); err != nil {
 			t.Fatal(err)
 		}
-		staged := residentPlans(sess)
 		fused, err := sess.ApplyIncrementalCtx(context.Background(), sources, g2, nil, nil, diffs)
 		if err != nil {
 			t.Fatal(err)
@@ -209,45 +203,15 @@ func TestFusedApplyMatchesTwoRegionAutoPlan(t *testing.T) {
 				t.Fatal(err)
 			}
 			matchesSweeps(t, fmt.Sprintf("p=%d toggle %d", p, k), res, from, next, sources)
-			if held := residentPlans(sess); !reflect.DeepEqual(held, staged) {
-				t.Fatalf("p=%d after %d fused applies: residents hold plans %v, the run staged %v", p, k+2, held, staged)
-			}
 		}
 	}
-}
-
-// residentPlans lists, per rank and operand (A, then Aᵀ), the plans the
-// session's residents hold a working set for, among every plan of its size.
-// Which plans an operand holds is no part of spgemm's API, so it looks the
-// plan up in the operand's set map (Stationary.sets) by reflection.
-func residentPlans(s *DistSession) [][]spgemm.Plan {
-	var out [][]spgemm.Plan
-	for _, rk := range s.ranks {
-		for _, b := range []*spgemm.Stationary[float64]{rk.a, rk.at} {
-			sets := reflect.ValueOf(b).Elem().FieldByName("sets")
-			var held []spgemm.Plan
-			for _, f := range machine.Factorizations3(s.p) {
-				for _, x := range []spgemm.Role{spgemm.RoleA, spgemm.RoleB, spgemm.RoleC} {
-					for _, yz := range []spgemm.Variant{spgemm.VarAB, spgemm.VarAC, spgemm.VarBC} {
-						plan := spgemm.Plan{P1: f[0], P2: f[1], P3: f[2], X: x, YZ: yz}
-						if sets.MapIndex(reflect.ValueOf(plan)).IsValid() {
-							held = append(held, plan)
-						}
-					}
-				}
-			}
-			out = append(out, held)
-		}
-	}
-	return out
 }
 
 // TestFusedApplyKeepsResidentPlans: the apply stages no working set; the
-// session's CSRs stand for the route's replica. On a session that has run
-// nothing, the first apply leaves every resident without a set, charging
-// the replica's staging in its patch phase; once a run has staged its
-// residents, a later apply leaves them holding exactly those plans and
-// moves nothing in its patch phase. The sides are SweepSources' all along.
+// session's CSRs stand for the route's replica, whose staging the first
+// apply of a session charges in its patch phase, and no later apply
+// charges again: a warm apply's patch phase moves nothing. The sides are
+// SweepSources' all along.
 func TestFusedApplyKeepsResidentPlans(t *testing.T) {
 	g, g2, diffs, sources := fusedTestSetup(t, true)
 	sess, err := NewDistSession(g, DistOptions{Procs: 4, Batch: 16})
@@ -259,34 +223,95 @@ func TestFusedApplyKeepsResidentPlans(t *testing.T) {
 		t.Fatal(err)
 	}
 	matchesSweeps(t, "first apply", fused, g, g2, sources)
-	for x, held := range residentPlans(sess) {
-		if len(held) != 0 {
-			t.Fatalf("resident %d holds plans %v after the first apply, want none", x, held)
-		}
-	}
 	if m := patchMsgs(fused.Stats); m == 0 {
 		t.Fatal("the first apply's patch phase moved nothing: the replica's staging went uncharged")
-	}
-	if _, err := sess.Run(nil); err != nil {
-		t.Fatal(err)
 	}
 	undo := make([]EdgeDiff, len(diffs))
 	for i, d := range diffs {
 		w, ok := g.FindEdge(d.U, d.V)
 		undo[i] = EdgeDiff{U: d.U, V: d.V, W: w, Present: ok}
 	}
-	before := residentPlans(sess)
 	res, err := sess.ApplyIncrementalCtx(context.Background(), sources, g, nil, nil, undo)
 	if err != nil {
 		t.Fatal(err)
 	}
 	matchesSweeps(t, "apply back", res, g2, g, sources)
-	if after := residentPlans(sess); len(before[0]) == 0 || !reflect.DeepEqual(after, before) {
-		t.Fatalf("residents hold plans %v after the fused apply, held %v", after, before)
-	}
 	if m := patchMsgs(res.Stats); m != 0 {
 		t.Fatalf("a warm apply's patch phase sent %d messages: the replica was staged twice", m)
 	}
+}
+
+// TestRegionlessApplyChargesNextRegion: an apply with no sources runs no
+// region, yet moves the session, and the next region charges its splice of
+// the replica beside its own, so an edit is never free compute; a
+// regionless apply that grows the vertex set leaves the replica to be
+// staged again by the next region. A recompute is the new side alone, bit
+// for bit SweepSources over every vertex.
+func TestRegionlessApplyChargesNextRegion(t *testing.T) {
+	g, g2, diffs, sources := fusedTestSetup(t, true)
+	sess, err := NewDistSession(g, DistOptions{Procs: 4, Batch: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := strideSources(g.N, g.N, 1)
+	first, err := sess.RecomputeCtx(context.Background(), g, nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.OldBC != nil || !sameBits(first.NewBC, sweepSide(t, g, g.N, all)) {
+		t.Fatal("a recompute is not the new side alone, SweepSources' over every vertex")
+	}
+	if patchMsgs(first.Stats) == 0 {
+		t.Fatal("the session's first region did not charge the replica's staging")
+	}
+	res, err := sess.ApplyIncrementalCtx(context.Background(), nil, g2, nil, nil, diffs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Wall != 0 || sess.g != g2 {
+		t.Fatalf("an apply with no sources ran a region (%v) or left the session behind", res.Stats.Wall)
+	}
+	splice := int64(g2.AdjacencyNNZ())
+	g3 := g2.Clone()
+	e := g3.Edges[4]
+	if err := g3.SetWeight(e.U, e.V, e.W+1); err != nil {
+		t.Fatal(err)
+	}
+	res, err = sess.ApplyIncrementalCtx(context.Background(), sources, g3, nil, nil, []EdgeDiff{{U: e.U, V: e.V, W: e.W + 1, Present: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	matchesSweeps(t, "after a regionless apply", res, g2, g3, sources)
+	if got := patchFlops(res.Stats); got != 2*splice {
+		t.Fatalf("the next region charged %d patch flops, want its own splice and the pending one, %d", got, 2*splice)
+	}
+	grown := g3.Clone()
+	if err := grown.Apply(graph.Mutation{Op: graph.OpAddVertex}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.ApplyIncrementalCtx(context.Background(), nil, grown, nil, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	full, err := sess.RecomputeCtx(context.Background(), grown, nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if patchMsgs(full.Stats) == 0 {
+		t.Fatal("the region after a vertex-set change did not stage the replica again")
+	}
+	if !sameBits(full.NewBC, sweepSide(t, grown, grown.N, strideSources(grown.N, grown.N, 1))) {
+		t.Fatal("the grown session's recompute diverges from SweepSources")
+	}
+}
+
+// patchFlops is the critical-path flops of a region's patch phase.
+func patchFlops(st machine.RunStats) int64 {
+	for _, ph := range st.Phases {
+		if ph.Name == machine.PhasePatch {
+			return ph.MaxCost.Flops
+		}
+	}
+	return 0
 }
 
 // patchMsgs is the critical-path messages of a region's patch phase.
@@ -354,7 +379,7 @@ func TestFusedApplyLatencyWithinOneShot(t *testing.T) {
 
 	// The two-region reference: its new-side region is exactly "a single
 	// one-shot region of the same plan" over the same source set.
-	oldR, newR := runTwoRegion(t, g, g2, diffs, sources, opt)
+	oldR, newR := runTwoRegion(t, g, g2, sources, opt)
 	oneShot := newR.Stats.MaxCost.Msgs
 	twoRegion := oldR.Stats.MaxCost.Msgs + newR.Stats.MaxCost.Msgs
 
@@ -380,10 +405,11 @@ func TestFusedApplyLatencyWithinOneShot(t *testing.T) {
 	}
 }
 
-// TestFusedApplyPhases: the fused region must attribute its cost to the
-// diff/patch/sweep/reduce phases, summing per processor to the run total,
-// with the diff scatter and the close charged as communication, and the
-// splice and the sweep as flops: a sweep by source moves nothing.
+// TestFusedApplyPhases: a warm fused region, after the recompute that
+// staged the replica, must attribute its cost to the diff/patch/sweep/reduce
+// phases, summing per processor to the run total, with the diff scatter
+// and the close charged as communication, and the splice and the sweep as
+// flops: a sweep by source moves nothing.
 func TestFusedApplyPhases(t *testing.T) {
 	g, g2, diffs, sources := fusedTestSetup(t, true)
 	opt := DistOptions{Procs: 4, Batch: 16}
@@ -391,7 +417,7 @@ func TestFusedApplyPhases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.Run(nil); err != nil {
+	if _, err := sess.RecomputeCtx(context.Background(), g, nil, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	fused, err := sess.ApplyIncrementalCtx(context.Background(), sources, g2, nil, nil, diffs)
@@ -431,11 +457,12 @@ func TestFusedApplyPhases(t *testing.T) {
 }
 
 // TestFusedApplyGrowsVertexSet: a batch that grows the vertex set runs as
-// one fused region on a session that has already staged its residents. The
-// old side is the pre-batch graph's, reading 0 on the new vertices (they
-// are isolated there); the new side and a later full run are the grown
-// graph's; the apply charges the replica's staging again after the rebuild.
-// Integer weights keep the distributed sweeps exact.
+// one fused region on a session whose first recompute has staged the
+// replica. The old side is the pre-batch graph's, reading 0 on the new
+// vertices (they are isolated there); the new side and a later full run
+// (under the row's plan ablation, which governs Run alone) are the grown
+// graph's; the apply charges the replica's staging again, since the
+// vertex set moved. Integer weights keep the distributed sweeps exact.
 func TestFusedApplyGrowsVertexSet(t *testing.T) {
 	g := graph.Grid2D(7, 7, 8, 13)
 	g2 := g.Clone()
@@ -472,7 +499,7 @@ func TestFusedApplyGrowsVertexSet(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := sess.Run(nil); err != nil {
+			if _, err := sess.RecomputeCtx(context.Background(), g, nil, nil, nil); err != nil {
 				t.Fatal(err)
 			}
 			res, err := sess.ApplyIncrementalCtx(context.Background(), sources, g2, nil, nil, diffs)
@@ -482,8 +509,8 @@ func TestFusedApplyGrowsVertexSet(t *testing.T) {
 			if len(res.OldBC) != g2.N || len(res.NewBC) != g2.N || sess.g != g2 {
 				t.Fatalf("grown apply: %d old and %d new scores, want %d on the grown session", len(res.OldBC), len(res.NewBC), g2.N)
 			}
-			// The rebuild dropped every working set; the apply paid for the
-			// replica's staging again.
+			// The vertex set moved; the apply paid for the replica's staging
+			// again.
 			if patchMsgs(res.Stats) == 0 {
 				t.Fatal("grown apply: the replica's staging went uncharged after the rebuild")
 			}

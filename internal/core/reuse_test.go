@@ -65,9 +65,9 @@ func sameBits(a, b []float64) bool {
 }
 
 // wipeStorage empties every rank's reused storage — its scratch store:
-// send storage, A placement, sweep buffers, plan memo — leaving the
-// operands as they are: the state a fresh session's ranks start from, with
-// this session's operands staged.
+// send storage, A placement, sweep buffers, plan memo — leaving the shards
+// as they are: the state a fresh session's ranks start from, with this
+// session's working sets staged.
 func wipeStorage(s *DistSession) {
 	for _, rk := range s.ranks {
 		rk.store = machine.Store{}
@@ -78,9 +78,9 @@ func wipeStorage(s *DistSession) {
 // store (send storage, A placement), their sweep buffers and their plan
 // memo from region to region; none of it may carry anything from one region
 // into the next. One session at p=4 runs an interleaving of scalar runs,
-// fused pair applies, two-region applies (run, patch, run) and a
-// vertex-growth reset, first at Workers 1, then at 2, then at 1 again, with
-// batches of 8 so that every region sweeps several. Beside it a twin replays
+// fused applies on both sides, recomputes on one and a vertex-growth
+// reset, first at Workers 1, then at 2, then at 1 again, with batches of 8
+// so that every region sweeps several. Beside it a twin replays
 // every step on ranks whose storage is wiped first — what a fresh session's
 // ranks start from, over the same staged operands — and a fresh session
 // built at the step's starting topology replays the step alone. After every
@@ -141,14 +141,13 @@ func TestReusedStorageCarriesNothing(t *testing.T) {
 			return stepOutcome{bc: [][]float64{r.OldBC, r.NewBC}, stats: []machine.RunStats{r.Stats}}
 		}
 	}
-	twoRegion := func(next *graph.Graph, diffs []EdgeDiff) func(*testing.T, *DistSession) stepOutcome {
-		return func(t *testing.T, s *DistSession) (o stepOutcome) {
-			r, err := s.Run(pivots)
-			o.addRun(t, r, err)
-			s.Patch(next, nil, diffs)
-			r, err = s.Run(pivots)
-			o.addRun(t, r, err)
-			return o
+	recompute := func(next *graph.Graph, diffs []EdgeDiff) func(*testing.T, *DistSession) stepOutcome {
+		return func(t *testing.T, s *DistSession) stepOutcome {
+			r, err := s.RecomputeCtx(context.Background(), next, nil, nil, diffs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return stepOutcome{bc: [][]float64{r.NewBC}, stats: []machine.RunStats{r.Stats}}
 		}
 	}
 	reset := func(next *graph.Graph) func(*testing.T, *DistSession) stepOutcome {
@@ -168,12 +167,12 @@ func TestReusedStorageCarriesNothing(t *testing.T) {
 		{"run", 1, g0, run(nil)},
 		{"fused", 1, g0, fused(g1, d1)},
 		{"run pivots", 1, g1, run(pivots)},
-		{"two-region", 1, g1, twoRegion(g2, d2)},
+		{"recompute", 1, g1, recompute(g2, d2)},
 		{"fused back", 1, g2, fused(g1, toward(g1, d2))},
 		{"reset grown", 1, g1, reset(g3)},
 		{"run w2", 2, g3, run(all(g3.N))},
 		{"fused w2", 2, g3, fused(g4, d4)},
-		{"two-region w2", 2, g4, twoRegion(g5, d5)},
+		{"recompute w2", 2, g4, recompute(g5, d5)},
 		{"run w1", 1, g5, run(nil)},
 		{"fused w1", 1, g5, fused(g4, toward(g4, d5))},
 	}

@@ -22,6 +22,7 @@ func distributedT(t *testing.T, g *graph.Graph, sources []int32, opt DistOptions
 	if err != nil {
 		t.Fatal(err)
 	}
+	sess.cutShards()
 	mach := transportFor(sess.p, opt)
 	pl := sess.planner(g, sess.exact)
 	alg := scalarAlgebra()

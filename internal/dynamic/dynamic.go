@@ -22,20 +22,20 @@
 // With Config.Procs > 1 every exact sweep — the initial scores, the
 // incremental pivot re-runs, and the full-recompute fallbacks — executes
 // on the simulated distributed machine through a persistent
-// core.DistSession: the stationary adjacency operands (A, Aᵀ) stay
-// resident across applies and each batch's edge diff is delta-patched into
-// the resident blocks instead of redistributing the whole matrix, so the
-// once-per-run placement cost of Theorem 5.1 amortizes across the whole
-// mutation stream. An apply runs at most one machine region: an
-// incremental apply with affected sources is one fused region
-// (core.DistSession.ApplyIncrementalCtx: the adjacency replicated once per
-// session, every rank re-runs its share of the pivots on both sides with
-// the CSR kernel, operands patched mid-region, a vertex-growth batch's new
-// vertices isolated on the old side), a full recompute is one run of the
-// entry-list sweep on the host-patched operands, and a batch with no
-// affected source runs none — its diff is patched host-side. The modeled communication of each apply
-// (critical-path words, messages, α–β–γ seconds, plan chosen) is reported
-// per apply and accumulated into the snapshot.
+// core.DistSession, as the source route of core: the 1D decomposition of
+// §5.2 that replicates the adjacency, under which each rank sweeps its
+// share of the sources with the CSR kernel and no sweep communicates. The
+// replica's staging is charged once, in the engine's first region (and
+// again after a vertex-set change); each later edit is charged as a
+// rewrite of it. An apply runs at most one machine region: an incremental
+// apply with affected sources re-runs them on both sides of the batch
+// (core.DistSession.ApplyIncrementalCtx, a vertex-growth batch's new
+// vertices isolated on the old side), a full recompute sweeps every vertex
+// on the new side alone (core.DistSession.RecomputeCtx), and a batch with
+// no affected source runs none — the session moves host-side and the next
+// region charges its splice. The modeled communication of each apply
+// (critical-path words, messages, α–β–γ seconds, the route's plan) is
+// reported per apply and accumulated into the snapshot.
 //
 // This package holds the one declaration of the streaming engine and of
 // every description the layers above pass around: Engine
@@ -73,7 +73,6 @@ import (
 	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/sparse"
-	"repro/internal/spgemm"
 )
 
 // Config parameterizes an Engine.
@@ -87,14 +86,14 @@ type Config struct {
 	DirtyThreshold float64
 
 	// Procs > 1 runs every exact sweep on the simulated distributed
-	// machine (core.MFBCDistributed's path) through a persistent
-	// operand-resident session; see the package comment. 0 or 1 keeps the
+	// machine, as the source route over a persistent session that holds
+	// the replicated adjacency; see the package comment. 0 or 1 keeps the
 	// shared-memory path. Every sweep runs the default batch
-	// (core.Options.Batch) under the automatic plan search.
+	// (core.Options.Batch).
 	Procs int
 
-	// Transport pins every machine region the engine runs (initial sweep,
-	// incremental re-runs, full fallbacks) to this backend instead of an
+	// Transport pins every machine region the engine runs (initial scores,
+	// incremental re-runs, full recomputes) to this backend instead of an
 	// in-process simulated machine. Its Size must equal Procs. Under a
 	// rank-per-process transport every process must drive an identical
 	// engine with an identical op stream — the engine's host-side
@@ -148,8 +147,8 @@ func (c *CommSummary) add(o CommSummary) {
 }
 
 // PhaseComm is one named region phase's share of an apply's modeled cost
-// (machine.PhaseStats flattened for reports and JSON). For a fused apply
-// the phases are diff/patch/sweep/reduce.
+// (machine.PhaseStats flattened for reports and JSON). For an apply's
+// region the phases are diff/patch/sweep/reduce.
 type PhaseComm struct {
 	Name     string  `json:"name"`
 	Bytes    int64   `json:"bytes"`
@@ -184,15 +183,6 @@ func regionCost(plan string, st machine.RunStats) Cost {
 		})
 	}
 	return c
-}
-
-// planName names the plans of a full run: its forward plan, and its
-// backward one where the backward products were planned apart from it.
-func planName(fwd, back spgemm.Plan) string {
-	if back == fwd {
-		return fwd.String()
-	}
-	return fwd.String() + " back " + back.String()
 }
 
 // state is one immutable (graph, scores) snapshot. Installed whole under
@@ -234,7 +224,7 @@ type Report struct {
 	N        int    `json:"n"`
 	M        int    `json:"m"`
 	Procs    int    `json:"procs,omitempty"` // simulated processors (distributed mode)
-	Fused    bool   `json:"fused,omitempty"` // this apply ran as one fused machine region
+	Fused    bool   `json:"fused,omitempty"` // an incremental apply swept both sides in one machine region
 	// Cost is this apply's machine region, if one ran: plan, modeled
 	// communication, per-phase attribution (distributed mode).
 	Cost
@@ -289,7 +279,7 @@ func New(g *graph.Graph, cfg Config) (*Engine, error) {
 	st := newState(own, 0)
 	e := &Engine{cfg: cfg}
 	// A machine run costs something; shared memory leaves the cost zero.
-	bc, cost, err := e.sweep(context.Background(), st)
+	bc, cost, err := e.sweep(context.Background(), st, st, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -345,7 +335,7 @@ func (e *Engine) Apply(batch []graph.Mutation) (Report, error) {
 // the apply's machine region: an apply whose ctx ends before or during
 // its region returns an error wrapping ctx's cause and keeps the previous
 // version; an apply that runs no region does not look at ctx, as its
-// host-side patch must land on every replica of a rank-per-process engine
+// host-side move must land on every replica of a rank-per-process engine
 // alike. At Procs ≤ 1 the sweep checks ctx before every source row: an
 // apply whose ctx has ended before its sweep or during it returns ctx's
 // cause and keeps the previous version. When ctx carries an obs span, the apply
@@ -393,19 +383,12 @@ func (e *Engine) ApplyCtx(ctx context.Context, batch []graph.Mutation) (Report, 
 	switch {
 	case e.cfg.DirtyThreshold > 0 && frac > e.cfg.DirtyThreshold:
 		strategy = StrategyFull
-		if err = e.advance(old, st, diffs); err == nil {
-			bc, cost, err = e.sweep(ctx, st)
-		}
-	case e.cfg.Procs > 1 && len(affected) > 0:
+		bc, cost, err = e.sweep(ctx, old, st, diffs)
+	case e.cfg.Procs > 1:
 		bc, cost, err = e.fusedIncrementalScores(ctx, old, st, affected, diffs)
-		fused = true
+		fused = len(affected) > 0
 	default:
-		// Shared memory, or nothing to sweep: with no affected source a
-		// fused region (diff scatter + full splice + empty sweep + O(n)
-		// reduce) would only cost more than patching host-side.
-		if err = e.advance(old, st, diffs); err == nil {
-			bc, err = e.incrementalScores(ctx, old, st, affected)
-		}
+		bc, err = e.incrementalScores(ctx, old, st, affected)
 	}
 	if err != nil {
 		return Report{}, err
@@ -435,22 +418,6 @@ func (e *Engine) ApplyCtx(ctx context.Context, batch []graph.Mutation) (Report, 
 	return rep, nil
 }
 
-// advance moves the resident distributed operands, if any, from old's
-// topology to st's host-side — delta-patching the blocks the diff touches
-// (Patch itself rebuilds on vertex growth) — ahead of an apply that runs
-// no fused region.
-func (e *Engine) advance(old, st *state, diffs []edgeDiff) error {
-	if e.cfg.Procs <= 1 {
-		return nil
-	}
-	sess, err := e.session(old)
-	if err != nil {
-		return err
-	}
-	sess.Patch(st.g, st.a, coreDiffs(diffs))
-	return nil
-}
-
 // session returns the live distributed session, rebuilding it on the given
 // snapshot's topology after a prior run failure dropped it.
 func (e *Engine) session(st *state) (*core.DistSession, error) {
@@ -464,38 +431,39 @@ func (e *Engine) session(st *state) (*core.DistSession, error) {
 	return e.dist, nil
 }
 
-// sweep is the exact full recompute over snapshot st: one machine region
-// in distributed mode (Procs > 1), where the resident operands must already
-// be at st's topology — a session dropped by a failed run is rebuilt from
-// st — and the shared-memory kernel over st's cached operands otherwise,
-// which costs nothing on the machine. When the region fails the session is
-// dropped so the next apply rebuilds it from the committed snapshot (the
-// resident operands may be mid-transition).
-func (e *Engine) sweep(ctx context.Context, st *state) ([]float64, Cost, error) {
+// sweep is the exact full recompute of snapshot st, whose topology differs
+// from old's by diffs (New passes st as both): at Procs > 1 one machine
+// region of the source route over every vertex, on st's side alone — a
+// session dropped by a failed region is rebuilt from old — and the
+// shared-memory kernel over st's cached operands otherwise, which costs
+// nothing on the machine. When the region fails the session is dropped,
+// so the next apply rebuilds it from the committed snapshot.
+func (e *Engine) sweep(ctx context.Context, old, st *state, diffs []edgeDiff) ([]float64, Cost, error) {
 	if e.cfg.Procs <= 1 {
 		bc, err := e.pivotScores(ctx, st, nil)
 		return bc, Cost{}, err
 	}
-	sess, err := e.session(st)
+	sess, err := e.session(old)
 	if err != nil {
 		return nil, Cost{}, err
 	}
-	r, err := sess.RunCtx(ctx, nil)
+	res, err := sess.RecomputeCtx(ctx, st.g, st.a, st.at, coreDiffs(diffs))
 	if err != nil {
 		e.dist = nil
-		return nil, Cost{}, fmt.Errorf("dynamic: distributed run: %w", err)
+		return nil, Cost{}, fmt.Errorf("dynamic: distributed recompute: %w", err)
 	}
-	return r.BC, regionCost(planName(r.Plan, r.BackPlan), r.Stats), nil
+	return res.NewBC, regionCost(res.Plan.String(), res.Stats), nil
 }
 
-// fusedIncrementalScores merges the batch's delta through one fused
-// machine region: core.DistSession.ApplyIncrementalCtx re-runs the pivots
-// on both sides, each rank its share with the CSR kernel over the
-// replicated adjacency, patching the resident operands mid-region (diff
-// scattered as a modeled collective, splice charged as local γ-flops), in
-// a fixed number of supersteps. A vertex-growth batch's new vertices are
-// isolated on the old side, so their old-side partials are 0. The side
-// partials are bit-identical to the shared-memory sweeps of each side.
+// fusedIncrementalScores merges the batch's delta through the source
+// route: core.DistSession.ApplyIncrementalCtx re-runs the pivots on both
+// sides in one machine region, each rank its share with the CSR kernel
+// over the replicated adjacency, the edit's splice charged as local
+// γ-flops, in a fixed number of supersteps. A vertex-growth batch's new
+// vertices are isolated on the old side, so their old-side partials are 0.
+// The side partials are bit-identical to the shared-memory sweeps of each
+// side. With no affected source it runs no region and costs nothing here:
+// the session moves host-side, and its next region charges the splice.
 func (e *Engine) fusedIncrementalScores(ctx context.Context, old, st *state, affected []int32, diffs []edgeDiff) ([]float64, Cost, error) {
 	sess, err := e.session(old)
 	if err != nil {
@@ -503,12 +471,16 @@ func (e *Engine) fusedIncrementalScores(ctx context.Context, old, st *state, aff
 	}
 	res, err := sess.ApplyIncrementalCtx(ctx, affected, st.g, st.a, st.at, coreDiffs(diffs))
 	if err != nil {
-		// The resident operands may be mid-transition; rebuild from the
-		// committed snapshot on the next apply.
+		// The session may be mid-transition; rebuild it from the committed
+		// snapshot on the next apply.
 		e.dist = nil
 		return nil, Cost{}, fmt.Errorf("dynamic: fused apply: %w", err)
 	}
-	return mergeDelta(old.bc, st.g.N, res.OldBC, res.NewBC), regionCost(res.Plan.String(), res.Stats), nil
+	bc := mergeDelta(old.bc, st.g.N, res.OldBC, res.NewBC)
+	if len(affected) == 0 {
+		return bc, Cost{}, nil
+	}
+	return bc, regionCost(res.Plan.String(), res.Stats), nil
 }
 
 // incrementalScores is the shared-memory incremental apply: the affected
@@ -588,8 +560,8 @@ type edgeDiff struct {
 	inOld, inNew bool
 }
 
-// coreDiffs converts the effective diff into core's operand-patch form
-// (the post-batch side of each edge).
+// coreDiffs converts the effective diff into core's form (the post-batch
+// side of each edge).
 func coreDiffs(diffs []edgeDiff) []core.EdgeDiff {
 	out := make([]core.EdgeDiff, len(diffs))
 	for i, d := range diffs {

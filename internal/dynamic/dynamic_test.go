@@ -365,9 +365,9 @@ func TestApplyNeverMutatesPublishedSnapshot(t *testing.T) {
 // seatAblation replaces e's machine session with one over the committed
 // snapshot whose plan search runs under core.DistOptions' decomposition
 // ablation (a forced plan, or a 1D/2D/3D constraint). Config carries
-// neither, and on these small graphs the automatic search picks a 1D plan
-// at every p, so this is how the differential below drives the engine's
-// applies through the other plan families.
+// neither. The session's Run honours it; the engine's own sweeps run the
+// source route, which no ablation governs, and the differential below
+// checks that they do whatever the session was built with.
 func seatAblation(t *testing.T, e *Engine, plan *spgemm.Plan, cons spgemm.Constraint) {
 	t.Helper()
 	sess, err := core.NewDistSession(e.cur.g, core.DistOptions{
@@ -402,14 +402,13 @@ func planAdmitted(s string, forced *spgemm.Plan, cons spgemm.Constraint) bool {
 
 // TestDistributedIncrementalMatchesFromScratch is the distributed-mode
 // differential test: engines running their sweeps on the simulated machine
-// (procs 2, 4, 6 and 8 under the automatic plan search; procs 2 and 4
-// under the 1D/2D/3D constraints and one forced plan) replay seeded
-// mutation sequences; after every applied prefix the maintained scores must
-// match a from-scratch sequential recomputation at 1e-9, and distributed
-// applies must report modeled communication and a plan: the source route's
-// for a fused apply, one the row admits for a full run. An apply runs at
-// most one machine region, fused exactly when it has affected sources —
-// vertex growth included.
+// (procs 2, 4, 6 and 8; at procs 2 and 4 also on sessions built under the
+// 1D/2D/3D constraints and one forced plan) replay seeded mutation
+// sequences; after every applied prefix the maintained scores must match a
+// from-scratch sequential recomputation at 1e-9, and distributed applies
+// must report modeled communication and the source route's plan. An apply
+// runs at most one machine region, fused exactly when it has affected
+// sources — vertex growth included.
 func TestDistributedIncrementalMatchesFromScratch(t *testing.T) {
 	grewFused := 0
 	topologies := []struct {
@@ -495,10 +494,9 @@ func TestDistributedIncrementalMatchesFromScratch(t *testing.T) {
 						t.Fatalf("step %d: distributed apply with %d affected reported no comm/plan: %+v",
 							step, rep.Affected, rep)
 					}
-					// The ablation governs the engine's full runs; a fused apply
-					// sweeps by source under the route's own plan.
-					route := fmt.Sprintf("%dx1x1/X=B/YZ=AB", eng.cfg.Procs)
-					if rep.Fused && rep.Plan != route || !rep.Fused && rep.Plan != "" && !planAdmitted(rep.Plan, eng.plan, eng.cons) {
+					// A fused apply sweeps by source under the route's own plan,
+					// whatever the session's ablation.
+					if route := fmt.Sprintf("%dx1x1/X=B/YZ=AB", eng.cfg.Procs); rep.Fused && rep.Plan != route {
 						t.Fatalf("step %d: %s apply (fused %t) ran plan %s", step, eng.name, rep.Fused, rep.Plan)
 					}
 					snap := e.Scores()
@@ -522,11 +520,128 @@ func TestDistributedIncrementalMatchesFromScratch(t *testing.T) {
 	}
 }
 
+// TestDistributedEngineMatchesSharedBits is the net under the source
+// route: engines at Procs 2, 4 and 9 and the shared-memory engine replay
+// one seeded stream, on unit weights, on weights of the 2⁻¹⁰ grid and on
+// real weights, and after every apply every distributed engine's scores
+// equal the shared-memory engine's bit for bit. The graph is an 8×8 mesh
+// with four leaves on a corner. The stream cuts the mesh's arterial column
+// links and restores them, which falls back to full recomputes, grows the
+// vertex set once, which does too, and toggles links between the leaves,
+// which runs incrementally; on weighted graphs it also adds a link too
+// heavy to lie on any shortest path, which runs no region.
+func TestDistributedEngineMatchesSharedBits(t *testing.T) {
+	classes := []struct {
+		name   string
+		weight func(*rand.Rand) float64
+	}{
+		{"unit", func(*rand.Rand) float64 { return 1 }},
+		{"grid", func(rng *rand.Rand) float64 { return float64(1024+rng.Intn(3072)) / 1024 }},
+		{"real", func(rng *rand.Rand) float64 { return 1 + 3*rng.Float64() }},
+	}
+	const leaves = 4
+	for _, wc := range classes {
+		t.Run(wc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(29))
+			g := graph.Grid2D(8, 8, 1, 1)
+			for l := int32(0); l < leaves; l++ {
+				g.Edges = append(g.Edges, graph.Edge{U: 0, V: 64 + l})
+			}
+			g.N += leaves
+			for i := range g.Edges {
+				g.Edges[i].W = wc.weight(rng)
+			}
+			g.Weighted = wc.name != "unit"
+			// The links between columns 3 and 4 of every row but the first.
+			var cut, restore []graph.Mutation
+			for _, e := range g.Edges {
+				if e.U < 64 && e.U%8 == 3 && e.V == e.U+1 && e.U >= 8 {
+					cut = append(cut, graph.Mutation{Op: graph.OpRemoveEdge, U: e.U, V: e.V})
+					restore = append(restore, graph.Mutation{Op: graph.OpAddEdge, U: e.U, V: e.V, W: wc.weight(rng)})
+				}
+			}
+			var engines []*Engine
+			for _, procs := range []int{1, 2, 4, 9} {
+				e, err := New(g, Config{Procs: procs, Workers: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				engines = append(engines, e)
+			}
+			same := func(step string) {
+				t.Helper()
+				want := engines[0].Scores().BC
+				for _, e := range engines[1:] {
+					got := e.Scores().BC
+					if len(got) != len(want) {
+						t.Fatalf("%s: procs %d holds %d scores, shared memory %d", step, e.cfg.Procs, len(got), len(want))
+					}
+					for v := range want {
+						if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
+							t.Fatalf("%s: procs %d bc[%d] = %v, shared memory %v (must be bit-identical)", step, e.cfg.Procs, v, got[v], want[v])
+						}
+					}
+				}
+			}
+			same("initial")
+			strategies := map[string]int{}
+			for step := 0; step < 9; step++ {
+				cur := engines[0].Graph()
+				var batch []graph.Mutation
+				switch step {
+				case 2:
+					batch = cut
+				case 4:
+					batch = []graph.Mutation{{Op: graph.OpAddVertex}, {Op: graph.OpAddEdge, U: 0, V: int32(cur.N), W: wc.weight(rng)}}
+				case 5:
+					batch = restore
+				case 3:
+					if g.Weighted {
+						batch = []graph.Mutation{{Op: graph.OpAddEdge, U: 9, V: 54, W: 1000}}
+						break
+					}
+					fallthrough
+				default:
+					u, v := 64+rng.Int31n(leaves), 64+rng.Int31n(leaves-1)
+					if v >= u {
+						v++
+					}
+					switch _, ok := cur.FindEdge(u, v); {
+					case !ok:
+						batch = []graph.Mutation{{Op: graph.OpAddEdge, U: u, V: v, W: wc.weight(rng)}}
+					case g.Weighted && rng.Intn(2) == 0:
+						batch = []graph.Mutation{{Op: graph.OpSetWeight, U: u, V: v, W: wc.weight(rng)}}
+					default:
+						batch = []graph.Mutation{{Op: graph.OpRemoveEdge, U: u, V: v}}
+					}
+				}
+				var strategy string
+				for _, e := range engines {
+					rep, err := e.Apply(batch)
+					if err != nil {
+						t.Fatalf("step %d procs %d: %v", step, e.cfg.Procs, err)
+					}
+					if e == engines[0] {
+						strategy = rep.Strategy
+					} else if rep.Strategy != strategy {
+						t.Fatalf("step %d: procs %d applied %s, shared memory %s", step, e.cfg.Procs, rep.Strategy, strategy)
+					}
+				}
+				strategies[strategy]++
+				same(fmt.Sprintf("step %d (%s)", step, strategy))
+			}
+			if strategies[StrategyFull] == 0 || strategies[StrategyIncremental] == 0 {
+				t.Fatalf("the stream applied %v: both strategies must run", strategies)
+			}
+		})
+	}
+}
+
 // TestDistributedApplyCheaperThanFromScratch is the amortization
 // acceptance: for a small-diff batch, the modeled communication of the
-// distributed incremental apply (one fused region over the resident
-// operands, both sides) must be strictly less than a from-scratch distributed run on
-// the same post-batch graph.
+// distributed incremental apply (one fused region over the replicated
+// adjacency, both sides) must be strictly less than a from-scratch
+// distributed run on the same post-batch graph.
 func TestDistributedApplyCheaperThanFromScratch(t *testing.T) {
 	// Continuous weights keep shortest paths near-unique, so a single
 	// reweight touches few sources.
@@ -692,57 +807,77 @@ func TestFusedNoopAndEmptyAffectedSkipRegions(t *testing.T) {
 	}
 }
 
-// TestApplyAllocBudget gates the bytes of one warm fused apply of the p=4
+// TestApplyAllocBudget gates the bytes of one warm apply of the p=4
 // engine, BenchmarkFusedLocalApply's shape: a 16×16 weighted mesh whose
 // edge (62,63) toggles between two weights, each apply a single-edge
-// reweight over six pivots. An apply builds the snapshot's adjacency,
-// probes for the affected sources and runs one fused region. It allocated
-// 242 KB while the adjacency went through a COO, append, sort and merge,
-// every rank built the whole batch's seed frontier and kept its quarter,
-// and the probes kept a map of fresh n-vectors beside an exported T, and
-// 114 KB while every multiply allocated its screen's closure, and 103 KB
-// while every distribution was a formatted key and an owner closure and
-// every forward round allocated T's and the frontier's headers, and 77 KB
-// while every region rebuilt the distributions of its shapes and every grid
-// ran a charged split, and 65 KB while the region swept both sides over
-// the entry lists, round by round. Now the adjacency is cut from sorted
-// rows, the probes write into the engine's slab, and the region sweeps by
-// source with the CSR kernel, its workspace and dependency rows on each
-// rank's store, in a fixed number of supersteps: 38 KB (39 KB under the
-// race detector). The budget is about 1.2 times the race detector's
-// reading. The collector is held off and the minimum of a few tries gated,
-// so the test does not depend on when a cycle lands.
+// reweight with six affected pivots. An apply builds the snapshot's
+// adjacency, probes for the affected sources and runs one region.
+//
+// A fused apply re-runs the pivots on both sides. It allocated 242 KB
+// while the adjacency went through a COO, append, sort and merge, every
+// rank built the whole batch's seed frontier and kept its quarter, and the
+// probes kept a map of fresh n-vectors beside an exported T, and 114 KB
+// while every multiply allocated its screen's closure, and 103 KB while
+// every distribution was a formatted key and an owner closure and every
+// forward round allocated T's and the frontier's headers, and 77 KB while
+// every region rebuilt the distributions of its shapes and every grid ran
+// a charged split, and 65 KB while the region swept both sides over the
+// entry lists, round by round. Now the adjacency is cut from sorted rows,
+// the probes write into the engine's slab, and the region sweeps by source
+// with the CSR kernel, its workspace and dependency rows on each rank's
+// store, in a fixed number of supersteps: 38 KB (39 KB under the race
+// detector).
+//
+// A full apply — the same batch under a dirtiness threshold every batch
+// exceeds — recomputes every vertex on the new side alone. It allocated
+// 80 KB while it ran the entry-list sweep over resident operands that the
+// host patched first; as the source route it reads 34 KB (35 KB under the
+// race detector).
+//
+// Each budget is about 1.2 times the race detector's reading. The
+// collector is held off and the minimum of a few tries gated, so the test
+// does not depend on when a cycle lands.
 func TestApplyAllocBudget(t *testing.T) {
-	const maxBytes = 46 << 10 // 46 KiB
-	e, err := New(graph.Grid2D(16, 16, 30, 1), Config{Procs: 4, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Edge (62,63) carries weight 23 on this seed.
-	toggle := []graph.Mutation{
-		{Op: graph.OpSetWeight, U: 62, V: 63, W: 25},
-		{Op: graph.OpSetWeight, U: 62, V: 63, W: 23},
-	}
-	apply := func(i int) {
-		rep, err := e.Apply(toggle[i%2 : i%2+1])
-		if err != nil || !rep.Fused || rep.Affected != 6 {
-			t.Fatalf("apply %d: fused=%v affected=%d err=%v", i, rep.Fused, rep.Affected, err)
+	for _, c := range []struct {
+		name      string
+		threshold float64
+		strategy  string
+		budget    uint64
+	}{
+		{"fused", 0, StrategyIncremental, 46 << 10}, // 46 KiB
+		{"full", 1e-9, StrategyFull, 42 << 10},      // 42 KiB
+	} {
+		e, err := New(graph.Grid2D(16, 16, 30, 1), Config{Procs: 4, Workers: 1, DirtyThreshold: c.threshold})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	apply(0)
-	apply(1)
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	bytes := uint64(math.MaxUint64)
-	var before, after runtime.MemStats
-	for try := 2; try < 8; try++ {
-		runtime.ReadMemStats(&before)
-		apply(try)
-		runtime.ReadMemStats(&after)
-		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
-	}
-	t.Logf("a warm fused apply allocates %d bytes", bytes)
-	if bytes > maxBytes {
-		t.Errorf("a warm fused apply allocates %d bytes, budget %d", bytes, maxBytes)
+		// Edge (62,63) carries weight 23 on this seed.
+		toggle := []graph.Mutation{
+			{Op: graph.OpSetWeight, U: 62, V: 63, W: 25},
+			{Op: graph.OpSetWeight, U: 62, V: 63, W: 23},
+		}
+		apply := func(i int) {
+			rep, err := e.Apply(toggle[i%2 : i%2+1])
+			if err != nil || rep.Strategy != c.strategy || rep.Affected != 6 || rep.Comm.Runs != 1 {
+				t.Fatalf("%s apply %d: strategy %s, affected %d, %d regions, err %v", c.name, i, rep.Strategy, rep.Affected, rep.Comm.Runs, err)
+			}
+		}
+		apply(0)
+		apply(1)
+		bytes := uint64(math.MaxUint64)
+		var before, after runtime.MemStats
+		gc := debug.SetGCPercent(-1)
+		for try := 2; try < 8; try++ {
+			runtime.ReadMemStats(&before)
+			apply(try)
+			runtime.ReadMemStats(&after)
+			bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+		}
+		debug.SetGCPercent(gc)
+		t.Logf("a warm %s apply allocates %d bytes", c.name, bytes)
+		if bytes > c.budget {
+			t.Errorf("a warm %s apply allocates %d bytes, budget %d", c.name, bytes, c.budget)
+		}
 	}
 }
 

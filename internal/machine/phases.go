@@ -14,11 +14,12 @@ const (
 	// PhaseStage: staging an operand onto the machine (redistribution,
 	// fiber replication) ahead of the multiply supersteps.
 	PhaseStage = "stage"
-	// PhaseDiff: delivering each rank its share of an incremental apply's
-	// edge diff (the fused apply's scatter from rank 0).
+	// PhaseDiff: delivering an apply's edge diff to every rank (the source
+	// route's scatter from rank 0).
 	PhaseDiff = "diff"
-	// PhasePatch: splicing a mutation diff into resident working sets in
-	// place of re-staging, and an incremental apply's replica charges.
+	// PhasePatch: the source route's charges for the replicated adjacency
+	// each rank sweeps over — its staging in a session's first region, and
+	// after that the splice of every edit into it.
 	PhasePatch = "patch"
 	// PhaseSweep: the forward Bellman-Ford / Brandes back-propagation
 	// supersteps, the multiply-heavy body of a region.

@@ -74,9 +74,9 @@ type Config struct {
 	DirtyThreshold float64
 	// DynProcs > 1 runs each graph's dynamic engine in distributed mode:
 	// mutation batches re-run their affected pivots on the simulated
-	// machine with this many processors, keeping the stationary adjacency
-	// operands resident and delta-patched across PATCHes, and the PATCH
-	// response carries the modeled communication and plan.
+	// machine with this many processors, each sweeping its share over the
+	// replicated adjacency, and the PATCH response carries the modeled
+	// communication and plan.
 	DynProcs int
 	// Metrics is the observability registry the server's counters, gauges,
 	// and histograms register on (exposed at GET /metrics). nil creates a

@@ -434,14 +434,12 @@ func bucketByStage[T any](in *buckets[T], es []sparse.Entry[T], s int, stageOf f
 }
 
 // stagedB is a B operand as its plan's stage loop consumes it on one rank:
-// the rank's sorted block, the B distribution it was staged by and the
-// views derived from it. The views depend on (plan, k, n, rank) and the
-// entries alone — never on the frontier — so they are built when the block
-// is staged and rebuilt only when it is edited (Stationary.Patch), not on
-// every multiplication.
+// the rank's sorted block and the views derived from it. The views depend
+// on (plan, k, n, rank) and the entries alone — never on the frontier — so
+// they are built once, when the block is staged, not on every
+// multiplication.
 type stagedB[T any] struct {
 	entries []sparse.Entry[T]
-	db      distmat.Dist
 	// blocks[t] is what the rank holds of stage t: under VarAB the entries
 	// whose row lies in the stage's k-range (rows are the major sort key,
 	// so a sub-slice of entries); under VarBC a copy of those whose column
@@ -455,60 +453,39 @@ type stagedB[T any] struct {
 	offs [][]int32
 }
 
-// stageB derives the stage views of a rank's block staged by db, written
-// over into's (fresh ones when into is nil): a set rebuilt after an edit
-// reuses the storage of the views it replaces.
-func stageB[T any](into *stagedB[T], plan Plan, k, n, rank int, db distmat.Dist, entries []sparse.Entry[T]) *stagedB[T] {
+// stageB derives the stage views of a rank's staged block.
+func stageB[T any](plan Plan, k, n, rank int, entries []sparse.Entry[T]) *stagedB[T] {
 	inner := plan.P2 * plan.P3
 	myR, myC := rank%inner/plan.P3, rank%plan.P3
 	// B's staging consults only the k and n ranges, which no plan derives
 	// from the frontier row count.
 	r := layerRanges(plan, 1, k, n, rank/inner)
 	s := plan.stages()
-	b := into
-	if b == nil {
-		b = new(stagedB[T])
-	}
-	b.entries, b.db = entries, db
+	b := &stagedB[T]{entries: entries}
 	switch plan.YZ {
 	case VarAB:
-		b.blocks = slices.Grow(b.blocks[:0], s)[:s]
-		b.offs = slices.Grow(b.offs[:0], s)[:s]
+		b.blocks, b.offs = make([][]sparse.Entry[T], s), make([][]int32, s)
 		lo := 0
 		for t := range b.blocks {
 			kb0, kb1 := stageBounds(t, r.k0, r.k1, s)
 			hi := lo + sort.Search(len(entries)-lo, func(x int) bool { return entries[lo+x].I >= kb1 })
 			b.blocks[t] = entries[lo:hi:hi]
-			b.offs[t] = indexRows(b.offs[t], b.blocks[t], kb0, kb1)
+			b.offs[t] = indexRows(nil, b.blocks[t], kb0, kb1)
 			lo = hi
 		}
 	case VarAC:
 		kb0, kb1 := stageBounds(myR, r.k0, r.k1, plan.P2)
-		b.blocks = append(b.blocks[:0], entries)
-		b.offs = slices.Grow(b.offs[:0], 1)[:1]
-		b.offs[0] = indexRows(b.offs[0], entries, kb0, kb1)
+		b.blocks = [][]sparse.Entry[T]{entries}
+		b.offs = [][]int32{indexRows(nil, entries, kb0, kb1)}
 	default:
 		kb0, kb1 := stageBounds(myC, r.k0, r.k1, plan.P3)
 		b.blocks = bucketByStage(&b.stages, entries, s, func(e sparse.Entry[T]) int { return partIn(e.J, r.n0, r.n1, s) })
-		b.offs = slices.Grow(b.offs[:0], s)[:s]
+		b.offs = make([][]int32, s)
 		for t, blk := range b.blocks {
-			b.offs[t] = indexRows(b.offs[t], blk, kb0, kb1)
+			b.offs[t] = indexRows(nil, blk, kb0, kb1)
 		}
 	}
 	return b
-}
-
-// holds returns whether rank's set, staged under plan, holds (i, j): whether
-// the set's B distribution places (i, j) on rank or, where the plan
-// replicates B across layers, on rank's fiber group — every layer at its
-// inner grid position. Only B's k and n coordinates are consulted, never
-// the frontier row count, which is why a set is named by its plan alone.
-func (b *stagedB[T]) holds(plan Plan, rank int) func(i, j int32) bool {
-	db, group := b.db, plan.Procs()
-	if plan.P1 > 1 && plan.X == RoleB {
-		group = plan.P2 * plan.P3
-	}
-	return func(i, j int32) bool { return db.Owner(i, j)%group == rank%group }
 }
 
 // runAB: C stationary; A broadcast along grid rows, B along grid columns,
