@@ -80,12 +80,12 @@ type CentPath struct {
 // identity carries weight −∞.
 func CentPathZero() CentPath { return CentPath{W: math.Inf(-1)} }
 
-// CentPathTimes is the ⊗ operator of the centpath monoid: the higher-weight
+// centPathTimes is the ⊗ operator of the centpath monoid: the higher-weight
 // operand wins; equal weights sum both the partial centrality factors and
 // the counters. Keeping the higher weight is what screens out spurious
 // back-propagation contributions, whose weights T(s,u).w − w(v,u) are
 // strictly below T(s,v).w whenever (v,u) is not a shortest-path-DAG edge.
-func CentPathTimes(x, y CentPath) CentPath {
+func centPathTimes(x, y CentPath) CentPath {
 	switch {
 	case x.W > y.W:
 		return x
@@ -101,7 +101,7 @@ func CentPathIsZero(x CentPath) bool { return math.IsInf(x.W, -1) }
 
 // CentPathMonoid is the centpath monoid packaged for generic kernels.
 func CentPathMonoid() Monoid[CentPath] {
-	return Monoid[CentPath]{Identity: CentPathZero(), Op: CentPathTimes, IsZero: CentPathIsZero}
+	return Monoid[CentPath]{Identity: CentPathZero(), Op: centPathTimes, IsZero: CentPathIsZero}
 }
 
 // BrandesAction is the Brandes action g : C × W → C of the weight monoid
@@ -138,22 +138,3 @@ func CountMonoid() Monoid[float64] {
 		IsZero:   func(x float64) bool { return x == 0 },
 	}
 }
-
-// Sided is the constraint on the entry values of core's distributed sweep:
-// a value carries Sides() independent components of type E (a count that
-// is a property of the type, not of the value), read with Side and replaced
-// with WithSide, and the sweep's per-entry rules decide each side by its
-// own components. MultPath and CentPath are one-sided over themselves.
-type Sided[T, E any] interface {
-	Sides() int
-	Side(s int) E
-	WithSide(s int, e E) T
-}
-
-func (MultPath) Sides() int                          { return 1 }
-func (x MultPath) Side(int) MultPath                 { return x }
-func (MultPath) WithSide(_ int, e MultPath) MultPath { return e }
-
-func (CentPath) Sides() int                          { return 1 }
-func (x CentPath) Side(int) CentPath                 { return x }
-func (CentPath) WithSide(_ int, e CentPath) CentPath { return e }

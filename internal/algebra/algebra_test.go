@@ -57,20 +57,20 @@ func TestMultPathMonoidLaws(t *testing.T) {
 
 func TestCentPathMonoidLaws(t *testing.T) {
 	commutative := func(a, b quickCP) bool {
-		return CentPathTimes(CentPath(a), CentPath(b)) == CentPathTimes(CentPath(b), CentPath(a))
+		return centPathTimes(CentPath(a), CentPath(b)) == centPathTimes(CentPath(b), CentPath(a))
 	}
 	if err := quick.Check(commutative, quickCfg); err != nil {
 		t.Errorf("⊗ not commutative: %v", err)
 	}
 	associative := func(a, b, c quickCP) bool {
 		x, y, z := CentPath(a), CentPath(b), CentPath(c)
-		return CentPathTimes(CentPathTimes(x, y), z) == CentPathTimes(x, CentPathTimes(y, z))
+		return centPathTimes(centPathTimes(x, y), z) == centPathTimes(x, centPathTimes(y, z))
 	}
 	if err := quick.Check(associative, quickCfg); err != nil {
 		t.Errorf("⊗ not associative: %v", err)
 	}
 	identity := func(a quickCP) bool {
-		return CentPathTimes(CentPath(a), CentPathZero()) == CentPath(a)
+		return centPathTimes(CentPath(a), CentPathZero()) == CentPath(a)
 	}
 	if err := quick.Check(identity, quickCfg); err != nil {
 		t.Errorf("⊗ identity law failed: %v", err)
@@ -131,12 +131,12 @@ func TestCentPathSemantics(t *testing.T) {
 	a := CentPath{W: 3, P: 0.5, C: 2}
 	b := CentPath{W: 3, P: 0.25, C: -1}
 	lo := CentPath{W: 1, P: 9, C: 9}
-	if got := CentPathTimes(a, b); got.W != 3 || got.P != 0.75 || got.C != 1 {
+	if got := centPathTimes(a, b); got.W != 3 || got.P != 0.75 || got.C != 1 {
 		t.Fatalf("⊗ tie wrong: %v", got)
 	}
 	// The *higher* weight wins (the paper's formalism; its prose is
 	// inverted) — this is what screens spurious back-propagation.
-	if got := CentPathTimes(a, lo); got != a {
+	if got := centPathTimes(a, lo); got != a {
 		t.Fatalf("higher weight must win, got %v", got)
 	}
 	if got := BrandesAction(a, 1.5); got.W != 1.5 || got.P != 0.5 || got.C != 2 {

@@ -70,27 +70,33 @@ func TestBlockIndex(t *testing.T) {
 	}
 }
 
-// The backward round before the position table, kept as the oracle of the
-// indexed one: screenCentSided and foldInto merge-walked T and Z with seek,
-// and collectFrontierSided scanned the whole of Z.
+// indexed returns a fresh position table over es.
+func indexed[T any](es []sparse.Entry[T]) *blockIndex {
+	x := new(blockIndex)
+	indexBlock(x, es)
+	return x
+}
 
-func seekScreenCent[C centSided[C], M multSided[M]](p []sparse.Entry[C], t []sparse.Entry[M]) []sparse.Entry[C] {
+// everyPosition lists every position of es: collectFrontier over the whole
+// of a Z.
+func everyPosition[T any](es []sparse.Entry[T]) []int32 {
+	at := make([]int32, len(es))
+	for k := range at {
+		at[k] = int32(k)
+	}
+	return at
+}
+
+// The backward round before the position table, kept as the oracle of the
+// indexed one: screenCent and foldInto merge-walked T and Z with seek, and
+// collectFrontier scanned the whole of Z.
+
+func seekScreenCent(p []sparse.Entry[algebra.CentPath], t []sparse.Entry[algebra.MultPath]) []sparse.Entry[algebra.CentPath] {
 	out := p[:0]
 	y, hit := 0, false
 	for _, e := range p {
-		if y, hit = seek(t, y, e); !hit {
-			continue
-		}
-		live := false
-		for s := 0; s < e.V.Sides(); s++ {
-			//lint:allow floateq the oracle applies the rule it replaces
-			if t[y].V.Side(s).W == e.V.Side(s).W {
-				live = true
-			} else {
-				e.V = e.V.WithSide(s, algebra.CentPathZero())
-			}
-		}
-		if live {
+		//lint:allow floateq the oracle applies the rule it replaces
+		if y, hit = seek(t, y, e); hit && t[y].V.W == e.V.W {
 			out = append(out, e)
 		}
 	}
@@ -107,53 +113,39 @@ func seekFoldInto[C any](z, p []sparse.Entry[C], op func(C, C) C) {
 	}
 }
 
-func scanCollect[C centSided[C], M multSided[M]](z []sparse.Entry[C], t []sparse.Entry[M], zero C) []sparse.Entry[C] {
-	return collectFrontierSided(nil, z, t, everyPosition(z), zero)
+func scanCollect(z []sparse.Entry[algebra.CentPath], t []sparse.Entry[algebra.MultPath]) []sparse.Entry[algebra.CentPath] {
+	return collectFrontier(nil, z, t, everyPosition(z))
 }
 
-// backwardCase is one random backward round: T's block (one side dead now
-// and then), the child counts Z is built from, and a round's product, on
-// and off T's pattern and on and off the block's box.
-type backwardCase[M, C any] struct {
-	tm        []sparse.Entry[M]
-	counts, p []sparse.Entry[C]
+// backwardCase is one random backward round: T's block, the child counts
+// Z is built from, and a round's product, on and off T's pattern and on
+// and off the block's box.
+type backwardCase struct {
+	tm        []sparse.Entry[algebra.MultPath]
+	counts, p []sparse.Entry[algebra.CentPath]
 }
 
-func drawBackward[M multSided[M], C centSided[C]](r *rand.Rand, mzero M, czero C) backwardCase[M, C] {
-	sides := mzero.Sides()
+func drawBackward(r *rand.Rand) backwardCase {
 	// Integer weights from a small range, so that a product matching T's
 	// weight — the case the screen keeps — is common.
 	weight := func() float64 { return float64(1 + r.Intn(3)) }
-	var bc backwardCase[M, C]
+	var bc backwardCase
 	for _, e := range randBlock(r, 2, 3, 4, 6, 2) {
-		v, live := mzero, false
-		for s := 0; s < sides; s++ {
-			if sides == 1 || r.Intn(4) > 0 {
-				v, live = v.WithSide(s, algebra.MultPath{W: weight(), M: float64(1 + r.Intn(3))}), true
-			}
-		}
-		if !live {
-			continue // every side dead: T holds no such entry
-		}
-		bc.tm = append(bc.tm, sparse.Entry[M]{I: e.I, J: e.J, V: v})
+		bc.tm = append(bc.tm, sparse.Entry[algebra.MultPath]{I: e.I, J: e.J, V: algebra.MultPath{W: weight(), M: float64(1 + r.Intn(3))}})
 	}
-	cent := func(i, j int32, c int64) C {
-		v := czero
-		for s := 0; s < sides; s++ {
-			if r.Intn(5) == 0 {
-				continue
-			}
-			w := weight()
-			if k := slices.IndexFunc(bc.tm, func(e sparse.Entry[M]) bool { return e.I == i && e.J == j }); k >= 0 && r.Intn(3) > 0 {
-				w = bc.tm[k].V.Side(s).W
-			}
-			v = v.WithSide(s, algebra.CentPath{W: w, P: float64(r.Intn(4)), C: c})
+	cent := func(i, j int32, c int64) algebra.CentPath {
+		if r.Intn(5) == 0 {
+			return algebra.CentPathZero()
 		}
-		return v
+		w := weight()
+		if k := slices.IndexFunc(bc.tm, func(e sparse.Entry[algebra.MultPath]) bool { return e.I == i && e.J == j }); k >= 0 && r.Intn(3) > 0 {
+			w = bc.tm[k].V.W
+		}
+		return algebra.CentPath{W: w, P: float64(r.Intn(4)), C: c}
 	}
 	for _, e := range randBlock(r, 0, 0, 8, 11, 2) {
-		bc.counts = append(bc.counts, sparse.Entry[C]{I: e.I, J: e.J, V: cent(e.I, e.J, int64(r.Intn(3)))})
-		bc.p = append(bc.p, sparse.Entry[C]{I: e.I, J: e.J, V: cent(e.I, e.J, -1-int64(r.Intn(2)))})
+		bc.counts = append(bc.counts, sparse.Entry[algebra.CentPath]{I: e.I, J: e.J, V: cent(e.I, e.J, int64(r.Intn(3)))})
+		bc.p = append(bc.p, sparse.Entry[algebra.CentPath]{I: e.I, J: e.J, V: cent(e.I, e.J, -1-int64(r.Intn(2)))})
 	}
 	return bc
 }
@@ -161,30 +153,28 @@ func drawBackward[M multSided[M], C centSided[C]](r *rand.Rand, mzero M, czero C
 // checkIndexedBackward runs the indexed backward sweep's first two rounds —
 // Z from the screened counts and the leaves, then one screened product
 // folded by position — beside the seek oracle, and requires the same
-// surviving components, the same Z bits and the same frontiers. It returns
+// surviving entries, the same Z bits and the same frontiers. It returns
 // the length of the second frontier.
-func checkIndexedBackward[M multSided[M], C interface {
-	centSided[C]
-	comparable
-}](t *testing.T, seed int64, mzero M, czero C, op func(C, C) C) int {
+func checkIndexedBackward(t *testing.T, seed int64) int {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
-	bc := drawBackward(r, mzero, czero)
+	bc := drawBackward(r)
 	x := indexed(bc.tm)
+	op := algebra.CentPathMonoid().Op
 
-	counts, _ := screenCentSided(slices.Clone(bc.counts), bc.tm, x, nil)
+	counts, _ := screenCent(slices.Clone(bc.counts), bc.tm, x, nil)
 	wantCounts := seekScreenCent(slices.Clone(bc.counts), bc.tm)
 	if !slices.Equal(counts, wantCounts) {
 		t.Fatalf("seed %d: counts screen kept\n  %v\nwant\n  %v", seed, counts, wantCounts)
 	}
-	z, leaves := buildZSided(nil, bc.tm, counts, 0, nil)
-	zRef, _ := buildZSided(nil, bc.tm, wantCounts, 0, nil)
-	frontier := collectFrontierSided(nil, z, bc.tm, leaves, czero)
-	if want := scanCollect(zRef, bc.tm, czero); !slices.Equal(frontier, want) {
+	z, leaves := buildZ(nil, bc.tm, counts, 0, nil)
+	zRef, _ := buildZ(nil, bc.tm, wantCounts, 0, nil)
+	frontier := collectFrontier(nil, z, bc.tm, leaves)
+	if want := scanCollect(zRef, bc.tm); !slices.Equal(frontier, want) {
 		t.Fatalf("seed %d: first frontier from the leaves\n  %v\nwant\n  %v", seed, frontier, want)
 	}
 
-	kept, where := screenCentSided(slices.Clone(bc.p), bc.tm, x, nil)
+	kept, where := screenCent(slices.Clone(bc.p), bc.tm, x, nil)
 	wantKept := seekScreenCent(slices.Clone(bc.p), bc.tm)
 	if !slices.Equal(kept, wantKept) {
 		t.Fatalf("seed %d: round screen kept\n  %v\nwant\n  %v", seed, kept, wantKept)
@@ -194,8 +184,8 @@ func checkIndexedBackward[M multSided[M], C interface {
 	if !slices.Equal(z, zRef) {
 		t.Fatalf("seed %d: folded Z\n  %v\nwant\n  %v", seed, z, zRef)
 	}
-	frontier = collectFrontierSided(nil, z, bc.tm, where, czero)
-	if want := scanCollect(zRef, bc.tm, czero); !slices.Equal(frontier, want) {
+	frontier = collectFrontier(nil, z, bc.tm, where)
+	if want := scanCollect(zRef, bc.tm); !slices.Equal(frontier, want) {
 		t.Fatalf("seed %d: next frontier from the folded positions\n  %v\nwant\n  %v", seed, frontier, want)
 	}
 	if !slices.Equal(z, zRef) {
@@ -207,13 +197,12 @@ func checkIndexedBackward[M multSided[M], C interface {
 func TestIndexedBackwardMatchesSeek(t *testing.T) {
 	emitted := 0
 	for seed := int64(1); seed <= 300; seed++ {
-		emitted += checkIndexedBackward(t, seed, algebra.MultPathZero(), algebra.CentPathZero(), algebra.CentPathTimes)
-		emitted += checkIndexedBackward(t, seed, multPairZero, centPairZero, centPairTimes)
+		emitted += checkIndexedBackward(t, seed)
 	}
 	// The inputs must reach the case under test: counters the fold brings
 	// to zero, collected from the positions it folded into.
 	if emitted == 0 {
-		t.Fatal("no second-round frontier entry in 600 cases")
+		t.Fatal("no second-round frontier entry in 300 cases")
 	}
 	t.Logf("%d second-round frontier entries", emitted)
 }

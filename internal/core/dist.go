@@ -10,14 +10,13 @@
 // Algorithms 1 and 2 and their four per-entry rules (two more form each
 // sweep's products against T inside the multiply — the backward one
 // keeping only the edges of T's shortest-path DAG, by the sum the forward
-// sweep formed), written once over sorted entry lists. The rules decide
-// each side of a value by its own components (algebra.Sided); the sweep
-// runs them at one side, the scalar multpaths and centpaths. An
-// incremental apply does not run this sweep: it sweeps by source with the
-// CSR kernel (fused.go). The rules find T through one dense position table
-// per rank (blockIndex), never by searching it. The CSR sweep of seq.go
-// stays a separate copy by measurement: routing it through these rules
-// costs the sequential kernel about 12 % (ROADMAP, "Not owed": the CSR and
+// sweep formed), written once over sorted entry lists of the paper's two
+// monoids, one scalar multpath or centpath per entry (§4). The streaming
+// engine does not run this sweep: it sweeps by source with the CSR kernel
+// (fused.go). The rules find T through one dense position table per rank
+// (blockIndex), never by searching it. The CSR sweep of seq.go stays a
+// separate copy by measurement: routing it through these rules costs the
+// sequential kernel about 12 % (ROADMAP, "Not owed": the CSR and
 // entry-list sweeps stay two).
 package core
 
@@ -230,37 +229,6 @@ func batchList(n, nb int, explicit []int32) [][]int32 {
 	return out
 }
 
-// sweepAlgebra is what one instantiation of the sweep computes with: the
-// frontier (M) and centrality (C) monoids, the two actions on adjacency
-// values (W), and the constructor of the forward screen and the backward
-// mask over the block of T a rank's buffers hold. M and C are Sided; W is
-// opaque to the sweep.
-type sweepAlgebra[M, C, W any] struct {
-	mult    algebra.Monoid[M]
-	cent    algebra.Monoid[C]
-	bf      func(M, W) M
-	br      func(C, W) C
-	screens func(*sweepBufs[M, C, W]) (spgemm.Screen[M, W], spgemm.Screen[C, W])
-}
-
-// multSided and centSided constrain the sweep's frontier and centrality
-// value types: one multpath (centpath) component per side.
-type (
-	multSided[M any] interface {
-		algebra.Sided[M, algebra.MultPath]
-	}
-	centSided[C any] interface {
-		algebra.Sided[C, algebra.CentPath]
-	}
-)
-
-func scalarAlgebra() sweepAlgebra[algebra.MultPath, algebra.CentPath, float64] {
-	return sweepAlgebra[algebra.MultPath, algebra.CentPath, float64]{
-		algebra.MultPathMonoid(), algebra.CentPathMonoid(),
-		algebra.BFAction, algebra.BrandesAction, scalarScreens,
-	}
-}
-
 // planState is one rank's planning state across a region's sweeps: every
 // multiplication is planned from its frontier's global entry count, and the
 // latest plan (and thereby the output distribution) is kept.
@@ -277,10 +245,10 @@ type planState struct {
 // every rank, unless all is set. The product is screened by what align
 // returns once it has moved the caller's T to the plan's C distribution,
 // and folds by column into acc.
-func mulFrontier[T, W any](
+func mulFrontier[T any](
 	sp *planState, all, back bool, bytes int64,
-	frontier *distmat.Mat[T], b *spgemm.Stationary[W], f func(T, W) T, mon algebra.Monoid[T],
-	align func(distmat.Dist) spgemm.Screen[T, W], acc *spgemm.Accumulator[T],
+	frontier *distmat.Mat[T], b *spgemm.Stationary[float64], f func(T, float64) T, mon algebra.Monoid[T],
+	align func(distmat.Dist) spgemm.Screen[T, float64], acc *spgemm.Accumulator[T],
 ) (*distmat.Mat[T], bool) {
 	nnz := machine.AllreduceScalar(sp.sess.Proc.World(), int64(len(frontier.Local)), func(a, b int64) int64 { return a + b })
 	if nnz == 0 && !all {
@@ -297,51 +265,51 @@ func mulFrontier[T, W any](
 // adjacency's rows are sorted, so the share is built in (row, col) order,
 // and only the rank's own entries are built: no sort, and no other rank's
 // share. adj holds no ∞ weight, so no seed entry is zero.
-func seedShare[M multSided[M]](dst []sparse.Entry[M], zero M, adj *sparse.CSR[float64], batch []int32, rank, p int) []sparse.Entry[M] {
+func seedShare(dst []sparse.Entry[algebra.MultPath], adj *sparse.CSR[float64], batch []int32, rank, p int) []sparse.Entry[algebra.MultPath] {
 	out := dst[:0]
 	for i, src := range batch {
 		row := int32(i)
 		cols, ws := adj.Row(int(src))
 		for x, j := range cols {
 			if j != src && distmat.Shard(row, j, p) == rank {
-				out = append(out, sparse.Entry[M]{I: row, J: j, V: zero.WithSide(0, algebra.MultPath{W: ws[x], M: 1})})
+				out = append(out, sparse.Entry[algebra.MultPath]{I: row, J: j, V: algebra.MultPath{W: ws[x], M: 1}})
 			}
 		}
 	}
 	return out
 }
 
-// sweepBufs is the storage one rank's sweeps of one instantiation reuse
-// across the rounds and batches of a region and across the regions of a
-// session (distRank keeps it), so that a round allocates in proportion to
-// its frontier and not to T, and a region in proportion to what it newly
-// produces: one rotation per matrix (distmat.Accumulator) — T's seed,
-// merges and moves; the child-count operand, Z and Z's moves — the headers
-// of the forward sweep's T and frontier, the backward frontier's scratch
-// and the Z positions it is collected from, the accumulators the screened
-// forward and backward products fold into, the rank's current block of T
-// with its position table, and the forward screen and the backward mask,
-// built once over those two. Each step of a
-// sweep reads only its matrix's newest result, so the rotation never
-// writes over what a step reads. Every batch writes over what the last one
-// left: each use starts its slice at length 0. (Z is folded in place, and
-// the per-round filter and screens compact the product they are handed.)
-type sweepBufs[M, C, W any] struct {
-	t        distmat.Accumulator[M]
-	z        distmat.Accumulator[C]
-	tm, fm   distmat.Mat[M] // the forward sweep's T and frontier
-	frontier []sparse.Entry[C]
+// sweepBufs is the storage one rank's sweeps reuse across the rounds and
+// batches of a region and across the regions of a session (distRank keeps
+// it), so that a round allocates in proportion to its frontier and not to
+// T, and a region in proportion to what it newly produces: one rotation
+// per matrix (distmat.Accumulator) — T's seed, merges and moves; the
+// child-count operand, Z and Z's moves — the headers of the forward
+// sweep's T and frontier, the backward frontier's scratch and the Z
+// positions it is collected from, the accumulators the screened forward
+// and backward products fold into, the rank's current block of T with its
+// position table, and the forward screen and the backward mask, built once
+// over those two (screens). Each step of a sweep reads only its matrix's
+// newest result, so the rotation never writes over what a step reads.
+// Every batch writes over what the last one left: each use starts its
+// slice at length 0. (Z is folded in place, and the per-round filter and
+// screens compact the product they are handed.)
+type sweepBufs struct {
+	t        distmat.Accumulator[algebra.MultPath]
+	z        distmat.Accumulator[algebra.CentPath]
+	tm, fm   distmat.Mat[algebra.MultPath] // the forward sweep's T and frontier
+	frontier []sparse.Entry[algebra.CentPath]
 	ready    []int32
-	fwd      spgemm.Accumulator[M]
-	back     spgemm.Accumulator[C]
-	block    []sparse.Entry[M]
+	fwd      spgemm.Accumulator[algebra.MultPath]
+	back     spgemm.Accumulator[algebra.CentPath]
+	block    []sparse.Entry[algebra.MultPath]
 	index    blockIndex
-	screen   spgemm.Screen[M, W]
-	mask     spgemm.Screen[C, W]
+	screen   spgemm.Screen[algebra.MultPath, float64]
+	mask     spgemm.Screen[algebra.CentPath, float64]
 }
 
 // indexT makes es the block of T the screens and the backward rules read.
-func (b *sweepBufs[M, C, W]) indexT(es []sparse.Entry[M]) {
+func (b *sweepBufs) indexT(es []sparse.Entry[algebra.MultPath]) {
 	b.block = es
 	indexBlock(&b.index, es)
 }
@@ -395,24 +363,23 @@ func (x *blockIndex) at(i, j int32) int {
 // into T's rotation. Each round writes T's and the frontier's headers over
 // buf's, once the multiply has read the last ones. The returned T lives in
 // buf until the next batch's sweep.
-func sweepMFBF[M multSided[M], C, W any](
-	sp *planState, buf *sweepBufs[M, C, W], alg sweepAlgebra[M, C, W], a *spgemm.Stationary[W],
-	adj *sparse.CSR[float64], batch []int32,
-) (*distmat.Mat[M], int) {
+func sweepMFBF(sp *planState, buf *sweepBufs, a *spgemm.Stationary[float64], adj *sparse.CSR[float64], batch []int32) (*distmat.Mat[algebra.MultPath], int) {
 	world := sp.sess.Proc.World()
 	p := world.Size()
-	buf.tm = distmat.Mat[M]{Rows: len(batch), Cols: adj.Cols, Dist: distmat.DistShard(p),
-		Local: buf.t.Rotate(seedShare(buf.t.Spare(), alg.mult.Identity, adj, batch, world.Rank(), p))}
+	mult := algebra.MultPathMonoid()
+	screen, _ := buf.screens()
+	buf.tm = distmat.Mat[algebra.MultPath]{Rows: len(batch), Cols: adj.Cols, Dist: distmat.DistShard(p),
+		Local: buf.t.Rotate(seedShare(buf.t.Spare(), adj, batch, world.Rank(), p))}
 	t := &buf.tm
 	frontier := t
 	// T grows every round, so every multiply re-indexes it.
-	align := func(d distmat.Dist) spgemm.Screen[M, W] {
+	align := func(d distmat.Dist) spgemm.Screen[algebra.MultPath, float64] {
 		t = buf.t.Move(world, t, d)
 		buf.indexT(t.Local)
-		return buf.screen
+		return screen
 	}
 	for iters := 0; ; iters++ {
-		ext, ok := mulFrontier(sp, false, false, multpathBytes, frontier, a, alg.bf, alg.mult, align, &buf.fwd)
+		ext, ok := mulFrontier(sp, false, false, multpathBytes, frontier, a, algebra.BFAction, mult, align, &buf.fwd)
 		if !ok {
 			return t, iters
 		}
@@ -428,52 +395,51 @@ func sweepMFBF[M multSided[M], C, W any](
 			}
 		}
 		t = distmat.Redistribute(world, t, ext.Dist)
-		buf.tm = distmat.Mat[M]{Rows: t.Rows, Cols: t.Cols, Dist: t.Dist, Local: buf.t.Merge(t.Local, live, alg.mult)}
+		buf.tm = distmat.Mat[algebra.MultPath]{Rows: t.Rows, Cols: t.Cols, Dist: t.Dist, Local: buf.t.Merge(t.Local, live, mult)}
 		t = &buf.tm
-		buf.fm = distmat.Mat[M]{Rows: t.Rows, Cols: t.Cols, Dist: t.Dist, Local: screenFrontierSided(live, t.Local)}
+		buf.fm = distmat.Mat[algebra.MultPath]{Rows: t.Rows, Cols: t.Cols, Dist: t.Dist, Local: screenFrontier(live, t.Local)}
 		frontier = &buf.fm
 	}
 }
 
 // sweepMFBr is Algorithm 2 on distributed matrices. It returns Z, the
 // (possibly realigned) T sharing Z's distribution, and the iteration count.
-func sweepMFBr[M multSided[M], C centSided[C], W any](
-	sp *planState, buf *sweepBufs[M, C, W], alg sweepAlgebra[M, C, W],
-	at *spgemm.Stationary[W], t *distmat.Mat[M],
-) (*distmat.Mat[C], *distmat.Mat[M], int) {
+func sweepMFBr(sp *planState, buf *sweepBufs, at *spgemm.Stationary[float64], t *distmat.Mat[algebra.MultPath]) (*distmat.Mat[algebra.CentPath], *distmat.Mat[algebra.MultPath], int) {
 	world := sp.sess.Proc.World()
+	cent := algebra.CentPathMonoid()
+	_, mask := buf.screens()
 	// T does not change during the sweep, so it is re-indexed only when it
 	// moves to another distribution.
-	var indexed *distmat.Mat[M]
+	var indexed *distmat.Mat[algebra.MultPath]
 	moveT := func(d distmat.Dist) {
 		if t = buf.t.Move(world, t, d); t != indexed {
 			buf.indexT(t.Local)
 			indexed = t
 		}
 	}
-	align := func(d distmat.Dist) spgemm.Screen[C, W] {
+	align := func(d distmat.Dist) spgemm.Screen[algebra.CentPath, float64] {
 		moveT(d)
-		return buf.mask
+		return mask
 	}
-	mul := func(frontier *distmat.Mat[C], all bool) (*distmat.Mat[C], bool) {
-		return mulFrontier(sp, all, true, centpathBytes, frontier, at, alg.br, alg.cent, align, &buf.back)
+	mul := func(frontier *distmat.Mat[algebra.CentPath], all bool) (*distmat.Mat[algebra.CentPath], bool) {
+		return mulFrontier(sp, all, true, centpathBytes, frontier, at, algebra.BrandesAction, cent, align, &buf.back)
 	}
-	mat := func(d distmat.Dist, local []sparse.Entry[C]) *distmat.Mat[C] {
-		return &distmat.Mat[C]{Rows: t.Rows, Cols: t.Cols, Dist: d, Local: local}
+	mat := func(d distmat.Dist, local []sparse.Entry[algebra.CentPath]) *distmat.Mat[algebra.CentPath] {
+		return &distmat.Mat[algebra.CentPath]{Rows: t.Rows, Cols: t.Cols, Dist: d, Local: local}
 	}
 
 	// Child counting: one product of the full T pattern with Aᵀ — much
 	// denser than any frontier product, so it gets its own plan. The DAG's
 	// leaves, found while Z is built, are the first frontier.
-	ones, _ := buildZSided[M, C](buf.z.Spare(), t.Local, nil, 1, nil)
+	ones, _ := buildZ(buf.z.Spare(), t.Local, nil, 1, nil)
 	p, _ := mul(mat(t.Dist, buf.z.Rotate(ones)), true)
 	moveT(p.Dist)
 	// A pass records each position of T at most once, so |T| bounds ready.
-	counts, ready := screenCentSided(p.Local, t.Local, &buf.index, slices.Grow(buf.ready[:0], len(t.Local)))
-	zs, ready := buildZSided(buf.z.Spare(), t.Local, counts, 0, ready[:0])
+	counts, ready := screenCent(p.Local, t.Local, &buf.index, slices.Grow(buf.ready[:0], len(t.Local)))
+	zs, ready := buildZ(buf.z.Spare(), t.Local, counts, 0, ready[:0])
 	z := mat(t.Dist, buf.z.Rotate(zs))
 	for iters := 0; ; iters++ {
-		buf.frontier = collectFrontierSided(buf.frontier[:0], z.Local, t.Local, ready, alg.cent.Identity)
+		buf.frontier = collectFrontier(buf.frontier[:0], z.Local, t.Local, ready)
 		p, ok := mul(mat(z.Dist, buf.frontier), false)
 		if !ok {
 			buf.ready = ready
@@ -486,21 +452,19 @@ func sweepMFBr[M multSided[M], C centSided[C], W any](
 		// positions folded into are where the next frontier can come from.
 		moveT(p.Dist)
 		z = buf.z.Move(world, z, p.Dist)
-		var kept []sparse.Entry[C]
-		kept, ready = screenCentSided(p.Local, t.Local, &buf.index, ready[:0])
-		foldInto(z.Local, kept, ready, alg.cent.Op)
+		var kept []sparse.Entry[algebra.CentPath]
+		kept, ready = screenCent(p.Local, t.Local, &buf.index, ready[:0])
+		foldInto(z.Local, kept, ready, cent.Op)
 	}
 }
 
 // The four per-entry rules. Each is a join of a sorted entry slice with
-// identically distributed T, decided side by side: whether a component
-// survives depends on that side's components alone, so one side's survival
-// never resurrects another. A component that does not survive becomes the
-// exact zero of its monoid; an entry survives when any component does. The
-// two screens compact their first argument — a product the caller owns and
-// is done with — in place. The backward rules find T, and Z, which shares
-// T's pattern entry for entry, through the rank's blockIndex: one load per
-// product, so a round costs what its product costs and not what T does.
+// identically distributed T, one scalar multpath or centpath per entry: an
+// entry that does not survive is dropped. The two screens compact their
+// first argument — a product the caller owns and is done with — in place.
+// The backward rules find T, and Z, which shares T's pattern entry for
+// entry, through the rank's blockIndex: one load per product, so a round
+// costs what its product costs and not what T does.
 //
 // Two more rules, one per sweep, are the screens Multiply runs in place of
 // the action wherever the plan lets a screen run (spgemm.Plan.Screens):
@@ -508,30 +472,29 @@ func sweepMFBr[M multSided[M], C centSided[C], W any](
 // already be in the product's distribution, and says whether to fold it.
 // A lookup is one load from the position table the sweep's buffers keep
 // current (sweepBufs.indexT); the screens only read, so the kernel's
-// workers share them. The algebra carries its concrete pair of them
-// (scalarScreens), built once per sweepBufs.
+// workers share them. The buffers build the pair once (sweepBufs.screens).
 //
 // The forward screen extends a path by its edge and drops the extension
-// when T holds its coordinate and every side of it is zero or strictly
+// when T holds its coordinate and the extension is zero or strictly
 // heavier there. That is conservative: a strict loser neither wins nor
-// ties under ⊕, so the merge and screenFrontierSided keep what they kept
+// ties under ⊕, so the merge and screenFrontier keep what they kept
 // without it. A product where T holds nothing yet is a new path, and kept.
 //
 // The backward mask is the sweep's one test of the shortest-path DAG,
-// tight: a child's component crosses an edge back to its parent only where
+// tight: a child's centpath crosses an edge back to its parent only where
 // the forward sweep formed the child's T weight as the parent's plus the
-// edge, and it arrives at the parent's T weight, which screenCentSided's
-// test then matches. What misses on every side, and what lands off the
-// block (Z shares T's pattern), is dropped. Where no screen runs, ⊖ forms
-// the product and screenCentSided's weight test decides, which is exact
-// only on weights whose path sums are (exactSums). So on inexact weights a
-// backward product is planned among the plans that screen (planFor).
+// edge, and it arrives at the parent's T weight, which screenCent's test
+// then matches. What misses, and what lands off the block (Z shares T's
+// pattern), is dropped. Where no screen runs, ⊖ forms the product and
+// screenCent's weight test decides, which is exact only on weights whose
+// path sums are (exactSums). So on inexact weights a backward product is
+// planned among the plans that screen (planFor).
 
-// tight is one side of the backward mask: the child's component a =
+// tight is the backward mask's test: the child's centpath a =
 // (T(s,u).w, ζ, c) reaches its parent v over an edge of weight w when
 // T(s,v).w + w = T(s,u).w, the sum the forward relaxation formed — exact on
 // any weights, as Brandes' own test is. It returns a's factor and counter
-// at weight tw = T(s,v).w, or the exact zero. A dead T side (tw = +∞), a
+// at weight tw = T(s,v).w, or the exact zero. A dead T entry (tw = +∞), a
 // dead child (a.W = −∞) and an absent edge (w = +∞) all miss.
 func tight(tw, w float64, a algebra.CentPath) algebra.CentPath {
 	//lint:allow floateq the forward sweep formed T(s,u).w as exactly this sum
@@ -545,22 +508,24 @@ func tight(tw, w float64, a algebra.CentPath) algebra.CentPath {
 // neither win nor tie under ⊕, whatever else the round produces there.
 func multLoses(t, v algebra.MultPath) bool { return algebra.MultPathIsZero(v) || t.W < v.W }
 
-// scalarScreens returns the forward screen and the backward mask over the
-// scalar types, reading b's block of T.
-func scalarScreens(b *sweepBufs[algebra.MultPath, algebra.CentPath, float64]) (spgemm.Screen[algebra.MultPath, float64], spgemm.Screen[algebra.CentPath, float64]) {
-	screen := func(i, j int32, a algebra.MultPath, w float64) (algebra.MultPath, bool) {
-		v := algebra.BFAction(a, w)
-		k := b.index.at(i, j)
-		return v, k < 0 || !multLoses(b.block[k].V, v)
-	}
-	mask := func(i, j int32, a algebra.CentPath, w float64) (algebra.CentPath, bool) {
-		if k := b.index.at(i, j); k >= 0 {
-			v := tight(b.block[k].V.W, w, a)
-			return v, !algebra.CentPathIsZero(v)
+// screens returns the forward screen and the backward mask over b's block
+// of T, built on the first call and kept with b.
+func (b *sweepBufs) screens() (spgemm.Screen[algebra.MultPath, float64], spgemm.Screen[algebra.CentPath, float64]) {
+	if b.screen == nil {
+		b.screen = func(i, j int32, a algebra.MultPath, w float64) (algebra.MultPath, bool) {
+			v := algebra.BFAction(a, w)
+			k := b.index.at(i, j)
+			return v, k < 0 || !multLoses(b.block[k].V, v)
 		}
-		return a, false
+		b.mask = func(i, j int32, a algebra.CentPath, w float64) (algebra.CentPath, bool) {
+			if k := b.index.at(i, j); k >= 0 {
+				v := tight(b.block[k].V.W, w, a)
+				return v, !algebra.CentPathIsZero(v)
+			}
+			return a, false
+		}
 	}
-	return screen, mask
+	return b.screen, b.mask
 }
 
 // seek advances y to t's first entry not before e and reports whether that
@@ -572,55 +537,34 @@ func seek[T, U any](t []sparse.Entry[T], y int, e sparse.Entry[U]) (int, bool) {
 	return y, y < len(t) && t[y].I == e.I && t[y].J == e.J
 }
 
-// screenFrontierSided keeps the extension components whose weight matches the
-// accumulated T at the same coordinate.
-func screenFrontierSided[M multSided[M]](ext, t []sparse.Entry[M]) []sparse.Entry[M] {
+// screenFrontier keeps the extensions whose weight matches the accumulated
+// T at the same coordinate.
+func screenFrontier(ext, t []sparse.Entry[algebra.MultPath]) []sparse.Entry[algebra.MultPath] {
 	out := ext[:0]
 	y, hit := 0, false
 	for _, e := range ext {
 		if y, hit = seek(t, y, e); !hit {
 			continue
 		}
-		live := false
-		for s := 0; s < e.V.Sides(); s++ {
-			es := e.V.Side(s)
-			//lint:allow floateq screening requires an exact match of bit-identically replicated weights
-			if !algebra.MultPathIsZero(es) && t[y].V.Side(s).W == es.W && es.M > 0 {
-				live = true
-			} else {
-				e.V = e.V.WithSide(s, algebra.MultPathZero())
-			}
-		}
-		if live {
+		//lint:allow floateq screening requires an exact match of bit-identically replicated weights
+		if !algebra.MultPathIsZero(e.V) && t[y].V.W == e.V.W && e.V.M > 0 {
 			out = append(out, e)
 		}
 	}
 	return out
 }
 
-// screenCentSided keeps the centpath components matching T's weight at the
-// same coordinate, appending to where the position in t (x indexes t) of
-// each entry it keeps. A dead T component carries weight +∞ and a dead centpath
-// component −∞, so the equality test alone screens liveness. A component the
-// mask formed carries T's weight already; one ⊖ formed is tested here, which
-// is exact only on a side whose path sums are (exactSums).
-func screenCentSided[C centSided[C], M multSided[M]](p []sparse.Entry[C], t []sparse.Entry[M], x *blockIndex, where []int32) ([]sparse.Entry[C], []int32) {
+// screenCent keeps the centpaths matching T's weight at the same
+// coordinate, appending to where the position in t (x indexes t) of each
+// entry it keeps. A dead T entry carries weight +∞ and a dead centpath −∞,
+// so the equality test alone screens liveness. A centpath the mask formed
+// carries T's weight already; one ⊖ formed is tested here, which is exact
+// only on weights whose path sums are (exactSums).
+func screenCent(p []sparse.Entry[algebra.CentPath], t []sparse.Entry[algebra.MultPath], x *blockIndex, where []int32) ([]sparse.Entry[algebra.CentPath], []int32) {
 	out := p[:0]
 	for _, e := range p {
-		k := x.at(e.I, e.J)
-		if k < 0 {
-			continue
-		}
-		live := false
-		for s := 0; s < e.V.Sides(); s++ {
-			//lint:allow floateq screening requires an exact match of bit-identically replicated weights
-			if t[k].V.Side(s).W == e.V.Side(s).W {
-				live = true
-			} else {
-				e.V = e.V.WithSide(s, algebra.CentPathZero())
-			}
-		}
-		if live {
+		//lint:allow floateq screening requires an exact match of bit-identically replicated weights
+		if k := x.at(e.I, e.J); k >= 0 && t[k].V.W == e.V.W {
 			out = append(out, e)
 			where = append(where, int32(k))
 		}
@@ -628,40 +572,34 @@ func screenCentSided[C centSided[C], M multSided[M]](p []sparse.Entry[C], t []sp
 	return out, where
 }
 
-// buildZSided lifts the T pattern to centpaths, written over dst (dst[:0],
-// grown as needed): every live T component appears as (T.w, 0, c) with c
-// its screened child count — the number of its shortest-path-DAG children
-// — plus base. It appends to leaves the position of every entry with a
-// live component whose c is 0.
-func buildZSided[M multSided[M], C centSided[C]](dst []sparse.Entry[C], t []sparse.Entry[M], counts []sparse.Entry[C], base int64, leaves []int32) ([]sparse.Entry[C], []int32) {
+// buildZ lifts the T pattern to centpaths, written over dst (dst[:0],
+// grown as needed): every live T entry appears as (T.w, 0, c) with c its
+// screened child count — the number of its shortest-path-DAG children —
+// plus base, and a dead one as the zero. It appends to leaves the position
+// of every live entry whose c is 0.
+func buildZ(dst []sparse.Entry[algebra.CentPath], t []sparse.Entry[algebra.MultPath], counts []sparse.Entry[algebra.CentPath], base int64, leaves []int32) ([]sparse.Entry[algebra.CentPath], []int32) {
 	out := slices.Grow(dst[:0], len(t))
 	y, hit := 0, false
 	for k, e := range t {
 		y, hit = seek(counts, y, e)
-		var v C
-		leaf := false
-		for s := 0; s < e.V.Sides(); s++ {
-			c := algebra.CentPathZero()
-			if ts := e.V.Side(s); !algebra.MultPathIsZero(ts) {
-				c = algebra.CentPath{W: ts.W, C: base}
-				if hit {
-					c.C += counts[y].V.Side(s).C // a dead counts component has C = 0
-				}
-				leaf = leaf || c.C == 0
+		c := algebra.CentPathZero()
+		if !algebra.MultPathIsZero(e.V) {
+			c = algebra.CentPath{W: e.V.W, C: base}
+			if hit {
+				c.C += counts[y].V.C // a dead count has C = 0
 			}
-			v = v.WithSide(s, c)
+			if c.C == 0 {
+				leaves = append(leaves, int32(k))
+			}
 		}
-		out = append(out, sparse.Entry[C]{I: e.I, J: e.J, V: v})
-		if leaf {
-			leaves = append(leaves, int32(k))
-		}
+		out = append(out, sparse.Entry[algebra.CentPath]{I: e.I, J: e.J, V: c})
 	}
 	return out, leaves
 }
 
 // foldInto accumulates the screened product p into Z where it stands: p[n]
-// at Z's position where[n], as screenCentSided found it in T, whose pattern
-// Z shares. ⊗ of a live Z entry is never zero, so this is the union merge
+// at Z's position where[n], as screenCent found it in T, whose pattern Z
+// shares. ⊗ of a live Z entry is never zero, so this is the union merge
 // Z ⊗ p without rebuilding Z.
 func foldInto[C any](z, p []sparse.Entry[C], where []int32, op func(C, C) C) {
 	for n, e := range p {
@@ -669,31 +607,21 @@ func foldInto[C any](z, p []sparse.Entry[C], where []int32, op func(C, C) C) {
 	}
 }
 
-// collectFrontierSided appends to out the components at Z's positions ready
-// whose counter is zero, emitting (T.w, ζ + 1/σ̄, −1) beside zero for the
-// sides not emitting and marking them done in place. Z and T share one
-// pattern, so index k addresses the same coordinate in both. A counter
-// reaches zero only where Z is built or folded into, so ready lists the leaves
-// of buildZSided on the first round and the positions the last round folded
-// into after that, in increasing order: Z is never scanned whole.
-func collectFrontierSided[C centSided[C], M multSided[M]](out, z []sparse.Entry[C], t []sparse.Entry[M], ready []int32, zero C) []sparse.Entry[C] {
-	sides := zero.Sides()
+// collectFrontier appends to out the live entries at Z's positions ready
+// whose counter is zero, emitting (T.w, ζ + 1/σ̄, −1) and marking them
+// done in place. Z and T share one pattern, so index k addresses the same
+// coordinate in both. A counter reaches zero only where Z is built or
+// folded into, so ready lists the leaves of buildZ on the first round and
+// the positions the last round folded into after that, in increasing
+// order: Z is never scanned whole.
+func collectFrontier(out, z []sparse.Entry[algebra.CentPath], t []sparse.Entry[algebra.MultPath], ready []int32) []sparse.Entry[algebra.CentPath] {
 	for _, k := range ready {
-		emit := false
-		for s := 0; s < sides; s++ {
-			zs := z[k].V.Side(s)
-			if algebra.CentPathIsZero(zs) || zs.C != 0 {
-				continue
-			}
-			if !emit {
-				out = append(out, sparse.Entry[C]{I: z[k].I, J: z[k].J, V: zero})
-				emit = true
-			}
-			e := &out[len(out)-1]
-			e.V = e.V.WithSide(s, algebra.CentPath{W: zs.W, P: zs.P + 1/t[k].V.Side(s).M, C: -1})
-			zs.C = -1
-			z[k].V = z[k].V.WithSide(s, zs)
+		zk := &z[k]
+		if algebra.CentPathIsZero(zk.V) || zk.V.C != 0 {
+			continue
 		}
+		out = append(out, sparse.Entry[algebra.CentPath]{I: zk.I, J: zk.J, V: algebra.CentPath{W: zk.V.W, P: zk.V.P + 1/t[k].V.M, C: -1}})
+		zk.V.C = -1
 	}
 	return out
 }

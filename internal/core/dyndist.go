@@ -46,9 +46,8 @@ type DistSession struct {
 	opt    DistOptions
 	p      int
 	g      *graph.Graph
-	adjCSR *sparse.CSR[float64]
-	adjT   *sparse.CSR[float64] // Aᵀ, adjCSR itself when undirected; nil until transpose builds it
-	exact  bool                 // exactSums of adjCSR's weights
+	adjCSR *sparse.CSR[float64] // A; nil until a region first reads it (adjacency)
+	adjT   *sparse.CSR[float64] // a directed Aᵀ; nil until transpose builds it
 	ranks  []*distRank
 	// replica is set once a region has charged the staging of the source
 	// route's replica (fused.go), which every rank then holds and every
@@ -97,42 +96,47 @@ func NewDistSession(g *graph.Graph, opt DistOptions) (*DistSession, error) {
 	for r := range s.ranks {
 		s.ranks[r] = new(distRank)
 	}
-	s.reset(g, nil)
+	s.reset(g)
 	return s, nil
 }
 
-// reset makes newG, whose adjacency is adjCSR (built when nil), the
-// session's topology with no replica staged, so the next region charges
-// its staging again: a new session's topology, and the fallback for a
-// vertex-set change, which moves the operand dimensions. Splice work still
-// pending carries over, which the next region charges all the same, and so
-// does the storage the ranks' regions reuse.
-func (s *DistSession) reset(newG *graph.Graph, adjCSR *sparse.CSR[float64]) {
-	if adjCSR == nil {
-		adjCSR = newG.Adjacency()
-	}
-	s.setTopology(newG, adjCSR, nil)
+// reset makes newG the session's topology with no replica staged, so the
+// next region charges its staging again: a new session's topology, and
+// the fallback for a vertex-set change, which moves the operand
+// dimensions. Its adjacency is built when a region first reads it, so a
+// session the engine moves at once onto its snapshot's CSRs never builds
+// one. Splice work still pending carries over, which the next region
+// charges all the same, and so does the storage the ranks' regions reuse.
+func (s *DistSession) reset(newG *graph.Graph) {
+	s.setTopology(newG, nil, nil)
 	s.replica = false
 }
 
 // setTopology makes g, with adjacency adj and its transpose at, the
-// session's topology, and drops the ranks' shards of the one before. An
-// undirected Aᵀ is A; a directed one left nil is built when first asked
-// for (transpose).
+// session's topology, and drops the ranks' shards of the one before. Either
+// left nil is built when first read (adjacency, transpose).
 func (s *DistSession) setTopology(g *graph.Graph, adj, at *sparse.CSR[float64]) {
-	if !g.Directed {
-		at = adj
-	}
-	s.g, s.adjCSR, s.adjT, s.exact = g, adj, at, exactSums(adj.Val)
+	s.g, s.adjCSR, s.adjT = g, adj, at
 	for _, rk := range s.ranks {
 		rk.a, rk.at = nil, nil
 	}
 }
 
-// transpose returns Aᵀ of the session's topology.
+// adjacency returns A of the session's topology.
+func (s *DistSession) adjacency() *sparse.CSR[float64] {
+	if s.adjCSR == nil {
+		s.adjCSR = s.g.Adjacency()
+	}
+	return s.adjCSR
+}
+
+// transpose returns Aᵀ of the session's topology: A itself when undirected.
 func (s *DistSession) transpose() *sparse.CSR[float64] {
+	if !s.g.Directed {
+		return s.adjacency()
+	}
 	if s.adjT == nil {
-		s.adjT = sparse.Transpose(s.adjCSR)
+		s.adjT = sparse.Transpose(s.adjacency())
 	}
 	return s.adjT
 }
@@ -146,7 +150,7 @@ func (s *DistSession) cutShards() {
 		return
 	}
 	shard := distmat.DistShard(s.p)
-	as := distmat.FromCSR(s.adjCSR, shard)
+	as := distmat.FromCSR(s.adjacency(), shard)
 	ats := as
 	if s.g.Directed {
 		ats = distmat.FromCSR(s.transpose(), shard)
@@ -180,7 +184,7 @@ func (s *DistSession) RunCtx(ctx context.Context, sources []int32) (*DistResult,
 		nb = len(sources)
 	}
 	s.cutShards()
-	pl := s.planner(s.g, s.exact)
+	pl := s.planner()
 	out, err := s.sweepRegion(ctx, pl, sources, nb)
 	if err != nil {
 		return nil, err
@@ -209,12 +213,12 @@ func CheckSources(n int, sources []int32) error {
 	return nil
 }
 
-// planner returns the per-multiplication planner of a region over g, whose
-// adjacency's path sums are exact when exact is set.
-func (s *DistSession) planner(g *graph.Graph, exact bool) planner {
+// planner returns the per-multiplication planner of a region over the
+// session's topology.
+func (s *DistSession) planner() planner {
 	return planner{
-		p: s.p, n: g.N, adjNNZ: int64(g.AdjacencyNNZ()),
-		model: machine.DefaultModel(), cons: s.opt.Constraint, forced: s.opt.Plan, exact: exact,
+		p: s.p, n: s.g.N, adjNNZ: int64(s.g.AdjacencyNNZ()), model: machine.DefaultModel(),
+		cons: s.opt.Constraint, forced: s.opt.Plan, exact: exactSums(s.adjacency().Val),
 	}
 }
 
@@ -261,7 +265,7 @@ type regionOutcome struct {
 	stats          machine.RunStats
 	iters, batches int
 	// Products the region's multiplies formed and those the in-multiply
-	// screens (scalarScreens) dropped before the kernel folded them, over
+	// screens (sweepBufs.screens) dropped before the kernel folded them, over
 	// the ranks this process hosts.
 	products, screened atomic.Int64
 }
@@ -286,7 +290,7 @@ func (red *reduceBufs) sums(n int) (acc, total []float64) {
 // accumulated scores.
 func (s *DistSession) sweepRegion(ctx context.Context, pl planner, sources []int32, nb int) (*regionOutcome, error) {
 	n := s.g.N
-	adj, alg := s.adjCSR, scalarAlgebra()
+	adj := s.adjacency()
 	out := &regionOutcome{bc: make([]float64, n)}
 	stats, err := s.region(ctx, func(proc *machine.Proc, rk *distRank) {
 		world := proc.World()
@@ -294,15 +298,12 @@ func (s *DistSession) sweepRegion(ctx context.Context, pl planner, sources []int
 		sp.sess.Workers = s.opt.Workers
 		proc.Phase(machine.PhaseSweep)
 		acc, total := machine.Scratch[reduceBufs](proc).sums(n)
-		buf := machine.Scratch[sweepBufs[algebra.MultPath, algebra.CentPath, float64]](proc)
-		if buf.mask == nil {
-			buf.screen, buf.mask = alg.screens(buf)
-		}
+		buf := machine.Scratch[sweepBufs](proc)
 		iters, batches := 0, 0
 		for _, batch := range batchList(n, nb, sources) {
 			batches++
-			t, itF := sweepMFBF(sp, buf, alg, rk.a, adj, batch)
-			z, t, itB := sweepMFBr(sp, buf, alg, rk.at, t)
+			t, itF := sweepMFBF(sp, buf, rk.a, adj, batch)
+			z, t, itB := sweepMFBr(sp, buf, rk.at, t)
 			iters += itF + itB
 			// Accumulate under the distribution the last product left Z in.
 			_, _, d := rk.at.Dists(sp.sess, sp.plan, z.Rows)

@@ -140,12 +140,12 @@ func (s *DistSession) sweepRoute(ctx context.Context, region string, sources []i
 		if n > s.g.N {
 			padded := s.g.Clone()
 			padded.N = n
-			s.reset(padded, nil)
+			s.reset(padded)
 		}
-		adj = append(adj, [2]*sparse.CSR[float64]{s.adjCSR, s.transpose()})
+		adj = append(adj, [2]*sparse.CSR[float64]{s.adjacency(), s.transpose()})
 	}
 	splice := s.move(newG, newAdj, newAt, diffs)
-	adj = append(adj, [2]*sparse.CSR[float64]{s.adjCSR, s.transpose()})
+	adj = append(adj, [2]*sparse.CSR[float64]{s.adjacency(), s.transpose()})
 	sides := len(adj)
 	stage := !s.replica
 	parts := make([][]EdgeDiff, s.p)

@@ -152,7 +152,7 @@ func TestReusedStorageCarriesNothing(t *testing.T) {
 	}
 	reset := func(next *graph.Graph) func(*testing.T, *DistSession) stepOutcome {
 		return func(t *testing.T, s *DistSession) (o stepOutcome) {
-			s.reset(next, nil)
+			s.reset(next)
 			r, err := s.Run(nil)
 			o.addRun(t, r, err)
 			return o

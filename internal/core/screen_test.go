@@ -231,8 +231,8 @@ func TestScreenedSweepDropsLosers(t *testing.T) {
 	}
 }
 
-// TestScalarScreensMatchSided: the scalar screens decide and form every
-// product as the per-side rules say, verdict for verdict and bit for bit,
+// TestScalarScreensMatchRules: the sweep's screens decide and form every
+// product as the rules say, verdict for verdict and bit for bit,
 // with T looked up by coordinate rather than through the block's position
 // table, on the spgemm screen tests' graphs — RMAT scale 6 and a weighted
 // 6×6 mesh — with T two Bellman-Ford rounds from 8 sources. The forward
@@ -242,7 +242,7 @@ func TestScreenedSweepDropsLosers(t *testing.T) {
 // at T's weight, only where T holds the coordinate and the edge is tight —
 // each operand also as the exact zero, and a backward one also across an
 // absent (∞) edge — at coordinates on and off the block.
-func TestScalarScreensMatchSided(t *testing.T) {
+func TestScalarScreensMatchRules(t *testing.T) {
 	mesh := graph.Grid2D(6, 6, 5, 2)
 	mesh.Name = "mesh-6x6"
 	rmat := graph.RMAT(graph.DefaultRMAT(6, 6, 4))
@@ -264,9 +264,9 @@ func TestScalarScreensMatchSided(t *testing.T) {
 			ext, _ := sparse.Mul(tm, a, algebra.BFAction, mp)
 			tm = sparse.EWise(tm, ext, mp)
 		}
-		var scalar sweepBufs[algebra.MultPath, algebra.CentPath, float64]
+		var scalar sweepBufs
 		scalar.indexT(tm.ToCOO().E)
-		fwd, back := scalarScreens(&scalar)
+		fwd, back := scalar.screens()
 		at := map[[2]int32]algebra.MultPath{}
 		for _, e := range scalar.block {
 			at[[2]int32{e.I, e.J}] = e.V

@@ -71,7 +71,7 @@ func TestResetCutsShardsAsFromGlobal(t *testing.T) {
 			}
 			checkShards(t, sess, g)
 			if g == mesh {
-				sess.reset(grown, nil)
+				sess.reset(grown)
 				checkShards(t, sess, grown)
 			}
 		}
@@ -130,12 +130,12 @@ func checkSeed(t *testing.T, name string, p int, adj *sparse.CSR[float64], batch
 	var stale []sparse.Entry[algebra.MultPath]
 	for r := 0; r < p; r++ {
 		want := distmat.FromGlobal(r, seed, shard, mon).Local
-		got := seedShare(nil, mon.Identity, adj, batch, r, p)
+		got := seedShare(nil, adj, batch, r, p)
 		if !sameEntries(got, want) {
 			t.Errorf("%s p=%d rank %d: seed share %+v, want %+v", name, p, r, got, want)
 		}
 		// Written over the last rank's share, in place.
-		if stale = seedShare(stale, mon.Identity, adj, batch, r, p); !sameEntries(stale, want) {
+		if stale = seedShare(stale, adj, batch, r, p); !sameEntries(stale, want) {
 			t.Errorf("%s p=%d rank %d: seed share over used storage %+v, want %+v", name, p, r, stale, want)
 		}
 	}

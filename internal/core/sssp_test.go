@@ -24,16 +24,15 @@ func distributedT(t *testing.T, g *graph.Graph, sources []int32, opt DistOptions
 	}
 	sess.cutShards()
 	mach := transportFor(sess.p, opt)
-	pl := sess.planner(g, sess.exact)
-	alg := scalarAlgebra()
+	pl := sess.planner()
 	var gathered *sparse.CSR[algebra.MultPath]
 	var iters int
 	stats, err := mach.Run(func(proc *machine.Proc) {
 		sp := &planState{sess: spgemm.NewSession(proc), pl: pl}
 		sp.sess.Workers = opt.Workers
-		buf := machine.Scratch[sweepBufs[algebra.MultPath, algebra.CentPath, float64]](proc)
-		tm, it := sweepMFBF(sp, buf, alg, sess.ranks[proc.Rank()].a, sess.adjCSR, sources)
-		full := testkit.Gather(proc.World(), tm, alg.mult)
+		buf := machine.Scratch[sweepBufs](proc)
+		tm, it := sweepMFBF(sp, buf, sess.ranks[proc.Rank()].a, sess.adjacency(), sources)
+		full := testkit.Gather(proc.World(), tm, algebra.MultPathMonoid())
 		if proc.Rank() == 0 {
 			gathered, iters = full, it
 		}

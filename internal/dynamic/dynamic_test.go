@@ -17,7 +17,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/machine"
 	"repro/internal/machine/sim"
-	"repro/internal/spgemm"
 )
 
 func almostEqual(a, b float64) bool {
@@ -362,49 +361,9 @@ func TestApplyNeverMutatesPublishedSnapshot(t *testing.T) {
 	}
 }
 
-// seatAblation replaces e's machine session with one over the committed
-// snapshot whose plan search runs under core.DistOptions' decomposition
-// ablation (a forced plan, or a 1D/2D/3D constraint). Config carries
-// neither. The session's Run honours it; the engine's own sweeps run the
-// source route, which no ablation governs, and the differential below
-// checks that they do whatever the session was built with.
-func seatAblation(t *testing.T, e *Engine, plan *spgemm.Plan, cons spgemm.Constraint) {
-	t.Helper()
-	sess, err := core.NewDistSession(e.cur.g, core.DistOptions{
-		Procs: e.cfg.Procs, Workers: e.cfg.Workers, Plan: plan, Constraint: cons,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.dist = sess
-}
-
-// planAdmitted reports whether the reported plan s is the forced plan, or,
-// with none forced, one the constraint admits.
-func planAdmitted(s string, forced *spgemm.Plan, cons spgemm.Constraint) bool {
-	if forced != nil {
-		return s == forced.String()
-	}
-	var p1, p2, p3 int
-	if _, err := fmt.Sscanf(s, "%dx%dx%d/", &p1, &p2, &p3); err != nil {
-		return false
-	}
-	switch cons {
-	case spgemm.Only1D:
-		return p2 == 1 && p3 == 1
-	case spgemm.Only2D:
-		return p1 == 1
-	case spgemm.Only3D:
-		return p1 > 1 && p2*p3 > 1
-	}
-	return true
-}
-
 // TestDistributedIncrementalMatchesFromScratch is the distributed-mode
 // differential test: engines running their sweeps on the simulated machine
-// (procs 2, 4, 6 and 8; at procs 2 and 4 also on sessions built under the
-// 1D/2D/3D constraints and one forced plan) replay seeded mutation
-// sequences; after every applied prefix the maintained scores must match a
+// (procs 2, 4, 6 and 8) replay seeded mutation sequences; after every applied prefix the maintained scores must match a
 // from-scratch sequential recomputation at 1e-9, and distributed applies
 // must report modeled communication and the source route's plan. An apply
 // runs at most one machine region, fused exactly when it has affected
@@ -419,21 +378,14 @@ func TestDistributedIncrementalMatchesFromScratch(t *testing.T) {
 		{"rmat", func() *graph.Graph { return graph.RMAT(graph.DefaultRMAT(5, 6, 11)) }, false},
 		{"grid-weighted", func() *graph.Graph { return graph.Grid2D(6, 6, 8, 13) }, true},
 	}
-	forced := spgemm.Plan{P1: 1, P2: 2, P3: 2, X: spgemm.RoleA, YZ: spgemm.VarBC}
 	engines := []struct {
 		name string
 		cfg  Config
-		plan *spgemm.Plan
-		cons spgemm.Constraint
 	}{
-		{"p2", Config{Procs: 2, DirtyThreshold: -1, Workers: 1}, nil, spgemm.AnyPlan},
-		{"p2-1d", Config{Procs: 2, DirtyThreshold: -1, Workers: 1}, nil, spgemm.Only1D},
-		{"p4-2d", Config{Procs: 4, DirtyThreshold: -1, Workers: 1}, nil, spgemm.Only2D},
-		{"p4-3d", Config{Procs: 4, DirtyThreshold: -1, Workers: 1}, nil, spgemm.Only3D},
-		{"p4-forced", Config{Procs: 4, DirtyThreshold: -1, Workers: 1}, &forced, spgemm.AnyPlan},
-		{"p4", Config{Procs: 4, DirtyThreshold: -1, Workers: 1}, nil, spgemm.AnyPlan},
-		{"p6", Config{Procs: 6, DirtyThreshold: -1, Workers: 1}, nil, spgemm.AnyPlan},
-		{"p8", Config{Procs: 8, DirtyThreshold: -1, Workers: 1}, nil, spgemm.AnyPlan},
+		{"p2", Config{Procs: 2, DirtyThreshold: -1, Workers: 1}},
+		{"p4", Config{Procs: 4, DirtyThreshold: -1, Workers: 1}},
+		{"p6", Config{Procs: 6, DirtyThreshold: -1, Workers: 1}},
+		{"p8", Config{Procs: 8, DirtyThreshold: -1, Workers: 1}},
 	}
 	for _, topo := range topologies {
 		for _, eng := range engines {
@@ -446,17 +398,6 @@ func TestDistributedIncrementalMatchesFromScratch(t *testing.T) {
 				compareScores(t, "initial", e.Scores().BC, fromScratch(t, g))
 				if e.Scores().Comm.Runs == 0 || e.Scores().Plan == "" {
 					t.Fatalf("initial distributed compute reported no comm/plan: %+v", e.Scores())
-				}
-				if eng.plan != nil || eng.cons != spgemm.AnyPlan {
-					seatAblation(t, e, eng.plan, eng.cons)
-					r, err := e.dist.Run(nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					compareScores(t, "initial "+eng.name, r.BC, fromScratch(t, g))
-					if p := r.Plan.String(); !planAdmitted(p, eng.plan, eng.cons) {
-						t.Fatalf("initial %s sweep ran plan %s", eng.name, p)
-					}
 				}
 				rng := rand.New(rand.NewSource(41))
 				shadow := g.Clone()
@@ -494,8 +435,7 @@ func TestDistributedIncrementalMatchesFromScratch(t *testing.T) {
 						t.Fatalf("step %d: distributed apply with %d affected reported no comm/plan: %+v",
 							step, rep.Affected, rep)
 					}
-					// A fused apply sweeps by source under the route's own plan,
-					// whatever the session's ablation.
+					// A fused apply sweeps by source under the route's own plan.
 					if route := fmt.Sprintf("%dx1x1/X=B/YZ=AB", eng.cfg.Procs); rep.Fused && rep.Plan != route {
 						t.Fatalf("step %d: %s apply (fused %t) ran plan %s", step, eng.name, rep.Fused, rep.Plan)
 					}

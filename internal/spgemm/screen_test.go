@@ -44,34 +44,17 @@ func relax[V, W any](seed *sparse.COO[V], adj *sparse.COO[W], rounds int, f func
 	return t
 }
 
-// sided builds a case's two screens from one side's rules, the way the
-// sweeps decide them: the in-multiply screen drops an entry only when every
-// side of it loses; the post-screen replaces each side that is not live
-// against t by zero and keeps the entry while a side is left. Where t holds
-// nothing, a forward fold is a new path (kept whole) and a backward one is
+// postScreen builds a case's post-screen from its rule, the way the sweeps
+// decide it: an entry is kept only while it is live against t. Where t
+// holds nothing, a forward fold is a new path (kept) and a backward one is
 // off T's pattern (dropped).
-func sided[V algebra.Sided[V, E], E any](loses, live func(t, v E) bool, zero E, keepAbsent bool) (func(t, v V) bool, func(t V, absent bool, v V) (V, bool)) {
-	return func(t, v V) bool {
-			for s := 0; s < v.Sides(); s++ {
-				if !loses(t.Side(s), v.Side(s)) {
-					return false
-				}
-			}
-			return true
-		}, func(t V, absent bool, v V) (V, bool) {
-			if absent {
-				return v, keepAbsent
-			}
-			kept := false
-			for s := 0; s < v.Sides(); s++ {
-				if live(t.Side(s), v.Side(s)) {
-					kept = true
-				} else {
-					v = v.WithSide(s, zero)
-				}
-			}
-			return v, kept
+func postScreen[V any](live func(t, v V) bool, keepAbsent bool) func(t V, absent bool, v V) (V, bool) {
+	return func(t V, absent bool, v V) (V, bool) {
+		if absent {
+			return v, keepAbsent
 		}
+		return v, live(t, v)
+	}
 }
 
 // checkScreenGraph checks the screen's contract on g at p processors for
@@ -129,11 +112,9 @@ func screenCases(g *graph.Graph, rows int) graphCases {
 	//lint:allow floateq the sweeps' post-screen is an exact match of replicated weights
 	onDAG := func(t, v algebra.CentPath) bool { return t.W == v.W }
 
-	loses, post := sided[algebra.MultPath](heavier, notHeavier, algebra.MultPathZero(), true)
-	backLoses, backPost := sided[algebra.CentPath](lighter, onDAG, algebra.CentPathZero(), false)
 	return graphCases{
-		fwd:  screenCase[algebra.MultPath, float64]{"forward", t2.ToCOO(), t2, adj, algebra.BFAction, mp, trop, loses, post},
-		back: screenCase[algebra.CentPath, float64]{"backward", z.ToCOO(), tw, adj, algebra.BrandesAction, cp, trop, backLoses, backPost},
+		fwd:  screenCase[algebra.MultPath, float64]{"forward", t2.ToCOO(), t2, adj, algebra.BFAction, mp, trop, heavier, postScreen(notHeavier, true)},
+		back: screenCase[algebra.CentPath, float64]{"backward", z.ToCOO(), tw, adj, algebra.BrandesAction, cp, trop, lighter, postScreen(onDAG, false)},
 	}
 }
 
